@@ -17,7 +17,7 @@
 //	simbad [-hours N] [-pprof ADDR]
 //	simbad -hub [-users N] [-shards K] [-alerts M] [-window D] [-seed S] [-delivery-window W]
 //	       [-wal-lanes L] [-wal-segment-bytes B] [-wal-checkpoint-every R]
-//	       [-commit-max-records N] [-async-depth K]
+//	       [-async-depth K]
 //	       [-mode-frac F] [-ack-timeout D] [-im-ack-p P]
 //	       [-guaranteed-frac F] [-outbox-dir DIR] [-outbox-backoff D]
 //	       [-burst B] [-route-batch R] [-gc-stats] [-pprof ADDR]
@@ -30,8 +30,8 @@
 // one per shard) so shards fsync in parallel; the run report breaks
 // fsync counts and latency down per lane. The -window commit window is
 // an upper bound, not a fixed tax: the adaptive scheduler fires
-// immediately when the log is idle and -commit-max-records force-
-// flushes a window whose staged backlog already justifies the fsync.
+// immediately when the log is idle and force-flushes a window whose
+// staged backlog already justifies the fsync.
 // With -async-depth > 1 each worker pipelines that many
 // SubmitBatchAsync tickets instead of blocking per burst; the report's
 // admission-latency line shows what the submitter-visible durability
@@ -106,7 +106,6 @@ func main() {
 	ackTimeout := flag.Duration("ack-timeout", 50*time.Millisecond, "hub: ack wait before a hosted mode block falls back")
 	imAckP := flag.Float64("im-ack-p", 0.7, "hub: probability a hosted IM delivery is acknowledged")
 	burst := flag.Int("burst", 1, "hub: submit alerts in SubmitBatch bursts of this size (1 = one-at-a-time Submit)")
-	commitMaxRecords := flag.Int("commit-max-records", 0, "hub: force-flush an in-progress commit window once this many records are staged (0 = commit MaxBatch)")
 	asyncDepth := flag.Int("async-depth", 1, "hub: SubmitBatchAsync tickets each worker keeps in flight (1 = synchronous SubmitBatch)")
 	submitInterval := flag.Duration("submit-interval", 0, "hub: pause each worker this long between bursts (paced low-load runs; 0 = full blast)")
 	routeBatch := flag.Int("route-batch", 0, "hub: max queued alerts a shard loop routes per wakeup (0 = default, 1 = alert-at-a-time)")
@@ -135,7 +134,7 @@ func main() {
 			walLanes: *walLanes, walSegBytes: *walSegBytes, walCkptEvery: *walCkptEvery,
 			modeFrac: *modeFrac, ackTimeout: *ackTimeout, imAckP: *imAckP,
 			burst: *burst, routeBatch: *routeBatch,
-			commitMaxRecords: *commitMaxRecords, asyncDepth: *asyncDepth,
+			asyncDepth:     *asyncDepth,
 			submitInterval: *submitInterval,
 			guaranteedFrac: *guaranteedFrac, outboxDir: *outboxDir, outboxBackoff: *outboxBackoff,
 			gcStats: *gcStats,
@@ -274,7 +273,6 @@ type hubParams struct {
 	ackTimeout                time.Duration
 	imAckP                    float64
 	burst, routeBatch         int
-	commitMaxRecords          int
 	asyncDepth                int
 	submitInterval            time.Duration
 	guaranteedFrac            float64
@@ -373,7 +371,6 @@ func runHub(p hubParams) error {
 		WALSegmentBytes:    p.walSegBytes,
 		WALCheckpointEvery: p.walCkptEvery,
 		RouteBatch:         p.routeBatch,
-		CommitMaxRecords:   p.commitMaxRecords,
 		OutboxPath:         filepath.Join(outboxDir, "hub.outbox"),
 		OutboxBackoff:      p.outboxBackoff,
 	})
@@ -599,8 +596,8 @@ func runHub(p hubParams) error {
 	fmt.Printf("WAL segments: %d live (created %d, replayed %d at start), %d checkpoints (gen %d), %.1f MB compacted, %d records retired, %.1f MB on disk\n",
 		w.Segments, w.SegmentsCreated, w.SegmentsReplayed, w.Checkpoints, w.CheckpointGen,
 		float64(w.CompactedBytes)/(1<<20), w.Retired, float64(w.DiskBytes)/(1<<20))
-	fmt.Printf("fsync latency (µs): %s\n", h.WALFsyncLatency())
-	fmt.Printf("commit batch sizes (records): %s\n", h.WALBatchSizes())
+	fmt.Printf("fsync latency (µs): %s\n", w.FsyncLatency)
+	fmt.Printf("commit batch sizes (records): %s\n", w.CommitBatches)
 	fmt.Printf("staged ingest batch sizes (alerts): %s\n", w.StagedBatches)
 	fmt.Printf("WAL lanes: %d\n", h.WALLanes())
 	fmt.Printf("  %-4s %9s %8s %10s %10s\n", "lane", "records", "fsyncs", "rec/fsync", "disk(MB)")

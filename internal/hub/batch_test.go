@@ -136,12 +136,20 @@ func TestHubSubmitBatchMatchesSubmit(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer l.Close()
-		r.walLive = l.Len()
+		r.walLive = int(l.Stats().Total)
 		if un := l.Unprocessed(); len(un) != 0 {
 			t.Fatalf("%s: %d unprocessed WAL records after drain", name, len(un))
 		}
+		processed := func(key string) bool {
+			for i := 0; i < l.Lanes(); i++ {
+				if l.Lane(i).IsProcessed(key) {
+					return true
+				}
+			}
+			return false
+		}
 		for _, key := range wantKeys {
-			if !l.Has(key) || !l.IsProcessed(key) {
+			if !processed(key) {
 				t.Fatalf("%s: WAL missing processed record for %q", name, key)
 			}
 		}
@@ -533,7 +541,7 @@ func TestSubmitBatchBulkOverload(t *testing.T) {
 		}
 		// The rejected alert was never logged, so a retry cannot be
 		// mistaken for a duplicate.
-		if h.wal.Has("user-0" + keySep + burst[i].Alert.DedupKey()) {
+		if h.wal.Lane(0).Has("user-0" + keySep + burst[i].Alert.DedupKey()) {
 			t.Fatalf("overloaded entry %d was logged", i)
 		}
 	}

@@ -19,7 +19,7 @@
 //     chained (per-user FIFO), alerts for different users overlap, so a
 //     slow delivery stalls one tenant's chain instead of the shard.
 //   - Durability is partitioned into per-shard WAL lanes
-//     (plog.LaneSet): each lane is an independent group-commit journal
+//     (plog.LaneSet): each lane is an independent plog.Log journal
 //     with its own committer and fsync pipeline, so shards stage and
 //     sync in parallel instead of serializing on one log, while RECV
 //     and DONE records within a lane still batch into one fsync per
@@ -208,13 +208,11 @@ type Config struct {
 	// window taxes only steady streams. Zero commits as soon as the
 	// previous fsync finishes.
 	CommitWindow time.Duration
-	// CommitMaxBatch caps WAL lines per fsync; zero means
+	// CommitMaxBatch caps WAL records per fsync, and a lane whose staged
+	// backlog reaches it commits without waiting out the window, so
+	// heavy bursts never wait out the timer. Zero means
 	// DefaultCommitMaxBatch.
 	CommitMaxBatch int
-	// CommitMaxRecords force-flushes an in-progress commit window once
-	// a lane's staged backlog reaches this many journal lines, so heavy
-	// bursts never wait out the timer. Zero means CommitMaxBatch.
-	CommitMaxRecords int
 	// CommitMaxBytes force-flushes once a lane's staged backlog reaches
 	// this many encoded bytes. Zero means plog's default (1 MiB).
 	CommitMaxBytes int
@@ -602,10 +600,9 @@ func New(cfg Config) (*Hub, error) {
 		cfg.WALLanes = cfg.Shards
 	}
 	wal, err := plog.OpenLanes(cfg.WALPath, cfg.WALLanes, plog.GroupOptions{
-		Window:           cfg.CommitWindow,
-		MaxBatch:         cfg.CommitMaxBatch,
-		CommitMaxRecords: cfg.CommitMaxRecords,
-		CommitMaxBytes:   cfg.CommitMaxBytes,
+		Window:         cfg.CommitWindow,
+		MaxBatch:       cfg.CommitMaxBatch,
+		CommitMaxBytes: cfg.CommitMaxBytes,
 		Log: plog.Options{
 			SegmentBytes:    cfg.WALSegmentBytes,
 			CheckpointEvery: cfg.WALCheckpointEvery,
@@ -896,42 +893,66 @@ func (h *Hub) deliveredViaCounterFor(t addr.Type) *metrics.Counter {
 	return h.counters.Counter(deliveredViaCounter(t))
 }
 
+// replayRec is one unprocessed WAL record decoded for re-enqueue; lane
+// is the lane that owns the record — possibly a stale lane beyond the
+// configured count — so its eventual DONE retires the right journal.
+type replayRec struct {
+	b    *Buddy
+	a    alert.Alert
+	key  string
+	lane int
+}
+
+// replayable decodes one unprocessed WAL record for re-enqueue. A
+// record that can never be routed — no user in its key, a user no
+// longer hosted, an unparsable payload — is tombstoned on its lane,
+// journaled, and counted, and ok is false. only restricts the scan to
+// one shard (RestartShard): other shards' records are skipped
+// untouched, as is a malformed key, whose shard is unknown — the next
+// process start (only == nil) tombstones it.
+func (h *Hub) replayable(rec plog.LaneRecord, only *shard) (r replayRec, ok bool) {
+	tombstone := func(format string, args ...any) {
+		h.journal(faults.KindReplay, "tombstoning "+format, args...)
+		_ = h.wal.Lane(rec.Lane).MarkProcessed(rec.Key, h.cfg.Clock.Now())
+		h.counters.Add1("tombstoned")
+	}
+	user, _, keyed := strings.Cut(rec.Key, keySep)
+	if only != nil && (!keyed || h.shardOf(user) != only) {
+		return r, false
+	}
+	if !keyed {
+		tombstone("WAL entry with malformed key %q", rec.Key)
+		return r, false
+	}
+	b, hosted := h.buddy(user)
+	if !hosted {
+		tombstone("WAL entry for unhosted user %q", user)
+		return r, false
+	}
+	r = replayRec{b: b, key: rec.Key, lane: rec.Lane}
+	if err := r.a.UnmarshalText(rec.Payload); err != nil {
+		tombstone("unparsable WAL entry %q: %v", rec.Key, err)
+		return r, false
+	}
+	return r, true
+}
+
 // replay re-enqueues the WAL lanes' unprocessed entries, merged by
 // received-at timestamp (exact per-user order — a user's lane is
 // stable). Runs before admission opens, so replayed alerts are routed
-// ahead of new traffic. Each envelope remembers the lane that owns its
-// record — possibly a stale lane beyond the configured count — so its
-// eventual DONE retires the right journal.
+// ahead of new traffic.
 func (h *Hub) replay() {
 	for _, rec := range h.wal.Unprocessed() {
-		lane := h.wal.Lane(rec.Lane)
-		user, _, ok := strings.Cut(rec.Key, keySep)
+		r, ok := h.replayable(rec, nil)
 		if !ok {
-			h.journal(faults.KindReplay, "tombstoning WAL entry with malformed key %q", rec.Key)
-			_ = lane.MarkProcessed(rec.Key, h.cfg.Clock.Now())
-			h.counters.Add1("tombstoned")
 			continue
 		}
-		b, hosted := h.buddy(user)
-		if !hosted {
-			h.journal(faults.KindReplay, "tombstoning WAL entry for unhosted user %q", user)
-			_ = lane.MarkProcessed(rec.Key, h.cfg.Clock.Now())
-			h.counters.Add1("tombstoned")
-			continue
-		}
-		var a alert.Alert
-		if err := a.UnmarshalText(rec.Payload); err != nil {
-			h.journal(faults.KindReplay, "tombstoning unparsable WAL entry %q: %v", rec.Key, err)
-			_ = lane.MarkProcessed(rec.Key, h.cfg.Clock.Now())
-			h.counters.Add1("tombstoned")
-			continue
-		}
-		h.journal(faults.KindReplay, "replaying unprocessed alert %s for %s", a.DedupKey(), user)
+		h.journal(faults.KindReplay, "replaying unprocessed alert %s for %s", r.a.DedupKey(), r.b.user)
 		h.counters.Add1("replayed")
-		sh := h.shardOf(user)
+		sh := h.shardOf(r.b.user)
 		sh.reserveBlocking() // startup: loops are draining, so this cannot wedge
 		env := getEnvelope()
-		env.fill(b, &a, rec.Key, rec.Lane, h.cfg.Clock.Now())
+		env.fill(r.b, &r.a, r.key, r.lane, h.cfg.Clock.Now())
 		sh.enqueue(env)
 	}
 }
@@ -1061,7 +1082,7 @@ func (h *Hub) rejectedTicket(subs []Submission, onCommitted func([]error)) *Tick
 // SubmitBatch offers a burst of alerts, amortizing the ingest path's
 // fixed costs: one validation/dedup pass, bulk admission reservation
 // per shard, one marshal pass, and a single group-commit WAL join for
-// every RECV record in the burst (plog.GroupLog.LogReceivedBatch — one
+// every RECV record in the burst (plog.Log.LogReceivedBatchStart — one
 // lock round-trip and one fsync wait instead of per-alert ones).
 //
 // The result is parallel to subs: errs[i] == nil is the hub's
@@ -1697,39 +1718,13 @@ func (h *Hub) restartLocked(sh *shard, reason string) error {
 			sh.id, old.n, h.cfg.QuiesceTimeout, loopStopped, workersStopped)
 	}
 
-	type replayRec struct {
-		b    *Buddy
-		a    alert.Alert
-		key  string
-		lane int
-	}
 	var backlog []replayRec
 	suppress := make(map[string]struct{})
 	for _, rec := range h.wal.Unprocessed() {
-		user, _, ok := strings.Cut(rec.Key, keySep)
-		if !ok {
-			continue // malformed key: shard unknown; next process restart tombstones it
+		if r, ok := h.replayable(rec, sh); ok {
+			suppress[r.key] = struct{}{}
+			backlog = append(backlog, r)
 		}
-		if h.shardOf(user) != sh {
-			continue
-		}
-		lane := h.wal.Lane(rec.Lane)
-		b, hosted := h.buddy(user)
-		if !hosted {
-			h.journal(faults.KindReplay, "shard %d: tombstoning WAL entry for unhosted user %q", sh.id, user)
-			_ = lane.MarkProcessed(rec.Key, h.cfg.Clock.Now())
-			h.counters.Add1("tombstoned")
-			continue
-		}
-		r := replayRec{b: b, key: rec.Key, lane: rec.Lane}
-		if err := r.a.UnmarshalText(rec.Payload); err != nil {
-			h.journal(faults.KindReplay, "shard %d: tombstoning unparsable WAL entry %q: %v", sh.id, rec.Key, err)
-			_ = lane.MarkProcessed(rec.Key, h.cfg.Clock.Now())
-			h.counters.Add1("tombstoned")
-			continue
-		}
-		suppress[rec.Key] = struct{}{}
-		backlog = append(backlog, r)
 	}
 
 	next := h.openGen(sh, old.n+1, suppress)
@@ -2012,11 +2007,12 @@ type Stats struct {
 // Stats snapshots queue depths, delivery in-flight gauges, and WAL
 // commit statistics.
 func (h *Hub) Stats() Stats {
+	wal := h.wal.Stats()
 	s := Stats{
 		Users:      h.Users(),
-		Appends:    h.wal.Appended(),
-		Syncs:      h.wal.Syncs(),
-		WAL:        h.wal.Stats(),
+		Appends:    wal.Appended,
+		Syncs:      wal.Syncs,
+		WAL:        wal,
 		WALPerLane: h.wal.PerLaneStats(),
 	}
 	for _, t := range []addr.Type{addr.TypeIM, addr.TypeSMS, addr.TypeEmail, addr.TypeSink} {
@@ -2062,23 +2058,9 @@ func (h *Hub) Stats() Stats {
 	return s
 }
 
-// WALSyncs returns the number of fsyncs issued across all WAL lanes.
-func (h *Hub) WALSyncs() int64 { return h.wal.Syncs() }
-
-// WALAppends returns the number of records staged across all WAL lanes.
-func (h *Hub) WALAppends() int64 { return h.wal.Appended() }
-
 // WALLanes returns the number of open WAL lanes (the configured count,
 // plus any stale lanes recovered from a previous run).
 func (h *Hub) WALLanes() int { return h.wal.Lanes() }
-
-// WALFsyncLatency returns the fsync-latency histogram (microseconds
-// per fsync) merged across lanes.
-func (h *Hub) WALFsyncLatency() metrics.HistogramSnapshot { return h.wal.FsyncLatency() }
-
-// WALBatchSizes returns the group-commit batch-size histogram (journal
-// records per fsync) merged across lanes.
-func (h *Hub) WALBatchSizes() metrics.HistogramSnapshot { return h.wal.BatchSizes() }
 
 // CheckpointWAL forces a checkpoint + segment compaction on every WAL
 // lane, as the background compactors would at the WALCheckpointEvery

@@ -151,7 +151,8 @@ func TestHubGroupCommitCutsFsyncs(t *testing.T) {
 	if err := h.Drain(); err != nil {
 		t.Fatal(err)
 	}
-	appends, syncs := h.WALAppends(), h.WALSyncs()
+	st := h.Stats()
+	appends, syncs := st.Appends, st.Syncs
 	if appends != alerts*2 {
 		t.Fatalf("WAL appends = %d, want %d (RECV+DONE per alert)", appends, alerts*2)
 	}
@@ -200,7 +201,7 @@ func TestHubBackpressureRejectsBeforeLogging(t *testing.T) {
 			}
 			// Invariant: a rejected alert was never logged, so the
 			// sender's retry cannot be treated as a duplicate.
-			if h.wal.Has("solo" + keySep + a.DedupKey()) {
+			if h.wal.Lane(0).Has("solo" + keySep + a.DedupKey()) {
 				t.Fatalf("rejected alert %s was logged", a.DedupKey())
 			}
 		default:

@@ -2,6 +2,8 @@ package mab
 
 import (
 	"path/filepath"
+	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -528,6 +530,36 @@ func TestCrashReplayDeliversUnprocessedAlert(t *testing.T) {
 	// first delivery) discarded by timestamp.
 	if got := f.user.ReceiptCount(); got != 1 {
 		t.Fatalf("ReceiptCount = %d", got)
+	}
+}
+
+// TestCrashRestartLoopCommittersFlat cycles the buddy through crash and
+// restart: each incarnation's pessimistic log owns a committer
+// goroutine, and every one of them must exit with its incarnation.
+// (It counts committers rather than all goroutines because the
+// simulated client software of a dead incarnation lingers.)
+func TestCrashRestartLoopCommittersFlat(t *testing.T) {
+	committers := func() int {
+		buf := make([]byte, 1<<20)
+		return strings.Count(string(buf[:runtime.Stack(buf, true)]), "plog.(*Log).committer(")
+	}
+	f := newFixture(t)
+	f.startBuddy()
+	if rep := f.sendToBuddy(f.newAlert()); !rep.Delivered {
+		t.Fatal("source delivery failed")
+	}
+	if n := committers(); n != 1 {
+		t.Fatalf("%d committers under one running buddy, want 1", n)
+	}
+	for i := 0; i < 25; i++ {
+		f.buddy.InjectCrash()
+		f.advanceUntil(func() bool { return !f.buddy.Running() }, 100*time.Millisecond)
+		if err := f.buddy.Start(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := committers(); n != 1 {
+		t.Fatalf("%d committers after 25 crash/restart cycles, want the live incarnation's 1", n)
 	}
 }
 

@@ -196,7 +196,7 @@ func Open(opts Options) (*Outbox, error) {
 	if opts.EscalateEvery == 0 {
 		opts.EscalateEvery = DefaultEscalateEvery
 	}
-	l, err := plog.OpenWithOptions(opts.Path, opts.Log)
+	l, err := plog.OpenGroup(opts.Path, plog.GroupOptions{Log: opts.Log})
 	if err != nil {
 		return nil, fmt.Errorf("outbox: opening journal: %w", err)
 	}

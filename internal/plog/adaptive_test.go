@@ -52,13 +52,13 @@ func TestAdaptiveIdleGapCountsAsWindow(t *testing.T) {
 	}
 }
 
-// TestAdaptiveForceFlushRecords: a backlog at or over CommitMaxRecords
+// TestAdaptiveForceFlushRecords: a backlog at or over MaxBatch
 // must commit without waiting out the window. With the threshold at 1
 // record, every backlog qualifies, so no interleaving of the
 // concurrent appends below can leave a sub-threshold straggler parked
 // for the 30s window — any wait at all fails the elapsed bound.
 func TestAdaptiveForceFlushRecords(t *testing.T) {
-	g := openGroupTemp(t, GroupOptions{Window: 30 * time.Second, CommitMaxRecords: 1})
+	g := openGroupTemp(t, GroupOptions{Window: 30 * time.Second, MaxBatch: 1})
 	// Warm-up commit so lastSync is recent and a paced committer would,
 	// absent the threshold, hold any backlog for the window remainder.
 	if err := g.LogReceived("warm", []byte("p"), t0); err != nil {
@@ -78,7 +78,7 @@ func TestAdaptiveForceFlushRecords(t *testing.T) {
 	}
 	wg.Wait()
 	if el := time.Since(start); el > 10*time.Second {
-		t.Fatalf("%d appends with CommitMaxRecords=1 took %v, want force-flush (window 30s)", n, el)
+		t.Fatalf("%d appends with MaxBatch=1 took %v, want force-flush (window 30s)", n, el)
 	}
 }
 
@@ -121,7 +121,7 @@ func TestAdaptiveCloseCutsWindowShort(t *testing.T) {
 	// Wait until the record is staged (Appended counts staging, not
 	// commit) so Close races the window wait, not the append itself.
 	deadline := time.Now().Add(5 * time.Second)
-	for g.Appended() < 2 {
+	for g.Stats().Appended < 2 {
 		if time.Now().After(deadline) {
 			t.Fatal("append never staged")
 		}

@@ -76,7 +76,7 @@ func BenchmarkLaneAppend(b *testing.B) {
 				wg.Wait()
 				elapsed := time.Since(start)
 				b.ReportMetric(float64(alerts)/elapsed.Seconds(), "alerts/s")
-				b.ReportMetric(float64(s.Syncs())/float64(alerts), "fsyncs/alert")
+				b.ReportMetric(float64(s.Stats().Syncs)/float64(alerts), "fsyncs/alert")
 				if err := s.Close(); err != nil {
 					b.Fatal(err)
 				}
@@ -127,7 +127,7 @@ func BenchmarkLogSustained(b *testing.B) {
 			}
 
 			st := func() Stats {
-				l, err := OpenWithOptions(path, opts)
+				l, err := OpenGroup(path, GroupOptions{Log: opts})
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -8,8 +8,8 @@ import (
 	"time"
 )
 
-// Binary journal framing. Segments written by this version open with an
-// 8-byte magic header and then carry length-prefixed binary frames:
+// Binary journal framing. A segment opens with an 8-byte magic header
+// and then carries length-prefixed binary frames:
 //
 //	offset  size  field
 //	0       4     frame length N (u32 LE; bytes after this prefix)
@@ -27,20 +27,11 @@ import (
 // past a corrupt length), counting it in Stats.CorruptRecords. A
 // zero-valued length prefix marks the clean end of a preallocated
 // segment's zero tail, and a frame cut short by a crash mid-write is a
-// torn tail: replay keeps the intact prefix, exactly as the old
-// line-oriented format truncated at the last complete line. CRC-valid
-// frames with an unknown record type are skipped (forward
-// compatibility, mirroring the old format's unknown-opcode rule).
-//
-// Replacing the text+base64 lines, this framing writes keys and
-// payloads verbatim (no 4/3 base64 expansion, no per-byte encode work)
-// and validates with hardware-accelerated CRC32C instead of line
-// heuristics.
+// torn tail: replay keeps the intact prefix. CRC-valid frames with an
+// unknown record type are skipped (forward compatibility).
 
-// segMagic opens every binary segment. Files without it replay through
-// the legacy text parser, which is how pre-binary journals migrate: the
-// old segments are read once as text and the active segment rotates to
-// a fresh binary one before any new append.
+// segMagic opens every segment; recovery refuses a file without it
+// (replaySegment).
 const segMagic = "SIMBAW1\n"
 
 // segHeaderSize is the byte offset of the first frame in a binary
@@ -76,8 +67,7 @@ func appendFrame(dst []byte, typ byte, nanos int64, key string, payload []byte) 
 	return binary.LittleEndian.AppendUint32(dst, sum)
 }
 
-// appendRecv appends a RECV frame to dst. (The name is kept from the
-// text encoder it replaces; all new appends are binary.)
+// appendRecv appends a RECV frame to dst.
 func appendRecv(dst []byte, nanos int64, key string, payload []byte) []byte {
 	return appendFrame(dst, frameRecv, nanos, key, payload)
 }
@@ -94,7 +84,8 @@ func appendDone(dst []byte, nanos int64, key string) []byte {
 // tail), at a torn frame (length prefix promising more bytes than
 // exist), or at the first checksum failure (counted in CorruptRecords;
 // binary frames cannot resync past a bad record). Replayed records
-// count toward the compaction trigger, as in text replay.
+// count toward the compaction trigger, so reopening with a long
+// post-checkpoint tail schedules a fresh checkpoint promptly.
 func (l *Log) replayFrames(r *bufio.Reader) (goodBytes int64) {
 	var hdr [4]byte
 	var buf []byte

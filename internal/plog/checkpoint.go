@@ -2,13 +2,11 @@ package plog
 
 import (
 	"bufio"
-	"encoding/base64"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
 	"io"
 	"os"
-	"strconv"
 	"strings"
 	"time"
 )
@@ -18,11 +16,6 @@ import (
 //	CKPT 2 <gen> <watermark> <count> <total> <unix-nanos>
 //	<binary RECV frame>   × count      (see binary.go for the layout)
 //	END <count>
-//
-// Version 1 checkpoints carried text records instead
-// ("RECV <unix-nanos> <key-base64> <payload-base64>" lines); they are
-// still readable, so a journal checkpointed by an earlier version
-// recovers cleanly and re-checkpoints as version 2.
 //
 // The header names the format version, the checkpoint generation,
 // the watermark (every segment with sequence <= watermark is fully
@@ -48,7 +41,7 @@ type ckptHeader struct {
 // caller holds l.mu; the send never blocks (a pending request already
 // covers this trigger).
 func (l *Log) maybeCompactLocked() {
-	if l.compactReq == nil || l.opts.CheckpointEvery <= 0 || l.sinceCkpt < l.opts.CheckpointEvery {
+	if l.compactReq == nil || l.sinceCkpt < l.opts.Log.CheckpointEvery {
 		return
 	}
 	select {
@@ -209,7 +202,7 @@ func (l *Log) loadCheckpoint(path string) (ckptHeader, []Record, error) {
 	}
 	var version int
 	if n, err := fmt.Sscanf(strings.TrimSuffix(line, "\n"), "CKPT %d %d %d %d %d",
-		&version, &hdr.gen, &hdr.watermark, &hdr.count, &hdr.total); n != 5 || err != nil || (version != 1 && version != 2) {
+		&version, &hdr.gen, &hdr.watermark, &hdr.count, &hdr.total); n != 5 || err != nil || version != 2 {
 		return hdr, nil, fmt.Errorf("plog: checkpoint %s: bad header %q", path, line)
 	}
 	if hdr.count < 0 || hdr.total < hdr.count {
@@ -217,16 +210,7 @@ func (l *Log) loadCheckpoint(path string) (ckptHeader, []Record, error) {
 	}
 	recs := make([]Record, 0, hdr.count)
 	for i := int64(0); i < hdr.count; i++ {
-		var rec Record
-		if version >= 2 {
-			rec, err = readCheckpointFrame(r)
-		} else {
-			line, lerr := r.ReadString('\n')
-			if lerr != nil {
-				return hdr, nil, fmt.Errorf("plog: checkpoint %s: truncated at record %d", path, i)
-			}
-			rec, err = parseCheckpointRecord(strings.TrimSuffix(line, "\n"))
-		}
+		rec, err := readCheckpointFrame(r)
 		if err != nil {
 			return hdr, nil, fmt.Errorf("plog: checkpoint %s record %d: %w", path, i, err)
 		}
@@ -246,8 +230,8 @@ func (l *Log) loadCheckpoint(path string) (ckptHeader, []Record, error) {
 	return hdr, recs, nil
 }
 
-// readCheckpointFrame reads one binary RECV frame from a version-2
-// checkpoint body strictly: any malformation — short read, bad length,
+// readCheckpointFrame reads one binary RECV frame from a checkpoint
+// body strictly: any malformation — short read, bad length,
 // CRC mismatch, non-RECV type — invalidates the whole file (unlike
 // journal replay, which tolerates a torn tail), because checkpoints are
 // written atomically.
@@ -279,41 +263,5 @@ func readCheckpointFrame(r *bufio.Reader) (Record, error) {
 	rec.Key = string(body[13 : 13+klen])
 	rec.Payload = append([]byte(nil), body[13+klen:]...)
 	rec.ReceivedAt = time.Unix(0, int64(binary.LittleEndian.Uint64(body[1:9]))).UTC()
-	return rec, nil
-}
-
-// parseCheckpointRecord parses one "RECV <nanos> <key> <payload>"
-// version-1 checkpoint line strictly (checkpoints are written
-// atomically, so unlike journal replay, any malformation invalidates
-// the whole file).
-func parseCheckpointRecord(line string) (Record, error) {
-	var rec Record
-	rest, ok := strings.CutPrefix(line, "RECV ")
-	if !ok {
-		return rec, fmt.Errorf("not a RECV line")
-	}
-	ts, rest, ok := strings.Cut(rest, " ")
-	if !ok {
-		return rec, fmt.Errorf("missing fields")
-	}
-	keyf, payf, ok := strings.Cut(rest, " ")
-	if !ok || strings.IndexByte(payf, ' ') >= 0 {
-		return rec, fmt.Errorf("wrong field count")
-	}
-	nanos, err := strconv.ParseInt(ts, 10, 64)
-	if err != nil {
-		return rec, fmt.Errorf("bad timestamp: %w", err)
-	}
-	key, err := base64.StdEncoding.DecodeString(keyf)
-	if err != nil {
-		return rec, fmt.Errorf("bad key: %w", err)
-	}
-	payload, err := base64.StdEncoding.DecodeString(payf)
-	if err != nil {
-		return rec, fmt.Errorf("bad payload: %w", err)
-	}
-	rec.Key = string(key)
-	rec.Payload = payload
-	rec.ReceivedAt = time.Unix(0, nanos).UTC()
 	return rec, nil
 }

@@ -27,7 +27,7 @@ func TestLogReceivedBatchDurableAndOrdered(t *testing.T) {
 	if got := g.Len(); got != n {
 		t.Fatalf("Len = %d, want %d", got, n)
 	}
-	if snap := g.StagedBatchSizes(); snap.Count != 1 || snap.Sum != n {
+	if snap := g.Stats().StagedBatches; snap.Count != 1 || snap.Sum != n {
 		t.Fatalf("StagedBatchSizes = %+v, want one burst of %d", snap, n)
 	}
 	path := g.Path()
@@ -76,7 +76,7 @@ func TestLogReceivedBatchDuplicates(t *testing.T) {
 	if err := g.LogReceivedBatch(burst); err != nil {
 		t.Fatal(err)
 	}
-	if got := g.Appended(); got != 3 {
+	if got := g.Stats().Appended; got != 3 {
 		t.Fatalf("Appended = %d, want 3", got)
 	}
 	if err := g.LogReceivedBatch([]BatchEntry{{Key: "", At: t0}}); err == nil {

@@ -14,7 +14,7 @@ import (
 	"time"
 )
 
-func openGroupTemp(t *testing.T, opts GroupOptions) *GroupLog {
+func openGroupTemp(t *testing.T, opts GroupOptions) *Log {
 	t.Helper()
 	g, err := OpenGroup(filepath.Join(t.TempDir(), "group.plog"), opts)
 	if err != nil {
@@ -120,7 +120,8 @@ func TestGroupLogConcurrentAppend(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
-	appends, syncs := g.Appended(), g.Syncs()
+	st := g.Stats()
+	appends, syncs := st.Appended, st.Syncs
 	if appends != workers*per*2 {
 		t.Fatalf("Appended = %d, want %d", appends, workers*per*2)
 	}
@@ -158,8 +159,8 @@ func TestGroupLogDuplicateIsIdempotent(t *testing.T) {
 	if err := g.MarkProcessed("k", t0.Add(2*time.Hour)); err != nil {
 		t.Fatal(err)
 	}
-	if g.Appended() != 2 {
-		t.Fatalf("Appended = %d, want 2 (duplicates are no-ops)", g.Appended())
+	if got := g.Stats().Appended; got != 2 {
+		t.Fatalf("Appended = %d, want 2 (duplicates are no-ops)", got)
 	}
 }
 
@@ -191,7 +192,7 @@ func TestGroupLogMaxBatchSplits(t *testing.T) {
 		}(i)
 	}
 	wg.Wait()
-	if syncs := g.Syncs(); syncs < n/4 {
+	if syncs := g.Stats().Syncs; syncs < n/4 {
 		t.Fatalf("MaxBatch=4 with %d appends took %d syncs, want >= %d", n, syncs, n/4)
 	}
 }

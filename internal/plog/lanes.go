@@ -9,19 +9,18 @@ import (
 	"strconv"
 	"strings"
 	"sync"
-	"time"
-
-	"simba/internal/metrics"
 )
 
-// A LaneSet partitions one logical journal into n independent
-// group-commit lanes, each a complete GroupLog — its own segmented
-// files, commit window, committer goroutine, and fsync pipeline — so
-// callers that shard their keys (the hub routes each shard to a lane)
-// stage and sync in parallel instead of serializing on one log.
+// A LaneSet partitions one logical journal into n independent lanes,
+// each a complete Log — its own segmented files, commit window,
+// committer goroutine, and fsync pipeline — so callers that shard
+// their keys (the hub routes each shard to a lane) stage and sync in
+// parallel instead of serializing on one log. The set itself only
+// discovers and opens the lanes, merges their replay sets, and sums
+// their Stats; appends and lookups go to a lane directly (Lane).
 //
 // On-disk, lane 0 lives at the base path itself (so a 1-lane set is
-// bit-identical to a plain GroupLog, and existing single-lane journals
+// bit-identical to a plain Log, and existing single-lane journals
 // open as lane 0 of any set), and lane i > 0 lives at
 // "<base>.lane<NN>". Opening discovers lanes left by a previous run
 // with a higher lane count and recovers them too — records never
@@ -37,8 +36,7 @@ import (
 // tolerates (the same freedom the paper's per-user ordering contract
 // grants).
 type LaneSet struct {
-	base  string
-	lanes []*GroupLog
+	lanes []*Log
 }
 
 // LanePath returns lane i's journal base path.
@@ -89,7 +87,7 @@ func OpenLanes(base string, n int, opts GroupOptions) (*LaneSet, error) {
 	} else if found+1 > n {
 		n = found + 1
 	}
-	lanes := make([]*GroupLog, n)
+	lanes := make([]*Log, n)
 	errs := make([]error, n)
 	var wg sync.WaitGroup
 	for i := range lanes {
@@ -108,7 +106,7 @@ func OpenLanes(base string, n int, opts GroupOptions) (*LaneSet, error) {
 		}
 		return nil, err
 	}
-	return &LaneSet{base: base, lanes: lanes}, nil
+	return &LaneSet{lanes: lanes}, nil
 }
 
 // Lanes returns the number of open lanes (>= the n requested at open).
@@ -116,10 +114,7 @@ func (s *LaneSet) Lanes() int { return len(s.lanes) }
 
 // Lane returns lane i for direct appends; the caller owns the
 // key→lane routing and must keep it stable for per-key ordering.
-func (s *LaneSet) Lane(i int) *GroupLog { return s.lanes[i] }
-
-// Path returns the journal base path (lane 0's path).
-func (s *LaneSet) Path() string { return s.base }
+func (s *LaneSet) Lane(i int) *Log { return s.lanes[i] }
 
 // Pending sums the lanes' live not-yet-processed record counts — the
 // set's current replay backlog. Cheap enough for resource-invariant
@@ -128,53 +123,6 @@ func (s *LaneSet) Pending() int {
 	n := 0
 	for _, l := range s.lanes {
 		n += l.Pending()
-	}
-	return n
-}
-
-// Has reports whether key is resident in any lane.
-func (s *LaneSet) Has(key string) bool {
-	for _, l := range s.lanes {
-		if l.Has(key) {
-			return true
-		}
-	}
-	return false
-}
-
-// IsProcessed reports whether key is marked processed in any lane.
-func (s *LaneSet) IsProcessed(key string) bool {
-	for _, l := range s.lanes {
-		if l.IsProcessed(key) {
-			return true
-		}
-	}
-	return false
-}
-
-// Len returns the all-time number of logged alerts across lanes.
-func (s *LaneSet) Len() int {
-	n := 0
-	for _, l := range s.lanes {
-		n += l.Len()
-	}
-	return n
-}
-
-// Syncs returns the total fsyncs issued across lanes.
-func (s *LaneSet) Syncs() int64 {
-	var n int64
-	for _, l := range s.lanes {
-		n += l.Syncs()
-	}
-	return n
-}
-
-// Appended returns the total records staged across lanes.
-func (s *LaneSet) Appended() int64 {
-	var n int64
-	for _, l := range s.lanes {
-		n += l.Appended()
 	}
 	return n
 }
@@ -225,6 +173,7 @@ func (s *LaneSet) Stats() Stats {
 		agg.Checkpoints += ls.Checkpoints
 		agg.CompactedBytes += ls.CompactedBytes
 		agg.DiskBytes += ls.DiskBytes
+		agg.Appended += ls.Appended
 		agg.Syncs += ls.Syncs
 		if ls.ActiveSegment > agg.ActiveSegment {
 			agg.ActiveSegment = ls.ActiveSegment
@@ -240,46 +189,6 @@ func (s *LaneSet) Stats() Stats {
 	return agg
 }
 
-// FsyncLatency returns the fsync-latency histogram (microseconds)
-// merged across lanes.
-func (s *LaneSet) FsyncLatency() metrics.HistogramSnapshot {
-	var m metrics.HistogramSnapshot
-	for _, l := range s.lanes {
-		m = m.Merge(l.FsyncLatency())
-	}
-	return m
-}
-
-// BatchSizes returns the group-commit batch-size histogram (records
-// per fsync) merged across lanes.
-func (s *LaneSet) BatchSizes() metrics.HistogramSnapshot {
-	var m metrics.HistogramSnapshot
-	for _, l := range s.lanes {
-		m = m.Merge(l.BatchSizes())
-	}
-	return m
-}
-
-// StagedBatchSizes returns the ingest staged-batch histogram (fresh
-// records per LogReceivedBatch call) merged across lanes.
-func (s *LaneSet) StagedBatchSizes() metrics.HistogramSnapshot {
-	var m metrics.HistogramSnapshot
-	for _, l := range s.lanes {
-		m = m.Merge(l.StagedBatchSizes())
-	}
-	return m
-}
-
-// CommitWaitLatency returns the batch-open→durable latency histogram
-// (microseconds) merged across lanes.
-func (s *LaneSet) CommitWaitLatency() metrics.HistogramSnapshot {
-	var m metrics.HistogramSnapshot
-	for _, l := range s.lanes {
-		m = m.Merge(l.CommitWaitLatency())
-	}
-	return m
-}
-
 // PerLaneStats snapshots each lane separately, index-aligned with the
 // lane numbering (each Stats carries its own Syncs and FsyncLatency,
 // so per-lane fsync behavior is visible).
@@ -291,45 +200,24 @@ func (s *LaneSet) PerLaneStats() []Stats {
 	return out
 }
 
-// MarkProcessed durably retires key on the lane that holds it,
-// scanning lanes when the caller does not know the home lane (replay
-// tombstoning). Returns ErrUnknownKey when no lane has it.
-func (s *LaneSet) MarkProcessed(key string, at time.Time) error {
-	for _, l := range s.lanes {
-		if l.Has(key) {
-			return l.MarkProcessed(key, at)
-		}
+// each runs f on every lane concurrently (a lane's Checkpoint and
+// Close both wait on its own disk) and joins the errors.
+func (s *LaneSet) each(f func(*Log) error) error {
+	errs := make([]error, len(s.lanes))
+	var wg sync.WaitGroup
+	for i, l := range s.lanes {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			errs[i] = f(l)
+		}()
 	}
-	return fmt.Errorf("plog: mark processed %q: %w", key, ErrUnknownKey)
+	wg.Wait()
+	return errors.Join(errs...)
 }
 
 // Checkpoint forces a checkpoint + compaction on every lane.
-func (s *LaneSet) Checkpoint() error {
-	errs := make([]error, len(s.lanes))
-	var wg sync.WaitGroup
-	for i, l := range s.lanes {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			errs[i] = l.Checkpoint()
-		}()
-	}
-	wg.Wait()
-	return errors.Join(errs...)
-}
+func (s *LaneSet) Checkpoint() error { return s.each((*Log).Checkpoint) }
 
-// Close flushes and closes every lane (concurrently — each lane's
-// Close waits out its committer).
-func (s *LaneSet) Close() error {
-	errs := make([]error, len(s.lanes))
-	var wg sync.WaitGroup
-	for i, l := range s.lanes {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			errs[i] = l.Close()
-		}()
-	}
-	wg.Wait()
-	return errors.Join(errs...)
-}
+// Close flushes and closes every lane.
+func (s *LaneSet) Close() error { return s.each((*Log).Close) }

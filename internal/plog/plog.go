@@ -8,31 +8,46 @@
 // buddy fails between routing and marking are detected downstream via
 // alert timestamps.
 //
-// The on-disk format is an append-only journal of length-prefixed
-// binary frames (RECV carries key+payload, DONE carries key), each
-// protected by a CRC32C trailer — see binary.go for the byte layout.
-// Every append is fsynced — that is what makes the logging pessimistic
-// — and a torn final frame (crash mid-write) is detected by checksum
-// and truncated on recovery. Journals written by earlier versions in
-// the line-oriented text format replay once through the legacy parser
-// (segment.go) and migrate to binary segments on open.
+// There is one journal type, Log, and one write path through it: an
+// append stages its record in memory (RECV carries key+payload, DONE
+// carries key), joins the open commit batch, and a single committer
+// goroutine writes each batch with one write and one fsync. A
+// synchronous append (LogReceived, MarkProcessed, Replace) returns only
+// once its batch is on disk — that is what makes the logging
+// pessimistic. How many appends share an fsync is a matter of load and
+// GroupOptions, not of type: Open gives a zero commit window, where an
+// append that finds the log idle commits at once (one fsync per append,
+// the paper's behaviour for a single buddy); OpenGroup with a window
+// paces a busy log so concurrent appenders share fsyncs (the hub's
+// ingest WAL, one Log per lane — see LaneSet).
 //
-// The journal is *segmented* so that disk, memory, and restart time
-// amortize to O(unprocessed) instead of O(all-time): appends go to a
-// fixed-size active segment (<base>.NNNNNNNN.seg) that rotates at
-// Options.SegmentBytes; a background compactor periodically writes a
-// checkpoint file (<base>.ckpt.NNNNNNNN) holding only the unprocessed
-// records plus an all-time total, then deletes every segment the
-// checkpoint covers; processed records are retired from memory by a
-// periodic sweep. Recovery loads the newest valid checkpoint and
-// replays only the segments after its watermark, preserving the
-// per-segment prefix-durability and torn-tail truncation guarantees.
-// See segment.go for the segment lifecycle and checkpoint.go for the
-// checkpoint format and compactor.
+// The log is fail-stop: after a batch write or fsync fails, that error
+// is returned to the batch's waiters and to every later append. A
+// failed fsync may have dropped the dirty pages it covered, so retrying
+// into the same file could report durable what the disk never saw; the
+// owner must close the log and reopen it, which replays what actually
+// reached the disk.
+//
+// On disk the journal is append-only segments of length-prefixed binary
+// frames, each protected by a CRC32C trailer (binary.go has the byte
+// layout). A torn final frame (crash mid-write) is detected by length
+// or checksum and truncated on recovery. The journal is *segmented* so
+// that disk, memory, and restart time amortize to O(unprocessed)
+// instead of O(all-time): appends go to a fixed-size active segment
+// (<base>.NNNNNNNN.seg) that rotates at Options.SegmentBytes; a
+// background compactor periodically writes a checkpoint file
+// (<base>.ckpt.NNNNNNNN) holding only the unprocessed records plus an
+// all-time total, then deletes every segment the checkpoint covers;
+// processed records are retired from memory by a periodic sweep.
+// Recovery loads the newest valid checkpoint and replays only the
+// segments after its watermark, preserving the per-segment
+// prefix-durability and torn-tail truncation guarantees. See
+// segment.go for the segment lifecycle, checkpoint.go for the
+// checkpoint format and compactor, and group.go for the commit
+// schedule.
 package plog
 
 import (
-	"bufio"
 	"errors"
 	"fmt"
 	"os"
@@ -52,6 +67,8 @@ var (
 	ErrUnknownKey = errors.New("plog: unknown key")
 	// ErrClosed indicates use after Close.
 	ErrClosed = errors.New("plog: log closed")
+
+	errEmptyKey = errors.New("plog: empty key")
 )
 
 // Defaults for Options.
@@ -68,10 +85,9 @@ const (
 // no background checkpointing (call Checkpoint explicitly, or set
 // CheckpointEvery).
 type Options struct {
-	// SegmentBytes caps the active segment: an append that would push
-	// it past this size rotates to a fresh segment first (one append
-	// or group-commit batch never spans a rotation). Zero means
-	// DefaultSegmentBytes.
+	// SegmentBytes caps the active segment: a commit batch that would
+	// push it past this size rotates to a fresh segment first (one
+	// batch never spans a rotation). Zero means DefaultSegmentBytes.
 	SegmentBytes int64
 	// CheckpointEvery triggers a background checkpoint + compaction
 	// after this many journal records have been appended since the
@@ -97,6 +113,30 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
+// GroupOptions tune the commit policy.
+type GroupOptions struct {
+	// Window is the committer's adaptive upper bound on batching delay,
+	// not a fixed tax. An append that wakes an idle committer (nothing
+	// staged, no fsync in flight) commits immediately, as does a lone
+	// record that staged while the previous fsync ran. Only a backlog of
+	// two or more records found waiting when an fsync completes — proof
+	// of concurrent appenders — is paced: the committer holds it until a
+	// window has passed since that fsync, so a steady stream syncs at
+	// most once per window. Zero never paces: every batch commits as
+	// soon as the previous fsync completes.
+	Window time.Duration
+	// MaxBatch caps the journal records per commit and is the
+	// force-flush threshold: a paced backlog that reaches it commits
+	// without waiting out the window. Zero means 1024.
+	MaxBatch int
+	// CommitMaxBytes force-flushes once the staged backlog reaches this
+	// many encoded bytes. Zero means 1 MiB.
+	CommitMaxBytes int
+	// Log configures the segmented journal (segment size, background
+	// checkpointing, in-memory sweep).
+	Log Options
+}
+
 // Record is one logged alert.
 type Record struct {
 	Key        string
@@ -105,8 +145,16 @@ type Record struct {
 	Processed  bool
 }
 
+// BatchEntry is one incoming record in a batched ingest call
+// (LogReceivedBatch).
+type BatchEntry struct {
+	Key     string
+	Payload []byte
+	At      time.Time
+}
+
 // Stats is a point-in-time snapshot of the log's segmentation,
-// compaction, and recovery state.
+// compaction, recovery, and commit state.
 type Stats struct {
 	// Total is the all-time number of logged alerts, including records
 	// retired from memory and compacted off disk (carried forward in
@@ -118,10 +166,10 @@ type Stats struct {
 	Unprocessed int
 	// Retired counts processed records the sweep dropped from memory.
 	Retired int64
-	// CorruptRecords counts journal records that failed validation
-	// during replay — CRC32C mismatches and malformed frames in binary
-	// segments, malformed lines in legacy text segments (clean torn
-	// tails are truncated, not counted).
+	// CorruptRecords counts journal frames and checkpoint files that
+	// failed validation during recovery — bad lengths, CRC32C
+	// mismatches, malformed bodies (clean torn tails are truncated, not
+	// counted).
 	CorruptRecords int64
 	// Segments is the number of on-disk segments (including the active
 	// one); ActiveSegment is the active segment's sequence number.
@@ -142,49 +190,54 @@ type Stats struct {
 	// DiskBytes is the current on-disk footprint (segments plus the
 	// newest checkpoint).
 	DiskBytes int64
-	// Syncs counts fsyncs issued since Open; FsyncLatency is their
-	// latency histogram (microseconds). Carried in Stats so per-lane
-	// snapshots (LaneSet.PerLaneStats) are self-contained.
+	// Appended counts journal records staged since Open and Syncs the
+	// fsyncs that committed them; Appended/Syncs is the mean commit
+	// batch. FsyncLatency is the fsync histogram (microseconds).
+	Appended     int64
 	Syncs        int64
 	FsyncLatency metrics.HistogramSnapshot
-	// CommitBatches and StagedBatches summarize the group-commit layer
-	// (populated by GroupLog.Stats, zero for a bare Log): journal
-	// records per fsync, and fresh records per LogReceivedBatch ingest
-	// burst.
+	// CommitBatches is the journal records per fsync; StagedBatches the
+	// fresh records per LogReceivedBatch ingest burst (a LogReceived is
+	// a burst of one).
 	CommitBatches metrics.HistogramSnapshot
 	StagedBatches metrics.HistogramSnapshot
 	// CommitWait is the batch-open→durable latency histogram
 	// (microseconds) — how long staged records waited for their fsync
-	// under the adaptive commit schedule (populated by GroupLog.Stats,
-	// zero for a bare Log).
+	// under the adaptive commit schedule.
 	CommitWait metrics.HistogramSnapshot
 }
 
-// Log is a pessimistic, segmented write-ahead log. It is safe for
-// concurrent use: concurrent Append callers (LogReceived /
-// MarkProcessed) are serialized under one mutex, so journal lines are
-// written in the order callers acquire it, each line is fsynced before
-// its call returns, and a call that returned before another began
-// always precedes it in the journal (the prefix-durability ordering
-// the group-commit layer builds on — see GroupLog).
+// Log is a pessimistic, segmented write-ahead log, safe for concurrent
+// use.
+//
+// Ordering guarantee (what the hub relies on): appends are assigned to
+// batches in the order callers acquire the batch-queue lock; batches
+// are written and fsynced strictly in that order, each inside a single
+// write. Therefore if append A returned before append B was invoked,
+// A's frame precedes B's in the journal, and a crash can lose only a
+// suffix of the final in-flight write — which recovery truncates at the
+// last complete frame (prefix durability). The log rotates *before* a
+// write that would overflow the active segment, never inside it, so one
+// write (one fsync) always lands in one segment.
+//
+// Two mutexes, acquired qmu → mu. qmu guards the batch queue and is
+// held while an append stages; mu guards the index and the files and
+// is held by the committer across each write+fsync, so staging (and
+// Has) waits out an in-flight fsync.
 type Log struct {
-	mu     sync.Mutex
-	base   string // base path; segments and checkpoints live alongside
-	dirf   *os.File
-	f      *os.File // active segment
-	opts   Options
+	mu   sync.Mutex
+	base string // base path; segments and checkpoints live alongside
+	dirf *os.File
+	f    *os.File // active segment
+	opts GroupOptions
+	// closed is written with both qmu and mu held, so holding either
+	// suffices to read it.
 	closed bool
 
 	activeSeq  uint64 // sequence number of the active segment
 	activeSize int64
 	oldestSeq  uint64 // lowest on-disk segment sequence
 	liveSegs   int
-	// activeIsText marks a legacy text segment adopted as active during
-	// recovery; recover() rotates it away before any binary append.
-	activeIsText bool
-
-	syncs    atomic.Int64
-	fsyncLat *metrics.Histogram // microseconds per fsync
 
 	// index maps key → position in order; order preserves arrival.
 	index map[string]int
@@ -204,37 +257,69 @@ type Log struct {
 	ckptSeq   uint64
 	sinceCkpt int64
 
+	replayedSegs   int
 	segsCreated    atomic.Int64
 	ckptsWritten   atomic.Int64
 	compactedBytes atomic.Int64
-	replayedSegs   int
+	syncs          atomic.Int64
+	appended       atomic.Int64
 
-	encBuf []byte // reusable per-append encode buffer (guarded by mu)
+	fsyncLat    metrics.Histogram // microseconds per fsync
+	batchSizes  metrics.Histogram // journal records per commit
+	stagedSizes metrics.Histogram // fresh records per LogReceivedBatch call
+	commitWait  metrics.Histogram // µs from batch open to durable
 
 	// Background compactor plumbing (nil when CheckpointEvery == 0).
 	ckptMu      sync.Mutex // serializes Checkpoint calls
 	compactReq  chan struct{}
 	compactStop chan struct{}
 	compactDone chan struct{}
+
+	qmu      sync.Mutex
+	cond     *sync.Cond    // signalled (under qmu) when the queue gains work or the log closes
+	queue    []*groupBatch // accumulating batches, FIFO
+	flushing *groupBatch   // batch currently being fsynced, if any
+	failed   error         // sticky: the first batch-write failure poisons the log
+	done     chan struct{} // closed when the committer exits
+	// flushNow (capacity 1) cuts an in-progress commit window short:
+	// staging signals it when the backlog crosses a force-flush
+	// threshold, and Close signals it so shutdown never waits out a
+	// window.
+	flushNow chan struct{}
+	scratch  []byte // staging buffer reused across appends
+	// freeBufs recycles committed batches' encode buffers back into new
+	// batches: the committer strips a batch's buf after its fsync —
+	// waiters only ever read err past done — so steady-state commits
+	// stop allocating a fresh multi-KB buffer each.
+	freeBufs [][]byte
 }
 
-// Open opens (creating if needed) the log at path with default Options
-// and rebuilds its in-memory state from the newest checkpoint plus the
-// segments after it.
+// Open opens (creating if needed) the log at path with the zero
+// GroupOptions: no commit window, so an append that finds the log idle
+// is fsynced alone.
 func Open(path string) (*Log, error) {
-	return OpenWithOptions(path, Options{})
+	return OpenGroup(path, GroupOptions{})
 }
 
-// OpenWithOptions is Open with explicit segmentation/compaction
-// tuning. A legacy single-file journal at path is migrated in place to
-// segment 1.
-func OpenWithOptions(path string, opts Options) (*Log, error) {
+// OpenGroup opens (creating if needed) the log at path and rebuilds its
+// in-memory state from the newest checkpoint plus the segments after
+// it.
+func OpenGroup(path string, opts GroupOptions) (*Log, error) {
+	if opts.MaxBatch <= 0 {
+		opts.MaxBatch = 1024
+	}
+	if opts.CommitMaxBytes <= 0 {
+		opts.CommitMaxBytes = 1 << 20
+	}
+	opts.Log = opts.Log.withDefaults()
 	l := &Log{
 		base:     path,
-		opts:     opts.withDefaults(),
+		opts:     opts,
 		index:    make(map[string]int),
-		fsyncLat: &metrics.Histogram{},
+		done:     make(chan struct{}),
+		flushNow: make(chan struct{}, 1),
 	}
+	l.cond = sync.NewCond(&l.qmu)
 	dirf, err := os.Open(filepath.Dir(path))
 	if err != nil {
 		return nil, fmt.Errorf("plog: opening directory of %s: %w", path, err)
@@ -247,18 +332,19 @@ func OpenWithOptions(path string, opts Options) (*Log, error) {
 		dirf.Close()
 		return nil, err
 	}
-	if l.opts.CheckpointEvery > 0 {
+	if opts.Log.CheckpointEvery > 0 {
 		l.compactReq = make(chan struct{}, 1)
 		l.compactStop = make(chan struct{})
 		l.compactDone = make(chan struct{})
 		go l.compactor()
 	}
+	go l.committer()
 	return l, nil
 }
 
 // addReceivedLocked records one received alert in memory, taking
 // ownership of payload. Callers pass a private copy when the bytes
-// came from outside.
+// came from outside. Caller holds mu.
 func (l *Log) addReceivedLocked(key string, payload []byte, at time.Time) {
 	if _, ok := l.index[key]; ok {
 		return // duplicate RECV: first wins
@@ -279,7 +365,7 @@ func (l *Log) markProcessedLocked(i int) {
 // maybeSweepLocked retires accumulated tombstones once SweepEvery of
 // them are resident, keeping memory O(unprocessed).
 func (l *Log) maybeSweepLocked() {
-	if l.opts.SweepEvery <= 0 || l.processedLive < l.opts.SweepEvery {
+	if l.opts.Log.SweepEvery <= 0 || l.processedLive < l.opts.Log.SweepEvery {
 		return
 	}
 	kept := make([]Record, 0, len(l.order)-l.processedLive)
@@ -297,199 +383,15 @@ func (l *Log) maybeSweepLocked() {
 	l.processedLive = 0
 }
 
-// LogReceived durably records an incoming alert before it is
-// acknowledged. Logging the same key twice is a no-op (idempotent), so
-// replay after a crash-during-ack is safe.
-func (l *Log) LogReceived(key string, payload []byte, at time.Time) error {
-	if key == "" {
-		return errors.New("plog: empty key")
-	}
+// stageRecv is the one RECV staging function: under a single index-lock
+// acquisition it records every entry whose key is not yet resident and
+// appends their frames to dst in entry order. staged counts them;
+// duplicates are skipped (first RECV wins). Records are staged before
+// they are durable: Has reports them at once, Commit.Wait says when
+// they are on disk. Caller holds qmu.
+func (l *Log) stageRecv(dst []byte, entries []BatchEntry) (out []byte, staged int64) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if l.closed {
-		return ErrClosed
-	}
-	if _, ok := l.index[key]; ok {
-		return nil
-	}
-	l.encBuf = appendRecv(l.encBuf[:0], at.UnixNano(), key, payload)
-	if err := l.appendLocked(l.encBuf, 1); err != nil {
-		return err
-	}
-	l.addReceivedLocked(key, append([]byte(nil), payload...), at)
-	return nil
-}
-
-// Replace atomically supersedes oldKey with a fresh record under
-// newKey: one fsynced append carrying RECV(newKey) followed by
-// DONE(oldKey), so a crash can never lose both generations — a torn
-// tail drops at most the DONE, leaving old and new records visible for
-// the caller's replay collapse to reconcile (newKey is written first
-// for exactly that reason). A missing or already-processed oldKey is
-// tolerated (the supersede is then a plain LogReceived); a newKey that
-// already exists is idempotent, and oldKey is still retired. This is
-// the retry outbox's round-update primitive: each redelivery round
-// re-persists the envelope under a round-stamped key and tombstones
-// the previous round in the same fsync.
-func (l *Log) Replace(oldKey, newKey string, payload []byte, at time.Time) error {
-	if newKey == "" {
-		return errors.New("plog: empty key")
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.closed {
-		return ErrClosed
-	}
-	var records int64
-	buf := l.encBuf[:0]
-	_, newExists := l.index[newKey]
-	if !newExists {
-		buf = appendRecv(buf, at.UnixNano(), newKey, payload)
-		records++
-	}
-	oldIdx, oldOK := l.index[oldKey]
-	retireOld := oldOK && oldKey != newKey && !l.order[oldIdx].Processed
-	if retireOld {
-		buf = appendDone(buf, at.UnixNano(), oldKey)
-		records++
-	}
-	l.encBuf = buf
-	if records == 0 {
-		return nil
-	}
-	if err := l.appendLocked(buf, records); err != nil {
-		return err
-	}
-	if !newExists {
-		l.addReceivedLocked(newKey, append([]byte(nil), payload...), at)
-	}
-	if retireOld {
-		// addReceivedLocked may have grown l.order; re-resolve the index.
-		l.markProcessedLocked(l.index[oldKey])
-		l.maybeSweepLocked()
-	}
-	return nil
-}
-
-// MarkProcessed durably records that the alert has been fully routed.
-func (l *Log) MarkProcessed(key string, at time.Time) error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.closed {
-		return ErrClosed
-	}
-	i, ok := l.index[key]
-	if !ok {
-		return fmt.Errorf("plog: mark processed %q: %w", key, ErrUnknownKey)
-	}
-	if l.order[i].Processed {
-		return nil
-	}
-	l.encBuf = appendDone(l.encBuf[:0], at.UnixNano(), key)
-	if err := l.appendLocked(l.encBuf, 1); err != nil {
-		return err
-	}
-	l.markProcessedLocked(i)
-	l.maybeSweepLocked()
-	return nil
-}
-
-// appendLocked writes and fsyncs buf (records complete journal lines)
-// to the active segment, rotating first if the append would overflow
-// it — so one write, and in particular one group-commit batch, never
-// spans a rotation fsync. The caller holds l.mu.
-func (l *Log) appendLocked(buf []byte, records int64) error {
-	if l.activeSize > segHeaderSize && l.activeSize+int64(len(buf)) > l.opts.SegmentBytes {
-		if err := l.rotateLocked(); err != nil {
-			return err
-		}
-	}
-	n, err := l.f.Write(buf)
-	if err != nil {
-		return fmt.Errorf("plog: appending to %s: %w", l.f.Name(), err)
-	}
-	start := time.Now()
-	if err := l.f.Sync(); err != nil {
-		return fmt.Errorf("plog: syncing %s: %w", l.f.Name(), err)
-	}
-	l.fsyncLat.Observe(time.Since(start).Microseconds())
-	l.syncs.Add(1)
-	l.activeSize += int64(n)
-	l.sinceCkpt += records
-	l.maybeCompactLocked()
-	return nil
-}
-
-// appendBatch writes a group of journal records with a single fsync —
-// the group-commit primitive. Records land on disk in buf order; a
-// crash mid-write tears at most a suffix of the batch, which recovery
-// truncates at the last complete line. The whole batch lands in one
-// segment (rotation happens before the write, never inside it).
-func (l *Log) appendBatch(buf []byte, records int64) error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.closed {
-		return ErrClosed
-	}
-	return l.appendLocked(buf, records)
-}
-
-// stageReceived records the alert in memory and appends the encoded
-// journal line to dst, returning the grown buffer. fresh is false when
-// the key was already logged. Used by GroupLog, which must stage
-// entries before their batch is durable.
-func (l *Log) stageReceived(dst []byte, key string, payload []byte, at time.Time) (out []byte, fresh bool, err error) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.closed {
-		return dst, false, ErrClosed
-	}
-	if _, ok := l.index[key]; ok {
-		return dst, false, nil
-	}
-	dst = appendRecv(dst, at.UnixNano(), key, payload)
-	l.addReceivedLocked(key, append([]byte(nil), payload...), at)
-	return dst, true, nil
-}
-
-// stageProcessed is stageReceived's counterpart for DONE records.
-func (l *Log) stageProcessed(dst []byte, key string, at time.Time) (out []byte, fresh bool, err error) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.closed {
-		return dst, false, ErrClosed
-	}
-	i, ok := l.index[key]
-	if !ok {
-		return dst, false, fmt.Errorf("plog: mark processed %q: %w", key, ErrUnknownKey)
-	}
-	if l.order[i].Processed {
-		return dst, false, nil
-	}
-	dst = appendDone(dst, at.UnixNano(), key)
-	l.markProcessedLocked(i)
-	l.maybeSweepLocked()
-	return dst, true, nil
-}
-
-// BatchEntry is one incoming record in a batched ingest call
-// (GroupLog.LogReceivedBatch).
-type BatchEntry struct {
-	Key     string
-	Payload []byte
-	At      time.Time
-}
-
-// stageReceivedBatch is stageReceived vectorized: it stages every fresh
-// entry under a single index-lock acquisition, appending all encoded
-// journal lines to dst in entry order. staged counts the fresh entries;
-// duplicates are skipped (first RECV wins, as in LogReceived).
-func (l *Log) stageReceivedBatch(dst []byte, entries []BatchEntry) (out []byte, staged int64, err error) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.closed {
-		return dst, 0, ErrClosed
-	}
 	for i := range entries {
 		e := &entries[i]
 		if _, ok := l.index[e.Key]; ok {
@@ -499,24 +401,18 @@ func (l *Log) stageReceivedBatch(dst []byte, entries []BatchEntry) (out []byte, 
 		l.addReceivedLocked(e.Key, append([]byte(nil), e.Payload...), e.At)
 		staged++
 	}
-	return dst, staged, nil
+	return dst, staged
 }
 
-// stageProcessedBatch is stageProcessed vectorized: DONE records for
-// every key staged under one index-lock acquisition, with one sweep
-// check at the end. Per-key failures (ErrUnknownKey) land in errs,
-// which is nil when every key staged cleanly and otherwise parallel to
-// keys; already-processed keys are no-ops.
-func (l *Log) stageProcessedBatch(dst []byte, keys []string, at time.Time) (out []byte, staged int64, errs []error) {
+// stageDone is the one DONE staging function: under a single index-lock
+// acquisition it tombstones every key still unprocessed and appends
+// their frames to dst, with one sweep check at the end. Per-key
+// failures (ErrUnknownKey) land in errs, which is nil when every key
+// staged cleanly and otherwise parallel to keys; already-processed keys
+// are no-ops. Caller holds qmu.
+func (l *Log) stageDone(dst []byte, keys []string, at time.Time) (out []byte, staged int64, errs []error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if l.closed {
-		errs = make([]error, len(keys))
-		for i := range errs {
-			errs[i] = ErrClosed
-		}
-		return dst, 0, errs
-	}
 	nanos := at.UnixNano()
 	for i, key := range keys {
 		j, ok := l.index[key]
@@ -540,16 +436,177 @@ func (l *Log) stageProcessedBatch(dst []byte, keys []string, at time.Time) (out 
 	return dst, staged, errs
 }
 
-// Syncs returns the number of fsyncs issued since Open — the figure of
-// merit group commit improves.
-func (l *Log) Syncs() int64 { return l.syncs.Load() }
+// LogReceived durably records an incoming alert before it is
+// acknowledged — the size-1 case of LogReceivedBatch. Logging the same
+// key twice is a no-op (idempotent), so replay after a
+// crash-during-ack is safe; the duplicate call still waits for any
+// in-flight batch, so a caller acking the duplicate cannot outrun the
+// original's durability.
+func (l *Log) LogReceived(key string, payload []byte, at time.Time) error {
+	return l.LogReceivedBatch([]BatchEntry{{Key: key, Payload: payload, At: at}})
+}
 
-// FsyncLatency returns the fsync-latency histogram (microseconds).
-func (l *Log) FsyncLatency() metrics.HistogramSnapshot { return l.fsyncLat.Snapshot() }
+// LogReceivedBatch durably records a burst of incoming alerts in one
+// shot: one lock round-trip, one encode pass, one batch join, and one
+// durability wait for the whole burst. Entries land in the journal in
+// slice order. When it returns nil, every entry is on disk.
+//
+// A burst joins the open batch as a unit, even when that overshoots
+// GroupOptions.MaxBatch (the cap then closes the batch to later
+// appends); a batch still never spans a segment rotation.
+func (l *Log) LogReceivedBatch(entries []BatchEntry) error {
+	c, err := l.LogReceivedBatchStart(entries)
+	if err != nil {
+		return err
+	}
+	return c.Wait()
+}
 
-// Has reports whether key is resident in the log's memory: logged and
-// not yet retired by the sweep (a retired key re-logs as a fresh
-// record, which downstream timestamp dedup discards).
+// LogReceivedBatchStart is the staging half of LogReceivedBatch: it
+// stages the burst and returns a Commit to wait on instead of blocking.
+// The caller may stage bursts into several independent logs (the hub's
+// per-shard WAL lanes) and then wait on all the Commits, overlapping
+// the lanes' fsyncs; records are NOT durable until Wait returns nil.
+// A burst of nothing but duplicates returns the youngest pending batch,
+// so its Wait still covers the originals' durability.
+func (l *Log) LogReceivedBatchStart(entries []BatchEntry) (Commit, error) {
+	if len(entries) == 0 {
+		return Commit{}, nil
+	}
+	for i := range entries {
+		if entries[i].Key == "" {
+			return Commit{}, errEmptyKey
+		}
+	}
+	l.qmu.Lock()
+	defer l.qmu.Unlock()
+	if err := l.unusableLocked(); err != nil {
+		return Commit{}, err
+	}
+	buf, staged := l.stageRecv(l.scratch[:0], entries)
+	if staged > 0 {
+		l.stagedSizes.Observe(staged)
+	}
+	return Commit{l.joinLocked(buf, staged)}, nil
+}
+
+// markProcessed stages DONE records for keys and returns the Commit
+// that will make them durable; every public Mark* is a view of it.
+func (l *Log) markProcessed(keys []string, at time.Time) (Commit, []error) {
+	l.qmu.Lock()
+	defer l.qmu.Unlock()
+	if err := l.unusableLocked(); err != nil {
+		errs := make([]error, len(keys))
+		for i := range errs {
+			errs[i] = err
+		}
+		return Commit{}, errs
+	}
+	buf, staged, errs := l.stageDone(l.scratch[:0], keys, at)
+	return Commit{l.joinLocked(buf, staged)}, errs
+}
+
+// MarkProcessed durably records that the alert has been fully routed,
+// returning once the batch holding the DONE record has been fsynced.
+func (l *Log) MarkProcessed(key string, at time.Time) error {
+	c, errs := l.markProcessed([]string{key}, at)
+	if errs != nil {
+		return errs[0]
+	}
+	return c.Wait()
+}
+
+// MarkProcessedAsync stages the DONE record into the next commit and
+// returns without waiting for the fsync (staging errors, e.g.
+// ErrUnknownKey, are still reported). Unlike RECV records — which must
+// be durable before the ack — an unflushed DONE is safe to lose: the
+// entry replays on restart and downstream timestamp dedup discards the
+// duplicate. Shard loops use this so marking does not cost them a
+// commit wait per alert. Close still flushes every staged DONE.
+func (l *Log) MarkProcessedAsync(key string, at time.Time) error {
+	if _, errs := l.markProcessed([]string{key}, at); errs != nil {
+		return errs[0]
+	}
+	return nil
+}
+
+// MarkProcessedBatchAsync is MarkProcessedAsync for a burst of keys,
+// costing one lock round-trip for the whole burst. Per-key staging
+// failures (ErrUnknownKey) are reported in the returned slice, which is
+// nil when every key staged cleanly and otherwise parallel to keys.
+func (l *Log) MarkProcessedBatchAsync(keys []string, at time.Time) []error {
+	if len(keys) == 0 {
+		return nil
+	}
+	_, errs := l.markProcessed(keys, at)
+	return errs
+}
+
+// Replace atomically supersedes oldKey with a fresh record under
+// newKey: RECV(newKey) then DONE(oldKey) staged together and joined to
+// one batch as a unit — one write, one fsync, never split by a
+// rotation — so a crash can never lose both generations: a torn tail
+// drops at most the DONE, leaving old and new records visible for the
+// caller's replay collapse to reconcile (newKey is written first for
+// exactly that reason). A missing or already-processed oldKey is
+// tolerated (the supersede is then a plain LogReceived); a newKey that
+// already exists is idempotent, and oldKey is still retired. This is
+// the retry outbox's round-update primitive: each redelivery round
+// re-persists the envelope under a round-stamped key and tombstones
+// the previous round in the same fsync.
+func (l *Log) Replace(oldKey, newKey string, payload []byte, at time.Time) error {
+	if newKey == "" {
+		return errEmptyKey
+	}
+	l.qmu.Lock()
+	if err := l.unusableLocked(); err != nil {
+		l.qmu.Unlock()
+		return err
+	}
+	buf, staged := l.stageRecv(l.scratch[:0], []BatchEntry{{Key: newKey, Payload: payload, At: at}})
+	if oldKey != newKey {
+		var retired int64
+		buf, retired, _ = l.stageDone(buf, []string{oldKey}, at) // an unknown oldKey is tolerated
+		staged += retired
+	}
+	c := Commit{l.joinLocked(buf, staged)}
+	l.qmu.Unlock()
+	return c.Wait()
+}
+
+// appendBatch writes buf (records complete frames) to the active
+// segment and fsyncs it — the committer's one write primitive. It
+// rotates first if the write would overflow the segment, so a batch
+// never spans a rotation; a crash mid-write tears at most a suffix of
+// buf, which recovery truncates at the last complete frame.
+func (l *Log) appendBatch(buf []byte, records int64) error {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if l.activeSize > segHeaderSize && l.activeSize+int64(len(buf)) > l.opts.Log.SegmentBytes {
+		if err := l.rotateLocked(); err != nil {
+			return err
+		}
+	}
+	n, err := l.f.Write(buf)
+	if err != nil {
+		return fmt.Errorf("plog: appending to %s: %w", l.f.Name(), err)
+	}
+	start := time.Now()
+	if err := l.f.Sync(); err != nil {
+		return fmt.Errorf("plog: syncing %s: %w", l.f.Name(), err)
+	}
+	l.fsyncLat.Observe(time.Since(start).Microseconds())
+	l.syncs.Add(1)
+	l.activeSize += int64(n)
+	l.sinceCkpt += records
+	l.maybeCompactLocked()
+	return nil
+}
+
+// Has reports whether key is resident in the log's memory: logged
+// (possibly not yet durable) and not yet retired by the sweep (a
+// retired key re-logs as a fresh record, which downstream timestamp
+// dedup discards).
 func (l *Log) Has(key string) bool {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -600,7 +657,7 @@ func (l *Log) Pending() int {
 	return len(l.order) - l.processedLive
 }
 
-// Stats snapshots the segmentation/compaction state.
+// Stats snapshots the segmentation, compaction, and commit state.
 func (l *Log) Stats() Stats {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -617,8 +674,12 @@ func (l *Log) Stats() Stats {
 		CheckpointGen:    l.ckptGen,
 		Checkpoints:      l.ckptsWritten.Load(),
 		CompactedBytes:   l.compactedBytes.Load(),
+		Appended:         l.appended.Load(),
 		Syncs:            l.syncs.Load(),
 		FsyncLatency:     l.fsyncLat.Snapshot(),
+		CommitBatches:    l.batchSizes.Snapshot(),
+		StagedBatches:    l.stagedSizes.Snapshot(),
+		CommitWait:       l.commitWait.Snapshot(),
 	}
 	for seq := l.oldestSeq; seq < l.activeSeq; seq++ {
 		if fi, err := os.Stat(l.segPath(seq)); err == nil {
@@ -640,16 +701,26 @@ func (l *Log) Stats() Stats {
 // derived from it).
 func (l *Log) Path() string { return l.base }
 
-// Close stops the background compactor and releases the file handles.
-// Further appends fail with ErrClosed.
+// Close flushes every staged batch, stops the committer and the
+// background compactor, and releases the file handles. Further appends
+// fail with ErrClosed.
 func (l *Log) Close() error {
-	l.mu.Lock()
+	l.qmu.Lock()
 	if l.closed {
-		l.mu.Unlock()
+		l.qmu.Unlock()
+		<-l.done
 		return nil
 	}
+	l.mu.Lock()
 	l.closed = true
 	l.mu.Unlock()
+	l.cond.Broadcast()
+	select {
+	case l.flushNow <- struct{}{}: // cut short an in-progress commit window
+	default:
+	}
+	l.qmu.Unlock()
+	<-l.done
 	if l.compactStop != nil {
 		close(l.compactStop)
 		<-l.compactDone
@@ -665,22 +736,4 @@ func (l *Log) Close() error {
 		err = derr
 	}
 	return err
-}
-
-// replayLines scans one journal stream, applying complete lines and
-// returning the byte length of the intact prefix (everything before a
-// torn final line). Replayed records count toward the compaction
-// trigger, so reopening with a long post-checkpoint tail schedules a
-// fresh checkpoint promptly.
-func (l *Log) replayLines(r *bufio.Reader) (goodBytes int64) {
-	for {
-		line, err := r.ReadString('\n')
-		if err != nil {
-			// No trailing newline: torn tail. Leave goodBytes where it is.
-			return goodBytes
-		}
-		goodBytes += int64(len(line))
-		l.applyLine(line[:len(line)-1])
-		l.sinceCkpt++
-	}
 }

@@ -1,12 +1,12 @@
 package plog
 
 import (
-	"encoding/base64"
 	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
 	"sort"
+	"strings"
 	"testing"
 	"testing/quick"
 	"time"
@@ -186,29 +186,181 @@ func TestRecoveryToleratesTornTail(t *testing.T) {
 	}
 }
 
-func TestRecoveryIgnoresGarbageLines(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "alerts.plog")
-	content := "RECV notanumber a a\n" +
-		"BANANA 1 2 3\n" +
-		"RECV 42 !!!bad-base64 aGk=\n" +
-		"DONE 42 !!!bad\n" +
-		"DONE 42\n" +
-		"RECV 99 " + b64("real") + " " + b64("payload") + "\n"
-	if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
-		t.Fatal(err)
+// TestOpenRejectsForeignSegment: a segment that does not open with the
+// magic header is refused by name — replaying it as empty would let the
+// next checkpoint delete it — while what a crash before the first fsync
+// can leave of the header (nothing, a strict prefix of the magic, the
+// zeros of the preallocation) is a clean empty log.
+func TestOpenRejectsForeignSegment(t *testing.T) {
+	for _, tc := range []struct {
+		name, content string
+		reject        bool
+	}{
+		{"text journal", "RECV 99 cmVhbA== cGF5bG9hZA==\n", true},
+		{"short garbage", "xyz", true},
+		{"empty", "", false},
+		{"magic prefix", segMagic[:3], false},
+		{"preallocated zeros", strings.Repeat("\x00", 64), false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "alerts.plog")
+			seg := path + ".00000001.seg"
+			if err := os.WriteFile(seg, []byte(tc.content), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			l, err := Open(path)
+			if tc.reject {
+				if err == nil {
+					l.Close()
+					t.Fatal("foreign segment opened")
+				}
+				if !strings.Contains(err.Error(), seg) {
+					t.Fatalf("error %q does not name %s", err, seg)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			if l.Len() != 0 || l.Stats().CorruptRecords != 0 {
+				t.Fatalf("torn header replayed as %+v, want a clean empty log", l.Stats())
+			}
+			if err := l.LogReceived("k", []byte("p"), t0); err != nil {
+				t.Fatal(err)
+			}
+			l.Close()
+			re, err := Open(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer re.Close()
+			if !re.Has("k") {
+				t.Fatal("append after re-initialized header lost")
+			}
+		})
 	}
+}
+
+// TestWindowZeroFsyncPerAppend pins what Open promises a lone appender
+// (the buddy, the outbox): every append is alone in its commit, and it
+// is on disk when the call returns.
+func TestWindowZeroFsyncPerAppend(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "alerts.plog")
 	l, err := Open(path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer l.Close()
-	if l.Len() != 1 || !l.Has("real") {
-		t.Fatalf("Len() = %d", l.Len())
+	const n = 20
+	for i := 0; i < n; i++ {
+		key := fmt.Sprintf("k%d", i)
+		if err := l.LogReceived(key, []byte("p"), t0); err != nil {
+			t.Fatal(err)
+		}
+		if i%2 == 0 {
+			continue
+		}
+		if err := l.MarkProcessed(key, t0); err != nil {
+			t.Fatal(err)
+		}
 	}
-	// The malformed RECV/DONE lines (not the unknown BANANA record,
-	// which is forward-compatibility skip) are counted, not silent.
-	if got := l.Stats().CorruptRecords; got != 4 {
-		t.Fatalf("CorruptRecords = %d, want 4", got)
+	if s := l.Stats(); s.Appended != n+n/2 || s.Syncs != s.Appended {
+		t.Fatalf("%d records in %d fsyncs, want %d in as many", s.Appended, s.Syncs, n+n/2)
+	}
+	// The crash view: reopen without closing l.
+	re, err := Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	if re.Len() != n || len(re.Unprocessed()) != n/2 {
+		t.Fatalf("crash reopen saw %d records, %d unprocessed; want %d, %d", re.Len(), len(re.Unprocessed()), n, n/2)
+	}
+}
+
+// TestReplaceAtomicInOneBatch tears the journal at every byte offset of
+// the write that carried a Replace: whatever survives, reopening finds
+// the old generation, the new one, or both still unprocessed — never
+// neither.
+func TestReplaceAtomicInOneBatch(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "alerts.plog")
+	l, err := Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := l.LogReceived("gen1", []byte("envelope round 1"), t0); err != nil {
+		t.Fatal(err)
+	}
+	before := l.Stats()
+	if err := l.Replace("gen1", "gen2", []byte("envelope round 2"), t0); err != nil {
+		t.Fatal(err)
+	}
+	after := l.Stats()
+	if after.Appended != before.Appended+2 || after.Syncs != before.Syncs+1 {
+		t.Fatalf("Replace staged %d records in %d fsyncs, want 2 in 1",
+			after.Appended-before.Appended, after.Syncs-before.Syncs)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(activeSegmentPath(t, path))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if int64(len(data)) != after.DiskBytes {
+		t.Fatalf("segment is %d bytes, want %d", len(data), after.DiskBytes)
+	}
+	for cut := before.DiskBytes; cut <= after.DiskBytes; cut++ {
+		torn := filepath.Join(t.TempDir(), "alerts.plog")
+		if err := os.WriteFile(torn+".00000001.seg", data[:cut], 0o644); err != nil {
+			t.Fatal(err)
+		}
+		re, err := Open(torn)
+		if err != nil {
+			t.Fatalf("cut=%d: %v", cut, err)
+		}
+		var keys []string
+		for _, r := range re.Unprocessed() {
+			keys = append(keys, r.Key)
+		}
+		re.Close()
+		got := strings.Join(keys, ",")
+		if got != "gen1" && got != "gen1,gen2" && got != "gen2" {
+			t.Fatalf("cut=%d: unprocessed = %q, lost both generations", cut, got)
+		}
+		if cut == after.DiskBytes && got != "gen2" {
+			t.Fatalf("untorn journal replays %q, want gen2 alone", got)
+		}
+	}
+}
+
+// TestFailStopAfterWriteError: once a commit fails, its error is what
+// every later append gets, and nothing more reaches the file.
+func TestFailStopAfterWriteError(t *testing.T) {
+	l := openTemp(t)
+	if err := l.LogReceived("ok", []byte("p"), t0); err != nil {
+		t.Fatal(err)
+	}
+	l.mu.Lock()
+	l.f.Close() // the next write fails
+	l.mu.Unlock()
+	failed := l.LogReceived("lost", []byte("p"), t0)
+	if failed == nil {
+		t.Fatal("append to a closed file reported durable")
+	}
+	if err := l.LogReceived("later", []byte("p"), t0); err != failed {
+		t.Fatalf("append after failure = %v, want the sticky %v", err, failed)
+	}
+	if err := l.MarkProcessed("ok", t0); err != failed {
+		t.Fatalf("mark after failure = %v, want the sticky %v", err, failed)
+	}
+	re, err := Open(l.Path())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	if un := re.Unprocessed(); len(un) != 1 || un[0].Key != "ok" {
+		t.Fatalf("reopen after failure replays %+v, want only the record that was durable", un)
 	}
 }
 
@@ -313,8 +465,4 @@ func TestRecoveryProperty(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
 	}
-}
-
-func b64(s string) string {
-	return base64.StdEncoding.EncodeToString([]byte(s))
 }

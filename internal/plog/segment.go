@@ -2,14 +2,12 @@ package plog
 
 import (
 	"bufio"
-	"encoding/base64"
 	"fmt"
 	"os"
 	"path/filepath"
 	"sort"
 	"strconv"
 	"strings"
-	"time"
 )
 
 // Segment naming: <base>.NNNNNNNN.seg, sequence numbers ascending from
@@ -63,29 +61,16 @@ func (l *Log) scanFiles() (segs, ckpts []uint64, err error) {
 	return segs, ckpts, nil
 }
 
-// recover rebuilds the in-memory state: migrate a legacy single-file
-// journal, load the newest valid checkpoint, delete segments the
-// checkpoint covers (a crash may have interrupted the compactor's
-// deletions), and replay only the segments past the watermark — the
-// bounded-recovery path. The final segment's torn tail, if any, is
-// truncated and the segment becomes the active one.
+// recover rebuilds the in-memory state: load the newest valid
+// checkpoint, delete segments the checkpoint covers (a crash may have
+// interrupted the compactor's deletions), and replay only the segments
+// past the watermark — the bounded-recovery path. The final segment's
+// torn tail, if any, is truncated and the segment becomes the active
+// one.
 func (l *Log) recover() error {
 	segs, ckpts, err := l.scanFiles()
 	if err != nil {
 		return err
-	}
-	// Legacy migration: a bare journal file at the base path becomes
-	// segment 1 (only when no segments exist yet — segments supersede).
-	if len(segs) == 0 {
-		if _, err := os.Stat(l.base); err == nil {
-			if err := os.Rename(l.base, l.segPath(1)); err != nil {
-				return fmt.Errorf("plog: migrating legacy journal %s: %w", l.base, err)
-			}
-			if err := l.syncDir(); err != nil {
-				return err
-			}
-			segs = []uint64{1}
-		}
 	}
 	os.Remove(l.ckptTmpPath()) // a torn checkpoint write; never valid
 
@@ -130,7 +115,7 @@ func (l *Log) recover() error {
 	// Replay the tail segments in order. Only the last one can have a
 	// torn tail (earlier segments were retired by a rotation, which
 	// happens only between fsynced appends) — but every segment is
-	// replayed with the same tolerant line scanner.
+	// replayed with the same tolerant frame scanner.
 	for i, seq := range remaining {
 		last := i == len(remaining)-1
 		if err := l.replaySegment(seq, last); err != nil {
@@ -141,14 +126,6 @@ func (l *Log) recover() error {
 	if len(remaining) > 0 {
 		l.oldestSeq = remaining[0]
 		l.liveSegs = len(remaining)
-		if l.activeIsText {
-			// The adopted active segment is legacy text; retire it so
-			// every new append is a binary frame. Formats never mix
-			// within one file.
-			if err := l.rotateLocked(); err != nil {
-				return err
-			}
-		}
 		return nil
 	}
 	// No segments past the watermark: start a fresh one.
@@ -167,14 +144,14 @@ func (l *Log) recover() error {
 	return nil
 }
 
-// replaySegment replays one segment, sniffing the format from its
-// first bytes: the binary magic selects frame replay, anything else
-// falls back to the legacy text scanner (how pre-binary journals
-// migrate). The last (active) segment keeps its handle for appends,
-// with the torn tail truncated away so subsequent appends start on a
-// clean frame boundary. A legacy text segment adopted as active is
-// flagged so recover() rotates to a fresh binary segment before any
-// new append — formats are never mixed within one file.
+// replaySegment replays one segment. The last (active) segment keeps
+// its handle for appends, with the torn tail truncated away so
+// subsequent appends start on a clean frame boundary. A segment that
+// does not open with segMagic is refused with an error naming it —
+// replaying a foreign file as empty would let the next checkpoint
+// delete whatever it held — unless nothing of the header survived a
+// crash (see tornHeader), in which case it is empty and, if active,
+// re-initialized in place.
 func (l *Log) replaySegment(seq uint64, active bool) error {
 	path := l.segPath(seq)
 	flags := os.O_RDONLY
@@ -188,19 +165,13 @@ func (l *Log) replaySegment(seq uint64, active bool) error {
 	r := bufio.NewReader(f)
 	peek, _ := r.Peek(len(segMagic))
 	var goodBytes int64
-	binaryFmt := string(peek) == segMagic
-	empty := false
 	switch {
-	case binaryFmt:
+	case string(peek) == segMagic:
 		r.Discard(len(segMagic))
 		goodBytes = segHeaderSize + l.replayFrames(r)
-	case len(peek) == 0:
-		// Empty (or torn-before-magic) segment: nothing to replay; if
-		// active it is re-initialized as binary below.
-		empty = true
-	default:
-		goodBytes = l.replayLines(r)
-		empty = goodBytes == 0
+	case !tornHeader(peek):
+		f.Close()
+		return fmt.Errorf("plog: segment %s does not start with the %q header: not a journal this version can replay", path, segMagic)
 	}
 	if !active {
 		return f.Close()
@@ -213,22 +184,25 @@ func (l *Log) replaySegment(seq uint64, active bool) error {
 		f.Close()
 		return fmt.Errorf("plog: seeking %s: %w", path, err)
 	}
-	if !binaryFmt && empty {
-		// Nothing survived replay: claim the file for the binary format
-		// in place instead of rotating.
+	if goodBytes == 0 {
 		if _, err := f.Write([]byte(segMagic)); err != nil {
 			f.Close()
 			return fmt.Errorf("plog: writing segment header %s: %w", path, err)
 		}
 		goodBytes = segHeaderSize
-		binaryFmt = true
 	}
-	if binaryFmt {
-		l.preallocActive(f)
-	}
+	l.preallocActive(f)
 	l.f, l.activeSeq, l.activeSize = f, seq, goodBytes
-	l.activeIsText = !binaryFmt
 	return nil
+}
+
+// tornHeader reports whether head — what exists of a segment's first
+// len(segMagic) bytes — is what a crash between createSegment and the
+// first fsync can leave: nothing, a strict prefix of the magic, or the
+// zeros of a preallocation that reached the disk before the magic did.
+func tornHeader(head []byte) bool {
+	h := string(head)
+	return strings.HasPrefix(segMagic, h) || strings.Trim(h, "\x00") == ""
 }
 
 // preallocCap bounds segment preallocation so configurations with an
@@ -242,7 +216,7 @@ const preallocCap = 64 << 20
 // Replay treats the preallocated zero tail as a clean end (a zero
 // length prefix is not a valid frame).
 func (l *Log) preallocActive(f *os.File) {
-	if sb := l.opts.SegmentBytes; sb > 0 && sb <= preallocCap {
+	if sb := l.opts.Log.SegmentBytes; sb > 0 && sb <= preallocCap {
 		_ = preallocate(f, sb)
 	}
 }
@@ -274,8 +248,8 @@ func (l *Log) createSegment(seq uint64, excl bool) (*os.File, error) {
 
 // rotateLocked retires the active segment and opens the next one. The
 // caller holds l.mu. The old segment's contents are already durable
-// (every append fsyncs), so rotation only needs the new file's name to
-// be durable before appends land in it. The retired segment is
+// (every write is fsynced), so rotation only needs the new file's name
+// to be durable before appends land in it. The retired segment is
 // truncated to its real length so retained segments don't keep their
 // preallocated tails (best-effort: an untruncated zero tail replays
 // cleanly anyway).
@@ -291,81 +265,7 @@ func (l *Log) rotateLocked() error {
 		return fmt.Errorf("plog: closing retired segment: %w", err)
 	}
 	l.f, l.activeSeq, l.activeSize = f, seq, segHeaderSize
-	l.activeIsText = false
 	l.liveSegs++
 	l.segsCreated.Add(1)
 	return nil
 }
-
-// applyLine parses and applies one journal line (without its trailing
-// newline). Malformed RECV/DONE lines are skipped and counted; unknown
-// record types are skipped silently (forward compatibility). Parsing
-// is allocation-light: fields are index-scanned with strings.Cut, so
-// no per-line []string is built.
-func (l *Log) applyLine(line string) {
-	if line == "" {
-		return
-	}
-	op, rest, ok := strings.Cut(line, " ")
-	if !ok {
-		if op == "RECV" || op == "DONE" {
-			l.corrupt++
-		}
-		return
-	}
-	switch op {
-	case "RECV":
-		ts, rest, ok := strings.Cut(rest, " ")
-		if !ok {
-			l.corrupt++
-			return
-		}
-		keyf, payf, ok := strings.Cut(rest, " ")
-		if !ok || strings.IndexByte(payf, ' ') >= 0 {
-			l.corrupt++
-			return
-		}
-		nanos, err := strconv.ParseInt(ts, 10, 64)
-		if err != nil {
-			l.corrupt++
-			return
-		}
-		key, err := base64.StdEncoding.DecodeString(keyf)
-		if err != nil {
-			l.corrupt++
-			return
-		}
-		payload, err := base64.StdEncoding.DecodeString(payf)
-		if err != nil {
-			l.corrupt++
-			return
-		}
-		l.addReceivedLocked(string(key), payload, time.Unix(0, nanos).UTC())
-	case "DONE":
-		ts, keyf, ok := strings.Cut(rest, " ")
-		if !ok || strings.IndexByte(keyf, ' ') >= 0 {
-			l.corrupt++
-			return
-		}
-		if _, err := strconv.ParseInt(ts, 10, 64); err != nil {
-			l.corrupt++
-			return
-		}
-		key, err := base64.StdEncoding.DecodeString(keyf)
-		if err != nil {
-			l.corrupt++
-			return
-		}
-		if i, ok := l.index[string(key)]; ok {
-			if !l.order[i].Processed {
-				l.markProcessedLocked(i)
-			}
-		}
-	default:
-		// Unknown record type: skip (forward compatibility).
-	}
-}
-
-// The binary frame encoders (appendRecv/appendDone) live in binary.go;
-// this file retains only the legacy text *parser* so pre-binary
-// journals replay once and migrate.

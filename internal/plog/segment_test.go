@@ -30,7 +30,7 @@ func fill(t *testing.T, l *Log, n int, keep func(i int) bool) {
 // and checks that recovery replays every segment in order.
 func TestSegmentRotationAndReplay(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "rot.plog")
-	l, err := OpenWithOptions(path, Options{SegmentBytes: 256})
+	l, err := OpenGroup(path, GroupOptions{Log: Options{SegmentBytes: 256}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,7 +44,7 @@ func TestSegmentRotationAndReplay(t *testing.T) {
 	}
 	l.Close()
 
-	re, err := OpenWithOptions(path, Options{SegmentBytes: 256})
+	re, err := OpenGroup(path, GroupOptions{Log: Options{SegmentBytes: 256}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +73,7 @@ func TestSegmentRotationAndReplay(t *testing.T) {
 // reopen sees exactly the same logical state.
 func TestCheckpointCompactsSegments(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "ckpt.plog")
-	l, err := OpenWithOptions(path, Options{SegmentBytes: 256})
+	l, err := OpenGroup(path, GroupOptions{Log: Options{SegmentBytes: 256}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +127,7 @@ func TestCheckpointCompactsSegments(t *testing.T) {
 func TestBoundedRecovery(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "bounded.plog")
 	opts := Options{SegmentBytes: 1024, CheckpointEvery: 200, SweepEvery: 64}
-	l, err := OpenWithOptions(path, opts)
+	l, err := OpenGroup(path, GroupOptions{Log: opts})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,7 +150,7 @@ func TestBoundedRecovery(t *testing.T) {
 	}
 	l.Close()
 
-	re, err := OpenWithOptions(path, opts)
+	re, err := OpenGroup(path, GroupOptions{Log: opts})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,7 +182,7 @@ func TestBoundedRecovery(t *testing.T) {
 // the previous checkpoint + full segment replay.
 func TestCorruptCheckpointFallsBack(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "fallback.plog")
-	l, err := OpenWithOptions(path, Options{SegmentBytes: 256})
+	l, err := OpenGroup(path, GroupOptions{Log: Options{SegmentBytes: 256}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,7 +212,7 @@ func TestCorruptCheckpointFallsBack(t *testing.T) {
 	if err := os.WriteFile(path+".ckpt.tmp", []byte("CKPT 1 3 9 9"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	torn := "CKPT 1 2 99 2 40 0\nRECV 0 " + b64("k0000") + " " + b64("x") + "\n"
+	torn := "CKPT 2 2 99 2 40 0\n" + string(appendRecv(nil, 0, "k0000", []byte("x")))
 	if err := os.WriteFile(path+".ckpt.00000002", []byte(torn), 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -265,7 +265,7 @@ func TestCorruptCheckpointFallsBack(t *testing.T) {
 // drops them from the index entirely.
 func TestSweepRetiresProcessed(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "sweep.plog")
-	l, err := OpenWithOptions(path, Options{SweepEvery: 8})
+	l, err := OpenGroup(path, GroupOptions{Log: Options{SweepEvery: 8}})
 	if err != nil {
 		t.Fatal(err)
 	}
