@@ -26,9 +26,10 @@
 // Hub.SubmitBatch in bursts of that size (amortizing the group-commit
 // durability wait across each burst); -route-batch caps how many
 // queued alerts a shard loop routes per wakeup. -wal-lanes partitions
-// the ingest WAL into that many independent group-commit lanes (0 =
-// one per shard) so shards fsync in parallel; the run report breaks
-// fsync counts and latency down per lane. The -window commit window is
+// the ingest WAL into that many independent group-commit lanes, each
+// with its own fsync pipeline (0 = one lane: one writer for every
+// shard, a burst costs one fsync); the run report breaks fsync counts
+// and latency down per lane. The -window commit window is
 // an upper bound, not a fixed tax: the adaptive scheduler fires
 // immediately when the log is idle and force-flushes a window whose
 // staged backlog already justifies the fsync.
@@ -99,7 +100,7 @@ func main() {
 	window := flag.Duration("window", 2*time.Millisecond, "hub: group-commit window")
 	deliveryWindow := flag.Int("delivery-window", 0, "hub: in-flight deliveries per shard (0 = default, 1 = synchronous)")
 	seed := flag.Int64("seed", 1, "hub: RNG seed")
-	walLanes := flag.Int("wal-lanes", 0, "hub: independent WAL lanes, each with its own group commit and fsync pipeline (0 = one per shard)")
+	walLanes := flag.Int("wal-lanes", 0, "hub: independent WAL lanes, each with its own group commit and fsync pipeline (0 = one lane shared by every shard, the measured optimum)")
 	walSegBytes := flag.Int64("wal-segment-bytes", 0, "hub: WAL segment size before rotation (0 = 4MiB default)")
 	walCkptEvery := flag.Int64("wal-checkpoint-every", 0, "hub: WAL records between checkpoints (0 = default, <0 disables compaction)")
 	modeFrac := flag.Float64("mode-frac", 0.1, "hub: fraction of tenants with a personalized IM-then-email delivery mode")

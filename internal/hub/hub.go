@@ -18,19 +18,29 @@
 //     with capped, jittered retry backoff. Alerts for the same user are
 //     chained (per-user FIFO), alerts for different users overlap, so a
 //     slow delivery stalls one tenant's chain instead of the shard.
-//   - Durability is partitioned into per-shard WAL lanes
-//     (plog.LaneSet): each lane is an independent plog.Log journal
-//     with its own committer and fsync pipeline, so shards stage and
-//     sync in parallel instead of serializing on one log, while RECV
-//     and DONE records within a lane still batch into one fsync per
-//     commit window — log-before-ack preserved, fsyncs cut by orders
-//     of magnitude. Config.WALLanes tunes the partition width (default
-//     one lane per shard).
-//   - On restart all lanes are recovered concurrently and the merged
-//     unprocessed set (ordered by received-at timestamp — per-user
-//     order is exact because a user's shard, hence lane, is stable) is
-//     replayed through the rebuilt buddies before the hub accepts new
-//     traffic.
+//   - Durability is one WAL writer with many stagers: every shard
+//     stages its RECV and DONE records into one plog.Log, whose single
+//     committer writes each backlog with one write and one fsync — a
+//     burst that fans out over several shards costs one fsync, not one
+//     per shard touched. Staging takes only the log's short index lock,
+//     never the file lock the committer holds across the disk wait, and
+//     DONE marks (async, safe to lose) do not spend fsyncs of their
+//     own while acks are flowing: alone they are flushed lazily, within
+//     one commit window, and a burst's RECVs cut that pace short and
+//     take them along. Log-before-ack is preserved, fsyncs per alert
+//     cut by orders of magnitude.
+//   - Config.WALLanes > 1 partitions the WAL into that many independent
+//     journals (plog.LaneSet; shard i stages on lane i%lanes), each with
+//     its own committer and fsync pipeline. No measured host benefits
+//     (see DESIGN.md §8); it could pay where lanes sit on separate
+//     devices.
+//   - On restart every lane on disk — including lanes a previous run
+//     wrote with a higher count — is recovered concurrently, and the
+//     merged unprocessed set (ordered by received-at timestamp, which
+//     keeps per-user order: a user's records share a lane while the
+//     count is stable) is replayed through the rebuilt buddies, each
+//     DONE retiring on the lane that holds its RECV, before the hub
+//     accepts new traffic.
 //   - Per-shard queue depths, admission rejects, commit-batch sizes,
 //     and end-to-end routing latency are exposed via internal/metrics;
 //     Drain stops intake, lets the shards finish their queues, and
@@ -191,11 +201,15 @@ type Config struct {
 	// single-WAL layout) and lane i at "<WALPath>.lane<NN>".
 	WALPath string
 	// WALLanes is the number of independent WAL lanes durability is
-	// partitioned across; each shard appends to lane shard%WALLanes, so
-	// lanes stage and fsync in parallel. Zero means one lane per shard;
-	// values above Shards are clamped (extra lanes would never be
-	// routed to). Lanes left by a previous run with a higher count are
-	// still recovered and replayed.
+	// partitioned across; each shard appends to lane shard%WALLanes.
+	// Zero means one: every shard stages into one journal and a burst
+	// costs one fsync however many shards it touches — the fastest
+	// layout on every host measured. More than one gives each lane its
+	// own committer and fsync pipeline, which can only pay where fsyncs
+	// do not share a device queue; values above Shards are clamped
+	// (extra lanes would never be routed to). Lanes left by a previous
+	// run with a higher count are still recovered, replayed, and retired
+	// on their own files.
 	WALLanes int
 	// Shards is the shard-table size; zero means DefaultShards.
 	Shards int
@@ -596,9 +610,10 @@ func New(cfg Config) (*Hub, error) {
 	case cfg.WALCheckpointEvery < 0:
 		cfg.WALCheckpointEvery = 0 // disable background compaction
 	}
-	if cfg.WALLanes <= 0 || cfg.WALLanes > cfg.Shards {
-		cfg.WALLanes = cfg.Shards
+	if cfg.WALLanes <= 0 {
+		cfg.WALLanes = 1
 	}
+	cfg.WALLanes = min(cfg.WALLanes, cfg.Shards)
 	wal, err := plog.OpenLanes(cfg.WALPath, cfg.WALLanes, plog.GroupOptions{
 		Window:         cfg.CommitWindow,
 		MaxBatch:       cfg.CommitMaxBatch,
@@ -1258,6 +1273,11 @@ func (h *Hub) submit(subs []Submission, onCommitted func([]error), sem bool) *Ti
 		}
 		c, err := h.wal.Lane(lane).LogReceivedBatchStart(entries)
 		if err != nil {
+			if errors.Is(err, plog.ErrClosed) {
+				// The WAL closes only in shutdown: this burst passed the
+				// accepting check just before a Kill or Drain landed.
+				err = ErrNotAccepting
+			}
 			for _, lp := range byPart {
 				for i := range lp {
 					if !lp[i].dup {

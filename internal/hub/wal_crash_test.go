@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"simba/internal/clock"
+	"simba/internal/dist"
 	"simba/internal/faults"
 	"simba/internal/plog"
 )
@@ -297,7 +298,7 @@ func TestHubCrashTearsOneLaneWhileOthersCommit(t *testing.T) {
 	sink1 := newCountingSink(nil)
 	cfg := Config{
 		Clock: clk, Sink: sink1, WALPath: walPath,
-		Shards: 4, QueueDepth: 256,
+		Shards: 4, WALLanes: 4, QueueDepth: 256,
 		CrashAfterBatchFsync: crash, Journal: journal,
 	}
 	h1, err := New(cfg)
@@ -408,6 +409,122 @@ func TestHubCrashTearsOneLaneWhileOthersCommit(t *testing.T) {
 		user, key, _ := cut(uk)
 		if got := sink2.count(user, key); got != 1 {
 			t.Fatalf("alert %d (%s) delivered %d times, want exactly 1", i, uk, got)
+		}
+	}
+}
+
+// TestHubEightLaneJournalReopensAtDefault is the upgrade path of the
+// WALLanes default moving from one lane per shard to one: a hub that
+// wrote eight lanes dies owing a backlog, and a hub with the zero-value
+// config opens the same directory. Every lane must be discovered and
+// replayed, every owed alert delivered exactly once in per-user order,
+// each DONE retired on the lane holding its RECV, and new traffic
+// staged on lane 0 alone.
+func TestHubEightLaneJournalReopensAtDefault(t *testing.T) {
+	const users, perUser, lanes = 16, 4, 8
+	walPath := filepath.Join(t.TempDir(), "hub.wal")
+	clk := clock.NewReal()
+	hold := make(chan struct{})
+	h1, err := New(Config{
+		Clock: clk, Sink: newCountingSink(hold), WALPath: walPath,
+		Shards: lanes, WALLanes: lanes,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	addUsers(t, h1, users)
+	if err := h1.Start(); err != nil {
+		t.Fatal(err)
+	}
+	var burst []Submission
+	for u := 0; u < users; u++ {
+		user := fmt.Sprintf("user-%d", u)
+		for i := 0; i < perUser; i++ {
+			a := portalAlert(i, clk.Now())
+			a.ID = fmt.Sprintf("a-%s-%d", user, i)
+			burst = append(burst, Submission{User: user, Alert: a})
+		}
+	}
+	for i, err := range h1.SubmitBatch(burst) {
+		if err != nil {
+			t.Fatalf("burst entry %d: %v", i, err)
+		}
+	}
+	// Acked, and every delivery parked at the gate: the whole burst is
+	// owed when the hub dies.
+	wrote := h1.Stats().WALPerLane
+	touched := 0
+	for _, ls := range wrote {
+		if ls.Total > 0 {
+			touched++
+		}
+	}
+	if len(wrote) != lanes || touched < 2 {
+		t.Fatalf("burst landed on %d of %d lanes; the upgrade is not exercised", touched, len(wrote))
+	}
+	h1.Kill()
+	select {
+	case <-h1.Stopped():
+	case <-time.After(10 * time.Second):
+		t.Fatal("hub did not stop after Kill")
+	}
+	close(hold)
+
+	sink := newOrderSink(dist.NewRNG(41), DefaultShards, 0)
+	h2, err := New(Config{Clock: clk, Sink: sink, WALPath: walPath})
+	if err != nil {
+		t.Fatal(err)
+	}
+	addUsers(t, h2, users)
+	if err := h2.Start(); err != nil {
+		t.Fatal(err)
+	}
+	if got := h2.WALLanes(); got != lanes {
+		t.Fatalf("reopen discovered %d lanes, want %d", got, lanes)
+	}
+	if got := h2.Counters().Get("replayed"); got != int64(len(burst)) {
+		t.Fatalf("replayed = %d, want %d", got, len(burst))
+	}
+	for u := 0; u < users; u++ {
+		user := fmt.Sprintf("user-%d", u)
+		a := portalAlert(perUser, clk.Now())
+		a.ID = fmt.Sprintf("a-%s-%d", user, perUser)
+		if err := h2.Submit(user, a); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := h2.Drain(); err != nil {
+		t.Fatal(err)
+	}
+	for u := 0; u < users; u++ {
+		user := fmt.Sprintf("user-%d", u)
+		got := sink.sequence(user)
+		if len(got) != perUser+1 {
+			t.Fatalf("%s delivered %d alerts, want exactly %d: %v", user, len(got), perUser+1, got)
+		}
+		for i, id := range got {
+			if want := fmt.Sprintf("a-%s-%d", user, i); id != want {
+				t.Fatalf("%s delivery %d = %s, want %s (per-user order lost)", user, i, id, want)
+			}
+		}
+	}
+	set, err := plog.OpenLanes(walPath, 1, plog.GroupOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer set.Close()
+	for lane, ls := range set.PerLaneStats() {
+		// A DONE staged on any lane but its RECV's would have failed with
+		// ErrUnknownKey and left the record unprocessed here.
+		if ls.Unprocessed != 0 {
+			t.Fatalf("lane %d still owes %d records after replay + drain", lane, ls.Unprocessed)
+		}
+		want := wrote[lane].Total
+		if lane == 0 {
+			want += users
+		}
+		if ls.Total != want {
+			t.Fatalf("lane %d holds %d alerts all-time, want %d (new traffic belongs on lane 0 only)", lane, ls.Total, want)
 		}
 	}
 }

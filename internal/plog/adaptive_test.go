@@ -173,3 +173,204 @@ func TestGroupLogOpenCloseLeak(t *testing.T) {
 	}
 	t.Fatalf("goroutines grew from %d to %d across 1000 open/close cycles", before, after)
 }
+
+// The tests below pin the other half of the schedule: async DONEs have
+// no waiter, so a backlog of nothing else is flushed lazily — and a
+// waiter never queues behind that pace, nor behind the committer's disk
+// wait.
+
+// returnsWithin fails the test unless f returns within d.
+func returnsWithin(t *testing.T, d time.Duration, what string, f func()) {
+	t.Helper()
+	done := make(chan struct{})
+	go func() { defer close(done); f() }()
+	select {
+	case <-done:
+	case <-time.After(d):
+		t.Fatalf("%s did not return within %v", what, d)
+	}
+}
+
+// crashView reopens the journal at path without closing its writer and
+// returns the unprocessed keys — what a restart after a crash right now
+// would replay.
+func crashView(t *testing.T, path string) []string {
+	t.Helper()
+	re, err := Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	var keys []string
+	for _, r := range re.Unprocessed() {
+		keys = append(keys, r.Key)
+	}
+	return keys
+}
+
+func logBatch(t *testing.T, g *Log, keys ...string) {
+	t.Helper()
+	entries := make([]BatchEntry, len(keys))
+	for i, k := range keys {
+		entries[i] = BatchEntry{Key: k, Payload: []byte("p"), At: t0}
+	}
+	if err := g.LogReceivedBatch(entries); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestStagingDoesNotWaitOnFileLock: with the file lock held — the
+// committer mid-fsync, as far as anyone else can tell — staging, dedup
+// and the replay-backlog reads all complete; only durability waits.
+func TestStagingDoesNotWaitOnFileLock(t *testing.T) {
+	g := openGroupTemp(t, GroupOptions{Window: time.Millisecond})
+	logBatch(t, g, "a", "b")
+	g.fmu.Lock()
+	var c Commit
+	returnsWithin(t, 5*time.Second, "staging under a held file lock", func() {
+		var err error
+		if c, err = g.LogReceivedBatchStart([]BatchEntry{{Key: "c", Payload: []byte("p"), At: t0}}); err != nil {
+			t.Error(err)
+		}
+		if errs := g.MarkProcessedBatchAsync([]string{"a"}, t0); errs != nil {
+			t.Error(errs)
+		}
+		if !g.Has("c") || g.Has("nope") {
+			t.Error("Has does not see what was staged")
+		}
+		if n := g.Pending(); n != 2 {
+			t.Errorf("Pending = %d, want 2 (b, c)", n)
+		}
+		if un := g.Unprocessed(); len(un) != 2 {
+			t.Errorf("Unprocessed = %d records, want 2", len(un))
+		}
+	})
+	g.fmu.Unlock()
+	if err := c.Wait(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestAsyncDonesShareOneFsync: N concurrent MarkProcessedAsync after a
+// RECV commit cost one fsync between them, no later than one window
+// after the first.
+func TestAsyncDonesShareOneFsync(t *testing.T) {
+	const n, window = 16, 250 * time.Millisecond
+	g := openGroupTemp(t, GroupOptions{Window: window})
+	keys := make([]string, n)
+	for i := range keys {
+		keys[i] = fmt.Sprintf("k%d", i)
+	}
+	logBatch(t, g, keys...)
+	before := g.Stats()
+	start := time.Now()
+	var wg sync.WaitGroup
+	for _, k := range keys {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if err := g.MarkProcessedAsync(k, t0); err != nil {
+				t.Error(err)
+			}
+		}()
+	}
+	wg.Wait()
+	for g.Stats().Syncs == before.Syncs {
+		if time.Since(start) > window+5*time.Second {
+			t.Fatalf("async DONEs still unflushed %v after the first (window %v)", time.Since(start), window)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	time.Sleep(2 * window) // a straggler fsync would land by now
+	if s := g.Stats(); s.Syncs != before.Syncs+1 || s.Appended != before.Appended+n {
+		t.Fatalf("%d DONEs took %d fsyncs, want %d in exactly 1", s.Appended-before.Appended, s.Syncs-before.Syncs, n)
+	}
+	if un := crashView(t, g.Path()); len(un) != 0 {
+		t.Fatalf("crash after the flush replays %v, want nothing", un)
+	}
+}
+
+// TestAsyncDonesRideNextRecvCommit: a RECV staged while DONEs are
+// being lazily paced cuts the pace short, and one fsync carries both.
+func TestAsyncDonesRideNextRecvCommit(t *testing.T) {
+	g := openGroupTemp(t, GroupOptions{Window: 30 * time.Second})
+	logBatch(t, g, "a", "b")
+	if err := g.MarkProcessedAsync("a", t0); err != nil {
+		t.Fatal(err)
+	}
+	before := g.Stats().Syncs
+	returnsWithin(t, 10*time.Second, "a RECV behind lazily paced DONEs (window 30s)", func() {
+		if err := g.LogReceived("c", []byte("p"), t0); err != nil {
+			t.Error(err)
+		}
+	})
+	if got := g.Stats().Syncs - before; got != 1 {
+		t.Fatalf("RECV + paced DONE took %d fsyncs, want 1", got)
+	}
+	if un := crashView(t, g.Path()); fmt.Sprint(un) != "[b c]" {
+		t.Fatalf("crash view replays %v, want [b c]: the DONE rode the RECV's fsync", un)
+	}
+}
+
+// TestDuplicateRecvCutsLazyPace: a no-op append is handed the youngest
+// pending batch to wait on; when that is a batch of lazily paced DONEs
+// the caller is a waiter like any other and must not sit out the
+// window.
+func TestDuplicateRecvCutsLazyPace(t *testing.T) {
+	g := openGroupTemp(t, GroupOptions{Window: 30 * time.Second})
+	logBatch(t, g, "a", "b", "c")
+	if err := g.MarkProcessedAsync("a", t0); err != nil {
+		t.Fatal(err)
+	}
+	returnsWithin(t, 10*time.Second, "a duplicate RECV behind lazily paced DONEs (window 30s)", func() {
+		if err := g.LogReceived("b", []byte("p"), t0); err != nil {
+			t.Error(err)
+		}
+	})
+	if err := g.MarkProcessedAsync("b", t0); err != nil {
+		t.Fatal(err)
+	}
+	returnsWithin(t, 10*time.Second, "a repeated synchronous DONE behind lazily paced DONEs (window 30s)", func() {
+		if err := g.MarkProcessed("a", t0); err != nil {
+			t.Error(err)
+		}
+	})
+	if un := crashView(t, g.Path()); fmt.Sprint(un) != "[c]" {
+		t.Fatalf("crash view replays %v, want [c]: each waiter's return covers the DONEs before it", un)
+	}
+}
+
+// TestCloseFlushesLazyDones: Close neither waits out a lazy pace nor
+// drops the DONEs it was holding; Checkpoint likewise flushes them
+// before it snapshots.
+func TestCloseFlushesLazyDones(t *testing.T) {
+	g := openGroupTemp(t, GroupOptions{Window: 30 * time.Second})
+	logBatch(t, g, "a", "b", "c")
+	if err := g.MarkProcessedAsync("a", t0); err != nil {
+		t.Fatal(err)
+	}
+	returnsWithin(t, 10*time.Second, "Checkpoint over lazily paced DONEs (window 30s)", func() {
+		if err := g.Checkpoint(); err != nil {
+			t.Error(err)
+		}
+	})
+	if un := crashView(t, g.Path()); fmt.Sprint(un) != "[b c]" {
+		t.Fatalf("crash view after Checkpoint replays %v, want [b c]", un)
+	}
+	if err := g.MarkProcessedAsync("b", t0); err != nil {
+		t.Fatal(err)
+	}
+	returnsWithin(t, 10*time.Second, "Close over lazily paced DONEs (window 30s)", func() {
+		if err := g.Close(); err != nil {
+			t.Error(err)
+		}
+	})
+	re, err := Open(g.Path())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	if un := re.Unprocessed(); len(un) != 1 || un[0].Key != "c" {
+		t.Fatalf("reopen after Close replays %+v, want only c", un)
+	}
+}

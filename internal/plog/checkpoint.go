@@ -38,7 +38,7 @@ type ckptHeader struct {
 
 // maybeCompactLocked schedules a background checkpoint once
 // CheckpointEvery records have been appended since the last one. The
-// caller holds l.mu; the send never blocks (a pending request already
+// caller holds l.fmu; the send never blocks (a pending request already
 // covers this trigger).
 func (l *Log) maybeCompactLocked() {
 	if l.compactReq == nil || l.sinceCkpt < l.opts.Log.CheckpointEvery {
@@ -74,13 +74,20 @@ func (l *Log) Checkpoint() error {
 	l.ckptMu.Lock()
 	defer l.ckptMu.Unlock()
 
-	l.mu.Lock()
-	if l.closed {
-		l.mu.Unlock()
+	// Flush what is staged first, so lazily paced DONEs land in the
+	// segments about to be compacted away rather than trailing into the
+	// next one.
+	if err := l.flush(); err != nil {
+		return err
+	}
+
+	l.fmu.Lock()
+	if l.f == nil {
+		l.fmu.Unlock()
 		return ErrClosed
 	}
 	if l.sinceCkpt == 0 {
-		l.mu.Unlock()
+		l.fmu.Unlock()
 		return nil
 	}
 	// Rotate so the watermark covers every durable record: everything
@@ -89,37 +96,43 @@ func (l *Log) Checkpoint() error {
 	// and replay on recovery.
 	if l.activeSize > segHeaderSize {
 		if err := l.rotateLocked(); err != nil {
-			l.mu.Unlock()
+			l.fmu.Unlock()
 			return err
 		}
 	}
+	prevGen := l.ckptGen
+	prevSeq := l.ckptSeq
 	hdr := ckptHeader{
-		gen:       l.ckptGen + 1,
+		gen:       prevGen + 1,
 		watermark: l.activeSeq - 1,
-		total:     l.total,
 	}
+	l.sinceCkpt = 0
+	// Snapshot the index with the file lock still held, so the committer
+	// cannot write between the rotate and the snapshot: the index is
+	// never behind the disk (records are indexed when staged), and here
+	// it is ahead of the retired segments only by what is still queued.
+	l.mu.Lock()
+	hdr.total = l.total
 	recs := make([]Record, 0, len(l.order)-l.processedLive)
 	for _, r := range l.order {
 		if !r.Processed {
 			recs = append(recs, r) // payload bytes are immutable once logged
 		}
 	}
-	hdr.count = int64(len(recs))
-	l.sinceCkpt = 0
-	prevGen := l.ckptGen
-	prevSeq := l.ckptSeq
 	l.mu.Unlock()
+	l.fmu.Unlock()
+	hdr.count = int64(len(recs))
 
 	if err := l.writeCheckpoint(hdr, recs); err != nil {
 		return err
 	}
 
-	l.mu.Lock()
+	l.fmu.Lock()
 	l.ckptGen = hdr.gen
 	l.ckptSeq = hdr.watermark
 	l.oldestSeq = hdr.watermark + 1
 	l.liveSegs = int(l.activeSeq - hdr.watermark)
-	l.mu.Unlock()
+	l.fmu.Unlock()
 	l.ckptsWritten.Add(1)
 
 	// Only now — with the new checkpoint durable — delete the segments

@@ -9,9 +9,16 @@ import (
 // more appends, written whole (never split across writes) and made
 // durable by one fsync.
 type groupBatch struct {
-	buf      []byte // encoded frames, in staging order
-	lines    int64
-	openedAt time.Time // when the batch was opened (commit-wait clock)
+	buf   []byte // encoded frames, in staging order
+	lines int64
+	// waited counts the records someone will Wait on (RECV, synchronous
+	// DONE, Replace), plus one for a duplicate append parked on a batch
+	// that had none. Zero means async DONEs only: nobody's latency.
+	waited int64
+	// openedAt is when the batch was opened: the lazy-flush deadline of
+	// a batch nobody waits on, and the commit-wait clock — which restarts
+	// when a batch of async DONEs gains its first waiter.
+	openedAt time.Time
 	err      error
 	done     chan struct{}
 }
@@ -51,37 +58,84 @@ func (l *Log) unusableLocked() error {
 
 // joinLocked is the one way staged frames enter the commit queue: buf
 // (holding staged records' frames, encoded through l.scratch) joins the
-// open batch as a unit and the committer is woken. A no-op append
+// open batch as a unit and the committer is woken. wait says the caller
+// will Wait on the returned batch; the first waiter to join a backlog of
+// async DONEs cuts its lazy pace short (see committer). A no-op append
 // (staged == 0: duplicate RECV or repeated DONE) joins nothing and gets
 // the youngest pending batch instead — the original record is either
 // already durable or in that batch or an earlier one — or nil when
-// nothing is pending. Caller holds qmu.
-func (l *Log) joinLocked(buf []byte, staged int64) *groupBatch {
+// nothing is pending; a no-op waiter is a waiter all the same. Caller
+// holds qmu.
+func (l *Log) joinLocked(buf []byte, staged int64, wait bool) *groupBatch {
 	l.scratch = buf[:0]
-	if staged == 0 {
-		if n := len(l.queue); n > 0 {
-			return l.queue[n-1]
-		}
+	var b *groupBatch
+	switch n := len(l.queue); {
+	case staged > 0:
+		b = l.openBatchLocked()
+	case n > 0:
+		b = l.queue[n-1]
+	default:
 		return l.flushing
 	}
-	b := l.openBatchLocked()
-	b.buf = append(b.buf, buf...)
-	b.lines += staged
-	l.appended.Add(staged)
-	l.cond.Signal()
-	if l.overThresholdLocked() {
-		select {
-		case l.flushNow <- struct{}{}: // cut any in-progress commit window short
-		default:
+	first := wait && l.waitedLocked() == 0
+	if wait {
+		if b.waited == 0 && b.lines > 0 {
+			// Async DONEs opened this batch; the commit-wait clock starts
+			// with the first waiter.
+			b.openedAt = time.Now()
 		}
+		b.waited += staged
+		if b.waited == 0 {
+			b.waited = 1 // a no-op waiter on a batch that had none
+		}
+	}
+	if staged > 0 {
+		b.buf = append(b.buf, buf...)
+		b.lines += staged
+		l.appended.Add(staged)
+		l.cond.Signal()
+	}
+	if first || l.overThresholdLocked() {
+		l.cutPaceLocked()
 	}
 	return b
 }
 
+// flush returns once everything staged so far is durable: a no-op
+// waiter on the youngest pending batch.
+func (l *Log) flush() error {
+	l.qmu.Lock()
+	if err := l.unusableLocked(); err != nil {
+		l.qmu.Unlock()
+		return err
+	}
+	c := Commit{l.joinLocked(l.scratch, 0, true)}
+	l.qmu.Unlock()
+	return c.Wait()
+}
+
+// cutPaceLocked ends an in-progress commit pace early. The token is
+// harmless when the committer is not pacing: waitWindow drops a stale
+// one before it parks. Caller holds qmu.
+func (l *Log) cutPaceLocked() {
+	select {
+	case l.flushNow <- struct{}{}:
+	default:
+	}
+}
+
+// waitedLocked counts the queued records somebody is waiting on. The
+// queue is at most a couple of batches deep. Caller holds qmu.
+func (l *Log) waitedLocked() (n int64) {
+	for _, b := range l.queue {
+		n += b.waited
+	}
+	return n
+}
+
 // overThresholdLocked reports whether the staged backlog already
 // justifies an immediate commit — the MaxBatch/CommitMaxBytes
-// force-flush test. The queue is at most a couple of batches deep, so
-// the scan is cheap. Caller holds qmu.
+// force-flush test. Caller holds qmu.
 func (l *Log) overThresholdLocked() bool {
 	var lines, bytes int64
 	for _, b := range l.queue {
@@ -115,23 +169,44 @@ func (l *Log) openBatchLocked() *groupBatch {
 // batch (a burst that overshot the cap when it joined) still commits
 // alone.
 //
-// The commit schedule is adaptive rather than a fixed timer. A wake
-// that ends an idle spell (the committer was parked: no backlog, no
-// fsync in flight) commits immediately — the append had no peers to
-// wait for while it staged, so idle admission latency is the fsync
-// itself, not the window. Pacing applies only when a backlog of two
-// or more records is already waiting at the top of the cycle, i.e.
-// peers staged while the previous fsync ran (the two-deep pipeline:
-// batch N+1 accumulates under fsync N). Such a backlog proves
-// concurrent load, so the committer sleeps out the window's remainder
-// to let the batch fill — fsyncs land at most one per Window under a
-// sustained stream — and the wait is cut short the moment the backlog
-// crosses a force-flush threshold (MaxBatch/CommitMaxBytes) or the log
-// closes. The shape follows commit_delay/commit_siblings in Postgres:
-// never delay a lone committer, only one with company. With Window 0
-// nothing is ever paced, which is fsync-per-append for a lone appender.
+// The commit schedule is adaptive rather than a fixed timer, and it
+// serves waiters, not records. A waiter that finds the committer idle
+// (no fsync in flight) commits immediately — it had no peers to wait
+// for while it staged, so idle admission latency is the fsync itself,
+// not the window. Pacing applies only when two or more waited-for
+// records are already queued at the top of the cycle, i.e. peers staged
+// while the previous fsync ran (the two-deep pipeline: batch N+1
+// accumulates under fsync N). Such a backlog proves concurrent load, so
+// the committer sleeps out the window's remainder to let the batch fill
+// — fsyncs land at most one per Window under a sustained stream. The
+// shape follows commit_delay/commit_siblings in Postgres: never delay a
+// lone committer, only one with company.
+//
+// A backlog of async DONEs alone has no waiter, so spending an fsync on
+// it at once buys nobody anything and makes the next burst's RECVs queue
+// behind it. The committer instead holds it for up to one Window from
+// when it opened, with no fsync in flight: a waiter that joins meanwhile
+// cuts the hold short, is treated as having found the committer idle,
+// and the DONEs ride its fsync. Either pace is also cut short the moment
+// the backlog crosses a force-flush threshold (MaxBatch/CommitMaxBytes)
+// or the log closes. With Window 0 nothing is ever paced, which is
+// fsync-per-append for a lone appender.
+//
+// A log with a commit window is a shared log — many stagers, this one
+// writer — and its committer owns an OS thread. The goroutine spends its
+// life blocked in write+fsync; on a thread of its own it leaves every
+// other goroutine's thread alone, and the kernel wakes it from the disk
+// wait on the CPU it went to sleep on instead of behind whichever busy
+// thread the runtime last lent it (measured on a 2-vCPU host with one
+// core saturated: fsync p50 1.7 ms → 0.4 ms, DESIGN.md §8). A window-0
+// log has one appender blocked on every commit and there can be
+// thousands of them (one per buddy), so those stay plain goroutines.
 func (l *Log) committer() {
 	defer close(l.done)
+	if l.opts.Window > 0 {
+		runtime.LockOSThread()
+		defer runtime.UnlockOSThread()
+	}
 	var take []*groupBatch
 	var vec []byte
 	var lastSync time.Time // completion time of the previous fsync
@@ -146,6 +221,14 @@ func (l *Log) committer() {
 			l.qmu.Unlock()
 			return // closed and drained
 		}
+		w := l.opts.Window
+		pace := w > 0 && !l.closed && !l.overThresholdLocked()
+		if pace && l.waitedLocked() == 0 {
+			if wait := w - time.Since(l.queue[0].openedAt); wait > 0 {
+				l.waitWindow(wait)
+			}
+			idle, pace = true, false
+		}
 		if idle && !l.closed {
 			// Commit immediately, but yield the processor once first:
 			// appenders that are already runnable (woken together with
@@ -157,13 +240,12 @@ func (l *Log) committer() {
 			runtime.Gosched()
 			l.qmu.Lock()
 		}
-		// Pace only a backlog with company (two or more records): a lone
+		// Pace only waiters with company (two or more records): a lone
 		// record that happened to stage while the previous fsync ran has
 		// no peers to amortize with, and holding it for the window
 		// remainder would put a window-sized tail on otherwise-idle
 		// admission latency.
-		if w := l.opts.Window; w > 0 && !idle && !l.closed && !l.overThresholdLocked() &&
-			(len(l.queue) > 1 || l.queue[0].lines > 1) {
+		if pace && !idle && l.waitedLocked() > 1 {
 			if wait := w - time.Since(lastSync); wait > 0 {
 				l.waitWindow(wait)
 			}
@@ -200,7 +282,9 @@ func (l *Log) committer() {
 		}
 		lastSync = time.Now()
 		for _, b := range take {
-			l.commitWait.Observe(lastSync.Sub(b.openedAt).Microseconds())
+			if b.waited > 0 {
+				l.commitWait.Observe(lastSync.Sub(b.openedAt).Microseconds())
+			}
 		}
 
 		l.qmu.Lock()
@@ -226,16 +310,16 @@ func (l *Log) committer() {
 }
 
 // waitWindow parks the committer for up to d, waking early when a
-// staging path signals a force-flush threshold or Close fires. The
-// timer is stopped and drained on the early-wake path, and a stale
-// threshold token is dropped before parking, so neither the timer nor
+// staging path signals a force-flush threshold or a first waiter, or
+// Close fires. The timer is stopped and drained on the early-wake path,
+// and a stale token is dropped before parking, so neither the timer nor
 // the signal channel leaks state into later cycles. Called with qmu
 // held; returns with it re-held.
 func (l *Log) waitWindow(d time.Duration) {
 	select {
-	// Drop a threshold token left by a backlog an earlier cycle already
-	// committed: overThresholdLocked just said the current backlog does
-	// not justify an immediate flush.
+	// Drop a token left for a backlog an earlier cycle already committed:
+	// the caller just decided, under this same hold of qmu, that the
+	// current backlog does not justify an immediate flush.
 	case <-l.flushNow:
 	default:
 	}

@@ -14,10 +14,12 @@ import (
 // A LaneSet partitions one logical journal into n independent lanes,
 // each a complete Log — its own segmented files, commit window,
 // committer goroutine, and fsync pipeline — so callers that shard
-// their keys (the hub routes each shard to a lane) stage and sync in
-// parallel instead of serializing on one log. The set itself only
-// discovers and opens the lanes, merges their replay sets, and sums
-// their Stats; appends and lookups go to a lane directly (Lane).
+// their keys (the hub routes shard i to lane i%n) sync in parallel
+// instead of sharing one fsync. That trade only pays where the lanes'
+// fsyncs do not share a device queue; the hub defaults to n = 1. The
+// set itself only discovers and opens the lanes, merges their replay
+// sets, and sums their Stats; appends and lookups go to a lane directly
+// (Lane).
 //
 // On-disk, lane 0 lives at the base path itself (so a 1-lane set is
 // bit-identical to a plain Log, and existing single-lane journals

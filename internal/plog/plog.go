@@ -116,14 +116,29 @@ func (o Options) withDefaults() Options {
 // GroupOptions tune the commit policy.
 type GroupOptions struct {
 	// Window is the committer's adaptive upper bound on batching delay,
-	// not a fixed tax. An append that wakes an idle committer (nothing
-	// staged, no fsync in flight) commits immediately, as does a lone
-	// record that staged while the previous fsync ran. Only a backlog of
-	// two or more records found waiting when an fsync completes — proof
-	// of concurrent appenders — is paced: the committer holds it until a
-	// window has passed since that fsync, so a steady stream syncs at
-	// most once per window. Zero never paces: every batch commits as
-	// soon as the previous fsync completes.
+	// not a fixed tax. Who it delays depends on whether anyone is waiting.
+	//
+	// Waited-for records (RECV, synchronous MarkProcessed, Replace): an
+	// append that wakes an idle committer (no fsync in flight) commits
+	// immediately, as does a lone record that staged while the previous
+	// fsync ran. Only a backlog of two or more waited-for records found
+	// when an fsync completes — proof of concurrent appenders — is paced:
+	// the committer holds it until a window has passed since that fsync,
+	// so a steady stream syncs at most once per window.
+	//
+	// Async DONEs (MarkProcessedAsync, MarkProcessedBatchAsync) have no
+	// waiter, so a backlog holding nothing else is nobody's latency: it
+	// is flushed lazily, at most one window after it opened, and
+	// meanwhile any waiter that joins finds the committer idle — the join
+	// cuts the pace short and the DONEs ride the waiter's fsync. A
+	// backlog that reaches MaxBatch/CommitMaxBytes, Checkpoint, and Close
+	// cut either pace short too. The lazy pace widens no crash window: an
+	// unflushed DONE replays its alert on restart, which is the existing
+	// route→mark window (downstream timestamp dedup absorbs it), still
+	// bounded by Window plus one fsync.
+	//
+	// Zero never paces anything: every batch commits as soon as the
+	// previous fsync completes (fsync per append for a lone appender).
 	Window time.Duration
 	// MaxBatch caps the journal records per commit and is the
 	// force-flush threshold: a paced backlog that reaches it commits
@@ -202,8 +217,10 @@ type Stats struct {
 	CommitBatches metrics.HistogramSnapshot
 	StagedBatches metrics.HistogramSnapshot
 	// CommitWait is the batch-open→durable latency histogram
-	// (microseconds) — how long staged records waited for their fsync
-	// under the adaptive commit schedule.
+	// (microseconds) — how long waited-for records waited for their
+	// fsync under the adaptive commit schedule. A batch of async DONEs
+	// alone has no waiter and is not observed; one that gains a waiter
+	// is timed from that waiter's arrival.
 	CommitWait metrics.HistogramSnapshot
 }
 
@@ -220,44 +237,49 @@ type Stats struct {
 // write that would overflow the active segment, never inside it, so one
 // write (one fsync) always lands in one segment.
 //
-// Two mutexes, acquired qmu → mu. qmu guards the batch queue and is
-// held while an append stages; mu guards the index and the files and
-// is held by the committer across each write+fsync, so staging (and
-// Has) waits out an in-flight fsync.
+// Three mutexes, none held across another's disk wait. qmu guards the
+// batch queue and is held while an append stages; mu guards the index
+// and is taken (qmu → mu) only for the map and slice work of staging and
+// lookups; fmu guards the files and is held by the committer across each
+// write+fsync, by Checkpoint for its rotate (fmu → mu: the snapshot must
+// see exactly what the retired segments hold, or more) and by Close. The
+// committer never takes mu and nothing that stages, dedups or replays
+// takes fmu, so staging and Has never wait on the disk.
 type Log struct {
-	mu   sync.Mutex
 	base string // base path; segments and checkpoints live alongside
 	dirf *os.File
-	f    *os.File // active segment
 	opts GroupOptions
-	// closed is written with both qmu and mu held, so holding either
-	// suffices to read it.
-	closed bool
 
-	activeSeq  uint64 // sequence number of the active segment
-	activeSize int64
-	oldestSeq  uint64 // lowest on-disk segment sequence
-	liveSegs   int
-
-	// index maps key → position in order; order preserves arrival.
-	index map[string]int
-	order []Record
-	// total is the all-time logged-alert count; retired counts
-	// processed records swept from memory; processedLive counts
+	// mu guards the index: order preserves arrival, index maps key →
+	// position in it. total is the all-time logged-alert count; retired
+	// counts processed records swept from memory; processedLive counts
 	// tombstones still resident (the sweep trigger).
+	mu            sync.Mutex
+	index         map[string]int
+	order         []Record
 	total         int64
 	retired       int64
 	processedLive int
-	corrupt       int64
 
-	// Checkpoint state: gen of the newest durable checkpoint,
-	// watermark (segments <= ckptSeq are covered and deletable), and
-	// records appended since (the compaction trigger).
-	ckptGen   uint64
-	ckptSeq   uint64
-	sinceCkpt int64
+	// fmu guards the files: the active segment (nil once Close released
+	// it), the segment range on disk, and the checkpoint state — gen of
+	// the newest durable checkpoint, its watermark (segments <= ckptSeq
+	// are covered and deletable), and the records written since (the
+	// compaction trigger).
+	fmu        sync.Mutex
+	f          *os.File
+	activeSeq  uint64
+	activeSize int64
+	oldestSeq  uint64 // lowest on-disk segment sequence
+	liveSegs   int
+	ckptGen    uint64
+	ckptSeq    uint64
+	sinceCkpt  int64
 
-	replayedSegs   int
+	// Set by recovery, before the log is shared; read-only afterwards.
+	corrupt      int64
+	replayedSegs int
+
 	segsCreated    atomic.Int64
 	ckptsWritten   atomic.Int64
 	compactedBytes atomic.Int64
@@ -277,14 +299,15 @@ type Log struct {
 
 	qmu      sync.Mutex
 	cond     *sync.Cond    // signalled (under qmu) when the queue gains work or the log closes
+	closed   bool          // no further appends; the committer drains and exits
 	queue    []*groupBatch // accumulating batches, FIFO
 	flushing *groupBatch   // batch currently being fsynced, if any
 	failed   error         // sticky: the first batch-write failure poisons the log
 	done     chan struct{} // closed when the committer exits
-	// flushNow (capacity 1) cuts an in-progress commit window short:
+	// flushNow (capacity 1) cuts an in-progress commit pace short:
 	// staging signals it when the backlog crosses a force-flush
-	// threshold, and Close signals it so shutdown never waits out a
-	// window.
+	// threshold or gains its first waiter, and Close signals it so
+	// shutdown never waits out a window.
 	flushNow chan struct{}
 	scratch  []byte // staging buffer reused across appends
 	// freeBufs recycles committed batches' encode buffers back into new
@@ -464,11 +487,11 @@ func (l *Log) LogReceivedBatch(entries []BatchEntry) error {
 
 // LogReceivedBatchStart is the staging half of LogReceivedBatch: it
 // stages the burst and returns a Commit to wait on instead of blocking.
-// The caller may stage bursts into several independent logs (the hub's
-// per-shard WAL lanes) and then wait on all the Commits, overlapping
-// the lanes' fsyncs; records are NOT durable until Wait returns nil.
-// A burst of nothing but duplicates returns the youngest pending batch,
-// so its Wait still covers the originals' durability.
+// The caller may stage bursts into several independent logs (a hub
+// configured with several WAL lanes) and then wait on all the Commits,
+// overlapping the lanes' fsyncs; records are NOT durable until Wait
+// returns nil. A burst of nothing but duplicates returns the youngest
+// pending batch, so its Wait still covers the originals' durability.
 func (l *Log) LogReceivedBatchStart(entries []BatchEntry) (Commit, error) {
 	if len(entries) == 0 {
 		return Commit{}, nil
@@ -487,12 +510,13 @@ func (l *Log) LogReceivedBatchStart(entries []BatchEntry) (Commit, error) {
 	if staged > 0 {
 		l.stagedSizes.Observe(staged)
 	}
-	return Commit{l.joinLocked(buf, staged)}, nil
+	return Commit{l.joinLocked(buf, staged, true)}, nil
 }
 
 // markProcessed stages DONE records for keys and returns the Commit
-// that will make them durable; every public Mark* is a view of it.
-func (l *Log) markProcessed(keys []string, at time.Time) (Commit, []error) {
+// that will make them durable; every public Mark* is a view of it. wait
+// says whether the caller will Wait on that Commit (see joinLocked).
+func (l *Log) markProcessed(keys []string, at time.Time, wait bool) (Commit, []error) {
 	l.qmu.Lock()
 	defer l.qmu.Unlock()
 	if err := l.unusableLocked(); err != nil {
@@ -503,13 +527,13 @@ func (l *Log) markProcessed(keys []string, at time.Time) (Commit, []error) {
 		return Commit{}, errs
 	}
 	buf, staged, errs := l.stageDone(l.scratch[:0], keys, at)
-	return Commit{l.joinLocked(buf, staged)}, errs
+	return Commit{l.joinLocked(buf, staged, wait)}, errs
 }
 
 // MarkProcessed durably records that the alert has been fully routed,
 // returning once the batch holding the DONE record has been fsynced.
 func (l *Log) MarkProcessed(key string, at time.Time) error {
-	c, errs := l.markProcessed([]string{key}, at)
+	c, errs := l.markProcessed([]string{key}, at, true)
 	if errs != nil {
 		return errs[0]
 	}
@@ -522,9 +546,11 @@ func (l *Log) MarkProcessed(key string, at time.Time) error {
 // be durable before the ack — an unflushed DONE is safe to lose: the
 // entry replays on restart and downstream timestamp dedup discards the
 // duplicate. Shard loops use this so marking does not cost them a
-// commit wait per alert. Close still flushes every staged DONE.
+// commit wait per alert, and because nobody waits the committer does
+// not spend an fsync on DONEs alone until GroupOptions.Window has
+// passed. Close still flushes every staged DONE.
 func (l *Log) MarkProcessedAsync(key string, at time.Time) error {
-	if _, errs := l.markProcessed([]string{key}, at); errs != nil {
+	if _, errs := l.markProcessed([]string{key}, at, false); errs != nil {
 		return errs[0]
 	}
 	return nil
@@ -538,7 +564,7 @@ func (l *Log) MarkProcessedBatchAsync(keys []string, at time.Time) []error {
 	if len(keys) == 0 {
 		return nil
 	}
-	_, errs := l.markProcessed(keys, at)
+	_, errs := l.markProcessed(keys, at, false)
 	return errs
 }
 
@@ -569,7 +595,7 @@ func (l *Log) Replace(oldKey, newKey string, payload []byte, at time.Time) error
 		buf, retired, _ = l.stageDone(buf, []string{oldKey}, at) // an unknown oldKey is tolerated
 		staged += retired
 	}
-	c := Commit{l.joinLocked(buf, staged)}
+	c := Commit{l.joinLocked(buf, staged, true)}
 	l.qmu.Unlock()
 	return c.Wait()
 }
@@ -578,10 +604,11 @@ func (l *Log) Replace(oldKey, newKey string, payload []byte, at time.Time) error
 // segment and fsyncs it — the committer's one write primitive. It
 // rotates first if the write would overflow the segment, so a batch
 // never spans a rotation; a crash mid-write tears at most a suffix of
-// buf, which recovery truncates at the last complete frame.
+// buf, which recovery truncates at the last complete frame. It holds
+// the file lock across the disk wait and never the index lock.
 func (l *Log) appendBatch(buf []byte, records int64) error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
+	l.fmu.Lock()
+	defer l.fmu.Unlock()
 	if l.activeSize > segHeaderSize && l.activeSize+int64(len(buf)) > l.opts.Log.SegmentBytes {
 		if err := l.rotateLocked(); err != nil {
 			return err
@@ -657,21 +684,15 @@ func (l *Log) Pending() int {
 	return len(l.order) - l.processedLive
 }
 
-// Stats snapshots the segmentation, compaction, and commit state.
+// Stats snapshots the segmentation, compaction, and commit state. The
+// index half and the file half are read one after the other, each under
+// its own lock, and the segment files are sized with neither held, so
+// polling a live log never stalls staging.
 func (l *Log) Stats() Stats {
-	l.mu.Lock()
-	defer l.mu.Unlock()
 	s := Stats{
-		Total:            l.total,
-		Live:             len(l.order),
-		Unprocessed:      len(l.order) - l.processedLive,
-		Retired:          l.retired,
 		CorruptRecords:   l.corrupt,
-		Segments:         l.liveSegs,
-		ActiveSegment:    l.activeSeq,
 		SegmentsCreated:  l.segsCreated.Load(),
 		SegmentsReplayed: l.replayedSegs,
-		CheckpointGen:    l.ckptGen,
 		Checkpoints:      l.ckptsWritten.Load(),
 		CompactedBytes:   l.compactedBytes.Load(),
 		Appended:         l.appended.Load(),
@@ -681,16 +702,30 @@ func (l *Log) Stats() Stats {
 		StagedBatches:    l.stagedSizes.Snapshot(),
 		CommitWait:       l.commitWait.Snapshot(),
 	}
-	for seq := l.oldestSeq; seq < l.activeSeq; seq++ {
+	l.mu.Lock()
+	s.Total = l.total
+	s.Live = len(l.order)
+	s.Unprocessed = len(l.order) - l.processedLive
+	s.Retired = l.retired
+	l.mu.Unlock()
+
+	l.fmu.Lock()
+	s.Segments = l.liveSegs
+	s.ActiveSegment = l.activeSeq
+	s.CheckpointGen = l.ckptGen
+	oldest := l.oldestSeq
+	// The active segment counts its written bytes, not its preallocated
+	// file size.
+	s.DiskBytes = l.activeSize
+	l.fmu.Unlock()
+
+	for seq := oldest; seq < s.ActiveSegment; seq++ {
 		if fi, err := os.Stat(l.segPath(seq)); err == nil {
 			s.DiskBytes += fi.Size()
 		}
 	}
-	// The active segment counts its written bytes, not its preallocated
-	// file size.
-	s.DiskBytes += l.activeSize
-	if l.ckptGen > 0 {
-		if fi, err := os.Stat(l.ckptPath(l.ckptGen)); err == nil {
+	if s.CheckpointGen > 0 {
+		if fi, err := os.Stat(l.ckptPath(s.CheckpointGen)); err == nil {
 			s.DiskBytes += fi.Size()
 		}
 	}
@@ -711,27 +746,23 @@ func (l *Log) Close() error {
 		<-l.done
 		return nil
 	}
-	l.mu.Lock()
 	l.closed = true
-	l.mu.Unlock()
 	l.cond.Broadcast()
-	select {
-	case l.flushNow <- struct{}{}: // cut short an in-progress commit window
-	default:
-	}
+	l.cutPaceLocked()
 	l.qmu.Unlock()
 	<-l.done
 	if l.compactStop != nil {
 		close(l.compactStop)
 		<-l.compactDone
 	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
+	l.fmu.Lock()
+	defer l.fmu.Unlock()
 	// Drop the preallocated tail so a closed journal occupies only its
 	// real bytes (best-effort; an untruncated zero tail replays
 	// cleanly).
 	_ = l.f.Truncate(l.activeSize)
 	err := l.f.Close()
+	l.f = nil
 	if derr := l.dirf.Close(); err == nil {
 		err = derr
 	}

@@ -341,9 +341,9 @@ func TestFailStopAfterWriteError(t *testing.T) {
 	if err := l.LogReceived("ok", []byte("p"), t0); err != nil {
 		t.Fatal(err)
 	}
-	l.mu.Lock()
+	l.fmu.Lock()
 	l.f.Close() // the next write fails
-	l.mu.Unlock()
+	l.fmu.Unlock()
 	failed := l.LogReceived("lost", []byte("p"), t0)
 	if failed == nil {
 		t.Fatal("append to a closed file reported durable")

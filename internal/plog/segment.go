@@ -247,7 +247,7 @@ func (l *Log) createSegment(seq uint64, excl bool) (*os.File, error) {
 }
 
 // rotateLocked retires the active segment and opens the next one. The
-// caller holds l.mu. The old segment's contents are already durable
+// caller holds l.fmu. The old segment's contents are already durable
 // (every write is fsynced), so rotation only needs the new file's name
 // to be durable before appends land in it. The retired segment is
 // truncated to its real length so retained segments don't keep their
