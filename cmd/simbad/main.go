@@ -98,7 +98,7 @@ func main() {
 	shards := flag.Int("shards", 8, "hub: shard-table size")
 	alerts := flag.Int("alerts", 10000, "hub: alerts to submit")
 	window := flag.Duration("window", 2*time.Millisecond, "hub: group-commit window")
-	deliveryWindow := flag.Int("delivery-window", 0, "hub: in-flight deliveries per shard (0 = default, 1 = synchronous)")
+	deliveryWindow := flag.Int("delivery-window", 0, "hub: concurrent sends per shard; ack waits and retry backoffs hold no slot (0 = default, 1 = synchronous)")
 	seed := flag.Int64("seed", 1, "hub: RNG seed")
 	walLanes := flag.Int("wal-lanes", 0, "hub: independent WAL lanes, each with its own group commit and fsync pipeline (0 = one lane shared by every shard, the measured optimum)")
 	walSegBytes := flag.Int64("wal-segment-bytes", 0, "hub: WAL segment size before rotation (0 = 4MiB default)")
@@ -642,7 +642,7 @@ func runHub(p hubParams) error {
 			st.OutboxHandoffs, ob.Redelivered, ob.Rounds, ob.Escalated, ob.Dropped, ob.Pending)
 	}
 	for _, s := range st.Shards {
-		fmt.Printf("  shard %d: gen %d (%d restarts, %d rejuvenations), peak queue depth %d, peak in-flight deliveries %d\n",
+		fmt.Printf("  shard %d: gen %d (%d restarts, %d rejuvenations), peak queue depth %d, peak concurrent sends %d\n",
 			s.Shard, s.Generation, s.Restarts, s.Rejuvenations, s.PeakDepth, s.PeakInFlight)
 	}
 	if sup != nil {

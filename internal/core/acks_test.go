@@ -1,0 +1,250 @@
+package core
+
+import (
+	"runtime"
+	"sync"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"simba/internal/addr"
+	"simba/internal/alert"
+	"simba/internal/clock"
+	"simba/internal/dmode"
+	"simba/internal/im"
+	"simba/internal/timewheel"
+)
+
+// ackFixture is an executor over a scripted IM channel and a counting
+// email channel, one user registry and the IM-then-email mode.
+type ackFixture struct {
+	acks   *Acks
+	exec   *Executor
+	reg    *addr.Registry
+	mode   *dmode.Mode
+	emails atomic.Int64
+}
+
+func newAckFixture(t *testing.T, imTimeout time.Duration, sendIM func(f *ackFixture, req Send) (SendResult, error)) *ackFixture {
+	t.Helper()
+	clk := clock.NewReal()
+	f := &ackFixture{acks: NewAcks(clk), mode: dmode.IMThenEmail("Pager IM", "Work email", imTimeout)}
+	chans := NewChannels().
+		Register(addr.TypeIM, ChannelFunc(func(req Send) (SendResult, error) { return sendIM(f, req) })).
+		Register(addr.TypeEmail, ChannelFunc(func(Send) (SendResult, error) {
+			f.emails.Add(1)
+			return SendResult{Confirmed: true}, nil
+		}))
+	var err error
+	if f.exec, err = NewExecutor(clk, chans, f.acks); err != nil {
+		t.Fatal(err)
+	}
+	f.reg = addr.NewRegistry("user")
+	for _, a := range []addr.Address{
+		{Type: addr.TypeIM, Name: "Pager IM", Target: "user@im", Enabled: true},
+		{Type: addr.TypeEmail, Name: "Work email", Target: "user@mail", Enabled: true},
+	} {
+		if err := f.reg.Register(a); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return f
+}
+
+func ackTestAlert(i int) *alert.Alert {
+	return &alert.Alert{
+		ID: alert.NextID("ack"), Source: "portal", Keywords: []string{"stocks"},
+		Subject: "quote", Body: "MSFT moved", Urgency: alert.UrgencyNormal,
+		Created: time.Unix(int64(i), 1),
+	}
+}
+
+// TestAckBeforeRegisterIsNotLost is the deterministic form of the
+// Send/register race: the IM channel hands the user's acknowledgement
+// to HandleIncoming before Send has even returned the sequence number
+// the executor needs to register its wait. Every alert must still be
+// delivered by IM, with no fallback email — on the scratch-less buddy
+// path and on the pooled path alike.
+func TestAckBeforeRegisterIsNotLost(t *testing.T) {
+	for name, scr := range map[string]*Scratch{
+		"buddy":  nil,
+		"pooled": NewScratch(timewheel.New(clock.NewReal(), timewheel.Options{})),
+	} {
+		t.Run(name, func(t *testing.T) {
+			var seq uint64
+			f := newAckFixture(t, 50*time.Millisecond, func(f *ackFixture, req Send) (SendResult, error) {
+				seq++
+				if !f.acks.HandleIncoming(im.Message{From: req.To, Text: AckText(seq)}) {
+					t.Error("acknowledgement not consumed")
+				}
+				return SendResult{Seq: seq}, nil
+			})
+			const alerts = 200
+			for i := 0; i < alerts; i++ {
+				rep, err := f.exec.DeliverScratch(DeliveryContext{User: "user"}, ackTestAlert(i), "", nil, f.reg, f.mode, scr)
+				if err != nil || rep.DeliveredVia != "Pager IM" {
+					t.Fatalf("alert %d delivered via %q (err %v), want the IM", i, rep.DeliveredVia, err)
+				}
+				if rep.Blocks[0].Actions[0].AckedAt.IsZero() {
+					t.Fatalf("alert %d: IM action not marked acked", i)
+				}
+			}
+			if n := f.emails.Load(); n != 0 {
+				t.Fatalf("%d fallback emails followed acknowledged IMs, want 0", n)
+			}
+			if n := f.acks.Strays(); n != 0 {
+				t.Fatalf("%d acks counted as strays, want 0 (each was claimed by its registration)", n)
+			}
+			if n := f.acks.Pending(); n != 0 {
+				t.Fatalf("%d pending acks leaked", n)
+			}
+		})
+	}
+}
+
+// TestEarlyAckTableBounds pins the early table's limits. Sequence
+// numbers restart at a re-login, so a reused (handle, seq) must not pick
+// up the old session's stray: an ack older than earlyAckTTL is not
+// claimed by a later registration of the same key, nor — inside the TTL
+// — is one that arrived before the registering block began. True strays
+// stay counted.
+func TestEarlyAckTableBounds(t *testing.T) {
+	sim := clock.NewSim(time.Unix(1000, 0))
+	acks := NewAcks(sim)
+	msg := func(seq uint64) im.Message { return im.Message{From: "user@im", Text: AckText(seq)} }
+	key := func(seq uint64) ackKey { return ackKey{handle: "user@im", seq: seq} }
+
+	blockStart := sim.Now()
+	acks.HandleIncoming(msg(1))
+	sim.Advance(earlyAckTTL + time.Millisecond)
+	stale := pendingAck{ch: make(chan ackArrival, 1), name: "Pager IM"}
+	acks.register(key(1), stale, blockStart)
+	if len(stale.ch) != 0 || acks.Pending() != 1 {
+		t.Fatalf("a stale early ack resolved a new wait (arrivals %d, pending %d)", len(stale.ch), acks.Pending())
+	}
+	if n := acks.Strays(); n != 1 {
+		t.Fatalf("strays = %d, want 1 (the expired ack)", n)
+	}
+
+	// Seq 2 is acknowledged late by the old session; a re-login reuses
+	// it well inside the TTL, in a block that began after the ack came.
+	acks.HandleIncoming(msg(2))
+	sim.Advance(earlyAckTTL / 4)
+	reused := pendingAck{ch: make(chan ackArrival, 1), name: "Pager IM"}
+	acks.register(key(2), reused, sim.Now())
+	if len(reused.ch) != 0 || acks.Pending() != 2 {
+		t.Fatalf("an ack from before the block began resolved its wait (arrivals %d, pending %d)", len(reused.ch), acks.Pending())
+	}
+	if n := acks.Strays(); n != 2 {
+		t.Fatalf("strays = %d, want 2", n)
+	}
+
+	// More strays than slots: the ring overwrites, the count does not.
+	for seq := uint64(100); seq < 100+2*earlyAckSlots; seq++ {
+		acks.HandleIncoming(msg(seq))
+	}
+	if n := acks.Strays(); n != 2+2*earlyAckSlots {
+		t.Fatalf("strays = %d, want %d", n, 2+2*earlyAckSlots)
+	}
+	fresh := pendingAck{ch: make(chan ackArrival, 1), name: "Pager IM"}
+	acks.register(key(100+2*earlyAckSlots-1), fresh, blockStart) // newest entry: still in the ring
+	if len(fresh.ch) != 1 {
+		t.Fatal("a fresh early ack was not claimed")
+	}
+	if n := acks.Strays(); n != 1+2*earlyAckSlots {
+		t.Fatalf("strays = %d after a claim, want %d", n, 1+2*earlyAckSlots)
+	}
+}
+
+// TestPooledAckWaiterNoCrossTalk hammers the one hazard of reusing a
+// wait channel: a late acknowledgement for wait n racing the scratch's
+// reuse for wait n+1. One scratch (on a poisoning wheel) runs waits
+// back to back on a block of two IM actions; four goroutines
+// acknowledge BOTH sends of every odd-numbered wait, over and over, so
+// the second ack routinely arrives after the first has already
+// succeeded the block — between the wake-up and the cancel, or after
+// it. An even-numbered wait is never acknowledged: one that succeeds
+// consumed an arrival meant for its predecessor.
+func TestPooledAckWaiterNoCrossTalk(t *testing.T) {
+	var round atomic.Uint64 // number of the wait in progress, from 1
+	f := newAckFixture(t, 300*time.Microsecond, func(f *ackFixture, req Send) (SendResult, error) {
+		if req.To == "user@im" {
+			return SendResult{Seq: 2 * round.Add(1)}, nil
+		}
+		return SendResult{Seq: 2*round.Load() + 1}, nil
+	})
+	if err := f.reg.Register(addr.Address{Type: addr.TypeIM, Name: "Desk IM", Target: "desk@im", Enabled: true}); err != nil {
+		t.Fatal(err)
+	}
+	f.mode.Blocks[0].Actions = append(f.mode.Blocks[0].Actions, dmode.Action{Address: "Desk IM"})
+	scr := NewScratch(timewheel.New(clock.NewReal(), timewheel.Options{Poison: true, Tick: 100 * time.Microsecond}))
+
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				r := round.Load()
+				if r%2 == 0 {
+					runtime.Gosched()
+					continue
+				}
+				f.acks.HandleIncoming(im.Message{From: "user@im", Text: AckText(2 * r)})
+				f.acks.HandleIncoming(im.Message{From: "desk@im", Text: AckText(2*r + 1)})
+			}
+		}()
+	}
+	const waits = 2000
+	acked := 0
+	for i := 1; i <= waits; i++ {
+		rep, err := f.exec.DeliverScratch(DeliveryContext{User: "user"}, ackTestAlert(i), "", nil, f.reg, f.mode, scr)
+		if err != nil {
+			t.Fatalf("wait %d: %v", i, err)
+		}
+		if rep.Blocks[0].Succeeded {
+			acked++
+			if i%2 == 0 {
+				t.Fatalf("wait %d was never acknowledged, yet its IM block succeeded: "+
+					"it consumed a late ack for wait %d", i, i-1)
+			}
+		}
+	}
+	close(stop)
+	wg.Wait()
+	if acked < waits/4 {
+		t.Fatalf("only %d of %d odd waits were acknowledged: the hammer is not exercising the race", acked, waits/2)
+	}
+}
+
+// TestCancelHandsBackUnreadArrival pins the rule that closes the
+// timeout/ack tie: an acknowledgement that found its key registered is
+// either read by the waiter or handed back by cancel — the block then
+// succeeds on it — and either way the channel is empty for its next
+// wait.
+func TestCancelHandsBackUnreadArrival(t *testing.T) {
+	acks := NewAcks(clock.NewReal())
+	ch := make(chan ackArrival, 1)
+	keys := []ackKey{{handle: "user@im", seq: 1}, {handle: "desk@im", seq: 2}}
+	acks.register(keys[0], pendingAck{ch: ch, name: "Pager IM"}, time.Time{})
+	acks.register(keys[1], pendingAck{ch: ch, name: "Desk IM"}, time.Time{})
+	// Both acks land after the waiter stopped listening (its timeout won).
+	acks.HandleIncoming(im.Message{From: "user@im", Text: AckText(1)})
+	acks.HandleIncoming(im.Message{From: "desk@im", Text: AckText(2)})
+	arr, ok := acks.cancel(keys, ch)
+	if !ok || arr.name != "Pager IM" {
+		t.Fatalf("cancel = (%+v, %v), want the first arrival handed back", arr, ok)
+	}
+	if len(ch) != 0 || acks.Pending() != 0 || acks.Strays() != 0 {
+		t.Fatalf("after cancel: %d buffered, %d pending, %d strays; want all zero", len(ch), acks.Pending(), acks.Strays())
+	}
+	if _, ok := acks.cancel(keys, ch); ok {
+		t.Fatal("a second cancel found another arrival")
+	}
+}

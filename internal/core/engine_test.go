@@ -138,7 +138,10 @@ func testAlert(f *engineFixture) *alert.Alert {
 }
 
 // drive runs fn in a goroutine while advancing the simulated clock
-// until it finishes, returning its result.
+// until it finishes, returning its result. Between steps it waits a
+// moment of real time: the clock's settle rounds only yield, which on a
+// busy host does not get a goroutine woken on another thread running
+// before the next step moves virtual time past it.
 func drive[T any](t *testing.T, sim *clock.Sim, fn func() T) T {
 	t.Helper()
 	done := make(chan T, 1)
@@ -154,6 +157,7 @@ func drive[T any](t *testing.T, sim *clock.Sim, fn func() T) T {
 			t.Fatal("drive: function did not finish")
 		}
 		sim.Advance(500 * time.Millisecond)
+		time.Sleep(200 * time.Microsecond)
 	}
 }
 

@@ -19,21 +19,53 @@ import (
 // executor's stack, shared so the component that sees inbound IMs (the
 // buddy's receive loop, the hub's ack intake) can resolve waits started
 // by any delivery in flight.
+//
+// Invariant: an acknowledged IM is never followed by its fallback. A
+// channel's Send returns the sequence number the acknowledgement will
+// carry, so an ack can reach HandleIncoming before the sending block
+// has registered its wait; such an ack is parked in a small early
+// table and claimed by the registration instead of vanishing.
 type Acks struct {
 	clk clock.Clock
 
 	mu      sync.Mutex
-	pending map[ackKey]*pendingAck
+	pending map[ackKey]pendingAck
+	// early is a ring of acknowledgements that found no registered wait.
+	// register claims a matching entry that arrived since its block began
+	// and is younger than earlyAckTTL; entries that age out or are
+	// overwritten unclaimed were true strays (late or duplicate acks) and
+	// stay counted in strays.
+	early     [earlyAckSlots]earlyAck
+	earlyNext int
+	earlyLive int // unclaimed entries not yet seen expired
+	strays    int64
 }
+
+const (
+	// earlyAckSlots sizes the early-ack ring: the Send→register race is
+	// microseconds wide, so a handful of slots outlives it even while
+	// late acks churn through the ring.
+	earlyAckSlots = 64
+	// earlyAckTTL bounds how long an unmatched ack may wait for its
+	// registration: the race is the tail of one Send, stretched to tens
+	// of milliseconds when a stalled host deschedules the sender there.
+	// Sequence numbers are per IM session and restart at a re-login, so
+	// an old stray must not linger to match a new send; register's since
+	// is the tight guard against that, and this one retires entries so
+	// registers stop scanning the ring.
+	earlyAckTTL = 100 * time.Millisecond
+)
 
 type ackKey struct {
 	handle string
 	seq    uint64
 }
 
+// pendingAck is one registered wait: the waiter's channel and the
+// friendly address name the arrival is attributed to.
 type pendingAck struct {
 	ch   chan ackArrival
-	name string // friendly address name
+	name string
 }
 
 type ackArrival struct {
@@ -41,34 +73,58 @@ type ackArrival struct {
 	at   time.Time
 }
 
+type earlyAck struct {
+	key  ackKey
+	at   time.Time
+	live bool
+}
+
 // NewAcks builds an empty acknowledgement table.
 func NewAcks(clk clock.Clock) *Acks {
-	return &Acks{clk: clk, pending: make(map[ackKey]*pendingAck)}
+	return &Acks{clk: clk, pending: make(map[ackKey]pendingAck)}
 }
 
 // HandleIncoming inspects an incoming IM. If it is an acknowledgement
 // for a pending IM action, the ack is resolved and HandleIncoming
 // reports true (the message is consumed). All other messages report
 // false and should be processed by the caller.
+//
+// The arrival is handed to the waiter while the table lock is held:
+// once cancel has removed a wait's keys under the same lock, nothing
+// can send on its channel any more, which is what lets a pooled
+// Scratch reuse one channel across waits.
 func (t *Acks) HandleIncoming(msg im.Message) bool {
 	seq, ok := ParseAck(msg.Text)
 	if !ok {
 		return false
 	}
 	key := ackKey{handle: msg.From, seq: seq}
+	now := t.clk.Now()
 	t.mu.Lock()
-	p, ok := t.pending[key]
-	if ok {
+	if p, ok := t.pending[key]; ok {
 		delete(t.pending, key)
+		p.deliver(now)
+	} else {
+		// No wait yet (or no longer): park it for register to claim.
+		e := &t.early[t.earlyNext]
+		t.earlyNext = (t.earlyNext + 1) % earlyAckSlots
+		if !e.live {
+			t.earlyLive++
+		}
+		*e = earlyAck{key: key, at: now, live: true}
+		t.strays++
 	}
 	t.mu.Unlock()
-	if ok {
-		select {
-		case p.ch <- ackArrival{name: p.name, at: t.clk.Now()}:
-		default:
-		}
-	}
 	return true // consume stray acks too
+}
+
+// deliver hands the arrival to the waiter without blocking: the channel
+// buffers one arrival and a block needs only its first.
+func (p pendingAck) deliver(at time.Time) {
+	select {
+	case p.ch <- ackArrival{name: p.name, at: at}:
+	default:
+	}
 }
 
 // Pending reports how many acknowledgements are outstanding.
@@ -78,16 +134,53 @@ func (t *Acks) Pending() int {
 	return len(t.pending)
 }
 
-// register arms one pending acknowledgement.
-func (t *Acks) register(key ackKey, p *pendingAck) {
+// Strays reports how many acknowledgements matched no wait: late acks
+// for a block that already timed out, duplicates, and acks for sends
+// this table never saw. An ack that merely beat its registration stops
+// counting once the registration claims it.
+func (t *Acks) Strays() int64 {
 	t.mu.Lock()
-	t.pending[key] = p
-	t.mu.Unlock()
+	defer t.mu.Unlock()
+	return t.strays
 }
 
-// cancel unregisters any keys still pending for one block's wait
-// channel (acks resolved meanwhile belong to it and are left alone).
-func (t *Acks) cancel(keys []ackKey, ch chan ackArrival) {
+// register arms one pending acknowledgement, or resolves it on the spot
+// when the ack already arrived. since is when the registering block
+// began, on the table's clock: an ack that arrived before that cannot
+// answer one of its sends, whatever sequence number it carries.
+func (t *Acks) register(key ackKey, p pendingAck, since time.Time) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if t.earlyLive > 0 {
+		now := t.clk.Now()
+		for i := range t.early {
+			e := &t.early[i]
+			if !e.live {
+				continue
+			}
+			if now.Sub(e.at) > earlyAckTTL {
+				e.live = false
+				t.earlyLive--
+				continue
+			}
+			if e.key == key && !e.at.Before(since) {
+				e.live = false
+				t.earlyLive--
+				t.strays--
+				p.deliver(e.at)
+				return
+			}
+		}
+	}
+	t.pending[key] = p
+}
+
+// cancel closes one block's wait: it unregisters the keys still pending
+// for its channel (acks resolved meanwhile belong to it and are left
+// alone), then takes out an arrival nobody has read — after the unlock
+// nothing can send on ch any more, so the channel is left empty for its
+// next wait.
+func (t *Acks) cancel(keys []ackKey, ch chan ackArrival) (unread ackArrival, ok bool) {
 	t.mu.Lock()
 	for _, k := range keys {
 		if p, ok := t.pending[k]; ok && p.ch == ch {
@@ -95,6 +188,12 @@ func (t *Acks) cancel(keys []ackKey, ch chan ackArrival) {
 		}
 	}
 	t.mu.Unlock()
+	select {
+	case unread = <-ch:
+		return unread, true
+	default:
+		return unread, false
+	}
 }
 
 // DeliveryContext carries the hosting identity of one delivery through
@@ -103,6 +202,23 @@ func (t *Acks) cancel(keys []ackKey, ch chan ackArrival) {
 type DeliveryContext struct {
 	User  string
 	Shard int
+	// BlockTimeout, when positive, replaces dmode.DefaultBlockTimeout
+	// for blocks that specify no timeout of their own — the host's
+	// default ack wait, carried per delivery so the mode itself can be
+	// shared read-only between deliveries.
+	BlockTimeout time.Duration
+}
+
+// SendGate bounds a host's concurrent channel Sends (the hub's
+// per-shard delivery window). A delivery running on a gated Scratch
+// holds a slot only while it is calling channels: it acquires before
+// the first Send of a block, and releases before it parks in an ack
+// wait and when it returns.
+type SendGate interface {
+	// Acquire blocks for a slot. False means the host is abandoning its
+	// deliveries; the executor stops and returns ErrAbandoned.
+	Acquire() bool
+	Release()
 }
 
 // Executor executes delivery modes: mode → block fallback → action
@@ -117,7 +233,7 @@ type Executor struct {
 
 // NewExecutor builds an executor over a channel registry. acks may be
 // nil when no registered channel is ack-based (pending waits would
-// then only ever time out).
+// then only ever time out); a shared table must run on the same clock.
 func NewExecutor(clk clock.Clock, channels *Channels, acks *Acks) (*Executor, error) {
 	if clk == nil {
 		return nil, errors.New("core: clock is required")
@@ -139,27 +255,74 @@ func (x *Executor) Acks() *Acks { return x.acks }
 
 // Scratch is one delivery worker's reusable storage: the Report, its
 // BlockResult/ActionResult backing arrays, the pending-ack key list,
-// and (optionally) the timer wheel ack waits are multiplexed onto.
-// DeliverScratch writes each delivery's report into it instead of
-// allocating, so a worker's steady-state delivery is allocation-free.
+// the ack-wait channel, the total-failure error, and (optionally) the
+// timer wheel ack waits are multiplexed onto. DeliverScratch writes
+// each delivery's report into it instead of allocating, so a worker's
+// steady-state delivery — ack waits and fallbacks included — is
+// allocation-free.
 //
-// A Scratch must not be shared between concurrent deliveries, and a
-// report returned by DeliverScratch is BORROWED: it is valid only until
-// the same Scratch's next delivery. Callers that retain reports (or
-// hand them to callbacks that do) must copy what they need first.
+// A Scratch must not be shared between concurrent deliveries, and both
+// results of DeliverScratch are BORROWED: the report and a total-failure
+// error (which formats its summary from that report only when Error is
+// called) are valid only until the same Scratch's next delivery.
+// Callers that retain either (or hand them to callbacks that do) must
+// copy what they need first.
 type Scratch struct {
-	rep  Report
-	keys []ackKey
+	rep    Report
+	failed failedError
+	keys   []ackKey
+	// ackCh is the one wait channel every block of every delivery on
+	// this scratch reuses; Acks.cancel leaves it empty.
+	ackCh chan ackArrival
 	// wheel, when set, services ack-timeout waits instead of a fresh
 	// Clock.NewTimer per block.
 	wheel *timewheel.Wheel
+	// gate, when set, is held only around channel Sends.
+	gate SendGate
+	held bool
 }
 
 // NewScratch builds a reusable delivery scratch. wheel may be nil, in
 // which case ack waits fall back to per-block clock timers.
 func NewScratch(wheel *timewheel.Wheel) *Scratch {
-	return &Scratch{wheel: wheel}
+	return &Scratch{wheel: wheel, ackCh: make(chan ackArrival, 1)}
 }
+
+// SetGate makes deliveries on this scratch take a slot from g around
+// their channel Sends. Call it before the first delivery.
+func (s *Scratch) SetGate(g SendGate) { s.gate = g }
+
+// enter takes a gate slot unless one is held (or there is no gate).
+func (s *Scratch) enter() bool {
+	if s == nil || s.gate == nil || s.held {
+		return true
+	}
+	s.held = s.gate.Acquire()
+	return s.held
+}
+
+// leave gives the gate slot back, if held.
+func (s *Scratch) leave() {
+	if s != nil && s.held {
+		s.gate.Release()
+		s.held = false
+	}
+}
+
+// failedError is the total-failure error: it wraps ErrAllBlocksFailed
+// and renders the report's per-action failure summary only on demand,
+// so a failed attempt nobody prints costs no formatting.
+type failedError struct {
+	alertID string
+	rep     *Report
+}
+
+func (e *failedError) Error() string {
+	return fmt.Sprintf("core: alert %s mode %s: %v (%s)",
+		e.alertID, e.rep.ModeName, ErrAllBlocksFailed, e.rep.FailureSummary())
+}
+
+func (e *failedError) Unwrap() error { return ErrAllBlocksFailed }
 
 // Deliver executes the delivery mode for one alert on the personal
 // path (zero DeliveryContext). See DeliverAs.
@@ -172,14 +335,16 @@ func (x *Executor) Deliver(a *alert.Alert, reg *addr.Registry, mode *dmode.Mode)
 // It blocks for up to the sum of the blocks' timeouts (only blocks
 // that must wait for an acknowledgement consume their timeout). On
 // total failure the error wraps ErrAllBlocksFailed and carries the
-// report's per-action failure summary. The returned report is freshly
-// allocated and the caller owns it.
+// report's per-action failure summary. The returned report and error
+// are freshly allocated and the caller owns them.
 func (x *Executor) DeliverAs(ctx DeliveryContext, a *alert.Alert, reg *addr.Registry, mode *dmode.Mode) (*Report, error) {
 	return x.deliver(ctx, a, "", nil, reg, mode, nil)
 }
 
-// DeliverScratch is DeliverAs for the pooled hot path: the report is
-// written into scr (see Scratch for the borrowing contract), payload is
+// DeliverScratch is DeliverAs for the pooled hot path: the report and a
+// total-failure error live in scr (see Scratch for the borrowing
+// contract; ErrAbandoned is returned bare when scr's gate refuses a
+// slot, with the alert possibly half-delivered), payload is
 // the alert's pre-marshaled wire form (nil marshals on the spot), and
 // alertKey is the alert's pre-computed dedup key ("" computes it) — the
 // hub passes both from envelope-owned storage so a delivery allocates
@@ -223,9 +388,12 @@ func (x *Executor) deliver(ctx DeliveryContext, a *alert.Alert, alertKey string,
 	report.DeliveredVia = ""
 	report.StartedAt = x.clk.Now()
 	report.FinishedAt = time.Time{}
+	defer scr.leave()
 	for i := range mode.Blocks {
 		br := appendBlockResult(&report.Blocks, i)
-		x.runBlock(ctx, br, &mode.Blocks[i], reg, a, payload, scr)
+		if !x.runBlock(ctx, br, &mode.Blocks[i], reg, a, payload, scr) {
+			return report, ErrAbandoned
+		}
 		if br.Succeeded {
 			report.Delivered = true
 			report.DeliveredVia = deliveredVia(br)
@@ -234,8 +402,15 @@ func (x *Executor) deliver(ctx DeliveryContext, a *alert.Alert, alertKey string,
 	}
 	report.FinishedAt = x.clk.Now()
 	if !report.Delivered {
-		return report, fmt.Errorf("core: alert %s mode %s: %w (%s)",
-			a.ID, mode.Name, ErrAllBlocksFailed, report.FailureSummary())
+		// As with the report: the literal stays on the scratch-less branch.
+		var failed *failedError
+		if scr != nil {
+			failed = &scr.failed
+		} else {
+			failed = &failedError{}
+		}
+		failed.alertID, failed.rep = a.ID, report
+		return report, failed
 	}
 	return report, nil
 }
@@ -280,18 +455,24 @@ func appendActionResult(actions *[]ActionResult, name string) *ActionResult {
 // outcome: immediate success if any fire-and-forget action was
 // confirmed, else success iff an acknowledgement arrives within the
 // block timeout. Results are written into br (already reset by
-// appendBlockResult). The ack channel is created lazily — only when an
-// unconfirmed send actually registers a pending ack — so blocks whose
-// actions confirm at send time (the hub's flat path) allocate nothing.
-func (x *Executor) runBlock(ctx DeliveryContext, br *BlockResult, b *dmode.Block, reg *addr.Registry, a *alert.Alert, payload []byte, scr *Scratch) {
+// appendBlockResult). The ack channel is the scratch's; without a
+// scratch it is made lazily — only when an unconfirmed send actually
+// registers a pending ack — so neither blocks whose actions confirm at
+// send time nor pooled ack waits allocate.
+//
+// It reports false when the scratch's gate refused a slot for a Send:
+// the host is abandoning the delivery and no further block may run.
+func (x *Executor) runBlock(ctx DeliveryContext, br *BlockResult, b *dmode.Block, reg *addr.Registry, a *alert.Alert, payload []byte, scr *Scratch) bool {
 	start := x.clk.Now()
 	var ackCh chan ackArrival
 	var keys []ackKey
 	if scr != nil {
-		keys = scr.keys[:0]
+		ackCh, keys = scr.ackCh, scr.keys[:0]
 	}
 	immediate := "" // friendly name of a fire-and-forget success
+	abandoned := false
 
+actions:
 	for _, action := range b.Actions {
 		res := appendActionResult(&br.Actions, action.Address)
 		address, ok := reg.Lookup(action.Address)
@@ -307,6 +488,11 @@ func (x *Executor) runBlock(ctx DeliveryContext, br *BlockResult, b *dmode.Block
 			if !ok {
 				res.Err = fmt.Errorf("%s: %w", address.Type, ErrNoChannel)
 				break
+			}
+			if !scr.enter() {
+				res.Err = ErrAbandoned
+				abandoned = true
+				break actions
 			}
 			sr, err := ch.Send(Send{
 				To:      address.Target,
@@ -328,65 +514,85 @@ func (x *Executor) runBlock(ctx DeliveryContext, br *BlockResult, b *dmode.Block
 			}
 			res.Seq = sr.Seq
 			if ackCh == nil {
-				ackCh = make(chan ackArrival, len(b.Actions))
+				ackCh = make(chan ackArrival, 1) // scratch-less path
 			}
 			key := ackKey{handle: address.Target, seq: sr.Seq}
-			x.acks.register(key, &pendingAck{ch: ackCh, name: address.Name})
+			x.acks.register(key, pendingAck{ch: ackCh, name: address.Name}, start)
 			keys = append(keys, key)
 		}
 	}
 
+	var arr ackArrival
+	acked := false
+	wait := !abandoned && immediate == "" && len(keys) > 0
+	if wait {
+		timeout := b.EffectiveTimeout()
+		if b.Timeout == 0 && ctx.BlockTimeout > 0 {
+			timeout = ctx.BlockTimeout
+		}
+		// The sends are done; what follows is a wait, not work.
+		scr.leave()
+		arr, acked = x.waitAck(timeout, ackCh, scr)
+	}
+	if len(keys) > 0 {
+		// Close the wait before judging it. An ack that found its key
+		// registered has acknowledged the IM even if the timeout won the
+		// select, so it still succeeds the block; a second ack is dropped.
+		if late, ok := x.acks.cancel(keys, ackCh); ok && !acked {
+			arr, acked = late, true
+		}
+	}
 	switch {
 	case immediate != "":
 		br.Succeeded = true
-	case len(keys) > 0:
-		x.waitAck(br, b, ackCh, scr)
-	}
-	// Unregister any acks still pending for this block.
-	if len(keys) > 0 {
-		x.acks.cancel(keys, ackCh)
+	case wait:
+		br.Succeeded = acked
+		for i := range br.Actions {
+			res := &br.Actions[i]
+			switch {
+			case res.Err != nil:
+			case acked && res.AddressName == arr.name:
+				res.AckedAt = arr.at
+			case !acked && !res.Confirmed:
+				res.Err = ErrNoAck
+			}
+		}
 	}
 	if scr != nil {
 		scr.keys = keys[:0]
 	}
 	br.Elapsed = x.clk.Now().Sub(start)
+	return !abandoned
 }
 
 // waitAck blocks until one of the block's registered acks arrives or
-// the block timeout expires, annotating br accordingly. The timeout
-// runs on the scratch's timer wheel when available (one pooled wheel
-// node instead of a fresh clock timer per wait), else on a clock timer.
-func (x *Executor) waitAck(br *BlockResult, b *dmode.Block, ackCh chan ackArrival, scr *Scratch) {
+// timeout expires, and reports which. The timeout runs on the scratch's
+// timer wheel when available (one pooled wheel node instead of a fresh
+// clock timer per wait), else on a clock timer.
+func (x *Executor) waitAck(timeout time.Duration, ackCh chan ackArrival, scr *Scratch) (arr ackArrival, acked bool) {
 	var (
-		fire <-chan time.Time
-		stop func()
+		fire  <-chan time.Time
+		wt    *timewheel.Timer
+		timer clock.Timer
 	)
 	if scr != nil && scr.wheel != nil {
-		t := scr.wheel.After(b.EffectiveTimeout())
-		fire = t.C()
-		stop = func() { scr.wheel.Release(t) }
+		wt = scr.wheel.After(timeout)
+		fire = wt.C()
 	} else {
-		t := x.clk.NewTimer(b.EffectiveTimeout())
-		fire = t.C()
-		stop = func() { t.Stop() }
+		timer = x.clk.NewTimer(timeout)
+		fire = timer.C()
 	}
 	select {
-	case arr := <-ackCh:
-		stop()
-		br.Succeeded = true
-		for i := range br.Actions {
-			if br.Actions[i].AddressName == arr.name && br.Actions[i].Err == nil {
-				br.Actions[i].AckedAt = arr.at
-			}
-		}
+	case arr = <-ackCh:
+		acked = true
 	case <-fire:
-		stop()
-		for i := range br.Actions {
-			if br.Actions[i].Err == nil && !br.Actions[i].Confirmed {
-				br.Actions[i].Err = fmt.Errorf("no acknowledgement within %v", b.EffectiveTimeout())
-			}
-		}
 	}
+	if wt != nil {
+		scr.wheel.Release(wt)
+	} else {
+		timer.Stop()
+	}
+	return arr, acked
 }
 
 // deliveredVia picks the confirming address name from a succeeded

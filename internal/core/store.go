@@ -32,6 +32,11 @@ type Subscription struct {
 }
 
 // Profile is one registered user's addresses and delivery modes.
+//
+// Stored modes are immutable: DefineMode keeps a private deep copy and
+// a redefinition swaps in a new one, never editing the old. That is
+// what lets SharedMode hand the stored pointer to concurrent
+// deliveries — one in flight finishes on the mode it started with.
 type Profile struct {
 	name  string
 	addrs *addr.Registry
@@ -83,6 +88,16 @@ func (p *Profile) Mode(name string) (*dmode.Mode, error) {
 		return nil, fmt.Errorf("core: user %q mode %q: %w", p.name, name, ErrUnknownMode)
 	}
 	return m.Clone(), nil
+}
+
+// SharedMode returns the stored mode itself, for executing without a
+// per-delivery copy. The mode is READ-ONLY: callers must not modify it
+// or anything it points to (take Mode for a copy to edit).
+func (p *Profile) SharedMode(name string) (*dmode.Mode, bool) {
+	p.mu.RLock()
+	m, ok := p.modes[name]
+	p.mu.RUnlock()
+	return m, ok
 }
 
 // ModeNames returns the names of all defined modes, sorted.

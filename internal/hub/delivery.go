@@ -38,10 +38,18 @@ var userQueuePool = sync.Pool{New: func() any { return new(userQueue) }}
 
 // deliveryStage is one shard's asynchronous delivery pipeline. The
 // shard loop stays on routing and WAL work; deliveries — the calls into
-// slow external substrates — run here under a bounded in-flight window,
-// so one stalled Sink.Deliver no longer serializes every tenant hashed
-// to the shard. Ordering contract: deliveries for the same user are
-// chained; deliveries for different users overlap up to the window.
+// slow external substrates — run here, their channel Sends under a
+// bounded in-flight window, so one stalled Send no longer serializes
+// every tenant hashed to the shard. Ordering contract: deliveries for
+// the same user are chained; deliveries for different users overlap.
+//
+// A window slot covers a Send, not a delivery: the stage is the
+// executor's core.SendGate, so a worker takes a slot before a block's
+// first Send and gives it back before it parks — in an ack wait, in a
+// retry backoff, or to stage its DONE. A parked delivery costs its
+// worker goroutine and its admission reservation, nothing else, so
+// parked waits are bounded by the shard's admission depth while the
+// window keeps bounding what actually loads the substrates.
 type deliveryStage struct {
 	h   *Hub
 	sh  *shard
@@ -61,9 +69,10 @@ type deliveryStage struct {
 	// result backing + ack keys), wired to the stage's wheel.
 	scratch sync.Pool
 
-	// window bounds concurrently executing deliveries (not queued work,
-	// which the shard's admission depth already bounds). The in-flight
-	// gauge lives on the shard so its peak survives generation swaps.
+	// window bounds concurrent channel Sends (not queued or parked
+	// work, which the shard's admission depth already bounds). The
+	// in-flight gauge lives on the shard so its peak survives generation
+	// swaps.
 	window chan struct{}
 
 	mu    sync.Mutex
@@ -90,7 +99,11 @@ func newDeliveryStage(h *Hub, sh *shard, killed <-chan struct{}) *deliveryStage 
 		window: make(chan struct{}, h.cfg.DeliveryWindow),
 		users:  make(map[string]*userQueue),
 	}
-	d.scratch.New = func() any { return core.NewScratch(d.wheel) }
+	d.scratch.New = func() any {
+		scr := core.NewScratch(d.wheel)
+		scr.SetGate(d)
+		return scr
+	}
 	return d
 }
 
@@ -132,9 +145,9 @@ func (d *deliveryStage) submitBatch(envs []*envelope) {
 }
 
 // runUser drains one tenant's chain, envelope by envelope. The worker
-// exits when the chain empties or the hub is killed; either way it
-// deletes its map entry (a churn of one-shot tenants must not grow the
-// users map) and recycles the queue node.
+// exits when the chain empties or the generation is killed; either way
+// it deletes its map entry (a churn of one-shot tenants must not grow
+// the users map) and recycles the queue node.
 func (d *deliveryStage) runUser(user string, q *userQueue) {
 	defer d.wg.Done()
 	scr := d.scratch.Get().(*core.Scratch)
@@ -155,7 +168,7 @@ func (d *deliveryStage) runUser(user string, q *userQueue) {
 		}
 		d.mu.Unlock()
 		env.next = nil
-		if !d.acquire() {
+		if !d.perform(env, scr) {
 			// Generation killed: the undone entries replay from the WAL
 			// (into this shard's next generation, or the next process
 			// incarnation). Still drop the map entry so a kill
@@ -165,16 +178,14 @@ func (d *deliveryStage) runUser(user string, q *userQueue) {
 			d.mu.Unlock()
 			return
 		}
-		d.perform(env, scr)
-		d.release()
 		d.sh.beat(d.h.cfg.Clock.Now())
 	}
 }
 
-// acquire claims one in-flight slot, honoring the generation's kill
-// both before and after the wait so an abandoned stage stops
-// deterministically.
-func (d *deliveryStage) acquire() bool {
+// Acquire claims one in-flight slot for a worker about to Send
+// (core.SendGate), honoring the generation's kill both before and after
+// the wait so an abandoned stage stops deterministically.
+func (d *deliveryStage) Acquire() bool {
 	select {
 	case <-d.killed:
 		return false
@@ -195,7 +206,8 @@ func (d *deliveryStage) acquire() bool {
 	return true
 }
 
-func (d *deliveryStage) release() {
+// Release returns the slot (core.SendGate).
+func (d *deliveryStage) Release() {
 	d.sh.inflight.Dec()
 	<-d.window
 }
@@ -203,24 +215,31 @@ func (d *deliveryStage) release() {
 // perform executes one delivery: run the tenant's delivery mode (or
 // the flat substrate plan) through the shared executor, retry failed
 // attempts — every block exhausted — with capped exponential backoff +
-// jitter, and only then stage the WAL DONE record. A kill abandons the
-// envelope before the mark, leaving the entry for the next incarnation
-// to replay. What attempt exhaustion means depends on the QoS tier:
-// best-effort drops the alert (counted as lost); guaranteed persists
-// the envelope to the retry outbox — durably, before the WAL entry is
-// retired, so ownership transfers between the logs with no uncovered
-// instant — and the outbox redelivers with escalating backoff.
+// jitter, and only then stage the WAL DONE record. It reports false
+// when a kill abandoned the envelope before the mark, leaving the entry
+// for the next incarnation to replay. What attempt exhaustion means
+// depends on the QoS tier: best-effort drops the alert (counted as
+// lost); guaranteed persists the envelope to the retry outbox —
+// durably, before the WAL entry is retired, so ownership transfers
+// between the logs with no uncovered instant — and the outbox
+// redelivers with escalating backoff.
+//
+// The worker holds no window slot here: the executor takes one around
+// each block's Sends and has returned it by the time DeliverScratch
+// comes back, so backoffs, the outbox handoff and the mark never
+// occupy the window.
 //
 // The routed alert's wire form is encoded once, into envelope-owned
-// storage, and reused by every attempt; the report lands in the
-// worker's scratch. An envelope that completes (delivered, dropped, or
-// handed off) recycles into the pool after its DONE is staged on its
-// home lane; abandoned paths leave recycling to the GC.
-func (d *deliveryStage) perform(env *envelope, scr *core.Scratch) {
+// storage, and reused by every attempt; the report and a failed
+// attempt's error land in the worker's scratch. An envelope that
+// completes (delivered, dropped, or handed off) recycles into the pool
+// after its DONE is staged on its home lane; abandoned paths leave
+// recycling to the GC.
+func (d *deliveryStage) perform(env *envelope, scr *core.Scratch) bool {
 	h := d.h
 	b := env.buddy
 	reg, mode, tier := h.plan(b, env.category)
-	ctx := core.DeliveryContext{User: b.user, Shard: d.sh.id}
+	ctx := h.deliveryContext(b.user, d.sh.id)
 	// env.key is user + keySep + dedup-key; slice off the alert key so
 	// the executor does not rebuild it per attempt.
 	alertKey := env.key[len(b.user)+len(keySep):]
@@ -232,6 +251,9 @@ func (d *deliveryStage) perform(env *envelope, scr *core.Scratch) {
 	}
 	for attempt := 1; ; attempt++ {
 		rep, err := h.exec.DeliverScratch(ctx, &env.alert, alertKey, payload, reg, mode, scr)
+		if err == core.ErrAbandoned {
+			return false // killed before a Send: nothing to observe, nothing to mark
+		}
 		if f := h.cfg.OnDelivery; f != nil {
 			f(b.user, rep, err)
 		}
@@ -250,7 +272,7 @@ func (d *deliveryStage) perform(env *envelope, scr *core.Scratch) {
 					// incarnation replays the alert instead of losing it.
 					h.deliverLat.Observe(h.cfg.Clock.Since(env.handed))
 					d.sh.release()
-					return
+					return true
 				}
 				h.ctr.outboxHandoffs.Add1()
 				if f := h.cfg.CrashAfterOutboxPut; f != nil && f.Active() {
@@ -258,7 +280,7 @@ func (d *deliveryStage) perform(env *envelope, scr *core.Scratch) {
 					// the WAL entry is not yet retired — both logs replay
 					// it next incarnation; dedup collapses the duplicate.
 					h.crash(b.user, &env.alert)
-					return
+					return false
 				}
 			} else {
 				h.ctr.undeliverable.Add1()
@@ -268,17 +290,17 @@ func (d *deliveryStage) perform(env *envelope, scr *core.Scratch) {
 		}
 		h.ctr.deliveryRetries.Add1()
 		if !d.backoff(attempt) {
-			return // killed mid-backoff
+			return false // killed mid-backoff
 		}
 	}
 	h.deliverLat.Observe(h.cfg.Clock.Since(env.handed))
 	if f := h.cfg.CrashBeforeMark; f != nil && f.Active() {
 		h.crash(b.user, &env.alert)
-		return
+		return false
 	}
 	select {
 	case <-h.killed:
-		return // killed after delivery: the duplicate on replay is the dedup contract's case
+		return false // killed after delivery: the duplicate on replay is the dedup contract's case
 	default:
 	}
 	if err := h.wal.Lane(env.lane).MarkProcessedAsync(env.key, h.cfg.Clock.Now()); err != nil && !errors.Is(err, plog.ErrClosed) {
@@ -287,6 +309,7 @@ func (d *deliveryStage) perform(env *envelope, scr *core.Scratch) {
 	h.latency.Observe(h.cfg.Clock.Since(env.at))
 	d.sh.release()
 	putEnvelope(env)
+	return true
 }
 
 // handoff persists an attempt-exhausted guaranteed-tier delivery to

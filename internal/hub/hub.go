@@ -83,8 +83,8 @@ const (
 	// DefaultLatencyReservoir bounds the end-to-end latency recorder's
 	// memory on million-alert runs.
 	DefaultLatencyReservoir = 4096
-	// DefaultDeliveryWindow bounds each shard's concurrently executing
-	// deliveries.
+	// DefaultDeliveryWindow bounds each shard's concurrent channel
+	// Sends.
 	DefaultDeliveryWindow = 32
 	// DefaultDeliveryMaxAttempts is the per-alert delivery attempt cap
 	// (1 initial try + retries) before the alert counts as
@@ -189,12 +189,16 @@ type Config struct {
 	// timeout in hosted delivery modes: blocks that do not specify a
 	// timeout wait this long for an acknowledgement before falling
 	// back, instead of dmode.DefaultBlockTimeout. It bounds how long a
-	// tenant's ack wait can occupy its delivery chain.
+	// tenant's ack wait can park its delivery chain and hold its
+	// admission reservation — not a delivery-window slot, which a
+	// parked wait does not occupy.
 	AckTimeout time.Duration
 	// OnDelivery, when set, observes every delivery-mode execution
 	// attempt on the hub's delivery workers: the per-attempt report
 	// (block fallback trace) and the attempt's error, nil on success.
-	// Must be safe for concurrent calls.
+	// Both are borrowed from the worker's scratch (core.Scratch) and
+	// valid only during the call: copy what must outlive it. Must be
+	// safe for concurrent calls.
 	OnDelivery func(user string, rep *core.Report, err error)
 	// WALPath is the journal base path; required. Lane 0 lives at this
 	// path (so a 1-lane hub's journal is identical to the historical
@@ -250,10 +254,13 @@ type Config struct {
 	// LatencyReservoir caps the routing-latency recorder's sample
 	// memory; zero means DefaultLatencyReservoir.
 	LatencyReservoir int
-	// DeliveryWindow bounds each shard's concurrently executing
-	// deliveries; zero means DefaultDeliveryWindow. One serializes
-	// deliveries per shard — the pre-pipeline synchronous behavior,
-	// kept as the benchmark baseline.
+	// DeliveryWindow bounds each shard's concurrent channel Sends; zero
+	// means DefaultDeliveryWindow. A delivery holds a slot only while it
+	// is calling channels — not while it waits for an acknowledgement or
+	// sleeps out a retry backoff (those are bounded by QueueDepth, whose
+	// reservation a delivery keeps until it completes). One serializes a
+	// shard's Sends — the pre-pipeline synchronous behavior, kept as the
+	// benchmark baseline.
 	DeliveryWindow int
 	// DeliveryMaxAttempts caps delivery attempts per alert (initial try
 	// plus retries); zero means DefaultDeliveryMaxAttempts.
@@ -740,9 +747,11 @@ func (h *Hub) HandleIncoming(msg im.Message) bool {
 // executes — the tenant's subscribed mode for the alert's category
 // when the tenant carries a profile, else the hub's synthesized flat
 // mode (one pass through the FlatSink substrate channel) — plus the
-// QoS tier the delivery runs under. Personalized blocks without an
-// explicit timeout are bounded by Config.AckTimeout. Reads the
-// tenant's copy-on-write state snapshot — no locks.
+// QoS tier the delivery runs under. The mode is the profile's own
+// stored copy, shared read-only with every other delivery of it
+// (Config.AckTimeout reaches the executor through deliveryContext, not
+// through the mode). Reads the tenant's copy-on-write state snapshot —
+// no locks of the hub's, no allocation.
 func (h *Hub) plan(b *Buddy, category string) (*addr.Registry, *dmode.Mode, core.Tier) {
 	s := b.state.Load()
 	if s == nil {
@@ -760,20 +769,19 @@ func (h *Hub) plan(b *Buddy, category string) (*addr.Registry, *dmode.Mode, core
 	if !subscribed {
 		return h.flatReg, h.flatMode, tier
 	}
-	mode, err := p.Mode(modeName)
-	if err != nil {
+	mode, ok := p.SharedMode(modeName)
+	if !ok {
 		// The mode was deleted after Subscribe; deliver flat rather
 		// than losing the alert.
 		return h.flatReg, h.flatMode, tier
 	}
-	if h.cfg.AckTimeout > 0 {
-		for i := range mode.Blocks {
-			if mode.Blocks[i].Timeout == 0 {
-				mode.Blocks[i].Timeout = dmode.Duration(h.cfg.AckTimeout)
-			}
-		}
-	}
 	return p.Addresses(), mode, tier
+}
+
+// deliveryContext is the executor context for one of user's deliveries:
+// hosting identity plus Config.AckTimeout as the default block timeout.
+func (h *Hub) deliveryContext(user string, shard int) core.DeliveryContext {
+	return core.DeliveryContext{User: user, Shard: shard, BlockTimeout: h.cfg.AckTimeout}
 }
 
 // AddUser registers a tenant. The returned Buddy's pipeline accepts no
@@ -884,8 +892,7 @@ func (h *Hub) redeliver(e *outbox.Entry) (int, error) {
 	if e.Offset > 0 {
 		mode = &dmode.Mode{Name: mode.Name, Blocks: mode.Blocks[e.Offset:]}
 	}
-	ctx := core.DeliveryContext{User: e.User, Shard: h.shardOf(e.User).id}
-	rep, err := h.exec.DeliverAs(ctx, e.Alert, reg, mode)
+	rep, err := h.exec.DeliverAs(h.deliveryContext(e.User, h.shardOf(e.User).id), e.Alert, reg, mode)
 	if f := h.cfg.OnDelivery; f != nil {
 		f(e.User, rep, err)
 	}
@@ -1230,7 +1237,7 @@ func (h *Hub) submit(subs []Submission, onCommitted func([]error), sem bool) *Ti
 				User:       subs[p.idx].User,
 				Shard:      p.sh.id,
 				Depth:      h.cfg.QueueDepth,
-				RetryAfter: p.sh.retryHint(h.cfg.CommitWindow),
+				RetryAfter: p.sh.retryHint(now, h.cfg.CommitWindow),
 			}
 			continue
 		}
@@ -1960,8 +1967,8 @@ type ShardStat struct {
 	Shard     int
 	Depth     int // current queued + in-admission + in-delivery alerts
 	PeakDepth int
-	// InFlight / PeakInFlight count concurrently executing deliveries
-	// in the shard's delivery stage (bounded by DeliveryWindow).
+	// InFlight / PeakInFlight count the delivery stage's concurrent
+	// channel Sends (bounded by DeliveryWindow).
 	InFlight     int
 	PeakInFlight int
 	// State is the shard's lifecycle state; Generation counts the

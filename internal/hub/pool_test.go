@@ -15,26 +15,46 @@ import (
 	"simba/internal/race"
 )
 
-// TestHubPlanZeroAllocs pins the per-delivery plan resolution for
-// profile-less tenants at zero allocations: every delivery attempt
-// calls plan, and the flat path is the benchmark's steady state.
+// TestHubPlanZeroAllocs pins the per-delivery plan resolution at zero
+// allocations: every delivery attempt calls plan. Profile-less tenants
+// get the hub's flat plan; a profile tenant gets its profile's stored
+// mode itself — not a copy with Config.AckTimeout written into it —
+// and the timeout travels in the delivery context instead.
 func TestHubPlanZeroAllocs(t *testing.T) {
 	if race.Enabled {
 		t.Skip("alloc accounting is not meaningful under the race detector")
 	}
-	h := newTestHub(t, Config{Sink: FuncSink(func(int, string, *alert.Alert) error { return nil })})
-	b, err := h.AddUser("user-0")
-	if err != nil {
+	const ackTimeout = 20 * time.Millisecond
+	h := newTestHub(t, Config{
+		Sink:       FuncSink(func(int, string, *alert.Alert) error { return nil }),
+		AckTimeout: ackTimeout,
+	})
+	addUsers(t, h, 2)
+	flat, _ := h.buddy("user-0")
+	hosted, _ := h.buddy("user-1")
+	profile := modeProfile(t, "user-1", 0)
+	hosted.SetProfile(profile)
+	if err := hosted.Subscribe("Investment", "IMThenEmail"); err != nil {
 		t.Fatal(err)
 	}
-	allocs := testing.AllocsPerRun(200, func() {
-		reg, mode, _ := h.plan(b, "Investment")
-		if reg == nil || mode == nil {
-			t.Fatal("plan returned nil flat plan")
+	stored, _ := profile.SharedMode("IMThenEmail")
+	for name, b := range map[string]*Buddy{"flat": flat, "profile": hosted} {
+		allocs := testing.AllocsPerRun(200, func() {
+			reg, mode, _ := h.plan(b, "Investment")
+			ctx := h.deliveryContext(b.user, 0)
+			if reg == nil || mode == nil || ctx.BlockTimeout != ackTimeout {
+				t.Fatalf("plan = (%v, %v), context %+v", reg, mode, ctx)
+			}
+			if b == hosted && mode != stored {
+				t.Fatal("plan copied the profile's mode instead of sharing it")
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("Hub.plan (%s) allocates %.1f objects per call, want 0", name, allocs)
 		}
-	})
-	if allocs != 0 {
-		t.Fatalf("Hub.plan (flat) allocates %.1f objects per call, want 0", allocs)
+	}
+	if stored.Blocks[0].Timeout != 0 {
+		t.Fatalf("the shared mode was edited: block 0 timeout %v", time.Duration(stored.Blocks[0].Timeout))
 	}
 }
 

@@ -110,9 +110,9 @@ type shard struct {
 
 	depth atomic.Int64
 	peak  atomic.Int64
-	// inflight gauges the delivery stage's concurrently executing
-	// deliveries; it lives on the shard (not the stage) so the peak
-	// survives generation swaps.
+	// inflight gauges the delivery stage's concurrent channel Sends; it
+	// lives on the shard (not the stage) so the peak survives generation
+	// swaps.
 	inflight metrics.Gauge
 
 	// Supervision-facing atomics: the health probe reads exactly these,
@@ -124,6 +124,14 @@ type shard struct {
 
 	restarts      atomic.Int64 // kill+replay restarts
 	rejuvenations atomic.Int64 // graceful recycles
+
+	// released counts slots given back; retryHint differences it into
+	// the drain rate below. rateMu is taken on the overload path only.
+	released atomic.Int64
+	rateMu   sync.Mutex
+	rateAt   time.Time // when released was last sampled
+	rateN    int64     // released at rateAt
+	rate     float64   // EWMA of slots released per second while refusing; 0 until measured
 
 	// lifeMu serializes lifecycle transitions (restart, rejuvenate,
 	// drain-close) per shard; the hot path never touches it.
@@ -281,6 +289,7 @@ func (s *shard) release() {
 			return
 		}
 		if s.depth.CompareAndSwap(d, d-1) {
+			s.released.Add(1)
 			return
 		}
 	}
@@ -359,15 +368,64 @@ func (s *shard) killCurrent() {
 	}
 }
 
-// retryHint estimates how long the sender should back off: the queue
-// needs roughly a commit window per batch of queued work to drain, plus
-// jitter from the shard's own RNG so a thundering herd of rejected
-// senders does not return in lockstep.
-func (s *shard) retryHint(window time.Duration) time.Duration {
+const (
+	// rateSampleMin is the shortest interval a drain-rate sample spans;
+	// refusals closer together share a sample.
+	rateSampleMin = 5 * time.Millisecond
+	// rateSampleMax is the longest: a refusal later than this after the
+	// previous one starts a new overload episode, and the gap between
+	// (when the shard was not full) is not drain time.
+	rateSampleMax = time.Second
+	// rateAlpha weights a new sample in the EWMA.
+	rateAlpha = 0.25
+	// maxRetryHint caps the hint when the measured rate falls toward
+	// zero (a gated substrate): the sender probes about once a second.
+	maxRetryHint = time.Second
+)
+
+// retryHint estimates how long the sender should back off: the time the
+// shard needs to give back as many slots as it holds now, at the rate it
+// has been observed giving them back while refusing — an EWMA over the
+// refusals of the current and earlier overload episodes, so it is
+// measured exactly when the shard is full. Until a first non-zero sample
+// exists it falls back to one millisecond per queued alert; behind a
+// gated substrate the rate decays toward zero without reaching it and
+// the estimate stops at maxRetryHint. A commit window is added either
+// way, plus jitter from the shard's own RNG so a thundering herd of
+// rejected senders does not return in lockstep.
+func (s *shard) retryHint(now time.Time, window time.Duration) time.Duration {
 	if window <= 0 {
 		window = 5 * time.Millisecond
 	}
-	base := window + time.Duration(s.depth.Load())*time.Millisecond
+	depth := s.depth.Load()
+	n := s.released.Load()
+	s.rateMu.Lock()
+	switch dt := now.Sub(s.rateAt); {
+	case s.rateAt.IsZero() || dt > rateSampleMax:
+		s.rateAt, s.rateN = now, n
+	case dt >= rateSampleMin:
+		sample := float64(n-s.rateN) / dt.Seconds()
+		if s.rate == 0 {
+			s.rate = sample
+		} else {
+			s.rate += rateAlpha * (sample - s.rate)
+		}
+		s.rateAt, s.rateN = now, n
+	}
+	rate := s.rate
+	s.rateMu.Unlock()
+
+	drain := time.Duration(depth) * time.Millisecond
+	if rate > 0 {
+		// Cap in seconds, before the conversion: a rate decayed to almost
+		// nothing would overflow a Duration.
+		if secs := float64(depth) / rate; secs < maxRetryHint.Seconds() {
+			drain = time.Duration(secs * float64(time.Second))
+		} else {
+			drain = maxRetryHint
+		}
+	}
+	base := window + drain
 	jitter := time.Duration(s.rng.Float64() * float64(base) / 2)
 	return base + jitter
 }

@@ -1,0 +1,80 @@
+package hub
+
+import (
+	"testing"
+	"time"
+
+	"simba/internal/dist"
+)
+
+// refuse drives one overload episode on a full shard: every step it
+// releases (and re-reserves) perStep slots, advances the synthetic
+// clock, and asks for a hint, as a refused submitter would. It returns
+// the last hint.
+func refuse(s *shard, now *time.Time, steps, perStep int, step time.Duration) time.Duration {
+	var hint time.Duration
+	for i := 0; i < steps; i++ {
+		for k := 0; k < perStep; k++ {
+			s.release()
+			s.reserveSlot()
+		}
+		*now = now.Add(step)
+		hint = s.retryHint(*now, 2*time.Millisecond)
+	}
+	return hint
+}
+
+// TestRetryHintTracksDrainRate pins RetryAfter to the shard's observed
+// drain rate instead of one millisecond per queued alert: a full shard
+// of 256 that gives slots back at 3,200/s drains in 80 ms, and the hint
+// says so (the old formula said 258–387 ms); behind a gated sink that
+// gives nothing back, the hint grows toward its one-second cap instead
+// of inviting the sender back at the fast rate.
+func TestRetryHintTracksDrainRate(t *testing.T) {
+	const depth = 256
+	window := 2 * time.Millisecond
+	full := func() *shard {
+		s := newShard(0, depth, dist.NewRNG(5))
+		s.setState(ShardRunning)
+		if got := s.reserveN(depth); got != depth {
+			t.Fatalf("reserved %d of %d slots", got, depth)
+		}
+		return s
+	}
+	within := func(name string, hint, lo, hi time.Duration) {
+		t.Helper()
+		// The jitter adds up to half the base.
+		if hint < lo || hint > hi+hi/2 {
+			t.Errorf("%s: hint %v, want within [%v, %v] plus jitter", name, hint, lo, hi)
+		}
+	}
+
+	s := full()
+	now := time.Unix(1000, 0)
+	within("before any sample", s.retryHint(now, window), window+depth*time.Millisecond, window+depth*time.Millisecond)
+
+	// Fast sink: 32 slots every 10 ms = 3,200/s, a full drain in 80 ms.
+	hint := refuse(s, &now, 20, 32, 10*time.Millisecond)
+	within("fast sink", hint, window+75*time.Millisecond, window+85*time.Millisecond)
+
+	// A quiet minute is not drain time: the next episode starts a fresh
+	// sample and keeps the rate it learnt.
+	now = now.Add(time.Minute)
+	within("after an idle gap", s.retryHint(now, window), window+75*time.Millisecond, window+85*time.Millisecond)
+
+	// The sink gates: nothing is released, every sample reads zero, and
+	// the hint backs off to the cap.
+	hint = refuse(s, &now, 40, 0, 10*time.Millisecond)
+	within("gated sink", hint, window+maxRetryHint, window+maxRetryHint)
+	// ...and stays there however far the rate decays toward zero (the
+	// estimate in nanoseconds would overflow a Duration long before).
+	for i := 0; i < 400; i++ {
+		within("gated sink, rate decayed", refuse(s, &now, 1, 0, 10*time.Millisecond), window+maxRetryHint, window+maxRetryHint)
+	}
+
+	// Gated from the start: no rate was ever measured, so the hint stays
+	// on the per-alert fallback.
+	g := full()
+	hint = refuse(g, &now, 10, 0, 10*time.Millisecond)
+	within("gated, never measured", hint, window+depth*time.Millisecond, window+depth*time.Millisecond)
+}

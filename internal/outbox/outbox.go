@@ -160,6 +160,10 @@ type Outbox struct {
 
 	mu      sync.Mutex
 	pending entryHeap
+	// inRound is set while the loop holds a popped envelope for the
+	// round in progress: it is owed a mark (retire or reschedule) and
+	// still counts as pending.
+	inRound bool
 	started bool
 	closed  bool
 
@@ -321,10 +325,14 @@ func (o *Outbox) Put(e Entry) error {
 	return nil
 }
 
-// Pending reports how many envelopes await redelivery.
+// Pending reports how many envelopes await redelivery, the one whose
+// round is in progress included.
 func (o *Outbox) Pending() int {
 	o.mu.Lock()
 	defer o.mu.Unlock()
+	if o.inRound {
+		return len(o.pending) + 1
+	}
 	return len(o.pending)
 }
 
@@ -365,17 +373,22 @@ func (o *Outbox) Redelivered() int64 { return o.redelivered.Load() }
 func (o *Outbox) Escalated() int64 { return o.escalated.Load() }
 
 // Close gracefully shuts the outbox down: the loop finishes the round
-// in flight (if any), pending envelopes stay durable for the next
-// incarnation, and the journal is flushed and closed.
+// in flight (if any) and journals its outcome — marks are refused only
+// after the loop has exited, so a delivery that lands during Close is
+// not redelivered by the next incarnation — pending envelopes stay
+// durable, and the journal is flushed and closed.
 func (o *Outbox) Close() error {
 	o.stopOnce.Do(func() { close(o.stop) })
 	o.mu.Lock()
-	started, closed := o.started, o.closed
-	o.closed = true
+	started := o.started
 	o.mu.Unlock()
 	if started {
 		<-o.done
 	}
+	o.mu.Lock()
+	closed := o.closed
+	o.closed = true
+	o.mu.Unlock()
 	if closed {
 		return nil
 	}
@@ -467,6 +480,7 @@ func (o *Outbox) runDue() {
 			return
 		}
 		it := heap.Pop(&o.pending).(*item)
+		o.inRound = true
 		o.mu.Unlock()
 
 		blocks, err := o.deliver(it.e)
@@ -495,6 +509,7 @@ func (o *Outbox) runDue() {
 func (o *Outbox) retire(it *item) {
 	o.mu.Lock()
 	defer o.mu.Unlock()
+	o.inRound = false
 	if o.closed {
 		return
 	}
@@ -519,6 +534,7 @@ func (o *Outbox) reschedule(it *item) {
 	e.Due = o.opts.Clock.Now().Add(o.backoffFor(e.Round))
 	o.mu.Lock()
 	defer o.mu.Unlock()
+	o.inRound = false
 	if o.closed {
 		return // the previous round's record replays next incarnation
 	}

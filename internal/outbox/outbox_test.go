@@ -306,3 +306,53 @@ func TestOutboxTombstonesGarbageRecords(t *testing.T) {
 		t.Fatalf("garbage records not tombstoned: %d unprocessed", got)
 	}
 }
+
+// TestOutboxCloseKeepsInFlightRoundsMark pins the graceful-shutdown
+// order: a redelivery round that is inside the channel when Close is
+// called still gets its mark, so the next incarnation finds nothing to
+// redeliver. (Close used to refuse marks before it waited for the
+// loop; the delivered envelope then replayed — a duplicate outside
+// every named crash window.)
+func TestOutboxCloseKeepsInFlightRoundsMark(t *testing.T) {
+	dir := t.TempDir()
+	o := openTestOutbox(t, dir, Options{Backoff: time.Millisecond})
+	inRound, release := make(chan struct{}), make(chan struct{})
+	var delivered atomic.Int64
+	if err := o.Start(func(e *Entry) (int, error) {
+		close(inRound)
+		<-release
+		delivered.Add(1)
+		return 1, nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if err := o.Put(testEntry(0)); err != nil {
+		t.Fatal(err)
+	}
+	<-inRound
+	if got := o.Pending(); got != 1 {
+		t.Fatalf("Pending() = %d mid-round, want 1 (the popped envelope is still owed a mark)", got)
+	}
+	closed := make(chan error, 1)
+	go func() { closed <- o.Close() }()
+	select {
+	case err := <-closed:
+		t.Fatalf("Close returned (%v) while a round was in flight", err)
+	case <-time.After(20 * time.Millisecond):
+	}
+	close(release)
+	if err := <-closed; err != nil {
+		t.Fatal(err)
+	}
+	if got := o.Pending(); got != 0 {
+		t.Fatalf("Pending() = %d after Close, want 0", got)
+	}
+	reopened := openTestOutbox(t, dir, Options{})
+	defer reopened.Close()
+	if got := reopened.Stats().Loaded; got != 0 {
+		t.Fatalf("reopen loaded %d envelopes, want 0: the delivered round was not marked", got)
+	}
+	if got := delivered.Load(); got != 1 {
+		t.Fatalf("sink saw %d deliveries, want 1", got)
+	}
+}
