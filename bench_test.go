@@ -324,7 +324,7 @@ func BenchmarkHubThroughput(b *testing.B) {
 		rng := dist.NewRNG(int64(i) + 1)
 		sink := hub.NewSimSink(rng.Fork("substrate"), 8, nil, 0)
 		h, err := hub.New(hub.Config{
-			Clock: clk, Sink: sink,
+			Clock: clk, Channels: core.NewChannels().Register(addr.TypeSink, sink),
 			WALPath: b.TempDir() + "/hub.wal",
 			Shards:  8, QueueDepth: 512,
 			CommitWindow: 2 * time.Millisecond,
@@ -394,16 +394,15 @@ func BenchmarkHubThroughput(b *testing.B) {
 // reach ≥2× the one-at-a-time BenchmarkHubThroughput figure at equal
 // shard count; see BENCH_hub.json for recorded runs.
 func BenchmarkHubBatchIngest(b *testing.B) {
-	for _, lanes := range []int{1, 4, 8} {
-		b.Run(fmt.Sprintf("lanes-%d", lanes), func(b *testing.B) {
-			benchHubBatchIngest(b, lanes, false)
-		})
-	}
+	// "plain" is the sub-benchmark scripts/alloc_gate.sh gates on.
+	b.Run("plain", func(b *testing.B) {
+		benchHubBatchIngest(b, false)
+	})
 	// The supervised variant prices the self-management plane: watchdog
 	// probes and invariant checks read shard atomics only, never shard
-	// locks, so this must stay within noise of lanes-8.
-	b.Run("lanes-8-supervised", func(b *testing.B) {
-		benchHubBatchIngest(b, 8, true)
+	// locks, so this must stay within noise of plain.
+	b.Run("supervised", func(b *testing.B) {
+		benchHubBatchIngest(b, true)
 	})
 }
 
@@ -444,12 +443,10 @@ func (f *benchIngestFixture) sub(k int) hub.Submission {
 }
 
 // benchHubBatchIngest runs the batched portal workload against an
-// 8-shard hub whose WAL is partitioned into the given number of lanes
-// (shard i stages on lane i%lanes), so the sweep isolates what
-// parallel group commit buys at equal shard count. With supervised,
-// the full supervision plane (shard watchdog + invariant checks) runs
-// at its default cadence throughout the ingest.
-func benchHubBatchIngest(b *testing.B, lanes int, supervised bool) {
+// 8-shard hub. With supervised, the full supervision plane (shard
+// watchdog + invariant checks) runs at its default cadence throughout
+// the ingest.
+func benchHubBatchIngest(b *testing.B, supervised bool) {
 	const users, alerts, submitters, burstSize = 1000, 20000, 128, 64
 	clk := clock.NewReal()
 	b.ReportAllocs()
@@ -458,10 +455,9 @@ func benchHubBatchIngest(b *testing.B, lanes int, supervised bool) {
 		rng := dist.NewRNG(int64(i) + 1)
 		sink := hub.NewSimSink(rng.Fork("substrate"), 8, nil, 0)
 		h, err := hub.New(hub.Config{
-			Clock: clk, Sink: sink,
+			Clock: clk, Channels: core.NewChannels().Register(addr.TypeSink, sink),
 			WALPath: b.TempDir() + "/hub.wal",
 			Shards:  8, QueueDepth: 512,
-			WALLanes:     lanes,
 			CommitWindow: 2 * time.Millisecond,
 			RNG:          rng,
 		})
@@ -549,24 +545,24 @@ func benchHubBatchIngest(b *testing.B, lanes int, supervised bool) {
 // tickets in flight. depth-1 IS the synchronous baseline — the window
 // degenerates to submit-then-wait, exactly SubmitBatch's blocking
 // behavior — so the sweep isolates what pipelining buys at equal
-// submitter and lane count: depth ≥ 4 must reach ≥1.3× the depth-1
-// figure. (Single host, single core shared between submitters, WAL
-// committers, and delivery — see BENCH_hub.json for recorded runs and
+// submitter count: depth ≥ 4 must reach ≥1.3× the depth-1 figure.
+// (Single host, single core shared between submitters, the WAL
+// committer, and delivery — see BENCH_hub.json for recorded runs and
 // caveats.) Also reports the adaptive scheduler's p99 admission
 // latency.
 func BenchmarkHubAsyncIngest(b *testing.B) {
-	for _, cfg := range []struct{ lanes, depth, submitters int }{
-		{4, 1, 1}, // synchronous baseline: window of one ticket
-		{4, 4, 1},
-		{4, 8, 1},
+	for _, depth := range []int{
+		1, // synchronous baseline: window of one ticket
+		4,
+		8,
 	} {
-		b.Run(fmt.Sprintf("lanes-%d-depth-%d-sub-%d", cfg.lanes, cfg.depth, cfg.submitters), func(b *testing.B) {
-			benchHubAsyncIngest(b, cfg.lanes, cfg.depth, cfg.submitters)
+		b.Run(fmt.Sprintf("depth-%d-sub-1", depth), func(b *testing.B) {
+			benchHubAsyncIngest(b, depth, 1)
 		})
 	}
 }
 
-func benchHubAsyncIngest(b *testing.B, lanes, depth, submitters int) {
+func benchHubAsyncIngest(b *testing.B, depth, submitters int) {
 	const users, alerts, burstSize = 1000, 20000, 64
 	clk := clock.NewReal()
 	b.ReportAllocs()
@@ -578,13 +574,11 @@ func benchHubAsyncIngest(b *testing.B, lanes, depth, submitters int) {
 		// burstSize alerts in flight) fits admission capacity: the sweep
 		// measures pipelining, not overload-retry thrash.
 		h, err := hub.New(hub.Config{
-			Clock: clk, Sink: sink,
+			Clock: clk, Channels: core.NewChannels().Register(addr.TypeSink, sink),
 			WALPath: b.TempDir() + "/hub.wal",
 			Shards:  8, QueueDepth: 2048,
-			WALLanes:      lanes,
-			CommitWindow:  2 * time.Millisecond,
-			AsyncInFlight: submitters * depth,
-			RNG:           rng,
+			CommitWindow: 2 * time.Millisecond,
+			RNG:          rng,
 		})
 		if err != nil {
 			b.Fatal(err)
@@ -708,7 +702,7 @@ func BenchmarkHubGuaranteedOverhead(b *testing.B) {
 				rng := dist.NewRNG(int64(i) + 1)
 				sink := hub.NewSimSink(rng.Fork("substrate"), 8, nil, 0.1)
 				h, err := hub.New(hub.Config{
-					Clock: clk, Sink: sink,
+					Clock: clk, Channels: core.NewChannels().Register(addr.TypeSink, sink),
 					WALPath: b.TempDir() + "/hub.wal",
 					Shards:  8, QueueDepth: 512,
 					CommitWindow:        2 * time.Millisecond,
@@ -821,13 +815,13 @@ func BenchmarkHubSlowSink(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()
 				var delivered atomic.Int64
-				sink := hub.FuncSink(func(shard int, user string, a *alert.Alert) error {
+				sink := core.ChannelFunc(func(core.Send) (core.SendResult, error) {
 					time.Sleep(sinkLatency)
 					delivered.Add(1)
-					return nil
+					return core.SendResult{Confirmed: true}, nil
 				})
 				h, err := hub.New(hub.Config{
-					Clock: clk, Sink: sink,
+					Clock: clk, Channels: core.NewChannels().Register(addr.TypeSink, sink),
 					WALPath: b.TempDir() + "/hub.wal",
 					Shards:  8, QueueDepth: 512,
 					CommitWindow:   2 * time.Millisecond,
@@ -938,10 +932,14 @@ func BenchmarkHubModeDelivery(b *testing.B) {
 	run := func(b *testing.B, withModes bool) {
 		for i := 0; i < b.N; i++ {
 			b.StopTimer()
-			sink := hub.FuncSink(func(shard int, user string, a *alert.Alert) error { return nil })
 			var h *hub.Hub
 			var imSeq atomic.Uint64
+			confirm := core.ChannelFunc(func(core.Send) (core.SendResult, error) {
+				return core.SendResult{Confirmed: true}, nil
+			})
 			channels := core.NewChannels().
+				Register(addr.TypeSink, confirm).
+				Register(addr.TypeEmail, confirm).
 				Register(addr.TypeIM, core.ChannelFunc(func(req core.Send) (core.SendResult, error) {
 					seq := imSeq.Add(1)
 					handle := req.To
@@ -950,12 +948,9 @@ func BenchmarkHubModeDelivery(b *testing.B) {
 						h.HandleIncoming(im.Message{From: handle, Text: core.AckText(seq)})
 					}()
 					return core.SendResult{Seq: seq}, nil
-				})).
-				Register(addr.TypeEmail, core.ChannelFunc(func(req core.Send) (core.SendResult, error) {
-					return core.SendResult{Confirmed: true}, nil
 				}))
 			h, err := hub.New(hub.Config{
-				Clock: clk, Sink: sink, Channels: channels,
+				Clock: clk, Channels: channels,
 				WALPath: b.TempDir() + "/hub.wal",
 				Shards:  shards, QueueDepth: 512,
 				CommitWindow: 2 * time.Millisecond,

@@ -16,23 +16,20 @@
 //
 //	simbad [-hours N] [-pprof ADDR]
 //	simbad -hub [-users N] [-shards K] [-alerts M] [-window D] [-seed S] [-delivery-window W]
-//	       [-wal-lanes L] [-wal-segment-bytes B] [-wal-checkpoint-every R]
+//	       [-wal-segment-bytes B] [-wal-checkpoint-every R]
 //	       [-async-depth K]
 //	       [-mode-frac F] [-ack-timeout D] [-im-ack-p P]
 //	       [-guaranteed-frac F] [-outbox-dir DIR] [-outbox-backoff D]
-//	       [-burst B] [-route-batch R] [-gc-stats] [-pprof ADDR]
+//	       [-burst B] [-gc-stats] [-pprof ADDR]
 //
 // With -burst > 1 the portal workload is offered through
 // Hub.SubmitBatch in bursts of that size (amortizing the group-commit
-// durability wait across each burst); -route-batch caps how many
-// queued alerts a shard loop routes per wakeup. -wal-lanes partitions
-// the ingest WAL into that many independent group-commit lanes, each
-// with its own fsync pipeline (0 = one lane: one writer for every
-// shard, a burst costs one fsync); the run report breaks fsync counts
-// and latency down per lane. The -window commit window is
-// an upper bound, not a fixed tax: the adaptive scheduler fires
-// immediately when the log is idle and force-flushes a window whose
-// staged backlog already justifies the fsync.
+// durability wait across each burst). Every shard stages into the one
+// ingest WAL, so a burst costs one fsync however many shards it
+// touches. The -window commit window is an upper bound, not a fixed
+// tax: the adaptive scheduler fires immediately when the log is idle
+// and force-flushes a window whose staged backlog already justifies
+// the fsync.
 // With -async-depth > 1 each worker pipelines that many
 // SubmitBatchAsync tickets instead of blocking per burst; the report's
 // admission-latency line shows what the submitter-visible durability
@@ -100,7 +97,6 @@ func main() {
 	window := flag.Duration("window", 2*time.Millisecond, "hub: group-commit window")
 	deliveryWindow := flag.Int("delivery-window", 0, "hub: concurrent sends per shard; ack waits and retry backoffs hold no slot (0 = default, 1 = synchronous)")
 	seed := flag.Int64("seed", 1, "hub: RNG seed")
-	walLanes := flag.Int("wal-lanes", 0, "hub: independent WAL lanes, each with its own group commit and fsync pipeline (0 = one lane shared by every shard, the measured optimum)")
 	walSegBytes := flag.Int64("wal-segment-bytes", 0, "hub: WAL segment size before rotation (0 = 4MiB default)")
 	walCkptEvery := flag.Int64("wal-checkpoint-every", 0, "hub: WAL records between checkpoints (0 = default, <0 disables compaction)")
 	modeFrac := flag.Float64("mode-frac", 0.1, "hub: fraction of tenants with a personalized IM-then-email delivery mode")
@@ -109,7 +105,6 @@ func main() {
 	burst := flag.Int("burst", 1, "hub: submit alerts in SubmitBatch bursts of this size (1 = one-at-a-time Submit)")
 	asyncDepth := flag.Int("async-depth", 1, "hub: SubmitBatchAsync tickets each worker keeps in flight (1 = synchronous SubmitBatch)")
 	submitInterval := flag.Duration("submit-interval", 0, "hub: pause each worker this long between bursts (paced low-load runs; 0 = full blast)")
-	routeBatch := flag.Int("route-batch", 0, "hub: max queued alerts a shard loop routes per wakeup (0 = default, 1 = alert-at-a-time)")
 	guaranteedFrac := flag.Float64("guaranteed-frac", 0.05, "hub: fraction of tenants on the guaranteed delivery tier (outbox-backed)")
 	outboxDir := flag.String("outbox-dir", "", "hub: directory for the guaranteed-tier retry outbox journal (default: the run's temp dir)")
 	outboxBackoff := flag.Duration("outbox-backoff", 50*time.Millisecond, "hub: base outbox redelivery backoff (doubles per round, capped)")
@@ -132,9 +127,9 @@ func main() {
 		if err := runHub(hubParams{
 			users: *users, shards: *shards, alerts: *alerts,
 			window: *window, deliveryWindow: *deliveryWindow, seed: *seed,
-			walLanes: *walLanes, walSegBytes: *walSegBytes, walCkptEvery: *walCkptEvery,
+			walSegBytes: *walSegBytes, walCkptEvery: *walCkptEvery,
 			modeFrac: *modeFrac, ackTimeout: *ackTimeout, imAckP: *imAckP,
-			burst: *burst, routeBatch: *routeBatch,
+			burst:          *burst,
 			asyncDepth:     *asyncDepth,
 			submitInterval: *submitInterval,
 			guaranteedFrac: *guaranteedFrac, outboxDir: *outboxDir, outboxBackoff: *outboxBackoff,
@@ -268,12 +263,11 @@ type hubParams struct {
 	window                    time.Duration
 	deliveryWindow            int
 	seed                      int64
-	walLanes                  int
 	walSegBytes, walCkptEvery int64
 	modeFrac                  float64
 	ackTimeout                time.Duration
 	imAckP                    float64
-	burst, routeBatch         int
+	burst                     int
 	asyncDepth                int
 	submitInterval            time.Duration
 	guaranteedFrac            float64
@@ -333,6 +327,7 @@ func runHub(p hubParams) error {
 		imRNGs[i] = rng.Fork(fmt.Sprintf("sim-im-shard-%d", i))
 	}
 	channels := core.NewChannels().
+		Register(addr.TypeSink, sink).
 		Register(addr.TypeIM, core.ChannelFunc(func(req core.Send) (core.SendResult, error) {
 			seq := imSeq.Add(1)
 			if imRNGs[req.Shard%len(imRNGs)].Bool(p.imAckP) {
@@ -359,7 +354,6 @@ func runHub(p hubParams) error {
 	journal := faults.NewRing(4096)
 	h, err = hub.New(hub.Config{
 		Clock:              clk,
-		Sink:               sink,
 		Channels:           channels,
 		Journal:            journal,
 		AckTimeout:         p.ackTimeout,
@@ -368,10 +362,8 @@ func runHub(p hubParams) error {
 		CommitWindow:       p.window,
 		DeliveryWindow:     p.deliveryWindow,
 		RNG:                rng,
-		WALLanes:           p.walLanes,
 		WALSegmentBytes:    p.walSegBytes,
 		WALCheckpointEvery: p.walCkptEvery,
-		RouteBatch:         p.routeBatch,
 		OutboxPath:         filepath.Join(outboxDir, "hub.outbox"),
 		OutboxBackoff:      p.outboxBackoff,
 	})
@@ -600,17 +592,6 @@ func runHub(p hubParams) error {
 	fmt.Printf("fsync latency (µs): %s\n", w.FsyncLatency)
 	fmt.Printf("commit batch sizes (records): %s\n", w.CommitBatches)
 	fmt.Printf("staged ingest batch sizes (alerts): %s\n", w.StagedBatches)
-	fmt.Printf("WAL lanes: %d\n", h.WALLanes())
-	fmt.Printf("  %-4s %9s %8s %10s %10s\n", "lane", "records", "fsyncs", "rec/fsync", "disk(MB)")
-	for i, ls := range st.WALPerLane {
-		perFsync := 0.0
-		if ls.Syncs > 0 {
-			perFsync = float64(ls.Total) / float64(ls.Syncs)
-		}
-		fmt.Printf("  %-4d %9d %8d %10.1f %10.2f\n",
-			i, ls.Total, ls.Syncs, perFsync, float64(ls.DiskBytes)/(1<<20))
-		fmt.Printf("       fsync latency (µs): %s\n", ls.FsyncLatency)
-	}
 	lat := h.Latency().Summarize()
 	fmt.Printf("end-to-end latency: mean %v, p50 %v, p99 %v (n=%d)\n",
 		lat.Mean.Round(time.Microsecond), lat.P50.Round(time.Microsecond),

@@ -98,7 +98,7 @@ func TestHubSubmitBatchMatchesSubmit(t *testing.T) {
 		sink := newOrderSink(dist.NewRNG(23), 4, 200)
 		walPath := filepath.Join(t.TempDir(), name+".wal")
 		h := newTestHub(t, Config{
-			Clock: clk, Sink: sink, WALPath: walPath,
+			Clock: clk, Channels: sinkChannels(sink.Deliver), WALPath: walPath,
 			Shards: 4, QueueDepth: 1024,
 			CommitWindow: 500 * time.Microsecond,
 		})
@@ -129,9 +129,7 @@ func TestHubSubmitBatchMatchesSubmit(t *testing.T) {
 			user := fmt.Sprintf("user-%d", u)
 			r.sequences[user] = sink.sequence(user)
 		}
-		// OpenLanes discovers every lane the 4-shard hub wrote, not just
-		// the base (lane 0) journal.
-		l, err := plog.OpenLanes(walPath, 1, plog.GroupOptions{})
+		l, err := plog.Open(walPath)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -140,16 +138,8 @@ func TestHubSubmitBatchMatchesSubmit(t *testing.T) {
 		if un := l.Unprocessed(); len(un) != 0 {
 			t.Fatalf("%s: %d unprocessed WAL records after drain", name, len(un))
 		}
-		processed := func(key string) bool {
-			for i := 0; i < l.Lanes(); i++ {
-				if l.Lane(i).IsProcessed(key) {
-					return true
-				}
-			}
-			return false
-		}
 		for _, key := range wantKeys {
-			if !processed(key) {
+			if !l.IsProcessed(key) {
 				t.Fatalf("%s: WAL missing processed record for %q", name, key)
 			}
 		}
@@ -166,7 +156,7 @@ func TestHubSubmitBatchMatchesSubmit(t *testing.T) {
 			}
 		}
 	})
-	burstSizes := []int{7, 1, 16, 64, 3} // varied, including 1 and RouteBatch-sized
+	burstSizes := []int{7, 1, 16, 64, 3} // varied, including 1 and DefaultRouteBatch-sized
 	batch := run("submit-batch", func(h *Hub, stream []Submission) {
 		for next, si := 0, 0; next < len(stream); si++ {
 			end := next + burstSizes[si%len(burstSizes)]
@@ -183,7 +173,7 @@ func TestHubSubmitBatchMatchesSubmit(t *testing.T) {
 	})
 	// Pipelined: up to asyncDepth bursts in flight per user; the ticket
 	// window preserves the user's submission order because bursts stage
-	// in submit order and each lane resolves FIFO.
+	// in submit order and the resolver is FIFO.
 	async := run("submit-async", func(h *Hub, stream []Submission) {
 		const asyncDepth = 4
 		var inflight []*Ticket
@@ -242,7 +232,7 @@ func TestHubCrashBetweenBatchFsyncAndEnqueue(t *testing.T) {
 	journal := &faults.Journal{}
 	sink1 := newOrderSink(dist.NewRNG(31), 4, 0)
 	h1, err := New(Config{
-		Clock: clk, Sink: sink1, WALPath: walPath, Shards: 4, QueueDepth: 256,
+		Clock: clk, Channels: sinkChannels(sink1.Deliver), WALPath: walPath, Shards: 4, QueueDepth: 256,
 		CrashAfterBatchFsync: crash, Journal: journal,
 	})
 	if err != nil {
@@ -287,7 +277,7 @@ func TestHubCrashBetweenBatchFsyncAndEnqueue(t *testing.T) {
 	// Incarnation 2: replay covers the acknowledged-but-unrouted burst.
 	crash.Set(false, clk.Now())
 	sink2 := newOrderSink(dist.NewRNG(37), 4, 0)
-	h2, err := New(Config{Clock: clk, Sink: sink2, WALPath: walPath, Shards: 4, QueueDepth: 256})
+	h2, err := New(Config{Clock: clk, Channels: sinkChannels(sink2.Deliver), WALPath: walPath, Shards: 4, QueueDepth: 256})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -322,7 +312,7 @@ func TestHubCrashBetweenBatchFsyncAndEnqueue(t *testing.T) {
 			}
 		}
 	}
-	l, err := plog.OpenLanes(walPath, 1, plog.GroupOptions{})
+	l, err := plog.Open(walPath)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -335,7 +325,7 @@ func TestHubCrashBetweenBatchFsyncAndEnqueue(t *testing.T) {
 // TestHubCrashAsyncTicketBeforeEnqueue is the pipelined-ingest variant
 // of the crash test above: SubmitBatchAsync stages a burst, the commit
 // lands and the ticket resolves (every entry acknowledged), then the
-// hub dies before the lane resolvers enqueue anything. The crash window
+// hub dies before the resolver enqueues anything. The crash window
 // is identical to the synchronous path's — a resolved ticket means
 // durable, not delivered — so the next incarnation must replay and
 // deliver every acknowledged alert exactly once, in per-user order.
@@ -347,7 +337,7 @@ func TestHubCrashAsyncTicketBeforeEnqueue(t *testing.T) {
 	journal := &faults.Journal{}
 	sink1 := newOrderSink(dist.NewRNG(43), 4, 0)
 	h1, err := New(Config{
-		Clock: clk, Sink: sink1, WALPath: walPath, Shards: 4, QueueDepth: 256,
+		Clock: clk, Channels: sinkChannels(sink1.Deliver), WALPath: walPath, Shards: 4, QueueDepth: 256,
 		CrashAfterBatchFsync: crash, Journal: journal,
 	})
 	if err != nil {
@@ -390,7 +380,7 @@ func TestHubCrashAsyncTicketBeforeEnqueue(t *testing.T) {
 	// Incarnation 2: replay covers the resolved-but-unrouted burst.
 	crash.Set(false, clk.Now())
 	sink2 := newOrderSink(dist.NewRNG(47), 4, 0)
-	h2, err := New(Config{Clock: clk, Sink: sink2, WALPath: walPath, Shards: 4, QueueDepth: 256})
+	h2, err := New(Config{Clock: clk, Channels: sinkChannels(sink2.Deliver), WALPath: walPath, Shards: 4, QueueDepth: 256})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -425,7 +415,7 @@ func TestHubCrashAsyncTicketBeforeEnqueue(t *testing.T) {
 			}
 		}
 	}
-	l, err := plog.OpenLanes(walPath, 1, plog.GroupOptions{})
+	l, err := plog.Open(walPath)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -441,7 +431,7 @@ func TestHubCrashAsyncTicketBeforeEnqueue(t *testing.T) {
 func TestSubmitBatchPartialErrors(t *testing.T) {
 	clk := clock.NewReal()
 	sink := newOrderSink(dist.NewRNG(41), 2, 0)
-	h := newTestHub(t, Config{Clock: clk, Sink: sink, Shards: 2, QueueDepth: 64})
+	h := newTestHub(t, Config{Clock: clk, Channels: sinkChannels(sink.Deliver), Shards: 2, QueueDepth: 64})
 	addUsers(t, h, 2)
 	if err := h.Start(); err != nil {
 		t.Fatal(err)
@@ -507,12 +497,12 @@ func TestSubmitBatchBulkOverload(t *testing.T) {
 	var gateOnce sync.Once
 	openGate := func() { gateOnce.Do(func() { close(gate) }) }
 	defer openGate()
-	sink := FuncSink(func(shard int, user string, a *alert.Alert) error {
+	sink := sinkChannels(func(shard int, user string, a *alert.Alert) error {
 		<-gate
 		return nil
 	})
 	h := newTestHub(t, Config{
-		Clock: clk, Sink: sink, Shards: 1, QueueDepth: 4, DeliveryWindow: 1,
+		Clock: clk, Channels: sink, Shards: 1, QueueDepth: 4, DeliveryWindow: 1,
 	})
 	addUsers(t, h, 1)
 	if err := h.Start(); err != nil {
@@ -541,7 +531,7 @@ func TestSubmitBatchBulkOverload(t *testing.T) {
 		}
 		// The rejected alert was never logged, so a retry cannot be
 		// mistaken for a duplicate.
-		if h.wal.Lane(0).Has("user-0" + keySep + burst[i].Alert.DedupKey()) {
+		if h.wal.Has("user-0" + keySep + burst[i].Alert.DedupKey()) {
 			t.Fatalf("overloaded entry %d was logged", i)
 		}
 	}
@@ -554,5 +544,66 @@ func TestSubmitBatchBulkOverload(t *testing.T) {
 	}
 	if got := h.Counters().Get("delivered"); got != 4 {
 		t.Fatalf("delivered = %d, want 4", got)
+	}
+}
+
+// TestTicketResolvesInStagingOrder pins the invariant the one resolver
+// carries alone: two bursts for one user staged back-to-back through
+// SubmitBatchAsync are enqueued (hence, per-user FIFO, delivered) in
+// staging order — also when both land in the same commit batch, where
+// the journal's batch order says nothing about which came first.
+func TestTicketResolvesInStagingOrder(t *testing.T) {
+	const rounds, per = 40, 4
+	clk := clock.NewReal()
+	sink := newOrderSink(dist.NewRNG(53), 2, 0)
+	h := newTestHub(t, Config{
+		Clock: clk, Channels: sinkChannels(sink.Deliver), Shards: 2, QueueDepth: 1024,
+		CommitWindow: 2 * time.Millisecond,
+	})
+	addUsers(t, h, 2)
+	if err := h.Start(); err != nil {
+		t.Fatal(err)
+	}
+	next := 0
+	var want []string
+	burst := func(user string, n int) []Submission {
+		subs := make([]Submission, n)
+		for i := range subs {
+			a := portalAlert(next, clk.Now())
+			next++
+			if user == "user-0" {
+				want = append(want, a.ID)
+			}
+			subs[i] = Submission{User: user, Alert: a}
+		}
+		return subs
+	}
+	shared := 0
+	for r := 0; r < rounds; r++ {
+		// The primer's fsync keeps the committer on the disk while the
+		// two bursts stage, so they join one open batch.
+		primer := h.SubmitBatchAsync(burst("user-1", 1), nil)
+		a := h.SubmitBatchAsync(burst("user-0", per), nil)
+		b := h.SubmitBatchAsync(burst("user-0", per), nil)
+		if a.c == b.c {
+			shared++
+		}
+		for _, tk := range []*Ticket{primer, a, b} {
+			for _, err := range tk.Wait() {
+				if err != nil {
+					t.Fatalf("round %d: %v", r, err)
+				}
+			}
+		}
+	}
+	if err := h.Drain(); err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("%d of %d rounds staged both bursts into one commit batch", shared, rounds)
+	if shared == 0 {
+		t.Fatalf("no two bursts shared a commit batch in %d rounds; the case is not exercised", rounds)
+	}
+	if got := sink.sequence("user-0"); !reflect.DeepEqual(got, want) {
+		t.Fatalf("user-0 delivered out of staging order (%d rounds shared a batch):\n got %v\nwant %v", shared, got, want)
 	}
 }

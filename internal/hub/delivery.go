@@ -233,8 +233,7 @@ func (d *deliveryStage) Release() {
 // storage, and reused by every attempt; the report and a failed
 // attempt's error land in the worker's scratch. An envelope that
 // completes (delivered, dropped, or handed off) recycles into the pool
-// after its DONE is staged on its home lane; abandoned paths leave
-// recycling to the GC.
+// after its DONE is staged; abandoned paths leave recycling to the GC.
 func (d *deliveryStage) perform(env *envelope, scr *core.Scratch) bool {
 	h := d.h
 	b := env.buddy
@@ -303,7 +302,7 @@ func (d *deliveryStage) perform(env *envelope, scr *core.Scratch) bool {
 		return false // killed after delivery: the duplicate on replay is the dedup contract's case
 	default:
 	}
-	if err := h.wal.Lane(env.lane).MarkProcessedAsync(env.key, h.cfg.Clock.Now()); err != nil && !errors.Is(err, plog.ErrClosed) {
+	if err := h.wal.MarkProcessedAsync(env.key, h.cfg.Clock.Now()); err != nil && !errors.Is(err, plog.ErrClosed) {
 		h.ctr.markFailed.Add1()
 	}
 	h.latency.Observe(h.cfg.Clock.Since(env.at))

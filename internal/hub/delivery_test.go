@@ -92,7 +92,7 @@ func TestHubPerUserFIFOUnderAsyncDelivery(t *testing.T) {
 	const users, perUser = 40, 25
 	clk := clock.NewReal()
 	sink := newOrderSink(dist.NewRNG(11), 4, 300)
-	h := newTestHub(t, Config{Clock: clk, Sink: sink, Shards: 4, QueueDepth: 1024})
+	h := newTestHub(t, Config{Clock: clk, Channels: sinkChannels(sink.Deliver), Shards: 4, QueueDepth: 1024})
 	addUsers(t, h, users)
 	if err := h.Start(); err != nil {
 		t.Fatal(err)
@@ -156,7 +156,7 @@ func TestHubAsyncDeliveryCrashRecovery(t *testing.T) {
 	sink := newOrderSink(dist.NewRNG(23), 2, 500)
 
 	cfg := Config{
-		Clock: clk, Sink: sink, WALPath: walPath,
+		Clock: clk, Channels: sinkChannels(sink.Deliver), WALPath: walPath,
 		Shards: 2, QueueDepth: 256, CrashBeforeMark: crash,
 	}
 	h1, err := New(cfg)
@@ -268,7 +268,7 @@ func TestHubAsyncDeliveryCrashRecovery(t *testing.T) {
 		t.Fatalf("total duplicates %d exceeds user count %d", totalDup, users)
 	}
 	// The WAL is clean: nothing left to replay.
-	l, err := plog.OpenLanes(walPath, 1, plog.GroupOptions{})
+	l, err := plog.Open(walPath)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -286,7 +286,7 @@ func TestHubDeliveryRetriesTransientFailures(t *testing.T) {
 	clk := clock.NewReal()
 	var mu sync.Mutex
 	attempts := make(map[string]int)
-	sink := FuncSink(func(shard int, user string, a *alert.Alert) error {
+	sink := sinkChannels(func(shard int, user string, a *alert.Alert) error {
 		mu.Lock()
 		defer mu.Unlock()
 		attempts[a.ID]++
@@ -296,7 +296,7 @@ func TestHubDeliveryRetriesTransientFailures(t *testing.T) {
 		return nil
 	})
 	h := newTestHub(t, Config{
-		Clock: clk, Sink: sink, Shards: 1,
+		Clock: clk, Channels: sink, Shards: 1,
 		DeliveryMaxAttempts: 4,
 		DeliveryBackoff:     100 * time.Microsecond,
 		DeliveryBackoffCap:  time.Millisecond,
@@ -331,12 +331,12 @@ func TestHubDeliveryExhaustsRetriesThenMarks(t *testing.T) {
 	const alerts = 3
 	clk := clock.NewReal()
 	var calls atomic.Int64
-	sink := FuncSink(func(shard int, user string, a *alert.Alert) error {
+	sink := sinkChannels(func(shard int, user string, a *alert.Alert) error {
 		calls.Add(1)
 		return errors.New("substrate down")
 	})
 	h := newTestHub(t, Config{
-		Clock: clk, Sink: sink, Shards: 1,
+		Clock: clk, Channels: sink, Shards: 1,
 		DeliveryMaxAttempts: 3,
 		DeliveryBackoff:     100 * time.Microsecond,
 		DeliveryBackoffCap:  time.Millisecond,
@@ -371,7 +371,7 @@ func TestHubDeliveryWindowBounds(t *testing.T) {
 	const users, perUser, window = 20, 3, 2
 	clk := clock.NewReal()
 	var cur, peak atomic.Int64
-	slow := FuncSink(func(shard int, user string, a *alert.Alert) error {
+	slow := sinkChannels(func(shard int, user string, a *alert.Alert) error {
 		c := cur.Add(1)
 		for {
 			p := peak.Load()
@@ -384,7 +384,7 @@ func TestHubDeliveryWindowBounds(t *testing.T) {
 		return nil
 	})
 	h := newTestHub(t, Config{
-		Clock: clk, Sink: slow, Shards: 1, QueueDepth: 256,
+		Clock: clk, Channels: slow, Shards: 1, QueueDepth: 256,
 		DeliveryWindow: window,
 	})
 	addUsers(t, h, users)

@@ -13,9 +13,10 @@
 //     a durable alert is never silently dropped — it is either routed
 //     and marked processed or replayed by the next incarnation.
 //   - Routing and delivery are pipelined: the shard loop evaluates the
-//     tenant pipeline and stages WAL work, while Sink.Deliver runs in a
-//     per-shard delivery stage — a bounded in-flight window of workers
-//     with capped, jittered retry backoff. Alerts for the same user are
+//     tenant pipeline and stages WAL work, while channel Sends (the
+//     shared mode executor, core.Channel) run in a per-shard delivery
+//     stage — a bounded in-flight window of workers with capped,
+//     jittered retry backoff. Alerts for the same user are
 //     chained (per-user FIFO), alerts for different users overlap, so a
 //     slow delivery stalls one tenant's chain instead of the shard.
 //   - Durability is one WAL writer with many stagers: every shard
@@ -28,19 +29,13 @@
 //     own while acks are flowing: alone they are flushed lazily, within
 //     one commit window, and a burst's RECVs cut that pace short and
 //     take them along. Log-before-ack is preserved, fsyncs per alert
-//     cut by orders of magnitude.
-//   - Config.WALLanes > 1 partitions the WAL into that many independent
-//     journals (plog.LaneSet; shard i stages on lane i%lanes), each with
-//     its own committer and fsync pipeline. No measured host benefits
-//     (see DESIGN.md §8); it could pay where lanes sit on separate
-//     devices.
-//   - On restart every lane on disk — including lanes a previous run
-//     wrote with a higher count — is recovered concurrently, and the
-//     merged unprocessed set (ordered by received-at timestamp, which
-//     keeps per-user order: a user's records share a lane while the
-//     count is stable) is replayed through the rebuilt buddies, each
-//     DONE retiring on the lane that holds its RECV, before the hub
-//     accepts new traffic.
+//     cut by orders of magnitude. The hub holds exactly that one
+//     journal: partitioning it into lanes lost on every measured host
+//     (DESIGN.md §8), and a directory still holding lane files from such
+//     a layout is refused by New rather than half-read.
+//   - On restart the journal's unprocessed records are replayed, in
+//     log order (so per-user order holds), through the rebuilt buddies
+//     before the hub accepts new traffic.
 //   - Per-shard queue depths, admission rejects, commit-batch sizes,
 //     and end-to-end routing latency are exposed via internal/metrics;
 //     Drain stops intake, lets the shards finish their queues, and
@@ -71,18 +66,13 @@ import (
 	"simba/internal/plog"
 )
 
-// Defaults.
+// Defaults: what a zero Config field means.
 const (
 	// DefaultShards is the shard count when Config.Shards is zero.
 	DefaultShards = 4
 	// DefaultQueueDepth bounds each shard's inbound queue (covering
 	// both queued and in-admission alerts).
 	DefaultQueueDepth = 256
-	// DefaultCommitMaxBatch caps WAL lines per group commit.
-	DefaultCommitMaxBatch = 1024
-	// DefaultLatencyReservoir bounds the end-to-end latency recorder's
-	// memory on million-alert runs.
-	DefaultLatencyReservoir = 4096
 	// DefaultDeliveryWindow bounds each shard's concurrent channel
 	// Sends.
 	DefaultDeliveryWindow = 32
@@ -100,22 +90,37 @@ const (
 	// short runs never pay for a checkpoint, small enough that a
 	// long-lived hub's disk and restart time stay bounded.
 	DefaultWALCheckpointEvery = 65536
-	// DefaultRouteBatch caps how many queued envelopes a shard loop
-	// drains per wakeup, amortizing per-alert WAL staging and delivery
-	// handoff costs across the drained batch.
-	DefaultRouteBatch = 64
 	// DefaultQuiesceTimeout bounds how long a graceful shard
 	// rejuvenation waits for the shard's admitted work to drain before
 	// escalating to a kill+replay restart; it also bounds how long a
 	// kill+replay restart waits for the abandoned generation's loop and
 	// delivery workers to stop before scanning the WAL.
 	DefaultQuiesceTimeout = 5 * time.Second
+)
+
+// Fixed sizes: no production caller ever set these, so they are
+// constants, not Config fields.
+const (
+	// DefaultCommitMaxBatch caps WAL records per group commit, and a
+	// staged backlog that reaches it commits without waiting out the
+	// window.
+	DefaultCommitMaxBatch = 1024
+	// DefaultLatencyReservoir bounds each latency recorder's sample
+	// memory on million-alert runs.
+	DefaultLatencyReservoir = 4096
+	// DefaultRouteBatch caps how many queued envelopes a shard loop
+	// drains and evaluates per wakeup: reject/filter verdicts from one
+	// drain stage their WAL DONE records as a single batch and delivery
+	// jobs are handed off under one delivery-stage lock acquisition.
+	DefaultRouteBatch = 64
 	// DefaultAsyncInFlight caps the hub-wide number of unresolved
-	// SubmitBatchAsync tickets when Config.AsyncInFlight is zero.
+	// SubmitBatchAsync tickets — the pipelined ingest path's
+	// backpressure: an async submitter past the cap blocks until a
+	// ticket resolves.
 	DefaultAsyncInFlight = 256
-	// laneQueueDepth buffers each WAL lane's commit-resolver inbox; a
-	// full inbox backpressures stagers onto the resolver.
-	laneQueueDepth = 128
+	// resolveQueueDepth buffers the commit resolver's inbox; a full
+	// inbox backpressures stagers onto the resolver.
+	resolveQueueDepth = 128
 )
 
 // keySep joins the tenant ID and the alert's dedup key inside WAL
@@ -153,37 +158,20 @@ func (e *OverloadError) Error() string {
 		e.Shard, e.Depth, e.RetryAfter)
 }
 
-// Sink is the flat delivery substrate the hub routes into: one call
-// per routed alert, no delivery modes. shard identifies the calling
-// shard so simulated substrates can use per-shard forked RNGs instead
-// of serializing on one.
-//
-// Deprecated: Sink predates the shared mode executor. New delivery
-// substrates should implement core.Channel and register through
-// Config.Channels; a Sink is still accepted and is adapted into the
-// channel registry as the FlatSink substrate channel, which tenants
-// without a personalized delivery mode execute through.
-type Sink interface {
-	Deliver(shard int, user string, a *alert.Alert) error
-}
-
 // flatAddressName is the friendly name of the synthesized address that
-// routes profile-less tenants through the FlatSink substrate channel.
+// routes profile-less tenants through the substrate channel — whatever
+// core.Channel is registered under addr.TypeSink.
 const flatAddressName = "substrate"
 
 // Config parameterizes the hub.
 type Config struct {
-	// Clock is required. At least one of Sink and Channels must be set.
+	// Clock is required.
 	Clock clock.Clock
-	// Sink is the flat delivery substrate. When set, it is registered
-	// into the channel registry as the FlatSink channel under
-	// addr.TypeSink, which tenants without a personalized delivery mode
-	// execute through.
-	Sink Sink
 	// Channels is the delivery channel registry the shared mode
-	// executor draws from (IM, email, SMS, ...). Optional; the hub
-	// creates an empty registry when nil. Note the hub registers its
-	// FlatSink adapter under addr.TypeSink in this registry.
+	// executor draws from (IM, email, SMS, ...); required. Tenants
+	// without a personalized delivery mode execute one Send through the
+	// channel registered under addr.TypeSink — the flat substrate, which
+	// reads the tenant and shard off the request (core.Send.User/Shard).
 	Channels *core.Channels
 	// AckTimeout, when positive, substitutes for the default block
 	// timeout in hosted delivery modes: blocks that do not specify a
@@ -200,21 +188,11 @@ type Config struct {
 	// valid only during the call: copy what must outlive it. Must be
 	// safe for concurrent calls.
 	OnDelivery func(user string, rep *core.Report, err error)
-	// WALPath is the journal base path; required. Lane 0 lives at this
-	// path (so a 1-lane hub's journal is identical to the historical
-	// single-WAL layout) and lane i at "<WALPath>.lane<NN>".
+	// WALPath is the journal base path; required. Every shard stages
+	// into the one plog.Log there. New refuses a directory that still
+	// holds "<WALPath>.lane<NN>" files (a multi-lane layout this hub no
+	// longer reads) instead of opening the base journal beside them.
 	WALPath string
-	// WALLanes is the number of independent WAL lanes durability is
-	// partitioned across; each shard appends to lane shard%WALLanes.
-	// Zero means one: every shard stages into one journal and a burst
-	// costs one fsync however many shards it touches — the fastest
-	// layout on every host measured. More than one gives each lane its
-	// own committer and fsync pipeline, which can only pay where fsyncs
-	// do not share a device queue; values above Shards are clamped
-	// (extra lanes would never be routed to). Lanes left by a previous
-	// run with a higher count are still recovered, replayed, and retired
-	// on their own files.
-	WALLanes int
 	// Shards is the shard-table size; zero means DefaultShards.
 	Shards int
 	// QueueDepth bounds each shard's inbound queue; zero means
@@ -226,19 +204,6 @@ type Config struct {
 	// window taxes only steady streams. Zero commits as soon as the
 	// previous fsync finishes.
 	CommitWindow time.Duration
-	// CommitMaxBatch caps WAL records per fsync, and a lane whose staged
-	// backlog reaches it commits without waiting out the window, so
-	// heavy bursts never wait out the timer. Zero means
-	// DefaultCommitMaxBatch.
-	CommitMaxBatch int
-	// CommitMaxBytes force-flushes once a lane's staged backlog reaches
-	// this many encoded bytes. Zero means plog's default (1 MiB).
-	CommitMaxBytes int
-	// AsyncInFlight caps the hub-wide number of unresolved
-	// SubmitBatchAsync tickets — the pipelined ingest path's
-	// backpressure. An async submitter past the cap blocks until a
-	// ticket resolves. Zero means DefaultAsyncInFlight.
-	AsyncInFlight int
 	// WALSegmentBytes caps the WAL's active segment before it rotates;
 	// zero means plog.DefaultSegmentBytes (4 MiB).
 	WALSegmentBytes int64
@@ -251,9 +216,6 @@ type Config struct {
 	RNG *dist.RNG
 	// Journal records replay/recovery actions. Optional.
 	Journal *faults.Journal
-	// LatencyReservoir caps the routing-latency recorder's sample
-	// memory; zero means DefaultLatencyReservoir.
-	LatencyReservoir int
 	// DeliveryWindow bounds each shard's concurrent channel Sends; zero
 	// means DefaultDeliveryWindow. A delivery holds a slot only while it
 	// is calling channels — not while it waits for an acknowledgement or
@@ -271,12 +233,6 @@ type Config struct {
 	// DeliveryBackoffCap caps the exponential backoff; zero means
 	// DefaultDeliveryBackoffCap.
 	DeliveryBackoffCap time.Duration
-	// RouteBatch caps how many queued envelopes a shard loop drains and
-	// evaluates per wakeup; reject/filter verdicts from one drain stage
-	// their WAL DONE records as a single batch and delivery jobs are
-	// handed off under one delivery-stage lock acquisition. Zero means
-	// DefaultRouteBatch; one restores strict alert-at-a-time routing.
-	RouteBatch int
 	// OutboxPath, when set, opens the guaranteed-tier retry outbox at
 	// this journal base path. Guaranteed-tier deliveries that exhaust
 	// the in-memory attempt budget are persisted there and redelivered
@@ -486,11 +442,11 @@ func (b *Buddy) Routed() int64 { return b.routed.Load() }
 // Delivered returns how many alerts the sink accepted for the tenant.
 func (b *Buddy) Delivered() int64 { return b.delivered.Load() }
 
-// Hub hosts N per-user buddies across K shards over per-shard
-// group-commit WAL lanes. It is safe for concurrent use.
+// Hub hosts N per-user buddies across K shards over one group-commit
+// WAL. It is safe for concurrent use.
 type Hub struct {
 	cfg    Config
-	wal    *plog.LaneSet
+	wal    *plog.Log
 	shards []*shard
 	// outbox is the guaranteed-tier retry outbox; nil when
 	// Config.OutboxPath is empty.
@@ -502,7 +458,7 @@ type Hub struct {
 	acks     *core.Acks
 	exec     *core.Executor
 	// The synthesized flat plan profile-less tenants execute: one block,
-	// one action, through the FlatSink substrate channel.
+	// one action, through the addr.TypeSink substrate channel.
 	flatReg  *addr.Registry
 	flatMode *dmode.Mode
 
@@ -510,14 +466,14 @@ type Hub struct {
 	users   map[string]*Buddy
 	started bool
 
-	// Pipelined ingest plumbing: each WAL lane has a FIFO resolver
-	// goroutine that waits out staged bursts' commit tickets in staging
-	// order and only then enqueues them to their shards — the deferred
-	// enqueue that keeps admission→log→ack→enqueue ordering intact when
-	// submitters hold several batches in flight.
-	laneq []chan *lanePart
+	// Pipelined ingest plumbing: one FIFO resolver goroutine waits out
+	// staged bursts' commits in staging order and only then enqueues
+	// them to their shards — the deferred enqueue that keeps
+	// admission→log→ack→enqueue ordering intact when submitters hold
+	// several batches in flight.
+	resolveq chan *Ticket
 	// asyncSem bounds unresolved SubmitBatchAsync tickets
-	// (Config.AsyncInFlight); ingestPending counts staged-but-unresolved
+	// (DefaultAsyncInFlight); ingestPending counts staged-but-unresolved
 	// tickets of either path so Drain can wait out deferred enqueues.
 	asyncSem      chan struct{}
 	ingestPending atomic.Int64
@@ -555,8 +511,8 @@ type Hub struct {
 	queueWait  *metrics.Recorder
 	routeLat   *metrics.Recorder
 	deliverLat *metrics.Recorder
-	// admitLat is submit → burst acknowledged (every lane durable) —
-	// the admission latency the adaptive commit scheduler shrinks.
+	// admitLat is submit → burst acknowledged (durable) — the admission
+	// latency the adaptive commit scheduler shrinks.
 	admitLat *metrics.Recorder
 }
 
@@ -566,8 +522,8 @@ func New(cfg Config) (*Hub, error) {
 	if cfg.Clock == nil {
 		return nil, errors.New("hub: Config requires Clock")
 	}
-	if cfg.Sink == nil && cfg.Channels == nil {
-		return nil, errors.New("hub: Config requires a Sink or a Channels registry")
+	if cfg.Channels == nil {
+		return nil, errors.New("hub: Config requires a Channels registry")
 	}
 	if cfg.WALPath == "" {
 		return nil, errors.New("hub: Config requires WALPath")
@@ -577,15 +533,6 @@ func New(cfg Config) (*Hub, error) {
 	}
 	if cfg.QueueDepth <= 0 {
 		cfg.QueueDepth = DefaultQueueDepth
-	}
-	if cfg.CommitMaxBatch <= 0 {
-		cfg.CommitMaxBatch = DefaultCommitMaxBatch
-	}
-	if cfg.AsyncInFlight <= 0 {
-		cfg.AsyncInFlight = DefaultAsyncInFlight
-	}
-	if cfg.LatencyReservoir <= 0 {
-		cfg.LatencyReservoir = DefaultLatencyReservoir
 	}
 	if cfg.DeliveryWindow <= 0 {
 		cfg.DeliveryWindow = DefaultDeliveryWindow
@@ -605,9 +552,6 @@ func New(cfg Config) (*Hub, error) {
 	if cfg.RNG == nil {
 		cfg.RNG = dist.NewRNG(1)
 	}
-	if cfg.RouteBatch <= 0 {
-		cfg.RouteBatch = DefaultRouteBatch
-	}
 	if cfg.QuiesceTimeout <= 0 {
 		cfg.QuiesceTimeout = DefaultQuiesceTimeout
 	}
@@ -617,14 +561,18 @@ func New(cfg Config) (*Hub, error) {
 	case cfg.WALCheckpointEvery < 0:
 		cfg.WALCheckpointEvery = 0 // disable background compaction
 	}
-	if cfg.WALLanes <= 0 {
-		cfg.WALLanes = 1
+	// A multi-lane directory is refused before anything is created or
+	// opened: plog.Open would read the base journal and silently leave
+	// the lanes' unprocessed records behind.
+	if stale, err := plog.FirstLaneFile(cfg.WALPath); err != nil {
+		return nil, fmt.Errorf("hub: opening WAL: %w", err)
+	} else if stale != "" {
+		return nil, fmt.Errorf("hub: opening WAL: %s belongs to a multi-lane journal this hub no longer reads; "+
+			"drain it with the release that wrote it, or remove the lane files to abandon their records", stale)
 	}
-	cfg.WALLanes = min(cfg.WALLanes, cfg.Shards)
-	wal, err := plog.OpenLanes(cfg.WALPath, cfg.WALLanes, plog.GroupOptions{
-		Window:         cfg.CommitWindow,
-		MaxBatch:       cfg.CommitMaxBatch,
-		CommitMaxBytes: cfg.CommitMaxBytes,
+	wal, err := plog.OpenGroup(cfg.WALPath, plog.GroupOptions{
+		Window:   cfg.CommitWindow,
+		MaxBatch: DefaultCommitMaxBatch,
 		Log: plog.Options{
 			SegmentBytes:    cfg.WALSegmentBytes,
 			CheckpointEvery: cfg.WALCheckpointEvery,
@@ -640,16 +588,13 @@ func New(cfg Config) (*Hub, error) {
 		killed:     make(chan struct{}),
 		stopped:    make(chan struct{}),
 		counters:   &metrics.CounterSet{},
-		latency:    metrics.NewReservoir(cfg.LatencyReservoir),
-		queueWait:  metrics.NewReservoir(cfg.LatencyReservoir),
-		routeLat:   metrics.NewReservoir(cfg.LatencyReservoir),
-		deliverLat: metrics.NewReservoir(cfg.LatencyReservoir),
-		admitLat:   metrics.NewReservoir(cfg.LatencyReservoir),
-		asyncSem:   make(chan struct{}, cfg.AsyncInFlight),
-	}
-	h.laneq = make([]chan *lanePart, cfg.WALLanes)
-	for i := range h.laneq {
-		h.laneq[i] = make(chan *lanePart, laneQueueDepth)
+		latency:    metrics.NewReservoir(DefaultLatencyReservoir),
+		queueWait:  metrics.NewReservoir(DefaultLatencyReservoir),
+		routeLat:   metrics.NewReservoir(DefaultLatencyReservoir),
+		deliverLat: metrics.NewReservoir(DefaultLatencyReservoir),
+		admitLat:   metrics.NewReservoir(DefaultLatencyReservoir),
+		resolveq:   make(chan *Ticket, resolveQueueDepth),
+		asyncSem:   make(chan struct{}, DefaultAsyncInFlight),
 	}
 	h.ctr.received = h.counters.Counter("received")
 	h.ctr.duplicates = h.counters.Counter("duplicates")
@@ -674,12 +619,6 @@ func New(cfg Config) (*Hub, error) {
 		h.deliveredVia[t] = h.counters.Counter(deliveredViaCounter(t))
 	}
 	h.channels = cfg.Channels
-	if h.channels == nil {
-		h.channels = core.NewChannels()
-	}
-	if cfg.Sink != nil {
-		h.channels.Register(addr.TypeSink, FlatSink{Sink: cfg.Sink})
-	}
 	h.acks = core.NewAcks(cfg.Clock)
 	exec, err := core.NewExecutor(cfg.Clock, h.channels, h.acks)
 	if err != nil {
@@ -746,7 +685,7 @@ func (h *Hub) HandleIncoming(msg im.Message) bool {
 // plan resolves which registry and delivery mode one routed alert
 // executes — the tenant's subscribed mode for the alert's category
 // when the tenant carries a profile, else the hub's synthesized flat
-// mode (one pass through the FlatSink substrate channel) — plus the
+// mode (one pass through the addr.TypeSink substrate channel) — plus the
 // QoS tier the delivery runs under. The mode is the profile's own
 // stored copy, shared read-only with every other delivery of it
 // (Config.AckTimeout reaches the executor through deliveryContext, not
@@ -825,12 +764,6 @@ func (h *Hub) shardOf(user string) *shard {
 	return h.shards[int(f.Sum32())%len(h.shards)]
 }
 
-// laneFor maps a shard onto its WAL lane. The mapping is pure
-// arithmetic on stable inputs, so a user's records always land in the
-// same lane while the lane count is unchanged — the invariant that
-// makes merged lane replay order-exact per user.
-func (h *Hub) laneFor(shardID int) int { return shardID % h.cfg.WALLanes }
-
 // Start launches the shard loops, starts the outbox redelivery loop
 // over the envelopes it recovered, replays every user's unprocessed
 // WAL entries through their rebuilt buddies, and only then opens
@@ -864,9 +797,7 @@ func (h *Hub) Start() error {
 		}
 	}
 	h.replay()
-	for _, ch := range h.laneq {
-		go h.laneResolver(ch)
-	}
+	go h.resolver()
 	h.accepting.Store(true)
 	return nil
 }
@@ -915,27 +846,24 @@ func (h *Hub) deliveredViaCounterFor(t addr.Type) *metrics.Counter {
 	return h.counters.Counter(deliveredViaCounter(t))
 }
 
-// replayRec is one unprocessed WAL record decoded for re-enqueue; lane
-// is the lane that owns the record — possibly a stale lane beyond the
-// configured count — so its eventual DONE retires the right journal.
+// replayRec is one unprocessed WAL record decoded for re-enqueue.
 type replayRec struct {
-	b    *Buddy
-	a    alert.Alert
-	key  string
-	lane int
+	b   *Buddy
+	a   alert.Alert
+	key string
 }
 
 // replayable decodes one unprocessed WAL record for re-enqueue. A
 // record that can never be routed — no user in its key, a user no
-// longer hosted, an unparsable payload — is tombstoned on its lane,
-// journaled, and counted, and ok is false. only restricts the scan to
-// one shard (RestartShard): other shards' records are skipped
-// untouched, as is a malformed key, whose shard is unknown — the next
-// process start (only == nil) tombstones it.
-func (h *Hub) replayable(rec plog.LaneRecord, only *shard) (r replayRec, ok bool) {
+// longer hosted, an unparsable payload — is tombstoned, journaled, and
+// counted, and ok is false. only restricts the scan to one shard
+// (RestartShard): other shards' records are skipped untouched, as is a
+// malformed key, whose shard is unknown — the next process start
+// (only == nil) tombstones it.
+func (h *Hub) replayable(rec plog.Record, only *shard) (r replayRec, ok bool) {
 	tombstone := func(format string, args ...any) {
 		h.journal(faults.KindReplay, "tombstoning "+format, args...)
-		_ = h.wal.Lane(rec.Lane).MarkProcessed(rec.Key, h.cfg.Clock.Now())
+		_ = h.wal.MarkProcessed(rec.Key, h.cfg.Clock.Now())
 		h.counters.Add1("tombstoned")
 	}
 	user, _, keyed := strings.Cut(rec.Key, keySep)
@@ -951,7 +879,7 @@ func (h *Hub) replayable(rec plog.LaneRecord, only *shard) (r replayRec, ok bool
 		tombstone("WAL entry for unhosted user %q", user)
 		return r, false
 	}
-	r = replayRec{b: b, key: rec.Key, lane: rec.Lane}
+	r = replayRec{b: b, key: rec.Key}
 	if err := r.a.UnmarshalText(rec.Payload); err != nil {
 		tombstone("unparsable WAL entry %q: %v", rec.Key, err)
 		return r, false
@@ -959,10 +887,9 @@ func (h *Hub) replayable(rec plog.LaneRecord, only *shard) (r replayRec, ok bool
 	return r, true
 }
 
-// replay re-enqueues the WAL lanes' unprocessed entries, merged by
-// received-at timestamp (exact per-user order — a user's lane is
-// stable). Runs before admission opens, so replayed alerts are routed
-// ahead of new traffic.
+// replay re-enqueues the WAL's unprocessed entries in log order (exact
+// per-user order). Runs before admission opens, so replayed alerts are
+// routed ahead of new traffic.
 func (h *Hub) replay() {
 	for _, rec := range h.wal.Unprocessed() {
 		r, ok := h.replayable(rec, nil)
@@ -974,7 +901,7 @@ func (h *Hub) replay() {
 		sh := h.shardOf(r.b.user)
 		sh.reserveBlocking() // startup: loops are draining, so this cannot wedge
 		env := getEnvelope()
-		env.fill(r.b, &r.a, r.key, r.lane, h.cfg.Clock.Now())
+		env.fill(r.b, &r.a, r.key, h.cfg.Clock.Now())
 		sh.enqueue(env)
 	}
 }
@@ -1003,29 +930,37 @@ type submitPending struct {
 	sh    *shard
 	a     *alert.Alert
 	key   string
-	lane  int
 	dup   bool // already durable (or duplicated within the burst): re-ack only
-	// env is the pooled envelope filled in pass 3 (fresh admissions
-	// only): its inline alert copy backs the WAL payload encode and is
-	// what the shard routes, so the submitter's alert is never aliased.
-	env *envelope
 }
 
 // Ticket is a pending acknowledgement from SubmitBatchAsync (and,
 // internally, SubmitBatch): the burst's RECV records are staged into
-// the WAL lanes' group commits, and the ticket resolves once every
-// lane's fsync lands and the admitted entries are enqueued to their
-// shards. Until then nothing is acknowledged and nothing is routed —
-// the admission→log→ack→enqueue order of a synchronous submit is
-// preserved; the submitter has merely stopped standing in it.
+// the WAL's group commit, and the ticket resolves once that commit's
+// fsync lands and the admitted entries are enqueued to their shards.
+// Until then nothing is acknowledged and nothing is routed — the
+// admission→log→ack→enqueue order of a synchronous submit is preserved;
+// the submitter has merely stopped standing in it.
 type Ticket struct {
 	errs        []error
-	pending     atomic.Int32 // unresolved lane parts
 	done        chan struct{}
 	onCommitted func([]error)
 	start       time.Time
-	staged      bool // at least one lane part was dispatched to a resolver
-	sem         bool // holds an async backpressure slot until resolved
+	// c is the burst's one group commit and entries the burst entries
+	// (fresh envelopes and duplicate re-acks) whose fate it decides;
+	// both are set only once the burst is staged and handed to the
+	// resolver, so entries != nil says "staged".
+	c       plog.Commit
+	entries []ticketEntry
+	sem     bool // holds an async backpressure slot until resolved
+}
+
+// ticketEntry is one staged burst entry inside a Ticket.
+type ticketEntry struct {
+	idx   int
+	dup   bool
+	buddy *Buddy
+	sh    *shard    // nil for duplicates
+	env   *envelope // nil for duplicates
 }
 
 // Done is closed when the ticket has resolved (every entry acked or
@@ -1042,42 +977,20 @@ func (t *Ticket) Wait() []error {
 	return t.errs
 }
 
-// lanePart is the slice of one staged burst that landed in a single
-// WAL lane: the lane's commit ticket plus the burst entries (fresh
-// envelopes and duplicate re-acks) whose fate that commit decides. The
-// lane's resolver goroutine processes parts strictly in staging order,
-// so deferred enqueues can never reorder a user's alerts — a user's
-// shard, hence lane, is stable.
-type lanePart struct {
-	t       *Ticket
-	c       plog.Commit
-	lane    int
-	entries []partEntry
-}
-
-// partEntry is one burst entry inside a lanePart.
-type partEntry struct {
-	idx   int
-	dup   bool
-	buddy *Buddy
-	sh    *shard    // nil for duplicates
-	env   *envelope // nil for duplicates
-}
-
 // SubmitBatchAsync is the pipelined ingest path: it validates, admits,
 // and stages the burst's RECV records exactly as SubmitBatch does, but
 // returns a commit Ticket instead of blocking on the WAL fsync. The
 // burst is acknowledged — and only then enqueued for routing — when
 // the ticket resolves; onCommitted (optional) runs once at that point
-// with the per-entry results, on a resolver goroutine, so it must not
+// with the per-entry results, on the resolver goroutine, so it must not
 // block. A submitter keeps several batches in flight by holding
-// several tickets; Config.AsyncInFlight bounds the hub-wide total, and
+// several tickets; DefaultAsyncInFlight bounds the hub-wide total, and
 // a submitter past the bound blocks here until a ticket resolves.
 //
 // Entries that fail before staging (invalid alert, unknown user,
 // overloaded shard) are reported in the ticket's results exactly as
-// SubmitBatch reports them. A lane whose fsync fails NACKs only that
-// lane's entries — other lanes' entries stay acknowledged.
+// SubmitBatch reports them. A commit whose write or fsync fails NACKs
+// every entry the burst staged.
 func (h *Hub) SubmitBatchAsync(subs []Submission, onCommitted func(errs []error)) *Ticket {
 	if !h.accepting.Load() {
 		return h.rejectedTicket(subs, onCommitted)
@@ -1117,9 +1030,9 @@ func (h *Hub) rejectedTicket(subs []Submission, onCommitted func([]error)) *Tick
 // the original is durable.
 //
 // SubmitBatch is the staging half of SubmitBatchAsync followed
-// immediately by Wait: the deferred enqueue runs on the same per-lane
-// resolvers, so the synchronous and pipelined paths cannot reorder
-// each other's entries.
+// immediately by Wait: the deferred enqueue runs on the same resolver,
+// so the synchronous and pipelined paths cannot reorder each other's
+// entries.
 func (h *Hub) SubmitBatch(subs []Submission) []error {
 	if len(subs) == 0 {
 		return nil
@@ -1136,10 +1049,10 @@ func (h *Hub) SubmitBatch(subs []Submission) []error {
 
 // submit is the shared staging half of SubmitBatch/SubmitBatchAsync:
 // validate and dedup the burst, bulk-reserve admission, marshal the
-// admitted entries, and stage every lane's RECV slice into its group
-// commit. The returned Ticket resolves on the lanes' resolver
-// goroutines once the commits land (or synchronously here, when
-// nothing staged).
+// admitted entries, and stage their RECV records into the WAL's group
+// commit as one unit. The returned Ticket resolves on the resolver
+// goroutine once the commit lands (or synchronously here, when nothing
+// staged).
 func (h *Hub) submit(subs []Submission, onCommitted func([]error), sem bool) *Ticket {
 	errs := make([]error, len(subs))
 	t := &Ticket{errs: errs, done: make(chan struct{}), onCommitted: onCommitted, sem: sem}
@@ -1178,27 +1091,21 @@ func (h *Hub) submit(subs []Submission, onCommitted func([]error), sem bool) *Ti
 		keyBuf = append(keyBuf, keySep...)
 		keyBuf = s.Alert.AppendDedupKey(keyBuf)
 		key := string(keyBuf)
-		sh := h.shardOf(s.User)
-		lane := h.laneFor(sh.id)
 		inBurst := false
 		if seen != nil {
 			_, inBurst = seen[key]
 		}
-		// Dedup checks only the user's home lane: that is where a stable
-		// shard→lane mapping always put (and will put) the key. A record
-		// stranded in a foreign lane by a lane-count change re-logs
-		// fresh here and replays as a duplicate delivery, which the
-		// downstream timestamp dedup discards.
-		if inBurst || h.wal.Lane(lane).Has(key) {
-			pending = append(pending, submitPending{idx: i, buddy: b, key: key, lane: lane, dup: true})
+		if inBurst || h.wal.Has(key) {
+			pending = append(pending, submitPending{idx: i, buddy: b, key: key, dup: true})
 			continue
 		}
 		if seen == nil {
 			seen = make(map[string]struct{}, len(subs))
 		}
 		seen[key] = struct{}{}
+		sh := h.shardOf(s.User)
 		counts[sh.id]++
-		pending = append(pending, submitPending{idx: i, buddy: b, sh: sh, a: s.Alert, key: key, lane: lane})
+		pending = append(pending, submitPending{idx: i, buddy: b, sh: sh, a: s.Alert, key: key})
 	}
 	if len(pending) == 0 {
 		h.finishTicket(t)
@@ -1216,19 +1123,16 @@ func (h *Hub) submit(subs []Submission, onCommitted func([]error), sem bool) *Ti
 			granted[id] = h.shards[id].reserveN(counts[id])
 		}
 	}
-	// Pass 3: marshal the admitted entries and split the burst by WAL
-	// lane — the journal entries the lane stages plus the parallel
-	// partEntry bookkeeping its resolver needs (duplicates ride along
-	// as idempotent no-ops so their re-ack waits for the original's
-	// durability).
-	byLane := make([][]plog.BatchEntry, h.cfg.WALLanes)
-	byPart := make([][]partEntry, h.cfg.WALLanes)
-	staged := 0
+	// Pass 3: marshal the admitted entries into the journal entries the
+	// WAL stages plus the parallel ticketEntry bookkeeping the resolver
+	// needs (duplicates ride along as idempotent no-ops so their re-ack
+	// waits for the original's durability).
+	recs := make([]plog.BatchEntry, 0, len(pending))
+	entries := make([]ticketEntry, 0, len(pending))
 	for _, p := range pending {
 		if p.dup {
-			byLane[p.lane] = append(byLane[p.lane], plog.BatchEntry{Key: p.key, At: now})
-			byPart[p.lane] = append(byPart[p.lane], partEntry{idx: p.idx, dup: true, buddy: p.buddy})
-			staged++
+			recs = append(recs, plog.BatchEntry{Key: p.key, At: now})
+			entries = append(entries, ticketEntry{idx: p.idx, dup: true, buddy: p.buddy})
 			continue
 		}
 		if granted[p.sh.id] <= 0 {
@@ -1247,7 +1151,7 @@ func (h *Hub) submit(subs []Submission, onCommitted func([]error), sem bool) *Ti
 		// synchronously while staging, so the buffer is reusable the
 		// moment LogReceivedBatchStart returns.
 		env := getEnvelope()
-		env.fill(p.buddy, p.a, p.key, p.lane, now)
+		env.fill(p.buddy, p.a, p.key, now)
 		payload, err := env.alert.AppendWire(env.payload[:0])
 		if err != nil {
 			putEnvelope(env)
@@ -1257,79 +1161,69 @@ func (h *Hub) submit(subs []Submission, onCommitted func([]error), sem bool) *Ti
 			continue
 		}
 		env.payload = payload
-		byLane[p.lane] = append(byLane[p.lane], plog.BatchEntry{Key: p.key, Payload: payload, At: now})
-		byPart[p.lane] = append(byPart[p.lane], partEntry{idx: p.idx, buddy: p.buddy, sh: p.sh, env: env})
-		staged++
+		recs = append(recs, plog.BatchEntry{Key: p.key, Payload: payload, At: now})
+		entries = append(entries, ticketEntry{idx: p.idx, buddy: p.buddy, sh: p.sh, env: env})
 	}
-	if staged == 0 {
+	if len(entries) == 0 {
 		h.finishTicket(t)
 		return t
 	}
 
-	// Pessimistic logging with parallel group commit: stage every
-	// lane's slice of the burst (each join signals that lane's
-	// committer), collecting one lanePart per touched lane. A staging
-	// failure NACKs the whole burst before any part is dispatched:
-	// entries already staged on other lanes stay durable and replay on
-	// the next restart, where the dedup contract absorbs them; a sender
-	// retry meanwhile re-acks them as duplicates.
-	parts := make([]*lanePart, 0, len(byLane))
-	for lane, entries := range byLane {
-		if len(entries) == 0 {
-			continue
+	// Pessimistic logging: the whole burst joins the WAL's open commit
+	// batch as one unit (the join signals the committer). A staging
+	// failure means nothing of the burst was staged: NACK all of it.
+	c, err := h.wal.LogReceivedBatchStart(recs)
+	if err != nil {
+		if errors.Is(err, plog.ErrClosed) {
+			// The WAL closes only in shutdown: this burst passed the
+			// accepting check just before a Kill or Drain landed.
+			err = ErrNotAccepting
 		}
-		c, err := h.wal.Lane(lane).LogReceivedBatchStart(entries)
-		if err != nil {
-			if errors.Is(err, plog.ErrClosed) {
-				// The WAL closes only in shutdown: this burst passed the
-				// accepting check just before a Kill or Drain landed.
-				err = ErrNotAccepting
-			}
-			for _, lp := range byPart {
-				for i := range lp {
-					if !lp[i].dup {
-						lp[i].sh.release()
-					}
-					errs[lp[i].idx] = err
-				}
-			}
-			h.finishTicket(t)
-			return t
-		}
-		parts = append(parts, &lanePart{t: t, c: c, lane: lane, entries: byPart[lane]})
+		h.nack(t, entries, err)
+		return t
 	}
 
-	// Dispatch the parts to their lanes' resolvers, which wait out the
-	// commits in staging order and complete the ack + deferred enqueue.
-	// The ticket resolves when the last part does.
-	t.staged = true
-	t.pending.Store(int32(len(parts)))
+	// Hand the ticket to the resolver, which waits out commits in
+	// staging order and completes the ack + deferred enqueue.
+	t.c, t.entries = c, entries
 	h.ingestPending.Add(1)
-	for _, p := range parts {
-		h.laneq[p.lane] <- p
-	}
+	h.resolveq <- t
 	return t
 }
 
-// laneResolver is one WAL lane's commit-resolver goroutine: it
-// processes the lane's staged burst parts strictly in staging order —
-// waiting out each part's group commit, acknowledging, and enqueueing
-// the entries to their shards. FIFO order here is what lets deferred
-// enqueues preserve per-user submission order: commits within a lane
-// resolve in batch order, and two bursts sharing one commit batch are
-// still enqueued in the order they staged. After the hub stops, the
-// resolver drains whatever is buffered (commits resolve instantly once
-// the closed WAL flushed them) and exits.
-func (h *Hub) laneResolver(ch chan *lanePart) {
+// nack fails every staged entry of a burst with err — admission slots
+// released, envelopes abandoned to the collector (a failed batch may
+// still reference them) — and resolves the ticket.
+func (h *Hub) nack(t *Ticket, entries []ticketEntry, err error) {
+	for i := range entries {
+		e := &entries[i]
+		if !e.dup {
+			e.sh.release()
+		}
+		t.errs[e.idx] = err
+	}
+	h.finishTicket(t)
+}
+
+// resolver is the hub's one commit-resolver goroutine: it processes
+// staged tickets strictly in staging order — waiting out each one's
+// group commit, acknowledging, and enqueueing the entries to their
+// shards. FIFO order here is what lets deferred enqueues preserve
+// per-user submission order: the journal's commits resolve in batch
+// order, and two bursts sharing one commit batch are still enqueued in
+// the order they staged. After the hub stops, the resolver drains
+// whatever is buffered (commits resolve instantly once the closed WAL
+// flushed them) and exits.
+func (h *Hub) resolver() {
 	for {
 		select {
-		case p := <-ch:
-			h.resolvePart(p)
+		case t := <-h.resolveq:
+			h.resolve(t)
 		case <-h.stopped:
 			for {
 				select {
-				case p := <-ch:
-					h.resolvePart(p)
+				case t := <-h.resolveq:
+					h.resolve(t)
 				default:
 					return
 				}
@@ -1338,38 +1232,29 @@ func (h *Hub) laneResolver(ch chan *lanePart) {
 	}
 }
 
-// resolvePart completes one lane's slice of a staged burst once its
-// group commit lands: bump the received/duplicate counters, stamp the
-// ack time, and enqueue the fresh envelopes to their shards. A commit
-// error NACKs only this part's entries (slots released, envelopes
-// abandoned to the collector — they may still be referenced by the
-// failed batch).
-func (h *Hub) resolvePart(p *lanePart) {
-	if err := p.c.Wait(); err != nil {
-		for i := range p.entries {
-			e := &p.entries[i]
-			if !e.dup {
-				e.sh.release()
-			}
-			p.t.errs[e.idx] = err
-		}
-		h.resolvedPart(p.t)
+// resolve completes one staged burst once its group commit lands: bump
+// the received/duplicate counters, stamp the ack time, and enqueue the
+// fresh envelopes to their shards. A commit error NACKs every staged
+// entry.
+func (h *Hub) resolve(t *Ticket) {
+	if err := t.c.Wait(); err != nil {
+		h.nack(t, t.entries, err)
 		return
 	}
-	// Fault injection: the part is durable (its callers are acked) but
+	// Fault injection: the burst is durable (its callers are acked) but
 	// nothing is enqueued — the next incarnation must replay it.
 	if f := h.cfg.CrashAfterBatchFsync; f != nil && f.Active() {
 		h.crashOnce.Do(func() {
 			h.journal(faults.KindFaultInjected,
-				"hub killed between batch fsync and enqueue (%d staged alerts)", len(p.entries))
+				"hub killed between batch fsync and enqueue (%d staged alerts)", len(t.entries))
 			h.Kill()
 		})
-		h.resolvedPart(p.t)
+		h.finishTicket(t)
 		return
 	}
 	acked := h.cfg.Clock.Now() // post-fsync: latency measures ack → processed
-	for i := range p.entries {
-		e := &p.entries[i]
+	for i := range t.entries {
+		e := &t.entries[i]
 		if e.dup {
 			h.ctr.duplicates.Add1()
 			// The routing category (and with it any per-category tier
@@ -1382,22 +1267,14 @@ func (h *Hub) resolvePart(p *lanePart) {
 		e.env.at = acked // latency measures ack → processed
 		e.sh.enqueue(e.env)
 	}
-	h.resolvedPart(p.t)
-}
-
-// resolvedPart retires one lane part; the last part resolves the
-// ticket.
-func (h *Hub) resolvedPart(t *Ticket) {
-	if t.pending.Add(-1) == 0 {
-		h.finishTicket(t)
-	}
+	h.finishTicket(t)
 }
 
 // finishTicket resolves a ticket: observe the admission latency (for
 // bursts that actually staged durability work), release the async
 // backpressure slot, wake waiters, and run the commit callback.
 func (h *Hub) finishTicket(t *Ticket) {
-	if t.staged {
+	if t.entries != nil {
 		h.admitLat.Observe(h.cfg.Clock.Since(t.start))
 		h.ingestPending.Add(-1)
 	}
@@ -1420,7 +1297,7 @@ func (h *Hub) openGen(sh *shard, n int64, suppress map[string]struct{}) *shardGe
 }
 
 // runLoop is one shard generation's event loop: drain up to
-// Config.RouteBatch queued envelopes per wakeup and route them as a
+// DefaultRouteBatch queued envelopes per wakeup and route them as a
 // batch, so WAL DONE staging and delivery handoff amortize their lock
 // round-trips across the drained burst. The loop owns its generation's
 // queue — never the shard's current one — so a restart's generation
@@ -1428,7 +1305,7 @@ func (h *Hub) openGen(sh *shard, n int64, suppress map[string]struct{}) *shardGe
 func (h *Hub) runLoop(sh *shard, g *shardGen) {
 	defer close(g.done)
 	var (
-		batch   = make([]*envelope, 0, h.cfg.RouteBatch)
+		batch   = make([]*envelope, 0, DefaultRouteBatch)
 		scratch routeScratch
 	)
 	for {
@@ -1449,7 +1326,7 @@ func (h *Hub) runLoop(sh *shard, g *shardGen) {
 			}
 			batch = append(batch[:0], env)
 			drained := true
-			for drained && len(batch) < h.cfg.RouteBatch {
+			for drained && len(batch) < DefaultRouteBatch {
 				select {
 				case env, ok := <-g.q:
 					if !ok {
@@ -1543,31 +1420,7 @@ func (h *Hub) processBatch(sh *shard, g *shardGen, envs []*envelope, scr *routeS
 // replay, which the dedup contract covers; Drain/Close still flush
 // every staged record.
 func (h *Hub) finishBatch(sh *shard, envs []*envelope, keys []string) {
-	now := h.cfg.Clock.Now()
-	// A shard's fresh traffic all lives in one lane, so the common case
-	// stages the whole batch there in one call; mixed lanes appear only
-	// right after a restart, when replayed foreign-lane records share
-	// the queue with new traffic.
-	lane, uniform := envs[0].lane, true
-	for i := 1; i < len(envs); i++ {
-		if envs[i].lane != lane {
-			uniform = false
-			break
-		}
-	}
-	var markErrs []error
-	if uniform {
-		markErrs = h.wal.Lane(lane).MarkProcessedBatchAsync(keys, now)
-	} else {
-		for i, env := range envs {
-			if err := h.wal.Lane(env.lane).MarkProcessedAsync(keys[i], now); err != nil {
-				if markErrs == nil {
-					markErrs = make([]error, len(envs))
-				}
-				markErrs[i] = err
-			}
-		}
-	}
+	markErrs := h.wal.MarkProcessedBatchAsync(keys, h.cfg.Clock.Now())
 	done := h.cfg.Clock.Now()
 	for i, env := range envs {
 		if markErrs != nil && markErrs[i] != nil && !errors.Is(markErrs[i], plog.ErrClosed) {
@@ -1575,7 +1428,7 @@ func (h *Hub) finishBatch(sh *shard, envs []*envelope, keys []string) {
 		}
 		h.latency.Observe(done.Sub(env.at))
 		sh.release()
-		putEnvelope(env) // DONE staged on the home lane, slot released: recycle
+		putEnvelope(env) // DONE staged, slot released: recycle
 	}
 }
 
@@ -1660,7 +1513,7 @@ func (h *Hub) Drain() error {
 	h.accepting.Store(false)
 	// Quiesce the async ingest pipeline: tickets already admitted keep
 	// their ordering contract (commit → ack → enqueue), so wait for the
-	// lane resolvers to retire every outstanding burst before closing
+	// resolver to retire every outstanding burst before closing
 	// shard intake. Bounded — a wedged WAL resolves tickets with errors
 	// on Close below anyway.
 	deadline := time.Now().Add(h.cfg.QuiesceTimeout)
@@ -1778,7 +1631,7 @@ func (h *Hub) restartLocked(sh *shard, reason string) error {
 		h.counters.Add1("replayed")
 		sh.reserveBlocking() // the new loop is live and draining, so this cannot wedge
 		env := getEnvelope()
-		env.fill(r.b, &r.a, r.key, r.lane, h.cfg.Clock.Now())
+		env.fill(r.b, &r.a, r.key, h.cfg.Clock.Now())
 		sh.enqueueReplay(env)
 	}
 	sh.restarts.Add(1)
@@ -1899,7 +1752,7 @@ func (h *Hub) Healths() []Health {
 	return out
 }
 
-// WALBacklog returns the lanes' live not-yet-processed record count —
+// WALBacklog returns the WAL's live not-yet-processed record count —
 // the replay debt a restart would face right now.
 func (h *Hub) WALBacklog() int { return h.wal.Pending() }
 
@@ -2002,7 +1855,7 @@ type TierStat struct {
 type Stats struct {
 	Users   int
 	Shards  []ShardStat
-	Appends int64 // WAL lines staged (RECV + DONE)
+	Appends int64 // WAL records staged (RECV + DONE)
 	Syncs   int64 // fsyncs issued
 	// MeanBatch is Appends/Syncs — the group-commit amplification.
 	MeanBatch float64
@@ -2020,15 +1873,9 @@ type Stats struct {
 	// Outbox is the retry outbox's snapshot; nil when the hub runs
 	// without one.
 	Outbox *outbox.Stats
-	// WAL is the aggregated journal snapshot across every lane:
-	// counters (fsyncs, staged batches, corrupt records, disk bytes)
-	// summed, histograms merged.
+	// WAL is the journal's own snapshot: fsyncs, staged batches, corrupt
+	// records, disk bytes, commit histograms.
 	WAL plog.Stats
-	// WALPerLane is each lane's own snapshot, index-aligned with the
-	// lane numbering (lane 0 is the base journal path). Each entry
-	// carries its lane's Syncs and FsyncLatency, so per-lane fsync
-	// behavior — one slow disk region, one hot shard — is visible.
-	WALPerLane []plog.Stats
 }
 
 // Stats snapshots queue depths, delivery in-flight gauges, and WAL
@@ -2036,11 +1883,10 @@ type Stats struct {
 func (h *Hub) Stats() Stats {
 	wal := h.wal.Stats()
 	s := Stats{
-		Users:      h.Users(),
-		Appends:    wal.Appended,
-		Syncs:      wal.Syncs,
-		WAL:        wal,
-		WALPerLane: h.wal.PerLaneStats(),
+		Users:   h.Users(),
+		Appends: wal.Appended,
+		Syncs:   wal.Syncs,
+		WAL:     wal,
 	}
 	for _, t := range []addr.Type{addr.TypeIM, addr.TypeSMS, addr.TypeEmail, addr.TypeSink} {
 		if n := h.counters.Get(deliveredViaCounter(t)); n > 0 {
@@ -2085,13 +1931,8 @@ func (h *Hub) Stats() Stats {
 	return s
 }
 
-// WALLanes returns the number of open WAL lanes (the configured count,
-// plus any stale lanes recovered from a previous run).
-func (h *Hub) WALLanes() int { return h.wal.Lanes() }
-
-// CheckpointWAL forces a checkpoint + segment compaction on every WAL
-// lane, as the background compactors would at the WALCheckpointEvery
-// threshold.
+// CheckpointWAL forces a checkpoint + segment compaction on the WAL, as
+// the background compactor would at the WALCheckpointEvery threshold.
 func (h *Hub) CheckpointWAL() error { return h.wal.Checkpoint() }
 
 func (h *Hub) journal(kind faults.Kind, format string, args ...any) {

@@ -8,8 +8,10 @@ import (
 	"testing"
 	"time"
 
+	"simba/internal/addr"
 	"simba/internal/alert"
 	"simba/internal/clock"
+	"simba/internal/core"
 	"simba/internal/dist"
 	"simba/internal/mab"
 )
@@ -40,6 +42,17 @@ func portalAlert(i int, at time.Time) *alert.Alert {
 	}
 }
 
+// sinkChannels wraps f — one call per routed alert, the flat
+// substrate's shape — as the addr.TypeSink channel of a fresh registry.
+func sinkChannels(f func(shard int, user string, a *alert.Alert) error) *core.Channels {
+	return core.NewChannels().Register(addr.TypeSink, core.ChannelFunc(func(req core.Send) (core.SendResult, error) {
+		if err := f(req.Shard, req.User, req.Alert); err != nil {
+			return core.SendResult{}, err
+		}
+		return core.SendResult{Confirmed: true}, nil
+	}))
+}
+
 func newTestHub(t testing.TB, cfg Config) *Hub {
 	t.Helper()
 	if cfg.Clock == nil {
@@ -60,7 +73,7 @@ func TestHubRoutesThousandsOfTenants(t *testing.T) {
 	const users, perUser = 1000, 3
 	clk := clock.NewReal()
 	sink := NewSimSink(dist.NewRNG(7), 8, nil, 0)
-	h := newTestHub(t, Config{Clock: clk, Sink: sink, Shards: 8, QueueDepth: 512})
+	h := newTestHub(t, Config{Clock: clk, Channels: core.NewChannels().Register(addr.TypeSink, sink), Shards: 8, QueueDepth: 512})
 	addUsers(t, h, users)
 	if err := h.Start(); err != nil {
 		t.Fatal(err)
@@ -117,7 +130,7 @@ func TestHubGroupCommitCutsFsyncs(t *testing.T) {
 	clk := clock.NewReal()
 	sink := NewSimSink(dist.NewRNG(3), 4, nil, 0)
 	h := newTestHub(t, Config{
-		Clock: clk, Sink: sink, Shards: 4, QueueDepth: 1024,
+		Clock: clk, Channels: core.NewChannels().Register(addr.TypeSink, sink), Shards: 4, QueueDepth: 1024,
 		CommitWindow: time.Millisecond,
 	})
 	addUsers(t, h, users)
@@ -168,14 +181,14 @@ func TestHubBackpressureRejectsBeforeLogging(t *testing.T) {
 	release := make(chan struct{})
 	var mu sync.Mutex
 	deliveredKeys := make(map[string]int)
-	sink := FuncSink(func(shard int, user string, a *alert.Alert) error {
+	sink := sinkChannels(func(shard int, user string, a *alert.Alert) error {
 		<-release
 		mu.Lock()
 		deliveredKeys[user+"/"+a.DedupKey()]++
 		mu.Unlock()
 		return nil
 	})
-	h := newTestHub(t, Config{Clock: clk, Sink: sink, Shards: 1, QueueDepth: 3})
+	h := newTestHub(t, Config{Clock: clk, Channels: sink, Shards: 1, QueueDepth: 3})
 	b, err := h.AddUser("solo")
 	if err != nil {
 		t.Fatal(err)
@@ -201,7 +214,7 @@ func TestHubBackpressureRejectsBeforeLogging(t *testing.T) {
 			}
 			// Invariant: a rejected alert was never logged, so the
 			// sender's retry cannot be treated as a duplicate.
-			if h.wal.Lane(0).Has("solo" + keySep + a.DedupKey()) {
+			if h.wal.Has("solo" + keySep + a.DedupKey()) {
 				t.Fatalf("rejected alert %s was logged", a.DedupKey())
 			}
 		default:
@@ -235,7 +248,7 @@ func TestHubBackpressureRejectsBeforeLogging(t *testing.T) {
 func TestHubDuplicateSubmitIsIdempotent(t *testing.T) {
 	clk := clock.NewReal()
 	sink := NewSimSink(dist.NewRNG(5), 2, nil, 0)
-	h := newTestHub(t, Config{Clock: clk, Sink: sink, Shards: 2})
+	h := newTestHub(t, Config{Clock: clk, Channels: core.NewChannels().Register(addr.TypeSink, sink), Shards: 2})
 	addUsers(t, h, 1)
 	if err := h.Start(); err != nil {
 		t.Fatal(err)
@@ -261,7 +274,7 @@ func TestHubDuplicateSubmitIsIdempotent(t *testing.T) {
 
 func TestHubRejectsUnknownUserAndInvalidAlert(t *testing.T) {
 	clk := clock.NewReal()
-	h := newTestHub(t, Config{Clock: clk, Sink: NewSimSink(dist.NewRNG(1), 1, nil, 0), Shards: 1})
+	h := newTestHub(t, Config{Clock: clk, Channels: core.NewChannels().Register(addr.TypeSink, NewSimSink(dist.NewRNG(1), 1, nil, 0)), Shards: 1})
 	addUsers(t, h, 1)
 	if err := h.Start(); err != nil {
 		t.Fatal(err)
@@ -276,7 +289,7 @@ func TestHubRejectsUnknownUserAndInvalidAlert(t *testing.T) {
 
 func TestHubNotAcceptingBeforeStartAndAfterDrain(t *testing.T) {
 	clk := clock.NewReal()
-	h := newTestHub(t, Config{Clock: clk, Sink: NewSimSink(dist.NewRNG(1), 1, nil, 0), Shards: 1})
+	h := newTestHub(t, Config{Clock: clk, Channels: core.NewChannels().Register(addr.TypeSink, NewSimSink(dist.NewRNG(1), 1, nil, 0)), Shards: 1})
 	addUsers(t, h, 1)
 	if err := h.Submit("user-0", portalAlert(1, clk.Now())); !errors.Is(err, ErrNotAccepting) {
 		t.Fatalf("pre-start submit = %v, want ErrNotAccepting", err)
@@ -295,7 +308,7 @@ func TestHubNotAcceptingBeforeStartAndAfterDrain(t *testing.T) {
 func TestHubTenantIsolationByPipeline(t *testing.T) {
 	clk := clock.NewReal()
 	sink := NewSimSink(dist.NewRNG(9), 2, nil, 0)
-	h := newTestHub(t, Config{Clock: clk, Sink: sink, Shards: 2})
+	h := newTestHub(t, Config{Clock: clk, Channels: core.NewChannels().Register(addr.TypeSink, sink), Shards: 2})
 	accepts, err := h.AddUser("accepts")
 	if err != nil {
 		t.Fatal(err)
@@ -337,7 +350,7 @@ func TestHubTenantIsolationByPipeline(t *testing.T) {
 }
 
 func TestHubAddUserValidation(t *testing.T) {
-	h := newTestHub(t, Config{Clock: clock.NewReal(), Sink: NewSimSink(dist.NewRNG(1), 1, nil, 0)})
+	h := newTestHub(t, Config{Clock: clock.NewReal(), Channels: core.NewChannels().Register(addr.TypeSink, NewSimSink(dist.NewRNG(1), 1, nil, 0))})
 	if _, err := h.AddUser(""); err == nil {
 		t.Fatal("empty user accepted")
 	}
@@ -356,7 +369,7 @@ func TestNewValidatesConfig(t *testing.T) {
 	if _, err := New(Config{}); err == nil {
 		t.Fatal("empty config accepted")
 	}
-	if _, err := New(Config{Clock: clock.NewReal(), Sink: NewSimSink(dist.NewRNG(1), 1, nil, 0)}); err == nil {
+	if _, err := New(Config{Clock: clock.NewReal(), Channels: core.NewChannels().Register(addr.TypeSink, NewSimSink(dist.NewRNG(1), 1, nil, 0))}); err == nil {
 		t.Fatal("missing WALPath accepted")
 	}
 }

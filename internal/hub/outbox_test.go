@@ -63,11 +63,11 @@ func waitCond(t *testing.T, what string, cond func() bool) {
 
 // outboxTestConfig is the shared two-incarnation config: one shard, a
 // tight in-memory attempt budget, and a fast outbox.
-func outboxTestConfig(t *testing.T, dir string, sink Sink, journal *faults.Journal) Config {
+func outboxTestConfig(t *testing.T, dir string, sink *faultySink, journal *faults.Journal) Config {
 	t.Helper()
 	return Config{
 		Clock:               clock.NewReal(),
-		Sink:                sink,
+		Channels:            sinkChannels(sink.Deliver),
 		WALPath:             filepath.Join(dir, "hub.wal"),
 		OutboxPath:          filepath.Join(dir, "hub.outbox"),
 		OutboxBackoff:       5 * time.Millisecond,

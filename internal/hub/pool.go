@@ -16,9 +16,9 @@ import (
 // a pointer instead of building a separate job value.
 //
 // Lifecycle/recycling contract: an envelope returns to the pool only
-// after its WAL DONE record has been staged on its home lane and its
-// admission slot released — the one point where no other component can
-// still reach it. Abandoned envelopes (kill, crash injection, failed
+// after its WAL DONE record has been staged and its admission slot
+// released — the one point where no other component can still reach
+// it. Abandoned envelopes (kill, crash injection, failed
 // outbox handoff that leaves the WAL entry live) are NOT recycled; the
 // pool is best-effort and the GC reclaims them. The alert value, its
 // keyword backing, and the wire-form payload are envelope-owned
@@ -31,7 +31,6 @@ type envelope struct {
 	// never the submitter's slice.
 	alert alert.Alert
 	key   string
-	lane  int       // WAL lane owning the RECV record (its DONE goes there too)
 	at    time.Time // admission time, for end-to-end latency
 
 	// Delivery-stage fields, valid once the shard loop routes the
@@ -106,20 +105,18 @@ func (e *envelope) poisonIntact() bool {
 	return e.key == poisonSentinel &&
 		e.category == poisonSentinel &&
 		e.kw[0] == poisonSentinel &&
-		e.lane == -1<<20 &&
 		e.alert.ID == poisonSentinel
 }
 
 // fill initializes a pooled envelope for one admitted alert, copying
 // the alert by value and its keywords into envelope-owned backing so no
 // submitter-owned memory is aliased after SubmitBatch returns.
-func (e *envelope) fill(b *Buddy, a *alert.Alert, key string, lane int, at time.Time) {
+func (e *envelope) fill(b *Buddy, a *alert.Alert, key string, at time.Time) {
 	e.buddy = b
 	e.alert = *a
 	e.kwbuf = append(e.kwbuf[:0], a.Keywords...)
 	e.alert.Keywords = e.kwbuf
 	e.key = key
-	e.lane = lane
 	e.at = at
 	e.category = ""
 	e.handed = time.Time{}
@@ -158,7 +155,6 @@ func (e *envelope) poison() {
 	e.key = poisonSentinel
 	e.category = poisonSentinel
 	e.kw[0] = poisonSentinel
-	e.lane = -1 << 20
 	e.at = time.Unix(-1<<40, 0)
 	e.handed = time.Unix(-1<<40, 0)
 }

@@ -8,8 +8,10 @@ import (
 	"testing"
 	"time"
 
+	"simba/internal/addr"
 	"simba/internal/alert"
 	"simba/internal/clock"
+	"simba/internal/core"
 	"simba/internal/dist"
 	"simba/internal/faults"
 	"simba/internal/race"
@@ -26,7 +28,7 @@ func TestHubPlanZeroAllocs(t *testing.T) {
 	}
 	const ackTimeout = 20 * time.Millisecond
 	h := newTestHub(t, Config{
-		Sink:       FuncSink(func(int, string, *alert.Alert) error { return nil }),
+		Channels:   sinkChannels(func(int, string, *alert.Alert) error { return nil }),
 		AckTimeout: ackTimeout,
 	})
 	addUsers(t, h, 2)
@@ -80,7 +82,7 @@ func usersMapSize(h *Hub) int {
 func TestDeliveryUsersMapDrains(t *testing.T) {
 	const users = 200
 	sink := NewSimSink(dist.NewRNG(11), 4, nil, 0)
-	h := newTestHub(t, Config{Sink: sink, Shards: 4, QueueDepth: 256})
+	h := newTestHub(t, Config{Channels: core.NewChannels().Register(addr.TypeSink, sink), Shards: 4, QueueDepth: 256})
 	addUsers(t, h, users)
 	if err := h.Start(); err != nil {
 		t.Fatal(err)
@@ -111,7 +113,7 @@ func TestDeliveryUsersMapDrainsOnKill(t *testing.T) {
 	hold := make(chan struct{})
 	sink := newCountingSink(hold)
 	h, err := New(Config{
-		Clock: clock.NewReal(), Sink: sink,
+		Clock: clock.NewReal(), Channels: sinkChannels(sink.Deliver),
 		WALPath: filepath.Join(t.TempDir(), "hub.wal"),
 		Shards:  2, QueueDepth: 256,
 	})
@@ -194,7 +196,7 @@ func TestPooledRecyclingCrashReplayPoisoned(t *testing.T) {
 	sink := &poisonCheckSink{t: t}
 	crash := faults.NewFlag("pool-crash")
 	cfg := Config{
-		Clock: clk, Sink: sink, WALPath: walPath,
+		Clock: clk, Channels: sinkChannels(sink.Deliver), WALPath: walPath,
 		Shards: 4, QueueDepth: 512,
 		CrashBeforeMark: crash,
 	}

@@ -126,7 +126,7 @@ func TestHubCrashBetweenRoutingAndMark(t *testing.T) {
 	sink := newCountingSink(hold)
 
 	cfg := Config{
-		Clock: clk, Sink: sink, WALPath: walPath,
+		Clock: clk, Channels: sinkChannels(sink.Deliver), WALPath: walPath,
 		Shards: 1, QueueDepth: 64,
 		Journal: journal, CrashBeforeMark: crash,
 	}
@@ -187,7 +187,7 @@ func TestHubCrashBetweenRoutingAndMark(t *testing.T) {
 	// Restart on the same WAL, fault cleared.
 	crash.Set(false, clk.Now())
 	sink.hold = nil
-	cfg.Sink = sink
+	cfg.Channels = sinkChannels(sink.Deliver)
 	h2, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -243,7 +243,7 @@ func TestHubRestartTombstonesOrphans(t *testing.T) {
 	hold := make(chan struct{})
 	sink := newCountingSink(hold)
 	crash := faults.NewFlag("crash")
-	h1, err := New(Config{Clock: clk, Sink: sink, WALPath: walPath, Shards: 1, CrashBeforeMark: crash})
+	h1, err := New(Config{Clock: clk, Channels: sinkChannels(sink.Deliver), WALPath: walPath, Shards: 1, CrashBeforeMark: crash})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -265,7 +265,7 @@ func TestHubRestartTombstonesOrphans(t *testing.T) {
 
 	// Restart without re-registering "ghost".
 	sink2 := newCountingSink(nil)
-	h2, err := New(Config{Clock: clk, Sink: sink2, WALPath: walPath, Shards: 1})
+	h2, err := New(Config{Clock: clk, Channels: sinkChannels(sink2.Deliver), WALPath: walPath, Shards: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,42 +5,18 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"simba/internal/alert"
 	"simba/internal/core"
 	"simba/internal/dist"
 	"simba/internal/metrics"
 )
 
-// FuncSink adapts a function to the Sink interface.
-type FuncSink func(shard int, user string, a *alert.Alert) error
-
-// Deliver implements Sink.
-func (f FuncSink) Deliver(shard int, user string, a *alert.Alert) error {
-	return f(shard, user, a)
-}
-
-// FlatSink adapts the deprecated flat Sink to the executor's Channel
-// interface. The hub registers it under addr.TypeSink so tenants
-// without a personalized delivery mode execute the synthesized flat
-// mode through it: one action, confirmed on accept. The shard and
-// tenant come from the delivery context, not the address target.
-type FlatSink struct {
-	Sink Sink
-}
-
-// Send implements core.Channel.
-func (f FlatSink) Send(req core.Send) (core.SendResult, error) {
-	if err := f.Sink.Deliver(req.Shard, req.User, req.Alert); err != nil {
-		return core.SendResult{}, err
-	}
-	return core.SendResult{Confirmed: true}, nil
-}
-
-// SimSink is a simulated delivery substrate for hub-load experiments:
-// it models per-delivery latency by sampling a distribution and a drop
-// probability, recording outcomes instead of sleeping (virtual-time
-// sleeps from thousands of tenants would serialize the shards the hub
-// exists to parallelize). Each shard draws from its own forked RNG, so
+// SimSink is a simulated delivery substrate for hub-load experiments, a
+// core.Channel to register under addr.TypeSink so tenants without a
+// personalized delivery mode execute the synthesized flat mode through
+// it: one action, confirmed on accept. It models per-delivery latency
+// by sampling a distribution and a drop probability, recording outcomes
+// instead of sleeping (virtual-time sleeps from thousands of tenants
+// would serialize the shards the hub exists to parallelize). Each shard draws from its own forked RNG, so
 // shards never contend on one RNG mutex and runs stay reproducible
 // regardless of shard interleaving.
 type SimSink struct {
@@ -97,29 +73,30 @@ func NewSimSink(rng *dist.RNG, shards int, latency dist.Dist, dropP float64) *Si
 	return s
 }
 
-// Deliver implements Sink.
-func (s *SimSink) Deliver(shard int, user string, a *alert.Alert) error {
-	g := s.rngs[shard%len(s.rngs)]
+// Send implements core.Channel. The shard and tenant come from the
+// delivery context, not the address target.
+func (s *SimSink) Send(req core.Send) (core.SendResult, error) {
+	g := s.rngs[req.Shard%len(s.rngs)]
 	if s.latency != nil {
 		s.simulated.Observe(s.latency.Sample(g))
 	}
 	if g.Bool(s.dropP) {
 		s.dropped.Add(1)
-		return fmt.Errorf("hub: simulated delivery failure for %s", user)
+		return core.SendResult{}, fmt.Errorf("hub: simulated delivery failure for %s", req.User)
 	}
 	// Build the audit key with one string conversion (the map key must
 	// be a durable string, but DedupKey + concat would cost three).
 	var kb [96]byte
-	buf := append(kb[:0], user...)
+	buf := append(kb[:0], req.User...)
 	buf = append(buf, keySep...)
-	buf = a.AppendDedupKey(buf)
+	buf = req.Alert.AppendDedupKey(buf)
 	key := string(buf)
 	st := s.stripeOf(key)
 	st.mu.Lock()
 	st.perKey[key]++
 	st.mu.Unlock()
 	s.delivered.Add(1)
-	return nil
+	return core.SendResult{Confirmed: true}, nil
 }
 
 // Delivered returns the number of successful deliveries.

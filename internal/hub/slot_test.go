@@ -119,7 +119,7 @@ func TestSlotNotHeldAcrossBackoff(t *testing.T) {
 	var mu sync.Mutex
 	var order []string
 	failed := make(chan struct{})
-	sink := FuncSink(func(_ int, user string, _ *alert.Alert) error {
+	sink := sinkChannels(func(_ int, user string, _ *alert.Alert) error {
 		sending.Inc()
 		defer sending.Dec()
 		mu.Lock()
@@ -132,7 +132,7 @@ func TestSlotNotHeldAcrossBackoff(t *testing.T) {
 		return nil
 	})
 	h := newTestHub(t, Config{
-		Sink: sink, Shards: 1, DeliveryWindow: 1,
+		Channels: sink, Shards: 1, DeliveryWindow: 1,
 		// Jittered into [250ms, 500ms): ample for user-1's delivery.
 		DeliveryBackoff: 500 * time.Millisecond, DeliveryBackoffCap: 500 * time.Millisecond,
 	})

@@ -16,7 +16,7 @@ import (
 // hook wedges one shard's route loop mid-batch, sibling shards keep
 // delivering while it hangs, and the supervision plane detects the
 // stall from the shard's stale progress beat, kills the generation,
-// and replays its WAL lane — with the wedged alert delivered exactly
+// and replays its WAL backlog — with the wedged alert delivered exactly
 // once and a visible generation bump.
 func TestHubWedgedShardAutoRecovers(t *testing.T) {
 	const users = 32
@@ -41,7 +41,7 @@ func TestHubWedgedShardAutoRecovers(t *testing.T) {
 
 	h := newTestHub(t, Config{
 		Clock:              clk,
-		Sink:               sink,
+		Channels:           sinkChannels(sink.Deliver),
 		Shards:             4,
 		QueueDepth:         64,
 		Journal:            j,
@@ -188,7 +188,7 @@ func TestHubRollingRejuvenationPreservesOrder(t *testing.T) {
 	sink := newOrderSink(dist.NewRNG(23), 4, 200)
 	h := newTestHub(t, Config{
 		Clock:          clk,
-		Sink:           sink,
+		Channels:       sinkChannels(sink.Deliver),
 		Shards:         4,
 		QueueDepth:     256,
 		QuiesceTimeout: 5 * time.Second,

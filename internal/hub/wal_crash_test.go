@@ -5,13 +5,13 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"sort"
 	"strings"
 	"testing"
 	"time"
 
 	"simba/internal/clock"
-	"simba/internal/dist"
 	"simba/internal/faults"
 	"simba/internal/plog"
 )
@@ -29,7 +29,7 @@ func TestHubCrashAcrossWALRotation(t *testing.T) {
 	sink := newCountingSink(hold)
 
 	cfg := Config{
-		Clock: clk, Sink: sink, WALPath: walPath,
+		Clock: clk, Channels: sinkChannels(sink.Deliver), WALPath: walPath,
 		Shards: 1, QueueDepth: 64,
 		WALSegmentBytes:    256, // force a rotation every couple of records
 		WALCheckpointEvery: -1,  // deterministic: replay every segment
@@ -68,7 +68,7 @@ func TestHubCrashAcrossWALRotation(t *testing.T) {
 	// Restart on the same multi-segment WAL.
 	crash.Set(false, clk.Now())
 	sink.hold = nil
-	cfg.Sink = sink
+	cfg.Channels = sinkChannels(sink.Deliver)
 	h2, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -126,7 +126,7 @@ func TestHubCrashDuringWALCheckpoint(t *testing.T) {
 	sink := newCountingSink(nil)
 
 	cfg := Config{
-		Clock: clk, Sink: sink, WALPath: walPath,
+		Clock: clk, Channels: sinkChannels(sink.Deliver), WALPath: walPath,
 		Shards: 1, QueueDepth: 64,
 		WALSegmentBytes:    256,
 		WALCheckpointEvery: -1, // checkpoints are forced explicitly below
@@ -192,7 +192,7 @@ func TestHubCrashDuringWALCheckpoint(t *testing.T) {
 
 	crash.Set(false, clk.Now())
 	sink.hold = nil
-	cfg.Sink = sink
+	cfg.Channels = sinkChannels(sink.Deliver)
 	h2, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -237,34 +237,25 @@ func TestHubCrashDuringWALCheckpoint(t *testing.T) {
 	}
 }
 
-// laneActiveSegment returns the highest-numbered segment of one lane's
-// journal (zero-padded sequence numbers sort lexically).
-func laneActiveSegment(t *testing.T, lanePath string) string {
+// activeSegment returns the journal's highest-numbered segment
+// (zero-padded sequence numbers sort lexically).
+func activeSegment(t *testing.T, walPath string) string {
 	t.Helper()
-	all, err := filepath.Glob(lanePath + ".*.seg")
+	matches, err := filepath.Glob(walPath + ".*.seg")
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Lane 0's base-path glob also matches the other lanes' segments
-	// (hub.wal.lane03.00000001.seg); keep only this lane's own files.
-	var matches []string
-	for _, m := range all {
-		if !strings.HasPrefix(m, lanePath+".lane") {
-			matches = append(matches, m)
-		}
-	}
 	if len(matches) == 0 {
-		t.Fatalf("no segments for lane %s", lanePath)
+		t.Fatalf("no segments for %s", walPath)
 	}
 	sort.Strings(matches)
 	return matches[len(matches)-1]
 }
 
-// laneFrames walks one binary segment by its length prefixes and
-// returns how many complete frames it holds and where valid data ends
-// (the preallocated zero tail parses as a zero length and stops the
-// walk, exactly like recovery).
-func laneFrames(t *testing.T, path string) (frames int, validEnd int64) {
+// frameEnds walks one binary segment by its length prefixes and returns
+// the end offset of every complete frame (the preallocated zero tail
+// parses as a zero length and stops the walk, exactly like recovery).
+func frameEnds(t *testing.T, path string) (ends []int64) {
 	t.Helper()
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -278,27 +269,30 @@ func laneFrames(t *testing.T, path string) (frames int, validEnd int64) {
 			break
 		}
 		off += 4 + n
-		frames++
+		ends = append(ends, int64(off))
 	}
-	return frames, int64(off)
+	return ends
 }
 
-// TestHubCrashTearsOneLaneWhileOthersCommit simulates the machine
-// dying while one WAL lane's fsync was still in flight: the other
-// lanes' batches are fully committed, the torn lane ends mid-frame.
-// Recovery must replay every record from the intact lanes plus the
-// torn lane's valid prefix, isolate the loss to that one lane, and
-// dedup a re-submission of the burst down to exactly the torn record.
+// TestHubCrashTearsOneLaneWhileOthersCommit (the name predates the hub's
+// single journal) simulates the machine dying while the journal's final
+// batch was still being written: an earlier burst is fully committed,
+// the final burst's write ends mid-frame. Recovery must replay the
+// committed burst plus the final batch's valid prefix, count no
+// corruption, and dedup a re-submission of both bursts down to exactly
+// the torn records.
 func TestHubCrashTearsOneLaneWhileOthersCommit(t *testing.T) {
-	const users, perUser = 8, 4
+	const users, perUser, kept = 8, 4, 3
 	walPath := filepath.Join(t.TempDir(), "hub.wal")
 	clk := clock.NewReal()
 	crash := faults.NewFlag("crash-after-batch-fsync")
 	journal := &faults.Journal{}
-	sink1 := newCountingSink(nil)
+	// Deliveries park at the gate, so the journal holds RECV frames only.
+	hold := make(chan struct{})
+	defer close(hold)
 	cfg := Config{
-		Clock: clk, Sink: sink1, WALPath: walPath,
-		Shards: 4, WALLanes: 4, QueueDepth: 256,
+		Clock: clk, Channels: sinkChannels(newCountingSink(hold).Deliver), WALPath: walPath,
+		Shards: 4, QueueDepth: 256,
 		CrashAfterBatchFsync: crash, Journal: journal,
 	}
 	h1, err := New(cfg)
@@ -309,62 +303,57 @@ func TestHubCrashTearsOneLaneWhileOthersCommit(t *testing.T) {
 	if err := h1.Start(); err != nil {
 		t.Fatal(err)
 	}
-	var burst []Submission
+	var committed, final []Submission
 	var keys []string
 	for u := 0; u < users; u++ {
 		user := fmt.Sprintf("user-%d", u)
 		for i := 0; i < perUser; i++ {
 			a := portalAlert(i, clk.Now())
 			a.ID = fmt.Sprintf("a-%s-%d", user, i)
-			burst = append(burst, Submission{User: user, Alert: a})
 			keys = append(keys, user+"/"+a.DedupKey())
+			if i < perUser/2 {
+				committed = append(committed, Submission{User: user, Alert: a})
+			} else {
+				final = append(final, Submission{User: user, Alert: a})
+			}
 		}
 	}
-	// The kill lands after all four lanes fsynced, before any enqueue:
-	// every record is durable somewhere on disk, nothing delivered.
+	mustAck := func(h *Hub, what string, burst []Submission) {
+		t.Helper()
+		for i, err := range h.SubmitBatch(burst) {
+			if err != nil {
+				t.Fatalf("%s entry %d: %v", what, i, err)
+			}
+		}
+	}
+	mustAck(h1, "committed burst", committed)
+	// The kill lands after the final burst's fsync, before any enqueue:
+	// every record is on disk, nothing delivered.
 	crash.Set(true, clk.Now())
-	for i, err := range h1.SubmitBatch(burst) {
-		if err != nil {
-			t.Fatalf("burst entry %d: %v", i, err)
-		}
-	}
+	mustAck(h1, "final burst", final)
 	select {
 	case <-h1.Stopped():
 	case <-time.After(15 * time.Second):
 		t.Fatal("hub did not stop after injected crash")
 	}
 
-	// The burst spread across all four lanes; now tear one lane's tail
-	// mid-frame, as if that lane's last write never finished hitting
-	// the platter.
-	perLane := make([]int, 4)
-	total := 0
-	for lane := range perLane {
-		perLane[lane], _ = laneFrames(t, laneActiveSegment(t, plog.LanePath(walPath, lane)))
-		total += perLane[lane]
+	// Tear the final batch mid-frame, as if its write never finished
+	// hitting the platter: `kept` of its records survive whole, the next
+	// is cut short, the rest never arrived.
+	seg := activeSegment(t, walPath)
+	ends := frameEnds(t, seg)
+	if len(ends) != len(committed)+len(final) {
+		t.Fatalf("journal holds %d records, want %d", len(ends), len(committed)+len(final))
 	}
-	if total != len(burst) {
-		t.Fatalf("lanes hold %d records, want %d", total, len(burst))
-	}
-	torn := -1
-	for lane, n := range perLane {
-		if n >= 2 {
-			torn = lane
-			break
-		}
-	}
-	if torn < 0 {
-		t.Fatal("no lane holds >= 2 records; user hashing changed?")
-	}
-	seg := laneActiveSegment(t, plog.LanePath(walPath, torn))
-	_, validEnd := laneFrames(t, seg)
-	if err := os.Truncate(seg, validEnd-5); err != nil {
+	survivors := len(committed) + kept
+	torn := len(final) - kept
+	if err := os.Truncate(seg, ends[survivors]-5); err != nil {
 		t.Fatal(err)
 	}
 
 	crash.Set(false, clk.Now())
 	sink2 := newCountingSink(nil)
-	cfg.Sink = sink2
+	cfg.Channels = sinkChannels(sink2.Deliver)
 	h2, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -373,34 +362,25 @@ func TestHubCrashTearsOneLaneWhileOthersCommit(t *testing.T) {
 	if err := h2.Start(); err != nil {
 		t.Fatal(err)
 	}
-	if got := h2.Counters().Get("replayed"); got != int64(len(burst)-1) {
-		t.Fatalf("replayed = %d, want %d (all but the torn record)", got, len(burst)-1)
+	if got := h2.Counters().Get("replayed"); got != int64(survivors) {
+		t.Fatalf("replayed = %d, want %d (all but the torn records)", got, survivors)
 	}
 	st := h2.Stats()
 	if st.WAL.CorruptRecords != 0 {
 		t.Fatalf("clean torn tail counted as %d corrupt records", st.WAL.CorruptRecords)
 	}
-	if len(st.WALPerLane) != 4 {
-		t.Fatalf("per-lane stats cover %d lanes, want 4", len(st.WALPerLane))
+	if st.WAL.Total != int64(survivors) {
+		t.Fatalf("journal recovered %d records, want %d", st.WAL.Total, survivors)
 	}
-	for lane, ls := range st.WALPerLane {
-		want := perLane[lane]
-		if lane == torn {
-			want--
-		}
-		if ls.Total != int64(want) {
-			t.Fatalf("lane %d recovered %d records, want %d (loss not isolated)", lane, ls.Total, want)
-		}
-	}
-	// Re-submitting the burst re-admits exactly the torn record; the
+	// Re-submitting both bursts re-admits exactly the torn records; the
 	// rest dedup against their replayed RECV entries.
-	for i, err := range h2.SubmitBatch(burst) {
-		if err != nil {
-			t.Fatalf("re-submit entry %d: %v", i, err)
-		}
+	mustAck(h2, "re-submitted committed burst", committed)
+	mustAck(h2, "re-submitted final burst", final)
+	if got := h2.Counters().Get("duplicates"); got != int64(survivors) {
+		t.Fatalf("duplicates = %d, want %d", got, survivors)
 	}
-	if got := h2.Counters().Get("duplicates"); got != int64(len(burst)-1) {
-		t.Fatalf("duplicates = %d, want %d", got, len(burst)-1)
+	if got := h2.Counters().Get("received"); got != int64(torn) {
+		t.Fatalf("received = %d, want %d (the torn records, re-admitted)", got, torn)
 	}
 	if err := h2.Drain(); err != nil {
 		t.Fatal(err)
@@ -413,118 +393,71 @@ func TestHubCrashTearsOneLaneWhileOthersCommit(t *testing.T) {
 	}
 }
 
-// TestHubEightLaneJournalReopensAtDefault is the upgrade path of the
-// WALLanes default moving from one lane per shard to one: a hub that
-// wrote eight lanes dies owing a backlog, and a hub with the zero-value
-// config opens the same directory. Every lane must be discovered and
-// replayed, every owed alert delivered exactly once in per-user order,
-// each DONE retired on the lane holding its RECV, and new traffic
-// staged on lane 0 alone.
-func TestHubEightLaneJournalReopensAtDefault(t *testing.T) {
-	const users, perUser, lanes = 16, 4, 8
-	walPath := filepath.Join(t.TempDir(), "hub.wal")
-	clk := clock.NewReal()
-	hold := make(chan struct{})
-	h1, err := New(Config{
-		Clock: clk, Sink: newCountingSink(hold), WALPath: walPath,
-		Shards: lanes, WALLanes: lanes,
-	})
+// TestHubRefusesStaleLaneFiles: a directory that still holds
+// "<WALPath>.laneNN" files from a multi-lane layout is never half-read.
+// New fails naming the first such file and creates nothing; once the
+// lane files are gone the same directory opens.
+func TestHubRefusesStaleLaneFiles(t *testing.T) {
+	dir := t.TempDir()
+	walPath := filepath.Join(dir, "hub.wal")
+	// Lane 3 of a four-lane layout, owing one record; no base journal
+	// beside it.
+	lane3, err := plog.Open(plog.LanePath(walPath, 3))
 	if err != nil {
 		t.Fatal(err)
 	}
-	addUsers(t, h1, users)
-	if err := h1.Start(); err != nil {
+	if err := lane3.LogReceived("user-0"+keySep+"owed", []byte("payload"), time.Now()); err != nil {
 		t.Fatal(err)
 	}
-	var burst []Submission
-	for u := 0; u < users; u++ {
-		user := fmt.Sprintf("user-%d", u)
-		for i := 0; i < perUser; i++ {
-			a := portalAlert(i, clk.Now())
-			a.ID = fmt.Sprintf("a-%s-%d", user, i)
-			burst = append(burst, Submission{User: user, Alert: a})
-		}
+	if err := lane3.Close(); err != nil {
+		t.Fatal(err)
 	}
-	for i, err := range h1.SubmitBatch(burst) {
+	listing := func() (names []string) {
+		t.Helper()
+		entries, err := os.ReadDir(dir)
 		if err != nil {
-			t.Fatalf("burst entry %d: %v", i, err)
+			t.Fatal(err)
 		}
-	}
-	// Acked, and every delivery parked at the gate: the whole burst is
-	// owed when the hub dies.
-	wrote := h1.Stats().WALPerLane
-	touched := 0
-	for _, ls := range wrote {
-		if ls.Total > 0 {
-			touched++
+		for _, e := range entries {
+			names = append(names, e.Name())
 		}
+		return names
 	}
-	if len(wrote) != lanes || touched < 2 {
-		t.Fatalf("burst landed on %d of %d lanes; the upgrade is not exercised", touched, len(wrote))
+	before := listing()
+	if len(before) == 0 || !strings.HasPrefix(before[0], "hub.wal.lane03.") {
+		t.Fatalf("directory holds %v, want only hub.wal.lane03.* files", before)
 	}
-	h1.Kill()
-	select {
-	case <-h1.Stopped():
-	case <-time.After(10 * time.Second):
-		t.Fatal("hub did not stop after Kill")
-	}
-	close(hold)
 
-	sink := newOrderSink(dist.NewRNG(41), DefaultShards, 0)
-	h2, err := New(Config{Clock: clk, Sink: sink, WALPath: walPath})
-	if err != nil {
-		t.Fatal(err)
+	cfg := Config{
+		Clock: clock.NewReal(), WALPath: walPath, OutboxPath: filepath.Join(dir, "hub.outbox"),
+		Channels: sinkChannels(newCountingSink(nil).Deliver),
 	}
-	addUsers(t, h2, users)
-	if err := h2.Start(); err != nil {
-		t.Fatal(err)
+	if _, err := New(cfg); err == nil {
+		t.Fatal("New opened a directory holding stale lane files")
+	} else if want := filepath.Join(dir, before[0]); !strings.Contains(err.Error(), want) {
+		t.Fatalf("refusal does not name the first lane file %s: %v", want, err)
 	}
-	if got := h2.WALLanes(); got != lanes {
-		t.Fatalf("reopen discovered %d lanes, want %d", got, lanes)
+	if after := listing(); !reflect.DeepEqual(after, before) {
+		t.Fatalf("refused New changed the directory: %v -> %v", before, after)
 	}
-	if got := h2.Counters().Get("replayed"); got != int64(len(burst)) {
-		t.Fatalf("replayed = %d, want %d", got, len(burst))
-	}
-	for u := 0; u < users; u++ {
-		user := fmt.Sprintf("user-%d", u)
-		a := portalAlert(perUser, clk.Now())
-		a.ID = fmt.Sprintf("a-%s-%d", user, perUser)
-		if err := h2.Submit(user, a); err != nil {
+
+	for _, name := range before {
+		if err := os.Remove(filepath.Join(dir, name)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := h2.Drain(); err != nil {
-		t.Fatal(err)
-	}
-	for u := 0; u < users; u++ {
-		user := fmt.Sprintf("user-%d", u)
-		got := sink.sequence(user)
-		if len(got) != perUser+1 {
-			t.Fatalf("%s delivered %d alerts, want exactly %d: %v", user, len(got), perUser+1, got)
-		}
-		for i, id := range got {
-			if want := fmt.Sprintf("a-%s-%d", user, i); id != want {
-				t.Fatalf("%s delivery %d = %s, want %s (per-user order lost)", user, i, id, want)
-			}
-		}
-	}
-	set, err := plog.OpenLanes(walPath, 1, plog.GroupOptions{})
+	h, err := New(cfg)
 	if err != nil {
+		t.Fatalf("New after removing the lane files: %v", err)
+	}
+	addUsers(t, h, 1)
+	if err := h.Start(); err != nil {
 		t.Fatal(err)
 	}
-	defer set.Close()
-	for lane, ls := range set.PerLaneStats() {
-		// A DONE staged on any lane but its RECV's would have failed with
-		// ErrUnknownKey and left the record unprocessed here.
-		if ls.Unprocessed != 0 {
-			t.Fatalf("lane %d still owes %d records after replay + drain", lane, ls.Unprocessed)
-		}
-		want := wrote[lane].Total
-		if lane == 0 {
-			want += users
-		}
-		if ls.Total != want {
-			t.Fatalf("lane %d holds %d alerts all-time, want %d (new traffic belongs on lane 0 only)", lane, ls.Total, want)
-		}
+	if err := h.Submit("user-0", portalAlert(0, time.Now())); err != nil {
+		t.Fatal(err)
+	}
+	if err := h.Drain(); err != nil {
+		t.Fatal(err)
 	}
 }

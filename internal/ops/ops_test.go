@@ -10,8 +10,10 @@ import (
 	"testing"
 	"time"
 
+	"simba/internal/addr"
 	"simba/internal/alert"
 	"simba/internal/clock"
+	"simba/internal/core"
 	"simba/internal/dist"
 	"simba/internal/hub"
 	"simba/internal/mab"
@@ -23,10 +25,10 @@ func newTestPlane(t *testing.T) (*hub.Hub, *Server) {
 	t.Helper()
 	clk := clock.NewReal()
 	h, err := hub.New(hub.Config{
-		Clock:   clk,
-		Sink:    hub.NewSimSink(dist.NewRNG(5), 2, nil, 0),
-		Shards:  2,
-		WALPath: filepath.Join(t.TempDir(), "hub.wal"),
+		Clock:    clk,
+		Channels: core.NewChannels().Register(addr.TypeSink, hub.NewSimSink(dist.NewRNG(5), 2, nil, 0)),
+		Shards:   2,
+		WALPath:  filepath.Join(t.TempDir(), "hub.wal"),
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -37,54 +37,6 @@ func BenchmarkLogAppend(b *testing.B) {
 	}
 }
 
-// BenchmarkLaneAppend pushes the same concurrent workload through 1,
-// 4, and 8 WAL lanes (workers pinned to lanes, as the hub pins
-// shards): the sweep measures what partitioned group commit buys —
-// independent fsync pipelines instead of one serialized committer.
-func BenchmarkLaneAppend(b *testing.B) {
-	const alerts = 100_000
-	payload := []byte("subject=quote-update source=portal urgency=normal body=MSFT+0.42")
-	at := time.Date(2001, 3, 26, 9, 0, 0, 0, time.UTC)
-	for _, lanes := range []int{1, 4, 8} {
-		b.Run(fmt.Sprintf("lanes-%d", lanes), func(b *testing.B) {
-			for n := 0; n < b.N; n++ {
-				s, err := OpenLanes(filepath.Join(b.TempDir(), "lanes.plog"), lanes, GroupOptions{})
-				if err != nil {
-					b.Fatal(err)
-				}
-				start := time.Now()
-				const workers = 64
-				var wg sync.WaitGroup
-				for w := 0; w < workers; w++ {
-					wg.Add(1)
-					go func(w int) {
-						defer wg.Done()
-						lane := s.Lane(w % lanes)
-						for i := w; i < alerts; i += workers {
-							key := fmt.Sprintf("user-%d\x1fa-%d", i%4096, i)
-							if err := lane.LogReceived(key, payload, at); err != nil {
-								b.Error(err)
-								return
-							}
-							if err := lane.MarkProcessedAsync(key, at); err != nil {
-								b.Error(err)
-								return
-							}
-						}
-					}(w)
-				}
-				wg.Wait()
-				elapsed := time.Since(start)
-				b.ReportMetric(float64(alerts)/elapsed.Seconds(), "alerts/s")
-				b.ReportMetric(float64(s.Stats().Syncs)/float64(alerts), "fsyncs/alert")
-				if err := s.Close(); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 // BenchmarkLogSustained pushes ~200k alerts through a group-commit log
 // and reports what segmentation buys on a long-lived journal: bounded
 // disk (segments + checkpoint instead of one ever-growing file) and

@@ -19,7 +19,7 @@
 // append that finds the log idle commits at once (one fsync per append,
 // the paper's behaviour for a single buddy); OpenGroup with a window
 // paces a busy log so concurrent appenders share fsyncs (the hub's
-// ingest WAL, one Log per lane — see LaneSet).
+// ingest WAL).
 //
 // The log is fail-stop: after a batch write or fsync fails, that error
 // is returned to the batch's waiters and to every later append. A
@@ -487,11 +487,11 @@ func (l *Log) LogReceivedBatch(entries []BatchEntry) error {
 
 // LogReceivedBatchStart is the staging half of LogReceivedBatch: it
 // stages the burst and returns a Commit to wait on instead of blocking.
-// The caller may stage bursts into several independent logs (a hub
-// configured with several WAL lanes) and then wait on all the Commits,
-// overlapping the lanes' fsyncs; records are NOT durable until Wait
-// returns nil. A burst of nothing but duplicates returns the youngest
-// pending batch, so its Wait still covers the originals' durability.
+// The caller may keep several bursts in flight (the hub's pipelined
+// ingest) and wait on the Commits later, in staging order; records are
+// NOT durable until Wait returns nil. A burst of nothing but duplicates
+// returns the youngest pending batch, so its Wait still covers the
+// originals' durability.
 func (l *Log) LogReceivedBatchStart(entries []BatchEntry) (Commit, error) {
 	if len(entries) == 0 {
 		return Commit{}, nil

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Benchmark allocation gate for the ingest hot path.
 #
-# Runs BenchmarkHubBatchIngest/lanes-1 with -benchmem and fails if its
+# Runs BenchmarkHubBatchIngest/plain with -benchmem and fails if its
 # allocs/op exceeds the checked-in baseline
 # (scripts/hub_allocs_baseline.txt) by more than the tolerance.
 # Allocation counts, unlike wall-clock throughput, are nearly
@@ -17,7 +17,7 @@ if ! [[ "$baseline" =~ ^[0-9]+$ ]]; then
   exit 1
 fi
 
-out=$(go test -bench 'BenchmarkHubBatchIngest/lanes-1$' -benchtime=1x -benchmem -run '^$' .)
+out=$(go test -bench 'BenchmarkHubBatchIngest/plain$' -benchtime=1x -benchmem -run '^$' .)
 echo "$out"
 allocs=$(echo "$out" | awk '/^BenchmarkHubBatchIngest/ {
   for (i = 1; i <= NF; i++) if ($i == "allocs/op") print $(i-1)
@@ -30,7 +30,7 @@ fi
 limit=$((baseline + baseline * tolerance_pct / 100))
 echo "alloc gate: measured ${allocs} allocs/op, baseline ${baseline}, limit ${limit} (+${tolerance_pct}%)"
 if ((allocs > limit)); then
-  echo "alloc gate: FAIL — BenchmarkHubBatchIngest/lanes-1 allocates ${allocs} objects/op," >&2
+  echo "alloc gate: FAIL — BenchmarkHubBatchIngest/plain allocates ${allocs} objects/op," >&2
   echo "more than ${tolerance_pct}% over the checked-in baseline ${baseline}." >&2
   echo "If the regression is intentional, update scripts/hub_allocs_baseline.txt." >&2
   exit 1
