@@ -6,38 +6,31 @@
 // availability machinery. Events stream to stdout as virtual time
 // advances.
 //
-// With -hub, simbad instead runs the multi-tenant hosting experiment:
-// N MyAlertBuddy pipelines behind a K-way sharded hub over one shared
-// group-commit WAL, fed a portal-style workload in real time, then
-// reports throughput, fsync amplification, latency, and admission
-// statistics.
+// With -hub, simbad instead hosts N MyAlertBuddy pipelines behind a
+// K-way sharded hub over one shared group-commit WAL, feeds them a
+// portal-style workload in real time, then prints the operator report:
+// throughput, fsync amplification, latency, and admission statistics.
+// It is a demo and the ops plane's host, not the measurement harness —
+// the hub's numbers come from `go run -C benchmark simba/benchmark`.
 //
 // Usage:
 //
 //	simbad [-hours N] [-pprof ADDR]
-//	simbad -hub [-users N] [-shards K] [-alerts M] [-window D] [-seed S] [-delivery-window W]
-//	       [-wal-segment-bytes B] [-wal-checkpoint-every R]
-//	       [-async-depth K]
+//	simbad -hub [-users N] [-shards K] [-alerts M] [-burst B] [-window D] [-seed S]
 //	       [-mode-frac F] [-ack-timeout D] [-im-ack-p P]
 //	       [-guaranteed-frac F] [-outbox-dir DIR] [-outbox-backoff D]
-//	       [-burst B] [-gc-stats] [-pprof ADDR]
+//	       [-admin ADDR] [-probe-period D] [-rejuvenate-every D] [-linger D]
+//	       [-pprof ADDR]
 //
-// With -burst > 1 the portal workload is offered through
-// Hub.SubmitBatch in bursts of that size (amortizing the group-commit
-// durability wait across each burst). Every shard stages into the one
-// ingest WAL, so a burst costs one fsync however many shards it
-// touches. The -window commit window is an upper bound, not a fixed
-// tax: the adaptive scheduler fires immediately when the log is idle
-// and force-flushes a window whose staged backlog already justifies
-// the fsync.
-// With -async-depth > 1 each worker pipelines that many
-// SubmitBatchAsync tickets instead of blocking per burst; the report's
-// admission-latency line shows what the submitter-visible durability
-// wait came to. -pprof serves net/http/pprof on the given address
-// (e.g. localhost:6060) for profiling either mode while it runs.
-// -gc-stats brackets the hub run with runtime.MemStats snapshots and
-// appends heap allocations per alert plus a GC pause histogram to the
-// report.
+// The portal workload is offered through Hub.SubmitBatch in bursts of
+// -burst alerts (amortizing the group-commit durability wait across
+// each burst). Every shard stages into the one ingest WAL, so a burst
+// costs one fsync however many shards it touches. The -window commit
+// window is an upper bound, not a fixed tax: the adaptive scheduler
+// fires immediately when the log is idle and force-flushes a window
+// whose staged backlog already justifies the fsync. -pprof serves
+// net/http/pprof on the given address (e.g. localhost:6060) for
+// profiling either mode while it runs.
 //
 // A -mode-frac fraction of hosted tenants carries a personalized
 // "IM with acknowledgement, fallback email" delivery mode executed by
@@ -65,7 +58,6 @@ import (
 	_ "net/http/pprof"
 	"os"
 	"path/filepath"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -82,7 +74,6 @@ import (
 	"simba/internal/im"
 	"simba/internal/mab"
 	"simba/internal/mdc"
-	"simba/internal/metrics"
 	"simba/internal/ops"
 	"simba/internal/proxy"
 	"simba/internal/wish"
@@ -95,20 +86,14 @@ func main() {
 	shards := flag.Int("shards", 8, "hub: shard-table size")
 	alerts := flag.Int("alerts", 10000, "hub: alerts to submit")
 	window := flag.Duration("window", 2*time.Millisecond, "hub: group-commit window")
-	deliveryWindow := flag.Int("delivery-window", 0, "hub: concurrent sends per shard; ack waits and retry backoffs hold no slot (0 = default, 1 = synchronous)")
 	seed := flag.Int64("seed", 1, "hub: RNG seed")
-	walSegBytes := flag.Int64("wal-segment-bytes", 0, "hub: WAL segment size before rotation (0 = 4MiB default)")
-	walCkptEvery := flag.Int64("wal-checkpoint-every", 0, "hub: WAL records between checkpoints (0 = default, <0 disables compaction)")
 	modeFrac := flag.Float64("mode-frac", 0.1, "hub: fraction of tenants with a personalized IM-then-email delivery mode")
 	ackTimeout := flag.Duration("ack-timeout", 50*time.Millisecond, "hub: ack wait before a hosted mode block falls back")
 	imAckP := flag.Float64("im-ack-p", 0.7, "hub: probability a hosted IM delivery is acknowledged")
-	burst := flag.Int("burst", 1, "hub: submit alerts in SubmitBatch bursts of this size (1 = one-at-a-time Submit)")
-	asyncDepth := flag.Int("async-depth", 1, "hub: SubmitBatchAsync tickets each worker keeps in flight (1 = synchronous SubmitBatch)")
-	submitInterval := flag.Duration("submit-interval", 0, "hub: pause each worker this long between bursts (paced low-load runs; 0 = full blast)")
+	burst := flag.Int("burst", 1, "hub: submit alerts in SubmitBatch bursts of this size")
 	guaranteedFrac := flag.Float64("guaranteed-frac", 0.05, "hub: fraction of tenants on the guaranteed delivery tier (outbox-backed)")
 	outboxDir := flag.String("outbox-dir", "", "hub: directory for the guaranteed-tier retry outbox journal (default: the run's temp dir)")
 	outboxBackoff := flag.Duration("outbox-backoff", 50*time.Millisecond, "hub: base outbox redelivery backoff (doubles per round, capped)")
-	gcStats := flag.Bool("gc-stats", false, "hub: report heap allocations per alert and the GC pause histogram for the run")
 	adminAddr := flag.String("admin", "", "hub: serve the ops admin plane (healthz, shard health, tenant CRUD, rejuvenation) on this address (e.g. localhost:8025)")
 	probePeriod := flag.Duration("probe-period", 0, "hub: shard watchdog probe cadence (0 = 1s default; supervision starts when -admin, -probe-period, or -rejuvenate-every is set)")
 	rejuvenateEvery := flag.Duration("rejuvenate-every", 0, "hub: rolling shard rejuvenation period (0 = disabled)")
@@ -126,15 +111,11 @@ func main() {
 	if *hubMode {
 		if err := runHub(hubParams{
 			users: *users, shards: *shards, alerts: *alerts,
-			window: *window, deliveryWindow: *deliveryWindow, seed: *seed,
-			walSegBytes: *walSegBytes, walCkptEvery: *walCkptEvery,
+			window: *window, seed: *seed,
 			modeFrac: *modeFrac, ackTimeout: *ackTimeout, imAckP: *imAckP,
 			burst:          *burst,
-			asyncDepth:     *asyncDepth,
-			submitInterval: *submitInterval,
 			guaranteedFrac: *guaranteedFrac, outboxDir: *outboxDir, outboxBackoff: *outboxBackoff,
-			gcStats: *gcStats,
-			admin:   *adminAddr, probePeriod: *probePeriod, rejuvenateEvery: *rejuvenateEvery,
+			admin: *adminAddr, probePeriod: *probePeriod, rejuvenateEvery: *rejuvenateEvery,
 			linger: *linger,
 		}); err != nil {
 			log.Fatal(err)
@@ -257,27 +238,22 @@ func run(hours int) error {
 
 func stamp(t time.Time) string { return t.Format("15:04:05") }
 
-// hubParams bundles the -hub experiment's knobs.
+// hubParams bundles the -hub run's flags.
 type hubParams struct {
-	users, shards, alerts     int
-	window                    time.Duration
-	deliveryWindow            int
-	seed                      int64
-	walSegBytes, walCkptEvery int64
-	modeFrac                  float64
-	ackTimeout                time.Duration
-	imAckP                    float64
-	burst                     int
-	asyncDepth                int
-	submitInterval            time.Duration
-	guaranteedFrac            float64
-	outboxDir                 string
-	outboxBackoff             time.Duration
-	gcStats                   bool
-	admin                     string
-	probePeriod               time.Duration
-	rejuvenateEvery           time.Duration
-	linger                    time.Duration
+	users, shards, alerts int
+	window                time.Duration
+	seed                  int64
+	modeFrac              float64
+	ackTimeout            time.Duration
+	imAckP                float64
+	burst                 int
+	guaranteedFrac        float64
+	outboxDir             string
+	outboxBackoff         time.Duration
+	admin                 string
+	probePeriod           time.Duration
+	rejuvenateEvery       time.Duration
+	linger                time.Duration
 }
 
 // runHub hosts N tenants behind a K-way sharded hub and drives a
@@ -301,9 +277,6 @@ func runHub(p hubParams) error {
 	}
 	if p.burst < 1 {
 		return fmt.Errorf("simbad: -burst must be >= 1")
-	}
-	if p.asyncDepth < 1 {
-		return fmt.Errorf("simbad: -async-depth must be >= 1")
 	}
 	tmp, err := os.MkdirTemp("", "simbad-hub")
 	if err != nil {
@@ -353,19 +326,16 @@ func runHub(p hubParams) error {
 	// write here, and a lingering hub must not grow it without bound.
 	journal := faults.NewRing(4096)
 	h, err = hub.New(hub.Config{
-		Clock:              clk,
-		Channels:           channels,
-		Journal:            journal,
-		AckTimeout:         p.ackTimeout,
-		WALPath:            filepath.Join(tmp, "hub.wal"),
-		Shards:             shards,
-		CommitWindow:       p.window,
-		DeliveryWindow:     p.deliveryWindow,
-		RNG:                rng,
-		WALSegmentBytes:    p.walSegBytes,
-		WALCheckpointEvery: p.walCkptEvery,
-		OutboxPath:         filepath.Join(outboxDir, "hub.outbox"),
-		OutboxBackoff:      p.outboxBackoff,
+		Clock:         clk,
+		Channels:      channels,
+		Journal:       journal,
+		AckTimeout:    p.ackTimeout,
+		WALPath:       filepath.Join(tmp, "hub.wal"),
+		Shards:        shards,
+		CommitWindow:  p.window,
+		RNG:           rng,
+		OutboxPath:    filepath.Join(outboxDir, "hub.outbox"),
+		OutboxBackoff: p.outboxBackoff,
 	})
 	if err != nil {
 		return err
@@ -448,112 +418,53 @@ func runHub(p hubParams) error {
 	if workers > alerts {
 		workers = alerts
 	}
-	// With -gc-stats the run is bracketed by MemStats snapshots; the
-	// forced GC gives the delta a clean baseline so warmup garbage from
-	// setup does not pollute the per-alert numbers.
-	var mem0, mem1 runtime.MemStats
-	if p.gcStats {
-		runtime.GC()
-		runtime.ReadMemStats(&mem0)
-	}
 	start := time.Now()
 	var wg sync.WaitGroup
-	errc := make(chan error, workers)
-	makeAlert := func(i int) hub.Submission {
-		return hub.Submission{
-			User: fmt.Sprintf("user-%d", i%users),
-			Alert: &alert.Alert{
-				ID:       fmt.Sprintf("a-%d", i),
-				Source:   "portal",
-				Keywords: []string{"stocks"},
-				Subject:  "quote update",
-				Urgency:  alert.UrgencyNormal,
-				Created:  clk.Now(),
-			},
-		}
-	}
+	errc := make(chan error, workers) // each worker sends at most one error
 	// Each worker owns a contiguous range of the alert index space and
-	// offers it either one alert at a time (the Submit path), in
-	// blocking SubmitBatch bursts, or — with -async-depth > 1 — through
-	// a sliding window of SubmitBatchAsync tickets; overloaded entries
-	// retry after the hint.
+	// offers it in SubmitBatch bursts; overloaded entries retry after
+	// the hint, and the first other error ends the run (every worker
+	// stops at its next burst once errc holds one).
 	per := (alerts + workers - 1) / workers
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
-		go func(w int) {
+		go func(lo, hi int) {
 			defer wg.Done()
-			// retryLoop resubmits overloaded entries synchronously until
-			// they land (overload is the slow path either way).
-			retryLoop := func(burst []hub.Submission, errs []error) []hub.Submission {
-				for {
+			burst := make([]hub.Submission, 0, p.burst)
+			for i := lo; i < hi && len(errc) == 0; i += p.burst {
+				burst = burst[:0]
+				for k := i; k < min(i+p.burst, hi); k++ {
+					burst = append(burst, hub.Submission{
+						User: fmt.Sprintf("user-%d", k%users),
+						Alert: &alert.Alert{
+							ID:       fmt.Sprintf("a-%d", k),
+							Source:   "portal",
+							Keywords: []string{"stocks"},
+							Subject:  "quote update",
+							Urgency:  alert.UrgencyNormal,
+							Created:  clk.Now(),
+						},
+					})
+				}
+				for len(burst) > 0 {
 					retry := burst[:0]
 					var hint time.Duration
-					for idx, err := range errs {
+					for idx, err := range h.SubmitBatch(burst) {
 						var over *hub.OverloadError
 						if errors.As(err, &over) {
 							retry = append(retry, burst[idx])
 							hint = over.RetryAfter
-							continue
-						}
-						if err != nil {
+						} else if err != nil {
 							errc <- err
-							return nil
+							return
 						}
 					}
-					if len(retry) == 0 {
-						return burst[:0]
+					if burst = retry; len(burst) > 0 {
+						time.Sleep(hint)
 					}
-					time.Sleep(hint)
-					burst = retry
-					errs = h.SubmitBatch(burst)
 				}
 			}
-			type flight struct {
-				tk   *hub.Ticket
-				subs []hub.Submission
-			}
-			free := make([][]hub.Submission, p.asyncDepth)
-			for s := range free {
-				free[s] = make([]hub.Submission, 0, p.burst)
-			}
-			window := make([]flight, 0, p.asyncDepth)
-			settle := func(f flight) []hub.Submission {
-				if subs := retryLoop(f.subs, f.tk.Wait()); subs != nil {
-					return subs
-				}
-				return f.subs[:0]
-			}
-			lo, hi := w*per, (w+1)*per
-			if hi > alerts {
-				hi = alerts
-			}
-			for i := lo; i < hi; i += p.burst {
-				if p.submitInterval > 0 && i > lo {
-					time.Sleep(p.submitInterval)
-				}
-				var burst []hub.Submission
-				if n := len(free); n > 0 {
-					burst, free = free[n-1], free[:n-1]
-				} else {
-					burst = settle(window[0])
-					window = window[1:]
-				}
-				for k := i; k < i+p.burst && k < hi; k++ {
-					burst = append(burst, makeAlert(k))
-				}
-				if p.asyncDepth > 1 {
-					window = append(window, flight{h.SubmitBatchAsync(burst, nil), burst})
-					continue
-				}
-				if retryLoop(burst, h.SubmitBatch(burst)) == nil {
-					return
-				}
-				free = append(free, burst[:0])
-			}
-			for _, f := range window {
-				settle(f)
-			}
-		}(w)
+		}(w*per, min((w+1)*per, alerts))
 	}
 	wg.Wait()
 	if p.linger > 0 {
@@ -575,9 +486,6 @@ func runHub(p hubParams) error {
 	default:
 	}
 	elapsed := time.Since(start)
-	if p.gcStats {
-		runtime.ReadMemStats(&mem1)
-	}
 
 	st := h.Stats()
 	c := h.Counters()
@@ -597,12 +505,8 @@ func runHub(p hubParams) error {
 		lat.Mean.Round(time.Microsecond), lat.P50.Round(time.Microsecond),
 		lat.P99.Round(time.Microsecond), lat.Count)
 	stages := h.Stages()
-	// Machine-parseable (scripts/latency_smoke.sh keys off this line):
-	// integer microseconds, space-separated.
-	fmt.Printf("admission latency (us): p50 %d p99 %d n %d\n",
-		stages.Admission.P50.Microseconds(), stages.Admission.P99.Microseconds(),
-		stages.Admission.Count)
-	fmt.Printf("stage split: queue-wait p50 %v / p99 %v | route p50 %v / p99 %v | deliver p50 %v / p99 %v\n",
+	fmt.Printf("stage split: admission p50 %v / p99 %v | queue-wait p50 %v / p99 %v | route p50 %v / p99 %v | deliver p50 %v / p99 %v\n",
+		stages.Admission.P50.Round(time.Microsecond), stages.Admission.P99.Round(time.Microsecond),
 		stages.QueueWait.P50.Round(time.Microsecond), stages.QueueWait.P99.Round(time.Microsecond),
 		stages.Route.P50.Round(time.Microsecond), stages.Route.P99.Round(time.Microsecond),
 		stages.Deliver.P50.Round(time.Microsecond), stages.Deliver.P99.Round(time.Microsecond))
@@ -641,36 +545,5 @@ func runHub(p hubParams) error {
 			journal.Len(), journal.Count(faults.KindRejuvenation),
 			journal.Count(faults.KindDaemonRestart), journal.Count(faults.KindUnrecovered))
 	}
-	if p.gcStats {
-		reportGCStats(&mem0, &mem1, alerts)
-	}
 	return nil
-}
-
-// reportGCStats prints the heap-allocation and GC-pause cost of the
-// run from the bracketing MemStats snapshots: objects and bytes
-// allocated per submitted alert, the GC cycle count, and a histogram
-// of the stop-the-world pauses that landed inside the run.
-func reportGCStats(before, after *runtime.MemStats, alerts int) {
-	mallocs := after.Mallocs - before.Mallocs
-	bytes := after.TotalAlloc - before.TotalAlloc
-	cycles := after.NumGC - before.NumGC
-	fmt.Printf("\nGC stats (-gc-stats):\n")
-	fmt.Printf("  heap allocations: %d objects, %.1f MB total — %.1f allocs/alert, %.0f B/alert\n",
-		mallocs, float64(bytes)/(1<<20),
-		float64(mallocs)/float64(alerts), float64(bytes)/float64(alerts))
-	fmt.Printf("  GC cycles: %d, total pause %v\n",
-		cycles, (time.Duration(after.PauseTotalNs-before.PauseTotalNs) * time.Nanosecond).Round(time.Microsecond))
-	// PauseNs is a circular buffer indexed by (NumGC+255)%256; walk the
-	// cycles the run triggered (bounded by the buffer length).
-	n := cycles
-	if n > uint32(len(after.PauseNs)) {
-		n = uint32(len(after.PauseNs))
-	}
-	var pauses metrics.Histogram
-	for i := uint32(0); i < n; i++ {
-		gc := after.NumGC - i // cycle numbers, newest first
-		pauses.Observe(int64(after.PauseNs[(gc+255)%256] / 1000))
-	}
-	fmt.Printf("  GC pauses (µs): %s\n", pauses.Snapshot())
 }

@@ -221,7 +221,7 @@ func TestIMClientSendReceiveAck(t *testing.T) {
 	f.sim.Advance(time.Second)
 	select {
 	case <-buddy.Events():
-	default:
+	case <-time.After(5 * time.Second):
 		t.Fatal("no new-IM event")
 	}
 	msgs, err := buddy.FetchNew()
@@ -259,14 +259,11 @@ func TestIMClientEventLossLeavesUnread(t *testing.T) {
 		t.Fatal(err)
 	}
 	f.sim.Advance(time.Second)
+	waitFor(t, unread(buddy.UnreadCount))
 	select {
 	case <-buddy.Events():
 		t.Fatal("event arrived despite 100% loss")
 	default:
-	}
-	n, err := buddy.UnreadCount()
-	if err != nil || n != 1 {
-		t.Fatalf("UnreadCount = %d, %v", n, err)
 	}
 }
 
@@ -314,6 +311,7 @@ func TestEmailClientRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	f.sim.Advance(time.Minute)
+	waitFor(t, unread(buddy.UnreadCount))
 	msgs, err := buddy.FetchNew()
 	if err != nil || len(msgs) != 1 || msgs[0].Subject != "subj" {
 		t.Fatalf("FetchNew = %+v, %v", msgs, err)
@@ -350,10 +348,7 @@ func TestEmailClientFetchSweepsMailboxOnEventLoss(t *testing.T) {
 	f.sim.Advance(time.Minute)
 	// Event was lost; a direct poll must still find the message
 	// (pending or still in mailbox).
-	n, err := app.UnreadCount()
-	if err != nil || n != 1 {
-		t.Fatalf("UnreadCount = %d, %v", n, err)
-	}
+	waitFor(t, unread(app.UnreadCount))
 	msgs, err := app.FetchNew()
 	if err != nil || len(msgs) != 1 {
 		t.Fatalf("FetchNew = %d msgs, %v", len(msgs), err)
@@ -418,6 +413,16 @@ func TestProcStateString(t *testing.T) {
 		if got := tt.s.String(); got != tt.want {
 			t.Fatalf("String(%d) = %q", int(tt.s), got)
 		}
+	}
+}
+
+// unread is the waitFor condition "exactly one message has landed". Sim
+// runs a service's delivery callback as its own goroutine, so it can
+// trail Advance's return (it routinely does under -race).
+func unread(count func() (int, error)) func() bool {
+	return func() bool {
+		n, err := count()
+		return err == nil && n == 1
 	}
 }
 

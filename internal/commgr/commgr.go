@@ -184,18 +184,34 @@ func (m *Monkey) Stop() {
 // callTimeout runs op in its own goroutine and fails with ErrClientHung
 // if it does not return within timeout of virtual time. A hung client's
 // automation calls block until the process is killed, so the goroutine
-// does not leak past the next Restart.
-func callTimeout(clk clock.Clock, timeout time.Duration, op func() error) error {
-	done := make(chan error, 1)
-	go func() { done <- op() }()
+// does not leak past the next Restart. op's result travels through the
+// channel with its error — never through a variable the caller shares
+// with the goroutine — so a late op cannot write what a timed-out
+// caller is reading; on timeout the zero value is returned.
+func callTimeout[T any](clk clock.Clock, timeout time.Duration, op func() (T, error)) (T, error) {
+	type result struct {
+		val T
+		err error
+	}
+	done := make(chan result, 1)
+	go func() {
+		v, err := op()
+		done <- result{v, err}
+	}()
 	timer := clk.NewTimer(timeout)
 	defer timer.Stop()
 	select {
-	case err := <-done:
-		return err
+	case r := <-done:
+		return r.val, r.err
 	case <-timer.C():
-		return ErrClientHung
+		var zero T
+		return zero, ErrClientHung
 	}
+}
+
+// errOnly adapts an op with no result to callTimeout's shape.
+func errOnly(op func() error) func() (struct{}, error) {
+	return func() (struct{}, error) { return struct{}{}, op() }
 }
 
 func journalRecordf(j *faults.Journal, clk clock.Clock, kind faults.Kind, format string, args ...any) {

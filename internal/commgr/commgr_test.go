@@ -161,10 +161,11 @@ func TestCallTimeoutHangDetection(t *testing.T) {
 	block := make(chan struct{})
 	errCh := make(chan error, 1)
 	go func() {
-		errCh <- callTimeout(f.sim, 10*time.Second, func() error {
+		_, err := callTimeout(f.sim, 10*time.Second, errOnly(func() error {
 			<-block
 			return nil
-		})
+		}))
+		errCh <- err
 	}()
 	f.sim.BlockUntil(1)
 	f.sim.Advance(11 * time.Second)

@@ -148,7 +148,7 @@ func (m *EmailManager) Restart() error {
 	m.mu.Lock()
 	m.app = app
 	m.mu.Unlock()
-	if err := callTimeout(m.clk, m.callTimeout, app.Connect); err != nil {
+	if _, err := callTimeout(m.clk, m.callTimeout, errOnly(app.Connect)); err != nil {
 		return wrap("connect after restart", err)
 	}
 	return nil
@@ -164,27 +164,18 @@ func (m *EmailManager) Sanity() error {
 	if app == nil || !app.Running() {
 		return ErrClientDead
 	}
-	var connected bool
-	err := callTimeout(m.clk, m.callTimeout, func() error {
-		ok, err := app.Connected()
-		connected = ok
-		return err
-	})
+	connected, err := callTimeout(m.clk, m.callTimeout, app.Connected)
 	if err != nil {
 		return wrap("sanity: connected check", err)
 	}
 	if !connected {
-		if err := callTimeout(m.clk, m.callTimeout, app.Connect); err != nil {
+		if _, err := callTimeout(m.clk, m.callTimeout, errOnly(app.Connect)); err != nil {
 			return wrap("sanity: reconnect", err)
 		}
 		journalRecordf(m.journal, m.clk, faults.KindRelogin,
 			"email client for %s was disconnected; reconnect succeeded", m.address)
 	}
-	err = callTimeout(m.clk, m.callTimeout, func() error {
-		_, err := app.UnreadCount()
-		return err
-	})
-	if err != nil {
+	if _, err := callTimeout(m.clk, m.callTimeout, app.UnreadCount); err != nil {
 		return wrap("sanity: unread probe", err)
 	}
 	return nil
@@ -214,9 +205,10 @@ func (m *EmailManager) Send(to, subject, body string) error {
 	if app == nil {
 		return ErrClientDead
 	}
-	return callTimeout(m.clk, m.callTimeout, func() error {
+	_, err := callTimeout(m.clk, m.callTimeout, errOnly(func() error {
 		return app.SendMail(to, subject, body)
-	})
+	}))
+	return err
 }
 
 // FetchNew drains newly received emails.
@@ -227,13 +219,7 @@ func (m *EmailManager) FetchNew() ([]email.Message, error) {
 	if app == nil {
 		return nil, ErrClientDead
 	}
-	var msgs []email.Message
-	err := callTimeout(m.clk, m.callTimeout, func() error {
-		ms, err := app.FetchNew()
-		msgs = ms
-		return err
-	})
-	return msgs, err
+	return callTimeout(m.clk, m.callTimeout, app.FetchNew)
 }
 
 // UnreadCount reports emails received but not fetched.
@@ -244,13 +230,7 @@ func (m *EmailManager) UnreadCount() (int, error) {
 	if app == nil {
 		return 0, ErrClientDead
 	}
-	var n int
-	err := callTimeout(m.clk, m.callTimeout, func() error {
-		c, err := app.UnreadCount()
-		n = c
-		return err
-	})
-	return n, err
+	return callTimeout(m.clk, m.callTimeout, app.UnreadCount)
 }
 
 // Events returns the current client instance's new-mail event channel.

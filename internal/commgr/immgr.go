@@ -165,7 +165,8 @@ func (m *IMManager) Restart() error {
 }
 
 func (m *IMManager) login(app *automation.IMClientApp) error {
-	return callTimeout(m.clk, m.callTimeout, app.Login)
+	_, err := callTimeout(m.clk, m.callTimeout, errOnly(app.Login))
+	return err
 }
 
 // Sanity implements the Sanity-Checking API. It verifies, in order:
@@ -182,12 +183,7 @@ func (m *IMManager) Sanity() error {
 	if app == nil || !app.Running() {
 		return ErrClientDead
 	}
-	var loggedIn bool
-	err := callTimeout(m.clk, m.callTimeout, func() error {
-		ok, err := app.LoggedIn()
-		loggedIn = ok
-		return err
-	})
+	loggedIn, err := callTimeout(m.clk, m.callTimeout, app.LoggedIn)
 	if err != nil {
 		return wrap("sanity: logged-in check", err)
 	}
@@ -199,9 +195,8 @@ func (m *IMManager) Sanity() error {
 			"im client for %s was logged out; re-login succeeded", m.handle)
 	}
 	// Basic-operation probe: can we obtain buddy status?
-	err = callTimeout(m.clk, m.callTimeout, func() error {
-		_, err := app.BuddyStatus(m.handle)
-		return err
+	_, err = callTimeout(m.clk, m.callTimeout, func() (im.Status, error) {
+		return app.BuddyStatus(m.handle)
 	})
 	if err != nil {
 		return wrap("sanity: status probe", err)
@@ -234,13 +229,9 @@ func (m *IMManager) Send(to, text string) (uint64, error) {
 	if app == nil {
 		return 0, ErrClientDead
 	}
-	var seq uint64
-	err := callTimeout(m.clk, m.callTimeout, func() error {
-		s, err := app.SendMessage(to, text)
-		seq = s
-		return err
+	return callTimeout(m.clk, m.callTimeout, func() (uint64, error) {
+		return app.SendMessage(to, text)
 	})
-	return seq, err
 }
 
 // BuddyStatus queries presence through the client software.
@@ -251,13 +242,9 @@ func (m *IMManager) BuddyStatus(handle string) (im.Status, error) {
 	if app == nil {
 		return 0, ErrClientDead
 	}
-	var st im.Status
-	err := callTimeout(m.clk, m.callTimeout, func() error {
-		s, err := app.BuddyStatus(handle)
-		st = s
-		return err
+	return callTimeout(m.clk, m.callTimeout, func() (im.Status, error) {
+		return app.BuddyStatus(handle)
 	})
-	return st, err
 }
 
 // FetchNew drains newly received IMs.
@@ -268,13 +255,7 @@ func (m *IMManager) FetchNew() ([]im.Message, error) {
 	if app == nil {
 		return nil, ErrClientDead
 	}
-	var msgs []im.Message
-	err := callTimeout(m.clk, m.callTimeout, func() error {
-		ms, err := app.FetchNew()
-		msgs = ms
-		return err
-	})
-	return msgs, err
+	return callTimeout(m.clk, m.callTimeout, app.FetchNew)
 }
 
 // UnreadCount reports IMs received but not yet fetched — the
@@ -286,13 +267,7 @@ func (m *IMManager) UnreadCount() (int, error) {
 	if app == nil {
 		return 0, ErrClientDead
 	}
-	var n int
-	err := callTimeout(m.clk, m.callTimeout, func() error {
-		c, err := app.UnreadCount()
-		n = c
-		return err
-	})
-	return n, err
+	return callTimeout(m.clk, m.callTimeout, app.UnreadCount)
 }
 
 // Events returns the current client instance's new-IM event channel.

@@ -24,6 +24,21 @@ func newTestService(t *testing.T, lossP float64) (*Service, *clock.Sim) {
 	return svc, sim
 }
 
+// waitFor polls cond for a bounded stretch of real time. Sim runs a
+// delivery callback as its own goroutine, so a delivery can trail
+// Advance's return (it routinely does under -race); "has arrived"
+// assertions wait for it, "has not arrived yet" ones stay immediate.
+func waitFor(t *testing.T, cond func() bool) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for !cond() {
+		if time.Now().After(deadline) {
+			t.Fatal("condition not reached in time")
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
 func TestNewServiceValidation(t *testing.T) {
 	sim := clock.NewSim(time.Time{})
 	if _, err := NewService(Config{RNG: dist.NewRNG(1)}); err == nil {
@@ -73,6 +88,7 @@ func TestSubmitDeliversAfterDelay(t *testing.T) {
 		t.Fatal("delivered early")
 	}
 	sim.Advance(time.Second)
+	waitFor(t, func() bool { return mb.Len() == 1 })
 	msgs := mb.Fetch()
 	if len(msgs) != 1 {
 		t.Fatalf("got %d messages", len(msgs))
@@ -119,6 +135,7 @@ func TestSilentLoss(t *testing.T) {
 		}
 	}
 	sim.Advance(time.Minute)
+	waitFor(t, func() bool { return mb.Len()+svc.Lost() == n })
 	delivered := mb.Len()
 	lost := svc.Lost()
 	if delivered+lost != n {
@@ -138,6 +155,7 @@ func TestNotifyCoalesces(t *testing.T) {
 		}
 	}
 	sim.Advance(time.Minute)
+	waitFor(t, func() bool { return mb.Len() == 3 })
 	select {
 	case <-mb.Notify():
 	default:
@@ -169,6 +187,7 @@ func TestPeekDoesNotDrain(t *testing.T) {
 		t.Fatal(err)
 	}
 	sim.Advance(time.Minute)
+	waitFor(t, func() bool { return mb.Len() == 1 })
 	if got := len(mb.Peek()); got != 1 {
 		t.Fatalf("Peek() = %d", got)
 	}
@@ -198,6 +217,7 @@ func TestDefaultDelayIsHeavyTailed(t *testing.T) {
 	sim.Advance(2 * time.Minute)
 	fast := len(mb.Fetch())
 	sim.Advance(48 * time.Hour)
+	waitFor(t, func() bool { return fast+mb.Len() == n })
 	total := fast + mb.Len()
 	if total != n {
 		t.Fatalf("only %d of %d delivered after 48h", total, n)

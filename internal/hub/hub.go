@@ -221,8 +221,7 @@ type Config struct {
 	// is calling channels — not while it waits for an acknowledgement or
 	// sleeps out a retry backoff (those are bounded by QueueDepth, whose
 	// reservation a delivery keeps until it completes). One serializes a
-	// shard's Sends — the pre-pipeline synchronous behavior, kept as the
-	// benchmark baseline.
+	// shard's Sends.
 	DeliveryWindow int
 	// DeliveryMaxAttempts caps delivery attempts per alert (initial try
 	// plus retries); zero means DefaultDeliveryMaxAttempts.

@@ -125,6 +125,33 @@ func TestHubRoutesThousandsOfTenants(t *testing.T) {
 	}
 }
 
+// TestHubIdleSubmitDoesNotWaitOutCommitWindow: the commit window is an
+// upper bound on batching under load, not a tax on an idle hub — a
+// lone Submit wakes a parked committer, which commits at once. The
+// window is 30 s so that waiting it out cannot pass for slowness; the
+// hub-level twin of plog's TestAdaptiveIdleFiresImmediately, with the
+// previous alert's lazily staged DONE mark in the picture.
+func TestHubIdleSubmitDoesNotWaitOutCommitWindow(t *testing.T) {
+	h := newTestHub(t, Config{
+		Channels:     sinkChannels(func(int, string, *alert.Alert) error { return nil }),
+		CommitWindow: 30 * time.Second,
+	})
+	addUsers(t, h, 1)
+	if err := h.Start(); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		start := time.Now()
+		if err := h.Submit("user-0", portalAlert(i, start)); err != nil {
+			t.Fatal(err)
+		}
+		if el := time.Since(start); el > 5*time.Second {
+			t.Fatalf("idle submit %d took %v, want immediate (commit window 30s)", i, el)
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+}
+
 func TestHubGroupCommitCutsFsyncs(t *testing.T) {
 	const users, alerts = 200, 3000
 	clk := clock.NewReal()

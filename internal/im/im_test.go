@@ -109,7 +109,7 @@ func TestSendDeliversAfterHopDelay(t *testing.T) {
 		if got := msg.DeliveredAt.Sub(sent); got != 300*time.Millisecond {
 			t.Fatalf("one-way latency = %v, want 300ms", got)
 		}
-	default:
+	case <-time.After(5 * time.Second): // Sim runs the delivery as its own goroutine; it can trail Advance
 		t.Fatal("message not delivered")
 	}
 }
@@ -152,6 +152,7 @@ func TestRecipientLogsOutMidFlight(t *testing.T) {
 	}
 	bob.Logout()
 	sim.Advance(time.Second)
+	waitFor(t, func() bool { return svc.Dropped() == 1 })
 	if got := svc.Dropped(); got != 1 {
 		t.Fatalf("Dropped() = %d, want 1", got)
 	}
@@ -189,6 +190,7 @@ func TestInFlightMessageDroppedByOutage(t *testing.T) {
 	}
 	svc.Outage().Set(true, sim.Now())
 	sim.Advance(time.Second)
+	waitFor(t, func() bool { return svc.Dropped() == 1 })
 	select {
 	case <-bob.Inbox():
 		t.Fatal("message delivered during outage")
@@ -272,8 +274,24 @@ func TestInboxOverflowDrops(t *testing.T) {
 		}
 	}
 	sim.Advance(time.Second)
+	waitFor(t, func() bool { return svc.Dropped() == 3 })
 	if got := svc.Dropped(); got != 3 {
 		t.Fatalf("Dropped() = %d, want 3", got)
+	}
+}
+
+// waitFor polls cond for a bounded stretch of real time. Sim runs a
+// delivery callback as its own goroutine, so a drop can trail Advance's
+// return (it routinely does under -race); "has happened" assertions
+// wait for it, "has not happened" ones stay immediate.
+func waitFor(t *testing.T, cond func() bool) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for !cond() {
+		if time.Now().After(deadline) {
+			t.Fatal("condition not reached in time")
+		}
+		time.Sleep(time.Millisecond)
 	}
 }
 

@@ -9,12 +9,30 @@ import (
 	"simba/internal/race"
 )
 
-// drainFired reports whether the timer has a fire waiting.
+// fired reports whether the timer has a fire waiting right now — the
+// check for "must NOT have fired".
 func fired(t *Timer) bool {
 	select {
 	case <-t.C():
 		return true
 	default:
+		return false
+	}
+}
+
+// waitFired is the check for "must have fired" on the simulated clock.
+// Sim runs the wheel's driver (a clock.AfterFunc) as its own goroutine,
+// so the fire can trail Advance's return — under -race on a small host
+// it routinely does. The wait is bounded in real time. On a fire it also
+// takes the wheel lock once (Pending), so the driver pass that sent the
+// fire has re-armed for the next deadline before the caller advances
+// the clock again.
+func waitFired(w *Wheel, t *Timer) bool {
+	select {
+	case <-t.C():
+		w.Pending()
+		return true
+	case <-time.After(5 * time.Second):
 		return false
 	}
 }
@@ -30,7 +48,7 @@ func TestWheelFiresAtExactSimDeadline(t *testing.T) {
 		t.Fatal("timer fired 1ms early")
 	}
 	sim.Advance(1 * time.Millisecond)
-	if !fired(tm) {
+	if !waitFired(w, tm) {
 		t.Fatal("timer did not fire at its exact deadline")
 	}
 	if got := w.Pending(); got != 0 {
@@ -52,7 +70,7 @@ func TestWheelMultiplexesManyDeadlines(t *testing.T) {
 	// Advance one millisecond at a time: exactly one timer fires per step.
 	for i := 0; i < n; i++ {
 		sim.Advance(time.Millisecond)
-		if !fired(timers[i]) {
+		if !waitFired(w, timers[i]) {
 			t.Fatalf("timer %d did not fire at +%dms", i, i+1)
 		}
 		for j := i + 1; j < n; j++ {
@@ -90,7 +108,7 @@ func TestWheelReleaseCancelsAndRecycles(t *testing.T) {
 		t.Fatal("recycled node came back with a stale fire buffered")
 	}
 	sim.Advance(5 * time.Millisecond)
-	if !fired(tm2) {
+	if !waitFired(w, tm2) {
 		t.Fatal("recycled node did not fire")
 	}
 	w.Release(tm2)
@@ -122,7 +140,7 @@ func TestWheelPoisonScribblesOnRelease(t *testing.T) {
 	// Recycling must still produce a working timer.
 	tm2 := w.After(time.Millisecond)
 	sim.Advance(time.Millisecond)
-	if !fired(tm2) {
+	if !waitFired(w, tm2) {
 		t.Fatal("recycled poisoned node did not fire")
 	}
 	w.Release(tm2)
