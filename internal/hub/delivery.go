@@ -29,9 +29,13 @@ func deliveredViaCounter(t addr.Type) string {
 // incidental: a user's next delivery starts only after the previous one
 // (including its retries and WAL mark) has finished. Queue nodes are
 // pooled; the envelopes themselves carry the links, so chaining a
-// backlog allocates nothing.
+// backlog allocates nothing. A chain is born ready — linked through
+// ready into its stage's FIFO of chains waiting for a worker — and is
+// run by exactly one worker from then until it empties.
 type userQueue struct {
+	user       string
 	head, tail *envelope
+	ready      *userQueue
 }
 
 var userQueuePool = sync.Pool{New: func() any { return new(userQueue) }}
@@ -50,6 +54,17 @@ var userQueuePool = sync.Pool{New: func() any { return new(userQueue) }}
 // worker goroutine and its admission reservation, nothing else, so
 // parked waits are bounded by the shard's admission depth while the
 // window keeps bounding what actually loads the substrates.
+//
+// Workers are standing goroutines, not one per chain. Spawn: a chain
+// that becomes ready while every live worker is running a chain (or
+// already owed to an earlier ready chain) starts one, so live workers
+// never exceed the peak number of concurrent chains, which the shard's
+// admission depth bounds. Park: a worker that finds no ready chain
+// waits on the stage's condition variable, keeping its executor scratch
+// for its next chain. Retire: release — called when the generation is
+// killed, and by quiesce once a drained generation's last chain has
+// finished — lets every worker exit after it has emptied the ready
+// FIFO, so nothing of a stage outlives its generation.
 type deliveryStage struct {
 	h   *Hub
 	sh  *shard
@@ -65,10 +80,6 @@ type deliveryStage struct {
 	// waits onto one clock timer (pooled nodes, no per-wait allocation).
 	wheel *timewheel.Wheel
 
-	// scratch pools the workers' reusable executor scratches (report +
-	// result backing + ack keys), wired to the stage's wheel.
-	scratch sync.Pool
-
 	// window bounds concurrent channel Sends (not queued or parked
 	// work, which the shard's admission depth already bounds). The
 	// in-flight gauge lives on the shard so its peak survives generation
@@ -77,16 +88,20 @@ type deliveryStage struct {
 
 	mu    sync.Mutex
 	users map[string]*userQueue
-	wg    sync.WaitGroup // live user workers; quiesced by Drain, abandoned by Kill
+	wg    sync.WaitGroup // live chains; waited by quiesce, abandoned by Kill
 
-	// spawns is submitBatch's reusable scratch; only the shard loop
-	// calls submitBatch, so no lock guards it.
-	spawns []userSpawn
-}
-
-type userSpawn struct {
-	user string
-	q    *userQueue
+	// The ready FIFO and the worker accounting, all under mu. free counts
+	// the workers not running a chain — parked, or between chains — each
+	// of which looks at the FIFO before it parks, so a chain needs a new
+	// worker only when nready would exceed free.
+	readyHead, readyTail *userQueue
+	nready, free         int
+	wake                 *sync.Cond // on mu: a chain became ready, or the stage was released
+	released             bool       // workers exit instead of parking
+	workers              sync.WaitGroup
+	// spawned counts worker launches and peakChains the most chains that
+	// were ever live at once (tests pin spawned <= peakChains).
+	spawned, peakChains int
 }
 
 func newDeliveryStage(h *Hub, sh *shard, killed <-chan struct{}) *deliveryStage {
@@ -99,11 +114,7 @@ func newDeliveryStage(h *Hub, sh *shard, killed <-chan struct{}) *deliveryStage 
 		window: make(chan struct{}, h.cfg.DeliveryWindow),
 		users:  make(map[string]*userQueue),
 	}
-	d.scratch.New = func() any {
-		scr := core.NewScratch(d.wheel)
-		scr.SetGate(d)
-		return scr
-	}
+	d.wake = sync.NewCond(&d.mu)
 	return d
 }
 
@@ -111,18 +122,20 @@ func newDeliveryStage(h *Hub, sh *shard, killed <-chan struct{}) *deliveryStage 
 // single lock acquisition. Called only from the shard loop, so
 // envelopes for one user arrive in routing order; it never blocks —
 // backlog is bounded by the shard's admission depth, whose reservation
-// is held until each delivery completes. Workers for users without a
-// live chain are spawned after the lock is dropped.
+// is held until each delivery completes. A user without a live chain
+// gets one, queued ready; workers the ready chains cannot find among
+// the free ones are launched after the lock is dropped.
 func (d *deliveryStage) submitBatch(envs []*envelope) {
-	spawns := d.spawns[:0]
+	spawn := 0
 	d.mu.Lock()
 	for _, env := range envs {
 		user := env.buddy.user
 		if q, ok := d.users[user]; ok {
-			// The user has a live worker: chain behind it (per-user FIFO).
-			// An empty chain (the worker is mid-delivery on the last
+			// The user has a live chain: append to it (per-user FIFO). An
+			// empty chain (its worker is mid-delivery on the last
 			// envelope) restarts from the head — the worker re-checks
-			// under the lock before exiting, so the envelope is seen.
+			// under the lock before ending the chain, so the envelope is
+			// seen.
 			if q.head == nil {
 				q.head, q.tail = env, env
 			} else {
@@ -132,54 +145,106 @@ func (d *deliveryStage) submitBatch(envs []*envelope) {
 			continue
 		}
 		q := userQueuePool.Get().(*userQueue)
-		q.head, q.tail = env, env
+		q.user, q.head, q.tail = user, env, env
 		d.users[user] = q
-		spawns = append(spawns, userSpawn{user: user, q: q})
+		if n := len(d.users); n > d.peakChains {
+			d.peakChains = n
+		}
+		d.wg.Add(1)
+		if d.readyTail == nil {
+			d.readyHead = q
+		} else {
+			d.readyTail.ready = q
+		}
+		d.readyTail = q
+		d.nready++
+		if d.nready > d.free {
+			d.free++
+			spawn++
+		} else {
+			d.wake.Signal()
+		}
 	}
-	d.wg.Add(len(spawns))
+	d.spawned += spawn
+	d.workers.Add(spawn)
 	d.mu.Unlock()
-	for _, s := range spawns {
-		go d.runUser(s.user, s.q)
+	for ; spawn > 0; spawn-- {
+		go d.work()
 	}
-	d.spawns = spawns[:0]
 }
 
-// runUser drains one tenant's chain, envelope by envelope. The worker
-// exits when the chain empties or the generation is killed; either way
-// it deletes its map entry (a churn of one-shot tenants must not grow
-// the users map) and recycles the queue node.
-func (d *deliveryStage) runUser(user string, q *userQueue) {
-	defer d.wg.Done()
-	scr := d.scratch.Get().(*core.Scratch)
+// work is one worker's life: take the oldest ready chain, drain it
+// envelope by envelope, end it — delete its map entry (a churn of
+// one-shot tenants must not grow the users map) and recycle the queue
+// node — and take the next; park when none is ready; exit once the
+// stage is released and the FIFO is empty. A chain whose generation was
+// killed ends at its first envelope: the undone entries replay from the
+// WAL (into this shard's next generation, or the next process
+// incarnation), and ending the chain all the same means a kill
+// mid-backlog cannot strand its map entry. The worker owns its executor
+// scratch for its lifetime.
+func (d *deliveryStage) work() {
+	defer d.workers.Done()
+	scr := core.NewScratch(d.wheel)
+	scr.SetGate(d)
+	d.mu.Lock()
 	for {
-		d.mu.Lock()
-		env := q.head
-		if env == nil {
-			delete(d.users, user)
+		q := d.readyHead
+		if q == nil {
+			if d.released {
+				d.free--
+				d.mu.Unlock()
+				return
+			}
+			d.wake.Wait()
+			continue
+		}
+		if d.readyHead = q.ready; d.readyHead == nil {
+			d.readyTail = nil
+		}
+		d.nready--
+		d.free--
+		for env := q.head; env != nil; env = q.head {
+			if q.head = env.next; q.head == nil {
+				q.tail = nil
+			}
 			d.mu.Unlock()
-			q.tail = nil
-			userQueuePool.Put(q)
-			d.scratch.Put(scr)
-			return
-		}
-		q.head = env.next
-		if q.head == nil {
-			q.tail = nil
-		}
-		d.mu.Unlock()
-		env.next = nil
-		if !d.perform(env, scr) {
-			// Generation killed: the undone entries replay from the WAL
-			// (into this shard's next generation, or the next process
-			// incarnation). Still drop the map entry so a kill
-			// mid-backlog cannot strand it.
+			env.next = nil
+			performed := d.perform(env, scr)
+			if performed {
+				d.sh.beat(d.h.cfg.Clock.Now())
+			}
 			d.mu.Lock()
-			delete(d.users, user)
-			d.mu.Unlock()
-			return
+			if !performed {
+				break // generation killed: the rest of the chain is abandoned with it
+			}
 		}
-		d.sh.beat(d.h.cfg.Clock.Now())
+		delete(d.users, q.user)
+		d.free++
+		*q = userQueue{}
+		userQueuePool.Put(q)
+		d.wg.Done()
 	}
+}
+
+// release retires the stage's workers: parked ones wake and exit, busy
+// ones exit once the ready FIFO is empty. Idempotent; must not be
+// called with mu held.
+func (d *deliveryStage) release() {
+	d.mu.Lock()
+	d.released = true
+	d.wake.Broadcast()
+	d.mu.Unlock()
+}
+
+// quiesce waits for every live chain to finish and then for the workers
+// to exit. The generation's loop must have stopped (nothing submits any
+// more); after a kill the chains end by abandoning, otherwise by
+// completing.
+func (d *deliveryStage) quiesce() {
+	d.wg.Wait()
+	d.release()
+	d.workers.Wait()
 }
 
 // Acquire claims one in-flight slot for a worker about to Send

@@ -924,12 +924,54 @@ func (h *Hub) Submit(user string, a *alert.Alert) error {
 // submitPending is one burst entry that passed validation and awaits
 // admission + the batch fsync.
 type submitPending struct {
-	idx   int
-	buddy *Buddy
-	sh    *shard
-	a     *alert.Alert
-	key   string
-	dup   bool // already durable (or duplicated within the burst): re-ack only
+	idx    int
+	buddy  *Buddy
+	a      *alert.Alert
+	keyEnd int    // where the key ends in the burst's key buffer; it starts where the previous entry's ends
+	key    string // that span of the key slab, once the buffer has become it
+	sh     *shard // nil for duplicates
+	dup    bool   // already durable (or duplicated within the burst): re-ack only
+}
+
+// submitScratch is everything stage builds that does not outlive the
+// call: the key buffer the burst's key slab is made from, the dedup
+// set, the pending entries, the per-shard admission counts and the
+// journal entries handed to the WAL (which copies what it keeps while
+// staging). Pooled, so a burst allocates only its key slab and what its
+// Ticket owns.
+type submitScratch struct {
+	keys    []byte
+	seen    map[string]struct{}
+	pending []submitPending
+	counts  []int64
+	recs    []plog.BatchEntry
+}
+
+var submitScratchPool = sync.Pool{New: func() any {
+	return &submitScratch{seen: make(map[string]struct{})}
+}}
+
+// countsFor returns the zeroed per-shard count table.
+func (s *submitScratch) countsFor(shards int) []int64 {
+	if cap(s.counts) < shards {
+		s.counts = make([]int64, shards)
+	}
+	s.counts = s.counts[:shards]
+	clear(s.counts)
+	return s.counts
+}
+
+// recycle returns the scratch to the pool holding capacity only: the
+// entries' pointers into the caller's burst, the tenants, the envelope
+// payloads and the key slab are all dropped.
+func (s *submitScratch) recycle() {
+	s.keys = s.keys[:0]
+	clear(s.seen)
+	clear(s.pending)
+	s.pending = s.pending[:0]
+	clear(s.recs)
+	s.recs = s.recs[:0]
+	submitScratchPool.Put(s)
 }
 
 // Ticket is a pending acknowledgement from SubmitBatchAsync (and,
@@ -1047,11 +1089,9 @@ func (h *Hub) SubmitBatch(subs []Submission) []error {
 }
 
 // submit is the shared staging half of SubmitBatch/SubmitBatchAsync:
-// validate and dedup the burst, bulk-reserve admission, marshal the
-// admitted entries, and stage their RECV records into the WAL's group
-// commit as one unit. The returned Ticket resolves on the resolver
-// goroutine once the commit lands (or synchronously here, when nothing
-// staged).
+// stage the burst and hand its Ticket to the resolver, which waits out
+// commits in staging order and completes the ack + deferred enqueue. A
+// burst that staged nothing resolves synchronously here.
 func (h *Hub) submit(subs []Submission, onCommitted func([]error), sem bool) *Ticket {
 	errs := make([]error, len(subs))
 	t := &Ticket{errs: errs, done: make(chan struct{}), onCommitted: onCommitted, sem: sem}
@@ -1062,17 +1102,34 @@ func (h *Hub) submit(subs []Submission, onCommitted func([]error), sem bool) *Ti
 		h.finishTicket(t)
 		return t
 	}
-	now := h.cfg.Clock.Now()
-	t.start = now
+	t.start = h.cfg.Clock.Now()
+	scr := submitScratchPool.Get().(*submitScratch)
+	staged := h.stage(t, subs, scr)
+	scr.recycle() // before the send below, which may wait on the resolver
+	if staged {
+		h.ingestPending.Add(1)
+		h.resolveq <- t
+	}
+	return t
+}
+
+// stage validates and dedups the burst, bulk-reserves admission,
+// marshals the admitted entries, and stages their RECV records into the
+// WAL's group commit as one unit, leaving the commit and the staged
+// entries in t. It reports false when nothing was staged, having
+// resolved t itself.
+func (h *Hub) stage(t *Ticket, subs []Submission, scr *submitScratch) bool {
+	errs, now := t.errs, t.start
 
 	// Pass 1: validate, resolve tenants, and split duplicates from
 	// fresh admissions. Burst-internal duplicates count as duplicates
 	// too — exactly what sequential Submits of the same key would see.
-	pending := make([]submitPending, 0, len(subs))
-	var seen map[string]struct{} // lazily built; bursts of 1 never need it
-	counts := make([]int64, len(h.shards))
-	var keyArr [96]byte // stack scratch: key building costs one string alloc, not three
-	keyBuf := keyArr[:0]
+	// The keys of the whole burst are built into one buffer and become
+	// one string, the burst's key slab; every later holder of a key (the
+	// envelope, the journal's index) holds a substring of it, so keys
+	// cost one allocation per burst. The slab is collectable when the
+	// journal's sweep has retired the last of its keys.
+	pending := scr.pending
 	for i := range subs {
 		s := &subs[i]
 		if err := s.Alert.Validate(); err != nil {
@@ -1086,29 +1143,32 @@ func (h *Hub) submit(subs []Submission, onCommitted func([]error), sem bool) *Ti
 			errs[i] = fmt.Errorf("hub: submit for %q: %w", s.User, ErrUnknownUser)
 			continue
 		}
-		keyBuf = append(keyBuf[:0], s.User...)
-		keyBuf = append(keyBuf, keySep...)
-		keyBuf = s.Alert.AppendDedupKey(keyBuf)
-		key := string(keyBuf)
-		inBurst := false
-		if seen != nil {
-			_, inBurst = seen[key]
-		}
-		if inBurst || h.wal.Has(key) {
-			pending = append(pending, submitPending{idx: i, buddy: b, key: key, dup: true})
-			continue
-		}
-		if seen == nil {
-			seen = make(map[string]struct{}, len(subs))
-		}
-		seen[key] = struct{}{}
-		sh := h.shardOf(s.User)
-		counts[sh.id]++
-		pending = append(pending, submitPending{idx: i, buddy: b, sh: sh, a: s.Alert, key: key})
+		scr.keys = append(scr.keys, s.User...)
+		scr.keys = append(scr.keys, keySep...)
+		scr.keys = s.Alert.AppendDedupKey(scr.keys)
+		pending = append(pending, submitPending{idx: i, buddy: b, a: s.Alert, keyEnd: len(scr.keys)})
 	}
+	scr.pending = pending
 	if len(pending) == 0 {
 		h.finishTicket(t)
-		return t
+		return false
+	}
+	slab := string(scr.keys)
+	counts := scr.countsFor(len(h.shards))
+	lo := 0
+	for i := range pending {
+		p := &pending[i]
+		p.key = slab[lo:p.keyEnd]
+		lo = p.keyEnd
+		if _, inBurst := scr.seen[p.key]; inBurst || h.wal.Has(p.key) {
+			p.dup = true
+			continue
+		}
+		if len(pending) > 1 { // a burst of one has nothing to collide with
+			scr.seen[p.key] = struct{}{}
+		}
+		p.sh = h.shardOf(subs[p.idx].User)
+		counts[p.sh.id]++
 	}
 
 	// Pass 2: bulk admission BEFORE the pessimistic log — one CAS per
@@ -1126,7 +1186,7 @@ func (h *Hub) submit(subs []Submission, onCommitted func([]error), sem bool) *Ti
 	// WAL stages plus the parallel ticketEntry bookkeeping the resolver
 	// needs (duplicates ride along as idempotent no-ops so their re-ack
 	// waits for the original's durability).
-	recs := make([]plog.BatchEntry, 0, len(pending))
+	recs := scr.recs
 	entries := make([]ticketEntry, 0, len(pending))
 	for _, p := range pending {
 		if p.dup {
@@ -1163,9 +1223,10 @@ func (h *Hub) submit(subs []Submission, onCommitted func([]error), sem bool) *Ti
 		recs = append(recs, plog.BatchEntry{Key: p.key, Payload: payload, At: now})
 		entries = append(entries, ticketEntry{idx: p.idx, buddy: p.buddy, sh: p.sh, env: env})
 	}
+	scr.recs = recs
 	if len(entries) == 0 {
 		h.finishTicket(t)
-		return t
+		return false
 	}
 
 	// Pessimistic logging: the whole burst joins the WAL's open commit
@@ -1179,15 +1240,10 @@ func (h *Hub) submit(subs []Submission, onCommitted func([]error), sem bool) *Ti
 			err = ErrNotAccepting
 		}
 		h.nack(t, entries, err)
-		return t
+		return false
 	}
-
-	// Hand the ticket to the resolver, which waits out commits in
-	// staging order and completes the ack + deferred enqueue.
 	t.c, t.entries = c, entries
-	h.ingestPending.Add(1)
-	h.resolveq <- t
-	return t
+	return true
 }
 
 // nack fails every staged entry of a burst with err — admission slots
@@ -1406,6 +1462,7 @@ func (h *Hub) processBatch(sh *shard, g *shardGen, envs []*envelope, scr *routeS
 	}
 	if len(scr.finished) > 0 {
 		h.finishBatch(sh, scr.finished, scr.keys)
+		clear(scr.keys) // an idle loop's scratch must not pin key slabs
 	}
 	if len(scr.jobs) > 0 {
 		g.delivery.submitBatch(scr.jobs)
@@ -1490,7 +1547,7 @@ func (h *Hub) shutdown() {
 			// pending envelopes stay durable for the next incarnation.
 			for _, sh := range h.shards {
 				if g := sh.current(); g != nil {
-					g.delivery.wg.Wait()
+					g.delivery.quiesce()
 				}
 			}
 			if h.outbox != nil {
@@ -1584,7 +1641,7 @@ func (h *Hub) restartLocked(sh *shard, reason string) error {
 	}
 	loopStopped := bounded(old.done)
 	workers := make(chan struct{})
-	go func() { old.delivery.wg.Wait(); close(workers) }()
+	go func() { old.delivery.quiesce(); close(workers) }()
 	workersStopped := bounded(workers)
 	if !loopStopped || !workersStopped {
 		// A truly stuck goroutine (blocked inside a pipeline stage or a
@@ -1700,7 +1757,7 @@ func (h *Hub) RejuvenateShard(id int) error {
 	// is already idle. Retiring both before reopening admission keeps
 	// "one live generation per shard" unconditional on this path.
 	<-old.done
-	old.delivery.wg.Wait()
+	old.delivery.quiesce()
 	go h.runLoop(sh, next)
 	sh.beat(h.cfg.Clock.Now())
 	sh.rejuvenations.Add(1)

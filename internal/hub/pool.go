@@ -129,6 +129,8 @@ func putEnvelope(e *envelope) {
 	if poolPoison.Load() {
 		e.poison()
 		e.poisoned = true
+	} else {
+		e.key = "" // a pooled envelope must not pin its burst's key slab
 	}
 	e.buddy = nil
 	e.next = nil

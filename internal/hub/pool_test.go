@@ -2,6 +2,7 @@ package hub
 
 import (
 	"fmt"
+	"math"
 	"path/filepath"
 	"runtime"
 	"strings"
@@ -67,10 +68,19 @@ func TestHubPlanZeroAllocs(t *testing.T) {
 // spends per alert: 1,000 tenants on 8 shards, an instant counting
 // channel, bursts of 64 through SubmitBatch from storage allocated
 // before the measurement, MemStats.Mallocs over 10,240 alerts after a
-// warm-up that fills the envelope pool and the journal's buffers.
-// Measured 3.33 allocs/alert (median of 5 runs, 3.32–3.37); the budget
-// is 1.25× that, so a single fmt.Sprintf or make put back per alert on
-// submit or processBatch fails here.
+// warm-up that fills the envelope pool, the journal's buffers and the
+// delivery stages' worker sets. What is left is per burst, not per
+// alert — the Ticket's four objects, the key slab, the journal's
+// payload slab and commit batch (DESIGN.md §8 has the table) — about
+// ten allocations a burst. Measured 0.161 allocs/alert (median of 5
+// runs, all 0.161); the budget is 1.25× that, which is two and a half
+// allocations per burst: one string(key), copied payload or `go` put
+// back per alert on submit, stageRecv or the delivery stage costs 64.
+// A floor that low shows what the path does not owe per alert — a
+// stage growing its worker set when a busy host lets chains pile up, a
+// pool refilling after a collection — so up to three windows are
+// measured and the cheapest one is held to the budget: a per-alert
+// allocation is in every window, a transient is not.
 func TestHubIngestAllocBudget(t *testing.T) {
 	if race.Enabled {
 		t.Skip("alloc accounting is not meaningful under the race detector")
@@ -78,7 +88,8 @@ func TestHubIngestAllocBudget(t *testing.T) {
 	const (
 		users, burst     = 1000, 64
 		warmup, measured = 32 * burst, 160 * burst
-		budget           = 4.16 // allocs per alert: 1.25 × 3.33
+		windows          = 3
+		budget           = 0.201 // allocs per alert: 1.25 × 0.161
 	)
 	var delivered atomic.Int64
 	h := newTestHub(t, Config{
@@ -94,7 +105,7 @@ func TestHubIngestAllocBudget(t *testing.T) {
 		t.Fatal(err)
 	}
 	now := time.Now()
-	alerts := make([]alert.Alert, warmup+measured)
+	alerts := make([]alert.Alert, warmup+windows*measured)
 	subs := make([]Submission, len(alerts))
 	kws := []string{"stocks"}
 	for i := range alerts {
@@ -118,14 +129,19 @@ func TestHubIngestAllocBudget(t *testing.T) {
 		waitCond(t, "every offered alert to be delivered", func() bool { return delivered.Load() >= int64(hi) })
 	}
 	offer(0, warmup)
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	offer(warmup, warmup+measured)
-	runtime.ReadMemStats(&after)
-	perAlert := float64(after.Mallocs-before.Mallocs) / measured
-	t.Logf("%.2f allocs/alert over %d alerts (budget %.2f)", perAlert, measured, budget)
-	if perAlert > budget {
-		t.Fatalf("ingest path allocates %.2f objects per alert, budget %.2f", perAlert, budget)
+	best := math.Inf(1)
+	for w := 0; w < windows && best > budget; w++ {
+		lo := warmup + w*measured
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		offer(lo, lo+measured)
+		runtime.ReadMemStats(&after)
+		perAlert := float64(after.Mallocs-before.Mallocs) / measured
+		t.Logf("window %d: %.3f allocs/alert over %d alerts (budget %.3f)", w, perAlert, measured, budget)
+		best = min(best, perAlert)
+	}
+	if best > budget {
+		t.Fatalf("ingest path allocates %.3f objects per alert in its cheapest window, budget %.3f", best, budget)
 	}
 }
 

@@ -60,9 +60,10 @@ type shardGen struct {
 
 	q chan *envelope
 	// killed is closed to abandon the generation: the loop exits, the
-	// delivery workers stop between deliveries, and everything undone
-	// stays unprocessed in the WAL for replay. Hub-wide Kill closes the
-	// current generation of every shard; a targeted restart closes one.
+	// delivery workers abandon their chains and exit, and everything
+	// undone stays unprocessed in the WAL for replay. Hub-wide Kill closes
+	// the current generation of every shard; a targeted restart closes
+	// one.
 	killed   chan struct{}
 	killOnce sync.Once
 	// done is closed when the generation's loop goroutine has exited —
@@ -88,9 +89,14 @@ type shardGen struct {
 	replaySuppress map[string]struct{}
 }
 
-// kill abandons the generation. Idempotent.
+// kill abandons the generation and retires its delivery workers: the
+// ones parked for a ready chain cannot see the kill signal, so they are
+// released here, at the one place every kill goes through. Idempotent.
 func (g *shardGen) kill() {
-	g.killOnce.Do(func() { close(g.killed) })
+	g.killOnce.Do(func() {
+		close(g.killed)
+		g.delivery.release()
+	})
 }
 
 // shard owns a single-goroutine event loop and a bounded inbound

@@ -1,0 +1,155 @@
+package hub
+
+import (
+	"fmt"
+	"path/filepath"
+	"reflect"
+	"slices"
+	"sync"
+	"testing"
+	"time"
+
+	"simba/internal/alert"
+	"simba/internal/clock"
+	"simba/internal/plog"
+)
+
+// TestSubmitBatchKeepsNothingOfTheCallers pins the ownership rule the
+// burst key slab and the journal's payload slab must not weaken: once
+// SubmitBatch has returned, the caller may reuse every byte it passed —
+// the Submission slice, the alerts, their keyword slices — and the hub
+// still routes, delivers and journals what was submitted. Routing is
+// held back until the caller's storage has been scribbled on, so
+// anything the hub only aliased would be seen scribbled; the second
+// burst is killed before routing and read back from the journal. Run
+// once more with pool poisoning on, where a recycled envelope's fields
+// are garbage rather than stale.
+func TestSubmitBatchKeepsNothingOfTheCallers(t *testing.T) {
+	for _, poison := range []bool{false, true} {
+		t.Run(fmt.Sprintf("poison=%v", poison), func(t *testing.T) {
+			SetPoolPoison(poison)
+			defer SetPoolPoison(false)
+			testSubmitBatchKeepsNothing(t)
+		})
+	}
+}
+
+func testSubmitBatchKeepsNothing(t *testing.T) {
+	const users, burst = 8, 32
+	type got struct {
+		user string
+		a    alert.Alert
+	}
+	var mu sync.Mutex
+	var delivered []got
+	var gate sync.Mutex // held while routing must wait
+	walPath := filepath.Join(t.TempDir(), "hub.wal")
+	clk := clock.NewReal()
+	h, err := New(Config{
+		Clock: clk, WALPath: walPath, Shards: 4,
+		Channels: sinkChannels(func(_ int, user string, a *alert.Alert) error {
+			cp := *a
+			cp.Keywords = slices.Clone(a.Keywords)
+			mu.Lock()
+			delivered = append(delivered, got{user: user, a: cp})
+			mu.Unlock()
+			return nil
+		}),
+		RouteHook: func(int, <-chan struct{}) { gate.Lock(); gate.Unlock() },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	addUsers(t, h, users)
+	if err := h.Start(); err != nil {
+		t.Fatal(err)
+	}
+
+	// offer submits one burst, has it acknowledged, and then overwrites
+	// everything the caller passed in. It returns what was submitted.
+	offer := func(round int) (want []got) {
+		t.Helper()
+		alerts := make([]alert.Alert, burst)
+		batch := make([]Submission, burst)
+		for i := range alerts {
+			alerts[i] = *portalAlert(i, clk.Now().UTC().Round(0)) // no monotonic reading: compared with a parsed copy
+			alerts[i].ID = fmt.Sprintf("a-%d-%d", round, i)
+			alerts[i].Body = fmt.Sprintf("body of %d/%d", round, i)
+			batch[i] = Submission{User: fmt.Sprintf("user-%d", i%users), Alert: &alerts[i]}
+			cp := alerts[i]
+			cp.Keywords = slices.Clone(cp.Keywords)
+			want = append(want, got{user: batch[i].User, a: cp})
+		}
+		for i, err := range h.SubmitBatch(batch) {
+			if err != nil {
+				t.Fatalf("submit %d: %v", i, err)
+			}
+		}
+		for i := range batch {
+			alerts[i].Keywords[0] = "scribbled"
+			alerts[i] = alert.Alert{ID: "scribbled", Source: "nobody", Subject: "scribbled", Body: "scribbled"}
+			batch[i] = Submission{User: "mallory"}
+		}
+		return want
+	}
+
+	// Burst 1: routed and delivered only after the scribbling.
+	gate.Lock()
+	want := offer(1)
+	gate.Unlock()
+	waitCond(t, "burst 1 to be delivered", func() bool {
+		mu.Lock()
+		defer mu.Unlock()
+		return len(delivered) == burst && h.WALBacklog() == 0
+	})
+	key := func(g got) string { return g.user + "/" + g.a.ID }
+	byKey := make(map[string]got, burst)
+	for _, g := range delivered {
+		byKey[key(g)] = g
+	}
+	for _, w := range want {
+		g, ok := byKey[key(w)]
+		if !ok {
+			t.Fatalf("%s was not delivered; delivered %v", key(w), delivered)
+		}
+		// Delivery carries the routed category in place of the keywords.
+		w.a.Keywords = []string{"Investment"}
+		if !reflect.DeepEqual(g, w) {
+			t.Errorf("delivered %+v, submitted %+v", g, w)
+		}
+	}
+
+	// Burst 2: acknowledged, scribbled on, never routed; the journal's
+	// copies are all that is left of it.
+	gate.Lock()
+	want = offer(2)
+	h.Kill()
+	gate.Unlock()
+	select {
+	case <-h.Stopped():
+	case <-time.After(10 * time.Second):
+		t.Fatal("hub did not stop after Kill")
+	}
+	wal, err := plog.Open(walPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer wal.Close()
+	recs := wal.Unprocessed()
+	if len(recs) != burst {
+		t.Fatalf("%d unprocessed records after the kill, want burst 2's %d", len(recs), burst)
+	}
+	for i, rec := range recs {
+		w := want[i]
+		if wantKey := w.user + keySep + w.a.DedupKey(); rec.Key != wantKey {
+			t.Errorf("record %d key %q, want %q", i, rec.Key, wantKey)
+		}
+		var a alert.Alert
+		if err := a.UnmarshalText(rec.Payload); err != nil {
+			t.Fatalf("record %d payload %q: %v", i, rec.Payload, err)
+		}
+		if !reflect.DeepEqual(a, w.a) {
+			t.Errorf("record %d journaled %+v, submitted %+v", i, a, w.a)
+		}
+	}
+}

@@ -1,0 +1,311 @@
+package hub
+
+import (
+	"fmt"
+	"runtime"
+	"sync"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"simba/internal/addr"
+	"simba/internal/alert"
+	"simba/internal/core"
+	"simba/internal/im"
+)
+
+// settleGoroutines waits for the process's goroutine count to come back
+// to base. Workers, loops and the journal's committer exit just after
+// the call that retires them returns, so the count is polled, not read
+// once; goroutines earlier tests left running are part of base and can
+// only lower the count by finishing.
+func settleGoroutines(t *testing.T, base int, after string) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for runtime.NumGoroutine() > base {
+		if time.Now().After(deadline) {
+			buf := make([]byte, 1<<16)
+			t.Fatalf("%d goroutines %s, %d before the hub existed:\n%s",
+				runtime.NumGoroutine(), after, base, buf[:runtime.Stack(buf, true)])
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// stageCounts sums the current generations' worker accounting.
+func stageCounts(h *Hub) (spawned, peakChains, free int) {
+	for _, sh := range h.shards {
+		d := sh.current().delivery
+		d.mu.Lock()
+		spawned += d.spawned
+		peakChains += d.peakChains
+		free += d.free
+		d.mu.Unlock()
+	}
+	return spawned, peakChains, free
+}
+
+// TestDeliveryWorkersExitWithTheirGeneration pins the worker lifecycle's
+// far end: however a generation ends — drained, killed with deliveries
+// parked in the substrate, killed and replaced while its loop is wedged,
+// or retired twenty times over by rolling rejuvenation under load — its
+// workers end with it, and the process is back at the goroutine count it
+// had before the hub existed.
+func TestDeliveryWorkersExitWithTheirGeneration(t *testing.T) {
+	const users = 32
+	submitRound := func(t *testing.T, h *Hub, round int) {
+		t.Helper()
+		for i := 0; i < users; i++ {
+			a := portalAlert(i, h.cfg.Clock.Now())
+			a.ID = fmt.Sprintf("a-%d-%d", round, i)
+			if err := h.Submit(fmt.Sprintf("user-%d", i), a); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+
+	t.Run("drain", func(t *testing.T) {
+		base := runtime.NumGoroutine()
+		hold := make(chan struct{})
+		sink := newCountingSink(hold)
+		h := newTestHub(t, Config{Channels: sinkChannels(sink.Deliver), Shards: 4})
+		addUsers(t, h, users)
+		if err := h.Start(); err != nil {
+			t.Fatal(err)
+		}
+		submitRound(t, h, 0)
+		sink.waitArrivals(t, users) // one worker per tenant, all inside the substrate
+		if spawned, _, _ := stageCounts(h); spawned != users {
+			t.Fatalf("%d workers spawned for %d concurrent chains", spawned, users)
+		}
+		close(hold)
+		if err := h.Drain(); err != nil {
+			t.Fatal(err)
+		}
+		settleGoroutines(t, base, "after Drain")
+	})
+
+	t.Run("kill", func(t *testing.T) {
+		base := runtime.NumGoroutine()
+		hold := make(chan struct{})
+		sink := newCountingSink(hold)
+		h := newTestHub(t, Config{Channels: sinkChannels(sink.Deliver), Shards: 4})
+		addUsers(t, h, users)
+		if err := h.Start(); err != nil {
+			t.Fatal(err)
+		}
+		submitRound(t, h, 0)
+		sink.waitArrivals(t, users)
+		close(hold)
+		sink.waitTotal(t, users)
+		submitRound(t, h, 1) // the same workers, now parked or between chains, take these
+		h.Kill()
+		<-h.Stopped()
+		settleGoroutines(t, base, "after Kill")
+	})
+
+	t.Run("restart of a wedged shard", func(t *testing.T) {
+		base := runtime.NumGoroutine()
+		var wedge atomic.Bool
+		wedged := make(chan struct{}, 1)
+		sink := newCountingSink(nil)
+		h := newTestHub(t, Config{
+			Channels: sinkChannels(sink.Deliver), Shards: 4, QuiesceTimeout: time.Second,
+			RouteHook: func(shard int, killed <-chan struct{}) {
+				if shard == 0 && wedge.CompareAndSwap(true, false) {
+					wedged <- struct{}{}
+					<-killed
+				}
+			},
+		})
+		addUsers(t, h, users)
+		if err := h.Start(); err != nil {
+			t.Fatal(err)
+		}
+		submitRound(t, h, 0) // shard 0 has parked workers by the time it wedges
+		sink.waitTotal(t, users)
+		old := h.shards[0].current()
+		wedge.Store(true)
+		submitRound(t, h, 1)
+		select {
+		case <-wedged:
+		case <-time.After(10 * time.Second):
+			t.Fatal("shard 0 never hit the wedge hook")
+		}
+		if err := h.RestartShard(0, "test wedge"); err != nil {
+			t.Fatal(err)
+		}
+		// The killed generation's workers are gone when RestartShard
+		// returns, not some time after the replacement is serving.
+		old.delivery.mu.Lock()
+		free := old.delivery.free
+		old.delivery.mu.Unlock()
+		if free != 0 {
+			t.Fatalf("%d workers of the killed generation still live after RestartShard", free)
+		}
+		sink.waitTotal(t, 2*users)
+		if err := h.Drain(); err != nil {
+			t.Fatal(err)
+		}
+		settleGoroutines(t, base, "after RestartShard and Drain")
+	})
+
+	t.Run("rolling rejuvenation under load", func(t *testing.T) {
+		base := runtime.NumGoroutine()
+		var delivered atomic.Int64
+		h := newTestHub(t, Config{
+			Channels: sinkChannels(func(int, string, *alert.Alert) error { delivered.Add(1); return nil }),
+			Shards:   4,
+		})
+		addUsers(t, h, users)
+		if err := h.Start(); err != nil {
+			t.Fatal(err)
+		}
+		stop := make(chan struct{})
+		var offered int64
+		var load sync.WaitGroup
+		load.Add(1)
+		go func() {
+			defer load.Done()
+			for round := 0; ; round++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				batch := make([]Submission, users)
+				for i := range batch {
+					a := portalAlert(i, h.cfg.Clock.Now())
+					a.ID = fmt.Sprintf("a-%d-%d", round, i)
+					batch[i] = Submission{User: fmt.Sprintf("user-%d", i), Alert: a}
+				}
+				// A quiescing shard refuses admission; what it refuses is
+				// simply not part of this test's load.
+				for _, err := range h.SubmitBatch(batch) {
+					if err == nil {
+						offered++
+					}
+				}
+			}
+		}()
+		for round := 0; round < 20; round++ {
+			if err := h.RejuvenateAll(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		close(stop)
+		load.Wait()
+		if err := h.Drain(); err != nil {
+			t.Fatal(err)
+		}
+		if delivered.Load() != offered {
+			t.Fatalf("delivered %d of %d acknowledged alerts", delivered.Load(), offered)
+		}
+		settleGoroutines(t, base, "after 20 rounds of RejuvenateAll and Drain")
+	})
+}
+
+// TestDeliveryWorkersBoundedByConcurrentChains pins the near end: a
+// worker is spawned only for a chain no live worker is free to take, so
+// 10,000 alerts over 1,000 tenants on an instant channel are served by
+// no more workers than there were ever chains live at once — nowhere
+// near one per chain, which is what a goroutine per chain used to cost.
+func TestDeliveryWorkersBoundedByConcurrentChains(t *testing.T) {
+	const users, burst, total = 1000, 50, 10000
+	var delivered atomic.Int64
+	h := newTestHub(t, Config{
+		Channels: sinkChannels(func(int, string, *alert.Alert) error { delivered.Add(1); return nil }),
+		Shards:   8, CommitWindow: 2 * time.Millisecond,
+	})
+	addUsers(t, h, users)
+	if err := h.Start(); err != nil {
+		t.Fatal(err)
+	}
+	now := h.cfg.Clock.Now()
+	for i := 0; i < total; i += burst {
+		batch := make([]Submission, burst)
+		for k := range batch {
+			batch[k] = Submission{User: fmt.Sprintf("user-%d", (i+k)%users), Alert: portalAlert(i+k, now)}
+		}
+		for k, err := range h.SubmitBatch(batch) {
+			if err != nil {
+				t.Fatalf("submit %d: %v", i+k, err)
+			}
+		}
+	}
+	waitCond(t, "every alert to be delivered", func() bool { return delivered.Load() == total })
+	for _, sh := range h.shards {
+		d := sh.current().delivery
+		d.mu.Lock()
+		spawned, peak := d.spawned, d.peakChains
+		d.mu.Unlock()
+		if spawned > peak {
+			t.Errorf("shard %d: %d workers spawned, but at most %d chains were ever live at once", sh.id, spawned, peak)
+		}
+	}
+	spawned, _, _ := stageCounts(h)
+	t.Logf("%d workers served %d chains' worth of alerts", spawned, total)
+	if spawned >= total/10 {
+		t.Errorf("%d workers for %d alerts on an instant channel: workers are not being reused", spawned, total)
+	}
+}
+
+// TestReadyChainStartsWhileWorkersParkInAckWaits pins that a worker
+// parked inside a delivery is not a free worker: with every live worker
+// waiting for an IM acknowledgement that never comes, a chain that
+// becomes ready gets a worker of its own at once instead of queueing
+// behind the ack timeout.
+func TestReadyChainStartsWhileWorkersParkInAckWaits(t *testing.T) {
+	const parked = 4
+	sends := make(chan imSend, parked+1)
+	var seq atomic.Uint64
+	chans := core.NewChannels().
+		Register(addr.TypeIM, core.ChannelFunc(func(req core.Send) (core.SendResult, error) {
+			s := seq.Add(1)
+			sends <- imSend{handle: req.To, seq: s}
+			return core.SendResult{Seq: s}, nil
+		})).
+		Register(addr.TypeEmail, core.ChannelFunc(func(core.Send) (core.SendResult, error) {
+			return core.SendResult{Confirmed: true}, nil
+		}))
+	h := newTestHub(t, Config{Channels: chans, Shards: 1, AckTimeout: 30 * time.Second})
+	hostModeUsers(t, h, parked+1, 0)
+	if err := h.Start(); err != nil {
+		t.Fatal(err)
+	}
+	var unacked []imSend
+	await := func(n int) {
+		t.Helper()
+		for len(unacked) < n {
+			select {
+			case s := <-sends:
+				unacked = append(unacked, s)
+			case <-time.After(10 * time.Second):
+				t.Fatalf("%d of %d IMs sent: a ready chain waited behind parked workers", len(unacked), n)
+			}
+		}
+	}
+	for i := 0; i < parked; i++ {
+		if err := h.Submit(fmt.Sprintf("user-%d", i), portalAlert(i, h.cfg.Clock.Now())); err != nil {
+			t.Fatal(err)
+		}
+	}
+	await(parked)
+	waitCond(t, "every worker to park in its ack wait", func() bool {
+		_, _, free := stageCounts(h)
+		return h.Executor().Acks().Pending() == parked && free == 0
+	})
+	if err := h.Submit(fmt.Sprintf("user-%d", parked), portalAlert(parked, h.cfg.Clock.Now())); err != nil {
+		t.Fatal(err)
+	}
+	await(parked + 1)
+	if spawned, _, _ := stageCounts(h); spawned != parked+1 {
+		t.Fatalf("%d workers spawned, want %d: one per parked delivery and one for the chain that became ready", spawned, parked+1)
+	}
+	for _, s := range unacked {
+		h.HandleIncoming(im.Message{From: s.handle, Text: core.AckText(s.seq)})
+	}
+	if err := h.Drain(); err != nil {
+		t.Fatal(err)
+	}
+}

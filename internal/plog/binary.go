@@ -136,7 +136,7 @@ func (l *Log) applyFrame(body []byte) {
 	payload := body[13+klen:]
 	switch typ {
 	case frameRecv:
-		l.addReceivedLocked(string(key), append([]byte(nil), payload...), time.Unix(0, nanos).UTC())
+		l.addReceivedLocked(string(key), l.replayCopy(payload), time.Unix(0, nanos).UTC())
 	case frameDone:
 		if i, ok := l.index[string(key)]; ok && !l.order[i].Processed {
 			l.markProcessedLocked(i)
@@ -144,4 +144,20 @@ func (l *Log) applyFrame(body []byte) {
 	default:
 		// Unknown record type: skip (forward compatibility).
 	}
+}
+
+// replayChunk is the size of the slabs replayed RECV payloads are copied
+// into: most of them meet their DONE later in the same replay, so they
+// are packed into shared chunks rather than given an allocation each.
+const replayChunk = 64 << 10
+
+// replayCopy returns a private copy of p (the frame buffer is reused)
+// inside the current replay chunk, starting a new chunk when p does not
+// fit. The copy is cap-limited, as in stageRecv. Recovery only.
+func (l *Log) replayCopy(p []byte) (copied []byte) {
+	if len(p) > cap(l.replaySlab)-len(l.replaySlab) {
+		l.replaySlab = make([]byte, 0, max(replayChunk, len(p)))
+	}
+	l.replaySlab, copied = appendSlab(l.replaySlab, p)
+	return copied
 }

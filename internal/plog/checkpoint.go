@@ -274,7 +274,9 @@ func readCheckpointFrame(r *bufio.Reader) (Record, error) {
 		return rec, fmt.Errorf("inconsistent key length")
 	}
 	rec.Key = string(body[13 : 13+klen])
-	rec.Payload = append([]byte(nil), body[13+klen:]...)
+	// No copy: buf is this frame's alone, and recovery re-homes every
+	// surviving payload when it finishes (see recover), which frees buf.
+	rec.Payload = body[13+klen : len(body) : len(body)]
 	rec.ReceivedAt = time.Unix(0, int64(binary.LittleEndian.Uint64(body[1:9]))).UTC()
 	return rec, nil
 }

@@ -279,6 +279,7 @@ type Log struct {
 	// Set by recovery, before the log is shared; read-only afterwards.
 	corrupt      int64
 	replayedSegs int
+	replaySlab   []byte // the chunk replayCopy is filling; dropped when recovery ends
 
 	segsCreated    atomic.Int64
 	ckptsWritten   atomic.Int64
@@ -310,6 +311,7 @@ type Log struct {
 	// shutdown never waits out a window.
 	flushNow chan struct{}
 	scratch  []byte // staging buffer reused across appends
+	fresh    []int  // stageRecv's scratch: which entries of a burst were new
 	// freeBufs recycles committed batches' encode buffers back into new
 	// batches: the committer strips a batch's buf after its fsync —
 	// waiters only ever read err past done — so steady-state commits
@@ -366,15 +368,18 @@ func OpenGroup(path string, opts GroupOptions) (*Log, error) {
 }
 
 // addReceivedLocked records one received alert in memory, taking
-// ownership of payload. Callers pass a private copy when the bytes
-// came from outside. Caller holds mu.
-func (l *Log) addReceivedLocked(key string, payload []byte, at time.Time) {
+// ownership of payload, unless the key is already resident (duplicate
+// RECV: first wins); it reports whether the record was added. Callers
+// pass a private copy when the bytes came from outside. Caller holds
+// mu.
+func (l *Log) addReceivedLocked(key string, payload []byte, at time.Time) bool {
 	if _, ok := l.index[key]; ok {
-		return // duplicate RECV: first wins
+		return false
 	}
 	l.index[key] = len(l.order)
 	l.order = append(l.order, Record{Key: key, Payload: payload, ReceivedAt: at})
 	l.total++
+	return true
 }
 
 // markProcessedLocked tombstones one record, dropping its payload
@@ -391,7 +396,11 @@ func (l *Log) maybeSweepLocked() {
 	if l.opts.Log.SweepEvery <= 0 || l.processedLive < l.opts.Log.SweepEvery {
 		return
 	}
-	kept := make([]Record, 0, len(l.order)-l.processedLive)
+	// Sized for the refill: the next sweep comes SweepEvery records from
+	// now, and growing back up to it one doubling at a time would cost
+	// more allocations than every burst in between.
+	refill := len(l.order) - l.processedLive + l.opts.Log.SweepEvery
+	kept := make([]Record, 0, refill)
 	for _, r := range l.order {
 		if !r.Processed {
 			kept = append(kept, r)
@@ -399,7 +408,7 @@ func (l *Log) maybeSweepLocked() {
 	}
 	l.retired += int64(len(l.order) - len(kept))
 	l.order = kept
-	l.index = make(map[string]int, len(kept))
+	l.index = make(map[string]int, refill)
 	for i, r := range kept {
 		l.index[r.Key] = i
 	}
@@ -412,19 +421,46 @@ func (l *Log) maybeSweepLocked() {
 // duplicates are skipped (first RECV wins). Records are staged before
 // they are durable: Has reports them at once, Commit.Wait says when
 // they are on disk. Caller holds qmu.
+//
+// The records' private payload copies share one allocation per call, a
+// slab of exactly the fresh entries' payload bytes: each Record.Payload
+// is a cap-limited slice of it, so an append to one can never reach its
+// neighbour, and since a DONE nils the field the slab is collectable
+// when its last record is DONE. Nothing of the caller's buffers is kept.
 func (l *Log) stageRecv(dst []byte, entries []BatchEntry) (out []byte, staged int64) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
+	first, size := len(l.order), 0
+	fresh := l.fresh[:0]
 	for i := range entries {
 		e := &entries[i]
-		if _, ok := l.index[e.Key]; ok {
+		if !l.addReceivedLocked(e.Key, nil, e.At) {
 			continue
 		}
 		dst = appendRecv(dst, e.At.UnixNano(), e.Key, e.Payload)
-		l.addReceivedLocked(e.Key, append([]byte(nil), e.Payload...), e.At)
-		staged++
+		fresh = append(fresh, i)
+		size += len(e.Payload)
 	}
-	return dst, staged
+	l.fresh = fresh
+	if size > 0 {
+		slab := make([]byte, 0, size)
+		for k, i := range fresh {
+			slab, l.order[first+k].Payload = appendSlab(slab, entries[i].Payload)
+		}
+	}
+	return dst, int64(len(fresh))
+}
+
+// appendSlab copies p onto the end of slab, which must have room, and
+// returns the grown slab and the copy: a slice whose capacity ends where
+// its length does, nil for an empty p.
+func appendSlab(slab, p []byte) (grown, copied []byte) {
+	if len(p) == 0 {
+		return slab, nil
+	}
+	lo := len(slab)
+	slab = append(slab, p...)
+	return slab, slab[lo:len(slab):len(slab)]
 }
 
 // stageDone is the one DONE staging function: under a single index-lock
@@ -655,15 +691,32 @@ func (l *Log) IsProcessed(key string) bool {
 func (l *Log) Unprocessed() []Record {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	var out []Record
+	n := len(l.order) - l.processedLive
+	if n == 0 {
+		return nil
+	}
+	out := make([]Record, 0, n)
 	for _, r := range l.order {
 		if !r.Processed {
-			cp := r
-			cp.Payload = append([]byte(nil), r.Payload...)
-			out = append(out, cp)
+			out = append(out, r)
 		}
 	}
+	rehome(out) // the caller gets copies, in one slab, not the log's own bytes
 	return out
+}
+
+// rehome replaces every record's payload with a copy in one fresh slab
+// of exactly their total size (cap-limited slices, as in stageRecv), so
+// the records stop referencing whatever held their payloads before.
+func rehome(recs []Record) {
+	size := 0
+	for i := range recs {
+		size += len(recs[i].Payload)
+	}
+	slab := make([]byte, 0, size)
+	for i := range recs {
+		slab, recs[i].Payload = appendSlab(slab, recs[i].Payload)
+	}
 }
 
 // Len returns the all-time number of logged alerts, including records

@@ -61,13 +61,26 @@ func (l *Log) scanFiles() (segs, ckpts []uint64, err error) {
 	return segs, ckpts, nil
 }
 
-// recover rebuilds the in-memory state: load the newest valid
-// checkpoint, delete segments the checkpoint covers (a crash may have
-// interrupted the compactor's deletions), and replay only the segments
-// past the watermark — the bounded-recovery path. The final segment's
-// torn tail, if any, is truncated and the segment becomes the active
-// one.
+// recover rebuilds the in-memory state from the files (replay) and then
+// re-homes the payloads. Replay leaves them in checkpoint frame buffers
+// and replay chunks, the survivors' beside those of records long since
+// DONE; moving the survivors into one slab of exactly their size means a
+// lone survivor cannot pin a chunk (processed records have no payload).
 func (l *Log) recover() error {
+	if err := l.replay(); err != nil {
+		return err
+	}
+	rehome(l.order)
+	l.replaySlab = nil
+	return nil
+}
+
+// replay is recover's reading half: load the newest valid checkpoint,
+// delete segments the checkpoint covers (a crash may have interrupted
+// the compactor's deletions), and replay only the segments past the
+// watermark — the bounded-recovery path. The final segment's torn tail,
+// if any, is truncated and the segment becomes the active one.
+func (l *Log) replay() error {
 	segs, ckpts, err := l.scanFiles()
 	if err != nil {
 		return err
