@@ -3,6 +3,7 @@ package hub
 import (
 	"fmt"
 	"math"
+	"os"
 	"path/filepath"
 	"runtime"
 	"strings"
@@ -17,6 +18,7 @@ import (
 	"simba/internal/core"
 	"simba/internal/dist"
 	"simba/internal/faults"
+	"simba/internal/mab"
 	"simba/internal/race"
 )
 
@@ -142,6 +144,85 @@ func TestHubIngestAllocBudget(t *testing.T) {
 	}
 	if best > budget {
 		t.Fatalf("ingest path allocates %.3f objects per alert in its cheapest window, budget %.3f", best, budget)
+	}
+}
+
+// TestHubJournalBytesPerAlert pins what the journal writes per alert, from
+// admission to DONE: alerts shaped like the benchmark's (a 40-byte
+// user␟dedup key, a 131-byte wire payload) through SubmitBatch, then
+// Drain, then the segment files' sizes over the alert count. An alert
+// owes its key and payload once and two length varints (174 bytes); a
+// burst owes one run header (22 bytes), a commit one DONE list header,
+// a DONE about a byte. Nothing is owed per alert twice — a second copy
+// of the key in the DONE, or a frame header and checksum per record,
+// would put either burst size far over its bound.
+func TestHubJournalBytesPerAlert(t *testing.T) {
+	const users, alerts = 1000, 64 * 80
+	created := time.Unix(985597200, 0)
+	for _, tc := range []struct {
+		burst int
+		bound float64
+	}{{64, 180}, {8, 190}} {
+		t.Run(fmt.Sprintf("burst%d", tc.burst), func(t *testing.T) {
+			var delivered atomic.Int64
+			walPath := filepath.Join(t.TempDir(), "hub.wal")
+			h := newTestHub(t, Config{
+				Channels: sinkChannels(func(int, string, *alert.Alert) error {
+					delivered.Add(1)
+					return nil
+				}),
+				WALPath:      walPath,
+				Shards:       8,
+				CommitWindow: 2 * time.Millisecond,
+			})
+			for u := 0; u < users; u++ {
+				b, err := h.AddUser(fmt.Sprintf("u%04d", u))
+				if err != nil {
+					t.Fatal(err)
+				}
+				b.Pipeline().Classifier.Accept(mab.SourceRule{Source: "portal", Extract: mab.ExtractNative})
+				b.Pipeline().Aggregator.Map("stocks", "Investment")
+			}
+			if err := h.Start(); err != nil {
+				t.Fatal(err)
+			}
+			subs := make([]Submission, alerts)
+			for i := range subs {
+				subs[i] = Submission{User: fmt.Sprintf("u%04d", i%users), Alert: &alert.Alert{
+					ID: fmt.Sprintf("a%07d", i), Source: "portal", Keywords: []string{"stocks"},
+					Subject: "quote update", Urgency: alert.UrgencyNormal,
+					Created: created.Add(time.Duration(i) * time.Microsecond),
+				}}
+			}
+			for i := 0; i < alerts; i += tc.burst {
+				for k, err := range h.SubmitBatch(subs[i : i+tc.burst]) {
+					if err != nil {
+						t.Fatalf("submit %d: %v", i+k, err)
+					}
+				}
+			}
+			waitCond(t, "every alert to be delivered", func() bool { return delivered.Load() >= alerts })
+			if err := h.Drain(); err != nil {
+				t.Fatal(err)
+			}
+			segs, err := filepath.Glob(walPath + ".*.seg")
+			if err != nil || len(segs) == 0 {
+				t.Fatalf("segments of %s: %v, %v", walPath, segs, err)
+			}
+			var bytes int64
+			for _, seg := range segs {
+				fi, err := os.Stat(seg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				bytes += fi.Size()
+			}
+			perAlert := float64(bytes) / alerts
+			t.Logf("bursts of %d: %d bytes in %d segments for %d alerts = %.2f bytes/alert (bound %.0f)", tc.burst, bytes, len(segs), alerts, perAlert, tc.bound)
+			if perAlert > tc.bound {
+				t.Fatalf("the journal wrote %.2f bytes per alert in bursts of %d, bound %.0f", perAlert, tc.burst, tc.bound)
+			}
+		})
 	}
 }
 

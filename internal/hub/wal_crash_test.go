@@ -186,7 +186,7 @@ func TestHubCrashDuringWALCheckpoint(t *testing.T) {
 	if err := os.WriteFile(walPath+".ckpt.tmp", []byte("CKPT 1 2 9"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(walPath+".ckpt.00000002", []byte("CKPT 1 2 99 1 99 0\n"), 0o644); err != nil {
+	if err := os.WriteFile(walPath+".ckpt.00000002", []byte("CKPT 3 2 99 1 99 0\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 
@@ -261,11 +261,11 @@ func frameEnds(t *testing.T, path string) (ends []int64) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	const magicLen, overhead = 8, 17
+	const magicLen, minLen = 8, 5
 	off := magicLen
 	for off+4 <= len(data) {
 		n := int(binary.LittleEndian.Uint32(data[off : off+4]))
-		if n < overhead || off+4+n > len(data) {
+		if n < minLen || off+4+n > len(data) {
 			break
 		}
 		off += 4 + n
@@ -277,12 +277,13 @@ func frameEnds(t *testing.T, path string) (ends []int64) {
 // TestHubCrashTearsOneLaneWhileOthersCommit (the name predates the hub's
 // single journal) simulates the machine dying while the journal's final
 // batch was still being written: an earlier burst is fully committed,
-// the final burst's write ends mid-frame. Recovery must replay the
-// committed burst plus the final batch's valid prefix, count no
+// the final burst's write ends mid-frame. A burst is one frame, so
+// recovery must replay the committed burst whole and nothing of the
+// final one — every acknowledged alert, whole bursts only — count no
 // corruption, and dedup a re-submission of both bursts down to exactly
-// the torn records.
+// the torn burst.
 func TestHubCrashTearsOneLaneWhileOthersCommit(t *testing.T) {
-	const users, perUser, kept = 8, 4, 3
+	const users, perUser = 8, 4
 	walPath := filepath.Join(t.TempDir(), "hub.wal")
 	clk := clock.NewReal()
 	crash := faults.NewFlag("crash-after-batch-fsync")
@@ -338,16 +339,15 @@ func TestHubCrashTearsOneLaneWhileOthersCommit(t *testing.T) {
 	}
 
 	// Tear the final batch mid-frame, as if its write never finished
-	// hitting the platter: `kept` of its records survive whole, the next
-	// is cut short, the rest never arrived.
+	// hitting the platter (and its senders never got their acks): all but
+	// its last few bytes arrived, and none of its records survive.
 	seg := activeSegment(t, walPath)
 	ends := frameEnds(t, seg)
-	if len(ends) != len(committed)+len(final) {
-		t.Fatalf("journal holds %d records, want %d", len(ends), len(committed)+len(final))
+	if len(ends) != 2 {
+		t.Fatalf("journal holds %d frames, want one per burst", len(ends))
 	}
-	survivors := len(committed) + kept
-	torn := len(final) - kept
-	if err := os.Truncate(seg, ends[survivors]-5); err != nil {
+	survivors, torn := len(committed), len(final)
+	if err := os.Truncate(seg, ends[1]-5); err != nil {
 		t.Fatal(err)
 	}
 

@@ -5,145 +5,303 @@ import (
 	"encoding/binary"
 	"hash/crc32"
 	"io"
+	"slices"
+	"sort"
 	"time"
 )
 
-// Binary journal framing. A segment opens with an 8-byte magic header
-// and then carries length-prefixed binary frames:
+// Binary journal framing. Every logged record has an all-time ordinal,
+// its seq: the value of Log.total that admitted it, starting at 1 and
+// carried across compaction by the checkpoint header. A segment opens
+// with an 8-byte magic header and then carries length-prefixed frames of
+// two kinds. A RECV run is one ingest burst — entries that share a
+// receive timestamp and have consecutive seqs:
 //
-//	offset  size  field
-//	0       4     frame length N (u32 LE; bytes after this prefix)
-//	4       1     record type ('R' = RECV, 'D' = DONE)
-//	5       8     unix-nanos timestamp (i64 LE)
-//	13      4     key length K (u32 LE)
-//	17      K     key bytes
-//	17+K    P     payload bytes (P = N − 17 − K; empty for DONE)
-//	17+K+P  4     CRC32C (Castagnoli, LE) over bytes [4, 4+N−4)
+//	u32 LE   frame length N (bytes after this prefix)
+//	u8       'R'
+//	i64 LE   unix-nanos receive timestamp of every entry
+//	uvarint  seq of the first entry
+//	uvarint  entry count C
+//	C ×      uvarint key length, key, uvarint payload length, payload
+//	u32 LE   CRC32C (Castagnoli) over everything after the prefix but itself
 //
-// so N = 17 + K + P and a frame occupies 4 + N bytes on disk. The CRC
-// covers everything after the length prefix except itself, so any
-// single-bit flip inside a frame body is detected; replay stops at the
-// first frame that fails its checksum (frames cannot be resynchronized
-// past a corrupt length), counting it in Stats.CorruptRecords. A
-// zero-valued length prefix marks the clean end of a preallocated
-// segment's zero tail, and a frame cut short by a crash mid-write is a
-// torn tail: replay keeps the intact prefix. CRC-valid frames with an
-// unknown record type are skipped (forward compatibility).
+// and a DONE list names the records a commit batch marked processed, by
+// seq:
+//
+//	u32 LE   frame length N
+//	u8       'D'
+//	uvarint  seq count C
+//	C ×      uvarint delta from the previous seq (ascending; the first from 0)
+//	u32 LE   CRC32C
+//
+// A burst whose entries differ in timestamp, a checkpoint's unprocessed
+// set (whose seqs have gaps), or a run that reaches runMaxBytes is
+// simply written as several runs, so segments and checkpoints share the
+// one codec below. A commit batch's DONE list is written after its RECV
+// runs, so a DONE never precedes the RECV it names.
+//
+// A frame is applied whole or not at all. Replay stops at the first
+// frame that fails its checksum or carries an impossible length (frames
+// cannot be resynchronized past a corrupt length), counting it in
+// Stats.CorruptRecords. A zero length prefix marks the clean end of a
+// preallocated segment's zero tail, and a frame promising more bytes
+// than the file holds was cut short by a crash mid-write — a torn tail:
+// replay keeps the whole frames before it. A CRC-valid frame of an
+// unknown type is skipped (forward compatibility); one of a known type
+// whose body does not parse is a writer bug, counted and skipped.
 
-// segMagic opens every segment; recovery refuses a file without it
-// (replaySegment).
-const segMagic = "SIMBAW1\n"
+// segMagic opens every segment; recovery refuses a file that opens with
+// anything else (checkFormats).
+const segMagic = "SIMBAW2\n"
 
-// segHeaderSize is the byte offset of the first frame in a binary
-// segment.
+// segHeaderSize is the byte offset of the first frame in a segment.
 const segHeaderSize = int64(len(segMagic))
 
 const (
 	frameRecv = byte('R')
 	frameDone = byte('D')
-	// frameOverhead is a frame's fixed body cost: type + nanos + key
-	// length + CRC. The minimum frame length (empty key, no payload).
-	frameOverhead = 1 + 8 + 4 + 4
-	// frameMaxLen rejects absurd length prefixes (torn or corrupt)
-	// before any allocation is sized from them.
+	// frameMinLen is the shortest frame length: a type byte and the CRC.
+	frameMinLen = 1 + 4
+	// frameMaxLen rejects absurd length prefixes (torn or corrupt).
 	frameMaxLen = 1 << 28
+	// runMaxBytes closes a RECV run once its keys and payloads reach this
+	// size, so no burst or checkpoint, however large, writes a frame
+	// near frameMaxLen.
+	runMaxBytes = 1 << 20
 )
 
 // castagnoli is the CRC32C polynomial table; hash/crc32 dispatches to
 // the hardware instruction (SSE4.2 CRC32 / ARMv8 CRC) when available.
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
-// appendFrame appends one binary frame to dst.
-func appendFrame(dst []byte, typ byte, nanos int64, key string, payload []byte) []byte {
-	n := frameOverhead + len(key) + len(payload)
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(n))
-	body := len(dst)
-	dst = append(dst, typ)
+// beginFrame starts a frame of type typ at the end of dst, reserving its
+// length prefix; endFrame, given the same start, seals it.
+func beginFrame(dst []byte, typ byte) (out []byte, start int) {
+	return append(dst, 0, 0, 0, 0, typ), len(dst)
+}
+
+// endFrame appends the checksum of the frame begun at start and fills
+// in its length prefix.
+func endFrame(dst []byte, start int) []byte {
+	dst = binary.LittleEndian.AppendUint32(dst, crc32.Checksum(dst[start+4:], castagnoli))
+	binary.LittleEndian.PutUint32(dst[start:], uint32(len(dst)-start-4))
+	return dst
+}
+
+// appendRun appends one RECV run holding the longest prefix of recs
+// (which must not be empty) that a run can hold — same timestamp,
+// consecutive seqs, under runMaxBytes — and reports how many it took.
+func appendRun(dst []byte, recs []Record) (out []byte, n int) {
+	first, nanos := recs[0].seq, recs[0].ReceivedAt.UnixNano()
+	for size := 0; n < len(recs) && size < runMaxBytes; n++ {
+		r := &recs[n]
+		if r.seq != first+int64(n) || r.ReceivedAt.UnixNano() != nanos {
+			break
+		}
+		size += len(r.Key) + len(r.Payload)
+	}
+	dst, start := beginFrame(dst, frameRecv)
 	dst = binary.LittleEndian.AppendUint64(dst, uint64(nanos))
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(key)))
-	dst = append(dst, key...)
-	dst = append(dst, payload...)
-	sum := crc32.Checksum(dst[body:], castagnoli)
-	return binary.LittleEndian.AppendUint32(dst, sum)
+	dst = binary.AppendUvarint(dst, uint64(first))
+	dst = binary.AppendUvarint(dst, uint64(n))
+	for i := range recs[:n] {
+		r := &recs[i]
+		dst = binary.AppendUvarint(dst, uint64(len(r.Key)))
+		dst = append(dst, r.Key...)
+		dst = binary.AppendUvarint(dst, uint64(len(r.Payload)))
+		dst = append(dst, r.Payload...)
+	}
+	return endFrame(dst, start), n
 }
 
-// appendRecv appends a RECV frame to dst.
-func appendRecv(dst []byte, nanos int64, key string, payload []byte) []byte {
-	return appendFrame(dst, frameRecv, nanos, key, payload)
+// appendDoneList appends one DONE list naming seqs, which it sorts.
+func appendDoneList(dst []byte, seqs []int64) []byte {
+	slices.Sort(seqs)
+	dst, start := beginFrame(dst, frameDone)
+	dst = binary.AppendUvarint(dst, uint64(len(seqs)))
+	prev := int64(0)
+	for _, s := range seqs {
+		dst = binary.AppendUvarint(dst, uint64(s-prev))
+		prev = s
+	}
+	return endFrame(dst, start)
 }
 
-// appendDone appends a DONE frame to dst.
-func appendDone(dst []byte, nanos int64, key string) []byte {
-	return appendFrame(dst, frameDone, nanos, key, nil)
+// cursor reads the fields of one frame body; bad latches once a field
+// does not fit what is left, and every later read returns zero.
+type cursor struct {
+	p   []byte
+	bad bool
 }
 
-// replayFrames scans one binary segment stream positioned just past the
-// magic header, applying every CRC-valid frame and returning the byte
-// length of the intact frame sequence (excluding the header). It stops
-// at the clean end (EOF or a zero length prefix — the preallocated
-// tail), at a torn frame (length prefix promising more bytes than
-// exist), or at the first checksum failure (counted in CorruptRecords;
-// binary frames cannot resync past a bad record). Replayed records
-// count toward the compaction trigger, so reopening with a long
-// post-checkpoint tail schedules a fresh checkpoint promptly.
-func (l *Log) replayFrames(r *bufio.Reader) (goodBytes int64) {
-	var hdr [4]byte
-	var buf []byte
+func (c *cursor) uvarint() uint64 {
+	v, n := binary.Uvarint(c.p)
+	if n <= 0 {
+		c.bad, c.p = true, nil
+		return 0
+	}
+	c.p = c.p[n:]
+	return v
+}
+
+// field reads a uvarint length and that many bytes, cap-limited.
+func (c *cursor) field() []byte {
+	n := c.uvarint()
+	if n > uint64(len(c.p)) {
+		c.bad, c.p = true, nil
+		return nil
+	}
+	f := c.p[:n:n]
+	c.p = c.p[n:]
+	return f
+}
+
+// decodeRun appends the entries of one CRC-validated RECV run body to
+// recs. Their payloads alias body. ok is false, and nothing is appended,
+// when the body is not exactly one well-formed run of at least one
+// entry.
+func decodeRun(body []byte, recs []Record) (out []Record, ok bool) {
+	if len(body) < 9 {
+		return recs, false
+	}
+	at := time.Unix(0, int64(binary.LittleEndian.Uint64(body[1:9]))).UTC()
+	c := cursor{p: body[9:]}
+	first, count := c.uvarint(), c.uvarint()
+	out = recs
+	for i := uint64(0); i < count && !c.bad; i++ {
+		key, payload := c.field(), c.field()
+		out = append(out, Record{Key: string(key), Payload: payload, ReceivedAt: at, seq: int64(first + i)})
+	}
+	if c.bad || len(c.p) != 0 || count == 0 || first == 0 || first > 1<<62 {
+		return recs, false
+	}
+	return out, true
+}
+
+// decodeDoneList appends the seqs of one CRC-validated DONE list body to
+// seqs, ascending; ok is as in decodeRun.
+func decodeDoneList(body []byte, seqs []int64) (out []int64, ok bool) {
+	c := cursor{p: body[1:]}
+	out = seqs
+	var seq uint64
+	for i, count := uint64(0), c.uvarint(); i < count && !c.bad; i++ {
+		seq += c.uvarint()
+		out = append(out, int64(seq))
+	}
+	if c.bad || len(c.p) != 0 {
+		return seqs, false
+	}
+	return out, true
+}
+
+// frameReader walks the frames of one file: a segment past its magic,
+// or a checkpoint past its header line.
+type frameReader struct {
+	r *bufio.Reader
+	// left is how many bytes of the file are still unread; a length
+	// prefix is checked against it before a buffer is sized from it.
+	left int64
+	buf  []byte // reused from frame to frame unless the caller clears it
+}
+
+// next returns the next frame's body — type byte through last entry, the
+// checksum verified and stripped — in a buffer valid until the next
+// call. A nil body is where reading stops: at the clean end (EOF or a
+// zero length prefix, the preallocated tail) or a torn frame when
+// corrupt is false, at an impossible length or a checksum failure when
+// it is true.
+func (fr *frameReader) next() (body []byte, corrupt bool) {
+	hdr, err := fr.r.Peek(4)
+	if err != nil {
+		return nil, false // EOF or torn length prefix
+	}
+	n := int64(binary.LittleEndian.Uint32(hdr))
+	fr.r.Discard(4)
+	switch {
+	case n != 0 && (n < frameMinLen || n > frameMaxLen):
+		return nil, true
+	case n == 0 || n > fr.left-4:
+		return nil, false // the zero tail, or torn: the file ends before the frame does
+	}
+	fr.left -= 4 + n
+	if int64(cap(fr.buf)) < n {
+		fr.buf = make([]byte, n)
+	}
+	buf := fr.buf[:n]
+	if _, err := io.ReadFull(fr.r, buf); err != nil {
+		return nil, false
+	}
+	if crc32.Checksum(buf[:n-4], castagnoli) != binary.LittleEndian.Uint32(buf[n-4:]) {
+		return nil, true
+	}
+	return buf[:n-4], false
+}
+
+// replayFrames scans one segment of size bytes whose reader is
+// positioned just past the magic header, applying every valid frame and
+// returning the byte length of the intact frame sequence (excluding the
+// header). Replayed records count toward the compaction trigger, so
+// reopening with a long post-checkpoint tail schedules a fresh
+// checkpoint promptly.
+func (l *Log) replayFrames(r *bufio.Reader, size int64) (goodBytes int64) {
+	fr := frameReader{r: r, left: size - segHeaderSize}
+	var recs []Record
+	var seqs []int64
 	for {
-		if _, err := io.ReadFull(r, hdr[:]); err != nil {
-			return goodBytes // EOF or torn length prefix
-		}
-		n := binary.LittleEndian.Uint32(hdr[:])
-		if n == 0 {
-			return goodBytes // preallocated zero tail: clean end
-		}
-		if n < frameOverhead || n > frameMaxLen {
-			l.corrupt++
+		body, corrupt := fr.next()
+		if body == nil {
+			if corrupt {
+				l.corrupt++
+			}
 			return goodBytes
 		}
-		if cap(buf) < int(n) {
-			buf = make([]byte, n)
+		goodBytes += 4 + int64(len(body)) + 4
+		ok := true
+		switch body[0] {
+		case frameRecv:
+			if recs, ok = decodeRun(body, recs[:0]); ok {
+				l.applyRun(recs)
+			}
+		case frameDone:
+			if seqs, ok = decodeDoneList(body, seqs[:0]); ok {
+				l.applyDoneList(seqs)
+			}
 		}
-		buf = buf[:n]
-		if _, err := io.ReadFull(r, buf); err != nil {
-			return goodBytes // torn tail: incomplete frame
+		if !ok {
+			l.corrupt++ // the frame boundary itself is intact: keep scanning
 		}
-		body := buf[:n-4]
-		if crc32.Checksum(body, castagnoli) != binary.LittleEndian.Uint32(buf[n-4:]) {
-			l.corrupt++
-			return goodBytes
-		}
-		l.applyFrame(body)
-		goodBytes += int64(4 + n)
-		l.sinceCkpt++
 	}
 }
 
-// applyFrame applies one CRC-validated frame body (type through
-// payload, checksum already stripped and verified).
-func (l *Log) applyFrame(body []byte) {
-	typ := body[0]
-	nanos := int64(binary.LittleEndian.Uint64(body[1:9]))
-	klen := int(binary.LittleEndian.Uint32(body[9:13]))
-	if 13+klen > len(body) {
-		// Checksum-valid but structurally inconsistent: a writer bug,
-		// not disk damage. Count it and keep scanning — the frame
-		// boundary itself is intact.
-		l.corrupt++
-		return
-	}
-	key := body[13 : 13+klen]
-	payload := body[13+klen:]
-	switch typ {
-	case frameRecv:
-		l.addReceivedLocked(string(key), l.replayCopy(payload), time.Unix(0, nanos).UTC())
-	case frameDone:
-		if i, ok := l.index[string(key)]; ok && !l.order[i].Processed {
-			l.markProcessedLocked(i)
+// applyRun indexes one replayed RECV run, copying the payloads out of
+// the frame buffer. A seq at or below total is one the checkpoint
+// already accounts for: the record was staged before the snapshot but
+// written after the rotation, so it is in the checkpoint if it was still
+// unprocessed then and needs nothing if it was not.
+func (l *Log) applyRun(recs []Record) {
+	for _, r := range recs {
+		if r.seq > l.total {
+			l.addReceivedLocked(r.Key, l.replayCopy(r.Payload), r.ReceivedAt, r.seq)
 		}
-	default:
-		// Unknown record type: skip (forward compatibility).
 	}
+	l.total = max(l.total, recs[len(recs)-1].seq) // a key already resident took no seq above
+	l.sinceCkpt += int64(len(recs))
+}
+
+// applyDoneList tombstones the records one replayed DONE list names.
+// order is in seq order (records are appended as seqs are assigned and
+// the sweep keeps relative order) and so is the list, so each search
+// starts where the last one ended. A seq not resident is a record the
+// checkpoint had already dropped.
+func (l *Log) applyDoneList(seqs []int64) {
+	from := 0
+	for _, s := range seqs {
+		from += sort.Search(len(l.order)-from, func(k int) bool { return l.order[from+k].seq >= s })
+		if from < len(l.order) && l.order[from].seq == s && !l.order[from].Processed {
+			l.markProcessedLocked(from)
+		}
+	}
+	l.sinceCkpt += int64(len(seqs))
 }
 
 // replayChunk is the size of the slabs replayed RECV payloads are copied
@@ -153,7 +311,7 @@ const replayChunk = 64 << 10
 
 // replayCopy returns a private copy of p (the frame buffer is reused)
 // inside the current replay chunk, starting a new chunk when p does not
-// fit. The copy is cap-limited, as in stageRecv. Recovery only.
+// fit. The copy is cap-limited, as in rehome. Recovery only.
 func (l *Log) replayCopy(p []byte) (copied []byte) {
 	if len(p) > cap(l.replaySlab)-len(l.replaySlab) {
 		l.replaySlab = make([]byte, 0, max(replayChunk, len(p)))

@@ -2,32 +2,37 @@ package plog
 
 import (
 	"bufio"
-	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"os"
 	"strings"
 	"time"
 )
 
-// Checkpoint format (version 2):
+// Checkpoint format (version 3):
 //
-//	CKPT 2 <gen> <watermark> <count> <total> <unix-nanos>
-//	<binary RECV frame>   × count      (see binary.go for the layout)
+//	CKPT 3 <gen> <watermark> <count> <total> <unix-nanos>
+//	<binary RECV run> …   holding count entries (binary.go has the layout)
 //	END <count>
 //
 // The header names the format version, the checkpoint generation,
 // the watermark (every segment with sequence <= watermark is fully
 // captured), the number of unprocessed records that follow, and the
-// all-time logged-alert total (so Len survives compaction). The END
-// trailer makes truncation detectable. A checkpoint is written to
-// <base>.ckpt.tmp, fsynced, renamed to <base>.ckpt.<gen>, and the
-// directory fsynced — so a crash at any point leaves either the
+// all-time logged-alert total — the newest seq assigned when the
+// snapshot was taken, so Len and the seq numbering survive compaction.
+// The records keep their seqs (a run ends at every gap a processed
+// record left), so a DONE list written after the checkpoint still names
+// them. The END trailer makes truncation detectable. A checkpoint is
+// written to <base>.ckpt.tmp, fsynced, renamed to <base>.ckpt.<gen>, and
+// the directory fsynced — so a crash at any point leaves either the
 // previous checkpoint intact or both: a half-written tmp file is
 // ignored by recovery, and segments are deleted only after the rename
 // is durable, which is what lets recovery fall back to the previous
 // checkpoint plus full segment replay.
+
+// ckptVersion is the checkpoint format recovery reads; a checkpoint of
+// any other version is refused before anything is touched (checkFormats).
+const ckptVersion = 3
 
 type ckptHeader struct {
 	gen       uint64
@@ -113,12 +118,7 @@ func (l *Log) Checkpoint() error {
 	// it is ahead of the retired segments only by what is still queued.
 	l.mu.Lock()
 	hdr.total = l.total
-	recs := make([]Record, 0, len(l.order)-l.processedLive)
-	for _, r := range l.order {
-		if !r.Processed {
-			recs = append(recs, r) // payload bytes are immutable once logged
-		}
-	}
+	recs := l.unprocessedLocked() // payload bytes are immutable once logged
 	l.mu.Unlock()
 	l.fmu.Unlock()
 	hdr.count = int64(len(recs))
@@ -164,21 +164,17 @@ func (l *Log) writeCheckpoint(hdr ckptHeader, recs []Record) error {
 		return fmt.Errorf("plog: creating checkpoint temp %s: %w", tmp, err)
 	}
 	w := bufio.NewWriterSize(f, 1<<16)
-	fmt.Fprintf(w, "CKPT 2 %d %d %d %d %d\n", hdr.gen, hdr.watermark, hdr.count, hdr.total, time.Now().UnixNano())
+	fmt.Fprintf(w, "CKPT %d %d %d %d %d %d\n", ckptVersion, hdr.gen, hdr.watermark, hdr.count, hdr.total, time.Now().UnixNano())
 	var buf []byte
-	for _, r := range recs {
-		buf = appendRecv(buf[:0], r.ReceivedAt.UnixNano(), r.Key, r.Payload)
-		if _, err := w.Write(buf); err != nil {
-			f.Close()
-			os.Remove(tmp)
-			return fmt.Errorf("plog: writing checkpoint: %w", err)
-		}
+	for n := 0; len(recs) > 0; recs = recs[n:] {
+		buf, n = appendRun(buf[:0], recs)
+		w.Write(buf)
 	}
 	fmt.Fprintf(w, "END %d\n", hdr.count)
-	if err := w.Flush(); err != nil {
+	if err := w.Flush(); err != nil { // a bufio.Writer's first failed write is what Flush reports
 		f.Close()
 		os.Remove(tmp)
-		return fmt.Errorf("plog: flushing checkpoint: %w", err)
+		return fmt.Errorf("plog: writing checkpoint: %w", err)
 	}
 	if err := f.Sync(); err != nil {
 		f.Close()
@@ -198,9 +194,11 @@ func (l *Log) writeCheckpoint(hdr ckptHeader, recs []Record) error {
 }
 
 // loadCheckpoint reads and fully validates one checkpoint file. Any
-// deviation — bad header, short record list, malformed record, missing
-// or mismatched END trailer, trailing garbage — rejects the file so
-// recovery falls back to the previous generation.
+// deviation — bad header, short record list, malformed or out-of-order
+// record, missing or mismatched END trailer, trailing garbage — rejects
+// the file so recovery falls back to the previous generation. Unlike
+// journal replay, which tolerates a torn tail, nothing short of the
+// whole file will do, because checkpoints are written atomically.
 func (l *Log) loadCheckpoint(path string) (ckptHeader, []Record, error) {
 	var hdr ckptHeader
 	f, err := os.Open(path)
@@ -208,6 +206,10 @@ func (l *Log) loadCheckpoint(path string) (ckptHeader, []Record, error) {
 		return hdr, nil, err
 	}
 	defer f.Close()
+	fi, err := f.Stat()
+	if err != nil {
+		return hdr, nil, err
+	}
 	r := bufio.NewReaderSize(f, 1<<16)
 	line, err := r.ReadString('\n')
 	if err != nil {
@@ -215,19 +217,31 @@ func (l *Log) loadCheckpoint(path string) (ckptHeader, []Record, error) {
 	}
 	var version int
 	if n, err := fmt.Sscanf(strings.TrimSuffix(line, "\n"), "CKPT %d %d %d %d %d",
-		&version, &hdr.gen, &hdr.watermark, &hdr.count, &hdr.total); n != 5 || err != nil || version != 2 {
+		&version, &hdr.gen, &hdr.watermark, &hdr.count, &hdr.total); n != 5 || err != nil || version != ckptVersion {
 		return hdr, nil, fmt.Errorf("plog: checkpoint %s: bad header %q", path, line)
 	}
-	if hdr.count < 0 || hdr.total < hdr.count {
+	if hdr.count < 0 || hdr.total < hdr.count || hdr.count > fi.Size()/2 { // a record is two length bytes at least
 		return hdr, nil, fmt.Errorf("plog: checkpoint %s: inconsistent counts", path)
 	}
+	fr := frameReader{r: r, left: fi.Size() - int64(len(line))}
 	recs := make([]Record, 0, hdr.count)
-	for i := int64(0); i < hdr.count; i++ {
-		rec, err := readCheckpointFrame(r)
-		if err != nil {
-			return hdr, nil, fmt.Errorf("plog: checkpoint %s record %d: %w", path, i, err)
+	for ok := true; int64(len(recs)) < hdr.count; {
+		body, _ := fr.next()
+		if body == nil || body[0] != frameRecv {
+			return hdr, nil, fmt.Errorf("plog: checkpoint %s: bad frame after record %d", path, len(recs))
 		}
-		recs = append(recs, rec)
+		if recs, ok = decodeRun(body, recs); !ok {
+			return hdr, nil, fmt.Errorf("plog: checkpoint %s: malformed run after record %d", path, len(recs))
+		}
+		// No copy: the records keep the frame's buffer, and recovery
+		// re-homes every surviving payload when it finishes (see recover),
+		// which frees it.
+		fr.buf = nil
+	}
+	for i, rec := range recs {
+		if rec.seq > hdr.total || i > 0 && rec.seq <= recs[i-1].seq || int64(i) >= hdr.count {
+			return hdr, nil, fmt.Errorf("plog: checkpoint %s: record %d out of seq order or beyond the header's count", path, i)
+		}
 	}
 	line, err = r.ReadString('\n')
 	if err != nil {
@@ -241,42 +255,4 @@ func (l *Log) loadCheckpoint(path string) (ckptHeader, []Record, error) {
 		return hdr, nil, fmt.Errorf("plog: checkpoint %s: trailing garbage", path)
 	}
 	return hdr, recs, nil
-}
-
-// readCheckpointFrame reads one binary RECV frame from a checkpoint
-// body strictly: any malformation — short read, bad length,
-// CRC mismatch, non-RECV type — invalidates the whole file (unlike
-// journal replay, which tolerates a torn tail), because checkpoints are
-// written atomically.
-func readCheckpointFrame(r *bufio.Reader) (Record, error) {
-	var rec Record
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return rec, fmt.Errorf("truncated frame length: %w", err)
-	}
-	n := binary.LittleEndian.Uint32(hdr[:])
-	if n < frameOverhead || n > frameMaxLen {
-		return rec, fmt.Errorf("bad frame length %d", n)
-	}
-	buf := make([]byte, n)
-	if _, err := io.ReadFull(r, buf); err != nil {
-		return rec, fmt.Errorf("truncated frame: %w", err)
-	}
-	body := buf[:n-4]
-	if crc32.Checksum(body, castagnoli) != binary.LittleEndian.Uint32(buf[n-4:]) {
-		return rec, fmt.Errorf("frame checksum mismatch")
-	}
-	if body[0] != frameRecv {
-		return rec, fmt.Errorf("unexpected frame type %q", body[0])
-	}
-	klen := int(binary.LittleEndian.Uint32(body[9:13]))
-	if 13+klen > len(body) {
-		return rec, fmt.Errorf("inconsistent key length")
-	}
-	rec.Key = string(body[13 : 13+klen])
-	// No copy: buf is this frame's alone, and recovery re-homes every
-	// surviving payload when it finishes (see recover), which frees buf.
-	rec.Payload = body[13+klen : len(body) : len(body)]
-	rec.ReceivedAt = time.Unix(0, int64(binary.LittleEndian.Uint64(body[1:9]))).UTC()
-	return rec, nil
 }

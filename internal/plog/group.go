@@ -5,12 +5,21 @@ import (
 	"time"
 )
 
-// groupBatch is one unit of the commit queue: frames staged by one or
+// batchBufs is the recyclable part of a groupBatch.
+type batchBufs struct {
+	buf []byte // encoded RECV runs, in staging order
+	// dones holds the seqs of the records marked processed in this batch,
+	// in staging order; the committer sorts them and encodes them onto
+	// buf as one DONE list, after the runs.
+	dones []int64
+}
+
+// groupBatch is one unit of the commit queue: records staged by one or
 // more appends, written whole (never split across writes) and made
 // durable by one fsync.
 type groupBatch struct {
-	buf   []byte // encoded frames, in staging order
-	lines int64
+	batchBufs
+	lines int64 // records: RECV entries plus DONEs
 	// waited counts the records someone will Wait on (RECV, synchronous
 	// DONE, Replace), plus one for a duplicate append parked on a batch
 	// that had none. Zero means async DONEs only: nobody's latency.
@@ -56,18 +65,20 @@ func (l *Log) unusableLocked() error {
 	return l.failed
 }
 
-// joinLocked is the one way staged frames enter the commit queue: buf
-// (holding staged records' frames, encoded through l.scratch) joins the
-// open batch as a unit and the committer is woken. wait says the caller
-// will Wait on the returned batch; the first waiter to join a backlog of
-// async DONEs cuts its lazy pace short (see committer). A no-op append
-// (staged == 0: duplicate RECV or repeated DONE) joins nothing and gets
-// the youngest pending batch instead — the original record is either
-// already durable or in that batch or an earlier one — or nil when
-// nothing is pending; a no-op waiter is a waiter all the same. Caller
-// holds qmu.
-func (l *Log) joinLocked(buf []byte, staged int64, wait bool) *groupBatch {
-	l.scratch = buf[:0]
+// joinLocked is the one way staged records enter the commit queue: buf
+// (recvs RECV entries' runs, encoded through l.scratch) and whatever
+// stageDone left in doneSeqs join the open batch as a unit and the
+// committer is woken. wait says the caller will Wait on the returned
+// batch; the first waiter to join a backlog of async DONEs cuts its lazy
+// pace short (see committer). A no-op append (nothing staged: duplicate
+// RECV or repeated DONE) joins nothing and gets the youngest pending
+// batch instead — the original record is either already durable or in
+// that batch or an earlier one — or nil when nothing is pending; a no-op
+// waiter is a waiter all the same. Caller holds qmu.
+func (l *Log) joinLocked(buf []byte, recvs int64, wait bool) *groupBatch {
+	dones := l.doneSeqs
+	l.scratch, l.doneSeqs = buf[:0], dones[:0]
+	staged := recvs + int64(len(dones))
 	var b *groupBatch
 	switch n := len(l.queue); {
 	case staged > 0:
@@ -91,6 +102,7 @@ func (l *Log) joinLocked(buf []byte, staged int64, wait bool) *groupBatch {
 	}
 	if staged > 0 {
 		b.buf = append(b.buf, buf...)
+		b.dones = append(b.dones, dones...)
 		b.lines += staged
 		l.appended.Add(staged)
 		l.cond.Signal()
@@ -153,8 +165,8 @@ func (l *Log) openBatchLocked() *groupBatch {
 	}
 	b := &groupBatch{done: make(chan struct{}), openedAt: time.Now()}
 	if n := len(l.freeBufs); n > 0 {
-		b.buf = l.freeBufs[n-1][:0]
-		l.freeBufs[n-1] = nil
+		b.batchBufs = l.freeBufs[n-1]
+		l.freeBufs[n-1] = batchBufs{}
 		l.freeBufs = l.freeBufs[:n-1]
 	}
 	l.queue = append(l.queue, b)
@@ -269,6 +281,11 @@ func (l *Log) committer() {
 		// its error and never touch the file — a later write landing past
 		// a torn one would be unreachable to recovery anyway.
 		if err == nil {
+			for _, b := range take {
+				if len(b.dones) > 0 {
+					b.buf = appendDoneList(b.buf, b.dones)
+				}
+			}
 			buf := take[0].buf
 			if len(take) > 1 {
 				vec = vec[:0]
@@ -292,14 +309,14 @@ func (l *Log) committer() {
 		if err != nil && l.failed == nil {
 			l.failed = err
 		}
-		// Reclaim the written batches' encode buffers: waiters blocked on
-		// b.done only read b.err, so the buffers are free the moment the
-		// vectored append returns.
+		// Reclaim the written batches' buffers: waiters blocked on b.done
+		// only read b.err, so the buffers are free the moment the vectored
+		// append returns.
 		for _, b := range take {
 			if c := cap(b.buf); c > 0 && c <= maxFreeBufByte && len(l.freeBufs) < maxFreeBufs {
-				l.freeBufs = append(l.freeBufs, b.buf[:0])
+				l.freeBufs = append(l.freeBufs, batchBufs{b.buf[:0], b.dones[:0]})
 			}
-			b.buf = nil
+			b.batchBufs = batchBufs{}
 		}
 		l.qmu.Unlock()
 		for _, b := range take {

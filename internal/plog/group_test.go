@@ -1,9 +1,7 @@
 package plog
 
 import (
-	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -197,30 +195,13 @@ func TestGroupLogMaxBatchSplits(t *testing.T) {
 	}
 }
 
-// countFrames mirrors binary recovery over raw segment bytes: the
-// magic header, then complete CRC-valid frames until the data runs
-// out. A file whose magic itself was torn replays as empty.
+// countFrames counts the records in the whole frames of raw segment
+// bytes: RECV entries and DONEs.
 func countFrames(data []byte) (recv, done int) {
-	if len(data) < len(segMagic) || string(data[:len(segMagic)]) != segMagic {
-		return 0, 0
-	}
-	rest := data[len(segMagic):]
-	for len(rest) >= 4 {
-		n := int(binary.LittleEndian.Uint32(rest[:4]))
-		if n < frameOverhead || n > frameMaxLen || len(rest) < 4+n {
-			return
-		}
-		body := rest[4 : 4+n-4]
-		if crc32.Checksum(body, castagnoli) != binary.LittleEndian.Uint32(rest[4+n-4:4+n]) {
-			return
-		}
-		switch body[0] {
-		case frameRecv:
-			recv++
-		case frameDone:
-			done++
-		}
-		rest = rest[4+n:]
+	frames, _ := walkFrames(data)
+	for _, f := range frames {
+		recv += f.recvs
+		done += f.dones
 	}
 	return
 }

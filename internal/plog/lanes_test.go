@@ -3,7 +3,6 @@ package plog
 import (
 	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -11,25 +10,13 @@ import (
 	"time"
 )
 
-// frameEnds walks a binary segment exactly like recovery does and
-// returns the absolute end offset of every complete CRC-valid frame.
+// frameEnds returns the absolute end offset of every whole frame of a
+// segment.
 func frameEnds(data []byte) []int {
-	if len(data) < int(segHeaderSize) || string(data[:len(segMagic)]) != segMagic {
-		return nil
-	}
 	var ends []int
-	off := int(segHeaderSize)
-	for off+4 <= len(data) {
-		n := int(binary.LittleEndian.Uint32(data[off : off+4]))
-		if n < frameOverhead || n > frameMaxLen || off+4+n > len(data) {
-			break
-		}
-		body := data[off+4 : off+4+n-4]
-		if crc32.Checksum(body, castagnoli) != binary.LittleEndian.Uint32(data[off+4+n-4:off+4+n]) {
-			break
-		}
-		off += 4 + n
-		ends = append(ends, off)
+	frames, _ := walkFrames(data)
+	for _, f := range frames {
+		ends = append(ends, f.end)
 	}
 	return ends
 }
@@ -146,7 +133,7 @@ func TestLaneTailCorruptionFuzz(t *testing.T) {
 		wantCorrupt := false
 		if b+4 <= len(data) {
 			n := int(binary.LittleEndian.Uint32(data[b : b+4]))
-			if n < frameOverhead || n > frameMaxLen {
+			if n < frameMinLen || n > frameMaxLen {
 				wantCorrupt = true
 			} else if b+4+n <= len(data) {
 				wantCorrupt = true // frame complete, so the flip breaks its CRC

@@ -9,9 +9,10 @@
 // alert timestamps.
 //
 // There is one journal type, Log, and one write path through it: an
-// append stages its record in memory (RECV carries key+payload, DONE
-// carries key), joins the open commit batch, and a single committer
-// goroutine writes each batch with one write and one fsync. A
+// append stages its record in memory (a burst of RECVs is encoded as one
+// run of keys and payloads, a DONE is its record's ordinal), joins the
+// open commit batch, and a single committer goroutine writes each batch
+// with one write and one fsync. A
 // synchronous append (LogReceived, MarkProcessed, Replace) returns only
 // once its batch is on disk — that is what makes the logging
 // pessimistic. How many appends share an fsync is a matter of load and
@@ -67,6 +68,9 @@ var (
 	ErrUnknownKey = errors.New("plog: unknown key")
 	// ErrClosed indicates use after Close.
 	ErrClosed = errors.New("plog: log closed")
+	// ErrFormat indicates Open found a file written in another journal
+	// format (an earlier release's, say) and touched nothing.
+	ErrFormat = errors.New("plog: not a journal format this version reads")
 
 	errEmptyKey = errors.New("plog: empty key")
 )
@@ -144,8 +148,8 @@ type GroupOptions struct {
 	// force-flush threshold: a paced backlog that reaches it commits
 	// without waiting out the window. Zero means 1024.
 	MaxBatch int
-	// CommitMaxBytes force-flushes once the staged backlog reaches this
-	// many encoded bytes. Zero means 1 MiB.
+	// CommitMaxBytes force-flushes once the staged backlog's RECV runs
+	// reach this many encoded bytes. Zero means 1 MiB.
 	CommitMaxBytes int
 	// Log configures the segmented journal (segment size, background
 	// checkpointing, in-memory sweep).
@@ -158,6 +162,9 @@ type Record struct {
 	Payload    []byte
 	ReceivedAt time.Time
 	Processed  bool
+	// seq is the record's all-time ordinal: the value of Log.total that
+	// admitted it. A DONE names its record by seq on disk.
+	seq int64
 }
 
 // BatchEntry is one incoming record in a batched ingest call
@@ -250,8 +257,9 @@ type Log struct {
 	dirf *os.File
 	opts GroupOptions
 
-	// mu guards the index: order preserves arrival, index maps key →
-	// position in it. total is the all-time logged-alert count; retired
+	// mu guards the index: order preserves arrival — which is seq order —
+	// and index maps key → position in it. total is the all-time
+	// logged-alert count and the newest record's seq; retired
 	// counts processed records swept from memory; processedLive counts
 	// tombstones still resident (the sweep trigger).
 	mu            sync.Mutex
@@ -310,13 +318,13 @@ type Log struct {
 	// threshold or gains its first waiter, and Close signals it so
 	// shutdown never waits out a window.
 	flushNow chan struct{}
-	scratch  []byte // staging buffer reused across appends
-	fresh    []int  // stageRecv's scratch: which entries of a burst were new
-	// freeBufs recycles committed batches' encode buffers back into new
-	// batches: the committer strips a batch's buf after its fsync —
-	// waiters only ever read err past done — so steady-state commits
-	// stop allocating a fresh multi-KB buffer each.
-	freeBufs [][]byte
+	scratch  []byte  // staging buffer reused across appends
+	doneSeqs []int64 // stageDone's output: seqs tombstoned since the last join
+	// freeBufs recycles committed batches' buffers back into new batches:
+	// the committer strips a batch's batchBufs after its fsync — waiters
+	// only ever read err past done — so steady-state commits stop
+	// allocating a fresh multi-KB buffer each.
+	freeBufs []batchBufs
 }
 
 // Open opens (creating if needed) the log at path with the zero
@@ -367,18 +375,19 @@ func OpenGroup(path string, opts GroupOptions) (*Log, error) {
 	return l, nil
 }
 
-// addReceivedLocked records one received alert in memory, taking
-// ownership of payload, unless the key is already resident (duplicate
-// RECV: first wins); it reports whether the record was added. Callers
-// pass a private copy when the bytes came from outside. Caller holds
-// mu.
-func (l *Log) addReceivedLocked(key string, payload []byte, at time.Time) bool {
+// addReceivedLocked records one received alert in memory as record seq
+// (above every seq so far: total+1 when staging, the journal's own when
+// replaying), taking ownership of payload, unless the key is already
+// resident (duplicate RECV: first wins, and no seq is spent); it reports
+// whether the record was added. Callers pass a private copy when the
+// bytes came from outside. Caller holds mu.
+func (l *Log) addReceivedLocked(key string, payload []byte, at time.Time, seq int64) bool {
 	if _, ok := l.index[key]; ok {
 		return false
 	}
 	l.index[key] = len(l.order)
-	l.order = append(l.order, Record{Key: key, Payload: payload, ReceivedAt: at})
-	l.total++
+	l.order = append(l.order, Record{Key: key, Payload: payload, ReceivedAt: at, seq: seq})
+	l.total = seq
 	return true
 }
 
@@ -417,38 +426,30 @@ func (l *Log) maybeSweepLocked() {
 
 // stageRecv is the one RECV staging function: under a single index-lock
 // acquisition it records every entry whose key is not yet resident and
-// appends their frames to dst in entry order. staged counts them;
-// duplicates are skipped (first RECV wins). Records are staged before
-// they are durable: Has reports them at once, Commit.Wait says when
-// they are on disk. Caller holds qmu.
+// appends them to dst in entry order, as one run when they share a
+// timestamp. staged counts them; duplicates are skipped (first RECV
+// wins). Records are staged before they are durable: Has reports them at
+// once, Commit.Wait says when they are on disk. Caller holds qmu.
 //
 // The records' private payload copies share one allocation per call, a
-// slab of exactly the fresh entries' payload bytes: each Record.Payload
-// is a cap-limited slice of it, so an append to one can never reach its
-// neighbour, and since a DONE nils the field the slab is collectable
-// when its last record is DONE. Nothing of the caller's buffers is kept.
+// slab of exactly the fresh entries' payload bytes (rehome): each
+// Record.Payload is a cap-limited slice of it, so an append to one can
+// never reach its neighbour, and since a DONE nils the field the slab is
+// collectable when its last record is DONE. Nothing of the caller's
+// buffers is kept.
 func (l *Log) stageRecv(dst []byte, entries []BatchEntry) (out []byte, staged int64) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	first, size := len(l.order), 0
-	fresh := l.fresh[:0]
-	for i := range entries {
-		e := &entries[i]
-		if !l.addReceivedLocked(e.Key, nil, e.At) {
-			continue
-		}
-		dst = appendRecv(dst, e.At.UnixNano(), e.Key, e.Payload)
-		fresh = append(fresh, i)
-		size += len(e.Payload)
+	first := len(l.order)
+	for _, e := range entries {
+		l.addReceivedLocked(e.Key, e.Payload, e.At, l.total+1) // the caller's bytes, until rehome below
 	}
-	l.fresh = fresh
-	if size > 0 {
-		slab := make([]byte, 0, size)
-		for k, i := range fresh {
-			slab, l.order[first+k].Payload = appendSlab(slab, entries[i].Payload)
-		}
+	recs := l.order[first:]
+	rehome(recs)
+	for n := 0; len(recs) > 0; recs = recs[n:] {
+		dst, n = appendRun(dst, recs)
 	}
-	return dst, int64(len(fresh))
+	return dst, int64(len(l.order) - first)
 }
 
 // appendSlab copies p onto the end of slab, which must have room, and
@@ -465,14 +466,15 @@ func appendSlab(slab, p []byte) (grown, copied []byte) {
 
 // stageDone is the one DONE staging function: under a single index-lock
 // acquisition it tombstones every key still unprocessed and appends
-// their frames to dst, with one sweep check at the end. Per-key
-// failures (ErrUnknownKey) land in errs, which is nil when every key
-// staged cleanly and otherwise parallel to keys; already-processed keys
-// are no-ops. Caller holds qmu.
-func (l *Log) stageDone(dst []byte, keys []string, at time.Time) (out []byte, staged int64, errs []error) {
+// their seqs to doneSeqs — the next joinLocked moves them into the open
+// batch, and the committer encodes a batch's seqs as one DONE list —
+// with one sweep check at the end. Per-key failures (ErrUnknownKey) land
+// in errs, which is nil when every key staged cleanly and otherwise
+// parallel to keys; already-processed keys are no-ops. Caller holds qmu.
+func (l *Log) stageDone(keys []string) (errs []error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	nanos := at.UnixNano()
+	staged := len(l.doneSeqs)
 	for i, key := range keys {
 		j, ok := l.index[key]
 		if !ok {
@@ -485,14 +487,13 @@ func (l *Log) stageDone(dst []byte, keys []string, at time.Time) (out []byte, st
 		if l.order[j].Processed {
 			continue
 		}
-		dst = appendDone(dst, nanos, key)
+		l.doneSeqs = append(l.doneSeqs, l.order[j].seq)
 		l.markProcessedLocked(j)
-		staged++
 	}
-	if staged > 0 {
+	if len(l.doneSeqs) > staged {
 		l.maybeSweepLocked()
 	}
-	return dst, staged, errs
+	return errs
 }
 
 // LogReceived durably records an incoming alert before it is
@@ -550,9 +551,10 @@ func (l *Log) LogReceivedBatchStart(entries []BatchEntry) (Commit, error) {
 }
 
 // markProcessed stages DONE records for keys and returns the Commit
-// that will make them durable; every public Mark* is a view of it. wait
-// says whether the caller will Wait on that Commit (see joinLocked).
-func (l *Log) markProcessed(keys []string, at time.Time, wait bool) (Commit, []error) {
+// that will make them durable; every public Mark* is a view of it (their
+// time argument is not journaled: a DONE says which record, not when).
+// wait says whether the caller will Wait on that Commit (see joinLocked).
+func (l *Log) markProcessed(keys []string, wait bool) (Commit, []error) {
 	l.qmu.Lock()
 	defer l.qmu.Unlock()
 	if err := l.unusableLocked(); err != nil {
@@ -562,14 +564,14 @@ func (l *Log) markProcessed(keys []string, at time.Time, wait bool) (Commit, []e
 		}
 		return Commit{}, errs
 	}
-	buf, staged, errs := l.stageDone(l.scratch[:0], keys, at)
-	return Commit{l.joinLocked(buf, staged, wait)}, errs
+	errs := l.stageDone(keys)
+	return Commit{l.joinLocked(l.scratch, 0, wait)}, errs
 }
 
 // MarkProcessed durably records that the alert has been fully routed,
 // returning once the batch holding the DONE record has been fsynced.
-func (l *Log) MarkProcessed(key string, at time.Time) error {
-	c, errs := l.markProcessed([]string{key}, at, true)
+func (l *Log) MarkProcessed(key string, _ time.Time) error {
+	c, errs := l.markProcessed([]string{key}, true)
 	if errs != nil {
 		return errs[0]
 	}
@@ -585,8 +587,8 @@ func (l *Log) MarkProcessed(key string, at time.Time) error {
 // commit wait per alert, and because nobody waits the committer does
 // not spend an fsync on DONEs alone until GroupOptions.Window has
 // passed. Close still flushes every staged DONE.
-func (l *Log) MarkProcessedAsync(key string, at time.Time) error {
-	if _, errs := l.markProcessed([]string{key}, at, false); errs != nil {
+func (l *Log) MarkProcessedAsync(key string, _ time.Time) error {
+	if _, errs := l.markProcessed([]string{key}, false); errs != nil {
 		return errs[0]
 	}
 	return nil
@@ -596,11 +598,11 @@ func (l *Log) MarkProcessedAsync(key string, at time.Time) error {
 // costing one lock round-trip for the whole burst. Per-key staging
 // failures (ErrUnknownKey) are reported in the returned slice, which is
 // nil when every key staged cleanly and otherwise parallel to keys.
-func (l *Log) MarkProcessedBatchAsync(keys []string, at time.Time) []error {
+func (l *Log) MarkProcessedBatchAsync(keys []string, _ time.Time) []error {
 	if len(keys) == 0 {
 		return nil
 	}
-	_, errs := l.markProcessed(keys, at, false)
+	_, errs := l.markProcessed(keys, false)
 	return errs
 }
 
@@ -609,8 +611,8 @@ func (l *Log) MarkProcessedBatchAsync(keys []string, at time.Time) []error {
 // one batch as a unit — one write, one fsync, never split by a
 // rotation — so a crash can never lose both generations: a torn tail
 // drops at most the DONE, leaving old and new records visible for the
-// caller's replay collapse to reconcile (newKey is written first for
-// exactly that reason). A missing or already-processed oldKey is
+// caller's replay collapse to reconcile (a batch's DONE list is written
+// after its RECV runs for exactly that reason). A missing or already-processed oldKey is
 // tolerated (the supersede is then a plain LogReceived); a newKey that
 // already exists is idempotent, and oldKey is still retired. This is
 // the retry outbox's round-update primitive: each redelivery round
@@ -627,17 +629,15 @@ func (l *Log) Replace(oldKey, newKey string, payload []byte, at time.Time) error
 	}
 	buf, staged := l.stageRecv(l.scratch[:0], []BatchEntry{{Key: newKey, Payload: payload, At: at}})
 	if oldKey != newKey {
-		var retired int64
-		buf, retired, _ = l.stageDone(buf, []string{oldKey}, at) // an unknown oldKey is tolerated
-		staged += retired
+		_ = l.stageDone([]string{oldKey}) // an unknown oldKey is tolerated
 	}
 	c := Commit{l.joinLocked(buf, staged, true)}
 	l.qmu.Unlock()
 	return c.Wait()
 }
 
-// appendBatch writes buf (records complete frames) to the active
-// segment and fsyncs it — the committer's one write primitive. It
+// appendBatch writes buf (whole frames, records records in all) to the
+// active segment and fsyncs it — the committer's one write primitive. It
 // rotates first if the write would overflow the segment, so a batch
 // never spans a rotation; a crash mid-write tears at most a suffix of
 // buf, which recovery truncates at the last complete frame. It holds
@@ -691,6 +691,15 @@ func (l *Log) IsProcessed(key string) bool {
 func (l *Log) Unprocessed() []Record {
 	l.mu.Lock()
 	defer l.mu.Unlock()
+	out := l.unprocessedLocked()
+	rehome(out) // the caller gets copies, in one slab, not the log's own bytes
+	return out
+}
+
+// unprocessedLocked returns the unprocessed records in arrival order,
+// sharing the log's payload bytes; nil when there are none. Caller holds
+// mu.
+func (l *Log) unprocessedLocked() []Record {
 	n := len(l.order) - l.processedLive
 	if n == 0 {
 		return nil
@@ -701,13 +710,13 @@ func (l *Log) Unprocessed() []Record {
 			out = append(out, r)
 		}
 	}
-	rehome(out) // the caller gets copies, in one slab, not the log's own bytes
 	return out
 }
 
 // rehome replaces every record's payload with a copy in one fresh slab
-// of exactly their total size (cap-limited slices, as in stageRecv), so
-// the records stop referencing whatever held their payloads before.
+// of exactly their total size — each a slice whose capacity ends where
+// its length does — so the records stop referencing whatever held their
+// payloads before.
 func rehome(recs []Record) {
 	size := 0
 	for i := range recs {

@@ -24,7 +24,7 @@ func openTemp(t *testing.T) *Log {
 
 // segmentsOf returns the on-disk segment paths for base, ascending
 // (zero-padded sequence numbers sort lexically).
-func segmentsOf(t *testing.T, base string) []string {
+func segmentsOf(t testing.TB, base string) []string {
 	t.Helper()
 	matches, err := filepath.Glob(base + ".*.seg")
 	if err != nil {
@@ -35,7 +35,7 @@ func segmentsOf(t *testing.T, base string) []string {
 }
 
 // activeSegmentPath returns the highest-numbered (active) segment.
-func activeSegmentPath(t *testing.T, base string) string {
+func activeSegmentPath(t testing.TB, base string) string {
 	t.Helper()
 	segs := segmentsOf(t, base)
 	if len(segs) == 0 {
@@ -241,6 +241,67 @@ func TestOpenRejectsForeignSegment(t *testing.T) {
 	}
 }
 
+// TestOpenRefusesOldFormatWithoutDeleting: a directory written by a
+// release with another journal format — its segments open with another
+// magic, its checkpoints name another version — is refused by an error
+// that names the file and the format found, before recovery has deleted
+// a checkpoint it cannot validate, a segment a checkpoint covers, or the
+// stale checkpoint temp: the directory is byte-identical afterwards.
+func TestOpenRefusesOldFormatWithoutDeleting(t *testing.T) {
+	newSeg, _ := appendRun([]byte(segMagic), []Record{{Key: "k", Payload: []byte("p"), ReceivedAt: t0, seq: 1}})
+	for _, tc := range []struct {
+		name  string
+		files map[string]string
+		names []string // what the error must mention
+	}{
+		{"old segment and old checkpoint", map[string]string{
+			".00000001.seg":  "SIMBAW1\n\x16\x00\x00\x00Rxxxxxxxx\x01\x00\x00\x00kxxxx",
+			".00000002.seg":  "SIMBAW1\n",
+			".ckpt.00000001": "CKPT 2 1 1 0 0 0\nEND 0\n",
+			".ckpt.tmp":      "CKPT 2 2 1",
+		}, []string{".00000001.seg", `"SIMBAW1\n"`}},
+		{"old checkpoint beside a current segment", map[string]string{
+			".00000002.seg":  string(newSeg),
+			".ckpt.00000001": "CKPT 2 1 1 0 0 0\nEND 0\n",
+		}, []string{".ckpt.00000001", "CKPT 2"}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			base := filepath.Join(dir, "alerts.plog")
+			for suffix, content := range tc.files {
+				if err := os.WriteFile(base+suffix, []byte(content), 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+			l, err := Open(base)
+			if err == nil {
+				l.Close()
+				t.Fatal("a directory in another format opened")
+			}
+			if !errors.Is(err, ErrFormat) {
+				t.Errorf("error %q is not ErrFormat", err)
+			}
+			for _, name := range tc.names {
+				if !strings.Contains(err.Error(), name) {
+					t.Errorf("error %q does not name %s", err, name)
+				}
+			}
+			entries, err := os.ReadDir(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(entries) != len(tc.files) {
+				t.Errorf("directory holds %d files after the refused Open, want %d", len(entries), len(tc.files))
+			}
+			for suffix, content := range tc.files {
+				if got, err := os.ReadFile(base + suffix); err != nil || string(got) != content {
+					t.Errorf("%s after the refused Open: %q, %v; want it untouched", suffix, got, err)
+				}
+			}
+		})
+	}
+}
+
 // TestWindowZeroFsyncPerAppend pins what Open promises a lone appender
 // (the buddy, the outbox): every append is alone in its commit, and it
 // is on disk when the call returns.
@@ -310,6 +371,13 @@ func TestReplaceAtomicInOneBatch(t *testing.T) {
 	if int64(len(data)) != after.DiskBytes {
 		t.Fatalf("segment is %d bytes, want %d", len(data), after.DiskBytes)
 	}
+	// The commit is RECV(gen2)'s run, then the batch's DONE list naming
+	// gen1: a cut anywhere from the boundary between them to the list's
+	// last byte leaves both generations visible.
+	frames, _ := walkFrames(data)
+	if len(frames) != 3 || frames[1].recvs != 1 || frames[2].dones != 1 || int64(frames[0].end) != before.DiskBytes {
+		t.Fatalf("journal frames are %+v, want RECV(gen1) | RECV(gen2), DONE(gen1)", frames)
+	}
 	for cut := before.DiskBytes; cut <= after.DiskBytes; cut++ {
 		torn := filepath.Join(t.TempDir(), "alerts.plog")
 		if err := os.WriteFile(torn+".00000001.seg", data[:cut], 0o644); err != nil {
@@ -330,6 +398,9 @@ func TestReplaceAtomicInOneBatch(t *testing.T) {
 		}
 		if cut == after.DiskBytes && got != "gen2" {
 			t.Fatalf("untorn journal replays %q, want gen2 alone", got)
+		}
+		if cut >= int64(frames[1].end) && cut < after.DiskBytes && got != "gen1,gen2" {
+			t.Fatalf("cut=%d, between the RECV run and the end of the DONE list: unprocessed = %q, want both generations", cut, got)
 		}
 	}
 }

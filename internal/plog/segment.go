@@ -3,6 +3,7 @@ package plog
 import (
 	"bufio"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -85,6 +86,9 @@ func (l *Log) replay() error {
 	if err != nil {
 		return err
 	}
+	if err := l.checkFormats(segs, ckpts); err != nil {
+		return err
+	}
 	os.Remove(l.ckptTmpPath()) // a torn checkpoint write; never valid
 
 	// Load the newest checkpoint that validates; fall back to the
@@ -103,7 +107,7 @@ func (l *Log) replay() error {
 			continue
 		}
 		for _, r := range recs {
-			l.addReceivedLocked(r.Key, r.Payload, r.ReceivedAt)
+			l.addReceivedLocked(r.Key, r.Payload, r.ReceivedAt, r.seq)
 		}
 		l.total = hdr.total
 		l.ckptSeq = hdr.watermark
@@ -157,14 +161,55 @@ func (l *Log) replay() error {
 	return nil
 }
 
-// replaySegment replays one segment. The last (active) segment keeps
-// its handle for appends, with the torn tail truncated away so
-// subsequent appends start on a clean frame boundary. A segment that
-// does not open with segMagic is refused with an error naming it —
-// replaying a foreign file as empty would let the next checkpoint
-// delete whatever it held — unless nothing of the header survived a
-// crash (see tornHeader), in which case it is empty and, if active,
-// re-initialized in place.
+// checkFormats refuses a directory holding a file of another journal
+// format, naming the file and what it opens with, before recovery has
+// deleted or truncated anything: replaying a foreign segment as empty
+// would let the next checkpoint delete whatever it held, and a
+// checkpoint of another version would be dropped as corrupt. A segment
+// must open with segMagic, unless nothing of the header survived a crash
+// (see tornHeader); a checkpoint that names a version must name
+// ckptVersion (one too damaged to name any is loadCheckpoint's to
+// reject).
+func (l *Log) checkFormats(segs, ckpts []uint64) error {
+	for _, seq := range segs {
+		if head, err := readHead(l.segPath(seq)); err != nil {
+			return err
+		} else if string(head) != segMagic && !tornHeader(head) {
+			return fmt.Errorf("plog: segment %s opens with %q, not %q: %w", l.segPath(seq), head, segMagic, ErrFormat)
+		}
+	}
+	for _, gen := range ckpts {
+		var version int
+		if head, err := readHead(l.ckptPath(gen)); err != nil {
+			return err
+		} else if n, _ := fmt.Sscanf(string(head), "CKPT %d", &version); n == 1 && version != ckptVersion {
+			return fmt.Errorf("plog: checkpoint %s is format CKPT %d, not CKPT %d: %w", l.ckptPath(gen), version, ckptVersion, ErrFormat)
+		}
+	}
+	return nil
+}
+
+// readHead returns the first len(segMagic) bytes of the file at path,
+// or as many as it has.
+func readHead(path string) ([]byte, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, fmt.Errorf("plog: checking the format of %s: %w", path, err)
+	}
+	defer f.Close()
+	head := make([]byte, len(segMagic))
+	n, err := f.ReadAt(head, 0)
+	if err == io.EOF {
+		err = nil // a file shorter than the magic
+	}
+	return head[:n], err
+}
+
+// replaySegment replays one segment, which checkFormats has passed: it
+// opens with segMagic or, its header torn by a crash, is empty. The last
+// (active) segment keeps its handle for appends, with the torn tail
+// truncated away so subsequent appends start on a clean frame boundary,
+// and is re-initialized in place if it was empty.
 func (l *Log) replaySegment(seq uint64, active bool) error {
 	path := l.segPath(seq)
 	flags := os.O_RDONLY
@@ -175,16 +220,16 @@ func (l *Log) replaySegment(seq uint64, active bool) error {
 	if err != nil {
 		return fmt.Errorf("plog: opening segment %s: %w", path, err)
 	}
-	r := bufio.NewReader(f)
-	peek, _ := r.Peek(len(segMagic))
-	var goodBytes int64
-	switch {
-	case string(peek) == segMagic:
-		r.Discard(len(segMagic))
-		goodBytes = segHeaderSize + l.replayFrames(r)
-	case !tornHeader(peek):
+	fi, err := f.Stat()
+	if err != nil {
 		f.Close()
-		return fmt.Errorf("plog: segment %s does not start with the %q header: not a journal this version can replay", path, segMagic)
+		return fmt.Errorf("plog: sizing segment %s: %w", path, err)
+	}
+	r := bufio.NewReader(f)
+	var goodBytes int64
+	if peek, _ := r.Peek(len(segMagic)); string(peek) == segMagic {
+		r.Discard(len(segMagic))
+		goodBytes = segHeaderSize + l.replayFrames(r, fi.Size())
 	}
 	if !active {
 		return f.Close()

@@ -212,7 +212,8 @@ func TestCorruptCheckpointFallsBack(t *testing.T) {
 	if err := os.WriteFile(path+".ckpt.tmp", []byte("CKPT 1 3 9 9"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	torn := "CKPT 2 2 99 2 40 0\n" + string(appendRecv(nil, 0, "k0000", []byte("x")))
+	run, _ := appendRun(nil, []Record{{Key: "k0000", Payload: []byte("x"), seq: 1}})
+	torn := "CKPT 3 2 99 2 40 0\n" + string(run)
 	if err := os.WriteFile(path+".ckpt.00000002", []byte(torn), 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -263,6 +264,77 @@ func TestCorruptCheckpointFallsBack(t *testing.T) {
 // TestSweepRetiresProcessed checks the memory bound: processed records
 // are tombstoned immediately (payload freed) and the periodic sweep
 // drops them from the index entirely.
+// TestCheckpointKeepsSeqsAcrossGaps: a checkpoint of an unprocessed set
+// whose seqs have gaps (3, 4, 9, 10, 11 of 11) is written as one run per
+// stretch, reloads with the same seqs, and a DONE list written after the
+// checkpoint — which names records by seq — retires the right ones. The
+// numbering carries on from the header's total.
+func TestCheckpointKeepsSeqsAcrossGaps(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "alerts.plog")
+	l, err := Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := func(seq int) string { return fmt.Sprintf("k%02d", seq) }
+	kept := map[int]bool{3: true, 4: true, 9: true, 10: true, 11: true}
+	for seq := 1; seq <= 11; seq++ {
+		if err := l.LogReceived(key(seq), []byte("payload-"+key(seq)), t0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for seq := 1; seq <= 11; seq++ {
+		if !kept[seq] {
+			if err := l.MarkProcessed(key(seq), t0); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if err := l.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	ckpt, err := os.ReadFile(l.ckptPath(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, body, _ := strings.Cut(string(ckpt), "\n")
+	frames, _ := walkFrames([]byte(segMagic + strings.TrimSuffix(body, "END 5\n")))
+	if len(frames) != 2 || frames[0].recvs != 2 || frames[1].recvs != 3 {
+		t.Fatalf("checkpoint body frames are %+v, want a run of 2 and a run of 3", frames)
+	}
+	if errs := l.MarkProcessedBatchAsync([]string{key(10), key(4)}, t0); errs != nil {
+		t.Fatal(errs)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	tail, err := os.ReadFile(activeSegmentPath(t, path))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if frames, _ := walkFrames(tail); len(frames) != 1 || frames[0].dones != 2 {
+		t.Fatalf("post-checkpoint segment frames are %+v, want one DONE list of 2", frames)
+	}
+
+	re, err := Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	if st := re.Stats(); st.CheckpointGen != 1 || st.CorruptRecords != 0 || st.Total != 11 {
+		t.Fatalf("reopened at checkpoint gen %d, %d corrupt, total %d; want 1, 0, 11", st.CheckpointGen, st.CorruptRecords, st.Total)
+	}
+	if err := re.LogReceived("next", nil, t0); err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, r := range re.Unprocessed() {
+		got = append(got, fmt.Sprintf("%s=%d", r.Key, r.seq))
+	}
+	if want := "k03=3 k09=9 k11=11 next=12"; strings.Join(got, " ") != want {
+		t.Fatalf("unprocessed after checkpoint + DONE list = %v, want %s", got, want)
+	}
+}
+
 func TestSweepRetiresProcessed(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "sweep.plog")
 	l, err := OpenGroup(path, GroupOptions{Log: Options{SweepEvery: 8}})
