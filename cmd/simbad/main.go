@@ -73,9 +73,9 @@ import (
 	"simba/internal/hub"
 	"simba/internal/im"
 	"simba/internal/mab"
-	"simba/internal/mdc"
 	"simba/internal/ops"
 	"simba/internal/proxy"
+	"simba/internal/stabilize"
 	"simba/internal/wish"
 )
 
@@ -322,7 +322,7 @@ func runHub(p hubParams) error {
 	} else if err := os.MkdirAll(outboxDir, 0o755); err != nil {
 		return fmt.Errorf("creating outbox dir: %w", err)
 	}
-	// A bounded journal: the watchdog, stabilizer, and replay paths all
+	// A bounded journal: the supervision checks and the replay paths all
 	// write here, and a lingering hub must not grow it without bound.
 	journal := faults.NewRing(4096)
 	h, err = hub.New(hub.Config{
@@ -384,13 +384,14 @@ func runHub(p hubParams) error {
 	fmt.Printf("hub: hosting %d users on %d shards (queue depth %d, commit window %v, %d mode tenants, %d guaranteed-tier, ack timeout %v, outbox backoff %v)\n",
 		users, shards, hub.DefaultQueueDepth, p.window, modeUsers, guaranteedUsers, p.ackTimeout, p.outboxBackoff)
 
-	// Supervision plane: shard watchdog + invariant checks + optional
-	// rolling rejuvenation. On whenever any self-management flag asks
-	// for it, so a bare -hub run keeps the zero-overhead hot path.
-	var sup *hub.Supervisor
+	// Supervision plane: one stabilizer running each shard's progress
+	// watchdog, the resource invariants and optional rolling
+	// rejuvenation. On whenever any self-management flag asks for it, so
+	// a bare -hub run keeps the zero-overhead hot path.
+	var sup *stabilize.Stabilizer
 	if p.admin != "" || p.probePeriod > 0 || p.rejuvenateEvery > 0 {
 		sup, err = h.Supervise(hub.SuperviseConfig{
-			ProbePeriod:     p.probePeriod,
+			Period:          p.probePeriod,
 			RejuvenateEvery: p.rejuvenateEvery,
 			Journal:         journal,
 		})
@@ -399,7 +400,7 @@ func runHub(p hubParams) error {
 		}
 		defer sup.Stop()
 		fmt.Printf("supervision: probing %d shards every %v, rejuvenate-every %v\n",
-			shards, cmp.Or(p.probePeriod, mdc.DefaultUnitProbePeriod), p.rejuvenateEvery)
+			shards, cmp.Or(p.probePeriod, hub.DefaultCheckPeriod), p.rejuvenateEvery)
 	}
 	if p.admin != "" {
 		admin, err := ops.NewServer(ops.Config{Hub: h, Supervisor: sup})
@@ -471,11 +472,11 @@ func runHub(p hubParams) error {
 		fmt.Printf("lingering %v for the admin plane...\n", p.linger)
 		time.Sleep(p.linger)
 	}
-	// Stop self-management before draining: a rejuvenation racing the
-	// drain would just fail against quiesced shards, but there is no
-	// reason to journal that noise.
+	// Stop self-management before draining, and wait for it: a
+	// rejuvenation or restart still inside a check would race the drain.
 	if sup != nil {
 		sup.Stop()
+		sup.Wait()
 	}
 	if err := h.Drain(); err != nil {
 		return err
@@ -532,13 +533,8 @@ func runHub(p hubParams) error {
 	}
 	if sup != nil {
 		fmt.Printf("supervision:\n")
-		fmt.Printf("  probe latency (µs): %s\n", sup.ProbeLatency())
-		fmt.Printf("  %-24s %8s %9s %9s %8s\n", "unit", "probes", "failures", "restarts", "errors")
-		for _, us := range sup.WatchdogStats() {
-			fmt.Printf("  %-24s %8d %9d %9d %8d\n", us.Name, us.Probes, us.Failures, us.Restarts, us.RestartErrors)
-		}
-		fmt.Printf("  %-24s %8s %9s %6s %12s\n", "invariant", "runs", "failures", "heals", "escalations")
-		for _, cs := range sup.InvariantStats() {
+		fmt.Printf("  %-24s %8s %9s %6s %12s\n", "check", "runs", "failures", "heals", "escalations")
+		for _, cs := range sup.Stats() {
 			fmt.Printf("  %-24s %8d %9d %6d %12d\n", cs.Name, cs.Executions, cs.Failures, cs.Heals, cs.Escalations)
 		}
 		fmt.Printf("  journal: %d entries (%d rejuvenations, %d daemon restarts, %d unrecovered)\n",

@@ -233,7 +233,7 @@ func TestHubCrashBetweenBatchFsyncAndEnqueue(t *testing.T) {
 	sink1 := newOrderSink(dist.NewRNG(31), 4, 0)
 	h1, err := New(Config{
 		Clock: clk, Channels: sinkChannels(sink1.Deliver), WALPath: walPath, Shards: 4, QueueDepth: 256,
-		CrashAfterBatchFsync: crash, Journal: journal,
+		Fault: crashAt(FaultAfterBatchFsync, crash), Journal: journal,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -338,7 +338,7 @@ func TestHubCrashAsyncTicketBeforeEnqueue(t *testing.T) {
 	sink1 := newOrderSink(dist.NewRNG(43), 4, 0)
 	h1, err := New(Config{
 		Clock: clk, Channels: sinkChannels(sink1.Deliver), WALPath: walPath, Shards: 4, QueueDepth: 256,
-		CrashAfterBatchFsync: crash, Journal: journal,
+		Fault: crashAt(FaultAfterBatchFsync, crash), Journal: journal,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"simba/internal/addr"
-	"simba/internal/alert"
 	"simba/internal/core"
 	"simba/internal/dist"
 	"simba/internal/faults"
@@ -339,11 +338,7 @@ func (d *deliveryStage) perform(env *envelope, scr *core.Scratch) bool {
 					return true
 				}
 				h.ctr.outboxHandoffs.Add1()
-				if f := h.cfg.CrashAfterOutboxPut; f != nil && f.Active() {
-					// The handoff window: the outbox owns the envelope but
-					// the WAL entry is not yet retired — both logs replay
-					// it next incarnation; dedup collapses the duplicate.
-					h.crash(b.user, &env.alert)
+				if h.fault(FaultAfterOutboxPut, d.sh.id, d.killed) {
 					return false
 				}
 			} else {
@@ -358,8 +353,7 @@ func (d *deliveryStage) perform(env *envelope, scr *core.Scratch) bool {
 		}
 	}
 	h.deliverLat.Observe(h.cfg.Clock.Since(env.handed))
-	if f := h.cfg.CrashBeforeMark; f != nil && f.Active() {
-		h.crash(b.user, &env.alert)
+	if h.fault(FaultBeforeMark, d.sh.id, d.killed) {
 		return false
 	}
 	select {
@@ -425,16 +419,4 @@ func (d *deliveryStage) backoff(attempt int) bool {
 		d.wheel.Release(t)
 		return true
 	}
-}
-
-// crash is the fault-injection kill switch, shared across delivery
-// workers so exactly one journals the injected fault even when several
-// deliveries complete inside the same crash window.
-func (h *Hub) crash(user string, a *alert.Alert) {
-	h.crashOnce.Do(func() {
-		h.journal(faults.KindFaultInjected,
-			"hub killed between delivery and mark-processed (user %s, alert %s)",
-			user, a.DedupKey())
-		h.Kill()
-	})
 }

@@ -157,7 +157,7 @@ func TestHubAsyncDeliveryCrashRecovery(t *testing.T) {
 
 	cfg := Config{
 		Clock: clk, Channels: sinkChannels(sink.Deliver), WALPath: walPath,
-		Shards: 2, QueueDepth: 256, CrashBeforeMark: crash,
+		Shards: 2, QueueDepth: 256, Fault: crashAt(FaultBeforeMark, crash),
 	}
 	h1, err := New(cfg)
 	if err != nil {

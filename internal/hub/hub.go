@@ -158,6 +158,46 @@ func (e *OverloadError) Error() string {
 		e.Shard, e.Depth, e.RetryAfter)
 }
 
+// FaultPoint names a place on the alert path where Config.Fault is
+// consulted.
+type FaultPoint int
+
+// The fault points, in the order an alert meets them.
+const (
+	// FaultAfterBatchFsync: a burst's RECV batch is durable — its
+	// senders are acknowledged — and none of it is enqueued yet; the next
+	// incarnation must cover the burst by replay.
+	FaultAfterBatchFsync FaultPoint = iota
+	// FaultRoute: the top of a shard loop's routing batch, before any
+	// envelope is touched.
+	FaultRoute
+	// FaultAfterOutboxPut: the guaranteed-tier handoff window — a
+	// delivery worker has persisted an exhausted envelope to the outbox
+	// and not yet retired the ingest WAL entry, so both logs own the
+	// alert; the duplicate on replay is the dedup contract's case.
+	FaultAfterOutboxPut
+	// FaultBeforeMark: a delivery worker has executed a delivery and not
+	// yet marked the alert processed — the paper's crash between routing
+	// and marking, inside the asynchronous delivery stage.
+	FaultBeforeMark
+)
+
+// String names the point for the fault journal.
+func (p FaultPoint) String() string {
+	switch p {
+	case FaultAfterBatchFsync:
+		return "between batch fsync and enqueue"
+	case FaultRoute:
+		return "at the top of a routing batch"
+	case FaultAfterOutboxPut:
+		return "between outbox put and mark-processed"
+	case FaultBeforeMark:
+		return "between delivery and mark-processed"
+	default:
+		return fmt.Sprintf("at fault point %d", int(p))
+	}
+}
+
 // flatAddressName is the friendly name of the synthesized address that
 // routes profile-less tenants through the substrate channel — whatever
 // core.Channel is registered under addr.TypeSink.
@@ -250,33 +290,16 @@ type Config struct {
 	// next block; zero means outbox.DefaultEscalateEvery, negative
 	// disables escalation.
 	OutboxEscalateEvery int
-	// CrashBeforeMark is a fault-injection point: when the flag is
-	// active, a delivery worker that has just executed a delivery kills
-	// the whole hub before marking the alert processed — the paper's
-	// crash-between-routing-and-marking window, now inside the
-	// asynchronous delivery stage. Optional.
-	CrashBeforeMark *faults.Flag
-	// CrashAfterOutboxPut is a fault-injection point for the
-	// guaranteed-tier handoff window: when the flag is active, a
-	// delivery worker that has just persisted an exhausted envelope to
-	// the outbox kills the hub before retiring the ingest WAL entry —
-	// the instant both logs own the alert. The next incarnation replays
-	// it from both; the duplicate is the dedup contract's case.
-	// Optional.
-	CrashAfterOutboxPut *faults.Flag
-	// CrashAfterBatchFsync is a fault-injection point for the batched
-	// ingest path: when the flag is active, SubmitBatch kills the hub
-	// after its RECV batch is durable but before any entry is enqueued
-	// — the window where alerts are acknowledged yet not routed, which
-	// the next incarnation must cover by replay. Optional.
-	CrashAfterBatchFsync *faults.Flag
-	// RouteHook, when set, runs at the top of every shard-loop routing
-	// batch, before any envelope is touched, with the shard ID and the
-	// running generation's kill signal. It exists for fault injection —
-	// a hook that blocks wedges the shard exactly where a stuck
-	// pipeline stage would, and observing killed lets the wedge clear
-	// when the supervisor kills the generation. Optional.
-	RouteHook func(shard int, killed <-chan struct{})
+	// Fault is the hub's one fault-injection seam. When set, it is
+	// consulted at each FaultPoint with the shard concerned (-1 at
+	// FaultAfterBatchFsync, whose burst may span shards) and the kill
+	// signal of what is running there — the shard generation's, or the
+	// hub's. A true reply kills the whole hub at that point, once,
+	// journaled; a call that blocks wedges the caller exactly where a
+	// stuck stage would, and watching killed lets the wedge clear when a
+	// supervisor kills the generation. Must be safe for concurrent
+	// calls. Optional.
+	Fault func(p FaultPoint, shard int, killed <-chan struct{}) (crash bool)
 	// QuiesceTimeout bounds a graceful rejuvenation's drain wait (after
 	// which it escalates to kill+replay) and a restart's wait for the
 	// abandoned generation to stop (after which the WAL scan proceeds
@@ -781,14 +804,10 @@ func (h *Hub) Start() error {
 	h.started = true
 	h.mu.Unlock()
 	for _, sh := range h.shards {
-		g := h.openGen(sh, 1, nil)
-		sh.mu.Lock()
-		sh.cur = g
-		sh.mu.Unlock()
-		sh.gen.Store(1)
-		sh.beat(h.cfg.Clock.Now())
+		if !h.publishGen(sh, h.openGen(sh, 1, nil), false) {
+			return ErrNotAccepting
+		}
 		sh.setState(ShardRunning)
-		go h.runLoop(sh, g)
 	}
 	if h.outbox != nil {
 		if err := h.outbox.Start(h.redeliver); err != nil {
@@ -891,18 +910,22 @@ func (h *Hub) replayable(rec plog.Record, only *shard) (r replayRec, ok bool) {
 // routed ahead of new traffic.
 func (h *Hub) replay() {
 	for _, rec := range h.wal.Unprocessed() {
-		r, ok := h.replayable(rec, nil)
-		if !ok {
-			continue
+		if r, ok := h.replayable(rec, nil); ok {
+			h.requeue(h.shardOf(r.b.user), &r)
 		}
-		h.journal(faults.KindReplay, "replaying unprocessed alert %s for %s", r.a.DedupKey(), r.b.user)
-		h.counters.Add1("replayed")
-		sh := h.shardOf(r.b.user)
-		sh.reserveBlocking() // startup: loops are draining, so this cannot wedge
-		env := getEnvelope()
-		env.fill(r.b, &r.a, r.key, h.cfg.Clock.Now())
-		sh.enqueue(env)
 	}
+}
+
+// requeue admits one replayed record to sh's current generation, whose
+// loop must be live and draining — so the blocking reservation cannot
+// wedge — as it is at startup and after a restart's generation swap.
+func (h *Hub) requeue(sh *shard, r *replayRec) {
+	h.journal(faults.KindReplay, "shard %d: replaying unprocessed alert %s for %s", sh.id, r.a.DedupKey(), r.b.user)
+	h.counters.Add1("replayed")
+	sh.reserveBlocking()
+	env := getEnvelope()
+	env.fill(r.b, &r.a, r.key, h.cfg.Clock.Now())
+	sh.enqueue(env, true)
 }
 
 // Submission is one alert offered to SubmitBatch on behalf of a user.
@@ -1296,14 +1319,7 @@ func (h *Hub) resolve(t *Ticket) {
 		h.nack(t, t.entries, err)
 		return
 	}
-	// Fault injection: the burst is durable (its callers are acked) but
-	// nothing is enqueued — the next incarnation must replay it.
-	if f := h.cfg.CrashAfterBatchFsync; f != nil && f.Active() {
-		h.crashOnce.Do(func() {
-			h.journal(faults.KindFaultInjected,
-				"hub killed between batch fsync and enqueue (%d staged alerts)", len(t.entries))
-			h.Kill()
-		})
+	if h.fault(FaultAfterBatchFsync, -1, h.killed) {
 		h.finishTicket(t)
 		return
 	}
@@ -1320,7 +1336,7 @@ func (h *Hub) resolve(t *Ticket) {
 		}
 		h.ctr.received.Add1()
 		e.env.at = acked // latency measures ack → processed
-		e.sh.enqueue(e.env)
+		e.sh.enqueue(e.env, false)
 	}
 	h.finishTicket(t)
 }
@@ -1344,11 +1360,40 @@ func (h *Hub) finishTicket(t *Ticket) {
 
 // openGen builds one shard generation: fresh queue and latches plus a
 // fresh delivery stage bound to the generation's kill signal. The
-// caller publishes it under sh.mu and launches runLoop.
+// caller hands it to publishGen.
 func (h *Hub) openGen(sh *shard, n int64, suppress map[string]struct{}) *shardGen {
 	g := sh.newGen(n, suppress)
 	g.delivery = newDeliveryStage(h, sh, g.killed)
 	return g
+}
+
+// publishGen makes next the shard's current generation and starts its
+// loop; retire also closes the outgoing generation's intake under the
+// same lock, so no enqueue can land between the close and the swap.
+// The hub's kill is re-checked under sh.mu, which Kill's killCurrent
+// takes to read cur: either Kill finds next there and kills it, or the
+// kill is seen here — then nothing is published, the shard is Stopped
+// and publishGen reports false. The caller holds sh.lifeMu, or is
+// Start.
+func (h *Hub) publishGen(sh *shard, next *shardGen, retire bool) bool {
+	sh.mu.Lock()
+	select {
+	case <-h.killed:
+		sh.mu.Unlock()
+		sh.setState(ShardStopped)
+		return false
+	default:
+	}
+	if retire {
+		sh.cur.closed = true
+		close(sh.cur.q)
+	}
+	sh.cur = next
+	sh.mu.Unlock()
+	sh.gen.Store(next.n)
+	sh.beat(h.cfg.Clock.Now())
+	go h.runLoop(sh, next)
+	return true
 }
 
 // runLoop is one shard generation's event loop: drain up to
@@ -1419,9 +1464,7 @@ type routeScratch struct {
 // nothing delivered — so the batch replays exactly once through the
 // replacement generation, never half-through both.
 func (h *Hub) processBatch(sh *shard, g *shardGen, envs []*envelope, scr *routeScratch) {
-	if hook := h.cfg.RouteHook; hook != nil {
-		hook(sh.id, g.killed)
-	}
+	h.fault(FaultRoute, sh.id, g.killed)
 	select {
 	case <-g.killed:
 		return // abandoned: the WAL still owns every envelope in the batch
@@ -1614,8 +1657,9 @@ func (h *Hub) RestartShard(id int, reason string) error {
 //     becomes the new generation's suppression set: a submitter that
 //     reserved before the kill and enqueues after the swap would
 //     otherwise double-route a record the replay owns.
-//  4. Publish the new generation, reset the admission gauge (abandoned
-//     reservations died with the old generation), start its loop.
+//  4. Publish the new generation and start its loop, reset the
+//     admission gauge (abandoned reservations died with the old
+//     generation; nothing can reserve until step 5).
 //  5. Re-enqueue the backlog, then reopen admission.
 func (h *Hub) restartLocked(sh *shard, reason string) error {
 	select {
@@ -1664,31 +1708,15 @@ func (h *Hub) restartLocked(sh *shard, reason string) error {
 	}
 
 	next := h.openGen(sh, old.n+1, suppress)
-	sh.mu.Lock()
-	select {
-	case <-h.killed:
-		sh.mu.Unlock()
-		sh.setState(ShardStopped)
+	if !h.publishGen(sh, next, false) {
 		return ErrNotAccepting
-	default:
 	}
-	sh.cur = next
-	sh.mu.Unlock()
-	sh.gen.Store(next.n)
 	// Reservations admitted by the dead generation died with it; a
 	// straggler's release of one is floored at zero.
 	sh.depth.Store(0)
-	sh.beat(h.cfg.Clock.Now())
-	go h.runLoop(sh, next)
 
 	for i := range backlog {
-		r := &backlog[i]
-		h.journal(faults.KindReplay, "shard %d: replaying unprocessed alert %s for %s", sh.id, r.a.DedupKey(), r.b.user)
-		h.counters.Add1("replayed")
-		sh.reserveBlocking() // the new loop is live and draining, so this cannot wedge
-		env := getEnvelope()
-		env.fill(r.b, &r.a, r.key, h.cfg.Clock.Now())
-		sh.enqueueReplay(env)
+		h.requeue(sh, &backlog[i])
 	}
 	sh.restarts.Add(1)
 	select {
@@ -1740,26 +1768,14 @@ func (h *Hub) RejuvenateShard(id int) error {
 	}
 	old := sh.current()
 	next := h.openGen(sh, old.n+1, nil)
-	sh.mu.Lock()
-	select {
-	case <-h.killed:
-		sh.mu.Unlock()
-		sh.setState(ShardStopped)
+	if !h.publishGen(sh, next, true) {
 		return ErrNotAccepting
-	default:
 	}
-	old.closed = true
-	close(old.q)
-	sh.cur = next
-	sh.mu.Unlock()
-	sh.gen.Store(next.n)
 	// The old loop drains its empty queue and exits; its delivery stage
 	// is already idle. Retiring both before reopening admission keeps
-	// "one live generation per shard" unconditional on this path.
+	// "one generation with work per shard" unconditional on this path.
 	<-old.done
 	old.delivery.quiesce()
-	go h.runLoop(sh, next)
-	sh.beat(h.cfg.Clock.Now())
 	sh.rejuvenations.Add(1)
 	sh.setState(ShardRunning)
 	h.journal(faults.KindRejuvenation, "shard %d: rejuvenated as generation %d", sh.id, next.n)
@@ -1990,6 +2006,21 @@ func (h *Hub) Stats() Stats {
 // CheckpointWAL forces a checkpoint + segment compaction on the WAL, as
 // the background compactor would at the WALCheckpointEvery threshold.
 func (h *Hub) CheckpointWAL() error { return h.wal.Checkpoint() }
+
+// fault consults Config.Fault at point p and, on a true reply, kills
+// the hub — once however many callers reach a crash point together,
+// with one journal line — and reports true: the caller abandons what it
+// was doing, as a crash there would.
+func (h *Hub) fault(p FaultPoint, shard int, killed <-chan struct{}) bool {
+	if f := h.cfg.Fault; f == nil || !f(p, shard, killed) {
+		return false
+	}
+	h.crashOnce.Do(func() {
+		h.journal(faults.KindFaultInjected, "hub killed %s (shard %d)", p, shard)
+		h.Kill()
+	})
+	return true
+}
 
 func (h *Hub) journal(kind faults.Kind, format string, args ...any) {
 	if h.cfg.Journal != nil {

@@ -13,6 +13,7 @@ import (
 	"simba/internal/clock"
 	"simba/internal/core"
 	"simba/internal/dist"
+	"simba/internal/faults"
 	"simba/internal/mab"
 )
 
@@ -67,6 +68,69 @@ func newTestHub(t testing.TB, cfg Config) *Hub {
 	}
 	t.Cleanup(func() { _ = h.Drain() })
 	return h
+}
+
+// crashAt is a Config.Fault that crashes the hub at point while flag is
+// active.
+func crashAt(point FaultPoint, flag *faults.Flag) func(FaultPoint, int, <-chan struct{}) bool {
+	return func(p FaultPoint, _ int, _ <-chan struct{}) bool { return p == point && flag.Active() }
+}
+
+// routeGate wedges routing batches for wedgeAt: while armed, a batch
+// that reaches FaultRoute reports on hit and parks until the gate is
+// released or the batch's generation is killed.
+type routeGate struct {
+	mu   sync.Mutex
+	hold chan struct{} // non-nil while armed
+	hit  chan struct{}
+}
+
+func newRouteGate() *routeGate { return &routeGate{hit: make(chan struct{}, 1)} }
+
+func (g *routeGate) arm() {
+	g.mu.Lock()
+	g.hold = make(chan struct{})
+	g.mu.Unlock()
+}
+
+// disarm stops further batches from parking; one already parked stays
+// parked until its generation is killed.
+func (g *routeGate) disarm() {
+	g.mu.Lock()
+	g.hold = nil
+	g.mu.Unlock()
+}
+
+// release disarms and lets every parked batch go on.
+func (g *routeGate) release() {
+	g.mu.Lock()
+	close(g.hold)
+	g.hold = nil
+	g.mu.Unlock()
+}
+
+// wedgeAt is a Config.Fault that parks shard's routing batches (every
+// shard's when shard is negative) at gate.
+func wedgeAt(shard int, gate *routeGate) func(FaultPoint, int, <-chan struct{}) bool {
+	return func(p FaultPoint, id int, killed <-chan struct{}) bool {
+		if p != FaultRoute || (shard >= 0 && id != shard) {
+			return false
+		}
+		gate.mu.Lock()
+		hold := gate.hold
+		gate.mu.Unlock()
+		if hold != nil {
+			select {
+			case gate.hit <- struct{}{}:
+			default:
+			}
+			select {
+			case <-hold:
+			case <-killed:
+			}
+		}
+		return false
+	}
 }
 
 func TestHubRoutesThousandsOfTenants(t *testing.T) {

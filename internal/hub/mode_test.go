@@ -283,7 +283,7 @@ func TestHubCrashMidModeFallbackReplaysAndDeduplicates(t *testing.T) {
 		chans := scriptedChannels(schedule, 0, func(string, uint64) {}, emails)
 		h, err := New(Config{
 			Clock: clk, Channels: chans, WALPath: walPath,
-			Shards: 1, CrashBeforeMark: crash,
+			Shards: 1, Fault: crashAt(FaultBeforeMark, crash),
 		})
 		if err != nil {
 			t.Fatal(err)

@@ -206,7 +206,7 @@ func TestHubGuaranteedCrashInHandoffWindowDedups(t *testing.T) {
 	journal := &faults.Journal{}
 	crash := faults.NewFlag("crash-after-outbox-put")
 	cfg := outboxTestConfig(t, dir, sink, journal)
-	cfg.CrashAfterOutboxPut = crash
+	cfg.Fault = crashAt(FaultAfterOutboxPut, crash)
 
 	h1, err := New(cfg)
 	if err != nil {

@@ -364,7 +364,7 @@ func TestPooledRecyclingCrashReplayPoisoned(t *testing.T) {
 	cfg := Config{
 		Clock: clk, Channels: sinkChannels(sink.Deliver), WALPath: walPath,
 		Shards: 4, QueueDepth: 512,
-		CrashBeforeMark: crash,
+		Fault: crashAt(FaultBeforeMark, crash),
 	}
 
 	submitRange := func(h *Hub, lo, hi int) {

@@ -128,7 +128,7 @@ func TestHubCrashBetweenRoutingAndMark(t *testing.T) {
 	cfg := Config{
 		Clock: clk, Channels: sinkChannels(sink.Deliver), WALPath: walPath,
 		Shards: 1, QueueDepth: 64,
-		Journal: journal, CrashBeforeMark: crash,
+		Journal: journal, Fault: crashAt(FaultBeforeMark, crash),
 	}
 	h1, err := New(cfg)
 	if err != nil {
@@ -243,7 +243,7 @@ func TestHubRestartTombstonesOrphans(t *testing.T) {
 	hold := make(chan struct{})
 	sink := newCountingSink(hold)
 	crash := faults.NewFlag("crash")
-	h1, err := New(Config{Clock: clk, Channels: sinkChannels(sink.Deliver), WALPath: walPath, Shards: 1, CrashBeforeMark: crash})
+	h1, err := New(Config{Clock: clk, Channels: sinkChannels(sink.Deliver), WALPath: walPath, Shards: 1, Fault: crashAt(FaultBeforeMark, crash)})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package hub
 
 import (
+	"fmt"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -47,6 +48,20 @@ func (s ShardState) String() string {
 	default:
 		return "unknown"
 	}
+}
+
+// MarshalText renders the state by name in JSON and other text forms.
+func (s ShardState) MarshalText() ([]byte, error) { return []byte(s.String()), nil }
+
+// UnmarshalText reads a state back from its name.
+func (s *ShardState) UnmarshalText(text []byte) error {
+	for st := ShardIdle; st <= ShardStopped; st++ {
+		if st.String() == string(text) {
+			*s = st
+			return nil
+		}
+	}
+	return fmt.Errorf("hub: unknown shard state %q", text)
 }
 
 // shardGen is one incarnation of a shard's restartable machinery: the
@@ -196,16 +211,17 @@ func (s *shard) setState(st ShardState) { s.state.Store(int32(st)) }
 func (s *shard) State() ShardState { return ShardState(s.state.Load()) }
 
 // Health is a shard's lock-free supervision snapshot: everything a
-// watchdog probe or invariant check needs, read from atomics only.
+// progress or invariant check needs, read from atomics only. The JSON
+// form is the ops plane's wire format.
 type Health struct {
-	Shard         int
-	State         ShardState
-	Generation    int64
-	Depth         int64
-	InFlight      int64
-	LastProgress  time.Time
-	Restarts      int64
-	Rejuvenations int64
+	Shard         int        `json:"shard"`
+	State         ShardState `json:"state"`
+	Generation    int64      `json:"generation"`
+	Depth         int64      `json:"depth"`
+	InFlight      int64      `json:"in_flight"`
+	LastProgress  time.Time  `json:"last_progress"`
+	Restarts      int64      `json:"restarts"`
+	Rejuvenations int64      `json:"rejuvenations"`
 }
 
 // health snapshots the shard's supervision atomics. It never takes
@@ -221,15 +237,6 @@ func (s *shard) health() Health {
 		Restarts:      s.restarts.Load(),
 		Rejuvenations: s.rejuvenations.Load(),
 	}
-}
-
-// reserve claims one queue slot, failing when the shard is at capacity
-// or not accepting (quiescing, restarting, stopped).
-func (s *shard) reserve() bool {
-	if s.State() != ShardRunning {
-		return false
-	}
-	return s.reserveSlot()
 }
 
 // reserveSlot claims one slot regardless of lifecycle state — the
@@ -313,8 +320,10 @@ func (s *shard) notePeak(d int64) {
 // enqueue hands an admitted envelope to the current generation's loop.
 // The caller must hold a reservation, so the buffered send cannot
 // block; the read lock fences against close and generation swap so a
-// graceful drain never races a send.
-func (s *shard) enqueue(env *envelope) {
+// graceful drain never races a send. replayed marks the replay path's
+// own copies, which skip the suppression check — they are exactly the
+// keys in the suppression set.
+func (s *shard) enqueue(env *envelope, replayed bool) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	g := s.cur
@@ -326,8 +335,8 @@ func (s *shard) enqueue(env *envelope) {
 		s.release()
 		return
 	}
-	if g.replaySuppress != nil {
-		if _, replayed := g.replaySuppress[env.key]; replayed {
+	if !replayed && g.replaySuppress != nil {
+		if _, owned := g.replaySuppress[env.key]; owned {
 			// This generation already replayed the alert from the WAL:
 			// the submitter reserved on the previous generation and lost
 			// the race with the restart. The replayed copy owns delivery;
@@ -335,20 +344,6 @@ func (s *shard) enqueue(env *envelope) {
 			s.release()
 			return
 		}
-	}
-	g.q <- env
-}
-
-// enqueueReplay is enqueue for the replay path itself: it skips the
-// suppression check (the replayed copies are exactly the keys in the
-// suppression set).
-func (s *shard) enqueueReplay(env *envelope) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	g := s.cur
-	if g == nil || g.closed {
-		s.release()
-		return
 	}
 	g.q <- env
 }

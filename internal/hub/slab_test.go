@@ -42,7 +42,7 @@ func testSubmitBatchKeepsNothing(t *testing.T) {
 	}
 	var mu sync.Mutex
 	var delivered []got
-	var gate sync.Mutex // held while routing must wait
+	gate := newRouteGate() // armed while routing must wait
 	walPath := filepath.Join(t.TempDir(), "hub.wal")
 	clk := clock.NewReal()
 	h, err := New(Config{
@@ -55,7 +55,7 @@ func testSubmitBatchKeepsNothing(t *testing.T) {
 			mu.Unlock()
 			return nil
 		}),
-		RouteHook: func(int, <-chan struct{}) { gate.Lock(); gate.Unlock() },
+		Fault: wedgeAt(-1, gate),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -94,9 +94,9 @@ func testSubmitBatchKeepsNothing(t *testing.T) {
 	}
 
 	// Burst 1: routed and delivered only after the scribbling.
-	gate.Lock()
+	gate.arm()
 	want := offer(1)
-	gate.Unlock()
+	gate.release()
 	waitCond(t, "burst 1 to be delivered", func() bool {
 		mu.Lock()
 		defer mu.Unlock()
@@ -121,10 +121,10 @@ func testSubmitBatchKeepsNothing(t *testing.T) {
 
 	// Burst 2: acknowledged, scribbled on, never routed; the journal's
 	// copies are all that is left of it.
-	gate.Lock()
+	gate.arm()
 	want = offer(2)
 	h.Kill()
-	gate.Unlock()
+	gate.release()
 	select {
 	case <-h.Stopped():
 	case <-time.After(10 * time.Second):

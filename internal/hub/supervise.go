@@ -1,128 +1,85 @@
 package hub
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"sync"
 	"time"
 
 	"simba/internal/faults"
-	"simba/internal/mdc"
-	"simba/internal/metrics"
 	"simba/internal/stabilize"
 )
 
 // Supervision defaults.
 const (
+	// DefaultCheckPeriod is the cadence of every supervision check but
+	// scheduled rejuvenation. It is much faster than the MDC's
+	// process-level three minutes: a check is a few atomic loads, and a
+	// wedged shard should be caught in seconds.
+	DefaultCheckPeriod = time.Second
 	// DefaultStaleAfter is how old a busy shard's progress beat may be
-	// before its probe reports unhealthy. It must comfortably exceed the
+	// before its progress check fails. It must comfortably exceed the
 	// delivery retry backoff cap: a worker only beats after its current
 	// delivery completes, so a legitimately retrying shard can go a full
 	// backoff sequence between beats.
 	DefaultStaleAfter = 3 * time.Second
-	// DefaultInvariantPeriod is the stabilize checks' cadence.
-	DefaultInvariantPeriod = time.Second
-	// DefaultMaxOutboxAge is how far past due the outbox's earliest
-	// envelope may be before the outbox-age invariant trips.
-	DefaultMaxOutboxAge = time.Minute
+	// progressEscalateAfter is how many consecutive stale progress
+	// checks restart a shard: one more than a single late beat, and
+	// sooner than the gauges' stabilize.DefaultEscalateAfter, because a
+	// shard that has stopped moving holds acknowledged alerts.
+	progressEscalateAfter = 2
+	// maxOutboxAge is how far past due the outbox's earliest envelope
+	// may be before the outbox-age check fails.
+	maxOutboxAge = time.Minute
 )
 
 // SuperviseConfig parameterizes Hub.Supervise.
 type SuperviseConfig struct {
-	// ProbePeriod is the shard watchdog's probe cadence; zero means
-	// mdc.DefaultUnitProbePeriod.
-	ProbePeriod time.Duration
-	// ReplyTimeout bounds one probe reply; zero means
-	// mdc.DefaultUnitReplyTimeout.
-	ReplyTimeout time.Duration
-	// FailureThreshold is how many consecutive probe failures restart a
-	// shard; zero means mdc.DefaultUnitFailureThreshold.
-	FailureThreshold int
+	// Period is how often each shard's progress check and each resource
+	// invariant runs; zero means DefaultCheckPeriod.
+	Period time.Duration
 	// StaleAfter is how old a busy shard's progress beat may be before
-	// its probe fails; zero means DefaultStaleAfter. Must exceed the
-	// hub's DeliveryBackoffCap or a merely-retrying shard looks hung.
+	// its progress check fails; zero means DefaultStaleAfter. Must exceed
+	// the hub's DeliveryBackoffCap or a merely-retrying shard looks hung.
 	StaleAfter time.Duration
-	// InvariantPeriod is the stabilize checks' cadence; zero means
-	// DefaultInvariantPeriod.
-	InvariantPeriod time.Duration
-	// EscalateAfter is how many consecutive invariant violations of one
-	// check escalate to a targeted shard restart; zero means
-	// stabilize.DefaultEscalateAfter.
+	// EscalateAfter is how many consecutive failures of one per-shard
+	// check restart its shard, and again every that many while the
+	// failures last; zero keeps each check's own default (two for
+	// progress, stabilize.DefaultEscalateAfter for the gauges).
 	EscalateAfter int
-	// MaxWALBacklog trips the wal-backlog invariant; zero derives a
-	// bound from the hub's admission capacity (4× shards×queue-depth —
-	// replay debt beyond what admission control could have admitted
-	// means DONE records are not being staged).
-	MaxWALBacklog int
-	// MaxOutboxAge trips the outbox-age invariant; zero means
-	// DefaultMaxOutboxAge.
-	MaxOutboxAge time.Duration
 	// RejuvenateEvery, when positive, recycles the shards one at a time
 	// (rolling) on this period.
 	RejuvenateEvery time.Duration
-	// Journal records watchdog and stabilizer actions. Optional; when
+	// Journal records check failures and escalations. Optional; when
 	// nil, the hub's own journal is used.
 	Journal *faults.Journal
 }
 
-// Supervisor is the hub's self-management plane: an mdc.Supervisor
-// probing every shard (AreYouWorking over the shards' lock-free health
-// atomics), a stabilize.Stabilizer checking resource invariants over
-// the hub's real gauges with escalation wired to targeted shard
-// restart, and an optional rolling-rejuvenation schedule. Built by
-// Hub.Supervise; stop with Stop before draining the hub.
-type Supervisor struct {
-	h        *Hub
-	cfg      SuperviseConfig
-	watchdog *mdc.Supervisor
-	stab     *stabilize.Stabilizer
-
-	mu      sync.Mutex
-	running bool
-	stop    chan struct{}
-	done    chan struct{}
-}
-
-// shardUnit adapts one shard to mdc.Unit.
-type shardUnit struct {
-	h          *Hub
-	sh         *shard
-	staleAfter time.Duration
-}
-
-// Name implements mdc.Unit.
-func (u *shardUnit) Name() string { return fmt.Sprintf("shard-%d", u.sh.id) }
-
-// AreYouWorking implements mdc.Unit over the shard's supervision
-// atomics — no locks, by design: probing a wedged shard must not block
-// behind whatever wedged it. The rule: a Running shard with admitted
-// work must show progress within StaleAfter; an idle shard, and a
-// shard mid-lifecycle-transition (quiescing, restarting — transitions
-// are already supervised by their own timeouts), is healthy.
-func (u *shardUnit) AreYouWorking() bool {
-	hl := u.sh.health()
-	if hl.State != ShardRunning {
-		return true
-	}
-	if hl.Depth == 0 {
-		return true
-	}
-	return u.h.cfg.Clock.Since(hl.LastProgress) <= u.staleAfter
-}
-
-// Restart implements mdc.Unit: kill + WAL replay of this shard only.
-func (u *shardUnit) Restart(reason string) error {
-	return u.h.RestartShard(u.sh.id, reason)
-}
-
-// Supervise builds and starts the hub's supervision plane. Call after
-// Start (the shards must be running) and Stop it before Drain.
-func (h *Hub) Supervise(cfg SuperviseConfig) (*Supervisor, error) {
+// Supervise builds and starts the hub's self-management plane — one
+// stabilize.Stabilizer and nothing else. Its checks:
+//
+//   - "shard-N progress", the shard watchdog: a Running shard with
+//     admitted work must have beaten within StaleAfter;
+//   - "shard-N queue-depth" and "shard-N inflight-window", the
+//     admission and delivery-window gauges staying inside their bounds;
+//   - "wal-backlog", "outbox-age" (with an outbox) and "pool-poison",
+//     hub-wide;
+//   - "rolling-rejuvenation", when RejuvenateEvery is set, whose run is
+//     RejuvenateAll.
+//
+// A per-shard check that keeps failing escalates to RestartShard of the
+// shard it is named after; escalated restarts run one at a time. Call
+// after Start; before Drain, Stop the stabilizer and Wait for it.
+func (h *Hub) Supervise(cfg SuperviseConfig) (*stabilize.Stabilizer, error) {
 	h.mu.RLock()
 	started := h.started
 	h.mu.RUnlock()
 	if !started {
 		return nil, errors.New("hub: Supervise requires a started hub")
+	}
+	if cfg.Period <= 0 {
+		cfg.Period = DefaultCheckPeriod
 	}
 	if cfg.StaleAfter <= 0 {
 		cfg.StaleAfter = DefaultStaleAfter
@@ -132,133 +89,114 @@ func (h *Hub) Supervise(cfg SuperviseConfig) (*Supervisor, error) {
 		// budget under the backoff cap would flag healthy retries.
 		cfg.StaleAfter = 2 * h.cfg.DeliveryBackoffCap
 	}
-	if cfg.InvariantPeriod <= 0 {
-		cfg.InvariantPeriod = DefaultInvariantPeriod
-	}
-	if cfg.MaxWALBacklog <= 0 {
-		cfg.MaxWALBacklog = 4 * h.cfg.Shards * h.cfg.QueueDepth
-	}
-	if cfg.MaxOutboxAge <= 0 {
-		cfg.MaxOutboxAge = DefaultMaxOutboxAge
-	}
 	if cfg.Journal == nil {
 		cfg.Journal = h.cfg.Journal
 	}
-	s := &Supervisor{h: h, cfg: cfg}
-
-	units := make([]mdc.Unit, len(h.shards))
-	for i, sh := range h.shards {
-		units[i] = &shardUnit{h: h, sh: sh, staleAfter: cfg.StaleAfter}
+	journal := func(format string, args ...any) {
+		if cfg.Journal != nil {
+			cfg.Journal.Recordf(h.cfg.Clock.Now(), faults.KindUnrecovered, format, args...)
+		}
 	}
-	watchdog, err := mdc.NewSupervisor(mdc.SupervisorConfig{
-		Clock:            h.cfg.Clock,
-		ProbePeriod:      cfg.ProbePeriod,
-		ReplyTimeout:     cfg.ReplyTimeout,
-		FailureThreshold: cfg.FailureThreshold,
-		Journal:          cfg.Journal,
-	}, units...)
+	// Every check runs on its own goroutine, so two shards' checks can
+	// cross their thresholds together; the mutex keeps their restarts
+	// rolling — one shard down at a time, never a herd.
+	var restarting sync.Mutex
+	stab, err := stabilize.New(h.cfg.Clock, cfg.Journal, func(check string, err error) {
+		var id int
+		if n, scanErr := fmt.Sscanf(check, "shard-%d", &id); scanErr != nil || n != 1 {
+			// A hub-wide invariant has no single faulty shard to restart;
+			// it stays journaled (the operator-facing signal on /healthz).
+			journal("invariant %q kept failing with no shard to restart: %v", check, err)
+			return
+		}
+		restarting.Lock()
+		rerr := h.RestartShard(id, fmt.Sprintf("check %q: %v", check, err))
+		restarting.Unlock()
+		if rerr != nil {
+			// The streak goes on, so the stabilizer escalates again.
+			journal("escalation restart of shard %d failed: %v", id, rerr)
+		}
+	})
 	if err != nil {
 		return nil, err
 	}
-	s.watchdog = watchdog
 
-	stab, err := stabilize.New(h.cfg.Clock, cfg.Journal, s.escalate)
-	if err != nil {
-		return nil, err
-	}
-	if err := s.registerInvariants(stab); err != nil {
-		return nil, err
-	}
-	s.stab = stab
-
-	s.mu.Lock()
-	s.running = true
-	s.stop = make(chan struct{})
-	s.done = make(chan struct{})
-	s.mu.Unlock()
-	s.watchdog.Start()
-	s.stab.Start()
-	if cfg.RejuvenateEvery > 0 {
-		go s.rejuvenateLoop(s.stop, s.done)
-	} else {
-		close(s.done)
-	}
-	return s, nil
-}
-
-// registerInvariants wires the stabilize checks over the hub's real
-// resource gauges. Per-shard checks are named "shard-N <invariant>" so
-// escalation can map a failing check back to the shard it guards.
-func (s *Supervisor) registerInvariants(stab *stabilize.Stabilizer) error {
-	h := s.h
-	period := s.cfg.InvariantPeriod
+	checks := make([]stabilize.Check, 0, 3*len(h.shards)+4)
 	for _, sh := range h.shards {
-		sh := sh
-		if err := stab.Register(stabilize.Check{
-			Name:          fmt.Sprintf("shard-%d queue-depth", sh.id),
-			Period:        period,
-			EscalateAfter: s.cfg.EscalateAfter,
-			Fn: func() error {
-				// Floor-at-zero release and restart's gauge reset keep
-				// depth in [0, cap]; a sustained excursion means the
-				// accounting broke and admission control with it.
-				if d := sh.depth.Load(); d < 0 || d > sh.cap {
-					return fmt.Errorf("queue depth %d outside [0, %d]", d, sh.cap)
-				}
-				return nil
+		checks = append(checks,
+			stabilize.Check{
+				Name:          fmt.Sprintf("shard-%d progress", sh.id),
+				EscalateAfter: cmp.Or(cfg.EscalateAfter, progressEscalateAfter),
+				// Atomics only, by design: checking a wedged shard must not
+				// block behind whatever wedged it. An idle shard, and a shard
+				// mid-lifecycle-transition (quiescing, restarting —
+				// transitions are bounded by their own timeouts), is healthy.
+				Fn: func() error {
+					hl := sh.health()
+					if hl.State != ShardRunning || hl.Depth == 0 {
+						return nil
+					}
+					if age := h.cfg.Clock.Since(hl.LastProgress); age > cfg.StaleAfter {
+						return fmt.Errorf("%d alerts admitted, no progress for %v (max %v)", hl.Depth, age, cfg.StaleAfter)
+					}
+					return nil
+				},
 			},
-		}); err != nil {
-			return err
-		}
-		if err := stab.Register(stabilize.Check{
-			Name:          fmt.Sprintf("shard-%d inflight-window", sh.id),
-			Period:        period,
-			EscalateAfter: s.cfg.EscalateAfter,
-			Fn: func() error {
-				if f := sh.inflight.Load(); f < 0 || f > int64(h.cfg.DeliveryWindow) {
-					return fmt.Errorf("in-flight %d outside [0, %d]", f, h.cfg.DeliveryWindow)
-				}
-				return nil
+			stabilize.Check{
+				Name:          fmt.Sprintf("shard-%d queue-depth", sh.id),
+				EscalateAfter: cfg.EscalateAfter,
+				Fn: func() error {
+					// Floor-at-zero release and restart's gauge reset keep
+					// depth in [0, cap]; a sustained excursion means the
+					// accounting broke and admission control with it.
+					if d := sh.depth.Load(); d < 0 || d > sh.cap {
+						return fmt.Errorf("queue depth %d outside [0, %d]", d, sh.cap)
+					}
+					return nil
+				},
 			},
-		}); err != nil {
-			return err
-		}
+			stabilize.Check{
+				Name:          fmt.Sprintf("shard-%d inflight-window", sh.id),
+				EscalateAfter: cfg.EscalateAfter,
+				Fn: func() error {
+					if f := sh.inflight.Load(); f < 0 || f > int64(h.cfg.DeliveryWindow) {
+						return fmt.Errorf("in-flight %d outside [0, %d]", f, h.cfg.DeliveryWindow)
+					}
+					return nil
+				},
+			})
 	}
-	if err := stab.Register(stabilize.Check{
+	// Replay debt beyond 4× what admission control could have admitted
+	// means DONE records are not being staged.
+	maxBacklog := 4 * h.cfg.Shards * h.cfg.QueueDepth
+	checks = append(checks, stabilize.Check{
 		Name:          "wal-backlog",
-		Period:        period,
-		EscalateAfter: s.cfg.EscalateAfter,
+		EscalateAfter: cfg.EscalateAfter,
 		Fn: func() error {
-			if n := h.WALBacklog(); n > s.cfg.MaxWALBacklog {
-				return fmt.Errorf("WAL backlog %d exceeds %d", n, s.cfg.MaxWALBacklog)
+			if n := h.WALBacklog(); n > maxBacklog {
+				return fmt.Errorf("WAL backlog %d exceeds %d", n, maxBacklog)
 			}
 			return nil
 		},
-	}); err != nil {
-		return err
-	}
+	})
 	if h.outbox != nil {
-		if err := stab.Register(stabilize.Check{
+		checks = append(checks, stabilize.Check{
 			Name:          "outbox-age",
-			Period:        period,
-			EscalateAfter: s.cfg.EscalateAfter,
+			EscalateAfter: cfg.EscalateAfter,
 			Fn: func() error {
 				due, ok := h.outbox.OldestDue()
 				if !ok {
 					return nil
 				}
-				if age := h.cfg.Clock.Since(due); age > s.cfg.MaxOutboxAge {
-					return fmt.Errorf("outbox head %v past due (max %v)", age, s.cfg.MaxOutboxAge)
+				if age := h.cfg.Clock.Since(due); age > maxOutboxAge {
+					return fmt.Errorf("outbox head %v past due (max %v)", age, maxOutboxAge)
 				}
 				return nil
 			},
-		}); err != nil {
-			return err
-		}
+		})
 	}
-	return stab.Register(stabilize.Check{
+	checks = append(checks, stabilize.Check{
 		Name:          "pool-poison",
-		Period:        period,
 		EscalateAfter: -1, // corruption evidence: journal it, never "fix" it with a restart
 		Fn: func() error {
 			if n := PoolPoisonHits(); n > 0 {
@@ -267,75 +205,20 @@ func (s *Supervisor) registerInvariants(stab *stabilize.Stabilizer) error {
 			return nil
 		},
 	})
-}
-
-// escalate is the stabilizer's escalation path: a per-shard invariant
-// that keeps failing restarts its shard; hub-wide invariants have no
-// single faulty shard to restart, so they stay journaled (the
-// operator-facing signal on /healthz).
-func (s *Supervisor) escalate(check string, err error) {
-	var id int
-	if n, scanErr := fmt.Sscanf(check, "shard-%d", &id); scanErr == nil && n == 1 {
-		if rerr := s.h.RestartShard(id, fmt.Sprintf("invariant %q: %v", check, err)); rerr != nil {
-			s.journal(faults.KindUnrecovered, "escalation restart of shard %d failed: %v", id, rerr)
-		}
-		return
+	if cfg.RejuvenateEvery > 0 {
+		checks = append(checks, stabilize.Check{
+			Name:          "rolling-rejuvenation",
+			Period:        cfg.RejuvenateEvery,
+			EscalateAfter: -1, // a round that fails is journaled and tried again next period
+			Fn:            h.RejuvenateAll,
+		})
 	}
-	s.journal(faults.KindUnrecovered, "invariant %q kept failing with no shard to restart: %v", check, err)
-}
-
-// rejuvenateLoop recycles all shards, one at a time, every
-// RejuvenateEvery.
-func (s *Supervisor) rejuvenateLoop(stop, done chan struct{}) {
-	defer close(done)
-	ticker := s.h.cfg.Clock.NewTicker(s.cfg.RejuvenateEvery)
-	defer ticker.Stop()
-	for {
-		select {
-		case <-stop:
-			return
-		case <-ticker.C():
-			if err := s.h.RejuvenateAll(); err != nil {
-				s.journal(faults.KindRejuvenation, "scheduled rolling rejuvenation: %v", err)
-			}
+	for _, c := range checks {
+		c.Period = cmp.Or(c.Period, cfg.Period)
+		if err := stab.Register(c); err != nil {
+			return nil, err
 		}
 	}
-}
-
-// Stop halts the watchdog, the stabilizer, and the rejuvenation
-// schedule. The hub itself keeps serving.
-func (s *Supervisor) Stop() {
-	s.mu.Lock()
-	if !s.running {
-		s.mu.Unlock()
-		return
-	}
-	s.running = false
-	close(s.stop)
-	done := s.done
-	s.mu.Unlock()
-	s.watchdog.Stop()
-	s.stab.Stop()
-	<-done
-}
-
-// WatchdogStats returns the per-shard probe/restart counters.
-func (s *Supervisor) WatchdogStats() []mdc.UnitStats { return s.watchdog.Stats() }
-
-// ProbeLatency returns the watchdog's probe round-trip histogram
-// (microseconds).
-func (s *Supervisor) ProbeLatency() metrics.HistogramSnapshot {
-	return s.watchdog.ProbeLatency()
-}
-
-// InvariantStats returns the stabilizer's per-check counters.
-func (s *Supervisor) InvariantStats() []stabilize.CheckStats { return s.stab.Stats() }
-
-// RunInvariant executes the named invariant immediately (tests, ops).
-func (s *Supervisor) RunInvariant(name string) error { return s.stab.RunOnce(name) }
-
-func (s *Supervisor) journal(kind faults.Kind, format string, args ...any) {
-	if s.cfg.Journal != nil {
-		s.cfg.Journal.Recordf(s.h.cfg.Clock.Now(), kind, format, args...)
-	}
+	stab.Start()
+	return stab, nil
 }

@@ -3,13 +3,14 @@ package hub
 import (
 	"fmt"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
+	"simba/internal/alert"
 	"simba/internal/clock"
 	"simba/internal/dist"
 	"simba/internal/faults"
+	"simba/internal/stabilize"
 )
 
 // TestHubWedgedShardAutoRecovers is the tentpole fault test: a fault
@@ -24,20 +25,9 @@ func TestHubWedgedShardAutoRecovers(t *testing.T) {
 	sink := newCountingSink(nil)
 	j := &faults.Journal{}
 
-	// wedgeTarget selects the shard whose next routed batch hangs until
-	// its generation is killed; -1 disarms.
-	var wedgeTarget atomic.Int32
-	wedgeTarget.Store(-1)
-	wedged := make(chan struct{}, 1)
-	hook := func(shard int, killed <-chan struct{}) {
-		if int32(shard) == wedgeTarget.Load() {
-			select {
-			case wedged <- struct{}{}:
-			default:
-			}
-			<-killed
-		}
-	}
+	// While armed, shard 0's next routed batch hangs until its
+	// generation is killed.
+	gate := newRouteGate()
 
 	h := newTestHub(t, Config{
 		Clock:              clk,
@@ -45,7 +35,7 @@ func TestHubWedgedShardAutoRecovers(t *testing.T) {
 		Shards:             4,
 		QueueDepth:         64,
 		Journal:            j,
-		RouteHook:          hook,
+		Fault:              wedgeAt(0, gate),
 		QuiesceTimeout:     time.Second,
 		DeliveryBackoff:    time.Millisecond,
 		DeliveryBackoffCap: 2 * time.Millisecond,
@@ -74,20 +64,20 @@ func TestHubWedgedShardAutoRecovers(t *testing.T) {
 
 	// Wedge shard 0 on an admitted alert: the route loop dequeues it and
 	// hangs, leaving it logged but unprocessed.
-	wedgeTarget.Store(0)
+	gate.arm()
 	wedgeAlert := portalAlert(0, clk.Now())
 	wedgeAlert.ID = "a-wedged"
 	if err := h.Submit(targetUser, wedgeAlert); err != nil {
 		t.Fatal(err)
 	}
 	select {
-	case <-wedged:
+	case <-gate.hit:
 	case <-time.After(5 * time.Second):
 		t.Fatal("route loop never hit the wedge hook")
 	}
 	// Disarm so the replayed generation routes normally; the blocked
 	// hook invocation stays blocked until the kill releases it.
-	wedgeTarget.Store(-1)
+	gate.disarm()
 
 	// Siblings must keep serving while shard 0 hangs (no supervision
 	// yet, so the hang is guaranteed to still be in force).
@@ -111,14 +101,12 @@ func TestHubWedgedShardAutoRecovers(t *testing.T) {
 		t.Fatalf("wedged shard health = %+v, %v; want running with queued work", hl, err)
 	}
 
-	// Supervision: fast probes, stale budget past the backoff cap.
+	// Supervision: fast checks, stale budget past the backoff cap.
 	sup, err := h.Supervise(SuperviseConfig{
-		ProbePeriod:      20 * time.Millisecond,
-		ReplyTimeout:     50 * time.Millisecond,
-		FailureThreshold: 2,
-		StaleAfter:       30 * time.Millisecond,
-		InvariantPeriod:  time.Hour, // this test exercises the watchdog only
-		Journal:          j,
+		Period:        20 * time.Millisecond,
+		EscalateAfter: 2,
+		StaleAfter:    30 * time.Millisecond,
+		Journal:       j,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -154,6 +142,7 @@ func TestHubWedgedShardAutoRecovers(t *testing.T) {
 	sink.waitTotal(t, len(siblingUsers)*perSibling+2)
 
 	sup.Stop()
+	sup.Wait()
 	if err := h.Drain(); err != nil {
 		t.Fatal(err)
 	}
@@ -167,14 +156,247 @@ func TestHubWedgedShardAutoRecovers(t *testing.T) {
 			}
 		}
 	}
-	if stats := sup.WatchdogStats(); stats[0].Restarts != 1 || stats[0].Failures < 2 {
-		t.Fatalf("watchdog stats for shard 0 = %+v", stats[0])
+	// A healthy shard is never restarted: the recovery was shard 0's.
+	for _, hl := range h.Healths()[1:] {
+		if hl.Generation != 1 || hl.Restarts != 0 {
+			t.Fatalf("sibling shard %d was restarted: %+v", hl.Shard, hl)
+		}
 	}
-	if j.CountMatching(faults.KindDaemonRestart, "shard-0") == 0 {
-		t.Fatal("probe-driven restart not journaled")
+	if cs := checkStats(t, sup, "shard-0 progress"); cs.Failures < 2 || cs.Escalations != 1 {
+		t.Fatalf("progress check stats for shard 0 = %+v", cs)
 	}
-	if sup.ProbeLatency().Count == 0 {
-		t.Fatal("probe latency histogram empty")
+	if j.CountMatching(faults.KindDaemonRestart, `check "shard-0 progress"`) != 1 {
+		t.Fatal("check-driven restart not journaled by RestartShard")
+	}
+}
+
+// checkStats returns the named check's counters.
+func checkStats(t *testing.T, sup *stabilize.Stabilizer, name string) stabilize.CheckStats {
+	t.Helper()
+	for _, cs := range sup.Stats() {
+		if cs.Name == name {
+			return cs
+		}
+	}
+	t.Fatalf("no check named %q", name)
+	return stabilize.CheckStats{}
+}
+
+// TestHubInvariantEscalationRestartsItsShard runs a gauge invariant to
+// its escalation: a queue-depth gauge scribbled out of bounds fails its
+// shard's check, the EscalateAfter'th failure restarts that shard and no
+// other, and the restart's gauge reset heals the invariant.
+func TestHubInvariantEscalationRestartsItsShard(t *testing.T) {
+	const escalateAfter = 2
+	j := &faults.Journal{}
+	h := newTestHub(t, Config{
+		Channels: sinkChannels(func(int, string, *alert.Alert) error { return nil }),
+		Shards:   4, Journal: j, QuiesceTimeout: time.Second,
+	})
+	addUsers(t, h, 8)
+	if err := h.Start(); err != nil {
+		t.Fatal(err)
+	}
+	// An hour's period: the checks run only when this test runs them.
+	sup, err := h.Supervise(SuperviseConfig{Period: time.Hour, EscalateAfter: escalateAfter})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sup.Stop()
+
+	const check = "shard-2 queue-depth"
+	sh := h.shards[2]
+	sh.depth.Store(sh.cap + 7)
+	for i := 0; i < escalateAfter; i++ {
+		if err := sup.RunOnce(check); err == nil {
+			t.Fatalf("run %d: depth %d over capacity %d passed the check", i, sh.depth.Load(), sh.cap)
+		}
+	}
+	for _, hl := range h.Healths() {
+		wantGen, wantRestarts := int64(1), int64(0)
+		if hl.Shard == 2 {
+			wantGen, wantRestarts = 2, 1
+		}
+		if hl.Generation != wantGen || hl.Restarts != wantRestarts || hl.State != ShardRunning {
+			t.Fatalf("shard %d = %+v; want running at generation %d after %d restarts", hl.Shard, hl, wantGen, wantRestarts)
+		}
+	}
+	if err := sup.RunOnce(check); err != nil {
+		t.Fatalf("check after the restart reset the gauge: %v", err)
+	}
+	if cs := checkStats(t, sup, check); cs.Failures != escalateAfter || cs.Heals != 1 || cs.Escalations != 1 {
+		t.Fatalf("%s stats = %+v; want %d failures, 1 heal, 1 escalation", check, cs, escalateAfter)
+	}
+	if j.CountMatching(faults.KindDaemonRestart, check) != 1 {
+		t.Fatal("escalated restart's reason does not name the check")
+	}
+}
+
+// TestShardProgressCheckTakesNoLocks pins what makes the watchdog safe
+// to point at a wedged shard: the progress check — passing or failing —
+// returns while every lock around the shard is held by someone else.
+func TestShardProgressCheckTakesNoLocks(t *testing.T) {
+	h := newTestHub(t, Config{
+		Channels: sinkChannels(func(int, string, *alert.Alert) error { return nil }),
+		Shards:   2,
+	})
+	if err := h.Start(); err != nil {
+		t.Fatal(err)
+	}
+	sup, err := h.Supervise(SuperviseConfig{Period: time.Hour, StaleAfter: time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sup.Stop()
+
+	sh := h.shards[0]
+	stage := sh.current().delivery
+	h.mu.Lock()
+	sh.lifeMu.Lock()
+	sh.mu.Lock()
+	stage.mu.Lock()
+	defer func() {
+		sh.depth.Store(0)
+		stage.mu.Unlock()
+		sh.mu.Unlock()
+		sh.lifeMu.Unlock()
+		h.mu.Unlock()
+	}()
+
+	run := func(wantFail bool) {
+		t.Helper()
+		done := make(chan error, 1)
+		go func() { done <- sup.RunOnce("shard-0 progress") }()
+		select {
+		case err := <-done:
+			if (err != nil) != wantFail {
+				t.Fatalf("progress check = %v; want failure: %v", err, wantFail)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatal("progress check blocked behind a lock of the shard it watches")
+		}
+	}
+	sh.depth.Store(1) // admitted work, so the check reads the beat
+	sh.beat(h.cfg.Clock.Now())
+	run(false)
+	sh.beat(h.cfg.Clock.Now().Add(-time.Minute))
+	run(true) // one failure: under the threshold, so nothing escalates into lifeMu
+}
+
+// TestHubWedgedShardsRestartOneAtATime wedges two shards together. Their
+// progress checks run on separate goroutines and cross the threshold
+// within a period of each other; the restarts they escalate to must
+// still roll — the journal shows one shard killed and back before the
+// other is touched.
+func TestHubWedgedShardsRestartOneAtATime(t *testing.T) {
+	j := &faults.Journal{}
+	gate := newRouteGate()
+	park := wedgeAt(-1, gate)
+	h := newTestHub(t, Config{
+		Channels: sinkChannels(func(int, string, *alert.Alert) error { return nil }),
+		Shards:   2, Journal: j, QuiesceTimeout: 5 * time.Second,
+		Fault: func(p FaultPoint, shard int, killed <-chan struct{}) bool {
+			park(p, shard, killed)
+			select {
+			case <-killed:
+				// A stage slow to notice its kill keeps each restart open
+				// for several check periods, so two restarts that were not
+				// serialized would overlap.
+				time.Sleep(100 * time.Millisecond)
+			default:
+			}
+			return false
+		},
+	})
+	addUsers(t, h, 16)
+	if err := h.Start(); err != nil {
+		t.Fatal(err)
+	}
+	gate.arm()
+	for id := 0; id < 2; id++ {
+		for i := 0; ; i++ {
+			if user := fmt.Sprintf("user-%d", i); h.shardOf(user).id == id {
+				if err := h.Submit(user, portalAlert(id, h.cfg.Clock.Now())); err != nil {
+					t.Fatal(err)
+				}
+				break
+			}
+		}
+		select {
+		case <-gate.hit:
+		case <-time.After(5 * time.Second):
+			t.Fatalf("shard %d never hit the wedge", id)
+		}
+	}
+	gate.disarm()
+
+	sup, err := h.Supervise(SuperviseConfig{Period: 10 * time.Millisecond, StaleAfter: 30 * time.Millisecond, Journal: j})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sup.Stop()
+	waitCond(t, "both wedged shards to be restarted", func() bool {
+		hls := h.Healths()
+		return hls[0].Restarts == 1 && hls[1].Restarts == 1 && hls[0].State == ShardRunning && hls[1].State == ShardRunning
+	})
+	sup.Stop()
+	sup.Wait()
+
+	open := -1 // the shard between its "killing" and "restarted" lines
+	for _, e := range j.Entries() {
+		var id, gen int
+		if e.Kind != faults.KindDaemonRestart {
+			continue
+		}
+		if n, _ := fmt.Sscanf(e.Detail, "shard %d: killing generation %d", &id, &gen); n == 2 {
+			if open != -1 {
+				t.Fatalf("shard %d killed while shard %d was still restarting:\n%v", id, open, j.Entries())
+			}
+			open = id
+		} else if n, _ := fmt.Sscanf(e.Detail, "shard %d: restarted as generation %d", &id, &gen); n == 2 {
+			open = -1
+		}
+	}
+}
+
+// TestHubScheduledRejuvenationRollsAndJournalsFailure: RejuvenateEvery
+// is one more check — every shard is recycled on its period, and a round
+// that cannot run (here: the hub has been drained) is journaled and
+// never escalates.
+func TestHubScheduledRejuvenationRollsAndJournalsFailure(t *testing.T) {
+	j := &faults.Journal{}
+	h := newTestHub(t, Config{
+		Channels: sinkChannels(func(int, string, *alert.Alert) error { return nil }),
+		Shards:   3, Journal: j,
+	})
+	if err := h.Start(); err != nil {
+		t.Fatal(err)
+	}
+	sup, err := h.Supervise(SuperviseConfig{Period: time.Hour, RejuvenateEvery: 5 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sup.Stop()
+	waitCond(t, "a scheduled round to recycle every shard", func() bool {
+		for _, hl := range h.Healths() {
+			if hl.Rejuvenations == 0 || hl.Restarts != 0 {
+				return false
+			}
+		}
+		return true
+	})
+	if err := h.Drain(); err != nil {
+		t.Fatal(err)
+	}
+	const check = "rolling-rejuvenation"
+	waitCond(t, "a round against the drained hub to fail", func() bool { return checkStats(t, sup, check).Failures >= 3 })
+	sup.Stop()
+	sup.Wait()
+	if cs := checkStats(t, sup, check); cs.Escalations != 0 {
+		t.Fatalf("%s escalated: %+v", check, cs)
+	}
+	if j.CountMatching(faults.KindFaultInjected, check) == 0 {
+		t.Fatal("failed rejuvenation round not journaled")
 	}
 }
 

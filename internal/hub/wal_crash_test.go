@@ -33,7 +33,7 @@ func TestHubCrashAcrossWALRotation(t *testing.T) {
 		Shards: 1, QueueDepth: 64,
 		WALSegmentBytes:    256, // force a rotation every couple of records
 		WALCheckpointEvery: -1,  // deterministic: replay every segment
-		CrashBeforeMark:    crash,
+		Fault:              crashAt(FaultBeforeMark, crash),
 	}
 	h1, err := New(cfg)
 	if err != nil {
@@ -130,7 +130,7 @@ func TestHubCrashDuringWALCheckpoint(t *testing.T) {
 		Shards: 1, QueueDepth: 64,
 		WALSegmentBytes:    256,
 		WALCheckpointEvery: -1, // checkpoints are forced explicitly below
-		CrashBeforeMark:    crash,
+		Fault:              crashAt(FaultBeforeMark, crash),
 	}
 	h1, err := New(cfg)
 	if err != nil {
@@ -294,7 +294,7 @@ func TestHubCrashTearsOneLaneWhileOthersCommit(t *testing.T) {
 	cfg := Config{
 		Clock: clk, Channels: sinkChannels(newCountingSink(hold).Deliver), WALPath: walPath,
 		Shards: 4, QueueDepth: 256,
-		CrashAfterBatchFsync: crash, Journal: journal,
+		Fault: crashAt(FaultAfterBatchFsync, crash), Journal: journal,
 	}
 	h1, err := New(cfg)
 	if err != nil {

@@ -106,17 +106,11 @@ func TestDeliveryWorkersExitWithTheirGeneration(t *testing.T) {
 
 	t.Run("restart of a wedged shard", func(t *testing.T) {
 		base := runtime.NumGoroutine()
-		var wedge atomic.Bool
-		wedged := make(chan struct{}, 1)
+		gate := newRouteGate()
 		sink := newCountingSink(nil)
 		h := newTestHub(t, Config{
 			Channels: sinkChannels(sink.Deliver), Shards: 4, QuiesceTimeout: time.Second,
-			RouteHook: func(shard int, killed <-chan struct{}) {
-				if shard == 0 && wedge.CompareAndSwap(true, false) {
-					wedged <- struct{}{}
-					<-killed
-				}
-			},
+			Fault: wedgeAt(0, gate),
 		})
 		addUsers(t, h, users)
 		if err := h.Start(); err != nil {
@@ -125,13 +119,14 @@ func TestDeliveryWorkersExitWithTheirGeneration(t *testing.T) {
 		submitRound(t, h, 0) // shard 0 has parked workers by the time it wedges
 		sink.waitTotal(t, users)
 		old := h.shards[0].current()
-		wedge.Store(true)
+		gate.arm()
 		submitRound(t, h, 1)
 		select {
-		case <-wedged:
+		case <-gate.hit:
 		case <-time.After(10 * time.Second):
 			t.Fatal("shard 0 never hit the wedge hook")
 		}
+		gate.disarm() // the parked batch stays parked; the replacement generation routes
 		if err := h.RestartShard(0, "test wedge"); err != nil {
 			t.Fatal(err)
 		}
@@ -148,6 +143,53 @@ func TestDeliveryWorkersExitWithTheirGeneration(t *testing.T) {
 			t.Fatal(err)
 		}
 		settleGoroutines(t, base, "after RestartShard and Drain")
+	})
+
+	t.Run("supervised", func(t *testing.T) {
+		base := runtime.NumGoroutine()
+		sink := newCountingSink(nil)
+		h := newTestHub(t, Config{Channels: sinkChannels(sink.Deliver), Shards: 4})
+		addUsers(t, h, users)
+		if err := h.Start(); err != nil {
+			t.Fatal(err)
+		}
+		submitRound(t, h, 0)
+		sink.waitTotal(t, users)
+		unsupervised := runtime.NumGoroutine()
+		sup, err := h.Supervise(SuperviseConfig{Period: time.Millisecond, RejuvenateEvery: 5 * time.Millisecond})
+		if err != nil {
+			t.Fatal(err)
+		}
+		waitCond(t, "every check to have run and every shard to have been recycled", func() bool {
+			for _, cs := range sup.Stats() {
+				if cs.Executions == 0 {
+					return false
+				}
+			}
+			for _, hl := range h.Healths() {
+				if hl.Rejuvenations == 0 {
+					return false
+				}
+			}
+			return true
+		})
+		sup.Stop()
+		sup.Wait()
+		// Nothing of the plane outlives stop-and-wait: no check is inside a
+		// RejuvenateShard when the drain begins, and the count is back where
+		// it was before Supervise (lower, if a recycled generation's parked
+		// workers went with it).
+		settleGoroutines(t, unsupervised, "after the supervision plane was stopped and waited for")
+		submitRound(t, h, 1)
+		if err := h.Drain(); err != nil {
+			t.Fatal(err)
+		}
+		for _, hl := range h.Healths() {
+			if hl.Restarts != 0 {
+				t.Errorf("supervising a healthy hub restarted shard %d: %+v", hl.Shard, hl)
+			}
+		}
+		settleGoroutines(t, base, "after Drain")
 	})
 
 	t.Run("rolling rejuvenation under load", func(t *testing.T) {

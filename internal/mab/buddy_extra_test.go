@@ -1,11 +1,13 @@
 package mab
 
 import (
+	"errors"
 	"testing"
 	"time"
 
 	"simba/internal/alert"
 	"simba/internal/faults"
+	"simba/internal/stabilize"
 )
 
 func TestRemoteRejuvenationViaEmail(t *testing.T) {
@@ -41,6 +43,39 @@ func TestMemoryLeakTriggersClientRestart(t *testing.T) {
 	// The buddy itself kept running: client-level rejuvenation only.
 	if !f.buddy.Running() {
 		t.Fatal("buddy restarted for a client-level leak")
+	}
+}
+
+// TestInvariantEscalationTerminatesFromItsOwnCheck: the stabilizer's
+// escalation rejuvenates the buddy from inside a check goroutine, and
+// terminating stops the very stabilizer that is running it — so Stop
+// must not wait for its checks, and once the incarnation is gone the
+// stabilizer's goroutines are too (Wait returns).
+func TestInvariantEscalationTerminatesFromItsOwnCheck(t *testing.T) {
+	f := newFixture(t)
+	f.startBuddy()
+	f.buddy.mu.Lock()
+	inc := f.buddy.inc
+	f.buddy.mu.Unlock()
+	inc.stab.Stop()
+	inc.stab.Wait()
+	if err := inc.stab.Register(stabilize.Check{
+		Name: "doomed", Period: time.Second, EscalateAfter: 1,
+		Fn: func() error { return errors.New("cannot be healed in place") },
+	}); err != nil {
+		t.Fatal(err)
+	}
+	inc.stab.Start()
+	f.advanceUntil(func() bool { return !f.buddy.Running() }, time.Second)
+	if f.journal.CountMatching(faults.KindRejuvenation, `unrectifiable invariant "doomed"`) != 1 {
+		t.Fatal("escalation did not rejuvenate the buddy")
+	}
+	gone := make(chan struct{})
+	go func() { inc.stab.Wait(); close(gone) }()
+	select {
+	case <-gone:
+	case <-time.After(10 * time.Second):
+		t.Fatal("a check goroutine outlived the incarnation its escalation terminated")
 	}
 }
 

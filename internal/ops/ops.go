@@ -18,8 +18,6 @@ import (
 	"time"
 
 	"simba/internal/hub"
-	"simba/internal/mdc"
-	"simba/internal/metrics"
 	"simba/internal/stabilize"
 )
 
@@ -27,10 +25,10 @@ import (
 type Config struct {
 	// Hub is the hub under administration; required.
 	Hub *hub.Hub
-	// Supervisor, when set, contributes watchdog and invariant counters
-	// to /healthz. Optional — the admin plane works on an unsupervised
-	// hub.
-	Supervisor *hub.Supervisor
+	// Supervisor, when set, is the stabilizer Hub.Supervise returned; its
+	// per-check counters appear on /healthz. Optional — the admin plane
+	// works on an unsupervised hub.
+	Supervisor *stabilize.Stabilizer
 }
 
 // Server is the admin plane's handler set plus an optional listener.
@@ -93,96 +91,33 @@ func (s *Server) Close() error {
 	return srv.Close()
 }
 
-// ShardStatus is one shard's health in wire form.
-type ShardStatus struct {
-	Shard         int       `json:"shard"`
-	State         string    `json:"state"`
-	Generation    int64     `json:"generation"`
-	Depth         int64     `json:"depth"`
-	InFlight      int64     `json:"in_flight"`
-	LastProgress  time.Time `json:"last_progress"`
-	Restarts      int64     `json:"restarts"`
-	Rejuvenations int64     `json:"rejuvenations"`
-}
-
-func shardStatus(h hub.Health) ShardStatus {
-	return ShardStatus{
-		Shard:         h.Shard,
-		State:         h.State.String(),
-		Generation:    h.Generation,
-		Depth:         h.Depth,
-		InFlight:      h.InFlight,
-		LastProgress:  h.LastProgress,
-		Restarts:      h.Restarts,
-		Rejuvenations: h.Rejuvenations,
-	}
-}
-
 // HealthReport is the /healthz body.
 type HealthReport struct {
 	// OK is false when any shard is Stopped — the one state with no
 	// path back to serving without operator action. Transitional states
 	// (quiescing, restarting) are alive: the recovery machinery owns
 	// them and bounds them with timeouts.
-	OK         bool              `json:"ok"`
-	Users      int               `json:"users"`
-	WALBacklog int               `json:"wal_backlog"`
-	Shards     []ShardStatus     `json:"shards"`
-	Watchdog   []mdc.UnitStats   `json:"watchdog,omitempty"`
-	Invariants []CheckStatus     `json:"invariants,omitempty"`
-	ProbeLat   *ProbeLatencyView `json:"probe_latency_us,omitempty"`
-}
-
-// CheckStatus is one stabilize check's counters in wire form.
-type CheckStatus struct {
-	Name        string `json:"name"`
-	Executions  int64  `json:"executions"`
-	Failures    int64  `json:"failures"`
-	Heals       int64  `json:"heals"`
-	Escalations int64  `json:"escalations"`
-}
-
-// ProbeLatencyView summarizes the probe histogram for JSON.
-type ProbeLatencyView struct {
-	Count int64   `json:"count"`
-	Mean  float64 `json:"mean"`
-	Max   int64   `json:"max"`
-}
-
-func checkStatuses(stats []stabilize.CheckStats) []CheckStatus {
-	out := make([]CheckStatus, len(stats))
-	for i, c := range stats {
-		out[i] = CheckStatus{
-			Name:        c.Name,
-			Executions:  c.Executions,
-			Failures:    c.Failures,
-			Heals:       c.Heals,
-			Escalations: c.Escalations,
-		}
-	}
-	return out
-}
-
-func probeLatencyView(s metrics.HistogramSnapshot) *ProbeLatencyView {
-	if s.Count == 0 {
-		return nil
-	}
-	return &ProbeLatencyView{Count: s.Count, Mean: s.Mean(), Max: s.Max}
+	OK         bool         `json:"ok"`
+	Users      int          `json:"users"`
+	WALBacklog int          `json:"wal_backlog"`
+	Shards     []hub.Health `json:"shards"`
+	// Invariants is the supervision plane's one check list — each
+	// shard's progress watchdog, the resource gauges, scheduled
+	// rejuvenation — with how often each ran, failed, healed and
+	// escalated.
+	Invariants []stabilize.CheckStats `json:"invariants,omitempty"`
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	h := s.cfg.Hub
-	report := HealthReport{OK: true, Users: h.Users(), WALBacklog: h.WALBacklog()}
-	for _, hl := range h.Healths() {
+	report := HealthReport{OK: true, Users: h.Users(), WALBacklog: h.WALBacklog(), Shards: h.Healths()}
+	for _, hl := range report.Shards {
 		if hl.State == hub.ShardStopped {
 			report.OK = false
 		}
-		report.Shards = append(report.Shards, shardStatus(hl))
 	}
 	if sup := s.cfg.Supervisor; sup != nil {
-		report.Watchdog = sup.WatchdogStats()
-		report.Invariants = checkStatuses(sup.InvariantStats())
-		report.ProbeLat = probeLatencyView(sup.ProbeLatency())
+		report.Invariants = sup.Stats()
 	}
 	code := http.StatusOK
 	if !report.OK {
@@ -192,12 +127,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleShards(w http.ResponseWriter, r *http.Request) {
-	healths := s.cfg.Hub.Healths()
-	out := make([]ShardStatus, len(healths))
-	for i, hl := range healths {
-		out[i] = shardStatus(hl)
-	}
-	writeJSON(w, http.StatusOK, out)
+	writeJSON(w, http.StatusOK, s.cfg.Hub.Healths())
 }
 
 func (s *Server) handleShard(w http.ResponseWriter, r *http.Request) {
@@ -210,7 +140,7 @@ func (s *Server) handleShard(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, shardStatus(hl))
+	writeJSON(w, http.StatusOK, hl)
 }
 
 func (s *Server) handleShardRestart(w http.ResponseWriter, r *http.Request) {
@@ -223,7 +153,7 @@ func (s *Server) handleShardRestart(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	hl, _ := s.cfg.Hub.ShardHealth(id)
-	writeJSON(w, http.StatusOK, shardStatus(hl))
+	writeJSON(w, http.StatusOK, hl)
 }
 
 func (s *Server) handleShardRejuvenate(w http.ResponseWriter, r *http.Request) {
@@ -236,7 +166,7 @@ func (s *Server) handleShardRejuvenate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	hl, _ := s.cfg.Hub.ShardHealth(id)
-	writeJSON(w, http.StatusOK, shardStatus(hl))
+	writeJSON(w, http.StatusOK, hl)
 }
 
 func (s *Server) handleRejuvenateAll(w http.ResponseWriter, r *http.Request) {
@@ -244,12 +174,7 @@ func (s *Server) handleRejuvenateAll(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusConflict, err)
 		return
 	}
-	healths := s.cfg.Hub.Healths()
-	out := make([]ShardStatus, len(healths))
-	for i, hl := range healths {
-		out[i] = shardStatus(hl)
-	}
-	writeJSON(w, http.StatusOK, out)
+	writeJSON(w, http.StatusOK, s.cfg.Hub.Healths())
 }
 
 func (s *Server) handleListUsers(w http.ResponseWriter, r *http.Request) {

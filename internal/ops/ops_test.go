@@ -44,11 +44,11 @@ func newTestPlane(t *testing.T) (*hub.Hub, *Server) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { _ = h.Drain() })
-	sup, err := h.Supervise(hub.SuperviseConfig{InvariantPeriod: time.Hour})
+	sup, err := h.Supervise(hub.SuperviseConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(sup.Stop)
+	t.Cleanup(func() { sup.Stop(); sup.Wait() })
 	s, err := NewServer(Config{Hub: h, Supervisor: sup})
 	if err != nil {
 		t.Fatal(err)
@@ -89,12 +89,19 @@ func TestHealthzReportsRunningShards(t *testing.T) {
 		t.Fatalf("report = %+v", report)
 	}
 	for _, sh := range report.Shards {
-		if sh.State != "running" || sh.Generation != 1 {
+		if sh.State != hub.ShardRunning || sh.Generation != 1 {
 			t.Fatalf("shard %d = %+v", sh.Shard, sh)
 		}
 	}
-	if len(report.Watchdog) != 2 || len(report.Invariants) == 0 {
-		t.Fatalf("supervision counters missing: %+v", report)
+	// One check table: each shard's progress, queue-depth and
+	// inflight-window rows, then wal-backlog and pool-poison.
+	if len(report.Invariants) != 2*3+2 || report.Invariants[0].Name != "shard-0 progress" {
+		t.Fatalf("supervision counters missing: %+v", report.Invariants)
+	}
+	for _, gone := range []string{`"watchdog"`, `"probe_latency_us"`} {
+		if strings.Contains(w.Body.String(), gone) {
+			t.Fatalf("/healthz still carries a %s section: %s", gone, w.Body)
+		}
 	}
 }
 
@@ -104,11 +111,11 @@ func TestShardRestartEndpointBumpsGeneration(t *testing.T) {
 	if w.Code != http.StatusOK {
 		t.Fatalf("POST /shards/1/restart = %d: %s", w.Code, w.Body)
 	}
-	var st ShardStatus
+	var st hub.Health
 	if err := json.Unmarshal(w.Body.Bytes(), &st); err != nil {
 		t.Fatal(err)
 	}
-	if st.Generation != 2 || st.Restarts != 1 || st.State != "running" {
+	if st.Generation != 2 || st.Restarts != 1 || st.State != hub.ShardRunning {
 		t.Fatalf("restarted shard = %+v", st)
 	}
 	if w := do(t, s, "POST", "/shards/99/restart", ""); w.Code != http.StatusConflict {
@@ -125,7 +132,7 @@ func TestRejuvenateAllEndpoint(t *testing.T) {
 	if w.Code != http.StatusOK {
 		t.Fatalf("POST /rejuvenate = %d: %s", w.Code, w.Body)
 	}
-	var shards []ShardStatus
+	var shards []hub.Health
 	if err := json.Unmarshal(w.Body.Bytes(), &shards); err != nil {
 		t.Fatal(err)
 	}

@@ -4,7 +4,9 @@
 // failure. Checks are expected to heal in place when they can (e.g.
 // re-login, drain unprocessed messages, dismiss dialogs); a check that
 // keeps failing is escalated so the owner can rejuvenate (gracefully
-// terminate and let the MDC restart it).
+// terminate and let the MDC restart it). The hosted hub runs one
+// Stabilizer as its whole in-process supervisor: its shard watchdog is
+// a progress check per shard, escalating to a targeted shard restart.
 //
 // The paper's periods: the AreYouWorking callback every 3 minutes,
 // communication-client sanity checks every minute, unprocessed dialog
@@ -57,14 +59,18 @@ type Stabilizer struct {
 	counts      map[string]int64 // executions per check
 	failCounts  map[string]int64 // failures observed per check
 	heals       map[string]int64 // failure streaks ended by a passing run
-	escalations map[string]int64 // failure streaks that hit the escalation threshold
+	escalations map[string]int64 // escalate calls: one per EscalateAfter consecutive failures
 	stop        chan struct{}
 	started     bool
+	running     sync.WaitGroup // the check goroutines; Wait blocks on it
 }
 
-// New builds a stabilizer. escalate is called (at most once per
-// failure streak) when a check fails EscalateAfter times in a row; it
-// may be nil. journal may be nil.
+// New builds a stabilizer. escalate is called each time a check's
+// failure streak grows by another EscalateAfter — at the threshold, and
+// again every EscalateAfter failures for as long as the streak lasts,
+// so an escalation that could not act, or did not cure, is repeated. It
+// runs on the failing check's goroutine, so that check does not run
+// again until it returns. It may be nil. journal may be nil.
 func New(clk clock.Clock, journal *faults.Journal, escalate func(check string, err error)) (*Stabilizer, error) {
 	if clk == nil {
 		return nil, errors.New("stabilize: clock is required")
@@ -114,13 +120,17 @@ func (s *Stabilizer) Start() {
 	stop := make(chan struct{})
 	s.stop = stop
 	checks := append([]Check(nil), s.checks...)
+	s.running.Add(len(checks))
 	s.mu.Unlock()
 	for _, c := range checks {
 		go s.runCheck(c, stop)
 	}
 }
 
-// Stop halts all checks.
+// Stop halts all checks. It does not wait for a check that is inside
+// its Fn or the escalate callback — an escalation may stop the
+// stabilizer it runs on (MyAlertBuddy's rejuvenation does) — so a
+// caller that needs the plane gone follows it with Wait.
 func (s *Stabilizer) Stop() {
 	s.mu.Lock()
 	if s.started && s.stop != nil {
@@ -130,6 +140,11 @@ func (s *Stabilizer) Stop() {
 	}
 	s.mu.Unlock()
 }
+
+// Wait blocks until every check goroutine a Stop has halted is gone,
+// including one that was inside its Fn or an escalation when Stop was
+// called. It must not be called from a check or the escalate callback.
+func (s *Stabilizer) Wait() { s.running.Wait() }
 
 // RunOnce executes the named check immediately (for tests and for
 // forced stabilization after a replay). It returns the check's error.
@@ -165,18 +180,19 @@ func (s *Stabilizer) Failures(name string) int64 {
 
 // CheckStats is one check's lifetime counters.
 type CheckStats struct {
-	Name string
+	Name string `json:"name"`
 	// Executions counts runs; Failures counts runs whose Fn returned an
 	// error (in-place healing that succeeded returns nil and does not
 	// count).
-	Executions int64
-	Failures   int64
+	Executions int64 `json:"executions"`
+	Failures   int64 `json:"failures"`
 	// Heals counts failure streaks ended by a subsequent passing run —
 	// the invariant was violated and then restored.
-	Heals int64
-	// Escalations counts failure streaks that reached the escalation
-	// threshold and invoked the escalate callback.
-	Escalations int64
+	Heals int64 `json:"heals"`
+	// Escalations counts calls of the escalate callback: one when a
+	// failure streak reaches the threshold and one more for every further
+	// threshold's worth of failures in the same streak.
+	Escalations int64 `json:"escalations"`
 }
 
 // Stats snapshots every registered check's counters, in registration
@@ -199,6 +215,7 @@ func (s *Stabilizer) Stats() []CheckStats {
 }
 
 func (s *Stabilizer) runCheck(c Check, stop chan struct{}) {
+	defer s.running.Done()
 	ticker := s.clk.NewTicker(c.Period)
 	defer ticker.Stop()
 	for {
@@ -220,10 +237,12 @@ func (s *Stabilizer) execute(c Check) error {
 		threshold = DefaultEscalateAfter
 	}
 	var escalateNow bool
+	streak := 0
 	if err != nil {
 		s.failCounts[c.Name]++
 		s.fails[c.Name]++
-		if threshold > 0 && s.fails[c.Name] == threshold {
+		streak = s.fails[c.Name]
+		if threshold > 0 && streak%threshold == 0 {
 			escalateNow = true
 			s.escalations[c.Name]++
 		}
@@ -243,7 +262,7 @@ func (s *Stabilizer) execute(c Check) error {
 	if escalateNow && escalate != nil {
 		if s.journal != nil {
 			s.journal.Recordf(s.clk.Now(), faults.KindRejuvenation,
-				"check %q failed %d consecutive times; escalating", c.Name, threshold)
+				"check %q failed %d consecutive times; escalating", c.Name, streak)
 		}
 		escalate(c.Name, err)
 	}

@@ -150,6 +150,50 @@ func TestEscalationAfterConsecutiveFailures(t *testing.T) {
 	}
 }
 
+// TestEscalationRepeatsUntilHealed: an escalation that cannot act (a
+// restart that fails) or does not cure must not be the last word — the
+// callback runs again every EscalateAfter consecutive failures for as
+// long as the streak lasts, and each call is counted.
+func TestEscalationRepeatsUntilHealed(t *testing.T) {
+	sim := clock.NewSim(time.Time{})
+	var broken atomic.Bool
+	broken.Store(true)
+	calls := 0
+	s, _ := New(sim, nil, func(string, error) {
+		if calls++; calls == 3 { // the first two escalations do nothing
+			broken.Store(false)
+		}
+	})
+	mustRegister(t, s, Check{Name: "stuck", Period: time.Second, EscalateAfter: 2, Fn: func() error {
+		if broken.Load() {
+			return errors.New("still broken")
+		}
+		return nil
+	}})
+	for run, wantCalls := range []int{0, 1, 1, 2, 2, 3} {
+		if err := s.RunOnce("stuck"); err == nil {
+			t.Fatalf("run %d passed while broken", run)
+		}
+		if calls != wantCalls {
+			t.Fatalf("after %d consecutive failures: %d escalations, want %d", run+1, calls, wantCalls)
+		}
+	}
+	if err := s.RunOnce("stuck"); err != nil {
+		t.Fatalf("run after the third escalation healed it: %v", err)
+	}
+	if got := s.Stats()[0]; got.Failures != 6 || got.Escalations != 3 || got.Heals != 1 {
+		t.Fatalf("stats = %+v; want 6 failures, 3 escalations, 1 heal", got)
+	}
+	// "Never" still means never.
+	mustRegister(t, s, Check{Name: "never", Period: time.Second, EscalateAfter: -1, Fn: func() error { return errors.New("no") }})
+	for i := 0; i < 7; i++ {
+		_ = s.RunOnce("never")
+	}
+	if calls != 3 {
+		t.Fatalf("a check with EscalateAfter -1 escalated (%d calls)", calls)
+	}
+}
+
 func TestStatsCountsHealsAndEscalations(t *testing.T) {
 	sim := clock.NewSim(time.Time{})
 	s, _ := New(sim, nil, func(string, error) {})
@@ -210,6 +254,49 @@ func TestStopHaltsChecks(t *testing.T) {
 	time.Sleep(5 * time.Millisecond)
 	if runs.Load() != before {
 		t.Fatal("check ran after Stop")
+	}
+}
+
+// TestWaitHoldsUntilChecksAreGone: Stop returns at once — an escalation
+// may call it from inside a check — and Wait is what says the plane is
+// gone: it holds while a check is still inside its Fn.
+func TestWaitHoldsUntilChecksAreGone(t *testing.T) {
+	sim := clock.NewSim(time.Time{})
+	s, _ := New(sim, nil, nil)
+	entered, release := make(chan struct{}), make(chan struct{})
+	mustRegister(t, s, Check{Name: "slow", Period: time.Second, Fn: func() error {
+		close(entered)
+		<-release
+		return nil
+	}})
+	mustRegister(t, s, Check{Name: "idle", Period: time.Hour, Fn: func() error { return nil }})
+	s.Start()
+	deadline := time.Now().Add(10 * time.Second)
+	for running := false; !running; {
+		select {
+		case <-entered:
+			running = true
+		default:
+			if time.Now().After(deadline) {
+				t.Fatal("check never ran")
+			}
+			sim.Advance(time.Second)
+			time.Sleep(time.Millisecond)
+		}
+	}
+	s.Stop() // must not wait for the check blocked in Fn
+	waited := make(chan struct{})
+	go func() { s.Wait(); close(waited) }()
+	select {
+	case <-waited:
+		t.Fatal("Wait returned while a check was still inside Fn")
+	case <-time.After(20 * time.Millisecond):
+	}
+	close(release)
+	select {
+	case <-waited:
+	case <-time.After(10 * time.Second):
+		t.Fatal("Wait still blocked after the last check returned")
 	}
 }
 
