@@ -61,14 +61,14 @@ func NewBuddy(w *World, opts BuddyOptions) (*Buddy, error) {
 		}
 	}
 	return mab.New(mab.Config{
-		Clock:            w.Clock,
-		Machine:          w.Machine,
-		IMService:        w.IM,
-		EmailService:     w.Email,
-		IMHandle:         opts.IMHandle,
-		EmailAddress:     opts.EmailAddress,
-		LogPath:          opts.LogPath,
-		Journal:          w.Journal,
+		Clock:             w.Clock,
+		Machine:           w.Machine,
+		IMService:         w.IM,
+		EmailService:      w.Email,
+		IMHandle:          opts.IMHandle,
+		EmailAddress:      opts.EmailAddress,
+		LogPath:           opts.LogPath,
+		Journal:           w.Journal,
 		RejuvenationTime:  rejuvenation,
 		OnDelivery:        onDelivery,
 		ConfigureChannels: opts.ConfigureChannels,

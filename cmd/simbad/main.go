@@ -71,6 +71,7 @@ import (
 	"simba/internal/faults"
 	"simba/internal/harness"
 	"simba/internal/hub"
+	"simba/internal/hub/hubtest"
 	"simba/internal/im"
 	"simba/internal/mab"
 	"simba/internal/ops"
@@ -286,8 +287,7 @@ func runHub(p hubParams) error {
 
 	clk := clock.NewReal()
 	rng := dist.NewRNG(p.seed)
-	sink := hub.NewSimSink(rng.Fork("substrate"), shards,
-		dist.LogNormal{Mu: -1.4, Sigma: 0.5}, 0.01) // median ≈ 250ms substrate delay
+	sink := hubtest.NewSimSink(rng.Fork("substrate"), shards, 0.01)
 
 	// Simulated IM + email channels for the mode-carrying tenants: an
 	// IM send is acked with probability imAckP (the ack arrives shortly

@@ -76,6 +76,12 @@ func TestE7Throughput(t *testing.T) {
 	if len(res.Rows) == 0 || !strings.Contains(res.Rows[0].Measured, "alerts/s") {
 		t.Fatalf("rows = %+v", res.Rows)
 	}
+	// The hub delivered every alert, and the note says what the figure
+	// now includes: the pessimistic log.
+	if len(res.Notes) != 1 || !strings.Contains(res.Notes[0], "2000 of 2000 alerts delivered") ||
+		!strings.Contains(res.Notes[0], "fsyncs/alert") {
+		t.Fatalf("notes = %q", res.Notes)
+	}
 }
 
 func TestE5ShortRun(t *testing.T) {

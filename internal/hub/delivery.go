@@ -321,10 +321,7 @@ func (d *deliveryStage) perform(env *envelope, scr *core.Scratch) bool {
 			f(b.user, rep, err)
 		}
 		if err == nil {
-			b.delivered.Add(1)
-			h.ctr.delivered.Add1()
-			h.ctr.tierDelivered[tier].Add1()
-			h.deliveredViaCounterFor(rep.DeliveredType()).Add1()
+			h.countDelivered(b, tier, rep)
 			break
 		}
 		if attempt >= h.cfg.DeliveryMaxAttempts {

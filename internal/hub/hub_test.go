@@ -14,6 +14,7 @@ import (
 	"simba/internal/core"
 	"simba/internal/dist"
 	"simba/internal/faults"
+	"simba/internal/hub/hubtest"
 	"simba/internal/mab"
 )
 
@@ -136,7 +137,7 @@ func wedgeAt(shard int, gate *routeGate) func(FaultPoint, int, <-chan struct{}) 
 func TestHubRoutesThousandsOfTenants(t *testing.T) {
 	const users, perUser = 1000, 3
 	clk := clock.NewReal()
-	sink := NewSimSink(dist.NewRNG(7), 8, nil, 0)
+	sink := hubtest.NewSimSink(dist.NewRNG(7), 8, 0)
 	h := newTestHub(t, Config{Clock: clk, Channels: core.NewChannels().Register(addr.TypeSink, sink), Shards: 8, QueueDepth: 512})
 	addUsers(t, h, users)
 	if err := h.Start(); err != nil {
@@ -219,7 +220,7 @@ func TestHubIdleSubmitDoesNotWaitOutCommitWindow(t *testing.T) {
 func TestHubGroupCommitCutsFsyncs(t *testing.T) {
 	const users, alerts = 200, 3000
 	clk := clock.NewReal()
-	sink := NewSimSink(dist.NewRNG(3), 4, nil, 0)
+	sink := hubtest.NewSimSink(dist.NewRNG(3), 4, 0)
 	h := newTestHub(t, Config{
 		Clock: clk, Channels: core.NewChannels().Register(addr.TypeSink, sink), Shards: 4, QueueDepth: 1024,
 		CommitWindow: time.Millisecond,
@@ -338,7 +339,7 @@ func TestHubBackpressureRejectsBeforeLogging(t *testing.T) {
 
 func TestHubDuplicateSubmitIsIdempotent(t *testing.T) {
 	clk := clock.NewReal()
-	sink := NewSimSink(dist.NewRNG(5), 2, nil, 0)
+	sink := hubtest.NewSimSink(dist.NewRNG(5), 2, 0)
 	h := newTestHub(t, Config{Clock: clk, Channels: core.NewChannels().Register(addr.TypeSink, sink), Shards: 2})
 	addUsers(t, h, 1)
 	if err := h.Start(); err != nil {
@@ -365,7 +366,7 @@ func TestHubDuplicateSubmitIsIdempotent(t *testing.T) {
 
 func TestHubRejectsUnknownUserAndInvalidAlert(t *testing.T) {
 	clk := clock.NewReal()
-	h := newTestHub(t, Config{Clock: clk, Channels: core.NewChannels().Register(addr.TypeSink, NewSimSink(dist.NewRNG(1), 1, nil, 0)), Shards: 1})
+	h := newTestHub(t, Config{Clock: clk, Channels: core.NewChannels().Register(addr.TypeSink, hubtest.NewSimSink(dist.NewRNG(1), 1, 0)), Shards: 1})
 	addUsers(t, h, 1)
 	if err := h.Start(); err != nil {
 		t.Fatal(err)
@@ -380,7 +381,7 @@ func TestHubRejectsUnknownUserAndInvalidAlert(t *testing.T) {
 
 func TestHubNotAcceptingBeforeStartAndAfterDrain(t *testing.T) {
 	clk := clock.NewReal()
-	h := newTestHub(t, Config{Clock: clk, Channels: core.NewChannels().Register(addr.TypeSink, NewSimSink(dist.NewRNG(1), 1, nil, 0)), Shards: 1})
+	h := newTestHub(t, Config{Clock: clk, Channels: core.NewChannels().Register(addr.TypeSink, hubtest.NewSimSink(dist.NewRNG(1), 1, 0)), Shards: 1})
 	addUsers(t, h, 1)
 	if err := h.Submit("user-0", portalAlert(1, clk.Now())); !errors.Is(err, ErrNotAccepting) {
 		t.Fatalf("pre-start submit = %v, want ErrNotAccepting", err)
@@ -398,7 +399,7 @@ func TestHubNotAcceptingBeforeStartAndAfterDrain(t *testing.T) {
 
 func TestHubTenantIsolationByPipeline(t *testing.T) {
 	clk := clock.NewReal()
-	sink := NewSimSink(dist.NewRNG(9), 2, nil, 0)
+	sink := hubtest.NewSimSink(dist.NewRNG(9), 2, 0)
 	h := newTestHub(t, Config{Clock: clk, Channels: core.NewChannels().Register(addr.TypeSink, sink), Shards: 2})
 	accepts, err := h.AddUser("accepts")
 	if err != nil {
@@ -441,7 +442,7 @@ func TestHubTenantIsolationByPipeline(t *testing.T) {
 }
 
 func TestHubAddUserValidation(t *testing.T) {
-	h := newTestHub(t, Config{Clock: clock.NewReal(), Channels: core.NewChannels().Register(addr.TypeSink, NewSimSink(dist.NewRNG(1), 1, nil, 0))})
+	h := newTestHub(t, Config{Clock: clock.NewReal(), Channels: core.NewChannels().Register(addr.TypeSink, hubtest.NewSimSink(dist.NewRNG(1), 1, 0))})
 	if _, err := h.AddUser(""); err == nil {
 		t.Fatal("empty user accepted")
 	}
@@ -460,7 +461,7 @@ func TestNewValidatesConfig(t *testing.T) {
 	if _, err := New(Config{}); err == nil {
 		t.Fatal("empty config accepted")
 	}
-	if _, err := New(Config{Clock: clock.NewReal(), Channels: core.NewChannels().Register(addr.TypeSink, NewSimSink(dist.NewRNG(1), 1, nil, 0))}); err == nil {
+	if _, err := New(Config{Clock: clock.NewReal(), Channels: core.NewChannels().Register(addr.TypeSink, hubtest.NewSimSink(dist.NewRNG(1), 1, 0))}); err == nil {
 		t.Fatal("missing WALPath accepted")
 	}
 }

@@ -1,4 +1,6 @@
-package hub
+// Package hubtest holds fixtures for driving a hub in demos and tests.
+// It does not import the hub: a fixture is a core.Channel.
+package hubtest
 
 import (
 	"fmt"
@@ -7,32 +9,31 @@ import (
 
 	"simba/internal/core"
 	"simba/internal/dist"
-	"simba/internal/metrics"
 )
 
 // SimSink is a simulated delivery substrate for hub-load experiments, a
 // core.Channel to register under addr.TypeSink so tenants without a
 // personalized delivery mode execute the synthesized flat mode through
-// it: one action, confirmed on accept. It models per-delivery latency
-// by sampling a distribution and a drop probability, recording outcomes
-// instead of sleeping (virtual-time sleeps from thousands of tenants
-// would serialize the shards the hub exists to parallelize). Each shard draws from its own forked RNG, so
-// shards never contend on one RNG mutex and runs stay reproducible
-// regardless of shard interleaving.
+// it: one action, confirmed on accept, failed with a drop probability.
+// Each shard draws from its own forked RNG, so shards never contend on
+// one RNG mutex and runs stay reproducible regardless of shard
+// interleaving.
 type SimSink struct {
-	rngs    []*dist.RNG
-	latency dist.Dist
-	dropP   float64
+	rngs  []*dist.RNG
+	dropP float64
 
 	delivered atomic.Int64
 	dropped   atomic.Int64
-	simulated *metrics.Recorder
 
 	// The duplicate-audit map is striped by key hash: one global mutex
 	// would re-serialize exactly the deliveries the pipelined hub runs
 	// in parallel, hiding hub speedups behind sink contention.
 	stripes [sinkStripes]sinkStripe
 }
+
+// keySep joins tenant and dedup key in an audit key: the hub's own WAL
+// key separator, a control character neither contains.
+const keySep = "\x1f"
 
 // sinkStripes is the audit-map stripe count; a power of two so the
 // stripe pick is a mask, comfortably above any realistic shard ×
@@ -56,14 +57,10 @@ func (s *SimSink) stripeOf(key string) *sinkStripe {
 	return &s.stripes[h&(sinkStripes-1)]
 }
 
-// NewSimSink builds a substrate for the given shard count. latency may
-// be nil (instant); dropP is the per-delivery failure probability.
-func NewSimSink(rng *dist.RNG, shards int, latency dist.Dist, dropP float64) *SimSink {
-	s := &SimSink{
-		latency:   latency,
-		dropP:     dropP,
-		simulated: metrics.NewReservoir(DefaultLatencyReservoir),
-	}
+// NewSimSink builds a substrate for the given shard count; dropP is
+// the per-delivery failure probability.
+func NewSimSink(rng *dist.RNG, shards int, dropP float64) *SimSink {
+	s := &SimSink{dropP: dropP}
 	for i := range s.stripes {
 		s.stripes[i].perKey = make(map[string]int)
 	}
@@ -77,9 +74,6 @@ func NewSimSink(rng *dist.RNG, shards int, latency dist.Dist, dropP float64) *Si
 // delivery context, not the address target.
 func (s *SimSink) Send(req core.Send) (core.SendResult, error) {
 	g := s.rngs[req.Shard%len(s.rngs)]
-	if s.latency != nil {
-		s.simulated.Observe(s.latency.Sample(g))
-	}
 	if g.Bool(s.dropP) {
 		s.dropped.Add(1)
 		return core.SendResult{}, fmt.Errorf("hub: simulated delivery failure for %s", req.User)
@@ -104,9 +98,6 @@ func (s *SimSink) Delivered() int64 { return s.delivered.Load() }
 
 // Dropped returns the number of simulated failures.
 func (s *SimSink) Dropped() int64 { return s.dropped.Load() }
-
-// SimulatedLatency summarizes the sampled substrate delays.
-func (s *SimSink) SimulatedLatency() metrics.Summary { return s.simulated.Summarize() }
 
 // DeliveryCount returns how many times the (user, dedup-key) pair was
 // delivered — the receiver-side duplicate audit the paper's timestamp

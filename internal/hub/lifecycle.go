@@ -1,0 +1,419 @@
+package hub
+
+import (
+	"errors"
+	"fmt"
+	"strings"
+	"time"
+
+	"simba/internal/alert"
+	"simba/internal/core"
+	"simba/internal/dmode"
+	"simba/internal/faults"
+	"simba/internal/outbox"
+	"simba/internal/plog"
+)
+
+// Start launches the shard loops, starts the outbox redelivery loop
+// over the envelopes it recovered, replays every user's unprocessed
+// WAL entries through their rebuilt buddies, and only then opens
+// admission. Recovery ordering: the outbox starts before the WAL
+// replay is enqueued — an alert that crashed inside the handoff window
+// is owed by both logs, and scheduling the outbox's (older, already
+// attempt-exhausted) copy first means its redelivery is never starved
+// behind the replayed ingest backlog. Both recovery streams run before
+// admission opens; their duplicates are the dedup contract's case.
+func (h *Hub) Start() error {
+	h.mu.Lock()
+	if h.started {
+		h.mu.Unlock()
+		return errors.New("hub: already started")
+	}
+	h.started = true
+	h.mu.Unlock()
+	for _, sh := range h.shards {
+		if !h.publishGen(sh, h.openGen(sh, 1, nil), false) {
+			return ErrNotAccepting
+		}
+		sh.setState(ShardRunning)
+	}
+	if h.outbox != nil {
+		if err := h.outbox.Start(h.redeliver); err != nil {
+			return err
+		}
+	}
+	h.replay()
+	go h.resolver()
+	h.accepting.Store(true)
+	return nil
+}
+
+// redeliver executes one outbox redelivery round: re-resolve the
+// tenant's plan (the subscription may have changed since the envelope
+// was persisted), slice off the blocks the envelope's escalation
+// offset has advanced past, and run the remainder through the shared
+// mode executor. Reports the plan's full block count so the outbox
+// knows the escalation ceiling. A tenant that is no longer hosted
+// retires the envelope as undeliverable (outbox.ErrDrop).
+func (h *Hub) redeliver(e *outbox.Entry) (int, error) {
+	b, hosted := h.buddy(e.User)
+	if !hosted {
+		h.ctr.tierLost[core.TierGuaranteed].Add1()
+		return 0, fmt.Errorf("hub: outbox envelope for unhosted user %q: %w", e.User, outbox.ErrDrop)
+	}
+	reg, mode, _ := h.plan(b, e.Category)
+	blocks := len(mode.Blocks)
+	if e.Offset >= blocks {
+		e.Offset = blocks - 1 // plan shrank since the offset advanced
+	}
+	if e.Offset > 0 {
+		mode = &dmode.Mode{Name: mode.Name, Blocks: mode.Blocks[e.Offset:]}
+	}
+	rep, err := h.exec.DeliverAs(h.deliveryContext(e.User, h.shardOf(e.User).id), e.Alert, reg, mode)
+	if f := h.cfg.OnDelivery; f != nil {
+		f(e.User, rep, err)
+	}
+	if err == nil {
+		h.countDelivered(b, core.TierGuaranteed, rep)
+	}
+	return blocks, err
+}
+
+// replayRec is one unprocessed WAL record decoded for re-enqueue.
+type replayRec struct {
+	b   *Buddy
+	a   alert.Alert
+	key string
+}
+
+// replayable decodes one unprocessed WAL record for re-enqueue. A
+// record that can never be routed — no user in its key, a user no
+// longer hosted, an unparsable payload — is tombstoned, journaled, and
+// counted, and ok is false. only restricts the scan to one shard
+// (RestartShard): other shards' records are skipped untouched, as is a
+// malformed key, whose shard is unknown — the next process start
+// (only == nil) tombstones it.
+func (h *Hub) replayable(rec plog.Record, only *shard) (r replayRec, ok bool) {
+	tombstone := func(format string, args ...any) {
+		h.journal(faults.KindReplay, "tombstoning "+format, args...)
+		_ = h.wal.MarkProcessed(rec.Key, h.cfg.Clock.Now())
+		h.counters.Add1("tombstoned")
+	}
+	user, _, keyed := strings.Cut(rec.Key, keySep)
+	if only != nil && (!keyed || h.shardOf(user) != only) {
+		return r, false
+	}
+	if !keyed {
+		tombstone("WAL entry with malformed key %q", rec.Key)
+		return r, false
+	}
+	b, hosted := h.buddy(user)
+	if !hosted {
+		tombstone("WAL entry for unhosted user %q", user)
+		return r, false
+	}
+	r = replayRec{b: b, key: rec.Key}
+	if err := r.a.UnmarshalText(rec.Payload); err != nil {
+		tombstone("unparsable WAL entry %q: %v", rec.Key, err)
+		return r, false
+	}
+	return r, true
+}
+
+// replay re-enqueues the WAL's unprocessed entries in log order (exact
+// per-user order). Runs before admission opens, so replayed alerts are
+// routed ahead of new traffic.
+func (h *Hub) replay() {
+	for _, rec := range h.wal.Unprocessed() {
+		if r, ok := h.replayable(rec, nil); ok {
+			h.requeue(h.shardOf(r.b.user), &r)
+		}
+	}
+}
+
+// requeue admits one replayed record to sh's current generation, whose
+// loop must be live and draining — so the blocking reservation cannot
+// wedge — as it is at startup and after a restart's generation swap.
+func (h *Hub) requeue(sh *shard, r *replayRec) {
+	h.journal(faults.KindReplay, "shard %d: replaying unprocessed alert %s for %s", sh.id, r.a.DedupKey(), r.b.user)
+	h.counters.Add1("replayed")
+	sh.reserveBlocking()
+	env := getEnvelope()
+	env.fill(r.b, &r.a, r.key, h.cfg.Clock.Now())
+	sh.enqueue(env, true)
+}
+
+// Kill abruptly terminates the hub, simulating a crash: admission stops
+// immediately, shard loops abandon their queues, and the delivery stage
+// abandons its in-flight window (delivered-but-unmarked alerts stay
+// unprocessed in the WAL for the next incarnation to replay — the
+// documented duplicate of the dedup contract). Teardown completes
+// asynchronously — wait on Stopped() before reopening the WAL path.
+// Kill is safe to call from inside a shard loop or delivery worker (the
+// fault-injection path does exactly that).
+func (h *Hub) Kill() {
+	h.killOnce.Do(func() {
+		h.accepting.Store(false)
+		close(h.killed)
+		for _, sh := range h.shards {
+			sh.setState(ShardStopped)
+			sh.killCurrent()
+		}
+		go h.shutdown()
+	})
+}
+
+// Stopped is closed once the hub has fully shut down (loops exited, WAL
+// flushed and closed).
+func (h *Hub) Stopped() <-chan struct{} { return h.stopped }
+
+// shutdown waits for the loops, quiesces the delivery stages (unless
+// killed, in which case in-flight deliveries are abandoned), and closes
+// the WAL. Runs at most once.
+func (h *Hub) shutdown() {
+	h.stopOnce.Do(func() {
+		// Wait for each shard's CURRENT generation loop — not a global
+		// WaitGroup over every loop ever started — so a generation
+		// abandoned by an earlier targeted restart (possibly still
+		// wedged) cannot block the whole process's shutdown.
+		for _, sh := range h.shards {
+			if g := sh.current(); g != nil {
+				<-g.done
+			}
+		}
+		var outboxErr error
+		select {
+		case <-h.killed:
+			// Crash semantics: do not wait for delivery workers — they
+			// observe the kill and abandon; the WAL replays their undone
+			// entries. A worker racing past the kill check hits the
+			// closed WAL and ErrClosed is tolerated. The outbox journal
+			// closes the same way: a redelivery round racing its mark
+			// replays next incarnation.
+			if h.outbox != nil {
+				h.outbox.Kill()
+			}
+		default:
+			// Graceful drain: the shard loops have exited, so no new
+			// jobs can reach the stages; wait for every in-flight and
+			// chained delivery to complete and stage its DONE record
+			// (guaranteed-tier exhaustions hand off to the outbox, so
+			// the stages must quiesce before the outbox closes). Still-
+			// pending envelopes stay durable for the next incarnation.
+			for _, sh := range h.shards {
+				if g := sh.current(); g != nil {
+					g.delivery.quiesce()
+				}
+			}
+			if h.outbox != nil {
+				outboxErr = h.outbox.Close()
+			}
+		}
+		h.closeErr = errors.Join(h.wal.Close(), outboxErr)
+		close(h.stopped)
+	})
+}
+
+// Drain gracefully shuts the hub down: admission stops with
+// ErrNotAccepting, every shard finishes its queue, the delivery stages
+// complete their in-flight and chained deliveries, and the WAL is
+// flushed and closed. Taking each shard's lifecycle lock first means a
+// restart or rejuvenation in flight finishes (or aborts) before its
+// shard is closed — Drain never tears a generation swap in half.
+func (h *Hub) Drain() error {
+	h.accepting.Store(false)
+	// Quiesce the async ingest pipeline: tickets already admitted keep
+	// their ordering contract (commit → ack → enqueue), so wait for the
+	// resolver to retire every outstanding burst before closing
+	// shard intake. Bounded — a wedged WAL resolves tickets with errors
+	// on Close below anyway.
+	deadline := time.Now().Add(h.cfg.QuiesceTimeout)
+	for h.ingestPending.Load() > 0 && time.Now().Before(deadline) {
+		time.Sleep(100 * time.Microsecond)
+	}
+	for _, sh := range h.shards {
+		sh.lifeMu.Lock()
+		sh.setState(ShardStopped)
+		sh.closeIntake()
+		sh.lifeMu.Unlock()
+	}
+	h.shutdown()
+	<-h.stopped
+	return h.closeErr
+}
+
+// RestartShard kills shard id's current generation and brings up a
+// replacement that replays the shard's unprocessed WAL backlog, while
+// every other shard keeps serving — the targeted-recovery escalation
+// path for a wedged or misbehaving shard. Admission to the shard is
+// rejected (OverloadError) for the duration; senders ride it out with
+// their usual retry hint. reason lands in the fault journal.
+func (h *Hub) RestartShard(id int, reason string) error {
+	sh, err := h.shardByID(id)
+	if err != nil {
+		return err
+	}
+	sh.lifeMu.Lock()
+	defer sh.lifeMu.Unlock()
+	return h.restartLocked(sh, reason)
+}
+
+// restartLocked is the kill+replay restart; the caller holds
+// sh.lifeMu. Ordering is load-bearing:
+//
+//  1. Close admission (state Restarting) and kill the old generation.
+//  2. Wait (bounded) for the old loop and delivery workers to stop, so
+//     a straggler cannot mark a record processed after the scan below
+//     decided to replay it.
+//  3. Scan the WAL for the shard's unprocessed records. The scan also
+//     becomes the new generation's suppression set: a submitter that
+//     reserved before the kill and enqueues after the swap would
+//     otherwise double-route a record the replay owns.
+//  4. Publish the new generation and start its loop, reset the
+//     admission gauge (abandoned reservations died with the old
+//     generation; nothing can reserve until step 5).
+//  5. Re-enqueue the backlog, then reopen admission.
+func (h *Hub) restartLocked(sh *shard, reason string) error {
+	select {
+	case <-h.killed:
+		return ErrNotAccepting
+	default:
+	}
+	if st := sh.State(); st != ShardRunning && st != ShardQuiescing {
+		return fmt.Errorf("hub: shard %d not restartable in state %s", sh.id, st)
+	}
+	sh.setState(ShardRestarting)
+	old := sh.current()
+	old.kill()
+	h.journal(faults.KindDaemonRestart, "shard %d: killing generation %d: %s", sh.id, old.n, reason)
+
+	bounded := func(c <-chan struct{}) bool {
+		select {
+		case <-c:
+			return true
+		case <-time.After(h.cfg.QuiesceTimeout):
+			return false
+		}
+	}
+	loopStopped := bounded(old.done)
+	workers := make(chan struct{})
+	go func() { old.delivery.quiesce(); close(workers) }()
+	workersStopped := bounded(workers)
+	if !loopStopped || !workersStopped {
+		// A truly stuck goroutine (blocked inside a pipeline stage or a
+		// delivery substrate, deaf to the kill) is abandoned for good.
+		// If it later completes and marks a record the scan already
+		// replayed, the downstream timestamp dedup absorbs the
+		// duplicate — the documented contract for every crash window.
+		h.journal(faults.KindUnrecovered,
+			"shard %d: generation %d did not stop within %v (loop stopped: %v, workers stopped: %v); replaying anyway",
+			sh.id, old.n, h.cfg.QuiesceTimeout, loopStopped, workersStopped)
+	}
+
+	var backlog []replayRec
+	suppress := make(map[string]struct{})
+	for _, rec := range h.wal.Unprocessed() {
+		if r, ok := h.replayable(rec, sh); ok {
+			suppress[r.key] = struct{}{}
+			backlog = append(backlog, r)
+		}
+	}
+
+	next := h.openGen(sh, old.n+1, suppress)
+	if !h.publishGen(sh, next, false) {
+		return ErrNotAccepting
+	}
+	// Reservations admitted by the dead generation died with it; a
+	// straggler's release of one is floored at zero.
+	sh.depth.Store(0)
+
+	for i := range backlog {
+		h.requeue(sh, &backlog[i])
+	}
+	sh.restarts.Add(1)
+	select {
+	case <-h.killed:
+		sh.setState(ShardStopped)
+	default:
+		sh.setState(ShardRunning)
+	}
+	h.journal(faults.KindDaemonRestart, "shard %d: restarted as generation %d (%d replayed)", sh.id, next.n, len(backlog))
+	return nil
+}
+
+// RejuvenateShard gracefully recycles shard id: admission closes, the
+// admitted work drains to zero, and a fresh generation — new queue,
+// new delivery stage, new timer wheel — takes over with no replay and
+// no duplicate risk. Because nothing is admitted mid-swap, every
+// envelope completes in its original admission order, so per-user
+// delivery order is preserved exactly. A quiesce that exceeds
+// Config.QuiesceTimeout escalates to the kill+replay restart.
+func (h *Hub) RejuvenateShard(id int) error {
+	sh, err := h.shardByID(id)
+	if err != nil {
+		return err
+	}
+	sh.lifeMu.Lock()
+	defer sh.lifeMu.Unlock()
+	select {
+	case <-h.killed:
+		return ErrNotAccepting
+	default:
+	}
+	if st := sh.State(); st != ShardRunning {
+		return fmt.Errorf("hub: shard %d not rejuvenatable in state %s", sh.id, st)
+	}
+	sh.setState(ShardQuiescing)
+	// depth counts queued + in-delivery + mid-admission work, and
+	// Quiescing blocks new reservations, so zero means the shard is
+	// fully idle — nothing in the queue, no delivery in flight, no
+	// submitter between reservation and enqueue.
+	deadline := time.Now().Add(h.cfg.QuiesceTimeout)
+	for sh.depth.Load() > 0 {
+		if time.Now().After(deadline) {
+			h.journal(faults.KindRejuvenation,
+				"shard %d: quiesce timed out (depth %d); escalating to kill+replay",
+				sh.id, sh.depth.Load())
+			return h.restartLocked(sh, "rejuvenation quiesce timeout")
+		}
+		time.Sleep(200 * time.Microsecond)
+	}
+	old := sh.current()
+	next := h.openGen(sh, old.n+1, nil)
+	if !h.publishGen(sh, next, true) {
+		return ErrNotAccepting
+	}
+	// The old loop drains its empty queue and exits; its delivery stage
+	// is already idle. Retiring both before reopening admission keeps
+	// "one generation with work per shard" unconditional on this path.
+	<-old.done
+	old.delivery.quiesce()
+	sh.rejuvenations.Add(1)
+	sh.setState(ShardRunning)
+	h.journal(faults.KindRejuvenation, "shard %d: rejuvenated as generation %d", sh.id, next.n)
+	return nil
+}
+
+// RejuvenateAll recycles every shard one at a time — rolling
+// rejuvenation under live traffic: at most one shard is quiescing at
+// any moment, so the hub never loses more than one shard's worth of
+// admission capacity.
+func (h *Hub) RejuvenateAll() error {
+	for _, sh := range h.shards {
+		if err := h.RejuvenateShard(sh.id); err != nil {
+			return fmt.Errorf("hub: rolling rejuvenation stopped at shard %d: %w", sh.id, err)
+		}
+	}
+	return nil
+}
+
+func (h *Hub) shardByID(id int) (*shard, error) {
+	if id < 0 || id >= len(h.shards) {
+		return nil, fmt.Errorf("hub: no shard %d (have %d)", id, len(h.shards))
+	}
+	return h.shards[id], nil
+}
+
+// CheckpointWAL forces a checkpoint + segment compaction on the WAL, as
+// the background compactor would at the WALCheckpointEvery threshold.
+func (h *Hub) CheckpointWAL() error { return h.wal.Checkpoint() }

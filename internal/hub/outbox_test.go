@@ -469,3 +469,65 @@ func TestHubOutboxEscalatesToBackupChannel(t *testing.T) {
 		t.Fatalf("delivered via email = %d, want 1", got)
 	}
 }
+
+// TestHubOutboxJournalCompacts pins the outbox's "disk stays O(pending)"
+// promise on the hub's configuration: the outbox journal inherits the
+// WAL's segment size and checkpoint cadence, so a guaranteed alert that
+// sits behind a down substrate for many rounds — each round a Replace,
+// two journal records — is compacted as it goes instead of leaving every
+// round on disk for the next Open to replay.
+func TestHubOutboxJournalCompacts(t *testing.T) {
+	dir := t.TempDir()
+	sink := newFaultySink(true)
+	cfg := outboxTestConfig(t, dir, sink, nil)
+	cfg.OutboxBackoff = time.Millisecond
+	cfg.OutboxBackoffCap = 2 * time.Millisecond
+	cfg.WALCheckpointEvery = 8
+	cfg.WALSegmentBytes = 1 << 10 // a few rounds per segment
+
+	h1, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	addGuaranteedUser(t, h1)
+	if err := h1.Start(); err != nil {
+		t.Fatal(err)
+	}
+	a := portalAlert(0, cfg.Clock.Now())
+	if err := h1.Submit("user-0", a); err != nil {
+		t.Fatal(err)
+	}
+	const rounds = 50
+	waitCond(t, "outbox rounds", func() bool { return h1.Stats().Outbox.Rounds >= rounds })
+	waitCond(t, "outbox checkpoint", func() bool { return h1.Stats().Outbox.Log.Checkpoints >= 1 })
+	// Uncompacted, 50 rounds of ~200-byte records fill ten or more 1 KiB
+	// segments; compacted every 8 records, only the newest stay.
+	if ob := h1.Stats().Outbox; ob.Log.Segments > 3 {
+		t.Fatalf("outbox journal holds %d segments after %d rounds (%d checkpoints), want <= 3",
+			ob.Log.Segments, ob.Rounds, ob.Log.Checkpoints)
+	}
+
+	sink.failing.Store(false)
+	waitCond(t, "outbox redelivery", func() bool { return h1.Outbox().Redelivered() == 1 })
+	if err := h1.Drain(); err != nil {
+		t.Fatal(err)
+	}
+
+	h2, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	addGuaranteedUser(t, h2)
+	if err := h2.Start(); err != nil {
+		t.Fatal(err)
+	}
+	if err := h2.Drain(); err != nil {
+		t.Fatal(err)
+	}
+	if ob := h2.Stats().Outbox; ob.Pending != 0 || ob.Loaded != 0 {
+		t.Fatalf("reopened outbox = %+v, want nothing pending or loaded", ob)
+	}
+	if got := sink.count("user-0", a.DedupKey()); got != 1 {
+		t.Fatalf("deliveries = %d, want exactly 1", got)
+	}
+}

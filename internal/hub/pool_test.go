@@ -18,6 +18,7 @@ import (
 	"simba/internal/core"
 	"simba/internal/dist"
 	"simba/internal/faults"
+	"simba/internal/hub/hubtest"
 	"simba/internal/mab"
 	"simba/internal/race"
 )
@@ -247,7 +248,7 @@ func usersMapSize(h *Hub) int {
 // deleted when a worker drains its chain, not retained forever.
 func TestDeliveryUsersMapDrains(t *testing.T) {
 	const users = 200
-	sink := NewSimSink(dist.NewRNG(11), 4, nil, 0)
+	sink := hubtest.NewSimSink(dist.NewRNG(11), 4, 0)
 	h := newTestHub(t, Config{Channels: core.NewChannels().Register(addr.TypeSink, sink), Shards: 4, QueueDepth: 256})
 	addUsers(t, h, users)
 	if err := h.Start(); err != nil {

@@ -16,6 +16,7 @@ import (
 	"simba/internal/core"
 	"simba/internal/dist"
 	"simba/internal/hub"
+	"simba/internal/hub/hubtest"
 	"simba/internal/mab"
 )
 
@@ -26,7 +27,7 @@ func newTestPlane(t *testing.T) (*hub.Hub, *Server) {
 	clk := clock.NewReal()
 	h, err := hub.New(hub.Config{
 		Clock:    clk,
-		Channels: core.NewChannels().Register(addr.TypeSink, hub.NewSimSink(dist.NewRNG(5), 2, nil, 0)),
+		Channels: core.NewChannels().Register(addr.TypeSink, hubtest.NewSimSink(dist.NewRNG(5), 2, 0)),
 		Shards:   2,
 		WALPath:  filepath.Join(t.TempDir(), "hub.wal"),
 	})

@@ -28,8 +28,10 @@
 //     host accepts traffic. Redelivered duplicates are covered by the
 //     alert-timestamp dedup contract: at-least-once-with-dedup.
 //
-// The journal reuses the plog segment/checkpoint/tombstone machinery,
-// so outbox disk and reopen time stay O(pending).
+// The journal reuses the plog segment/checkpoint/tombstone machinery:
+// with Options.Log.CheckpointEvery set (the hub passes its WAL's) the
+// background compactor keeps disk and reopen time O(pending); left zero,
+// every Put and round stays on disk and is replayed at reopen.
 package outbox
 
 import (
@@ -137,10 +139,10 @@ type item struct {
 // entryHeap orders items by due time (earliest first).
 type entryHeap []*item
 
-func (h entryHeap) Len() int            { return len(h) }
-func (h entryHeap) Less(i, j int) bool  { return h[i].e.Due.Before(h[j].e.Due) }
-func (h entryHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *entryHeap) Push(x any)         { *h = append(*h, x.(*item)) }
+func (h entryHeap) Len() int           { return len(h) }
+func (h entryHeap) Less(i, j int) bool { return h[i].e.Due.Before(h[j].e.Due) }
+func (h entryHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
+func (h *entryHeap) Push(x any)        { *h = append(*h, x.(*item)) }
 func (h *entryHeap) Pop() any {
 	old := *h
 	n := len(old)
