@@ -492,9 +492,9 @@ func runHub(p hubParams) error {
 	c := h.Counters()
 	fmt.Printf("\nsubmitted %d alerts in %v (%.0f alerts/s)\n",
 		alerts, elapsed.Round(time.Millisecond), float64(alerts)/elapsed.Seconds())
-	fmt.Printf("WAL: %d appends over %d fsyncs — %.1f records/fsync, %.2f fsyncs/alert\n",
-		st.Appends, st.Syncs, st.MeanBatch, float64(st.Syncs)/float64(alerts))
 	w := st.WAL
+	fmt.Printf("WAL: %d appends over %d fsyncs — %.1f records/fsync, %.2f fsyncs/alert (%d bought by DONEs alone, %d DONEs unflushed)\n",
+		st.Appends, st.Syncs, st.MeanBatch, float64(st.Syncs)/float64(alerts), w.WaiterlessSyncs, w.UnflushedDones)
 	fmt.Printf("WAL segments: %d live (created %d, replayed %d at start), %d checkpoints (gen %d), %.1f MB compacted, %d records retired, %.1f MB on disk\n",
 		w.Segments, w.SegmentsCreated, w.SegmentsReplayed, w.Checkpoints, w.CheckpointGen,
 		float64(w.CompactedBytes)/(1<<20), w.Retired, float64(w.DiskBytes)/(1<<20))
@@ -524,8 +524,8 @@ func runHub(p hubParams) error {
 			ts.Tier, ts.Delivered, ts.Duplicated, ts.Lost, ts.Escalated)
 	}
 	if ob := st.Outbox; ob != nil {
-		fmt.Printf("outbox: %d handoffs, %d redelivered (%d failed rounds, %d escalations), %d dropped, %d still pending\n",
-			st.OutboxHandoffs, ob.Redelivered, ob.Rounds, ob.Escalated, ob.Dropped, ob.Pending)
+		fmt.Printf("outbox: %d handoffs, %d redelivered (%d failed rounds, %d escalations), %d dropped, %d still pending; %d fsyncs (%d bought by marks alone)\n",
+			st.OutboxHandoffs, ob.Redelivered, ob.Rounds, ob.Escalated, ob.Dropped, ob.Pending, ob.Log.Syncs, ob.Log.WaiterlessSyncs)
 	}
 	for _, s := range st.Shards {
 		fmt.Printf("  shard %d: gen %d (%d restarts, %d rejuvenations), peak queue depth %d, peak concurrent sends %d\n",

@@ -25,10 +25,10 @@
 //     burst that fans out over several shards costs one fsync, not one
 //     per shard touched. Staging takes only the log's short index lock,
 //     never the file lock the committer holds across the disk wait, and
-//     DONE marks (async, safe to lose) do not spend fsyncs of their
-//     own while acks are flowing: alone they are flushed lazily, within
-//     one commit window, and a burst's RECVs cut that pace short and
-//     take them along. Log-before-ack is preserved, fsyncs per alert
+//     DONE marks (async, safe to lose) never schedule an fsync: they
+//     ride the next burst's commit, and with no burst in sight are
+//     flushed at the journal's lazy-DONE deadline (plog's doneHold, not
+//     CommitWindow). Log-before-ack is preserved, fsyncs per alert
 //     cut by orders of magnitude. The hub holds exactly that one
 //     journal; New refuses a directory that still holds the lane files
 //     of a partitioned layout rather than half-reading it.

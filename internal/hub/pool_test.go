@@ -227,6 +227,53 @@ func TestHubJournalBytesPerAlert(t *testing.T) {
 	}
 }
 
+// TestHubPacedFsyncsPerBurst is the fsync pin beside the byte pin: bursts
+// that arrive further apart than the commit window — each finds the
+// journal idle, each is delivered at once — cost one fsync apiece. The
+// DONEs a burst leaves behind have no waiter and buy none: they ride the
+// next burst's commit (a second fsync per burst would read 2 × bursts
+// here).
+func TestHubPacedFsyncsPerBurst(t *testing.T) {
+	const users, bursts, burst = 64, 60, 8
+	var delivered atomic.Int64
+	h := newTestHub(t, Config{
+		Channels: sinkChannels(func(int, string, *alert.Alert) error {
+			delivered.Add(1)
+			return nil
+		}),
+		Shards:       8,
+		CommitWindow: 2 * time.Millisecond,
+	})
+	addUsers(t, h, users)
+	if err := h.Start(); err != nil {
+		t.Fatal(err)
+	}
+	before := h.Stats().WAL
+	subs := make([]Submission, burst)
+	for b := 0; b < bursts; b++ {
+		for i := range subs {
+			n := b*burst + i
+			subs[i] = Submission{User: fmt.Sprintf("user-%d", n%users), Alert: portalAlert(n, time.Unix(985597200, int64(n)))}
+		}
+		for i, err := range h.SubmitBatch(subs) {
+			if err != nil {
+				t.Fatalf("burst %d entry %d: %v", b, i, err)
+			}
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	waitCond(t, "every alert to be delivered", func() bool { return delivered.Load() >= bursts*burst })
+	if err := h.Drain(); err != nil {
+		t.Fatal(err)
+	}
+	wal := h.Stats().WAL
+	syncs, bound := wal.Syncs-before.Syncs, int64(1.1*bursts+2)
+	t.Logf("%d bursts of %d: %d fsyncs (%d waiter-less), bound %d", bursts, burst, syncs, wal.WaiterlessSyncs-before.WaiterlessSyncs, bound)
+	if syncs > bound || wal.UnflushedDones != 0 {
+		t.Fatalf("%d paced bursts took %d journal fsyncs (bound %d) and left %d DONEs unflushed at Drain", bursts, syncs, bound, wal.UnflushedDones)
+	}
+}
+
 // usersMapSize sums the delivery stages' per-user chain map sizes.
 func usersMapSize(h *Hub) int {
 	n := 0

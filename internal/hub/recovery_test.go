@@ -3,6 +3,7 @@ package hub
 import (
 	"errors"
 	"fmt"
+	"os"
 	"path/filepath"
 	"sync"
 	"testing"
@@ -299,4 +300,88 @@ func cut(uk string) (user, key string, ok bool) {
 		}
 	}
 	return uk, "", false
+}
+
+// TestHubCrashInsideDoneHoldRedeliversWithOriginalTimestamp reaches the
+// FaultBeforeMark window at its widest: alerts delivered, their DONEs
+// staged, no arrival since to carry them to disk. A crash there — an
+// image of the WAL directory taken while Stats().WAL.UnflushedDones says
+// the marks are held — replays exactly those alerts, each redelivered
+// once under its original dedup key (which embeds the alert timestamp the
+// receiver dedups on); alerts whose marks were flushed are not.
+func TestHubCrashInsideDoneHoldRedeliversWithOriginalTimestamp(t *testing.T) {
+	const users = 4
+	dir := t.TempDir()
+	sink := newCountingSink(nil)
+	cfg := Config{
+		Clock: clock.NewReal(), Channels: sinkChannels(sink.Deliver),
+		WALPath: filepath.Join(dir, "hub.wal"), Shards: 2, CommitWindow: 2 * time.Millisecond,
+	}
+	h1, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer h1.Drain()
+	addUsers(t, h1, users)
+	if err := h1.Start(); err != nil {
+		t.Fatal(err)
+	}
+	var settled, held []string // "user/dedupKey"
+	var image string
+	for round := 0; round < 5 && image == ""; round++ {
+		// Whatever earlier rounds left staged is flushed first, so the
+		// image holds one round's marks and no others.
+		if err := h1.CheckpointWAL(); err != nil {
+			t.Fatal(err)
+		}
+		settled = append(settled, held...)
+		held = held[:0]
+		subs := make([]Submission, users) // one burst, one commit: no later arrival to ride
+		for u := range subs {
+			subs[u] = Submission{User: fmt.Sprintf("user-%d", u), Alert: portalAlert(round*users+u, time.Unix(985597200, int64(round)))}
+			held = append(held, subs[u].User+"/"+subs[u].Alert.DedupKey())
+		}
+		for _, err := range h1.SubmitBatch(subs) {
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		waitCond(t, "the round to be delivered and its DONEs staged", func() bool { return h1.WALBacklog() == 0 })
+		img := t.TempDir()
+		if err := os.CopyFS(img, os.DirFS(dir)); err != nil { // a crash image of the journal, as of now
+			t.Fatal(err)
+		}
+		if h1.Stats().WAL.UnflushedDones == users { // held throughout the copy
+			image = img
+		}
+	}
+	if image == "" {
+		t.Fatal("no round's DONEs stayed unflushed across a directory copy: they are buying their own fsyncs")
+	}
+
+	cfg.WALPath = filepath.Join(image, "hub.wal")
+	h2, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	addUsers(t, h2, users)
+	if err := h2.Start(); err != nil {
+		t.Fatal(err)
+	}
+	if err := h2.Drain(); err != nil {
+		t.Fatal(err)
+	}
+	if got := h2.Counters().Get("replayed"); got != users {
+		t.Fatalf("replayed = %d, want the %d alerts whose DONEs were held", got, users)
+	}
+	for _, uk := range held {
+		if user, key, _ := cut(uk); sink.count(user, key) != 2 {
+			t.Fatalf("%s delivered %d times, want 2: once, then once more after the crash", uk, sink.count(user, key))
+		}
+	}
+	for _, uk := range settled {
+		if user, key, _ := cut(uk); sink.count(user, key) != 1 {
+			t.Fatalf("%s delivered %d times, want 1: its DONE was durable before the crash", uk, sink.count(user, key))
+		}
+	}
 }

@@ -292,7 +292,10 @@ func (o *Outbox) Start(deliver DeliverFunc) error {
 // the envelope is fsynced; the caller may then retire its own record
 // of the alert (ownership has transferred). A zero Due schedules the
 // first round one backoff from now. Re-putting an alert that is
-// already pending at the same round is idempotent.
+// already pending at the same round is idempotent. The envelope is
+// staged under the outbox lock and awaited outside it — concurrent Puts
+// share fsyncs, and no reader of the heap queues behind the disk — and
+// joins the heap only once durable.
 func (o *Outbox) Put(e Entry) error {
 	if err := e.validate(); err != nil {
 		return err
@@ -310,16 +313,19 @@ func (o *Outbox) Put(e Entry) error {
 		o.mu.Unlock()
 		return plog.ErrClosed
 	}
-	if o.log.Has(key) && !o.log.IsProcessed(key) {
-		// Already pending (a crash-window double handoff): the scheduled
-		// copy owns it.
-		o.mu.Unlock()
-		return nil
+	// Already pending (a crash-window double handoff): the scheduled copy
+	// owns it. Staging the duplicate is a no-op whose Commit still covers
+	// the original's durability.
+	pending := o.log.Has(key) && !o.log.IsProcessed(key)
+	c, err := o.log.LogReceivedBatchStart([]plog.BatchEntry{{Key: key, Payload: payload, At: o.opts.Clock.Now()}})
+	o.mu.Unlock()
+	if err == nil {
+		err = c.Wait()
 	}
-	if err := o.log.LogReceived(key, payload, o.opts.Clock.Now()); err != nil {
-		o.mu.Unlock()
+	if err != nil || pending {
 		return err
 	}
+	o.mu.Lock()
 	heap.Push(&o.pending, &item{e: &e, key: key, maxOffset: -1})
 	o.puts.Add(1)
 	o.mu.Unlock()
@@ -505,9 +511,11 @@ func (o *Outbox) runDue() {
 	}
 }
 
-// retire marks the envelope's journal record processed. ErrClosed is
-// tolerated — a kill raced the mark, and the replay duplicate is the
-// dedup contract's case.
+// retire stages the envelope's processed mark without buying it an
+// fsync: the mark rides the next Put's or round's commit, or the
+// journal's lazy-DONE deadline. A crash before then replays the envelope
+// — one more redelivery, the dedup contract's case, as is ErrClosed when
+// a kill raced the mark.
 func (o *Outbox) retire(it *item) {
 	o.mu.Lock()
 	defer o.mu.Unlock()
@@ -515,7 +523,7 @@ func (o *Outbox) retire(it *item) {
 	if o.closed {
 		return
 	}
-	if err := o.log.MarkProcessed(it.key, o.opts.Clock.Now()); err != nil && !errors.Is(err, plog.ErrClosed) {
+	if err := o.log.MarkProcessedAsync(it.key, o.opts.Clock.Now()); err != nil && !errors.Is(err, plog.ErrClosed) {
 		o.journal(faults.KindOutbox, "outbox: marking %s processed: %v", it.key, err)
 	}
 }
@@ -523,7 +531,9 @@ func (o *Outbox) retire(it *item) {
 // reschedule advances a failed envelope's round (escalating the block
 // offset every EscalateEvery rounds while backup blocks remain),
 // re-persists it under the round-stamped key with the previous round
-// tombstoned in the same fsync, and pushes it back on the heap.
+// tombstoned in the same fsync, and pushes it back on the heap. The
+// outbox lock is not held across that fsync: inRound keeps the envelope
+// counted as pending meanwhile.
 func (o *Outbox) reschedule(it *item) {
 	e := it.e
 	e.Round++
@@ -534,28 +544,25 @@ func (o *Outbox) reschedule(it *item) {
 			e.dedupKey(), e.Offset, e.Round)
 	}
 	e.Due = o.opts.Clock.Now().Add(o.backoffFor(e.Round))
+	newKey := e.key()
+	payload, err := e.encode()
+	if err == nil {
+		err = o.log.Replace(it.key, newKey, payload, o.opts.Clock.Now())
+	}
+	switch {
+	case err == nil:
+		it.key = newKey
+	case !errors.Is(err, plog.ErrClosed):
+		// Keep redelivering from memory; the journal still holds the
+		// previous round, so nothing is lost across a restart.
+		o.journal(faults.KindOutbox, "outbox: persisting %s round %d: %v", e.dedupKey(), e.Round, err)
+	}
 	o.mu.Lock()
 	defer o.mu.Unlock()
 	o.inRound = false
-	if o.closed {
-		return // the previous round's record replays next incarnation
+	if !o.closed { // else the journaled round replays next incarnation
+		heap.Push(&o.pending, it)
 	}
-	payload, err := e.encode()
-	if err != nil {
-		o.journal(faults.KindOutbox, "outbox: encoding %s round %d: %v", e.dedupKey(), e.Round, err)
-		return
-	}
-	newKey := e.key()
-	if err := o.log.Replace(it.key, newKey, payload, o.opts.Clock.Now()); err != nil {
-		if !errors.Is(err, plog.ErrClosed) {
-			o.journal(faults.KindOutbox, "outbox: persisting %s round %d: %v", e.dedupKey(), e.Round, err)
-		}
-		// Keep redelivering from memory; the journal still holds the
-		// previous round, so nothing is lost across a restart.
-	} else {
-		it.key = newKey
-	}
-	heap.Push(&o.pending, it)
 }
 
 func (o *Outbox) journal(kind faults.Kind, format string, args ...any) {

@@ -3,7 +3,9 @@ package outbox
 import (
 	"errors"
 	"fmt"
+	"os"
 	"path/filepath"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -28,6 +30,12 @@ func testAlert(i int) *alert.Alert {
 
 func testEntry(i int) Entry {
 	return Entry{User: fmt.Sprintf("user-%d", i), Category: "Investment", Alert: testAlert(i), Attempts: 3}
+}
+
+// entryKey is the journal key testEntry(i) is first persisted under.
+func entryKey(i int) string {
+	e := testEntry(i)
+	return e.key()
 }
 
 func TestEntryCodecRoundTrip(t *testing.T) {
@@ -354,5 +362,165 @@ func TestOutboxCloseKeepsInFlightRoundsMark(t *testing.T) {
 	}
 	if got := delivered.Load(); got != 1 {
 		t.Fatalf("sink saw %d deliveries, want 1", got)
+	}
+}
+
+// returnsWithin fails the test unless f returns within d.
+func returnsWithin(t *testing.T, d time.Duration, what string, f func()) {
+	t.Helper()
+	done := make(chan struct{})
+	go func() { defer close(done); f() }()
+	select {
+	case <-done:
+	case <-time.After(d):
+		t.Fatalf("%s did not return within %v", what, d)
+	}
+}
+
+// TestOutboxPollDoesNotWaitOnDisk: with the journal's file lock held — a
+// round's Replace and a Put both stuck in their fsync — the reads the
+// supervisor polls and another Put's staging all complete; only
+// durability waits.
+func TestOutboxPollDoesNotWaitOnDisk(t *testing.T) {
+	o := openTestOutbox(t, t.TempDir(), Options{Backoff: time.Millisecond})
+	defer o.Kill()
+	held := make(chan func(), 1)
+	var calls atomic.Int64
+	if err := o.Start(func(e *Entry) (int, error) {
+		if calls.Add(1) == 1 {
+			held <- o.log.HoldFilesForTest() // the disk stalls under this round's Replace
+			return 1, errors.New("down")
+		}
+		return 1, nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if err := o.Put(testEntry(0)); err != nil {
+		t.Fatal(err)
+	}
+	release := <-held
+	round1 := testEntry(0)
+	round1.Round = 1
+	waitFor(t, "the failed round to stage its Replace", func() bool { return o.log.Has(round1.key()) })
+	put := make(chan error, 1)
+	go func() { put <- o.Put(testEntry(1)) }()
+	waitFor(t, "a Put to stage behind the stalled round", func() bool { return o.log.Has(entryKey(1)) })
+	returnsWithin(t, 5*time.Second, "polling the outbox over a stalled disk", func() {
+		if got := o.Pending(); got != 1 {
+			t.Errorf("Pending() = %d, want 1: the round in progress, and not yet the undurable Put", got)
+		}
+		if due, ok := o.OldestDue(); ok {
+			t.Errorf("OldestDue() = %v, want none: nothing is on the heap", due)
+		}
+	})
+	select {
+	case err := <-put:
+		t.Fatalf("Put returned (%v) before its fsync", err)
+	default:
+	}
+	release()
+	if err := <-put; err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, "both envelopes to be redelivered", func() bool { return o.Redelivered() == 2 })
+}
+
+// TestOutboxConcurrentPutsShareFsyncs: Puts stage one after another but
+// wait together, so N of them that meet a busy disk are all durable on
+// return for fewer than N fsyncs.
+func TestOutboxConcurrentPutsShareFsyncs(t *testing.T) {
+	const n = 16
+	o := openTestOutbox(t, t.TempDir(), Options{Backoff: time.Hour})
+	defer o.Kill()
+	before := o.Stats().Log.Syncs
+	release := o.log.HoldFilesForTest()
+	var wg sync.WaitGroup
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if err := o.Put(testEntry(i)); err != nil {
+				t.Error(err)
+			}
+		}()
+	}
+	waitFor(t, "every Put to stage", func() bool {
+		for i := 0; i < n; i++ {
+			if !o.log.Has(entryKey(i)) {
+				return false
+			}
+		}
+		return true
+	})
+	release()
+	wg.Wait()
+	if got := o.Stats().Log.Syncs - before; got > 2 {
+		t.Fatalf("%d concurrent Puts took %d fsyncs, want at most 2 (the first to stage may commit alone)", n, got)
+	}
+	crash, err := plog.Open(o.log.Path()) // what a crash right now would find
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer crash.Close()
+	if got := len(crash.Unprocessed()); got != n || o.Pending() != n {
+		t.Fatalf("%d envelopes on disk, %d pending, want %d of each", got, o.Pending(), n)
+	}
+}
+
+// TestOutboxLazyRetireReplaysOnlyAfterCrash is the price of a retire
+// that buys no fsync: an envelope delivered and retired, whose mark a
+// crash catches still unflushed, replays on reopen and is redelivered
+// exactly once more. The crash is an image of the journal taken while
+// the mark is held (Kill itself closes the journal, which flushes); a
+// graceful Close loses nothing.
+func TestOutboxLazyRetireReplaysOnlyAfterCrash(t *testing.T) {
+	dir := t.TempDir()
+	o := openTestOutbox(t, dir, Options{Backoff: time.Millisecond})
+	if err := o.Start(func(e *Entry) (int, error) { return 1, nil }); err != nil {
+		t.Fatal(err)
+	}
+	var image string
+	for i := 0; i < 5 && image == ""; i++ {
+		waitFor(t, "earlier marks to flush", func() bool { return o.Stats().Log.UnflushedDones == 0 })
+		if err := o.Put(testEntry(i)); err != nil {
+			t.Fatal(err)
+		}
+		waitFor(t, "redelivery", func() bool { return o.Redelivered() == int64(i+1) && o.Pending() == 0 })
+		img := t.TempDir()
+		if err := os.CopyFS(img, os.DirFS(dir)); err != nil { // a crash image of the journal, as of now
+			t.Fatal(err)
+		}
+		if o.Stats().Log.UnflushedDones == 1 { // held throughout the copy
+			image = img
+		}
+	}
+	if image == "" {
+		t.Fatal("no retire's mark stayed unflushed across a directory copy: retire buys its own fsync")
+	}
+	if err := o.Close(); err != nil {
+		t.Fatal(err)
+	}
+	clean := openTestOutbox(t, dir, Options{})
+	defer clean.Close()
+	if got := clean.Stats().Loaded; got != 0 {
+		t.Fatalf("reopen after Close loaded %d envelopes, want 0: Close flushes held marks", got)
+	}
+
+	crashed := openTestOutbox(t, image, Options{Backoff: time.Millisecond})
+	if got := crashed.Stats().Loaded; got != 1 {
+		t.Fatalf("reopen on the crash image loaded %d envelopes, want the 1 whose mark was held", got)
+	}
+	var again atomic.Int64
+	if err := crashed.Start(func(e *Entry) (int, error) { again.Add(1); return 1, nil }); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, "the replayed envelope's redelivery", func() bool { return crashed.Redelivered() == 1 })
+	if err := crashed.Close(); err != nil {
+		t.Fatal(err)
+	}
+	final := openTestOutbox(t, image, Options{})
+	defer final.Close()
+	if final.Stats().Loaded != 0 || again.Load() != 1 {
+		t.Fatalf("after the replay: %d still pending, %d redeliveries, want 0 and exactly 1", final.Stats().Loaded, again.Load())
 	}
 }

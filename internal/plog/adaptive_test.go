@@ -141,7 +141,7 @@ func TestAdaptiveCloseCutsWindowShort(t *testing.T) {
 
 // TestGroupLogOpenCloseLeak cycles a journal open/append/close 1000
 // times and checks the process goroutine count stays flat: every
-// committer exits and every window timer is stopped and drained.
+// committer exits, and its pace timer with it.
 func TestGroupLogOpenCloseLeak(t *testing.T) {
 	if testing.Short() {
 		t.Skip("1k open/close cycles")
@@ -251,16 +251,70 @@ func TestStagingDoesNotWaitOnFileLock(t *testing.T) {
 	}
 }
 
-// TestAsyncDonesShareOneFsync: N concurrent MarkProcessedAsync after a
-// RECV commit cost one fsync between them, no later than one window
-// after the first.
-func TestAsyncDonesShareOneFsync(t *testing.T) {
-	const n, window = 16, 250 * time.Millisecond
-	g := openGroupTemp(t, GroupOptions{Window: window})
+// keysN returns the keys k0 … k(n-1).
+func keysN(n int) []string {
 	keys := make([]string, n)
 	for i := range keys {
 		keys[i] = fmt.Sprintf("k%d", i)
 	}
+	return keys
+}
+
+// stillHeld reports whether the n async DONEs staged at or after since
+// are all still unflushed. Finding them flushed before doneHold has
+// passed fails the test — nobody waited, so nothing may have scheduled
+// that fsync; finding them flushed later only means the test machine
+// stalled past the hold, and the caller's observation says nothing.
+func stillHeld(t *testing.T, g *Log, n int64, since time.Time) bool {
+	t.Helper()
+	if g.Stats().UnflushedDones == n {
+		return true
+	}
+	if el := time.Since(since); el < doneHold {
+		t.Fatalf("waiter-less DONEs flushed %v after staging, before doneHold (%v)", el, doneHold)
+	}
+	return false
+}
+
+// waitFlushed blocks until no DONE is staged but not durable.
+func waitFlushed(t *testing.T, g *Log) {
+	t.Helper()
+	deadline := time.Now().Add(doneHold + 5*time.Second)
+	for g.Stats().UnflushedDones > 0 {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d DONEs still unflushed long after doneHold (%v)", g.Stats().UnflushedDones, doneHold)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// expectDeadlineFlush asserts the fate of n async DONEs staged since
+// start, with no waiter anywhere, on a log whose Stats were before: they
+// stay held, then one fsync — no sooner than doneHold after start,
+// counted waiter-less — carries them all.
+func expectDeadlineFlush(t *testing.T, g *Log, before Stats, n int64, start time.Time) {
+	t.Helper()
+	held := stillHeld(t, g, n, start)
+	waitFlushed(t, g)
+	if el := time.Since(start); el < doneHold {
+		t.Fatalf("async DONEs flushed after %v, before doneHold (%v)", el, doneHold)
+	}
+	s := g.Stats()
+	if s.Appended != before.Appended+n {
+		t.Fatalf("staged %d records, want %d", s.Appended-before.Appended, n)
+	}
+	if held && (s.Syncs != before.Syncs+1 || s.WaiterlessSyncs != before.WaiterlessSyncs+1) {
+		t.Fatalf("%d DONEs took %d fsyncs (%d waiter-less), want 1 (1)", n, s.Syncs-before.Syncs, s.WaiterlessSyncs-before.WaiterlessSyncs)
+	}
+}
+
+// TestAsyncDonesShareOneFsync: N concurrent MarkProcessedAsync after a
+// RECV commit cost one fsync between them, scheduled by nobody: it comes
+// doneHold after the first DONE, whatever the window.
+func TestAsyncDonesShareOneFsync(t *testing.T) {
+	const n = 16
+	g := openGroupTemp(t, GroupOptions{Window: time.Millisecond})
+	keys := keysN(n)
 	logBatch(t, g, keys...)
 	before := g.Stats()
 	start := time.Now()
@@ -275,18 +329,101 @@ func TestAsyncDonesShareOneFsync(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	for g.Stats().Syncs == before.Syncs {
-		if time.Since(start) > window+5*time.Second {
-			t.Fatalf("async DONEs still unflushed %v after the first (window %v)", time.Since(start), window)
-		}
-		time.Sleep(time.Millisecond)
-	}
-	time.Sleep(2 * window) // a straggler fsync would land by now
-	if s := g.Stats(); s.Syncs != before.Syncs+1 || s.Appended != before.Appended+n {
-		t.Fatalf("%d DONEs took %d fsyncs, want %d in exactly 1", s.Appended-before.Appended, s.Syncs-before.Syncs, n)
-	}
+	expectDeadlineFlush(t, g, before, n, start)
 	if un := crashView(t, g.Path()); len(un) != 0 {
 		t.Fatalf("crash after the flush replays %v, want nothing", un)
+	}
+}
+
+// TestLazyDonesRideNextWaiterAcrossManyWindows: batches of async DONEs
+// staged over many commit windows buy no fsync between them; the first
+// RECV to arrive carries them all on its own.
+func TestLazyDonesRideNextWaiterAcrossManyWindows(t *testing.T) {
+	const window, batches, per = time.Millisecond, 5, 4
+	g := openGroupTemp(t, GroupOptions{Window: window})
+	keys := keysN(batches * per)
+	logBatch(t, g, keys...)
+	before := g.Stats()
+	start := time.Now()
+	for i := 0; i < batches; i++ {
+		if errs := g.MarkProcessedBatchAsync(keys[i*per:(i+1)*per], t0); errs != nil {
+			t.Fatal(errs)
+		}
+		time.Sleep(2 * window)
+	}
+	if !stillHeld(t, g, batches*per, start) {
+		t.Skipf("stalled past doneHold (%v) while staging: nothing to observe", doneHold)
+	}
+	logBatch(t, g, "next")
+	s := g.Stats()
+	if s.UnflushedDones != 0 {
+		t.Fatalf("%d DONEs unflushed after the RECV's commit, want 0: they ride it", s.UnflushedDones)
+	}
+	if time.Since(start) < doneHold && (s.Syncs != before.Syncs+1 || s.WaiterlessSyncs != before.WaiterlessSyncs) {
+		t.Fatalf("%d DONE batches + 1 RECV took %d fsyncs (%d waiter-less), want 1 (0)",
+			batches, s.Syncs-before.Syncs, s.WaiterlessSyncs-before.WaiterlessSyncs)
+	}
+	if un := crashView(t, g.Path()); fmt.Sprint(un) != "[next]" {
+		t.Fatalf("crash view replays %v, want [next]", un)
+	}
+}
+
+// TestLazyDonesFlushAtDeadline: with no waiter in sight the DONEs are
+// flushed doneHold after the first was staged — on a window-0 log exactly
+// as on a windowed one — by one fsync that Stats counts as waiter-less.
+func TestLazyDonesFlushAtDeadline(t *testing.T) {
+	for _, window := range []time.Duration{0, 2 * time.Millisecond, 30 * time.Second} {
+		t.Run(fmt.Sprint("window=", window), func(t *testing.T) {
+			g := openGroupTemp(t, GroupOptions{Window: window})
+			logBatch(t, g, "a", "b", "c")
+			before := g.Stats()
+			start := time.Now()
+			if errs := g.MarkProcessedBatchAsync([]string{"a", "b"}, t0); errs != nil {
+				t.Fatal(errs)
+			}
+			expectDeadlineFlush(t, g, before, 2, start)
+			if un := crashView(t, g.Path()); fmt.Sprint(un) != "[c]" {
+				t.Fatalf("crash view after the deadline replays %v, want [c]", un)
+			}
+		})
+	}
+}
+
+// TestCrashInsideDoneHoldReplaysRecords is the price of the hold: a
+// crash while DONEs are staged but not durable replays exactly their
+// records — whole, in order, beside the ones never marked — and nothing
+// that was durably marked before.
+func TestCrashInsideDoneHoldReplaysRecords(t *testing.T) {
+	g := openGroupTemp(t, GroupOptions{Window: time.Millisecond})
+	keys := keysN(8)
+	logBatch(t, g, keys...)
+	if err := g.MarkProcessed("k0", t0); err != nil { // durable: never replays
+		t.Fatal(err)
+	}
+	start := time.Now()
+	if errs := g.MarkProcessedBatchAsync(keys[1:6], t0); errs != nil {
+		t.Fatal(errs)
+	}
+	re, err := Open(g.Path())
+	if err != nil {
+		t.Fatal(err)
+	}
+	un, corrupt := re.Unprocessed(), re.Stats().CorruptRecords
+	re.Close()
+	if !stillHeld(t, g, 5, start) {
+		t.Skipf("stalled past doneHold (%v) before the crash view: nothing to observe", doneHold)
+	}
+	if len(un) != 7 || corrupt != 0 {
+		t.Fatalf("crash inside the hold replays %d records (%d corrupt), want k1..k7 and 0", len(un), corrupt)
+	}
+	for i, r := range un {
+		if r.Key != keys[i+1] || string(r.Payload) != "p" || !r.ReceivedAt.Equal(t0) {
+			t.Fatalf("replayed record %d = %+v, want %s whole", i, r, keys[i+1])
+		}
+	}
+	waitFlushed(t, g)
+	if un := crashView(t, g.Path()); fmt.Sprint(un) != "[k6 k7]" {
+		t.Fatalf("crash after the hold replays %v, want [k6 k7]", un)
 	}
 }
 
@@ -340,37 +477,47 @@ func TestDuplicateRecvCutsLazyPace(t *testing.T) {
 	}
 }
 
-// TestCloseFlushesLazyDones: Close neither waits out a lazy pace nor
-// drops the DONEs it was holding; Checkpoint likewise flushes them
-// before it snapshots.
-func TestCloseFlushesLazyDones(t *testing.T) {
-	g := openGroupTemp(t, GroupOptions{Window: 30 * time.Second})
-	logBatch(t, g, "a", "b", "c")
-	if err := g.MarkProcessedAsync("a", t0); err != nil {
-		t.Fatal(err)
-	}
-	returnsWithin(t, 10*time.Second, "Checkpoint over lazily paced DONEs (window 30s)", func() {
-		if err := g.Checkpoint(); err != nil {
-			t.Error(err)
-		}
-	})
-	if un := crashView(t, g.Path()); fmt.Sprint(un) != "[b c]" {
-		t.Fatalf("crash view after Checkpoint replays %v, want [b c]", un)
-	}
-	if err := g.MarkProcessedAsync("b", t0); err != nil {
-		t.Fatal(err)
-	}
-	returnsWithin(t, 10*time.Second, "Close over lazily paced DONEs (window 30s)", func() {
-		if err := g.Close(); err != nil {
-			t.Error(err)
-		}
-	})
-	re, err := Open(g.Path())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer re.Close()
-	if un := re.Unprocessed(); len(un) != 1 || un[0].Key != "c" {
-		t.Fatalf("reopen after Close replays %+v, want only c", un)
+// TestCheckpointAndCloseFlushLazyDones: neither Checkpoint nor Close
+// waits out the hold, and neither drops the DONEs it found held —
+// Checkpoint flushes them before it snapshots, as a waiter; Close as
+// nobody.
+func TestCheckpointAndCloseFlushLazyDones(t *testing.T) {
+	for _, window := range []time.Duration{0, 30 * time.Second} {
+		t.Run(fmt.Sprint("window=", window), func(t *testing.T) {
+			g := openGroupTemp(t, GroupOptions{Window: window})
+			logBatch(t, g, "a", "b", "c")
+			start := time.Now()
+			if err := g.MarkProcessedAsync("a", t0); err != nil {
+				t.Fatal(err)
+			}
+			held := stillHeld(t, g, 1, start)
+			if err := g.Checkpoint(); err != nil {
+				t.Fatal(err)
+			}
+			s := g.Stats()
+			if s.UnflushedDones != 0 || (held && time.Since(start) < doneHold && s.WaiterlessSyncs != 0) {
+				t.Fatalf("after Checkpoint: %d DONEs unflushed, %d waiter-less fsyncs, want 0 and 0", s.UnflushedDones, s.WaiterlessSyncs)
+			}
+			if un := crashView(t, g.Path()); fmt.Sprint(un) != "[b c]" {
+				t.Fatalf("crash view after Checkpoint replays %v, want [b c]", un)
+			}
+			if err := g.MarkProcessedAsync("b", t0); err != nil {
+				t.Fatal(err)
+			}
+			if err := g.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if n := g.Stats().UnflushedDones; n != 0 {
+				t.Fatalf("%d DONEs unflushed after Close", n)
+			}
+			re, err := Open(g.Path())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer re.Close()
+			if un := re.Unprocessed(); len(un) != 1 || un[0].Key != "c" {
+				t.Fatalf("reopen after Close replays %+v, want only c", un)
+			}
+		})
 	}
 }

@@ -24,13 +24,24 @@ type groupBatch struct {
 	// DONE, Replace), plus one for a duplicate append parked on a batch
 	// that had none. Zero means async DONEs only: nobody's latency.
 	waited int64
-	// openedAt is when the batch was opened: the lazy-flush deadline of
-	// a batch nobody waits on, and the commit-wait clock — which restarts
-	// when a batch of async DONEs gains its first waiter.
+	// openedAt is when the batch was opened: doneHold counts from it for
+	// a batch nobody waits on, and so does the commit-wait clock — which
+	// restarts when a batch of async DONEs gains its first waiter.
 	openedAt time.Time
 	err      error
 	done     chan struct{}
 }
+
+// doneHold is how long a backlog nobody waits on (async DONEs only) may
+// sit staged before the committer spends an fsync on it alone, counted
+// from when its batch opened. It is deliberately not GroupOptions.Window:
+// Window prices the latency of records somebody waits for, doneHold the
+// width of the "delivered, DONE staged, not durable" replay window at
+// idle, and a window-0 log (the outbox) holds its marks just the same.
+// The value is the smallest of {2, 10, 25, 50, 100, 250} ms whose
+// paced_open fsyncs_per_alert is within 3 % of the 250 ms reading
+// (docs/measurements/ISSUE-24.md has the sweep).
+const doneHold = 50 * time.Millisecond
 
 // Free-list bounds: keep at most maxFreeBufs buffers, and never retain
 // one grown past maxFreeBufBytes by a burst — a transient spike must
@@ -105,6 +116,7 @@ func (l *Log) joinLocked(buf []byte, recvs int64, wait bool) *groupBatch {
 		b.dones = append(b.dones, dones...)
 		b.lines += staged
 		l.appended.Add(staged)
+		l.unflushedDones.Add(int64(len(dones)))
 		l.cond.Signal()
 	}
 	if first || l.overThresholdLocked() {
@@ -194,15 +206,17 @@ func (l *Log) openBatchLocked() *groupBatch {
 // shape follows commit_delay/commit_siblings in Postgres: never delay a
 // lone committer, only one with company.
 //
-// A backlog of async DONEs alone has no waiter, so spending an fsync on
-// it at once buys nobody anything and makes the next burst's RECVs queue
-// behind it. The committer instead holds it for up to one Window from
-// when it opened, with no fsync in flight: a waiter that joins meanwhile
-// cuts the hold short, is treated as having found the committer idle,
-// and the DONEs ride its fsync. Either pace is also cut short the moment
-// the backlog crosses a force-flush threshold (MaxBatch/CommitMaxBytes)
-// or the log closes. With Window 0 nothing is ever paced, which is
-// fsync-per-append for a lone appender.
+// Only a waiter schedules an fsync. A backlog of async DONEs alone has
+// none: spending an fsync on it buys nobody anything and makes the next
+// burst's RECVs queue behind it, and losing it only replays alerts the
+// receiver already dedups. The committer holds it, with no fsync in
+// flight, until the first of: a waiter joins (it is treated as having
+// found the committer idle, and the DONEs ride its fsync), the backlog
+// crosses a force-flush threshold (MaxBatch/CommitMaxBytes), Checkpoint
+// or Close, or doneHold since the batch opened. The hold does not depend
+// on Window; the waiters' pace does, and is cut short by the same
+// thresholds and by Close. With Window 0 no waiter is ever paced, which
+// is fsync-per-append for a lone appender.
 //
 // A log with a commit window is a shared log — many stagers, this one
 // writer — and its committer owns an OS thread. The goroutine spends its
@@ -234,12 +248,12 @@ func (l *Log) committer() {
 			return // closed and drained
 		}
 		w := l.opts.Window
-		pace := w > 0 && !l.closed && !l.overThresholdLocked()
-		if pace && l.waitedLocked() == 0 {
-			if wait := w - time.Since(l.queue[0].openedAt); wait > 0 {
+		urgent := l.closed || l.overThresholdLocked()
+		if !urgent && l.waitedLocked() == 0 {
+			if wait := doneHold - time.Since(l.queue[0].openedAt); wait > 0 {
 				l.waitWindow(wait)
 			}
-			idle, pace = true, false
+			idle = true
 		}
 		if idle && !l.closed {
 			// Commit immediately, but yield the processor once first:
@@ -257,7 +271,7 @@ func (l *Log) committer() {
 		// no peers to amortize with, and holding it for the window
 		// remainder would put a window-sized tail on otherwise-idle
 		// admission latency.
-		if pace && !idle && l.waitedLocked() > 1 {
+		if w > 0 && !urgent && !idle && l.waitedLocked() > 1 {
 			if wait := w - time.Since(lastSync); wait > 0 {
 				l.waitWindow(wait)
 			}
@@ -298,10 +312,16 @@ func (l *Log) committer() {
 			l.batchSizes.Observe(lines)
 		}
 		lastSync = time.Now()
+		waiterless := err == nil
 		for _, b := range take {
+			l.unflushedDones.Add(-int64(len(b.dones)))
 			if b.waited > 0 {
+				waiterless = false
 				l.commitWait.Observe(lastSync.Sub(b.openedAt).Microseconds())
 			}
+		}
+		if waiterless {
+			l.waiterlessSyncs.Add(1)
 		}
 
 		l.qmu.Lock()
@@ -328,10 +348,9 @@ func (l *Log) committer() {
 
 // waitWindow parks the committer for up to d, waking early when a
 // staging path signals a force-flush threshold or a first waiter, or
-// Close fires. The timer is stopped and drained on the early-wake path,
-// and a stale token is dropped before parking, so neither the timer nor
-// the signal channel leaks state into later cycles. Called with qmu
-// held; returns with it re-held.
+// Close fires. A stale token is dropped before parking, and the one timer
+// is the committer's own: Reset discards whatever an earlier pace left in
+// it. Called with qmu held; returns with it re-held.
 func (l *Log) waitWindow(d time.Duration) {
 	select {
 	// Drop a token left for a backlog an earlier cycle already committed:
@@ -341,13 +360,14 @@ func (l *Log) waitWindow(d time.Duration) {
 	default:
 	}
 	l.qmu.Unlock()
-	t := time.NewTimer(d)
+	if l.paceTimer == nil {
+		l.paceTimer = time.NewTimer(d)
+	} else {
+		l.paceTimer.Reset(d)
+	}
 	select {
-	case <-t.C:
+	case <-l.paceTimer.C:
 	case <-l.flushNow:
-		if !t.Stop() {
-			<-t.C // the timer fired while we were waking: drain it
-		}
 	}
 	l.qmu.Lock()
 }

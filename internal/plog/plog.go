@@ -131,17 +131,9 @@ type GroupOptions struct {
 	// so a steady stream syncs at most once per window.
 	//
 	// Async DONEs (MarkProcessedAsync, MarkProcessedBatchAsync) have no
-	// waiter, so a backlog holding nothing else is nobody's latency: it
-	// is flushed lazily, at most one window after it opened, and
-	// meanwhile any waiter that joins finds the committer idle — the join
-	// cuts the pace short and the DONEs ride the waiter's fsync. A
-	// backlog that reaches MaxBatch/CommitMaxBytes, Checkpoint, and Close
-	// cut either pace short too. The lazy pace widens no crash window: an
-	// unflushed DONE replays its alert on restart, which is the existing
-	// route→mark window (downstream timestamp dedup absorbs it), still
-	// bounded by Window plus one fsync.
+	// waiter, and Window does not govern them: see doneHold in group.go.
 	//
-	// Zero never paces anything: every batch commits as soon as the
+	// Zero never paces a waiter: its batch commits as soon as the
 	// previous fsync completes (fsync per append for a lone appender).
 	Window time.Duration
 	// MaxBatch caps the journal records per commit and is the
@@ -218,6 +210,13 @@ type Stats struct {
 	Appended     int64
 	Syncs        int64
 	FsyncLatency metrics.HistogramSnapshot
+	// WaiterlessSyncs counts the fsyncs among Syncs that committed no
+	// waited-for record — async DONEs that met no arrival within doneHold
+	// (or were flushed by Close) and so bought an fsync of their own.
+	// UnflushedDones is the DONEs staged but not yet durable: the alerts
+	// a crash right now would replay although they were delivered.
+	WaiterlessSyncs int64
+	UnflushedDones  int64
 	// CommitBatches is the journal records per fsync; StagedBatches the
 	// fresh records per LogReceivedBatch ingest burst (a LogReceived is
 	// a burst of one).
@@ -294,6 +293,10 @@ type Log struct {
 	compactedBytes atomic.Int64
 	syncs          atomic.Int64
 	appended       atomic.Int64
+	// The lazy-DONE exposure: fsyncs that committed no waited-for record,
+	// and DONEs staged but not yet durable.
+	waiterlessSyncs atomic.Int64
+	unflushedDones  atomic.Int64
 
 	fsyncLat    metrics.Histogram // microseconds per fsync
 	batchSizes  metrics.Histogram // journal records per commit
@@ -316,10 +319,12 @@ type Log struct {
 	// flushNow (capacity 1) cuts an in-progress commit pace short:
 	// staging signals it when the backlog crosses a force-flush
 	// threshold or gains its first waiter, and Close signals it so
-	// shutdown never waits out a window.
-	flushNow chan struct{}
-	scratch  []byte  // staging buffer reused across appends
-	doneSeqs []int64 // stageDone's output: seqs tombstoned since the last join
+	// shutdown never waits out a window. paceTimer is the committer's
+	// alone, reused by every pace.
+	flushNow  chan struct{}
+	paceTimer *time.Timer
+	scratch   []byte  // staging buffer reused across appends
+	doneSeqs  []int64 // stageDone's output: seqs tombstoned since the last join
 	// freeBufs recycles committed batches' buffers back into new batches:
 	// the committer strips a batch's batchBufs after its fsync — waiters
 	// only ever read err past done — so steady-state commits stop
@@ -578,15 +583,18 @@ func (l *Log) MarkProcessed(key string, _ time.Time) error {
 	return c.Wait()
 }
 
-// MarkProcessedAsync stages the DONE record into the next commit and
-// returns without waiting for the fsync (staging errors, e.g.
-// ErrUnknownKey, are still reported). Unlike RECV records — which must
-// be durable before the ack — an unflushed DONE is safe to lose: the
-// entry replays on restart and downstream timestamp dedup discards the
-// duplicate. Shard loops use this so marking does not cost them a
-// commit wait per alert, and because nobody waits the committer does
-// not spend an fsync on DONEs alone until GroupOptions.Window has
-// passed. Close still flushes every staged DONE.
+// MarkProcessedAsync stages the DONE record and returns without waiting
+// for an fsync (staging errors, e.g. ErrUnknownKey, are still reported);
+// nor does it schedule one. The DONE rides the next commit somebody waits
+// on — the next arrival's RECV, a synchronous mark, a Replace — or
+// Checkpoint or Close, and failing all of those is flushed doneHold
+// after it was staged, whatever GroupOptions.Window is. Unlike a RECV,
+// which must be durable before the ack, a DONE is safe to lose: a crash
+// before its flush replays the alert on restart with its original
+// timestamp and the receiver's dedup discards the duplicate. That replay
+// window is therefore min(next waited-for commit, doneHold) plus one
+// fsync wide: the next burst under load, the constant at idle.
+// Stats.UnflushedDones is its current occupancy.
 func (l *Log) MarkProcessedAsync(key string, _ time.Time) error {
 	if _, errs := l.markProcessed([]string{key}, false); errs != nil {
 		return errs[0]
@@ -759,6 +767,8 @@ func (l *Log) Stats() Stats {
 		CompactedBytes:   l.compactedBytes.Load(),
 		Appended:         l.appended.Load(),
 		Syncs:            l.syncs.Load(),
+		WaiterlessSyncs:  l.waiterlessSyncs.Load(),
+		UnflushedDones:   l.unflushedDones.Load(),
 		FsyncLatency:     l.fsyncLat.Snapshot(),
 		CommitBatches:    l.batchSizes.Snapshot(),
 		StagedBatches:    l.stagedSizes.Snapshot(),
@@ -792,6 +802,14 @@ func (l *Log) Stats() Stats {
 		}
 	}
 	return s
+}
+
+// HoldFilesForTest takes the file lock until the returned func is called:
+// to everyone else the committer is stuck mid-fsync. It lets another
+// package's test prove that something does not wait on this log's disk.
+func (l *Log) HoldFilesForTest() (release func()) {
+	l.fmu.Lock()
+	return l.fmu.Unlock
 }
 
 // Path returns the journal base path (segments and checkpoints are
