@@ -2,6 +2,9 @@ package simba_test
 
 import (
 	"bytes"
+	"go/ast"
+	"go/parser"
+	"go/token"
 	"io/fs"
 	"os"
 	"path/filepath"
@@ -12,9 +15,10 @@ import (
 
 // TestDesignNamesWhatExists keeps DESIGN.md a description of this tree:
 // every Test…/Fuzz…/Example… identifier it cites in backticks must be a
-// func in some *_test.go under the repository (benchmark/ included), and
-// no production file of internal/hub may grow past the size one stage of
-// the alert path needs.
+// func in some *_test.go under the repository (benchmark/ included),
+// every identifier in §8's file map must be declared where the map says
+// (checkHubFileMap), and no production file of internal/hub may grow
+// past the size one stage of the alert path needs.
 func TestDesignNamesWhatExists(t *testing.T) {
 	design, err := os.ReadFile("DESIGN.md")
 	if err != nil {
@@ -54,6 +58,81 @@ func TestDesignNamesWhatExists(t *testing.T) {
 	for _, m := range cited {
 		if name := string(m[1]); !defined[name] {
 			t.Errorf("DESIGN.md cites `%s`, which no *_test.go defines", name)
+		}
+	}
+	checkHubFileMap(t, string(design))
+}
+
+// checkHubFileMap holds DESIGN §8's `| file | stage |` table to the
+// code: every backticked Go identifier in a row's stage column — a name,
+// or Type.Method — must be declared as a func, method, type or const in
+// one of the internal/hub files the row's file column names.
+func checkHubFileMap(t *testing.T, design string) {
+	_, sec, _ := strings.Cut(design, "\n## 8.")
+	_, table, found := strings.Cut(sec, "\n| file | stage |\n")
+	if !found {
+		t.Fatal("DESIGN.md §8 has no `| file | stage |` table")
+	}
+	tick := regexp.MustCompile("`([^`]+)`")
+	ident := regexp.MustCompile(`^([A-Za-z_]\w*\.)?[A-Za-z_]\w*$`)
+	rows := 0
+	for _, line := range strings.Split(table, "\n")[1:] { // [0] is the |---| rule
+		cells := strings.Split(line, "|")
+		if !strings.HasPrefix(line, "|") || len(cells) < 4 {
+			break
+		}
+		rows++
+		declared := make(map[string]bool)
+		for _, f := range tick.FindAllStringSubmatch(cells[1], -1) {
+			hubDecls(t, filepath.Join("internal", "hub", f[1]), declared)
+		}
+		for _, m := range tick.FindAllStringSubmatch(cells[2], -1) {
+			if ident.MatchString(m[1]) && !declared[m[1]] {
+				t.Errorf("DESIGN.md §8 maps `%s` to %s, which declares no such func, method, type or const",
+					m[1], strings.TrimSpace(cells[1]))
+			}
+		}
+	}
+	if rows == 0 {
+		t.Fatal("DESIGN.md §8's file table has no rows")
+	}
+}
+
+// hubDecls adds the top-level funcs, types and consts of the Go file at
+// path to into, and each method both bare and as Type.Method.
+func hubDecls(t *testing.T, path string, into map[string]bool) {
+	f, err := parser.ParseFile(token.NewFileSet(), path, nil, parser.SkipObjectResolution)
+	if err != nil {
+		t.Errorf("DESIGN.md §8 file table: %v", err)
+		return
+	}
+	for _, d := range f.Decls {
+		switch d := d.(type) {
+		case *ast.FuncDecl:
+			into[d.Name.Name] = true
+			if d.Recv != nil {
+				recv := d.Recv.List[0].Type
+				if star, ok := recv.(*ast.StarExpr); ok {
+					recv = star.X
+				}
+				if id, ok := recv.(*ast.Ident); ok {
+					into[id.Name+"."+d.Name.Name] = true
+				}
+			}
+		case *ast.GenDecl:
+			if d.Tok != token.TYPE && d.Tok != token.CONST {
+				continue
+			}
+			for _, s := range d.Specs {
+				switch s := s.(type) {
+				case *ast.TypeSpec:
+					into[s.Name.Name] = true
+				case *ast.ValueSpec:
+					for _, n := range s.Names {
+						into[n.Name] = true
+					}
+				}
+			}
 		}
 	}
 }

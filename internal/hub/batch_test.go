@@ -156,7 +156,7 @@ func TestHubSubmitBatchMatchesSubmit(t *testing.T) {
 			}
 		}
 	})
-	burstSizes := []int{7, 1, 16, 64, 3} // varied, including 1 and DefaultRouteBatch-sized
+	burstSizes := []int{7, 1, 16, 64, 3} // varied, including 1 and 64
 	batch := run("submit-batch", func(h *Hub, stream []Submission) {
 		for next, si := 0, 0; next < len(stream); si++ {
 			end := next + burstSizes[si%len(burstSizes)]
@@ -484,6 +484,62 @@ func TestSubmitBatchPartialErrors(t *testing.T) {
 	if got := h.Counters().Get("rejected-unknown-user"); got != 1 {
 		t.Fatalf("rejected-unknown-user = %d, want 1", got)
 	}
+}
+
+// TestHubSubmitBatchAsyncOnClosedHub pins the pipelined path's
+// closed-hub answer: before Start and after Drain, more calls than
+// there are async slots each return a resolved ticket with
+// ErrNotAccepting on every entry and run their callback exactly once —
+// none takes a slot, so none blocks.
+func TestHubSubmitBatchAsyncOnClosedHub(t *testing.T) {
+	h := newTestHub(t, Config{Channels: sinkChannels(func(int, string, *alert.Alert) error { return nil }), Shards: 2})
+	addUsers(t, h, 2)
+	closed := func(when string) {
+		t.Helper()
+		const calls = DefaultAsyncInFlight + 1
+		var callbacks [calls]int
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			now := h.cfg.Clock.Now()
+			for i := range calls {
+				subs := []Submission{{User: "user-0", Alert: portalAlert(2*i, now)}, {User: "user-1", Alert: portalAlert(2*i+1, now)}}
+				tk := h.SubmitBatchAsync(subs, func([]error) { callbacks[i]++ })
+				select {
+				case <-tk.Done():
+				default:
+					t.Errorf("%s: call %d returned an unresolved ticket", when, i)
+					return
+				}
+				for k, err := range tk.Wait() {
+					if !errors.Is(err, ErrNotAccepting) {
+						t.Errorf("%s: call %d entry %d = %v, want ErrNotAccepting", when, i, k, err)
+					}
+				}
+			}
+		}()
+		select {
+		case <-done:
+		case <-time.After(10 * time.Second):
+			t.Fatalf("%s: SubmitBatchAsync blocked on a closed hub", when)
+		}
+		for i, n := range callbacks {
+			if n != 1 {
+				t.Fatalf("%s: call %d ran its callback %d times", when, i, n)
+			}
+		}
+	}
+	closed("before Start")
+	if err := h.Start(); err != nil {
+		t.Fatal(err)
+	}
+	if err := h.Submit("user-0", portalAlert(-1, h.cfg.Clock.Now())); err != nil {
+		t.Fatalf("started hub refused an alert: %v", err)
+	}
+	if err := h.Drain(); err != nil {
+		t.Fatal(err)
+	}
+	closed("after Drain")
 }
 
 // TestSubmitBatchBulkOverload fills a one-shard hub whose deliveries

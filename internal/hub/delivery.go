@@ -1,7 +1,6 @@
 package hub
 
 import (
-	"errors"
 	"sync"
 	"time"
 
@@ -10,7 +9,6 @@ import (
 	"simba/internal/dist"
 	"simba/internal/faults"
 	"simba/internal/outbox"
-	"simba/internal/plog"
 	"simba/internal/timewheel"
 )
 
@@ -22,11 +20,11 @@ func deliveredViaCounter(t addr.Type) string {
 	return "delivered-via-" + string(t)
 }
 
-// userQueue is one tenant's pending deliveries — an intrusive FIFO of
-// envelopes linked through their next pointers — owned by at most one
-// worker goroutine at a time so per-user FIFO is structural, not
-// incidental: a user's next delivery starts only after the previous one
-// (including its retries and WAL mark) has finished. Queue nodes are
+// userQueue is one tenant's pending envelopes — an intrusive FIFO
+// linked through their next pointers — owned by at most one worker
+// goroutine at a time so per-user FIFO is structural, not incidental: a
+// user's next envelope is routed only after the previous one (including
+// its retries and WAL mark) has finished. Queue nodes are
 // pooled; the envelopes themselves carry the links, so chaining a
 // backlog allocates nothing. A chain is born ready — linked through
 // ready into its stage's FIFO of chains waiting for a worker — and is
@@ -39,12 +37,13 @@ type userQueue struct {
 
 var userQueuePool = sync.Pool{New: func() any { return new(userQueue) }}
 
-// deliveryStage is one shard's asynchronous delivery pipeline. The
-// shard loop stays on routing and WAL work; deliveries — the calls into
-// slow external substrates — run here, their channel Sends under a
-// bounded in-flight window, so one stalled Send no longer serializes
-// every tenant hashed to the shard. Ordering contract: deliveries for
-// the same user are chained; deliveries for different users overlap.
+// deliveryStage is one shard generation's alert pipeline: the resolver
+// submits each acknowledged envelope to its user's chain, and the
+// worker that owns the chain routes it (route) and delivers it
+// (perform), its channel Sends under a bounded in-flight window, so one
+// stalled evaluation or Send never serializes every tenant hashed to
+// the shard. Ordering contract: envelopes for the same user are
+// chained; envelopes for different users overlap.
 //
 // A window slot covers a Send, not a delivery: the stage is the
 // executor's core.SendGate, so a worker takes a slot before a block's
@@ -117,62 +116,56 @@ func newDeliveryStage(h *Hub, sh *shard, killed <-chan struct{}) *deliveryStage 
 	return d
 }
 
-// submitBatch hands a burst of routed envelopes to the stage under a
-// single lock acquisition. Called only from the shard loop, so
-// envelopes for one user arrive in routing order; it never blocks —
-// backlog is bounded by the shard's admission depth, whose reservation
-// is held until each delivery completes. A user without a live chain
-// gets one, queued ready; workers the ready chains cannot find among
-// the free ones are launched after the lock is dropped.
-func (d *deliveryStage) submitBatch(envs []*envelope) {
-	spawn := 0
+// submit hands one acknowledged envelope to the stage. Called by the
+// resolver and by replay, each in journal order, so envelopes for one
+// user arrive in staging order; it never blocks — backlog is bounded
+// by the shard's admission depth, whose reservation is held until the
+// envelope finishes. A user without a live chain gets one, queued
+// ready, and a worker if none of the free ones can take it.
+func (d *deliveryStage) submit(env *envelope) {
+	user := env.buddy.user
 	d.mu.Lock()
-	for _, env := range envs {
-		user := env.buddy.user
-		if q, ok := d.users[user]; ok {
-			// The user has a live chain: append to it (per-user FIFO). An
-			// empty chain (its worker is mid-delivery on the last
-			// envelope) restarts from the head — the worker re-checks
-			// under the lock before ending the chain, so the envelope is
-			// seen.
-			if q.head == nil {
-				q.head, q.tail = env, env
-			} else {
-				q.tail.next = env
-				q.tail = env
-			}
-			continue
-		}
-		q := userQueuePool.Get().(*userQueue)
-		q.user, q.head, q.tail = user, env, env
-		d.users[user] = q
-		if n := len(d.users); n > d.peakChains {
-			d.peakChains = n
-		}
-		d.wg.Add(1)
-		if d.readyTail == nil {
-			d.readyHead = q
+	if q, ok := d.users[user]; ok {
+		// The user has a live chain: append to it (per-user FIFO). An
+		// empty chain (its worker is busy with the last envelope)
+		// restarts from the head — the worker re-checks under the lock
+		// before ending the chain, so the envelope is seen.
+		if q.head == nil {
+			q.head = env
 		} else {
-			d.readyTail.ready = q
+			q.tail.next = env
 		}
-		d.readyTail = q
-		d.nready++
-		if d.nready > d.free {
-			d.free++
-			spawn++
-		} else {
-			d.wake.Signal()
-		}
+		q.tail = env
+		d.mu.Unlock()
+		return
 	}
-	d.spawned += spawn
-	d.workers.Add(spawn)
+	q := userQueuePool.Get().(*userQueue)
+	q.user, q.head, q.tail = user, env, env
+	d.users[user] = q
+	d.peakChains = max(d.peakChains, len(d.users))
+	d.wg.Add(1)
+	if d.readyTail == nil {
+		d.readyHead = q
+	} else {
+		d.readyTail.ready = q
+	}
+	d.readyTail = q
+	d.nready++
+	spawn := d.nready > d.free
+	if spawn {
+		d.free++
+		d.spawned++
+		d.workers.Add(1)
+	} else {
+		d.wake.Signal()
+	}
 	d.mu.Unlock()
-	for ; spawn > 0; spawn-- {
+	if spawn {
 		go d.work()
 	}
 }
 
-// work is one worker's life: take the oldest ready chain, drain it
+// work is one worker's life: take the oldest ready chain, route it
 // envelope by envelope, end it — delete its map entry (a churn of
 // one-shot tenants must not grow the users map) and recycle the queue
 // node — and take the next; park when none is ready; exit once the
@@ -209,12 +202,12 @@ func (d *deliveryStage) work() {
 			}
 			d.mu.Unlock()
 			env.next = nil
-			performed := d.perform(env, scr)
-			if performed {
+			handled := d.route(env, scr)
+			if handled {
 				d.sh.beat(d.h.cfg.Clock.Now())
 			}
 			d.mu.Lock()
-			if !performed {
+			if !handled {
 				break // generation killed: the rest of the chain is abandoned with it
 			}
 		}
@@ -237,8 +230,9 @@ func (d *deliveryStage) release() {
 }
 
 // quiesce waits for every live chain to finish and then for the workers
-// to exit. The generation's loop must have stopped (nothing submits any
-// more); after a kill the chains end by abandoning, otherwise by
+// to exit. The generation's intake must be closed under shard.mu first,
+// so nothing submits any more (a submit's wg.Add must not race the
+// Wait); after a kill the chains end by abandoning, otherwise by
 // completing.
 func (d *deliveryStage) quiesce() {
 	d.wg.Wait()
@@ -296,9 +290,10 @@ func (d *deliveryStage) Release() {
 // The routed alert's wire form is encoded once, into envelope-owned
 // storage, and reused by every attempt; the report and a failed
 // attempt's error land in the worker's scratch. An envelope that
-// completes (delivered, dropped, or handed off) recycles into the pool
-// after its DONE is staged; abandoned paths leave recycling to the GC.
-func (d *deliveryStage) perform(env *envelope, scr *core.Scratch) bool {
+// completes (delivered, dropped, or handed off) goes through finish;
+// abandoned paths leave recycling to the GC. handed is when routing
+// ended, the start of the deliver-stage latency split.
+func (d *deliveryStage) perform(env *envelope, scr *core.Scratch, handed time.Time) bool {
 	h := d.h
 	b := env.buddy
 	reg, mode, tier := h.plan(b, env.category)
@@ -330,7 +325,7 @@ func (d *deliveryStage) perform(env *envelope, scr *core.Scratch) bool {
 					// The envelope could not be made durable in the
 					// outbox; leave the WAL entry unprocessed so the next
 					// incarnation replays the alert instead of losing it.
-					h.deliverLat.Observe(h.cfg.Clock.Since(env.handed))
+					h.deliverLat.Observe(h.cfg.Clock.Since(handed))
 					d.sh.release()
 					return true
 				}
@@ -349,7 +344,7 @@ func (d *deliveryStage) perform(env *envelope, scr *core.Scratch) bool {
 			return false // killed mid-backoff
 		}
 	}
-	h.deliverLat.Observe(h.cfg.Clock.Since(env.handed))
+	h.deliverLat.Observe(h.cfg.Clock.Since(handed))
 	if h.fault(FaultBeforeMark, d.sh.id, d.killed) {
 		return false
 	}
@@ -358,12 +353,7 @@ func (d *deliveryStage) perform(env *envelope, scr *core.Scratch) bool {
 		return false // killed after delivery: the duplicate on replay is the dedup contract's case
 	default:
 	}
-	if err := h.wal.MarkProcessedAsync(env.key, h.cfg.Clock.Now()); err != nil && !errors.Is(err, plog.ErrClosed) {
-		h.ctr.markFailed.Add1()
-	}
-	h.latency.Observe(h.cfg.Clock.Since(env.at))
-	d.sh.release()
-	putEnvelope(env)
+	d.finish(env)
 	return true
 }
 

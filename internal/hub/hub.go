@@ -5,20 +5,20 @@
 // restart, timestamp-based duplicate detection downstream) while
 // hosting thousands of users behind a shard table:
 //
-//   - User IDs hash onto K shards. Each shard owns a single-goroutine
-//     event loop and a bounded inbound queue with explicit admission
-//     control: when the queue is full, Submit fails with an
+//   - User IDs hash onto K shards. Each shard has bounded admission:
+//     when its QueueDepth slots are taken, Submit fails with an
 //     OverloadError carrying a retry hint. An alert is never
 //     acknowledged (Submit never returns nil) unless it is durable, and
 //     a durable alert is never silently dropped — it is either routed
 //     and marked processed or replayed by the next incarnation.
-//   - Routing and delivery are pipelined: the shard loop evaluates the
-//     tenant pipeline and stages WAL work, while channel Sends (the
-//     shared mode executor, core.Channel) run in a per-shard delivery
-//     stage — a bounded in-flight window of workers with capped,
-//     jittered retry backoff. Alerts for the same user are
-//     chained (per-user FIFO), alerts for different users overlap, so a
-//     slow delivery stalls one tenant's chain instead of the shard.
+//   - A shard is its delivery stage: each acknowledged alert joins its
+//     user's chain, and the worker that owns the chain runs the buddy's
+//     pipeline on it — classify, aggregate, filter, then deliver through
+//     the shared mode executor (core.Channel Sends under a bounded
+//     in-flight window, capped and jittered retry backoff). Alerts for
+//     the same user are chained (per-user FIFO), alerts for different
+//     users overlap, so a slow evaluation or delivery stalls one
+//     tenant's chain instead of the shard.
 //   - Durability is one WAL writer with many stagers: every shard
 //     stages its RECV and DONE records into one plog.Log, whose single
 //     committer writes each backlog with one write and one fsync — a
@@ -35,10 +35,10 @@
 //   - On restart the journal's unprocessed records are replayed, in
 //     log order (so per-user order holds), through the rebuilt buddies
 //     before the hub accepts new traffic.
-//   - Per-shard queue depths, admission rejects, commit-batch sizes,
-//     and end-to-end routing latency are exposed via internal/metrics;
-//     Drain stops intake, lets the shards finish their queues, and
-//     flushes the WAL.
+//   - Per-shard admission depths, admission rejects, commit-batch
+//     sizes, and end-to-end routing latency are exposed via
+//     internal/metrics; Drain stops intake, lets the shards finish
+//     their chains, and flushes the WAL.
 package hub
 
 import (
@@ -64,8 +64,8 @@ import (
 const (
 	// DefaultShards is the shard count when Config.Shards is zero.
 	DefaultShards = 4
-	// DefaultQueueDepth bounds each shard's inbound queue (covering
-	// both queued and in-admission alerts).
+	// DefaultQueueDepth bounds each shard's admitted-but-unfinished
+	// alerts (in admission, chained, or in delivery).
 	DefaultQueueDepth = 256
 	// DefaultDeliveryWindow bounds each shard's concurrent channel
 	// Sends.
@@ -87,8 +87,8 @@ const (
 	// DefaultQuiesceTimeout bounds how long a graceful shard
 	// rejuvenation waits for the shard's admitted work to drain before
 	// escalating to a kill+replay restart; it also bounds how long a
-	// kill+replay restart waits for the abandoned generation's loop and
-	// delivery workers to stop before scanning the WAL.
+	// kill+replay restart waits for the abandoned generation's workers
+	// to stop before scanning the WAL.
 	DefaultQuiesceTimeout = 5 * time.Second
 )
 
@@ -102,11 +102,6 @@ const (
 	// DefaultLatencyReservoir bounds each latency recorder's sample
 	// memory on million-alert runs.
 	DefaultLatencyReservoir = 4096
-	// DefaultRouteBatch caps how many queued envelopes a shard loop
-	// drains and evaluates per wakeup: reject/filter verdicts from one
-	// drain stage their WAL DONE records as a single batch and delivery
-	// jobs are handed off under one delivery-stage lock acquisition.
-	DefaultRouteBatch = 64
 	// DefaultAsyncInFlight caps the hub-wide number of unresolved
 	// SubmitBatchAsync tickets — the pipelined ingest path's
 	// backpressure: an async submitter past the cap blocks until a
@@ -162,17 +157,19 @@ const (
 	// senders are acknowledged — and none of it is enqueued yet; the next
 	// incarnation must cover the burst by replay.
 	FaultAfterBatchFsync FaultPoint = iota
-	// FaultRoute: the top of a shard loop's routing batch, before any
-	// envelope is touched.
+	// FaultRoute: a worker has taken an envelope off its user's chain
+	// and not yet evaluated the tenant's pipeline on it; a wedge here
+	// stalls that chain only, and a kill abandons the envelope and the
+	// rest of its chain to replay.
 	FaultRoute
 	// FaultAfterOutboxPut: the guaranteed-tier handoff window — a
-	// delivery worker has persisted an exhausted envelope to the outbox
+	// worker has persisted an exhausted envelope to the outbox
 	// and not yet retired the ingest WAL entry, so both logs own the
 	// alert; the duplicate on replay is the dedup contract's case.
 	FaultAfterOutboxPut
-	// FaultBeforeMark: a delivery worker has executed a delivery and not
-	// yet marked the alert processed — the paper's crash between routing
-	// and marking, inside the asynchronous delivery stage.
+	// FaultBeforeMark: a worker has executed a delivery and not yet
+	// marked the alert processed — the paper's crash between routing and
+	// marking.
 	FaultBeforeMark
 )
 
@@ -182,7 +179,7 @@ func (p FaultPoint) String() string {
 	case FaultAfterBatchFsync:
 		return "between batch fsync and enqueue"
 	case FaultRoute:
-		return "at the top of a routing batch"
+		return "before routing an alert"
 	case FaultAfterOutboxPut:
 		return "between outbox put and mark-processed"
 	case FaultBeforeMark:
@@ -228,7 +225,7 @@ type Config struct {
 	WALPath string
 	// Shards is the shard-table size; zero means DefaultShards.
 	Shards int
-	// QueueDepth bounds each shard's inbound queue; zero means
+	// QueueDepth bounds each shard's admitted-but-unfinished alerts; zero means
 	// DefaultQueueDepth.
 	QueueDepth int
 	// CommitWindow is the group-commit window's upper bound (wall
@@ -288,8 +285,9 @@ type Config struct {
 	// FaultAfterBatchFsync, whose burst may span shards) and the kill
 	// signal of what is running there — the shard generation's, or the
 	// hub's. A true reply kills the whole hub at that point, once,
-	// journaled; a call that blocks wedges the caller exactly where a
-	// stuck stage would, and watching killed lets the wedge clear when a
+	// journaled; a call that blocks wedges the caller — the resolver, or
+	// the worker that owns one tenant's chain — exactly where a stuck
+	// stage would, and watching killed lets the wedge clear when a
 	// supervisor kills the generation. Must be safe for concurrent
 	// calls. Optional.
 	Fault func(p FaultPoint, shard int, killed <-chan struct{}) (crash bool)
@@ -363,9 +361,9 @@ type Hub struct {
 	deliveredVia map[addr.Type]*metrics.Counter
 
 	latency *metrics.Recorder
-	// Per-stage latency split: time in the shard inbound queue, pipeline
-	// evaluation on the shard loop, and handoff → delivery completion
-	// (chain/window wait + sink attempts + backoff).
+	// Per-stage latency split: ack → a worker takes the envelope off
+	// its chain, pipeline evaluation on that worker, and evaluation →
+	// delivery completion (window wait + sink attempts + backoff).
 	queueWait  *metrics.Recorder
 	routeLat   *metrics.Recorder
 	deliverLat *metrics.Recorder
@@ -497,9 +495,9 @@ func New(cfg Config) (*Hub, error) {
 	}
 	h.shards = make([]*shard, cfg.Shards)
 	for i := range h.shards {
-		// The shard's generation 1 — queue, loop latches, delivery stage
-		// — is built by Start; the shard itself carries only what
-		// survives restarts.
+		// The shard's generation 1 — kill signal, delivery stage — is
+		// built by Start; the shard itself carries only what survives
+		// restarts.
 		h.shards[i] = newShard(i, cfg.QueueDepth, cfg.RNG.Fork(fmt.Sprintf("hub-shard-%d", i)))
 	}
 	if cfg.OutboxPath != "" {

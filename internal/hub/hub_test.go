@@ -77,9 +77,9 @@ func crashAt(point FaultPoint, flag *faults.Flag) func(FaultPoint, int, <-chan s
 	return func(p FaultPoint, _ int, _ <-chan struct{}) bool { return p == point && flag.Active() }
 }
 
-// routeGate wedges routing batches for wedgeAt: while armed, a batch
-// that reaches FaultRoute reports on hit and parks until the gate is
-// released or the batch's generation is killed.
+// routeGate wedges routing for wedgeAt: while armed, a worker whose
+// envelope reaches FaultRoute reports on hit and parks until the gate
+// is released or the worker's generation is killed.
 type routeGate struct {
 	mu   sync.Mutex
 	hold chan struct{} // non-nil while armed
@@ -94,7 +94,7 @@ func (g *routeGate) arm() {
 	g.mu.Unlock()
 }
 
-// disarm stops further batches from parking; one already parked stays
+// disarm stops further workers from parking; one already parked stays
 // parked until its generation is killed.
 func (g *routeGate) disarm() {
 	g.mu.Lock()
@@ -102,7 +102,7 @@ func (g *routeGate) disarm() {
 	g.mu.Unlock()
 }
 
-// release disarms and lets every parked batch go on.
+// release disarms and lets every parked worker go on.
 func (g *routeGate) release() {
 	g.mu.Lock()
 	close(g.hold)
@@ -110,7 +110,7 @@ func (g *routeGate) release() {
 	g.mu.Unlock()
 }
 
-// wedgeAt is a Config.Fault that parks shard's routing batches (every
+// wedgeAt is a Config.Fault that parks shard's routing steps (every
 // shard's when shard is negative) at gate.
 func wedgeAt(shard int, gate *routeGate) func(FaultPoint, int, <-chan struct{}) bool {
 	return func(p FaultPoint, id int, killed <-chan struct{}) bool {
@@ -289,7 +289,7 @@ func TestHubBackpressureRejectsBeforeLogging(t *testing.T) {
 	if err := h.Start(); err != nil {
 		t.Fatal(err)
 	}
-	// Fill the queue (the loop blocks on the gated sink), then overfill.
+	// Fill the admission slots (the chain blocks on the gated sink), then overfill.
 	var acked []*alert.Alert
 	var overloads int
 	for i := 0; i < 10; i++ {

@@ -138,26 +138,12 @@ func (t *Ticket) Wait() []error {
 // SubmitBatch reports them. A commit whose write or fsync fails NACKs
 // every entry the burst staged.
 func (h *Hub) SubmitBatchAsync(subs []Submission, onCommitted func(errs []error)) *Ticket {
-	if !h.accepting.Load() {
-		return h.rejectedTicket(subs, onCommitted)
+	// A closed hub takes no slot: submit answers it without blocking.
+	sem := h.accepting.Load()
+	if sem {
+		h.asyncSem <- struct{}{}
 	}
-	h.asyncSem <- struct{}{}
-	if !h.accepting.Load() {
-		<-h.asyncSem
-		return h.rejectedTicket(subs, onCommitted)
-	}
-	return h.submit(subs, onCommitted, true)
-}
-
-// rejectedTicket resolves a whole burst with ErrNotAccepting without
-// touching the ingest path.
-func (h *Hub) rejectedTicket(subs []Submission, onCommitted func([]error)) *Ticket {
-	t := &Ticket{errs: make([]error, len(subs)), done: make(chan struct{}), onCommitted: onCommitted}
-	for i := range t.errs {
-		t.errs[i] = ErrNotAccepting
-	}
-	h.finishTicket(t)
-	return t
+	return h.submit(subs, onCommitted, sem)
 }
 
 // SubmitBatch offers a burst of alerts, amortizing the ingest path's
@@ -183,20 +169,14 @@ func (h *Hub) SubmitBatch(subs []Submission) []error {
 	if len(subs) == 0 {
 		return nil
 	}
-	if !h.accepting.Load() {
-		errs := make([]error, len(subs))
-		for i := range errs {
-			errs[i] = ErrNotAccepting
-		}
-		return errs
-	}
 	return h.submit(subs, nil, false).Wait()
 }
 
 // submit is the shared staging half of SubmitBatch/SubmitBatchAsync:
 // stage the burst and hand its Ticket to the resolver, which waits out
 // commits in staging order and completes the ack + deferred enqueue. A
-// burst that staged nothing resolves synchronously here.
+// burst that staged nothing — a closed hub's included, whose every
+// entry is ErrNotAccepting — resolves synchronously here.
 func (h *Hub) submit(subs []Submission, onCommitted func([]error), sem bool) *Ticket {
 	errs := make([]error, len(subs))
 	t := &Ticket{errs: errs, done: make(chan struct{}), onCommitted: onCommitted, sem: sem}

@@ -14,10 +14,10 @@ import (
 	"simba/internal/plog"
 )
 
-// Start launches the shard loops, starts the outbox redelivery loop
-// over the envelopes it recovered, replays every user's unprocessed
-// WAL entries through their rebuilt buddies, and only then opens
-// admission. Recovery ordering: the outbox starts before the WAL
+// Start publishes every shard's first generation, starts the outbox
+// redelivery loop over the envelopes it recovered, replays every user's
+// unprocessed WAL entries through their rebuilt buddies, and only then
+// opens admission. Recovery ordering: the outbox starts before the WAL
 // replay is enqueued — an alert that crashed inside the handoff window
 // is owed by both logs, and scheduling the outbox's (older, already
 // attempt-exhausted) copy first means its redelivery is never starved
@@ -32,7 +32,7 @@ func (h *Hub) Start() error {
 	h.started = true
 	h.mu.Unlock()
 	for _, sh := range h.shards {
-		if !h.publishGen(sh, h.openGen(sh, 1, nil), false) {
+		if !h.publishGen(sh, h.openGen(sh, 1, nil)) {
 			return ErrNotAccepting
 		}
 		sh.setState(ShardRunning)
@@ -122,7 +122,7 @@ func (h *Hub) replayable(rec plog.Record, only *shard) (r replayRec, ok bool) {
 
 // replay re-enqueues the WAL's unprocessed entries in log order (exact
 // per-user order). Runs before admission opens, so replayed alerts are
-// routed ahead of new traffic.
+// chained ahead of new traffic.
 func (h *Hub) replay() {
 	for _, rec := range h.wal.Unprocessed() {
 		if r, ok := h.replayable(rec, nil); ok {
@@ -132,8 +132,9 @@ func (h *Hub) replay() {
 }
 
 // requeue admits one replayed record to sh's current generation, whose
-// loop must be live and draining — so the blocking reservation cannot
-// wedge — as it is at startup and after a restart's generation swap.
+// workers must be live and draining — so the blocking reservation
+// cannot wedge — as they are at startup and after a restart's
+// generation swap.
 func (h *Hub) requeue(sh *shard, r *replayRec) {
 	h.journal(faults.KindReplay, "shard %d: replaying unprocessed alert %s for %s", sh.id, r.a.DedupKey(), r.b.user)
 	h.counters.Add1("replayed")
@@ -144,13 +145,13 @@ func (h *Hub) requeue(sh *shard, r *replayRec) {
 }
 
 // Kill abruptly terminates the hub, simulating a crash: admission stops
-// immediately, shard loops abandon their queues, and the delivery stage
-// abandons its in-flight window (delivered-but-unmarked alerts stay
-// unprocessed in the WAL for the next incarnation to replay — the
-// documented duplicate of the dedup contract). Teardown completes
-// asynchronously — wait on Stopped() before reopening the WAL path.
-// Kill is safe to call from inside a shard loop or delivery worker (the
-// fault-injection path does exactly that).
+// immediately and every delivery stage abandons its chains and its
+// in-flight window (delivered-but-unmarked alerts stay unprocessed in
+// the WAL for the next incarnation to replay — the documented duplicate
+// of the dedup contract). Teardown completes asynchronously — wait on
+// Stopped() before reopening the WAL path. Kill is safe to call from
+// inside the resolver or a delivery worker (the fault-injection path
+// does exactly that).
 func (h *Hub) Kill() {
 	h.killOnce.Do(func() {
 		h.accepting.Store(false)
@@ -163,24 +164,15 @@ func (h *Hub) Kill() {
 	})
 }
 
-// Stopped is closed once the hub has fully shut down (loops exited, WAL
-// flushed and closed).
+// Stopped is closed once the hub has fully shut down (stages retired,
+// WAL flushed and closed).
 func (h *Hub) Stopped() <-chan struct{} { return h.stopped }
 
-// shutdown waits for the loops, quiesces the delivery stages (unless
-// killed, in which case in-flight deliveries are abandoned), and closes
-// the WAL. Runs at most once.
+// shutdown quiesces the delivery stages (unless killed, in which case
+// chained and in-flight work is abandoned) and closes the WAL. Runs at
+// most once.
 func (h *Hub) shutdown() {
 	h.stopOnce.Do(func() {
-		// Wait for each shard's CURRENT generation loop — not a global
-		// WaitGroup over every loop ever started — so a generation
-		// abandoned by an earlier targeted restart (possibly still
-		// wedged) cannot block the whole process's shutdown.
-		for _, sh := range h.shards {
-			if g := sh.current(); g != nil {
-				<-g.done
-			}
-		}
 		var outboxErr error
 		select {
 		case <-h.killed:
@@ -194,12 +186,14 @@ func (h *Hub) shutdown() {
 				h.outbox.Kill()
 			}
 		default:
-			// Graceful drain: the shard loops have exited, so no new
-			// jobs can reach the stages; wait for every in-flight and
-			// chained delivery to complete and stage its DONE record
-			// (guaranteed-tier exhaustions hand off to the outbox, so
-			// the stages must quiesce before the outbox closes). Still-
-			// pending envelopes stay durable for the next incarnation.
+			// Graceful drain: Drain closed every current generation's
+			// intake, so nothing new reaches the stages; wait for every
+			// chained and in-flight envelope to finish and stage its DONE
+			// record (guaranteed-tier exhaustions hand off to the outbox,
+			// so the stages must quiesce before the outbox closes). Only
+			// current generations are waited on: one abandoned by an
+			// earlier restart (possibly still wedged) cannot block
+			// shutdown.
 			for _, sh := range h.shards {
 				if g := sh.current(); g != nil {
 					g.delivery.quiesce()
@@ -215,9 +209,9 @@ func (h *Hub) shutdown() {
 }
 
 // Drain gracefully shuts the hub down: admission stops with
-// ErrNotAccepting, every shard finishes its queue, the delivery stages
-// complete their in-flight and chained deliveries, and the WAL is
-// flushed and closed. Taking each shard's lifecycle lock first means a
+// ErrNotAccepting, every shard's intake closes, the delivery stages
+// finish their chained and in-flight envelopes, and the WAL is flushed
+// and closed. Taking each shard's lifecycle lock first means a
 // restart or rejuvenation in flight finishes (or aborts) before its
 // shard is closed — Drain never tears a generation swap in half.
 func (h *Hub) Drain() error {
@@ -261,17 +255,19 @@ func (h *Hub) RestartShard(id int, reason string) error {
 // restartLocked is the kill+replay restart; the caller holds
 // sh.lifeMu. Ordering is load-bearing:
 //
-//  1. Close admission (state Restarting) and kill the old generation.
-//  2. Wait (bounded) for the old loop and delivery workers to stop, so
-//     a straggler cannot mark a record processed after the scan below
+//  1. Close admission (state Restarting), then close the old
+//     generation's intake and kill it — intake first, so no submit's
+//     wg.Add can race the wait below.
+//  2. Wait (bounded) for the old delivery workers to stop, so a
+//     straggler cannot mark a record processed after the scan below
 //     decided to replay it.
 //  3. Scan the WAL for the shard's unprocessed records. The scan also
 //     becomes the new generation's suppression set: a submitter that
 //     reserved before the kill and enqueues after the swap would
 //     otherwise double-route a record the replay owns.
-//  4. Publish the new generation and start its loop, reset the
-//     admission gauge (abandoned reservations died with the old
-//     generation; nothing can reserve until step 5).
+//  4. Publish the new generation, reset the admission gauge (abandoned
+//     reservations died with the old generation; nothing can reserve
+//     until step 5).
 //  5. Re-enqueue the backlog, then reopen admission.
 func (h *Hub) restartLocked(sh *shard, reason string) error {
 	select {
@@ -283,31 +279,21 @@ func (h *Hub) restartLocked(sh *shard, reason string) error {
 		return fmt.Errorf("hub: shard %d not restartable in state %s", sh.id, st)
 	}
 	sh.setState(ShardRestarting)
-	old := sh.current()
-	old.kill()
+	old := sh.killCurrent()
 	h.journal(faults.KindDaemonRestart, "shard %d: killing generation %d: %s", sh.id, old.n, reason)
 
-	bounded := func(c <-chan struct{}) bool {
-		select {
-		case <-c:
-			return true
-		case <-time.After(h.cfg.QuiesceTimeout):
-			return false
-		}
-	}
-	loopStopped := bounded(old.done)
-	workers := make(chan struct{})
-	go func() { old.delivery.quiesce(); close(workers) }()
-	workersStopped := bounded(workers)
-	if !loopStopped || !workersStopped {
+	stopped := make(chan struct{})
+	go func() { old.delivery.quiesce(); close(stopped) }()
+	select {
+	case <-stopped:
+	case <-time.After(h.cfg.QuiesceTimeout):
 		// A truly stuck goroutine (blocked inside a pipeline stage or a
 		// delivery substrate, deaf to the kill) is abandoned for good.
 		// If it later completes and marks a record the scan already
 		// replayed, the downstream timestamp dedup absorbs the
 		// duplicate — the documented contract for every crash window.
-		h.journal(faults.KindUnrecovered,
-			"shard %d: generation %d did not stop within %v (loop stopped: %v, workers stopped: %v); replaying anyway",
-			sh.id, old.n, h.cfg.QuiesceTimeout, loopStopped, workersStopped)
+		h.journal(faults.KindUnrecovered, "shard %d: generation %d did not stop within %v; replaying anyway",
+			sh.id, old.n, h.cfg.QuiesceTimeout)
 	}
 
 	var backlog []replayRec
@@ -320,7 +306,7 @@ func (h *Hub) restartLocked(sh *shard, reason string) error {
 	}
 
 	next := h.openGen(sh, old.n+1, suppress)
-	if !h.publishGen(sh, next, false) {
+	if !h.publishGen(sh, next) {
 		return ErrNotAccepting
 	}
 	// Reservations admitted by the dead generation died with it; a
@@ -342,8 +328,8 @@ func (h *Hub) restartLocked(sh *shard, reason string) error {
 }
 
 // RejuvenateShard gracefully recycles shard id: admission closes, the
-// admitted work drains to zero, and a fresh generation — new queue,
-// new delivery stage, new timer wheel — takes over with no replay and
+// admitted work drains to zero, and a fresh generation — new delivery
+// stage, new timer wheel — takes over with no replay and
 // no duplicate risk. Because nothing is admitted mid-swap, every
 // envelope completes in its original admission order, so per-user
 // delivery order is preserved exactly. A quiesce that exceeds
@@ -364,10 +350,10 @@ func (h *Hub) RejuvenateShard(id int) error {
 		return fmt.Errorf("hub: shard %d not rejuvenatable in state %s", sh.id, st)
 	}
 	sh.setState(ShardQuiescing)
-	// depth counts queued + in-delivery + mid-admission work, and
+	// depth counts chained + in-delivery + mid-admission work, and
 	// Quiescing blocks new reservations, so zero means the shard is
-	// fully idle — nothing in the queue, no delivery in flight, no
-	// submitter between reservation and enqueue.
+	// fully idle — nothing chained, no delivery in flight, no submitter
+	// between reservation and enqueue.
 	deadline := time.Now().Add(h.cfg.QuiesceTimeout)
 	for sh.depth.Load() > 0 {
 		if time.Now().After(deadline) {
@@ -380,13 +366,13 @@ func (h *Hub) RejuvenateShard(id int) error {
 	}
 	old := sh.current()
 	next := h.openGen(sh, old.n+1, nil)
-	if !h.publishGen(sh, next, true) {
+	if !h.publishGen(sh, next) {
 		return ErrNotAccepting
 	}
-	// The old loop drains its empty queue and exits; its delivery stage
-	// is already idle. Retiring both before reopening admission keeps
-	// "one generation with work per shard" unconditional on this path.
-	<-old.done
+	// publishGen closed the old generation's intake; its stage is idle
+	// but for chains ending after their last release. Retiring it before
+	// reopening admission keeps "one generation with work per shard"
+	// unconditional on this path.
 	old.delivery.quiesce()
 	sh.rejuvenations.Add(1)
 	sh.setState(ShardRunning)

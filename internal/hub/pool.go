@@ -9,16 +9,16 @@ import (
 )
 
 // envelope is one admitted alert riding the hub, pooled and recycled.
-// An envelope is born in SubmitBatch (or replay), crosses the shard
-// queue, and either finishes on the shard loop (reject/filter verdict)
-// or becomes the delivery stage's job — the routed category, handoff
-// time, and per-user FIFO link live inline, so routing hands delivery
-// a pointer instead of building a separate job value.
+// An envelope is born in SubmitBatch (or replay), joins its user's
+// chain in the shard's delivery stage, and is routed and then finished
+// (reject/filter verdict) or delivered by the worker that owns the
+// chain — the routed category and the per-user FIFO link live inline,
+// so nothing builds a separate job value.
 //
 // Lifecycle/recycling contract: an envelope returns to the pool only
-// after its WAL DONE record has been staged and its admission slot
-// released — the one point where no other component can still reach
-// it. Abandoned envelopes (kill, crash injection, failed
+// in finish, after its WAL DONE record has been staged and its
+// admission slot released — the one point where no other component can
+// still reach it. Abandoned envelopes (kill, crash injection, failed
 // outbox handoff that leaves the WAL entry live) are NOT recycled; the
 // pool is best-effort and the GC reclaims them. The alert value, its
 // keyword backing, and the wire-form payload are envelope-owned
@@ -33,10 +33,9 @@ type envelope struct {
 	key   string
 	at    time.Time // admission time, for end-to-end latency
 
-	// Delivery-stage fields, valid once the shard loop routes the
-	// envelope.
-	category string    // routing category, selects the tenant's subscribed delivery mode
-	handed   time.Time // when routing handed the job off, for the deliver-stage latency split
+	// category is the routing category, valid once the envelope is
+	// routed; it selects the tenant's subscribed delivery mode.
+	category string
 
 	// Envelope-owned reusable storage.
 	payload []byte    // wire form: the submitted alert at ingest, the routed alert during delivery
@@ -119,7 +118,6 @@ func (e *envelope) fill(b *Buddy, a *alert.Alert, key string, at time.Time) {
 	e.key = key
 	e.at = at
 	e.category = ""
-	e.handed = time.Time{}
 	e.next = nil
 }
 
@@ -158,5 +156,4 @@ func (e *envelope) poison() {
 	e.category = poisonSentinel
 	e.kw[0] = poisonSentinel
 	e.at = time.Unix(-1<<40, 0)
-	e.handed = time.Unix(-1<<40, 0)
 }

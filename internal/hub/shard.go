@@ -17,11 +17,11 @@ type ShardState int32
 
 // Shard lifecycle states.
 const (
-	// ShardIdle: created, loop not yet launched.
+	// ShardIdle: created, no generation published yet.
 	ShardIdle ShardState = iota
-	// ShardRunning: loop live, admission open.
+	// ShardRunning: generation live, admission open.
 	ShardRunning
-	// ShardQuiescing: admission closed, draining queued and in-flight
+	// ShardQuiescing: admission closed, draining chained and in-flight
 	// work for a graceful rejuvenation.
 	ShardQuiescing
 	// ShardRestarting: the current generation was killed; the next one
@@ -65,31 +65,24 @@ func (s *ShardState) UnmarshalText(text []byte) error {
 }
 
 // shardGen is one incarnation of a shard's restartable machinery: the
-// inbound queue, the kill signal, the loop-exit latch, and the delivery
-// stage. Killing a shard abandons its generation wholesale — a wedged
-// loop or a stuck delivery worker keeps the dead generation, while the
-// replacement generation gets fresh channels and a fresh stage, so the
-// two can never share a queue or a timer wheel.
+// kill signal and the delivery stage. Killing a shard abandons its
+// generation wholesale — a wedged or stuck worker keeps the dead
+// generation, while the replacement generation gets a fresh signal and
+// a fresh stage, so the two can never share a chain or a timer wheel.
 type shardGen struct {
 	n int64 // generation number, monotone per shard
 
-	q chan *envelope
-	// killed is closed to abandon the generation: the loop exits, the
-	// delivery workers abandon their chains and exit, and everything
-	// undone stays unprocessed in the WAL for replay. Hub-wide Kill closes
-	// the current generation of every shard; a targeted restart closes
-	// one.
+	// killed is closed to abandon the generation: the delivery workers
+	// abandon their chains and exit, and everything undone stays
+	// unprocessed in the WAL for replay. Hub-wide Kill closes the current
+	// generation of every shard; a targeted restart closes one.
 	killed   chan struct{}
 	killOnce sync.Once
-	// done is closed when the generation's loop goroutine has exited —
-	// the drain path waits on it instead of a process-wide WaitGroup so
-	// an abandoned (possibly wedged) old generation cannot block
-	// shutdown.
-	done chan struct{}
 
 	delivery *deliveryStage
 
-	// closed marks the queue closed for intake; guarded by shard.mu.
+	// closed marks the generation closed for intake; guarded by
+	// shard.mu, and set before anything waits on the stage.
 	closed bool
 
 	// replaySuppress is the set of WAL keys this generation replayed at
@@ -114,16 +107,15 @@ func (g *shardGen) kill() {
 	})
 }
 
-// shard owns a single-goroutine event loop and a bounded inbound
-// queue. depth counts admitted-but-unfinished alerts (queued plus the
-// one being processed plus those mid-admission waiting on the WAL), so
-// reservation happens before the pessimistic log and a reserved slot
-// guarantees the later enqueue cannot block or drop.
+// shard is a partition of the tenants with bounded admission. depth
+// counts admitted-but-unfinished alerts (chained, being routed or
+// delivered, and mid-admission waiting on the WAL), so reservation
+// happens before the pessimistic log and a reserved slot guarantees
+// the later enqueue cannot block or drop.
 //
-// The loop, queue, and delivery stage live in the current shardGen;
-// the shard itself carries only what must survive a restart: the
-// admission gauge, the lifecycle state, the progress heartbeat, and
-// the restart counters.
+// The delivery stage lives in the current shardGen; the shard itself
+// carries only what must survive a restart: the admission gauge, the
+// lifecycle state, the progress heartbeat, and the restart counters.
 type shard struct {
 	id  int
 	cap int64
@@ -141,7 +133,7 @@ type shard struct {
 	// thing that wedged it.
 	state    atomic.Int32 // ShardState
 	gen      atomic.Int64 // current generation number
-	progress atomic.Int64 // unix nanos of the last loop/delivery progress beat
+	progress atomic.Int64 // unix nanos of the last worker progress beat
 
 	restarts      atomic.Int64 // kill+replay restarts
 	rejuvenations atomic.Int64 // graceful recycles
@@ -170,19 +162,6 @@ func newShard(id, queueDepth int, rng *dist.RNG) *shard {
 	}
 }
 
-// newGen builds the shard's next generation (queue capacity matches
-// admission capacity, so a held reservation guarantees a non-blocking
-// enqueue). The caller publishes it under mu.
-func (s *shard) newGen(n int64, suppress map[string]struct{}) *shardGen {
-	return &shardGen{
-		n:              n,
-		q:              make(chan *envelope, s.cap),
-		killed:         make(chan struct{}),
-		done:           make(chan struct{}),
-		replaySuppress: suppress,
-	}
-}
-
 // current returns the live generation.
 func (s *shard) current() *shardGen {
 	s.mu.RLock()
@@ -190,9 +169,9 @@ func (s *shard) current() *shardGen {
 	return s.cur
 }
 
-// beat records loop/delivery progress at now. Probes compare this
-// against the staleness budget; it is the only supervision cost on the
-// hot path (one atomic store per routed batch / completed delivery).
+// beat records worker progress at now. Probes compare this against the
+// staleness budget; it is the only supervision cost on the hot path
+// (one atomic store per finished envelope).
 func (s *shard) beat(now time.Time) { s.progress.Store(now.UnixNano()) }
 
 // lastProgress returns the most recent beat (zero time if none).
@@ -283,7 +262,7 @@ func (s *shard) reserveN(n int64) int64 {
 
 // reserveBlocking claims a slot, waiting for one to free up,
 // regardless of lifecycle state. Only used by replay, while the
-// generation's loop is guaranteed to be draining.
+// generation's workers are guaranteed to be draining.
 func (s *shard) reserveBlocking() {
 	for !s.reserveSlot() {
 		time.Sleep(time.Millisecond)
@@ -317,21 +296,21 @@ func (s *shard) notePeak(d int64) {
 	}
 }
 
-// enqueue hands an admitted envelope to the current generation's loop.
-// The caller must hold a reservation, so the buffered send cannot
-// block; the read lock fences against close and generation swap so a
-// graceful drain never races a send. replayed marks the replay path's
-// own copies, which skip the suppression check — they are exactly the
-// keys in the suppression set.
+// enqueue hands an admitted envelope to the current generation's
+// delivery stage. The caller holds a reservation, so nothing blocks;
+// the read lock fences against close and generation swap, so once
+// intake is closed no submit can reach a stage something waits on.
+// replayed marks the replay path's own copies, which skip the
+// suppression check — they are exactly the keys in the suppression set.
 func (s *shard) enqueue(env *envelope, replayed bool) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	g := s.cur
 	if g == nil || g.closed {
-		// Drain (or a kill+replay restart) raced us after reservation:
-		// the alert is durable and unmarked, so the next incarnation —
-		// of the shard or of the process — replays it. Nothing is
-		// silently lost.
+		// Drain, Kill or a kill+replay restart raced us after
+		// reservation: the alert is durable and unmarked, so the next
+		// incarnation — of the shard or of the process — replays it.
+		// Nothing is silently lost.
 		s.release()
 		return
 	}
@@ -345,28 +324,28 @@ func (s *shard) enqueue(env *envelope, replayed bool) {
 			return
 		}
 	}
-	g.q <- env
+	g.delivery.submit(env)
 }
 
-// closeIntake ends the current generation's intake for a graceful
-// drain; the loop exits after the queue empties.
-func (s *shard) closeIntake() {
+// closeIntake ends the current generation's intake and returns the
+// generation (nil before Start). Once it returns no submit can reach
+// the generation's stage, so the stage may be quiesced.
+func (s *shard) closeIntake() *shardGen {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.cur != nil && !s.cur.closed {
+	if s.cur != nil {
 		s.cur.closed = true
-		close(s.cur.q)
 	}
+	return s.cur
 }
 
-// killCurrent abandons the current generation (hub-wide Kill).
-func (s *shard) killCurrent() {
-	s.mu.RLock()
-	g := s.cur
-	s.mu.RUnlock()
+// killCurrent closes the current generation's intake, then abandons it.
+func (s *shard) killCurrent() *shardGen {
+	g := s.closeIntake()
 	if g != nil {
 		g.kill()
 	}
+	return g
 }
 
 const (

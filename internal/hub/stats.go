@@ -69,12 +69,13 @@ type StageLatencies struct {
 	// Admission is submit → burst durable (ticket resolved): the
 	// group-commit wait the adaptive scheduler is minimizing.
 	Admission metrics.Summary
-	// QueueWait is admission → dequeued by the shard loop.
+	// QueueWait is ack → a worker takes the envelope off its user's
+	// chain (chain and worker wait).
 	QueueWait metrics.Summary
-	// Route is the pipeline evaluation on the shard loop.
+	// Route is the pipeline's Evaluate on that worker.
 	Route metrics.Summary
-	// Deliver is handoff → delivery completion: per-user chain wait,
-	// window wait, sink attempts, and retry backoff.
+	// Deliver is evaluation → delivery completion: window wait, sink
+	// attempts, and retry backoff.
 	Deliver metrics.Summary
 }
 
@@ -91,7 +92,7 @@ func (h *Hub) Stages() StageLatencies {
 // ShardStat is one shard's observability snapshot.
 type ShardStat struct {
 	Shard     int
-	Depth     int // current queued + in-admission + in-delivery alerts
+	Depth     int // current in-admission + chained + in-delivery alerts
 	PeakDepth int
 	// InFlight / PeakInFlight count the delivery stage's concurrent
 	// channel Sends (bounded by DeliveryWindow).

@@ -14,8 +14,8 @@ import (
 )
 
 // TestHubWedgedShardAutoRecovers is the tentpole fault test: a fault
-// hook wedges one shard's route loop mid-batch, sibling shards keep
-// delivering while it hangs, and the supervision plane detects the
+// hook wedges one shard's only busy worker before it routes, sibling
+// shards keep delivering while it hangs, and the supervision plane detects the
 // stall from the shard's stale progress beat, kills the generation,
 // and replays its WAL backlog — with the wedged alert delivered exactly
 // once and a visible generation bump.
@@ -62,8 +62,8 @@ func TestHubWedgedShardAutoRecovers(t *testing.T) {
 		t.Fatalf("user spread left a shard empty (target %q, %d siblings)", targetUser, len(siblingUsers))
 	}
 
-	// Wedge shard 0 on an admitted alert: the route loop dequeues it and
-	// hangs, leaving it logged but unprocessed.
+	// Wedge shard 0 on an admitted alert: the worker owning its chain
+	// takes it and hangs, leaving it logged but unprocessed.
 	gate.arm()
 	wedgeAlert := portalAlert(0, clk.Now())
 	wedgeAlert.ID = "a-wedged"
@@ -167,6 +167,63 @@ func TestHubWedgedShardAutoRecovers(t *testing.T) {
 	}
 	if j.CountMatching(faults.KindDaemonRestart, `check "shard-0 progress"`) != 1 {
 		t.Fatal("check-driven restart not journaled by RestartShard")
+	}
+}
+
+// TestHubWedgedEvaluationStallsOnlyItsChain: an evaluation wedged at
+// FaultRoute holds its own tenant's chain, not the shard — another
+// tenant on the same shard is still delivered, as it would be behind a
+// slow Send.
+func TestHubWedgedEvaluationStallsOnlyItsChain(t *testing.T) {
+	gate := newRouteGate()
+	sink := newCountingSink(nil)
+	h := newTestHub(t, Config{
+		Channels: sinkChannels(sink.Deliver), Shards: 1, QuiesceTimeout: time.Second,
+		Fault: wedgeAt(0, gate),
+	})
+	addUsers(t, h, 2)
+	if err := h.Start(); err != nil {
+		t.Fatal(err)
+	}
+	gate.arm()
+	gate.mu.Lock()
+	hold := gate.hold
+	gate.mu.Unlock()
+	first := portalAlert(0, h.cfg.Clock.Now())
+	if err := h.Submit("user-0", first); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-gate.hit:
+	case <-time.After(5 * time.Second):
+		t.Fatal("user-0's alert never reached FaultRoute")
+	}
+	gate.disarm() // user-0 stays parked; user-1 must not park behind it
+
+	second := portalAlert(1, h.cfg.Clock.Now())
+	if err := h.Submit("user-1", second); err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(2 * time.Second)
+	for sink.count("user-1", second.DedupKey()) == 0 {
+		if time.Now().After(deadline) {
+			// The parked call clears only on a kill: without the restart
+			// the cleanup's Drain would wait for it forever.
+			_ = h.RestartShard(0, "test timed out")
+			t.Fatal("user-1's alert waited behind user-0's wedged evaluation on the same shard")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if got := sink.count("user-0", first.DedupKey()); got != 0 {
+		t.Fatalf("wedged alert delivered %d times while parked", got)
+	}
+	close(hold)
+	sink.waitTotal(t, 2)
+	if err := h.Drain(); err != nil {
+		t.Fatal(err)
+	}
+	if got := sink.count("user-0", first.DedupKey()); got != 1 {
+		t.Fatalf("released alert delivered %d times; want 1", got)
 	}
 }
 

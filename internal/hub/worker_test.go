@@ -15,7 +15,7 @@ import (
 )
 
 // settleGoroutines waits for the process's goroutine count to come back
-// to base. Workers, loops and the journal's committer exit just after
+// to base. Workers, the resolver and the journal's committer exit just after
 // the call that retires them returns, so the count is polled, not read
 // once; goroutines earlier tests left running are part of base and can
 // only lower the count by finishing.
@@ -47,7 +47,7 @@ func stageCounts(h *Hub) (spawned, peakChains, free int) {
 
 // TestDeliveryWorkersExitWithTheirGeneration pins the worker lifecycle's
 // far end: however a generation ends — drained, killed with deliveries
-// parked in the substrate, killed and replaced while its loop is wedged,
+// parked in the substrate, killed and replaced while a worker is wedged,
 // or retired twenty times over by rolling rejuvenation under load — its
 // workers end with it, and the process is back at the goroutine count it
 // had before the hub existed.
@@ -126,7 +126,7 @@ func TestDeliveryWorkersExitWithTheirGeneration(t *testing.T) {
 		case <-time.After(10 * time.Second):
 			t.Fatal("shard 0 never hit the wedge hook")
 		}
-		gate.disarm() // the parked batch stays parked; the replacement generation routes
+		gate.disarm() // the parked worker stays parked; the replacement generation routes
 		if err := h.RestartShard(0, "test wedge"); err != nil {
 			t.Fatal(err)
 		}
@@ -245,6 +245,34 @@ func TestDeliveryWorkersExitWithTheirGeneration(t *testing.T) {
 		}
 		settleGoroutines(t, base, "after 20 rounds of RejuvenateAll and Drain")
 	})
+}
+
+// TestHubGoroutinesDoNotScaleWithShards: an idle, started hub runs no
+// goroutine per shard — a shard is its delivery stage, whose workers
+// exist only while chains do — so 64 shards cost at most 2 goroutines
+// more than one.
+func TestHubGoroutinesDoNotScaleWithShards(t *testing.T) {
+	idle := func(shards int) int {
+		base := runtime.NumGoroutine()
+		h := newTestHub(t, Config{
+			Channels: sinkChannels(func(int, string, *alert.Alert) error { return nil }),
+			Shards:   shards,
+		})
+		if err := h.Start(); err != nil {
+			t.Fatal(err)
+		}
+		n := runtime.NumGoroutine() - base
+		if err := h.Drain(); err != nil {
+			t.Fatal(err)
+		}
+		settleGoroutines(t, base, "after Drain")
+		return n
+	}
+	one, many := idle(1), idle(64)
+	t.Logf("idle hub goroutines: %d at 1 shard, %d at 64", one, many)
+	if many > one+2 {
+		t.Fatalf("idle hub runs %d goroutines at 64 shards, %d at 1: something runs per shard", many, one)
+	}
 }
 
 // TestDeliveryWorkersBoundedByConcurrentChains pins the near end: a
