@@ -17,12 +17,17 @@ import (
 // every Test…/Fuzz…/Example… identifier it cites in backticks must be a
 // func in some *_test.go under the repository (benchmark/ included),
 // every identifier in §8's file map must be declared where the map says
-// (checkHubFileMap), and no production file of internal/hub may grow
-// past the size one stage of the alert path needs.
+// (checkHubFileMap), no production file of internal/hub may grow past
+// the size one stage of the alert path needs, and DESIGN.md itself stays
+// within 40 KiB.
 func TestDesignNamesWhatExists(t *testing.T) {
 	design, err := os.ReadFile("DESIGN.md")
 	if err != nil {
 		t.Fatal(err)
+	}
+	const maxDesignBytes = 40 << 10
+	if len(design) > maxDesignBytes {
+		t.Errorf("DESIGN.md is %d bytes, over %d: describe what is, and move history to docs/measurements/", len(design), maxDesignBytes)
 	}
 	const maxLines = 600
 	defined := make(map[string]bool)

@@ -37,13 +37,16 @@ type userQueue struct {
 
 var userQueuePool = sync.Pool{New: func() any { return new(userQueue) }}
 
-// deliveryStage is one shard generation's alert pipeline: the resolver
-// submits each acknowledged envelope to its user's chain, and the
-// worker that owns the chain routes it (route) and delivers it
+// deliveryStage is one generation of a shard — one incarnation of its
+// restartable machinery — and that generation's alert pipeline: the
+// resolver submits each acknowledged envelope to its user's chain, and
+// the worker that owns the chain routes it (route) and delivers it
 // (perform), its channel Sends under a bounded in-flight window, so one
 // stalled evaluation or Send never serializes every tenant hashed to
 // the shard. Ordering contract: envelopes for the same user are
-// chained; envelopes for different users overlap.
+// chained; envelopes for different users overlap. Killing a shard
+// abandons its stage wholesale: a wedged worker keeps the dead stage,
+// and the replacement gets a fresh kill signal, chains and timer wheel.
 //
 // A window slot covers a Send, not a delivery: the stage is the
 // executor's core.SendGate, so a worker takes a slot before a block's
@@ -66,13 +69,31 @@ var userQueuePool = sync.Pool{New: func() any { return new(userQueue) }}
 type deliveryStage struct {
 	h   *Hub
 	sh  *shard
+	n   int64     // generation number, monotone per shard
 	rng *dist.RNG // forked per stage: backoff jitter never contends across shards
 
-	// killed is the owning generation's abandon signal. A hub-wide Kill
-	// closes every current generation, so the old single check still
-	// holds; a targeted shard restart closes only this stage's, so
-	// sibling shards' workers never notice.
-	killed <-chan struct{}
+	// killed is closed (by kill) to abandon the generation: the workers
+	// abandon their chains and exit, and everything undone stays
+	// unprocessed in the WAL for replay. Hub-wide Kill kills every
+	// shard's current stage; a targeted restart kills one, so sibling
+	// shards' workers never notice.
+	killed   chan struct{}
+	killOnce sync.Once
+
+	// closed marks the generation closed for intake; guarded by
+	// shard.mu, and set before anything waits on the stage.
+	closed bool
+
+	// replaySuppress is the set of WAL keys this generation replayed at
+	// birth (kill+replay restart only; nil otherwise). A submitter that
+	// reserved a slot on the previous generation and enqueues after the
+	// swap would otherwise double-route an alert the replay already
+	// owns; enqueue drops those (the replayed copy delivers). The map is
+	// read-only after the generation is published — no lock needed — and
+	// can never suppress a legitimate later submission, because the WAL
+	// dedup (Has) re-acks any resubmission of a logged key without
+	// enqueueing it.
+	replaySuppress map[string]struct{}
 
 	// wheel multiplexes the stage's retry backoffs and its workers' ack
 	// waits onto one clock timer (pooled nodes, no per-wait allocation).
@@ -102,18 +123,32 @@ type deliveryStage struct {
 	spawned, peakChains int
 }
 
-func newDeliveryStage(h *Hub, sh *shard, killed <-chan struct{}) *deliveryStage {
+// newDeliveryStage builds generation n of sh, replaying the keys in
+// suppress; the caller hands it to publishGen.
+func newDeliveryStage(h *Hub, sh *shard, n int64, suppress map[string]struct{}) *deliveryStage {
 	d := &deliveryStage{
-		h:      h,
-		sh:     sh,
-		rng:    sh.rng.Fork("delivery"),
-		killed: killed,
-		wheel:  timewheel.New(h.cfg.Clock, timewheel.Options{Poison: poolPoison.Load()}),
-		window: make(chan struct{}, h.cfg.DeliveryWindow),
-		users:  make(map[string]*userQueue),
+		h:              h,
+		sh:             sh,
+		n:              n,
+		rng:            sh.rng.Fork("delivery"),
+		killed:         make(chan struct{}),
+		replaySuppress: suppress,
+		wheel:          timewheel.New(h.cfg.Clock, timewheel.Options{Poison: poolPoison.Load()}),
+		window:         make(chan struct{}, h.cfg.DeliveryWindow),
+		users:          make(map[string]*userQueue),
 	}
 	d.wake = sync.NewCond(&d.mu)
 	return d
+}
+
+// kill abandons the generation and retires its workers: the ones
+// parked for a ready chain cannot see the kill signal, so they are
+// released here, at the one place every kill goes through. Idempotent.
+func (d *deliveryStage) kill() {
+	d.killOnce.Do(func() {
+		close(d.killed)
+		d.release()
+	})
 }
 
 // submit hands one acknowledged envelope to the stage. Called by the

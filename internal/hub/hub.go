@@ -30,8 +30,8 @@
 //     flushed at the journal's lazy-DONE deadline (plog's doneHold, not
 //     CommitWindow). Log-before-ack is preserved, fsyncs per alert
 //     cut by orders of magnitude. The hub holds exactly that one
-//     journal; New refuses a directory that still holds the lane files
-//     of a partitioned layout rather than half-reading it.
+//     journal; New refuses a directory written in another journal
+//     format (plog.ErrFormat) and leaves it untouched.
 //   - On restart the journal's unprocessed records are replayed, in
 //     log order (so per-user order holds), through the rebuilt buddies
 //     before the hub accepts new traffic.
@@ -95,21 +95,14 @@ const (
 // Fixed sizes: no production caller ever set these, so they are
 // constants, not Config fields.
 const (
-	// DefaultCommitMaxBatch caps WAL records per group commit, and a
-	// staged backlog that reaches it commits without waiting out the
-	// window.
-	DefaultCommitMaxBatch = 1024
 	// DefaultLatencyReservoir bounds each latency recorder's sample
 	// memory on million-alert runs.
 	DefaultLatencyReservoir = 4096
-	// DefaultAsyncInFlight caps the hub-wide number of unresolved
-	// SubmitBatchAsync tickets — the pipelined ingest path's
-	// backpressure: an async submitter past the cap blocks until a
-	// ticket resolves.
+	// DefaultAsyncInFlight is the capacity of the commit resolver's
+	// inbox, the ingest path's one bound on staged, unresolved tickets:
+	// a submitter past it blocks after staging, until the resolver takes
+	// a ticket.
 	DefaultAsyncInFlight = 256
-	// resolveQueueDepth buffers the commit resolver's inbox; a full
-	// inbox backpressures stagers onto the resolver.
-	resolveQueueDepth = 128
 )
 
 // keySep joins the tenant ID and the alert's dedup key inside WAL
@@ -220,8 +213,8 @@ type Config struct {
 	// safe for concurrent calls.
 	OnDelivery func(user string, rep *core.Report, err error)
 	// WALPath is the journal base path; required. Every shard stages
-	// into the one plog.Log there; New refuses a directory that still
-	// holds "<WALPath>.lane<NN>" files.
+	// into the one plog.Log there; New refuses a directory written in
+	// another journal format (plog.ErrFormat) and leaves it untouched.
 	WALPath string
 	// Shards is the shard-table size; zero means DefaultShards.
 	Shards int
@@ -326,12 +319,10 @@ type Hub struct {
 	// staged bursts' commits in staging order and only then enqueues
 	// them to their shards — the deferred enqueue that keeps
 	// admission→log→ack→enqueue ordering intact when submitters hold
-	// several batches in flight.
-	resolveq chan *Ticket
-	// asyncSem bounds unresolved SubmitBatchAsync tickets
-	// (DefaultAsyncInFlight); ingestPending counts staged-but-unresolved
+	// several batches in flight. resolveq's capacity is
+	// DefaultAsyncInFlight; ingestPending counts staged-but-unresolved
 	// tickets of either path so Drain can wait out deferred enqueues.
-	asyncSem      chan struct{}
+	resolveq      chan *Ticket
 	ingestPending atomic.Int64
 
 	accepting atomic.Bool
@@ -417,18 +408,8 @@ func New(cfg Config) (*Hub, error) {
 	case cfg.WALCheckpointEvery < 0:
 		cfg.WALCheckpointEvery = 0 // disable background compaction
 	}
-	// A multi-lane directory is refused before anything is created or
-	// opened: plog.Open would read the base journal and silently leave
-	// the lanes' unprocessed records behind.
-	if stale, err := plog.FirstLaneFile(cfg.WALPath); err != nil {
-		return nil, fmt.Errorf("hub: opening WAL: %w", err)
-	} else if stale != "" {
-		return nil, fmt.Errorf("hub: opening WAL: %s belongs to a multi-lane journal this hub no longer reads; "+
-			"drain it with the release that wrote it, or remove the lane files to abandon their records", stale)
-	}
 	wal, err := plog.OpenGroup(cfg.WALPath, plog.GroupOptions{
-		Window:   cfg.CommitWindow,
-		MaxBatch: DefaultCommitMaxBatch,
+		Window: cfg.CommitWindow,
 		Log: plog.Options{
 			SegmentBytes:    cfg.WALSegmentBytes,
 			CheckpointEvery: cfg.WALCheckpointEvery,
@@ -449,8 +430,7 @@ func New(cfg Config) (*Hub, error) {
 		routeLat:   metrics.NewReservoir(DefaultLatencyReservoir),
 		deliverLat: metrics.NewReservoir(DefaultLatencyReservoir),
 		admitLat:   metrics.NewReservoir(DefaultLatencyReservoir),
-		resolveq:   make(chan *Ticket, resolveQueueDepth),
-		asyncSem:   make(chan struct{}, DefaultAsyncInFlight),
+		resolveq:   make(chan *Ticket, DefaultAsyncInFlight),
 	}
 	h.ctr.received = h.counters.Counter("received")
 	h.ctr.duplicates = h.counters.Counter("duplicates")
@@ -495,9 +475,8 @@ func New(cfg Config) (*Hub, error) {
 	}
 	h.shards = make([]*shard, cfg.Shards)
 	for i := range h.shards {
-		// The shard's generation 1 — kill signal, delivery stage — is
-		// built by Start; the shard itself carries only what survives
-		// restarts.
+		// The shard's generation 1, its delivery stage, is built by
+		// Start; the shard itself carries only what survives restarts.
 		h.shards[i] = newShard(i, cfg.QueueDepth, cfg.RNG.Fork(fmt.Sprintf("hub-shard-%d", i)))
 	}
 	if cfg.OutboxPath != "" {

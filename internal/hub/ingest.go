@@ -97,7 +97,6 @@ type Ticket struct {
 	// resolver, so entries != nil says "staged".
 	c       plog.Commit
 	entries []ticketEntry
-	sem     bool // holds an async backpressure slot until resolved
 }
 
 // ticketEntry is one staged burst entry inside a Ticket.
@@ -130,20 +129,16 @@ func (t *Ticket) Wait() []error {
 // the ticket resolves; onCommitted (optional) runs once at that point
 // with the per-entry results, on the resolver goroutine, so it must not
 // block. A submitter keeps several batches in flight by holding
-// several tickets; DefaultAsyncInFlight bounds the hub-wide total, and
-// a submitter past the bound blocks here until a ticket resolves.
+// several tickets; the resolver's inbox bounds the hub-wide total at
+// DefaultAsyncInFlight staged tickets, and a submitter past the bound
+// blocks here after staging, until the resolver takes a ticket.
 //
 // Entries that fail before staging (invalid alert, unknown user,
 // overloaded shard) are reported in the ticket's results exactly as
 // SubmitBatch reports them. A commit whose write or fsync fails NACKs
 // every entry the burst staged.
 func (h *Hub) SubmitBatchAsync(subs []Submission, onCommitted func(errs []error)) *Ticket {
-	// A closed hub takes no slot: submit answers it without blocking.
-	sem := h.accepting.Load()
-	if sem {
-		h.asyncSem <- struct{}{}
-	}
-	return h.submit(subs, onCommitted, sem)
+	return h.submit(subs, onCommitted)
 }
 
 // SubmitBatch offers a burst of alerts, amortizing the ingest path's
@@ -169,7 +164,7 @@ func (h *Hub) SubmitBatch(subs []Submission) []error {
 	if len(subs) == 0 {
 		return nil
 	}
-	return h.submit(subs, nil, false).Wait()
+	return h.submit(subs, nil).Wait()
 }
 
 // submit is the shared staging half of SubmitBatch/SubmitBatchAsync:
@@ -177,9 +172,9 @@ func (h *Hub) SubmitBatch(subs []Submission) []error {
 // commits in staging order and completes the ack + deferred enqueue. A
 // burst that staged nothing — a closed hub's included, whose every
 // entry is ErrNotAccepting — resolves synchronously here.
-func (h *Hub) submit(subs []Submission, onCommitted func([]error), sem bool) *Ticket {
+func (h *Hub) submit(subs []Submission, onCommitted func([]error)) *Ticket {
 	errs := make([]error, len(subs))
-	t := &Ticket{errs: errs, done: make(chan struct{}), onCommitted: onCommitted, sem: sem}
+	t := &Ticket{errs: errs, done: make(chan struct{}), onCommitted: onCommitted}
 	if !h.accepting.Load() {
 		for i := range errs {
 			errs[i] = ErrNotAccepting
@@ -404,15 +399,12 @@ func (h *Hub) resolve(t *Ticket) {
 }
 
 // finishTicket resolves a ticket: observe the admission latency (for
-// bursts that actually staged durability work), release the async
-// backpressure slot, wake waiters, and run the commit callback.
+// bursts that actually staged durability work), wake waiters, and run
+// the commit callback.
 func (h *Hub) finishTicket(t *Ticket) {
 	if t.entries != nil {
 		h.admitLat.Observe(h.cfg.Clock.Since(t.start))
 		h.ingestPending.Add(-1)
-	}
-	if t.sem {
-		<-h.asyncSem
 	}
 	close(t.done)
 	if t.onCommitted != nil {

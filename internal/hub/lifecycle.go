@@ -32,7 +32,7 @@ func (h *Hub) Start() error {
 	h.started = true
 	h.mu.Unlock()
 	for _, sh := range h.shards {
-		if !h.publishGen(sh, h.openGen(sh, 1, nil)) {
+		if !h.publishGen(sh, newDeliveryStage(h, sh, 1, nil)) {
 			return ErrNotAccepting
 		}
 		sh.setState(ShardRunning)
@@ -46,6 +46,32 @@ func (h *Hub) Start() error {
 	go h.resolver()
 	h.accepting.Store(true)
 	return nil
+}
+
+// publishGen makes next the shard's current generation, closing the
+// outgoing generation's intake under the same lock, so no enqueue can
+// land between the close and the swap. The hub's kill is re-checked
+// under sh.mu, which Kill's killCurrent takes to read cur: either Kill
+// finds next there and kills it, or the kill is seen here — then
+// nothing is published, the shard is Stopped and publishGen reports
+// false. The caller holds sh.lifeMu, or is Start.
+func (h *Hub) publishGen(sh *shard, next *deliveryStage) bool {
+	sh.mu.Lock()
+	select {
+	case <-h.killed:
+		sh.mu.Unlock()
+		sh.setState(ShardStopped)
+		return false
+	default:
+	}
+	if sh.cur != nil {
+		sh.cur.closed = true
+	}
+	sh.cur = next
+	sh.mu.Unlock()
+	sh.gen.Store(next.n)
+	sh.beat(h.cfg.Clock.Now())
+	return true
 }
 
 // redeliver executes one outbox redelivery round: re-resolve the
@@ -195,8 +221,8 @@ func (h *Hub) shutdown() {
 			// earlier restart (possibly still wedged) cannot block
 			// shutdown.
 			for _, sh := range h.shards {
-				if g := sh.current(); g != nil {
-					g.delivery.quiesce()
+				if d := sh.current(); d != nil {
+					d.quiesce()
 				}
 			}
 			if h.outbox != nil {
@@ -283,7 +309,7 @@ func (h *Hub) restartLocked(sh *shard, reason string) error {
 	h.journal(faults.KindDaemonRestart, "shard %d: killing generation %d: %s", sh.id, old.n, reason)
 
 	stopped := make(chan struct{})
-	go func() { old.delivery.quiesce(); close(stopped) }()
+	go func() { old.quiesce(); close(stopped) }()
 	select {
 	case <-stopped:
 	case <-time.After(h.cfg.QuiesceTimeout):
@@ -305,7 +331,7 @@ func (h *Hub) restartLocked(sh *shard, reason string) error {
 		}
 	}
 
-	next := h.openGen(sh, old.n+1, suppress)
+	next := newDeliveryStage(h, sh, old.n+1, suppress)
 	if !h.publishGen(sh, next) {
 		return ErrNotAccepting
 	}
@@ -365,7 +391,7 @@ func (h *Hub) RejuvenateShard(id int) error {
 		time.Sleep(200 * time.Microsecond)
 	}
 	old := sh.current()
-	next := h.openGen(sh, old.n+1, nil)
+	next := newDeliveryStage(h, sh, old.n+1, nil)
 	if !h.publishGen(sh, next) {
 		return ErrNotAccepting
 	}
@@ -373,7 +399,7 @@ func (h *Hub) RejuvenateShard(id int) error {
 	// but for chains ending after their last release. Retiring it before
 	// reopening admission keeps "one generation with work per shard"
 	// unconditional on this path.
-	old.delivery.quiesce()
+	old.quiesce()
 	sh.rejuvenations.Add(1)
 	sh.setState(ShardRunning)
 	h.journal(faults.KindRejuvenation, "shard %d: rejuvenated as generation %d", sh.id, next.n)

@@ -278,13 +278,13 @@ func TestHubPacedFsyncsPerBurst(t *testing.T) {
 func usersMapSize(h *Hub) int {
 	n := 0
 	for _, sh := range h.shards {
-		g := sh.current()
-		if g == nil {
+		d := sh.current()
+		if d == nil {
 			continue
 		}
-		g.delivery.mu.Lock()
-		n += len(g.delivery.users)
-		g.delivery.mu.Unlock()
+		d.mu.Lock()
+		n += len(d.users)
+		d.mu.Unlock()
 	}
 	return n
 }

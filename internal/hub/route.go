@@ -8,40 +8,6 @@ import (
 	"simba/internal/plog"
 )
 
-// openGen builds one shard generation: a fresh kill signal and a fresh
-// delivery stage bound to it. The caller hands it to publishGen.
-func (h *Hub) openGen(sh *shard, n int64, suppress map[string]struct{}) *shardGen {
-	g := &shardGen{n: n, killed: make(chan struct{}), replaySuppress: suppress}
-	g.delivery = newDeliveryStage(h, sh, g.killed)
-	return g
-}
-
-// publishGen makes next the shard's current generation, closing the
-// outgoing generation's intake under the same lock, so no enqueue can
-// land between the close and the swap. The hub's kill is re-checked
-// under sh.mu, which Kill's killCurrent takes to read cur: either Kill
-// finds next there and kills it, or the kill is seen here — then
-// nothing is published, the shard is Stopped and publishGen reports
-// false. The caller holds sh.lifeMu, or is Start.
-func (h *Hub) publishGen(sh *shard, next *shardGen) bool {
-	sh.mu.Lock()
-	select {
-	case <-h.killed:
-		sh.mu.Unlock()
-		sh.setState(ShardStopped)
-		return false
-	default:
-	}
-	if sh.cur != nil {
-		sh.cur.closed = true
-	}
-	sh.cur = next
-	sh.mu.Unlock()
-	sh.gen.Store(next.n)
-	sh.beat(h.cfg.Clock.Now())
-	return true
-}
-
 // route is the buddy's pipeline for one envelope, run by the worker
 // that owns the tenant's chain: classify → aggregate → filter, then
 // deliver what routes and finish what does not. A wedged evaluation

@@ -64,58 +64,15 @@ func (s *ShardState) UnmarshalText(text []byte) error {
 	return fmt.Errorf("hub: unknown shard state %q", text)
 }
 
-// shardGen is one incarnation of a shard's restartable machinery: the
-// kill signal and the delivery stage. Killing a shard abandons its
-// generation wholesale — a wedged or stuck worker keeps the dead
-// generation, while the replacement generation gets a fresh signal and
-// a fresh stage, so the two can never share a chain or a timer wheel.
-type shardGen struct {
-	n int64 // generation number, monotone per shard
-
-	// killed is closed to abandon the generation: the delivery workers
-	// abandon their chains and exit, and everything undone stays
-	// unprocessed in the WAL for replay. Hub-wide Kill closes the current
-	// generation of every shard; a targeted restart closes one.
-	killed   chan struct{}
-	killOnce sync.Once
-
-	delivery *deliveryStage
-
-	// closed marks the generation closed for intake; guarded by
-	// shard.mu, and set before anything waits on the stage.
-	closed bool
-
-	// replaySuppress is the set of WAL keys this generation replayed at
-	// birth (kill+replay restart only; nil otherwise). A submitter that
-	// reserved a slot on the previous generation and enqueues after the
-	// swap would otherwise double-route an alert the replay already
-	// owns; enqueue drops those (the replayed copy delivers). The map is
-	// read-only after the generation is published — no lock needed — and
-	// can never suppress a legitimate later submission, because the WAL
-	// dedup (Has) re-acks any resubmission of a logged key without
-	// enqueueing it.
-	replaySuppress map[string]struct{}
-}
-
-// kill abandons the generation and retires its delivery workers: the
-// ones parked for a ready chain cannot see the kill signal, so they are
-// released here, at the one place every kill goes through. Idempotent.
-func (g *shardGen) kill() {
-	g.killOnce.Do(func() {
-		close(g.killed)
-		g.delivery.release()
-	})
-}
-
 // shard is a partition of the tenants with bounded admission. depth
 // counts admitted-but-unfinished alerts (chained, being routed or
 // delivered, and mid-admission waiting on the WAL), so reservation
 // happens before the pessimistic log and a reserved slot guarantees
 // the later enqueue cannot block or drop.
 //
-// The delivery stage lives in the current shardGen; the shard itself
-// carries only what must survive a restart: the admission gauge, the
-// lifecycle state, the progress heartbeat, and the restart counters.
+// Each incarnation of a shard is its current delivery stage; the shard
+// itself carries only what must survive a restart: the admission gauge,
+// the lifecycle state, the progress heartbeat, and the restart counters.
 type shard struct {
 	id  int
 	cap int64
@@ -151,7 +108,7 @@ type shard struct {
 	lifeMu sync.Mutex
 
 	mu  sync.RWMutex // guards cur and cur.closed
-	cur *shardGen
+	cur *deliveryStage
 }
 
 func newShard(id, queueDepth int, rng *dist.RNG) *shard {
@@ -163,7 +120,7 @@ func newShard(id, queueDepth int, rng *dist.RNG) *shard {
 }
 
 // current returns the live generation.
-func (s *shard) current() *shardGen {
+func (s *shard) current() *deliveryStage {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	return s.cur
@@ -189,29 +146,40 @@ func (s *shard) setState(st ShardState) { s.state.Store(int32(st)) }
 // State returns the shard's lifecycle state (lock-free).
 func (s *shard) State() ShardState { return ShardState(s.state.Load()) }
 
-// Health is a shard's lock-free supervision snapshot: everything a
-// progress or invariant check needs, read from atomics only. The JSON
-// form is the ops plane's wire format.
+// Health is a shard's one snapshot, read from atomics only: what its
+// supervision check judges, what Stats reports per shard, and, as JSON,
+// the ops plane's wire format.
 type Health struct {
-	Shard         int        `json:"shard"`
-	State         ShardState `json:"state"`
-	Generation    int64      `json:"generation"`
-	Depth         int64      `json:"depth"`
-	InFlight      int64      `json:"in_flight"`
-	LastProgress  time.Time  `json:"last_progress"`
-	Restarts      int64      `json:"restarts"`
-	Rejuvenations int64      `json:"rejuvenations"`
+	Shard int        `json:"shard"`
+	State ShardState `json:"state"`
+	// Generation counts the incarnations of the shard's delivery stage
+	// (1 = never recycled).
+	Generation int64 `json:"generation"`
+	// Depth is the admitted-but-unfinished alerts (in admission,
+	// chained, or in delivery); InFlight the concurrent channel Sends,
+	// bounded by DeliveryWindow. The peaks survive generation swaps.
+	Depth        int64     `json:"depth"`
+	PeakDepth    int       `json:"peak_depth"`
+	InFlight     int64     `json:"in_flight"`
+	PeakInFlight int       `json:"peak_in_flight"`
+	LastProgress time.Time `json:"last_progress"`
+	// Restarts counts kill+replay recoveries, Rejuvenations graceful
+	// recycles.
+	Restarts      int64 `json:"restarts"`
+	Rejuvenations int64 `json:"rejuvenations"`
 }
 
-// health snapshots the shard's supervision atomics. It never takes
-// shard locks, so it is safe to call against a wedged shard.
+// health snapshots the shard's atomics. It never takes shard locks, so
+// it is safe to call against a wedged shard.
 func (s *shard) health() Health {
 	return Health{
 		Shard:         s.id,
 		State:         s.State(),
 		Generation:    s.gen.Load(),
 		Depth:         s.depth.Load(),
+		PeakDepth:     int(s.peak.Load()),
 		InFlight:      s.inflight.Load(),
+		PeakInFlight:  int(s.inflight.Peak()),
 		LastProgress:  s.lastProgress(),
 		Restarts:      s.restarts.Load(),
 		Rejuvenations: s.rejuvenations.Load(),
@@ -272,8 +240,8 @@ func (s *shard) reserveBlocking() {
 // release returns a slot. It floors at zero: after a kill+replay
 // restart resets the gauge, a straggling worker from the abandoned
 // generation may still release a reservation the reset already wiped,
-// and a negative depth would both leak admission capacity and trip the
-// queue-depth invariant.
+// and a negative depth would both leak admission capacity and fail the
+// shard's check.
 func (s *shard) release() {
 	for {
 		d := s.depth.Load()
@@ -305,8 +273,8 @@ func (s *shard) notePeak(d int64) {
 func (s *shard) enqueue(env *envelope, replayed bool) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	g := s.cur
-	if g == nil || g.closed {
+	d := s.cur
+	if d == nil || d.closed {
 		// Drain, Kill or a kill+replay restart raced us after
 		// reservation: the alert is durable and unmarked, so the next
 		// incarnation — of the shard or of the process — replays it.
@@ -314,8 +282,8 @@ func (s *shard) enqueue(env *envelope, replayed bool) {
 		s.release()
 		return
 	}
-	if !replayed && g.replaySuppress != nil {
-		if _, owned := g.replaySuppress[env.key]; owned {
+	if !replayed && d.replaySuppress != nil {
+		if _, owned := d.replaySuppress[env.key]; owned {
 			// This generation already replayed the alert from the WAL:
 			// the submitter reserved on the previous generation and lost
 			// the race with the restart. The replayed copy owns delivery;
@@ -324,13 +292,13 @@ func (s *shard) enqueue(env *envelope, replayed bool) {
 			return
 		}
 	}
-	g.delivery.submit(env)
+	d.submit(env)
 }
 
-// closeIntake ends the current generation's intake and returns the
-// generation (nil before Start). Once it returns no submit can reach
-// the generation's stage, so the stage may be quiesced.
-func (s *shard) closeIntake() *shardGen {
+// closeIntake ends the current generation's intake and returns it (nil
+// before Start). Once it returns no submit can reach the stage, so the
+// stage may be quiesced.
+func (s *shard) closeIntake() *deliveryStage {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.cur != nil {
@@ -340,12 +308,12 @@ func (s *shard) closeIntake() *shardGen {
 }
 
 // killCurrent closes the current generation's intake, then abandons it.
-func (s *shard) killCurrent() *shardGen {
-	g := s.closeIntake()
-	if g != nil {
-		g.kill()
+func (s *shard) killCurrent() *deliveryStage {
+	d := s.closeIntake()
+	if d != nil {
+		d.kill()
 	}
-	return g
+	return d
 }
 
 const (

@@ -28,8 +28,8 @@ func (h *Hub) deliveredViaCounterFor(t addr.Type) *metrics.Counter {
 	return h.counters.Counter(deliveredViaCounter(t))
 }
 
-// ShardHealth returns shard id's supervision snapshot. Reads atomics
-// only — safe to call against a wedged shard.
+// ShardHealth returns shard id's snapshot. Reads atomics only — safe
+// to call against a wedged shard.
 func (h *Hub) ShardHealth(id int) (Health, error) {
 	sh, err := h.shardByID(id)
 	if err != nil {
@@ -38,7 +38,7 @@ func (h *Hub) ShardHealth(id int) (Health, error) {
 	return sh.health(), nil
 }
 
-// Healths snapshots every shard's supervision state (atomics only).
+// Healths snapshots every shard (atomics only).
 func (h *Hub) Healths() []Health {
 	out := make([]Health, len(h.shards))
 	for i, sh := range h.shards {
@@ -89,25 +89,6 @@ func (h *Hub) Stages() StageLatencies {
 	}
 }
 
-// ShardStat is one shard's observability snapshot.
-type ShardStat struct {
-	Shard     int
-	Depth     int // current in-admission + chained + in-delivery alerts
-	PeakDepth int
-	// InFlight / PeakInFlight count the delivery stage's concurrent
-	// channel Sends (bounded by DeliveryWindow).
-	InFlight     int
-	PeakInFlight int
-	// State is the shard's lifecycle state; Generation counts the
-	// incarnations of its restartable machinery (1 = never recycled).
-	State      ShardState
-	Generation int64
-	// Restarts counts kill+replay recoveries; Rejuvenations counts
-	// graceful recycles.
-	Restarts      int64
-	Rejuvenations int64
-}
-
 // TierStat is one delivery QoS tier's outcome counters.
 type TierStat struct {
 	Tier core.Tier
@@ -128,9 +109,9 @@ type TierStat struct {
 // Stats is a point-in-time snapshot of the hub's health.
 type Stats struct {
 	Users   int
-	Shards  []ShardStat
-	Appends int64 // WAL records staged (RECV + DONE)
-	Syncs   int64 // fsyncs issued
+	Shards  []Health // Healths()
+	Appends int64    // WAL records staged (RECV + DONE)
+	Syncs   int64    // fsyncs issued
 	// MeanBatch is Appends/Syncs — the group-commit amplification.
 	MeanBatch float64
 	// InFlight is the current hub-wide count of executing deliveries.
@@ -158,6 +139,7 @@ func (h *Hub) Stats() Stats {
 	wal := h.wal.Stats()
 	s := Stats{
 		Users:   h.Users(),
+		Shards:  h.Healths(),
 		Appends: wal.Appended,
 		Syncs:   wal.Syncs,
 		WAL:     wal,
@@ -187,20 +169,8 @@ func (h *Hub) Stats() Stats {
 	if s.Syncs > 0 {
 		s.MeanBatch = float64(s.Appends) / float64(s.Syncs)
 	}
-	for _, sh := range h.shards {
-		inflight := sh.inflight.Load()
-		s.InFlight += inflight
-		s.Shards = append(s.Shards, ShardStat{
-			Shard:         sh.id,
-			Depth:         int(sh.depth.Load()),
-			PeakDepth:     int(sh.peak.Load()),
-			InFlight:      int(inflight),
-			PeakInFlight:  int(sh.inflight.Peak()),
-			State:         sh.State(),
-			Generation:    sh.gen.Load(),
-			Restarts:      sh.restarts.Load(),
-			Rejuvenations: sh.rejuvenations.Load(),
-		})
+	for _, hl := range s.Shards {
+		s.InFlight += hl.InFlight
 	}
 	return s
 }

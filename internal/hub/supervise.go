@@ -19,15 +19,15 @@ const (
 	// wedged shard should be caught in seconds.
 	DefaultCheckPeriod = time.Second
 	// DefaultStaleAfter is how old a busy shard's progress beat may be
-	// before its progress check fails. It must comfortably exceed the
-	// delivery retry backoff cap: a worker only beats after its current
-	// delivery completes, so a legitimately retrying shard can go a full
-	// backoff sequence between beats.
+	// before its check fails. It must comfortably exceed the delivery
+	// retry backoff cap: a worker only beats after its current delivery
+	// completes, so a legitimately retrying shard can go a full backoff
+	// sequence between beats.
 	DefaultStaleAfter = 3 * time.Second
-	// progressEscalateAfter is how many consecutive stale progress
-	// checks restart a shard: one more than a single late beat, and
-	// sooner than the gauges' stabilize.DefaultEscalateAfter, because a
-	// shard that has stopped moving holds acknowledged alerts.
+	// progressEscalateAfter is how many consecutive failures of a
+	// shard's check restart the shard: one more than a single late beat,
+	// and sooner than the hub-wide checks' stabilize.DefaultEscalateAfter,
+	// because a shard that has stopped moving holds acknowledged alerts.
 	progressEscalateAfter = 2
 	// maxOutboxAge is how far past due the outbox's earliest envelope
 	// may be before the outbox-age check fails.
@@ -36,17 +36,18 @@ const (
 
 // SuperviseConfig parameterizes Hub.Supervise.
 type SuperviseConfig struct {
-	// Period is how often each shard's progress check and each resource
-	// invariant runs; zero means DefaultCheckPeriod.
+	// Period is how often each shard's check and each hub-wide check
+	// runs; zero means DefaultCheckPeriod.
 	Period time.Duration
 	// StaleAfter is how old a busy shard's progress beat may be before
-	// its progress check fails; zero means DefaultStaleAfter. Must exceed
-	// the hub's DeliveryBackoffCap or a merely-retrying shard looks hung.
+	// its check fails; zero means DefaultStaleAfter. Must exceed the
+	// hub's DeliveryBackoffCap or a merely-retrying shard looks hung.
 	StaleAfter time.Duration
-	// EscalateAfter is how many consecutive failures of one per-shard
-	// check restart its shard, and again every that many while the
-	// failures last; zero keeps each check's own default (two for
-	// progress, stabilize.DefaultEscalateAfter for the gauges).
+	// EscalateAfter is how many consecutive failures of a check escalate
+	// it, and again every that many while the failures last; a shard's
+	// check escalates to restarting that shard. Zero means two for a
+	// shard's check and stabilize.DefaultEscalateAfter for the hub-wide
+	// checks.
 	EscalateAfter int
 	// RejuvenateEvery, when positive, recycles the shards one at a time
 	// (rolling) on this period.
@@ -59,18 +60,18 @@ type SuperviseConfig struct {
 // Supervise builds and starts the hub's self-management plane — one
 // stabilize.Stabilizer and nothing else. Its checks:
 //
-//   - "shard-N progress", the shard watchdog: a Running shard with
-//     admitted work must have beaten within StaleAfter;
-//   - "shard-N queue-depth" and "shard-N inflight-window", the
-//     admission and delivery-window gauges staying inside their bounds;
+//   - "shard-N", one per shard, its watchdog: the admission depth stays
+//     in [0, QueueDepth], the in-flight Sends in [0, DeliveryWindow],
+//     and a Running shard with admitted work has beaten within
+//     StaleAfter;
 //   - "wal-backlog", "outbox-age" (with an outbox) and "pool-poison",
 //     hub-wide;
 //   - "rolling-rejuvenation", when RejuvenateEvery is set, whose run is
 //     RejuvenateAll.
 //
-// A per-shard check that keeps failing escalates to RestartShard of the
-// shard it is named after; escalated restarts run one at a time. Call
-// after Start; before Drain, Stop the stabilizer and Wait for it.
+// A shard's check that keeps failing escalates to RestartShard of that
+// shard; escalated restarts run one at a time. Call after Start; before
+// Drain, Stop the stabilizer and Wait for it.
 func (h *Hub) Supervise(cfg SuperviseConfig) (*stabilize.Stabilizer, error) {
 	h.mu.RLock()
 	started := h.started
@@ -121,50 +122,34 @@ func (h *Hub) Supervise(cfg SuperviseConfig) (*stabilize.Stabilizer, error) {
 		return nil, err
 	}
 
-	checks := make([]stabilize.Check, 0, 3*len(h.shards)+4)
+	checks := make([]stabilize.Check, 0, len(h.shards)+4)
 	for _, sh := range h.shards {
-		checks = append(checks,
-			stabilize.Check{
-				Name:          fmt.Sprintf("shard-%d progress", sh.id),
-				EscalateAfter: cmp.Or(cfg.EscalateAfter, progressEscalateAfter),
-				// Atomics only, by design: checking a wedged shard must not
-				// block behind whatever wedged it. An idle shard, and a shard
-				// mid-lifecycle-transition (quiescing, restarting —
-				// transitions are bounded by their own timeouts), is healthy.
-				Fn: func() error {
-					hl := sh.health()
-					if hl.State != ShardRunning || hl.Depth == 0 {
-						return nil
-					}
-					if age := h.cfg.Clock.Since(hl.LastProgress); age > cfg.StaleAfter {
-						return fmt.Errorf("%d alerts admitted, no progress for %v (max %v)", hl.Depth, age, cfg.StaleAfter)
-					}
+		checks = append(checks, stabilize.Check{
+			Name:          fmt.Sprintf("shard-%d", sh.id),
+			EscalateAfter: cmp.Or(cfg.EscalateAfter, progressEscalateAfter),
+			// Atomics only, by design: checking a wedged shard must not
+			// block behind whatever wedged it. Floor-at-zero release and
+			// restart's gauge reset keep the gauges in bounds, so an
+			// excursion means the accounting broke. An idle shard, and a
+			// shard mid-lifecycle-transition (quiescing, restarting —
+			// transitions are bounded by their own timeouts), is not stale.
+			Fn: func() error {
+				hl := sh.health()
+				if hl.Depth < 0 || hl.Depth > sh.cap {
+					return fmt.Errorf("queue depth %d outside [0, %d]", hl.Depth, sh.cap)
+				}
+				if hl.InFlight < 0 || hl.InFlight > int64(h.cfg.DeliveryWindow) {
+					return fmt.Errorf("in-flight %d outside [0, %d]", hl.InFlight, h.cfg.DeliveryWindow)
+				}
+				if hl.State != ShardRunning || hl.Depth == 0 {
 					return nil
-				},
+				}
+				if age := h.cfg.Clock.Since(hl.LastProgress); age > cfg.StaleAfter {
+					return fmt.Errorf("%d alerts admitted, no progress for %v (max %v)", hl.Depth, age, cfg.StaleAfter)
+				}
+				return nil
 			},
-			stabilize.Check{
-				Name:          fmt.Sprintf("shard-%d queue-depth", sh.id),
-				EscalateAfter: cfg.EscalateAfter,
-				Fn: func() error {
-					// Floor-at-zero release and restart's gauge reset keep
-					// depth in [0, cap]; a sustained excursion means the
-					// accounting broke and admission control with it.
-					if d := sh.depth.Load(); d < 0 || d > sh.cap {
-						return fmt.Errorf("queue depth %d outside [0, %d]", d, sh.cap)
-					}
-					return nil
-				},
-			},
-			stabilize.Check{
-				Name:          fmt.Sprintf("shard-%d inflight-window", sh.id),
-				EscalateAfter: cfg.EscalateAfter,
-				Fn: func() error {
-					if f := sh.inflight.Load(); f < 0 || f > int64(h.cfg.DeliveryWindow) {
-						return fmt.Errorf("in-flight %d outside [0, %d]", f, h.cfg.DeliveryWindow)
-					}
-					return nil
-				},
-			})
+		})
 	}
 	// Replay debt beyond 4× what admission control could have admitted
 	// means DONE records are not being staged.

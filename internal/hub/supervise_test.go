@@ -2,6 +2,7 @@ package hub
 
 import (
 	"fmt"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -162,10 +163,10 @@ func TestHubWedgedShardAutoRecovers(t *testing.T) {
 			t.Fatalf("sibling shard %d was restarted: %+v", hl.Shard, hl)
 		}
 	}
-	if cs := checkStats(t, sup, "shard-0 progress"); cs.Failures < 2 || cs.Escalations != 1 {
-		t.Fatalf("progress check stats for shard 0 = %+v", cs)
+	if cs := checkStats(t, sup, "shard-0"); cs.Failures < 2 || cs.Escalations != 1 {
+		t.Fatalf("check stats for shard 0 = %+v", cs)
 	}
-	if j.CountMatching(faults.KindDaemonRestart, `check "shard-0 progress"`) != 1 {
+	if j.CountMatching(faults.KindDaemonRestart, `check "shard-0"`) != 1 {
 		t.Fatal("check-driven restart not journaled by RestartShard")
 	}
 }
@@ -261,7 +262,7 @@ func TestHubInvariantEscalationRestartsItsShard(t *testing.T) {
 	}
 	defer sup.Stop()
 
-	const check = "shard-2 queue-depth"
+	const check = "shard-2"
 	sh := h.shards[2]
 	sh.depth.Store(sh.cap + 7)
 	for i := 0; i < escalateAfter; i++ {
@@ -307,7 +308,7 @@ func TestShardProgressCheckTakesNoLocks(t *testing.T) {
 	defer sup.Stop()
 
 	sh := h.shards[0]
-	stage := sh.current().delivery
+	stage := sh.current()
 	h.mu.Lock()
 	sh.lifeMu.Lock()
 	sh.mu.Lock()
@@ -323,7 +324,7 @@ func TestShardProgressCheckTakesNoLocks(t *testing.T) {
 	run := func(wantFail bool) {
 		t.Helper()
 		done := make(chan error, 1)
-		go func() { done <- sup.RunOnce("shard-0 progress") }()
+		go func() { done <- sup.RunOnce("shard-0") }()
 		select {
 		case err := <-done:
 			if (err != nil) != wantFail {
@@ -338,6 +339,66 @@ func TestShardProgressCheckTakesNoLocks(t *testing.T) {
 	run(false)
 	sh.beat(h.cfg.Clock.Now().Add(-time.Minute))
 	run(true) // one failure: under the threshold, so nothing escalates into lifeMu
+}
+
+// TestShardCheckFailsOnEachCondition: a supervised hub has one check per
+// shard beside the hub-wide ones, and that check fails on each of its
+// three conditions alone — depth outside [0, cap], in-flight outside
+// [0, DeliveryWindow], a Running shard with admitted work and a stale
+// beat — and passes once the condition is gone.
+func TestShardCheckFailsOnEachCondition(t *testing.T) {
+	const window = 4
+	h := newTestHub(t, Config{
+		Channels: sinkChannels(func(int, string, *alert.Alert) error { return nil }),
+		Shards:   3, DeliveryWindow: window,
+	})
+	if err := h.Start(); err != nil {
+		t.Fatal(err)
+	}
+	// An hour's period and a threshold never reached: only RunOnce runs
+	// the check, and nothing restarts.
+	sup, err := h.Supervise(SuperviseConfig{Period: time.Hour, StaleAfter: time.Second, EscalateAfter: 1000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sup.Stop()
+	var names []string
+	for _, cs := range sup.Stats() {
+		names = append(names, cs.Name)
+	}
+	if want := []string{"shard-0", "shard-1", "shard-2", "wal-backlog", "pool-poison"}; !reflect.DeepEqual(names, want) {
+		t.Fatalf("checks = %q, want %q", names, want)
+	}
+
+	sh := h.shards[1]
+	for _, tc := range []struct {
+		name        string
+		spoil, heal func()
+	}{
+		{"depth below zero", func() { sh.depth.Store(-1) }, func() { sh.depth.Store(0) }},
+		{"depth over capacity", func() { sh.depth.Store(sh.cap + 1) }, func() { sh.depth.Store(0) }},
+		{"in-flight below zero", func() { sh.inflight.Add(-1) }, func() { sh.inflight.Add(1) }},
+		{"in-flight over the window", func() { sh.inflight.Add(window + 1) }, func() { sh.inflight.Add(-window - 1) }},
+		{"stale beat with work admitted", func() {
+			sh.depth.Store(1)
+			sh.beat(h.cfg.Clock.Now().Add(-time.Minute))
+		}, func() { sh.beat(h.cfg.Clock.Now()) }},
+	} {
+		tc.spoil()
+		if err := sup.RunOnce("shard-1"); err == nil {
+			t.Errorf("%s: check passed", tc.name)
+		}
+		tc.heal()
+		if err := sup.RunOnce("shard-1"); err != nil {
+			t.Errorf("%s healed: check still fails: %v", tc.name, err)
+		}
+	}
+	sh.depth.Store(0)
+	// A stale beat is no failure while the shard has nothing admitted.
+	sh.beat(h.cfg.Clock.Now().Add(-time.Minute))
+	if err := sup.RunOnce("shard-1"); err != nil {
+		t.Fatalf("idle shard with an old beat failed its check: %v", err)
+	}
 }
 
 // TestHubWedgedShardsRestartOneAtATime wedges two shards together. Their

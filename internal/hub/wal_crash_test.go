@@ -2,12 +2,12 @@ package hub
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
 	"sort"
-	"strings"
 	"testing"
 	"time"
 
@@ -393,71 +393,47 @@ func TestHubCrashTearsOneLaneWhileOthersCommit(t *testing.T) {
 	}
 }
 
-// TestHubRefusesStaleLaneFiles: a directory that still holds
-// "<WALPath>.laneNN" files from a multi-lane layout is never half-read.
-// New fails naming the first such file and creates nothing; once the
-// lane files are gone the same directory opens.
-func TestHubRefusesStaleLaneFiles(t *testing.T) {
+// TestHubRefusesOldLaneDirectory: every lane directory a hub ever wrote
+// has a SIMBAW1 base segment beside its "<WALPath>.laneNN" files, so the
+// journal's format check refuses it — New fails with plog.ErrFormat and
+// every file stays byte-identical, the lane files' owed records
+// included.
+func TestHubRefusesOldLaneDirectory(t *testing.T) {
 	dir := t.TempDir()
 	walPath := filepath.Join(dir, "hub.wal")
-	// Lane 3 of a four-lane layout, owing one record; no base journal
-	// beside it.
-	lane3, err := plog.Open(plog.LanePath(walPath, 3))
-	if err != nil {
-		t.Fatal(err)
+	for name, content := range map[string]string{
+		"hub.wal.00000001.seg":        "SIMBAW1\n\x16\x00\x00\x00Rxxxxxxxx\x01\x00\x00\x00kxxxx",
+		"hub.wal.lane01.00000001.seg": "SIMBAW1\n\x16\x00\x00\x00Rxxxxxxxx\x01\x00\x00\x00owed",
+	} {
+		if err := os.WriteFile(filepath.Join(dir, name), []byte(content), 0o644); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if err := lane3.LogReceived("user-0"+keySep+"owed", []byte("payload"), time.Now()); err != nil {
-		t.Fatal(err)
-	}
-	if err := lane3.Close(); err != nil {
-		t.Fatal(err)
-	}
-	listing := func() (names []string) {
+	files := func() map[string]string {
 		t.Helper()
 		entries, err := os.ReadDir(dir)
 		if err != nil {
 			t.Fatal(err)
 		}
+		out := make(map[string]string, len(entries))
 		for _, e := range entries {
-			names = append(names, e.Name())
+			data, err := os.ReadFile(filepath.Join(dir, e.Name()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			out[e.Name()] = string(data)
 		}
-		return names
+		return out
 	}
-	before := listing()
-	if len(before) == 0 || !strings.HasPrefix(before[0], "hub.wal.lane03.") {
-		t.Fatalf("directory holds %v, want only hub.wal.lane03.* files", before)
-	}
-
-	cfg := Config{
+	before := files()
+	_, err := New(Config{
 		Clock: clock.NewReal(), WALPath: walPath, OutboxPath: filepath.Join(dir, "hub.outbox"),
 		Channels: sinkChannels(newCountingSink(nil).Deliver),
+	})
+	if !errors.Is(err, plog.ErrFormat) {
+		t.Fatalf("New on an old lane directory = %v; want plog.ErrFormat", err)
 	}
-	if _, err := New(cfg); err == nil {
-		t.Fatal("New opened a directory holding stale lane files")
-	} else if want := filepath.Join(dir, before[0]); !strings.Contains(err.Error(), want) {
-		t.Fatalf("refusal does not name the first lane file %s: %v", want, err)
-	}
-	if after := listing(); !reflect.DeepEqual(after, before) {
-		t.Fatalf("refused New changed the directory: %v -> %v", before, after)
-	}
-
-	for _, name := range before {
-		if err := os.Remove(filepath.Join(dir, name)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	h, err := New(cfg)
-	if err != nil {
-		t.Fatalf("New after removing the lane files: %v", err)
-	}
-	addUsers(t, h, 1)
-	if err := h.Start(); err != nil {
-		t.Fatal(err)
-	}
-	if err := h.Submit("user-0", portalAlert(0, time.Now())); err != nil {
-		t.Fatal(err)
-	}
-	if err := h.Drain(); err != nil {
-		t.Fatal(err)
+	if after := files(); !reflect.DeepEqual(after, before) {
+		t.Fatalf("refused New changed the directory: %q -> %q", before, after)
 	}
 }

@@ -102,9 +102,8 @@ type HealthReport struct {
 	WALBacklog int          `json:"wal_backlog"`
 	Shards     []hub.Health `json:"shards"`
 	// Invariants is the supervision plane's one check list — each
-	// shard's progress watchdog, the resource gauges, scheduled
-	// rejuvenation — with how often each ran, failed, healed and
-	// escalated.
+	// shard's check, the hub-wide ones, scheduled rejuvenation — with
+	// how often each ran, failed, healed and escalated.
 	Invariants []stabilize.CheckStats `json:"invariants,omitempty"`
 }
 

@@ -3,10 +3,6 @@ package plog
 import (
 	"errors"
 	"fmt"
-	"os"
-	"path/filepath"
-	"strconv"
-	"strings"
 	"sync"
 )
 
@@ -32,31 +28,6 @@ func LanePath(base string, lane int) string {
 		return base
 	}
 	return fmt.Sprintf("%s.lane%02d", base, lane)
-}
-
-// FirstLaneFile returns the path of the first file (in directory order)
-// that belongs to a lane above 0 of the journal at base —
-// "<base>.lane<NN>…" — or "" when there is none. An owner that opens
-// base as a single Log must refuse a directory where this is non-empty:
-// the lane files may hold unprocessed records it would never replay.
-func FirstLaneFile(base string) (string, error) {
-	dir := filepath.Dir(base)
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return "", fmt.Errorf("plog: scanning lanes of %s: %w", base, err)
-	}
-	prefix := filepath.Base(base) + ".lane"
-	for _, e := range entries {
-		rest, ok := strings.CutPrefix(e.Name(), prefix)
-		if !ok {
-			continue
-		}
-		digits, _, _ := strings.Cut(rest, ".")
-		if lane, err := strconv.Atoi(digits); err == nil && lane > 0 {
-			return filepath.Join(dir, e.Name()), nil
-		}
-	}
-	return "", nil
 }
 
 // OpenLanes opens (creating as needed) exactly n lanes at base,

@@ -55,12 +55,6 @@ func TestLanePathLayout(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// FirstLaneFile is how a single-Log owner tells the two layouts
-	// apart: nothing beside a 1-lane set, the lowest lane > 0's first
-	// file beside a wider one.
-	if got, err := FirstLaneFile(base); err != nil || got != "" {
-		t.Fatalf("FirstLaneFile beside a 1-lane set = %q, %v", got, err)
-	}
 	wide, err := OpenLanes(base, 3, GroupOptions{})
 	if err != nil {
 		t.Fatal(err)
@@ -70,9 +64,6 @@ func TestLanePathLayout(t *testing.T) {
 	}
 	if err := wide.Close(); err != nil {
 		t.Fatal(err)
-	}
-	if got, err := FirstLaneFile(base); err != nil || got != base+".lane01.00000001.seg" {
-		t.Fatalf("FirstLaneFile beside a 3-lane set = %q, %v", got, err)
 	}
 }
 

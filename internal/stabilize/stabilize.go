@@ -5,8 +5,8 @@
 // re-login, drain unprocessed messages, dismiss dialogs); a check that
 // keeps failing is escalated so the owner can rejuvenate (gracefully
 // terminate and let the MDC restart it). The hosted hub runs one
-// Stabilizer as its whole in-process supervisor: its shard watchdog is
-// a progress check per shard, escalating to a targeted shard restart.
+// Stabilizer as its whole in-process supervisor: one check per shard
+// is that shard's watchdog, escalating to a targeted shard restart.
 //
 // The paper's periods: the AreYouWorking callback every 3 minutes,
 // communication-client sanity checks every minute, unprocessed dialog

@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # Admin-plane smoke: start simbad -hub with the ops plane enabled,
-# verify /healthz reports every shard running, trigger a rolling
+# verify /healthz reports every shard running under one check each and
+# /shards carries each shard's peaks, trigger a rolling
 # rejuvenation over HTTP while the workload is still lingering, verify
 # the generation bump, and assert the process then drains cleanly
 # (exit 0, zero lost, zero duplicated).
@@ -31,6 +32,18 @@ echo "$healthz"
 running=$(echo "$healthz" | grep -c '"state": "running"')
 if [ "$running" -ne 4 ]; then
   echo "admin smoke: expected 4 running shards, saw $running" >&2
+  exit 1
+fi
+# One supervision check per shard, and one snapshot per shard that
+# carries the peaks.
+checks=$(echo "$healthz" | grep -c '"name": "shard-' || true)
+if [ "$checks" -ne 4 ]; then
+  echo "admin smoke: expected one shard-N check per shard (4), saw $checks" >&2
+  exit 1
+fi
+peaks=$(curl -sf "http://$addr/shards" | grep -c '"peak_depth"' || true)
+if [ "$peaks" -ne 4 ]; then
+  echo "admin smoke: expected peak_depth on 4 /shards rows, saw $peaks" >&2
   exit 1
 fi
 
