@@ -5,6 +5,8 @@ import (
 	"testing"
 	"testing/quick"
 	"time"
+
+	"simba/internal/race"
 )
 
 func sample() *Alert {
@@ -115,6 +117,34 @@ func TestMarshalRoundTrip(t *testing.T) {
 		t.Fatalf("UnmarshalText: %v", err)
 	}
 	assertEqualAlert(t, a, &got)
+}
+
+// TestAppendWireAllocBudget pins the encoder at one growth of dst:
+// exactly one allocation encoding into nil, whatever the fields hold
+// (sanitized newlines, an EMAILFROM line, the widest CREATED), and none
+// into a buffer with room. A fresh hub envelope's first encoding is the
+// nil case; it cost five while append grew dst field by field.
+func TestAppendWireAllocBudget(t *testing.T) {
+	if race.Enabled {
+		t.Skip("alloc accounting is not meaningful under the race detector")
+	}
+	wide := sample()
+	wide.Subject = "line1\nline2\r"
+	wide.Keywords = append(wide.Keywords, "a\nb", "")
+	wide.EmailFrom = "stocks.earnings@yahoo.sim"
+	wide.Created = time.Unix(0, -1<<63)
+	for _, a := range []*Alert{sample(), wide} {
+		if n := testing.AllocsPerRun(100, func() { _, _ = a.AppendWire(nil) }); n != 1 {
+			t.Errorf("AppendWire(nil) of %q allocates %.0f times, want 1", a.Subject, n)
+		}
+		buf := make([]byte, 0, 4096)
+		if n := testing.AllocsPerRun(100, func() { _, _ = a.AppendWire(buf) }); n != 0 {
+			t.Errorf("AppendWire into a 4 KiB buffer of %q allocates %.0f times, want 0", a.Subject, n)
+		}
+		if got, _ := a.AppendWire(nil); len(got) > a.wireLen() {
+			t.Errorf("the wire form of %q is %d bytes, over its %d-byte bound", a.Subject, len(got), a.wireLen())
+		}
+	}
 }
 
 func TestMarshalEmptyKeywordsAndBody(t *testing.T) {

@@ -406,13 +406,15 @@ func (d *deliveryStage) handoff(env *envelope, attempts int) bool {
 		Alert:    env.alert.Clone(),
 		Attempts: attempts,
 	})
+	if h.cfg.Journal == nil {
+		return err == nil // no journal: format no line (see requeue)
+	}
+	alertKey := env.key[len(env.buddy.user)+len(keySep):]
 	if err != nil {
-		h.journal(faults.KindOutbox, "outbox handoff failed for %s alert %s: %v",
-			env.buddy.user, env.alert.DedupKey(), err)
+		h.journal(faults.KindOutbox, "outbox handoff failed for %s alert %s: %v", env.buddy.user, alertKey, err)
 		return false
 	}
-	h.journal(faults.KindOutbox, "handed %s alert %s to the outbox after %d attempts",
-		env.buddy.user, env.alert.DedupKey(), attempts)
+	h.journal(faults.KindOutbox, "handed %s alert %s to the outbox after %d attempts", env.buddy.user, alertKey, attempts)
 	return true
 }
 

@@ -160,9 +160,12 @@ func (h *Hub) replay() {
 // requeue admits one replayed record to sh's current generation, whose
 // workers must be live and draining — so the blocking reservation
 // cannot wedge — as they are at startup and after a restart's
-// generation swap.
+// generation swap. Without a journal no replay line is formatted: the
+// arguments alone would cost allocations per replayed alert.
 func (h *Hub) requeue(sh *shard, r *replayRec) {
-	h.journal(faults.KindReplay, "shard %d: replaying unprocessed alert %s for %s", sh.id, r.a.DedupKey(), r.b.user)
+	if h.cfg.Journal != nil {
+		h.journal(faults.KindReplay, "shard %d: replaying unprocessed alert %s for %s", sh.id, r.key[len(r.b.user)+len(keySep):], r.b.user)
+	}
 	h.counters.Add1("replayed")
 	sh.reserveBlocking()
 	env := getEnvelope()

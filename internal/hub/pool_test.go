@@ -148,6 +148,127 @@ func TestHubIngestAllocBudget(t *testing.T) {
 	}
 }
 
+// TestAddUserAllocBudget pins a tenant's construction — AddUser plus
+// one Accept and one Map, which every start does for every tenant
+// before it replays — at eight allocations: the Buddy, its pipeline
+// (the three stages are one allocation with it) and the two
+// copy-on-write tables the rules are rebuilt into. Measured 8 (8.02
+// with the hub's tenant map growing, which AllocsPerRun's whole-number
+// average leaves out); 18 when each stage, and each empty table its
+// constructor stored, was an allocation of its own.
+func TestAddUserAllocBudget(t *testing.T) {
+	if race.Enabled {
+		t.Skip("alloc accounting is not meaningful under the race detector")
+	}
+	const users, budget = 1000, 8.0
+	h := newTestHub(t, Config{Channels: core.NewChannels()})
+	names := make([]string, users+1) // AllocsPerRun makes one warm-up call
+	for i := range names {
+		names[i] = fmt.Sprintf("user-%d", i)
+	}
+	next := 0
+	perUser := testing.AllocsPerRun(users, func() {
+		b, err := h.AddUser(names[next])
+		if err != nil {
+			t.Fatal(err)
+		}
+		next++
+		b.Pipeline().Classifier.Accept(mab.SourceRule{Source: "portal", Extract: mab.ExtractNative})
+		b.Pipeline().Aggregator.Map("stocks", "Investment")
+	})
+	if perUser > budget {
+		t.Fatalf("a tenant costs %.0f allocations, budget %.0f", perUser, budget)
+	}
+}
+
+// TestHubReplayAllocBudget pins what a restart costs per replayed
+// alert on a hub with no journal: 64 tenants, 1,024 alerts acknowledged
+// and never routed before the kill, every envelope pool emptied as a
+// collection empties it. New, which replays the WAL, costs ≤ 0.5
+// allocations per record (measured 0.33; 1.31 when every replayed key
+// was a string of its own); Start through the last replayed delivery ≤ 8
+// (measured 3.7–4.5; 9.7–11.7 when requeue built a replay line nobody
+// kept and a fresh envelope's first encoding grew its buffer five
+// times).
+func TestHubReplayAllocBudget(t *testing.T) {
+	if race.Enabled {
+		t.Skip("alloc accounting is not meaningful under the race detector")
+	}
+	const (
+		users, alerts, burst = 64, 1024, 64
+		newBudget            = 0.5 // allocations per record
+		startBudget          = 8.0
+	)
+	var delivered atomic.Int64
+	cfg := Config{
+		Clock:      clock.NewReal(),
+		Channels:   sinkChannels(func(int, string, *alert.Alert) error { delivered.Add(1); return nil }),
+		WALPath:    filepath.Join(t.TempDir(), "hub.wal"),
+		QueueDepth: alerts,
+		// Every worker parks before routing until the kill: the alerts are
+		// durable and acknowledged, and none is routed.
+		Fault: func(p FaultPoint, _ int, killed <-chan struct{}) bool {
+			if p == FaultRoute {
+				<-killed
+			}
+			return false
+		},
+	}
+	h1, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	addUsers(t, h1, users)
+	if err := h1.Start(); err != nil {
+		t.Fatal(err)
+	}
+	now := time.Now()
+	subs := make([]Submission, alerts)
+	for i := range subs {
+		subs[i] = Submission{User: fmt.Sprintf("user-%d", i%users), Alert: portalAlert(i, now)}
+	}
+	for i := 0; i < alerts; i += burst {
+		for k, err := range h1.SubmitBatch(subs[i : i+burst]) {
+			if err != nil {
+				t.Fatalf("submit %d: %v", i+k, err)
+			}
+		}
+	}
+	h1.Kill()
+	<-h1.Stopped()
+
+	cfg.Fault = nil
+	runtime.GC()
+	runtime.GC() // the second collection empties the pools' victim caches too
+	var before, opened, added, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	h2, err := New(cfg)
+	runtime.ReadMemStats(&opened)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer h2.Drain()
+	addUsers(t, h2, users)
+	runtime.ReadMemStats(&added)
+	if err := h2.Start(); err != nil {
+		t.Fatal(err)
+	}
+	waitCond(t, "every replayed alert to be delivered", func() bool { return delivered.Load() >= alerts })
+	runtime.ReadMemStats(&after)
+	if got := h2.Counters().Get("replayed"); got != alerts {
+		t.Fatalf("replayed %d alerts, want %d", got, alerts)
+	}
+	perNew := float64(opened.Mallocs-before.Mallocs) / alerts
+	perStart := float64(after.Mallocs-added.Mallocs) / alerts
+	t.Logf("New: %.2f allocs/record; Start to the last delivery: %.2f allocs/record", perNew, perStart)
+	if perNew > newBudget {
+		t.Errorf("New costs %.2f allocations per replayed record, budget %.1f", perNew, newBudget)
+	}
+	if perStart > startBudget {
+		t.Errorf("Start costs %.2f allocations per replayed record, budget %.1f", perStart, startBudget)
+	}
+}
+
 // TestHubJournalBytesPerAlert pins what the journal writes per alert, from
 // admission to DONE: alerts shaped like the benchmark's (a 40-byte
 // user␟dedup key, a 131-byte wire payload) through SubmitBatch, then

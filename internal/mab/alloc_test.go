@@ -1,6 +1,7 @@
 package mab
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
@@ -33,5 +34,45 @@ func TestPipelineEvaluateZeroAllocs(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("Pipeline.Evaluate allocates %.1f objects per alert, want 0", allocs)
+	}
+}
+
+// TestZeroValueStagesZeroAllocs pins what lets NewPipeline be one
+// allocation: a zero Classifier, Aggregator and Filter behave exactly as
+// the New* constructors' stages, untouched and after the same
+// mutations, and Aggregate on an untouched zero Aggregator allocates
+// nothing.
+func TestZeroValueStagesZeroAllocs(t *testing.T) {
+	noon := time.Date(2001, 3, 26, 12, 0, 0, 0, time.UTC)
+	a := &alert.Alert{ID: "a-1", Source: "portal", Keywords: []string{"Stocks"}, Urgency: alert.UrgencyNormal, Created: noon}
+	type stages struct {
+		c *Classifier
+		g *Aggregator
+		f *Filter
+	}
+	observe := func(s stages) string {
+		kws, ok := s.c.Classify(a, "")
+		return fmt.Sprint(kws, ok, s.c.Sources(), s.c.Rules(), s.g.Aggregate(a.Keywords), s.g.Aggregate(nil),
+			s.f.Allow("Investment", noon), s.f.Allow(DefaultCategory, noon))
+	}
+	zero := stages{&Classifier{}, &Aggregator{}, &Filter{}}
+	built := stages{NewClassifier(), NewAggregator(), NewFilter()}
+	if z, b := observe(zero), observe(built); z != b {
+		t.Fatalf("untouched: zero stages read %s, constructed ones %s", z, b)
+	}
+	if !race.Enabled {
+		if allocs := testing.AllocsPerRun(100, func() { zero.g.Aggregate(a.Keywords) }); allocs != 0 {
+			t.Errorf("Aggregate on a zero Aggregator allocates %.1f objects, want 0", allocs)
+		}
+	}
+	for _, s := range []stages{zero, built} {
+		s.c.Accept(SourceRule{Source: "portal"})
+		s.g.Map("stocks", "Investment")
+		s.g.SetFallback("Other")
+		s.f.SetEnabled("Other", false)
+		s.f.SetQuietHours("Investment", 11*time.Hour, 13*time.Hour)
+	}
+	if z, b := observe(zero), observe(built); z != b {
+		t.Fatalf("configured: zero stages read %s, constructed ones %s", z, b)
 	}
 }

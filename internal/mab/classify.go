@@ -57,13 +57,9 @@ type Classifier struct {
 	rules atomic.Pointer[map[string]SourceRule]
 }
 
-// NewClassifier returns an empty classifier (which accepts nothing).
-func NewClassifier() *Classifier {
-	c := new(Classifier)
-	empty := make(map[string]SourceRule)
-	c.rules.Store(&empty)
-	return c
-}
+// NewClassifier returns an empty classifier (which accepts nothing),
+// as is the zero Classifier.
+func NewClassifier() *Classifier { return new(Classifier) }
 
 // snapshot returns the current rule table (possibly nil for a zero
 // Classifier). Callers must treat it as read-only.
@@ -218,20 +214,21 @@ type aggState struct {
 	fallback string
 }
 
-// NewAggregator returns an aggregator with DefaultCategory fallback.
-func NewAggregator() *Aggregator {
-	g := new(Aggregator)
-	g.state.Store(&aggState{mapping: make(map[string]string), fallback: DefaultCategory})
-	return g
-}
+// NewAggregator returns an aggregator with DefaultCategory fallback, as
+// is the zero Aggregator.
+func NewAggregator() *Aggregator { return new(Aggregator) }
 
-// snapshot returns the current state; never nil (a zero Aggregator
-// reads as empty with DefaultCategory fallback).
+// defaultAggState is what an Aggregator no mutator has touched reads:
+// no mapping, DefaultCategory fallback. Shared and never written —
+// rebuild copies it.
+var defaultAggState = aggState{fallback: DefaultCategory}
+
+// snapshot returns the current state; never nil.
 func (g *Aggregator) snapshot() *aggState {
 	if s := g.state.Load(); s != nil {
 		return s
 	}
-	return &aggState{fallback: DefaultCategory}
+	return &defaultAggState
 }
 
 // rebuild swaps in a copy of the state with mutate applied. Callers
@@ -342,15 +339,9 @@ type quietWindow struct {
 	start, end time.Duration // offsets since midnight; start==end means none
 }
 
-// NewFilter returns a filter that allows everything.
-func NewFilter() *Filter {
-	f := new(Filter)
-	f.state.Store(&filterState{
-		disabled: make(map[string]bool),
-		quiet:    make(map[string]quietWindow),
-	})
-	return f
-}
+// NewFilter returns a filter that allows everything, as does the zero
+// Filter.
+func NewFilter() *Filter { return new(Filter) }
 
 // snapshot returns the current state (possibly nil for a zero Filter,
 // which allows everything).

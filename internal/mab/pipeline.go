@@ -48,13 +48,18 @@ type Pipeline struct {
 }
 
 // NewPipeline returns a pipeline with empty stages: it accepts no
-// sources until the user registers classification rules.
+// sources until the user registers classification rules. The pipeline
+// and its three zero-valued stages are one allocation, so a hub pays
+// once per tenant, not once per stage.
 func NewPipeline() *Pipeline {
-	return &Pipeline{
-		Classifier: NewClassifier(),
-		Aggregator: NewAggregator(),
-		Filter:     NewFilter(),
-	}
+	s := new(struct {
+		p Pipeline
+		c Classifier
+		g Aggregator
+		f Filter
+	})
+	s.p = Pipeline{Classifier: &s.c, Aggregator: &s.g, Filter: &s.f}
+	return &s.p
 }
 
 // Evaluate runs classify → aggregate → filter for one alert at the

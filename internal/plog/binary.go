@@ -7,6 +7,7 @@ import (
 	"io"
 	"slices"
 	"sort"
+	"strings"
 	"time"
 )
 
@@ -157,9 +158,12 @@ func (c *cursor) field() []byte {
 }
 
 // decodeRun appends the entries of one CRC-validated RECV run body to
-// recs. Their payloads alias body. ok is false, and nothing is appended,
-// when the body is not exactly one well-formed run of at least one
-// entry.
+// recs. Their payloads alias body; their keys are substrings of one
+// string holding the run's keys and nothing else — a live burst's
+// key-slab rule, so a survivor pins its run's keys, never the frame
+// buffer, until the sweep retires the last of them. ok is false, and
+// nothing is appended, when the body is not exactly one well-formed run
+// of at least one entry.
 func decodeRun(body []byte, recs []Record) (out []Record, ok bool) {
 	if len(body) < 9 {
 		return recs, false
@@ -167,13 +171,21 @@ func decodeRun(body []byte, recs []Record) (out []Record, ok bool) {
 	at := time.Unix(0, int64(binary.LittleEndian.Uint64(body[1:9]))).UTC()
 	c := cursor{p: body[9:]}
 	first, count := c.uvarint(), c.uvarint()
-	out = recs
+	entries, keyBytes := c, 0
 	for i := uint64(0); i < count && !c.bad; i++ {
-		key, payload := c.field(), c.field()
-		out = append(out, Record{Key: string(key), Payload: payload, ReceivedAt: at, seq: int64(first + i)})
+		keyBytes += len(c.field())
+		c.field()
 	}
 	if c.bad || len(c.p) != 0 || count == 0 || first == 0 || first > 1<<62 {
 		return recs, false
+	}
+	var keys strings.Builder
+	keys.Grow(keyBytes)
+	out = recs
+	for seq := int64(first); len(entries.p) > 0; seq++ {
+		lo := keys.Len()
+		keys.Write(entries.field())
+		out = append(out, Record{Key: keys.String()[lo:], Payload: entries.field(), ReceivedAt: at, seq: seq})
 	}
 	return out, true
 }

@@ -233,7 +233,7 @@ func (l *Log) loadCheckpoint(path string) (ckptHeader, []Record, error) {
 		if recs, ok = decodeRun(body, recs); !ok {
 			return hdr, nil, fmt.Errorf("plog: checkpoint %s: malformed run after record %d", path, len(recs))
 		}
-		// No copy: the records keep the frame's buffer, and recovery
+		// No copy: the payloads keep the frame's buffer, and recovery
 		// re-homes every surviving payload when it finishes (see recover),
 		// which frees it.
 		fr.buf = nil

@@ -278,15 +278,19 @@ func (l *Log) committer() {
 		}
 		take = take[:0]
 		var lines int64
-		for len(l.queue) > 0 {
-			next := l.queue[0]
+		for _, next := range l.queue {
 			if len(take) > 0 && lines+next.lines > int64(l.opts.MaxBatch) {
 				break
 			}
 			take = append(take, next)
 			lines += next.lines
-			l.queue = l.queue[1:]
 		}
+		// Shift the untaken batches down rather than reslicing from the
+		// front, so the next openBatchLocked appends into this backing
+		// array instead of a fresh one.
+		left := copy(l.queue, l.queue[len(take):])
+		clear(l.queue[left:])
+		l.queue = l.queue[:left]
 		l.flushing = take[len(take)-1]
 		err := l.failed
 		l.qmu.Unlock()
