@@ -1,6 +1,8 @@
 package alert
 
 import (
+	"math"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -128,12 +130,7 @@ func TestAppendWireAllocBudget(t *testing.T) {
 	if race.Enabled {
 		t.Skip("alloc accounting is not meaningful under the race detector")
 	}
-	wide := sample()
-	wide.Subject = "line1\nline2\r"
-	wide.Keywords = append(wide.Keywords, "a\nb", "")
-	wide.EmailFrom = "stocks.earnings@yahoo.sim"
-	wide.Created = time.Unix(0, -1<<63)
-	for _, a := range []*Alert{sample(), wide} {
+	for _, a := range []*Alert{sample(), wide()} {
 		if n := testing.AllocsPerRun(100, func() { _, _ = a.AppendWire(nil) }); n != 1 {
 			t.Errorf("AppendWire(nil) of %q allocates %.0f times, want 1", a.Subject, n)
 		}
@@ -145,6 +142,97 @@ func TestAppendWireAllocBudget(t *testing.T) {
 			t.Errorf("the wire form of %q is %d bytes, over its %d-byte bound", a.Subject, len(got), a.wireLen())
 		}
 	}
+}
+
+// wide is an alert with every field the wire form cannot carry verbatim:
+// comma-, newline- and empty keywords, a multi-line subject, an
+// EmailFrom and the earliest Created.
+func wide() *Alert {
+	a := sample()
+	a.Subject = "line1\nline2\r"
+	a.Keywords = append(a.Keywords, "a,b", "c\nd", "")
+	a.EmailFrom = "stocks.earnings@yahoo.sim"
+	a.Created = time.Unix(0, math.MinInt64)
+	return a
+}
+
+// TestAppendBinaryAllocBudget: the journal encoder grows dst once —
+// exactly one allocation into nil, none into a buffer with room — and
+// BinaryLen is the exact length of what it appends.
+func TestAppendBinaryAllocBudget(t *testing.T) {
+	if race.Enabled {
+		t.Skip("alloc accounting is not meaningful under the race detector")
+	}
+	for _, a := range []*Alert{sample(), wide()} {
+		if n := testing.AllocsPerRun(100, func() { _, _ = a.AppendBinary(nil) }); n != 1 {
+			t.Errorf("AppendBinary(nil) of %q allocates %.0f times, want 1", a.Subject, n)
+		}
+		buf := make([]byte, 0, 4096)
+		if n := testing.AllocsPerRun(100, func() { _, _ = a.AppendBinary(buf) }); n != 0 {
+			t.Errorf("AppendBinary into a 4 KiB buffer of %q allocates %.0f times, want 0", a.Subject, n)
+		}
+		if got, _ := a.AppendBinary(nil); len(got) != a.BinaryLen() {
+			t.Errorf("the record of %q is %d bytes, BinaryLen says %d", a.Subject, len(got), a.BinaryLen())
+		}
+	}
+}
+
+// TestUnmarshalBinaryAllocBudget: decoding costs one string for every
+// text field and one Keywords slice.
+func TestUnmarshalBinaryAllocBudget(t *testing.T) {
+	if race.Enabled {
+		t.Skip("alloc accounting is not meaningful under the race detector")
+	}
+	for _, a := range []*Alert{sample(), wide()} {
+		rec, err := a.AppendBinary(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got Alert
+		if n := testing.AllocsPerRun(100, func() { _ = got.UnmarshalBinary(rec) }); n > 2 {
+			t.Errorf("UnmarshalBinary of %q allocates %.0f times, want <= 2", a.Subject, n)
+		}
+	}
+}
+
+// FuzzUnmarshalBinary: decoding arbitrary bytes never panics and never
+// yields an alert that fails Validate, and every valid alert — built
+// from the other arguments, keywords split on NUL after a leading one —
+// round-trips exactly, into storage that does not alias the record.
+func FuzzUnmarshalBinary(f *testing.F) {
+	for _, a := range []*Alert{sample(), wide()} {
+		rec, _ := a.AppendBinary(nil)
+		f.Add(rec, a.ID, a.Source, "\x00"+strings.Join(a.Keywords, "\x00"), a.Subject, a.EmailFrom, a.Body, uint8(a.Urgency), a.Created.UnixNano())
+	}
+	f.Add([]byte{binaryTag, 1, 'x'}, "x", "s", "", "", "", "", uint8(4), int64(math.MaxInt64))
+	f.Fuzz(func(t *testing.T, data []byte, id, source, kws, subject, from, body string, urgency uint8, created int64) {
+		var got Alert
+		if got.UnmarshalBinary(data) == nil {
+			if err := got.Validate(); err != nil {
+				t.Fatalf("decoded an invalid alert %+v: %v", got, err)
+			}
+		}
+		a := &Alert{
+			ID: id, Source: source, Keywords: strings.Split(kws, "\x00")[1:], Subject: subject,
+			Body: body, Urgency: Urgency(urgency), Created: time.Unix(0, created), EmailFrom: from,
+		}
+		rec, err := a.AppendBinary(nil)
+		if (err == nil) != (a.Validate() == nil) {
+			t.Fatalf("AppendBinary error %v, Validate error %v", err, a.Validate())
+		}
+		if err != nil {
+			return
+		}
+		if err := got.UnmarshalBinary(rec); err != nil {
+			t.Fatalf("UnmarshalBinary of a valid alert's record: %v", err)
+		}
+		clear(rec)
+		if got.ID != a.ID || got.Source != a.Source || got.Subject != a.Subject || got.Body != a.Body ||
+			got.EmailFrom != a.EmailFrom || got.Urgency != a.Urgency || got.Created.UnixNano() != created ||
+			!slices.Equal(got.Keywords, a.Keywords) {
+			t.Fatalf("round trip:\n got %+v\nwant %+v", got, *a)
+		}
+	})
 }
 
 func TestMarshalEmptyKeywordsAndBody(t *testing.T) {

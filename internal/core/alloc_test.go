@@ -187,3 +187,31 @@ func TestDeliverScratchIMAckZeroAllocs(t *testing.T) {
 		}
 	}
 }
+
+// TestAckTextAllocBudget: an ack built and handed straight to
+// HandleIncoming — the shape of every IM user's ack path — costs
+// nothing: HandleIncoming keeps no reference to the message, so the
+// text lives on the caller's stack.
+func TestAckTextAllocBudget(t *testing.T) {
+	if race.Enabled {
+		t.Skip("alloc accounting is not meaningful under the race detector")
+	}
+	acks := NewAcks(clock.NewReal())
+	ch := make(chan ackArrival, 1)
+	seq := uint64(1 << 40)
+	if n := testing.AllocsPerRun(100, func() {
+		seq++
+		acks.register(ackKey{handle: "user@im", seq: seq}, pendingAck{ch: ch, name: "Pager IM"}, time.Time{})
+		acks.HandleIncoming(im.Message{From: "user@im", Text: AckText(seq)})
+		select {
+		case <-ch:
+		default:
+			t.Fatalf("ack %d matched no wait", seq)
+		}
+	}); n != 0 {
+		t.Fatalf("HandleIncoming(AckText(n)) allocates %.2f times, want 0", n)
+	}
+	if got, ok := ParseAck(AckText(seq)); !ok || got != seq {
+		t.Fatalf("ParseAck(AckText(%d)) = %d, %v", seq, got, ok)
+	}
+}

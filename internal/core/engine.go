@@ -53,9 +53,12 @@ type EmailSender interface {
 // acks are tagged with the IM message sequence numbers.
 const ackPrefix = "SIMBA-ACK "
 
-// AckText builds the acknowledgement text for a received IM alert.
+// AckText builds the acknowledgement text for a received IM alert. It
+// is built in a fixed array so that, inlined at a call site where the
+// text does not escape, the conversion to string allocates nothing.
 func AckText(seq uint64) string {
-	return ackPrefix + strconv.FormatUint(seq, 10)
+	var b [len(ackPrefix) + 20]byte
+	return string(strconv.AppendUint(append(b[:0], ackPrefix...), seq, 10))
 }
 
 // ParseAck reports whether text is an acknowledgement and, if so, the

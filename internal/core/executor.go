@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"time"
 
@@ -92,7 +93,9 @@ func NewAcks(clk clock.Clock) *Acks {
 // The arrival is handed to the waiter while the table lock is held:
 // once cancel has removed a wait's keys under the same lock, nothing
 // can send on its channel any more, which is what lets a pooled
-// Scratch reuse one channel across waits.
+// Scratch reuse one channel across waits. HandleIncoming keeps no
+// reference to msg — a parked ack copies its handle — so an ack text
+// built for this call can live on the caller's stack (see AckText).
 func (t *Acks) HandleIncoming(msg im.Message) bool {
 	seq, ok := ParseAck(msg.Text)
 	if !ok {
@@ -111,7 +114,7 @@ func (t *Acks) HandleIncoming(msg im.Message) bool {
 		if !e.live {
 			t.earlyLive++
 		}
-		*e = earlyAck{key: key, at: now, live: true}
+		*e = earlyAck{key: ackKey{handle: strings.Clone(msg.From), seq: seq}, at: now, live: true}
 		t.strays++
 	}
 	t.mu.Unlock()

@@ -3,6 +3,7 @@ package hub
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -40,16 +41,17 @@ type submitPending struct {
 
 // submitScratch is everything stage builds that does not outlive the
 // call: the key buffer the burst's key slab is made from, the dedup
-// set, the pending entries, the per-shard admission counts and the
-// journal entries handed to the WAL (which copies what it keeps while
-// staging). Pooled, so a burst allocates only its key slab and what its
-// Ticket owns.
+// set, the pending entries, the per-shard admission counts, and the
+// journal entries handed to the WAL with the buffer their alert records
+// are encoded into (the WAL copies what it keeps while staging). Pooled,
+// so a burst allocates only its key slab and what its Ticket owns.
 type submitScratch struct {
 	keys    []byte
 	seen    map[string]struct{}
 	pending []submitPending
 	counts  []int64
 	recs    []plog.BatchEntry
+	records []byte
 }
 
 var submitScratchPool = sync.Pool{New: func() any {
@@ -76,6 +78,7 @@ func (s *submitScratch) recycle() {
 	s.pending = s.pending[:0]
 	clear(s.recs)
 	s.recs = s.recs[:0]
+	s.records = s.records[:0]
 	submitScratchPool.Put(s)
 }
 
@@ -143,7 +146,7 @@ func (h *Hub) SubmitBatchAsync(subs []Submission, onCommitted func(errs []error)
 
 // SubmitBatch offers a burst of alerts, amortizing the ingest path's
 // fixed costs: one validation/dedup pass, bulk admission reservation
-// per shard, one marshal pass, and a single group-commit WAL join for
+// per shard, one encoding pass, and a single group-commit WAL join for
 // every RECV record in the burst (plog.Log.LogReceivedBatchStart — one
 // lock round-trip and one fsync wait instead of per-alert ones).
 //
@@ -194,8 +197,8 @@ func (h *Hub) submit(subs []Submission, onCommitted func([]error)) *Ticket {
 }
 
 // stage validates and dedups the burst, bulk-reserves admission,
-// marshals the admitted entries, and stages their RECV records into the
-// WAL's group commit as one unit, leaving the commit and the staged
+// encodes the admitted alerts' journal records, and stages them into
+// the WAL's group commit as one unit, leaving the commit and the staged
 // entries in t. It reports false when nothing was staged, having
 // resolved t itself.
 func (h *Hub) stage(t *Ticket, subs []Submission, scr *submitScratch) bool {
@@ -210,6 +213,7 @@ func (h *Hub) stage(t *Ticket, subs []Submission, scr *submitScratch) bool {
 	// cost one allocation per burst. The slab is collectable when the
 	// journal's sweep has retired the last of its keys.
 	pending := scr.pending
+	need := 0 // journal record bytes, should every valid entry be admitted
 	for i := range subs {
 		s := &subs[i]
 		if err := s.Alert.Validate(); err != nil {
@@ -226,6 +230,7 @@ func (h *Hub) stage(t *Ticket, subs []Submission, scr *submitScratch) bool {
 		scr.keys = append(scr.keys, s.User...)
 		scr.keys = append(scr.keys, keySep...)
 		scr.keys = s.Alert.AppendDedupKey(scr.keys)
+		need += s.Alert.BinaryLen()
 		pending = append(pending, submitPending{idx: i, buddy: b, a: s.Alert, keyEnd: len(scr.keys)})
 	}
 	scr.pending = pending
@@ -262,11 +267,13 @@ func (h *Hub) stage(t *Ticket, subs []Submission, scr *submitScratch) bool {
 			granted[id] = h.shards[id].reserveN(counts[id])
 		}
 	}
-	// Pass 3: marshal the admitted entries into the journal entries the
+	// Pass 3: encode the admitted entries into the journal entries the
 	// WAL stages plus the parallel ticketEntry bookkeeping the resolver
 	// needs (duplicates ride along as idempotent no-ops so their re-ack
-	// waits for the original's durability).
+	// waits for the original's durability). The records buffer is grown
+	// once, here, so the records' payloads are its consecutive spans.
 	recs := scr.recs
+	records := slices.Grow(scr.records[:0], need)
 	entries := make([]ticketEntry, 0, len(pending))
 	for _, p := range pending {
 		if p.dup {
@@ -285,13 +292,13 @@ func (h *Hub) stage(t *Ticket, subs []Submission, scr *submitScratch) bool {
 			continue
 		}
 		granted[p.sh.id]--
-		// Fill a pooled envelope and encode its wire form into
-		// envelope-owned storage; the group log copies the payload
+		// Fill a pooled envelope and append its journal record to the
+		// burst's records buffer; the group log copies the payload
 		// synchronously while staging, so the buffer is reusable the
 		// moment LogReceivedBatchStart returns.
 		env := getEnvelope()
 		env.fill(p.buddy, p.a, p.key, now)
-		payload, err := env.alert.AppendWire(env.payload[:0])
+		grown, err := env.alert.AppendBinary(records)
 		if err != nil {
 			putEnvelope(env)
 			p.sh.release()
@@ -299,11 +306,11 @@ func (h *Hub) stage(t *Ticket, subs []Submission, scr *submitScratch) bool {
 			errs[p.idx] = err
 			continue
 		}
-		env.payload = payload
-		recs = append(recs, plog.BatchEntry{Key: p.key, Payload: payload, At: now})
+		recs = append(recs, plog.BatchEntry{Key: p.key, Payload: grown[len(records):], At: now})
+		records = grown
 		entries = append(entries, ticketEntry{idx: p.idx, buddy: p.buddy, sh: p.sh, env: env})
 	}
-	scr.recs = recs
+	scr.recs, scr.records = recs, records
 	if len(entries) == 0 {
 		h.finishTicket(t)
 		return false

@@ -139,7 +139,7 @@ func (h *Hub) replayable(rec plog.Record, only *shard) (r replayRec, ok bool) {
 		return r, false
 	}
 	r = replayRec{b: b, key: rec.Key}
-	if err := r.a.UnmarshalText(rec.Payload); err != nil {
+	if err := r.a.UnmarshalBinary(rec.Payload); err != nil {
 		tombstone("unparsable WAL entry %q: %v", rec.Key, err)
 		return r, false
 	}

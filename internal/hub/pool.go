@@ -38,7 +38,7 @@ type envelope struct {
 	category string
 
 	// Envelope-owned reusable storage.
-	payload []byte    // wire form: the submitted alert at ingest, the routed alert during delivery
+	payload []byte    // the routed alert's wire form, built by perform and reused by every attempt
 	kwbuf   []string  // backing for alert.Keywords (submitter copy)
 	kw      [1]string // backing for the routed-category annotation
 

@@ -271,20 +271,20 @@ func TestHubReplayAllocBudget(t *testing.T) {
 
 // TestHubJournalBytesPerAlert pins what the journal writes per alert, from
 // admission to DONE: alerts shaped like the benchmark's (a 40-byte
-// user␟dedup key, a 131-byte wire payload) through SubmitBatch, then
-// Drain, then the segment files' sizes over the alert count. An alert
-// owes its key and payload once and two length varints (174 bytes); a
-// burst owes one run header (22 bytes), a commit one DONE list header,
-// a DONE about a byte. Nothing is owed per alert twice — a second copy
-// of the key in the DONE, or a frame header and checksum per record,
-// would put either burst size far over its bound.
+// user␟dedup key, a 48-byte alert.AppendBinary record) through
+// SubmitBatch, then Drain, then the segment files' sizes over the alert
+// count. An alert owes its key and payload once and two length varints
+// (90 bytes); a burst owes one run header (22 bytes), a commit one DONE
+// list header, a DONE about a byte. Nothing is owed per alert twice — a
+// second copy of the key in the DONE, or a frame header and checksum per
+// record, would put either burst size far over its bound.
 func TestHubJournalBytesPerAlert(t *testing.T) {
 	const users, alerts = 1000, 64 * 80
 	created := time.Unix(985597200, 0)
 	for _, tc := range []struct {
 		burst int
 		bound float64
-	}{{64, 180}, {8, 190}} {
+	}{{64, 100}, {8, 110}} {
 		t.Run(fmt.Sprintf("burst%d", tc.burst), func(t *testing.T) {
 			var delivered atomic.Int64
 			walPath := filepath.Join(t.TempDir(), "hub.wal")

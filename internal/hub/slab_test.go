@@ -145,7 +145,7 @@ func testSubmitBatchKeepsNothing(t *testing.T) {
 			t.Errorf("record %d key %q, want %q", i, rec.Key, wantKey)
 		}
 		var a alert.Alert
-		if err := a.UnmarshalText(rec.Payload); err != nil {
+		if err := a.UnmarshalBinary(rec.Payload); err != nil {
 			t.Fatalf("record %d payload %q: %v", i, rec.Payload, err)
 		}
 		if !reflect.DeepEqual(a, w.a) {

@@ -8,11 +8,13 @@ import (
 	"path/filepath"
 	"reflect"
 	"sort"
+	"strings"
 	"testing"
 	"time"
 
 	"simba/internal/clock"
 	"simba/internal/faults"
+	"simba/internal/outbox"
 	"simba/internal/plog"
 )
 
@@ -186,7 +188,7 @@ func TestHubCrashDuringWALCheckpoint(t *testing.T) {
 	if err := os.WriteFile(walPath+".ckpt.tmp", []byte("CKPT 1 2 9"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(walPath+".ckpt.00000002", []byte("CKPT 3 2 99 1 99 0\n"), 0o644); err != nil {
+	if err := os.WriteFile(walPath+".ckpt.00000002", []byte("CKPT 4 2 99 1 99 0\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 
@@ -409,23 +411,7 @@ func TestHubRefusesOldLaneDirectory(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	files := func() map[string]string {
-		t.Helper()
-		entries, err := os.ReadDir(dir)
-		if err != nil {
-			t.Fatal(err)
-		}
-		out := make(map[string]string, len(entries))
-		for _, e := range entries {
-			data, err := os.ReadFile(filepath.Join(dir, e.Name()))
-			if err != nil {
-				t.Fatal(err)
-			}
-			out[e.Name()] = string(data)
-		}
-		return out
-	}
-	before := files()
+	before := dirFiles(t, dir)
 	_, err := New(Config{
 		Clock: clock.NewReal(), WALPath: walPath, OutboxPath: filepath.Join(dir, "hub.outbox"),
 		Channels: sinkChannels(newCountingSink(nil).Deliver),
@@ -433,7 +419,75 @@ func TestHubRefusesOldLaneDirectory(t *testing.T) {
 	if !errors.Is(err, plog.ErrFormat) {
 		t.Fatalf("New on an old lane directory = %v; want plog.ErrFormat", err)
 	}
-	if after := files(); !reflect.DeepEqual(after, before) {
+	if after := dirFiles(t, dir); !reflect.DeepEqual(after, before) {
 		t.Fatalf("refused New changed the directory: %q -> %q", before, after)
 	}
+}
+
+// TestHubRefusesTextPayloadDirectory: a SIMBAW2 WAL and outbox journal
+// an older build wrote hold alerts as wire text. Replaying one through
+// the binary decoder would tombstone an acked alert as unparsable, so
+// New and outbox.Open both refuse the directory with plog.ErrFormat and
+// leave every file byte-identical.
+func TestHubRefusesTextPayloadDirectory(t *testing.T) {
+	dir := t.TempDir()
+	walPath, outboxPath := filepath.Join(dir, "hub.wal"), filepath.Join(dir, "hub.outbox")
+	a := portalAlert(1, time.Unix(985597200, 0))
+	wire, err := a.MarshalText()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for path, rec := range map[string]plog.Record{
+		walPath:    {Key: "user-0" + keySep + a.DedupKey(), Payload: wire},
+		outboxPath: {Key: "user-0" + keySep + a.DedupKey() + keySep + "0", Payload: []byte("SIMBA-OUTBOX/1\nUSER: user-0\nALERT:\n" + string(wire))},
+	} {
+		l, err := plog.Open(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := l.LogReceived(rec.Key, rec.Payload, time.Now()); err != nil {
+			t.Fatal(err)
+		}
+		if err := l.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// The frames are unchanged since SIMBAW2; only the version differs.
+	for name, data := range dirFiles(t, dir) {
+		old := strings.Replace(strings.Replace(data, "SIMBAW3\n", "SIMBAW2\n", 1), "CKPT 4 ", "CKPT 3 ", 1)
+		if err := os.WriteFile(filepath.Join(dir, name), []byte(old), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	before := dirFiles(t, dir)
+	if _, err := New(Config{
+		Clock: clock.NewReal(), WALPath: walPath, OutboxPath: outboxPath,
+		Channels: sinkChannels(newCountingSink(nil).Deliver),
+	}); !errors.Is(err, plog.ErrFormat) {
+		t.Fatalf("New on a SIMBAW2 directory = %v; want plog.ErrFormat", err)
+	}
+	if _, err := outbox.Open(outbox.Options{Clock: clock.NewReal(), Path: outboxPath}); !errors.Is(err, plog.ErrFormat) {
+		t.Fatalf("outbox.Open on a SIMBAW2 journal = %v; want plog.ErrFormat", err)
+	}
+	if after := dirFiles(t, dir); !reflect.DeepEqual(after, before) {
+		t.Fatalf("refused opens changed the directory: %q -> %q", before, after)
+	}
+}
+
+// dirFiles maps every file in dir to its contents.
+func dirFiles(t *testing.T, dir string) map[string]string {
+	t.Helper()
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := make(map[string]string, len(entries))
+	for _, e := range entries {
+		data, err := os.ReadFile(filepath.Join(dir, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		out[e.Name()] = string(data)
+	}
+	return out
 }

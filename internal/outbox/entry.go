@@ -1,6 +1,7 @@
 package outbox
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"strconv"
@@ -14,9 +15,6 @@ import (
 // inside the outbox journal. It is the same control character the hub
 // uses in its WAL keys, which no user ID contains.
 const keySep = "\x1f"
-
-// envelopeHeader versions the persisted envelope payload.
-const envelopeHeader = "SIMBA-OUTBOX/1"
 
 // Entry is one guaranteed-tier delivery the outbox owes the user: the
 // routed alert plus everything a later incarnation needs to resume the
@@ -87,100 +85,53 @@ func splitKey(key string) (dedup string, round int, err error) {
 	return key[:i], round, nil
 }
 
-// encode renders the envelope payload: a line-oriented header (in the
-// style of the alert wire form) followed by the embedded alert.
-//
-//	SIMBA-OUTBOX/1
-//	USER: <user>
-//	CATEGORY: <category>
-//	ATTEMPTS: <n>
-//	ROUND: <n>
-//	OFFSET: <n>
-//	DUE: <unix-nanos>
-//	ALERT:
-//	<alert wire form...>
+// encode renders the envelope payload in one buffer: uvarint-length
+// User and Category, uvarint Attempts, Round and Offset, Due as 8 bytes
+// of little-endian Unix nanoseconds, then the alert's journal record
+// (alert.AppendBinary) as the rest.
 func (e *Entry) encode() ([]byte, error) {
 	if err := e.validate(); err != nil {
 		return nil, err
 	}
-	payload, err := e.Alert.MarshalText()
-	if err != nil {
-		return nil, err
+	dst := make([]byte, 0, len(e.User)+len(e.Category)+5*binary.MaxVarintLen64+8+e.Alert.BinaryLen())
+	dst = binary.AppendUvarint(dst, uint64(len(e.User)))
+	dst = append(dst, e.User...)
+	dst = binary.AppendUvarint(dst, uint64(len(e.Category)))
+	dst = append(dst, e.Category...)
+	for _, n := range [...]int{e.Attempts, e.Round, e.Offset} {
+		dst = binary.AppendUvarint(dst, uint64(n))
 	}
-	var b strings.Builder
-	b.Grow(len(payload) + 128)
-	b.WriteString(envelopeHeader)
-	b.WriteByte('\n')
-	field := func(k, v string) {
-		b.WriteString(k)
-		b.WriteString(": ")
-		b.WriteString(v)
-		b.WriteByte('\n')
-	}
-	field("USER", e.User)
-	field("CATEGORY", e.Category)
-	field("ATTEMPTS", strconv.Itoa(e.Attempts))
-	field("ROUND", strconv.Itoa(e.Round))
-	field("OFFSET", strconv.Itoa(e.Offset))
-	field("DUE", strconv.FormatInt(e.Due.UnixNano(), 10))
-	b.WriteString("ALERT:\n")
-	b.Write(payload)
-	return []byte(b.String()), nil
+	dst = binary.LittleEndian.AppendUint64(dst, uint64(e.Due.UnixNano()))
+	return e.Alert.AppendBinary(dst)
 }
+
+var errEnvelope = errors.New("outbox: malformed envelope")
 
 // decodeEntry parses an envelope payload produced by encode.
 func decodeEntry(payload []byte) (*Entry, error) {
-	text := string(payload)
-	lines := strings.Split(text, "\n")
-	if len(lines) == 0 || strings.TrimSpace(lines[0]) != envelopeHeader {
-		return nil, errors.New("outbox: not an outbox envelope")
+	e := &Entry{Alert: new(alert.Alert)}
+	var text [2]string
+	for i := range text {
+		n, k := binary.Uvarint(payload)
+		if k <= 0 || n > uint64(len(payload)-k) {
+			return nil, errEnvelope
+		}
+		text[i], payload = string(payload[k:k+int(n)]), payload[k+int(n):]
 	}
-	e := &Entry{}
-	i := 1
-	for ; i < len(lines); i++ {
-		if lines[i] == "ALERT:" {
-			i++
-			break
+	e.User, e.Category = text[0], text[1]
+	for _, f := range [...]*int{&e.Attempts, &e.Round, &e.Offset} {
+		n, k := binary.Uvarint(payload)
+		if k <= 0 {
+			return nil, errEnvelope
 		}
-		key, val, ok := strings.Cut(lines[i], ": ")
-		if !ok {
-			key, val, ok = strings.Cut(lines[i], ":")
-			if !ok {
-				return nil, fmt.Errorf("outbox: malformed envelope line %q", lines[i])
-			}
-		}
-		var err error
-		switch key {
-		case "USER":
-			e.User = val
-		case "CATEGORY":
-			e.Category = val
-		case "ATTEMPTS":
-			e.Attempts, err = strconv.Atoi(val)
-		case "ROUND":
-			e.Round, err = strconv.Atoi(val)
-		case "OFFSET":
-			e.Offset, err = strconv.Atoi(val)
-		case "DUE":
-			var nanos int64
-			nanos, err = strconv.ParseInt(val, 10, 64)
-			if err == nil {
-				e.Due = time.Unix(0, nanos)
-			}
-		default:
-			// Unknown fields are skipped for forward compatibility.
-		}
-		if err != nil {
-			return nil, fmt.Errorf("outbox: malformed envelope field %s: %w", key, err)
-		}
+		*f, payload = int(n), payload[k:]
 	}
-	if i >= len(lines) {
-		return nil, errors.New("outbox: envelope missing alert")
+	if len(payload) < 8 {
+		return nil, errEnvelope
 	}
-	var a alert.Alert
-	if err := a.UnmarshalText([]byte(strings.Join(lines[i:], "\n"))); err != nil {
+	e.Due = time.Unix(0, int64(binary.LittleEndian.Uint64(payload)))
+	if err := e.Alert.UnmarshalBinary(payload[8:]); err != nil {
 		return nil, fmt.Errorf("outbox: envelope alert: %w", err)
 	}
-	e.Alert = &a
 	return e, e.validate()
 }

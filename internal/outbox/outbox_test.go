@@ -14,6 +14,7 @@ import (
 	"simba/internal/clock"
 	"simba/internal/faults"
 	"simba/internal/plog"
+	"simba/internal/race"
 )
 
 func testAlert(i int) *alert.Alert {
@@ -65,6 +66,18 @@ func TestEntryCodecRoundTrip(t *testing.T) {
 	}
 	if dedup != e.dedupKey() || round != e.Round {
 		t.Fatalf("splitKey(%q) = (%q, %d)", e.key(), dedup, round)
+	}
+}
+
+// TestEntryEncodeAllocBudget: an envelope payload is one buffer, sized
+// once for the header and the alert's journal record.
+func TestEntryEncodeAllocBudget(t *testing.T) {
+	if race.Enabled {
+		t.Skip("alloc accounting is not meaningful under the race detector")
+	}
+	e := testEntry(1)
+	if n := testing.AllocsPerRun(100, func() { _, _ = e.encode() }); n != 1 {
+		t.Fatalf("encode allocates %.0f times, want 1", n)
 	}
 }
 

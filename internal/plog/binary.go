@@ -52,8 +52,11 @@ import (
 // whose body does not parse is a writer bug, counted and skipped.
 
 // segMagic opens every segment; recovery refuses a file that opens with
-// anything else (checkFormats).
-const segMagic = "SIMBAW2\n"
+// anything else (checkFormats). The version also covers the payloads the
+// journal's users write: since SIMBAW3 the hub and the outbox journal
+// alert.AppendBinary records, so a directory holding the text payloads
+// of SIMBAW2 is refused rather than replayed through the wrong decoder.
+const segMagic = "SIMBAW3\n"
 
 // segHeaderSize is the byte offset of the first frame in a segment.
 const segHeaderSize = int64(len(segMagic))

@@ -213,7 +213,7 @@ func TestCorruptCheckpointFallsBack(t *testing.T) {
 		t.Fatal(err)
 	}
 	run, _ := appendRun(nil, []Record{{Key: "k0000", Payload: []byte("x"), seq: 1}})
-	torn := "CKPT 3 2 99 2 40 0\n" + string(run)
+	torn := fmt.Sprintf("CKPT %d 2 99 2 40 0\n", ckptVersion) + string(run)
 	if err := os.WriteFile(path+".ckpt.00000002", []byte(torn), 0o644); err != nil {
 		t.Fatal(err)
 	}
