@@ -18,7 +18,7 @@
 //	simbad [-hours N] [-pprof ADDR]
 //	simbad -hub [-users N] [-shards K] [-alerts M] [-burst B] [-window D] [-seed S]
 //	       [-mode-frac F] [-ack-timeout D] [-im-ack-p P]
-//	       [-guaranteed-frac F] [-outbox-dir DIR] [-outbox-backoff D]
+//	       [-guaranteed-frac F] [-outbox-backoff D]
 //	       [-admin ADDR] [-probe-period D] [-rejuvenate-every D] [-linger D]
 //	       [-pprof ADDR]
 //
@@ -41,9 +41,9 @@
 //
 // A -guaranteed-frac fraction of tenants subscribes at the guaranteed
 // delivery tier: alerts that exhaust the in-memory attempt budget are
-// persisted to a WAL-backed retry outbox (journal under -outbox-dir)
-// and redelivered with escalating backoff starting at -outbox-backoff,
-// surviving restarts. Everyone else is best-effort — exhausted alerts
+// handed to the retry outbox, whose envelopes are records in the hub's
+// WAL, and redelivered with escalating backoff starting at
+// -outbox-backoff, surviving restarts. Everyone else is best-effort — exhausted alerts
 // are dropped but counted. The run report ends with a per-tier
 // delivered/duplicated/lost/escalated table and the outbox summary.
 package main
@@ -93,7 +93,6 @@ func main() {
 	imAckP := flag.Float64("im-ack-p", 0.7, "hub: probability a hosted IM delivery is acknowledged")
 	burst := flag.Int("burst", 1, "hub: submit alerts in SubmitBatch bursts of this size")
 	guaranteedFrac := flag.Float64("guaranteed-frac", 0.05, "hub: fraction of tenants on the guaranteed delivery tier (outbox-backed)")
-	outboxDir := flag.String("outbox-dir", "", "hub: directory for the guaranteed-tier retry outbox journal (default: the run's temp dir)")
 	outboxBackoff := flag.Duration("outbox-backoff", 50*time.Millisecond, "hub: base outbox redelivery backoff (doubles per round, capped)")
 	adminAddr := flag.String("admin", "", "hub: serve the ops admin plane (healthz, shard health, tenant CRUD, rejuvenation) on this address (e.g. localhost:8025)")
 	probePeriod := flag.Duration("probe-period", 0, "hub: shard watchdog probe cadence (0 = 1s default; supervision starts when -admin, -probe-period, or -rejuvenate-every is set)")
@@ -115,7 +114,7 @@ func main() {
 			window: *window, seed: *seed,
 			modeFrac: *modeFrac, ackTimeout: *ackTimeout, imAckP: *imAckP,
 			burst:          *burst,
-			guaranteedFrac: *guaranteedFrac, outboxDir: *outboxDir, outboxBackoff: *outboxBackoff,
+			guaranteedFrac: *guaranteedFrac, outboxBackoff: *outboxBackoff,
 			admin: *adminAddr, probePeriod: *probePeriod, rejuvenateEvery: *rejuvenateEvery,
 			linger: *linger,
 		}); err != nil {
@@ -249,7 +248,6 @@ type hubParams struct {
 	imAckP                float64
 	burst                 int
 	guaranteedFrac        float64
-	outboxDir             string
 	outboxBackoff         time.Duration
 	admin                 string
 	probePeriod           time.Duration
@@ -316,12 +314,6 @@ func runHub(p hubParams) error {
 			return core.SendResult{Confirmed: true}, nil
 		}))
 
-	outboxDir := p.outboxDir
-	if outboxDir == "" {
-		outboxDir = tmp
-	} else if err := os.MkdirAll(outboxDir, 0o755); err != nil {
-		return fmt.Errorf("creating outbox dir: %w", err)
-	}
 	// A bounded journal: the supervision checks and the replay paths all
 	// write here, and a lingering hub must not grow it without bound.
 	journal := faults.NewRing(4096)
@@ -334,7 +326,6 @@ func runHub(p hubParams) error {
 		Shards:        shards,
 		CommitWindow:  p.window,
 		RNG:           rng,
-		OutboxPath:    filepath.Join(outboxDir, "hub.outbox"),
 		OutboxBackoff: p.outboxBackoff,
 	})
 	if err != nil {
@@ -523,10 +514,8 @@ func runHub(p hubParams) error {
 		fmt.Printf("  %-12s %10d %11d %6d %10d\n",
 			ts.Tier, ts.Delivered, ts.Duplicated, ts.Lost, ts.Escalated)
 	}
-	if ob := st.Outbox; ob != nil {
-		fmt.Printf("outbox: %d handoffs, %d redelivered (%d failed rounds, %d escalations), %d dropped, %d still pending; %d fsyncs (%d bought by marks alone)\n",
-			st.OutboxHandoffs, ob.Redelivered, ob.Rounds, ob.Escalated, ob.Dropped, ob.Pending, ob.Log.Syncs, ob.Log.WaiterlessSyncs)
-	}
+	fmt.Printf("outbox: %d handoffs, %d redelivered (%d failed rounds, %d escalations), %d dropped, %d still pending\n",
+		st.OutboxHandoffs, st.Outbox.Redelivered, st.Outbox.Rounds, st.Outbox.Escalated, st.Outbox.Dropped, st.Outbox.Pending)
 	for _, s := range st.Shards {
 		fmt.Printf("  shard %d: gen %d (%d restarts, %d rejuvenations), peak queue depth %d, peak concurrent sends %d\n",
 			s.Shard, s.Generation, s.Restarts, s.Rejuvenations, s.PeakDepth, s.PeakInFlight)

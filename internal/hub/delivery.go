@@ -312,9 +312,8 @@ func (d *deliveryStage) Release() {
 // when a kill abandoned the envelope before the mark, leaving the entry
 // for the next incarnation to replay. What attempt exhaustion means
 // depends on the QoS tier: best-effort drops the alert (counted as
-// lost); guaranteed persists the envelope to the retry outbox —
-// durably, before the WAL entry is retired, so ownership transfers
-// between the logs with no uncovered instant — and the outbox
+// lost); guaranteed hands the envelope to the retry outbox, whose
+// record replaces the WAL entry in one commit, and the outbox
 // redelivers with escalating backoff.
 //
 // The worker holds no window slot here: the executor takes one around
@@ -355,7 +354,7 @@ func (d *deliveryStage) perform(env *envelope, scr *core.Scratch, handed time.Ti
 			break
 		}
 		if attempt >= h.cfg.DeliveryMaxAttempts {
-			if tier == core.TierGuaranteed && h.outbox != nil {
+			if tier == core.TierGuaranteed {
 				if !d.handoff(env, attempt) {
 					// The envelope could not be made durable in the
 					// outbox; leave the WAL entry unprocessed so the next
@@ -365,9 +364,6 @@ func (d *deliveryStage) perform(env *envelope, scr *core.Scratch, handed time.Ti
 					return true
 				}
 				h.ctr.outboxHandoffs.Add1()
-				if h.fault(FaultAfterOutboxPut, d.sh.id, d.killed) {
-					return false
-				}
 			} else {
 				h.ctr.undeliverable.Add1()
 				h.ctr.tierLost[tier].Add1()
@@ -392,15 +388,16 @@ func (d *deliveryStage) perform(env *envelope, scr *core.Scratch, handed time.Ti
 	return true
 }
 
-// handoff persists an attempt-exhausted guaranteed-tier delivery to
-// the retry outbox. A true return means the envelope is fsynced there
-// and the caller may retire the ingest WAL entry; false means the
-// outbox rejected it (closed during shutdown, encoding failure) and
-// the WAL entry must stay unprocessed. The outbox retains the alert
-// beyond this call, so the pooled envelope's inline alert is cloned.
+// handoff moves an attempt-exhausted guaranteed-tier delivery into the
+// retry outbox: one WAL Replace journals the envelope and retires the
+// alert's entry in the same batch and fsync, so every cut of the
+// journal leaves exactly one record owning the alert. false means the
+// outbox refused it (closed during shutdown, a failed commit) and the
+// entry stays unprocessed. The outbox retains the alert beyond this
+// call, so the pooled envelope's inline alert is cloned.
 func (d *deliveryStage) handoff(env *envelope, attempts int) bool {
 	h := d.h
-	err := h.outbox.Put(outbox.Entry{
+	err := h.outbox.Handoff(env.key, outbox.Entry{
 		User:     env.buddy.user,
 		Category: env.category,
 		Alert:    env.alert.Clone(),

@@ -30,10 +30,12 @@
 //     flushed at the journal's lazy-DONE deadline (plog's doneHold, not
 //     CommitWindow). Log-before-ack is preserved, fsyncs per alert
 //     cut by orders of magnitude. The hub holds exactly that one
-//     journal; New refuses a directory written in another journal
-//     format (plog.ErrFormat) and leaves it untouched.
-//   - On restart the journal's unprocessed records are replayed, in
-//     log order (so per-user order holds), through the rebuilt buddies
+//     journal — the guaranteed tier's retry outbox journals its
+//     envelopes into it too; New refuses a directory written in another
+//     journal format (plog.ErrFormat) and leaves it untouched.
+//   - On restart one pass over the journal's unprocessed records hands
+//     outbox envelopes to the outbox and replays every alert, in log
+//     order (so per-user order holds), through the rebuilt buddies
 //     before the hub accepts new traffic.
 //   - Per-shard admission depths, admission rejects, commit-batch
 //     sizes, and end-to-end routing latency are exposed via
@@ -155,11 +157,6 @@ const (
 	// stalls that chain only, and a kill abandons the envelope and the
 	// rest of its chain to replay.
 	FaultRoute
-	// FaultAfterOutboxPut: the guaranteed-tier handoff window — a
-	// worker has persisted an exhausted envelope to the outbox
-	// and not yet retired the ingest WAL entry, so both logs own the
-	// alert; the duplicate on replay is the dedup contract's case.
-	FaultAfterOutboxPut
 	// FaultBeforeMark: a worker has executed a delivery and not yet
 	// marked the alert processed — the paper's crash between routing and
 	// marking.
@@ -173,8 +170,6 @@ func (p FaultPoint) String() string {
 		return "between batch fsync and enqueue"
 	case FaultRoute:
 		return "before routing an alert"
-	case FaultAfterOutboxPut:
-		return "between outbox put and mark-processed"
 	case FaultBeforeMark:
 		return "between delivery and mark-processed"
 	default:
@@ -212,9 +207,10 @@ type Config struct {
 	// valid only during the call: copy what must outlive it. Must be
 	// safe for concurrent calls.
 	OnDelivery func(user string, rep *core.Report, err error)
-	// WALPath is the journal base path; required. Every shard stages
-	// into the one plog.Log there; New refuses a directory written in
-	// another journal format (plog.ErrFormat) and leaves it untouched.
+	// WALPath is the journal base path; required. Every shard and the
+	// retry outbox stage into the one plog.Log there; New refuses a
+	// directory written in another journal format (plog.ErrFormat) and
+	// leaves it untouched.
 	WALPath string
 	// Shards is the shard-table size; zero means DefaultShards.
 	Shards int
@@ -255,12 +251,8 @@ type Config struct {
 	// DeliveryBackoffCap caps the exponential backoff; zero means
 	// DefaultDeliveryBackoffCap.
 	DeliveryBackoffCap time.Duration
-	// OutboxPath, when set, opens the guaranteed-tier retry outbox at
-	// this journal base path. Guaranteed-tier deliveries that exhaust
-	// the in-memory attempt budget are persisted there and redelivered
-	// with escalating backoff across restarts; when empty, guaranteed
-	// subscriptions degrade to best-effort (the drop is still counted
-	// as lost). Optional.
+	// Deprecated: OutboxPath is ignored. The guaranteed tier's retry
+	// outbox always exists and journals into the WAL at WALPath.
 	OutboxPath string
 	// OutboxBackoff is the outbox's base per-round redelivery backoff;
 	// zero means outbox.DefaultBackoff.
@@ -297,8 +289,7 @@ type Hub struct {
 	cfg    Config
 	wal    *plog.Log
 	shards []*shard
-	// outbox is the guaranteed-tier retry outbox; nil when
-	// Config.OutboxPath is empty.
+	// outbox is the guaranteed-tier retry outbox, a tenant of wal.
 	outbox *outbox.Outbox
 
 	// The shared delivery machinery: channel registry, ack table, and
@@ -479,30 +470,17 @@ func New(cfg Config) (*Hub, error) {
 		// Start; the shard itself carries only what survives restarts.
 		h.shards[i] = newShard(i, cfg.QueueDepth, cfg.RNG.Fork(fmt.Sprintf("hub-shard-%d", i)))
 	}
-	if cfg.OutboxPath != "" {
-		ob, err := outbox.Open(outbox.Options{
-			Clock:         cfg.Clock,
-			Path:          cfg.OutboxPath,
-			Backoff:       cfg.OutboxBackoff,
-			BackoffCap:    cfg.OutboxBackoffCap,
-			EscalateEvery: cfg.OutboxEscalateEvery,
-			Journal:       cfg.Journal,
-			Log: plog.Options{
-				SegmentBytes:    cfg.WALSegmentBytes,
-				CheckpointEvery: cfg.WALCheckpointEvery,
-			},
-		})
-		if err != nil {
-			_ = wal.Close()
-			return nil, err
-		}
-		h.outbox = ob
-	}
+	h.outbox = outbox.New(wal, outbox.Options{
+		Clock:         cfg.Clock,
+		Backoff:       cfg.OutboxBackoff,
+		BackoffCap:    cfg.OutboxBackoffCap,
+		EscalateEvery: cfg.OutboxEscalateEvery,
+		Journal:       cfg.Journal,
+	})
 	return h, nil
 }
 
-// Outbox returns the guaranteed-tier retry outbox, nil when the hub
-// was configured without one.
+// Outbox returns the guaranteed-tier retry outbox (never nil).
 func (h *Hub) Outbox() *outbox.Outbox { return h.outbox }
 
 // Executor returns the hub's shared mode executor.

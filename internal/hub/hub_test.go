@@ -71,6 +71,17 @@ func newTestHub(t testing.TB, cfg Config) *Hub {
 	return h
 }
 
+// checkOutboxLedger asserts the outbox's ledger on h: every envelope
+// handed off or loaded was redelivered, dropped, or is still pending.
+func checkOutboxLedger(t *testing.T, h *Hub) {
+	t.Helper()
+	st := h.Outbox().Stats()
+	if in, out := st.Puts+st.Loaded, st.Redelivered+st.Dropped+int64(st.Pending); in != out {
+		t.Fatalf("outbox ledger: handed off %d + loaded %d != redelivered %d + dropped %d + pending %d",
+			st.Puts, st.Loaded, st.Redelivered, st.Dropped, st.Pending)
+	}
+}
+
 // crashAt is a Config.Fault that crashes the hub at point while flag is
 // active.
 func crashAt(point FaultPoint, flag *faults.Flag) func(FaultPoint, int, <-chan struct{}) bool {

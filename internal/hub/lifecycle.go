@@ -14,15 +14,9 @@ import (
 	"simba/internal/plog"
 )
 
-// Start publishes every shard's first generation, starts the outbox
-// redelivery loop over the envelopes it recovered, replays every user's
-// unprocessed WAL entries through their rebuilt buddies, and only then
-// opens admission. Recovery ordering: the outbox starts before the WAL
-// replay is enqueued — an alert that crashed inside the handoff window
-// is owed by both logs, and scheduling the outbox's (older, already
-// attempt-exhausted) copy first means its redelivery is never starved
-// behind the replayed ingest backlog. Both recovery streams run before
-// admission opens; their duplicates are the dedup contract's case.
+// Start publishes every shard's first generation, recovers the WAL
+// (replay), starts the outbox's redelivery over the envelopes it holds,
+// and only then opens admission.
 func (h *Hub) Start() error {
 	h.mu.Lock()
 	if h.started {
@@ -37,12 +31,10 @@ func (h *Hub) Start() error {
 		}
 		sh.setState(ShardRunning)
 	}
-	if h.outbox != nil {
-		if err := h.outbox.Start(h.redeliver); err != nil {
-			return err
-		}
-	}
 	h.replay()
+	if err := h.outbox.Start(h.redeliver); err != nil {
+		return err
+	}
 	go h.resolver()
 	h.accepting.Store(true)
 	return nil
@@ -112,14 +104,19 @@ type replayRec struct {
 	key string
 }
 
-// replayable decodes one unprocessed WAL record for re-enqueue. A
-// record that can never be routed — no user in its key, a user no
-// longer hosted, an unparsable payload — is tombstoned, journaled, and
-// counted, and ok is false. only restricts the scan to one shard
-// (RestartShard): other shards' records are skipped untouched, as is a
-// malformed key, whose shard is unknown — the next process start
-// (only == nil) tombstones it.
-func (h *Hub) replayable(rec plog.Record, only *shard) (r replayRec, ok bool) {
+// replayable decodes one unprocessed WAL record for re-enqueue. An
+// outbox envelope is the outbox's and is skipped untouched. A record
+// that can never be routed — no user in its key, a user no longer
+// hosted, an unparsable payload — or whose alert an envelope in handed
+// already owns (the handoff batch torn after its RECV) is tombstoned,
+// journaled, and counted, and ok is false. only restricts the scan to
+// one shard (RestartShard): other shards' records are skipped
+// untouched, as is a malformed key, whose shard is unknown — the next
+// process start (only == nil) tombstones it.
+func (h *Hub) replayable(rec plog.Record, only *shard, handed map[string]struct{}) (r replayRec, ok bool) {
+	if outbox.IsEnvelope(rec.Payload) {
+		return r, false
+	}
 	tombstone := func(format string, args ...any) {
 		h.journal(faults.KindReplay, "tombstoning "+format, args...)
 		_ = h.wal.MarkProcessed(rec.Key, h.cfg.Clock.Now())
@@ -131,6 +128,10 @@ func (h *Hub) replayable(rec plog.Record, only *shard) (r replayRec, ok bool) {
 	}
 	if !keyed {
 		tombstone("WAL entry with malformed key %q", rec.Key)
+		return r, false
+	}
+	if _, owned := handed[rec.Key]; owned {
+		tombstone("WAL entry %q superseded by its outbox envelope", rec.Key)
 		return r, false
 	}
 	b, hosted := h.buddy(user)
@@ -146,12 +147,15 @@ func (h *Hub) replayable(rec plog.Record, only *shard) (r replayRec, ok bool) {
 	return r, true
 }
 
-// replay re-enqueues the WAL's unprocessed entries in log order (exact
-// per-user order). Runs before admission opens, so replayed alerts are
-// chained ahead of new traffic.
+// replay recovers the WAL's unprocessed records: the outbox loads the
+// envelopes among them, and every alert is re-enqueued in log order
+// (exact per-user order). Runs before admission opens, so replayed
+// alerts are chained ahead of new traffic.
 func (h *Hub) replay() {
-	for _, rec := range h.wal.Unprocessed() {
-		if r, ok := h.replayable(rec, nil); ok {
+	recs := h.wal.Unprocessed()
+	handed := h.outbox.Load(recs)
+	for _, rec := range recs {
+		if r, ok := h.replayable(rec, nil, handed); ok {
 			h.requeue(h.shardOf(r.b.user), &r)
 		}
 	}
@@ -198,22 +202,19 @@ func (h *Hub) Kill() {
 func (h *Hub) Stopped() <-chan struct{} { return h.stopped }
 
 // shutdown quiesces the delivery stages (unless killed, in which case
-// chained and in-flight work is abandoned) and closes the WAL. Runs at
-// most once.
+// chained and in-flight work is abandoned), stops the outbox, and
+// closes the WAL. Runs at most once.
 func (h *Hub) shutdown() {
 	h.stopOnce.Do(func() {
-		var outboxErr error
 		select {
 		case <-h.killed:
 			// Crash semantics: do not wait for delivery workers — they
 			// observe the kill and abandon; the WAL replays their undone
 			// entries. A worker racing past the kill check hits the
-			// closed WAL and ErrClosed is tolerated. The outbox journal
-			// closes the same way: a redelivery round racing its mark
-			// replays next incarnation.
-			if h.outbox != nil {
-				h.outbox.Kill()
-			}
+			// closed WAL and ErrClosed is tolerated, as does a
+			// redelivery round racing its mark: it replays next
+			// incarnation.
+			h.outbox.Kill()
 		default:
 			// Graceful drain: Drain closed every current generation's
 			// intake, so nothing new reaches the stages; wait for every
@@ -228,11 +229,9 @@ func (h *Hub) shutdown() {
 					d.quiesce()
 				}
 			}
-			if h.outbox != nil {
-				outboxErr = h.outbox.Close()
-			}
+			_ = h.outbox.Close() // it closes no journal: the WAL below is its
 		}
-		h.closeErr = errors.Join(h.wal.Close(), outboxErr)
+		h.closeErr = h.wal.Close()
 		close(h.stopped)
 	})
 }
@@ -328,7 +327,7 @@ func (h *Hub) restartLocked(sh *shard, reason string) error {
 	var backlog []replayRec
 	suppress := make(map[string]struct{})
 	for _, rec := range h.wal.Unprocessed() {
-		if r, ok := h.replayable(rec, sh); ok {
+		if r, ok := h.replayable(rec, sh, nil); ok {
 			suppress[r.key] = struct{}{}
 			backlog = append(backlog, r)
 		}

@@ -1,8 +1,12 @@
 package hub
 
 import (
+	"encoding/binary"
 	"errors"
+	"os"
 	"path/filepath"
+	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -138,6 +142,7 @@ func TestHubGuaranteedOutboxRedeliversAfterRestart(t *testing.T) {
 	if got := sink.count("user-0", a.DedupKey()); got != 0 {
 		t.Fatalf("pre-restart deliveries = %d, want 0", got)
 	}
+	checkOutboxLedger(t, h1)
 
 	// Substrate healed; the next incarnation owes the alert.
 	sink.failing.Store(false)
@@ -172,6 +177,7 @@ func TestHubGuaranteedOutboxRedeliversAfterRestart(t *testing.T) {
 	if journal.Count(faults.KindOutbox) == 0 {
 		t.Fatal("no outbox journal entries recorded")
 	}
+	checkOutboxLedger(t, h2)
 
 	// Third incarnation: both journals clean, nothing resurrects.
 	h3, err := New(cfg)
@@ -191,23 +197,20 @@ func TestHubGuaranteedOutboxRedeliversAfterRestart(t *testing.T) {
 	if got := sink.count("user-0", a.DedupKey()); got != 1 {
 		t.Fatalf("deliveries after third incarnation = %d, want still 1", got)
 	}
+	checkOutboxLedger(t, h3)
 }
 
-// TestHubGuaranteedCrashInHandoffWindowDedups drives the faults-driven
-// kill through the handoff window: the envelope is durable in the
-// outbox but the ingest WAL entry was never retired, so the next
-// incarnation is owed the alert by BOTH logs. It must deliver from
-// both — the WAL replay and the outbox redelivery — and the duplicate
-// is exactly the one the timestamp dedup contract detects downstream;
-// nothing is lost.
-func TestHubGuaranteedCrashInHandoffWindowDedups(t *testing.T) {
+// TestHubHandoffBatchCutsLeaveOneOwner cuts the WAL at every byte
+// offset of a guaranteed handoff's Replace batch — the envelope's RECV
+// run, then the DONE list retiring the alert's own entry — and recovers
+// each image. Until the RECV run is whole the alert replays from its
+// entry; from then on the envelope owns it, and an entry whose DONE was
+// cut off is tombstoned as superseded. Every cut leaves exactly one
+// owner: the alert is delivered exactly once, and nothing stays
+// unprocessed.
+func TestHubHandoffBatchCutsLeaveOneOwner(t *testing.T) {
 	dir := t.TempDir()
-	sink := newFaultySink(true)
-	journal := &faults.Journal{}
-	crash := faults.NewFlag("crash-after-outbox-put")
-	cfg := outboxTestConfig(t, dir, sink, journal)
-	cfg.Fault = crashAt(FaultAfterOutboxPut, crash)
-
+	cfg := outboxTestConfig(t, dir, newFaultySink(true), nil)
 	h1, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -216,25 +219,102 @@ func TestHubGuaranteedCrashInHandoffWindowDedups(t *testing.T) {
 	if err := h1.Start(); err != nil {
 		t.Fatal(err)
 	}
-	crash.Set(true, cfg.Clock.Now())
 	a := portalAlert(0, cfg.Clock.Now())
 	if err := h1.Submit("user-0", a); err != nil {
 		t.Fatal(err)
 	}
-	select {
-	case <-h1.Stopped():
-	case <-time.After(10 * time.Second):
-		t.Fatal("hub did not die after fault injection")
+	waitCond(t, "outbox handoff", func() bool { return h1.Counters().Get("outbox-handoffs") == 1 })
+	h1.Kill()
+	<-h1.Stopped()
+	seg, err := os.ReadFile(cfg.WALPath + ".00000001.seg")
+	if err != nil {
+		t.Fatal(err)
 	}
-	if got := h1.Counters().Get("outbox-handoffs"); got != 1 {
-		t.Fatalf("outbox handoffs = %d, want 1 (the crash fires after the put)", got)
+	// The segment's frames: the alert's RECV run, the handoff batch's RECV
+	// run and DONE list, then failed rounds' batches.
+	var ends []int
+	for off := 8; off+4 <= len(seg); {
+		n := int(binary.LittleEndian.Uint32(seg[off:]))
+		if n == 0 {
+			break
+		}
+		off += 4 + n
+		ends = append(ends, off)
 	}
-	if got := journal.Count(faults.KindFaultInjected); got != 1 {
-		t.Fatalf("fault-injected journal entries = %d, want 1", got)
+	if len(ends) < 3 || seg[ends[0]+4] != 'R' || seg[ends[1]+4] != 'D' {
+		t.Fatalf("segment frames end at %v; want the alert's run, then the handoff's run and DONE list", ends)
 	}
+	for cut := ends[0]; cut <= ends[2]; cut++ {
+		img := t.TempDir()
+		if err := os.WriteFile(filepath.Join(img, "hub.wal.00000001.seg"), seg[:cut], 0o644); err != nil {
+			t.Fatal(err)
+		}
+		sink := newFaultySink(false)
+		c := outboxTestConfig(t, img, sink, nil)
+		h, err := New(c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		addGuaranteedUser(t, h)
+		if err := h.Start(); err != nil {
+			t.Fatal(err)
+		}
+		waitCond(t, "recovered delivery", func() bool { return sink.count("user-0", a.DedupKey()) >= 1 && h.WALBacklog() == 0 })
+		if err := h.Drain(); err != nil {
+			t.Fatal(err)
+		}
+		if got := sink.count("user-0", a.DedupKey()); got != 1 {
+			t.Fatalf("cut at byte %d of [%d, %d]: delivered %d times, want exactly 1", cut, ends[0], ends[2], got)
+		}
+		checkOutboxLedger(t, h)
+		l, err := plog.Open(c.WALPath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if un := l.Unprocessed(); len(un) != 0 {
+			t.Fatalf("cut at byte %d: %d records unprocessed after recovery", cut, len(un))
+		}
+		if err := l.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
 
-	// Recovery: both logs own the alert; substrate healed.
-	crash.Set(false, cfg.Clock.Now())
+// TestHubRestartShardKeepsOutboxEnvelopes: a shard restart scans the WAL
+// for the shard's backlog, and the outbox's envelopes are in it. The scan
+// must leave them alone — not replay one as an alert, not tombstone it as
+// unparsable — so the envelope survives a crash after the restart and is
+// redelivered exactly once.
+func TestHubRestartShardKeepsOutboxEnvelopes(t *testing.T) {
+	dir := t.TempDir()
+	sink := newFaultySink(true)
+	cfg := outboxTestConfig(t, dir, sink, nil)
+	h1, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	addGuaranteedUser(t, h1)
+	if err := h1.Start(); err != nil {
+		t.Fatal(err)
+	}
+	a := portalAlert(0, cfg.Clock.Now())
+	if err := h1.Submit("user-0", a); err != nil {
+		t.Fatal(err)
+	}
+	waitCond(t, "outbox handoff", func() bool { return h1.Counters().Get("outbox-handoffs") == 1 })
+	if err := h1.RestartShard(h1.shardOf("user-0").id, "test"); err != nil {
+		t.Fatal(err)
+	}
+	if got := h1.Counters().Get("replayed") + h1.Counters().Get("tombstoned"); got != 0 {
+		t.Fatalf("the restart's scan replayed or tombstoned %d records, want 0", got)
+	}
+	if got := h1.WALBacklog(); got != 1 {
+		t.Fatalf("WAL backlog = %d after the restart, want 1 (the envelope)", got)
+	}
+	h1.Kill()
+	<-h1.Stopped()
+	checkOutboxLedger(t, h1)
+
 	sink.failing.Store(false)
 	h2, err := New(cfg)
 	if err != nil {
@@ -244,34 +324,92 @@ func TestHubGuaranteedCrashInHandoffWindowDedups(t *testing.T) {
 	if err := h2.Start(); err != nil {
 		t.Fatal(err)
 	}
-	if got := h2.Counters().Get("replayed"); got != 1 {
-		t.Fatalf("WAL replayed = %d, want 1 (the DONE record never landed)", got)
-	}
 	waitCond(t, "outbox redelivery", func() bool { return h2.Outbox().Redelivered() == 1 })
-	waitCond(t, "replayed delivery", func() bool { return sink.count("user-0", a.DedupKey()) >= 2 })
 	if err := h2.Drain(); err != nil {
 		t.Fatal(err)
 	}
-	// Exactly-once after dedup: two raw deliveries of ONE dedup key —
-	// the receiver-side audit collapses them by Created timestamp.
-	if got := sink.count("user-0", a.DedupKey()); got != 2 {
-		t.Fatalf("raw deliveries = %d, want exactly 2 (WAL replay + outbox redelivery)", got)
+	if got := sink.count("user-0", a.DedupKey()); got != 1 {
+		t.Fatalf("deliveries = %d, want exactly 1", got)
 	}
-	st := h2.Stats()
-	if got := st.Tiers[core.TierGuaranteed].Lost; got != 0 {
-		t.Fatalf("guaranteed lost = %d, want 0", got)
+	checkOutboxLedger(t, h2)
+}
+
+// TestHubHasOneJournal: a hub configured as the benchmark's
+// delivery_modes configures it — OutboxPath set, a guaranteed tenant —
+// keeps one journal. It writes no file outside WALPath's, its outbox
+// reports no journal of its own, and once an envelope is pending it runs
+// exactly one goroutine more than a flat hub: the redelivery loop.
+func TestHubHasOneJournal(t *testing.T) {
+	// settle reads the goroutines above base once the count holds still.
+	settle := func(base int) int {
+		n := runtime.NumGoroutine()
+		for {
+			time.Sleep(20 * time.Millisecond)
+			m := runtime.NumGoroutine()
+			if m == n {
+				return n - base
+			}
+			n = m
+		}
 	}
-	if st.Outbox.Pending != 0 {
-		t.Fatalf("outbox pending = %d after recovery, want 0", st.Outbox.Pending)
-	}
-	// Both journals clean for the next incarnation.
-	l, err := plog.Open(cfg.WALPath)
+	dir := t.TempDir()
+	sink := newFaultySink(false)
+	cfg := outboxTestConfig(t, dir, sink, nil)
+	cfg.OutboxPath = ""
+	base := runtime.NumGoroutine()
+	flat, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer l.Close()
-	if un := l.Unprocessed(); len(un) != 0 {
-		t.Fatalf("%d unprocessed WAL entries after recovery", len(un))
+	addUsers(t, flat, 1)
+	if err := flat.Start(); err != nil {
+		t.Fatal(err)
+	}
+	if err := flat.Submit("user-0", portalAlert(0, cfg.Clock.Now())); err != nil {
+		t.Fatal(err)
+	}
+	waitCond(t, "flat delivery", func() bool { return flat.Counters().Get("delivered") == 1 })
+	flatN := settle(base)
+	if err := flat.Drain(); err != nil {
+		t.Fatal(err)
+	}
+	settleGoroutines(t, base, "after the flat hub's Drain")
+
+	base = runtime.NumGoroutine()
+	dir = t.TempDir()
+	sink.failing.Store(true)
+	cfg = outboxTestConfig(t, dir, sink, nil)
+	cfg.OutboxBackoff = time.Hour // the envelope stays pending; no round runs
+	h, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	addGuaranteedUser(t, h)
+	if err := h.Start(); err != nil {
+		t.Fatal(err)
+	}
+	if err := h.Submit("user-0", portalAlert(0, cfg.Clock.Now())); err != nil {
+		t.Fatal(err)
+	}
+	waitCond(t, "outbox handoff", func() bool { return h.Counters().Get("outbox-handoffs") == 1 })
+	if got := settle(base); got != flatN+1 {
+		t.Errorf("hub with a pending envelope runs %d goroutines, a flat hub %d; want exactly one more", got, flatN)
+	}
+	if ob := h.Stats().Outbox; ob.Log.Syncs != 0 || ob.Log.DiskBytes != 0 {
+		t.Errorf("outbox reports a journal of its own: %+v", ob.Log)
+	}
+	if err := h.Drain(); err != nil {
+		t.Fatal(err)
+	}
+	checkOutboxLedger(t, h)
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		if !strings.HasPrefix(e.Name(), "hub.wal.") {
+			t.Errorf("file %s is outside the WAL's", e.Name())
+		}
 	}
 }
 
@@ -318,6 +456,7 @@ func TestHubBestEffortDropsAreCountedNotResurrected(t *testing.T) {
 	if st.Outbox.Pending != 0 {
 		t.Fatalf("outbox pending = %d for best-effort, want 0", st.Outbox.Pending)
 	}
+	checkOutboxLedger(t, h1)
 
 	// Restart with a healthy substrate: the drop is final — no WAL
 	// replay, no outbox resurrection.
@@ -344,6 +483,7 @@ func TestHubBestEffortDropsAreCountedNotResurrected(t *testing.T) {
 	if got := sink.count("user-0", a.DedupKey()); got != 0 {
 		t.Fatalf("dropped alert delivered %d times after restart, want 0", got)
 	}
+	checkOutboxLedger(t, h2)
 }
 
 // TestHubOutboxEscalatesToBackupChannel is the escalation property
@@ -382,7 +522,6 @@ func TestHubOutboxEscalatesToBackupChannel(t *testing.T) {
 		Channels:            mkChannels(),
 		Shards:              1,
 		DeliveryMaxAttempts: 1, // first execution exhausts the budget → outbox
-		OutboxPath:          filepath.Join(t.TempDir(), "hub.outbox"),
 		OutboxBackoff:       2 * time.Millisecond,
 		OutboxBackoffCap:    10 * time.Millisecond,
 		OutboxEscalateEvery: 2,
@@ -468,14 +607,14 @@ func TestHubOutboxEscalatesToBackupChannel(t *testing.T) {
 	if got := st.DeliveredByChannel[addr.TypeEmail]; got != 1 {
 		t.Fatalf("delivered via email = %d, want 1", got)
 	}
+	checkOutboxLedger(t, h)
 }
 
-// TestHubOutboxJournalCompacts pins the outbox's "disk stays O(pending)"
-// promise on the hub's configuration: the outbox journal inherits the
-// WAL's segment size and checkpoint cadence, so a guaranteed alert that
-// sits behind a down substrate for many rounds — each round a Replace,
-// two journal records — is compacted as it goes instead of leaving every
-// round on disk for the next Open to replay.
+// TestHubOutboxJournalCompacts: the outbox's records are the WAL's, so
+// the WAL's checkpoints compact them with everything else — a guaranteed
+// alert that sits behind a down substrate for many rounds, each round a
+// Replace of two records, leaves only the newest segments for the next
+// Open to replay.
 func TestHubOutboxJournalCompacts(t *testing.T) {
 	dir := t.TempDir()
 	sink := newFaultySink(true)
@@ -499,12 +638,12 @@ func TestHubOutboxJournalCompacts(t *testing.T) {
 	}
 	const rounds = 50
 	waitCond(t, "outbox rounds", func() bool { return h1.Stats().Outbox.Rounds >= rounds })
-	waitCond(t, "outbox checkpoint", func() bool { return h1.Stats().Outbox.Log.Checkpoints >= 1 })
+	waitCond(t, "WAL checkpoint", func() bool { return h1.Stats().WAL.Checkpoints >= 1 })
 	// Uncompacted, 50 rounds of ~200-byte records fill ten or more 1 KiB
 	// segments; compacted every 8 records, only the newest stay.
-	if ob := h1.Stats().Outbox; ob.Log.Segments > 3 {
-		t.Fatalf("outbox journal holds %d segments after %d rounds (%d checkpoints), want <= 3",
-			ob.Log.Segments, ob.Rounds, ob.Log.Checkpoints)
+	if st := h1.Stats(); st.WAL.Segments > 3 {
+		t.Fatalf("WAL holds %d segments after %d rounds (%d checkpoints), want <= 3",
+			st.WAL.Segments, st.Outbox.Rounds, st.WAL.Checkpoints)
 	}
 
 	sink.failing.Store(false)
@@ -512,6 +651,7 @@ func TestHubOutboxJournalCompacts(t *testing.T) {
 	if err := h1.Drain(); err != nil {
 		t.Fatal(err)
 	}
+	checkOutboxLedger(t, h1)
 
 	h2, err := New(cfg)
 	if err != nil {
@@ -530,4 +670,5 @@ func TestHubOutboxJournalCompacts(t *testing.T) {
 	if got := sink.count("user-0", a.DedupKey()); got != 1 {
 		t.Fatalf("deliveries = %d, want exactly 1", got)
 	}
+	checkOutboxLedger(t, h2)
 }

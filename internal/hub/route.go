@@ -56,7 +56,8 @@ func (d *deliveryStage) route(env *envelope, scr *core.Scratch) bool {
 }
 
 // finish durably completes an alert: stage its WAL DONE into the next
-// group commit, release its admission slot and recycle the envelope.
+// group commit (a no-op for a handed-off alert, whose handoff batch
+// carried it), release its admission slot and recycle the envelope.
 // Losing an unflushed DONE only causes a replay, which the dedup
 // contract covers; Drain/Close still flush every staged record.
 func (d *deliveryStage) finish(env *envelope) {

@@ -48,7 +48,8 @@ func (h *Hub) Healths() []Health {
 }
 
 // WALBacklog returns the WAL's live not-yet-processed record count —
-// the replay debt a restart would face right now.
+// the replay debt a restart would face right now: acknowledged alerts
+// not yet DONE, and the retry outbox's pending envelopes.
 func (h *Hub) WALBacklog() int { return h.wal.Pending() }
 
 // Counters returns the hub-level counters. Admission: received,
@@ -125,11 +126,12 @@ type Stats struct {
 	// OutboxHandoffs counts guaranteed-tier deliveries that exhausted
 	// the in-memory budget and were persisted to the retry outbox.
 	OutboxHandoffs int64
-	// Outbox is the retry outbox's snapshot; nil when the hub runs
-	// without one.
+	// Outbox is the retry outbox's snapshot (never nil). Its Log is
+	// zero: the outbox journals into the WAL.
 	Outbox *outbox.Stats
-	// WAL is the journal's own snapshot: fsyncs, staged batches, corrupt
-	// records, disk bytes, commit histograms.
+	// WAL is the journal's own snapshot, outbox records included:
+	// fsyncs, staged batches, corrupt records, disk bytes, commit
+	// histograms.
 	WAL plog.Stats
 }
 
@@ -161,11 +163,9 @@ func (h *Hub) Stats() Stats {
 		}
 	}
 	s.OutboxHandoffs = h.ctr.outboxHandoffs.Value()
-	if h.outbox != nil {
-		ob := h.outbox.Stats()
-		s.Outbox = &ob
-		s.Tiers[core.TierGuaranteed].Escalated = ob.Escalated
-	}
+	ob := h.outbox.Stats()
+	s.Outbox = &ob
+	s.Tiers[core.TierGuaranteed].Escalated = ob.Escalated
 	if s.Syncs > 0 {
 		s.MeanBatch = float64(s.Appends) / float64(s.Syncs)
 	}

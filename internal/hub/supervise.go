@@ -64,8 +64,7 @@ type SuperviseConfig struct {
 //     in [0, QueueDepth], the in-flight Sends in [0, DeliveryWindow],
 //     and a Running shard with admitted work has beaten within
 //     StaleAfter;
-//   - "wal-backlog", "outbox-age" (with an outbox) and "pool-poison",
-//     hub-wide;
+//   - "wal-backlog", "outbox-age" and "pool-poison", hub-wide;
 //   - "rolling-rejuvenation", when RejuvenateEvery is set, whose run is
 //     RejuvenateAll.
 //
@@ -151,36 +150,33 @@ func (h *Hub) Supervise(cfg SuperviseConfig) (*stabilize.Stabilizer, error) {
 			},
 		})
 	}
-	// Replay debt beyond 4× what admission control could have admitted
-	// means DONE records are not being staged.
+	// Alert replay debt beyond 4× what admission control could have
+	// admitted means DONE records are not being staged. The outbox's
+	// envelopes are not counted: a long channel outage is outbox-age's.
 	maxBacklog := 4 * h.cfg.Shards * h.cfg.QueueDepth
 	checks = append(checks, stabilize.Check{
 		Name:          "wal-backlog",
 		EscalateAfter: cfg.EscalateAfter,
 		Fn: func() error {
-			if n := h.WALBacklog(); n > maxBacklog {
+			if n := h.WALBacklog() - h.outbox.Pending(); n > maxBacklog {
 				return fmt.Errorf("WAL backlog %d exceeds %d", n, maxBacklog)
 			}
 			return nil
 		},
-	})
-	if h.outbox != nil {
-		checks = append(checks, stabilize.Check{
-			Name:          "outbox-age",
-			EscalateAfter: cfg.EscalateAfter,
-			Fn: func() error {
-				due, ok := h.outbox.OldestDue()
-				if !ok {
-					return nil
-				}
-				if age := h.cfg.Clock.Since(due); age > maxOutboxAge {
-					return fmt.Errorf("outbox head %v past due (max %v)", age, maxOutboxAge)
-				}
+	}, stabilize.Check{
+		Name:          "outbox-age",
+		EscalateAfter: cfg.EscalateAfter,
+		Fn: func() error {
+			due, ok := h.outbox.OldestDue()
+			if !ok {
 				return nil
-			},
-		})
-	}
-	checks = append(checks, stabilize.Check{
+			}
+			if age := h.cfg.Clock.Since(due); age > maxOutboxAge {
+				return fmt.Errorf("outbox head %v past due (max %v)", age, maxOutboxAge)
+			}
+			return nil
+		},
+	}, stabilize.Check{
 		Name:          "pool-poison",
 		EscalateAfter: -1, // corruption evidence: journal it, never "fix" it with a restart
 		Fn: func() error {

@@ -366,7 +366,7 @@ func TestShardCheckFailsOnEachCondition(t *testing.T) {
 	for _, cs := range sup.Stats() {
 		names = append(names, cs.Name)
 	}
-	if want := []string{"shard-0", "shard-1", "shard-2", "wal-backlog", "pool-poison"}; !reflect.DeepEqual(names, want) {
+	if want := []string{"shard-0", "shard-1", "shard-2", "wal-backlog", "outbox-age", "pool-poison"}; !reflect.DeepEqual(names, want) {
 		t.Fatalf("checks = %q, want %q", names, want)
 	}
 

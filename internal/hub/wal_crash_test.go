@@ -188,7 +188,7 @@ func TestHubCrashDuringWALCheckpoint(t *testing.T) {
 	if err := os.WriteFile(walPath+".ckpt.tmp", []byte("CKPT 1 2 9"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(walPath+".ckpt.00000002", []byte("CKPT 4 2 99 1 99 0\n"), 0o644); err != nil {
+	if err := os.WriteFile(walPath+".ckpt.00000002", []byte("CKPT 5 2 99 1 99 0\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 
@@ -454,7 +454,7 @@ func TestHubRefusesTextPayloadDirectory(t *testing.T) {
 	}
 	// The frames are unchanged since SIMBAW2; only the version differs.
 	for name, data := range dirFiles(t, dir) {
-		old := strings.Replace(strings.Replace(data, "SIMBAW3\n", "SIMBAW2\n", 1), "CKPT 4 ", "CKPT 3 ", 1)
+		old := strings.Replace(strings.Replace(data, "SIMBAW4\n", "SIMBAW2\n", 1), "CKPT 5 ", "CKPT 3 ", 1)
 		if err := os.WriteFile(filepath.Join(dir, name), []byte(old), 0o644); err != nil {
 			t.Fatal(err)
 		}
@@ -471,6 +471,57 @@ func TestHubRefusesTextPayloadDirectory(t *testing.T) {
 	}
 	if after := dirFiles(t, dir); !reflect.DeepEqual(after, before) {
 		t.Fatalf("refused opens changed the directory: %q -> %q", before, after)
+	}
+}
+
+// TestHubRefusesSeparateOutboxDirectory: a SIMBAW3 hub directory keeps
+// its pending envelopes in a second journal at OutboxPath, which this
+// build never opens; replaying its WAL alone would drop them silently.
+// New refuses the directory with plog.ErrFormat, and every file — the
+// outbox journal's owed envelope included — stays byte-identical.
+func TestHubRefusesSeparateOutboxDirectory(t *testing.T) {
+	dir := t.TempDir()
+	walPath, outboxPath := filepath.Join(dir, "hub.wal"), filepath.Join(dir, "hub.outbox")
+	a := portalAlert(1, time.Unix(985597200, 0))
+	rec, err := a.AppendBinary(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	l, err := plog.Open(walPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := l.LogReceived("user-1"+keySep+a.DedupKey(), rec, time.Now()); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	ob, err := outbox.Open(outbox.Options{Clock: clock.NewReal(), Path: outboxPath})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ob.Put(outbox.Entry{User: "user-0", Category: "Investment", Alert: a}); err != nil {
+		t.Fatal(err)
+	}
+	if err := ob.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for name, data := range dirFiles(t, dir) {
+		old := strings.Replace(strings.Replace(data, "SIMBAW4\n", "SIMBAW3\n", 1), "CKPT 5 ", "CKPT 4 ", 1)
+		if err := os.WriteFile(filepath.Join(dir, name), []byte(old), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	before := dirFiles(t, dir)
+	if _, err := New(Config{
+		Clock: clock.NewReal(), WALPath: walPath, OutboxPath: outboxPath,
+		Channels: sinkChannels(newCountingSink(nil).Deliver),
+	}); !errors.Is(err, plog.ErrFormat) {
+		t.Fatalf("New on a SIMBAW3 directory = %v; want plog.ErrFormat", err)
+	}
+	if after := dirFiles(t, dir); !reflect.DeepEqual(after, before) {
+		t.Fatalf("refused New changed the directory: %q -> %q", before, after)
 	}
 }
 

@@ -94,9 +94,9 @@ func TestHealthzReportsRunningShards(t *testing.T) {
 			t.Fatalf("shard %d = %+v", sh.Shard, sh)
 		}
 	}
-	// One check table: one row per shard, then wal-backlog and
-	// pool-poison.
-	if len(report.Invariants) != 2+2 || report.Invariants[0].Name != "shard-0" {
+	// One check table: one row per shard, then wal-backlog, outbox-age
+	// and pool-poison.
+	if len(report.Invariants) != 2+3 || report.Invariants[0].Name != "shard-0" {
 		t.Fatalf("supervision counters missing: %+v", report.Invariants)
 	}
 	for _, gone := range []string{`"watchdog"`, `"probe_latency_us"`} {

@@ -8,30 +8,28 @@
 //
 //   - When the in-memory budget is exhausted, the delivery envelope
 //     (alert + tenant + routing category + attempt state + next-due
-//     time) is persisted to a per-hub outbox journal before the hub's
-//     own WAL entry is retired, so ownership of the alert passes
-//     durably from the ingest WAL to the outbox — there is no instant
-//     at which neither log owns it.
+//     time) is journaled as a record of its own kind in the hub's WAL
+//     (Handoff): one plog.Log.Replace stages the envelope's RECV and the
+//     alert's DONE in one batch and one fsync, so every cut of the
+//     journal leaves exactly one record owning the alert.
 //   - A background redelivery loop, driven by the (possibly virtual)
 //     clock, re-executes due envelopes through a caller-supplied
 //     delivery function with exponential per-round backoff. Every
 //     failed round re-persists the envelope under a round-stamped key
-//     and tombstones the previous round in the same fsync
-//     (plog.Log.Replace), so the round/escalation state itself
-//     survives restarts.
+//     and tombstones the previous round in the same fsync (Replace
+//     again), so the round/escalation state itself survives restarts.
 //   - After EscalateEvery exhausted rounds, the envelope's block
 //     offset advances: redelivery skips the delivery mode's leading
 //     (known-bad) blocks and starts at the next backup channel — the
 //     paper's block fallback generalized across process restarts.
-//   - On reopen, pending envelopes are loaded (stale rounds of the
-//     same alert collapse onto the newest) and scheduled before the
-//     host accepts traffic. Redelivered duplicates are covered by the
-//     alert-timestamp dedup contract: at-least-once-with-dedup.
+//   - On restart, Load schedules the pending envelopes among the
+//     journal's unprocessed records (stale rounds of the same alert
+//     collapse onto the newest). Redelivered duplicates are covered by
+//     the alert-timestamp dedup contract: at-least-once-with-dedup.
 //
-// The journal reuses the plog segment/checkpoint/tombstone machinery:
-// with Options.Log.CheckpointEvery set (the hub passes its WAL's) the
-// background compactor keeps disk and reopen time O(pending); left zero,
-// every Put and round stays on disk and is replayed at reopen.
+// New builds an outbox over a journal its caller owns — the hub's WAL,
+// whose checkpoints compact envelopes with everything else. Open gives
+// the outbox a private journal of its own, for standalone use.
 package outbox
 
 import (
@@ -78,7 +76,7 @@ type DeliverFunc func(e *Entry) (blocks int, err error)
 type Options struct {
 	// Clock drives the redelivery loop; required.
 	Clock clock.Clock
-	// Path is the outbox journal base path; required.
+	// Path is the base path of the journal Open opens; New ignores it.
 	Path string
 	// Backoff is the base per-round redelivery backoff; zero means
 	// DefaultBackoff.
@@ -90,8 +88,6 @@ type Options struct {
 	// block offset before escalating to the next block; zero means
 	// DefaultEscalateEvery, negative disables escalation.
 	EscalateEvery int
-	// Log tunes the underlying segmented journal.
-	Log plog.Options
 	// Journal records replay/recovery actions. Optional.
 	Journal *faults.Journal
 }
@@ -111,7 +107,8 @@ type Stats struct {
 	Puts int64
 	// Redelivered counts redelivery rounds that landed.
 	Redelivered int64
-	// Rounds counts exhausted (failed) redelivery rounds.
+	// Rounds counts exhausted (failed) redelivery rounds, each once its
+	// re-persisted round is durable.
 	Rounds int64
 	// Escalated counts block-offset advances (channel escalations).
 	Escalated int64
@@ -120,7 +117,8 @@ type Stats struct {
 	// RoundsToSuccess is the distribution of outbox rounds a delivered
 	// envelope needed (power-of-two buckets).
 	RoundsToSuccess metrics.HistogramSnapshot
-	// Log is the journal's segmentation/compaction snapshot.
+	// Log is the private journal's snapshot (Open); zero for an outbox
+	// over a journal it does not own (New), whose owner reports it.
 	Log plog.Stats
 }
 
@@ -155,18 +153,26 @@ func (h *entryHeap) Pop() any {
 // Outbox is a WAL-backed persistent retry queue with a clock-driven
 // redelivery loop. It is safe for concurrent use; redeliveries
 // themselves run sequentially on the loop goroutine (outbox traffic is
-// the failure tail, not the hot path).
+// the failure tail, not the hot path), which starts with the first
+// pending envelope: an outbox that never holds one runs no goroutine.
 type Outbox struct {
 	opts Options
 	log  *plog.Log
+	// ownsLog is set when Open made the journal: only then do Close and
+	// Kill close it.
+	ownsLog bool
 
 	mu      sync.Mutex
 	pending entryHeap
+	// staging holds the keys of envelopes a Handoff is making durable;
+	// they join the heap once their commit lands.
+	staging map[string]struct{}
 	// inRound is set while the loop holds a popped envelope for the
 	// round in progress: it is owed a mark (retire or reschedule) and
 	// still counts as pending.
 	inRound bool
 	started bool
+	running bool // the loop goroutine was launched
 	closed  bool
 
 	deliver  DeliverFunc
@@ -179,17 +185,11 @@ type Outbox struct {
 	roundsToSuccess                                       *metrics.Histogram
 }
 
-// Open opens (creating if needed) the outbox journal and loads every
-// pending envelope, collapsing stale rounds of the same alert onto the
-// newest (the stale records are tombstoned). The redelivery loop does
-// not run until Start.
-func Open(opts Options) (*Outbox, error) {
-	if opts.Clock == nil {
-		return nil, errors.New("outbox: Options require Clock")
-	}
-	if opts.Path == "" {
-		return nil, errors.New("outbox: Options require Path")
-	}
+// New builds an outbox over journal l, which the caller owns: the
+// outbox stages its records there and never closes it. opts.Clock is
+// required. Nothing is scheduled until Load hands it the journal's
+// pending envelopes, and the redelivery loop does not run until Start.
+func New(l *plog.Log, opts Options) *Outbox {
 	if opts.Backoff <= 0 {
 		opts.Backoff = DefaultBackoff
 	}
@@ -202,37 +202,61 @@ func Open(opts Options) (*Outbox, error) {
 	if opts.EscalateEvery == 0 {
 		opts.EscalateEvery = DefaultEscalateEvery
 	}
-	l, err := plog.OpenGroup(opts.Path, plog.GroupOptions{Log: opts.Log})
-	if err != nil {
-		return nil, fmt.Errorf("outbox: opening journal: %w", err)
-	}
-	o := &Outbox{
+	return &Outbox{
 		opts:            opts,
 		log:             l,
+		staging:         make(map[string]struct{}),
 		wake:            make(chan struct{}, 1),
 		stop:            make(chan struct{}),
 		done:            make(chan struct{}),
 		roundsToSuccess: &metrics.Histogram{},
 	}
-	if err := o.load(); err != nil {
-		_ = l.Close()
-		return nil, err
+}
+
+// Open opens (creating if needed) a private journal at opts.Path and
+// loads every pending envelope from it; every record that is not an
+// envelope is tombstoned. Close and Kill close the journal.
+func Open(opts Options) (*Outbox, error) {
+	if opts.Clock == nil || opts.Path == "" {
+		return nil, errors.New("outbox: Options require Clock and Path")
 	}
+	l, err := plog.OpenGroup(opts.Path, plog.GroupOptions{})
+	if err != nil {
+		return nil, fmt.Errorf("outbox: opening journal: %w", err)
+	}
+	o := New(l, opts)
+	o.ownsLog = true
+	o.Load(l.Unprocessed())
 	return o, nil
 }
 
-// load rebuilds the pending heap from the journal's unprocessed
-// records. A crash inside Replace can leave two rounds of the same
-// alert unprocessed (the torn tail drops the DONE, never the fresh
-// RECV); the highest round wins and the stale ones are tombstoned.
-// Unparsable records are tombstoned and journaled, never replayed.
-func (o *Outbox) load() error {
+// IsEnvelope reports whether a journal payload is an outbox envelope,
+// not some other record sharing the journal.
+func IsEnvelope(payload []byte) bool { return len(payload) > 0 && payload[0] == envelopeTag }
+
+// Load schedules the envelopes among recs, a journal's unprocessed
+// records in log order. A crash inside Replace can leave two rounds of
+// the same alert unprocessed (the torn tail drops the DONE, never the
+// fresh RECV); the highest round wins and the stale ones are
+// tombstoned, as are envelopes that do not parse. Records of other
+// kinds are left to the journal's owner — or tombstoned, when the
+// journal is the outbox's own. Load returns the keys of the alerts the
+// scheduled envelopes redeliver (user␟dedupKey): an unprocessed record
+// under one of them is the handoff batch's torn-off source, which the
+// envelope supersedes.
+func (o *Outbox) Load(recs []plog.Record) (owned map[string]struct{}) {
 	newest := make(map[string]*item)
 	now := o.opts.Clock.Now()
-	for _, rec := range o.log.Unprocessed() {
-		retire := func(key, why string) {
-			o.journal(faults.KindReplay, "outbox: tombstoning %s record %q", why, key)
-			_ = o.log.MarkProcessed(key, now)
+	retire := func(key, why string) {
+		o.journal(faults.KindReplay, "outbox: tombstoning %s record %q", why, key)
+		_ = o.log.MarkProcessed(key, now)
+	}
+	for _, rec := range recs {
+		if !IsEnvelope(rec.Payload) {
+			if o.ownsLog {
+				retire(rec.Key, "unparsable")
+			}
+			continue
 		}
 		dedup, round, err := splitKey(rec.Key)
 		if err != nil {
@@ -259,16 +283,21 @@ func (o *Outbox) load() error {
 			retire(rec.Key, "superseded")
 		}
 	}
-	for _, it := range newest {
+	owned = make(map[string]struct{}, len(newest))
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	for dedup, it := range newest {
 		o.journal(faults.KindReplay, "outbox: replaying pending envelope %s (round %d, offset %d)",
 			it.key, it.e.Round, it.e.Offset)
 		heap.Push(&o.pending, it)
 		o.loaded.Add(1)
+		owned[dedup] = struct{}{}
 	}
-	return nil
+	o.kickLocked()
+	return owned
 }
 
-// Start launches the redelivery loop. deliver executes one round per
+// Start enables the redelivery loop. deliver executes one round per
 // due envelope; see DeliverFunc.
 func (o *Outbox) Start(deliver DeliverFunc) error {
 	if deliver == nil {
@@ -284,19 +313,25 @@ func (o *Outbox) Start(deliver DeliverFunc) error {
 	}
 	o.started = true
 	o.deliver = deliver
-	go o.loop()
+	o.kickLocked()
 	return nil
 }
 
-// Put durably hands one envelope to the outbox. When Put returns nil
-// the envelope is fsynced; the caller may then retire its own record
-// of the alert (ownership has transferred). A zero Due schedules the
-// first round one backoff from now. Re-putting an alert that is
-// already pending at the same round is idempotent. The envelope is
-// staged under the outbox lock and awaited outside it — concurrent Puts
+// Put durably hands one envelope to the outbox: Handoff with no record
+// to retire.
+func (o *Outbox) Put(e Entry) error { return o.Handoff("", e) }
+
+// Handoff durably hands one envelope to the outbox and retires the
+// journal record fromKey (the alert's own; "" for none) in the same
+// batch — one Replace, one fsync — so ownership of the alert passes
+// with no instant at which neither record, or both, own it. When it
+// returns nil the envelope is durable. A zero Due schedules the first
+// round one backoff from now. Re-handing an alert that is already
+// pending at the same round is idempotent: the scheduled copy owns it.
+// The outbox lock is not held across the fsync — concurrent handoffs
 // share fsyncs, and no reader of the heap queues behind the disk — and
-// joins the heap only once durable.
-func (o *Outbox) Put(e Entry) error {
+// the envelope joins the heap only once durable.
+func (o *Outbox) Handoff(fromKey string, e Entry) error {
 	if err := e.validate(); err != nil {
 		return err
 	}
@@ -313,23 +348,27 @@ func (o *Outbox) Put(e Entry) error {
 		o.mu.Unlock()
 		return plog.ErrClosed
 	}
-	// Already pending (a crash-window double handoff): the scheduled copy
-	// owns it. Staging the duplicate is a no-op whose Commit still covers
-	// the original's durability.
-	pending := o.log.Has(key) && !o.log.IsProcessed(key)
-	c, err := o.log.LogReceivedBatchStart([]plog.BatchEntry{{Key: key, Payload: payload, At: o.opts.Clock.Now()}})
-	o.mu.Unlock()
-	if err == nil {
-		err = c.Wait()
+	_, dup := o.staging[key]
+	dup = dup || o.log.Has(key) && !o.log.IsProcessed(key)
+	if !dup {
+		o.staging[key] = struct{}{}
 	}
-	if err != nil || pending {
+	o.mu.Unlock()
+	// A duplicate's RECV stages as a no-op whose commit still covers the
+	// original's durability.
+	err = o.log.Replace(fromKey, key, payload, o.opts.Clock.Now())
+	if dup {
 		return err
 	}
 	o.mu.Lock()
+	defer o.mu.Unlock()
+	delete(o.staging, key)
+	if err != nil {
+		return err
+	}
 	heap.Push(&o.pending, &item{e: &e, key: key, maxOffset: -1})
 	o.puts.Add(1)
-	o.mu.Unlock()
-	o.signal()
+	o.kickLocked()
 	return nil
 }
 
@@ -357,10 +396,11 @@ func (o *Outbox) OldestDue() (time.Time, bool) {
 	return o.pending[0].e.Due, true
 }
 
-// Stats snapshots the outbox counters and journal state.
+// Stats snapshots the outbox counters and, for a private journal, its
+// state.
 func (o *Outbox) Stats() Stats {
 	oldest, _ := o.OldestDue()
-	return Stats{
+	s := Stats{
 		Pending:         o.Pending(),
 		OldestDue:       oldest,
 		Loaded:          o.loaded.Load(),
@@ -370,8 +410,11 @@ func (o *Outbox) Stats() Stats {
 		Escalated:       o.escalated.Load(),
 		Dropped:         o.dropped.Load(),
 		RoundsToSuccess: o.roundsToSuccess.Snapshot(),
-		Log:             o.log.Stats(),
 	}
+	if o.ownsLog {
+		s.Log = o.log.Stats()
+	}
+	return s
 }
 
 // Redelivered returns how many redelivery rounds landed.
@@ -384,45 +427,55 @@ func (o *Outbox) Escalated() int64 { return o.escalated.Load() }
 // in flight (if any) and journals its outcome — marks are refused only
 // after the loop has exited, so a delivery that lands during Close is
 // not redelivered by the next incarnation — pending envelopes stay
-// durable, and the journal is flushed and closed.
+// durable, and a private journal is flushed and closed. A loop a
+// racing handoff launches after stop is closed exits at once.
 func (o *Outbox) Close() error {
 	o.stopOnce.Do(func() { close(o.stop) })
 	o.mu.Lock()
-	started := o.started
+	running := o.running
 	o.mu.Unlock()
-	if started {
+	if running {
 		<-o.done
 	}
 	o.mu.Lock()
 	closed := o.closed
 	o.closed = true
 	o.mu.Unlock()
-	if closed {
+	if closed || !o.ownsLog {
 		return nil
 	}
 	return o.log.Close()
 }
 
-// Kill abruptly terminates the outbox, simulating a crash: the journal
-// closes immediately and the loop is not waited for (a round in flight
-// fails to complete its mark and the envelope replays on reopen — the
-// dedup contract's documented duplicate).
+// Kill abruptly terminates the outbox, simulating a crash: marks stop
+// at once, a private journal closes immediately, and the loop is not
+// waited for (a round in flight fails to complete its mark and the
+// envelope replays on reopen — the dedup contract's documented
+// duplicate).
 func (o *Outbox) Kill() {
 	o.stopOnce.Do(func() { close(o.stop) })
 	o.mu.Lock()
 	closed := o.closed
 	o.closed = true
 	o.mu.Unlock()
-	if !closed {
+	if !closed && o.ownsLog {
 		_ = o.log.Close()
 	}
 }
 
-// signal nudges the loop to re-examine the heap (non-blocking).
-func (o *Outbox) signal() {
-	select {
-	case o.wake <- struct{}{}:
+// kickLocked nudges the loop to re-examine the heap, launching it on
+// the first pending envelope once started. Caller holds mu.
+func (o *Outbox) kickLocked() {
+	switch {
+	case !o.started || len(o.pending) == 0:
+	case o.running:
+		select {
+		case o.wake <- struct{}{}:
+		default:
+		}
 	default:
+		o.running = true
+		go o.loop()
 	}
 }
 
@@ -441,7 +494,7 @@ func (o *Outbox) backoffFor(round int) time.Duration {
 }
 
 // loop is the redelivery scheduler: sleep until the earliest due
-// envelope (or a wake from Put), then run every due round.
+// envelope (or a wake from a handoff), then run every due round.
 func (o *Outbox) loop() {
 	defer close(o.done)
 	for {
@@ -505,17 +558,16 @@ func (o *Outbox) runDue() {
 			o.retire(it)
 			o.dropped.Add(1)
 		default:
-			o.rounds.Add(1)
 			o.reschedule(it)
 		}
 	}
 }
 
 // retire stages the envelope's processed mark without buying it an
-// fsync: the mark rides the next Put's or round's commit, or the
-// journal's lazy-DONE deadline. A crash before then replays the envelope
-// — one more redelivery, the dedup contract's case, as is ErrClosed when
-// a kill raced the mark.
+// fsync: the mark rides the journal's next waited-for commit, or its
+// lazy-DONE deadline. A crash before then replays the envelope — one
+// more redelivery, the dedup contract's case, as is ErrClosed when a
+// kill raced the mark.
 func (o *Outbox) retire(it *item) {
 	o.mu.Lock()
 	defer o.mu.Unlock()
@@ -531,9 +583,9 @@ func (o *Outbox) retire(it *item) {
 // reschedule advances a failed envelope's round (escalating the block
 // offset every EscalateEvery rounds while backup blocks remain),
 // re-persists it under the round-stamped key with the previous round
-// tombstoned in the same fsync, and pushes it back on the heap. The
-// outbox lock is not held across that fsync: inRound keeps the envelope
-// counted as pending meanwhile.
+// tombstoned in the same fsync, counts the round once that is durable,
+// and pushes it back on the heap. The outbox lock is not held across
+// that fsync: inRound keeps the envelope counted as pending meanwhile.
 func (o *Outbox) reschedule(it *item) {
 	e := it.e
 	e.Round++
@@ -552,6 +604,7 @@ func (o *Outbox) reschedule(it *item) {
 	switch {
 	case err == nil:
 		it.key = newKey
+		o.rounds.Add(1)
 	case !errors.Is(err, plog.ErrClosed):
 		// Keep redelivering from memory; the journal still holds the
 		// previous round, so nothing is lost across a restart.
@@ -560,9 +613,9 @@ func (o *Outbox) reschedule(it *item) {
 	o.mu.Lock()
 	defer o.mu.Unlock()
 	o.inRound = false
-	if !o.closed { // else the journaled round replays next incarnation
-		heap.Push(&o.pending, it)
-	}
+	// Pushed back even when closed: it stays pending, and the journaled
+	// round replays next incarnation.
+	heap.Push(&o.pending, it)
 }
 
 func (o *Outbox) journal(kind faults.Kind, format string, args ...any) {

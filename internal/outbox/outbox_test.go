@@ -156,6 +156,7 @@ func TestOutboxSurvivesRestartWithRoundState(t *testing.T) {
 	}
 	waitFor(t, "three failed rounds", func() bool { return o.Stats().Rounds >= 3 })
 	o.Kill()
+	checkLedger(t, o.Stats())
 
 	journal := &faults.Journal{}
 	o2 := openTestOutbox(t, dir, Options{Backoff: time.Millisecond, Journal: journal})
@@ -180,12 +181,114 @@ func TestOutboxSurvivesRestartWithRoundState(t *testing.T) {
 	if err := o2.Close(); err != nil {
 		t.Fatal(err)
 	}
+	checkLedger(t, o2.Stats())
 	// Third incarnation: everything retired, nothing stale left behind.
 	o3 := openTestOutbox(t, dir, Options{})
 	defer o3.Close()
 	if got := o3.Stats().Loaded; got != 0 {
 		t.Fatalf("final reopen loaded %d envelopes, want 0", got)
 	}
+	checkLedger(t, o3.Stats())
+}
+
+// checkLedger asserts the outbox's ledger: every envelope handed in or
+// loaded was redelivered, dropped, or is still pending.
+func checkLedger(t *testing.T, st Stats) {
+	t.Helper()
+	if in, out := st.Puts+st.Loaded, st.Redelivered+st.Dropped+int64(st.Pending); in != out {
+		t.Fatalf("outbox ledger: puts %d + loaded %d != redelivered %d + dropped %d + pending %d",
+			st.Puts, st.Loaded, st.Redelivered, st.Dropped, st.Pending)
+	}
+}
+
+// TestOutboxCountsRoundOnceDurable: a failed round counts once its
+// re-persisted round is on disk, not before. With the journal's disk
+// held, the round's Replace is staged and cannot land, and Rounds must
+// not move until the disk is released — a Kill meanwhile recovers the
+// previous round, which is what Rounds still says.
+func TestOutboxCountsRoundOnceDurable(t *testing.T) {
+	o := openTestOutbox(t, t.TempDir(), Options{Backoff: time.Millisecond, BackoffCap: time.Millisecond})
+	defer o.Kill()
+	held := make(chan func(), 1)
+	var calls atomic.Int64
+	if err := o.Start(func(e *Entry) (int, error) {
+		if calls.Add(1) == 1 {
+			held <- o.log.HoldFilesForTest()
+			return 1, errors.New("down")
+		}
+		return 1, nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if err := o.Put(testEntry(0)); err != nil {
+		t.Fatal(err)
+	}
+	release := <-held
+	round1 := testEntry(0)
+	round1.Round = 1
+	waitFor(t, "the failed round to stage its Replace", func() bool { return o.log.Has(round1.key()) })
+	if got := o.rounds.Load(); got != 0 { // not Stats: the journal's half waits on the held disk
+		release()
+		t.Fatalf("Rounds = %d while the round's Replace waits on the disk, want 0", got)
+	}
+	release()
+	waitFor(t, "the durable round to count", func() bool { return o.Stats().Rounds == 1 })
+	waitFor(t, "redelivery", func() bool { return o.Redelivered() == 1 })
+	checkLedger(t, o.Stats())
+}
+
+// TestOutboxOverSharedJournal: an outbox built with New over a journal
+// it does not own hands off by retiring the owner's record in the same
+// Replace, reports no journal stats of its own, and leaves the journal
+// open at Close. Load on the reopened journal schedules the envelope,
+// names the alert it supersedes, and leaves the owner's other records
+// alone.
+func TestOutboxOverSharedJournal(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "shared.wal")
+	l, err := plog.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := testEntry(0)
+	alertKey := e.dedupKey()
+	if err := l.LogReceived(alertKey, []byte{0xA1}, time.Now()); err != nil {
+		t.Fatal(err)
+	}
+	o := New(l, Options{Clock: clock.NewReal(), Backoff: time.Hour})
+	if err := o.Handoff(alertKey, e); err != nil {
+		t.Fatal(err)
+	}
+	if !l.IsProcessed(alertKey) || !l.Has(e.key()) || l.Pending() != 1 {
+		t.Fatalf("after the handoff: alert processed %v, envelope logged %v, %d pending; want true, true, 1",
+			l.IsProcessed(alertKey), l.Has(e.key()), l.Pending())
+	}
+	if st := o.Stats(); st.Log.Syncs != 0 || st.Log.DiskBytes != 0 {
+		t.Fatalf("outbox over a shared journal reports journal stats %+v, want none", st.Log)
+	}
+	if err := o.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.LogReceived("owner-record", []byte("the owner's"), time.Now()); err != nil {
+		t.Fatalf("journal unusable after the outbox closed: %v", err)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	l2, err := plog.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l2.Close()
+	o2 := New(l2, Options{Clock: clock.NewReal(), Backoff: time.Hour})
+	owned := o2.Load(l2.Unprocessed())
+	if _, ok := owned[alertKey]; !ok || len(owned) != 1 || o2.Pending() != 1 {
+		t.Fatalf("Load owns %q with %d pending, want just %q with 1", owned, o2.Pending(), alertKey)
+	}
+	if l2.IsProcessed("owner-record") {
+		t.Fatal("Load tombstoned a record that is not an envelope")
+	}
+	checkLedger(t, o2.Stats())
 }
 
 // TestOutboxEscalatesEveryKRounds checks the offset advances after

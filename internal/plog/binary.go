@@ -52,11 +52,13 @@ import (
 // whose body does not parse is a writer bug, counted and skipped.
 
 // segMagic opens every segment; recovery refuses a file that opens with
-// anything else (checkFormats). The version also covers the payloads the
-// journal's users write: since SIMBAW3 the hub and the outbox journal
-// alert.AppendBinary records, so a directory holding the text payloads
-// of SIMBAW2 is refused rather than replayed through the wrong decoder.
-const segMagic = "SIMBAW3\n"
+// anything else (checkFormats). The version also covers what the
+// journal's users write: SIMBAW3 made the hub's payloads
+// alert.AppendBinary records instead of SIMBAW2's text, and SIMBAW4
+// moved the retry outbox's envelopes into the hub's WAL, so a SIMBAW3
+// hub directory — whose pending envelopes sit in a second journal this
+// build never opens — is refused rather than opened without them.
+const segMagic = "SIMBAW4\n"
 
 // segHeaderSize is the byte offset of the first frame in a segment.
 const segHeaderSize = int64(len(segMagic))

@@ -9,9 +9,9 @@ import (
 	"time"
 )
 
-// Checkpoint format (version 4, which pairs with segMagic's SIMBAW3):
+// Checkpoint format (version 5, which pairs with segMagic's SIMBAW4):
 //
-//	CKPT 4 <gen> <watermark> <count> <total> <unix-nanos>
+//	CKPT 5 <gen> <watermark> <count> <total> <unix-nanos>
 //	<binary RECV run> …   holding count entries (binary.go has the layout)
 //	END <count>
 //
@@ -32,7 +32,7 @@ import (
 
 // ckptVersion is the checkpoint format recovery reads; a checkpoint of
 // any other version is refused before anything is touched (checkFormats).
-const ckptVersion = 4
+const ckptVersion = 5
 
 type ckptHeader struct {
 	gen       uint64

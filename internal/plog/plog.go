@@ -623,9 +623,10 @@ func (l *Log) MarkProcessedBatchAsync(keys []string, _ time.Time) []error {
 // after its RECV runs for exactly that reason). A missing or already-processed oldKey is
 // tolerated (the supersede is then a plain LogReceived); a newKey that
 // already exists is idempotent, and oldKey is still retired. This is
-// the retry outbox's round-update primitive: each redelivery round
+// the retry outbox's one write: a handoff journals the envelope and
+// retires the hub's record of the alert, and each redelivery round
 // re-persists the envelope under a round-stamped key and tombstones
-// the previous round in the same fsync.
+// the previous round, each in one fsync.
 func (l *Log) Replace(oldKey, newKey string, payload []byte, at time.Time) error {
 	if newKey == "" {
 		return errEmptyKey
