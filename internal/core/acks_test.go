@@ -117,10 +117,10 @@ func TestEarlyAckTableBounds(t *testing.T) {
 	blockStart := sim.Now()
 	acks.HandleIncoming(msg(1))
 	sim.Advance(earlyAckTTL + time.Millisecond)
-	stale := pendingAck{ch: make(chan ackArrival, 1), name: "Pager IM"}
+	stale := pendingAck{w: &waiter{}, name: "Pager IM"}
 	acks.register(key(1), stale, blockStart)
-	if len(stale.ch) != 0 || acks.Pending() != 1 {
-		t.Fatalf("a stale early ack resolved a new wait (arrivals %d, pending %d)", len(stale.ch), acks.Pending())
+	if stale.w.acked || acks.Pending() != 1 {
+		t.Fatalf("a stale early ack resolved a new wait (acked %v, pending %d)", stale.w.acked, acks.Pending())
 	}
 	if n := acks.Strays(); n != 1 {
 		t.Fatalf("strays = %d, want 1 (the expired ack)", n)
@@ -130,10 +130,10 @@ func TestEarlyAckTableBounds(t *testing.T) {
 	// it well inside the TTL, in a block that began after the ack came.
 	acks.HandleIncoming(msg(2))
 	sim.Advance(earlyAckTTL / 4)
-	reused := pendingAck{ch: make(chan ackArrival, 1), name: "Pager IM"}
+	reused := pendingAck{w: &waiter{}, name: "Pager IM"}
 	acks.register(key(2), reused, sim.Now())
-	if len(reused.ch) != 0 || acks.Pending() != 2 {
-		t.Fatalf("an ack from before the block began resolved its wait (arrivals %d, pending %d)", len(reused.ch), acks.Pending())
+	if reused.w.acked || acks.Pending() != 2 {
+		t.Fatalf("an ack from before the block began resolved its wait (acked %v, pending %d)", reused.w.acked, acks.Pending())
 	}
 	if n := acks.Strays(); n != 2 {
 		t.Fatalf("strays = %d, want 2", n)
@@ -146,9 +146,9 @@ func TestEarlyAckTableBounds(t *testing.T) {
 	if n := acks.Strays(); n != 2+2*earlyAckSlots {
 		t.Fatalf("strays = %d, want %d", n, 2+2*earlyAckSlots)
 	}
-	fresh := pendingAck{ch: make(chan ackArrival, 1), name: "Pager IM"}
+	fresh := pendingAck{w: &waiter{}, name: "Pager IM"}
 	acks.register(key(100+2*earlyAckSlots-1), fresh, blockStart) // newest entry: still in the ring
-	if len(fresh.ch) != 1 {
+	if !fresh.w.acked {
 		t.Fatal("a fresh early ack was not claimed")
 	}
 	if n := acks.Strays(); n != 1+2*earlyAckSlots {
@@ -157,7 +157,7 @@ func TestEarlyAckTableBounds(t *testing.T) {
 }
 
 // TestPooledAckWaiterNoCrossTalk hammers the one hazard of reusing a
-// wait channel: a late acknowledgement for wait n racing the scratch's
+// waiter: a late acknowledgement for wait n racing the scratch's
 // reuse for wait n+1. One scratch (on a poisoning wheel) runs waits
 // back to back on a block of two IM actions; four goroutines
 // acknowledge BOTH sends of every odd-numbered wait, over and over, so
@@ -225,26 +225,121 @@ func TestPooledAckWaiterNoCrossTalk(t *testing.T) {
 
 // TestCancelHandsBackUnreadArrival pins the rule that closes the
 // timeout/ack tie: an acknowledgement that found its key registered is
-// either read by the waiter or handed back by cancel — the block then
-// succeeds on it — and either way the channel is empty for its next
-// wait.
+// either the one that resumed the waiter or handed back by cancel — the
+// block then succeeds on it — and either way the waiter is clear for its
+// next wait.
 func TestCancelHandsBackUnreadArrival(t *testing.T) {
 	acks := NewAcks(clock.NewReal())
-	ch := make(chan ackArrival, 1)
+	w := &waiter{}
 	keys := []ackKey{{handle: "user@im", seq: 1}, {handle: "desk@im", seq: 2}}
-	acks.register(keys[0], pendingAck{ch: ch, name: "Pager IM"}, time.Time{})
-	acks.register(keys[1], pendingAck{ch: ch, name: "Desk IM"}, time.Time{})
-	// Both acks land after the waiter stopped listening (its timeout won).
+	acks.register(keys[0], pendingAck{w: w, name: "Pager IM"}, time.Time{})
+	acks.register(keys[1], pendingAck{w: w, name: "Desk IM"}, time.Time{})
+	// Both acks land after the timeout already resumed the block.
+	acks.expire(w)
 	acks.HandleIncoming(im.Message{From: "user@im", Text: AckText(1)})
 	acks.HandleIncoming(im.Message{From: "desk@im", Text: AckText(2)})
-	arr, ok := acks.cancel(keys, ch)
+	arr, ok := acks.cancel(keys, w)
 	if !ok || arr.name != "Pager IM" {
 		t.Fatalf("cancel = (%+v, %v), want the first arrival handed back", arr, ok)
 	}
-	if len(ch) != 0 || acks.Pending() != 0 || acks.Strays() != 0 {
-		t.Fatalf("after cancel: %d buffered, %d pending, %d strays; want all zero", len(ch), acks.Pending(), acks.Strays())
+	if w.acked || w.expired || w.parked || acks.Pending() != 0 || acks.Strays() != 0 {
+		t.Fatalf("after cancel: waiter %+v, %d pending, %d strays; want all clear", *w, acks.Pending(), acks.Strays())
 	}
-	if _, ok := acks.cancel(keys, ch); ok {
+	if _, ok := acks.cancel(keys, w); ok {
 		t.Fatal("a second cancel found another arrival")
+	}
+}
+
+// TestAckAndTimeoutResumeOnce lands an acknowledgement and the timeout
+// on the same parked block and requires the park to be resumed exactly
+// once. The waits cycle through four shapes: ack then timeout, timeout
+// then ack, both released together from a barrier on two goroutines —
+// the timeout fired as the wheel fires it — and the wheel's real timer
+// against an ack sent as it falls due. An ack that found its key
+// registered succeeds the block whichever came first, and nothing may
+// stay registered or armed afterwards.
+func TestAckAndTimeoutResumeOnce(t *testing.T) {
+	const waits, timeout = 64, 200 * time.Microsecond
+	var seq atomic.Uint64
+	f := newAckFixture(t, timeout, func(f *ackFixture, req Send) (SendResult, error) {
+		return SendResult{Seq: seq.Add(1)}, nil
+	})
+	wheel := timewheel.New(clock.NewReal(), timewheel.Options{Poison: true, Tick: 50 * time.Microsecond})
+	scr := NewScratch(wheel)
+	var wakes atomic.Int64
+	woke := make(chan struct{}, 2*waits) // room for every wake a broken park could send
+	wake := func() { wakes.Add(1); woke <- struct{}{} }
+	held := *f.mode // the three shapes that fire the timeout themselves hold the wheel's off
+	held.Blocks = append([]dmode.Block{{Timeout: dmode.Duration(time.Hour), Actions: held.Blocks[0].Actions}}, held.Blocks[1:]...)
+	byIM, parks := 0, int64(0)
+	for i := 0; i < waits; i++ {
+		shape, mode := i%4, &held
+		if shape == 3 {
+			mode = f.mode
+		}
+		if err := f.exec.Begin(DeliveryContext{User: "user"}, ackTestAlert(i), "", nil, f.reg, mode, scr, wake); err != nil {
+			t.Fatal(err)
+		}
+		if !f.exec.Step(scr) {
+			if shape != 3 {
+				t.Fatalf("wait %d: the IM block did not park", i)
+			}
+			continue // the real timer fired before the block could park
+		}
+		parks++
+		ack := func() { f.acks.HandleIncoming(im.Message{From: "user@im", Text: AckText(seq.Load())}) }
+		expire := func() { f.acks.expire(&scr.w) }
+		var both sync.WaitGroup
+		run := func(fs ...func()) {
+			both.Add(1)
+			go func() {
+				defer both.Done()
+				for _, f := range fs {
+					f()
+				}
+			}()
+		}
+		start := make(chan struct{})
+		barrier := func() { <-start }
+		switch shape {
+		case 0:
+			run(ack, expire)
+		case 1:
+			run(expire, ack)
+		case 2:
+			run(barrier, ack)
+			run(barrier, expire)
+		case 3:
+			run(func() { time.Sleep(timeout) }, ack)
+		}
+		close(start)
+		<-woke
+		both.Wait()
+		if shape != 3 {
+			// Both have come and gone: one wake, not two.
+			if n := wakes.Load(); n != parks {
+				t.Fatalf("wait %d (shape %d): the ack and the timeout resumed the park %d times", i, shape, n-parks+1)
+			}
+		}
+		if f.exec.Step(scr) {
+			t.Fatalf("wait %d: the email block parked", i)
+		}
+		rep, err := scr.Result()
+		if err != nil {
+			t.Fatalf("wait %d: %v", i, err)
+		}
+		if rep.DeliveredVia == "Pager IM" {
+			byIM++
+		} else if shape != 3 {
+			t.Fatalf("wait %d (shape %d): a registered ack lost to the timeout: delivered via %q", i, shape, rep.DeliveredVia)
+		}
+	}
+	t.Logf("%d of %d blocks acked, the rest timed out; %d parked", byIM, waits, parks)
+	time.Sleep(10 * timeout) // a second resume, if any, lands by now
+	if n := wakes.Load(); n != parks {
+		t.Fatalf("%d parks resumed %d times", parks, n)
+	}
+	if f.acks.Pending() != 0 || wheel.Pending() != 0 {
+		t.Fatalf("%d acks registered, %d timeouts armed after every block ended", f.acks.Pending(), wheel.Pending())
 	}
 }

@@ -197,15 +197,15 @@ func TestAckTextAllocBudget(t *testing.T) {
 		t.Skip("alloc accounting is not meaningful under the race detector")
 	}
 	acks := NewAcks(clock.NewReal())
-	ch := make(chan ackArrival, 1)
+	w := &waiter{}
+	keys := make([]ackKey, 1)
 	seq := uint64(1 << 40)
 	if n := testing.AllocsPerRun(100, func() {
 		seq++
-		acks.register(ackKey{handle: "user@im", seq: seq}, pendingAck{ch: ch, name: "Pager IM"}, time.Time{})
+		keys[0] = ackKey{handle: "user@im", seq: seq}
+		acks.register(keys[0], pendingAck{w: w, name: "Pager IM"}, time.Time{})
 		acks.HandleIncoming(im.Message{From: "user@im", Text: AckText(seq)})
-		select {
-		case <-ch:
-		default:
+		if _, acked := acks.cancel(keys, w); !acked {
 			t.Fatalf("ack %d matched no wait", seq)
 		}
 	}); n != 0 {

@@ -30,10 +30,6 @@ var (
 	// did not arrive within its block's timeout (the block's Elapsed in
 	// the report says how long that was).
 	ErrNoAck = errors.New("core: no acknowledgement within the block timeout")
-	// ErrAbandoned is returned bare by DeliverScratch when the scratch's
-	// SendGate refused a slot: the host is shutting the delivery down and
-	// nothing more was sent.
-	ErrAbandoned = errors.New("core: delivery abandoned by its host")
 )
 
 // IMSender transmits instant messages. Both commgr.IMManager and the

@@ -2,6 +2,7 @@ package hub
 
 import (
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"simba/internal/addr"
@@ -21,18 +22,33 @@ func deliveredViaCounter(t addr.Type) string {
 }
 
 // userQueue is one tenant's pending envelopes — an intrusive FIFO
-// linked through their next pointers — owned by at most one worker
-// goroutine at a time so per-user FIFO is structural, not incidental: a
-// user's next envelope is routed only after the previous one (including
-// its retries and WAL mark) has finished. Queue nodes are
-// pooled; the envelopes themselves carry the links, so chaining a
-// backlog allocates nothing. A chain is born ready — linked through
-// ready into its stage's FIFO of chains waiting for a worker — and is
-// run by exactly one worker from then until it empties.
+// linked through their next pointers — run by at most one worker at a
+// time so per-user FIFO is structural: a user's next envelope is routed
+// only after the previous one (including its retries and WAL mark) has
+// finished. A chain is born ready — linked through ready into its
+// stage's FIFO of chains waiting for a worker — and lives until it
+// empties. Nodes are pooled.
+//
+// The rest is the head's delivery in progress (attempt 0: not yet
+// routed). Waiting on an ack or a backoff, it is parked — held by no
+// worker, out of the ready FIFO — until resume, called once per park by
+// the executor or the wheel, re-readies it.
 type userQueue struct {
 	user       string
 	head, tail *envelope
 	ready      *userQueue
+	d          *deliveryStage
+
+	env     *envelope
+	scr     *core.Scratch
+	attempt int
+	tier    core.Tier
+	handed  time.Time
+	backoff *timewheel.Timer
+	// parked: the delivery waits for resume; woken: resume came while
+	// its worker still ran it. Both under the stage's mu.
+	parked, woken bool
+	resume        func() // made once per node
 }
 
 var userQueuePool = sync.Pool{New: func() any { return new(userQueue) }}
@@ -40,32 +56,20 @@ var userQueuePool = sync.Pool{New: func() any { return new(userQueue) }}
 // deliveryStage is one generation of a shard — one incarnation of its
 // restartable machinery — and that generation's alert pipeline: the
 // resolver submits each acknowledged envelope to its user's chain, and
-// the worker that owns the chain routes it (route) and delivers it
-// (perform), its channel Sends under a bounded in-flight window, so one
-// stalled evaluation or Send never serializes every tenant hashed to
-// the shard. Ordering contract: envelopes for the same user are
-// chained; envelopes for different users overlap. Killing a shard
-// abandons its stage wholesale: a wedged worker keeps the dead stage,
-// and the replacement gets a fresh kill signal, chains and timer wheel.
+// a worker routes the chain's head (route) and delivers it (perform), so
+// one stalled evaluation or Send never serializes every tenant hashed to
+// the shard. Envelopes for the same user are chained; envelopes for
+// different users overlap. Killing a shard abandons its stage
+// wholesale: a wedged worker keeps the dead stage, and the replacement
+// gets a fresh kill signal, chains and timer wheel.
 //
-// A window slot covers a Send, not a delivery: the stage is the
-// executor's core.SendGate, so a worker takes a slot before a block's
-// first Send and gives it back before it parks — in an ack wait, in a
-// retry backoff, or to stage its DONE. A parked delivery costs its
-// worker goroutine and its admission reservation, nothing else, so
-// parked waits are bounded by the shard's admission depth while the
-// window keeps bounding what actually loads the substrates.
-//
-// Workers are standing goroutines, not one per chain. Spawn: a chain
-// that becomes ready while every live worker is running a chain (or
-// already owed to an earlier ready chain) starts one, so live workers
-// never exceed the peak number of concurrent chains, which the shard's
-// admission depth bounds. Park: a worker that finds no ready chain
-// waits on the stage's condition variable, keeping its executor scratch
-// for its next chain. Retire: release — called when the generation is
-// killed, and by quiesce once a drained generation's last chain has
-// finished — lets every worker exit after it has emptied the ready
-// FIFO, so nothing of a stage outlives its generation.
+// A worker is a delivery-window slot: live workers never exceed
+// DeliveryWindow. A parked delivery costs its chain, its scratch, one
+// wheel node and, for an ack, one Acks entry. A chain that becomes ready
+// while no worker is free spawns one if the window has room, else waits
+// for the first worker done with its step. Idle workers wait on the
+// stage's condition variable; once the generation is killed, or drained
+// and quiesced, they exit after emptying the ready FIFO.
 type deliveryStage struct {
 	h   *Hub
 	sh  *shard
@@ -95,29 +99,24 @@ type deliveryStage struct {
 	// enqueueing it.
 	replaySuppress map[string]struct{}
 
-	// wheel multiplexes the stage's retry backoffs and its workers' ack
-	// waits onto one clock timer (pooled nodes, no per-wait allocation).
+	// wheel carries the stage's retry backoffs and ack timeouts (pooled
+	// nodes, no per-wait allocation, one clock timer).
 	wheel *timewheel.Wheel
-
-	// window bounds concurrent channel Sends (not queued or parked
-	// work, which the shard's admission depth already bounds). The
-	// in-flight gauge lives on the shard so its peak survives generation
-	// swaps.
-	window chan struct{}
 
 	mu    sync.Mutex
 	users map[string]*userQueue
 	wg    sync.WaitGroup // live chains; waited by quiesce, abandoned by Kill
 
-	// The ready FIFO and the worker accounting, all under mu. free counts
-	// the workers not running a chain — parked, or between chains — each
-	// of which looks at the FIFO before it parks, so a chain needs a new
-	// worker only when nready would exceed free.
+	// The ready FIFO and the worker accounting, under mu. free counts the
+	// workers not running a chain, each of which looks at the FIFO before
+	// it waits; live is read lock-free by the shard's check.
 	readyHead, readyTail *userQueue
 	nready, free         int
+	live                 atomic.Int64
 	wake                 *sync.Cond // on mu: a chain became ready, or the stage was released
 	released             bool       // workers exit instead of parking
 	workers              sync.WaitGroup
+	spare                []*core.Scratch // free list: scratches of no delivery
 	// spawned counts worker launches and peakChains the most chains that
 	// were ever live at once (tests pin spawned <= peakChains).
 	spawned, peakChains int
@@ -134,20 +133,33 @@ func newDeliveryStage(h *Hub, sh *shard, n int64, suppress map[string]struct{}) 
 		killed:         make(chan struct{}),
 		replaySuppress: suppress,
 		wheel:          timewheel.New(h.cfg.Clock, timewheel.Options{Poison: poolPoison.Load()}),
-		window:         make(chan struct{}, h.cfg.DeliveryWindow),
 		users:          make(map[string]*userQueue),
 	}
 	d.wake = sync.NewCond(&d.mu)
 	return d
 }
 
-// kill abandons the generation and retires its workers: the ones
-// parked for a ready chain cannot see the kill signal, so they are
-// released here, at the one place every kill goes through. Idempotent.
+// kill abandons the generation: idle workers, which cannot see the kill
+// signal, are released to exit, and parked deliveries, which no worker
+// holds, are abandoned and their chains ended. Idempotent.
 func (d *deliveryStage) kill() {
 	d.killOnce.Do(func() {
 		close(d.killed)
-		d.release()
+		d.mu.Lock()
+		d.released = true
+		d.wake.Broadcast()
+		var parked []*userQueue
+		for _, q := range d.users {
+			if q.parked {
+				q.parked = false
+				parked = append(parked, q)
+				d.endChain(q, false)
+			}
+		}
+		d.mu.Unlock()
+		for _, q := range parked {
+			d.abandon(q)
+		}
 	})
 }
 
@@ -156,15 +168,13 @@ func (d *deliveryStage) kill() {
 // user arrive in staging order; it never blocks — backlog is bounded
 // by the shard's admission depth, whose reservation is held until the
 // envelope finishes. A user without a live chain gets one, queued
-// ready, and a worker if none of the free ones can take it.
+// ready.
 func (d *deliveryStage) submit(env *envelope) {
 	user := env.buddy.user
 	d.mu.Lock()
 	if q, ok := d.users[user]; ok {
-		// The user has a live chain: append to it (per-user FIFO). An
-		// empty chain (its worker is busy with the last envelope)
-		// restarts from the head — the worker re-checks under the lock
-		// before ending the chain, so the envelope is seen.
+		// The user has a live chain: append to it (per-user FIFO). Its
+		// worker, or its parked delivery's resume, takes the envelope.
 		if q.head == nil {
 			q.head = env
 		} else {
@@ -175,10 +185,20 @@ func (d *deliveryStage) submit(env *envelope) {
 		return
 	}
 	q := userQueuePool.Get().(*userQueue)
-	q.user, q.head, q.tail = user, env, env
+	q.user, q.head, q.tail, q.d = user, env, env, d
+	if q.resume == nil {
+		q.resume = func() { q.d.unpark(q) }
+	}
 	d.users[user] = q
 	d.peakChains = max(d.peakChains, len(d.users))
 	d.wg.Add(1)
+	d.readyLocked(q)
+	d.mu.Unlock()
+}
+
+// readyLocked queues q for a worker, spawning one only when no live
+// worker is free and the window has room.
+func (d *deliveryStage) readyLocked(q *userQueue) {
 	if d.readyTail == nil {
 		d.readyHead = q
 	} else {
@@ -186,40 +206,40 @@ func (d *deliveryStage) submit(env *envelope) {
 	}
 	d.readyTail = q
 	d.nready++
-	spawn := d.nready > d.free
-	if spawn {
+	if d.nready > d.free && d.live.Load() < int64(d.h.cfg.DeliveryWindow) {
 		d.free++
+		d.live.Add(1)
 		d.spawned++
 		d.workers.Add(1)
-	} else {
-		d.wake.Signal()
-	}
-	d.mu.Unlock()
-	if spawn {
 		go d.work()
+		return
 	}
+	d.wake.Signal()
 }
 
-// work is one worker's life: take the oldest ready chain, route it
-// envelope by envelope, end it — delete its map entry (a churn of
-// one-shot tenants must not grow the users map) and recycle the queue
-// node — and take the next; park when none is ready; exit once the
-// stage is released and the FIFO is empty. A chain whose generation was
-// killed ends at its first envelope: the undone entries replay from the
-// WAL (into this shard's next generation, or the next process
-// incarnation), and ending the chain all the same means a kill
-// mid-backlog cannot strand its map entry. The worker owns its executor
-// scratch for its lifetime.
+// unpark is a parked delivery's resume: its chain rejoins the ready
+// FIFO. A resume that beats its worker's park is left for the worker.
+func (d *deliveryStage) unpark(q *userQueue) {
+	d.mu.Lock()
+	if q.woken = !q.parked; q.parked {
+		q.parked = false
+		d.readyLocked(q)
+	}
+	d.mu.Unlock()
+}
+
+// work is one worker's life: take the oldest ready chain, run it until
+// it parks or ends, and take the next; park when none is ready; exit
+// once the stage is released and the FIFO is empty.
 func (d *deliveryStage) work() {
 	defer d.workers.Done()
-	scr := core.NewScratch(d.wheel)
-	scr.SetGate(d)
 	d.mu.Lock()
 	for {
 		q := d.readyHead
 		if q == nil {
 			if d.released {
 				d.free--
+				d.live.Add(-1)
 				d.mu.Unlock()
 				return
 			}
@@ -229,153 +249,172 @@ func (d *deliveryStage) work() {
 		if d.readyHead = q.ready; d.readyHead == nil {
 			d.readyTail = nil
 		}
+		q.ready = nil
 		d.nready--
 		d.free--
-		for env := q.head; env != nil; env = q.head {
-			if q.head = env.next; q.head == nil {
-				q.tail = nil
-			}
-			d.mu.Unlock()
-			env.next = nil
-			handled := d.route(env, scr)
-			if handled {
-				d.sh.beat(d.h.cfg.Clock.Now())
-			}
-			d.mu.Lock()
-			if !handled {
-				break // generation killed: the rest of the chain is abandoned with it
-			}
-		}
-		delete(d.users, q.user)
+		d.run(q)
 		d.free++
-		*q = userQueue{}
-		userQueuePool.Put(q)
-		d.wg.Done()
 	}
 }
 
-// release retires the stage's workers: parked ones wake and exit, busy
-// ones exit once the ready FIFO is empty. Idempotent; must not be
-// called with mu held.
-func (d *deliveryStage) release() {
-	d.mu.Lock()
-	d.released = true
-	d.wake.Broadcast()
-	d.mu.Unlock()
+// run drives chain q, with mu held on entry and exit, envelope by
+// envelope until the head parks or the chain empties and ends. A chain
+// whose generation was killed ends at its next step: the undone entries
+// replay from the WAL (into this shard's next generation, or the next
+// process incarnation).
+func (d *deliveryStage) run(q *userQueue) {
+	for {
+		if q.env == nil {
+			env := q.head
+			if env == nil {
+				d.endChain(q, true)
+				return
+			}
+			if q.head = env.next; q.head == nil {
+				q.tail = nil
+			}
+			env.next = nil
+			q.env, q.attempt = env, 0
+			if n := len(d.spare); n > 0 {
+				q.scr, d.spare = d.spare[n-1], d.spare[:n-1]
+			} else {
+				q.scr = core.NewScratch(d.wheel)
+			}
+		}
+		d.mu.Unlock()
+		parked, ok := d.advance(q)
+		d.mu.Lock()
+		if !ok || parked && d.released { // killed: kill saw no parked delivery here
+			d.mu.Unlock()
+			d.abandon(q)
+			d.mu.Lock()
+			d.endChain(q, q.attempt == 0)
+			return
+		}
+		d.sh.beat(d.h.cfg.Clock.Now())
+		switch {
+		case !parked:
+			d.spare = append(d.spare, q.scr)
+			q.env, q.scr = nil, nil
+		case q.woken:
+			q.woken = false // resumed already: go on
+		default:
+			q.parked = true
+			return
+		}
+	}
 }
 
-// quiesce waits for every live chain to finish and then for the workers
-// to exit. The generation's intake must be closed under shard.mu first,
+// endChain ends q, under mu: its map entry goes (a churn of one-shot
+// tenants must not grow the users map). recycle is false for a chain a
+// kill abandoned mid-delivery, which a resume under way may still touch.
+func (d *deliveryStage) endChain(q *userQueue, recycle bool) {
+	delete(d.users, q.user)
+	if recycle {
+		if q.scr != nil {
+			d.spare = append(d.spare, q.scr)
+		}
+		*q = userQueue{resume: q.resume}
+		userQueuePool.Put(q)
+	}
+	d.wg.Done()
+}
+
+// abandon cancels q's parked wait, if any: its ack registrations and
+// its timeout or backoff node. Not under mu, which resumes take inside
+// the wheel's lock.
+func (d *deliveryStage) abandon(q *userQueue) {
+	d.h.exec.Abandon(q.scr)
+	if q.backoff != nil {
+		d.wheel.Release(q.backoff)
+		q.backoff = nil
+	}
+}
+
+// quiesce waits for every live chain to finish and then retires the
+// workers. The generation's intake must be closed under shard.mu first,
 // so nothing submits any more (a submit's wg.Add must not race the
 // Wait); after a kill the chains end by abandoning, otherwise by
 // completing.
 func (d *deliveryStage) quiesce() {
 	d.wg.Wait()
-	d.release()
+	d.mu.Lock()
+	d.released = true
+	d.wake.Broadcast()
+	d.mu.Unlock()
 	d.workers.Wait()
 }
 
-// Acquire claims one in-flight slot for a worker about to Send
-// (core.SendGate), honoring the generation's kill both before and after
-// the wait so an abandoned stage stops deterministically.
-func (d *deliveryStage) Acquire() bool {
+// advance routes q's head, or resumes its delivery from an ack wait or a
+// backoff. parked: the delivery waits again; !ok: a kill abandoned it.
+func (d *deliveryStage) advance(q *userQueue) (parked, ok bool) {
+	if q.attempt == 0 {
+		return d.route(q)
+	}
 	select {
 	case <-d.killed:
-		return false
+		return false, false
 	default:
 	}
-	select {
-	case <-d.killed:
-		return false
-	case d.window <- struct{}{}:
+	if q.backoff != nil {
+		d.wheel.Release(q.backoff)
+		q.backoff = nil
+		q.attempt++
+		q.scr.Rewind()
 	}
-	select {
-	case <-d.killed:
-		<-d.window
-		return false
-	default:
-	}
+	return d.perform(q)
+}
+
+// perform runs one executor Step of q's attempt, counted in the shard's
+// in-flight gauge. A failed attempt — every block exhausted — is retried
+// after a backoff parked on the stage's wheel; see settle for the rest.
+// The report and error are the scratch's, borrowed.
+func (d *deliveryStage) perform(q *userQueue) (parked, ok bool) {
 	d.sh.inflight.Inc()
-	return true
-}
-
-// Release returns the slot (core.SendGate).
-func (d *deliveryStage) Release() {
+	parked = d.h.exec.Step(q.scr)
 	d.sh.inflight.Dec()
-	<-d.window
+	if parked {
+		return true, true
+	}
+	rep, err := q.scr.Result()
+	if f := d.h.cfg.OnDelivery; f != nil {
+		f(q.env.buddy.user, rep, err)
+	}
+	if err != nil && q.attempt < d.h.cfg.DeliveryMaxAttempts {
+		d.h.ctr.deliveryRetries.Add1()
+		q.backoff = d.wheel.AfterFunc(d.backoff(q.attempt), q.resume)
+		return true, true
+	}
+	return false, d.settle(q, rep, err)
 }
 
-// perform executes one delivery: run the tenant's delivery mode (or
-// the flat substrate plan) through the shared executor, retry failed
-// attempts — every block exhausted — with capped exponential backoff +
-// jitter, and only then stage the WAL DONE record. It reports false
-// when a kill abandoned the envelope before the mark, leaving the entry
-// for the next incarnation to replay. What attempt exhaustion means
-// depends on the QoS tier: best-effort drops the alert (counted as
-// lost); guaranteed hands the envelope to the retry outbox, whose
-// record replaces the WAL entry in one commit, and the outbox
-// redelivers with escalating backoff.
-//
-// The worker holds no window slot here: the executor takes one around
-// each block's Sends and has returned it by the time DeliverScratch
-// comes back, so backoffs, the outbox handoff and the mark never
-// occupy the window.
-//
-// The routed alert's wire form is encoded once, into envelope-owned
-// storage, and reused by every attempt; the report and a failed
-// attempt's error land in the worker's scratch. An envelope that
-// completes (delivered, dropped, or handed off) goes through finish;
-// abandoned paths leave recycling to the GC. handed is when routing
-// ended, the start of the deliver-stage latency split.
-func (d *deliveryStage) perform(env *envelope, scr *core.Scratch, handed time.Time) bool {
-	h := d.h
+// settle ends q's delivery after its last attempt, and only then stages
+// the WAL DONE record; false means a kill abandoned the envelope before
+// the mark, leaving the entry to replay. Exhaustion depends on the QoS
+// tier: best-effort drops the alert (counted as lost); guaranteed hands
+// the envelope to the retry outbox, whose record replaces the WAL entry
+// in one commit. An envelope that completes (delivered, dropped, or
+// handed off) goes through finish; abandoned ones are left to the GC.
+func (d *deliveryStage) settle(q *userQueue, rep *core.Report, err error) bool {
+	h, env := d.h, q.env
 	b := env.buddy
-	reg, mode, tier := h.plan(b, env.category)
-	ctx := h.deliveryContext(b.user, d.sh.id)
-	// env.key is user + keySep + dedup-key; slice off the alert key so
-	// the executor does not rebuild it per attempt.
-	alertKey := env.key[len(b.user)+len(keySep):]
-	payload, perr := env.alert.AppendWire(env.payload[:0])
-	if perr != nil {
-		payload = nil // unreachable for validated alerts; executor re-derives
-	} else {
-		env.payload = payload
+	switch {
+	case err == nil:
+		h.countDelivered(b, q.tier, rep)
+	case q.tier != core.TierGuaranteed:
+		h.ctr.undeliverable.Add1()
+		h.ctr.tierLost[q.tier].Add1()
+	case d.handoff(env, q.attempt):
+		h.ctr.outboxHandoffs.Add1()
+	default:
+		// The envelope could not be made durable in the outbox; leave
+		// the WAL entry unprocessed so the next incarnation replays the
+		// alert instead of losing it.
+		h.deliverLat.Observe(h.cfg.Clock.Since(q.handed))
+		d.sh.release()
+		return true
 	}
-	for attempt := 1; ; attempt++ {
-		rep, err := h.exec.DeliverScratch(ctx, &env.alert, alertKey, payload, reg, mode, scr)
-		if err == core.ErrAbandoned {
-			return false // killed before a Send: nothing to observe, nothing to mark
-		}
-		if f := h.cfg.OnDelivery; f != nil {
-			f(b.user, rep, err)
-		}
-		if err == nil {
-			h.countDelivered(b, tier, rep)
-			break
-		}
-		if attempt >= h.cfg.DeliveryMaxAttempts {
-			if tier == core.TierGuaranteed {
-				if !d.handoff(env, attempt) {
-					// The envelope could not be made durable in the
-					// outbox; leave the WAL entry unprocessed so the next
-					// incarnation replays the alert instead of losing it.
-					h.deliverLat.Observe(h.cfg.Clock.Since(handed))
-					d.sh.release()
-					return true
-				}
-				h.ctr.outboxHandoffs.Add1()
-			} else {
-				h.ctr.undeliverable.Add1()
-				h.ctr.tierLost[tier].Add1()
-			}
-			break
-		}
-		h.ctr.deliveryRetries.Add1()
-		if !d.backoff(attempt) {
-			return false // killed mid-backoff
-		}
-	}
-	h.deliverLat.Observe(h.cfg.Clock.Since(handed))
+	h.deliverLat.Observe(h.cfg.Clock.Since(q.handed))
 	if h.fault(FaultBeforeMark, d.sh.id, d.killed) {
 		return false
 	}
@@ -415,12 +454,10 @@ func (d *deliveryStage) handoff(env *envelope, attempts int) bool {
 	return true
 }
 
-// backoff sleeps before retry attempt+1: exponential in the attempt
-// number, capped, with multiplicative jitter from the stage's forked
-// RNG so colliding retries across tenants decorrelate. The wait rides
-// the stage's timer wheel — a pooled node, not a fresh clock timer.
-// Returns false if the stage's generation was killed during the wait.
-func (d *deliveryStage) backoff(attempt int) bool {
+// backoff is the wait before retry attempt+1: exponential in the
+// attempt number, capped, with multiplicative jitter from the stage's
+// forked RNG so colliding retries across tenants decorrelate.
+func (d *deliveryStage) backoff(attempt int) time.Duration {
 	h := d.h
 	delay := h.cfg.DeliveryBackoff
 	for i := 1; i < attempt && delay < h.cfg.DeliveryBackoffCap; i++ {
@@ -430,14 +467,5 @@ func (d *deliveryStage) backoff(attempt int) bool {
 		delay = h.cfg.DeliveryBackoffCap
 	}
 	// Full jitter over the upper half: [delay/2, delay).
-	delay = delay/2 + time.Duration(d.rng.Float64()*float64(delay/2))
-	t := d.wheel.After(delay)
-	select {
-	case <-d.killed:
-		d.wheel.Release(t)
-		return false
-	case <-t.C():
-		d.wheel.Release(t)
-		return true
-	}
+	return delay/2 + time.Duration(d.rng.Float64()*float64(delay/2))
 }

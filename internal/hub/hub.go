@@ -69,8 +69,7 @@ const (
 	// DefaultQueueDepth bounds each shard's admitted-but-unfinished
 	// alerts (in admission, chained, or in delivery).
 	DefaultQueueDepth = 256
-	// DefaultDeliveryWindow bounds each shard's concurrent channel
-	// Sends.
+	// DefaultDeliveryWindow bounds each shard's delivery workers.
 	DefaultDeliveryWindow = 32
 	// DefaultDeliveryMaxAttempts is the per-alert delivery attempt cap
 	// (1 initial try + retries) before the alert counts as
@@ -235,12 +234,11 @@ type Config struct {
 	RNG *dist.RNG
 	// Journal records replay/recovery actions. Optional.
 	Journal *faults.Journal
-	// DeliveryWindow bounds each shard's concurrent channel Sends; zero
-	// means DefaultDeliveryWindow. A delivery holds a slot only while it
-	// is calling channels — not while it waits for an acknowledgement or
-	// sleeps out a retry backoff (those are bounded by QueueDepth, whose
-	// reservation a delivery keeps until it completes). One serializes a
-	// shard's Sends.
+	// DeliveryWindow bounds each shard's delivery workers — its routing
+	// plus channel Sends; zero means DefaultDeliveryWindow. A delivery
+	// waiting for an ack or a retry backoff is parked data holding no
+	// worker (parked waits are bounded by QueueDepth). One serializes a
+	// shard's routing and Sends.
 	DeliveryWindow int
 	// DeliveryMaxAttempts caps delivery attempts per alert (initial try
 	// plus retries); zero means DefaultDeliveryMaxAttempts.
@@ -290,7 +288,9 @@ type Hub struct {
 	wal    *plog.Log
 	shards []*shard
 	// outbox is the guaranteed-tier retry outbox, a tenant of wal.
-	outbox *outbox.Outbox
+	outbox   *outbox.Outbox
+	redo     *core.Scratch // the redelivery loop's, with redoWire
+	redoWire []byte
 
 	// The shared delivery machinery: channel registry, ack table, and
 	// the stateless mode executor every delivery worker calls into.
@@ -477,6 +477,7 @@ func New(cfg Config) (*Hub, error) {
 		EscalateEvery: cfg.OutboxEscalateEvery,
 		Journal:       cfg.Journal,
 	})
+	h.redo = core.NewScratch(nil)
 	return h, nil
 }
 

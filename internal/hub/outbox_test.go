@@ -18,7 +18,9 @@ import (
 	"simba/internal/core"
 	"simba/internal/faults"
 	"simba/internal/mab"
+	"simba/internal/outbox"
 	"simba/internal/plog"
+	"simba/internal/race"
 )
 
 // faultySink counts per-(user, key) deliveries across hub incarnations
@@ -671,4 +673,30 @@ func TestHubOutboxJournalCompacts(t *testing.T) {
 		t.Fatalf("deliveries = %d, want exactly 1", got)
 	}
 	checkOutboxLedger(t, h2)
+}
+
+// TestRedeliverAllocBudget pins the hub's side of an outbox redelivery
+// round, a failed one here: the plan is re-resolved and walked on the
+// redelivery loop's one scratch, under the alert key sliced from the
+// envelope's journal key, with the wire form built into a reused buffer
+// — the round allocates nothing.
+func TestRedeliverAllocBudget(t *testing.T) {
+	if race.Enabled {
+		t.Skip("alloc accounting is not meaningful under the race detector")
+	}
+	down := errors.New("substrate down")
+	h := newTestHub(t, Config{Channels: sinkChannels(func(int, string, *alert.Alert) error { return down }), Shards: 1})
+	addGuaranteedUser(t, h)
+	a := portalAlert(0, h.cfg.Clock.Now())
+	e := &outbox.Entry{User: "user-0", Category: "Investment", Alert: a, Attempts: 1}
+	dedup := e.User + keySep + a.DedupKey()
+	round := func() {
+		if blocks, err := h.redeliver(dedup, e); blocks != 1 || !errors.Is(err, core.ErrAllBlocksFailed) {
+			t.Fatalf("round = (%d, %v), want one failed block", blocks, err)
+		}
+	}
+	round() // warm the scratch and the wire buffer
+	if n := testing.AllocsPerRun(200, round); n != 0 {
+		t.Fatalf("a redelivery round allocates %.1f times, want 0", n)
+	}
 }

@@ -3,28 +3,29 @@ package hub
 import (
 	"errors"
 
-	"simba/internal/core"
 	"simba/internal/mab"
 	"simba/internal/plog"
 )
 
-// route is the buddy's pipeline for one envelope, run by the worker
-// that owns the tenant's chain: classify → aggregate → filter, then
-// deliver what routes and finish what does not. A wedged evaluation
-// stalls its own chain, as a slow Send does, never the shard.
+// route is the buddy's pipeline for q's head envelope, run by the
+// worker that holds the tenant's chain: classify → aggregate → filter,
+// then deliver what routes and finish what does not. A wedged
+// evaluation stalls its own chain (and its worker's window slot), as a
+// slow Send does, never the shard.
 //
 // The fault hook and the kill check run before the envelope is
-// touched: a worker that wedges in the hook and is killed while parked
+// touched: a worker that wedges in the hook and is killed there
 // abandons the envelope unprocessed — nothing marked, nothing
 // delivered — so it and the rest of its chain replay exactly once
-// through the replacement generation. It reports false when the
-// envelope was abandoned.
-func (d *deliveryStage) route(env *envelope, scr *core.Scratch) bool {
-	h := d.h
+// through the replacement generation. ok is false when the envelope was
+// abandoned, parked true when its delivery waits. q.handed, when
+// routing ended, starts the deliver-stage latency split.
+func (d *deliveryStage) route(q *userQueue) (parked, ok bool) {
+	h, env := d.h, q.env
 	h.fault(FaultRoute, d.sh.id, d.killed)
 	select {
 	case <-d.killed:
-		return false // abandoned: the WAL still owns the envelope
+		return false, false // abandoned: the WAL still owns the envelope
 	default:
 	}
 	taken := h.cfg.Clock.Now()
@@ -49,10 +50,18 @@ func (d *deliveryStage) route(env *envelope, scr *core.Scratch) bool {
 		env.category = category
 		b.routed.Add(1)
 		h.ctr.routed.Add1()
-		return d.perform(env, scr, handed)
+		// Deliver the tenant's mode (or the flat plan) under the alert key
+		// in env.key, the wire form encoded once (nil on error: Begin says).
+		reg, mode, tier := h.plan(b, category)
+		q.attempt, q.tier, q.handed = 1, tier, handed
+		env.payload, _ = env.alert.AppendWire(env.payload[:0])
+		if err := h.exec.Begin(h.deliveryContext(b.user, d.sh.id), &env.alert, env.key[len(b.user)+len(keySep):], env.payload, reg, mode, q.scr, q.resume); err != nil {
+			return false, d.settle(q, nil, err) // no attempt can walk this plan
+		}
+		return d.perform(q)
 	}
 	d.finish(env)
-	return true
+	return false, true
 }
 
 // finish durably completes an alert: stage its WAL DONE into the next

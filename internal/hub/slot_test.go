@@ -40,11 +40,13 @@ func hostModeUsers(t *testing.T, h *Hub, n int, blockTimeout time.Duration) {
 	}
 }
 
-// TestSlotNotHeldAcrossAckWait pins what a window slot covers: with
-// DeliveryWindow 1 and every IM acknowledgement withheld, the second
-// tenant's IM is still sent while the first is parked in its ack wait —
-// the wait holds no slot — and yet no two Sends ever overlap.
-func TestSlotNotHeldAcrossAckWait(t *testing.T) {
+// TestParkedAckWaitHoldsNoWorker pins what a worker covers: with
+// DeliveryWindow 1 — one worker — and every IM acknowledgement withheld,
+// the second tenant's IM is still sent while the first delivery waits
+// for its ack, and once both wait, the one worker is idle: a parked
+// delivery holds no worker and no in-flight slot, only its Acks entry
+// and wheel node. No two Sends ever overlap.
+func TestParkedAckWaitHoldsNoWorker(t *testing.T) {
 	const users = 2
 	var sending metrics.Gauge // what the delivery window bounds: channel Sends running at once
 	var seq atomic.Uint64
@@ -80,17 +82,19 @@ func TestSlotNotHeldAcrossAckWait(t *testing.T) {
 		case s := <-sends:
 			unacked = append(unacked, s)
 		case <-time.After(10 * time.Second):
-			t.Fatalf("%d of %d IMs sent: the window slot is held across the ack wait", len(unacked), users)
+			t.Fatalf("%d of %d IMs sent: the worker is held across the ack wait", len(unacked), users)
 		}
 	}
-	// ...and once both workers have parked, nobody holds the slot.
-	deadline := time.Now().Add(10 * time.Second)
-	for h.Executor().Acks().Pending() != users || h.shards[0].inflight.Load() != 0 {
-		if time.Now().After(deadline) {
-			t.Fatalf("%d acks pending, %d window slots held; want %d parked waits holding none",
-				h.Executor().Acks().Pending(), h.shards[0].inflight.Load(), users)
-		}
-		time.Sleep(100 * time.Microsecond)
+	// ...and once both deliveries have parked, the one worker is free.
+	d := h.shards[0].current()
+	waitCond(t, "both deliveries to park with the worker idle", func() bool {
+		d.mu.Lock()
+		defer d.mu.Unlock()
+		return h.Executor().Acks().Pending() == users && d.wheel.Pending() == users &&
+			h.shards[0].inflight.Load() == 0 && d.free == 1 && d.live.Load() == 1
+	})
+	if spawned, _, _ := stageCounts(h); spawned != 1 {
+		t.Fatalf("%d workers spawned with DeliveryWindow 1", spawned)
 	}
 	for _, s := range unacked {
 		h.HandleIncoming(im.Message{From: s.handle, Text: core.AckText(s.seq)})
@@ -110,11 +114,11 @@ func TestSlotNotHeldAcrossAckWait(t *testing.T) {
 	}
 }
 
-// TestSlotNotHeldAcrossBackoff is the same for the retry backoff: with
-// DeliveryWindow 1, a tenant whose first attempt failed sleeps out its
-// backoff without the slot, so another tenant's delivery runs in
-// between the two attempts.
-func TestSlotNotHeldAcrossBackoff(t *testing.T) {
+// TestParkedBackoffHoldsNoWorker is the same for the retry backoff:
+// with DeliveryWindow 1, a tenant whose first attempt failed waits out
+// its backoff parked on the wheel, so the one worker delivers another
+// tenant's alert in between the two attempts.
+func TestParkedBackoffHoldsNoWorker(t *testing.T) {
 	var sending metrics.Gauge // what the delivery window bounds: channel Sends running at once
 	var mu sync.Mutex
 	var order []string
@@ -156,6 +160,9 @@ func TestSlotNotHeldAcrossBackoff(t *testing.T) {
 	}
 	if want := []string{"user-0", "user-1", "user-0"}; !reflect.DeepEqual(order, want) {
 		t.Fatalf("send order %v, want %v (user-1 delivered during user-0's backoff)", order, want)
+	}
+	if spawned, _, _ := stageCounts(h); spawned != 1 {
+		t.Fatalf("%d workers spawned with DeliveryWindow 1", spawned)
 	}
 	if p := sending.Peak(); p != 1 {
 		t.Fatalf("peak concurrent Sends = %d, window is 1", p)

@@ -1,7 +1,9 @@
 package hub
 
 import (
+	"errors"
 	"fmt"
+	"path/filepath"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -385,11 +387,11 @@ func TestDeliveryWorkersBoundedByConcurrentChains(t *testing.T) {
 	}
 }
 
-// TestReadyChainStartsWhileWorkersParkInAckWaits pins that a worker
-// parked inside a delivery is not a free worker: with every live worker
-// waiting for an IM acknowledgement that never comes, a chain that
-// becomes ready gets a worker of its own at once instead of queueing
-// behind the ack timeout.
+// TestReadyChainStartsWhileWorkersParkInAckWaits pins that a delivery
+// parked in an ack wait holds no worker: with every delivery waiting for
+// an IM acknowledgement that never comes, every live worker is free, and
+// a chain that becomes ready is taken by one of them at once — no worker
+// is spawned for it — instead of queueing behind the ack timeout.
 func TestReadyChainStartsWhileWorkersParkInAckWaits(t *testing.T) {
 	const parked = 4
 	sends := make(chan imSend, parked+1)
@@ -416,7 +418,7 @@ func TestReadyChainStartsWhileWorkersParkInAckWaits(t *testing.T) {
 			case s := <-sends:
 				unacked = append(unacked, s)
 			case <-time.After(10 * time.Second):
-				t.Fatalf("%d of %d IMs sent: a ready chain waited behind parked workers", len(unacked), n)
+				t.Fatalf("%d of %d IMs sent: a ready chain waited behind parked deliveries", len(unacked), n)
 			}
 		}
 	}
@@ -426,21 +428,175 @@ func TestReadyChainStartsWhileWorkersParkInAckWaits(t *testing.T) {
 		}
 	}
 	await(parked)
-	waitCond(t, "every worker to park in its ack wait", func() bool {
-		_, _, free := stageCounts(h)
-		return h.Executor().Acks().Pending() == parked && free == 0
+	d := h.shards[0].current()
+	waitCond(t, "every delivery to park in its ack wait with every worker free", func() bool {
+		d.mu.Lock()
+		defer d.mu.Unlock()
+		return h.Executor().Acks().Pending() == parked && d.free == int(d.live.Load()) && d.free > 0
 	})
+	before, _, _ := stageCounts(h)
 	if err := h.Submit(fmt.Sprintf("user-%d", parked), portalAlert(parked, h.cfg.Clock.Now())); err != nil {
 		t.Fatal(err)
 	}
 	await(parked + 1)
-	if spawned, _, _ := stageCounts(h); spawned != parked+1 {
-		t.Fatalf("%d workers spawned, want %d: one per parked delivery and one for the chain that became ready", spawned, parked+1)
+	if spawned, _, _ := stageCounts(h); spawned != before || spawned > parked {
+		t.Fatalf("%d workers spawned, %d before the chain became ready: want it taken by a free worker, and at most one per chain", spawned, before)
 	}
 	for _, s := range unacked {
 		h.HandleIncoming(im.Message{From: s.handle, Text: core.AckText(s.seq)})
 	}
 	if err := h.Drain(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// parkingChannels is a registry whose IM channel never sees an
+// acknowledgement and whose email channel confirms; sink backs the flat
+// plan.
+func parkingChannels(sink func(int, string, *alert.Alert) error) *core.Channels {
+	var seq atomic.Uint64
+	return sinkChannels(sink).
+		Register(addr.TypeIM, core.ChannelFunc(func(core.Send) (core.SendResult, error) {
+			return core.SendResult{Seq: seq.Add(1)}, nil
+		})).
+		Register(addr.TypeEmail, core.ChannelFunc(func(core.Send) (core.SendResult, error) {
+			return core.SendResult{Confirmed: true}, nil
+		}))
+}
+
+// hostParkingUsers hosts user-0..n-1, every flatEvery'th on the flat
+// plan and the rest on IM-then-email.
+func hostParkingUsers(t *testing.T, h *Hub, n, flatEvery int) {
+	t.Helper()
+	addUsers(t, h, n)
+	for i := 0; i < n; i++ {
+		if i%flatEvery == 0 {
+			continue
+		}
+		user := fmt.Sprintf("user-%d", i)
+		b, _ := h.buddy(user)
+		b.SetProfile(modeProfile(t, user, 0))
+		if err := b.Subscribe("Investment", "IMThenEmail"); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// submitRoundBatched submits one alert per user in bursts of 64.
+func submitRoundBatched(t *testing.T, h *Hub, users, round int) {
+	t.Helper()
+	for i := 0; i < users; i += 64 {
+		batch := make([]Submission, 0, 64)
+		for k := i; k < min(i+64, users); k++ {
+			a := portalAlert(k, h.cfg.Clock.Now())
+			a.ID = fmt.Sprintf("a-%d-%d", round, k)
+			batch = append(batch, Submission{User: fmt.Sprintf("user-%d", k), Alert: a})
+		}
+		for k, err := range h.SubmitBatch(batch) {
+			if err != nil {
+				t.Fatalf("submit %d: %v", i+k, err)
+			}
+		}
+	}
+}
+
+// TestHubGoroutinesBoundedByWindow: 2,048 admitted alerts over 1,024
+// tenants on 8 shards, with 960 deliveries parked in ack waits that
+// never resolve and 64 held inside the flat substrate's Send, run on no
+// more goroutines than Shards × DeliveryWindow workers and a handful
+// more: parked deliveries are data, and a shard's workers are its
+// window.
+func TestHubGoroutinesBoundedByWindow(t *testing.T) {
+	const shards, users, flatEvery, slack = 8, 1024, 16, 16
+	hold := make(chan struct{})
+	sink := newCountingSink(hold)
+	base := runtime.NumGoroutine()
+	h := newTestHub(t, Config{
+		Channels: parkingChannels(sink.Deliver), Shards: shards, QueueDepth: users,
+		AckTimeout: 30 * time.Second,
+	})
+	hostParkingUsers(t, h, users, flatEvery)
+	if err := h.Start(); err != nil {
+		t.Fatal(err)
+	}
+	submitRoundBatched(t, h, users, 0)
+	submitRoundBatched(t, h, users, 1)
+	flat := users / flatEvery
+	sink.waitArrivals(t, flat)
+	waitCond(t, "every IM delivery to park in its ack wait", func() bool {
+		return h.Executor().Acks().Pending() == users-flat
+	})
+	n := runtime.NumGoroutine() - base
+	bound := shards*h.cfg.DeliveryWindow + slack
+	t.Logf("%d goroutines for %d parked and %d held deliveries (bound %d)", n, users-flat, flat, bound)
+	if n > bound {
+		t.Fatalf("%d goroutines above the baseline, want at most %d", n, bound)
+	}
+	for _, sh := range h.shards {
+		if w := sh.current().live.Load(); w > int64(h.cfg.DeliveryWindow) {
+			t.Fatalf("shard %d runs %d workers, window %d", sh.id, w, h.cfg.DeliveryWindow)
+		}
+	}
+	close(hold)
+	h.Kill()
+	<-h.Stopped()
+	settleGoroutines(t, base, "after Kill")
+}
+
+// TestKillWithParkedDeliveriesLeaksNothing kills a hub whose deliveries
+// are all parked — IM ones in ack waits, flat ones in retry backoffs
+// after a failed Send. Kill abandons them: no ack registration, no wheel
+// node and no goroutine is left, and the next incarnation replays each
+// parked alert exactly once.
+func TestKillWithParkedDeliveriesLeaksNothing(t *testing.T) {
+	const users, flatEvery = 64, 4
+	wal := filepath.Join(t.TempDir(), "hub.wal")
+	base := runtime.NumGoroutine()
+	h := newTestHub(t, Config{
+		WALPath: wal, Shards: 2, AckTimeout: 30 * time.Second,
+		Channels:        parkingChannels(func(int, string, *alert.Alert) error { return errors.New("substrate down") }),
+		DeliveryBackoff: time.Minute, DeliveryBackoffCap: time.Minute,
+	})
+	hostParkingUsers(t, h, users, flatEvery)
+	if err := h.Start(); err != nil {
+		t.Fatal(err)
+	}
+	submitRoundBatched(t, h, users, 0)
+	flat := users / flatEvery
+	armed := func() (n int) {
+		for _, sh := range h.shards {
+			n += sh.current().wheel.Pending()
+		}
+		return n
+	}
+	waitCond(t, "every delivery to park", func() bool {
+		return h.Executor().Acks().Pending() == users-flat && armed() == users
+	})
+	h.Kill()
+	<-h.Stopped()
+	if p, a := h.Executor().Acks().Pending(), armed(); p != 0 || a != 0 {
+		t.Fatalf("after Kill: %d acks registered, %d wheel nodes armed; want none", p, a)
+	}
+	settleGoroutines(t, base, "after Kill")
+
+	sink := newCountingSink(nil)
+	h2 := newTestHub(t, Config{WALPath: wal, Shards: 2, Channels: sinkChannels(sink.Deliver)})
+	addUsers(t, h2, users)
+	if err := h2.Start(); err != nil {
+		t.Fatal(err)
+	}
+	sink.waitTotal(t, users)
+	if err := h2.Drain(); err != nil {
+		t.Fatal(err)
+	}
+	sink.mu.Lock()
+	defer sink.mu.Unlock()
+	if len(sink.counts) != users {
+		t.Errorf("%d distinct alerts replayed, want %d", len(sink.counts), users)
+	}
+	for key, n := range sink.counts {
+		if n != 1 {
+			t.Errorf("parked alert %s replayed %d times, want 1", key, n)
+		}
 	}
 }

@@ -70,8 +70,8 @@ func (e *Entry) validate() error {
 // its round: re-persisted rounds of the same alert collapse under it.
 func (e *Entry) dedupKey() string { return e.User + keySep + e.Alert.DedupKey() }
 
-// key is the round-stamped journal key the entry is persisted under.
-func (e *Entry) key() string { return e.dedupKey() + keySep + strconv.Itoa(e.Round) }
+// roundKey stamps an alert's journal key with a redelivery round.
+func roundKey(dedup string, round int) string { return dedup + keySep + strconv.Itoa(round) }
 
 // splitKey parses a journal key into the alert identity and round.
 func splitKey(key string) (dedup string, round int, err error) {

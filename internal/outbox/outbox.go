@@ -64,13 +64,14 @@ const (
 // retried.
 var ErrDrop = errors.New("outbox: undeliverable envelope")
 
-// DeliverFunc executes one redelivery round for an envelope. blocks
-// reports how many delivery-mode blocks the resolved plan has (the
-// escalation ceiling; 0 when the plan could not be resolved). The
-// callback may clamp e.Offset to the plan's last block; the clamped
-// value is what the outbox re-persists. Returning an error that wraps
-// ErrDrop retires the envelope as lost.
-type DeliverFunc func(e *Entry) (blocks int, err error)
+// DeliverFunc executes one redelivery round for an envelope. dedup is
+// the alert's journal key, user␟dedupKey, which the envelope's key
+// extends. blocks reports how many delivery-mode blocks the resolved
+// plan has (the escalation ceiling; 0 when the plan could not be
+// resolved). The callback may clamp e.Offset to the plan's last block;
+// the clamped value is what the outbox re-persists. Returning an error
+// that wraps ErrDrop retires the envelope as lost.
+type DeliverFunc func(dedup string, e *Entry) (blocks int, err error)
 
 // Options parameterize an Outbox.
 type Options struct {
@@ -126,9 +127,10 @@ type Stats struct {
 // key and the escalation ceiling learned from the delivery callback.
 type item struct {
 	e *Entry
-	// key is the round-stamped journal key the entry is currently
-	// persisted under.
-	key string
+	// dedup is the alert's journal key (user␟dedupKey); key, the
+	// round-stamped one the entry is currently persisted under, extends
+	// it.
+	dedup, key string
 	// maxOffset is the highest meaningful block offset (blocks-1), -1
 	// until the first delivery attempt reports the plan size.
 	maxOffset int
@@ -275,10 +277,10 @@ func (o *Outbox) Load(recs []plog.Record) (owned map[string]struct{}) {
 		prev, ok := newest[dedup]
 		switch {
 		case !ok:
-			newest[dedup] = &item{e: e, key: rec.Key, maxOffset: -1}
+			newest[dedup] = &item{e: e, dedup: dedup, key: rec.Key, maxOffset: -1}
 		case prev.e.Round < round:
 			retire(prev.key, "superseded")
-			newest[dedup] = &item{e: e, key: rec.Key, maxOffset: -1}
+			newest[dedup] = &item{e: e, dedup: dedup, key: rec.Key, maxOffset: -1}
 		default:
 			retire(rec.Key, "superseded")
 		}
@@ -322,8 +324,9 @@ func (o *Outbox) Start(deliver DeliverFunc) error {
 func (o *Outbox) Put(e Entry) error { return o.Handoff("", e) }
 
 // Handoff durably hands one envelope to the outbox and retires the
-// journal record fromKey (the alert's own; "" for none) in the same
-// batch — one Replace, one fsync — so ownership of the alert passes
+// journal record fromKey (the alert's own, user␟dedupKey, which the
+// envelope's key extends; "" for none) in the same batch — one
+// Replace, one fsync — so ownership of the alert passes
 // with no instant at which neither record, or both, own it. When it
 // returns nil the envelope is durable. A zero Due schedules the first
 // round one backoff from now. Re-handing an alert that is already
@@ -342,7 +345,11 @@ func (o *Outbox) Handoff(fromKey string, e Entry) error {
 	if err != nil {
 		return err
 	}
-	key := e.key()
+	dedup := fromKey
+	if dedup == "" {
+		dedup = e.dedupKey()
+	}
+	key := roundKey(dedup, e.Round)
 	o.mu.Lock()
 	if o.closed {
 		o.mu.Unlock()
@@ -366,7 +373,7 @@ func (o *Outbox) Handoff(fromKey string, e Entry) error {
 	if err != nil {
 		return err
 	}
-	heap.Push(&o.pending, &item{e: &e, key: key, maxOffset: -1})
+	heap.Push(&o.pending, &item{e: &e, dedup: dedup, key: key, maxOffset: -1})
 	o.puts.Add(1)
 	o.kickLocked()
 	return nil
@@ -544,7 +551,7 @@ func (o *Outbox) runDue() {
 		o.inRound = true
 		o.mu.Unlock()
 
-		blocks, err := o.deliver(it.e)
+		blocks, err := o.deliver(it.dedup, it.e)
 		if blocks > 0 {
 			it.maxOffset = blocks - 1
 		}
@@ -593,10 +600,10 @@ func (o *Outbox) reschedule(it *item) {
 		e.Offset++
 		o.escalated.Add(1)
 		o.journal(faults.KindOutbox, "outbox: escalating %s to block offset %d after %d rounds",
-			e.dedupKey(), e.Offset, e.Round)
+			it.dedup, e.Offset, e.Round)
 	}
 	e.Due = o.opts.Clock.Now().Add(o.backoffFor(e.Round))
-	newKey := e.key()
+	newKey := roundKey(it.dedup, e.Round)
 	payload, err := e.encode()
 	if err == nil {
 		err = o.log.Replace(it.key, newKey, payload, o.opts.Clock.Now())
@@ -608,7 +615,7 @@ func (o *Outbox) reschedule(it *item) {
 	case !errors.Is(err, plog.ErrClosed):
 		// Keep redelivering from memory; the journal still holds the
 		// previous round, so nothing is lost across a restart.
-		o.journal(faults.KindOutbox, "outbox: persisting %s round %d: %v", e.dedupKey(), e.Round, err)
+		o.journal(faults.KindOutbox, "outbox: persisting %s round %d: %v", it.dedup, e.Round, err)
 	}
 	o.mu.Lock()
 	defer o.mu.Unlock()

@@ -17,6 +17,9 @@ import (
 	"simba/internal/race"
 )
 
+// key is the round-stamped journal key the entry is persisted under.
+func (e *Entry) key() string { return roundKey(e.dedupKey(), e.Round) }
+
 func testAlert(i int) *alert.Alert {
 	return &alert.Alert{
 		ID:       fmt.Sprintf("a-%d", i),
@@ -113,7 +116,7 @@ func TestOutboxRedeliversUntilSuccess(t *testing.T) {
 	dir := t.TempDir()
 	o := openTestOutbox(t, dir, Options{Backoff: time.Millisecond, BackoffCap: 4 * time.Millisecond})
 	var calls atomic.Int64
-	if err := o.Start(func(e *Entry) (int, error) {
+	if err := o.Start(func(_ string, e *Entry) (int, error) {
 		if calls.Add(1) < 3 {
 			return 1, errors.New("still down")
 		}
@@ -148,7 +151,7 @@ func TestOutboxRedeliversUntilSuccess(t *testing.T) {
 func TestOutboxSurvivesRestartWithRoundState(t *testing.T) {
 	dir := t.TempDir()
 	o := openTestOutbox(t, dir, Options{Backoff: time.Millisecond, BackoffCap: time.Millisecond})
-	if err := o.Start(func(e *Entry) (int, error) { return 1, errors.New("down") }); err != nil {
+	if err := o.Start(func(_ string, e *Entry) (int, error) { return 1, errors.New("down") }); err != nil {
 		t.Fatal(err)
 	}
 	if err := o.Put(testEntry(0)); err != nil {
@@ -168,7 +171,7 @@ func TestOutboxSurvivesRestartWithRoundState(t *testing.T) {
 		t.Fatal("no replay journal entries for the recovered envelope")
 	}
 	var got atomic.Int64
-	if err := o2.Start(func(e *Entry) (int, error) {
+	if err := o2.Start(func(_ string, e *Entry) (int, error) {
 		got.Store(int64(e.Round))
 		return 1, nil
 	}); err != nil {
@@ -211,7 +214,7 @@ func TestOutboxCountsRoundOnceDurable(t *testing.T) {
 	defer o.Kill()
 	held := make(chan func(), 1)
 	var calls atomic.Int64
-	if err := o.Start(func(e *Entry) (int, error) {
+	if err := o.Start(func(_ string, e *Entry) (int, error) {
 		if calls.Add(1) == 1 {
 			held <- o.log.HoldFilesForTest()
 			return 1, errors.New("down")
@@ -302,7 +305,7 @@ func TestOutboxEscalatesEveryKRounds(t *testing.T) {
 	type seen struct{ round, offset int }
 	var mu atomic.Pointer[[]seen]
 	mu.Store(&[]seen{})
-	if err := o.Start(func(e *Entry) (int, error) {
+	if err := o.Start(func(_ string, e *Entry) (int, error) {
 		s := append(*mu.Load(), seen{e.Round, e.Offset})
 		mu.Store(&s)
 		return blocks, errors.New("down")
@@ -333,7 +336,7 @@ func TestOutboxEscalatesEveryKRounds(t *testing.T) {
 func TestOutboxDropsUndeliverable(t *testing.T) {
 	dir := t.TempDir()
 	o := openTestOutbox(t, dir, Options{Backoff: time.Millisecond})
-	if err := o.Start(func(e *Entry) (int, error) {
+	if err := o.Start(func(_ string, e *Entry) (int, error) {
 		return 0, fmt.Errorf("tenant gone: %w", ErrDrop)
 	}); err != nil {
 		t.Fatal(err)
@@ -442,7 +445,7 @@ func TestOutboxCloseKeepsInFlightRoundsMark(t *testing.T) {
 	o := openTestOutbox(t, dir, Options{Backoff: time.Millisecond})
 	inRound, release := make(chan struct{}), make(chan struct{})
 	var delivered atomic.Int64
-	if err := o.Start(func(e *Entry) (int, error) {
+	if err := o.Start(func(_ string, e *Entry) (int, error) {
 		close(inRound)
 		<-release
 		delivered.Add(1)
@@ -502,7 +505,7 @@ func TestOutboxPollDoesNotWaitOnDisk(t *testing.T) {
 	defer o.Kill()
 	held := make(chan func(), 1)
 	var calls atomic.Int64
-	if err := o.Start(func(e *Entry) (int, error) {
+	if err := o.Start(func(_ string, e *Entry) (int, error) {
 		if calls.Add(1) == 1 {
 			held <- o.log.HoldFilesForTest() // the disk stalls under this round's Replace
 			return 1, errors.New("down")
@@ -592,7 +595,7 @@ func TestOutboxConcurrentPutsShareFsyncs(t *testing.T) {
 func TestOutboxLazyRetireReplaysOnlyAfterCrash(t *testing.T) {
 	dir := t.TempDir()
 	o := openTestOutbox(t, dir, Options{Backoff: time.Millisecond})
-	if err := o.Start(func(e *Entry) (int, error) { return 1, nil }); err != nil {
+	if err := o.Start(func(_ string, e *Entry) (int, error) { return 1, nil }); err != nil {
 		t.Fatal(err)
 	}
 	var image string
@@ -627,7 +630,7 @@ func TestOutboxLazyRetireReplaysOnlyAfterCrash(t *testing.T) {
 		t.Fatalf("reopen on the crash image loaded %d envelopes, want the 1 whose mark was held", got)
 	}
 	var again atomic.Int64
-	if err := crashed.Start(func(e *Entry) (int, error) { again.Add(1); return 1, nil }); err != nil {
+	if err := crashed.Start(func(_ string, e *Entry) (int, error) { again.Add(1); return 1, nil }); err != nil {
 		t.Fatal(err)
 	}
 	waitFor(t, "the replayed envelope's redelivery", func() bool { return crashed.Redelivered() == 1 })

@@ -17,8 +17,9 @@
 //   - When nothing is pending the driver is stopped; an idle wheel owns
 //     no goroutine and needs no Close.
 //
-// Usage contract: every Timer obtained from After must be returned with
-// Release, fired or not. Release drains the channel and recycles the
+// A node fires a callback (AfterFunc); After is the channel form on top
+// of it. Usage contract: every Timer must be returned with Release, fired
+// or not. Release cancels the wait, drains the channel and recycles the
 // node; using a Timer after Release is a bug (enable poison mode in
 // tests to scribble on recycled nodes and surface such bugs).
 package timewheel
@@ -52,10 +53,12 @@ type Options struct {
 }
 
 // Timer is one pending (or fired) wait, owned by the wheel's node pool.
-// Obtain with Wheel.After, wait on C, and always return it with
-// Wheel.Release.
+// Obtain with Wheel.After (and wait on C) or Wheel.AfterFunc, and always
+// return it with Wheel.Release.
 type Timer struct {
+	fn   func()
 	ch   chan time.Time
+	send func() // the channel form's fn, made with the node
 	when time.Time
 	slot int // owning slot index; -1 when unlinked
 	next *Timer
@@ -105,20 +108,27 @@ func New(clk clock.Clock, opts Options) *Wheel {
 	}
 }
 
-// After arms a wait that fires once, d from now. Non-positive d fires
-// immediately. The returned Timer must be passed to Release when the
-// caller is done with it (fired or abandoned).
-func (w *Wheel) After(d time.Duration) *Timer {
+// After arms a wait that sends its deadline on C once, d from now. The
+// returned Timer must be passed to Release when the caller is done with
+// it (fired or abandoned).
+func (w *Wheel) After(d time.Duration) *Timer { return w.AfterFunc(d, nil) }
+
+// AfterFunc arms a wait that runs fn once, d from now (d ≤ 0: in this
+// call), with the wheel locked — so once Release returns fn has run or
+// never will; fn must be short and not call the wheel. nil sends on C.
+func (w *Wheel) AfterFunc(d time.Duration, fn func()) *Timer {
 	w.mu.Lock()
 	t := w.getLocked()
+	if t.fn = fn; fn == nil {
+		t.fn = t.send
+	}
 	now := w.clk.Now()
+	t.when = now.Add(max(d, 0))
 	if d <= 0 {
-		t.when = now
-		t.ch <- now // cap 1, drained on Release: never blocks
+		t.fn()
 		w.mu.Unlock()
 		return t
 	}
-	t.when = now.Add(d)
 	slot := w.slotOf(t.when)
 	t.slot = slot
 	t.prev = nil
@@ -152,13 +162,14 @@ func (w *Wheel) Release(t *Timer) {
 			w.driverAt = time.Time{}
 		}
 	}
-	// Fires are sent under w.mu, so after the unlink above no send can
-	// be in flight: draining here leaves the channel provably empty for
-	// the next user of the node.
+	// Fires run under w.mu, so after the unlink above none can be in
+	// flight: draining here leaves the channel provably empty for the
+	// next user of the node.
 	select {
 	case <-t.ch:
 	default:
 	}
+	t.fn = nil
 	if w.poison {
 		t.when = time.Unix(-1<<40, 0) // absurd deadline: reads after Release stand out
 	}
@@ -188,7 +199,14 @@ func (w *Wheel) getLocked() *Timer {
 		t.slot = -1
 		return t
 	}
-	return &Timer{ch: make(chan time.Time, 1), slot: -1}
+	t := &Timer{ch: make(chan time.Time, 1), slot: -1}
+	t.send = func() {
+		select {
+		case t.ch <- t.when: // cap 1, drained on Release: never blocks
+		default:
+		}
+	}
+	return t
 }
 
 // unlinkLocked removes t from its slot list.
@@ -236,10 +254,7 @@ func (w *Wheel) advance() {
 			next := t.next
 			if !t.when.After(now) {
 				w.unlinkLocked(t)
-				select {
-				case t.ch <- t.when:
-				default:
-				}
+				t.fn()
 			} else if nextAt.IsZero() || t.when.Before(nextAt) {
 				nextAt = t.when
 			}
