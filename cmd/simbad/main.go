@@ -384,7 +384,6 @@ func runHub(p hubParams) error {
 		sup, err = h.Supervise(hub.SuperviseConfig{
 			Period:          p.probePeriod,
 			RejuvenateEvery: p.rejuvenateEvery,
-			Journal:         journal,
 		})
 		if err != nil {
 			return err
@@ -423,6 +422,7 @@ func runHub(p hubParams) error {
 		go func(lo, hi int) {
 			defer wg.Done()
 			burst := make([]hub.Submission, 0, p.burst)
+			var over *hub.OverloadError // hoisted: errors.As would move a per-entry one to the heap
 			for i := lo; i < hi && len(errc) == 0; i += p.burst {
 				burst = burst[:0]
 				for k := i; k < min(i+p.burst, hi); k++ {
@@ -442,7 +442,6 @@ func runHub(p hubParams) error {
 					retry := burst[:0]
 					var hint time.Duration
 					for idx, err := range h.SubmitBatch(burst) {
-						var over *hub.OverloadError
 						if errors.As(err, &over) {
 							retry = append(retry, burst[idx])
 							hint = over.RetryAfter
@@ -492,10 +491,6 @@ func runHub(p hubParams) error {
 	fmt.Printf("fsync latency (µs): %s\n", w.FsyncLatency)
 	fmt.Printf("commit batch sizes (records): %s\n", w.CommitBatches)
 	fmt.Printf("staged ingest batch sizes (alerts): %s\n", w.StagedBatches)
-	lat := h.Latency().Summarize()
-	fmt.Printf("end-to-end latency: mean %v, p50 %v, p99 %v (n=%d)\n",
-		lat.Mean.Round(time.Microsecond), lat.P50.Round(time.Microsecond),
-		lat.P99.Round(time.Microsecond), lat.Count)
 	stages := h.Stages()
 	fmt.Printf("stage split: admission p50 %v / p99 %v | queue-wait p50 %v / p99 %v | route p50 %v / p99 %v | deliver p50 %v / p99 %v\n",
 		stages.Admission.P50.Round(time.Microsecond), stages.Admission.P99.Round(time.Microsecond),

@@ -57,6 +57,7 @@ func e7Tenant(h *hub.Hub, i int) error {
 // refused are retried after its hint, any other error ends the worker.
 func e7Offer(h *hub.Hub, users, lo, hi int) error {
 	burst := make([]hub.Submission, 0, e7Burst)
+	var over *hub.OverloadError // hoisted: errors.As would move a per-entry one to the heap
 	for i := lo; i < hi; i += e7Burst {
 		burst = burst[:0]
 		for k := i; k < min(i+e7Burst, hi); k++ {
@@ -77,7 +78,6 @@ func e7Offer(h *hub.Hub, users, lo, hi int) error {
 			retry := burst[:0]
 			var hint time.Duration
 			for idx, err := range h.SubmitBatch(burst) {
-				var over *hub.OverloadError
 				if errors.As(err, &over) {
 					retry = append(retry, burst[idx])
 					hint = over.RetryAfter

@@ -107,12 +107,13 @@ type deliveryStage struct {
 	users map[string]*userQueue
 	wg    sync.WaitGroup // live chains; waited by quiesce, abandoned by Kill
 
-	// The ready FIFO and the worker accounting, under mu. free counts the
-	// workers not running a chain, each of which looks at the FIFO before
-	// it waits; live is read lock-free by the shard's check.
+	// The ready FIFO and the worker accounting, changed under mu. live
+	// counts the workers and busy those running a chain; the others are
+	// free, and each looks at the FIFO before it waits. The shard's check
+	// reads live and busy lock-free.
 	readyHead, readyTail *userQueue
-	nready, free         int
-	live                 atomic.Int64
+	nready               int
+	live, busy           atomic.Int64
 	wake                 *sync.Cond // on mu: a chain became ready, or the stage was released
 	released             bool       // workers exit instead of parking
 	workers              sync.WaitGroup
@@ -206,8 +207,7 @@ func (d *deliveryStage) readyLocked(q *userQueue) {
 	}
 	d.readyTail = q
 	d.nready++
-	if d.nready > d.free && d.live.Load() < int64(d.h.cfg.DeliveryWindow) {
-		d.free++
+	if live := d.live.Load(); int64(d.nready) > live-d.busy.Load() && live < int64(d.h.cfg.DeliveryWindow) {
 		d.live.Add(1)
 		d.spawned++
 		d.workers.Add(1)
@@ -238,7 +238,6 @@ func (d *deliveryStage) work() {
 		q := d.readyHead
 		if q == nil {
 			if d.released {
-				d.free--
 				d.live.Add(-1)
 				d.mu.Unlock()
 				return
@@ -251,9 +250,10 @@ func (d *deliveryStage) work() {
 		}
 		q.ready = nil
 		d.nready--
-		d.free--
+		d.busy.Add(1)
+		d.sh.beat(d.h.cfg.Clock.Now()) // the watchdog times a step from its start, not from before an idle spell or a park
 		d.run(q)
-		d.free++
+		d.busy.Add(-1)
 	}
 }
 
@@ -397,10 +397,9 @@ func (d *deliveryStage) perform(q *userQueue) (parked, ok bool) {
 // handed off) goes through finish; abandoned ones are left to the GC.
 func (d *deliveryStage) settle(q *userQueue, rep *core.Report, err error) bool {
 	h, env := d.h, q.env
-	b := env.buddy
 	switch {
 	case err == nil:
-		h.countDelivered(b, q.tier, rep)
+		h.countDelivered(q.tier, rep)
 	case q.tier != core.TierGuaranteed:
 		h.ctr.undeliverable.Add1()
 		h.ctr.tierLost[q.tier].Add1()

@@ -38,7 +38,7 @@
 //     order (so per-user order holds), through the rebuilt buddies
 //     before the hub accepts new traffic.
 //   - Per-shard admission depths, admission rejects, commit-batch
-//     sizes, and end-to-end routing latency are exposed via
+//     sizes, and per-stage latencies are exposed via
 //     internal/metrics; Drain stops intake, lets the shards finish
 //     their chains, and flushes the WAL.
 package hub
@@ -232,7 +232,8 @@ type Config struct {
 	// RNG seeds the per-shard forked RNGs handed to simulated
 	// substrates. Optional.
 	RNG *dist.RNG
-	// Journal records replay/recovery actions. Optional.
+	// Journal records replay/recovery actions and, under Supervise,
+	// check failures and escalations. Optional.
 	Journal *faults.Journal
 	// DeliveryWindow bounds each shard's delivery workers — its routing
 	// plus channel Sends; zero means DefaultDeliveryWindow. A delivery
@@ -342,7 +343,6 @@ type Hub struct {
 	// types fall back to CounterSet's name lookup.
 	deliveredVia map[addr.Type]*metrics.Counter
 
-	latency *metrics.Recorder
 	// Per-stage latency split: ack → a worker takes the envelope off
 	// its chain, pipeline evaluation on that worker, and evaluation →
 	// delivery completion (window wait + sink attempts + backoff).
@@ -416,7 +416,6 @@ func New(cfg Config) (*Hub, error) {
 		killed:     make(chan struct{}),
 		stopped:    make(chan struct{}),
 		counters:   &metrics.CounterSet{},
-		latency:    metrics.NewReservoir(DefaultLatencyReservoir),
 		queueWait:  metrics.NewReservoir(DefaultLatencyReservoir),
 		routeLat:   metrics.NewReservoir(DefaultLatencyReservoir),
 		deliverLat: metrics.NewReservoir(DefaultLatencyReservoir),

@@ -187,9 +187,6 @@ func TestHubRoutesThousandsOfTenants(t *testing.T) {
 	if got := h.Counters().Get("routed"); got != users*perUser {
 		t.Fatalf("routed %d, want %d", got, users*perUser)
 	}
-	if h.Latency().Count() != users*perUser {
-		t.Fatalf("latency samples %d, want %d", h.Latency().Count(), users*perUser)
-	}
 	st := h.Stats()
 	if st.Users != users {
 		t.Fatalf("Stats.Users = %d", st.Users)
@@ -437,8 +434,8 @@ func TestHubTenantIsolationByPipeline(t *testing.T) {
 	if err := h.Drain(); err != nil {
 		t.Fatal(err)
 	}
-	if accepts.Delivered() != 1 || accepts.Routed() != 1 {
-		t.Fatalf("accepts: delivered=%d routed=%d", accepts.Delivered(), accepts.Routed())
+	if delivered, routed := sink.Delivered(), h.Counters().Get("routed"); delivered != 1 || routed != 1 {
+		t.Fatalf("delivered=%d routed=%d, want 1 and 1 (tenant accepts only)", delivered, routed)
 	}
 	if got := h.Counters().Get("rejected"); got != 1 {
 		t.Fatalf("rejected = %d, want 1 (tenant with empty classifier)", got)

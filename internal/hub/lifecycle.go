@@ -95,7 +95,7 @@ func (h *Hub) redeliver(dedup string, e *outbox.Entry) (int, error) {
 		f(e.User, rep, err)
 	}
 	if err == nil {
-		h.countDelivered(b, core.TierGuaranteed, rep)
+		h.countDelivered(core.TierGuaranteed, rep)
 	}
 	return blocks, err
 }

@@ -36,10 +36,8 @@ func (d *deliveryStage) route(q *userQueue) (parked, ok bool) {
 	h.routeLat.Observe(handed.Sub(taken))
 	switch verdict {
 	case mab.VerdictReject:
-		b.rejected.Add(1)
 		h.ctr.rejected.Add1()
 	case mab.VerdictFilter:
-		b.filtered.Add(1)
 		h.ctr.filtered.Add1()
 	default:
 		// Annotate the envelope's inline alert in place: the routed
@@ -48,7 +46,6 @@ func (d *deliveryStage) route(q *userQueue) (parked, ok bool) {
 		env.kw[0] = category
 		env.alert.Keywords = env.kw[:1]
 		env.category = category
-		b.routed.Add(1)
 		h.ctr.routed.Add1()
 		// Deliver the tenant's mode (or the flat plan) under the alert key
 		// in env.key, the wire form encoded once (nil on error: Begin says).
@@ -74,7 +71,6 @@ func (d *deliveryStage) finish(env *envelope) {
 	if err := h.wal.MarkProcessedAsync(env.key, h.cfg.Clock.Now()); err != nil && !errors.Is(err, plog.ErrClosed) {
 		h.ctr.markFailed.Add1()
 	}
-	h.latency.Observe(h.cfg.Clock.Since(env.at))
 	d.sh.release()
 	putEnvelope(env) // DONE staged, slot released: recycle
 }

@@ -123,8 +123,9 @@ func newShard(id, queueDepth int, rng *dist.RNG) *shard {
 func (s *shard) current() *deliveryStage { return s.cur.Load() }
 
 // beat records worker progress at now. Probes compare this against the
-// staleness budget; it is the only supervision cost on the hot path
-// (one atomic store per finished envelope).
+// staleness budget while a worker is busy; with the busy count it is
+// the only supervision cost on the hot path (an atomic store when a
+// worker takes a chain and after each step).
 func (s *shard) beat(now time.Time) { s.progress.Store(now.UnixNano()) }
 
 // lastProgress returns the most recent beat (zero time if none).

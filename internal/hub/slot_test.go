@@ -91,9 +91,9 @@ func TestParkedAckWaitHoldsNoWorker(t *testing.T) {
 		d.mu.Lock()
 		defer d.mu.Unlock()
 		return h.Executor().Acks().Pending() == users && d.wheel.Pending() == users &&
-			h.shards[0].inflight.Load() == 0 && d.free == 1 && d.live.Load() == 1
+			h.shards[0].inflight.Load() == 0 && d.busy.Load() == 0 && d.live.Load() == 1
 	})
-	if spawned, _, _ := stageCounts(h); spawned != 1 {
+	if spawned := spawnedWorkers(h); spawned != 1 {
 		t.Fatalf("%d workers spawned with DeliveryWindow 1", spawned)
 	}
 	for _, s := range unacked {
@@ -161,7 +161,7 @@ func TestParkedBackoffHoldsNoWorker(t *testing.T) {
 	if want := []string{"user-0", "user-1", "user-0"}; !reflect.DeepEqual(order, want) {
 		t.Fatalf("send order %v, want %v (user-1 delivered during user-0's backoff)", order, want)
 	}
-	if spawned, _, _ := stageCounts(h); spawned != 1 {
+	if spawned := spawnedWorkers(h); spawned != 1 {
 		t.Fatalf("%d workers spawned with DeliveryWindow 1", spawned)
 	}
 	if p := sending.Peak(); p != 1 {
@@ -275,9 +275,9 @@ func TestHubRedefineModeMidFlight(t *testing.T) {
 		t.Fatal(err)
 	}
 	deadline := time.Now().Add(10 * time.Second)
-	for b.Delivered() < 2 {
+	for h.Counters().Get("delivered") < 2 {
 		if time.Now().After(deadline) {
-			t.Fatalf("%d of 2 alerts delivered", b.Delivered())
+			t.Fatalf("%d of 2 alerts delivered", h.Counters().Get("delivered"))
 		}
 		time.Sleep(time.Millisecond)
 	}

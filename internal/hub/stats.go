@@ -8,11 +8,9 @@ import (
 	"simba/internal/plog"
 )
 
-// countDelivered accounts one successful delivery for tenant b under
-// tier: the tenant's own count, the hub total, the tier's, and the
-// confirming channel type's.
-func (h *Hub) countDelivered(b *Buddy, tier core.Tier, rep *core.Report) {
-	b.delivered.Add(1)
+// countDelivered accounts one successful delivery under tier: the hub
+// total, the tier's, and the confirming channel type's.
+func (h *Hub) countDelivered(tier core.Tier, rep *core.Report) {
 	h.ctr.delivered.Add1()
 	h.ctr.tierDelivered[tier].Add1()
 	h.deliveredViaCounterFor(rep.DeliveredType()).Add1()
@@ -60,10 +58,6 @@ func (h *Hub) WALBacklog() int { return h.wal.Pending() }
 // family. Recovery: replayed, tombstoned. Per QoS tier (core.Tier's
 // String): delivered-tier-*, duplicates-tier-*, lost-tier-*.
 func (h *Hub) Counters() *metrics.CounterSet { return h.counters }
-
-// Latency returns the end-to-end latency recorder
-// (admission → marked processed), reservoir-sampled.
-func (h *Hub) Latency() *metrics.Recorder { return h.latency }
 
 // StageLatencies is the per-stage latency split of the hub's pipeline.
 type StageLatencies struct {

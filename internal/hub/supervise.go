@@ -18,11 +18,8 @@ const (
 	// process-level three minutes: a check is a few atomic loads, and a
 	// wedged shard should be caught in seconds.
 	DefaultCheckPeriod = time.Second
-	// DefaultStaleAfter is how old a busy shard's progress beat may be
-	// before its check fails. It must comfortably exceed the delivery
-	// retry backoff cap: a worker only beats after its current delivery
-	// completes, so a legitimately retrying shard can go a full backoff
-	// sequence between beats.
+	// DefaultStaleAfter is how old a shard's progress beat may be while
+	// one of its workers runs a chain before its check fails.
 	DefaultStaleAfter = 3 * time.Second
 	// progressEscalateAfter is how many consecutive failures of a
 	// shard's check restart the shard: one more than a single late beat,
@@ -39,9 +36,9 @@ type SuperviseConfig struct {
 	// Period is how often each shard's check and each hub-wide check
 	// runs; zero means DefaultCheckPeriod.
 	Period time.Duration
-	// StaleAfter is how old a busy shard's progress beat may be before
-	// its check fails; zero means DefaultStaleAfter. Must exceed the
-	// hub's DeliveryBackoffCap or a merely-retrying shard looks hung.
+	// StaleAfter is how old a shard's progress beat may be while one of
+	// its workers runs a chain before its check fails; zero means
+	// DefaultStaleAfter.
 	StaleAfter time.Duration
 	// EscalateAfter is how many consecutive failures of a check escalate
 	// it, and again every that many while the failures last; a shard's
@@ -52,26 +49,25 @@ type SuperviseConfig struct {
 	// RejuvenateEvery, when positive, recycles the shards one at a time
 	// (rolling) on this period.
 	RejuvenateEvery time.Duration
-	// Journal records check failures and escalations. Optional; when
-	// nil, the hub's own journal is used.
-	Journal *faults.Journal
 }
 
 // Supervise builds and starts the hub's self-management plane — one
-// stabilize.Stabilizer and nothing else. Its checks:
+// stabilize.Stabilizer, journaling into Config.Journal, and nothing
+// else. Its checks:
 //
 //   - "shard-N", one per shard, its watchdog: the admission depth stays
 //     in [0, QueueDepth], the in-flight Sends in [0, DeliveryWindow],
 //     the current generation's live workers at most DeliveryWindow,
-//     and a Running shard with admitted work has beaten within
-//     StaleAfter;
+//     and while a worker of a Running shard runs a chain, the shard has
+//     beaten within StaleAfter;
 //   - "wal-backlog", "outbox-age" and "pool-poison", hub-wide;
 //   - "rolling-rejuvenation", when RejuvenateEvery is set, whose run is
 //     RejuvenateAll.
 //
 // A shard's check that keeps failing escalates to RestartShard of that
-// shard; escalated restarts run one at a time. Call after Start; before
-// Drain, Stop the stabilizer and Wait for it.
+// shard; escalated restarts run one at a time. The hub-wide checks have
+// no escalation: their failures are journaled and counted. Call after
+// Start; before Drain, Stop the stabilizer and Wait for it.
 func (h *Hub) Supervise(cfg SuperviseConfig) (*stabilize.Stabilizer, error) {
 	h.mu.RLock()
 	started := h.started
@@ -85,72 +81,55 @@ func (h *Hub) Supervise(cfg SuperviseConfig) (*stabilize.Stabilizer, error) {
 	if cfg.StaleAfter <= 0 {
 		cfg.StaleAfter = DefaultStaleAfter
 	}
-	if cfg.StaleAfter <= h.cfg.DeliveryBackoffCap {
-		// A retrying delivery beats only between attempts; a stale
-		// budget under the backoff cap would flag healthy retries.
-		cfg.StaleAfter = 2 * h.cfg.DeliveryBackoffCap
-	}
-	if cfg.Journal == nil {
-		cfg.Journal = h.cfg.Journal
-	}
-	journal := func(format string, args ...any) {
-		if cfg.Journal != nil {
-			cfg.Journal.Recordf(h.cfg.Clock.Now(), faults.KindUnrecovered, format, args...)
-		}
+	stab, err := stabilize.New(h.cfg.Clock, h.cfg.Journal)
+	if err != nil {
+		return nil, err
 	}
 	// Every check runs on its own goroutine, so two shards' checks can
 	// cross their thresholds together; the mutex keeps their restarts
 	// rolling — one shard down at a time, never a herd.
 	var restarting sync.Mutex
-	stab, err := stabilize.New(h.cfg.Clock, cfg.Journal, func(check string, err error) {
-		var id int
-		if n, scanErr := fmt.Sscanf(check, "shard-%d", &id); scanErr != nil || n != 1 {
-			// A hub-wide invariant has no single faulty shard to restart;
-			// it stays journaled (the operator-facing signal on /healthz).
-			journal("invariant %q kept failing with no shard to restart: %v", check, err)
-			return
-		}
-		restarting.Lock()
-		rerr := h.RestartShard(id, fmt.Sprintf("check %q: %v", check, err))
-		restarting.Unlock()
-		if rerr != nil {
-			// The streak goes on, so the stabilizer escalates again.
-			journal("escalation restart of shard %d failed: %v", id, rerr)
-		}
-	})
-	if err != nil {
-		return nil, err
-	}
-
 	checks := make([]stabilize.Check, 0, len(h.shards)+4)
 	for _, sh := range h.shards {
+		name := fmt.Sprintf("shard-%d", sh.id)
 		checks = append(checks, stabilize.Check{
-			Name:          fmt.Sprintf("shard-%d", sh.id),
+			Name:          name,
 			EscalateAfter: cmp.Or(cfg.EscalateAfter, progressEscalateAfter),
 			// Atomics only, by design: checking a wedged shard must not
 			// block behind whatever wedged it. Floor-at-zero release and
 			// restart's gauge reset keep the gauges in bounds, so an
-			// excursion means the accounting broke. An idle shard, and a
-			// shard mid-lifecycle-transition (quiescing, restarting —
-			// transitions are bounded by their own timeouts), is not stale.
+			// excursion means the accounting broke. A shard whose workers
+			// are all idle — admitted work parked on an ack or a backoff
+			// holds none — is not stale, nor is one mid-lifecycle-
+			// transition (quiescing, restarting — transitions are bounded
+			// by their own timeouts).
 			Fn: func() error {
-				hl := sh.health()
+				hl, cur := sh.health(), sh.current()
 				if hl.Depth < 0 || hl.Depth > sh.cap {
 					return fmt.Errorf("queue depth %d outside [0, %d]", hl.Depth, sh.cap)
 				}
 				if hl.InFlight < 0 || hl.InFlight > int64(h.cfg.DeliveryWindow) {
 					return fmt.Errorf("in-flight %d outside [0, %d]", hl.InFlight, h.cfg.DeliveryWindow)
 				}
-				if w := sh.current().live.Load(); w > int64(h.cfg.DeliveryWindow) {
+				if w := cur.live.Load(); w > int64(h.cfg.DeliveryWindow) {
 					return fmt.Errorf("%d live workers, window %d", w, h.cfg.DeliveryWindow)
 				}
-				if hl.State != ShardRunning || hl.Depth == 0 {
+				busy := cur.busy.Load()
+				if hl.State != ShardRunning || busy == 0 {
 					return nil
 				}
 				if age := h.cfg.Clock.Since(hl.LastProgress); age > cfg.StaleAfter {
-					return fmt.Errorf("%d alerts admitted, no progress for %v (max %v)", hl.Depth, age, cfg.StaleAfter)
+					return fmt.Errorf("%d workers busy, no progress for %v (max %v)", busy, age, cfg.StaleAfter)
 				}
 				return nil
+			},
+			Escalate: func(err error) {
+				restarting.Lock()
+				defer restarting.Unlock()
+				if rerr := h.RestartShard(sh.id, fmt.Sprintf("check %q: %v", name, err)); rerr != nil {
+					// The streak goes on, so the stabilizer escalates again.
+					h.journal(faults.KindUnrecovered, "escalation restart of shard %d failed: %v", sh.id, rerr)
+				}
 			},
 		})
 	}

@@ -1,16 +1,22 @@
 package hub
 
 import (
+	"errors"
 	"fmt"
 	"reflect"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"simba/internal/addr"
 	"simba/internal/alert"
 	"simba/internal/clock"
+	"simba/internal/core"
 	"simba/internal/dist"
 	"simba/internal/faults"
+	"simba/internal/im"
 	"simba/internal/stabilize"
 )
 
@@ -102,12 +108,11 @@ func TestHubWedgedShardAutoRecovers(t *testing.T) {
 		t.Fatalf("wedged shard health = %+v, %v; want running with queued work", hl, err)
 	}
 
-	// Supervision: fast checks, stale budget past the backoff cap.
+	// Supervision: fast checks, a short stale budget.
 	sup, err := h.Supervise(SuperviseConfig{
 		Period:        20 * time.Millisecond,
 		EscalateAfter: 2,
 		StaleAfter:    30 * time.Millisecond,
-		Journal:       j,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -315,6 +320,7 @@ func TestShardProgressCheckTakesNoLocks(t *testing.T) {
 	stage.mu.Lock()
 	defer func() {
 		sh.depth.Store(0)
+		stage.busy.Add(-1)
 		stage.mu.Unlock()
 		sh.mu.Unlock()
 		sh.lifeMu.Unlock()
@@ -334,7 +340,10 @@ func TestShardProgressCheckTakesNoLocks(t *testing.T) {
 			t.Fatal("progress check blocked behind a lock of the shard it watches")
 		}
 	}
-	sh.depth.Store(1) // admitted work, so the check reads the beat
+	sh.depth.Store(1) // admitted work, every worker idle: a stale beat passes
+	sh.beat(h.cfg.Clock.Now().Add(-time.Minute))
+	run(false)
+	stage.busy.Add(1) // a busy worker, so the check reads the beat
 	sh.beat(h.cfg.Clock.Now())
 	run(false)
 	sh.beat(h.cfg.Clock.Now().Add(-time.Minute))
@@ -343,9 +352,10 @@ func TestShardProgressCheckTakesNoLocks(t *testing.T) {
 
 // TestShardCheckFailsOnEachCondition: a supervised hub has one check per
 // shard beside the hub-wide ones, and that check fails on each of its
-// three conditions alone — depth outside [0, cap], in-flight outside
-// [0, DeliveryWindow], a Running shard with admitted work and a stale
-// beat — and passes once the condition is gone.
+// conditions alone — depth outside [0, cap], in-flight outside
+// [0, DeliveryWindow], a Running shard with a busy worker and a stale
+// beat — and passes once the condition is gone. Admitted work with
+// every worker idle is parked, not stalled: a stale beat then passes.
 func TestShardCheckFailsOnEachCondition(t *testing.T) {
 	const window = 4
 	h := newTestHub(t, Config{
@@ -371,6 +381,7 @@ func TestShardCheckFailsOnEachCondition(t *testing.T) {
 	}
 
 	sh := h.shards[1]
+	stage := sh.current()
 	for _, tc := range []struct {
 		name        string
 		spoil, heal func()
@@ -379,8 +390,8 @@ func TestShardCheckFailsOnEachCondition(t *testing.T) {
 		{"depth over capacity", func() { sh.depth.Store(sh.cap + 1) }, func() { sh.depth.Store(0) }},
 		{"in-flight below zero", func() { sh.inflight.Add(-1) }, func() { sh.inflight.Add(1) }},
 		{"in-flight over the window", func() { sh.inflight.Add(window + 1) }, func() { sh.inflight.Add(-window - 1) }},
-		{"stale beat with work admitted", func() {
-			sh.depth.Store(1)
+		{"stale beat with a busy worker", func() {
+			stage.busy.Add(1)
 			sh.beat(h.cfg.Clock.Now().Add(-time.Minute))
 		}, func() { sh.beat(h.cfg.Clock.Now()) }},
 	} {
@@ -393,11 +404,153 @@ func TestShardCheckFailsOnEachCondition(t *testing.T) {
 			t.Errorf("%s healed: check still fails: %v", tc.name, err)
 		}
 	}
-	sh.depth.Store(0)
-	// A stale beat is no failure while the shard has nothing admitted.
+	stage.busy.Add(-1)
+	// A stale beat is no failure while every worker is idle, with work
+	// admitted or without.
 	sh.beat(h.cfg.Clock.Now().Add(-time.Minute))
-	if err := sup.RunOnce("shard-1"); err != nil {
-		t.Fatalf("idle shard with an old beat failed its check: %v", err)
+	for _, depth := range []int64{1, 0} {
+		sh.depth.Store(depth)
+		if err := sup.RunOnce("shard-1"); err != nil {
+			t.Fatalf("depth %d, every worker idle, old beat: check failed: %v", depth, err)
+		}
+	}
+}
+
+// watchShard0 waits until sup's shard-0 check has run another runs
+// times on its own ticker.
+func watchShard0(t *testing.T, sup *stabilize.Stabilizer, runs int64) {
+	t.Helper()
+	runs += checkStats(t, sup, "shard-0").Executions
+	waitCond(t, "the watchdog to keep running", func() bool { return checkStats(t, sup, "shard-0").Executions >= runs })
+}
+
+// TestParkedAckWaitIsNotAStall: a delivery parked on its IM ack holds no
+// worker, so the watchdog has no busy worker to judge — an ack wait far
+// past StaleAfter neither restarts the shard nor sends the IM again. The
+// ack, not the timeout, ends the delivery: one IM, no email.
+func TestParkedAckWaitIsNotAStall(t *testing.T) {
+	const staleAfter, period = 20 * time.Millisecond, 4 * time.Millisecond
+	var seq atomic.Uint64
+	sends := make(chan imSend, 64)
+	var emails atomic.Int64
+	chans := core.NewChannels().
+		Register(addr.TypeIM, core.ChannelFunc(func(req core.Send) (core.SendResult, error) {
+			s := imSend{handle: req.To, seq: seq.Add(1)}
+			select {
+			case sends <- s:
+			default:
+			}
+			return core.SendResult{Seq: s.seq}, nil
+		})).
+		Register(addr.TypeEmail, core.ChannelFunc(func(core.Send) (core.SendResult, error) {
+			emails.Add(1)
+			return core.SendResult{Confirmed: true}, nil
+		}))
+	// The ack wait is 1,500 × StaleAfter; the backoff cap sits under it.
+	h := newTestHub(t, Config{Channels: chans, Shards: 1, AckTimeout: 30 * time.Second, DeliveryBackoffCap: 5 * time.Millisecond})
+	hostModeUsers(t, h, 1, 0)
+	if err := h.Start(); err != nil {
+		t.Fatal(err)
+	}
+	sup, err := h.Supervise(SuperviseConfig{Period: period, StaleAfter: staleAfter})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sup.Stop()
+	if err := h.Submit("user-0", portalAlert(0, h.cfg.Clock.Now())); err != nil {
+		t.Fatal(err)
+	}
+	var first imSend
+	select {
+	case first = <-sends:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the IM was never sent")
+	}
+	watchShard0(t, sup, int64(6*staleAfter/period))
+	if restarts, ims := h.Healths()[0].Restarts, seq.Load(); restarts != 0 || ims != 1 {
+		t.Fatalf("during the ack wait: %d shard restarts and %d IM sends, want 0 and 1", restarts, ims)
+	}
+	h.HandleIncoming(im.Message{From: first.handle, Text: core.AckText(first.seq)})
+	sup.Stop()
+	sup.Wait()
+	if err := h.Drain(); err != nil {
+		t.Fatal(err)
+	}
+	st := h.Stats()
+	if restarts, ims := st.Shards[0].Restarts, seq.Load(); restarts != 0 || ims != 1 || emails.Load() != 0 || st.DeliveredByChannel[addr.TypeIM] != 1 {
+		t.Fatalf("%d restarts, %d IM sends, %d emails, %d delivered by IM; want 0, 1, 0, 1",
+			restarts, ims, emails.Load(), st.DeliveredByChannel[addr.TypeIM])
+	}
+}
+
+// TestParkedBackoffIsNotAStall: a delivery waiting out a retry backoff
+// holds no worker either, so StaleAfter needs no floor under
+// DeliveryBackoffCap — a 30 ms StaleAfter beside a one-minute backoff
+// restarts nothing and retries nothing early.
+func TestParkedBackoffIsNotAStall(t *testing.T) {
+	const staleAfter, period = 30 * time.Millisecond, 5 * time.Millisecond
+	var attempts atomic.Int64
+	h := newTestHub(t, Config{
+		Channels: sinkChannels(func(int, string, *alert.Alert) error {
+			attempts.Add(1)
+			return errors.New("substrate down")
+		}),
+		Shards: 1, DeliveryBackoff: time.Minute, DeliveryBackoffCap: time.Minute,
+	})
+	addUsers(t, h, 1)
+	if err := h.Start(); err != nil {
+		t.Fatal(err)
+	}
+	sup, err := h.Supervise(SuperviseConfig{Period: period, StaleAfter: staleAfter})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sup.Stop()
+	if err := h.Submit("user-0", portalAlert(0, h.cfg.Clock.Now())); err != nil {
+		t.Fatal(err)
+	}
+	waitCond(t, "the first attempt to fail", func() bool { return attempts.Load() > 0 })
+	watchShard0(t, sup, int64(5*staleAfter/period))
+	sup.Stop()
+	sup.Wait()
+	if restarts, n := h.Healths()[0].Restarts, attempts.Load(); restarts != 0 || n != 1 {
+		t.Fatalf("during the backoff: %d shard restarts and %d attempts, want 0 and 1", restarts, n)
+	}
+	h.Kill() // the retry is a minute away
+	<-h.Stopped()
+}
+
+// TestSlowStepAfterIdleIsNotAStall: a worker beats when it takes a
+// chain, so a step is timed from its own start — a Send slower than
+// several check periods but inside StaleAfter, taken after the shard sat
+// idle past StaleAfter, restarts nothing.
+func TestSlowStepAfterIdleIsNotAStall(t *testing.T) {
+	const staleAfter, period = 60 * time.Millisecond, 4 * time.Millisecond
+	h := newTestHub(t, Config{
+		Channels: sinkChannels(func(int, string, *alert.Alert) error {
+			time.Sleep(staleAfter / 3)
+			return nil
+		}),
+		Shards: 1,
+	})
+	addUsers(t, h, 1)
+	if err := h.Start(); err != nil {
+		t.Fatal(err)
+	}
+	sup, err := h.Supervise(SuperviseConfig{Period: period, StaleAfter: staleAfter})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sup.Stop()
+	watchShard0(t, sup, int64(2*staleAfter/period)) // idle: the beat ages past StaleAfter
+	if err := h.Submit("user-0", portalAlert(0, h.cfg.Clock.Now())); err != nil {
+		t.Fatal(err)
+	}
+	waitCond(t, "the slow delivery", func() bool { return h.Counters().Get("delivered") == 1 })
+	sup.Stop()
+	sup.Wait()
+	if hl := h.Healths()[0]; hl.Restarts != 0 {
+		t.Fatalf("a step inside StaleAfter restarted its shard: %+v", hl)
 	}
 }
 
@@ -448,7 +601,7 @@ func TestHubWedgedShardsRestartOneAtATime(t *testing.T) {
 	}
 	gate.disarm()
 
-	sup, err := h.Supervise(SuperviseConfig{Period: 10 * time.Millisecond, StaleAfter: 30 * time.Millisecond, Journal: j})
+	sup, err := h.Supervise(SuperviseConfig{Period: 10 * time.Millisecond, StaleAfter: 30 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -460,19 +613,20 @@ func TestHubWedgedShardsRestartOneAtATime(t *testing.T) {
 	sup.Stop()
 	sup.Wait()
 
-	open := -1 // the shard between its "killing" and "restarted" lines
+	open := "" // the shard between its "killing" and "restarted" lines
 	for _, e := range j.Entries() {
-		var id, gen int
 		if e.Kind != faults.KindDaemonRestart {
 			continue
 		}
-		if n, _ := fmt.Sscanf(e.Detail, "shard %d: killing generation %d", &id, &gen); n == 2 {
-			if open != -1 {
-				t.Fatalf("shard %d killed while shard %d was still restarting:\n%v", id, open, j.Entries())
+		shard, rest, _ := strings.Cut(e.Detail, ": ")
+		switch {
+		case strings.HasPrefix(rest, "killing generation "):
+			if open != "" {
+				t.Fatalf("%s killed while %s was still restarting:\n%v", shard, open, j.Entries())
 			}
-			open = id
-		} else if n, _ := fmt.Sscanf(e.Detail, "shard %d: restarted as generation %d", &id, &gen); n == 2 {
-			open = -1
+			open = shard
+		case strings.HasPrefix(rest, "restarted as generation "):
+			open = ""
 		}
 	}
 }

@@ -29,8 +29,6 @@ type Buddy struct {
 	// profile and subscriptions without any lock.
 	mu    sync.Mutex // serializes SetProfile/Subscribe
 	state atomic.Pointer[buddyState]
-
-	routed, rejected, filtered, delivered atomic.Int64
 }
 
 // buddyState is one immutable snapshot of a tenant's delivery
@@ -165,12 +163,6 @@ func (b *Buddy) Tier(category string) core.Tier {
 	}
 	return s.defaultTier
 }
-
-// Routed returns how many alerts passed the tenant's pipeline.
-func (b *Buddy) Routed() int64 { return b.routed.Load() }
-
-// Delivered returns how many alerts the sink accepted for the tenant.
-func (b *Buddy) Delivered() int64 { return b.delivered.Load() }
 
 // plan resolves which registry and delivery mode one routed alert
 // executes — the tenant's subscribed mode for the alert's category

@@ -35,17 +35,15 @@ func settleGoroutines(t *testing.T, base int, after string) {
 	}
 }
 
-// stageCounts sums the current generations' worker accounting.
-func stageCounts(h *Hub) (spawned, peakChains, free int) {
+// spawnedWorkers sums the current generations' worker launches.
+func spawnedWorkers(h *Hub) (spawned int) {
 	for _, sh := range h.shards {
 		d := sh.current()
 		d.mu.Lock()
 		spawned += d.spawned
-		peakChains += d.peakChains
-		free += d.free
 		d.mu.Unlock()
 	}
-	return spawned, peakChains, free
+	return spawned
 }
 
 // TestDeliveryWorkersExitWithTheirGeneration pins the worker lifecycle's
@@ -78,7 +76,7 @@ func TestDeliveryWorkersExitWithTheirGeneration(t *testing.T) {
 		}
 		submitRound(t, h, 0)
 		sink.waitArrivals(t, users) // one worker per tenant, all inside the substrate
-		if spawned, _, _ := stageCounts(h); spawned != users {
+		if spawned := spawnedWorkers(h); spawned != users {
 			t.Fatalf("%d workers spawned for %d concurrent chains", spawned, users)
 		}
 		close(hold)
@@ -136,7 +134,7 @@ func TestDeliveryWorkersExitWithTheirGeneration(t *testing.T) {
 		// The killed generation's workers are gone when RestartShard
 		// returns, not some time after the replacement is serving.
 		old.mu.Lock()
-		free := old.free
+		free := old.live.Load() - old.busy.Load()
 		old.mu.Unlock()
 		if free != 0 {
 			t.Fatalf("%d workers of the killed generation still live after RestartShard", free)
@@ -380,7 +378,7 @@ func TestDeliveryWorkersBoundedByConcurrentChains(t *testing.T) {
 			t.Errorf("shard %d: %d workers spawned, but at most %d chains were ever live at once", sh.id, spawned, peak)
 		}
 	}
-	spawned, _, _ := stageCounts(h)
+	spawned := spawnedWorkers(h)
 	t.Logf("%d workers served %d chains' worth of alerts", spawned, total)
 	if spawned >= total/10 {
 		t.Errorf("%d workers for %d alerts on an instant channel: workers are not being reused", spawned, total)
@@ -432,14 +430,14 @@ func TestReadyChainStartsWhileWorkersParkInAckWaits(t *testing.T) {
 	waitCond(t, "every delivery to park in its ack wait with every worker free", func() bool {
 		d.mu.Lock()
 		defer d.mu.Unlock()
-		return h.Executor().Acks().Pending() == parked && d.free == int(d.live.Load()) && d.free > 0
+		return h.Executor().Acks().Pending() == parked && d.busy.Load() == 0 && d.live.Load() > 0
 	})
-	before, _, _ := stageCounts(h)
+	before := spawnedWorkers(h)
 	if err := h.Submit(fmt.Sprintf("user-%d", parked), portalAlert(parked, h.cfg.Clock.Now())); err != nil {
 		t.Fatal(err)
 	}
 	await(parked + 1)
-	if spawned, _, _ := stageCounts(h); spawned != before || spawned > parked {
+	if spawned := spawnedWorkers(h); spawned != before || spawned > parked {
 		t.Fatalf("%d workers spawned, %d before the chain became ready: want it taken by a free worker, and at most one per chain", spawned, before)
 	}
 	for _, s := range unacked {

@@ -443,9 +443,7 @@ func (s *Service) newIncarnation() (*incarnation, error) {
 
 func (inc *incarnation) registerChecks() error {
 	cfg := inc.svc.cfg
-	stab, err := stabilize.New(cfg.Clock, cfg.Journal, func(check string, err error) {
-		inc.rejuvenate(fmt.Sprintf("unrectifiable invariant %q: %v", check, err))
-	})
+	stab, err := stabilize.New(cfg.Clock, cfg.Journal)
 	if err != nil {
 		return err
 	}
@@ -471,12 +469,21 @@ func (inc *incarnation) registerChecks() error {
 		{Name: "unprocessed-messages", Period: cfg.SanityPeriod, Fn: inc.drainUnprocessed, EscalateAfter: -1},
 	}
 	for _, c := range checks {
+		c.Escalate = inc.unrectifiable(c.Name)
 		if err := stab.Register(c); err != nil {
 			return err
 		}
 	}
 	inc.stab = stab
 	return nil
+}
+
+// unrectifiable is check's escalation: the invariant could not be
+// restored in place, so the buddy rejuvenates.
+func (inc *incarnation) unrectifiable(check string) func(error) {
+	return func(err error) {
+		inc.rejuvenate(fmt.Sprintf("unrectifiable invariant %q: %v", check, err))
+	}
 }
 
 // checkMemory is the resource-consumption invariant: a leaking client

@@ -60,7 +60,7 @@ func TestInvariantEscalationTerminatesFromItsOwnCheck(t *testing.T) {
 	inc.stab.Stop()
 	inc.stab.Wait()
 	if err := inc.stab.Register(stabilize.Check{
-		Name: "doomed", Period: time.Second, EscalateAfter: 1,
+		Name: "doomed", Period: time.Second, EscalateAfter: 1, Escalate: inc.unrectifiable("doomed"),
 		Fn: func() error { return errors.New("cannot be healed in place") },
 	}); err != nil {
 		t.Fatal(err)

@@ -3,10 +3,11 @@
 // detect and correct violations instead of trying to anticipate every
 // failure. Checks are expected to heal in place when they can (e.g.
 // re-login, drain unprocessed messages, dismiss dialogs); a check that
-// keeps failing is escalated so the owner can rejuvenate (gracefully
-// terminate and let the MDC restart it). The hosted hub runs one
-// Stabilizer as its whole in-process supervisor: one check per shard
-// is that shard's watchdog, escalating to a targeted shard restart.
+// keeps failing runs its own Escalate, with which the owner can
+// rejuvenate (gracefully terminate and let the MDC restart it). The
+// hosted hub runs one Stabilizer as its whole in-process supervisor:
+// one check per shard is that shard's watchdog, escalating to a
+// targeted restart of that shard.
 //
 // The paper's periods: the AreYouWorking callback every 3 minutes,
 // communication-client sanity checks every minute, unprocessed dialog
@@ -14,6 +15,7 @@
 package stabilize
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"sync"
@@ -44,47 +46,43 @@ type Check struct {
 	// EscalateAfter overrides DefaultEscalateAfter for this check; 0
 	// means the default, negative means never escalate.
 	EscalateAfter int
+	// Escalate is called each time the check's failure streak grows by
+	// another EscalateAfter — at the threshold, and again every
+	// EscalateAfter failures for as long as the streak lasts, so an
+	// escalation that could not act, or did not cure, is repeated. It
+	// runs on the check's goroutine, so the check does not run again
+	// until it returns. Nil: the failures are journaled and counted only.
+	Escalate func(err error)
+}
+
+// entry is one registered check and its run state; streak and stats
+// are under Stabilizer.mu, the Check is immutable once registered.
+type entry struct {
+	Check
+	streak int // consecutive failures
+	stats  CheckStats
 }
 
 // Stabilizer runs the registered checks. Create with New; register
 // checks before Start.
 type Stabilizer struct {
-	clk      clock.Clock
-	journal  *faults.Journal
-	escalate func(check string, err error)
+	clk     clock.Clock
+	journal *faults.Journal
 
-	mu          sync.Mutex
-	checks      []Check
-	fails       map[string]int
-	counts      map[string]int64 // executions per check
-	failCounts  map[string]int64 // failures observed per check
-	heals       map[string]int64 // failure streaks ended by a passing run
-	escalations map[string]int64 // escalate calls: one per EscalateAfter consecutive failures
-	stop        chan struct{}
-	started     bool
-	running     sync.WaitGroup // the check goroutines; Wait blocks on it
+	mu      sync.Mutex
+	checks  []*entry
+	stop    chan struct{}
+	started bool
+	running sync.WaitGroup // the check goroutines; Wait blocks on it
 }
 
-// New builds a stabilizer. escalate is called each time a check's
-// failure streak grows by another EscalateAfter — at the threshold, and
-// again every EscalateAfter failures for as long as the streak lasts,
-// so an escalation that could not act, or did not cure, is repeated. It
-// runs on the failing check's goroutine, so that check does not run
-// again until it returns. It may be nil. journal may be nil.
-func New(clk clock.Clock, journal *faults.Journal, escalate func(check string, err error)) (*Stabilizer, error) {
+// New builds a stabilizer that journals violations and escalations into
+// journal, which may be nil.
+func New(clk clock.Clock, journal *faults.Journal) (*Stabilizer, error) {
 	if clk == nil {
 		return nil, errors.New("stabilize: clock is required")
 	}
-	return &Stabilizer{
-		clk:         clk,
-		journal:     journal,
-		escalate:    escalate,
-		fails:       make(map[string]int),
-		counts:      make(map[string]int64),
-		failCounts:  make(map[string]int64),
-		heals:       make(map[string]int64),
-		escalations: make(map[string]int64),
-	}, nil
+	return &Stabilizer{clk: clk, journal: journal}, nil
 }
 
 // Register adds a check. It must be called before Start.
@@ -100,12 +98,20 @@ func (s *Stabilizer) Register(c Check) error {
 	if s.started {
 		return errors.New("stabilize: cannot register after Start")
 	}
-	for _, existing := range s.checks {
-		if existing.Name == c.Name {
-			return fmt.Errorf("stabilize: duplicate check %q", c.Name)
+	if s.find(c.Name) != nil {
+		return fmt.Errorf("stabilize: duplicate check %q", c.Name)
+	}
+	s.checks = append(s.checks, &entry{Check: c, stats: CheckStats{Name: c.Name}})
+	return nil
+}
+
+// find returns the named check, or nil; under mu.
+func (s *Stabilizer) find(name string) *entry {
+	for _, e := range s.checks {
+		if e.Name == name {
+			return e
 		}
 	}
-	s.checks = append(s.checks, c)
 	return nil
 }
 
@@ -119,18 +125,18 @@ func (s *Stabilizer) Start() {
 	s.started = true
 	stop := make(chan struct{})
 	s.stop = stop
-	checks := append([]Check(nil), s.checks...)
+	checks := append([]*entry(nil), s.checks...)
 	s.running.Add(len(checks))
 	s.mu.Unlock()
-	for _, c := range checks {
-		go s.runCheck(c, stop)
+	for _, e := range checks {
+		go s.runCheck(e, stop)
 	}
 }
 
 // Stop halts all checks. It does not wait for a check that is inside
-// its Fn or the escalate callback — an escalation may stop the
-// stabilizer it runs on (MyAlertBuddy's rejuvenation does) — so a
-// caller that needs the plane gone follows it with Wait.
+// its Fn or its Escalate — an escalation may stop the stabilizer it
+// runs on (MyAlertBuddy's rejuvenation does) — so a caller that needs
+// the plane gone follows it with Wait.
 func (s *Stabilizer) Stop() {
 	s.mu.Lock()
 	if s.started && s.stop != nil {
@@ -143,39 +149,19 @@ func (s *Stabilizer) Stop() {
 
 // Wait blocks until every check goroutine a Stop has halted is gone,
 // including one that was inside its Fn or an escalation when Stop was
-// called. It must not be called from a check or the escalate callback.
+// called. It must not be called from a check or an Escalate.
 func (s *Stabilizer) Wait() { s.running.Wait() }
 
 // RunOnce executes the named check immediately (for tests and for
 // forced stabilization after a replay). It returns the check's error.
 func (s *Stabilizer) RunOnce(name string) error {
 	s.mu.Lock()
-	var found *Check
-	for i := range s.checks {
-		if s.checks[i].Name == name {
-			found = &s.checks[i]
-			break
-		}
-	}
+	e := s.find(name)
 	s.mu.Unlock()
-	if found == nil {
+	if e == nil {
 		return fmt.Errorf("stabilize: no check named %q", name)
 	}
-	return s.execute(*found)
-}
-
-// Executions returns how many times the named check has run.
-func (s *Stabilizer) Executions(name string) int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.counts[name]
-}
-
-// Failures returns how many failures the named check has observed.
-func (s *Stabilizer) Failures(name string) int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.failCounts[name]
+	return s.execute(e)
 }
 
 // CheckStats is one check's lifetime counters.
@@ -189,9 +175,9 @@ type CheckStats struct {
 	// Heals counts failure streaks ended by a subsequent passing run —
 	// the invariant was violated and then restored.
 	Heals int64 `json:"heals"`
-	// Escalations counts calls of the escalate callback: one when a
-	// failure streak reaches the threshold and one more for every further
-	// threshold's worth of failures in the same streak.
+	// Escalations counts a failure streak reaching the threshold, and
+	// every further threshold's worth of failures in the same streak:
+	// one call of Escalate each, when the check has one.
 	Escalations int64 `json:"escalations"`
 }
 
@@ -201,70 +187,55 @@ func (s *Stabilizer) Stats() []CheckStats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	out := make([]CheckStats, len(s.checks))
-	for i := range s.checks {
-		name := s.checks[i].Name
-		out[i] = CheckStats{
-			Name:        name,
-			Executions:  s.counts[name],
-			Failures:    s.failCounts[name],
-			Heals:       s.heals[name],
-			Escalations: s.escalations[name],
-		}
+	for i, e := range s.checks {
+		out[i] = e.stats
 	}
 	return out
 }
 
-func (s *Stabilizer) runCheck(c Check, stop chan struct{}) {
+func (s *Stabilizer) runCheck(e *entry, stop chan struct{}) {
 	defer s.running.Done()
-	ticker := s.clk.NewTicker(c.Period)
+	ticker := s.clk.NewTicker(e.Period)
 	defer ticker.Stop()
 	for {
 		select {
 		case <-stop:
 			return
 		case <-ticker.C():
-			_ = s.execute(c)
+			_ = s.execute(e)
 		}
 	}
 }
 
-func (s *Stabilizer) execute(c Check) error {
-	err := c.Fn()
+func (s *Stabilizer) execute(e *entry) error {
+	err := e.Fn()
+	threshold := cmp.Or(e.EscalateAfter, DefaultEscalateAfter)
 	s.mu.Lock()
-	s.counts[c.Name]++
-	threshold := c.EscalateAfter
-	if threshold == 0 {
-		threshold = DefaultEscalateAfter
-	}
-	var escalateNow bool
-	streak := 0
+	e.stats.Executions++
+	escalate := false
 	if err != nil {
-		s.failCounts[c.Name]++
-		s.fails[c.Name]++
-		streak = s.fails[c.Name]
-		if threshold > 0 && streak%threshold == 0 {
-			escalateNow = true
-			s.escalations[c.Name]++
+		e.stats.Failures++
+		e.streak++
+		if escalate = threshold > 0 && e.streak%threshold == 0; escalate {
+			e.stats.Escalations++
 		}
-	} else {
-		if s.fails[c.Name] > 0 {
-			// A streak of violations just ended with a passing run: the
-			// invariant healed (in place or via escalation).
-			s.heals[c.Name]++
-		}
-		s.fails[c.Name] = 0
+	} else if e.streak > 0 {
+		// A streak of violations just ended with a passing run: the
+		// invariant healed (in place or via escalation).
+		e.stats.Heals++
+		e.streak = 0
 	}
-	escalate := s.escalate
+	streak := e.streak
 	s.mu.Unlock()
 	if err != nil && s.journal != nil {
-		s.journal.Recordf(s.clk.Now(), faults.KindFaultInjected, "invariant %q violated: %v", c.Name, err)
+		s.journal.Recordf(s.clk.Now(), faults.KindFaultInjected, "invariant %q violated: %v", e.Name, err)
 	}
-	if escalateNow && escalate != nil {
+	if escalate && e.Escalate != nil {
 		if s.journal != nil {
 			s.journal.Recordf(s.clk.Now(), faults.KindRejuvenation,
-				"check %q failed %d consecutive times; escalating", c.Name, streak)
+				"check %q failed %d consecutive times; escalating", e.Name, streak)
 		}
-		escalate(c.Name, err)
+		e.Escalate(err)
 	}
 	return err
 }

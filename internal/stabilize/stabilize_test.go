@@ -12,14 +12,14 @@ import (
 )
 
 func TestNewRequiresClock(t *testing.T) {
-	if _, err := New(nil, nil, nil); err == nil {
+	if _, err := New(nil, nil); err == nil {
 		t.Fatal("nil clock accepted")
 	}
 }
 
 func TestRegisterValidation(t *testing.T) {
 	sim := clock.NewSim(time.Time{})
-	s, err := New(sim, nil, nil)
+	s, err := New(sim, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,7 +48,7 @@ func TestRegisterValidation(t *testing.T) {
 
 func TestChecksRunOnTheirPeriods(t *testing.T) {
 	sim := clock.NewSim(time.Time{})
-	s, _ := New(sim, nil, nil)
+	s, _ := New(sim, nil)
 	var fast, slow atomic.Int64
 	mustRegister(t, s, Check{Name: "fast", Period: 20 * time.Second, Fn: func() error { fast.Add(1); return nil }})
 	mustRegister(t, s, Check{Name: "slow", Period: time.Minute, Fn: func() error { slow.Add(1); return nil }})
@@ -66,7 +66,7 @@ func TestChecksRunOnTheirPeriods(t *testing.T) {
 	if sl := slow.Load(); sl < 3 || sl > 6 {
 		t.Fatalf("slow ran %d times", sl)
 	}
-	if s.Executions("fast") != fast.Load() {
+	if stats(t, s, "fast").Executions != fast.Load() {
 		t.Fatal("Executions counter mismatch")
 	}
 }
@@ -74,7 +74,7 @@ func TestChecksRunOnTheirPeriods(t *testing.T) {
 func TestFailuresJournaledAndCounted(t *testing.T) {
 	sim := clock.NewSim(time.Time{})
 	j := &faults.Journal{}
-	s, _ := New(sim, j, nil)
+	s, _ := New(sim, j)
 	boom := errors.New("boom")
 	var healed atomic.Bool
 	mustRegister(t, s, Check{Name: "c", Period: time.Second, Fn: func() error {
@@ -86,8 +86,8 @@ func TestFailuresJournaledAndCounted(t *testing.T) {
 	if err := s.RunOnce("c"); !errors.Is(err, boom) {
 		t.Fatalf("RunOnce = %v", err)
 	}
-	if s.Failures("c") != 1 {
-		t.Fatalf("Failures = %d", s.Failures("c"))
+	if got := stats(t, s, "c").Failures; got != 1 {
+		t.Fatalf("Failures = %d", got)
 	}
 	if j.Len() != 1 {
 		t.Fatal("violation not journaled")
@@ -103,11 +103,7 @@ func TestEscalationAfterConsecutiveFailures(t *testing.T) {
 	j := &faults.Journal{}
 	var mu sync.Mutex
 	var escalated []string
-	s, _ := New(sim, j, func(name string, err error) {
-		mu.Lock()
-		escalated = append(escalated, name)
-		mu.Unlock()
-	})
+	s, _ := New(sim, j)
 	fail := atomic.Bool{}
 	fail.Store(true)
 	mustRegister(t, s, Check{Name: "flaky", Period: time.Second, Fn: func() error {
@@ -115,6 +111,10 @@ func TestEscalationAfterConsecutiveFailures(t *testing.T) {
 			return errors.New("nope")
 		}
 		return nil
+	}, Escalate: func(error) {
+		mu.Lock()
+		escalated = append(escalated, "flaky")
+		mu.Unlock()
 	}})
 	// Two failures: below the default threshold of 3.
 	_ = s.RunOnce("flaky")
@@ -159,12 +159,13 @@ func TestEscalationRepeatsUntilHealed(t *testing.T) {
 	var broken atomic.Bool
 	broken.Store(true)
 	calls := 0
-	s, _ := New(sim, nil, func(string, error) {
+	escalate := func(error) {
 		if calls++; calls == 3 { // the first two escalations do nothing
 			broken.Store(false)
 		}
-	})
-	mustRegister(t, s, Check{Name: "stuck", Period: time.Second, EscalateAfter: 2, Fn: func() error {
+	}
+	s, _ := New(sim, nil)
+	mustRegister(t, s, Check{Name: "stuck", Period: time.Second, EscalateAfter: 2, Escalate: escalate, Fn: func() error {
 		if broken.Load() {
 			return errors.New("still broken")
 		}
@@ -185,7 +186,7 @@ func TestEscalationRepeatsUntilHealed(t *testing.T) {
 		t.Fatalf("stats = %+v; want 6 failures, 3 escalations, 1 heal", got)
 	}
 	// "Never" still means never.
-	mustRegister(t, s, Check{Name: "never", Period: time.Second, EscalateAfter: -1, Fn: func() error { return errors.New("no") }})
+	mustRegister(t, s, Check{Name: "never", Period: time.Second, EscalateAfter: -1, Escalate: escalate, Fn: func() error { return errors.New("no") }})
 	for i := 0; i < 7; i++ {
 		_ = s.RunOnce("never")
 	}
@@ -194,9 +195,39 @@ func TestEscalationRepeatsUntilHealed(t *testing.T) {
 	}
 }
 
+// TestEscalateIsPerCheck: each check escalates through its own
+// Escalate, and a check without one has its escalations counted but
+// neither journaled as escalating nor handed to another check's.
+func TestEscalateIsPerCheck(t *testing.T) {
+	sim := clock.NewSim(time.Time{})
+	j := &faults.Journal{}
+	s, _ := New(sim, j)
+	var a, b int
+	fail := func() error { return errors.New("down") }
+	mustRegister(t, s, Check{Name: "a", Period: time.Second, EscalateAfter: 1, Fn: fail, Escalate: func(error) { a++ }})
+	mustRegister(t, s, Check{Name: "b", Period: time.Second, EscalateAfter: 1, Fn: fail, Escalate: func(error) { b++ }})
+	mustRegister(t, s, Check{Name: "quiet", Period: time.Second, EscalateAfter: 1, Fn: fail})
+	_ = s.RunOnce("a")
+	_ = s.RunOnce("b")
+	_ = s.RunOnce("b")
+	_ = s.RunOnce("quiet")
+	if a != 1 || b != 2 {
+		t.Fatalf("escalations: a %d, b %d; want 1, 2", a, b)
+	}
+	if got := stats(t, s, "quiet").Escalations; got != 1 {
+		t.Fatalf("quiet escalations = %d, want 1 (counted)", got)
+	}
+	if n := j.CountMatching(faults.KindRejuvenation, `"quiet"`); n != 0 {
+		t.Fatalf("a check without Escalate journaled %d escalations", n)
+	}
+	if n := j.Count(faults.KindRejuvenation); n != 3 {
+		t.Fatalf("%d escalations journaled, want 3", n)
+	}
+}
+
 func TestStatsCountsHealsAndEscalations(t *testing.T) {
 	sim := clock.NewSim(time.Time{})
-	s, _ := New(sim, nil, func(string, error) {})
+	s, _ := New(sim, nil)
 	fail := atomic.Bool{}
 	mustRegister(t, s, Check{Name: "steady", Period: time.Second, Fn: func() error { return nil }})
 	mustRegister(t, s, Check{Name: "flaky", Period: time.Second, EscalateAfter: 2, Fn: func() error {
@@ -233,7 +264,7 @@ func TestStatsCountsHealsAndEscalations(t *testing.T) {
 
 func TestRunOnceUnknown(t *testing.T) {
 	sim := clock.NewSim(time.Time{})
-	s, _ := New(sim, nil, nil)
+	s, _ := New(sim, nil)
 	if err := s.RunOnce("ghost"); err == nil {
 		t.Fatal("unknown check accepted")
 	}
@@ -241,7 +272,7 @@ func TestRunOnceUnknown(t *testing.T) {
 
 func TestStopHaltsChecks(t *testing.T) {
 	sim := clock.NewSim(time.Time{})
-	s, _ := New(sim, nil, nil)
+	s, _ := New(sim, nil)
 	var runs atomic.Int64
 	mustRegister(t, s, Check{Name: "c", Period: time.Second, Fn: func() error { runs.Add(1); return nil }})
 	s.Start()
@@ -262,7 +293,7 @@ func TestStopHaltsChecks(t *testing.T) {
 // gone: it holds while a check is still inside its Fn.
 func TestWaitHoldsUntilChecksAreGone(t *testing.T) {
 	sim := clock.NewSim(time.Time{})
-	s, _ := New(sim, nil, nil)
+	s, _ := New(sim, nil)
 	entered, release := make(chan struct{}), make(chan struct{})
 	mustRegister(t, s, Check{Name: "slow", Period: time.Second, Fn: func() error {
 		close(entered)
@@ -325,4 +356,16 @@ func mustRegister(t *testing.T, s *Stabilizer, c Check) {
 	if err := s.Register(c); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// stats returns the named check's counters.
+func stats(t *testing.T, s *Stabilizer, name string) CheckStats {
+	t.Helper()
+	for _, cs := range s.Stats() {
+		if cs.Name == name {
+			return cs
+		}
+	}
+	t.Fatalf("no check named %q", name)
+	return CheckStats{}
 }
