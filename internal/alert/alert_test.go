@@ -177,8 +177,10 @@ func TestAppendBinaryAllocBudget(t *testing.T) {
 	}
 }
 
-// TestUnmarshalBinaryAllocBudget: decoding costs one string for every
-// text field and one Keywords slice.
+// TestUnmarshalBinaryAllocBudget: decoding into a fresh receiver costs
+// one string for every text field and one Keywords slice; decoding into
+// a receiver whose Keywords have room, as a loop reusing one does,
+// costs the string alone.
 func TestUnmarshalBinaryAllocBudget(t *testing.T) {
 	if race.Enabled {
 		t.Skip("alloc accounting is not meaningful under the race detector")
@@ -189,9 +191,40 @@ func TestUnmarshalBinaryAllocBudget(t *testing.T) {
 			t.Fatal(err)
 		}
 		var got Alert
-		if n := testing.AllocsPerRun(100, func() { _ = got.UnmarshalBinary(rec) }); n > 2 {
-			t.Errorf("UnmarshalBinary of %q allocates %.0f times, want <= 2", a.Subject, n)
+		if n := testing.AllocsPerRun(100, func() { got = Alert{}; _ = got.UnmarshalBinary(rec) }); n > 2 {
+			t.Errorf("UnmarshalBinary of %q into a fresh alert allocates %.0f times, want <= 2", a.Subject, n)
 		}
+		if n := testing.AllocsPerRun(100, func() { _ = got.UnmarshalBinary(rec) }); n > 1 {
+			t.Errorf("UnmarshalBinary of %q into a reused alert allocates %.0f times, want <= 1", a.Subject, n)
+		}
+	}
+}
+
+// TestUnmarshalBinaryReusesKeywordBacking pins the contract a replay
+// loop relies on and a caller that keeps decoded alerts must respect:
+// a receiver whose Keywords have room is decoded into that backing, and
+// a failed decode leaves every field as it was.
+func TestUnmarshalBinaryReusesKeywordBacking(t *testing.T) {
+	first, second := sample(), wide()
+	recFirst, _ := first.AppendBinary(nil)
+	recSecond, _ := second.AppendBinary(nil)
+	var got Alert
+	if err := got.UnmarshalBinary(recSecond); err != nil { // the wider record sizes the backing
+		t.Fatal(err)
+	}
+	backing := &got.Keywords[0]
+	if err := got.UnmarshalBinary(recFirst); err != nil {
+		t.Fatal(err)
+	}
+	if &got.Keywords[0] != backing || !slices.Equal(got.Keywords, first.Keywords) {
+		t.Fatalf("second decode: keywords %q in new backing %v, want %q in the receiver's", got.Keywords, &got.Keywords[0] != backing, first.Keywords)
+	}
+	kept := got
+	if err := got.UnmarshalBinary(recSecond[:len(recSecond)-len(second.Body)-1]); err == nil {
+		t.Fatal("a truncated record decoded")
+	}
+	if got.ID != kept.ID || got.Subject != kept.Subject || len(got.Keywords) != len(kept.Keywords) {
+		t.Fatalf("a failed decode changed the receiver: %+v, was %+v", got, kept)
 	}
 }
 

@@ -41,6 +41,7 @@ type userQueue struct {
 
 	env     *envelope
 	scr     *core.Scratch
+	wire    []byte // env's wire form, built at routing; kept across envelopes and recycles
 	attempt int
 	tier    core.Tier
 	handed  time.Time
@@ -314,7 +315,7 @@ func (d *deliveryStage) endChain(q *userQueue, recycle bool) {
 		if q.scr != nil {
 			d.spare = append(d.spare, q.scr)
 		}
-		*q = userQueue{resume: q.resume}
+		*q = userQueue{resume: q.resume, wire: q.wire[:0]}
 		userQueuePool.Put(q)
 	}
 	d.wg.Done()

@@ -107,18 +107,19 @@ type replayRec struct {
 	key string
 }
 
-// replayable decodes one unprocessed WAL record for re-enqueue. An
+// replayable decodes one unprocessed WAL record into r for re-enqueue,
+// reusing r's keyword backing (alert.Alert.UnmarshalBinary). An
 // outbox envelope is the outbox's and is skipped untouched. A record
 // that can never be routed — no user in its key, a user no longer
 // hosted, an unparsable payload — or whose alert an envelope in handed
 // already owns (the handoff batch torn after its RECV) is tombstoned,
-// journaled, and counted, and ok is false. only restricts the scan to
-// one shard (RestartShard): other shards' records are skipped
+// journaled, and counted, and it reports false. only restricts the
+// scan to one shard (RestartShard): other shards' records are skipped
 // untouched, as is a malformed key, whose shard is unknown — the next
 // process start (only == nil) tombstones it.
-func (h *Hub) replayable(rec plog.Record, only *shard, handed map[string]struct{}) (r replayRec, ok bool) {
+func (h *Hub) replayable(rec plog.Record, only *shard, handed map[string]struct{}, r *replayRec) bool {
 	if outbox.IsEnvelope(rec.Payload) {
-		return r, false
+		return false
 	}
 	tombstone := func(format string, args ...any) {
 		h.journal(faults.KindReplay, "tombstoning "+format, args...)
@@ -127,27 +128,27 @@ func (h *Hub) replayable(rec plog.Record, only *shard, handed map[string]struct{
 	}
 	user, _, keyed := strings.Cut(rec.Key, keySep)
 	if only != nil && (!keyed || h.shardOf(user) != only) {
-		return r, false
+		return false
 	}
 	if !keyed {
 		tombstone("WAL entry with malformed key %q", rec.Key)
-		return r, false
+		return false
 	}
 	if _, owned := handed[rec.Key]; owned {
 		tombstone("WAL entry %q superseded by its outbox envelope", rec.Key)
-		return r, false
+		return false
 	}
 	b, hosted := h.buddy(user)
 	if !hosted {
 		tombstone("WAL entry for unhosted user %q", user)
-		return r, false
+		return false
 	}
-	r = replayRec{b: b, key: rec.Key}
+	r.b, r.key = b, rec.Key
 	if err := r.a.UnmarshalBinary(rec.Payload); err != nil {
 		tombstone("unparsable WAL entry %q: %v", rec.Key, err)
-		return r, false
+		return false
 	}
-	return r, true
+	return true
 }
 
 // replay recovers the WAL's unprocessed records: the outbox loads the
@@ -157,8 +158,9 @@ func (h *Hub) replayable(rec plog.Record, only *shard, handed map[string]struct{
 func (h *Hub) replay() {
 	recs := h.wal.Unprocessed()
 	handed := h.outbox.Load(recs)
+	var r replayRec // one decode buffer: requeue's fill copies the keywords out
 	for _, rec := range recs {
-		if r, ok := h.replayable(rec, nil, handed); ok {
+		if h.replayable(rec, nil, handed, &r) {
 			h.requeue(h.shardOf(r.b.user), &r)
 		}
 	}
@@ -330,7 +332,8 @@ func (h *Hub) restartLocked(sh *shard, reason string) error {
 	var backlog []replayRec
 	suppress := make(map[string]struct{})
 	for _, rec := range h.wal.Unprocessed() {
-		if r, ok := h.replayable(rec, sh, nil); ok {
+		var r replayRec // the backlog keeps each record's keywords
+		if h.replayable(rec, sh, nil, &r) {
 			suppress[r.key] = struct{}{}
 			backlog = append(backlog, r)
 		}

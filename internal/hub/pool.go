@@ -20,10 +20,10 @@ import (
 // admission slot released — the one point where no other component can
 // still reach it. Abandoned envelopes (kill, crash injection, failed
 // outbox handoff that leaves the WAL entry live) are NOT recycled; the
-// pool is best-effort and the GC reclaims them. The alert value, its
-// keyword backing, and the wire-form payload are envelope-owned
-// storage, reused across recycles so the steady-state ingest path
-// allocates nothing per alert.
+// pool is best-effort and the GC reclaims them. The alert value and its
+// keyword backing are envelope-owned storage, reused across recycles so
+// the steady-state ingest path allocates nothing per alert; the wire
+// form is the chain's (userQueue.wire).
 type envelope struct {
 	buddy *Buddy
 	// alert is inline storage for the submitted alert. Its Keywords
@@ -38,9 +38,11 @@ type envelope struct {
 	category string
 
 	// Envelope-owned reusable storage.
-	payload []byte    // the routed alert's wire form, built by perform and reused by every attempt
-	kwbuf   []string  // backing for alert.Keywords (submitter copy)
-	kw      [1]string // backing for the routed-category annotation
+	kwbuf []string // backing for alert.Keywords (submitter copy): kw until a second keyword grows it
+	// kw backs the routed-category annotation, and until routing ends
+	// a one-keyword alert's kwbuf, so a fresh envelope allocates nothing
+	// beyond its slab.
+	kw [1]string
 
 	// next links the envelope into its user's delivery FIFO chain (and
 	// into nothing otherwise). Owned by the delivery stage's lock.
@@ -53,7 +55,13 @@ type envelope struct {
 
 // envPool recycles envelopes across the whole process; sync.Pool's
 // per-P caches keep Get/Put off any shared lock on the hot path.
-var envPool = sync.Pool{New: func() any { return new(envelope) }}
+var envPool sync.Pool
+
+// envSlab is how many envelopes an empty pool is refilled with by one
+// allocation: after a collection or a kill empties it, a replay or a
+// burst pays one allocation per slab, not one per envelope. A slab is
+// freed once none of its envelopes is reachable.
+const envSlab = 16
 
 // poolPoison, when set, scribbles on every recycled envelope so any
 // use-after-recycle reads obvious garbage instead of stale-but-valid
@@ -84,7 +92,14 @@ func PoolPoisonHits() int64 { return poolPoisonHits.Load() }
 // caller must fill every semantic field; the env-owned buffers keep
 // their capacity.
 func getEnvelope() *envelope {
-	e := envPool.Get().(*envelope)
+	e, _ := envPool.Get().(*envelope)
+	if e == nil {
+		slab := new([envSlab]envelope)
+		for i := 1; i < envSlab; i++ {
+			envPool.Put(&slab[i])
+		}
+		e = &slab[0]
+	}
 	if e.poisoned && !e.poisonIntact() {
 		// The envelope was poisoned at recycle but a stale reference
 		// wrote to it while pooled. Count it and discard the envelope —
@@ -113,6 +128,9 @@ func (e *envelope) poisonIntact() bool {
 func (e *envelope) fill(b *Buddy, a *alert.Alert, key string, at time.Time) {
 	e.buddy = b
 	e.alert = *a
+	if e.kwbuf == nil {
+		e.kwbuf = e.kw[:0]
+	}
 	e.kwbuf = append(e.kwbuf[:0], a.Keywords...)
 	e.alert.Keywords = e.kwbuf
 	e.key = key
@@ -138,9 +156,6 @@ func putEnvelope(e *envelope) {
 // poison scribbles recognizable garbage over every field a stale reader
 // could consume, while preserving the reusable buffers' capacity.
 func (e *envelope) poison() {
-	for i := range e.payload {
-		e.payload[i] = 0xDB
-	}
 	for i := range e.kwbuf {
 		e.kwbuf[i] = poisonSentinel
 	}

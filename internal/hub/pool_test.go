@@ -150,17 +150,20 @@ func TestHubIngestAllocBudget(t *testing.T) {
 
 // TestAddUserAllocBudget pins a tenant's construction — AddUser plus
 // one Accept and one Map, which every start does for every tenant
-// before it replays — at eight allocations: the Buddy, its pipeline
-// (the three stages are one allocation with it) and the two
-// copy-on-write tables the rules are rebuilt into. Measured 8 (8.02
-// with the hub's tenant map growing, which AllocsPerRun's whole-number
-// average leaves out); 18 when each stage, and each empty table its
-// constructor stored, was an allocation of its own.
+// before it replays — at six allocations: the Buddy, which holds its
+// pipeline and the three stages inline; the Classifier's table (the map
+// and its one group, published in an atomic.Value with no pointer cell
+// around it); and the Aggregator's snapshot with its map and group.
+// Measured 6 (6.02 with the hub's tenant map growing, which
+// AllocsPerRun's whole-number average leaves out); 8 when the pipeline
+// was an allocation of its own and the Classifier published a pointer
+// to its map, 18 when each stage, and each empty table its constructor
+// stored, was one.
 func TestAddUserAllocBudget(t *testing.T) {
 	if race.Enabled {
 		t.Skip("alloc accounting is not meaningful under the race detector")
 	}
-	const users, budget = 1000, 8.0
+	const users, budget = 1000, 6.0
 	h := newTestHub(t, Config{Channels: core.NewChannels()})
 	names := make([]string, users+1) // AllocsPerRun makes one warm-up call
 	for i := range names {
@@ -186,10 +189,18 @@ func TestAddUserAllocBudget(t *testing.T) {
 // and never routed before the kill, every envelope pool emptied as a
 // collection empties it. New, which replays the WAL, costs ≤ 0.5
 // allocations per record (measured 0.33; 1.31 when every replayed key
-// was a string of its own); Start through the last replayed delivery ≤ 8
-// (measured 3.7–4.5; 9.7–11.7 when requeue built a replay line nobody
-// kept and a fresh envelope's first encoding grew its buffer five
-// times).
+// was a string of its own). Start through the last replayed delivery
+// costs ≤ 2.5: the record's decoded text is one allocation, its
+// keywords land in the replay loop's one buffer, and the envelope comes
+// from the pool — refilled sixteen at a time when it is empty — with
+// its keyword backing inline and its wire form the chain's; the rest is
+// per tenant (chains, workers, scratches). Measured 1.52–1.76 in 66
+// runs, alone and beside the other alloc pins; 2.8–5.4 (median 3.3 of
+// 20) when each record's keywords were a slice of their own and each
+// fresh envelope was one allocation and grew its own keyword backing
+// and wire buffer, more the faster the loop outran the workers that
+// recycle envelopes; 9.7–11.7 when requeue built a replay line nobody
+// kept.
 func TestHubReplayAllocBudget(t *testing.T) {
 	if race.Enabled {
 		t.Skip("alloc accounting is not meaningful under the race detector")
@@ -197,7 +208,7 @@ func TestHubReplayAllocBudget(t *testing.T) {
 	const (
 		users, alerts, burst = 64, 1024, 64
 		newBudget            = 0.5 // allocations per record
-		startBudget          = 8.0
+		startBudget          = 2.5
 	)
 	var delivered atomic.Int64
 	cfg := Config{

@@ -22,7 +22,14 @@ import (
 // personalized delivery modes instead of the flat substrate.
 type Buddy struct {
 	user string
-	pipe *mab.Pipeline
+	// pipe points at the three zero stages held inline beside it, so a
+	// tenant is one allocation.
+	pipe   mab.Pipeline
+	stages struct {
+		c mab.Classifier
+		g mab.Aggregator
+		f mab.Filter
+	}
 
 	// Delivery state is copy-on-write: mutators rebuild a buddyState
 	// and swap it in, so plan() on the routing hot path reads the
@@ -56,7 +63,7 @@ func (s *buddyState) clone() *buddyState {
 func (b *Buddy) User() string { return b.user }
 
 // Pipeline returns the tenant's classify→aggregate→filter stages.
-func (b *Buddy) Pipeline() *mab.Pipeline { return b.pipe }
+func (b *Buddy) Pipeline() *mab.Pipeline { return &b.pipe }
 
 // SetProfile attaches the tenant's delivery profile. Alerts routed to
 // a category the tenant subscribed (Subscribe) execute that
@@ -219,7 +226,8 @@ func (h *Hub) AddUser(user string) (*Buddy, error) {
 	if _, ok := h.users[user]; ok {
 		return nil, fmt.Errorf("hub: user %q already hosted", user)
 	}
-	b := &Buddy{user: user, pipe: mab.NewPipeline()}
+	b := &Buddy{user: user}
+	b.pipe = mab.Pipeline{Classifier: &b.stages.c, Aggregator: &b.stages.g, Filter: &b.stages.f}
 	h.users[user] = b
 	return b, nil
 }

@@ -76,3 +76,36 @@ func TestZeroValueStagesZeroAllocs(t *testing.T) {
 		t.Fatalf("configured: zero stages read %s, constructed ones %s", z, b)
 	}
 }
+
+// BenchmarkPipelineEvaluate times the per-alert routing decision with 1
+// and 8 accepted sources (each with its own mapped keyword), for an
+// alert whose keyword is already lowercase and for one whose keyword
+// Aggregate must fold first.
+func BenchmarkPipelineEvaluate(b *testing.B) {
+	for _, rules := range []int{1, 8} {
+		p := NewPipeline()
+		for i := 0; i < rules; i++ {
+			p.Classifier.Accept(SourceRule{Source: fmt.Sprintf("portal-%d", i)})
+			p.Aggregator.Map(fmt.Sprintf("stocks-%d", i), "Investment")
+		}
+		last := rules - 1
+		for _, kw := range []struct{ name, keyword string }{
+			{"lower", fmt.Sprintf("stocks-%d", last)},
+			{"mixed", fmt.Sprintf("Stocks-%d", last)},
+		} {
+			a := &alert.Alert{
+				ID: "a-1", Source: fmt.Sprintf("portal-%d", last), Keywords: []string{kw.keyword},
+				Urgency: alert.UrgencyNormal, Created: time.Unix(0, 1),
+			}
+			now := time.Unix(0, 2)
+			b.Run(fmt.Sprintf("rules=%d/keyword=%s", rules, kw.name), func(b *testing.B) {
+				b.ReportAllocs()
+				for range b.N {
+					if _, v := p.Evaluate(a, now); v != VerdictRoute {
+						b.Fatalf("verdict %v, want route", v)
+					}
+				}
+			})
+		}
+	}
+}

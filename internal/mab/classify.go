@@ -1,6 +1,7 @@
 package mab
 
 import (
+	"maps"
 	"sort"
 	"strings"
 	"sync"
@@ -49,37 +50,32 @@ type SourceRule struct {
 // category keywords from each. Unaccepted sources are dropped — that
 // is the spam boundary MyAlertBuddy provides.
 //
-// The rule table is copy-on-write: mutators rebuild the map under a
-// mutex and swap it in atomically, so Classify — the per-alert hot
-// path — never takes a lock.
+// The rule table is copy-on-write: mutators clone the map under a
+// mutex and publish the clone whole, so Classify — the per-alert hot
+// path — never takes a lock. The atomic.Value holds the map itself (a
+// map is pointer-shaped), so publishing it allocates no cell.
 type Classifier struct {
-	mu    sync.Mutex // serializes mutators
-	rules atomic.Pointer[map[string]SourceRule]
+	mu    sync.Mutex   // serializes mutators
+	rules atomic.Value // map[string]SourceRule, read-only once stored
 }
 
 // NewClassifier returns an empty classifier (which accepts nothing),
 // as is the zero Classifier.
 func NewClassifier() *Classifier { return new(Classifier) }
 
-// snapshot returns the current rule table (possibly nil for a zero
-// Classifier). Callers must treat it as read-only.
+// snapshot returns the current rule table (nil for a zero Classifier).
+// Callers must treat it as read-only.
 func (c *Classifier) snapshot() map[string]SourceRule {
-	if m := c.rules.Load(); m != nil {
-		return *m
-	}
-	return nil
+	m, _ := c.rules.Load().(map[string]SourceRule)
+	return m
 }
 
-// rebuild swaps in a copy of the rule table with mutate applied.
-// Callers must hold c.mu.
-func (c *Classifier) rebuild(mutate func(map[string]SourceRule)) {
-	cur := c.snapshot()
-	next := make(map[string]SourceRule, len(cur)+1)
-	for k, v := range cur {
-		next[k] = v
-	}
-	mutate(next)
-	c.rules.Store(&next)
+// withRoom copies m into a new map with room for one more entry: the
+// copy a stage mutator edits and publishes whole.
+func withRoom[K comparable, V any](m map[K]V) map[K]V {
+	next := make(map[K]V, len(m)+1)
+	maps.Copy(next, m)
+	return next
 }
 
 // Accept registers (or updates) a source rule.
@@ -88,16 +84,24 @@ func (c *Classifier) Accept(rule SourceRule) {
 		rule.Extract = ExtractNative
 	}
 	c.mu.Lock()
-	c.rebuild(func(m map[string]SourceRule) { m[rule.Source] = rule })
+	next := withRoom(c.snapshot())
+	next[rule.Source] = rule
+	c.rules.Store(next)
 	c.mu.Unlock()
 }
 
 // Remove unregisters a source (the unsubscribe bookkeeping the paper
-// mentions).
+// mentions). Removing a source that is not accepted publishes nothing.
 func (c *Classifier) Remove(source string) {
 	c.mu.Lock()
-	c.rebuild(func(m map[string]SourceRule) { delete(m, source) })
-	c.mu.Unlock()
+	defer c.mu.Unlock()
+	cur := c.snapshot()
+	if _, ok := cur[source]; !ok {
+		return
+	}
+	next := maps.Clone(cur)
+	delete(next, source)
+	c.rules.Store(next)
 }
 
 // Sources returns the accepted source names.
@@ -220,7 +224,7 @@ func NewAggregator() *Aggregator { return new(Aggregator) }
 
 // defaultAggState is what an Aggregator no mutator has touched reads:
 // no mapping, DefaultCategory fallback. Shared and never written —
-// rebuild copies it.
+// Map copies it.
 var defaultAggState = aggState{fallback: DefaultCategory}
 
 // snapshot returns the current state; never nil.
@@ -231,22 +235,12 @@ func (g *Aggregator) snapshot() *aggState {
 	return &defaultAggState
 }
 
-// rebuild swaps in a copy of the state with mutate applied. Callers
-// must hold g.mu.
-func (g *Aggregator) rebuild(mutate func(*aggState)) {
-	cur := g.snapshot()
-	next := &aggState{mapping: make(map[string]string, len(cur.mapping)+1), fallback: cur.fallback}
-	for k, v := range cur.mapping {
-		next.mapping[k] = v
-	}
-	mutate(next)
-	g.state.Store(next)
-}
-
-// SetFallback overrides the category for unmapped keywords.
+// SetFallback overrides the category for unmapped keywords. The new
+// snapshot shares the current mapping, which is never written once
+// published.
 func (g *Aggregator) SetFallback(category string) {
 	g.mu.Lock()
-	g.rebuild(func(s *aggState) { s.fallback = category })
+	g.state.Store(&aggState{mapping: g.snapshot().mapping, fallback: category})
 	g.mu.Unlock()
 }
 
@@ -254,7 +248,10 @@ func (g *Aggregator) SetFallback(category string) {
 // category.
 func (g *Aggregator) Map(keyword, category string) {
 	g.mu.Lock()
-	g.rebuild(func(s *aggState) { s.mapping[strings.ToLower(keyword)] = category })
+	cur := g.snapshot()
+	next := &aggState{mapping: withRoom(cur.mapping), fallback: cur.fallback}
+	next.mapping[strings.ToLower(keyword)] = category
+	g.state.Store(next)
 	g.mu.Unlock()
 }
 
@@ -349,33 +346,20 @@ func (f *Filter) snapshot() *filterState {
 	return f.state.Load()
 }
 
-// rebuild swaps in a copy of the state with mutate applied. Callers
-// must hold f.mu.
-func (f *Filter) rebuild(mutate func(*filterState)) {
-	cur := f.snapshot()
-	next := &filterState{disabled: make(map[string]bool), quiet: make(map[string]quietWindow)}
-	if cur != nil {
-		for k, v := range cur.disabled {
-			next.disabled[k] = v
-		}
-		for k, v := range cur.quiet {
-			next.quiet[k] = v
-		}
-	}
-	mutate(next)
-	f.state.Store(next)
-}
-
 // SetEnabled enables or disables a category.
 func (f *Filter) SetEnabled(category string, enabled bool) {
 	f.mu.Lock()
-	f.rebuild(func(s *filterState) {
-		if enabled {
-			delete(s.disabled, category)
-		} else {
-			s.disabled[category] = true
-		}
-	})
+	next := new(filterState) // shares the map it does not edit
+	if cur := f.snapshot(); cur != nil {
+		*next = *cur
+	}
+	next.disabled = withRoom(next.disabled)
+	if enabled {
+		delete(next.disabled, category)
+	} else {
+		next.disabled[category] = true
+	}
+	f.state.Store(next)
 	f.mu.Unlock()
 }
 
@@ -384,13 +368,17 @@ func (f *Filter) SetEnabled(category string, enabled bool) {
 // midnight (start > end) is supported. Equal offsets clear the window.
 func (f *Filter) SetQuietHours(category string, start, end time.Duration) {
 	f.mu.Lock()
-	f.rebuild(func(s *filterState) {
-		if start == end {
-			delete(s.quiet, category)
-		} else {
-			s.quiet[category] = quietWindow{start: start, end: end}
-		}
-	})
+	next := new(filterState) // shares the map it does not edit
+	if cur := f.snapshot(); cur != nil {
+		*next = *cur
+	}
+	next.quiet = withRoom(next.quiet)
+	if start == end {
+		delete(next.quiet, category)
+	} else {
+		next.quiet[category] = quietWindow{start: start, end: end}
+	}
+	f.state.Store(next)
 	f.mu.Unlock()
 }
 

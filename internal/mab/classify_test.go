@@ -1,11 +1,18 @@
 package mab
 
 import (
+	"fmt"
+	"reflect"
+	"strconv"
+	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"simba/internal/alert"
 	"simba/internal/email"
+	"simba/internal/race"
 )
 
 func TestClassifierAcceptAndReject(t *testing.T) {
@@ -209,4 +216,119 @@ func TestClassifierRulesInventory(t *testing.T) {
 	if len(rules) != 2 || rules[0].Extract != ExtractSubject {
 		t.Fatalf("Rules after update = %+v", rules)
 	}
+}
+
+// TestClassifierRemoveAbsentPublishesNothing: removing a source that is
+// not accepted leaves the published table as it is — no copy, no swap.
+func TestClassifierRemoveAbsentPublishesNothing(t *testing.T) {
+	var c Classifier
+	c.Remove("absent") // on a zero Classifier too
+	if c.snapshot() != nil {
+		t.Fatal("Remove on an empty classifier published a table")
+	}
+	c.Accept(SourceRule{Source: "portal"})
+	before := c.snapshot()
+	c.Remove("absent")
+	if reflect.ValueOf(c.snapshot()).UnsafePointer() != reflect.ValueOf(before).UnsafePointer() {
+		t.Fatal("Remove of an absent source published a new table")
+	}
+	if !race.Enabled {
+		if n := testing.AllocsPerRun(100, func() { c.Remove("absent") }); n != 0 {
+			t.Fatalf("Remove of an absent source allocates %.0f times, want 0", n)
+		}
+	}
+}
+
+// TestStagesPublishWholeSnapshots runs one mutator goroutine against
+// readers of all three stages and checks that every read sees a state
+// some mutation published whole: nothing a finished mutation wrote is
+// missing, no entry an older one removed is back, and the entries no
+// mutation touches ride along in every copy. Under -race it also shows
+// that no mutator writes a map a reader may hold.
+func TestStagesPublishWholeSnapshots(t *testing.T) {
+	const iters = 400
+	var (
+		c    Classifier
+		g    Aggregator
+		f    Filter
+		done atomic.Int64 // iterations the mutator has finished
+	)
+	noon := time.Date(2001, 3, 26, 12, 0, 0, 0, time.UTC)
+	c.Accept(SourceRule{Source: "always", UnsubscribeHint: "h-always"})
+	f.SetEnabled("off", false)
+	f.SetQuietHours("quiet", 11*time.Hour, 13*time.Hour)
+	name := func(prefix string, i int64) string { return prefix + strconv.FormatInt(i, 10) }
+
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := int64(1); i <= iters; i++ {
+			c.Accept(SourceRule{Source: name("s-", i), UnsubscribeHint: name("h-", i)})
+			g.Map(name("K-", i), name("c-", i))
+			f.SetEnabled(name("c-", i), false)
+			g.SetFallback(name("f-", i))
+			c.Remove(name("s-", i-1))
+			c.Remove("never-accepted")
+			f.SetEnabled(name("c-", i-1), true)
+			done.Store(i)
+		}
+	}()
+	for r := 0; r < 2; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for n := done.Load(); ; n = done.Load() {
+				if err := checkSnapshots(&c, &g, &f, n, noon); err != nil {
+					t.Errorf("after %d mutations: %v", n, err)
+					return
+				}
+				if n == iters {
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+// checkSnapshots reads each stage once and reports what no state
+// published after n finished mutator iterations can hold.
+func checkSnapshots(c *Classifier, g *Aggregator, f *Filter, n int64, noon time.Time) error {
+	newest := int64(-1)
+	for _, r := range c.Rules() {
+		if r.UnsubscribeHint != "h-"+strings.TrimPrefix(r.Source, "s-") || r.Extract != ExtractNative {
+			return fmt.Errorf("rule %+v is not the one accepted", r)
+		}
+		if r.Source == "always" {
+			continue
+		}
+		j, _ := strconv.ParseInt(strings.TrimPrefix(r.Source, "s-"), 10, 64)
+		if j < n {
+			return fmt.Errorf("source %s is back after its removal", r.Source)
+		}
+		newest = max(newest, j)
+	}
+	if n > 0 && newest < n {
+		return fmt.Errorf("no source from mutation %d on is accepted", n)
+	}
+	if _, ok := c.Classify(&alert.Alert{Source: "always"}, ""); !ok {
+		return fmt.Errorf("the untouched source %q was lost", "always")
+	}
+	if n > 0 {
+		if cat := g.Aggregate([]string{"k-" + strconv.FormatInt(n, 10)}); cat != "c-"+strconv.FormatInt(n, 10) {
+			return fmt.Errorf("keyword k-%d maps to %q, want c-%d", n, cat, n)
+		}
+		fb := g.Aggregate([]string{"unmapped"})
+		if m, err := strconv.ParseInt(strings.TrimPrefix(fb, "f-"), 10, 64); err != nil || m < n {
+			return fmt.Errorf("fallback %q is older than mutation %d", fb, n)
+		}
+		if !f.Allow("c-"+strconv.FormatInt(n-1, 10), noon) {
+			return fmt.Errorf("category c-%d is still disabled", n-1)
+		}
+	}
+	if f.Allow("off", noon) || f.Allow("quiet", noon) {
+		return fmt.Errorf("the untouched filter entries were lost")
+	}
+	return nil
 }

@@ -49,8 +49,8 @@ type Pipeline struct {
 
 // NewPipeline returns a pipeline with empty stages: it accepts no
 // sources until the user registers classification rules. The pipeline
-// and its three zero-valued stages are one allocation, so a hub pays
-// once per tenant, not once per stage.
+// and its three zero-valued stages are one allocation (a hub tenant
+// holds the same four inline in its Buddy).
 func NewPipeline() *Pipeline {
 	s := new(struct {
 		p Pipeline

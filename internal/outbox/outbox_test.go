@@ -84,6 +84,43 @@ func TestEntryEncodeAllocBudget(t *testing.T) {
 	}
 }
 
+// TestLoadEntriesOwnTheirKeywords: the envelopes Load keeps never share
+// keyword backing, although alert.Alert.UnmarshalBinary reuses its
+// receiver's — each entry is decoded into an alert of its own.
+func TestLoadEntriesOwnTheirKeywords(t *testing.T) {
+	l, err := plog.Open(filepath.Join(t.TempDir(), "shared.wal"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	var recs []plog.Record
+	for i := range 2 {
+		e := testEntry(i)
+		e.Alert.Keywords = []string{fmt.Sprintf("kw-%d", i)}
+		payload, err := e.encode()
+		if err != nil {
+			t.Fatal(err)
+		}
+		recs = append(recs, plog.Record{Key: e.key(), Payload: payload})
+	}
+	o := New(l, Options{Clock: clock.NewReal(), Backoff: time.Hour})
+	if owned := o.Load(recs); len(owned) != 2 {
+		t.Fatalf("Load kept %d envelopes, want 2", len(owned))
+	}
+	byUser := make(map[string]*alert.Alert)
+	for _, it := range o.pending {
+		byUser[it.e.User] = it.e.Alert
+	}
+	a, b := byUser["user-0"], byUser["user-1"]
+	if a == nil || b == nil || len(a.Keywords) != 1 || len(b.Keywords) != 1 {
+		t.Fatalf("loaded alerts %+v and %+v, want one keyword each", a, b)
+	}
+	a.Keywords[0] = "written"
+	if b.Keywords[0] != "kw-1" {
+		t.Fatalf("writing one entry's keywords changed the other's to %q", b.Keywords[0])
+	}
+}
+
 func openTestOutbox(t *testing.T, dir string, opts Options) *Outbox {
 	t.Helper()
 	opts.Clock = clock.NewReal()
