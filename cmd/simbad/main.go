@@ -96,7 +96,7 @@ func main() {
 	outboxBackoff := flag.Duration("outbox-backoff", 50*time.Millisecond, "hub: base outbox redelivery backoff (doubles per round, capped)")
 	adminAddr := flag.String("admin", "", "hub: serve the ops admin plane (healthz, shard health, tenant CRUD, rejuvenation) on this address (e.g. localhost:8025)")
 	probePeriod := flag.Duration("probe-period", 0, "hub: shard watchdog probe cadence (0 = 1s default; supervision starts when -admin, -probe-period, or -rejuvenate-every is set)")
-	rejuvenateEvery := flag.Duration("rejuvenate-every", 0, "hub: rolling shard rejuvenation period (0 = disabled)")
+	rejuvenateEvery := flag.Duration("rejuvenate-every", 0, "hub: rolling shard rejuvenation period: each shard is renewed in place, one at a time, without draining or closing admission (0 = disabled)")
 	linger := flag.Duration("linger", 0, "hub: keep serving this long after the workload (for poking the admin plane)")
 	pprofAddr := flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060)")
 	flag.Parse()

@@ -54,15 +54,16 @@ type userQueue struct {
 
 var userQueuePool = sync.Pool{New: func() any { return new(userQueue) }}
 
-// deliveryStage is one generation of a shard — one incarnation of its
-// restartable machinery — and that generation's alert pipeline: the
-// resolver submits each acknowledged envelope to its user's chain, and
-// a worker routes the chain's head (route) and delivers it (perform), so
-// one stalled evaluation or Send never serializes every tenant hashed to
-// the shard. Envelopes for the same user are chained; envelopes for
-// different users overlap. Killing a shard abandons its stage
-// wholesale: a wedged worker keeps the dead stage, and the replacement
-// gets a fresh kill signal, chains and timer wheel.
+// deliveryStage is one incarnation of a shard's restartable machinery —
+// RestartShard swaps in the next, RejuvenateShard renews it in place —
+// and its alert pipeline: the resolver submits each acknowledged
+// envelope to its user's chain, and a worker routes the chain's head
+// (route) and delivers it (perform), so one stalled evaluation or Send
+// never serializes every tenant hashed to the shard. Envelopes for the
+// same user are chained; envelopes for different users overlap.
+// Killing a shard abandons its stage wholesale: a wedged worker keeps
+// the dead stage, and the replacement gets a fresh kill signal, chains
+// and timer wheel.
 //
 // A worker is a delivery-window slot: live workers never exceed
 // DeliveryWindow. A parked delivery costs its chain, its scratch, one
@@ -74,7 +75,6 @@ var userQueuePool = sync.Pool{New: func() any { return new(userQueue) }}
 type deliveryStage struct {
 	h   *Hub
 	sh  *shard
-	n   int64     // generation number, monotone per shard
 	rng *dist.RNG // forked per stage: backoff jitter never contends across shards
 
 	// killed is closed (by kill) to abandon the generation: the workers
@@ -124,13 +124,12 @@ type deliveryStage struct {
 	spawned, peakChains int
 }
 
-// newDeliveryStage builds generation n of sh, replaying the keys in
+// newDeliveryStage builds sh's next stage, replaying the keys in
 // suppress; the caller hands it to publishGen.
-func newDeliveryStage(h *Hub, sh *shard, n int64, suppress map[string]struct{}) *deliveryStage {
+func newDeliveryStage(h *Hub, sh *shard, suppress map[string]struct{}) *deliveryStage {
 	d := &deliveryStage{
 		h:              h,
 		sh:             sh,
-		n:              n,
 		rng:            sh.rng.Fork("delivery"),
 		killed:         make(chan struct{}),
 		replaySuppress: suppress,
@@ -163,6 +162,22 @@ func (d *deliveryStage) kill() {
 			d.abandon(q)
 		}
 	})
+}
+
+// renew sheds what the stage grew under load, for rejuvenation: the
+// chain map is rebuilt at its live size, because a Go map never gives
+// back buckets, and the free scratches go with the report arrays they
+// grew. Ready and parked chains, the workers, the wheel and the Acks
+// entries carry over untouched, so per-user order holds and every ack
+// wait survives.
+func (d *deliveryStage) renew() {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	users := make(map[string]*userQueue, len(d.users))
+	for user, q := range d.users {
+		users[user] = q
+	}
+	d.users, d.spare = users, nil
 }
 
 // submit hands one acknowledged envelope to the stage. Called by the

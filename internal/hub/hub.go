@@ -85,16 +85,10 @@ const (
 	// short runs never pay for a checkpoint, small enough that a
 	// long-lived hub's disk and restart time stay bounded.
 	DefaultWALCheckpointEvery = 65536
-	// DefaultQuiesceTimeout bounds how long a graceful shard
-	// rejuvenation waits for the shard's admitted work to drain before
-	// escalating to a kill+replay restart; it also bounds how long a
-	// kill+replay restart waits for the abandoned generation's workers
-	// to stop before scanning the WAL.
-	DefaultQuiesceTimeout = 5 * time.Second
 )
 
-// Fixed sizes: no production caller ever set these, so they are
-// constants, not Config fields.
+// Fixed sizes and bounds: no production caller ever set these, so they
+// are constants, not Config fields.
 const (
 	// DefaultLatencyReservoir bounds each latency recorder's sample
 	// memory on million-alert runs.
@@ -104,6 +98,10 @@ const (
 	// a submitter past it blocks after staging, until the resolver takes
 	// a ticket.
 	DefaultAsyncInFlight = 256
+	// DefaultQuiesceTimeout bounds how long a kill+replay restart waits
+	// for the killed generation's workers to stop before scanning the
+	// WAL, and how long Drain waits for staged bursts to resolve.
+	DefaultQuiesceTimeout = 5 * time.Second
 )
 
 // keySep joins the tenant ID and the alert's dedup key inside WAL
@@ -275,11 +273,6 @@ type Config struct {
 	// supervisor kills the generation. Must be safe for concurrent
 	// calls. Optional.
 	Fault func(p FaultPoint, shard int, killed <-chan struct{}) (crash bool)
-	// QuiesceTimeout bounds a graceful rejuvenation's drain wait (after
-	// which it escalates to kill+replay) and a restart's wait for the
-	// abandoned generation to stop (after which the WAL scan proceeds
-	// anyway). Zero means DefaultQuiesceTimeout.
-	QuiesceTimeout time.Duration
 }
 
 // Hub hosts N per-user buddies across K shards over one group-commit
@@ -389,9 +382,6 @@ func New(cfg Config) (*Hub, error) {
 	}
 	if cfg.RNG == nil {
 		cfg.RNG = dist.NewRNG(1)
-	}
-	if cfg.QuiesceTimeout <= 0 {
-		cfg.QuiesceTimeout = DefaultQuiesceTimeout
 	}
 	switch {
 	case cfg.WALCheckpointEvery == 0:

@@ -26,7 +26,7 @@ func (h *Hub) Start() error {
 	h.started = true
 	h.mu.Unlock()
 	for _, sh := range h.shards {
-		if !h.publishGen(sh, newDeliveryStage(h, sh, 1, nil)) {
+		if !h.publishGen(sh, newDeliveryStage(h, sh, nil)) {
 			return ErrNotAccepting
 		}
 		sh.setState(ShardRunning)
@@ -40,13 +40,13 @@ func (h *Hub) Start() error {
 	return nil
 }
 
-// publishGen makes next the shard's current generation, closing the
-// outgoing generation's intake under the same lock, so no enqueue can
-// land between the close and the swap. The hub's kill is re-checked
-// under sh.mu, which Kill's killCurrent takes to read cur: either Kill
-// finds next there and kills it, or the kill is seen here — then
-// nothing is published, the shard is Stopped and publishGen reports
-// false. The caller holds sh.lifeMu, or is Start.
+// publishGen makes next the shard's current stage, as its next
+// generation, closing the outgoing stage's intake under the same lock,
+// so no enqueue can land between the close and the swap. The hub's
+// kill is re-checked under sh.mu, which Kill's killCurrent takes to
+// read cur: either Kill finds next there and kills it, or the kill is
+// seen here — then nothing is published, the shard is Stopped and
+// publishGen reports false. The caller holds sh.lifeMu, or is Start.
 func (h *Hub) publishGen(sh *shard, next *deliveryStage) bool {
 	sh.mu.Lock()
 	select {
@@ -61,7 +61,7 @@ func (h *Hub) publishGen(sh *shard, next *deliveryStage) bool {
 	}
 	sh.cur.Store(next)
 	sh.mu.Unlock()
-	sh.gen.Store(next.n)
+	sh.gen.Add(1)
 	sh.beat(h.cfg.Clock.Now())
 	return true
 }
@@ -254,7 +254,7 @@ func (h *Hub) Drain() error {
 	// resolver to retire every outstanding burst before closing
 	// shard intake. Bounded — a wedged WAL resolves tickets with errors
 	// on Close below anyway.
-	deadline := time.Now().Add(h.cfg.QuiesceTimeout)
+	deadline := time.Now().Add(DefaultQuiesceTimeout)
 	for h.ingestPending.Load() > 0 && time.Now().Before(deadline) {
 		time.Sleep(100 * time.Microsecond)
 	}
@@ -274,19 +274,8 @@ func (h *Hub) Drain() error {
 // every other shard keeps serving — the targeted-recovery escalation
 // path for a wedged or misbehaving shard. Admission to the shard is
 // rejected (OverloadError) for the duration; senders ride it out with
-// their usual retry hint. reason lands in the fault journal.
-func (h *Hub) RestartShard(id int, reason string) error {
-	sh, err := h.shardByID(id)
-	if err != nil {
-		return err
-	}
-	sh.lifeMu.Lock()
-	defer sh.lifeMu.Unlock()
-	return h.restartLocked(sh, reason)
-}
-
-// restartLocked is the kill+replay restart; the caller holds
-// sh.lifeMu. Ordering is load-bearing:
+// their usual retry hint. reason lands in the fault journal. Ordering
+// is load-bearing:
 //
 //  1. Close admission (state Restarting), then close the old
 //     generation's intake and kill it — intake first, so no submit's
@@ -302,31 +291,37 @@ func (h *Hub) RestartShard(id int, reason string) error {
 //     reservations died with the old generation; nothing can reserve
 //     until step 5).
 //  5. Re-enqueue the backlog, then reopen admission.
-func (h *Hub) restartLocked(sh *shard, reason string) error {
+func (h *Hub) RestartShard(id int, reason string) error {
+	sh, err := h.shardByID(id)
+	if err != nil {
+		return err
+	}
+	sh.lifeMu.Lock()
+	defer sh.lifeMu.Unlock()
 	select {
 	case <-h.killed:
 		return ErrNotAccepting
 	default:
 	}
-	if st := sh.State(); st != ShardRunning && st != ShardQuiescing {
+	if st := sh.State(); st != ShardRunning {
 		return fmt.Errorf("hub: shard %d not restartable in state %s", sh.id, st)
 	}
 	sh.setState(ShardRestarting)
 	old := sh.killCurrent()
-	h.journal(faults.KindDaemonRestart, "shard %d: killing generation %d: %s", sh.id, old.n, reason)
+	h.journal(faults.KindDaemonRestart, "shard %d: killing generation %d: %s", sh.id, sh.gen.Load(), reason)
 
 	stopped := make(chan struct{})
 	go func() { old.quiesce(); close(stopped) }()
 	select {
 	case <-stopped:
-	case <-time.After(h.cfg.QuiesceTimeout):
+	case <-time.After(DefaultQuiesceTimeout):
 		// A truly stuck goroutine (blocked inside a pipeline stage or a
 		// delivery substrate, deaf to the kill) is abandoned for good.
 		// If it later completes and marks a record the scan already
 		// replayed, the downstream timestamp dedup absorbs the
 		// duplicate — the documented contract for every crash window.
 		h.journal(faults.KindUnrecovered, "shard %d: generation %d did not stop within %v; replaying anyway",
-			sh.id, old.n, h.cfg.QuiesceTimeout)
+			sh.id, sh.gen.Load(), DefaultQuiesceTimeout)
 	}
 
 	var backlog []replayRec
@@ -339,8 +334,7 @@ func (h *Hub) restartLocked(sh *shard, reason string) error {
 		}
 	}
 
-	next := newDeliveryStage(h, sh, old.n+1, suppress)
-	if !h.publishGen(sh, next) {
+	if !h.publishGen(sh, newDeliveryStage(h, sh, suppress)) {
 		return ErrNotAccepting
 	}
 	// Reservations admitted by the dead generation died with it; a
@@ -357,17 +351,16 @@ func (h *Hub) restartLocked(sh *shard, reason string) error {
 	default:
 		sh.setState(ShardRunning)
 	}
-	h.journal(faults.KindDaemonRestart, "shard %d: restarted as generation %d (%d replayed)", sh.id, next.n, len(backlog))
+	h.journal(faults.KindDaemonRestart, "shard %d: restarted as generation %d (%d replayed)", sh.id, sh.gen.Load(), len(backlog))
 	return nil
 }
 
-// RejuvenateShard gracefully recycles shard id: admission closes, the
-// admitted work drains to zero, and a fresh generation — new delivery
-// stage, new timer wheel — takes over with no replay and
-// no duplicate risk. Because nothing is admitted mid-swap, every
-// envelope completes in its original admission order, so per-user
-// delivery order is preserved exactly. A quiesce that exceeds
-// Config.QuiesceTimeout escalates to the kill+replay restart.
+// RejuvenateShard renews shard id in place and advances its
+// generation: its delivery stage sheds what it grew under load
+// (deliveryStage.renew). Nothing drains, admission never closes, and
+// nothing is killed or replayed: ready and parked chains, workers, the
+// timer wheel and every ack wait carry over, so per-user order holds
+// and no alert is sent twice.
 func (h *Hub) RejuvenateShard(id int) error {
 	sh, err := h.shardByID(id)
 	if err != nil {
@@ -383,41 +376,15 @@ func (h *Hub) RejuvenateShard(id int) error {
 	if st := sh.State(); st != ShardRunning {
 		return fmt.Errorf("hub: shard %d not rejuvenatable in state %s", sh.id, st)
 	}
-	sh.setState(ShardQuiescing)
-	// depth counts chained + in-delivery + mid-admission work, and
-	// Quiescing blocks new reservations, so zero means the shard is
-	// fully idle — nothing chained, no delivery in flight, no submitter
-	// between reservation and enqueue.
-	deadline := time.Now().Add(h.cfg.QuiesceTimeout)
-	for sh.depth.Load() > 0 {
-		if time.Now().After(deadline) {
-			h.journal(faults.KindRejuvenation,
-				"shard %d: quiesce timed out (depth %d); escalating to kill+replay",
-				sh.id, sh.depth.Load())
-			return h.restartLocked(sh, "rejuvenation quiesce timeout")
-		}
-		time.Sleep(200 * time.Microsecond)
-	}
-	old := sh.current()
-	next := newDeliveryStage(h, sh, old.n+1, nil)
-	if !h.publishGen(sh, next) {
-		return ErrNotAccepting
-	}
-	// publishGen closed the old generation's intake; its stage is idle
-	// but for chains ending after their last release. Retiring it before
-	// reopening admission keeps "one generation with work per shard"
-	// unconditional on this path.
-	old.quiesce()
+	sh.current().renew()
+	gen := sh.gen.Add(1)
 	sh.rejuvenations.Add(1)
-	sh.setState(ShardRunning)
-	h.journal(faults.KindRejuvenation, "shard %d: rejuvenated as generation %d", sh.id, next.n)
+	h.journal(faults.KindRejuvenation, "shard %d: rejuvenated as generation %d", sh.id, gen)
 	return nil
 }
 
-// RejuvenateAll recycles every shard one at a time — rolling
-// rejuvenation under live traffic: at most one shard is quiescing at
-// any moment, so the hub never loses more than one shard's worth of
-// admission capacity.
+// RejuvenateAll renews every shard in place, one at a time — rolling
+// rejuvenation under live traffic, which never closes admission.
 func (h *Hub) RejuvenateAll() error {
 	for _, sh := range h.shards {
 		if err := h.RejuvenateShard(sh.id); err != nil {

@@ -11,7 +11,7 @@ import (
 )
 
 // ShardState is one shard's lifecycle state. A shard is the hub's unit
-// of recovery: it can be killed and replayed, or gracefully recycled,
+// of recovery: it can be killed and replayed, or renewed in place,
 // while its siblings keep serving.
 type ShardState int32
 
@@ -21,9 +21,6 @@ const (
 	ShardIdle ShardState = iota
 	// ShardRunning: generation live, admission open.
 	ShardRunning
-	// ShardQuiescing: admission closed, draining chained and in-flight
-	// work for a graceful rejuvenation.
-	ShardQuiescing
 	// ShardRestarting: the current generation was killed; the next one
 	// is replaying the shard's WAL backlog before admission reopens.
 	ShardRestarting
@@ -39,8 +36,6 @@ func (s ShardState) String() string {
 		return "idle"
 	case ShardRunning:
 		return "running"
-	case ShardQuiescing:
-		return "quiescing"
 	case ShardRestarting:
 		return "restarting"
 	case ShardStopped:
@@ -93,7 +88,7 @@ type shard struct {
 	progress atomic.Int64 // unix nanos of the last worker progress beat
 
 	restarts      atomic.Int64 // kill+replay restarts
-	rejuvenations atomic.Int64 // graceful recycles
+	rejuvenations atomic.Int64 // in-place renewals
 
 	// released counts slots given back; retryHint differences it into
 	// the drain rate below. rateMu is taken on the overload path only.
@@ -149,8 +144,8 @@ func (s *shard) State() ShardState { return ShardState(s.state.Load()) }
 type Health struct {
 	Shard int        `json:"shard"`
 	State ShardState `json:"state"`
-	// Generation counts the incarnations of the shard's delivery stage
-	// (1 = never recycled).
+	// Generation is 1 + Restarts + Rejuvenations once started: each
+	// restart and each rejuvenation advances it.
 	Generation int64 `json:"generation"`
 	// Depth is the admitted-but-unfinished alerts (in admission,
 	// chained, or in delivery); InFlight the concurrent channel Sends,
@@ -160,8 +155,8 @@ type Health struct {
 	InFlight     int64     `json:"in_flight"`
 	PeakInFlight int       `json:"peak_in_flight"`
 	LastProgress time.Time `json:"last_progress"`
-	// Restarts counts kill+replay recoveries, Rejuvenations graceful
-	// recycles.
+	// Restarts counts kill+replay recoveries, Rejuvenations in-place
+	// renewals.
 	Restarts      int64 `json:"restarts"`
 	Rejuvenations int64 `json:"rejuvenations"`
 }
@@ -202,9 +197,9 @@ func (s *shard) reserveSlot() bool {
 // CAS, returning how many it got (possibly zero) — the batched-ingest
 // admission primitive. Partial grants let the rest of a burst fail
 // with OverloadError individually instead of rejecting the whole
-// burst. A shard that is not Running grants nothing: restart and
-// rejuvenation close admission the same way a full queue does, and the
-// sender's retry-after-hint loop rides it out.
+// burst. A shard that is not Running grants nothing: a restart closes
+// admission the same way a full queue does, and the sender's
+// retry-after-hint loop rides it out.
 func (s *shard) reserveN(n int64) int64 {
 	if s.State() != ShardRunning {
 		return 0

@@ -78,3 +78,25 @@ func TestRetryHintTracksDrainRate(t *testing.T) {
 	hint = refuse(g, &now, 10, 0, 10*time.Millisecond)
 	within("gated, never measured", hint, window+depth*time.Millisecond, window+depth*time.Millisecond)
 }
+
+// TestShardStateTextRoundTrip: every state marshals to its name and
+// reads back from it; a name no state has, the retired "quiescing"
+// included, is refused.
+func TestShardStateTextRoundTrip(t *testing.T) {
+	for st := ShardIdle; st <= ShardStopped; st++ {
+		text, err := st.MarshalText()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var back ShardState
+		if err := back.UnmarshalText(text); err != nil || back != st {
+			t.Fatalf("%q read back as %v, %v; want %v", text, back, err, st)
+		}
+	}
+	for _, name := range []string{"quiescing", "unknown", ""} {
+		var st ShardState
+		if err := st.UnmarshalText([]byte(name)); err == nil {
+			t.Fatalf("UnmarshalText(%q) = %v, want an error", name, st)
+		}
+	}
+}

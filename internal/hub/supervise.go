@@ -46,8 +46,8 @@ type SuperviseConfig struct {
 	// shard's check and stabilize.DefaultEscalateAfter for the hub-wide
 	// checks.
 	EscalateAfter int
-	// RejuvenateEvery, when positive, recycles the shards one at a time
-	// (rolling) on this period.
+	// RejuvenateEvery, when positive, renews the shards in place one at a
+	// time (rolling) on this period.
 	RejuvenateEvery time.Duration
 }
 
@@ -100,9 +100,8 @@ func (h *Hub) Supervise(cfg SuperviseConfig) (*stabilize.Stabilizer, error) {
 			// restart's gauge reset keep the gauges in bounds, so an
 			// excursion means the accounting broke. A shard whose workers
 			// are all idle — admitted work parked on an ack or a backoff
-			// holds none — is not stale, nor is one mid-lifecycle-
-			// transition (quiescing, restarting — transitions are bounded
-			// by their own timeouts).
+			// holds none — is not stale, nor is one mid-restart (bounded by
+			// its own timeout).
 			Fn: func() error {
 				hl, cur := sh.health(), sh.current()
 				if hl.Depth < 0 || hl.Depth > sh.cap {

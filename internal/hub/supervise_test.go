@@ -43,7 +43,6 @@ func TestHubWedgedShardAutoRecovers(t *testing.T) {
 		QueueDepth:         64,
 		Journal:            j,
 		Fault:              wedgeAt(0, gate),
-		QuiesceTimeout:     time.Second,
 		DeliveryBackoff:    time.Millisecond,
 		DeliveryBackoffCap: 2 * time.Millisecond,
 	})
@@ -184,7 +183,7 @@ func TestHubWedgedEvaluationStallsOnlyItsChain(t *testing.T) {
 	gate := newRouteGate()
 	sink := newCountingSink(nil)
 	h := newTestHub(t, Config{
-		Channels: sinkChannels(sink.Deliver), Shards: 1, QuiesceTimeout: time.Second,
+		Channels: sinkChannels(sink.Deliver), Shards: 1,
 		Fault: wedgeAt(0, gate),
 	})
 	addUsers(t, h, 2)
@@ -254,7 +253,7 @@ func TestHubInvariantEscalationRestartsItsShard(t *testing.T) {
 	j := &faults.Journal{}
 	h := newTestHub(t, Config{
 		Channels: sinkChannels(func(int, string, *alert.Alert) error { return nil }),
-		Shards:   4, Journal: j, QuiesceTimeout: time.Second,
+		Shards:   4, Journal: j,
 	})
 	addUsers(t, h, 8)
 	if err := h.Start(); err != nil {
@@ -483,6 +482,63 @@ func TestParkedAckWaitIsNotAStall(t *testing.T) {
 	}
 }
 
+// TestRejuvenationKeepsParkedAckWait: rejuvenation renews a shard in
+// place, so a delivery parked on its IM ack survives it. RejuvenateShard
+// returns while the ack is outstanding, the shard keeps admitting, and
+// the ack that arrives afterwards ends the delivery: one IM, no email,
+// no restart.
+func TestRejuvenationKeepsParkedAckWait(t *testing.T) {
+	var seq atomic.Uint64
+	sends := make(chan imSend, 4)
+	var emails, sunk atomic.Int64
+	chans := sinkChannels(func(int, string, *alert.Alert) error { sunk.Add(1); return nil }).
+		Register(addr.TypeIM, core.ChannelFunc(func(req core.Send) (core.SendResult, error) {
+			s := imSend{handle: req.To, seq: seq.Add(1)}
+			sends <- s
+			return core.SendResult{Seq: s.seq}, nil
+		})).
+		Register(addr.TypeEmail, core.ChannelFunc(func(core.Send) (core.SendResult, error) {
+			emails.Add(1)
+			return core.SendResult{Confirmed: true}, nil
+		}))
+	h := newTestHub(t, Config{Channels: chans, Shards: 1, AckTimeout: 30 * time.Second})
+	hostParkingUsers(t, h, 2, 2) // user-0 on the flat plan, user-1 on IM-then-email
+	if err := h.Start(); err != nil {
+		t.Fatal(err)
+	}
+	if err := h.Submit("user-1", portalAlert(1, h.cfg.Clock.Now())); err != nil {
+		t.Fatal(err)
+	}
+	var first imSend
+	select {
+	case first = <-sends:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the IM was never sent")
+	}
+	waitCond(t, "the IM delivery to park on its ack", func() bool { return h.Executor().Acks().Pending() == 1 })
+	if err := h.RejuvenateShard(0); err != nil {
+		t.Fatal(err)
+	}
+	if hl, pending := h.Healths()[0], h.Executor().Acks().Pending(); hl.Restarts != 0 || hl.Rejuvenations != 1 || pending != 1 {
+		h.Kill() // a replayed IM's ack wait would hold the cleanup's Drain for AckTimeout
+		t.Fatalf("after RejuvenateShard: %d IM sends, %d restarts, %d rejuvenations, %d acks pending; want 1, 0, 1, 1",
+			seq.Load(), hl.Restarts, hl.Rejuvenations, pending)
+	}
+	if err := h.Submit("user-0", portalAlert(0, h.cfg.Clock.Now())); err != nil {
+		t.Fatalf("admission after rejuvenation: %v", err)
+	}
+	waitCond(t, "the second tenant's alert to be delivered", func() bool { return sunk.Load() == 1 })
+	h.HandleIncoming(im.Message{From: first.handle, Text: core.AckText(first.seq)})
+	if err := h.Drain(); err != nil {
+		t.Fatal(err)
+	}
+	st := h.Stats()
+	if ims, hl := seq.Load(), st.Shards[0]; ims != 1 || emails.Load() != 0 || hl.Restarts != 0 || hl.Rejuvenations != 1 || st.DeliveredByChannel[addr.TypeIM] != 1 {
+		t.Fatalf("%d IM sends, %d emails, %d restarts, %d rejuvenations, %d delivered by IM; want 1, 0, 0, 1, 1",
+			ims, emails.Load(), hl.Restarts, hl.Rejuvenations, st.DeliveredByChannel[addr.TypeIM])
+	}
+}
+
 // TestParkedBackoffIsNotAStall: a delivery waiting out a retry backoff
 // holds no worker either, so StaleAfter needs no floor under
 // DeliveryBackoffCap — a 30 ms StaleAfter beside a one-minute backoff
@@ -565,7 +621,7 @@ func TestHubWedgedShardsRestartOneAtATime(t *testing.T) {
 	park := wedgeAt(-1, gate)
 	h := newTestHub(t, Config{
 		Channels: sinkChannels(func(int, string, *alert.Alert) error { return nil }),
-		Shards:   2, Journal: j, QuiesceTimeout: 5 * time.Second,
+		Shards:   2, Journal: j,
 		Fault: func(p FaultPoint, shard int, killed <-chan struct{}) bool {
 			park(p, shard, killed)
 			select {
@@ -674,18 +730,18 @@ func TestHubScheduledRejuvenationRollsAndJournalsFailure(t *testing.T) {
 
 // TestHubRollingRejuvenationPreservesOrder is the ordering property
 // test under self-management: per-user submission order must survive
-// repeated rolling rejuvenations racing live traffic, with every alert
-// delivered exactly once.
+// repeated rolling rejuvenations — each renewing a shard in place,
+// chains and all — racing live traffic, with every alert delivered
+// exactly once.
 func TestHubRollingRejuvenationPreservesOrder(t *testing.T) {
 	const users, perUser = 24, 25
 	clk := clock.NewReal()
 	sink := newOrderSink(dist.NewRNG(23), 4, 200)
 	h := newTestHub(t, Config{
-		Clock:          clk,
-		Channels:       sinkChannels(sink.Deliver),
-		Shards:         4,
-		QueueDepth:     256,
-		QuiesceTimeout: 5 * time.Second,
+		Clock:      clk,
+		Channels:   sinkChannels(sink.Deliver),
+		Shards:     4,
+		QueueDepth: 256,
 	})
 	addUsers(t, h, users)
 	if err := h.Start(); err != nil {
@@ -740,12 +796,12 @@ func TestHubRollingRejuvenationPreservesOrder(t *testing.T) {
 			}
 		}
 	}
-	// The race above must actually have recycled shards, gracefully.
+	// The race above must actually have rejuvenated shards, in place.
 	totalRejuvenations := int64(0)
 	for _, hl := range h.Healths() {
 		totalRejuvenations += hl.Rejuvenations
 		if hl.Restarts != 0 {
-			t.Fatalf("shard %d escalated to a hard restart during graceful rejuvenation: %+v", hl.Shard, hl)
+			t.Fatalf("shard %d was restarted during rejuvenation: %+v", hl.Shard, hl)
 		}
 	}
 	if totalRejuvenations == 0 {

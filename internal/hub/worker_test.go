@@ -49,9 +49,9 @@ func spawnedWorkers(h *Hub) (spawned int) {
 // TestDeliveryWorkersExitWithTheirGeneration pins the worker lifecycle's
 // far end: however a generation ends — drained, killed with deliveries
 // parked in the substrate, killed and replaced while a worker is wedged,
-// or retired twenty times over by rolling rejuvenation under load — its
-// workers end with it, and the process is back at the goroutine count it
-// had before the hub existed.
+// or drained after being renewed in place twenty times over by rolling
+// rejuvenation under load — its workers end with it, and the process is
+// back at the goroutine count it had before the hub existed.
 func TestDeliveryWorkersExitWithTheirGeneration(t *testing.T) {
 	const users = 32
 	submitRound := func(t *testing.T, h *Hub, round int) {
@@ -110,7 +110,7 @@ func TestDeliveryWorkersExitWithTheirGeneration(t *testing.T) {
 		gate := newRouteGate()
 		sink := newCountingSink(nil)
 		h := newTestHub(t, Config{
-			Channels: sinkChannels(sink.Deliver), Shards: 4, QuiesceTimeout: time.Second,
+			Channels: sinkChannels(sink.Deliver), Shards: 4,
 			Fault: wedgeAt(0, gate),
 		})
 		addUsers(t, h, users)
@@ -178,8 +178,8 @@ func TestDeliveryWorkersExitWithTheirGeneration(t *testing.T) {
 		sup.Wait()
 		// Nothing of the plane outlives stop-and-wait: no check is inside a
 		// RejuvenateShard when the drain begins, and the count is back where
-		// it was before Supervise (lower, if a recycled generation's parked
-		// workers went with it).
+		// it was before Supervise (rejuvenation renews a stage in place, so
+		// its workers carry over).
 		settleGoroutines(t, unsupervised, "after the supervision plane was stopped and waited for")
 		submitRound(t, h, 1)
 		if err := h.Drain(); err != nil {
@@ -222,8 +222,8 @@ func TestDeliveryWorkersExitWithTheirGeneration(t *testing.T) {
 					a.ID = fmt.Sprintf("a-%d-%d", round, i)
 					batch[i] = Submission{User: fmt.Sprintf("user-%d", i), Alert: a}
 				}
-				// A quiescing shard refuses admission; what it refuses is
-				// simply not part of this test's load.
+				// A full shard refuses admission; what it refuses is simply
+				// not part of this test's load.
 				for _, err := range h.SubmitBatch(batch) {
 					if err == nil {
 						offered++

@@ -94,9 +94,9 @@ func (s *Server) Close() error {
 // HealthReport is the /healthz body.
 type HealthReport struct {
 	// OK is false when any shard is Stopped — the one state with no
-	// path back to serving without operator action. Transitional states
-	// (quiescing, restarting) are alive: the recovery machinery owns
-	// them and bounds them with timeouts.
+	// path back to serving without operator action. A restarting shard
+	// is alive: the recovery machinery owns the transition and bounds it
+	// with a timeout.
 	OK         bool         `json:"ok"`
 	Users      int          `json:"users"`
 	WALBacklog int          `json:"wal_backlog"`

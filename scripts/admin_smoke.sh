@@ -3,8 +3,8 @@
 # verify /healthz reports every shard running under one check each and
 # /shards carries each shard's peaks, trigger a rolling
 # rejuvenation over HTTP while the workload is still lingering, verify
-# the generation bump, and assert the process then drains cleanly
-# (exit 0, zero lost, zero duplicated).
+# the generation bump with no restart, and assert the process then
+# drains cleanly (exit 0, zero lost, zero duplicated).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -57,6 +57,13 @@ if echo "$rejuv" | grep -q '"generation": 1,'; then
 fi
 if [ "$(echo "$rejuv" | grep -c '"rejuvenations": 0')" -ne 0 ]; then
   echo "admin smoke: a shard reported zero rejuvenations after /rejuvenate" >&2
+  exit 1
+fi
+# Rejuvenation renews a shard in place and never escalates to a
+# restart, so every shard still reports zero restarts.
+unrestarted=$(echo "$rejuv" | grep -c '"restarts": 0' || true)
+if [ "$unrestarted" -ne 4 ]; then
+  echo "admin smoke: expected \"restarts\": 0 on all 4 shards after /rejuvenate, saw it on $unrestarted" >&2
   exit 1
 fi
 
