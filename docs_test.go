@@ -15,7 +15,9 @@ import (
 
 // TestDesignNamesWhatExists keeps DESIGN.md a description of this tree:
 // every Test…/Fuzz…/Example… identifier it cites in backticks must be a
-// func in some *_test.go under the repository (benchmark/ included),
+// func in some *_test.go under the repository (benchmark/ included) —
+// and a cited `Test…/<row>` a table row: the file defining the func
+// holds "<row>" as a string literal —
 // every identifier in §8's file map must be declared where the map says
 // (checkHubFileMap), no production file of internal/hub may grow past
 // the size one stage of the alert path needs, and DESIGN.md itself stays
@@ -30,7 +32,7 @@ func TestDesignNamesWhatExists(t *testing.T) {
 		t.Errorf("DESIGN.md is %d bytes, over %d: describe what is, and move history to docs/measurements/", len(design), maxDesignBytes)
 	}
 	const maxLines = 600
-	defined := make(map[string]bool)
+	defined := make(map[string][]byte) // func name → the source of the file defining it
 	funcRE := regexp.MustCompile(`(?m)^func ((?:Test|Fuzz|Example)\w*)\(`)
 	err = filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
 		if err != nil || d.IsDir() || !strings.HasSuffix(path, ".go") {
@@ -46,7 +48,7 @@ func TestDesignNamesWhatExists(t *testing.T) {
 		}
 		if isTest {
 			for _, m := range funcRE.FindAllSubmatch(src, -1) {
-				defined[string(m[1])] = true
+				defined[string(m[1])] = src
 			}
 		} else if n := bytes.Count(src, []byte("\n")); n > maxLines {
 			t.Errorf("%s has %d lines, over %d: split it by stage", path, n, maxLines)
@@ -56,13 +58,18 @@ func TestDesignNamesWhatExists(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cited := regexp.MustCompile("`((?:Test|Fuzz|Example)[A-Z]\\w*)`").FindAllSubmatch(design, -1)
+	cited := regexp.MustCompile("`((?:Test|Fuzz|Example)[A-Z]\\w*)(?:/(\\w+))?`").FindAllSubmatch(design, -1)
 	if len(cited) == 0 {
 		t.Fatal("DESIGN.md cites no test: the guarantees in §8 name their guards")
 	}
 	for _, m := range cited {
-		if name := string(m[1]); !defined[name] {
+		name, row := string(m[1]), m[2]
+		src, ok := defined[name]
+		switch {
+		case !ok:
 			t.Errorf("DESIGN.md cites `%s`, which no *_test.go defines", name)
+		case row != nil && !bytes.Contains(src, []byte(`"`+string(row)+`"`)):
+			t.Errorf("DESIGN.md cites `%s/%s`, but the file defining %s has no \"%s\" row", name, row, name, row)
 		}
 	}
 	checkHubFileMap(t, string(design))

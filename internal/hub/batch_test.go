@@ -12,7 +12,6 @@ import (
 	"simba/internal/alert"
 	"simba/internal/clock"
 	"simba/internal/dist"
-	"simba/internal/faults"
 	"simba/internal/plog"
 )
 
@@ -215,213 +214,6 @@ func TestHubSubmitBatchMatchesSubmit(t *testing.T) {
 		if seq.walLive != got.walLive {
 			t.Errorf("WAL record counts diverge: submit=%d %s=%d", seq.walLive, name, got.walLive)
 		}
-	}
-}
-
-// TestHubCrashBetweenBatchFsyncAndEnqueue arms the batched-ingest
-// fault: SubmitBatch makes a burst durable and acknowledges it, then
-// the hub dies before enqueuing any entry. The next incarnation must
-// replay and deliver every acknowledged alert exactly once, in
-// per-user submission order, and re-submitting the burst afterwards
-// must dedup — no second delivery.
-func TestHubCrashBetweenBatchFsyncAndEnqueue(t *testing.T) {
-	const users, perUser = 8, 6
-	clk := clock.NewReal()
-	walPath := filepath.Join(t.TempDir(), "crash.wal")
-	crash := faults.NewFlag("crash-after-batch-fsync")
-	journal := &faults.Journal{}
-	sink1 := newOrderSink(dist.NewRNG(31), 4, 0)
-	h1, err := New(Config{
-		Clock: clk, Channels: sinkChannels(sink1.Deliver), WALPath: walPath, Shards: 4, QueueDepth: 256,
-		Fault: crashAt(FaultAfterBatchFsync, crash), Journal: journal,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	addUsers(t, h1, users)
-	if err := h1.Start(); err != nil {
-		t.Fatal(err)
-	}
-
-	// The crashing burst is the hub's only traffic, so incarnation 2's
-	// delivery counts are unambiguous.
-	var burst []Submission
-	for u := 0; u < users; u++ {
-		user := fmt.Sprintf("user-%d", u)
-		for i := 0; i < perUser; i++ {
-			a := portalAlert(i, clk.Now())
-			a.ID = fmt.Sprintf("a-%s-%d", user, i)
-			burst = append(burst, Submission{User: user, Alert: a})
-		}
-	}
-	crash.Set(true, clk.Now())
-	for i, err := range h1.SubmitBatch(burst) {
-		if err != nil {
-			t.Fatalf("burst entry %d not acknowledged despite durable batch: %v", i, err)
-		}
-	}
-	select {
-	case <-h1.Stopped():
-	case <-time.After(15 * time.Second):
-		t.Fatal("hub did not stop after injected crash")
-	}
-	if got := journal.Count(faults.KindFaultInjected); got != 1 {
-		t.Fatalf("journaled %d injected faults, want 1", got)
-	}
-	for u := 0; u < users; u++ {
-		if got := sink1.sequence(fmt.Sprintf("user-%d", u)); len(got) != 0 {
-			t.Fatalf("incarnation 1 delivered %v inside the crash window", got)
-		}
-	}
-
-	// Incarnation 2: replay covers the acknowledged-but-unrouted burst.
-	crash.Set(false, clk.Now())
-	sink2 := newOrderSink(dist.NewRNG(37), 4, 0)
-	h2, err := New(Config{Clock: clk, Channels: sinkChannels(sink2.Deliver), WALPath: walPath, Shards: 4, QueueDepth: 256})
-	if err != nil {
-		t.Fatal(err)
-	}
-	addUsers(t, h2, users)
-	if err := h2.Start(); err != nil {
-		t.Fatal(err)
-	}
-	if got := h2.Counters().Get("replayed"); got != int64(len(burst)) {
-		t.Fatalf("replayed = %d, want %d", got, len(burst))
-	}
-	// Post-dedup: re-submitting the acked burst re-acks idempotently.
-	for i, err := range h2.SubmitBatch(burst) {
-		if err != nil {
-			t.Fatalf("re-submit entry %d: %v", i, err)
-		}
-	}
-	if got := h2.Counters().Get("duplicates"); got != int64(len(burst)) {
-		t.Fatalf("duplicates = %d, want %d", got, len(burst))
-	}
-	if err := h2.Drain(); err != nil {
-		t.Fatal(err)
-	}
-	for u := 0; u < users; u++ {
-		user := fmt.Sprintf("user-%d", u)
-		got := sink2.sequence(user)
-		if len(got) != perUser {
-			t.Fatalf("%s delivered %d alerts, want exactly %d: %v", user, len(got), perUser, got)
-		}
-		for i, id := range got {
-			if want := fmt.Sprintf("a-%s-%d", user, i); id != want {
-				t.Fatalf("%s delivery %d = %s, want %s (replay order lost)", user, i, id, want)
-			}
-		}
-	}
-	l, err := plog.Open(walPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l.Close()
-	if un := l.Unprocessed(); len(un) != 0 {
-		t.Fatalf("%d unprocessed WAL records after replay + drain", len(un))
-	}
-}
-
-// TestHubCrashAsyncTicketBeforeEnqueue is the pipelined-ingest variant
-// of the crash test above: SubmitBatchAsync stages a burst, the commit
-// lands and the ticket resolves (every entry acknowledged), then the
-// hub dies before the resolver enqueues anything. The crash window
-// is identical to the synchronous path's — a resolved ticket means
-// durable, not delivered — so the next incarnation must replay and
-// deliver every acknowledged alert exactly once, in per-user order.
-func TestHubCrashAsyncTicketBeforeEnqueue(t *testing.T) {
-	const users, perUser = 8, 6
-	clk := clock.NewReal()
-	walPath := filepath.Join(t.TempDir(), "crash-async.wal")
-	crash := faults.NewFlag("crash-after-batch-fsync")
-	journal := &faults.Journal{}
-	sink1 := newOrderSink(dist.NewRNG(43), 4, 0)
-	h1, err := New(Config{
-		Clock: clk, Channels: sinkChannels(sink1.Deliver), WALPath: walPath, Shards: 4, QueueDepth: 256,
-		Fault: crashAt(FaultAfterBatchFsync, crash), Journal: journal,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	addUsers(t, h1, users)
-	if err := h1.Start(); err != nil {
-		t.Fatal(err)
-	}
-	var burst []Submission
-	for u := 0; u < users; u++ {
-		user := fmt.Sprintf("user-%d", u)
-		for i := 0; i < perUser; i++ {
-			a := portalAlert(i, clk.Now())
-			a.ID = fmt.Sprintf("a-%s-%d", user, i)
-			burst = append(burst, Submission{User: user, Alert: a})
-		}
-	}
-	crash.Set(true, clk.Now())
-	tk := h1.SubmitBatchAsync(burst, nil)
-	for i, err := range tk.Wait() {
-		if err != nil {
-			t.Fatalf("burst entry %d not acknowledged despite durable batch: %v", i, err)
-		}
-	}
-	select {
-	case <-h1.Stopped():
-	case <-time.After(15 * time.Second):
-		t.Fatal("hub did not stop after injected crash")
-	}
-	if got := journal.Count(faults.KindFaultInjected); got != 1 {
-		t.Fatalf("journaled %d injected faults, want 1", got)
-	}
-	for u := 0; u < users; u++ {
-		if got := sink1.sequence(fmt.Sprintf("user-%d", u)); len(got) != 0 {
-			t.Fatalf("incarnation 1 delivered %v inside the crash window", got)
-		}
-	}
-
-	// Incarnation 2: replay covers the resolved-but-unrouted burst.
-	crash.Set(false, clk.Now())
-	sink2 := newOrderSink(dist.NewRNG(47), 4, 0)
-	h2, err := New(Config{Clock: clk, Channels: sinkChannels(sink2.Deliver), WALPath: walPath, Shards: 4, QueueDepth: 256})
-	if err != nil {
-		t.Fatal(err)
-	}
-	addUsers(t, h2, users)
-	if err := h2.Start(); err != nil {
-		t.Fatal(err)
-	}
-	if got := h2.Counters().Get("replayed"); got != int64(len(burst)) {
-		t.Fatalf("replayed = %d, want %d", got, len(burst))
-	}
-	// Re-submitting the resolved burst async re-acks idempotently.
-	for i, err := range h2.SubmitBatchAsync(burst, nil).Wait() {
-		if err != nil {
-			t.Fatalf("re-submit entry %d: %v", i, err)
-		}
-	}
-	if got := h2.Counters().Get("duplicates"); got != int64(len(burst)) {
-		t.Fatalf("duplicates = %d, want %d", got, len(burst))
-	}
-	if err := h2.Drain(); err != nil {
-		t.Fatal(err)
-	}
-	for u := 0; u < users; u++ {
-		user := fmt.Sprintf("user-%d", u)
-		got := sink2.sequence(user)
-		if len(got) != perUser {
-			t.Fatalf("%s delivered %d alerts, want exactly %d: %v", user, len(got), perUser, got)
-		}
-		for i, id := range got {
-			if want := fmt.Sprintf("a-%s-%d", user, i); id != want {
-				t.Fatalf("%s delivery %d = %s, want %s (replay order lost)", user, i, id, want)
-			}
-		}
-	}
-	l, err := plog.Open(walPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l.Close()
-	if un := l.Unprocessed(); len(un) != 0 {
-		t.Fatalf("%d unprocessed WAL records after replay + drain", len(un))
 	}
 }
 

@@ -3,7 +3,6 @@ package hub
 import (
 	"errors"
 	"fmt"
-	"path/filepath"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -12,8 +11,6 @@ import (
 	"simba/internal/alert"
 	"simba/internal/clock"
 	"simba/internal/dist"
-	"simba/internal/faults"
-	"simba/internal/plog"
 )
 
 // orderSink sleeps a random per-delivery delay (real time, so worker
@@ -137,144 +134,6 @@ func TestHubPerUserFIFOUnderAsyncDelivery(t *testing.T) {
 	}
 	if stages.QueueWait.Count == 0 || stages.Route.Count == 0 {
 		t.Fatal("queue-wait / route stage recorders empty")
-	}
-}
-
-// TestHubAsyncDeliveryCrashRecovery is the crash property test: alerts
-// for many users flow through a randomly-delayed sink, the
-// crash-before-mark fault is armed mid-stream so the hub dies inside
-// the delivery window, and after a restart on the same WAL every
-// acknowledged alert must be delivered at least once (no silent drop),
-// at most twice (replay duplicates only), with at most one duplicate
-// per user (per-user FIFO marks each delivery before the next starts)
-// and per-user first-delivery order still matching submission order.
-func TestHubAsyncDeliveryCrashRecovery(t *testing.T) {
-	const users, perUser = 12, 6
-	walPath := filepath.Join(t.TempDir(), "hub.wal")
-	clk := clock.NewReal()
-	crash := faults.NewFlag("crash-mid-delivery")
-	sink := newOrderSink(dist.NewRNG(23), 2, 500)
-
-	cfg := Config{
-		Clock: clk, Channels: sinkChannels(sink.Deliver), WALPath: walPath,
-		Shards: 2, QueueDepth: 256, Fault: crashAt(FaultBeforeMark, crash),
-	}
-	h1, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	addUsers(t, h1, users)
-	if err := h1.Start(); err != nil {
-		t.Fatal(err)
-	}
-
-	// Submit the first half, arm the fault, keep submitting: some later
-	// delivery necessarily completes after arming and kills the hub
-	// while other deliveries are mid-flight. Track what was acked — an
-	// ErrNotAccepting just means the crash already landed.
-	acked := make(map[string][]string) // user → acked IDs in order
-	submit := func(u, i int) bool {
-		user := fmt.Sprintf("user-%d", u)
-		a := portalAlert(i, clk.Now())
-		a.ID = fmt.Sprintf("a-%s-%d", user, i)
-		for {
-			err := h1.Submit(user, a)
-			var over *OverloadError
-			switch {
-			case err == nil:
-				acked[user] = append(acked[user], a.ID)
-				return true
-			case errors.As(err, &over):
-				time.Sleep(over.RetryAfter)
-			case errors.Is(err, ErrNotAccepting):
-				return false
-			default:
-				t.Fatalf("submit: %v", err)
-			}
-		}
-	}
-	for i := 0; i < perUser/2; i++ {
-		for u := 0; u < users; u++ {
-			submit(u, i)
-		}
-	}
-	crash.Set(true, clk.Now())
-	for i := perUser / 2; i < perUser; i++ {
-		for u := 0; u < users; u++ {
-			submit(u, i)
-		}
-	}
-	select {
-	case <-h1.Stopped():
-	case <-time.After(15 * time.Second):
-		t.Fatal("hub did not die after fault armed")
-	}
-
-	// Restart on the same WAL and let the replay finish.
-	crash.Set(false, clk.Now())
-	h2, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	addUsers(t, h2, users)
-	if err := h2.Start(); err != nil {
-		t.Fatal(err)
-	}
-	if err := h2.Drain(); err != nil {
-		t.Fatal(err)
-	}
-	if got := h2.Counters().Get("replayed"); got < 1 {
-		t.Fatalf("replayed = %d, want >= 1 (the crashing delivery was never marked)", got)
-	}
-
-	// Exactly-once-plus-dedup, per user.
-	totalDup := 0
-	for user, ids := range acked {
-		got := sink.sequence(user)
-		counts := make(map[string]int)
-		var firsts []string
-		for _, id := range got {
-			if counts[id] == 0 {
-				firsts = append(firsts, id)
-			}
-			counts[id]++
-		}
-		dup := 0
-		for _, id := range ids {
-			switch counts[id] {
-			case 1:
-			case 2:
-				dup++
-			default:
-				t.Fatalf("%s alert %s delivered %d times, want 1 or 2", user, id, counts[id])
-			}
-		}
-		if len(firsts) != len(ids) {
-			t.Fatalf("%s delivered %d distinct alerts, acked %d", user, len(firsts), len(ids))
-		}
-		for i, id := range firsts {
-			if id != ids[i] {
-				t.Fatalf("%s first-delivery order %v diverges from submission order %v", user, firsts, ids)
-			}
-		}
-		// Per-user FIFO marks each delivery before the next starts, so
-		// at most one delivered-but-unmarked alert per user can replay.
-		if dup > 1 {
-			t.Fatalf("%s has %d duplicates, want <= 1", user, dup)
-		}
-		totalDup += dup
-	}
-	if totalDup > users {
-		t.Fatalf("total duplicates %d exceeds user count %d", totalDup, users)
-	}
-	// The WAL is clean: nothing left to replay.
-	l, err := plog.Open(walPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l.Close()
-	if un := l.Unprocessed(); len(un) != 0 {
-		t.Fatalf("%d unprocessed WAL entries after recovery", len(un))
 	}
 }
 

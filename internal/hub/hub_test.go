@@ -18,17 +18,11 @@ import (
 	"simba/internal/mab"
 )
 
-// addUsers registers n tenants user-0..n-1, each accepting the
-// "portal" source and mapping its own keyword to a personal category.
+// addUsers registers n tenants user-0..n-1 as hostPortal does.
 func addUsers(t testing.TB, h *Hub, n int) {
 	t.Helper()
 	for i := 0; i < n; i++ {
-		b, err := h.AddUser(fmt.Sprintf("user-%d", i))
-		if err != nil {
-			t.Fatal(err)
-		}
-		b.Pipeline().Classifier.Accept(mab.SourceRule{Source: "portal", Extract: mab.ExtractNative})
-		b.Pipeline().Aggregator.Map("stocks", "Investment")
+		hostPortal(t, h, fmt.Sprintf("user-%d", i))
 	}
 }
 

@@ -3,7 +3,6 @@ package hub
 import (
 	"errors"
 	"fmt"
-	"path/filepath"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -14,10 +13,7 @@ import (
 	"simba/internal/clock"
 	"simba/internal/core"
 	"simba/internal/dmode"
-	"simba/internal/faults"
 	"simba/internal/im"
-	"simba/internal/mab"
-	"simba/internal/plog"
 )
 
 // Scripted fault schedule: what the IM channel does for one alert.
@@ -82,7 +78,7 @@ func (l *deliveryLog) count(id string) int {
 // modeProfile builds a tenant profile with one IM and one email
 // address and an "IM with acknowledgement, fallback email" mode whose
 // first block times out after blockTimeout.
-func modeProfile(t *testing.T, user string, blockTimeout time.Duration) *core.Profile {
+func modeProfile(t testing.TB, user string, blockTimeout time.Duration) *core.Profile {
 	t.Helper()
 	p, err := core.NewProfile(user)
 	if err != nil {
@@ -262,93 +258,5 @@ func TestHubModeDeliveryMatchesBuddyExecutor(t *testing.T) {
 	}
 	if got := st.DeliveredByChannel[addr.TypeEmail]; got != int64(2*users/3) {
 		t.Errorf("delivered via email = %d, want %d", got, 2*users/3)
-	}
-}
-
-// TestHubCrashMidModeFallbackReplaysAndDeduplicates injects a crash
-// after a mode delivery completed its block fallback (IM timed out,
-// email confirmed) but before the WAL mark. The next incarnation must
-// replay the alert through the delivery mode again — the documented
-// dedup-contract duplicate — and a re-submit of the same alert must be
-// deduplicated, not delivered a third time.
-func TestHubCrashMidModeFallbackReplaysAndDeduplicates(t *testing.T) {
-	const blockTimeout = 50 * time.Millisecond
-	walPath := filepath.Join(t.TempDir(), "hub.wal")
-	clk := clock.NewReal()
-	crash := faults.NewFlag("hub-crash-before-mark")
-	emails := newDeliveryLog()
-	schedule := map[string]string{"a-0": imSilent} // IM never acks: always falls back
-
-	newHub := func() *Hub {
-		chans := scriptedChannels(schedule, 0, func(string, uint64) {}, emails)
-		h, err := New(Config{
-			Clock: clk, Channels: chans, WALPath: walPath,
-			Shards: 1, Fault: crashAt(FaultBeforeMark, crash),
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := h.AddUser("user-0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		b.Pipeline().Classifier.Accept(mab.SourceRule{Source: "portal", Extract: mab.ExtractNative})
-		b.Pipeline().Aggregator.Map("stocks", "Investment")
-		b.SetProfile(modeProfile(t, "user-0", blockTimeout))
-		if err := b.Subscribe("Investment", "IMThenEmail"); err != nil {
-			t.Fatal(err)
-		}
-		return h
-	}
-
-	h1 := newHub()
-	if err := h1.Start(); err != nil {
-		t.Fatal(err)
-	}
-	crash.Set(true, clk.Now())
-	a := portalAlert(0, clk.Now())
-	if err := h1.Submit("user-0", a); err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case <-h1.Stopped():
-	case <-time.After(10 * time.Second):
-		t.Fatal("hub did not die after fault injection")
-	}
-	if got := emails.count("a-0"); got != 1 {
-		t.Fatalf("pre-crash email deliveries = %d, want 1 (block fallback ran once)", got)
-	}
-
-	// Restart: the unmarked alert must replay through the mode executor.
-	crash.Set(false, clk.Now())
-	h2 := newHub()
-	if err := h2.Start(); err != nil {
-		t.Fatal(err)
-	}
-	if got := h2.Counters().Get("replayed"); got != 1 {
-		t.Fatalf("replayed = %d, want 1", got)
-	}
-	// A duplicate submit of the already-logged alert is re-acked
-	// idempotently, never re-routed.
-	if err := h2.Submit("user-0", a); err != nil {
-		t.Fatal(err)
-	}
-	if got := h2.Counters().Get("duplicates"); got != 1 {
-		t.Fatalf("duplicates = %d, want 1", got)
-	}
-	if err := h2.Drain(); err != nil {
-		t.Fatal(err)
-	}
-	if got := emails.count("a-0"); got != 2 {
-		t.Fatalf("total email deliveries = %d, want 2 (replay once, duplicate deduplicated)", got)
-	}
-
-	l, err := plog.Open(walPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l.Close()
-	if un := l.Unprocessed(); len(un) != 0 {
-		t.Fatalf("%d unprocessed WAL entries after recovery", len(un))
 	}
 }

@@ -29,7 +29,7 @@ import (
 func TestHubWedgedShardAutoRecovers(t *testing.T) {
 	const users = 32
 	clk := clock.NewReal()
-	sink := newCountingSink(nil)
+	sink := newRecordingSink()
 	j := &faults.Journal{}
 
 	// While armed, shard 0's next routed batch hangs until its
@@ -38,7 +38,7 @@ func TestHubWedgedShardAutoRecovers(t *testing.T) {
 
 	h := newTestHub(t, Config{
 		Clock:              clk,
-		Channels:           sinkChannels(sink.Deliver),
+		Channels:           sink.channels(),
 		Shards:             4,
 		QueueDepth:         64,
 		Journal:            j,
@@ -181,9 +181,9 @@ func TestHubWedgedShardAutoRecovers(t *testing.T) {
 // slow Send.
 func TestHubWedgedEvaluationStallsOnlyItsChain(t *testing.T) {
 	gate := newRouteGate()
-	sink := newCountingSink(nil)
+	sink := newRecordingSink()
 	h := newTestHub(t, Config{
-		Channels: sinkChannels(sink.Deliver), Shards: 1,
+		Channels: sink.channels(), Shards: 1,
 		Fault: wedgeAt(0, gate),
 	})
 	addUsers(t, h, 2)

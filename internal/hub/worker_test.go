@@ -1,7 +1,7 @@
 package hub
 
 import (
-	"errors"
+	"bytes"
 	"fmt"
 	"path/filepath"
 	"runtime"
@@ -17,19 +17,41 @@ import (
 	"simba/internal/stabilize"
 )
 
-// settleGoroutines waits for the process's goroutine count to come back
-// to base. Workers, the resolver and the journal's committer exit just after
-// the call that retires them returns, so the count is polled, not read
-// once; goroutines earlier tests left running are part of base and can
-// only lower the count by finishing.
+// goroutines counts the process's goroutines but the testing package's
+// own: a test runner goroutine of an earlier test (or -count iteration)
+// still on its way out is nobody's leak, and counting it into a base
+// would both fail an exact count and hide a leaked hub goroutine.
+func goroutines() int {
+	buf := make([]byte, 64<<10)
+	for {
+		if n := runtime.Stack(buf, true); n < len(buf) {
+			buf = buf[:n]
+			break
+		}
+		buf = make([]byte, 2*len(buf))
+	}
+	n := 0
+	for _, g := range bytes.Split(buf, []byte("\n\n")) {
+		if !bytes.Contains(g, []byte("\ncreated by testing.")) {
+			n++
+		}
+	}
+	return n
+}
+
+// settleGoroutines waits for goroutines() to come back to base. Workers,
+// the resolver and the journal's committer exit just after the call that
+// retires them returns, so the count is polled, not read once;
+// goroutines earlier tests left running are part of base and can only
+// lower the count by finishing.
 func settleGoroutines(t *testing.T, base int, after string) {
 	t.Helper()
 	deadline := time.Now().Add(10 * time.Second)
-	for runtime.NumGoroutine() > base {
+	for goroutines() > base {
 		if time.Now().After(deadline) {
 			buf := make([]byte, 1<<16)
 			t.Fatalf("%d goroutines %s, %d before the hub existed:\n%s",
-				runtime.NumGoroutine(), after, base, buf[:runtime.Stack(buf, true)])
+				goroutines(), after, base, buf[:runtime.Stack(buf, true)])
 		}
 		time.Sleep(time.Millisecond)
 	}
@@ -66,10 +88,10 @@ func TestDeliveryWorkersExitWithTheirGeneration(t *testing.T) {
 	}
 
 	t.Run("drain", func(t *testing.T) {
-		base := runtime.NumGoroutine()
-		hold := make(chan struct{})
-		sink := newCountingSink(hold)
-		h := newTestHub(t, Config{Channels: sinkChannels(sink.Deliver), Shards: 4})
+		base := goroutines()
+		sink := newRecordingSink()
+		sink.park()
+		h := newTestHub(t, Config{Channels: sink.channels(), Shards: 4})
 		addUsers(t, h, users)
 		if err := h.Start(); err != nil {
 			t.Fatal(err)
@@ -79,7 +101,7 @@ func TestDeliveryWorkersExitWithTheirGeneration(t *testing.T) {
 		if spawned := spawnedWorkers(h); spawned != users {
 			t.Fatalf("%d workers spawned for %d concurrent chains", spawned, users)
 		}
-		close(hold)
+		sink.release()
 		if err := h.Drain(); err != nil {
 			t.Fatal(err)
 		}
@@ -87,17 +109,17 @@ func TestDeliveryWorkersExitWithTheirGeneration(t *testing.T) {
 	})
 
 	t.Run("kill", func(t *testing.T) {
-		base := runtime.NumGoroutine()
-		hold := make(chan struct{})
-		sink := newCountingSink(hold)
-		h := newTestHub(t, Config{Channels: sinkChannels(sink.Deliver), Shards: 4})
+		base := goroutines()
+		sink := newRecordingSink()
+		sink.park()
+		h := newTestHub(t, Config{Channels: sink.channels(), Shards: 4})
 		addUsers(t, h, users)
 		if err := h.Start(); err != nil {
 			t.Fatal(err)
 		}
 		submitRound(t, h, 0)
 		sink.waitArrivals(t, users)
-		close(hold)
+		sink.release()
 		sink.waitTotal(t, users)
 		submitRound(t, h, 1) // the same workers, now parked or between chains, take these
 		h.Kill()
@@ -106,11 +128,11 @@ func TestDeliveryWorkersExitWithTheirGeneration(t *testing.T) {
 	})
 
 	t.Run("restart of a wedged shard", func(t *testing.T) {
-		base := runtime.NumGoroutine()
+		base := goroutines()
 		gate := newRouteGate()
-		sink := newCountingSink(nil)
+		sink := newRecordingSink()
 		h := newTestHub(t, Config{
-			Channels: sinkChannels(sink.Deliver), Shards: 4,
+			Channels: sink.channels(), Shards: 4,
 			Fault: wedgeAt(0, gate),
 		})
 		addUsers(t, h, users)
@@ -147,16 +169,16 @@ func TestDeliveryWorkersExitWithTheirGeneration(t *testing.T) {
 	})
 
 	t.Run("supervised", func(t *testing.T) {
-		base := runtime.NumGoroutine()
-		sink := newCountingSink(nil)
-		h := newTestHub(t, Config{Channels: sinkChannels(sink.Deliver), Shards: 4})
+		base := goroutines()
+		sink := newRecordingSink()
+		h := newTestHub(t, Config{Channels: sink.channels(), Shards: 4})
 		addUsers(t, h, users)
 		if err := h.Start(); err != nil {
 			t.Fatal(err)
 		}
 		submitRound(t, h, 0)
 		sink.waitTotal(t, users)
-		unsupervised := runtime.NumGoroutine()
+		unsupervised := goroutines()
 		sup, err := h.Supervise(SuperviseConfig{Period: time.Millisecond, RejuvenateEvery: 5 * time.Millisecond})
 		if err != nil {
 			t.Fatal(err)
@@ -194,7 +216,7 @@ func TestDeliveryWorkersExitWithTheirGeneration(t *testing.T) {
 	})
 
 	t.Run("rolling rejuvenation under load", func(t *testing.T) {
-		base := runtime.NumGoroutine()
+		base := goroutines()
 		var delivered atomic.Int64
 		h := newTestHub(t, Config{
 			Channels: sinkChannels(func(int, string, *alert.Alert) error { delivered.Add(1); return nil }),
@@ -255,7 +277,7 @@ func TestDeliveryWorkersExitWithTheirGeneration(t *testing.T) {
 // shard costs its one check's goroutine: at most 65 more.
 func TestHubGoroutinesDoNotScaleWithShards(t *testing.T) {
 	idle := func(shards int, supervised bool) int {
-		base := runtime.NumGoroutine()
+		base := goroutines()
 		h := newTestHub(t, Config{
 			Channels: sinkChannels(func(int, string, *alert.Alert) error { return nil }),
 			Shards:   shards,
@@ -270,7 +292,7 @@ func TestHubGoroutinesDoNotScaleWithShards(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		n := runtime.NumGoroutine() - base
+		n := goroutines() - base
 		if sup != nil {
 			sup.Stop()
 			sup.Wait()
@@ -451,9 +473,9 @@ func TestReadyChainStartsWhileWorkersParkInAckWaits(t *testing.T) {
 // parkingChannels is a registry whose IM channel never sees an
 // acknowledgement and whose email channel confirms; sink backs the flat
 // plan.
-func parkingChannels(sink func(int, string, *alert.Alert) error) *core.Channels {
+func parkingChannels(sink core.ChannelFunc) *core.Channels {
 	var seq atomic.Uint64
-	return sinkChannels(sink).
+	return core.NewChannels().Register(addr.TypeSink, sink).
 		Register(addr.TypeIM, core.ChannelFunc(func(core.Send) (core.SendResult, error) {
 			return core.SendResult{Seq: seq.Add(1)}, nil
 		})).
@@ -506,11 +528,11 @@ func submitRoundBatched(t *testing.T, h *Hub, users, round int) {
 // window.
 func TestHubGoroutinesBoundedByWindow(t *testing.T) {
 	const shards, users, flatEvery, slack = 8, 1024, 16, 16
-	hold := make(chan struct{})
-	sink := newCountingSink(hold)
-	base := runtime.NumGoroutine()
+	sink := newRecordingSink()
+	sink.park()
+	base := goroutines()
 	h := newTestHub(t, Config{
-		Channels: parkingChannels(sink.Deliver), Shards: shards, QueueDepth: users,
+		Channels: parkingChannels(sink.Send), Shards: shards, QueueDepth: users,
 		AckTimeout: 30 * time.Second,
 	})
 	hostParkingUsers(t, h, users, flatEvery)
@@ -524,7 +546,7 @@ func TestHubGoroutinesBoundedByWindow(t *testing.T) {
 	waitCond(t, "every IM delivery to park in its ack wait", func() bool {
 		return h.Executor().Acks().Pending() == users-flat
 	})
-	n := runtime.NumGoroutine() - base
+	n := goroutines() - base
 	bound := shards*h.cfg.DeliveryWindow + slack
 	t.Logf("%d goroutines for %d parked and %d held deliveries (bound %d)", n, users-flat, flat, bound)
 	if n > bound {
@@ -535,7 +557,7 @@ func TestHubGoroutinesBoundedByWindow(t *testing.T) {
 			t.Fatalf("shard %d runs %d workers, window %d", sh.id, w, h.cfg.DeliveryWindow)
 		}
 	}
-	close(hold)
+	sink.release()
 	h.Kill()
 	<-h.Stopped()
 	settleGoroutines(t, base, "after Kill")
@@ -549,10 +571,10 @@ func TestHubGoroutinesBoundedByWindow(t *testing.T) {
 func TestKillWithParkedDeliveriesLeaksNothing(t *testing.T) {
 	const users, flatEvery = 64, 4
 	wal := filepath.Join(t.TempDir(), "hub.wal")
-	base := runtime.NumGoroutine()
+	base := goroutines()
 	h := newTestHub(t, Config{
 		WALPath: wal, Shards: 2, AckTimeout: 30 * time.Second,
-		Channels:        parkingChannels(func(int, string, *alert.Alert) error { return errors.New("substrate down") }),
+		Channels:        parkingChannels(func(core.Send) (core.SendResult, error) { return core.SendResult{}, errSubstrateDown }),
 		DeliveryBackoff: time.Minute, DeliveryBackoffCap: time.Minute,
 	})
 	hostParkingUsers(t, h, users, flatEvery)
@@ -577,8 +599,8 @@ func TestKillWithParkedDeliveriesLeaksNothing(t *testing.T) {
 	}
 	settleGoroutines(t, base, "after Kill")
 
-	sink := newCountingSink(nil)
-	h2 := newTestHub(t, Config{WALPath: wal, Shards: 2, Channels: sinkChannels(sink.Deliver)})
+	sink := newRecordingSink()
+	h2 := newTestHub(t, Config{WALPath: wal, Shards: 2, Channels: sink.channels()})
 	addUsers(t, h2, users)
 	if err := h2.Start(); err != nil {
 		t.Fatal(err)
@@ -587,12 +609,11 @@ func TestKillWithParkedDeliveriesLeaksNothing(t *testing.T) {
 	if err := h2.Drain(); err != nil {
 		t.Fatal(err)
 	}
-	sink.mu.Lock()
-	defer sink.mu.Unlock()
-	if len(sink.counts) != users {
-		t.Errorf("%d distinct alerts replayed, want %d", len(sink.counts), users)
+	seen := sink.snapshot()
+	if len(seen.counts) != users {
+		t.Errorf("%d distinct alerts replayed, want %d", len(seen.counts), users)
 	}
-	for key, n := range sink.counts {
+	for key, n := range seen.counts {
 		if n != 1 {
 			t.Errorf("parked alert %s replayed %d times, want 1", key, n)
 		}
