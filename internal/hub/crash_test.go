@@ -518,13 +518,25 @@ var crashRows = []crashRow{
 		},
 	},
 	{
-		// The WAL is cut at every byte of the handoff's Replace batch —
-		// the envelope's RECV run, then the DONE retiring the alert.
+		// The WAL is cut at every byte of the handoff's batch — the
+		// envelope's RECV run, then the DONE retiring the alert.
 		name: "HandoffBatchCuts", cfg: fastRetries, host: hostGuaranteed, users: 1, alerts: 1, via: viaSubmit,
 		down: true, step: everyHandoffCut, replayed: [2]int{0, 1},
 		extra: func(t *testing.T, r *crashRun) {
 			if owners := r.h2.Counters().Get("replayed") + r.stats.Outbox.Loaded; owners != 1 {
 				t.Errorf("the alert had %d owners at recovery, want 1", owners)
+			}
+		},
+	},
+	{
+		// The handoff is staged, not durable, when the crash image is
+		// taken: the alert replays from its own RECV and is delivered,
+		// and no envelope exists.
+		name: "HandoffStagedNotDurable", cfg: fastRetries, host: hostGuaranteed, users: 1, alerts: 1, via: viaSubmit,
+		down: true, step: stagedHandoffImage, replayed: exactly(1),
+		extra: func(t *testing.T, r *crashRun) {
+			if n := r.stats.Outbox.Loaded; n != 0 {
+				t.Errorf("the crash image loaded %d envelopes, want 0", n)
 			}
 		},
 	},
@@ -558,7 +570,7 @@ var crashRows = []crashRow{
 		},
 	},
 	{
-		// Fifty failed rounds, each a Replace of two records, are
+		// Fifty failed rounds, each a ReplaceAsync of two records, are
 		// compacted by the WAL's checkpoints like everything else.
 		name: "OutboxJournalCompacts", host: hostGuaranteed, users: 1, alerts: 1, via: viaSubmit,
 		cfg: func(c *Config) {
@@ -957,17 +969,40 @@ func tearLastFrame(t *testing.T, r *crashRun) []string {
 	return []string{r.dir}
 }
 
+// stagedHandoffImage holds the WAL's files from before the handoff —
+// the committer cannot write — and copies the journal directory once the
+// handoff has returned: the image holds the alert's RECV and nothing of
+// the handoff's batch.
+func stagedHandoffImage(t *testing.T, r *crashRun) []string {
+	release := r.h1.wal.HoldFilesForTest()
+	defer release()
+	waitCond(t, "the outbox handoff", func() bool { return r.h1.Counters().Get("outbox-handoffs") == 1 })
+	img := t.TempDir()
+	if err := os.CopyFS(img, os.DirFS(r.dir)); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, ends := segmentFrames(t, filepath.Join(img, "hub.wal")); len(ends) != 1 {
+		t.Fatalf("the image holds %d frames, want the alert's RECV alone", len(ends))
+	}
+	return []string{img}
+}
+
 // everyHandoffCut kills incarnation 1 after its handoff and returns one
 // image per byte offset from the end of the alert's RECV run to the end
-// of the handoff's DONE list.
+// of the handoff's DONE list (a round staged before the kill rides in the
+// same batch, its run before the list).
 func everyHandoffCut(t *testing.T, r *crashRun) []string {
 	afterHandoff(func(_ *testing.T, h *Hub) { h.Kill(); <-h.Stopped() })(t, r)
 	seg, data, ends := segmentFrames(t, filepath.Join(r.dir, "hub.wal"))
-	if len(ends) < 3 || data[ends[0]+4] != 'R' || data[ends[1]+4] != 'D' {
+	last := 2
+	for last < len(ends) && data[ends[last-1]+4] == 'R' {
+		last++
+	}
+	if last >= len(ends) || data[ends[0]+4] != 'R' || data[ends[last-1]+4] != 'D' {
 		t.Fatalf("segment frames end at %v; want the alert's run, then the handoff's run and DONE list", ends)
 	}
 	var dirs []string
-	for cut := ends[0]; cut <= ends[2]; cut++ {
+	for cut := ends[0]; cut <= ends[last]; cut++ {
 		img := t.TempDir()
 		if err := os.WriteFile(filepath.Join(img, filepath.Base(seg)), data[:cut], 0o644); err != nil {
 			t.Fatal(err)

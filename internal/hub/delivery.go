@@ -422,7 +422,7 @@ func (d *deliveryStage) settle(q *userQueue, rep *core.Report, err error) bool {
 	case d.handoff(env, q.attempt):
 		h.ctr.outboxHandoffs.Add1()
 	default:
-		// The envelope could not be made durable in the outbox; leave
+		// The envelope could not be staged in the outbox; leave
 		// the WAL entry unprocessed so the next incarnation replays the
 		// alert instead of losing it.
 		h.deliverLat.Observe(h.cfg.Clock.Since(q.handed))
@@ -443,12 +443,12 @@ func (d *deliveryStage) settle(q *userQueue, rep *core.Report, err error) bool {
 }
 
 // handoff moves an attempt-exhausted guaranteed-tier delivery into the
-// retry outbox: one WAL Replace journals the envelope and retires the
-// alert's entry in the same batch and fsync, so every cut of the
-// journal leaves exactly one record owning the alert. false means the
-// outbox refused it (closed during shutdown, a failed commit) and the
-// entry stays unprocessed. The outbox retains the alert beyond this
-// call, so the pooled envelope's inline alert is cloned.
+// retry outbox: one WAL ReplaceAsync stages the envelope and the DONE
+// retiring the alert's entry in one batch, which no longer blocks the
+// worker on the disk: it rides ingest's next commit, and until then the
+// alert's RECV replays after a crash. false means the outbox refused it
+// (closed, a poisoned journal); the entry stays unprocessed. The outbox
+// keeps the alert, so the pooled envelope's inline alert is cloned.
 func (d *deliveryStage) handoff(env *envelope, attempts int) bool {
 	h := d.h
 	err := h.outbox.Handoff(env.key, outbox.Entry{

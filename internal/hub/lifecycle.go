@@ -123,7 +123,7 @@ func (h *Hub) replayable(rec plog.Record, only *shard, handed map[string]struct{
 	}
 	tombstone := func(format string, args ...any) {
 		h.journal(faults.KindReplay, "tombstoning "+format, args...)
-		_ = h.wal.MarkProcessed(rec.Key, h.cfg.Clock.Now())
+		_ = h.wal.MarkProcessedAsync(rec.Key, h.cfg.Clock.Now()) // a lost one is redone next Start
 		h.counters.Add1("tombstoned")
 	}
 	user, _, keyed := strings.Cut(rec.Key, keySep)

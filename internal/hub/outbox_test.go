@@ -2,6 +2,7 @@ package hub
 
 import (
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -248,5 +249,47 @@ func TestRedeliverAllocBudget(t *testing.T) {
 	round() // warm the scratch and the wire buffer
 	if n := testing.AllocsPerRun(200, round); n != 0 {
 		t.Fatalf("a redelivery round allocates %.1f times, want 0", n)
+	}
+}
+
+// TestHubHandoffFsyncsPerBurst is the handoff's fsync pin: 64
+// guaranteed-tier alerts exhaust their attempts against a down substrate
+// and are handed to the outbox while ingest is idle. The handoffs stage
+// and wait on no commit, so together they cost at most one fsync — the
+// doneHold flush of their batch — where a handoff that waits on its own
+// commit costs up to one each.
+func TestHubHandoffFsyncsPerBurst(t *testing.T) {
+	const users = 64
+	sink := newRecordingSink()
+	sink.setFailing(true)
+	cfg := Config{Channels: sink.channels(), Shards: 4}
+	fastRetries(&cfg)
+	cfg.OutboxBackoff = time.Hour // no round runs: the handoffs alone
+	h := newTestHub(t, cfg)
+	subs := make([]Submission, users)
+	for u := range subs {
+		user := fmt.Sprintf("user-%d", u)
+		hostGuaranteed(t, h, user)
+		subs[u] = Submission{User: user, Alert: portalAlert(u, time.Unix(985597200, int64(u)))}
+	}
+	if err := h.Start(); err != nil {
+		t.Fatal(err)
+	}
+	for i, err := range h.SubmitBatch(subs) {
+		if err != nil {
+			t.Fatalf("entry %d: %v", i, err)
+		}
+	}
+	before := h.Stats().WAL
+	waitCond(t, "every handoff", func() bool { return h.Counters().Get("outbox-handoffs") == users })
+	waitCond(t, "the handoffs' batch to land", func() bool { return h.Stats().WAL.UnflushedDones == 0 })
+	wal := h.Stats().WAL
+	syncs := wal.Syncs - before.Syncs
+	t.Logf("%d handoffs: %d fsyncs (%d waiter-less)", users, syncs, wal.WaiterlessSyncs-before.WaiterlessSyncs)
+	if syncs > 1 {
+		t.Fatalf("%d handoffs with ingest idle took %d journal fsyncs, want at most 1", users, syncs)
+	}
+	if got := h.Outbox().Pending(); got != users {
+		t.Fatalf("%d envelopes pending, want %d", got, users)
 	}
 }

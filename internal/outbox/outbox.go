@@ -9,14 +9,14 @@
 //   - When the in-memory budget is exhausted, the delivery envelope
 //     (alert + tenant + routing category + attempt state + next-due
 //     time) is journaled as a record of its own kind in the hub's WAL
-//     (Handoff): one plog.Log.Replace stages the envelope's RECV and the
-//     alert's DONE in one batch and one fsync, so every cut of the
-//     journal leaves exactly one record owning the alert.
+//     (Handoff): one plog.Log.ReplaceAsync stages the envelope's RECV and
+//     the alert's DONE in one batch, riding the journal's next commit, so
+//     every cut of the journal leaves a record owning the alert.
 //   - A background redelivery loop, driven by the (possibly virtual)
 //     clock, re-executes due envelopes through a caller-supplied
 //     delivery function with exponential per-round backoff. Every
 //     failed round re-persists the envelope under a round-stamped key
-//     and tombstones the previous round in the same fsync (Replace
+//     and tombstones the previous round in the same batch (ReplaceAsync
 //     again), so the round/escalation state itself survives restarts.
 //   - After EscalateEvery exhausted rounds, the envelope's block
 //     offset advances: redelivery skips the delivery mode's leading
@@ -109,7 +109,7 @@ type Stats struct {
 	// Redelivered counts redelivery rounds that landed.
 	Redelivered int64
 	// Rounds counts exhausted (failed) redelivery rounds, each once its
-	// re-persisted round is durable.
+	// re-persisted round is staged (no longer once it is durable).
 	Rounds int64
 	// Escalated counts block-offset advances (channel escalations).
 	Escalated int64
@@ -166,9 +166,6 @@ type Outbox struct {
 
 	mu      sync.Mutex
 	pending entryHeap
-	// staging holds the keys of envelopes a Handoff is making durable;
-	// they join the heap once their commit lands.
-	staging map[string]struct{}
 	// inRound is set while the loop holds a popped envelope for the
 	// round in progress: it is owed a mark (retire or reschedule) and
 	// still counts as pending.
@@ -207,7 +204,6 @@ func New(l *plog.Log, opts Options) *Outbox {
 	return &Outbox{
 		opts:            opts,
 		log:             l,
-		staging:         make(map[string]struct{}),
 		wake:            make(chan struct{}, 1),
 		stop:            make(chan struct{}),
 		done:            make(chan struct{}),
@@ -237,7 +233,7 @@ func Open(opts Options) (*Outbox, error) {
 func IsEnvelope(payload []byte) bool { return len(payload) > 0 && payload[0] == envelopeTag }
 
 // Load schedules the envelopes among recs, a journal's unprocessed
-// records in log order. A crash inside Replace can leave two rounds of
+// records in log order. A crash inside ReplaceAsync can leave two rounds of
 // the same alert unprocessed (the torn tail drops the DONE, never the
 // fresh RECV); the highest round wins and the stale ones are
 // tombstoned, as are envelopes that do not parse. Records of other
@@ -251,7 +247,7 @@ func (o *Outbox) Load(recs []plog.Record) (owned map[string]struct{}) {
 	now := o.opts.Clock.Now()
 	retire := func(key, why string) {
 		o.journal(faults.KindReplay, "outbox: tombstoning %s record %q", why, key)
-		_ = o.log.MarkProcessed(key, now)
+		_ = o.log.MarkProcessedAsync(key, now) // lost in a crash, it is redone at the next Load
 	}
 	for _, rec := range recs {
 		if !IsEnvelope(rec.Payload) {
@@ -319,21 +315,24 @@ func (o *Outbox) Start(deliver DeliverFunc) error {
 	return nil
 }
 
-// Put durably hands one envelope to the outbox: Handoff with no record
-// to retire.
-func (o *Outbox) Put(e Entry) error { return o.Handoff("", e) }
+// Put durably hands one envelope to the outbox: no older record owns the
+// alert, so Handoff with no record to retire is followed by a Flush.
+func (o *Outbox) Put(e Entry) error {
+	if err := o.Handoff("", e); err != nil {
+		return err
+	}
+	return o.log.Flush()
+}
 
-// Handoff durably hands one envelope to the outbox and retires the
-// journal record fromKey (the alert's own, user␟dedupKey, which the
-// envelope's key extends; "" for none) in the same batch — one
-// Replace, one fsync — so ownership of the alert passes
-// with no instant at which neither record, or both, own it. When it
-// returns nil the envelope is durable. A zero Due schedules the first
-// round one backoff from now. Re-handing an alert that is already
-// pending at the same round is idempotent: the scheduled copy owns it.
-// The outbox lock is not held across the fsync — concurrent handoffs
-// share fsyncs, and no reader of the heap queues behind the disk — and
-// the envelope joins the heap only once durable.
+// Handoff hands one envelope to the outbox and retires the journal
+// record fromKey (the alert's own, user␟dedupKey, which the envelope's
+// key extends; "" for none) in the same batch — one ReplaceAsync. A nil
+// return no longer means the envelope is durable: it is staged and on
+// the heap, and until the batch rides the journal's next commit, a crash
+// replays fromKey instead. A zero Due schedules the first round one
+// backoff from now. Re-handing an alert already pending at the same
+// round is idempotent: the scheduled copy owns it. Staging never waits
+// on the disk, so the outbox lock is never held across an fsync.
 func (o *Outbox) Handoff(fromKey string, e Entry) error {
 	if err := e.validate(); err != nil {
 		return err
@@ -351,26 +350,13 @@ func (o *Outbox) Handoff(fromKey string, e Entry) error {
 	}
 	key := roundKey(dedup, e.Round)
 	o.mu.Lock()
+	defer o.mu.Unlock()
 	if o.closed {
-		o.mu.Unlock()
 		return plog.ErrClosed
 	}
-	_, dup := o.staging[key]
-	dup = dup || o.log.Has(key) && !o.log.IsProcessed(key)
-	if !dup {
-		o.staging[key] = struct{}{}
-	}
-	o.mu.Unlock()
-	// A duplicate's RECV stages as a no-op whose commit still covers the
-	// original's durability.
-	err = o.log.Replace(fromKey, key, payload, o.opts.Clock.Now())
-	if dup {
-		return err
-	}
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	delete(o.staging, key)
-	if err != nil {
+	dup := o.log.Has(key) && !o.log.IsProcessed(key)
+	// A duplicate's RECV stages as a no-op; fromKey is retired all the same.
+	if err := o.log.ReplaceAsync(fromKey, key, payload, o.opts.Clock.Now()); err != nil || dup {
 		return err
 	}
 	heap.Push(&o.pending, &item{e: &e, dedup: dedup, key: key, maxOffset: -1})
@@ -501,20 +487,22 @@ func (o *Outbox) backoffFor(round int) time.Duration {
 }
 
 // loop is the redelivery scheduler: sleep until the earliest due
-// envelope (or a wake from a handoff), then run every due round.
+// envelope (or a wake from a handoff) on its one timer, then run every
+// due round.
 func (o *Outbox) loop() {
 	defer close(o.done)
+	var timer clock.Timer
 	for {
 		o.runDue()
 		o.mu.Lock()
-		var timer clock.Timer
 		var timerC <-chan time.Time
 		if len(o.pending) > 0 {
-			d := o.pending[0].e.Due.Sub(o.opts.Clock.Now())
-			if d < 0 {
-				d = 0
+			d := max(o.pending[0].e.Due.Sub(o.opts.Clock.Now()), 0)
+			if timer == nil {
+				timer = o.opts.Clock.NewTimer(d)
+			} else {
+				timer.Reset(d)
 			}
-			timer = o.opts.Clock.NewTimer(d)
 			timerC = timer.C()
 		}
 		o.mu.Unlock()
@@ -525,8 +513,12 @@ func (o *Outbox) loop() {
 			}
 			return
 		case <-o.wake:
-			if timer != nil {
-				timer.Stop()
+			// Stop and drain, so the next Reset starts from a quiet channel.
+			if timerC != nil && !timer.Stop() {
+				select {
+				case <-timerC:
+				default:
+				}
 			}
 		case <-timerC:
 		}
@@ -588,11 +580,11 @@ func (o *Outbox) retire(it *item) {
 }
 
 // reschedule advances a failed envelope's round (escalating the block
-// offset every EscalateEvery rounds while backup blocks remain),
-// re-persists it under the round-stamped key with the previous round
-// tombstoned in the same fsync, counts the round once that is durable,
-// and pushes it back on the heap. The outbox lock is not held across
-// that fsync: inRound keeps the envelope counted as pending meanwhile.
+// offset every EscalateEvery rounds while backup blocks remain), stages
+// it under the round-stamped key with the previous round tombstoned in
+// the same batch, counts the round and pushes it back on the heap. The
+// round rides the journal's next commit: a crash before then redelivers
+// from the previous round.
 func (o *Outbox) reschedule(it *item) {
 	e := it.e
 	e.Round++
@@ -605,8 +597,11 @@ func (o *Outbox) reschedule(it *item) {
 	e.Due = o.opts.Clock.Now().Add(o.backoffFor(e.Round))
 	newKey := roundKey(it.dedup, e.Round)
 	payload, err := e.encode()
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	o.inRound = false
 	if err == nil {
-		err = o.log.Replace(it.key, newKey, payload, o.opts.Clock.Now())
+		err = o.log.ReplaceAsync(it.key, newKey, payload, o.opts.Clock.Now())
 	}
 	switch {
 	case err == nil:
@@ -617,9 +612,6 @@ func (o *Outbox) reschedule(it *item) {
 		// previous round, so nothing is lost across a restart.
 		o.journal(faults.KindOutbox, "outbox: persisting %s round %d: %v", it.dedup, e.Round, err)
 	}
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	o.inRound = false
 	// Pushed back even when closed: it stays pending, and the journaled
 	// round replays next incarnation.
 	heap.Push(&o.pending, it)

@@ -241,20 +241,24 @@ func checkLedger(t *testing.T, st Stats) {
 	}
 }
 
-// TestOutboxCountsRoundOnceDurable: a failed round counts once its
-// re-persisted round is on disk, not before. With the journal's disk
-// held, the round's Replace is staged and cannot land, and Rounds must
-// not move until the disk is released — a Kill meanwhile recovers the
-// previous round, which is what Rounds still says.
-func TestOutboxCountsRoundOnceDurable(t *testing.T) {
+// TestOutboxRoundDoesNotWaitOnDisk: a failed round is staged, not waited
+// on. With the journal's disk held from inside the first round, that
+// round's re-persisted envelope is staged, counted and pushed back, and
+// the next due envelope's round still runs; once the disk is released
+// both are delivered.
+func TestOutboxRoundDoesNotWaitOnDisk(t *testing.T) {
 	o := openTestOutbox(t, t.TempDir(), Options{Backoff: time.Millisecond, BackoffCap: time.Millisecond})
 	defer o.Kill()
 	held := make(chan func(), 1)
 	var calls atomic.Int64
+	var other atomic.Bool
 	if err := o.Start(func(_ string, e *Entry) (int, error) {
 		if calls.Add(1) == 1 {
 			held <- o.log.HoldFilesForTest()
 			return 1, errors.New("down")
+		}
+		if e.User == "user-1" {
+			other.Store(true)
 		}
 		return 1, nil
 	}); err != nil {
@@ -263,23 +267,29 @@ func TestOutboxCountsRoundOnceDurable(t *testing.T) {
 	if err := o.Put(testEntry(0)); err != nil {
 		t.Fatal(err)
 	}
-	release := <-held
+	release := sync.OnceFunc(<-held)
+	defer release() // before Kill, which flushes the journal
+	e1 := testEntry(1)
+	e1.Due = time.Now() // due at once, behind the held round
+	returnsWithin(t, 5*time.Second, "a Handoff over a stalled disk", func() {
+		if err := o.Handoff("", e1); err != nil {
+			t.Error(err)
+		}
+	})
 	round1 := testEntry(0)
 	round1.Round = 1
-	waitFor(t, "the failed round to stage its Replace", func() bool { return o.log.Has(round1.key()) })
-	if got := o.rounds.Load(); got != 0 { // not Stats: the journal's half waits on the held disk
-		release()
-		t.Fatalf("Rounds = %d while the round's Replace waits on the disk, want 0", got)
-	}
+	waitFor(t, "the failed round to be staged and counted", func() bool {
+		return o.log.Has(round1.key()) && o.rounds.Load() == 1 // not Stats: the journal's half waits on the held disk
+	})
+	waitFor(t, "the next due envelope's round", other.Load)
 	release()
-	waitFor(t, "the durable round to count", func() bool { return o.Stats().Rounds == 1 })
-	waitFor(t, "redelivery", func() bool { return o.Redelivered() == 1 })
+	waitFor(t, "both redeliveries", func() bool { return o.Redelivered() == 2 })
 	checkLedger(t, o.Stats())
 }
 
 // TestOutboxOverSharedJournal: an outbox built with New over a journal
 // it does not own hands off by retiring the owner's record in the same
-// Replace, reports no journal stats of its own, and leaves the journal
+// ReplaceAsync, reports no journal stats of its own, and leaves the journal
 // open at Close. Load on the reopened journal schedules the envelope,
 // names the alert it supersedes, and leaves the owner's other records
 // alone.
@@ -533,40 +543,23 @@ func returnsWithin(t *testing.T, d time.Duration, what string, f func()) {
 	}
 }
 
-// TestOutboxPollDoesNotWaitOnDisk: with the journal's file lock held — a
-// round's Replace and a Put both stuck in their fsync — the reads the
-// supervisor polls and another Put's staging all complete; only
-// durability waits.
+// TestOutboxPollDoesNotWaitOnDisk: with the journal's file lock held, a
+// Put stages and schedules its envelope at once, and the reads the
+// supervisor polls complete; only Put's return waits for the fsync.
 func TestOutboxPollDoesNotWaitOnDisk(t *testing.T) {
-	o := openTestOutbox(t, t.TempDir(), Options{Backoff: time.Millisecond})
+	o := openTestOutbox(t, t.TempDir(), Options{Backoff: time.Hour})
 	defer o.Kill()
-	held := make(chan func(), 1)
-	var calls atomic.Int64
-	if err := o.Start(func(_ string, e *Entry) (int, error) {
-		if calls.Add(1) == 1 {
-			held <- o.log.HoldFilesForTest() // the disk stalls under this round's Replace
-			return 1, errors.New("down")
-		}
-		return 1, nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if err := o.Put(testEntry(0)); err != nil {
-		t.Fatal(err)
-	}
-	release := <-held
-	round1 := testEntry(0)
-	round1.Round = 1
-	waitFor(t, "the failed round to stage its Replace", func() bool { return o.log.Has(round1.key()) })
+	release := sync.OnceFunc(o.log.HoldFilesForTest())
+	defer release() // before Kill, which flushes the journal
 	put := make(chan error, 1)
-	go func() { put <- o.Put(testEntry(1)) }()
-	waitFor(t, "a Put to stage behind the stalled round", func() bool { return o.log.Has(entryKey(1)) })
+	go func() { put <- o.Put(testEntry(0)) }()
+	waitFor(t, "the Put to stage", func() bool { return o.log.Has(entryKey(0)) })
 	returnsWithin(t, 5*time.Second, "polling the outbox over a stalled disk", func() {
 		if got := o.Pending(); got != 1 {
-			t.Errorf("Pending() = %d, want 1: the round in progress, and not yet the undurable Put", got)
+			t.Errorf("Pending() = %d, want 1: the staged envelope is scheduled", got)
 		}
-		if due, ok := o.OldestDue(); ok {
-			t.Errorf("OldestDue() = %v, want none: nothing is on the heap", due)
+		if _, ok := o.OldestDue(); !ok {
+			t.Error("OldestDue() reports nothing, want the staged envelope's due time")
 		}
 	})
 	select {
@@ -578,7 +571,6 @@ func TestOutboxPollDoesNotWaitOnDisk(t *testing.T) {
 	if err := <-put; err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, "both envelopes to be redelivered", func() bool { return o.Redelivered() == 2 })
 }
 
 // TestOutboxConcurrentPutsShareFsyncs: Puts stage one after another but

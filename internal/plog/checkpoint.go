@@ -82,7 +82,7 @@ func (l *Log) Checkpoint() error {
 	// Flush what is staged first, so lazily paced DONEs land in the
 	// segments about to be compacted away rather than trailing into the
 	// next one.
-	if err := l.flush(); err != nil {
+	if err := l.Flush(); err != nil {
 		return err
 	}
 

@@ -255,10 +255,10 @@ func (m replayModel) has(key string) bool {
 
 // damageJournal builds, through the public API, one segment holding
 // what the format has: runs of 1, 8 and 64 entries, a burst split into two runs by a change of timestamp, duplicate keys
-// inside a burst, Replace pairs (RECV run then DONE list in one commit),
-// and DONE lists of one and of many seqs. The bytes are the same every
-// time: on a window-0 log every synchronous call is a commit of its own,
-// and the async DONEs are flushed before the next one.
+// inside a burst, ReplaceAsync pairs (RECV run then DONE list in one
+// commit), and DONE lists of one and of many seqs. The bytes are the same
+// every time: on a window-0 log every synchronous call is a commit of its
+// own, and the async records are flushed before the next one.
 func damageJournal(t testing.TB) []byte {
 	t.Helper()
 	base := filepath.Join(t.TempDir(), "j.plog")
@@ -285,17 +285,19 @@ func damageJournal(t testing.TB) []byte {
 	b8, k8 := burst("b8", 8, same)
 	must(l.LogReceivedBatch(b8))
 	must(l.MarkProcessed(k8[3], t0))
-	must(l.Replace("one", "one.r2", []byte("round two"), t0.Add(time.Second)))
+	must(l.ReplaceAsync("one", "one.r2", []byte("round two"), t0.Add(time.Second)))
+	must(l.Flush())
 	b64, k64 := burst("b64", 64, same)
 	b64[9].Key, b64[9].Payload = b64[8].Key, nil // a duplicate inside the burst: first wins, no seq spent
 	must(l.LogReceivedBatch(b64))
 	if errs := l.MarkProcessedBatchAsync(append(k64[20:50:50], k8[0], k8[7]), t0); errs != nil {
 		t.Fatal(errs)
 	}
-	must(l.flush())
+	must(l.Flush())
 	split, _ := burst("split", 6, func(i int) time.Time { return t0.Add(time.Duration(i/3) * time.Minute) })
 	must(l.LogReceivedBatch(split))
-	must(l.Replace("one.r2", "one.r3", nil, t0.Add(2*time.Second)))
+	must(l.ReplaceAsync("one.r2", "one.r3", nil, t0.Add(2*time.Second)))
+	must(l.Flush())
 	must(l.MarkProcessed(k64[0], t0))
 	must(l.Close())
 	data, err := os.ReadFile(activeSegmentPath(t, base))

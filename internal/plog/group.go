@@ -21,18 +21,18 @@ type groupBatch struct {
 	batchBufs
 	lines int64 // records: RECV entries plus DONEs
 	// waited counts the records someone will Wait on (RECV, synchronous
-	// DONE, Replace), plus one for a duplicate append parked on a batch
-	// that had none. Zero means async DONEs only: nobody's latency.
+	// DONE), plus one for a duplicate append parked on a batch that had
+	// none. Zero means async records only: nobody's latency.
 	waited int64
 	// openedAt is when the batch was opened: doneHold counts from it for
 	// a batch nobody waits on, and so does the commit-wait clock — which
-	// restarts when a batch of async DONEs gains its first waiter.
+	// restarts when a batch of async records gains its first waiter.
 	openedAt time.Time
 	err      error
 	done     chan struct{}
 }
 
-// doneHold is how long a backlog nobody waits on (async DONEs only) may
+// doneHold is how long a backlog nobody waits on (async records only) may
 // sit staged before the committer spends an fsync on it alone, counted
 // from when its batch opened. It is deliberately not GroupOptions.Window:
 // Window prices the latency of records somebody waits for, doneHold the
@@ -80,7 +80,7 @@ func (l *Log) unusableLocked() error {
 // (recvs RECV entries' runs, encoded through l.scratch) and whatever
 // stageDone left in doneSeqs join the open batch as a unit and the
 // committer is woken. wait says the caller will Wait on the returned
-// batch; the first waiter to join a backlog of async DONEs cuts its lazy
+// batch; the first waiter to join a backlog of async records cuts its lazy
 // pace short (see committer). A no-op append (nothing staged: duplicate
 // RECV or repeated DONE) joins nothing and gets the youngest pending
 // batch instead — the original record is either already durable or in
@@ -102,7 +102,7 @@ func (l *Log) joinLocked(buf []byte, recvs int64, wait bool) *groupBatch {
 	first := wait && l.waitedLocked() == 0
 	if wait {
 		if b.waited == 0 && b.lines > 0 {
-			// Async DONEs opened this batch; the commit-wait clock starts
+			// Async records opened this batch; the commit-wait clock starts
 			// with the first waiter.
 			b.openedAt = time.Now()
 		}
@@ -125,9 +125,9 @@ func (l *Log) joinLocked(buf []byte, recvs int64, wait bool) *groupBatch {
 	return b
 }
 
-// flush returns once everything staged so far is durable: a no-op
+// Flush returns once everything staged so far is durable: a no-op
 // waiter on the youngest pending batch.
-func (l *Log) flush() error {
+func (l *Log) Flush() error {
 	l.qmu.Lock()
 	if err := l.unusableLocked(); err != nil {
 		l.qmu.Unlock()
@@ -206,17 +206,18 @@ func (l *Log) openBatchLocked() *groupBatch {
 // shape follows commit_delay/commit_siblings in Postgres: never delay a
 // lone committer, only one with company.
 //
-// Only a waiter schedules an fsync. A backlog of async DONEs alone has
-// none: spending an fsync on it buys nobody anything and makes the next
-// burst's RECVs queue behind it, and losing it only replays alerts the
-// receiver already dedups. The committer holds it, with no fsync in
-// flight, until the first of: a waiter joins (it is treated as having
-// found the committer idle, and the DONEs ride its fsync), the backlog
-// crosses a force-flush threshold (MaxBatch/CommitMaxBytes), Checkpoint
-// or Close, or doneHold since the batch opened. The hold does not depend
-// on Window; the waiters' pace does, and is cut short by the same
-// thresholds and by Close. With Window 0 no waiter is ever paced, which
-// is fsync-per-append for a lone appender.
+// Only a waiter schedules an fsync. A backlog of async records alone
+// (DONEs, ReplaceAsync units) has none: spending an fsync on it buys
+// nobody anything and makes the next burst's RECVs queue behind it, and
+// losing it only replays alerts the receiver already dedups. The
+// committer holds it, with no fsync in flight, until the first of: a
+// waiter joins (it is treated as having found the committer idle, and
+// the backlog rides its fsync), the backlog crosses a force-flush
+// threshold (MaxBatch/CommitMaxBytes), Checkpoint or Close, or doneHold
+// since the batch opened. The hold does not depend on Window; the
+// waiters' pace does, and is cut short by the same thresholds and by
+// Close. With Window 0 no waiter is ever paced, which is
+// fsync-per-append for a lone appender.
 //
 // A log with a commit window is a shared log — many stagers, this one
 // writer — and its committer owns an OS thread. The goroutine spends its

@@ -13,8 +13,8 @@
 // run of keys and payloads, a DONE is its record's ordinal), joins the
 // open commit batch, and a single committer goroutine writes each batch
 // with one write and one fsync. A
-// synchronous append (LogReceived, MarkProcessed, Replace) returns only
-// once its batch is on disk — that is what makes the logging
+// synchronous append (LogReceived, MarkProcessed) returns only once its
+// batch is on disk — that is what makes the logging
 // pessimistic. How many appends share an fsync is a matter of load and
 // GroupOptions, not of type: Open gives a zero commit window, where an
 // append that finds the log idle commits at once (one fsync per append,
@@ -122,7 +122,7 @@ type GroupOptions struct {
 	// Window is the committer's adaptive upper bound on batching delay,
 	// not a fixed tax. Who it delays depends on whether anyone is waiting.
 	//
-	// Waited-for records (RECV, synchronous MarkProcessed, Replace): an
+	// Waited-for records (RECV, synchronous MarkProcessed): an
 	// append that wakes an idle committer (no fsync in flight) commits
 	// immediately, as does a lone record that staged while the previous
 	// fsync ran. Only a backlog of two or more waited-for records found
@@ -130,8 +130,8 @@ type GroupOptions struct {
 	// the committer holds it until a window has passed since that fsync,
 	// so a steady stream syncs at most once per window.
 	//
-	// Async DONEs (MarkProcessedAsync, MarkProcessedBatchAsync) have no
-	// waiter, and Window does not govern them: see doneHold in group.go.
+	// Async records (MarkProcessed*Async, ReplaceAsync) have no waiter,
+	// and Window does not govern them: see doneHold in group.go.
 	//
 	// Zero never paces a waiter: its batch commits as soon as the
 	// previous fsync completes (fsync per append for a lone appender).
@@ -211,8 +211,8 @@ type Stats struct {
 	Syncs        int64
 	FsyncLatency metrics.HistogramSnapshot
 	// WaiterlessSyncs counts the fsyncs among Syncs that committed no
-	// waited-for record — async DONEs that met no arrival within doneHold
-	// (or were flushed by Close) and so bought an fsync of their own.
+	// waited-for record — async records that met no arrival within
+	// doneHold (or were flushed by Close) and so bought an fsync alone.
 	// UnflushedDones is the DONEs staged but not yet durable: the alerts
 	// a crash right now would replay although they were delivered.
 	WaiterlessSyncs int64
@@ -586,7 +586,7 @@ func (l *Log) MarkProcessed(key string, _ time.Time) error {
 // MarkProcessedAsync stages the DONE record and returns without waiting
 // for an fsync (staging errors, e.g. ErrUnknownKey, are still reported);
 // nor does it schedule one. The DONE rides the next commit somebody waits
-// on — the next arrival's RECV, a synchronous mark, a Replace — or
+// on — the next arrival's RECV, a synchronous mark, a Flush — or
 // Checkpoint or Close, and failing all of those is flushed doneHold
 // after it was staged, whatever GroupOptions.Window is. Unlike a RECV,
 // which must be durable before the ack, a DONE is safe to lose: a crash
@@ -614,35 +614,35 @@ func (l *Log) MarkProcessedBatchAsync(keys []string, _ time.Time) []error {
 	return errs
 }
 
-// Replace atomically supersedes oldKey with a fresh record under
+// ReplaceAsync atomically supersedes oldKey with a fresh record under
 // newKey: RECV(newKey) then DONE(oldKey) staged together and joined to
-// one batch as a unit — one write, one fsync, never split by a
-// rotation — so a crash can never lose both generations: a torn tail
-// drops at most the DONE, leaving old and new records visible for the
-// caller's replay collapse to reconcile (a batch's DONE list is written
-// after its RECV runs for exactly that reason). A missing or already-processed oldKey is
-// tolerated (the supersede is then a plain LogReceived); a newKey that
-// already exists is idempotent, and oldKey is still retired. This is
-// the retry outbox's one write: a handoff journals the envelope and
-// retires the hub's record of the alert, and each redelivery round
-// re-persists the envelope under a round-stamped key and tombstones
-// the previous round, each in one fsync.
-func (l *Log) Replace(oldKey, newKey string, payload []byte, at time.Time) error {
+// one batch as a unit — one write, never split by a rotation — so a
+// crash can never lose both generations: a torn tail drops at most the
+// DONE, leaving both records for the caller's replay collapse (a batch's
+// DONE list follows its RECV runs for exactly that reason). Like
+// MarkProcessedAsync it schedules no fsync and reports staging errors
+// only; until the unit lands a crash replays oldKey. A missing or
+// already-processed oldKey is tolerated (the supersede is then a plain
+// RECV); a newKey that already exists is idempotent, and oldKey is still
+// retired. This is the retry outbox's one write: a handoff journals the
+// envelope and retires the hub's record of the alert, and each
+// redelivery round re-persists the envelope under a round-stamped key
+// and tombstones the previous round.
+func (l *Log) ReplaceAsync(oldKey, newKey string, payload []byte, at time.Time) error {
 	if newKey == "" {
 		return errEmptyKey
 	}
 	l.qmu.Lock()
+	defer l.qmu.Unlock()
 	if err := l.unusableLocked(); err != nil {
-		l.qmu.Unlock()
 		return err
 	}
 	buf, staged := l.stageRecv(l.scratch[:0], []BatchEntry{{Key: newKey, Payload: payload, At: at}})
 	if oldKey != newKey {
 		_ = l.stageDone([]string{oldKey}) // an unknown oldKey is tolerated
 	}
-	c := Commit{l.joinLocked(buf, staged, true)}
-	l.qmu.Unlock()
-	return c.Wait()
+	l.joinLocked(buf, staged, false)
+	return nil
 }
 
 // appendBatch writes buf (whole frames, records records in all) to the

@@ -339,10 +339,10 @@ func TestWindowZeroFsyncPerAppend(t *testing.T) {
 	}
 }
 
-// TestReplaceAtomicInOneBatch tears the journal at every byte offset of
-// the write that carried a Replace: whatever survives, reopening finds
-// the old generation, the new one, or both still unprocessed — never
-// neither.
+// TestReplaceAtomicInOneBatch: ReplaceAsync stages its two records and
+// buys no fsync; a Flush then commits them in one. Tearing the journal at
+// every byte offset of that write, reopening finds the old generation,
+// the new one, or both still unprocessed — never neither.
 func TestReplaceAtomicInOneBatch(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "alerts.plog")
 	l, err := Open(path)
@@ -353,12 +353,21 @@ func TestReplaceAtomicInOneBatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	before := l.Stats()
-	if err := l.Replace("gen1", "gen2", []byte("envelope round 2"), t0); err != nil {
+	start := time.Now()
+	if err := l.ReplaceAsync("gen1", "gen2", []byte("envelope round 2"), t0); err != nil {
+		t.Fatal(err)
+	}
+	// Only doneHold may commit a unit nobody waits on; judged only while
+	// it cannot have run out.
+	if staged := l.Stats(); staged.Syncs != before.Syncs && time.Since(start) < doneHold {
+		t.Fatalf("ReplaceAsync bought %d fsyncs, want 0", staged.Syncs-before.Syncs)
+	}
+	if err := l.Flush(); err != nil {
 		t.Fatal(err)
 	}
 	after := l.Stats()
 	if after.Appended != before.Appended+2 || after.Syncs != before.Syncs+1 {
-		t.Fatalf("Replace staged %d records in %d fsyncs, want 2 in 1",
+		t.Fatalf("ReplaceAsync and Flush staged %d records in %d fsyncs, want 2 in 1",
 			after.Appended-before.Appended, after.Syncs-before.Syncs)
 	}
 	if err := l.Close(); err != nil {
