@@ -190,6 +190,7 @@ func TestIMManagerSendAndFetch(t *testing.T) {
 		t.Fatalf("Send = %d, %v", seq, err)
 	}
 	f.sim.Advance(time.Second)
+	awaitIM(t, buddy)
 	msgs, err := buddy.FetchNew()
 	if err != nil || len(msgs) != 1 || msgs[0].Text != "hello" {
 		t.Fatalf("FetchNew = %+v, %v", msgs, err)
@@ -250,7 +251,10 @@ func TestIMManagerEnsureHealthyRestartsHungClient(t *testing.T) {
 	errCh := make(chan error, 1)
 	go func() { errCh <- m.EnsureHealthy() }()
 	f.sim.BlockUntil(w + 1)
-	f.sim.Advance(30 * time.Second)
+	// Just past the hung call's 10 s timeout, and no further: the restart
+	// needs no virtual time, and a longer step could fire its login's own
+	// timeout before the login's goroutine has run.
+	f.sim.Advance(11 * time.Second)
 	select {
 	case err := <-errCh:
 		if err != nil {
@@ -411,6 +415,19 @@ func TestOnLaunchHookRuns(t *testing.T) {
 	}
 }
 
+// awaitIM waits, in bounded real time, for m's client to raise its new-IM
+// event. The sim clock runs the IM hop's AfterFunc on a goroutine of its
+// own, and the client's pump moves the message into its window on
+// another: the yields after Advance do not guarantee either has run.
+func awaitIM(t *testing.T, m *IMManager) {
+	t.Helper()
+	select {
+	case <-m.Events():
+	case <-time.After(5 * time.Second):
+		t.Fatal("no new-IM event in time")
+	}
+}
+
 func waitFor(t *testing.T, cond func() bool) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
@@ -458,7 +475,10 @@ func TestEmailManagerEnsureHealthyTransient(t *testing.T) {
 	errCh := make(chan error, 1)
 	go func() { errCh <- m.EnsureHealthy() }()
 	f.sim.BlockUntil(w + 1)
-	f.sim.Advance(30 * time.Second)
+	// Just past the hung call's 10 s timeout, and no further: the restart
+	// needs no virtual time, and a longer step could fire its login's own
+	// timeout before the login's goroutine has run.
+	f.sim.Advance(11 * time.Second)
 	select {
 	case err := <-errCh:
 		if err != nil {

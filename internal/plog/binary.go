@@ -6,7 +6,6 @@ import (
 	"hash/crc32"
 	"io"
 	"slices"
-	"sort"
 	"strings"
 	"time"
 )
@@ -162,41 +161,28 @@ func (c *cursor) field() []byte {
 	return f
 }
 
-// decodeRun appends the entries of one CRC-validated RECV run body to
-// recs. Their payloads alias body; their keys are substrings of one
-// string holding the run's keys and nothing else — a live burst's
-// key-slab rule, so a survivor pins its run's keys, never the frame
-// buffer, until the sweep retires the last of them. ok is false, and
-// nothing is appended, when the body is not exactly one well-formed run
-// of at least one entry.
-func decodeRun(body []byte, recs []Record) (out []Record, ok bool) {
+// checkRun validates one CRC-validated RECV run body — ok is false unless
+// it is exactly one well-formed run of at least one entry — and returns
+// its timestamp, first seq, entry count and a cursor over its entries.
+func checkRun(body []byte) (at time.Time, first int64, n int, entries cursor, ok bool) {
 	if len(body) < 9 {
-		return recs, false
+		return at, 0, 0, entries, false
 	}
-	at := time.Unix(0, int64(binary.LittleEndian.Uint64(body[1:9]))).UTC()
 	c := cursor{p: body[9:]}
-	first, count := c.uvarint(), c.uvarint()
-	entries, keyBytes := c, 0
+	f, count := c.uvarint(), c.uvarint()
+	entries = c
 	for i := uint64(0); i < count && !c.bad; i++ {
-		keyBytes += len(c.field())
+		c.field()
 		c.field()
 	}
-	if c.bad || len(c.p) != 0 || count == 0 || first == 0 || first > 1<<62 {
-		return recs, false
+	if c.bad || len(c.p) != 0 || count == 0 || f == 0 || f > 1<<62 {
+		return at, 0, 0, entries, false
 	}
-	var keys strings.Builder
-	keys.Grow(keyBytes)
-	out = recs
-	for seq := int64(first); len(entries.p) > 0; seq++ {
-		lo := keys.Len()
-		keys.Write(entries.field())
-		out = append(out, Record{Key: keys.String()[lo:], Payload: entries.field(), ReceivedAt: at, seq: seq})
-	}
-	return out, true
+	return time.Unix(0, int64(binary.LittleEndian.Uint64(body[1:9]))).UTC(), int64(f), int(count), entries, true
 }
 
 // decodeDoneList appends the seqs of one CRC-validated DONE list body to
-// seqs, ascending; ok is as in decodeRun.
+// seqs, ascending; ok is false when the body does not parse.
 func decodeDoneList(body []byte, seqs []int64) (out []int64, ok bool) {
 	c := cursor{p: body[1:]}
 	out = seqs
@@ -254,76 +240,118 @@ func (fr *frameReader) next() (body []byte, corrupt bool) {
 	return buf[:n-4], false
 }
 
-// replayFrames scans one segment of size bytes whose reader is
-// positioned just past the magic header, applying every valid frame and
-// returning the byte length of the intact frame sequence (excluding the
-// header). Replayed records count toward the compaction trigger, so
-// reopening with a long post-checkpoint tail schedules a fresh
-// checkpoint promptly.
-func (l *Log) replayFrames(r *bufio.Reader, size int64) (goodBytes int64) {
+// scanFrames hands every valid frame of one segment of size bytes, whose
+// reader is just past the magic header, to apply, and returns the length
+// of the intact frame sequence (excluding the header). It counts in
+// *corrupt the frame reading stopped at, if any, and each apply rejects.
+func scanFrames(r *bufio.Reader, size int64, apply func(body []byte) (ok bool), corrupt *int64) (goodBytes int64) {
 	fr := frameReader{r: r, left: size - segHeaderSize}
-	var recs []Record
-	var seqs []int64
 	for {
-		body, corrupt := fr.next()
+		body, bad := fr.next()
 		if body == nil {
-			if corrupt {
-				l.corrupt++
+			if bad {
+				*corrupt++
 			}
 			return goodBytes
 		}
 		goodBytes += 4 + int64(len(body)) + 4
-		ok := true
-		switch body[0] {
-		case frameRecv:
-			if recs, ok = decodeRun(body, recs[:0]); ok {
-				l.applyRun(recs)
+		if !apply(body) {
+			*corrupt++ // the frame boundary itself is intact: keep scanning
+		}
+	}
+}
+
+// analyze is recovery's analysis pass over one tail frame (after ARIES,
+// Mohan et al., TODS 1992: learn what is finished before redoing
+// anything). It collects the seqs DONE lists name in replayDone, except
+// those above the newest RECV seq seen so far (replayTotal), and counts
+// every record toward the compaction trigger.
+func (l *Log) analyze(body []byte) (ok bool) {
+	switch body[0] {
+	case frameRecv:
+		_, first, n, _, ok := checkRun(body)
+		if ok {
+			l.replayTotal = max(l.replayTotal, first+int64(n)-1)
+			l.sinceCkpt += int64(n)
+		}
+		return ok
+	case frameDone:
+		from := len(l.replayDone)
+		if l.replayDone, ok = decodeDoneList(body, l.replayDone); ok {
+			l.sinceCkpt += int64(len(l.replayDone) - from)
+			for len(l.replayDone) > from && l.replayDone[len(l.replayDone)-1] > l.replayTotal {
+				l.replayDone = l.replayDone[:len(l.replayDone)-1]
 			}
-		case frameDone:
-			if seqs, ok = decodeDoneList(body, seqs[:0]); ok {
-				l.applyDoneList(seqs)
+		}
+		return ok
+	}
+	return true
+}
+
+// redo is recovery's redo pass over one RECV run, a tail segment's or a
+// checkpoint's. It indexes what keeps admits, copying unprocessed
+// payloads out of the frame buffer, and counts a DONE record it skips in
+// retired without keying, copying or mapping it. The kept keys share one
+// string, a live burst's key-slab rule. A key resident as a tombstone is
+// superseded: a live log re-logs a key only once the sweep retired it.
+func (l *Log) redo(body []byte) bool {
+	if body[0] != frameRecv {
+		return true
+	}
+	at, first, n, entries, ok := checkRun(body)
+	if !ok {
+		return true // analyze counted it
+	}
+	size := 0
+	for c, seq := entries, first; len(c.p) > 0; seq++ {
+		k, _ := c.field(), c.field()
+		if keep, _ := l.keeps(seq); keep {
+			size += len(k)
+		}
+	}
+	var keys strings.Builder
+	keys.Grow(size)
+	for c, seq := entries, first; len(c.p) > 0; seq++ {
+		k, p := c.field(), c.field()
+		keep, done := l.keeps(seq)
+		if !keep {
+			if done {
+				l.retired++
 			}
+			continue
 		}
-		if !ok {
-			l.corrupt++ // the frame boundary itself is intact: keep scanning
+		if j, ok := l.index[string(k)]; ok {
+			if !l.order[j].Processed {
+				continue // first wins
+			}
+			delete(l.index, l.order[j].Key) // the tombstone stays in order, unindexed, until the next sweep
 		}
-	}
-}
-
-// applyRun indexes one replayed RECV run, copying the payloads out of
-// the frame buffer. A seq at or below total is one the checkpoint
-// already accounts for: the record was staged before the snapshot but
-// written after the rotation, so it is in the checkpoint if it was still
-// unprocessed then and needs nothing if it was not.
-func (l *Log) applyRun(recs []Record) {
-	for _, r := range recs {
-		if r.seq > l.total {
-			l.addReceivedLocked(r.Key, l.replayCopy(r.Payload), r.ReceivedAt, r.seq)
+		if done {
+			p = nil
 		}
-	}
-	l.total = max(l.total, recs[len(recs)-1].seq) // a key already resident took no seq above
-	l.sinceCkpt += int64(len(recs))
-}
-
-// applyDoneList tombstones the records one replayed DONE list names.
-// order is in seq order (records are appended as seqs are assigned and
-// the sweep keeps relative order) and so is the list, so each search
-// starts where the last one ended. A seq not resident is a record the
-// checkpoint had already dropped.
-func (l *Log) applyDoneList(seqs []int64) {
-	from := 0
-	for _, s := range seqs {
-		from += sort.Search(len(l.order)-from, func(k int) bool { return l.order[from+k].seq >= s })
-		if from < len(l.order) && l.order[from].seq == s && !l.order[from].Processed {
-			l.markProcessedLocked(from)
+		lo := keys.Len()
+		keys.Write(k)
+		l.addReceivedLocked(keys.String()[lo:], l.replayCopy(p), at, seq)
+		if done {
+			l.markProcessedLocked(len(l.order) - 1)
 		}
 	}
-	l.sinceCkpt += int64(len(seqs))
+	l.total = max(l.total, first+int64(n)-1) // a key already resident took no seq above
+	return true
 }
 
-// replayChunk is the size of the slabs replayed RECV payloads are copied
-// into: most of them meet their DONE later in the same replay, so they
-// are packed into shared chunks rather than given an allocation each.
+// keeps reports whether replay indexes record seq, and whether it is DONE:
+// none at or below total (the checkpoint accounts for those), and a DONE
+// one only if replayKept names it — a tombstone a live log still holds.
+func (l *Log) keeps(seq int64) (keep, done bool) {
+	_, kept := slices.BinarySearch(l.replayKept, seq)
+	_, done = slices.BinarySearch(l.replayDone, seq)
+	return seq > l.total && (kept || !done), seq > l.total && (kept || done)
+}
+
+// replayChunk is the size of the slabs replayed payloads are copied into:
+// only unprocessed records reach them, packed into shared chunks rather
+// than given an allocation each.
 const replayChunk = 64 << 10
 
 // replayCopy returns a private copy of p (the frame buffer is reused)

@@ -193,13 +193,13 @@ func (l *Log) writeCheckpoint(hdr ckptHeader, recs []Record) error {
 	return l.syncDir()
 }
 
-// loadCheckpoint reads and fully validates one checkpoint file. Any
-// deviation — bad header, short record list, malformed or out-of-order
-// record, missing or mismatched END trailer, trailing garbage — rejects
-// the file so recovery falls back to the previous generation. Unlike
-// journal replay, which tolerates a torn tail, nothing short of the
-// whole file will do, because checkpoints are written atomically.
-func (l *Log) loadCheckpoint(path string) (ckptHeader, []Record, error) {
+// loadCheckpoint reads and fully validates one checkpoint file, returning
+// its RECV runs. Any deviation — bad header, short record list, malformed
+// or out-of-order record, missing or mismatched END trailer, trailing
+// garbage — rejects the file so recovery falls back to the previous
+// generation. Unlike journal replay, which tolerates a torn tail, nothing
+// short of the whole file will do, because checkpoints are written atomically.
+func (l *Log) loadCheckpoint(path string) (ckptHeader, [][]byte, error) {
 	var hdr ckptHeader
 	f, err := os.Open(path)
 	if err != nil {
@@ -224,24 +224,22 @@ func (l *Log) loadCheckpoint(path string) (ckptHeader, []Record, error) {
 		return hdr, nil, fmt.Errorf("plog: checkpoint %s: inconsistent counts", path)
 	}
 	fr := frameReader{r: r, left: fi.Size() - int64(len(line))}
-	recs := make([]Record, 0, hdr.count)
-	for ok := true; int64(len(recs)) < hdr.count; {
+	var runs [][]byte
+	for recs, last := int64(0), int64(0); recs < hdr.count; {
 		body, _ := fr.next()
 		if body == nil || body[0] != frameRecv {
-			return hdr, nil, fmt.Errorf("plog: checkpoint %s: bad frame after record %d", path, len(recs))
+			return hdr, nil, fmt.Errorf("plog: checkpoint %s: bad frame after record %d", path, recs)
 		}
-		if recs, ok = decodeRun(body, recs); !ok {
-			return hdr, nil, fmt.Errorf("plog: checkpoint %s: malformed run after record %d", path, len(recs))
+		_, first, n, _, ok := checkRun(body)
+		if !ok {
+			return hdr, nil, fmt.Errorf("plog: checkpoint %s: malformed run after record %d", path, recs)
 		}
-		// No copy: the payloads keep the frame's buffer, and recovery
-		// re-homes every surviving payload when it finishes (see recover),
-		// which frees it.
-		fr.buf = nil
-	}
-	for i, rec := range recs {
-		if rec.seq > hdr.total || i > 0 && rec.seq <= recs[i-1].seq || int64(i) >= hdr.count {
-			return hdr, nil, fmt.Errorf("plog: checkpoint %s: record %d out of seq order or beyond the header's count", path, i)
+		if first <= last || first+int64(n)-1 > hdr.total || recs+int64(n) > hdr.count {
+			return hdr, nil, fmt.Errorf("plog: checkpoint %s: record %d out of seq order or beyond the header's count", path, recs)
 		}
+		runs = append(runs, body)
+		fr.buf = nil // the body is the run's: the redo pass copies what it keeps
+		recs, last = recs+int64(n), first+int64(n)-1
 	}
 	line, err = r.ReadString('\n')
 	if err != nil {
@@ -254,5 +252,5 @@ func (l *Log) loadCheckpoint(path string) (ckptHeader, []Record, error) {
 	if _, err := r.ReadByte(); err != io.EOF {
 		return hdr, nil, fmt.Errorf("plog: checkpoint %s: trailing garbage", path)
 	}
-	return hdr, recs, nil
+	return hdr, runs, nil
 }

@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -101,11 +102,20 @@ func (c *modelCursor) bytes() []byte {
 	return b
 }
 
+// modelOf replays seg by the rules, in two passes as recovery does: the
+// first learns which seqs are DONE (a DONE counts only once its RECV has
+// been seen), the second indexes the runs. A RECV whose key is resident
+// and unprocessed is a duplicate (first wins); one whose key is resident
+// only as a DONE record supersedes it — the live log re-logs a key only
+// once its sweep retired the first record. Which DONE records replay keeps
+// as tombstones changes nothing the model is compared on.
 func modelOf(seg []byte) (m replayModel) {
 	frames, corrupt := walkFrames(seg)
 	if corrupt {
 		m.corrupt++
 	}
+	var runs [][]Record
+	done := map[int64]bool{}
 	for _, f := range frames {
 		switch f.body[0] {
 		case frameRecv:
@@ -128,16 +138,8 @@ func modelOf(seg []byte) (m replayModel) {
 				m.corrupt++
 				continue
 			}
-			for _, r := range run {
-				resident := false
-				for _, o := range m.order {
-					resident = resident || o.Key == r.Key
-				}
-				if r.seq > m.total && !resident {
-					m.order = append(m.order, r)
-				}
-				m.total = max(m.total, r.seq)
-			}
+			runs = append(runs, run)
+			m.total = max(m.total, run[len(run)-1].seq)
 		case frameDone:
 			c := modelCursor{p: f.body[1:]}
 			count := c.uvarint()
@@ -155,12 +157,26 @@ func modelOf(seg []byte) (m replayModel) {
 				continue
 			}
 			for _, s := range seqs {
-				for i := range m.order {
-					if m.order[i].seq == s {
-						m.order[i].Processed = true
-					}
-				}
+				done[s] = done[s] || s <= m.total
 			}
+		}
+	}
+	m.total = 0
+	for _, run := range runs {
+		for _, r := range run {
+			if r.seq <= m.total {
+				continue
+			}
+			m.total = r.seq
+			i := slices.IndexFunc(m.order, func(o Record) bool { return o.Key == r.Key })
+			if i >= 0 && !m.order[i].Processed {
+				continue
+			}
+			if i >= 0 {
+				m.order = slices.Delete(m.order, i, i+1)
+			}
+			r.Processed = done[r.seq]
+			m.order = append(m.order, r)
 		}
 	}
 	return m

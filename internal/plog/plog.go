@@ -40,9 +40,10 @@
 // (<base>.ckpt.NNNNNNNN) holding only the unprocessed records plus an
 // all-time total, then deletes every segment the checkpoint covers;
 // processed records are retired from memory by a periodic sweep.
-// Recovery loads the newest valid checkpoint and replays only the
-// segments after its watermark, preserving the per-segment
-// prefix-durability and torn-tail truncation guarantees. See
+// Recovery loads the newest valid checkpoint and replays the segments
+// after its watermark in two passes — their DONEs, then only what a live
+// log would still hold, no longer every tail record — keeping the
+// per-segment prefix-durability and torn-tail truncation guarantees. See
 // segment.go for the segment lifecycle, checkpoint.go for the
 // checkpoint format and compactor, and group.go for the commit
 // schedule.
@@ -102,8 +103,9 @@ type Options struct {
 	// this many tombstones accumulate, a sweep drops them from the
 	// in-memory index (Has/IsProcessed then report false for them —
 	// safe, because a re-received retired alert merely replays into
-	// the downstream timestamp dedup). Zero means DefaultSweepEvery;
-	// negative disables sweeping (the pre-segmentation behavior).
+	// the downstream timestamp dedup). It now binds replay too, which
+	// keeps only the tail's last D mod SweepEvery DONEs' tombstones.
+	// Zero means DefaultSweepEvery; negative disables sweeping.
 	SweepEvery int
 }
 
@@ -178,7 +180,8 @@ type Stats struct {
 	// Unprocessed of those are awaiting replay/processing.
 	Live        int
 	Unprocessed int
-	// Retired counts processed records the sweep dropped from memory.
+	// Retired counts processed records the sweep dropped from memory
+	// and, a new meaning, those replay skipped instead of indexing.
 	Retired int64
 	// CorruptRecords counts journal frames and checkpoint files that
 	// failed validation during recovery — bad lengths, CRC32C
@@ -286,7 +289,10 @@ type Log struct {
 	// Set by recovery, before the log is shared; read-only afterwards.
 	corrupt      int64
 	replayedSegs int
-	replaySlab   []byte // the chunk replayCopy is filling; dropped when recovery ends
+	// Recovery's alone, dropped when it ends (see replay).
+	replaySlab             []byte
+	replayTotal            int64
+	replayDone, replayKept []int64
 
 	segsCreated    atomic.Int64
 	ckptsWritten   atomic.Int64
@@ -363,7 +369,7 @@ func OpenGroup(path string, opts GroupOptions) (*Log, error) {
 		return nil, fmt.Errorf("plog: opening directory of %s: %w", path, err)
 	}
 	l.dirf = dirf
-	if err := l.recover(); err != nil {
+	if err := l.replay(); err != nil {
 		if l.f != nil {
 			l.f.Close()
 		}

@@ -6,6 +6,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -62,26 +63,14 @@ func (l *Log) scanFiles() (segs, ckpts []uint64, err error) {
 	return segs, ckpts, nil
 }
 
-// recover rebuilds the in-memory state from the files (replay) and then
-// re-homes the payloads. Replay leaves them in checkpoint frame buffers
-// and replay chunks, the survivors' beside those of records long since
-// DONE; moving the survivors into one slab of exactly their size means a
-// lone survivor cannot pin a chunk (processed records have no payload).
-func (l *Log) recover() error {
-	if err := l.replay(); err != nil {
-		return err
-	}
-	rehome(l.order)
-	l.replaySlab = nil
-	return nil
-}
-
-// replay is recover's reading half: load the newest valid checkpoint,
-// delete segments the checkpoint covers (a crash may have interrupted
-// the compactor's deletions), and replay only the segments past the
-// watermark — the bounded-recovery path. The final segment's torn tail,
-// if any, is truncated and the segment becomes the active one.
+// replay rebuilds the in-memory state from the files: load the newest
+// valid checkpoint, delete segments the checkpoint covers (a crash may
+// have interrupted the compactor's deletions), and replay only the
+// segments past the watermark — the bounded-recovery path — in two passes
+// (analyze, then redo). The final segment's torn tail, if any, is
+// truncated and the segment becomes the active one.
 func (l *Log) replay() error {
+	defer func() { l.replaySlab, l.replayDone, l.replayKept = nil, nil, nil }()
 	segs, ckpts, err := l.scanFiles()
 	if err != nil {
 		return err
@@ -95,8 +84,10 @@ func (l *Log) replay() error {
 	// previous one on corruption (the compactor retains it, and only
 	// deletes segments once the *newer* checkpoint is durable, so the
 	// fallback still has every segment it needs).
+	var ckptRuns [][]byte
+	var ckptTotal int64
 	for i := len(ckpts) - 1; i >= 0; i-- {
-		hdr, recs, err := l.loadCheckpoint(l.ckptPath(ckpts[i]))
+		hdr, runs, err := l.loadCheckpoint(l.ckptPath(ckpts[i]))
 		if err != nil {
 			// A torn or corrupt checkpoint is useless; drop it and fall
 			// back to the previous generation (its segments still exist
@@ -106,10 +97,7 @@ func (l *Log) replay() error {
 			os.Remove(l.ckptPath(ckpts[i]))
 			continue
 		}
-		for _, r := range recs {
-			l.addReceivedLocked(r.Key, r.Payload, r.ReceivedAt, r.seq)
-		}
-		l.total = hdr.total
+		ckptRuns, ckptTotal = runs, hdr.total
 		l.ckptSeq = hdr.watermark
 		l.ckptGen = ckpts[i]
 		break
@@ -129,13 +117,30 @@ func (l *Log) replay() error {
 		remaining = append(remaining, seq)
 	}
 
-	// Replay the tail segments in order. Only the last one can have a
-	// torn tail (earlier segments were retired by a rotation, which
-	// happens only between fsynced appends) — but every segment is
-	// replayed with the same tolerant frame scanner.
+	// Replay the tail segments in order, twice. Only the last one can
+	// have a torn tail (earlier segments were retired by a rotation, which
+	// happens only between fsynced appends) — but every segment is read
+	// with the same tolerant frame scanner, in both passes.
+	l.replayTotal = ckptTotal
+	for _, seq := range remaining {
+		if err := l.replaySegment(seq, false, l.analyze, &l.corrupt); err != nil {
+			return err
+		}
+	}
+	// A live log would still hold the tail's last D mod SweepEvery DONEs.
+	dones, keep := l.replayDone, len(l.replayDone)
+	if l.opts.Log.SweepEvery > 0 {
+		keep %= l.opts.Log.SweepEvery
+	}
+	l.replayDone, l.replayKept = dones[:len(dones)-keep], dones[len(dones)-keep:]
+	slices.Sort(l.replayDone)
+	slices.Sort(l.replayKept)
+	for _, body := range ckptRuns {
+		l.redo(body)
+	}
+	l.total = ckptTotal
 	for i, seq := range remaining {
-		last := i == len(remaining)-1
-		if err := l.replaySegment(seq, last); err != nil {
+		if err := l.replaySegment(seq, i == len(remaining)-1, l.redo, new(int64)); err != nil { // analyze counted the corrupt frames
 			return err
 		}
 		l.replayedSegs++
@@ -205,12 +210,13 @@ func readHead(path string) ([]byte, error) {
 	return head[:n], err
 }
 
-// replaySegment replays one segment, which checkFormats has passed: it
-// opens with segMagic or, its header torn by a crash, is empty. The last
-// (active) segment keeps its handle for appends, with the torn tail
-// truncated away so subsequent appends start on a clean frame boundary,
-// and is re-initialized in place if it was empty.
-func (l *Log) replaySegment(seq uint64, active bool) error {
+// replaySegment runs one recovery pass, apply, over one segment and
+// counts its corrupt frames in *corrupt. checkFormats has passed the
+// segment: it opens with segMagic or, its header torn by a crash, is
+// empty. The last (active) segment keeps its handle for appends, with
+// the torn tail truncated away so subsequent appends start on a clean
+// frame boundary, and is re-initialized in place if it was empty.
+func (l *Log) replaySegment(seq uint64, active bool, apply func(body []byte) bool, corrupt *int64) error {
 	path := l.segPath(seq)
 	flags := os.O_RDONLY
 	if active {
@@ -229,7 +235,7 @@ func (l *Log) replaySegment(seq uint64, active bool) error {
 	var goodBytes int64
 	if peek, _ := r.Peek(len(segMagic)); string(peek) == segMagic {
 		r.Discard(len(segMagic))
-		goodBytes = segHeaderSize + l.replayFrames(r, fi.Size())
+		goodBytes = segHeaderSize + scanFrames(r, fi.Size(), apply, corrupt)
 	}
 	if !active {
 		return f.Close()

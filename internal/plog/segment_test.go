@@ -166,6 +166,9 @@ func TestBoundedRecovery(t *testing.T) {
 	if len(un) != 3 || un[0].Key != fmt.Sprintf("k%04d", n-3) {
 		t.Fatalf("Unprocessed after bounded recovery = %+v", un)
 	}
+	if rst.Live != 3 {
+		t.Fatalf("resident records after bounded recovery = %d, want the 3 unprocessed", rst.Live)
+	}
 	// The log keeps working after a checkpointed reopen.
 	if err := re.LogReceived("post", []byte("p"), t0); err != nil {
 		t.Fatal(err)
@@ -364,5 +367,142 @@ func TestSweepRetiresProcessed(t *testing.T) {
 	un := l.Unprocessed()
 	if len(un) != 4 || un[0].Key != "k0016" || un[3].Key != "k0019" {
 		t.Fatalf("Unprocessed after sweep = %+v", un)
+	}
+}
+
+// TestReplayKeepsResubmissionAfterSweep: once the sweep has retired a
+// key, a resubmission of it is a fresh record, logged and acked, and
+// replay must keep it — whether the first record's DONE is one replay
+// drops or one it keeps as a tombstone — and the resubmission must still
+// take its DONE afterwards.
+func TestReplayKeepsResubmissionAfterSweep(t *testing.T) {
+	const sweep = 4
+	logAndMark := func(t *testing.T, l *Log, keys ...string) {
+		t.Helper()
+		for _, key := range keys {
+			if err := l.LogReceived(key, []byte("p"), t0); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if errs := l.MarkProcessedBatchAsync(keys, t0); errs != nil {
+			t.Fatal(errs)
+		}
+	}
+	for _, tc := range []struct {
+		name string
+		// before logs and marks the five first records, k among them.
+		before func(t *testing.T, l *Log)
+	}{
+		// k's DONE comes first of five: replay keeps only the last DONE's
+		// record as a tombstone, and drops k.
+		{"Dropped", func(t *testing.T, l *Log) {
+			for _, key := range []string{"k", "a", "b", "c", "d"} {
+				logAndMark(t, l, key)
+			}
+		}},
+		// k's DONE is the last of five, in a list whose two DONEs pushed
+		// the live log past SweepEvery: replay keeps k as a tombstone, and
+		// the resubmission may commit ahead of that DONE list.
+		{"Tombstone", func(t *testing.T, l *Log) {
+			for _, key := range []string{"a", "b", "c"} {
+				logAndMark(t, l, key)
+			}
+			logAndMark(t, l, "d", "k")
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			opts := GroupOptions{Log: Options{SweepEvery: sweep}}
+			path := filepath.Join(t.TempDir(), "resubmit.plog")
+			l, err := OpenGroup(path, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tc.before(t, l)
+			if l.Has("k") {
+				t.Fatal("the sweep did not retire k")
+			}
+			if err := l.LogReceived("k", []byte("resubmitted"), t0.Add(time.Hour)); err != nil {
+				t.Fatal(err)
+			}
+			if err := l.Close(); err != nil {
+				t.Fatal(err)
+			}
+			re, err := OpenGroup(path, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			un := re.Unprocessed()
+			if len(un) != 1 || un[0].Key != "k" || string(un[0].Payload) != "resubmitted" || un[0].seq != 6 || re.Len() != 6 {
+				re.Close()
+				t.Fatalf("after a reopen: unprocessed %+v, Len %d; want the resubmitted k as seq 6 of 6", un, re.Len())
+			}
+			if err := re.MarkProcessed("k", t0); err != nil {
+				t.Fatal(err)
+			}
+			if err := re.Close(); err != nil {
+				t.Fatal(err)
+			}
+			again, err := OpenGroup(path, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer again.Close()
+			if p := again.Pending(); p != 0 {
+				t.Fatalf("after the resubmission's DONE and a reopen, %d records pending", p)
+			}
+		})
+	}
+}
+
+// TestReopenResidency pins what replay keeps resident, with no
+// checkpoint: the unprocessed records, and as tombstones only those the
+// tail's last D mod SweepEvery DONEs name — what a live log marking one
+// record at a time holds, so a tail of fewer than SweepEvery DONEs, or a
+// log that never sweeps, keeps every tombstone.
+func TestReopenResidency(t *testing.T) {
+	const sweep, unprocessed = 8, 3
+	for _, tc := range []struct {
+		name         string
+		sweepEvery   int
+		dones, tombs int
+	}{
+		{"PastSweeps", sweep, 3*sweep + 5, 5},
+		{"UnderOneSweep", sweep, sweep - 1, sweep - 1},
+		{"SweepOff", -1, 3*sweep + 5, 3*sweep + 5},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			opts := GroupOptions{Log: Options{SweepEvery: tc.sweepEvery}}
+			path := filepath.Join(t.TempDir(), "residency.plog")
+			l, err := OpenGroup(path, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			n := tc.dones + unprocessed
+			fill(t, l, n, func(i int) bool { return i >= tc.dones })
+			live := l.Stats().Live
+			if err := l.Close(); err != nil {
+				t.Fatal(err)
+			}
+			re, err := OpenGroup(path, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer re.Close()
+			st := re.Stats()
+			if st.Live != unprocessed+tc.tombs || st.Unprocessed != unprocessed || st.Total != int64(n) || st.Live != live {
+				t.Fatalf("reopened live %d, unprocessed %d, total %d; want %d, %d, %d (the live log held %d)",
+					st.Live, st.Unprocessed, st.Total, unprocessed+tc.tombs, unprocessed, n, live)
+			}
+			if st.Retired != int64(tc.dones-tc.tombs) {
+				t.Fatalf("reopened with %d retired, want the %d DONE records replay skipped", st.Retired, tc.dones-tc.tombs)
+			}
+			for i := 0; i < n; i++ {
+				key := fmt.Sprintf("k%04d", i)
+				tomb := i < tc.dones && i >= tc.dones-tc.tombs
+				if re.IsProcessed(key) != tomb || re.Has(key) != (tomb || i >= tc.dones) {
+					t.Fatalf("%s: IsProcessed %v, Has %v; want %v, %v", key, re.IsProcessed(key), re.Has(key), tomb, tomb || i >= tc.dones)
+				}
+			}
+		})
 	}
 }

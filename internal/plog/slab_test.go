@@ -159,9 +159,9 @@ func TestPayloadSlabOwnership(t *testing.T) {
 	runtime.GC() // the swept records and the caller's scribbled buffers are garbage now
 	check(l.Unprocessed(), n-1)
 
-	// The same after a reopen, where the survivor's payload was re-homed
-	// out of the replay chunk it was read into, and its key is a
-	// substring of the one string its replayed run's keys share.
+	// The same after a reopen, where the survivor's payload was copied
+	// out of the frame buffer into a replay chunk, and its key is a
+	// substring of the one string its replayed run's kept keys share.
 	path := l.Path()
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
@@ -178,30 +178,26 @@ func TestPayloadSlabOwnership(t *testing.T) {
 	}
 	l2.mu.Unlock()
 
-	// Replay does not sweep: one more DONE retires the run-mates' replayed
-	// tombstones, and with them every other holder of the run's keys.
-	if err := l2.LogReceived("sweep-trigger", []byte("x"), t0); err != nil {
-		t.Fatal(err)
+	// Replay holds what the live log held: its n-1 DONEs are a multiple
+	// of SweepEvery, so no tombstone — the run-mates are counted retired,
+	// never indexed.
+	if st := l2.Stats(); st.Live != 1 || st.Retired != n-1 {
+		t.Fatalf("after the reopen: live %d, retired %d; want 1, %d", st.Live, st.Retired, n-1)
 	}
-	if err := l2.MarkProcessedAsync("sweep-trigger", t0); err != nil {
-		t.Fatal(err)
-	}
-	if st := l2.Stats(); st.Live != 1 || st.Retired != n {
-		t.Fatalf("after the sweep: live %d, retired %d; want 1, %d", st.Live, st.Retired, n)
+	if l2.Has(keys[0]) || !l2.Has(keys[n-1]) {
+		t.Fatalf("Has(%q) = %v, Has(%q) = %v; want false, true", keys[0], l2.Has(keys[0]), keys[n-1], l2.Has(keys[n-1]))
 	}
 	runtime.GC()
 	check(l2.Unprocessed(), n-1)
-	if !l2.Has(keys[n-1]) {
-		t.Fatalf("Has(%q) is false for the replayed survivor", keys[n-1])
-	}
 }
 
 // TestReopenAllocBudget pins recovery at a per-run, not per-record,
 // allocation cost: reopening 8,192 records written in bursts of 64, one
-// burst in eight left unprocessed, costs the index, the replay chunks,
-// one key string per RECV run and the survivors' payload slab. Measured
-// 0.035 allocations per record; 1.02 when every replayed key was a
-// string of its own.
+// burst in eight left unprocessed, costs the DONE seqs, the index, the
+// replay chunks and one key string per RECV run with a record replay
+// keeps. Measured 0.024 allocations per record; 0.035 when replay
+// indexed every record, 1.02 when every replayed key was a string of its
+// own.
 func TestReopenAllocBudget(t *testing.T) {
 	if race.Enabled {
 		t.Skip("alloc accounting is not meaningful under the race detector")
