@@ -3,7 +3,6 @@ package plog
 import (
 	"fmt"
 	"runtime"
-	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -52,60 +51,114 @@ func TestAdaptiveIdleGapCountsAsWindow(t *testing.T) {
 	}
 }
 
-// TestAdaptiveForceFlushRecords: a backlog at or over MaxBatch
-// must commit without waiting out the window. With the threshold at 1
-// record, every backlog qualifies, so no interleaving of the
-// concurrent appends below can leave a sub-threshold straggler parked
-// for the 30s window — any wait at all fails the elapsed bound.
-func TestAdaptiveForceFlushRecords(t *testing.T) {
-	g := openGroupTemp(t, GroupOptions{Window: 30 * time.Second, MaxBatch: 1})
+// expectForceFlush starts n concurrent appenders, each staging entries
+// in one LogReceivedBatch, on a log with a 30 s window and a fresh fsync
+// behind it, and fails if they do not all return well inside the window.
+// Every appender stages at least one force-flush threshold's worth, so
+// every batch any interleaving forms is over the threshold and none may
+// park for the window.
+func expectForceFlush(t *testing.T, n int, entries func(i int) []BatchEntry) {
+	t.Helper()
+	g := openGroupTemp(t, GroupOptions{Window: 30 * time.Second})
 	// Warm-up commit so lastSync is recent and a paced committer would,
 	// absent the threshold, hold any backlog for the window remainder.
 	if err := g.LogReceived("warm", []byte("p"), t0); err != nil {
 		t.Fatal(err)
 	}
 	start := time.Now()
-	const n = 8
 	var wg sync.WaitGroup
 	for i := 0; i < n; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			if err := g.LogReceived(fmt.Sprintf("k%d", i), []byte("p"), t0); err != nil {
+			if err := g.LogReceivedBatch(entries(i)); err != nil {
 				t.Error(err)
 			}
 		}(i)
 	}
 	wg.Wait()
 	if el := time.Since(start); el > 10*time.Second {
-		t.Fatalf("%d appends with MaxBatch=1 took %v, want force-flush (window 30s)", n, el)
+		t.Fatalf("%d over-threshold appends took %v, want force-flush (window 30s)", n, el)
 	}
 }
 
+// burst returns n entries keyed prefix0 … prefix(n-1), each carrying
+// payload.
+func burst(prefix string, n int, payload []byte) []BatchEntry {
+	entries := make([]BatchEntry, n)
+	for i := range entries {
+		entries[i] = BatchEntry{Key: fmt.Sprintf("%s%d", prefix, i), Payload: payload, At: t0}
+	}
+	return entries
+}
+
+// TestAdaptiveForceFlushRecords: a batch of forceFlushRecords records
+// commits without waiting out the window.
+func TestAdaptiveForceFlushRecords(t *testing.T) {
+	expectForceFlush(t, 8, func(i int) []BatchEntry {
+		return burst(fmt.Sprintf("k%d-", i), forceFlushRecords, []byte("p"))
+	})
+}
+
 // TestAdaptiveForceFlushBytes: byte-volume threshold, same contract —
-// each 128-byte payload alone exceeds CommitMaxBytes, so any backlog
-// the concurrent appends form is over threshold and must not park.
+// sixteen 64 KiB payloads encode past forceFlushBytes in far fewer than
+// forceFlushRecords records.
 func TestAdaptiveForceFlushBytes(t *testing.T) {
-	g := openGroupTemp(t, GroupOptions{Window: 30 * time.Second, CommitMaxBytes: 64})
-	if err := g.LogReceived("warm", []byte("p"), t0); err != nil {
+	const perAppend = 16
+	payload := make([]byte, forceFlushBytes/perAppend)
+	expectForceFlush(t, 4, func(i int) []BatchEntry {
+		return burst(fmt.Sprintf("big%d-", i), perAppend, payload)
+	})
+}
+
+// waitInFlight blocks until the committer has taken c's batch and is
+// writing it.
+func waitInFlight(t *testing.T, g *Log, c Commit) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		g.qmu.Lock()
+		taken := g.flushing == c.b
+		g.qmu.Unlock()
+		if taken {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("the committer never took the batch")
+		}
+		time.Sleep(100 * time.Microsecond)
+	}
+}
+
+// TestBacklogCommitsInOneFsync: whatever stages while an fsync is in
+// flight joins one open batch, and the committer writes it whole — three
+// bursts of forceFlushRecords entries staged behind a held write cost
+// one fsync, not one each.
+func TestBacklogCommitsInOneFsync(t *testing.T) {
+	g := openGroupTemp(t, GroupOptions{Window: 30 * time.Second})
+	before := g.Stats().Syncs
+	g.fmu.Lock()
+	first, err := g.LogReceivedBatchStart(burst("first", 1, []byte("p")))
+	if err != nil {
 		t.Fatal(err)
 	}
-	start := time.Now()
-	const n = 8
-	payload := []byte(strings.Repeat("x", 128))
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			if err := g.LogReceived(fmt.Sprintf("big%d", i), payload, t0); err != nil {
-				t.Error(err)
-			}
-		}(i)
+	waitInFlight(t, g, first)
+	commits := []Commit{first}
+	for i := 0; i < 3; i++ {
+		c, err := g.LogReceivedBatchStart(burst(fmt.Sprintf("k%d-", i), forceFlushRecords, []byte("p")))
+		if err != nil {
+			t.Fatal(err)
+		}
+		commits = append(commits, c)
 	}
-	wg.Wait()
-	if el := time.Since(start); el > 10*time.Second {
-		t.Fatalf("%d over-bytes appends took %v, want force-flush (window 30s)", n, el)
+	g.fmu.Unlock()
+	for _, c := range commits {
+		if err := c.Wait(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := g.Stats().Syncs - before; got != 2 {
+		t.Fatalf("the held write and the backlog behind it took %d fsyncs, want 2", got)
 	}
 }
 

@@ -14,9 +14,9 @@ type batchBufs struct {
 	dones []int64
 }
 
-// groupBatch is one unit of the commit queue: records staged by one or
-// more appends, written whole (never split across writes) and made
-// durable by one fsync.
+// groupBatch is one commit: the records staged by one or more appends
+// since the committer last took the open batch, written whole (never
+// split across writes) and made durable by one fsync.
 type groupBatch struct {
 	batchBufs
 	lines int64 // records: RECV entries plus DONEs
@@ -42,6 +42,15 @@ type groupBatch struct {
 // paced_open fsyncs_per_alert is within 3 % of the 250 ms reading
 // (docs/measurements/ISSUE-24.md has the sweep).
 const doneHold = 50 * time.Millisecond
+
+// Force-flush thresholds: an open batch holding forceFlushRecords
+// records, or forceFlushBytes encoded bytes, commits at once instead of
+// waiting out a pace or doneHold. They bound no commit's size — a batch
+// that grew past them while the previous fsync ran is written whole.
+const (
+	forceFlushRecords = 1024
+	forceFlushBytes   = 1 << 20
+)
 
 // Free-list bounds: keep at most maxFreeBufs buffers, and never retain
 // one grown past maxFreeBufBytes by a burst — a transient spike must
@@ -76,40 +85,42 @@ func (l *Log) unusableLocked() error {
 	return l.failed
 }
 
-// joinLocked is the one way staged records enter the commit queue: buf
+// joinLocked is the one way staged records reach the committer: buf
 // (recvs RECV entries' runs, encoded through l.scratch) and whatever
-// stageDone left in doneSeqs join the open batch as a unit and the
-// committer is woken. wait says the caller will Wait on the returned
-// batch; the first waiter to join a backlog of async records cuts its lazy
-// pace short (see committer). A no-op append (nothing staged: duplicate
-// RECV or repeated DONE) joins nothing and gets the youngest pending
-// batch instead — the original record is either already durable or in
-// that batch or an earlier one — or nil when nothing is pending; a no-op
-// waiter is a waiter all the same. Caller holds qmu.
+// stageDone left in doneSeqs join the open batch as a unit — opening it,
+// with a recycled buffer when there is one, if nothing is staged yet —
+// and the committer is woken. wait says the caller will Wait on the
+// returned batch; the first waiter to join a backlog of async records
+// cuts its lazy pace short (see committer). A no-op append (nothing
+// staged: duplicate RECV or repeated DONE) joins the open batch, or gets
+// the one in flight when none is open — the original record is either
+// already durable or in one of those two — or nil when neither exists; a
+// no-op waiter is a waiter all the same. Caller holds qmu.
 func (l *Log) joinLocked(buf []byte, recvs int64, wait bool) *groupBatch {
 	dones := l.doneSeqs
 	l.scratch, l.doneSeqs = buf[:0], dones[:0]
 	staged := recvs + int64(len(dones))
-	var b *groupBatch
-	switch n := len(l.queue); {
-	case staged > 0:
-		b = l.openBatchLocked()
-	case n > 0:
-		b = l.queue[n-1]
-	default:
-		return l.flushing
+	b := l.open
+	if b == nil {
+		if staged == 0 {
+			return l.flushing
+		}
+		b = &groupBatch{done: make(chan struct{}), openedAt: time.Now()}
+		if n := len(l.freeBufs); n > 0 {
+			b.batchBufs = l.freeBufs[n-1]
+			l.freeBufs[n-1] = batchBufs{}
+			l.freeBufs = l.freeBufs[:n-1]
+		}
+		l.open = b
 	}
-	first := wait && l.waitedLocked() == 0
+	first := wait && b.waited == 0
+	if first && b.lines > 0 {
+		// Async records opened this batch; the commit-wait clock starts
+		// with the first waiter.
+		b.openedAt = time.Now()
+	}
 	if wait {
-		if b.waited == 0 && b.lines > 0 {
-			// Async records opened this batch; the commit-wait clock starts
-			// with the first waiter.
-			b.openedAt = time.Now()
-		}
-		b.waited += staged
-		if b.waited == 0 {
-			b.waited = 1 // a no-op waiter on a batch that had none
-		}
+		b.waited = max(b.waited+staged, 1) // a no-op waiter counts one
 	}
 	if staged > 0 {
 		b.buf = append(b.buf, buf...)
@@ -126,7 +137,7 @@ func (l *Log) joinLocked(buf []byte, recvs int64, wait bool) *groupBatch {
 }
 
 // Flush returns once everything staged so far is durable: a no-op
-// waiter on the youngest pending batch.
+// waiter on the open batch, or on the one in flight.
 func (l *Log) Flush() error {
 	l.qmu.Lock()
 	if err := l.unusableLocked(); err != nil {
@@ -148,57 +159,26 @@ func (l *Log) cutPaceLocked() {
 	}
 }
 
-// waitedLocked counts the queued records somebody is waiting on. The
-// queue is at most a couple of batches deep. Caller holds qmu.
-func (l *Log) waitedLocked() (n int64) {
-	for _, b := range l.queue {
-		n += b.waited
-	}
-	return n
-}
-
-// overThresholdLocked reports whether the staged backlog already
-// justifies an immediate commit — the MaxBatch/CommitMaxBytes
-// force-flush test. Caller holds qmu.
+// overThresholdLocked reports whether the open batch already justifies
+// an immediate commit: it has reached forceFlushRecords or
+// forceFlushBytes. Caller holds qmu.
 func (l *Log) overThresholdLocked() bool {
-	var lines, bytes int64
-	for _, b := range l.queue {
-		lines += b.lines
-		bytes += int64(len(b.buf))
-	}
-	return lines >= int64(l.opts.MaxBatch) || bytes >= int64(l.opts.CommitMaxBytes)
+	b := l.open
+	return b != nil && (b.lines >= forceFlushRecords || len(b.buf) >= forceFlushBytes)
 }
 
-// openBatchLocked returns the batch new appends should join, starting a
-// new one when none is open or the tail is full. Caller holds qmu.
-func (l *Log) openBatchLocked() *groupBatch {
-	if n := len(l.queue); n > 0 && l.queue[n-1].lines < int64(l.opts.MaxBatch) {
-		return l.queue[n-1]
-	}
-	b := &groupBatch{done: make(chan struct{}), openedAt: time.Now()}
-	if n := len(l.freeBufs); n > 0 {
-		b.batchBufs = l.freeBufs[n-1]
-		l.freeBufs[n-1] = batchBufs{}
-		l.freeBufs = l.freeBufs[:n-1]
-	}
-	l.queue = append(l.queue, b)
-	return b
-}
-
-// committer is the single goroutine that flushes batches in order.
-// Each cycle drains as many queued batches as fit under MaxBatch
-// cumulative records and writes them as one vectored append — one
-// write, one fsync — so a backlog built up during a slow fsync clears
-// in a single follow-up sync instead of one per batch. An oversized
-// batch (a burst that overshot the cap when it joined) still commits
-// alone.
+// committer is the single goroutine that writes batches in order. Each
+// cycle takes the open batch whole and writes it with one write and one
+// fsync; appends that arrive meanwhile open the next batch, so at most
+// two exist — one in flight, one open — and a backlog built up during a
+// slow fsync clears in the single follow-up sync, however large it grew.
 //
 // The commit schedule is adaptive rather than a fixed timer, and it
 // serves waiters, not records. A waiter that finds the committer idle
 // (no fsync in flight) commits immediately — it had no peers to wait
 // for while it staged, so idle admission latency is the fsync itself,
 // not the window. Pacing applies only when two or more waited-for
-// records are already queued at the top of the cycle, i.e. peers staged
+// records are already open at the top of the cycle, i.e. peers staged
 // while the previous fsync ran (the two-deep pipeline: batch N+1
 // accumulates under fsync N). Such a backlog proves concurrent load, so
 // the committer sleeps out the window's remainder to let the batch fill
@@ -212,10 +192,10 @@ func (l *Log) openBatchLocked() *groupBatch {
 // losing it only replays alerts the receiver already dedups. The
 // committer holds it, with no fsync in flight, until the first of: a
 // waiter joins (it is treated as having found the committer idle, and
-// the backlog rides its fsync), the backlog crosses a force-flush
-// threshold (MaxBatch/CommitMaxBytes), Checkpoint or Close, or doneHold
-// since the batch opened. The hold does not depend on Window; the
-// waiters' pace does, and is cut short by the same thresholds and by
+// the backlog rides its fsync), the batch crosses a force-flush
+// threshold (forceFlushRecords/forceFlushBytes), Checkpoint or Close, or
+// doneHold since the batch opened. The hold does not depend on Window;
+// the waiters' pace does, and is cut short by the same thresholds and by
 // Close. With Window 0 no waiter is ever paced, which is
 // fsync-per-append for a lone appender.
 //
@@ -234,24 +214,22 @@ func (l *Log) committer() {
 		runtime.LockOSThread()
 		defer runtime.UnlockOSThread()
 	}
-	var take []*groupBatch
-	var vec []byte
 	var lastSync time.Time // completion time of the previous fsync
 	for {
 		l.qmu.Lock()
 		idle := false
-		for len(l.queue) == 0 && !l.closed {
+		for l.open == nil && !l.closed {
 			idle = true // parked: no backlog, no fsync in flight
 			l.cond.Wait()
 		}
-		if len(l.queue) == 0 {
+		if l.open == nil {
 			l.qmu.Unlock()
 			return // closed and drained
 		}
 		w := l.opts.Window
 		urgent := l.closed || l.overThresholdLocked()
-		if !urgent && l.waitedLocked() == 0 {
-			if wait := doneHold - time.Since(l.queue[0].openedAt); wait > 0 {
+		if !urgent && l.open.waited == 0 {
+			if wait := doneHold - time.Since(l.open.openedAt); wait > 0 {
 				l.waitWindow(wait)
 			}
 			idle = true
@@ -272,60 +250,31 @@ func (l *Log) committer() {
 		// no peers to amortize with, and holding it for the window
 		// remainder would put a window-sized tail on otherwise-idle
 		// admission latency.
-		if w > 0 && !urgent && !idle && l.waitedLocked() > 1 {
+		if w > 0 && !urgent && !idle && l.open.waited > 1 {
 			if wait := w - time.Since(lastSync); wait > 0 {
 				l.waitWindow(wait)
 			}
 		}
-		take = take[:0]
-		var lines int64
-		for _, next := range l.queue {
-			if len(take) > 0 && lines+next.lines > int64(l.opts.MaxBatch) {
-				break
-			}
-			take = append(take, next)
-			lines += next.lines
-		}
-		// Shift the untaken batches down rather than reslicing from the
-		// front, so the next openBatchLocked appends into this backing
-		// array instead of a fresh one.
-		left := copy(l.queue, l.queue[len(take):])
-		clear(l.queue[left:])
-		l.queue = l.queue[:left]
-		l.flushing = take[len(take)-1]
+		b := l.open
+		l.open, l.flushing = nil, b
 		err := l.failed
 		l.qmu.Unlock()
 
-		// Fail-stop: batches staged behind a failed write complete with
-		// its error and never touch the file — a later write landing past
-		// a torn one would be unreachable to recovery anyway.
+		// Fail-stop: a batch staged while a write failed completes with
+		// that write's error and never touches the file — a later write
+		// landing past a torn one would be unreachable to recovery anyway.
 		if err == nil {
-			for _, b := range take {
-				if len(b.dones) > 0 {
-					b.buf = appendDoneList(b.buf, b.dones)
-				}
+			if len(b.dones) > 0 {
+				b.buf = appendDoneList(b.buf, b.dones)
 			}
-			buf := take[0].buf
-			if len(take) > 1 {
-				vec = vec[:0]
-				for _, b := range take {
-					vec = append(vec, b.buf...)
-				}
-				buf = vec
-			}
-			err = l.appendBatch(buf, lines)
-			l.batchSizes.Observe(lines)
+			err = l.appendBatch(b.buf, b.lines)
+			l.batchSizes.Observe(b.lines)
 		}
 		lastSync = time.Now()
-		waiterless := err == nil
-		for _, b := range take {
-			l.unflushedDones.Add(-int64(len(b.dones)))
-			if b.waited > 0 {
-				waiterless = false
-				l.commitWait.Observe(lastSync.Sub(b.openedAt).Microseconds())
-			}
-		}
-		if waiterless {
+		l.unflushedDones.Add(-int64(len(b.dones)))
+		if b.waited > 0 {
+			l.commitWait.Observe(lastSync.Sub(b.openedAt).Microseconds())
+		} else if err == nil {
 			l.waiterlessSyncs.Add(1)
 		}
 
@@ -334,20 +283,16 @@ func (l *Log) committer() {
 		if err != nil && l.failed == nil {
 			l.failed = err
 		}
-		// Reclaim the written batches' buffers: waiters blocked on b.done
-		// only read b.err, so the buffers are free the moment the vectored
-		// append returns.
-		for _, b := range take {
-			if c := cap(b.buf); c > 0 && c <= maxFreeBufByte && len(l.freeBufs) < maxFreeBufs {
-				l.freeBufs = append(l.freeBufs, batchBufs{b.buf[:0], b.dones[:0]})
-			}
-			b.batchBufs = batchBufs{}
+		// Reclaim the batch's buffers: waiters blocked on b.done only
+		// read b.err, so the buffers are free the moment the append
+		// returns.
+		if c := cap(b.buf); c > 0 && c <= maxFreeBufByte && len(l.freeBufs) < maxFreeBufs {
+			l.freeBufs = append(l.freeBufs, batchBufs{b.buf[:0], b.dones[:0]})
 		}
+		b.batchBufs = batchBufs{}
 		l.qmu.Unlock()
-		for _, b := range take {
-			b.err = err
-			close(b.done)
-		}
+		b.err = err
+		close(b.done)
 	}
 }
 

@@ -175,26 +175,6 @@ func TestGroupLogClosedRejectsAppends(t *testing.T) {
 	}
 }
 
-// TestGroupLogMaxBatchSplits checks that MaxBatch bounds commit size.
-func TestGroupLogMaxBatchSplits(t *testing.T) {
-	g := openGroupTemp(t, GroupOptions{Window: 2 * time.Millisecond, MaxBatch: 4})
-	const n = 32
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			if err := g.LogReceived(fmt.Sprintf("k%d", i), nil, t0); err != nil {
-				t.Error(err)
-			}
-		}(i)
-	}
-	wg.Wait()
-	if syncs := g.Stats().Syncs; syncs < n/4 {
-		t.Fatalf("MaxBatch=4 with %d appends took %d syncs, want >= %d", n, syncs, n/4)
-	}
-}
-
 // countFrames counts the records in the whole frames of raw segment
 // bytes: RECV entries and DONEs.
 func countFrames(data []byte) (recv, done int) {
@@ -210,9 +190,8 @@ func countFrames(data []byte) (recv, done int) {
 // from batched commits, then cut at an arbitrary byte offset as if the
 // machine died mid-write of the last batch.
 type tornBatchSpec struct {
-	Records  uint8
-	MaxBatch uint8
-	CutBack  uint16 // how many bytes to chop off the tail
+	Records uint8
+	CutBack uint16 // how many bytes to chop off the tail
 }
 
 // TestGroupCommitTornFinalBatchProperty is the testing/quick round
@@ -225,7 +204,7 @@ func TestGroupCommitTornFinalBatchProperty(t *testing.T) {
 		n := int(spec.Records%40) + 1
 		dir := t.TempDir()
 		path := filepath.Join(dir, "torn.plog")
-		g, err := OpenGroup(path, GroupOptions{MaxBatch: int(spec.MaxBatch%8) + 1})
+		g, err := OpenGroup(path, GroupOptions{})
 		if err != nil {
 			t.Log(err)
 			return false

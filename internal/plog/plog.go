@@ -10,20 +10,21 @@
 //
 // There is one journal type, Log, and one write path through it: an
 // append stages its record in memory (a burst of RECVs is encoded as one
-// run of keys and payloads, a DONE is its record's ordinal), joins the
-// open commit batch, and a single committer goroutine writes each batch
-// with one write and one fsync. A
-// synchronous append (LogReceived, MarkProcessed) returns only once its
-// batch is on disk — that is what makes the logging
-// pessimistic. How many appends share an fsync is a matter of load and
-// GroupOptions, not of type: Open gives a zero commit window, where an
-// append that finds the log idle commits at once (one fsync per append,
-// the paper's behaviour for a single buddy); OpenGroup with a window
-// paces a busy log so concurrent appenders share fsyncs (the hub's
-// ingest WAL).
+// run of keys and payloads, a DONE is its record's ordinal) and joins
+// the one open commit batch; a single committer goroutine takes that
+// batch whole and writes it with one write and one fsync, while later
+// appends open the next. A synchronous append (LogReceived,
+// MarkProcessed) returns only once its batch is on disk — that is what
+// makes the logging pessimistic. How many appends share an fsync is a
+// matter of load and GroupOptions, not of type: Open gives a zero commit
+// window, where an append that finds the log idle commits at once (one
+// fsync per append, the paper's behaviour for a single buddy); OpenGroup
+// with a window paces a busy log so concurrent appenders share fsyncs
+// (the hub's ingest WAL).
 //
 // The log is fail-stop: after a batch write or fsync fails, that error
-// is returned to the batch's waiters and to every later append. A
+// is returned to the batch's waiters, to those of the batch that opened
+// while it was in flight (never written), and to every later append. A
 // failed fsync may have dropped the dirty pages it covered, so retrying
 // into the same file could report durable what the disk never saw; the
 // owner must close the log and reopen it, which replays what actually
@@ -119,7 +120,8 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// GroupOptions tune the commit policy.
+// GroupOptions tune the commit policy: the commit window and the
+// journal's segmenting.
 type GroupOptions struct {
 	// Window is the committer's adaptive upper bound on batching delay,
 	// not a fixed tax. Who it delays depends on whether anyone is waiting.
@@ -135,16 +137,13 @@ type GroupOptions struct {
 	// Async records (MarkProcessed*Async, ReplaceAsync) have no waiter,
 	// and Window does not govern them: see doneHold in group.go.
 	//
+	// A paced or held batch that reaches a force-flush threshold (1,024
+	// records or 1 MiB encoded: forceFlushRecords, forceFlushBytes in
+	// group.go — constants, not options) commits at once.
+	//
 	// Zero never paces a waiter: its batch commits as soon as the
 	// previous fsync completes (fsync per append for a lone appender).
 	Window time.Duration
-	// MaxBatch caps the journal records per commit and is the
-	// force-flush threshold: a paced backlog that reaches it commits
-	// without waiting out the window. Zero means 1024.
-	MaxBatch int
-	// CommitMaxBytes force-flushes once the staged backlog's RECV runs
-	// reach this many encoded bytes. Zero means 1 MiB.
-	CommitMaxBytes int
 	// Log configures the segmented journal (segment size, background
 	// checkpointing, in-memory sweep).
 	Log Options
@@ -220,7 +219,9 @@ type Stats struct {
 	// a crash right now would replay although they were delivered.
 	WaiterlessSyncs int64
 	UnflushedDones  int64
-	// CommitBatches is the journal records per fsync; StagedBatches the
+	// CommitBatches is the journal records per fsync — unbounded: the
+	// batch staged during a slow fsync commits whole, so it can exceed
+	// the 1,024-record force-flush threshold; StagedBatches the
 	// fresh records per LogReceivedBatch ingest burst (a LogReceived is
 	// a burst of one).
 	CommitBatches metrics.HistogramSnapshot
@@ -236,24 +237,26 @@ type Stats struct {
 // Log is a pessimistic, segmented write-ahead log, safe for concurrent
 // use.
 //
-// Ordering guarantee (what the hub relies on): appends are assigned to
-// batches in the order callers acquire the batch-queue lock; batches
-// are written and fsynced strictly in that order, each inside a single
-// write. Therefore if append A returned before append B was invoked,
-// A's frame precedes B's in the journal, and a crash can lose only a
-// suffix of the final in-flight write — which recovery truncates at the
-// last complete frame (prefix durability). The log rotates *before* a
-// write that would overflow the active segment, never inside it, so one
-// write (one fsync) always lands in one segment.
+// Ordering guarantee (what the hub relies on): appends join the one open
+// batch in the order callers acquire qmu, and the committer takes that
+// batch whole, so batches are written and fsynced strictly in staging
+// order, each inside a single write. Therefore if append A returned
+// before append B was invoked, A's frame precedes B's in the journal,
+// and a crash can lose only a suffix of the final in-flight write —
+// which recovery truncates at the last complete frame (prefix
+// durability). The log rotates *before* a write that would overflow the
+// active segment, never inside it, so one write (one fsync) always lands
+// in one segment.
 //
 // Three mutexes, none held across another's disk wait. qmu guards the
-// batch queue and is held while an append stages; mu guards the index
-// and is taken (qmu → mu) only for the map and slice work of staging and
-// lookups; fmu guards the files and is held by the committer across each
-// write+fsync, by Checkpoint for its rotate (fmu → mu: the snapshot must
-// see exactly what the retired segments hold, or more) and by Close. The
-// committer never takes mu and nothing that stages, dedups or replays
-// takes fmu, so staging and Has never wait on the disk.
+// open and in-flight batches and is held while an append stages; mu
+// guards the index and is taken (qmu → mu) only for the map and slice
+// work of staging and lookups; fmu guards the files and is held by the
+// committer across each write+fsync, by Checkpoint for its rotate (fmu →
+// mu: the snapshot must see exactly what the retired segments hold, or
+// more) and by Close. The committer never takes mu and nothing that
+// stages, dedups or replays takes fmu, so staging and Has never wait on
+// the disk.
 type Log struct {
 	base string // base path; segments and checkpoints live alongside
 	dirf *os.File
@@ -316,9 +319,9 @@ type Log struct {
 	compactDone chan struct{}
 
 	qmu      sync.Mutex
-	cond     *sync.Cond    // signalled (under qmu) when the queue gains work or the log closes
+	cond     *sync.Cond    // signalled (under qmu) when a batch opens or the log closes
 	closed   bool          // no further appends; the committer drains and exits
-	queue    []*groupBatch // accumulating batches, FIFO
+	open     *groupBatch   // the batch appends join; nil until something stages
 	flushing *groupBatch   // batch currently being fsynced, if any
 	failed   error         // sticky: the first batch-write failure poisons the log
 	done     chan struct{} // closed when the committer exits
@@ -349,12 +352,6 @@ func Open(path string) (*Log, error) {
 // in-memory state from the newest checkpoint plus the segments after
 // it.
 func OpenGroup(path string, opts GroupOptions) (*Log, error) {
-	if opts.MaxBatch <= 0 {
-		opts.MaxBatch = 1024
-	}
-	if opts.CommitMaxBytes <= 0 {
-		opts.CommitMaxBytes = 1 << 20
-	}
 	opts.Log = opts.Log.withDefaults()
 	l := &Log{
 		base:     path,
@@ -522,9 +519,8 @@ func (l *Log) LogReceived(key string, payload []byte, at time.Time) error {
 // durability wait for the whole burst. Entries land in the journal in
 // slice order. When it returns nil, every entry is on disk.
 //
-// A burst joins the open batch as a unit, even when that overshoots
-// GroupOptions.MaxBatch (the cap then closes the batch to later
-// appends); a batch still never spans a segment rotation.
+// A burst joins the open batch as a unit, and the batch commits whole
+// however large it grows; a batch never spans a segment rotation.
 func (l *Log) LogReceivedBatch(entries []BatchEntry) error {
 	c, err := l.LogReceivedBatchStart(entries)
 	if err != nil {
@@ -538,7 +534,7 @@ func (l *Log) LogReceivedBatch(entries []BatchEntry) error {
 // The caller may keep several bursts in flight (the hub's pipelined
 // ingest) and wait on the Commits later, in staging order; records are
 // NOT durable until Wait returns nil. A burst of nothing but duplicates
-// returns the youngest pending batch, so its Wait still covers the
+// returns the open or in-flight batch, so its Wait still covers the
 // originals' durability.
 func (l *Log) LogReceivedBatchStart(entries []BatchEntry) (Commit, error) {
 	if len(entries) == 0 {

@@ -423,10 +423,23 @@ func TestFailStopAfterWriteError(t *testing.T) {
 	}
 	l.fmu.Lock()
 	l.f.Close() // the next write fails
+	lost, err := l.LogReceivedBatchStart([]BatchEntry{{Key: "lost", Payload: []byte("p"), At: t0}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitInFlight(t, l, lost)
+	// Staged while the failing write is in flight: the open batch.
+	behind, err := l.LogReceivedBatchStart([]BatchEntry{{Key: "behind", Payload: []byte("p"), At: t0}})
+	if err != nil {
+		t.Fatal(err)
+	}
 	l.fmu.Unlock()
-	failed := l.LogReceived("lost", []byte("p"), t0)
+	failed := lost.Wait()
 	if failed == nil {
 		t.Fatal("append to a closed file reported durable")
+	}
+	if err := behind.Wait(); err != failed {
+		t.Fatalf("batch staged behind the failed write = %v, want the same %v", err, failed)
 	}
 	if err := l.LogReceived("later", []byte("p"), t0); err != failed {
 		t.Fatalf("append after failure = %v, want the sticky %v", err, failed)
