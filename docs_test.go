@@ -9,6 +9,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -142,6 +143,107 @@ func hubDecls(t *testing.T, path string, into map[string]bool) {
 				case *ast.ValueSpec:
 					for _, n := range s.Names {
 						into[n.Name] = true
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestEveryExportedKnobHasACaller keeps the hub's exported knobs to
+// those something uses: every exported field of hub.Config and
+// hub.SuperviseConfig must be set in a non-test file outside
+// internal/hub (benchmark/ included), as a key of a hub.Config{…} or
+// hub.SuperviseConfig{…} literal or by an x.Field = … assignment. A
+// knob only the hub's own tests set is a package-private field.
+func TestEveryExportedKnobHasACaller(t *testing.T) {
+	structs := []string{"Config", "SuperviseConfig"}
+	exported := make(map[string][]string) // struct → its exported fields
+	set := make(map[string]bool)          // "Struct.Field" keyed in a literal, or ".Field" assigned
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if name := d.Name(); path != "." && (strings.HasPrefix(name, ".") || name == "testdata") {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		f, err := parser.ParseFile(token.NewFileSet(), path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		if dir := filepath.ToSlash(filepath.Dir(path)); strings.HasPrefix(dir+"/", "internal/hub/") {
+			if dir == "internal/hub" {
+				hubFields(f, structs, exported)
+			}
+			return nil
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.CompositeLit:
+				sel, ok := n.Type.(*ast.SelectorExpr)
+				if !ok {
+					return true
+				}
+				if pkg, _ := sel.X.(*ast.Ident); pkg == nil || pkg.Name != "hub" {
+					return true
+				}
+				for _, e := range n.Elts {
+					if kv, ok := e.(*ast.KeyValueExpr); ok {
+						if key, ok := kv.Key.(*ast.Ident); ok {
+							set[sel.Sel.Name+"."+key.Name] = true
+						}
+					}
+				}
+			case *ast.AssignStmt:
+				for _, lhs := range n.Lhs {
+					if sel, ok := lhs.(*ast.SelectorExpr); ok {
+						set["."+sel.Sel.Name] = true
+					}
+				}
+			}
+			return true
+		})
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range structs {
+		if len(exported[s]) == 0 {
+			t.Fatalf("internal/hub declares no struct %s with exported fields", s)
+		}
+		for _, field := range exported[s] {
+			if !set[s+"."+field] && !set["."+field] {
+				t.Errorf("hub.%s.%s is exported, but no non-test file outside internal/hub sets it: make it package-private", s, field)
+			}
+		}
+	}
+}
+
+// hubFields adds the exported fields of f's struct types named in
+// structs to into.
+func hubFields(f *ast.File, structs []string, into map[string][]string) {
+	for _, d := range f.Decls {
+		g, ok := d.(*ast.GenDecl)
+		if !ok || g.Tok != token.TYPE {
+			continue
+		}
+		for _, s := range g.Specs {
+			ts := s.(*ast.TypeSpec)
+			st, ok := ts.Type.(*ast.StructType)
+			if !ok || !slices.Contains(structs, ts.Name.Name) {
+				continue
+			}
+			for _, fld := range st.Fields.List {
+				for _, n := range fld.Names {
+					if n.IsExported() {
+						into[ts.Name.Name] = append(into[ts.Name.Name], n.Name)
 					}
 				}
 			}

@@ -98,7 +98,7 @@ func TestHubSubmitBatchMatchesSubmit(t *testing.T) {
 		walPath := filepath.Join(t.TempDir(), name+".wal")
 		h := newTestHub(t, Config{
 			Clock: clk, Channels: sinkChannels(sink.Deliver), WALPath: walPath,
-			Shards: 4, QueueDepth: 1024,
+			Shards: 4, queueDepth: 1024,
 			CommitWindow: 500 * time.Microsecond,
 		})
 		addBatchUsers(t, h, users)
@@ -223,7 +223,7 @@ func TestHubSubmitBatchMatchesSubmit(t *testing.T) {
 func TestSubmitBatchPartialErrors(t *testing.T) {
 	clk := clock.NewReal()
 	sink := newOrderSink(dist.NewRNG(41), 2, 0)
-	h := newTestHub(t, Config{Clock: clk, Channels: sinkChannels(sink.Deliver), Shards: 2, QueueDepth: 64})
+	h := newTestHub(t, Config{Clock: clk, Channels: sinkChannels(sink.Deliver), Shards: 2, queueDepth: 64})
 	addUsers(t, h, 2)
 	if err := h.Start(); err != nil {
 		t.Fatal(err)
@@ -350,7 +350,7 @@ func TestSubmitBatchBulkOverload(t *testing.T) {
 		return nil
 	})
 	h := newTestHub(t, Config{
-		Clock: clk, Channels: sink, Shards: 1, QueueDepth: 4, DeliveryWindow: 1,
+		Clock: clk, Channels: sink, Shards: 1, queueDepth: 4, deliveryWindow: 1,
 	})
 	addUsers(t, h, 1)
 	if err := h.Start(); err != nil {
@@ -405,7 +405,7 @@ func TestTicketResolvesInStagingOrder(t *testing.T) {
 	clk := clock.NewReal()
 	sink := newOrderSink(dist.NewRNG(53), 2, 0)
 	h := newTestHub(t, Config{
-		Clock: clk, Channels: sinkChannels(sink.Deliver), Shards: 2, QueueDepth: 1024,
+		Clock: clk, Channels: sinkChannels(sink.Deliver), Shards: 2, queueDepth: 1024,
 		CommitWindow: 2 * time.Millisecond,
 	})
 	addUsers(t, h, 2)

@@ -245,7 +245,7 @@ const (
 	viaConcurrent                 // four submitters, one SubmitBatch per user each
 )
 
-// When the harness arms a row's FaultPoint.
+// When the harness arms a row's faultPoint.
 type crashArm int
 
 const (
@@ -277,7 +277,7 @@ type crashRow struct {
 	alerts   int // per user, in the burst
 	settled  int // per user, delivered and checkpointed before the burst
 	via      crashVia
-	point    FaultPoint
+	point    faultPoint
 	arm      crashArm
 	hold     bool                                 // the sink parks incarnation 1's deliveries (armAtHeads releases them)
 	down     bool                                 // the sink refuses every delivery of incarnation 1
@@ -316,8 +316,8 @@ func shards(n int) func(*Config) { return func(c *Config) { c.Shards = n } }
 // fastRetries is the outbox rows' attempt budget: two quick in-memory
 // attempts, then outbox rounds every 5–20 ms.
 func fastRetries(c *Config) {
-	c.DeliveryMaxAttempts, c.DeliveryBackoff, c.DeliveryBackoffCap = 2, time.Millisecond, 2*time.Millisecond
-	c.OutboxBackoff, c.OutboxBackoffCap = 5*time.Millisecond, 20*time.Millisecond
+	c.deliveryMaxAttempts, c.deliveryBackoff, c.deliveryBackoffCap = 2, time.Millisecond, 2*time.Millisecond
+	c.OutboxBackoff, c.outboxBackoffCap = 5*time.Millisecond, 20*time.Millisecond
 }
 
 // hostPortal hosts user accepting the "portal" source and mapping
@@ -351,8 +351,8 @@ func hostGuaranteed(t testing.TB, h *Hub, user string) *Buddy {
 // ledger after every incarnation. Pool poisoning is on throughout, so a
 // recycled envelope that reaches a channel fails the row.
 func TestHubCrash(t *testing.T) {
-	SetPoolPoison(true)
-	defer SetPoolPoison(false)
+	poolPoison.Store(true)
+	defer poolPoison.Store(false)
 	for i := range crashRows {
 		row := &crashRows[i]
 		t.Run(row.name, func(t *testing.T) { runCrashRow(t, row) })
@@ -364,12 +364,12 @@ var crashRows = []crashRow{
 		// The burst is durable and acked, none of it enqueued; replay
 		// covers it exactly once, and a resubmission dedups.
 		name: "BetweenBatchFsyncAndEnqueue", cfg: shards(4), users: 8, alerts: 6, via: viaBatch,
-		point: FaultAfterBatchFsync, arm: armBefore, resubmit: true, replayed: exactly(48),
+		point: faultAfterBatchFsync, arm: armBefore, resubmit: true, replayed: exactly(48),
 	},
 	{
 		// A resolved ticket means durable, not delivered.
 		name: "AsyncTicketBeforeEnqueue", cfg: shards(4), users: 8, alerts: 6, via: viaAsync,
-		point: FaultAfterBatchFsync, arm: armBefore, resubmit: true, replayed: exactly(48),
+		point: faultAfterBatchFsync, arm: armBefore, resubmit: true, replayed: exactly(48),
 	},
 	{
 		// The IM block timed out and email confirmed, then the crash:
@@ -388,13 +388,13 @@ var crashRows = []crashRow{
 			}
 			return b
 		},
-		point: FaultBeforeMark, arm: armBefore, resubmit: true, dups: dupHeads, replayed: exactly(1),
+		point: faultBeforeMark, arm: armBefore, resubmit: true, dups: dupHeads, replayed: exactly(1),
 	},
 	{
 		// Each chain head delivered, none marked: everything replays,
 		// and the heads are the timestamp-detectable duplicates.
 		name: "BetweenRoutingAndMark", users: 4, alerts: 3, via: viaSubmit,
-		point: FaultBeforeMark, arm: armAtHeads, dups: dupHeads, replayed: exactly(12),
+		point: faultBeforeMark, arm: armAtHeads, dups: dupHeads, replayed: exactly(12),
 	},
 	{
 		// The window at its widest: a round delivered, its DONEs staged
@@ -414,8 +414,8 @@ var crashRows = []crashRow{
 	{
 		// The burst spans several segments when the kill lands.
 		name: "AcrossWALRotation", users: 4, alerts: 5, via: viaSubmit,
-		cfg:   func(c *Config) { c.WALSegmentBytes, c.WALCheckpointEvery = 256, -1 },
-		point: FaultBeforeMark, arm: armAtHeads, dups: dupHeads, replayed: exactly(20),
+		cfg:   func(c *Config) { c.walSegmentBytes, c.walCheckpointEvery = 256, -1 },
+		point: faultBeforeMark, arm: armAtHeads, dups: dupHeads, replayed: exactly(20),
 		extra: func(t *testing.T, r *crashRun) {
 			if n := r.stats.WAL.SegmentsReplayed; n < 3 {
 				t.Errorf("recovery replayed %d segments, want the multi-segment tail", n)
@@ -426,8 +426,8 @@ var crashRows = []crashRow{
 		// A torn generation-2 checkpoint beside a durable generation 1:
 		// recovery falls back to 1 and replays the segment tail.
 		name: "DuringWALCheckpoint", users: 2, settled: 4, alerts: 2, via: viaSubmit,
-		cfg:   func(c *Config) { c.WALSegmentBytes, c.WALCheckpointEvery = 256, -1 },
-		point: FaultBeforeMark, arm: armAtHeads, step: tornCheckpoint, dups: dupHeads, replayed: exactly(4),
+		cfg:   func(c *Config) { c.walSegmentBytes, c.walCheckpointEvery = 256, -1 },
+		point: faultBeforeMark, arm: armAtHeads, step: tornCheckpoint, dups: dupHeads, replayed: exactly(4),
 		extra: func(t *testing.T, r *crashRun) {
 			if w := r.stats.WAL; w.CheckpointGen != 1 || w.CorruptRecords == 0 {
 				t.Errorf("recovered at checkpoint generation %d with %d corrupt records; want the fallback to 1, the torn one counted",
@@ -440,7 +440,7 @@ var crashRows = []crashRow{
 		// replays whole, nothing of the torn one, and no corruption is
 		// counted; resubmitting both re-admits exactly the torn burst.
 		name: "TearsFinalBurst", cfg: shards(4), users: 8, alerts: 4, via: viaBatch,
-		point: FaultAfterBatchFsync, arm: armMidStream, hold: true, step: tearLastFrame,
+		point: faultAfterBatchFsync, arm: armMidStream, hold: true, step: tearLastFrame,
 		resubmit: true, replayed: exactly(16),
 		extra: func(t *testing.T, r *crashRun) {
 			if w := r.stats.WAL; w.CorruptRecords != 0 || w.Total != 16 {
@@ -451,19 +451,19 @@ var crashRows = []crashRow{
 	{
 		// Armed mid-stream: the crash lands wherever the deliveries are.
 		name: "MidStreamDelivery", cfg: shards(2), users: 12, alerts: 6, via: viaSubmit,
-		point: FaultBeforeMark, arm: armMidStream, dups: dupPerUser, replayed: [2]int{1, 72},
+		point: faultBeforeMark, arm: armMidStream, dups: dupPerUser, replayed: [2]int{1, 72},
 	},
 	{
 		// Concurrent batched submitters race the crash while envelopes
 		// recycle; the resubmission re-acks what the crash NACKed.
 		name: "PooledRecycling", cfg: shards(4), users: 16, alerts: 8, via: viaConcurrent,
-		point: FaultBeforeMark, arm: armMidStream, resubmit: true, dups: dupPerUser, replayed: [2]int{1, 128},
+		point: faultBeforeMark, arm: armMidStream, resubmit: true, dups: dupPerUser, replayed: [2]int{1, 128},
 	},
 	{
 		// The crashed user is not hosted after the restart: its record
 		// is tombstoned, not replayed forever.
 		name: "TombstonesOrphans", users: 1, alerts: 1, via: viaSubmit,
-		point: FaultBeforeMark, arm: armAtHeads, orphan: true, replayed: exactly(0),
+		point: faultBeforeMark, arm: armAtHeads, orphan: true, replayed: exactly(0),
 		extra: func(t *testing.T, r *crashRun) {
 			if got := r.h2.Counters().Get("tombstoned"); got != 1 {
 				t.Errorf("tombstoned = %d, want 1", got)
@@ -484,7 +484,7 @@ var crashRows = []crashRow{
 			return &alert.Alert{ID: "a-1", Source: "portal", Keywords: []string{"a,b", ""}, Subject: "l1\nl2",
 				Body: "body", Urgency: alert.UrgencyNormal, Created: time.Unix(985597200, 0)}
 		},
-		point: FaultRoute, arm: armBefore, replayed: exactly(1),
+		point: faultRoute, arm: armBefore, replayed: exactly(1),
 		extra: func(t *testing.T, r *crashRun) {
 			for _, a := range r.sink.snapshot().last {
 				if a.Keywords[0] != "Special" || a.Subject != "l1\nl2" {
@@ -575,8 +575,8 @@ var crashRows = []crashRow{
 		name: "OutboxJournalCompacts", host: hostGuaranteed, users: 1, alerts: 1, via: viaSubmit,
 		cfg: func(c *Config) {
 			fastRetries(c)
-			c.OutboxBackoff, c.OutboxBackoffCap = time.Millisecond, 2*time.Millisecond
-			c.WALCheckpointEvery, c.WALSegmentBytes = 8, 1<<10 // a few rounds per segment
+			c.OutboxBackoff, c.outboxBackoffCap = time.Millisecond, 2*time.Millisecond
+			c.walCheckpointEvery, c.walSegmentBytes = 8, 1<<10 // a few rounds per segment
 		},
 		down: true, step: compactThenHeal, replayed: exactly(0),
 	},
@@ -589,15 +589,15 @@ func runCrashRow(t *testing.T, row *crashRow) {
 		row: row, sink: newRecordingSink(), dir: t.TempDir(),
 		order: make(map[string][]string), acked: make(map[string]*alert.Alert), heads: make(map[string]bool),
 	}
-	r.cfg = Config{Clock: clock.NewReal(), Channels: r.sink.channels(), Shards: 1, QueueDepth: 512}
+	r.cfg = Config{Clock: clock.NewReal(), Channels: r.sink.channels(), Shards: 1, queueDepth: 512}
 	if row.cfg != nil {
 		row.cfg(&r.cfg)
 	}
-	poisonHits := PoolPoisonHits()
+	poisonHits := poolPoisonHits.Load()
 	crash := faults.NewFlag(row.name)
 	cfg := r.cfg
 	if row.arm != armNever {
-		cfg.Fault = crashAt(row.point, crash)
+		cfg.fault = crashAt(row.point, crash)
 	}
 	r.h1 = r.start(t, cfg, r.dir, true)
 	h1 := r.h1
@@ -664,7 +664,7 @@ func runCrashRow(t *testing.T, row *crashRow) {
 		r.sink.reset(before)
 		r.reopen(t, dir)
 	}
-	if n := PoolPoisonHits() - poisonHits; n != 0 || len(r.sink.poison) != 0 {
+	if n := poolPoisonHits.Load() - poisonHits; n != 0 || len(r.sink.poison) != 0 {
 		t.Errorf("recycled envelopes: %d came back scribbled, %v delivered poisoned", n, r.sink.poison)
 	}
 }

@@ -66,7 +66,7 @@ var userQueuePool = sync.Pool{New: func() any { return new(userQueue) }}
 // and timer wheel.
 //
 // A worker is a delivery-window slot: live workers never exceed
-// DeliveryWindow. A parked delivery costs its chain, its scratch, one
+// deliveryWindow. A parked delivery costs its chain, its scratch, one
 // wheel node and, for an ack, one Acks entry. A chain that becomes ready
 // while no worker is free spawns one if the window has room, else waits
 // for the first worker done with its step. Idle workers wait on the
@@ -223,7 +223,7 @@ func (d *deliveryStage) readyLocked(q *userQueue) {
 	}
 	d.readyTail = q
 	d.nready++
-	if live := d.live.Load(); int64(d.nready) > live-d.busy.Load() && live < int64(d.h.cfg.DeliveryWindow) {
+	if live := d.live.Load(); int64(d.nready) > live-d.busy.Load() && live < int64(d.h.cfg.deliveryWindow) {
 		d.live.Add(1)
 		d.spawned++
 		d.workers.Add(1)
@@ -267,7 +267,7 @@ func (d *deliveryStage) work() {
 		q.ready = nil
 		d.nready--
 		d.busy.Add(1)
-		d.sh.beat(d.h.cfg.Clock.Now()) // the watchdog times a step from its start, not from before an idle spell or a park
+		d.sh.progress.Beat(d.h.cfg.Clock.Now()) // the watchdog times a step from its start, not from before an idle spell or a park
 		d.run(q)
 		d.busy.Add(-1)
 	}
@@ -307,7 +307,7 @@ func (d *deliveryStage) run(q *userQueue) {
 			d.endChain(q, q.attempt == 0)
 			return
 		}
-		d.sh.beat(d.h.cfg.Clock.Now())
+		d.sh.progress.Beat(d.h.cfg.Clock.Now())
 		switch {
 		case !parked:
 			d.spare = append(d.spare, q.scr)
@@ -393,10 +393,10 @@ func (d *deliveryStage) perform(q *userQueue) (parked, ok bool) {
 		return true, true
 	}
 	rep, err := q.scr.Result()
-	if f := d.h.cfg.OnDelivery; f != nil {
+	if f := d.h.cfg.onDelivery; f != nil {
 		f(q.env.buddy.user, rep, err)
 	}
-	if err != nil && q.attempt < d.h.cfg.DeliveryMaxAttempts {
+	if err != nil && q.attempt < d.h.cfg.deliveryMaxAttempts {
 		d.h.ctr.deliveryRetries.Add1()
 		q.backoff = d.wheel.AfterFunc(d.backoff(q.attempt), q.resume)
 		return true, true
@@ -430,7 +430,7 @@ func (d *deliveryStage) settle(q *userQueue, rep *core.Report, err error) bool {
 		return true
 	}
 	h.deliverLat.Observe(h.cfg.Clock.Since(q.handed))
-	if h.fault(FaultBeforeMark, d.sh.id, d.killed) {
+	if h.fault(faultBeforeMark, d.sh.id, d.killed) {
 		return false
 	}
 	select {
@@ -474,12 +474,12 @@ func (d *deliveryStage) handoff(env *envelope, attempts int) bool {
 // forked RNG so colliding retries across tenants decorrelate.
 func (d *deliveryStage) backoff(attempt int) time.Duration {
 	h := d.h
-	delay := h.cfg.DeliveryBackoff
-	for i := 1; i < attempt && delay < h.cfg.DeliveryBackoffCap; i++ {
+	delay := h.cfg.deliveryBackoff
+	for i := 1; i < attempt && delay < h.cfg.deliveryBackoffCap; i++ {
 		delay *= 2
 	}
-	if delay > h.cfg.DeliveryBackoffCap {
-		delay = h.cfg.DeliveryBackoffCap
+	if delay > h.cfg.deliveryBackoffCap {
+		delay = h.cfg.deliveryBackoffCap
 	}
 	// Full jitter over the upper half: [delay/2, delay).
 	return delay/2 + time.Duration(d.rng.Float64()*float64(delay/2))

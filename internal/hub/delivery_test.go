@@ -89,7 +89,7 @@ func TestHubPerUserFIFOUnderAsyncDelivery(t *testing.T) {
 	const users, perUser = 40, 25
 	clk := clock.NewReal()
 	sink := newOrderSink(dist.NewRNG(11), 4, 300)
-	h := newTestHub(t, Config{Clock: clk, Channels: sinkChannels(sink.Deliver), Shards: 4, QueueDepth: 1024})
+	h := newTestHub(t, Config{Clock: clk, Channels: sinkChannels(sink.Deliver), Shards: 4, queueDepth: 1024})
 	addUsers(t, h, users)
 	if err := h.Start(); err != nil {
 		t.Fatal(err)
@@ -156,9 +156,9 @@ func TestHubDeliveryRetriesTransientFailures(t *testing.T) {
 	})
 	h := newTestHub(t, Config{
 		Clock: clk, Channels: sink, Shards: 1,
-		DeliveryMaxAttempts: 4,
-		DeliveryBackoff:     100 * time.Microsecond,
-		DeliveryBackoffCap:  time.Millisecond,
+		deliveryMaxAttempts: 4,
+		deliveryBackoff:     100 * time.Microsecond,
+		deliveryBackoffCap:  time.Millisecond,
 	})
 	addUsers(t, h, 1)
 	if err := h.Start(); err != nil {
@@ -183,7 +183,7 @@ func TestHubDeliveryRetriesTransientFailures(t *testing.T) {
 }
 
 // TestHubDeliveryExhaustsRetriesThenMarks checks that a permanently
-// failing delivery gives up after DeliveryMaxAttempts, counts as
+// failing delivery gives up after deliveryMaxAttempts, counts as
 // undeliverable, and is still marked processed — the hub must not
 // replay a poison alert forever.
 func TestHubDeliveryExhaustsRetriesThenMarks(t *testing.T) {
@@ -196,9 +196,9 @@ func TestHubDeliveryExhaustsRetriesThenMarks(t *testing.T) {
 	})
 	h := newTestHub(t, Config{
 		Clock: clk, Channels: sink, Shards: 1,
-		DeliveryMaxAttempts: 3,
-		DeliveryBackoff:     100 * time.Microsecond,
-		DeliveryBackoffCap:  time.Millisecond,
+		deliveryMaxAttempts: 3,
+		deliveryBackoff:     100 * time.Microsecond,
+		deliveryBackoffCap:  time.Millisecond,
 	})
 	addUsers(t, h, 1)
 	if err := h.Start(); err != nil {
@@ -223,7 +223,7 @@ func TestHubDeliveryExhaustsRetriesThenMarks(t *testing.T) {
 }
 
 // TestHubDeliveryWindowBounds checks the in-flight window: with
-// DeliveryWindow=2 on one shard, the sink never observes more than two
+// deliveryWindow=2 on one shard, the sink never observes more than two
 // concurrent deliveries even with twenty users' worth of parallelism
 // available, and the stage reaches the bound.
 func TestHubDeliveryWindowBounds(t *testing.T) {
@@ -243,8 +243,8 @@ func TestHubDeliveryWindowBounds(t *testing.T) {
 		return nil
 	})
 	h := newTestHub(t, Config{
-		Clock: clk, Channels: slow, Shards: 1, QueueDepth: 256,
-		DeliveryWindow: window,
+		Clock: clk, Channels: slow, Shards: 1, queueDepth: 256,
+		deliveryWindow: window,
 	})
 	addUsers(t, h, users)
 	if err := h.Start(); err != nil {

@@ -6,7 +6,7 @@
 // hosting thousands of users behind a shard table:
 //
 //   - User IDs hash onto K shards. Each shard has bounded admission:
-//     when its QueueDepth slots are taken, Submit fails with an
+//     when its DefaultQueueDepth slots are taken, Submit fails with an
 //     OverloadError carrying a retry hint. An alert is never
 //     acknowledged (Submit never returns nil) unless it is durable, and
 //     a durable alert is never silently dropped — it is either routed
@@ -139,35 +139,35 @@ func (e *OverloadError) Error() string {
 		e.Shard, e.Depth, e.RetryAfter)
 }
 
-// FaultPoint names a place on the alert path where Config.Fault is
+// faultPoint names a place on the alert path where Config.fault is
 // consulted.
-type FaultPoint int
+type faultPoint int
 
 // The fault points, in the order an alert meets them.
 const (
-	// FaultAfterBatchFsync: a burst's RECV batch is durable — its
+	// faultAfterBatchFsync: a burst's RECV batch is durable — its
 	// senders are acknowledged — and none of it is enqueued yet; the next
 	// incarnation must cover the burst by replay.
-	FaultAfterBatchFsync FaultPoint = iota
-	// FaultRoute: a worker has taken an envelope off its user's chain
+	faultAfterBatchFsync faultPoint = iota
+	// faultRoute: a worker has taken an envelope off its user's chain
 	// and not yet evaluated the tenant's pipeline on it; a wedge here
 	// stalls that chain only, and a kill abandons the envelope and the
 	// rest of its chain to replay.
-	FaultRoute
-	// FaultBeforeMark: a worker has executed a delivery and not yet
+	faultRoute
+	// faultBeforeMark: a worker has executed a delivery and not yet
 	// marked the alert processed — the paper's crash between routing and
 	// marking.
-	FaultBeforeMark
+	faultBeforeMark
 )
 
 // String names the point for the fault journal.
-func (p FaultPoint) String() string {
+func (p faultPoint) String() string {
 	switch p {
-	case FaultAfterBatchFsync:
+	case faultAfterBatchFsync:
 		return "between batch fsync and enqueue"
-	case FaultRoute:
+	case faultRoute:
 		return "before routing an alert"
-	case FaultBeforeMark:
+	case faultBeforeMark:
 		return "between delivery and mark-processed"
 	default:
 		return fmt.Sprintf("at fault point %d", int(p))
@@ -197,13 +197,6 @@ type Config struct {
 	// admission reservation — not a delivery-window slot, which a
 	// parked wait does not occupy.
 	AckTimeout time.Duration
-	// OnDelivery, when set, observes every delivery-mode execution
-	// attempt on the hub's delivery workers: the per-attempt report
-	// (block fallback trace) and the attempt's error, nil on success.
-	// Both are borrowed from the worker's scratch (core.Scratch) and
-	// valid only during the call: copy what must outlive it. Must be
-	// safe for concurrent calls.
-	OnDelivery func(user string, rep *core.Report, err error)
 	// WALPath is the journal base path; required. Every shard and the
 	// retry outbox stage into the one plog.Log there; New refuses a
 	// directory written in another journal format (plog.ErrFormat) and
@@ -211,60 +204,72 @@ type Config struct {
 	WALPath string
 	// Shards is the shard-table size; zero means DefaultShards.
 	Shards int
-	// QueueDepth bounds each shard's admitted-but-unfinished alerts; zero means
-	// DefaultQueueDepth.
-	QueueDepth int
 	// CommitWindow is the group-commit window's upper bound (wall
 	// clock). The commit schedule is adaptive (plog.GroupOptions.Window):
 	// an append that ends an idle spell commits immediately, so the
 	// window taxes only steady streams. Zero commits as soon as the
 	// previous fsync finishes.
 	CommitWindow time.Duration
-	// WALSegmentBytes caps the WAL's active segment before it rotates;
-	// zero means plog.DefaultSegmentBytes (4 MiB).
-	WALSegmentBytes int64
-	// WALCheckpointEvery triggers a background WAL checkpoint +
-	// compaction after this many journal records; zero means
-	// DefaultWALCheckpointEvery, negative disables checkpointing.
-	WALCheckpointEvery int64
 	// RNG seeds the per-shard forked RNGs handed to simulated
 	// substrates. Optional.
 	RNG *dist.RNG
 	// Journal records replay/recovery actions and, under Supervise,
 	// check failures and escalations. Optional.
 	Journal *faults.Journal
-	// DeliveryWindow bounds each shard's delivery workers — its routing
-	// plus channel Sends; zero means DefaultDeliveryWindow. A delivery
-	// waiting for an ack or a retry backoff is parked data holding no
-	// worker (parked waits are bounded by QueueDepth). One serializes a
-	// shard's routing and Sends.
-	DeliveryWindow int
-	// DeliveryMaxAttempts caps delivery attempts per alert (initial try
-	// plus retries); zero means DefaultDeliveryMaxAttempts.
-	DeliveryMaxAttempts int
-	// DeliveryBackoff is the base retry backoff (exponential per
-	// attempt, jittered); zero means DefaultDeliveryBackoff.
-	DeliveryBackoff time.Duration
-	// DeliveryBackoffCap caps the exponential backoff; zero means
-	// DefaultDeliveryBackoffCap.
-	DeliveryBackoffCap time.Duration
 	// Deprecated: OutboxPath is ignored. The guaranteed tier's retry
 	// outbox always exists and journals into the WAL at WALPath.
 	OutboxPath string
 	// OutboxBackoff is the outbox's base per-round redelivery backoff;
 	// zero means outbox.DefaultBackoff.
 	OutboxBackoff time.Duration
-	// OutboxBackoffCap caps the outbox's exponential round backoff;
+
+	// The knobs below are set only by this package's tests; a zero
+	// value means the default. A knob is exported once a caller
+	// outside the package needs it.
+
+	// onDelivery, when set, observes every delivery-mode execution
+	// attempt on the hub's delivery workers: the per-attempt report
+	// (block fallback trace) and the attempt's error, nil on success.
+	// Both are borrowed from the worker's scratch (core.Scratch) and
+	// valid only during the call: copy what must outlive it. Must be
+	// safe for concurrent calls.
+	onDelivery func(user string, rep *core.Report, err error)
+	// queueDepth bounds each shard's admitted-but-unfinished alerts; zero means
+	// DefaultQueueDepth.
+	queueDepth int
+	// walSegmentBytes caps the WAL's active segment before it rotates;
+	// zero means plog.DefaultSegmentBytes (4 MiB).
+	walSegmentBytes int64
+	// walCheckpointEvery triggers a background WAL checkpoint +
+	// compaction after this many journal records; zero means
+	// DefaultWALCheckpointEvery, negative disables checkpointing.
+	walCheckpointEvery int64
+	// deliveryWindow bounds each shard's delivery workers — its routing
+	// plus channel Sends; zero means DefaultDeliveryWindow. A delivery
+	// waiting for an ack or a retry backoff is parked data holding no
+	// worker (parked waits are bounded by queueDepth). One serializes a
+	// shard's routing and Sends.
+	deliveryWindow int
+	// deliveryMaxAttempts caps delivery attempts per alert (initial try
+	// plus retries); zero means DefaultDeliveryMaxAttempts.
+	deliveryMaxAttempts int
+	// deliveryBackoff is the base retry backoff (exponential per
+	// attempt, jittered); zero means DefaultDeliveryBackoff.
+	deliveryBackoff time.Duration
+	// deliveryBackoffCap caps the exponential backoff; zero means
+	// DefaultDeliveryBackoffCap.
+	deliveryBackoffCap time.Duration
+	// outboxBackoffCap caps the outbox's exponential round backoff;
 	// zero means outbox.DefaultBackoffCap.
-	OutboxBackoffCap time.Duration
-	// OutboxEscalateEvery is how many exhausted outbox rounds an
+	outboxBackoffCap time.Duration
+	// outboxEscalateEvery is how many exhausted outbox rounds an
 	// envelope spends per delivery-mode block before escalating to the
 	// next block; zero means outbox.DefaultEscalateEvery, negative
 	// disables escalation.
-	OutboxEscalateEvery int
-	// Fault is the hub's one fault-injection seam. When set, it is
-	// consulted at each FaultPoint with the shard concerned (-1 at
-	// FaultAfterBatchFsync, whose burst may span shards) and the kill
+	outboxEscalateEvery int
+	// fault is the hub's one fault-injection seam. When set, it is
+	// consulted at each faultPoint with the shard concerned (-1 at
+	// faultAfterBatchFsync, whose burst may span shards) and the kill
 	// signal of what is running there — the shard generation's, or the
 	// hub's. A true reply kills the whole hub at that point, once,
 	// journaled; a call that blocks wedges the caller — the resolver, or
@@ -272,7 +277,7 @@ type Config struct {
 	// stage would, and watching killed lets the wedge clear when a
 	// supervisor kills the generation. Must be safe for concurrent
 	// calls. Optional.
-	Fault func(p FaultPoint, shard int, killed <-chan struct{}) (crash bool)
+	fault func(p faultPoint, shard int, killed <-chan struct{}) (crash bool)
 }
 
 // Hub hosts N per-user buddies across K shards over one group-commit
@@ -362,38 +367,38 @@ func New(cfg Config) (*Hub, error) {
 	if cfg.Shards <= 0 {
 		cfg.Shards = DefaultShards
 	}
-	if cfg.QueueDepth <= 0 {
-		cfg.QueueDepth = DefaultQueueDepth
+	if cfg.queueDepth <= 0 {
+		cfg.queueDepth = DefaultQueueDepth
 	}
-	if cfg.DeliveryWindow <= 0 {
-		cfg.DeliveryWindow = DefaultDeliveryWindow
+	if cfg.deliveryWindow <= 0 {
+		cfg.deliveryWindow = DefaultDeliveryWindow
 	}
-	if cfg.DeliveryMaxAttempts <= 0 {
-		cfg.DeliveryMaxAttempts = DefaultDeliveryMaxAttempts
+	if cfg.deliveryMaxAttempts <= 0 {
+		cfg.deliveryMaxAttempts = DefaultDeliveryMaxAttempts
 	}
-	if cfg.DeliveryBackoff <= 0 {
-		cfg.DeliveryBackoff = DefaultDeliveryBackoff
+	if cfg.deliveryBackoff <= 0 {
+		cfg.deliveryBackoff = DefaultDeliveryBackoff
 	}
-	if cfg.DeliveryBackoffCap <= 0 {
-		cfg.DeliveryBackoffCap = DefaultDeliveryBackoffCap
+	if cfg.deliveryBackoffCap <= 0 {
+		cfg.deliveryBackoffCap = DefaultDeliveryBackoffCap
 	}
-	if cfg.DeliveryBackoffCap < cfg.DeliveryBackoff {
-		cfg.DeliveryBackoffCap = cfg.DeliveryBackoff
+	if cfg.deliveryBackoffCap < cfg.deliveryBackoff {
+		cfg.deliveryBackoffCap = cfg.deliveryBackoff
 	}
 	if cfg.RNG == nil {
 		cfg.RNG = dist.NewRNG(1)
 	}
 	switch {
-	case cfg.WALCheckpointEvery == 0:
-		cfg.WALCheckpointEvery = DefaultWALCheckpointEvery
-	case cfg.WALCheckpointEvery < 0:
-		cfg.WALCheckpointEvery = 0 // disable background compaction
+	case cfg.walCheckpointEvery == 0:
+		cfg.walCheckpointEvery = DefaultWALCheckpointEvery
+	case cfg.walCheckpointEvery < 0:
+		cfg.walCheckpointEvery = 0 // disable background compaction
 	}
 	wal, err := plog.OpenGroup(cfg.WALPath, plog.GroupOptions{
 		Window: cfg.CommitWindow,
 		Log: plog.Options{
-			SegmentBytes:    cfg.WALSegmentBytes,
-			CheckpointEvery: cfg.WALCheckpointEvery,
+			SegmentBytes:    cfg.walSegmentBytes,
+			CheckpointEvery: cfg.walCheckpointEvery,
 		},
 	})
 	if err != nil {
@@ -457,13 +462,13 @@ func New(cfg Config) (*Hub, error) {
 	for i := range h.shards {
 		// The shard's generation 1, its delivery stage, is built by
 		// Start; the shard itself carries only what survives restarts.
-		h.shards[i] = newShard(i, cfg.QueueDepth, cfg.RNG.Fork(fmt.Sprintf("hub-shard-%d", i)))
+		h.shards[i] = newShard(i, cfg.queueDepth, cfg.RNG.Fork(fmt.Sprintf("hub-shard-%d", i)))
 	}
 	h.outbox = outbox.New(wal, outbox.Options{
 		Clock:         cfg.Clock,
 		Backoff:       cfg.OutboxBackoff,
-		BackoffCap:    cfg.OutboxBackoffCap,
-		EscalateEvery: cfg.OutboxEscalateEvery,
+		BackoffCap:    cfg.outboxBackoffCap,
+		EscalateEvery: cfg.outboxEscalateEvery,
 		Journal:       cfg.Journal,
 	})
 	h.redo = core.NewScratch(nil)
@@ -489,12 +494,12 @@ func (h *Hub) HandleIncoming(msg im.Message) bool {
 	return h.acks.HandleIncoming(msg)
 }
 
-// fault consults Config.Fault at point p and, on a true reply, kills
+// fault consults Config.fault at point p and, on a true reply, kills
 // the hub — once however many callers reach a crash point together,
 // with one journal line — and reports true: the caller abandons what it
 // was doing, as a crash there would.
-func (h *Hub) fault(p FaultPoint, shard int, killed <-chan struct{}) bool {
-	if f := h.cfg.Fault; f == nil || !f(p, shard, killed) {
+func (h *Hub) fault(p faultPoint, shard int, killed <-chan struct{}) bool {
+	if f := h.cfg.fault; f == nil || !f(p, shard, killed) {
 		return false
 	}
 	h.crashOnce.Do(func() {

@@ -76,14 +76,14 @@ func checkOutboxLedger(t *testing.T, h *Hub) {
 	}
 }
 
-// crashAt is a Config.Fault that crashes the hub at point while flag is
+// crashAt is a Config.fault that crashes the hub at point while flag is
 // active.
-func crashAt(point FaultPoint, flag *faults.Flag) func(FaultPoint, int, <-chan struct{}) bool {
-	return func(p FaultPoint, _ int, _ <-chan struct{}) bool { return p == point && flag.Active() }
+func crashAt(point faultPoint, flag *faults.Flag) func(faultPoint, int, <-chan struct{}) bool {
+	return func(p faultPoint, _ int, _ <-chan struct{}) bool { return p == point && flag.Active() }
 }
 
 // routeGate wedges routing for wedgeAt: while armed, a worker whose
-// envelope reaches FaultRoute reports on hit and parks until the gate
+// envelope reaches faultRoute reports on hit and parks until the gate
 // is released or the worker's generation is killed.
 type routeGate struct {
 	mu   sync.Mutex
@@ -115,11 +115,11 @@ func (g *routeGate) release() {
 	g.mu.Unlock()
 }
 
-// wedgeAt is a Config.Fault that parks shard's routing steps (every
+// wedgeAt is a Config.fault that parks shard's routing steps (every
 // shard's when shard is negative) at gate.
-func wedgeAt(shard int, gate *routeGate) func(FaultPoint, int, <-chan struct{}) bool {
-	return func(p FaultPoint, id int, killed <-chan struct{}) bool {
-		if p != FaultRoute || (shard >= 0 && id != shard) {
+func wedgeAt(shard int, gate *routeGate) func(faultPoint, int, <-chan struct{}) bool {
+	return func(p faultPoint, id int, killed <-chan struct{}) bool {
+		if p != faultRoute || (shard >= 0 && id != shard) {
 			return false
 		}
 		gate.mu.Lock()
@@ -143,7 +143,7 @@ func TestHubRoutesThousandsOfTenants(t *testing.T) {
 	const users, perUser = 1000, 3
 	clk := clock.NewReal()
 	sink := hubtest.NewSimSink(dist.NewRNG(7), 8, 0)
-	h := newTestHub(t, Config{Clock: clk, Channels: core.NewChannels().Register(addr.TypeSink, sink), Shards: 8, QueueDepth: 512})
+	h := newTestHub(t, Config{Clock: clk, Channels: core.NewChannels().Register(addr.TypeSink, sink), Shards: 8, queueDepth: 512})
 	addUsers(t, h, users)
 	if err := h.Start(); err != nil {
 		t.Fatal(err)
@@ -224,7 +224,7 @@ func TestHubGroupCommitCutsFsyncs(t *testing.T) {
 	clk := clock.NewReal()
 	sink := hubtest.NewSimSink(dist.NewRNG(3), 4, 0)
 	h := newTestHub(t, Config{
-		Clock: clk, Channels: core.NewChannels().Register(addr.TypeSink, sink), Shards: 4, QueueDepth: 1024,
+		Clock: clk, Channels: core.NewChannels().Register(addr.TypeSink, sink), Shards: 4, queueDepth: 1024,
 		CommitWindow: time.Millisecond,
 	})
 	addUsers(t, h, users)
@@ -282,7 +282,7 @@ func TestHubBackpressureRejectsBeforeLogging(t *testing.T) {
 		mu.Unlock()
 		return nil
 	})
-	h := newTestHub(t, Config{Clock: clk, Channels: sink, Shards: 1, QueueDepth: 3})
+	h := newTestHub(t, Config{Clock: clk, Channels: sink, Shards: 1, queueDepth: 3})
 	b, err := h.AddUser("solo")
 	if err != nil {
 		t.Fatal(err)

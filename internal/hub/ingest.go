@@ -286,7 +286,7 @@ func (h *Hub) stage(t *Ticket, subs []Submission, scr *submitScratch) bool {
 			errs[p.idx] = &OverloadError{
 				User:       subs[p.idx].User,
 				Shard:      p.sh.id,
-				Depth:      h.cfg.QueueDepth,
+				Depth:      h.cfg.queueDepth,
 				RetryAfter: p.sh.retryHint(now, h.cfg.CommitWindow),
 			}
 			continue
@@ -383,7 +383,7 @@ func (h *Hub) resolve(t *Ticket) {
 		h.nack(t, t.entries, err)
 		return
 	}
-	if h.fault(FaultAfterBatchFsync, -1, h.killed) {
+	if h.fault(faultAfterBatchFsync, -1, h.killed) {
 		h.finishTicket(t)
 		return
 	}

@@ -62,7 +62,7 @@ func (h *Hub) publishGen(sh *shard, next *deliveryStage) bool {
 	sh.cur.Store(next)
 	sh.mu.Unlock()
 	sh.gen.Add(1)
-	sh.beat(h.cfg.Clock.Now())
+	sh.progress.Beat(h.cfg.Clock.Now())
 	return true
 }
 
@@ -91,7 +91,7 @@ func (h *Hub) redeliver(dedup string, e *outbox.Entry) (int, error) {
 	}
 	h.redoWire, _ = e.Alert.AppendWire(h.redoWire[:0]) // nil on error, which the executor reports
 	rep, err := h.exec.DeliverScratch(h.deliveryContext(e.User, h.shardOf(e.User).id), e.Alert, dedup[len(e.User)+len(keySep):], h.redoWire, reg, mode, h.redo)
-	if f := h.cfg.OnDelivery; f != nil {
+	if f := h.cfg.onDelivery; f != nil {
 		f(e.User, rep, err)
 	}
 	if err == nil {
@@ -402,5 +402,5 @@ func (h *Hub) shardByID(id int) (*shard, error) {
 }
 
 // CheckpointWAL forces a checkpoint + segment compaction on the WAL, as
-// the background compactor would at the WALCheckpointEvery threshold.
+// the background checkpoint does every DefaultWALCheckpointEvery records.
 func (h *Hub) CheckpointWAL() error { return h.wal.Checkpoint() }

@@ -166,7 +166,7 @@ func TestHubModeDeliveryMatchesBuddyExecutor(t *testing.T) {
 		Clock:    clk,
 		Channels: hubChans,
 		Shards:   4,
-		OnDelivery: func(user string, rep *core.Report, err error) {
+		onDelivery: func(user string, rep *core.Report, err error) {
 			if rep == nil {
 				return
 			}

@@ -137,11 +137,11 @@ func TestHubOutboxEscalatesToBackupChannel(t *testing.T) {
 		Clock:               clk,
 		Channels:            mkChannels(),
 		Shards:              1,
-		DeliveryMaxAttempts: 1, // first execution exhausts the budget → outbox
+		deliveryMaxAttempts: 1, // first execution exhausts the budget → outbox
 		OutboxBackoff:       2 * time.Millisecond,
-		OutboxBackoffCap:    10 * time.Millisecond,
-		OutboxEscalateEvery: 2,
-		OnDelivery: func(u string, rep *core.Report, err error) {
+		outboxBackoffCap:    10 * time.Millisecond,
+		outboxEscalateEvery: 2,
+		onDelivery: func(u string, rep *core.Report, err error) {
 			if err == nil && rep != nil {
 				tr := traceOf(rep)
 				mu.Lock()

@@ -63,16 +63,12 @@ var envPool sync.Pool
 // freed once none of its envelopes is reachable.
 const envSlab = 16
 
-// poolPoison, when set, scribbles on every recycled envelope so any
+// poolPoison, when set, scribbles on every recycled envelope (and the
+// delivery stages' timer-wheel nodes of hubs built while on) so any
 // use-after-recycle reads obvious garbage instead of stale-but-valid
-// data. Test instrumentation only — see SetPoolPoison.
+// data. Tests set it to turn silent pooling bugs into loud ones; it
+// burns cycles on every recycle.
 var poolPoison atomic.Bool
-
-// SetPoolPoison toggles reuse-poisoning of recycled envelopes (and the
-// delivery stages' timer-wheel nodes of hubs built while on). Tests
-// enable it to turn silent pooling bugs into loud ones; never enable it
-// in production — it burns cycles on every recycle.
-func SetPoolPoison(on bool) { poolPoison.Store(on) }
 
 // poisonSentinel marks every string field of a poisoned envelope.
 const poisonSentinel = "POISONED-RECYCLED-ENVELOPE"
@@ -82,11 +78,6 @@ const poisonSentinel = "POISONED-RECYCLED-ENVELOPE"
 // evidence of a use-after-recycle writer. Feeds the hub's pool-poison
 // stabilize invariant; only advances while poisoning is on.
 var poolPoisonHits atomic.Int64
-
-// PoolPoisonHits returns how many recycled envelopes came back from
-// the pool with their poison marks disturbed (use-after-recycle
-// detection; counts only while SetPoolPoison is on).
-func PoolPoisonHits() int64 { return poolPoisonHits.Load() }
 
 // getEnvelope takes a (possibly recycled) envelope from the pool. The
 // caller must fill every semantic field; the env-owned buffers keep

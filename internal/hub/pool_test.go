@@ -212,11 +212,11 @@ func TestHubReplayAllocBudget(t *testing.T) {
 		Clock:      clock.NewReal(),
 		Channels:   sinkChannels(func(int, string, *alert.Alert) error { delivered.Add(1); return nil }),
 		WALPath:    filepath.Join(t.TempDir(), "hub.wal"),
-		QueueDepth: alerts,
+		queueDepth: alerts,
 		// Every worker parks before routing until the kill: the alerts are
 		// durable and acknowledged, and none is routed.
-		Fault: func(p FaultPoint, _ int, killed <-chan struct{}) bool {
-			if p == FaultRoute {
+		fault: func(p faultPoint, _ int, killed <-chan struct{}) bool {
+			if p == faultRoute {
 				<-killed
 			}
 			return false
@@ -245,7 +245,7 @@ func TestHubReplayAllocBudget(t *testing.T) {
 	h1.Kill()
 	<-h1.Stopped()
 
-	cfg.Fault = nil
+	cfg.fault = nil
 	runtime.GC()
 	runtime.GC() // the second collection empties the pools' victim caches too
 	var before, opened, added, after runtime.MemStats
@@ -425,7 +425,7 @@ func usersMapSize(h *Hub) int {
 func TestDeliveryUsersMapDrains(t *testing.T) {
 	const users = 200
 	sink := hubtest.NewSimSink(dist.NewRNG(11), 4, 0)
-	h := newTestHub(t, Config{Channels: core.NewChannels().Register(addr.TypeSink, sink), Shards: 4, QueueDepth: 256})
+	h := newTestHub(t, Config{Channels: core.NewChannels().Register(addr.TypeSink, sink), Shards: 4, queueDepth: 256})
 	addUsers(t, h, users)
 	if err := h.Start(); err != nil {
 		t.Fatal(err)
@@ -458,7 +458,7 @@ func TestDeliveryUsersMapDrainsOnKill(t *testing.T) {
 	h, err := New(Config{
 		Clock: clock.NewReal(), Channels: sink.channels(),
 		WALPath: filepath.Join(t.TempDir(), "hub.wal"),
-		Shards:  2, QueueDepth: 256,
+		Shards:  2, queueDepth: 256,
 	})
 	if err != nil {
 		t.Fatal(err)

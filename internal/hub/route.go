@@ -22,7 +22,7 @@ import (
 // routing ended, starts the deliver-stage latency split.
 func (d *deliveryStage) route(q *userQueue) (parked, ok bool) {
 	h, env := d.h, q.env
-	h.fault(FaultRoute, d.sh.id, d.killed)
+	h.fault(faultRoute, d.sh.id, d.killed)
 	select {
 	case <-d.killed:
 		return false, false // abandoned: the WAL still owns the envelope

@@ -8,6 +8,7 @@ import (
 
 	"simba/internal/dist"
 	"simba/internal/metrics"
+	"simba/internal/stabilize"
 )
 
 // ShardState is one shard's lifecycle state. A shard is the hub's unit
@@ -83,9 +84,9 @@ type shard struct {
 	// Supervision-facing atomics: the health probe reads exactly these,
 	// never a lock — a probe of a wedged shard must not block behind the
 	// thing that wedged it.
-	state    atomic.Int32 // ShardState
-	gen      atomic.Int64 // current generation number
-	progress atomic.Int64 // unix nanos of the last worker progress beat
+	state    atomic.Int32       // ShardState
+	gen      atomic.Int64       // current generation number
+	progress stabilize.Progress // beaten as a worker takes a chain and after each step
 
 	restarts      atomic.Int64 // kill+replay restarts
 	rejuvenations atomic.Int64 // in-place renewals
@@ -117,21 +118,6 @@ func newShard(id, queueDepth int, rng *dist.RNG) *shard {
 // current returns the live generation.
 func (s *shard) current() *deliveryStage { return s.cur.Load() }
 
-// beat records worker progress at now. Probes compare this against the
-// staleness budget while a worker is busy; with the busy count it is
-// the only supervision cost on the hot path (an atomic store when a
-// worker takes a chain and after each step).
-func (s *shard) beat(now time.Time) { s.progress.Store(now.UnixNano()) }
-
-// lastProgress returns the most recent beat (zero time if none).
-func (s *shard) lastProgress() time.Time {
-	n := s.progress.Load()
-	if n == 0 {
-		return time.Time{}
-	}
-	return time.Unix(0, n)
-}
-
 // setState publishes a lifecycle transition.
 func (s *shard) setState(st ShardState) { s.state.Store(int32(st)) }
 
@@ -149,7 +135,7 @@ type Health struct {
 	Generation int64 `json:"generation"`
 	// Depth is the admitted-but-unfinished alerts (in admission,
 	// chained, or in delivery); InFlight the concurrent channel Sends,
-	// bounded by DeliveryWindow. The peaks survive generation swaps.
+	// bounded by the delivery window. The peaks survive generation swaps.
 	Depth        int64     `json:"depth"`
 	PeakDepth    int       `json:"peak_depth"`
 	InFlight     int64     `json:"in_flight"`
@@ -172,7 +158,7 @@ func (s *shard) health() Health {
 		PeakDepth:     int(s.peak.Load()),
 		InFlight:      s.inflight.Load(),
 		PeakInFlight:  int(s.inflight.Peak()),
-		LastProgress:  s.lastProgress(),
+		LastProgress:  s.progress.Last(),
 		Restarts:      s.restarts.Load(),
 		Rejuvenations: s.rejuvenations.Load(),
 	}

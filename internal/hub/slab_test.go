@@ -27,8 +27,8 @@ import (
 func TestSubmitBatchKeepsNothingOfTheCallers(t *testing.T) {
 	for _, poison := range []bool{false, true} {
 		t.Run(fmt.Sprintf("poison=%v", poison), func(t *testing.T) {
-			SetPoolPoison(poison)
-			defer SetPoolPoison(false)
+			poolPoison.Store(poison)
+			defer poolPoison.Store(false)
 			testSubmitBatchKeepsNothing(t)
 		})
 	}
@@ -55,7 +55,7 @@ func testSubmitBatchKeepsNothing(t *testing.T) {
 			mu.Unlock()
 			return nil
 		}),
-		Fault: wedgeAt(-1, gate),
+		fault: wedgeAt(-1, gate),
 	})
 	if err != nil {
 		t.Fatal(err)

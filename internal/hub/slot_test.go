@@ -41,7 +41,7 @@ func hostModeUsers(t *testing.T, h *Hub, n int, blockTimeout time.Duration) {
 }
 
 // TestParkedAckWaitHoldsNoWorker pins what a worker covers: with
-// DeliveryWindow 1 — one worker — and every IM acknowledgement withheld,
+// deliveryWindow 1 — one worker — and every IM acknowledgement withheld,
 // the second tenant's IM is still sent while the first delivery waits
 // for its ack, and once both wait, the one worker is idle: a parked
 // delivery holds no worker and no in-flight slot, only its Acks entry
@@ -65,7 +65,7 @@ func TestParkedAckWaitHoldsNoWorker(t *testing.T) {
 			emails.Add(1)
 			return core.SendResult{Confirmed: true}, nil
 		}))
-	h := newTestHub(t, Config{Channels: chans, Shards: 1, DeliveryWindow: 1, AckTimeout: 30 * time.Second})
+	h := newTestHub(t, Config{Channels: chans, Shards: 1, deliveryWindow: 1, AckTimeout: 30 * time.Second})
 	hostModeUsers(t, h, users, 0)
 	if err := h.Start(); err != nil {
 		t.Fatal(err)
@@ -94,7 +94,7 @@ func TestParkedAckWaitHoldsNoWorker(t *testing.T) {
 			h.shards[0].inflight.Load() == 0 && d.busy.Load() == 0 && d.live.Load() == 1
 	})
 	if spawned := spawnedWorkers(h); spawned != 1 {
-		t.Fatalf("%d workers spawned with DeliveryWindow 1", spawned)
+		t.Fatalf("%d workers spawned with deliveryWindow 1", spawned)
 	}
 	for _, s := range unacked {
 		h.HandleIncoming(im.Message{From: s.handle, Text: core.AckText(s.seq)})
@@ -115,7 +115,7 @@ func TestParkedAckWaitHoldsNoWorker(t *testing.T) {
 }
 
 // TestParkedBackoffHoldsNoWorker is the same for the retry backoff:
-// with DeliveryWindow 1, a tenant whose first attempt failed waits out
+// with deliveryWindow 1, a tenant whose first attempt failed waits out
 // its backoff parked on the wheel, so the one worker delivers another
 // tenant's alert in between the two attempts.
 func TestParkedBackoffHoldsNoWorker(t *testing.T) {
@@ -136,9 +136,9 @@ func TestParkedBackoffHoldsNoWorker(t *testing.T) {
 		return nil
 	})
 	h := newTestHub(t, Config{
-		Channels: sink, Shards: 1, DeliveryWindow: 1,
+		Channels: sink, Shards: 1, deliveryWindow: 1,
 		// Jittered into [250ms, 500ms): ample for user-1's delivery.
-		DeliveryBackoff: 500 * time.Millisecond, DeliveryBackoffCap: 500 * time.Millisecond,
+		deliveryBackoff: 500 * time.Millisecond, deliveryBackoffCap: 500 * time.Millisecond,
 	})
 	addUsers(t, h, 2)
 	if err := h.Start(); err != nil {
@@ -162,7 +162,7 @@ func TestParkedBackoffHoldsNoWorker(t *testing.T) {
 		t.Fatalf("send order %v, want %v (user-1 delivered during user-0's backoff)", order, want)
 	}
 	if spawned := spawnedWorkers(h); spawned != 1 {
-		t.Fatalf("%d workers spawned with DeliveryWindow 1", spawned)
+		t.Fatalf("%d workers spawned with deliveryWindow 1", spawned)
 	}
 	if p := sending.Peak(); p != 1 {
 		t.Fatalf("peak concurrent Sends = %d, window is 1", p)

@@ -36,19 +36,20 @@ type SuperviseConfig struct {
 	// Period is how often each shard's check and each hub-wide check
 	// runs; zero means DefaultCheckPeriod.
 	Period time.Duration
-	// StaleAfter is how old a shard's progress beat may be while one of
-	// its workers runs a chain before its check fails; zero means
-	// DefaultStaleAfter.
-	StaleAfter time.Duration
-	// EscalateAfter is how many consecutive failures of a check escalate
-	// it, and again every that many while the failures last; a shard's
-	// check escalates to restarting that shard. Zero means two for a
-	// shard's check and stabilize.DefaultEscalateAfter for the hub-wide
-	// checks.
-	EscalateAfter int
 	// RejuvenateEvery, when positive, renews the shards in place one at a
 	// time (rolling) on this period.
 	RejuvenateEvery time.Duration
+
+	// staleAfter is how old a shard's progress beat may be while one of
+	// its workers runs a chain before its check fails; zero means
+	// DefaultStaleAfter. Set only by this package's tests.
+	staleAfter time.Duration
+	// escalateAfter is how many consecutive failures of a check escalate
+	// it, and again every that many while the failures last; a shard's
+	// check escalates to restarting that shard. Zero means two for a
+	// shard's check and stabilize.DefaultEscalateAfter for the hub-wide
+	// checks. Set only by this package's tests.
+	escalateAfter int
 }
 
 // Supervise builds and starts the hub's self-management plane — one
@@ -56,10 +57,10 @@ type SuperviseConfig struct {
 // else. Its checks:
 //
 //   - "shard-N", one per shard, its watchdog: the admission depth stays
-//     in [0, QueueDepth], the in-flight Sends in [0, DeliveryWindow],
-//     the current generation's live workers at most DeliveryWindow,
-//     and while a worker of a Running shard runs a chain, the shard has
-//     beaten within StaleAfter;
+//     in [0, queue depth], the in-flight Sends in [0, delivery window],
+//     the current generation's live workers at most the window, and
+//     while a worker of a Running shard runs a chain, the shard has
+//     beaten within DefaultStaleAfter;
 //   - "wal-backlog", "outbox-age" and "pool-poison", hub-wide;
 //   - "rolling-rejuvenation", when RejuvenateEvery is set, whose run is
 //     RejuvenateAll.
@@ -78,8 +79,8 @@ func (h *Hub) Supervise(cfg SuperviseConfig) (*stabilize.Stabilizer, error) {
 	if cfg.Period <= 0 {
 		cfg.Period = DefaultCheckPeriod
 	}
-	if cfg.StaleAfter <= 0 {
-		cfg.StaleAfter = DefaultStaleAfter
+	if cfg.staleAfter <= 0 {
+		cfg.staleAfter = DefaultStaleAfter
 	}
 	stab, err := stabilize.New(h.cfg.Clock, h.cfg.Journal)
 	if err != nil {
@@ -94,7 +95,7 @@ func (h *Hub) Supervise(cfg SuperviseConfig) (*stabilize.Stabilizer, error) {
 		name := fmt.Sprintf("shard-%d", sh.id)
 		checks = append(checks, stabilize.Check{
 			Name:          name,
-			EscalateAfter: cmp.Or(cfg.EscalateAfter, progressEscalateAfter),
+			EscalateAfter: cmp.Or(cfg.escalateAfter, progressEscalateAfter),
 			// Atomics only, by design: checking a wedged shard must not
 			// block behind whatever wedged it. Floor-at-zero release and
 			// restart's gauge reset keep the gauges in bounds, so an
@@ -107,18 +108,18 @@ func (h *Hub) Supervise(cfg SuperviseConfig) (*stabilize.Stabilizer, error) {
 				if hl.Depth < 0 || hl.Depth > sh.cap {
 					return fmt.Errorf("queue depth %d outside [0, %d]", hl.Depth, sh.cap)
 				}
-				if hl.InFlight < 0 || hl.InFlight > int64(h.cfg.DeliveryWindow) {
-					return fmt.Errorf("in-flight %d outside [0, %d]", hl.InFlight, h.cfg.DeliveryWindow)
+				if hl.InFlight < 0 || hl.InFlight > int64(h.cfg.deliveryWindow) {
+					return fmt.Errorf("in-flight %d outside [0, %d]", hl.InFlight, h.cfg.deliveryWindow)
 				}
-				if w := cur.live.Load(); w > int64(h.cfg.DeliveryWindow) {
-					return fmt.Errorf("%d live workers, window %d", w, h.cfg.DeliveryWindow)
+				if w := cur.live.Load(); w > int64(h.cfg.deliveryWindow) {
+					return fmt.Errorf("%d live workers, window %d", w, h.cfg.deliveryWindow)
 				}
 				busy := cur.busy.Load()
 				if hl.State != ShardRunning || busy == 0 {
 					return nil
 				}
-				if age := h.cfg.Clock.Since(hl.LastProgress); age > cfg.StaleAfter {
-					return fmt.Errorf("%d workers busy, no progress for %v (max %v)", busy, age, cfg.StaleAfter)
+				if age := h.cfg.Clock.Since(hl.LastProgress); age > cfg.staleAfter {
+					return fmt.Errorf("%d workers busy, no progress for %v (max %v)", busy, age, cfg.staleAfter)
 				}
 				return nil
 			},
@@ -135,10 +136,10 @@ func (h *Hub) Supervise(cfg SuperviseConfig) (*stabilize.Stabilizer, error) {
 	// Alert replay debt beyond 4× what admission control could have
 	// admitted means DONE records are not being staged. The outbox's
 	// envelopes are not counted: a long channel outage is outbox-age's.
-	maxBacklog := 4 * h.cfg.Shards * h.cfg.QueueDepth
+	maxBacklog := 4 * h.cfg.Shards * h.cfg.queueDepth
 	checks = append(checks, stabilize.Check{
 		Name:          "wal-backlog",
-		EscalateAfter: cfg.EscalateAfter,
+		EscalateAfter: cfg.escalateAfter,
 		Fn: func() error {
 			if n := h.WALBacklog() - h.outbox.Pending(); n > maxBacklog {
 				return fmt.Errorf("WAL backlog %d exceeds %d", n, maxBacklog)
@@ -147,7 +148,7 @@ func (h *Hub) Supervise(cfg SuperviseConfig) (*stabilize.Stabilizer, error) {
 		},
 	}, stabilize.Check{
 		Name:          "outbox-age",
-		EscalateAfter: cfg.EscalateAfter,
+		EscalateAfter: cfg.escalateAfter,
 		Fn: func() error {
 			due, ok := h.outbox.OldestDue()
 			if !ok {
@@ -162,7 +163,7 @@ func (h *Hub) Supervise(cfg SuperviseConfig) (*stabilize.Stabilizer, error) {
 		Name:          "pool-poison",
 		EscalateAfter: -1, // corruption evidence: journal it, never "fix" it with a restart
 		Fn: func() error {
-			if n := PoolPoisonHits(); n > 0 {
+			if n := poolPoisonHits.Load(); n > 0 {
 				return fmt.Errorf("%d poisoned envelopes mutated while pooled (use-after-recycle)", n)
 			}
 			return nil

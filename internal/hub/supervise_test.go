@@ -40,11 +40,11 @@ func TestHubWedgedShardAutoRecovers(t *testing.T) {
 		Clock:              clk,
 		Channels:           sink.channels(),
 		Shards:             4,
-		QueueDepth:         64,
+		queueDepth:         64,
 		Journal:            j,
-		Fault:              wedgeAt(0, gate),
-		DeliveryBackoff:    time.Millisecond,
-		DeliveryBackoffCap: 2 * time.Millisecond,
+		fault:              wedgeAt(0, gate),
+		deliveryBackoff:    time.Millisecond,
+		deliveryBackoffCap: 2 * time.Millisecond,
 	})
 	addUsers(t, h, users)
 	if err := h.Start(); err != nil {
@@ -110,8 +110,8 @@ func TestHubWedgedShardAutoRecovers(t *testing.T) {
 	// Supervision: fast checks, a short stale budget.
 	sup, err := h.Supervise(SuperviseConfig{
 		Period:        20 * time.Millisecond,
-		EscalateAfter: 2,
-		StaleAfter:    30 * time.Millisecond,
+		escalateAfter: 2,
+		staleAfter:    30 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -176,7 +176,7 @@ func TestHubWedgedShardAutoRecovers(t *testing.T) {
 }
 
 // TestHubWedgedEvaluationStallsOnlyItsChain: an evaluation wedged at
-// FaultRoute holds its own tenant's chain, not the shard — another
+// faultRoute holds its own tenant's chain, not the shard — another
 // tenant on the same shard is still delivered, as it would be behind a
 // slow Send.
 func TestHubWedgedEvaluationStallsOnlyItsChain(t *testing.T) {
@@ -184,7 +184,7 @@ func TestHubWedgedEvaluationStallsOnlyItsChain(t *testing.T) {
 	sink := newRecordingSink()
 	h := newTestHub(t, Config{
 		Channels: sink.channels(), Shards: 1,
-		Fault: wedgeAt(0, gate),
+		fault: wedgeAt(0, gate),
 	})
 	addUsers(t, h, 2)
 	if err := h.Start(); err != nil {
@@ -201,7 +201,7 @@ func TestHubWedgedEvaluationStallsOnlyItsChain(t *testing.T) {
 	select {
 	case <-gate.hit:
 	case <-time.After(5 * time.Second):
-		t.Fatal("user-0's alert never reached FaultRoute")
+		t.Fatal("user-0's alert never reached faultRoute")
 	}
 	gate.disarm() // user-0 stays parked; user-1 must not park behind it
 
@@ -246,7 +246,7 @@ func checkStats(t *testing.T, sup *stabilize.Stabilizer, name string) stabilize.
 
 // TestHubInvariantEscalationRestartsItsShard runs a gauge invariant to
 // its escalation: a queue-depth gauge scribbled out of bounds fails its
-// shard's check, the EscalateAfter'th failure restarts that shard and no
+// shard's check, the escalateAfter'th failure restarts that shard and no
 // other, and the restart's gauge reset heals the invariant.
 func TestHubInvariantEscalationRestartsItsShard(t *testing.T) {
 	const escalateAfter = 2
@@ -260,7 +260,7 @@ func TestHubInvariantEscalationRestartsItsShard(t *testing.T) {
 		t.Fatal(err)
 	}
 	// An hour's period: the checks run only when this test runs them.
-	sup, err := h.Supervise(SuperviseConfig{Period: time.Hour, EscalateAfter: escalateAfter})
+	sup, err := h.Supervise(SuperviseConfig{Period: time.Hour, escalateAfter: escalateAfter})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -294,18 +294,31 @@ func TestHubInvariantEscalationRestartsItsShard(t *testing.T) {
 	}
 }
 
+// skewClock is the real clock read skew ahead. A shard's beat never
+// moves backwards, so a test ages it by skipping the clock forward.
+type skewClock struct {
+	clock.Clock
+	skew atomic.Int64
+}
+
+func (c *skewClock) skip(d time.Duration)            { c.skew.Add(int64(d)) }
+func (c *skewClock) Now() time.Time                  { return c.Clock.Now().Add(time.Duration(c.skew.Load())) }
+func (c *skewClock) Since(t time.Time) time.Duration { return c.Now().Sub(t) }
+
 // TestShardProgressCheckTakesNoLocks pins what makes the watchdog safe
 // to point at a wedged shard: the progress check — passing or failing —
 // returns while every lock around the shard is held by someone else.
 func TestShardProgressCheckTakesNoLocks(t *testing.T) {
+	clk := &skewClock{Clock: clock.NewReal()}
 	h := newTestHub(t, Config{
+		Clock:    clk,
 		Channels: sinkChannels(func(int, string, *alert.Alert) error { return nil }),
 		Shards:   2,
 	})
 	if err := h.Start(); err != nil {
 		t.Fatal(err)
 	}
-	sup, err := h.Supervise(SuperviseConfig{Period: time.Hour, StaleAfter: time.Second})
+	sup, err := h.Supervise(SuperviseConfig{Period: time.Hour, staleAfter: time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -340,33 +353,35 @@ func TestShardProgressCheckTakesNoLocks(t *testing.T) {
 		}
 	}
 	sh.depth.Store(1) // admitted work, every worker idle: a stale beat passes
-	sh.beat(h.cfg.Clock.Now().Add(-time.Minute))
+	clk.skip(time.Minute)
 	run(false)
 	stage.busy.Add(1) // a busy worker, so the check reads the beat
-	sh.beat(h.cfg.Clock.Now())
+	sh.progress.Beat(clk.Now())
 	run(false)
-	sh.beat(h.cfg.Clock.Now().Add(-time.Minute))
+	clk.skip(time.Minute)
 	run(true) // one failure: under the threshold, so nothing escalates into lifeMu
 }
 
 // TestShardCheckFailsOnEachCondition: a supervised hub has one check per
 // shard beside the hub-wide ones, and that check fails on each of its
 // conditions alone — depth outside [0, cap], in-flight outside
-// [0, DeliveryWindow], a Running shard with a busy worker and a stale
+// [0, deliveryWindow], a Running shard with a busy worker and a stale
 // beat — and passes once the condition is gone. Admitted work with
 // every worker idle is parked, not stalled: a stale beat then passes.
 func TestShardCheckFailsOnEachCondition(t *testing.T) {
 	const window = 4
+	clk := &skewClock{Clock: clock.NewReal()}
 	h := newTestHub(t, Config{
+		Clock:    clk,
 		Channels: sinkChannels(func(int, string, *alert.Alert) error { return nil }),
-		Shards:   3, DeliveryWindow: window,
+		Shards:   3, deliveryWindow: window,
 	})
 	if err := h.Start(); err != nil {
 		t.Fatal(err)
 	}
 	// An hour's period and a threshold never reached: only RunOnce runs
 	// the check, and nothing restarts.
-	sup, err := h.Supervise(SuperviseConfig{Period: time.Hour, StaleAfter: time.Second, EscalateAfter: 1000})
+	sup, err := h.Supervise(SuperviseConfig{Period: time.Hour, staleAfter: time.Second, escalateAfter: 1000})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -391,8 +406,8 @@ func TestShardCheckFailsOnEachCondition(t *testing.T) {
 		{"in-flight over the window", func() { sh.inflight.Add(window + 1) }, func() { sh.inflight.Add(-window - 1) }},
 		{"stale beat with a busy worker", func() {
 			stage.busy.Add(1)
-			sh.beat(h.cfg.Clock.Now().Add(-time.Minute))
-		}, func() { sh.beat(h.cfg.Clock.Now()) }},
+			clk.skip(time.Minute)
+		}, func() { sh.progress.Beat(clk.Now()) }},
 	} {
 		tc.spoil()
 		if err := sup.RunOnce("shard-1"); err == nil {
@@ -406,7 +421,7 @@ func TestShardCheckFailsOnEachCondition(t *testing.T) {
 	stage.busy.Add(-1)
 	// A stale beat is no failure while every worker is idle, with work
 	// admitted or without.
-	sh.beat(h.cfg.Clock.Now().Add(-time.Minute))
+	clk.skip(time.Minute)
 	for _, depth := range []int64{1, 0} {
 		sh.depth.Store(depth)
 		if err := sup.RunOnce("shard-1"); err != nil {
@@ -425,7 +440,7 @@ func watchShard0(t *testing.T, sup *stabilize.Stabilizer, runs int64) {
 
 // TestParkedAckWaitIsNotAStall: a delivery parked on its IM ack holds no
 // worker, so the watchdog has no busy worker to judge — an ack wait far
-// past StaleAfter neither restarts the shard nor sends the IM again. The
+// past staleAfter neither restarts the shard nor sends the IM again. The
 // ack, not the timeout, ends the delivery: one IM, no email.
 func TestParkedAckWaitIsNotAStall(t *testing.T) {
 	const staleAfter, period = 20 * time.Millisecond, 4 * time.Millisecond
@@ -445,13 +460,13 @@ func TestParkedAckWaitIsNotAStall(t *testing.T) {
 			emails.Add(1)
 			return core.SendResult{Confirmed: true}, nil
 		}))
-	// The ack wait is 1,500 × StaleAfter; the backoff cap sits under it.
-	h := newTestHub(t, Config{Channels: chans, Shards: 1, AckTimeout: 30 * time.Second, DeliveryBackoffCap: 5 * time.Millisecond})
+	// The ack wait is 1,500 × staleAfter; the backoff cap sits under it.
+	h := newTestHub(t, Config{Channels: chans, Shards: 1, AckTimeout: 30 * time.Second, deliveryBackoffCap: 5 * time.Millisecond})
 	hostModeUsers(t, h, 1, 0)
 	if err := h.Start(); err != nil {
 		t.Fatal(err)
 	}
-	sup, err := h.Supervise(SuperviseConfig{Period: period, StaleAfter: staleAfter})
+	sup, err := h.Supervise(SuperviseConfig{Period: period, staleAfter: staleAfter})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -540,8 +555,8 @@ func TestRejuvenationKeepsParkedAckWait(t *testing.T) {
 }
 
 // TestParkedBackoffIsNotAStall: a delivery waiting out a retry backoff
-// holds no worker either, so StaleAfter needs no floor under
-// DeliveryBackoffCap — a 30 ms StaleAfter beside a one-minute backoff
+// holds no worker either, so staleAfter needs no floor under
+// deliveryBackoffCap — a 30 ms staleAfter beside a one-minute backoff
 // restarts nothing and retries nothing early.
 func TestParkedBackoffIsNotAStall(t *testing.T) {
 	const staleAfter, period = 30 * time.Millisecond, 5 * time.Millisecond
@@ -551,13 +566,13 @@ func TestParkedBackoffIsNotAStall(t *testing.T) {
 			attempts.Add(1)
 			return errors.New("substrate down")
 		}),
-		Shards: 1, DeliveryBackoff: time.Minute, DeliveryBackoffCap: time.Minute,
+		Shards: 1, deliveryBackoff: time.Minute, deliveryBackoffCap: time.Minute,
 	})
 	addUsers(t, h, 1)
 	if err := h.Start(); err != nil {
 		t.Fatal(err)
 	}
-	sup, err := h.Supervise(SuperviseConfig{Period: period, StaleAfter: staleAfter})
+	sup, err := h.Supervise(SuperviseConfig{Period: period, staleAfter: staleAfter})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -578,8 +593,8 @@ func TestParkedBackoffIsNotAStall(t *testing.T) {
 
 // TestSlowStepAfterIdleIsNotAStall: a worker beats when it takes a
 // chain, so a step is timed from its own start — a Send slower than
-// several check periods but inside StaleAfter, taken after the shard sat
-// idle past StaleAfter, restarts nothing.
+// several check periods but inside staleAfter, taken after the shard sat
+// idle past staleAfter, restarts nothing.
 func TestSlowStepAfterIdleIsNotAStall(t *testing.T) {
 	const staleAfter, period = 60 * time.Millisecond, 4 * time.Millisecond
 	h := newTestHub(t, Config{
@@ -593,12 +608,12 @@ func TestSlowStepAfterIdleIsNotAStall(t *testing.T) {
 	if err := h.Start(); err != nil {
 		t.Fatal(err)
 	}
-	sup, err := h.Supervise(SuperviseConfig{Period: period, StaleAfter: staleAfter})
+	sup, err := h.Supervise(SuperviseConfig{Period: period, staleAfter: staleAfter})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer sup.Stop()
-	watchShard0(t, sup, int64(2*staleAfter/period)) // idle: the beat ages past StaleAfter
+	watchShard0(t, sup, int64(2*staleAfter/period)) // idle: the beat ages past staleAfter
 	if err := h.Submit("user-0", portalAlert(0, h.cfg.Clock.Now())); err != nil {
 		t.Fatal(err)
 	}
@@ -606,7 +621,7 @@ func TestSlowStepAfterIdleIsNotAStall(t *testing.T) {
 	sup.Stop()
 	sup.Wait()
 	if hl := h.Healths()[0]; hl.Restarts != 0 {
-		t.Fatalf("a step inside StaleAfter restarted its shard: %+v", hl)
+		t.Fatalf("a step inside staleAfter restarted its shard: %+v", hl)
 	}
 }
 
@@ -622,7 +637,7 @@ func TestHubWedgedShardsRestartOneAtATime(t *testing.T) {
 	h := newTestHub(t, Config{
 		Channels: sinkChannels(func(int, string, *alert.Alert) error { return nil }),
 		Shards:   2, Journal: j,
-		Fault: func(p FaultPoint, shard int, killed <-chan struct{}) bool {
+		fault: func(p faultPoint, shard int, killed <-chan struct{}) bool {
 			park(p, shard, killed)
 			select {
 			case <-killed:
@@ -657,7 +672,7 @@ func TestHubWedgedShardsRestartOneAtATime(t *testing.T) {
 	}
 	gate.disarm()
 
-	sup, err := h.Supervise(SuperviseConfig{Period: 10 * time.Millisecond, StaleAfter: 30 * time.Millisecond})
+	sup, err := h.Supervise(SuperviseConfig{Period: 10 * time.Millisecond, staleAfter: 30 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -741,7 +756,7 @@ func TestHubRollingRejuvenationPreservesOrder(t *testing.T) {
 		Clock:      clk,
 		Channels:   sinkChannels(sink.Deliver),
 		Shards:     4,
-		QueueDepth: 256,
+		queueDepth: 256,
 	})
 	addUsers(t, h, users)
 	if err := h.Start(); err != nil {

@@ -133,7 +133,7 @@ func TestDeliveryWorkersExitWithTheirGeneration(t *testing.T) {
 		sink := newRecordingSink()
 		h := newTestHub(t, Config{
 			Channels: sink.channels(), Shards: 4,
-			Fault: wedgeAt(0, gate),
+			fault: wedgeAt(0, gate),
 		})
 		addUsers(t, h, users)
 		if err := h.Start(); err != nil {
@@ -325,7 +325,7 @@ func TestHubAsyncIngestHasOneBound(t *testing.T) {
 	const calls = DefaultAsyncInFlight + 2
 	h := newTestHub(t, Config{
 		Channels: sinkChannels(func(int, string, *alert.Alert) error { return nil }),
-		Shards:   1, QueueDepth: calls,
+		Shards:   1, queueDepth: calls,
 	})
 	addUsers(t, h, 1)
 	if err := h.Start(); err != nil {
@@ -523,7 +523,7 @@ func submitRoundBatched(t *testing.T, h *Hub, users, round int) {
 // TestHubGoroutinesBoundedByWindow: 2,048 admitted alerts over 1,024
 // tenants on 8 shards, with 960 deliveries parked in ack waits that
 // never resolve and 64 held inside the flat substrate's Send, run on no
-// more goroutines than Shards × DeliveryWindow workers and a handful
+// more goroutines than Shards × deliveryWindow workers and a handful
 // more: parked deliveries are data, and a shard's workers are its
 // window.
 func TestHubGoroutinesBoundedByWindow(t *testing.T) {
@@ -532,7 +532,7 @@ func TestHubGoroutinesBoundedByWindow(t *testing.T) {
 	sink.park()
 	base := goroutines()
 	h := newTestHub(t, Config{
-		Channels: parkingChannels(sink.Send), Shards: shards, QueueDepth: users,
+		Channels: parkingChannels(sink.Send), Shards: shards, queueDepth: users,
 		AckTimeout: 30 * time.Second,
 	})
 	hostParkingUsers(t, h, users, flatEvery)
@@ -547,14 +547,14 @@ func TestHubGoroutinesBoundedByWindow(t *testing.T) {
 		return h.Executor().Acks().Pending() == users-flat
 	})
 	n := goroutines() - base
-	bound := shards*h.cfg.DeliveryWindow + slack
+	bound := shards*h.cfg.deliveryWindow + slack
 	t.Logf("%d goroutines for %d parked and %d held deliveries (bound %d)", n, users-flat, flat, bound)
 	if n > bound {
 		t.Fatalf("%d goroutines above the baseline, want at most %d", n, bound)
 	}
 	for _, sh := range h.shards {
-		if w := sh.current().live.Load(); w > int64(h.cfg.DeliveryWindow) {
-			t.Fatalf("shard %d runs %d workers, window %d", sh.id, w, h.cfg.DeliveryWindow)
+		if w := sh.current().live.Load(); w > int64(h.cfg.deliveryWindow) {
+			t.Fatalf("shard %d runs %d workers, window %d", sh.id, w, h.cfg.deliveryWindow)
 		}
 	}
 	sink.release()
@@ -575,7 +575,7 @@ func TestKillWithParkedDeliveriesLeaksNothing(t *testing.T) {
 	h := newTestHub(t, Config{
 		WALPath: wal, Shards: 2, AckTimeout: 30 * time.Second,
 		Channels:        parkingChannels(func(core.Send) (core.SendResult, error) { return core.SendResult{}, errSubstrateDown }),
-		DeliveryBackoff: time.Minute, DeliveryBackoffCap: time.Minute,
+		deliveryBackoff: time.Minute, deliveryBackoffCap: time.Minute,
 	})
 	hostParkingUsers(t, h, users, flatEvery)
 	if err := h.Start(); err != nil {

@@ -41,33 +41,24 @@ type ckptHeader struct {
 	total     int64
 }
 
-// maybeCompactLocked schedules a background checkpoint once
-// CheckpointEvery records have been appended since the last one. The
-// caller holds l.fmu; the send never blocks (a pending request already
-// covers this trigger).
+// maybeCompactLocked starts a background checkpoint once
+// CheckpointEvery records have been appended since the last one and
+// none is running; a trigger that trips while one runs is picked up by
+// the next commit. The committer calls it holding l.fmu, so Close,
+// which waits for the committer first, sees every goroutine started.
+// Errors are dropped: the journal stays correct without checkpoints,
+// just unbounded.
 func (l *Log) maybeCompactLocked() {
-	if l.compactReq == nil || l.sinceCkpt < l.opts.Log.CheckpointEvery {
+	every := l.opts.Log.CheckpointEvery
+	if every <= 0 || l.sinceCkpt < every || !l.compacting.CompareAndSwap(false, true) {
 		return
 	}
-	select {
-	case l.compactReq <- struct{}{}:
-	default:
-	}
-}
-
-// compactor is the background goroutine that turns checkpoint requests
-// into Checkpoint calls. Errors are sticky only for observability —
-// the journal itself stays correct without checkpoints, just unbounded.
-func (l *Log) compactor() {
-	defer close(l.compactDone)
-	for {
-		select {
-		case <-l.compactStop:
-			return
-		case <-l.compactReq:
-			_ = l.Checkpoint()
-		}
-	}
+	l.compactWG.Add(1)
+	go func() {
+		defer l.compactWG.Done()
+		_ = l.Checkpoint()
+		l.compacting.Store(false)
+	}()
 }
 
 // Checkpoint writes a durable checkpoint of the unprocessed set and

@@ -36,8 +36,8 @@
 // or checksum and truncated on recovery. The journal is *segmented* so
 // that disk, memory, and restart time amortize to O(unprocessed)
 // instead of O(all-time): appends go to a fixed-size active segment
-// (<base>.NNNNNNNN.seg) that rotates at Options.SegmentBytes; a
-// background compactor periodically writes a checkpoint file
+// (<base>.NNNNNNNN.seg) that rotates at Options.SegmentBytes; every
+// CheckpointEvery records a background goroutine writes a checkpoint file
 // (<base>.ckpt.NNNNNNNN) holding only the unprocessed records plus an
 // all-time total, then deletes every segment the checkpoint covers;
 // processed records are retired from memory by a periodic sweep.
@@ -46,7 +46,7 @@
 // log would still hold, no longer every tail record — keeping the
 // per-segment prefix-durability and torn-tail truncation guarantees. See
 // segment.go for the segment lifecycle, checkpoint.go for the
-// checkpoint format and compactor, and group.go for the commit
+// checkpoint format and trigger, and group.go for the commit
 // schedule.
 package plog
 
@@ -97,7 +97,7 @@ type Options struct {
 	SegmentBytes int64
 	// CheckpointEvery triggers a background checkpoint + compaction
 	// after this many journal records have been appended since the
-	// last checkpoint. Zero disables the background compactor
+	// last checkpoint. Zero disables background checkpoints
 	// (Checkpoint can still be called explicitly).
 	CheckpointEvery int64
 	// SweepEvery bounds how many processed records stay resident: once
@@ -312,11 +312,9 @@ type Log struct {
 	stagedSizes metrics.Histogram // fresh records per LogReceivedBatch call
 	commitWait  metrics.Histogram // µs from batch open to durable
 
-	// Background compactor plumbing (nil when CheckpointEvery == 0).
-	ckptMu      sync.Mutex // serializes Checkpoint calls
-	compactReq  chan struct{}
-	compactStop chan struct{}
-	compactDone chan struct{}
+	ckptMu     sync.Mutex     // serializes Checkpoint calls
+	compacting atomic.Bool    // a background checkpoint is running
+	compactWG  sync.WaitGroup // the background checkpoint, for Close
 
 	qmu      sync.Mutex
 	cond     *sync.Cond    // signalled (under qmu) when a batch opens or the log closes
@@ -372,12 +370,6 @@ func OpenGroup(path string, opts GroupOptions) (*Log, error) {
 		}
 		dirf.Close()
 		return nil, err
-	}
-	if opts.Log.CheckpointEvery > 0 {
-		l.compactReq = make(chan struct{}, 1)
-		l.compactStop = make(chan struct{})
-		l.compactDone = make(chan struct{})
-		go l.compactor()
 	}
 	go l.committer()
 	return l, nil
@@ -819,8 +811,8 @@ func (l *Log) HoldFilesForTest() (release func()) {
 // derived from it).
 func (l *Log) Path() string { return l.base }
 
-// Close flushes every staged batch, stops the committer and the
-// background compactor, and releases the file handles. Further appends
+// Close flushes every staged batch, stops the committer, waits for a
+// background checkpoint, and releases the file handles. Further appends
 // fail with ErrClosed.
 func (l *Log) Close() error {
 	l.qmu.Lock()
@@ -834,10 +826,7 @@ func (l *Log) Close() error {
 	l.cutPaceLocked()
 	l.qmu.Unlock()
 	<-l.done
-	if l.compactStop != nil {
-		close(l.compactStop)
-		<-l.compactDone
-	}
+	l.compactWG.Wait()
 	l.fmu.Lock()
 	defer l.fmu.Unlock()
 	// Drop the preallocated tail so a closed journal occupies only its

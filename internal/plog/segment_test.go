@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -119,6 +120,53 @@ func TestCheckpointCompactsSegments(t *testing.T) {
 	if rs := re.Stats().SegmentsReplayed; rs > 1 {
 		t.Fatalf("reopen replayed %d segments, want <= 1", rs)
 	}
+}
+
+// TestIdleLogRunsOnlyTheCommitter: background checkpointing costs no
+// standing goroutine. An idle log with CheckpointEvery set runs its
+// committer alone, and the checkpoint goroutine a tripped threshold
+// starts exits when its checkpoint is written.
+func TestIdleLogRunsOnlyTheCommitter(t *testing.T) {
+	// settled reads runtime.NumGoroutine once two reads 20 ms apart agree:
+	// goroutines exit just after the call that retires them returns.
+	settled := func() int {
+		for n := runtime.NumGoroutine(); ; {
+			time.Sleep(20 * time.Millisecond)
+			m := runtime.NumGoroutine()
+			if m == n {
+				return n
+			}
+			n = m
+		}
+	}
+	check := func(base int, when string) {
+		t.Helper()
+		if n := settled() - base; n != 1 {
+			buf := make([]byte, 1<<16)
+			t.Fatalf("%s: the log runs %d goroutines, want 1 (its committer):\n%s", when, n, buf[:runtime.Stack(buf, true)])
+		}
+	}
+	base := settled()
+	l, err := OpenGroup(filepath.Join(t.TempDir(), "idle.plog"), GroupOptions{Log: Options{CheckpointEvery: 8}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	check(base, "after Open")
+	// No DONEs, so nothing commits after fill: the last commit's
+	// checkpoint, if it started one, is the last to run.
+	fill(t, l, 32, func(int) bool { return true })
+	deadline := time.Now().Add(10 * time.Second)
+	for l.compacting.Load() {
+		if time.Now().After(deadline) {
+			t.Fatal("the background checkpoint never finished")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if l.Stats().Checkpoints == 0 {
+		t.Fatal("32 records past a threshold of 8 started no checkpoint")
+	}
+	check(base, "after a background checkpoint")
 }
 
 // TestBoundedRecovery is the headline property: with background

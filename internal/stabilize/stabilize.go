@@ -19,6 +19,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"simba/internal/clock"
@@ -241,27 +242,31 @@ func (s *Stabilizer) execute(e *entry) error {
 }
 
 // Progress tracks a heartbeat timestamp for liveness checks — the
-// paper's "monitoring the timestamps of their progress". The zero
-// value is ready to use but reports no progress until the first Beat.
+// paper's "monitoring the timestamps of their progress". It takes no
+// lock, so a check of a wedged component never blocks behind whatever
+// wedged it. The zero value is ready to use but reports no progress
+// until the first Beat.
 type Progress struct {
-	mu   sync.Mutex
-	last time.Time
+	last atomic.Int64 // unix nanoseconds of the newest beat; 0 before the first
 }
 
-// Beat records progress at now.
+// Beat records progress at now; a beat older than the newest is ignored.
 func (p *Progress) Beat(now time.Time) {
-	p.mu.Lock()
-	if now.After(p.last) {
-		p.last = now
+	n := now.UnixNano()
+	for {
+		old := p.last.Load()
+		if n <= old || p.last.CompareAndSwap(old, n) {
+			return
+		}
 	}
-	p.mu.Unlock()
 }
 
 // Last returns the most recent beat (zero if none).
 func (p *Progress) Last() time.Time {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.last
+	if n := p.last.Load(); n != 0 {
+		return time.Unix(0, n)
+	}
+	return time.Time{}
 }
 
 // StaleBy reports whether the last beat is older than maxAge at now.

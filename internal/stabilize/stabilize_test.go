@@ -351,6 +351,29 @@ func TestProgress(t *testing.T) {
 	}
 }
 
+// TestProgressNotStaleAfterConcurrentBeats: beats racing from several
+// goroutines leave the newest, whatever order their stores land in.
+func TestProgressNotStaleAfterConcurrentBeats(t *testing.T) {
+	var p Progress
+	now := time.Date(2001, 3, 26, 12, 0, 0, 0, time.UTC)
+	const goroutines, beats = 4, 1000
+	var wg sync.WaitGroup
+	for g := range goroutines {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range beats {
+				p.Beat(now.Add(time.Duration(i*goroutines+g) * time.Millisecond))
+			}
+		}()
+	}
+	wg.Wait()
+	newest := now.Add((goroutines*beats - 1) * time.Millisecond)
+	if !p.Last().Equal(newest) || p.StaleBy(newest, 0) {
+		t.Fatalf("Last() = %v after concurrent beats, want %v", p.Last(), newest)
+	}
+}
+
 func mustRegister(t *testing.T, s *Stabilizer, c Check) {
 	t.Helper()
 	if err := s.Register(c); err != nil {
