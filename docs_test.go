@@ -2,16 +2,25 @@ package simba_test
 
 import (
 	"bytes"
+	"fmt"
 	"go/ast"
+	"go/build"
+	"go/doc"
+	"go/importer"
 	"go/parser"
 	"go/token"
+	"go/types"
+	"io"
 	"io/fs"
+	"maps"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"regexp"
 	"slices"
 	"strings"
 	"testing"
+	"time"
 )
 
 // TestDesignNamesWhatExists keeps DESIGN.md a description of this tree:
@@ -250,3 +259,347 @@ func hubFields(f *ast.File, structs []string, into map[string][]string) {
 		}
 	}
 }
+
+// TestEveryExportedNameHasACaller keeps the module's exported surface to
+// what something uses. It type-checks every package of this module and
+// of benchmark/ with go/types, then fails on
+//   - an exported package-level name that no non-test .go file uses — in
+//     the root package a testable Example counts too, because the façade
+//     is the paper's SIMBA library — and
+//   - an exported method of an exported type that nothing calls, tests
+//     included, unless the type implements an interface the module
+//     declares or imports that declares the method (String,
+//     MarshalXMLAttr, Error, …).
+//
+// A use inside the name's own declaration, or in a method of the named
+// type, does not count.
+func TestEveryExportedNameHasACaller(t *testing.T) {
+	allow := map[string]string{
+		"simba/internal/race.Enabled":        "build-tag constant that only tests read",
+		"simba/internal/faults.RandomEvents": "fault timeline that faults' and harness' tests share: a _test.go file exports nothing",
+	}
+	start := time.Now()
+	l, err := loadModule(map[string]string{".": "simba", "benchmark": "simba/benchmark"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	used := make(map[string]bool) // "pkg.Name" of package-level names, "pkg.Type.Method" of methods
+	paths := slices.Sorted(maps.Keys(l.dirs))
+	for _, path := range paths {
+		if _, err := l.Import(path); err != nil {
+			t.Fatal(err)
+		}
+		recordUses(used, l.files[path], l.infos[path], func(ast.Decl) bool { return true })
+	}
+	for _, path := range paths {
+		bp := l.dirs[path]
+		under := l.checked[path] // what the external tests import: with the in-package tests, if any
+		if len(bp.TestGoFiles) > 0 {
+			files, info, pkg, err := l.check(path, bp.Dir, slices.Concat(bp.GoFiles, bp.TestGoFiles), l)
+			if err != nil {
+				t.Fatal(err)
+			}
+			recordUses(used, files, info, func(ast.Decl) bool { return false })
+			under = pkg
+		}
+		if len(bp.XTestGoFiles) == 0 {
+			continue
+		}
+		files, info, _, err := l.check(path+"_test", bp.Dir, bp.XTestGoFiles, importerFunc(func(p string) (*types.Package, error) {
+			if p == path {
+				return under, nil
+			}
+			return l.Import(p)
+		}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		testable := make(map[string]bool)
+		if path == "simba" {
+			for _, ex := range doc.Examples(files...) {
+				testable["Example"+ex.Name] = ex.Output != "" || ex.EmptyOutput
+			}
+		}
+		recordUses(used, files, info, func(d ast.Decl) bool {
+			fd, ok := d.(*ast.FuncDecl)
+			return ok && fd.Recv == nil && testable[fd.Name.Name]
+		})
+	}
+	ifaces := l.interfaces()
+	for _, path := range paths {
+		if strings.HasPrefix(path, "simba/benchmark") {
+			continue
+		}
+		scope := l.checked[path].Scope()
+		for _, name := range scope.Names() {
+			obj := scope.Lookup(name)
+			if !obj.Exported() {
+				continue
+			}
+			var unused []string
+			if key := path + "." + name; !used[key] {
+				unused = append(unused, key)
+			}
+			if tn, ok := obj.(*types.TypeName); ok && !tn.IsAlias() {
+				named := tn.Type().(*types.Named)
+				for m := range named.Methods() {
+					if key := methodKey(m); m.Exported() && !used[key] && !satisfies(named, m.Name(), ifaces) {
+						unused = append(unused, key)
+					}
+				}
+			}
+			for _, key := range unused {
+				if _, ok := allow[key]; ok {
+					delete(allow, key)
+				} else {
+					t.Errorf("%s is exported, but nothing uses it: delete it (or unexport it)", key)
+				}
+			}
+		}
+	}
+	for key := range allow {
+		t.Errorf("allowlist entry %s names nothing unused: drop it", key)
+	}
+	if d := time.Since(start); d > 10*time.Second {
+		t.Errorf("the scan took %v, over 10s", d)
+	}
+}
+
+// recordUses adds to used every exported method the files use, and
+// every exported package-level name used inside a declaration that
+// counts accepts. A declaration's use of what it declares — for a
+// method, its receiver's type — does not count.
+func recordUses(used map[string]bool, files []*ast.File, info *types.Info, counts func(ast.Decl) bool) {
+	for _, f := range files {
+		for _, d := range f.Decls {
+			self, pkgLevel := declares(d, info), counts(d)
+			ast.Inspect(d, func(n ast.Node) bool {
+				id, ok := n.(*ast.Ident)
+				if !ok {
+					return true
+				}
+				obj := info.Uses[id]
+				if obj == nil || obj.Pkg() == nil || !obj.Exported() || self[obj] {
+					return true
+				}
+				if fn, ok := obj.(*types.Func); ok && fn.Signature().Recv() != nil {
+					used[methodKey(fn)] = true
+				} else if pkgLevel && obj.Parent() == obj.Pkg().Scope() {
+					used[obj.Pkg().Path()+"."+obj.Name()] = true
+				}
+				return true
+			})
+		}
+	}
+}
+
+// declares returns the objects the top-level declaration d declares,
+// or for a method its receiver's type.
+func declares(d ast.Decl, info *types.Info) map[types.Object]bool {
+	self := make(map[types.Object]bool)
+	switch d := d.(type) {
+	case *ast.FuncDecl:
+		fn, ok := info.Defs[d.Name].(*types.Func)
+		if !ok { // a blank func
+			break
+		}
+		if recv := fn.Signature().Recv(); recv != nil {
+			if named, ok := deref(recv.Type()).(*types.Named); ok {
+				self[named.Obj()] = true
+			}
+		} else {
+			self[fn] = true
+		}
+	case *ast.GenDecl:
+		for _, s := range d.Specs {
+			switch s := s.(type) {
+			case *ast.TypeSpec:
+				self[info.Defs[s.Name]] = true
+			case *ast.ValueSpec:
+				for _, n := range s.Names {
+					self[info.Defs[n]] = true
+				}
+			}
+		}
+	}
+	return self
+}
+
+// methodKey names a method pkg.Type.Method.
+func methodKey(fn *types.Func) string {
+	fn = fn.Origin()
+	recv := deref(fn.Signature().Recv().Type())
+	if named, ok := recv.(*types.Named); ok {
+		return fn.Pkg().Path() + "." + named.Obj().Name() + "." + fn.Name()
+	}
+	return fn.Pkg().Path() + ".(interface)." + fn.Name()
+}
+
+func deref(t types.Type) types.Type {
+	if p, ok := t.(*types.Pointer); ok {
+		return p.Elem()
+	}
+	return t
+}
+
+// satisfies reports whether T or *T implements one of ifaces that
+// declares a method called name.
+func satisfies(named *types.Named, name string, ifaces []*types.Interface) bool {
+	for _, it := range ifaces {
+		for m := range it.Methods() {
+			if m.Name() == name && (types.Implements(named, it) || types.Implements(types.NewPointer(named), it)) {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// modLoader type-checks the packages under a set of module roots from
+// source, and imports everything else from the compiler's export data.
+type modLoader struct {
+	fset    *token.FileSet
+	std     types.Importer
+	dirs    map[string]*build.Package // import path → its files, build tags applied
+	checked map[string]*types.Package // non-test packages, by import path
+	files   map[string][]*ast.File
+	infos   map[string]*types.Info
+}
+
+// loadModule finds the packages under each root directory, keyed by the
+// directory's import path, and the export data of every other package
+// they import, which one `go list -export` finds (building it into the
+// cache if need be).
+func loadModule(roots map[string]string) (*modLoader, error) {
+	l := &modLoader{
+		fset:    token.NewFileSet(),
+		dirs:    make(map[string]*build.Package),
+		checked: make(map[string]*types.Package),
+		files:   make(map[string][]*ast.File),
+		infos:   make(map[string]*types.Info),
+	}
+	for dir, path := range roots {
+		if err := l.scan(dir, path); err != nil {
+			return nil, err
+		}
+	}
+	var others []string
+	for _, bp := range l.dirs {
+		for _, p := range slices.Concat(bp.Imports, bp.TestImports, bp.XTestImports) {
+			if _, mod := l.dirs[p]; !mod && !slices.Contains(others, p) {
+				others = append(others, p)
+			}
+		}
+	}
+	out, err := exec.Command("go", append([]string{"list", "-export", "-f", "{{.ImportPath}}={{.Export}}"}, others...)...).Output()
+	if err != nil {
+		return nil, fmt.Errorf("go list -export: %w", err)
+	}
+	export := make(map[string]string)
+	for _, line := range strings.Split(strings.TrimSpace(string(out)), "\n") {
+		path, file, _ := strings.Cut(line, "=")
+		export[path] = file
+	}
+	l.std = importer.ForCompiler(l.fset, "gc", func(path string) (io.ReadCloser, error) {
+		file, ok := export[path]
+		if !ok {
+			return nil, fmt.Errorf("no export data for %s", path)
+		}
+		return os.Open(file)
+	})
+	return l, nil
+}
+
+// scan records every package directory under dir, whose import path is
+// path; it skips hidden directories, testdata and nested modules.
+func (l *modLoader) scan(dir, path string) error {
+	return filepath.WalkDir(dir, func(p string, d fs.DirEntry, err error) error {
+		if err != nil || !d.IsDir() {
+			return err
+		}
+		if p != dir {
+			if name := d.Name(); strings.HasPrefix(name, ".") || name == "testdata" {
+				return filepath.SkipDir
+			}
+			if _, err := os.Stat(filepath.Join(p, "go.mod")); err == nil {
+				return filepath.SkipDir
+			}
+		}
+		bp, err := build.Default.ImportDir(p, 0)
+		if _, none := err.(*build.NoGoError); none {
+			return nil
+		} else if err != nil {
+			return err
+		}
+		rel, _ := filepath.Rel(dir, p)
+		l.dirs[strings.TrimSuffix(path+"/"+filepath.ToSlash(rel), "/.")] = bp
+		return nil
+	})
+}
+
+// Import type-checks a module package's non-test files once, and
+// imports any other package from its export data.
+func (l *modLoader) Import(path string) (*types.Package, error) {
+	if pkg, ok := l.checked[path]; ok {
+		return pkg, nil
+	}
+	bp, ok := l.dirs[path]
+	if !ok {
+		return l.std.Import(path)
+	}
+	files, info, pkg, err := l.check(path, bp.Dir, bp.GoFiles, l)
+	if err != nil {
+		return nil, err
+	}
+	l.checked[path], l.files[path], l.infos[path] = pkg, files, info
+	return pkg, nil
+}
+
+// check parses the named files of dir and type-checks them as package
+// path.
+func (l *modLoader) check(path, dir string, names []string, imp types.Importer) ([]*ast.File, *types.Info, *types.Package, error) {
+	var files []*ast.File
+	for _, name := range names {
+		f, err := parser.ParseFile(l.fset, filepath.Join(dir, name), nil, parser.ParseComments|parser.SkipObjectResolution)
+		if err != nil {
+			return nil, nil, nil, err
+		}
+		files = append(files, f)
+	}
+	info := &types.Info{Uses: make(map[*ast.Ident]types.Object), Defs: make(map[*ast.Ident]types.Object)}
+	pkg, err := (&types.Config{Importer: imp}).Check(path, l.fset, files, info)
+	return files, info, pkg, err
+}
+
+// interfaces returns every non-generic named interface that the
+// module's packages declare or import, transitively, and error.
+func (l *modLoader) interfaces() []*types.Interface {
+	ifaces := []*types.Interface{types.Universe.Lookup("error").Type().Underlying().(*types.Interface)}
+	seen := make(map[*types.Package]bool)
+	var walk func(*types.Package)
+	walk = func(p *types.Package) {
+		if seen[p] {
+			return
+		}
+		seen[p] = true
+		for _, name := range p.Scope().Names() {
+			if tn, ok := p.Scope().Lookup(name).(*types.TypeName); ok && !tn.IsAlias() {
+				named, _ := tn.Type().(*types.Named)
+				if it, ok := tn.Type().Underlying().(*types.Interface); ok && named != nil && named.TypeParams().Len() == 0 {
+					ifaces = append(ifaces, it)
+				}
+			}
+		}
+		for _, imp := range p.Imports() {
+			walk(imp)
+		}
+	}
+	for _, p := range l.checked {
+		walk(p)
+	}
+	return ifaces
+}
+
+type importerFunc func(path string) (*types.Package, error)
+
+func (f importerFunc) Import(path string) (*types.Package, error) { return f(path) }

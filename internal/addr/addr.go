@@ -131,20 +131,6 @@ func NewRegistry(user string) *Registry {
 	return &Registry{user: user, byName: make(map[string]*Address)}
 }
 
-// FromBook builds a registry from a validated document.
-func FromBook(b *Book) (*Registry, error) {
-	if err := b.Validate(); err != nil {
-		return nil, err
-	}
-	r := NewRegistry(b.User)
-	for i := range b.Addresses {
-		if err := r.Register(b.Addresses[i]); err != nil {
-			return nil, err
-		}
-	}
-	return r, nil
-}
-
 // User returns the owning user name.
 func (r *Registry) User() string { return r.user }
 

@@ -18,6 +18,19 @@ func sampleBook() *Book {
 	}
 }
 
+// sampleRegistry registers sampleBook's addresses, in order.
+func sampleRegistry(t *testing.T) *Registry {
+	t.Helper()
+	b := sampleBook()
+	r := NewRegistry(b.User)
+	for _, a := range b.Addresses {
+		if err := r.Register(a); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return r
+}
+
 func TestTypeValid(t *testing.T) {
 	for _, tt := range []struct {
 		in   Type
@@ -190,10 +203,7 @@ func TestRegistryRegisterCopies(t *testing.T) {
 }
 
 func TestRegistrySetEnabled(t *testing.T) {
-	r, err := FromBook(sampleBook())
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := sampleRegistry(t)
 	if err := r.SetEnabled("Cell SMS", false); err != nil {
 		t.Fatalf("SetEnabled: %v", err)
 	}
@@ -207,10 +217,7 @@ func TestRegistrySetEnabled(t *testing.T) {
 }
 
 func TestRegistrySetTypeEnabled(t *testing.T) {
-	r, err := FromBook(sampleBook())
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := sampleRegistry(t)
 	// Two EM addresses, one already disabled → only one changes.
 	if n := r.SetTypeEnabled(TypeEmail, false); n != 1 {
 		t.Fatalf("SetTypeEnabled disabled %d, want 1", n)
@@ -226,10 +233,7 @@ func TestRegistrySetTypeEnabled(t *testing.T) {
 }
 
 func TestRegistryAllPreservesOrder(t *testing.T) {
-	r, err := FromBook(sampleBook())
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := sampleRegistry(t)
 	all := r.All()
 	want := []string{"MSN IM", "Cell SMS", "Work email", "Home email"}
 	for i, name := range want {
@@ -240,24 +244,13 @@ func TestRegistryAllPreservesOrder(t *testing.T) {
 }
 
 func TestRegistryBookRoundTrip(t *testing.T) {
-	r, err := FromBook(sampleBook())
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := sampleRegistry(t)
 	b := r.Book()
 	if err := b.Validate(); err != nil {
 		t.Fatalf("regenerated book invalid: %v", err)
 	}
 	if len(b.Addresses) != 4 || b.User != "alice" {
 		t.Fatalf("regenerated book = %+v", b)
-	}
-}
-
-func TestFromBookRejectsInvalid(t *testing.T) {
-	b := sampleBook()
-	b.User = ""
-	if _, err := FromBook(b); err == nil {
-		t.Fatal("FromBook accepted invalid book")
 	}
 }
 

@@ -172,10 +172,6 @@ func New(cfg Config) (*Home, error) {
 	return h, nil
 }
 
-// GatewayStore exposes the gateway's store (the WISH server shares the
-// same infrastructure in the paper's testbed).
-func (h *Home) GatewayStore() *sss.Store { return h.gateway }
-
 // Multicast exposes replication counters.
 func (h *Home) Multicast() *sss.Multicast { return h.mc }
 

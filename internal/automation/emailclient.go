@@ -43,9 +43,6 @@ func LaunchEmailClient(m *Machine, svc *email.Service, address string) (*EmailCl
 	return app, nil
 }
 
-// Address returns the mailbox address the client is configured with.
-func (a *EmailClientApp) Address() string { return a.address }
-
 // SetEventLossProbability makes the client drop that fraction of
 // new-mail events, leaving messages unread in the store.
 func (a *EmailClientApp) SetEventLossProbability(p float64) {

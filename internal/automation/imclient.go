@@ -45,9 +45,6 @@ func LaunchIMClient(m *Machine, svc *im.Service, handle string) (*IMClientApp, e
 	}, nil
 }
 
-// Handle returns the IM handle the client is configured with.
-func (a *IMClientApp) Handle() string { return a.handle }
-
 // SetEventLossProbability makes the client silently drop that fraction
 // of new-IM events, leaving messages unread in the window — the
 // condition the paper's self-stabilization "unprocessed IMs" check

@@ -360,9 +360,6 @@ func NewMachine(clk clock.Clock) *Machine {
 // Desktop returns the machine's desktop.
 func (m *Machine) Desktop() *Desktop { return m.desktop }
 
-// Clock returns the machine's clock.
-func (m *Machine) Clock() clock.Clock { return m.clk }
-
 // Powered reports whether the machine has power.
 func (m *Machine) Powered() bool {
 	m.mu.Lock()

@@ -22,10 +22,11 @@ type Sim struct {
 	queue   eventQueue
 	seq     uint64
 	waiters int
-	// settleRounds controls how many scheduler yields happen after each
-	// fired event before the queue is re-examined.
-	settleRounds int
 }
+
+// settleRounds is how many scheduler yields follow each fired event
+// before the queue is re-examined.
+const settleRounds = 64
 
 var _ Clock = (*Sim)(nil)
 
@@ -40,7 +41,7 @@ func NewSim(start time.Time) *Sim {
 	if start.IsZero() {
 		start = defaultEpoch
 	}
-	return &Sim{now: start, settleRounds: 64}
+	return &Sim{now: start}
 }
 
 // Now implements Clock.
@@ -171,23 +172,9 @@ func (s *Sim) AdvanceTo(target time.Time) {
 // event get a chance to run and schedule their next timer before the
 // simulation advances further.
 func (s *Sim) settle() {
-	s.mu.Lock()
-	rounds := s.settleRounds
-	s.mu.Unlock()
-	for i := 0; i < rounds; i++ {
+	for range settleRounds {
 		runtime.Gosched()
 	}
-}
-
-// SetSettleRounds tunes how many scheduler yields follow each fired
-// event. Larger values trade speed for scheduling robustness.
-func (s *Sim) SetSettleRounds(n int) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if n < 1 {
-		n = 1
-	}
-	s.settleRounds = n
 }
 
 // scheduleLocked inserts an event d from now. The caller holds s.mu.

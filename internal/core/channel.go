@@ -1,7 +1,6 @@
 package core
 
 import (
-	"sort"
 	"strings"
 	"sync"
 
@@ -88,18 +87,6 @@ func (c *Channels) Lookup(t addr.Type) (Channel, bool) {
 	defer c.mu.RUnlock()
 	ch, ok := c.byType[t]
 	return ch, ok
-}
-
-// Types returns the registered communication types, sorted.
-func (c *Channels) Types() []addr.Type {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	out := make([]addr.Type, 0, len(c.byType))
-	for t := range c.byType {
-		out = append(out, t)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
 }
 
 // NewIMChannel adapts an IMSender (commgr.IMManager, DirectIM) to the

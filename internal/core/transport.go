@@ -54,9 +54,6 @@ func NewDirectIM(clk clock.Clock, svc *im.Service, handle string, onMessage func
 	}, nil
 }
 
-// Handle returns the endpoint's IM handle.
-func (d *DirectIM) Handle() string { return d.handle }
-
 // SetOnMessage replaces the inbound-message handler — used when the
 // handler needs to reference an Engine built after the endpoint (e.g.
 // wiring acknowledgements via Engine.HandleIncoming). Call it before

@@ -245,25 +245,6 @@ func msgsPerAlert(t *testing.T, row string) float64 {
 	return v
 }
 
-func TestSoakRandomFaults(t *testing.T) {
-	if testing.Short() {
-		t.Skip("soak in -short mode")
-	}
-	for _, seed := range []int64{3, 17} {
-		res, err := SoakRandomFaults(t.TempDir(), seed, 2)
-		if err != nil {
-			t.Fatalf("seed %d: %v", seed, err)
-		}
-		t.Log(res)
-		if !res.Recovered {
-			t.Fatalf("seed %d: buddy did not recover: %s", seed, res)
-		}
-		if res.AlertsSent > 0 && res.AlertsDelivered == 0 {
-			t.Fatalf("seed %d: nothing delivered: %s", seed, res)
-		}
-	}
-}
-
 func TestA4AckTimeoutSweep(t *testing.T) {
 	if testing.Short() {
 		t.Skip("sweep in -short mode")

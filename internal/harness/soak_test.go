@@ -3,14 +3,34 @@ package harness
 import (
 	"fmt"
 	"sync/atomic"
+	"testing"
 	"time"
 
 	"simba/internal/dist"
 	"simba/internal/faults"
 )
 
-// SoakResult summarizes a randomized fault soak.
-type SoakResult struct {
+func TestSoakRandomFaults(t *testing.T) {
+	if testing.Short() {
+		t.Skip("soak in -short mode")
+	}
+	for _, seed := range []int64{3, 17} {
+		res, err := soakRandomFaults(t.TempDir(), seed, 2)
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		t.Log(res)
+		if !res.Recovered {
+			t.Fatalf("seed %d: buddy did not recover: %s", seed, res)
+		}
+		if res.AlertsSent > 0 && res.AlertsDelivered == 0 {
+			t.Fatalf("seed %d: nothing delivered: %s", seed, res)
+		}
+	}
+}
+
+// soakResult summarizes a randomized fault soak.
+type soakResult struct {
 	Seed            int64
 	Days            int
 	FaultsInjected  int
@@ -20,13 +40,13 @@ type SoakResult struct {
 	Recovered       bool // buddy healthy at the end
 }
 
-// SoakRandomFaults runs the full testbed under a *randomized* fault
+// soakRandomFaults runs the full testbed under a *randomized* fault
 // timeline (as opposed to E5's scripted one): IM outages, forced
 // logouts, client hangs, buddy crashes and buddy hangs arrive as
 // Poisson processes, with background alert traffic throughout. It
 // checks the property the paper's mechanisms promise: whatever the
 // interleaving, the system returns to health and keeps delivering.
-func SoakRandomFaults(tempDir string, seed int64, days int) (*SoakResult, error) {
+func soakRandomFaults(tempDir string, seed int64, days int) (*soakResult, error) {
 	if days <= 0 {
 		days = 3
 	}
@@ -100,7 +120,7 @@ func SoakRandomFaults(tempDir string, seed int64, days int) (*SoakResult, error)
 		return tb.Buddy.Running() && tb.Buddy.AreYouWorking()
 	}, time.Minute, 2*time.Hour)
 
-	res := &SoakResult{
+	res := &soakResult{
 		Seed:            seed,
 		Days:            days,
 		FaultsInjected:  len(events),
@@ -113,7 +133,7 @@ func SoakRandomFaults(tempDir string, seed int64, days int) (*SoakResult, error)
 }
 
 // String renders the soak summary.
-func (r *SoakResult) String() string {
+func (r *soakResult) String() string {
 	return fmt.Sprintf("seed=%d days=%d faults=%d restarts=%d delivered=%d/%d recovered=%v",
 		r.Seed, r.Days, r.FaultsInjected, r.MDCRestarts, r.AlertsDelivered, r.AlertsSent, r.Recovered)
 }

@@ -288,7 +288,7 @@ func TestHubSubmitBatchAsyncOnClosedHub(t *testing.T) {
 	addUsers(t, h, 2)
 	closed := func(when string) {
 		t.Helper()
-		const calls = DefaultAsyncInFlight + 1
+		const calls = defaultAsyncInFlight + 1
 		var callbacks [calls]int
 		done := make(chan struct{})
 		go func() {

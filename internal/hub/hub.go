@@ -69,39 +69,39 @@ const (
 	// DefaultQueueDepth bounds each shard's admitted-but-unfinished
 	// alerts (in admission, chained, or in delivery).
 	DefaultQueueDepth = 256
-	// DefaultDeliveryWindow bounds each shard's delivery workers.
-	DefaultDeliveryWindow = 32
-	// DefaultDeliveryMaxAttempts is the per-alert delivery attempt cap
+	// defaultDeliveryWindow bounds each shard's delivery workers.
+	defaultDeliveryWindow = 32
+	// defaultDeliveryMaxAttempts is the per-alert delivery attempt cap
 	// (1 initial try + retries) before the alert counts as
 	// undeliverable.
-	DefaultDeliveryMaxAttempts = 4
-	// DefaultDeliveryBackoff is the base retry backoff; attempt n waits
+	defaultDeliveryMaxAttempts = 4
+	// defaultDeliveryBackoff is the base retry backoff; attempt n waits
 	// roughly backoff·2ⁿ⁻¹ with jitter, capped.
-	DefaultDeliveryBackoff = time.Millisecond
-	// DefaultDeliveryBackoffCap caps the exponential retry backoff.
-	DefaultDeliveryBackoffCap = 100 * time.Millisecond
-	// DefaultWALCheckpointEvery triggers a WAL checkpoint + segment
+	defaultDeliveryBackoff = time.Millisecond
+	// defaultDeliveryBackoffCap caps the exponential retry backoff.
+	defaultDeliveryBackoffCap = 100 * time.Millisecond
+	// defaultWALCheckpointEvery triggers a WAL checkpoint + segment
 	// compaction after this many journal records — large enough that
 	// short runs never pay for a checkpoint, small enough that a
 	// long-lived hub's disk and restart time stay bounded.
-	DefaultWALCheckpointEvery = 65536
+	defaultWALCheckpointEvery = 65536
 )
 
 // Fixed sizes and bounds: no production caller ever set these, so they
 // are constants, not Config fields.
 const (
-	// DefaultLatencyReservoir bounds each latency recorder's sample
+	// defaultLatencyReservoir bounds each latency recorder's sample
 	// memory on million-alert runs.
-	DefaultLatencyReservoir = 4096
-	// DefaultAsyncInFlight is the capacity of the commit resolver's
+	defaultLatencyReservoir = 4096
+	// defaultAsyncInFlight is the capacity of the commit resolver's
 	// inbox, the ingest path's one bound on staged, unresolved tickets:
 	// a submitter past it blocks after staging, until the resolver takes
 	// a ticket.
-	DefaultAsyncInFlight = 256
-	// DefaultQuiesceTimeout bounds how long a kill+replay restart waits
+	defaultAsyncInFlight = 256
+	// defaultQuiesceTimeout bounds how long a kill+replay restart waits
 	// for the killed generation's workers to stop before scanning the
 	// WAL, and how long Drain waits for staged bursts to resolve.
-	DefaultQuiesceTimeout = 5 * time.Second
+	defaultQuiesceTimeout = 5 * time.Second
 )
 
 // keySep joins the tenant ID and the alert's dedup key inside WAL
@@ -242,22 +242,22 @@ type Config struct {
 	walSegmentBytes int64
 	// walCheckpointEvery triggers a background WAL checkpoint +
 	// compaction after this many journal records; zero means
-	// DefaultWALCheckpointEvery, negative disables checkpointing.
+	// defaultWALCheckpointEvery, negative disables checkpointing.
 	walCheckpointEvery int64
 	// deliveryWindow bounds each shard's delivery workers — its routing
-	// plus channel Sends; zero means DefaultDeliveryWindow. A delivery
+	// plus channel Sends; zero means defaultDeliveryWindow. A delivery
 	// waiting for an ack or a retry backoff is parked data holding no
 	// worker (parked waits are bounded by queueDepth). One serializes a
 	// shard's routing and Sends.
 	deliveryWindow int
 	// deliveryMaxAttempts caps delivery attempts per alert (initial try
-	// plus retries); zero means DefaultDeliveryMaxAttempts.
+	// plus retries); zero means defaultDeliveryMaxAttempts.
 	deliveryMaxAttempts int
 	// deliveryBackoff is the base retry backoff (exponential per
-	// attempt, jittered); zero means DefaultDeliveryBackoff.
+	// attempt, jittered); zero means defaultDeliveryBackoff.
 	deliveryBackoff time.Duration
 	// deliveryBackoffCap caps the exponential backoff; zero means
-	// DefaultDeliveryBackoffCap.
+	// defaultDeliveryBackoffCap.
 	deliveryBackoffCap time.Duration
 	// outboxBackoffCap caps the outbox's exponential round backoff;
 	// zero means outbox.DefaultBackoffCap.
@@ -310,7 +310,7 @@ type Hub struct {
 	// them to their shards — the deferred enqueue that keeps
 	// admission→log→ack→enqueue ordering intact when submitters hold
 	// several batches in flight. resolveq's capacity is
-	// DefaultAsyncInFlight; ingestPending counts staged-but-unresolved
+	// defaultAsyncInFlight; ingestPending counts staged-but-unresolved
 	// tickets of either path so Drain can wait out deferred enqueues.
 	resolveq      chan *Ticket
 	ingestPending atomic.Int64
@@ -371,16 +371,16 @@ func New(cfg Config) (*Hub, error) {
 		cfg.queueDepth = DefaultQueueDepth
 	}
 	if cfg.deliveryWindow <= 0 {
-		cfg.deliveryWindow = DefaultDeliveryWindow
+		cfg.deliveryWindow = defaultDeliveryWindow
 	}
 	if cfg.deliveryMaxAttempts <= 0 {
-		cfg.deliveryMaxAttempts = DefaultDeliveryMaxAttempts
+		cfg.deliveryMaxAttempts = defaultDeliveryMaxAttempts
 	}
 	if cfg.deliveryBackoff <= 0 {
-		cfg.deliveryBackoff = DefaultDeliveryBackoff
+		cfg.deliveryBackoff = defaultDeliveryBackoff
 	}
 	if cfg.deliveryBackoffCap <= 0 {
-		cfg.deliveryBackoffCap = DefaultDeliveryBackoffCap
+		cfg.deliveryBackoffCap = defaultDeliveryBackoffCap
 	}
 	if cfg.deliveryBackoffCap < cfg.deliveryBackoff {
 		cfg.deliveryBackoffCap = cfg.deliveryBackoff
@@ -390,7 +390,7 @@ func New(cfg Config) (*Hub, error) {
 	}
 	switch {
 	case cfg.walCheckpointEvery == 0:
-		cfg.walCheckpointEvery = DefaultWALCheckpointEvery
+		cfg.walCheckpointEvery = defaultWALCheckpointEvery
 	case cfg.walCheckpointEvery < 0:
 		cfg.walCheckpointEvery = 0 // disable background compaction
 	}
@@ -411,11 +411,11 @@ func New(cfg Config) (*Hub, error) {
 		killed:     make(chan struct{}),
 		stopped:    make(chan struct{}),
 		counters:   &metrics.CounterSet{},
-		queueWait:  metrics.NewReservoir(DefaultLatencyReservoir),
-		routeLat:   metrics.NewReservoir(DefaultLatencyReservoir),
-		deliverLat: metrics.NewReservoir(DefaultLatencyReservoir),
-		admitLat:   metrics.NewReservoir(DefaultLatencyReservoir),
-		resolveq:   make(chan *Ticket, DefaultAsyncInFlight),
+		queueWait:  metrics.NewReservoir(defaultLatencyReservoir),
+		routeLat:   metrics.NewReservoir(defaultLatencyReservoir),
+		deliverLat: metrics.NewReservoir(defaultLatencyReservoir),
+		admitLat:   metrics.NewReservoir(defaultLatencyReservoir),
+		resolveq:   make(chan *Ticket, defaultAsyncInFlight),
 	}
 	h.ctr.received = h.counters.Counter("received")
 	h.ctr.duplicates = h.counters.Counter("duplicates")
@@ -480,11 +480,6 @@ func (h *Hub) Outbox() *outbox.Outbox { return h.outbox }
 
 // Executor returns the hub's shared mode executor.
 func (h *Hub) Executor() *core.Executor { return h.exec }
-
-// Channels returns the hub's delivery channel registry. Channels may
-// be registered (or swapped) at run time; deliveries in flight keep
-// the channel they looked up.
-func (h *Hub) Channels() *core.Channels { return h.channels }
 
 // HandleIncoming feeds an inbound IM to the shared ack table. If the
 // message acknowledges an IM sent by a hosted delivery in flight, the

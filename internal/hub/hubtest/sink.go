@@ -109,20 +109,3 @@ func (s *SimSink) DeliveryCount(user, dedupKey string) int {
 	defer st.mu.Unlock()
 	return st.perKey[key]
 }
-
-// Duplicates returns how many deliveries were repeats of an already
-// delivered (user, key) pair, merged across the stripes.
-func (s *SimSink) Duplicates() int {
-	n := 0
-	for i := range s.stripes {
-		st := &s.stripes[i]
-		st.mu.Lock()
-		for _, c := range st.perKey {
-			if c > 1 {
-				n += c - 1
-			}
-		}
-		st.mu.Unlock()
-	}
-	return n
-}

@@ -133,7 +133,7 @@ func (t *Ticket) Wait() []error {
 // with the per-entry results, on the resolver goroutine, so it must not
 // block. A submitter keeps several batches in flight by holding
 // several tickets; the resolver's inbox bounds the hub-wide total at
-// DefaultAsyncInFlight staged tickets, and a submitter past the bound
+// defaultAsyncInFlight staged tickets, and a submitter past the bound
 // blocks here after staging, until the resolver takes a ticket.
 //
 // Entries that fail before staging (invalid alert, unknown user,

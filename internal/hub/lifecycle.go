@@ -254,7 +254,7 @@ func (h *Hub) Drain() error {
 	// resolver to retire every outstanding burst before closing
 	// shard intake. Bounded — a wedged WAL resolves tickets with errors
 	// on Close below anyway.
-	deadline := time.Now().Add(DefaultQuiesceTimeout)
+	deadline := time.Now().Add(defaultQuiesceTimeout)
 	for h.ingestPending.Load() > 0 && time.Now().Before(deadline) {
 		time.Sleep(100 * time.Microsecond)
 	}
@@ -314,14 +314,14 @@ func (h *Hub) RestartShard(id int, reason string) error {
 	go func() { old.quiesce(); close(stopped) }()
 	select {
 	case <-stopped:
-	case <-time.After(DefaultQuiesceTimeout):
+	case <-time.After(defaultQuiesceTimeout):
 		// A truly stuck goroutine (blocked inside a pipeline stage or a
 		// delivery substrate, deaf to the kill) is abandoned for good.
 		// If it later completes and marks a record the scan already
 		// replayed, the downstream timestamp dedup absorbs the
 		// duplicate — the documented contract for every crash window.
 		h.journal(faults.KindUnrecovered, "shard %d: generation %d did not stop within %v; replaying anyway",
-			sh.id, sh.gen.Load(), DefaultQuiesceTimeout)
+			sh.id, sh.gen.Load(), defaultQuiesceTimeout)
 	}
 
 	var backlog []replayRec
@@ -402,5 +402,5 @@ func (h *Hub) shardByID(id int) (*shard, error) {
 }
 
 // CheckpointWAL forces a checkpoint + segment compaction on the WAL, as
-// the background checkpoint does every DefaultWALCheckpointEvery records.
+// the background checkpoint does every defaultWALCheckpointEvery records.
 func (h *Hub) CheckpointWAL() error { return h.wal.Checkpoint() }

@@ -18,9 +18,9 @@ const (
 	// process-level three minutes: a check is a few atomic loads, and a
 	// wedged shard should be caught in seconds.
 	DefaultCheckPeriod = time.Second
-	// DefaultStaleAfter is how old a shard's progress beat may be while
+	// defaultStaleAfter is how old a shard's progress beat may be while
 	// one of its workers runs a chain before its check fails.
-	DefaultStaleAfter = 3 * time.Second
+	defaultStaleAfter = 3 * time.Second
 	// progressEscalateAfter is how many consecutive failures of a
 	// shard's check restart the shard: one more than a single late beat,
 	// and sooner than the hub-wide checks' stabilize.DefaultEscalateAfter,
@@ -42,7 +42,7 @@ type SuperviseConfig struct {
 
 	// staleAfter is how old a shard's progress beat may be while one of
 	// its workers runs a chain before its check fails; zero means
-	// DefaultStaleAfter. Set only by this package's tests.
+	// defaultStaleAfter. Set only by this package's tests.
 	staleAfter time.Duration
 	// escalateAfter is how many consecutive failures of a check escalate
 	// it, and again every that many while the failures last; a shard's
@@ -60,7 +60,7 @@ type SuperviseConfig struct {
 //     in [0, queue depth], the in-flight Sends in [0, delivery window],
 //     the current generation's live workers at most the window, and
 //     while a worker of a Running shard runs a chain, the shard has
-//     beaten within DefaultStaleAfter;
+//     beaten within defaultStaleAfter;
 //   - "wal-backlog", "outbox-age" and "pool-poison", hub-wide;
 //   - "rolling-rejuvenation", when RejuvenateEvery is set, whose run is
 //     RejuvenateAll.
@@ -80,7 +80,7 @@ func (h *Hub) Supervise(cfg SuperviseConfig) (*stabilize.Stabilizer, error) {
 		cfg.Period = DefaultCheckPeriod
 	}
 	if cfg.staleAfter <= 0 {
-		cfg.staleAfter = DefaultStaleAfter
+		cfg.staleAfter = defaultStaleAfter
 	}
 	stab, err := stabilize.New(h.cfg.Clock, h.cfg.Journal)
 	if err != nil {

@@ -59,9 +59,6 @@ func (s *buddyState) clone() *buddyState {
 	return &c
 }
 
-// User returns the tenant's user ID.
-func (b *Buddy) User() string { return b.user }
-
 // Pipeline returns the tenant's classify→aggregate→filter stages.
 func (b *Buddy) Pipeline() *mab.Pipeline { return &b.pipe }
 
@@ -75,14 +72,6 @@ func (b *Buddy) SetProfile(p *core.Profile) {
 	next.profile = p
 	b.state.Store(next)
 	b.mu.Unlock()
-}
-
-// Profile returns the tenant's delivery profile (nil when flat).
-func (b *Buddy) Profile() *core.Profile {
-	if s := b.state.Load(); s != nil {
-		return s.profile
-	}
-	return nil
 }
 
 // Subscribe maps a routing category to one of the profile's delivery

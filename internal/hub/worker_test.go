@@ -318,11 +318,11 @@ func TestHubGoroutinesDoNotScaleWithShards(t *testing.T) {
 
 // TestHubAsyncIngestHasOneBound: with the journal's disk held, every
 // staged ticket stays unresolved, so SubmitBatchAsync stops returning
-// exactly where the resolver's inbox is full — DefaultAsyncInFlight
+// exactly where the resolver's inbox is full — defaultAsyncInFlight
 // tickets queued plus the one the resolver holds — and the next call
 // blocks until the disk is released.
 func TestHubAsyncIngestHasOneBound(t *testing.T) {
-	const calls = DefaultAsyncInFlight + 2
+	const calls = defaultAsyncInFlight + 2
 	h := newTestHub(t, Config{
 		Channels: sinkChannels(func(int, string, *alert.Alert) error { return nil }),
 		Shards:   1, queueDepth: calls,
@@ -352,8 +352,8 @@ func TestHubAsyncIngestHasOneBound(t *testing.T) {
 		n = m
 	}
 	release()
-	if n != DefaultAsyncInFlight+1 {
-		t.Fatalf("%d SubmitBatchAsync calls returned with the disk held; want %d", n, DefaultAsyncInFlight+1)
+	if n != defaultAsyncInFlight+1 {
+		t.Fatalf("%d SubmitBatchAsync calls returned with the disk held; want %d", n, defaultAsyncInFlight+1)
 	}
 	for i := 0; i < calls; i++ {
 		if errs := (<-tickets).Wait(); errs[0] != nil {

@@ -38,42 +38,38 @@ func TestPipelineEvaluateZeroAllocs(t *testing.T) {
 }
 
 // TestZeroValueStagesZeroAllocs pins what lets NewPipeline be one
-// allocation: a zero Classifier, Aggregator and Filter behave exactly as
-// the New* constructors' stages, untouched and after the same
-// mutations, and Aggregate on an untouched zero Aggregator allocates
-// nothing.
+// allocation: a zero Classifier, Aggregator and Filter are ready to use
+// — untouched they accept no source, aggregate to DefaultCategory and
+// allow every category, and after mutations they read what the
+// mutations set — and Aggregate on an untouched zero Aggregator
+// allocates nothing.
 func TestZeroValueStagesZeroAllocs(t *testing.T) {
 	noon := time.Date(2001, 3, 26, 12, 0, 0, 0, time.UTC)
 	a := &alert.Alert{ID: "a-1", Source: "portal", Keywords: []string{"Stocks"}, Urgency: alert.UrgencyNormal, Created: noon}
-	type stages struct {
-		c *Classifier
-		g *Aggregator
-		f *Filter
+	c, g, f := &Classifier{}, &Aggregator{}, &Filter{}
+	observe := func() string {
+		kws, ok := c.Classify(a, "")
+		return fmt.Sprint(kws, ok, c.Sources(), c.Rules(), g.Aggregate(a.Keywords), g.Aggregate(nil),
+			f.Allow("Investment", noon), f.Allow(DefaultCategory, noon))
 	}
-	observe := func(s stages) string {
-		kws, ok := s.c.Classify(a, "")
-		return fmt.Sprint(kws, ok, s.c.Sources(), s.c.Rules(), s.g.Aggregate(a.Keywords), s.g.Aggregate(nil),
-			s.f.Allow("Investment", noon), s.f.Allow(DefaultCategory, noon))
-	}
-	zero := stages{&Classifier{}, &Aggregator{}, &Filter{}}
-	built := stages{NewClassifier(), NewAggregator(), NewFilter()}
-	if z, b := observe(zero), observe(built); z != b {
-		t.Fatalf("untouched: zero stages read %s, constructed ones %s", z, b)
+	untouched := fmt.Sprint([]string{}, false, []string{}, []SourceRule{}, DefaultCategory, DefaultCategory, true, true)
+	if got := observe(); got != untouched {
+		t.Fatalf("untouched: zero stages read %s, want %s", got, untouched)
 	}
 	if !race.Enabled {
-		if allocs := testing.AllocsPerRun(100, func() { zero.g.Aggregate(a.Keywords) }); allocs != 0 {
+		if allocs := testing.AllocsPerRun(100, func() { g.Aggregate(a.Keywords) }); allocs != 0 {
 			t.Errorf("Aggregate on a zero Aggregator allocates %.1f objects, want 0", allocs)
 		}
 	}
-	for _, s := range []stages{zero, built} {
-		s.c.Accept(SourceRule{Source: "portal"})
-		s.g.Map("stocks", "Investment")
-		s.g.SetFallback("Other")
-		s.f.SetEnabled("Other", false)
-		s.f.SetQuietHours("Investment", 11*time.Hour, 13*time.Hour)
-	}
-	if z, b := observe(zero), observe(built); z != b {
-		t.Fatalf("configured: zero stages read %s, constructed ones %s", z, b)
+	c.Accept(SourceRule{Source: "portal"})
+	g.Map("stocks", "Investment")
+	g.SetFallback("Other")
+	f.SetEnabled("Other", false)
+	f.SetQuietHours("Investment", 11*time.Hour, 13*time.Hour)
+	configured := fmt.Sprint([]string{"Stocks"}, true, []string{"portal"}, []SourceRule{{Source: "portal", Extract: ExtractNative}},
+		"Investment", "Other", false, true)
+	if got := observe(); got != configured {
+		t.Fatalf("configured: zero stages read %s, want %s", got, configured)
 	}
 }
 

@@ -180,10 +180,6 @@ func New(cfg Config) (*Service, error) {
 // modes, subscriptions). It persists across incarnations.
 func (s *Service) Store() *core.Store { return s.store }
 
-// Pipeline returns the classify→aggregate→filter stages as one unit
-// (shared with the hosted hub).
-func (s *Service) Pipeline() *Pipeline { return s.pipeline }
-
 // Classifier returns the accepted-source rules.
 func (s *Service) Classifier() *Classifier { return s.pipeline.Classifier }
 

@@ -233,17 +233,23 @@ func (f *fixture) newAlert() *alert.Alert {
 }
 
 // parkWait bounds how long step waits in real time for the system to
-// park after a timer fired.
-const parkWait = 100 * time.Millisecond
+// re-arm its timers after a timer fired; busyWait bounds how long it
+// waits for the goroutines a step woke to park.
+const (
+	parkWait = 100 * time.Millisecond
+	busyWait = 10 * time.Second
+)
 
 // step moves virtual time forward by stride, firing what falls due,
 // then waits until the system has parked again: until it has re-armed
-// as many timers as were pending before the step, or done holds, and
-// then one real millisecond more for the goroutines the events woke to
-// hand off. A handler that ends a flow arms nothing back, so the wait
-// is bounded by parkWait. Virtual time thus moves with the events, not
-// with the real time their handlers spend, such as the fsync behind the
-// buddy's pessimistic log: that handler's next timer is armed before
+// as many timers as were pending before the step, or done holds — a
+// handler that ends a flow arms nothing back, so this wait is bounded
+// by parkWait — and then, after one real millisecond more, until no
+// other goroutine is runnable, running or in a system call. Virtual
+// time thus moves with the events, not with the real time their
+// handlers spend: a client-software call that commgr bounds with a
+// virtual call timeout is answered before the clock can reach that
+// timeout, and the fsync behind the buddy's pessimistic log ends before
 // the clock moves on.
 func (f *fixture) step(stride time.Duration, done func() bool) {
 	pending := f.sim.Waiters()
@@ -252,6 +258,37 @@ func (f *fixture) step(stride time.Duration, done func() bool) {
 		time.Sleep(100 * time.Microsecond)
 	}
 	time.Sleep(time.Millisecond)
+	for deadline := time.Now().Add(busyWait); othersBusy(); {
+		if time.Now().After(deadline) {
+			f.t.Fatalf("goroutines still busy %v after a step:\n%s", busyWait, stacks())
+		}
+		time.Sleep(100 * time.Microsecond)
+	}
+}
+
+// stacks dumps every goroutine, the caller's first. It grows the buffer
+// until the dump fits: a cut dump can end before the goroutine a caller
+// looks for.
+func stacks() string {
+	buf := make([]byte, 64<<10)
+	n := runtime.Stack(buf, true)
+	for n == len(buf) {
+		buf = make([]byte, 2*len(buf))
+		n = runtime.Stack(buf, true)
+	}
+	return string(buf[:n])
+}
+
+// othersBusy reports whether a goroutine other than the caller is
+// runnable, running or in a system call: one that has not parked yet.
+func othersBusy() bool {
+	_, others, _ := strings.Cut(stacks(), "\n\n")
+	for _, state := range []string{" [runnable", " [running", " [syscall", " [preempted"} {
+		if strings.Contains(others, state) {
+			return true
+		}
+	}
+	return false
 }
 
 // sendToBuddy delivers an alert to the buddy with IM-then-email and
@@ -555,17 +592,7 @@ func TestCrashReplayDeliversUnprocessedAlert(t *testing.T) {
 // (It counts committers rather than all goroutines because the
 // simulated client software of a dead incarnation lingers.)
 func TestCrashRestartLoopCommittersFlat(t *testing.T) {
-	committers := func() int {
-		// Grow the buffer until the dump fits: a cut dump can end before
-		// the live committer.
-		buf := make([]byte, 1<<20)
-		n := runtime.Stack(buf, true)
-		for n == len(buf) {
-			buf = make([]byte, 2*len(buf))
-			n = runtime.Stack(buf, true)
-		}
-		return strings.Count(string(buf[:n]), "plog.(*Log).committer(")
-	}
+	committers := func() int { return strings.Count(stacks(), "plog.(*Log).committer(") }
 	f := newFixture(t)
 	f.startBuddy()
 	if rep := f.sendToBuddy(f.newAlert()); !rep.Delivered {

@@ -53,15 +53,12 @@ type SourceRule struct {
 // The rule table is copy-on-write: mutators clone the map under a
 // mutex and publish the clone whole, so Classify — the per-alert hot
 // path — never takes a lock. The atomic.Value holds the map itself (a
-// map is pointer-shaped), so publishing it allocates no cell.
+// map is pointer-shaped), so publishing it allocates no cell. The zero
+// Classifier accepts nothing.
 type Classifier struct {
 	mu    sync.Mutex   // serializes mutators
 	rules atomic.Value // map[string]SourceRule, read-only once stored
 }
-
-// NewClassifier returns an empty classifier (which accepts nothing),
-// as is the zero Classifier.
-func NewClassifier() *Classifier { return new(Classifier) }
 
 // snapshot returns the current rule table (nil for a zero Classifier).
 // Callers must treat it as read-only.
@@ -207,7 +204,7 @@ const DefaultCategory = "Uncategorized"
 // native keywords to personal alert categories ("Stocks", "Financial
 // news" and "Earnings reports" → "Investment"). Like Classifier, the
 // state is copy-on-write: Aggregate reads an immutable snapshot and
-// never takes a lock.
+// never takes a lock. The zero Aggregator falls back to DefaultCategory.
 type Aggregator struct {
 	mu    sync.Mutex // serializes mutators
 	state atomic.Pointer[aggState]
@@ -217,10 +214,6 @@ type aggState struct {
 	mapping  map[string]string // lowercased keyword → category
 	fallback string
 }
-
-// NewAggregator returns an aggregator with DefaultCategory fallback, as
-// is the zero Aggregator.
-func NewAggregator() *Aggregator { return new(Aggregator) }
 
 // defaultAggState is what an Aggregator no mutator has touched reads:
 // no mapping, DefaultCategory fallback. Shared and never written —
@@ -322,6 +315,7 @@ func foldASCII(buf []byte, s string) ([]byte, int) {
 // delivery time constraints ("disable these alerts during certain
 // hours to avoid distractions"). State is copy-on-write like the
 // other pipeline stages: Allow reads an immutable snapshot lock-free.
+// The zero Filter allows everything.
 type Filter struct {
 	mu    sync.Mutex // serializes mutators
 	state atomic.Pointer[filterState]
@@ -335,10 +329,6 @@ type filterState struct {
 type quietWindow struct {
 	start, end time.Duration // offsets since midnight; start==end means none
 }
-
-// NewFilter returns a filter that allows everything, as does the zero
-// Filter.
-func NewFilter() *Filter { return new(Filter) }
 
 // snapshot returns the current state (possibly nil for a zero Filter,
 // which allows everything).

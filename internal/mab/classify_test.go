@@ -16,7 +16,7 @@ import (
 )
 
 func TestClassifierAcceptAndReject(t *testing.T) {
-	c := NewClassifier()
+	c := new(Classifier)
 	a := &alert.Alert{Source: "yahoo.sim", Keywords: []string{"Stocks"}}
 	if _, accepted := c.Classify(a, ""); accepted {
 		t.Fatal("empty classifier accepted an alert")
@@ -33,7 +33,7 @@ func TestClassifierAcceptAndReject(t *testing.T) {
 }
 
 func TestClassifierExtractSender(t *testing.T) {
-	c := NewClassifier()
+	c := new(Classifier)
 	c.Accept(SourceRule{Source: "yahoo.sim", Extract: ExtractSender})
 	a := &alert.Alert{Source: "yahoo.sim", Subject: "ignored"}
 	kws, accepted := c.Classify(a, "stocks.earnings-reports@yahoo.sim")
@@ -55,7 +55,7 @@ func TestClassifierExtractSender(t *testing.T) {
 }
 
 func TestClassifierExtractSubject(t *testing.T) {
-	c := NewClassifier()
+	c := new(Classifier)
 	c.Accept(SourceRule{Source: "msn-mobile", Extract: ExtractSubject})
 	a := &alert.Alert{Source: "msn-mobile", Subject: "Stocks: MSFT up 3%"}
 	kws, _ := c.Classify(a, "")
@@ -69,7 +69,7 @@ func TestClassifierExtractSubject(t *testing.T) {
 }
 
 func TestClassifierDefaultExtract(t *testing.T) {
-	c := NewClassifier()
+	c := new(Classifier)
 	c.Accept(SourceRule{Source: "s"}) // Extract unset → native
 	a := &alert.Alert{Source: "s", Keywords: []string{"k"}}
 	kws, _ := c.Classify(a, "")
@@ -119,7 +119,7 @@ func TestAlertFromEmailLegacy(t *testing.T) {
 }
 
 func TestAggregator(t *testing.T) {
-	g := NewAggregator()
+	g := new(Aggregator)
 	if got := g.Aggregate([]string{"anything"}); got != DefaultCategory {
 		t.Fatalf("Aggregate = %q", got)
 	}
@@ -148,7 +148,7 @@ func TestAggregator(t *testing.T) {
 }
 
 func TestFilterEnableDisable(t *testing.T) {
-	f := NewFilter()
+	f := new(Filter)
 	now := time.Date(2001, 3, 26, 12, 0, 0, 0, time.UTC)
 	if !f.Allow("Investment", now) {
 		t.Fatal("fresh filter blocks")
@@ -167,7 +167,7 @@ func TestFilterEnableDisable(t *testing.T) {
 }
 
 func TestFilterQuietHours(t *testing.T) {
-	f := NewFilter()
+	f := new(Filter)
 	day := time.Date(2001, 3, 26, 0, 0, 0, 0, time.UTC)
 	// Quiet 22:00–07:00 (wraps midnight).
 	f.SetQuietHours("News", 22*time.Hour, 7*time.Hour)
@@ -200,7 +200,7 @@ func TestFilterQuietHours(t *testing.T) {
 }
 
 func TestClassifierRulesInventory(t *testing.T) {
-	c := NewClassifier()
+	c := new(Classifier)
 	c.Accept(SourceRule{Source: "zeta", UnsubscribeHint: "email stop@zeta.sim"})
 	c.Accept(SourceRule{Source: "alpha", UnsubscribeHint: "visit alpha.sim/unsubscribe"})
 	rules := c.Rules()

@@ -16,7 +16,7 @@ func TestFilterQuietHoursAcrossDST(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f := NewFilter()
+	f := new(Filter)
 	f.SetQuietHours("News", 1*time.Hour, 4*time.Hour)
 
 	cases := []struct {
@@ -49,7 +49,7 @@ func TestFilterQuietHoursAcrossDST(t *testing.T) {
 // TestFilterQuietHoursWrapMidnight exercises a start>end window
 // (22:00–07:00) spanning midnight.
 func TestFilterQuietHoursWrapMidnight(t *testing.T) {
-	f := NewFilter()
+	f := new(Filter)
 	f.SetQuietHours("News", 22*time.Hour, 7*time.Hour)
 
 	day := func(h, m, s int) time.Time {

@@ -135,9 +135,6 @@ func NewStore(clk clock.Clock, name string) (*Store, error) {
 	}, nil
 }
 
-// Name returns the store's node name.
-func (s *Store) Name() string { return s.name }
-
 // Define declares a variable. Redefining an existing variable updates
 // its refresh parameters.
 func (s *Store) Define(spec Spec) error {

@@ -110,9 +110,6 @@ type page struct {
 	modified time.Time
 }
 
-// Name returns the site name.
-func (s *Site) Name() string { return s.name }
-
 // Down returns the site's unreachability flag.
 func (s *Site) Down() *faults.Flag { return s.down }
 

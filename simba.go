@@ -1,10 +1,11 @@
 package simba
 
 import (
+	"time"
+
 	"simba/internal/addr"
 	"simba/internal/aladdin"
 	"simba/internal/alert"
-	"simba/internal/assistant"
 	"simba/internal/automation"
 	"simba/internal/clock"
 	"simba/internal/core"
@@ -15,7 +16,6 @@ import (
 	"simba/internal/im"
 	"simba/internal/mab"
 	"simba/internal/mdc"
-	"simba/internal/proxy"
 	"simba/internal/sms"
 	"simba/internal/websim"
 	"simba/internal/wish"
@@ -25,14 +25,8 @@ import (
 type (
 	// Alert is a single user-subscribed notification.
 	Alert = alert.Alert
-	// Urgency expresses how time-critical an alert is.
-	Urgency = alert.Urgency
 	// Address is one registered delivery address.
 	Address = addr.Address
-	// AddressType is a communication type (IM, SMS, EM).
-	AddressType = addr.Type
-	// AddressRegistry is a user's mutable address book.
-	AddressRegistry = addr.Registry
 	// DeliveryMode is a named document of communication blocks.
 	DeliveryMode = dmode.Mode
 	// Block is one communication block of a delivery mode.
@@ -45,37 +39,15 @@ type (
 	Report = core.Report
 	// Subscription maps a category to a subscriber and mode.
 	Subscription = core.Subscription
-	// Profile is one registered user's addresses and delivery modes.
-	Profile = core.Profile
-	// Store is the subscription layer.
-	Store = core.Store
 	// Engine is the buddy-side delivery shell over the mode executor.
 	Engine = core.Engine
-	// Executor is the stateless, reentrant delivery-mode executor
-	// shared by the buddy and the hub.
-	Executor = core.Executor
 	// Channel delivers one delivery-mode action over one communication
 	// type.
 	Channel = core.Channel
-	// ChannelFunc adapts a function to Channel.
-	ChannelFunc = core.ChannelFunc
 	// ChannelRegistry maps communication types to channels.
 	ChannelRegistry = core.Channels
-	// SendRequest is one action-level delivery request handed to a
-	// channel.
-	SendRequest = core.Send
-	// SendResult describes one channel send.
-	SendResult = core.SendResult
-	// DeliveryContext carries the hosting identity of one delivery.
-	DeliveryContext = core.DeliveryContext
-	// ActionError is one action failure in debuggable form.
-	ActionError = core.ActionError
-	// Acks tracks pending IM acknowledgements across deliveries.
-	Acks = core.Acks
 	// Target bundles an engine, registry, and mode.
 	Target = core.Target
-	// Clock abstracts time (real or simulated).
-	Clock = clock.Clock
 	// SimClock is the discrete-event simulated clock.
 	SimClock = clock.Sim
 	// Journal records fault and recovery actions.
@@ -100,12 +72,6 @@ type (
 	SMSCarrier = sms.Carrier
 	// Web is the simulated web the alert proxy polls.
 	Web = websim.Web
-	// Site is one simulated web site.
-	Site = websim.Site
-	// AlertProxy polls pages and alerts on block changes.
-	AlertProxy = proxy.Proxy
-	// Monitor describes one page block watched by the proxy.
-	Monitor = proxy.Monitor
 	// Home is the simulated Aladdin deployment.
 	Home = aladdin.Home
 	// WISHServer is the location server and its alert service.
@@ -116,14 +82,10 @@ type (
 	AccessPoint = wish.AP
 	// Zone is a named rectangular region of the tracked map.
 	Zone = wish.Zone
-	// DesktopAssistant forwards important email/reminders when away.
-	DesktopAssistant = assistant.Assistant
 )
 
 // Urgency levels.
 const (
-	UrgencyLow      = alert.UrgencyLow
-	UrgencyNormal   = alert.UrgencyNormal
 	UrgencyHigh     = alert.UrgencyHigh
 	UrgencyCritical = alert.UrgencyCritical
 )
@@ -133,20 +95,10 @@ const (
 	TypeIM    = addr.TypeIM
 	TypeSMS   = addr.TypeSMS
 	TypeEmail = addr.TypeEmail
-	// TypeSink is the hub's flat-substrate pseudo-channel.
-	TypeSink = addr.TypeSink
 )
 
-// Classifier keyword-extraction strategies.
-const (
-	ExtractNative  = mab.ExtractNative
-	ExtractSender  = mab.ExtractSender
-	ExtractSubject = mab.ExtractSubject
-)
-
-// RejuvenateKeyword triggers remote rejuvenation of a buddy when it
-// appears in an IM text or email subject.
-const RejuvenateKeyword = mab.RejuvenateKeyword
+// ExtractNative classifies an alert by its own keywords.
+const ExtractNative = mab.ExtractNative
 
 // NextAlertID returns a process-unique alert ID with the given prefix.
 func NextAlertID(prefix string) string { return alert.NextID(prefix) }
@@ -157,10 +109,7 @@ func Figure4Mode() *DeliveryMode { return dmode.Figure4() }
 // IMThenEmailMode returns the canonical "IM with acknowledgement,
 // fallback email" mode.
 func IMThenEmailMode(imName, emailName string, ackTimeout ModeDuration) *DeliveryMode {
-	return &DeliveryMode{Name: "IMThenEmail", Blocks: []Block{
-		{Timeout: ackTimeout, Actions: []Action{{Address: imName}}},
-		{Actions: []Action{{Address: emailName}}},
-	}}
+	return dmode.IMThenEmail(imName, emailName, time.Duration(ackTimeout))
 }
 
 // ParseDeliveryMode parses and validates a delivery-mode XML document.
@@ -170,14 +119,9 @@ func ParseDeliveryMode(data []byte) (*DeliveryMode, error) { return dmode.Unmars
 // for a phone number.
 func SMSGatewayAddress(number string) string { return sms.GatewayAddress(number) }
 
-// NewChannelRegistry returns an empty delivery-channel registry, for
-// wiring custom channels into a hub (hub.Config.Channels).
-func NewChannelRegistry() *ChannelRegistry { return core.NewChannels() }
-
 // DirectSMSChannel returns a delivery channel that texts the carrier
 // directly instead of riding the email-to-SMS gateway. Register it
-// under TypeSMS via BuddyOptions.ConfigureChannels (buddy) or a
-// channel registry handed to the hub.
+// under TypeSMS via BuddyOptions.ConfigureChannels.
 func DirectSMSChannel(carrier *SMSCarrier, fromNumber string) Channel {
 	return core.NewSMSChannel(carrier, fromNumber)
 }

@@ -5,12 +5,10 @@ import (
 	"time"
 
 	"simba/internal/aladdin"
-	"simba/internal/assistant"
 	"simba/internal/core"
 	"simba/internal/dist"
 	"simba/internal/dmode"
 	"simba/internal/im"
-	"simba/internal/proxy"
 	"simba/internal/wish"
 )
 
@@ -75,12 +73,6 @@ func (l *SourceLink) Stop() { l.endpoint.Stop() }
 // advances the clock).
 func (l *SourceLink) Deliver(a *Alert) (*Report, error) { return l.Target.Deliver(a) }
 
-// NewAlertProxy builds an alert proxy polling the world's web and
-// delivering through the link.
-func NewAlertProxy(w *World, link *SourceLink) (*AlertProxy, error) {
-	return proxy.New(w.Clock, w.Web, link.Target)
-}
-
 // HomeOptions tunes the simulated Aladdin home.
 type HomeOptions struct {
 	// OnReport observes every alert delivery. Optional.
@@ -95,12 +87,6 @@ func NewHome(w *World, link *SourceLink, opts HomeOptions) (*Home, error) {
 		Target:   link.Target,
 		OnReport: opts.OnReport,
 	})
-}
-
-// NaiveRedundantMode is the pre-SIMBA Aladdin policy: every alert as
-// two duplicated emails and two duplicated SMS messages.
-func NaiveRedundantMode(email1, email2, sms1, sms2 string) *DeliveryMode {
-	return aladdin.NaiveRedundantMode(email1, email2, sms1, sms2)
 }
 
 // WISHOptions describes the tracked space.
@@ -131,14 +117,4 @@ func NewWISHServer(w *World, link *SourceLink, opts WISHOptions) (*WISHServer, e
 // NewWISHClient builds a beaconing client for the server.
 func NewWISHClient(w *World, server *WISHServer, user string, beaconPeriod time.Duration) (*WISHClient, error) {
 	return wish.NewClient(w.Clock, dist.NewRNG(w.seed+13), server, user, beaconPeriod)
-}
-
-// NewDesktopAssistant builds a desktop assistant delivering through
-// the link.
-func NewDesktopAssistant(w *World, link *SourceLink, idleThreshold time.Duration) (*DesktopAssistant, error) {
-	return assistant.New(assistant.Config{
-		Clock:         w.Clock,
-		Target:        link.Target,
-		IdleThreshold: idleThreshold,
-	})
 }

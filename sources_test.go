@@ -34,14 +34,11 @@ func newFacadeFixture(t *testing.T) *facadeFixture {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, src := range []string{"alert-proxy", "aladdin", "wish", "desktop-assistant"} {
+	for _, src := range []string{"aladdin", "wish"} {
 		buddy.Classifier().Accept(simba.SourceRule{Source: src, Extract: simba.ExtractNative})
 	}
-	agg := buddy.Aggregator()
-	agg.Map("Election", "News")
-	agg.Map("Security", "News")
-	agg.Map("Location", "News")
-	agg.Map("Email", "News")
+	buddy.Aggregator().Map("Security", "News")
+	buddy.Aggregator().Map("Location", "News")
 	profile, err := buddy.Store().RegisterUser("u")
 	if err != nil {
 		t.Fatal(err)
@@ -81,33 +78,6 @@ func newFacadeFixture(t *testing.T) *facadeFixture {
 	}
 	t.Cleanup(link.Stop)
 	return &facadeFixture{t: t, world: world, buddy: buddy, user: user, link: link}
-}
-
-func TestFacadeAlertProxy(t *testing.T) {
-	f := newFacadeFixture(t)
-	site, err := f.world.Web.CreateSite("cnn")
-	if err != nil {
-		t.Fatal(err)
-	}
-	site.SetContent("election", "[v1]", f.world.Clock.Now())
-	p, err := simba.NewAlertProxy(f.world, f.link)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := p.AddMonitor(simba.Monitor{
-		Name: "m", URL: "cnn/election", PollEvery: time.Second,
-		StartKeyword: "[", EndKeyword: "]",
-		Source: "alert-proxy", Keywords: []string{"Election"},
-	}); err != nil {
-		t.Fatal(err)
-	}
-	p.Start()
-	defer p.Stop()
-	f.world.RunFor(3*time.Second, 500*time.Millisecond)
-	site.SetContent("election", "[v2]", f.world.Clock.Now())
-	if !f.world.RunUntil(func() bool { return f.user.ReceiptCount() >= 1 }, 500*time.Millisecond, time.Minute) {
-		t.Fatal("proxy alert never reached the user")
-	}
 }
 
 func TestFacadeHome(t *testing.T) {
@@ -150,34 +120,6 @@ func TestFacadeWISH(t *testing.T) {
 	client.MoveTo(30, 15)
 	if !f.world.RunUntil(func() bool { return f.user.ReceiptCount() > before }, time.Second, 2*time.Minute) {
 		t.Fatal("location alert never reached the user")
-	}
-}
-
-func TestFacadeDesktopAssistant(t *testing.T) {
-	f := newFacadeFixture(t)
-	asst, err := simba.NewDesktopAssistant(f.world, f.link, 5*time.Minute)
-	if err != nil {
-		t.Fatal(err)
-	}
-	f.world.RunFor(6*time.Minute, 30*time.Second) // user goes idle
-	// IncomingEmail delivers synchronously on virtual time; drive it.
-	if err := f.world.Drive(func() {
-		asst.IncomingEmail("boss@corp", "signatures", simba.UrgencyHigh)
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if !f.world.RunUntil(func() bool { return f.user.ReceiptCount() >= 1 }, time.Second, 2*time.Minute) {
-		t.Fatal("assistant alert never reached the user")
-	}
-}
-
-func TestFacadeNaiveRedundantMode(t *testing.T) {
-	m := simba.NaiveRedundantMode("a", "b", "c", "d")
-	if err := m.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	if len(m.Blocks[0].Actions) != 4 {
-		t.Fatalf("mode = %+v", m)
 	}
 }
 
