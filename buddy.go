@@ -79,7 +79,7 @@ func NewBuddy(w *World, opts BuddyOptions) (*Buddy, error) {
 // the client-software startup delays.
 func StartBuddy(w *World, b *Buddy) error {
 	var startErr error
-	if err := w.Drive(func() { startErr = b.Start() }); err != nil {
+	if err := w.Clock.Drive(func() { startErr = b.Start() }, 500*time.Millisecond); err != nil {
 		return err
 	}
 	return startErr

@@ -217,8 +217,7 @@ func run(hours int) error {
 	seen := 0
 	step := 5 * time.Second
 	for elapsed := time.Duration(0); elapsed < total; elapsed += step {
-		tb.Sim.Advance(step)
-		time.Sleep(time.Millisecond)
+		tb.Sim.Step(step)
 		for _, r := range tb.User.Receipts()[seen:] {
 			fmt.Printf("%s  user    %q via %s (end-to-end %v)\n",
 				stamp(r.At), r.Alert.Subject, r.Channel, r.Latency.Round(time.Millisecond))

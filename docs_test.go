@@ -235,6 +235,61 @@ func TestEveryExportedKnobHasACaller(t *testing.T) {
 	}
 }
 
+// TestNoHandRolledSimDriver keeps one way to move simulated time: no
+// function outside internal/clock calls both a Sim's Advance (or
+// AdvanceTo) and time.Sleep. A loop that advances and then sleeps a
+// blind real-time slice lets virtual time run ahead of a goroutine the
+// slice was too short for; clock.Sim's Step, RunFor, RunUntil and Drive
+// wait until the woken goroutines have parked instead.
+func TestNoHandRolledSimDriver(t *testing.T) {
+	var sites []string
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if path != "." && strings.HasPrefix(d.Name(), ".") || filepath.ToSlash(path) == "internal/clock" {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") {
+			return nil
+		}
+		fset := token.NewFileSet()
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		for _, decl := range f.Decls {
+			fn, ok := decl.(*ast.FuncDecl)
+			if !ok || fn.Body == nil {
+				continue
+			}
+			advances, sleeps := false, false
+			ast.Inspect(fn.Body, func(n ast.Node) bool {
+				if sel, ok := n.(*ast.SelectorExpr); ok {
+					pkg, _ := sel.X.(*ast.Ident)
+					advances = advances || sel.Sel.Name == "Advance" || sel.Sel.Name == "AdvanceTo"
+					sleeps = sleeps || sel.Sel.Name == "Sleep" && pkg != nil && pkg.Name == "time"
+				}
+				return true
+			})
+			if advances && sleeps {
+				sites = append(sites, fmt.Sprintf("%s (%s)", fset.Position(fn.Pos()), fn.Name.Name))
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(sites) > 0 {
+		t.Errorf("%d functions advance a clock.Sim and sleep in real time; drive it with Sim.Step, RunFor, RunUntil or Drive:\n\t%s",
+			len(sites), strings.Join(sites, "\n\t"))
+	}
+}
+
 // hubFields adds the exported fields of f's struct types named in
 // structs to into.
 func hubFields(f *ast.File, structs []string, into map[string][]string) {

@@ -110,10 +110,10 @@ func ExampleDirectSMSChannel() {
 	a := &simba.Alert{ID: simba.NextAlertID("garage"), Source: "garage", Keywords: []string{"Door"},
 		Subject: "Garage door open", Urgency: simba.UrgencyHigh, Created: world.Clock.Now()}
 	var derr error
-	if err := world.Drive(func() { _, derr = link.Deliver(a) }); err != nil || derr != nil {
+	if err := world.Clock.Drive(func() { _, derr = link.Deliver(a) }, 500*time.Millisecond); err != nil || derr != nil {
 		log.Fatal(err, derr)
 	}
-	if !world.RunUntil(func() bool { return user.ReceiptCount() == 1 }, time.Second, time.Minute) {
+	if !world.Clock.RunUntil(func() bool { return user.ReceiptCount() == 1 }, time.Second, time.Minute) {
 		log.Fatal("the text never arrived")
 	}
 	r := user.Receipts()[0]

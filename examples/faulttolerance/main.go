@@ -83,7 +83,7 @@ func run() error {
 	}
 	watchdog.Start()
 	defer watchdog.Stop()
-	if !world.RunUntil(buddy.Running, time.Second, time.Minute) {
+	if !world.Clock.RunUntil(buddy.Running, time.Second, time.Minute) {
 		return fmt.Errorf("buddy never started")
 	}
 	fmt.Println("buddy running under the Master Daemon Controller")
@@ -101,18 +101,18 @@ func run() error {
 			ID: simba.NextAlertID("ft"), Source: "demo", Keywords: []string{"Critical"},
 			Subject: subject, Urgency: simba.UrgencyCritical, Created: world.Clock.Now(),
 		}
-		return world.Drive(func() { _, _ = link.Deliver(a) })
+		return world.Clock.Drive(func() { _, _ = link.Deliver(a) }, 500*time.Millisecond)
 	}
 
 	// Fault 1: the IM service logs the buddy's client out; the
 	// 1-minute sanity check re-logs it in.
 	fmt.Println("--- fault 1: spontaneous IM logout ---")
 	world.IM.ForceLogout(buddy.IMHandle())
-	world.RunFor(90*time.Second, 5*time.Second)
+	world.Clock.RunFor(90*time.Second, 5*time.Second)
 	if err := send("alert after logout"); err != nil {
 		return err
 	}
-	if !world.RunUntil(func() bool { return user.ReceiptCount() >= 1 }, time.Second, 2*time.Minute) {
+	if !world.Clock.RunUntil(func() bool { return user.ReceiptCount() >= 1 }, time.Second, 2*time.Minute) {
 		return fmt.Errorf("alert after logout never arrived")
 	}
 	fmt.Println("  re-login healed it; alert delivered")
@@ -121,11 +121,11 @@ func run() error {
 	// detects it and the Shutdown/Restart API replaces the client.
 	fmt.Println("--- fault 2: hanging IM client ---")
 	buddy.InjectIMClientHang()
-	world.RunFor(2*time.Minute, 5*time.Second)
+	world.Clock.RunFor(2*time.Minute, 5*time.Second)
 	if err := send("alert after client hang"); err != nil {
 		return err
 	}
-	if !world.RunUntil(func() bool { return user.ReceiptCount() >= 2 }, time.Second, 2*time.Minute) {
+	if !world.Clock.RunUntil(func() bool { return user.ReceiptCount() >= 2 }, time.Second, 2*time.Minute) {
 		return fmt.Errorf("alert after hang never arrived")
 	}
 	fmt.Println("  client killed and relaunched; alert delivered")
@@ -138,10 +138,10 @@ func run() error {
 		return err
 	}
 	buddy.InjectCrash()
-	if !world.RunUntil(buddy.Running, 5*time.Second, 5*time.Minute) {
+	if !world.Clock.RunUntil(buddy.Running, 5*time.Second, 5*time.Minute) {
 		return fmt.Errorf("MDC never restarted the buddy")
 	}
-	if !world.RunUntil(func() bool { return user.ReceiptCount() >= 3 }, time.Second, 5*time.Minute) {
+	if !world.Clock.RunUntil(func() bool { return user.ReceiptCount() >= 3 }, time.Second, 5*time.Minute) {
 		return fmt.Errorf("replayed alert never arrived")
 	}
 	fmt.Println("  MDC restarted the buddy; the log replayed the alert")

@@ -104,7 +104,7 @@ func run() error {
 	if _, err := home.AddSensor("garage-door", false); err != nil {
 		return err
 	}
-	world.RunFor(10*time.Second, time.Second) // let the install settle
+	world.Clock.RunFor(10*time.Second, time.Second) // let the install settle
 	home.StartHeartbeats()
 	defer home.StopHeartbeats()
 
@@ -112,7 +112,7 @@ func run() error {
 	fmt.Println("--- the kid disarms the alarm with the RF remote ---")
 	pressAt := world.Clock.Now()
 	home.PressRemote(false)
-	if !world.RunUntil(func() bool { return parent.ReceiptCount() >= 1 }, time.Second, 2*time.Minute) {
+	if !world.Clock.RunUntil(func() bool { return parent.ReceiptCount() >= 1 }, time.Second, 2*time.Minute) {
 		return fmt.Errorf("disarm alert never arrived")
 	}
 	r := parent.Receipts()[0]
@@ -126,7 +126,7 @@ func run() error {
 		return err
 	}
 	deadAt := world.Clock.Now()
-	if !world.RunUntil(func() bool { return parent.ReceiptCount() >= 2 }, 10*time.Second, 30*time.Minute) {
+	if !world.Clock.RunUntil(func() bool { return parent.ReceiptCount() >= 2 }, 10*time.Second, 30*time.Minute) {
 		return fmt.Errorf("sensor-broken alert never arrived")
 	}
 	r = parent.Receipts()[1]

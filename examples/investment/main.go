@@ -115,10 +115,10 @@ func run() error {
 			ID: simba.NextAlertID("inv"), Source: source, Keywords: []string{keyword},
 			Subject: subject, Urgency: simba.UrgencyHigh, Created: world.Clock.Now(),
 		}
-		return world.Drive(func() { _, _ = link.Deliver(a) })
+		return world.Clock.Drive(func() { _, _ = link.Deliver(a) }, 500*time.Millisecond)
 	}
 	waitReceipts := func(n int) *simba.Receipt {
-		if !world.RunUntil(func() bool { return user.ReceiptCount() >= n }, time.Second, 5*time.Minute) {
+		if !world.Clock.RunUntil(func() bool { return user.ReceiptCount() >= n }, time.Second, 5*time.Minute) {
 			log.Fatalf("receipt %d never arrived", n)
 		}
 		r := user.Receipts()[n-1]

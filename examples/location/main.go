@@ -110,7 +110,7 @@ func run() error {
 	client.MoveTo(10, 15) // west wing office
 	client.Start()
 	defer client.Stop()
-	world.RunFor(10*time.Second, time.Second) // establish the starting zone
+	world.Clock.RunFor(10*time.Second, time.Second) // establish the starting zone
 
 	walk := []struct {
 		desc string
@@ -124,7 +124,7 @@ func run() error {
 		before := subscriber.ReceiptCount()
 		moveAt := world.Clock.Now()
 		client.MoveTo(leg.x, leg.y)
-		if !world.RunUntil(func() bool { return subscriber.ReceiptCount() > before }, time.Second, 2*time.Minute) {
+		if !world.Clock.RunUntil(func() bool { return subscriber.ReceiptCount() > before }, time.Second, 2*time.Minute) {
 			return fmt.Errorf("leg %d: no alert", i)
 		}
 		receipts := subscriber.Receipts()

@@ -113,7 +113,7 @@ func run() error {
 	}
 	var rep *simba.Report
 	var derr error
-	if err := world.Drive(func() { rep, derr = link.Deliver(a) }); err != nil {
+	if err := world.Clock.Drive(func() { rep, derr = link.Deliver(a) }, 500*time.Millisecond); err != nil {
 		return err
 	}
 	if derr != nil {
@@ -122,7 +122,7 @@ func run() error {
 	fmt.Printf("source → buddy: delivered via %q, acknowledged in %v\n",
 		rep.DeliveredVia, rep.Latency().Round(time.Millisecond))
 
-	if !world.RunUntil(func() bool { return user.ReceiptCount() == 1 }, 500*time.Millisecond, time.Minute) {
+	if !world.Clock.RunUntil(func() bool { return user.ReceiptCount() == 1 }, 500*time.Millisecond, time.Minute) {
 		return fmt.Errorf("alert never reached the user")
 	}
 	r := user.Receipts()[0]

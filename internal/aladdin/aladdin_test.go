@@ -75,14 +75,6 @@ func newFixture(t *testing.T) *fixture {
 	return f
 }
 
-func (f *fixture) advance(total, step time.Duration) {
-	f.t.Helper()
-	for elapsed := time.Duration(0); elapsed < total; elapsed += step {
-		f.sim.Advance(step)
-		time.Sleep(time.Millisecond)
-	}
-}
-
 func (f *fixture) sentAlerts() []*alert.Alert {
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -122,14 +114,14 @@ func TestCriticalSensorAlertChain(t *testing.T) {
 	}
 	// Let the initial write replicate quietly (it is a Created event for
 	// a critical sensor, producing the install-time alert).
-	f.advance(10*time.Second, time.Second)
+	f.sim.RunFor(10*time.Second, time.Second)
 	preexisting := f.home.AlertsSent()
 
 	start := f.sim.Now()
 	if err := f.home.TriggerSensor("basement-water", "ON"); err != nil {
 		t.Fatal(err)
 	}
-	f.advance(15*time.Second, 500*time.Millisecond)
+	f.sim.RunFor(15*time.Second, 500*time.Millisecond)
 	alerts := f.sentAlerts()
 	if f.home.AlertsSent() != preexisting+1 || len(alerts) < 1 {
 		t.Fatalf("AlertsSent = %d", f.home.AlertsSent())
@@ -152,12 +144,12 @@ func TestNonCriticalSensorStaysQuiet(t *testing.T) {
 	if _, err := f.home.AddSensor("hallway-light", false); err != nil {
 		t.Fatal(err)
 	}
-	f.advance(10*time.Second, time.Second)
+	f.sim.RunFor(10*time.Second, time.Second)
 	before := f.home.AlertsSent()
 	if err := f.home.TriggerSensor("hallway-light", "ON"); err != nil {
 		t.Fatal(err)
 	}
-	f.advance(15*time.Second, time.Second)
+	f.sim.RunFor(15*time.Second, time.Second)
 	if f.home.AlertsSent() != before {
 		t.Fatal("non-critical sensor raised an alert")
 	}
@@ -177,7 +169,7 @@ func TestDisarmScenario(t *testing.T) {
 	f := newFixture(t)
 	start := f.sim.Now()
 	f.home.PressRemote(false)
-	f.advance(15*time.Second, 500*time.Millisecond)
+	f.sim.RunFor(15*time.Second, 500*time.Millisecond)
 	alerts := f.sentAlerts()
 	if len(alerts) != 1 {
 		t.Fatalf("got %d alerts", len(alerts))
@@ -199,7 +191,7 @@ func TestDeadBatterySensorBrokenAlert(t *testing.T) {
 	f.home.StartHeartbeats()
 	defer f.home.StopHeartbeats()
 	// Healthy heartbeats: no expiry for many periods.
-	f.advance(3*time.Minute, 10*time.Second)
+	f.sim.RunFor(3*time.Minute, 10*time.Second)
 	if got := f.home.AlertsSent(); got != 0 {
 		t.Fatalf("alerts with healthy battery = %d", got)
 	}
@@ -207,7 +199,7 @@ func TestDeadBatterySensorBrokenAlert(t *testing.T) {
 	if err := f.home.SetBattery("garage-door", false); err != nil {
 		t.Fatal(err)
 	}
-	f.advance(5*time.Minute, 10*time.Second)
+	f.sim.RunFor(5*time.Minute, 10*time.Second)
 	alerts := f.sentAlerts()
 	if len(alerts) != 1 {
 		t.Fatalf("got %d alerts", len(alerts))
@@ -223,7 +215,7 @@ func TestDeadBatterySensorBrokenAlert(t *testing.T) {
 func TestAlertsReachTheBuddyMailbox(t *testing.T) {
 	f := newFixture(t)
 	f.home.PressRemote(true)
-	f.advance(20*time.Second, time.Second)
+	f.sim.RunFor(20*time.Second, time.Second)
 	msgs := f.inbox.Fetch()
 	if len(msgs) != 1 {
 		t.Fatalf("buddy mailbox has %d messages", len(msgs))

@@ -39,7 +39,7 @@ func TestRemoteArmCommand(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Email transit (1s) + command poll + physical chain (~7s) + alert.
-	f.advance(30*time.Second, time.Second)
+	f.sim.RunFor(30*time.Second, time.Second)
 	if rc.Executed() != 1 {
 		t.Fatalf("Executed = %d", rc.Executed())
 	}
@@ -54,12 +54,12 @@ func TestRemoteSetSensorCommand(t *testing.T) {
 	if _, err := f.home.AddSensor("basement-water", true); err != nil {
 		t.Fatal(err)
 	}
-	f.advance(10*time.Second, time.Second)
+	f.sim.RunFor(10*time.Second, time.Second)
 	before := f.home.AlertsSent()
 	if err := f.emSvc.Submit("owner@family.sim", "home-gw@sim", "ALADDIN SET basement-water ON", ""); err != nil {
 		t.Fatal(err)
 	}
-	f.advance(30*time.Second, time.Second)
+	f.sim.RunFor(30*time.Second, time.Second)
 	if rc.Executed() != 1 {
 		t.Fatalf("Executed = %d", rc.Executed())
 	}
@@ -88,7 +88,7 @@ func TestRemoteRejectsUnauthorizedAndMalformed(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	f.advance(30*time.Second, time.Second)
+	f.sim.RunFor(30*time.Second, time.Second)
 	if rc.Executed() != 0 {
 		t.Fatalf("Executed = %d", rc.Executed())
 	}
@@ -104,7 +104,7 @@ func TestRemoteStopHaltsProcessing(t *testing.T) {
 	if err := f.emSvc.Submit("owner@family.sim", "home-gw@sim", "ALADDIN ARM", ""); err != nil {
 		t.Fatal(err)
 	}
-	f.advance(30*time.Second, time.Second)
+	f.sim.RunFor(30*time.Second, time.Second)
 	if rc.Executed() != 0 {
 		t.Fatal("stopped remote control executed a command")
 	}

@@ -56,17 +56,9 @@ func newFixture(t *testing.T) *fixture {
 	return &fixture{t: t, sim: sim, asst: asst, inbox: inbox}
 }
 
-func (f *fixture) advance(total, step time.Duration) {
-	f.t.Helper()
-	for elapsed := time.Duration(0); elapsed < total; elapsed += step {
-		f.sim.Advance(step)
-		time.Sleep(time.Millisecond)
-	}
-}
-
 func (f *fixture) goIdle() {
 	f.t.Helper()
-	f.advance(11*time.Minute, time.Minute)
+	f.sim.RunFor(11*time.Minute, time.Minute)
 	if !f.asst.active() {
 		f.t.Fatal("assistant not active after idle period")
 	}
@@ -83,7 +75,7 @@ func TestIdleTracking(t *testing.T) {
 	if f.asst.IdleFor() != 0 {
 		t.Fatalf("IdleFor = %v at start", f.asst.IdleFor())
 	}
-	f.advance(5*time.Minute, time.Minute)
+	f.sim.RunFor(5*time.Minute, time.Minute)
 	if got := f.asst.IdleFor(); got < 5*time.Minute {
 		t.Fatalf("IdleFor = %v", got)
 	}
@@ -114,7 +106,7 @@ func TestEmailForwardedOnlyWhenAwayAndImportant(t *testing.T) {
 	if f.asst.SuppressedEmails() != 2 {
 		t.Fatalf("SuppressedEmails = %d", f.asst.SuppressedEmails())
 	}
-	f.advance(5*time.Second, time.Second)
+	f.sim.RunFor(5*time.Second, time.Second)
 	msgs := f.inbox.Fetch()
 	if len(msgs) != 1 {
 		t.Fatalf("buddy mailbox has %d messages", len(msgs))
@@ -149,7 +141,7 @@ func TestEmailsReadElsewhereSuppresses(t *testing.T) {
 func TestReminderPopsOnScreenWhenPresent(t *testing.T) {
 	f := newFixture(t)
 	f.asst.ScheduleReminder("standup", alert.UrgencyHigh, 2*time.Minute)
-	f.advance(3*time.Minute, 30*time.Second)
+	f.sim.RunFor(3*time.Minute, 30*time.Second)
 	// User was active 3 minutes ago — still "present" (under threshold).
 	if f.asst.AlertsSent() != 0 || f.asst.OnScreenPopups() != 1 {
 		t.Fatalf("sent=%d popups=%d", f.asst.AlertsSent(), f.asst.OnScreenPopups())
@@ -159,11 +151,11 @@ func TestReminderPopsOnScreenWhenPresent(t *testing.T) {
 func TestReminderForwardedWhenAway(t *testing.T) {
 	f := newFixture(t)
 	f.asst.ScheduleReminder("board meeting", alert.UrgencyCritical, 20*time.Minute)
-	f.advance(25*time.Minute, time.Minute)
+	f.sim.RunFor(25*time.Minute, time.Minute)
 	if f.asst.AlertsSent() != 1 {
 		t.Fatalf("AlertsSent = %d", f.asst.AlertsSent())
 	}
-	f.advance(5*time.Second, time.Second)
+	f.sim.RunFor(5*time.Second, time.Second)
 	msgs := f.inbox.Fetch()
 	if len(msgs) != 1 {
 		t.Fatalf("buddy mailbox has %d messages", len(msgs))
@@ -180,7 +172,7 @@ func TestReminderForwardedWhenAway(t *testing.T) {
 func TestLowImportanceReminderNeverForwarded(t *testing.T) {
 	f := newFixture(t)
 	f.asst.ScheduleReminder("water plants", alert.UrgencyLow, 20*time.Minute)
-	f.advance(25*time.Minute, time.Minute)
+	f.sim.RunFor(25*time.Minute, time.Minute)
 	if f.asst.AlertsSent() != 0 || f.asst.OnScreenPopups() != 1 {
 		t.Fatalf("sent=%d popups=%d", f.asst.AlertsSent(), f.asst.OnScreenPopups())
 	}

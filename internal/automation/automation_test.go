@@ -391,8 +391,7 @@ func TestMachineRebootTakesTimeAndClears(t *testing.T) {
 	if done.Load() {
 		t.Fatal("reboot returned before boot time")
 	}
-	f.sim.BlockUntil(1)
-	f.sim.Advance(2 * time.Minute)
+	f.sim.Step(2 * time.Minute)
 	waitFor(t, done.Load)
 	if len(f.machine.Desktop().Open()) != 0 {
 		t.Fatal("dialogs survived reboot")

@@ -78,6 +78,8 @@ func (a *EmailClientApp) pump(mb *email.Mailbox, stop chan struct{}) {
 		select {
 		case <-stop:
 			return
+		case <-a.dead:
+			return
 		case <-mb.Notify():
 			if err := a.gate(); err != nil {
 				return

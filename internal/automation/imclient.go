@@ -84,6 +84,8 @@ func (a *IMClientApp) pump(sess *im.Session, stop chan struct{}) {
 		select {
 		case <-stop:
 			return
+		case <-a.dead:
+			return
 		case msg := <-sess.Inbox():
 			// A hung client's window thread is stuck too: gate here so
 			// messages pile up in the service while the app is hung.

@@ -80,6 +80,7 @@ type Proc struct {
 	mu        sync.Mutex
 	state     ProcState
 	wake      chan struct{} // closed to re-examine blocking conditions
+	dead      chan struct{} // closed when the process terminates
 	memoryMB  float64
 	leakPerOp float64
 	blockers  int // open modal dialogs owned by this proc
@@ -93,6 +94,7 @@ func newProc(name string, m *Machine) *Proc {
 		machine:  m,
 		state:    StateRunning,
 		wake:     make(chan struct{}),
+		dead:     make(chan struct{}),
 		memoryMB: 40, // baseline working set
 	}
 	m.register(p)
@@ -167,6 +169,7 @@ func (p *Proc) terminate(final ProcState) {
 		return
 	}
 	p.state = final
+	close(p.dead)
 	close(p.wake)
 	p.wake = make(chan struct{})
 	p.mu.Unlock()

@@ -12,16 +12,19 @@ import (
 // timers whose deadlines fall inside the advanced window, in deadline
 // order. Between every fired event the Sim yields the processor several
 // times so that goroutines woken by the event can run and schedule
-// follow-up events before time moves past them.
+// follow-up events before time moves past them. A driver moves time with
+// Step, RunFor, RunUntil or Drive, which also wait for those goroutines
+// to park (drive.go).
 //
-// Sim is safe for concurrent use. Advance must not be called
-// concurrently with itself.
+// Sim is safe for concurrent use. Advance and the drivers must not be
+// called concurrently with themselves.
 type Sim struct {
 	mu      sync.Mutex
 	now     time.Time
 	queue   eventQueue
 	seq     uint64
 	waiters int
+	dump    []byte // the drivers' goroutine dump, reused
 }
 
 // settleRounds is how many scheduler yields follow each fired event
@@ -107,23 +110,10 @@ func (s *Sim) NewTicker(d time.Duration) Ticker {
 }
 
 // Waiters reports how many timers and tickers are currently pending.
-// Tests can use it to confirm that the system under test has parked
-// before advancing time.
 func (s *Sim) Waiters() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.waiters
-}
-
-// BlockUntil busy-waits (with scheduler yields) until at least n timers
-// or tickers are pending. It is a synchronization aid for tests.
-func (s *Sim) BlockUntil(n int) {
-	for {
-		if s.Waiters() >= n {
-			return
-		}
-		runtime.Gosched()
-	}
 }
 
 // Advance moves virtual time forward by d, firing every timer whose

@@ -112,8 +112,7 @@ func TestSimSleepWakes(t *testing.T) {
 		s.Sleep(3 * time.Second)
 		done.Store(true)
 	}()
-	s.BlockUntil(1)
-	s.Advance(3 * time.Second)
+	s.Step(3 * time.Second)
 	wg.Wait()
 	if !done.Load() {
 		t.Fatal("sleeper did not wake")
@@ -230,8 +229,7 @@ func TestSimChainedTimersWithinOneAdvance(t *testing.T) {
 		s.Sleep(time.Second)
 		done.Store(true)
 	}()
-	s.BlockUntil(1)
-	s.Advance(5 * time.Second)
+	s.Step(5 * time.Second)
 	wg.Wait()
 	if !done.Load() {
 		t.Fatal("chained sleeper did not complete")

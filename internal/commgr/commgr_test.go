@@ -167,8 +167,7 @@ func TestCallTimeoutHangDetection(t *testing.T) {
 		}))
 		errCh <- err
 	}()
-	f.sim.BlockUntil(1)
-	f.sim.Advance(11 * time.Second)
+	f.sim.Step(11 * time.Second)
 	select {
 	case err := <-errCh:
 		if !errors.Is(err, ErrClientHung) {
@@ -227,11 +226,9 @@ func TestIMManagerSanityDetectsHangAsUnfixable(t *testing.T) {
 	f := newFixture(t)
 	m := f.newIMManager(t, "buddy")
 	m.App().Hang()
-	w := f.sim.Waiters()
 	errCh := make(chan error, 1)
 	go func() { errCh <- m.Sanity() }()
-	f.sim.BlockUntil(w + 1)
-	f.sim.Advance(11 * time.Second)
+	f.sim.Step(11 * time.Second)
 	select {
 	case err := <-errCh:
 		if !Unfixable(err) {
@@ -247,14 +244,12 @@ func TestIMManagerEnsureHealthyRestartsHungClient(t *testing.T) {
 	m := f.newIMManager(t, "buddy")
 	oldPID := m.App().PID()
 	m.App().Hang()
-	w := f.sim.Waiters()
 	errCh := make(chan error, 1)
 	go func() { errCh <- m.EnsureHealthy() }()
-	f.sim.BlockUntil(w + 1)
 	// Just past the hung call's 10 s timeout, and no further: the restart
 	// needs no virtual time, and a longer step could fire its login's own
 	// timeout before the login's goroutine has run.
-	f.sim.Advance(11 * time.Second)
+	f.sim.Step(11 * time.Second)
 	select {
 	case err := <-errCh:
 		if err != nil {
@@ -320,7 +315,6 @@ func TestIMManagerStartupDelayConsumesVirtualTime(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w := f.sim.Waiters()
 	var done atomic.Bool
 	go func() {
 		if err := m.Start(); err != nil {
@@ -329,11 +323,11 @@ func TestIMManagerStartupDelayConsumesVirtualTime(t *testing.T) {
 		done.Store(true)
 	}()
 	defer m.Stop()
-	f.sim.BlockUntil(w + 2) // monkey ticker + startup-delay sleep
+	f.sim.Step(2 * time.Second)
 	if done.Load() {
 		t.Fatal("Start returned without consuming startup delay")
 	}
-	f.sim.Advance(4 * time.Second)
+	f.sim.Step(2 * time.Second)
 	waitFor(t, done.Load)
 }
 
@@ -471,14 +465,12 @@ func TestEmailManagerEnsureHealthyTransient(t *testing.T) {
 	// Hang: EnsureHealthy must replace the client.
 	old := m.App().PID()
 	m.App().Hang()
-	w := f.sim.Waiters()
 	errCh := make(chan error, 1)
 	go func() { errCh <- m.EnsureHealthy() }()
-	f.sim.BlockUntil(w + 1)
 	// Just past the hung call's 10 s timeout, and no further: the restart
 	// needs no virtual time, and a longer step could fire its login's own
 	// timeout before the login's goroutine has run.
-	f.sim.Advance(11 * time.Second)
+	f.sim.Step(11 * time.Second)
 	select {
 	case err := <-errCh:
 		if err != nil {

@@ -137,30 +137,6 @@ func testAlert(f *engineFixture) *alert.Alert {
 	}
 }
 
-// drive runs fn in a goroutine while advancing the simulated clock
-// until it finishes, returning its result. Between steps it waits a
-// moment of real time: the clock's settle rounds only yield, which on a
-// busy host does not get a goroutine woken on another thread running
-// before the next step moves virtual time past it.
-func drive[T any](t *testing.T, sim *clock.Sim, fn func() T) T {
-	t.Helper()
-	done := make(chan T, 1)
-	go func() { done <- fn() }()
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		select {
-		case v := <-done:
-			return v
-		default:
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("drive: function did not finish")
-		}
-		sim.Advance(500 * time.Millisecond)
-		time.Sleep(200 * time.Microsecond)
-	}
-}
-
 type deliverResult struct {
 	report *Report
 	err    error
@@ -168,10 +144,11 @@ type deliverResult struct {
 
 func deliver(t *testing.T, f *engineFixture, a *alert.Alert, reg *addr.Registry, mode *dmode.Mode) deliverResult {
 	t.Helper()
-	return drive(t, f.sim, func() deliverResult {
-		rep, err := f.engine.Deliver(a, reg, mode)
-		return deliverResult{rep, err}
-	})
+	var res deliverResult
+	if err := f.sim.Drive(func() { res.report, res.err = f.engine.Deliver(a, reg, mode) }, 500*time.Millisecond); err != nil {
+		t.Fatal(err)
+	}
+	return res
 }
 
 func userRegistry(t *testing.T, user string, addrs ...addr.Address) *addr.Registry {
@@ -444,21 +421,21 @@ func TestConcurrentDeliveries(t *testing.T) {
 		Actions: []dmode.Action{{Address: "MSN IM"}},
 	}}}
 	const n = 8
-	results := drive(t, f.sim, func() []deliverResult {
+	results := make([]deliverResult, n)
+	err := f.sim.Drive(func() {
 		var wg sync.WaitGroup
-		out := make([]deliverResult, n)
-		for i := 0; i < n; i++ {
+		for i := range results {
 			wg.Add(1)
-			go func(i int) {
+			go func() {
 				defer wg.Done()
-				a := testAlert(f)
-				rep, err := f.engine.Deliver(a, reg, mode)
-				out[i] = deliverResult{rep, err}
-			}(i)
+				results[i].report, results[i].err = f.engine.Deliver(testAlert(f), reg, mode)
+			}()
 		}
 		wg.Wait()
-		return out
-	})
+	}, 500*time.Millisecond)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for i, res := range results {
 		if res.err != nil || !res.report.Delivered {
 			t.Fatalf("delivery %d failed: %v", i, res.err)
@@ -555,13 +532,8 @@ func TestDirectIMReloginAfterKick(t *testing.T) {
 	if ep.LoggedIn() {
 		t.Fatal("LoggedIn true after kick")
 	}
-	deadline := time.Now().Add(5 * time.Second)
-	for !ep.LoggedIn() {
-		if time.Now().After(deadline) {
-			t.Fatal("endpoint never re-logged-in")
-		}
-		f.sim.Advance(DefaultRetryPeriod)
-		time.Sleep(time.Millisecond)
+	if !f.sim.RunUntil(ep.LoggedIn, DefaultRetryPeriod, 10*DefaultRetryPeriod) {
+		t.Fatal("endpoint never re-logged-in")
 	}
 }
 
@@ -575,13 +547,8 @@ func TestDirectIMSurvivesOutage(t *testing.T) {
 		t.Fatal("logged in during outage")
 	}
 	f.imSvc.Outage().Set(false, f.sim.Now())
-	deadline := time.Now().Add(5 * time.Second)
-	for !ep.LoggedIn() {
-		if time.Now().After(deadline) {
-			t.Fatal("endpoint never recovered from outage")
-		}
-		f.sim.Advance(DefaultRetryPeriod)
-		time.Sleep(time.Millisecond)
+	if !f.sim.RunUntil(ep.LoggedIn, DefaultRetryPeriod, 10*DefaultRetryPeriod) {
+		t.Fatal("endpoint never recovered from outage")
 	}
 }
 
@@ -592,16 +559,5 @@ func TestDirectEmailValidation(t *testing.T) {
 	}
 	if _, err := NewDirectEmail(f.emSvc, ""); err == nil {
 		t.Fatal("empty from accepted")
-	}
-}
-
-func waitFor(t *testing.T, cond func() bool) {
-	t.Helper()
-	deadline := time.Now().Add(5 * time.Second)
-	for !cond() {
-		if time.Now().After(deadline) {
-			t.Fatal("condition not reached in time")
-		}
-		time.Sleep(time.Millisecond)
 	}
 }

@@ -91,14 +91,6 @@ func payload(t *testing.T, sim *clock.Sim, id string) (string, *alert.Alert) {
 	return string(data), a
 }
 
-func (f *fixture) advance(t *testing.T, total, step time.Duration) {
-	t.Helper()
-	for elapsed := time.Duration(0); elapsed < total; elapsed += step {
-		f.sim.Advance(step)
-		time.Sleep(time.Millisecond)
-	}
-}
-
 func TestConfigValidation(t *testing.T) {
 	if _, err := New(Config{}); err == nil {
 		t.Fatal("missing clock accepted")
@@ -116,7 +108,7 @@ func TestIMReceiptAndAck(t *testing.T) {
 	if _, err := f.sender.Send("alice-im", text); err != nil {
 		t.Fatal(err)
 	}
-	f.advance(t, 3*time.Second, 500*time.Millisecond)
+	f.sim.RunFor(3*time.Second, 500*time.Millisecond)
 	receipts := f.user.Receipts()
 	if len(receipts) != 1 || receipts[0].Channel != addr.TypeIM {
 		t.Fatalf("receipts = %+v", receipts)
@@ -139,7 +131,7 @@ func TestAwayUserDoesNotAck(t *testing.T) {
 	if _, err := f.sender.Send("alice-im", text); err != nil {
 		t.Fatal(err)
 	}
-	f.advance(t, 5*time.Second, time.Second)
+	f.sim.RunFor(5*time.Second, time.Second)
 	if f.user.ReceiptCount() != 0 {
 		t.Fatal("away user recorded a receipt")
 	}
@@ -167,17 +159,11 @@ func TestAckDelay(t *testing.T) {
 	if _, err := sender.Send("u", text); err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 4; i++ {
-		sim.Advance(500 * time.Millisecond)
-		time.Sleep(time.Millisecond)
-	}
+	sim.RunFor(2*time.Second, 500*time.Millisecond)
 	if user.ReceiptCount() != 0 {
 		t.Fatal("receipt before think time")
 	}
-	for i := 0; i < 6; i++ {
-		sim.Advance(500 * time.Millisecond)
-		time.Sleep(time.Millisecond)
-	}
+	sim.RunFor(3*time.Second, 500*time.Millisecond)
 	if user.ReceiptCount() != 1 {
 		t.Fatalf("ReceiptCount = %d", user.ReceiptCount())
 	}
@@ -190,7 +176,7 @@ func TestEmailReceiptOnCheck(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Transit 10s + check period up to 1m.
-	f.advance(t, 2*time.Minute, 5*time.Second)
+	f.sim.RunFor(2*time.Minute, 5*time.Second)
 	receipts := f.user.Receipts()
 	if len(receipts) != 1 || receipts[0].Channel != addr.TypeEmail {
 		t.Fatalf("receipts = %+v", receipts)
@@ -203,7 +189,7 @@ func TestSMSReceiptAfterReadDelay(t *testing.T) {
 	if err := f.carrier.Send("buddy", "555", text); err != nil {
 		t.Fatal(err)
 	}
-	f.advance(t, 30*time.Second, 2*time.Second)
+	f.sim.RunFor(30*time.Second, 2*time.Second)
 	receipts := f.user.Receipts()
 	if len(receipts) != 1 || receipts[0].Channel != addr.TypeSMS {
 		t.Fatalf("receipts = %+v", receipts)
@@ -222,7 +208,7 @@ func TestDuplicateDiscardedByTimestamp(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	f.advance(t, 5*time.Second, time.Second)
+	f.sim.RunFor(5*time.Second, time.Second)
 	if f.user.ReceiptCount() != 1 {
 		t.Fatalf("ReceiptCount = %d", f.user.ReceiptCount())
 	}
@@ -236,7 +222,7 @@ func TestNonAlertMessagesIgnored(t *testing.T) {
 	if _, err := f.sender.Send("alice-im", "hey, lunch?"); err != nil {
 		t.Fatal(err)
 	}
-	f.advance(t, 2*time.Second, 500*time.Millisecond)
+	f.sim.RunFor(2*time.Second, 500*time.Millisecond)
 	if f.user.ReceiptCount() != 0 {
 		t.Fatal("plain IM recorded as alert")
 	}

@@ -39,27 +39,15 @@ func AblationNoPlog(tempDir string, n int) (*Result, error) {
 			}
 			// Crash in the ack→route window.
 			tb.Buddy.InjectCrash()
-			tb.RunUntil(func() bool { return !tb.Buddy.Running() }, 100*time.Millisecond, 10*time.Second)
-			startDone := make(chan error, 1)
-			go func() { startDone <- tb.Buddy.Start() }()
-			deadline := time.Now().Add(10 * time.Second)
-			for {
-				select {
-				case serr := <-startDone:
-					if serr != nil {
-						return 0, serr
-					}
-				default:
-					if time.Now().After(deadline) {
-						return 0, fmt.Errorf("restart %d timed out", i)
-					}
-					tb.Sim.Advance(time.Second)
-					time.Sleep(time.Millisecond)
-					continue
-				}
-				break
+			tb.Sim.RunUntil(func() bool { return !tb.Buddy.Running() }, 100*time.Millisecond, 10*time.Second)
+			var serr error
+			if err := tb.Sim.Drive(func() { serr = tb.Buddy.Start() }, time.Second); err != nil {
+				return 0, fmt.Errorf("restart %d: %w", i, err)
 			}
-			if tb.RunUntil(func() bool { return tb.User.ReceiptCount() > before }, time.Second, 2*time.Minute) {
+			if serr != nil {
+				return 0, serr
+			}
+			if tb.Sim.RunUntil(func() bool { return tb.User.ReceiptCount() > before }, time.Second, 2*time.Minute) {
 				delivered++
 			}
 		}
@@ -123,7 +111,7 @@ func AblationNoMonkey(tempDir string, n int) (*Result, error) {
 				return nil, 0, fmt.Errorf("dialog %d never recovered", i)
 			}
 			rec.Observe(tb.Sim.Now().Sub(popAt))
-			tb.RunFor(time.Minute, 5*time.Second)
+			tb.Sim.RunFor(time.Minute, 5*time.Second)
 		}
 		s := rec.Summarize()
 		return &s, tb.Journal.Count("client-restart"), nil
@@ -168,18 +156,18 @@ func AblationProbePeriod(tempDir string, periods []time.Duration) (*Result, erro
 		var rec metrics.Recorder
 		const hangs = 4
 		for h := 0; h < hangs; h++ {
-			tb.RunFor(2*time.Minute, 30*time.Second)
+			tb.Sim.RunFor(2*time.Minute, 30*time.Second)
 			hangAt := tb.Sim.Now()
 			baseRestarts := tb.MDC.Restarts()
 			tb.Buddy.InjectHang()
 			// Detection: heartbeats go stale (HeartbeatMaxAge), then the
 			// next probe fails and the MDC kills and restarts the buddy.
-			if !tb.RunUntil(func() bool { return tb.MDC.Restarts() > baseRestarts }, 30*time.Second, 4*time.Hour) {
+			if !tb.Sim.RunUntil(func() bool { return tb.MDC.Restarts() > baseRestarts }, 30*time.Second, 4*time.Hour) {
 				tb.Stop()
 				return nil, fmt.Errorf("probe period %v: hang %d never detected", period, h)
 			}
 			// Recovery: restarted and answering probes again.
-			ok := tb.RunUntil(func() bool {
+			ok := tb.Sim.RunUntil(func() bool {
 				return tb.Buddy.Running() && tb.Buddy.AreYouWorking()
 			}, 30*time.Second, time.Hour)
 			if !ok {
@@ -204,22 +192,10 @@ func AblationProbePeriod(tempDir string, periods []time.Duration) (*Result, erro
 // probeIMDelivery attempts one delivery to the buddy while driving the
 // clock, reporting whether it succeeded over IM.
 func probeIMDelivery(tb *Testbed) bool {
-	done := make(chan bool, 1)
-	go func() {
+	var ok bool
+	err := tb.Sim.Drive(func() {
 		rep, err := tb.Target.Deliver(benchAlert(tb))
-		done <- err == nil && rep.DeliveredVia == "Buddy IM"
-	}()
-	deadline := time.Now().Add(20 * time.Second)
-	for {
-		select {
-		case ok := <-done:
-			return ok
-		default:
-		}
-		if time.Now().After(deadline) {
-			return false
-		}
-		tb.Sim.Advance(time.Second)
-		time.Sleep(time.Millisecond)
-	}
+		ok = err == nil && rep.DeliveredVia == "Buddy IM"
+	}, time.Second)
+	return err == nil && ok
 }

@@ -116,10 +116,10 @@ func runPolicy(tb *Testbed, reg *addr.Registry, mode *dmode.Mode, prefix string,
 			_, _ = tb.SrcEngine.Deliver(a, reg, mode)
 		}()
 		// Space alerts 10 virtual seconds apart.
-		tb.RunFor(10*time.Second, 2*time.Second)
+		tb.Sim.RunFor(10*time.Second, 2*time.Second)
 	}
 	// Horizon for the delay tails.
-	tb.RunFor(20*time.Minute, 10*time.Second)
+	tb.Sim.RunFor(20*time.Minute, 10*time.Second)
 	wg.Wait()
 
 	st := &policyStats{sent: n}

@@ -27,30 +27,14 @@ func benchAlert(tb *Testbed) *alert.Alert {
 
 // deliverDriven runs target.Deliver while driving the clock.
 func deliverDriven(tb *Testbed, a *alert.Alert) (*core.Report, error) {
-	type out struct {
-		rep *core.Report
-		err error
+	var rep *core.Report
+	var err error
+	// A fine stride keeps virtual-time quantization error (one stride
+	// per blocking handoff) well under the measured latencies.
+	if derr := tb.Sim.Drive(func() { rep, err = tb.Target.Deliver(a) }, 100*time.Millisecond); derr != nil {
+		return nil, fmt.Errorf("harness: delivery to buddy: %w", derr)
 	}
-	done := make(chan out, 1)
-	go func() {
-		rep, err := tb.Target.Deliver(a)
-		done <- out{rep, err}
-	}()
-	deadline := time.Now().Add(20 * time.Second)
-	for {
-		select {
-		case o := <-done:
-			return o.rep, o.err
-		default:
-		}
-		if time.Now().After(deadline) {
-			return nil, fmt.Errorf("harness: delivery to buddy never completed")
-		}
-		// A fine step keeps virtual-time quantization error (one step
-		// per blocking handoff) well under the measured latencies.
-		tb.Sim.Advance(100 * time.Millisecond)
-		time.Sleep(time.Millisecond)
-	}
+	return rep, err
 }
 
 // E1IMDelivery reproduces Section 5's headline numbers: one-way IM
@@ -86,7 +70,7 @@ func E1IMDelivery(tempDir string, n int) (*Result, error) {
 		}
 		oneWay.Observe(at.Sub(a.Created))
 		ack.Observe(rep.Latency())
-		tb.RunFor(2*time.Second, time.Second) // pace the alerts out
+		tb.Sim.RunFor(2*time.Second, time.Second) // pace the alerts out
 	}
 	ows, acks := oneWay.Summarize(), ack.Summarize()
 	res := &Result{ID: "E1", Title: "IM alert delivery to MyAlertBuddy (Section 5)"}
@@ -128,13 +112,13 @@ func E2ProxyRouting(tempDir string, n int) (*Result, error) {
 		return nil, err
 	}
 	tb.Proxy.Start()
-	tb.RunFor(5*time.Second, time.Second) // establish the baseline
+	tb.Sim.RunFor(5*time.Second, time.Second) // establish the baseline
 
 	var detectToUser metrics.Recorder
 	for i := 0; i < n; i++ {
 		before := tb.User.ReceiptCount()
 		site.SetContent("election", fmt.Sprintf("Florida recount: [Gore 2909135, Bush %d]", 2909142+i+1), tb.Sim.Now())
-		ok := tb.RunUntil(func() bool { return tb.User.ReceiptCount() > before }, 250*time.Millisecond, 2*time.Minute)
+		ok := tb.Sim.RunUntil(func() bool { return tb.User.ReceiptCount() > before }, 250*time.Millisecond, 2*time.Minute)
 		if !ok {
 			return nil, fmt.Errorf("E2 change %d never reached the user", i)
 		}
@@ -173,7 +157,7 @@ func E3Aladdin(tempDir string, n int) (*Result, error) {
 		pressAt := tb.Sim.Now()
 		tb.Home.PressRemote(arm)
 		arm = !arm
-		ok := tb.RunUntil(func() bool { return tb.User.ReceiptCount() > before }, 500*time.Millisecond, 3*time.Minute)
+		ok := tb.Sim.RunUntil(func() bool { return tb.User.ReceiptCount() > before }, 500*time.Millisecond, 3*time.Minute)
 		if !ok {
 			return nil, fmt.Errorf("E3 press %d never reached the user", i)
 		}
@@ -212,7 +196,7 @@ func E4WISH(tempDir string, n int) (*Result, error) {
 	// Establish the starting zone.
 	client.MoveTo(10, 15)
 	client.Beacon()
-	tb.RunFor(5*time.Second, time.Second)
+	tb.Sim.RunFor(5*time.Second, time.Second)
 
 	var sendToUser metrics.Recorder
 	west := true
@@ -226,7 +210,7 @@ func E4WISH(tempDir string, n int) (*Result, error) {
 		west = !west
 		sendAt := tb.Sim.Now()
 		client.Beacon()
-		ok := tb.RunUntil(func() bool { return tb.User.ReceiptCount() > before }, 500*time.Millisecond, 2*time.Minute)
+		ok := tb.Sim.RunUntil(func() bool { return tb.User.ReceiptCount() > before }, 500*time.Millisecond, 2*time.Minute)
 		if !ok {
 			return nil, fmt.Errorf("E4 move %d never alerted the subscriber", i)
 		}

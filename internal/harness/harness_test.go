@@ -30,7 +30,7 @@ func TestTestbedStartsAndDelivers(t *testing.T) {
 	if rep.DeliveredVia != "Buddy IM" {
 		t.Fatalf("DeliveredVia = %q", rep.DeliveredVia)
 	}
-	if !tb.RunUntil(func() bool { return tb.User.ReceiptCount() == 1 }, 500*time.Millisecond, time.Minute) {
+	if !tb.Sim.RunUntil(func() bool { return tb.User.ReceiptCount() == 1 }, 500*time.Millisecond, time.Minute) {
 		t.Fatal("alert never reached the user")
 	}
 }

@@ -189,9 +189,9 @@ func E5FaultMonth(tempDir string, days int) (*Result, error) {
 	}()
 
 	// Run the month.
-	tb.RunFor(duration, time.Minute)
+	tb.Sim.RunFor(duration, time.Minute)
 	close(trafficStop)
-	tb.RunFor(10*time.Minute, time.Minute) // drain in-flight deliveries
+	tb.Sim.RunFor(10*time.Minute, time.Minute) // drain in-flight deliveries
 
 	downtimes := tb.Journal.Downtimes("im-service outage")
 	minD, maxD := time.Duration(0), time.Duration(0)

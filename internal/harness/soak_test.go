@@ -111,12 +111,12 @@ func soakRandomFaults(tempDir string, seed int64, days int) (*soakResult, error)
 		}
 	}()
 
-	tb.RunFor(horizon, time.Minute)
+	tb.Sim.RunFor(horizon, time.Minute)
 	close(trafficStop)
 	// Quiesce: let any ongoing recovery finish and stragglers deliver.
-	tb.RunFor(30*time.Minute, time.Minute)
+	tb.Sim.RunFor(30*time.Minute, time.Minute)
 
-	recovered := tb.RunUntil(func() bool {
+	recovered := tb.Sim.RunUntil(func() bool {
 		return tb.Buddy.Running() && tb.Buddy.AreYouWorking()
 	}, time.Minute, 2*time.Hour)
 

@@ -2,12 +2,11 @@ package harness
 
 import (
 	"fmt"
-
-	"sync"
 	"time"
 
 	"simba/internal/addr"
 	"simba/internal/alert"
+	"simba/internal/core"
 	"simba/internal/dist"
 	"simba/internal/dmode"
 	"simba/internal/metrics"
@@ -60,7 +59,6 @@ func A4AckTimeoutSweep(tempDir string, perCell int, timeouts []time.Duration) (*
 		var lat metrics.Recorder
 		viaIM := 0
 		delivered := 0
-		var mu sync.Mutex
 		for i := 0; i < perCell; i++ {
 			tb.User.SetPresent(rng.Bool(0.5))
 			a := &alert.Alert{
@@ -70,41 +68,23 @@ func A4AckTimeoutSweep(tempDir string, perCell int, timeouts []time.Duration) (*
 				Urgency: alert.UrgencyHigh,
 				Created: tb.Sim.Now(),
 			}
-			done := make(chan struct{})
-			go func() {
-				rep, err := tb.SrcEngine.Deliver(a, reg, mode)
-				mu.Lock()
-				if err == nil && rep.Delivered {
-					delivered++
-					lat.Observe(rep.Latency())
-					if rep.DeliveredVia == "MSN IM" {
-						viaIM++
-					}
-				}
-				mu.Unlock()
-				close(done)
-			}()
-			deadline := time.Now().Add(20 * time.Second)
-			for {
-				select {
-				case <-done:
-				default:
-					if time.Now().After(deadline) {
-						return nil, fmt.Errorf("A4 cell %d alert %d stuck", ti, i)
-					}
-					tb.Sim.Advance(250 * time.Millisecond)
-					time.Sleep(time.Millisecond)
-					continue
-				}
-				break
+			var rep *core.Report
+			var err error
+			if derr := tb.Sim.Drive(func() { rep, err = tb.SrcEngine.Deliver(a, reg, mode) }, 250*time.Millisecond); derr != nil {
+				return nil, fmt.Errorf("A4 cell %d alert %d: %w", ti, i, derr)
 			}
-			tb.RunFor(3*time.Second, time.Second)
+			if err == nil && rep.Delivered {
+				delivered++
+				lat.Observe(rep.Latency())
+				if rep.DeliveredVia == "MSN IM" {
+					viaIM++
+				}
+			}
+			tb.Sim.RunFor(3*time.Second, time.Second)
 		}
-		mu.Lock()
 		s := lat.Summarize()
 		row := fmt.Sprintf("%d/%d confirmed, %d%% via IM, mean confirm %s, p90 %s",
 			delivered, perCell, 100*viaIM/max(delivered, 1), fmtDur(s.Mean), fmtDur(s.P90))
-		mu.Unlock()
 		res.AddRow(fmt.Sprintf("ack timeout %s", timeout), "user at desk 50% of the time", row, "")
 	}
 	res.AddNote("%d alerts per cell; 'confirmed' = the source saw an IM ack or an accepted email fallback", perCell)

@@ -480,26 +480,13 @@ func (tb *Testbed) Start() error {
 	if tb.MDC != nil {
 		tb.MDC.Start()
 	} else {
-		done := make(chan error, 1)
-		go func() { done <- tb.Buddy.Start() }()
-		deadline := time.Now().Add(10 * time.Second)
-		for {
-			select {
-			case err := <-done:
-				if err != nil {
-					return err
-				}
-				return nil
-			default:
-			}
-			if time.Now().After(deadline) {
-				return errors.New("harness: buddy start timed out")
-			}
-			tb.Sim.Advance(time.Second)
-			time.Sleep(time.Millisecond)
+		var startErr error
+		if err := tb.Sim.Drive(func() { startErr = tb.Buddy.Start() }, time.Second); err != nil {
+			return fmt.Errorf("harness: buddy start: %w", err)
 		}
+		return startErr
 	}
-	tb.RunFor(20*time.Second, time.Second)
+	tb.Sim.RunFor(20*time.Second, time.Second)
 	if tb.MDC != nil && !tb.Buddy.Running() {
 		return errors.New("harness: buddy did not come up under MDC")
 	}
@@ -519,34 +506,12 @@ func (tb *Testbed) Stop() {
 	tb.SrcIM.Stop()
 }
 
-// RunFor advances virtual time by total in steps, yielding real time
-// between steps so goroutines keep up.
-func (tb *Testbed) RunFor(total, step time.Duration) {
-	for elapsed := time.Duration(0); elapsed < total; elapsed += step {
-		tb.Sim.Advance(step)
-		time.Sleep(time.Millisecond)
-	}
-}
-
-// RunUntil advances until cond holds or maxVirtual elapses, reporting
-// whether cond held.
-func (tb *Testbed) RunUntil(cond func() bool, step, maxVirtual time.Duration) bool {
-	for elapsed := time.Duration(0); elapsed < maxVirtual; elapsed += step {
-		if cond() {
-			return true
-		}
-		tb.Sim.Advance(step)
-		time.Sleep(time.Millisecond)
-	}
-	return cond()
-}
-
 // WaitReceive blocks (driving the clock) until the buddy reports
 // receiving the alert with the given dedup key, returning the arrival
 // stamp.
 func (tb *Testbed) WaitReceive(key string, maxVirtual time.Duration) (time.Time, error) {
 	var at time.Time
-	found := tb.RunUntil(func() bool {
+	found := tb.Sim.RunUntil(func() bool {
 		for {
 			select {
 			case st := <-tb.receives:

@@ -100,7 +100,10 @@ func TestSendDeliversAfterHopDelay(t *testing.T) {
 		t.Fatal("delivered before hop delay")
 	default:
 	}
-	sim.Advance(time.Second)
+	// Step to the hop's instant and no further: the delivery runs as its
+	// own goroutine and stamps the clock's time, which a longer step
+	// could have moved past before that goroutine ran.
+	sim.Step(300 * time.Millisecond)
 	select {
 	case msg := <-bob.Inbox():
 		if msg.From != "alice" || msg.To != "bob" || msg.Text != "hello" || msg.Seq != 1 {

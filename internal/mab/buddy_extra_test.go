@@ -16,7 +16,9 @@ func TestRemoteRejuvenationViaEmail(t *testing.T) {
 	if err := f.emSvc.Submit("admin@sim", buddyEmail, RejuvenateKeyword+" now", "please restart"); err != nil {
 		t.Fatal(err)
 	}
-	f.advanceUntil(func() bool { return !f.buddy.Running() }, 5*time.Second)
+	if !f.sim.RunUntil(func() bool { return !f.buddy.Running() }, 5*time.Second, time.Hour) {
+		t.Fatal("condition not reached")
+	}
 	if f.journal.CountMatching(faults.KindRejuvenation, "via email") == 0 {
 		t.Fatal("email rejuvenation not journaled")
 	}
@@ -33,13 +35,17 @@ func TestMemoryLeakTriggersClientRestart(t *testing.T) {
 	// Leak hard: every automation call adds 20MB; the sanity checks
 	// themselves drive it over the limit quickly.
 	inc.imMgr.App().SetLeakRate(20)
-	f.advanceUntil(func() bool {
+	if !f.sim.RunUntil(func() bool {
 		return f.journal.CountMatching(faults.KindRejuvenation, "memory over") >= 1
-	}, 30*time.Second)
-	f.advanceUntil(func() bool {
+	}, 30*time.Second, time.Hour) {
+		t.Fatal("condition not reached")
+	}
+	if !f.sim.RunUntil(func() bool {
 		app := inc.imMgr.App()
 		return app != nil && app.PID() != oldPID && app.Running()
-	}, 10*time.Second)
+	}, 10*time.Second, time.Hour) {
+		t.Fatal("condition not reached")
+	}
 	// The buddy itself kept running: client-level rejuvenation only.
 	if !f.buddy.Running() {
 		t.Fatal("buddy restarted for a client-level leak")
@@ -66,7 +72,9 @@ func TestInvariantEscalationTerminatesFromItsOwnCheck(t *testing.T) {
 		t.Fatal(err)
 	}
 	inc.stab.Start()
-	f.advanceUntil(func() bool { return !f.buddy.Running() }, time.Second)
+	if !f.sim.RunUntil(func() bool { return !f.buddy.Running() }, time.Second, time.Hour) {
+		t.Fatal("condition not reached")
+	}
 	if f.journal.CountMatching(faults.KindRejuvenation, `unrectifiable invariant "doomed"`) != 1 {
 		t.Fatal("escalation did not rejuvenate the buddy")
 	}
@@ -83,7 +91,9 @@ func TestExplicitRejuvenateMethod(t *testing.T) {
 	f := newFixture(t)
 	f.startBuddy()
 	f.buddy.Rejuvenate("operator request")
-	f.advanceUntil(func() bool { return !f.buddy.Running() }, time.Second)
+	if !f.sim.RunUntil(func() bool { return !f.buddy.Running() }, time.Second, time.Hour) {
+		t.Fatal("condition not reached")
+	}
 	if f.journal.CountMatching(faults.KindRejuvenation, "operator request") == 0 {
 		t.Fatal("rejuvenation reason not journaled")
 	}
@@ -122,14 +132,18 @@ func TestQuietHoursThroughBuddy(t *testing.T) {
 	// Sim epoch is 09:00; quiet 08:00–17:00 suppresses Investment now.
 	f.buddy.Filter().SetQuietHours("Investment", 8*time.Hour, 17*time.Hour)
 	f.sendToBuddy(f.newAlert())
-	f.advanceUntil(func() bool { return f.buddy.Counters().Get("filtered") == 1 }, time.Second)
+	if !f.sim.RunUntil(func() bool { return f.buddy.Counters().Get("filtered") == 1 }, time.Second, time.Hour) {
+		t.Fatal("condition not reached")
+	}
 	if f.user.ReceiptCount() != 0 {
 		t.Fatal("quiet-hours alert reached the user")
 	}
 	// Clear the window: alerts flow again.
 	f.buddy.Filter().SetQuietHours("Investment", 0, 0)
 	f.sendToBuddy(f.newAlert())
-	f.advanceUntil(func() bool { return f.user.ReceiptCount() == 1 }, time.Second)
+	if !f.sim.RunUntil(func() bool { return f.user.ReceiptCount() == 1 }, time.Second, time.Hour) {
+		t.Fatal("condition not reached")
+	}
 }
 
 func TestUnsubscribedCategoryCounted(t *testing.T) {
@@ -138,7 +152,9 @@ func TestUnsubscribedCategoryCounted(t *testing.T) {
 	a := f.newAlert()
 	a.Keywords = []string{"UnmappedKeyword"} // → Uncategorized, no subscribers
 	f.sendToBuddy(a)
-	f.advanceUntil(func() bool { return f.buddy.Counters().Get("unsubscribed") == 1 }, time.Second)
+	if !f.sim.RunUntil(func() bool { return f.buddy.Counters().Get("unsubscribed") == 1 }, time.Second, time.Hour) {
+		t.Fatal("condition not reached")
+	}
 }
 
 func TestMalformedIMPayloadCounted(t *testing.T) {
@@ -147,11 +163,15 @@ func TestMalformedIMPayloadCounted(t *testing.T) {
 	if _, err := f.srcEp.Send(buddyIM, "SIMBA-ALERT/1\nURGENCY: bogus\nBODY:\n"); err != nil {
 		t.Fatal(err)
 	}
-	f.advanceUntil(func() bool { return f.buddy.Counters().Get("im-malformed") == 1 }, time.Second)
+	if !f.sim.RunUntil(func() bool { return f.buddy.Counters().Get("im-malformed") == 1 }, time.Second, time.Hour) {
+		t.Fatal("condition not reached")
+	}
 	if _, err := f.srcEp.Send(buddyIM, "just chatting"); err != nil {
 		t.Fatal(err)
 	}
-	f.advanceUntil(func() bool { return f.buddy.Counters().Get("im-ignored") == 1 }, time.Second)
+	if !f.sim.RunUntil(func() bool { return f.buddy.Counters().Get("im-ignored") == 1 }, time.Second, time.Hour) {
+		t.Fatal("condition not reached")
+	}
 }
 
 func TestDuplicateIMAlertAckedButNotRerouted(t *testing.T) {
@@ -166,10 +186,14 @@ func TestDuplicateIMAlertAckedButNotRerouted(t *testing.T) {
 		if _, err := f.srcEp.Send(buddyIM, string(payload)); err != nil {
 			t.Fatal(err)
 		}
-		f.advance(5*time.Second, 500*time.Millisecond)
+		f.sim.RunFor(5*time.Second, 500*time.Millisecond)
 	}
-	f.advanceUntil(func() bool { return f.buddy.Counters().Get("duplicates") == 2 }, time.Second)
-	f.advanceUntil(func() bool { return f.user.ReceiptCount() == 1 }, time.Second)
+	if !f.sim.RunUntil(func() bool { return f.buddy.Counters().Get("duplicates") == 2 }, time.Second, time.Hour) {
+		t.Fatal("condition not reached")
+	}
+	if !f.sim.RunUntil(func() bool { return f.user.ReceiptCount() == 1 }, time.Second, time.Hour) {
+		t.Fatal("condition not reached")
+	}
 	// All three IMs were acknowledged, though only one routed.
 	if got := f.buddy.Counters().Get("acked"); got != 3 {
 		t.Fatalf("acked = %d, want 3", got)
@@ -188,7 +212,9 @@ func TestOnReceiveHookFires(t *testing.T) {
 	f.startBuddy()
 	sent := f.newAlert()
 	f.sendToBuddy(sent)
-	f.advanceUntil(func() bool { return len(got) == 1 }, time.Second)
+	if !f.sim.RunUntil(func() bool { return len(got) == 1 }, time.Second, time.Hour) {
+		t.Fatal("condition not reached")
+	}
 	if a := <-got; a.ID != sent.ID {
 		t.Fatalf("OnReceive saw %q, want %q", a.ID, sent.ID)
 	}

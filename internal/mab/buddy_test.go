@@ -1,9 +1,9 @@
 package mab
 
 import (
+	"bytes"
 	"path/filepath"
 	"runtime"
-	"strings"
 	"testing"
 	"time"
 
@@ -232,65 +232,6 @@ func (f *fixture) newAlert() *alert.Alert {
 	}
 }
 
-// parkWait bounds how long step waits in real time for the system to
-// re-arm its timers after a timer fired; busyWait bounds how long it
-// waits for the goroutines a step woke to park.
-const (
-	parkWait = 100 * time.Millisecond
-	busyWait = 10 * time.Second
-)
-
-// step moves virtual time forward by stride, firing what falls due,
-// then waits until the system has parked again: until it has re-armed
-// as many timers as were pending before the step, or done holds — a
-// handler that ends a flow arms nothing back, so this wait is bounded
-// by parkWait — and then, after one real millisecond more, until no
-// other goroutine is runnable, running or in a system call. Virtual
-// time thus moves with the events, not with the real time their
-// handlers spend: a client-software call that commgr bounds with a
-// virtual call timeout is answered before the clock can reach that
-// timeout, and the fsync behind the buddy's pessimistic log ends before
-// the clock moves on.
-func (f *fixture) step(stride time.Duration, done func() bool) {
-	pending := f.sim.Waiters()
-	f.sim.Advance(stride)
-	for deadline := time.Now().Add(parkWait); f.sim.Waiters() < pending && !done() && time.Now().Before(deadline); {
-		time.Sleep(100 * time.Microsecond)
-	}
-	time.Sleep(time.Millisecond)
-	for deadline := time.Now().Add(busyWait); othersBusy(); {
-		if time.Now().After(deadline) {
-			f.t.Fatalf("goroutines still busy %v after a step:\n%s", busyWait, stacks())
-		}
-		time.Sleep(100 * time.Microsecond)
-	}
-}
-
-// stacks dumps every goroutine, the caller's first. It grows the buffer
-// until the dump fits: a cut dump can end before the goroutine a caller
-// looks for.
-func stacks() string {
-	buf := make([]byte, 64<<10)
-	n := runtime.Stack(buf, true)
-	for n == len(buf) {
-		buf = make([]byte, 2*len(buf))
-		n = runtime.Stack(buf, true)
-	}
-	return string(buf[:n])
-}
-
-// othersBusy reports whether a goroutine other than the caller is
-// runnable, running or in a system call: one that has not parked yet.
-func othersBusy() bool {
-	_, others, _ := strings.Cut(stacks(), "\n\n")
-	for _, state := range []string{" [runnable", " [running", " [syscall", " [preempted"} {
-		if strings.Contains(others, state) {
-			return true
-		}
-	}
-	return false
-}
-
 // sendToBuddy delivers an alert to the buddy with IM-then-email and
 // drives the clock, in 100 ms strides, until the source-side delivery
 // completes.
@@ -300,44 +241,15 @@ func (f *fixture) sendToBuddy(a *alert.Alert) *core.Report {
 		{Timeout: dmode.Duration(15 * time.Second), Actions: []dmode.Action{{Address: "Buddy IM"}}},
 		{Actions: []dmode.Action{{Address: "Buddy email"}}},
 	}}
-	type result struct {
-		rep *core.Report
-		err error
+	var rep *core.Report
+	var err error
+	if derr := f.sim.Drive(func() { rep, err = f.srcEngine.Deliver(a, f.buddyReg, &mode) }, 100*time.Millisecond); derr != nil {
+		f.t.Fatal(derr)
 	}
-	done := make(chan result, 1)
-	go func() {
-		rep, err := f.srcEngine.Deliver(a, f.buddyReg, &mode)
-		done <- result{rep, err}
-	}()
-	completed := func() bool { return len(done) > 0 }
-	f.advanceUntil(completed, 100*time.Millisecond)
-	r := <-done
-	if r.err != nil {
-		f.t.Fatalf("source delivery failed: %v", r.err)
+	if err != nil {
+		f.t.Fatalf("source delivery failed: %v", err)
 	}
-	return r.rep
-}
-
-// advance drives the simulation forward by total in steps.
-func (f *fixture) advance(total, step time.Duration) {
-	f.t.Helper()
-	for elapsed := time.Duration(0); elapsed < total; elapsed += step {
-		f.sim.Advance(step)
-		time.Sleep(time.Millisecond)
-	}
-}
-
-// advanceUntil drives the simulation, one step of stride at a time,
-// until cond holds.
-func (f *fixture) advanceUntil(cond func() bool, stride time.Duration) {
-	f.t.Helper()
-	deadline := time.Now().Add(10 * time.Second)
-	for !cond() {
-		if time.Now().After(deadline) {
-			f.t.Fatal("condition not reached")
-		}
-		f.step(stride, cond)
-	}
+	return rep
 }
 
 func TestConfigValidation(t *testing.T) {
@@ -373,7 +285,9 @@ func TestEndToEndIMDelivery(t *testing.T) {
 	}
 
 	// The user receives the routed alert over IM and acks it.
-	f.advanceUntil(func() bool { return f.user.ReceiptCount() == 1 }, 500*time.Millisecond)
+	if !f.sim.RunUntil(func() bool { return f.user.ReceiptCount() == 1 }, 500*time.Millisecond, time.Hour) {
+		t.Fatal("condition not reached")
+	}
 	receipts := f.user.Receipts()
 	if receipts[0].Channel != addr.TypeIM {
 		t.Fatalf("receipt channel = %v", receipts[0].Channel)
@@ -390,9 +304,11 @@ func TestEndToEndIMDelivery(t *testing.T) {
 	// The user's receipt lands mid-route; wait for the routing stage to
 	// finish before checking its counters.
 	c := f.buddy.Counters()
-	f.advanceUntil(func() bool {
+	if !f.sim.RunUntil(func() bool {
 		return c.Get("routed") == 1 && c.Get("delivered") == 1
-	}, 500*time.Millisecond)
+	}, 500*time.Millisecond, time.Hour) {
+		t.Fatal("condition not reached")
+	}
 	for _, name := range []string{"received", "acked", "routed", "delivered"} {
 		if c.Get(name) != 1 {
 			t.Fatalf("counter %s = %d (%s)", name, c.Get(name), c)
@@ -409,7 +325,9 @@ func TestFallbackToEmailWhenUserAway(t *testing.T) {
 
 	// IM block times out (10s), email fallback delivers (20s transit),
 	// user checks mail every minute.
-	f.advanceUntil(func() bool { return f.user.ReceiptCount() == 1 }, 2*time.Second)
+	if !f.sim.RunUntil(func() bool { return f.user.ReceiptCount() == 1 }, 2*time.Second, time.Hour) {
+		t.Fatal("condition not reached")
+	}
 	receipts := f.user.Receipts()
 	if receipts[0].Channel != addr.TypeEmail {
 		t.Fatalf("receipt channel = %v, want email", receipts[0].Channel)
@@ -425,8 +343,10 @@ func TestRejectedSourceDropped(t *testing.T) {
 	a := f.newAlert()
 	a.Source = "spam-source"
 	f.sendToBuddy(a)
-	f.advanceUntil(func() bool { return f.buddy.Counters().Get("rejected") == 1 }, 500*time.Millisecond)
-	f.advance(30*time.Second, time.Second)
+	if !f.sim.RunUntil(func() bool { return f.buddy.Counters().Get("rejected") == 1 }, 500*time.Millisecond, time.Hour) {
+		t.Fatal("condition not reached")
+	}
+	f.sim.RunFor(30*time.Second, time.Second)
 	if f.user.ReceiptCount() != 0 {
 		t.Fatal("rejected alert reached the user")
 	}
@@ -437,8 +357,10 @@ func TestFilteredCategoryDropped(t *testing.T) {
 	f.startBuddy()
 	f.buddy.Filter().SetEnabled("Investment", false)
 	f.sendToBuddy(f.newAlert())
-	f.advanceUntil(func() bool { return f.buddy.Counters().Get("filtered") == 1 }, 500*time.Millisecond)
-	f.advance(30*time.Second, time.Second)
+	if !f.sim.RunUntil(func() bool { return f.buddy.Counters().Get("filtered") == 1 }, 500*time.Millisecond, time.Hour) {
+		t.Fatal("condition not reached")
+	}
+	f.sim.RunFor(30*time.Second, time.Second)
 	if f.user.ReceiptCount() != 0 {
 		t.Fatal("filtered alert reached the user")
 	}
@@ -463,7 +385,9 @@ func TestDynamicModeSwitch(t *testing.T) {
 		t.Fatal(err)
 	}
 	f.sendToBuddy(f.newAlert())
-	f.advanceUntil(func() bool { return f.user.ReceiptCount() == 1 }, time.Second)
+	if !f.sim.RunUntil(func() bool { return f.user.ReceiptCount() == 1 }, time.Second, time.Hour) {
+		t.Fatal("condition not reached")
+	}
 	if got := f.user.Receipts()[0].Channel; got != addr.TypeSMS {
 		t.Fatalf("receipt channel = %v, want SMS", got)
 	}
@@ -492,7 +416,9 @@ func TestDisabledSMSFallsBackToEmail(t *testing.T) {
 		t.Fatal(err)
 	}
 	f.sendToBuddy(f.newAlert())
-	f.advanceUntil(func() bool { return f.user.ReceiptCount() == 1 }, 2*time.Second)
+	if !f.sim.RunUntil(func() bool { return f.user.ReceiptCount() == 1 }, 2*time.Second, time.Hour) {
+		t.Fatal("condition not reached")
+	}
 	if got := f.user.Receipts()[0].Channel; got != addr.TypeEmail {
 		t.Fatalf("receipt channel = %v, want email", got)
 	}
@@ -507,7 +433,9 @@ func TestLegacyEmailAlertClassifiedBySender(t *testing.T) {
 	if err := f.emSvc.Submit("stocks@yahoo.sim", buddyEmail, "MSFT news", "plain body"); err != nil {
 		t.Fatal(err)
 	}
-	f.advanceUntil(func() bool { return f.user.ReceiptCount() == 1 }, 2*time.Second)
+	if !f.sim.RunUntil(func() bool { return f.user.ReceiptCount() == 1 }, 2*time.Second, time.Hour) {
+		t.Fatal("condition not reached")
+	}
 	got := f.user.Receipts()[0]
 	if got.Alert.Keywords[0] != "Investment" {
 		t.Fatalf("legacy alert keywords = %v", got.Alert.Keywords)
@@ -519,25 +447,35 @@ func TestIMClientLogoutHealedBySanityCheck(t *testing.T) {
 	f.startBuddy()
 	f.imSvc.ForceLogout(buddyIM)
 	// The 1-minute sanity check re-logs-in.
-	f.advanceUntil(func() bool {
+	if !f.sim.RunUntil(func() bool {
 		return f.journal.Count(faults.KindRelogin) >= 1
-	}, 10*time.Second)
+	}, 10*time.Second, time.Hour) {
+		t.Fatal("condition not reached")
+	}
 	// Alerts flow again.
 	f.sendToBuddy(f.newAlert())
-	f.advanceUntil(func() bool { return f.user.ReceiptCount() == 1 }, time.Second)
+	if !f.sim.RunUntil(func() bool { return f.user.ReceiptCount() == 1 }, time.Second, time.Hour) {
+		t.Fatal("condition not reached")
+	}
 }
 
 func TestHungIMClientRestartedBySanityCheck(t *testing.T) {
 	f := newFixture(t)
 	f.startBuddy()
 	// Grab the current client app and hang it.
-	f.advanceUntil(func() bool { return f.buddy.Running() }, time.Second)
+	if !f.sim.RunUntil(func() bool { return f.buddy.Running() }, time.Second, time.Hour) {
+		t.Fatal("condition not reached")
+	}
 	f.hangBuddyIMClient()
-	f.advanceUntil(func() bool {
+	if !f.sim.RunUntil(func() bool {
 		return f.journal.Count(faults.KindClientRestart) >= 1
-	}, 15*time.Second)
+	}, 15*time.Second, time.Hour) {
+		t.Fatal("condition not reached")
+	}
 	f.sendToBuddy(f.newAlert())
-	f.advanceUntil(func() bool { return f.user.ReceiptCount() == 1 }, time.Second)
+	if !f.sim.RunUntil(func() bool { return f.user.ReceiptCount() == 1 }, time.Second, time.Hour) {
+		t.Fatal("condition not reached")
+	}
 }
 
 // hangBuddyIMClient reaches into the incarnation to hang the client.
@@ -560,7 +498,9 @@ func TestLostEventsHealedByUnprocessedCheck(t *testing.T) {
 	f.sendToBuddy(f.newAlert())
 	// No events fire, but the poll/unprocessed sweep finds the alert
 	// within a poll period.
-	f.advanceUntil(func() bool { return f.user.ReceiptCount() == 1 }, 2*time.Second)
+	if !f.sim.RunUntil(func() bool { return f.user.ReceiptCount() == 1 }, 2*time.Second, time.Hour) {
+		t.Fatal("condition not reached")
+	}
 }
 
 func TestCrashReplayDeliversUnprocessedAlert(t *testing.T) {
@@ -573,12 +513,16 @@ func TestCrashReplayDeliversUnprocessedAlert(t *testing.T) {
 	}
 	// Crash immediately after the ack: routing may not have finished.
 	f.buddy.InjectCrash()
-	f.advanceUntil(func() bool { return !f.buddy.Running() }, 100*time.Millisecond)
+	if !f.sim.RunUntil(func() bool { return !f.buddy.Running() }, 100*time.Millisecond, time.Hour) {
+		t.Fatal("condition not reached")
+	}
 	// Restart: the pessimistic log replays anything unprocessed.
 	if err := f.buddy.Start(); err != nil {
 		t.Fatal(err)
 	}
-	f.advanceUntil(func() bool { return f.user.ReceiptCount() >= 1 }, time.Second)
+	if !f.sim.RunUntil(func() bool { return f.user.ReceiptCount() >= 1 }, time.Second, time.Hour) {
+		t.Fatal("condition not reached")
+	}
 	// Exactly one distinct alert, duplicates (if the crash raced the
 	// first delivery) discarded by timestamp.
 	if got := f.user.ReceiptCount(); got != 1 {
@@ -592,7 +536,10 @@ func TestCrashReplayDeliversUnprocessedAlert(t *testing.T) {
 // (It counts committers rather than all goroutines because the
 // simulated client software of a dead incarnation lingers.)
 func TestCrashRestartLoopCommittersFlat(t *testing.T) {
-	committers := func() int { return strings.Count(stacks(), "plog.(*Log).committer(") }
+	committers := func() int {
+		buf := make([]byte, 1<<20)
+		return bytes.Count(buf[:runtime.Stack(buf, true)], []byte("plog.(*Log).committer("))
+	}
 	f := newFixture(t)
 	f.startBuddy()
 	if rep := f.sendToBuddy(f.newAlert()); !rep.Delivered {
@@ -603,7 +550,9 @@ func TestCrashRestartLoopCommittersFlat(t *testing.T) {
 	}
 	for i := 0; i < 25; i++ {
 		f.buddy.InjectCrash()
-		f.advanceUntil(func() bool { return !f.buddy.Running() }, 100*time.Millisecond)
+		if !f.sim.RunUntil(func() bool { return !f.buddy.Running() }, 100*time.Millisecond, time.Hour) {
+			t.Fatal("condition not reached")
+		}
 		if err := f.buddy.Start(); err != nil {
 			t.Fatal(err)
 		}
@@ -619,7 +568,9 @@ func TestRemoteRejuvenationKeyword(t *testing.T) {
 	if _, err := f.srcEp.Send(buddyIM, RejuvenateKeyword+" please"); err != nil {
 		t.Fatal(err)
 	}
-	f.advanceUntil(func() bool { return !f.buddy.Running() }, 500*time.Millisecond)
+	if !f.sim.RunUntil(func() bool { return !f.buddy.Running() }, 500*time.Millisecond, time.Hour) {
+		t.Fatal("condition not reached")
+	}
 	if f.journal.CountMatching(faults.KindRejuvenation, "remote rejuvenation") == 0 {
 		t.Fatal("remote rejuvenation not journaled")
 	}
@@ -630,11 +581,13 @@ func TestNightlyRejuvenation(t *testing.T) {
 	// Sim epoch is 09:00; schedule rejuvenation for 09:30.
 	f.buddy.cfg.RejuvenationTime = 9*time.Hour + 30*time.Minute
 	f.startBuddy()
-	f.advance(29*time.Minute, time.Minute)
+	f.sim.RunFor(29*time.Minute, time.Minute)
 	if !f.buddy.Running() {
 		t.Fatal("buddy exited before the rejuvenation time")
 	}
-	f.advanceUntil(func() bool { return !f.buddy.Running() }, time.Minute)
+	if !f.sim.RunUntil(func() bool { return !f.buddy.Running() }, time.Minute, time.Hour) {
+		t.Fatal("condition not reached")
+	}
 	if f.journal.CountMatching(faults.KindRejuvenation, "nightly") == 0 {
 		t.Fatal("nightly rejuvenation not journaled")
 	}
@@ -651,7 +604,7 @@ func TestAreYouWorking(t *testing.T) {
 	}
 	f.buddy.InjectHang()
 	// Heartbeats go stale after HeartbeatMaxAge (5m default).
-	f.advance(6*time.Minute, 30*time.Second)
+	f.sim.RunFor(6*time.Minute, 30*time.Second)
 	if f.buddy.AreYouWorking() {
 		t.Fatal("hung buddy reports healthy")
 	}
@@ -669,7 +622,9 @@ func TestMachinePowerOffKillsBuddy(t *testing.T) {
 	f := newFixture(t)
 	f.startBuddy()
 	f.machine.PowerOff()
-	f.advanceUntil(func() bool { return !f.buddy.Running() }, 2*time.Second)
+	if !f.sim.RunUntil(func() bool { return !f.buddy.Running() }, 2*time.Second, time.Hour) {
+		t.Fatal("condition not reached")
+	}
 	if err := f.buddy.Start(); err == nil {
 		t.Fatal("Start succeeded with machine off")
 	}
@@ -715,7 +670,9 @@ func TestMultipleSubscribersAlertSharing(t *testing.T) {
 		t.Fatal(err)
 	}
 	f.sendToBuddy(f.newAlert())
-	f.advanceUntil(func() bool {
+	if !f.sim.RunUntil(func() bool {
 		return f.user.ReceiptCount() == 1 && bob.ReceiptCount() == 1
-	}, time.Second)
+	}, time.Second, time.Hour) {
+		t.Fatal("condition not reached")
+	}
 }

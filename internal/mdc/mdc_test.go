@@ -119,18 +119,6 @@ func newController(t *testing.T, sim *clock.Sim, d Daemon, j *faults.Journal, re
 	return c
 }
 
-func advanceUntil(t *testing.T, sim *clock.Sim, step time.Duration, cond func() bool) {
-	t.Helper()
-	deadline := time.Now().Add(10 * time.Second)
-	for !cond() {
-		if time.Now().After(deadline) {
-			t.Fatal("condition not reached")
-		}
-		sim.Advance(step)
-		time.Sleep(time.Millisecond)
-	}
-}
-
 func TestNewValidation(t *testing.T) {
 	if _, err := New(Config{}); err == nil {
 		t.Fatal("empty config accepted")
@@ -147,7 +135,9 @@ func TestStartLaunchesDaemon(t *testing.T) {
 	c.Start()
 	defer c.Stop()
 	c.Start() // idempotent
-	advanceUntil(t, sim, time.Second, func() bool { return d.starts() == 1 && d.isAlive() })
+	if !sim.RunUntil(func() bool { return d.starts() == 1 && d.isAlive() }, time.Second, time.Hour) {
+		t.Fatal("condition not reached")
+	}
 	if c.Restarts() != 0 {
 		t.Fatalf("Restarts() = %d after initial start", c.Restarts())
 	}
@@ -160,9 +150,13 @@ func TestRestartAfterTermination(t *testing.T) {
 	c := newController(t, sim, d, j, nil)
 	c.Start()
 	defer c.Stop()
-	advanceUntil(t, sim, time.Second, func() bool { return d.isAlive() })
+	if !sim.RunUntil(func() bool { return d.isAlive() }, time.Second, time.Hour) {
+		t.Fatal("condition not reached")
+	}
 	d.crash()
-	advanceUntil(t, sim, 5*time.Second, func() bool { return d.starts() == 2 && d.isAlive() })
+	if !sim.RunUntil(func() bool { return d.starts() == 2 && d.isAlive() }, 5*time.Second, time.Hour) {
+		t.Fatal("condition not reached")
+	}
 	if c.Restarts() != 1 {
 		t.Fatalf("Restarts() = %d", c.Restarts())
 	}
@@ -178,10 +172,14 @@ func TestHungDaemonKilledAndRestarted(t *testing.T) {
 	c := newController(t, sim, d, j, nil)
 	c.Start()
 	defer c.Stop()
-	advanceUntil(t, sim, time.Second, func() bool { return d.isAlive() })
+	if !sim.RunUntil(func() bool { return d.isAlive() }, time.Second, time.Hour) {
+		t.Fatal("condition not reached")
+	}
 	d.hang()
 	// Probe at +3min, reply timeout +30s, restart delay +10s.
-	advanceUntil(t, sim, 30*time.Second, func() bool { return d.starts() == 2 && d.isAlive() })
+	if !sim.RunUntil(func() bool { return d.starts() == 2 && d.isAlive() }, 30*time.Second, time.Hour) {
+		t.Fatal("condition not reached")
+	}
 	if j.CountMatching(faults.KindDaemonRestart, "AreYouWorking") == 0 {
 		t.Fatal("probe failure not journaled")
 	}
@@ -193,11 +191,15 @@ func TestUnhealthyReplyTriggersRestart(t *testing.T) {
 	c := newController(t, sim, d, nil, nil)
 	c.Start()
 	defer c.Stop()
-	advanceUntil(t, sim, time.Second, func() bool { return d.isAlive() })
+	if !sim.RunUntil(func() bool { return d.isAlive() }, time.Second, time.Hour) {
+		t.Fatal("condition not reached")
+	}
 	d.mu.Lock()
 	d.healthy = false
 	d.mu.Unlock()
-	advanceUntil(t, sim, 30*time.Second, func() bool { return d.starts() >= 2 })
+	if !sim.RunUntil(func() bool { return d.starts() >= 2 }, 30*time.Second, time.Hour) {
+		t.Fatal("condition not reached")
+	}
 }
 
 func TestHealthyDaemonNotRestarted(t *testing.T) {
@@ -206,12 +208,11 @@ func TestHealthyDaemonNotRestarted(t *testing.T) {
 	c := newController(t, sim, d, nil, nil)
 	c.Start()
 	defer c.Stop()
-	advanceUntil(t, sim, time.Second, func() bool { return d.isAlive() })
-	// Survive many probe periods.
-	for i := 0; i < 20; i++ {
-		sim.Advance(time.Minute)
-		time.Sleep(time.Millisecond)
+	if !sim.RunUntil(func() bool { return d.isAlive() }, time.Second, time.Hour) {
+		t.Fatal("condition not reached")
 	}
+	// Survive many probe periods.
+	sim.RunFor(20*time.Minute, time.Minute)
 	if got := d.starts(); got != 1 {
 		t.Fatalf("healthy daemon restarted %d times", got-1)
 	}
@@ -237,7 +238,9 @@ func TestRebootAfterRepeatedStartFailures(t *testing.T) {
 	c := newController(t, sim, d, j, reboot)
 	c.Start()
 	defer c.Stop()
-	advanceUntil(t, sim, 30*time.Second, func() bool { return d.isAlive() })
+	if !sim.RunUntil(func() bool { return d.isAlive() }, 30*time.Second, time.Hour) {
+		t.Fatal("condition not reached")
+	}
 	mu.Lock()
 	got := rebooted
 	mu.Unlock()
@@ -254,7 +257,9 @@ func TestStopKillsDaemon(t *testing.T) {
 	d := newFakeDaemon()
 	c := newController(t, sim, d, nil, nil)
 	c.Start()
-	advanceUntil(t, sim, time.Second, func() bool { return d.isAlive() })
+	if !sim.RunUntil(func() bool { return d.isAlive() }, time.Second, time.Hour) {
+		t.Fatal("condition not reached")
+	}
 	c.Stop()
 	c.Stop() // idempotent
 	waitForReal(t, func() bool { return !d.isAlive() })

@@ -102,14 +102,6 @@ func newFixture(t *testing.T) *fixture {
 	return f
 }
 
-func (f *fixture) advance(total, step time.Duration) {
-	f.t.Helper()
-	for elapsed := time.Duration(0); elapsed < total; elapsed += step {
-		f.sim.Advance(step)
-		time.Sleep(time.Millisecond)
-	}
-}
-
 func (f *fixture) receivedAlerts() []alert.Alert {
 	f.t.Helper()
 	var out []alert.Alert
@@ -170,13 +162,13 @@ func TestChangeDetectionAndAlert(t *testing.T) {
 	f.prox.Start() // idempotent
 
 	// Baseline poll: no alert even after several polls.
-	f.advance(5*time.Second, 500*time.Millisecond)
+	f.sim.RunFor(5*time.Second, 500*time.Millisecond)
 	if f.prox.AlertsSent() != 0 {
 		t.Fatal("alert generated without a change")
 	}
 	// The recount updates.
 	f.site.SetContent("election", "Results: [Gore 2000000, Bush 2000537] more", f.sim.Now())
-	f.advance(5*time.Second, 500*time.Millisecond)
+	f.sim.RunFor(5*time.Second, 500*time.Millisecond)
 	if f.prox.AlertsSent() != 1 {
 		t.Fatalf("AlertsSent = %d", f.prox.AlertsSent())
 	}
@@ -190,7 +182,7 @@ func TestChangeDetectionAndAlert(t *testing.T) {
 	}
 	// Change outside the block: no alert.
 	f.site.SetContent("election", "Results: [Gore 2000000, Bush 2000537] other-noise", f.sim.Now())
-	f.advance(5*time.Second, 500*time.Millisecond)
+	f.sim.RunFor(5*time.Second, 500*time.Millisecond)
 	if f.prox.AlertsSent() != 1 {
 		t.Fatal("alert generated for out-of-block change")
 	}
@@ -203,13 +195,13 @@ func TestSiteDowntimeTolerated(t *testing.T) {
 		t.Fatal(err)
 	}
 	f.prox.Start()
-	f.advance(3*time.Second, 500*time.Millisecond)
+	f.sim.RunFor(3*time.Second, 500*time.Millisecond)
 	f.site.Down().Set(true, f.sim.Now())
-	f.advance(10*time.Second, time.Second)
+	f.sim.RunFor(10*time.Second, time.Second)
 	// Content changes while down.
 	f.site.SetContent("election", "[v2]", f.sim.Now())
 	f.site.Down().Set(false, f.sim.Now())
-	f.advance(5*time.Second, 500*time.Millisecond)
+	f.sim.RunFor(5*time.Second, 500*time.Millisecond)
 	if f.prox.AlertsSent() != 1 {
 		t.Fatalf("AlertsSent = %d, want change detected after recovery", f.prox.AlertsSent())
 	}
@@ -222,9 +214,9 @@ func TestMonitorAddedAfterStart(t *testing.T) {
 	if err := f.prox.AddMonitor(electionMonitor()); err != nil {
 		t.Fatal(err)
 	}
-	f.advance(3*time.Second, 500*time.Millisecond)
+	f.sim.RunFor(3*time.Second, 500*time.Millisecond)
 	f.site.SetContent("election", "[v2]", f.sim.Now())
-	f.advance(3*time.Second, 500*time.Millisecond)
+	f.sim.RunFor(3*time.Second, 500*time.Millisecond)
 	if f.prox.AlertsSent() != 1 {
 		t.Fatalf("AlertsSent = %d", f.prox.AlertsSent())
 	}
@@ -239,9 +231,9 @@ func TestUrgencyDefaultsToNormal(t *testing.T) {
 		t.Fatal(err)
 	}
 	f.prox.Start()
-	f.advance(3*time.Second, 500*time.Millisecond)
+	f.sim.RunFor(3*time.Second, 500*time.Millisecond)
 	f.site.SetContent("election", "[v2]", f.sim.Now())
-	f.advance(3*time.Second, 500*time.Millisecond)
+	f.sim.RunFor(3*time.Second, 500*time.Millisecond)
 	alerts := f.receivedAlerts()
 	if len(alerts) != 1 || alerts[0].Urgency != alert.UrgencyNormal {
 		t.Fatalf("alerts = %+v", alerts)
@@ -264,9 +256,9 @@ func TestCommunityPhotoAlbumMonitor(t *testing.T) {
 		t.Fatal(err)
 	}
 	f.prox.Start()
-	f.advance(12*time.Second, time.Second)
+	f.sim.RunFor(12*time.Second, time.Second)
 	album.SetContent("album", "<photos>4 photos</photos>", f.sim.Now())
-	f.advance(12*time.Second, time.Second)
+	f.sim.RunFor(12*time.Second, time.Second)
 	alerts := f.receivedAlerts()
 	if len(alerts) != 1 || alerts[0].Body != "4 photos" {
 		t.Fatalf("alerts = %+v", alerts)

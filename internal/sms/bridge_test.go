@@ -58,10 +58,7 @@ func TestBridgeForwardsEmailToPhone(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Email transit 1s → bridge pump → SMS transit 3s.
-	for i := 0; i < 15; i++ {
-		sim.Advance(time.Second)
-		time.Sleep(time.Millisecond)
-	}
+	sim.RunFor(15*time.Second, time.Second)
 	msgs := phone.Fetch()
 	if len(msgs) != 1 || msgs[0].Text != "sms body" || msgs[0].From != "buddy@sim" {
 		t.Fatalf("phone got %+v", msgs)
@@ -98,10 +95,7 @@ func TestBridgeStopHaltsForwarding(t *testing.T) {
 	if err := emSvc.Submit("x@sim", b.Address(), "s", "text"); err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 15; i++ {
-		sim.Advance(time.Second)
-		time.Sleep(time.Millisecond)
-	}
+	sim.RunFor(15*time.Second, time.Second)
 	if phone.Len() != 0 {
 		t.Fatal("stopped bridge forwarded a message")
 	}
@@ -125,10 +119,7 @@ func TestBridgePollFallbackCatchesCoalescedMail(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	for i := 0; i < 20; i++ {
-		sim.Advance(time.Second)
-		time.Sleep(time.Millisecond)
-	}
+	sim.RunFor(20*time.Second, time.Second)
 	if got := phone.Len(); got != 4 {
 		t.Fatalf("phone has %d messages, want 4", got)
 	}

@@ -162,8 +162,7 @@ func TestExpiryAfterMissedRefreshes(t *testing.T) {
 	mustWrite(t, s, sensorSpec().Name, "OFF")
 	// Keep refreshing: no expiry.
 	for i := 0; i < 5; i++ {
-		sim.Advance(10 * time.Second)
-		time.Sleep(time.Millisecond)
+		sim.Step(10 * time.Second)
 		if err := s.Refresh(sensorSpec().Name); err != nil {
 			t.Fatal(err)
 		}
@@ -172,8 +171,7 @@ func TestExpiryAfterMissedRefreshes(t *testing.T) {
 		t.Fatal("refreshed variable expired")
 	}
 	// Stop refreshing: expires at +30s.
-	sim.Advance(29 * time.Second)
-	time.Sleep(time.Millisecond)
+	sim.Step(29 * time.Second)
 	if expired, _ := s.Expired(sensorSpec().Name); expired {
 		t.Fatal("expired before the deadline")
 	}
@@ -275,8 +273,7 @@ func TestMulticastLossToleratedByRefresh(t *testing.T) {
 	// Repeated refreshes eventually get one through.
 	mustWrite(t, src, "v", "x")
 	for i := 0; i < 20; i++ {
-		sim.Advance(time.Second)
-		time.Sleep(time.Millisecond)
+		sim.Step(time.Second)
 		if err := src.Refresh("v"); err != nil {
 			t.Fatal(err)
 		}
@@ -325,22 +322,14 @@ func TestExpiryDeadlineProperty(t *testing.T) {
 		}
 		deadline := r * time.Duration(mm+1)
 		// Just before the deadline: alive.
-		sim.Advance(deadline - time.Millisecond)
+		sim.Step(deadline - time.Millisecond)
 		if expired, _ := s.Expired("v"); expired {
 			return false
 		}
 		// Just after: expired.
-		sim.Advance(2 * time.Millisecond)
-		limit := time.Now().Add(time.Second)
-		for {
-			if expired, _ := s.Expired("v"); expired {
-				return true
-			}
-			if time.Now().After(limit) {
-				return false
-			}
-			time.Sleep(time.Millisecond)
-		}
+		sim.Step(2 * time.Millisecond)
+		expired, _ := s.Expired("v")
+		return expired
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Fatal(err)

@@ -54,10 +54,7 @@ func TestChecksRunOnTheirPeriods(t *testing.T) {
 	mustRegister(t, s, Check{Name: "slow", Period: time.Minute, Fn: func() error { slow.Add(1); return nil }})
 	s.Start()
 	defer s.Stop()
-	for i := 0; i < 30; i++ {
-		sim.Advance(10 * time.Second)
-		time.Sleep(time.Millisecond)
-	}
+	sim.RunFor(300*time.Second, 10*time.Second)
 	// 300s window: fast ~15 runs, slow ~5 runs (ticks may coalesce
 	// slightly under scheduling jitter).
 	if f := fast.Load(); f < 10 || f > 16 {
@@ -276,13 +273,11 @@ func TestStopHaltsChecks(t *testing.T) {
 	var runs atomic.Int64
 	mustRegister(t, s, Check{Name: "c", Period: time.Second, Fn: func() error { runs.Add(1); return nil }})
 	s.Start()
-	sim.Advance(5 * time.Second)
-	time.Sleep(5 * time.Millisecond)
+	sim.Step(5 * time.Second)
 	s.Stop()
 	s.Stop() // idempotent
 	before := runs.Load()
-	sim.Advance(time.Minute)
-	time.Sleep(5 * time.Millisecond)
+	sim.Step(time.Minute)
 	if runs.Load() != before {
 		t.Fatal("check ran after Stop")
 	}
@@ -294,26 +289,17 @@ func TestStopHaltsChecks(t *testing.T) {
 func TestWaitHoldsUntilChecksAreGone(t *testing.T) {
 	sim := clock.NewSim(time.Time{})
 	s, _ := New(sim, nil)
-	entered, release := make(chan struct{}), make(chan struct{})
+	var entered atomic.Bool
+	release := make(chan struct{})
 	mustRegister(t, s, Check{Name: "slow", Period: time.Second, Fn: func() error {
-		close(entered)
+		entered.Store(true)
 		<-release
 		return nil
 	}})
 	mustRegister(t, s, Check{Name: "idle", Period: time.Hour, Fn: func() error { return nil }})
 	s.Start()
-	deadline := time.Now().Add(10 * time.Second)
-	for running := false; !running; {
-		select {
-		case <-entered:
-			running = true
-		default:
-			if time.Now().After(deadline) {
-				t.Fatal("check never ran")
-			}
-			sim.Advance(time.Second)
-			time.Sleep(time.Millisecond)
-		}
+	if !sim.RunUntil(entered.Load, time.Second, time.Minute) {
+		t.Fatal("check never ran")
 	}
 	s.Stop() // must not wait for the check blocked in Fn
 	waited := make(chan struct{})

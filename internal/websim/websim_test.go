@@ -48,26 +48,10 @@ func TestGetContent(t *testing.T) {
 	site, _ := w.CreateSite("cnn")
 	site.SetContent("election", "Gore 2000 Bush 1999", sim.Now())
 
-	done := make(chan struct{})
 	var content string
 	var err error
-	go func() {
-		content, err = w.Get("cnn/election")
-		close(done)
-	}()
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		select {
-		case <-done:
-		default:
-			if time.Now().After(deadline) {
-				t.Fatal("Get never returned")
-			}
-			sim.Advance(100 * time.Millisecond)
-			time.Sleep(time.Millisecond)
-			continue
-		}
-		break
+	if derr := sim.Drive(func() { content, err = w.Get("cnn/election") }, 100*time.Millisecond); derr != nil {
+		t.Fatal(derr)
 	}
 	if err != nil || content != "Gore 2000 Bush 1999" {
 		t.Fatalf("Get = %q, %v", content, err)
@@ -80,38 +64,30 @@ func TestGetErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Use a background driver to satisfy fetch delays.
-	stop := make(chan struct{})
-	defer close(stop)
-	go func() {
-		for {
-			select {
-			case <-stop:
-				return
-			default:
-				sim.Advance(time.Second)
-				time.Sleep(time.Millisecond)
-			}
+	// Drive the clock through each fetch delay.
+	get := func(url string) (err error) {
+		if derr := sim.Drive(func() { _, err = w.Get(url) }, time.Second); derr != nil {
+			t.Fatal(derr)
 		}
-	}()
-
-	if _, err := w.Get("noslash"); err == nil {
+		return err
+	}
+	if err := get("noslash"); err == nil {
 		t.Fatal("malformed url accepted")
 	}
-	if _, err := w.Get("ghost/page"); !errors.Is(err, ErrNoSuchSite) {
+	if err := get("ghost/page"); !errors.Is(err, ErrNoSuchSite) {
 		t.Fatalf("Get(ghost) = %v", err)
 	}
 	site, _ := w.CreateSite("cnn")
-	if _, err := w.Get("cnn/missing"); !errors.Is(err, ErrNoSuchPage) {
+	if err := get("cnn/missing"); !errors.Is(err, ErrNoSuchPage) {
 		t.Fatalf("Get(missing page) = %v", err)
 	}
 	site.SetContent("p", "x", sim.Now())
 	site.Down().Set(true, sim.Now())
-	if _, err := w.Get("cnn/p"); !errors.Is(err, ErrUnreachable) {
+	if err := get("cnn/p"); !errors.Is(err, ErrUnreachable) {
 		t.Fatalf("Get(down site) = %v", err)
 	}
 	site.Down().Set(false, sim.Now())
-	if _, err := w.Get("cnn/p"); err != nil {
+	if err := get("cnn/p"); err != nil {
 		t.Fatalf("Get after recovery = %v", err)
 	}
 }
@@ -138,17 +114,12 @@ func TestScheduleUpdate(t *testing.T) {
 	site, _ := w.CreateSite("s")
 	site.SetContent("p", "before", sim.Now())
 	site.ScheduleUpdate(sim, time.Minute, "p", "after")
-	sim.Advance(59 * time.Second)
-	time.Sleep(time.Millisecond)
+	sim.Step(59 * time.Second)
 	if site.Version("p") != 1 {
 		t.Fatal("update fired early")
 	}
-	sim.Advance(2 * time.Second)
-	deadline := time.Now().Add(time.Second)
-	for site.Version("p") != 2 {
-		if time.Now().After(deadline) {
-			t.Fatal("scheduled update never fired")
-		}
-		time.Sleep(time.Millisecond)
+	sim.Step(2 * time.Second)
+	if site.Version("p") != 2 {
+		t.Fatal("scheduled update never fired")
 	}
 }

@@ -93,14 +93,6 @@ func newFixture(t *testing.T) *fixture {
 	return f
 }
 
-func (f *fixture) advance(total, step time.Duration) {
-	f.t.Helper()
-	for elapsed := time.Duration(0); elapsed < total; elapsed += step {
-		f.sim.Advance(step)
-		time.Sleep(time.Millisecond)
-	}
-}
-
 func TestNewServerValidation(t *testing.T) {
 	sim := clock.NewSim(time.Time{})
 	if _, err := NewServer(ServerConfig{}); err == nil {
@@ -170,7 +162,7 @@ func TestUpdateWritesSoftState(t *testing.T) {
 		}
 		done <- est
 	}()
-	f.advance(2*time.Second, 250*time.Millisecond)
+	f.sim.RunFor(2*time.Second, 250*time.Millisecond)
 	est := <-done
 	if est.Zone != "building-west" {
 		t.Fatalf("estimate zone = %q", est.Zone)
@@ -196,13 +188,13 @@ func TestTrackingAlertsOnZoneTransitions(t *testing.T) {
 	c.MoveTo(10, 15) // center of building-west
 	c.Start()
 	defer c.Stop()
-	f.advance(10*time.Second, 500*time.Millisecond)
+	f.sim.RunFor(10*time.Second, 500*time.Millisecond)
 	if f.server.AlertsSent() != 0 {
 		t.Fatal("alert without a transition")
 	}
 	// Move to the east wing.
 	c.MoveTo(30, 15)
-	f.advance(10*time.Second, 500*time.Millisecond)
+	f.sim.RunFor(10*time.Second, 500*time.Millisecond)
 	f.mu.Lock()
 	n := len(f.alerts)
 	var first *alert.Alert
@@ -218,7 +210,7 @@ func TestTrackingAlertsOnZoneTransitions(t *testing.T) {
 	}
 	// Leave the building entirely.
 	c.MoveTo(200, 200)
-	f.advance(10*time.Second, 500*time.Millisecond)
+	f.sim.RunFor(10*time.Second, 500*time.Millisecond)
 	f.mu.Lock()
 	last := f.alerts[len(f.alerts)-1]
 	f.mu.Unlock()
@@ -227,7 +219,7 @@ func TestTrackingAlertsOnZoneTransitions(t *testing.T) {
 	}
 	// Re-enter.
 	c.MoveTo(10, 15)
-	f.advance(10*time.Second, 500*time.Millisecond)
+	f.sim.RunFor(10*time.Second, 500*time.Millisecond)
 	f.mu.Lock()
 	last = f.alerts[len(f.alerts)-1]
 	f.mu.Unlock()
@@ -246,9 +238,9 @@ func TestNoAlertsWithoutTrackers(t *testing.T) {
 	c.MoveTo(5, 5)
 	c.Start()
 	defer c.Stop()
-	f.advance(5*time.Second, 500*time.Millisecond)
+	f.sim.RunFor(5*time.Second, 500*time.Millisecond)
 	c.MoveTo(35, 5)
-	f.advance(5*time.Second, 500*time.Millisecond)
+	f.sim.RunFor(5*time.Second, 500*time.Millisecond)
 	if f.server.AlertsSent() != 0 {
 		t.Fatal("untracked user generated alerts")
 	}
@@ -264,9 +256,9 @@ func TestUntrack(t *testing.T) {
 	c.MoveTo(5, 5)
 	c.Start()
 	defer c.Stop()
-	f.advance(5*time.Second, 500*time.Millisecond)
+	f.sim.RunFor(5*time.Second, 500*time.Millisecond)
 	c.MoveTo(35, 5)
-	f.advance(5*time.Second, 500*time.Millisecond)
+	f.sim.RunFor(5*time.Second, 500*time.Millisecond)
 	if f.server.AlertsSent() != 0 {
 		t.Fatal("untracked subscription fired")
 	}
@@ -278,13 +270,13 @@ func TestSilentClientExpiresSoftState(t *testing.T) {
 	c, _ := NewClient(f.sim, rng, f.server, "u", 2*time.Second)
 	c.MoveTo(5, 5)
 	c.Start()
-	f.advance(10*time.Second, 500*time.Millisecond)
+	f.sim.RunFor(10*time.Second, 500*time.Millisecond)
 	if _, err := f.server.Store().Read("wish/user/u"); err != nil {
 		t.Fatalf("live user unreadable: %v", err)
 	}
 	c.Stop()
 	// Refresh 10s × (2+1) = 30s deadline.
-	f.advance(time.Minute, 2*time.Second)
+	f.sim.RunFor(time.Minute, 2*time.Second)
 	expired, err := f.server.Store().Expired("wish/user/u")
 	if err != nil || !expired {
 		t.Fatalf("Expired = %v, %v", expired, err)

@@ -90,7 +90,7 @@ func TestPublicAPIQuickstart(t *testing.T) {
 	}
 	var rep *simba.Report
 	var derr error
-	if err := world.Drive(func() { rep, derr = link.Deliver(a) }); err != nil {
+	if err := world.Clock.Drive(func() { rep, derr = link.Deliver(a) }, 500*time.Millisecond); err != nil {
 		t.Fatal(err)
 	}
 	if derr != nil {
@@ -99,7 +99,7 @@ func TestPublicAPIQuickstart(t *testing.T) {
 	if !rep.Delivered || rep.DeliveredVia != "Buddy IM" {
 		t.Fatalf("report = %+v", rep)
 	}
-	if !world.RunUntil(func() bool { return user.ReceiptCount() == 1 }, 500*time.Millisecond, time.Minute) {
+	if !world.Clock.RunUntil(func() bool { return user.ReceiptCount() == 1 }, 500*time.Millisecond, time.Minute) {
 		t.Fatal("alert never reached the user")
 	}
 	receipts := user.Receipts()
@@ -145,14 +145,14 @@ func TestWatchdogSupervisesBuddy(t *testing.T) {
 	}
 	wd.Start()
 	defer wd.Stop()
-	if !world.RunUntil(buddy.Running, time.Second, time.Minute) {
+	if !world.Clock.RunUntil(buddy.Running, time.Second, time.Minute) {
 		t.Fatal("buddy never started under watchdog")
 	}
 	buddy.InjectCrash()
-	if !world.RunUntil(func() bool { return !buddy.Running() }, time.Second, time.Minute) {
+	if !world.Clock.RunUntil(func() bool { return !buddy.Running() }, time.Second, time.Minute) {
 		t.Fatal("crash not observed")
 	}
-	if !world.RunUntil(buddy.Running, 5*time.Second, 5*time.Minute) {
+	if !world.Clock.RunUntil(buddy.Running, 5*time.Second, 5*time.Minute) {
 		t.Fatal("watchdog never restarted the buddy")
 	}
 	if wd.Restarts() != 1 {

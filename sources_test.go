@@ -87,7 +87,7 @@ func TestFacadeHome(t *testing.T) {
 		t.Fatal(err)
 	}
 	home.PressRemote(true)
-	if !f.world.RunUntil(func() bool { return f.user.ReceiptCount() >= 1 }, time.Second, 2*time.Minute) {
+	if !f.world.Clock.RunUntil(func() bool { return f.user.ReceiptCount() >= 1 }, time.Second, 2*time.Minute) {
 		t.Fatal("home alert never reached the user")
 	}
 }
@@ -115,10 +115,10 @@ func TestFacadeWISH(t *testing.T) {
 	client.MoveTo(10, 15)
 	client.Start()
 	defer client.Stop()
-	f.world.RunFor(5*time.Second, time.Second)
+	f.world.Clock.RunFor(5*time.Second, time.Second)
 	before := f.user.ReceiptCount() // settling may already have flapped a zone alert
 	client.MoveTo(30, 15)
-	if !f.world.RunUntil(func() bool { return f.user.ReceiptCount() > before }, time.Second, 2*time.Minute) {
+	if !f.world.Clock.RunUntil(func() bool { return f.user.ReceiptCount() > before }, time.Second, 2*time.Minute) {
 		t.Fatal("location alert never reached the user")
 	}
 }

@@ -1,7 +1,6 @@
 package simba
 
 import (
-	"errors"
 	"time"
 
 	"simba/internal/automation"
@@ -135,56 +134,4 @@ func (w *World) CreatePersonalAccounts(imHandle string, mailboxes []string, phon
 		}
 	}
 	return nil
-}
-
-// RunFor advances virtual time by total in steps, yielding real time
-// between steps so goroutines keep up.
-func (w *World) RunFor(total, step time.Duration) {
-	if step <= 0 {
-		step = time.Second
-	}
-	for elapsed := time.Duration(0); elapsed < total; elapsed += step {
-		w.Clock.Advance(step)
-		time.Sleep(time.Millisecond)
-	}
-}
-
-// RunUntil advances until cond holds or maxVirtual elapses, reporting
-// whether cond held. cond must not block on virtual time.
-func (w *World) RunUntil(cond func() bool, step, maxVirtual time.Duration) bool {
-	if step <= 0 {
-		step = time.Second
-	}
-	for elapsed := time.Duration(0); elapsed < maxVirtual; elapsed += step {
-		if cond() {
-			return true
-		}
-		w.Clock.Advance(step)
-		time.Sleep(time.Millisecond)
-	}
-	return cond()
-}
-
-// Drive runs fn in its own goroutine while advancing the clock until
-// it returns — the pattern for calling APIs (like Target.Deliver) that
-// block on virtual time.
-func (w *World) Drive(fn func()) error {
-	done := make(chan struct{})
-	go func() {
-		fn()
-		close(done)
-	}()
-	deadline := time.Now().Add(30 * time.Second)
-	for {
-		select {
-		case <-done:
-			return nil
-		default:
-		}
-		if time.Now().After(deadline) {
-			return errors.New("simba: Drive: function did not finish within 30s of wall time")
-		}
-		w.Clock.Advance(500 * time.Millisecond)
-		time.Sleep(time.Millisecond)
-	}
 }
