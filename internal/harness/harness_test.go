@@ -2,6 +2,7 @@ package harness
 
 import (
 	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -32,6 +33,36 @@ func TestTestbedStartsAndDelivers(t *testing.T) {
 	}
 	if !tb.Sim.RunUntil(func() bool { return tb.User.ReceiptCount() == 1 }, 500*time.Millisecond, time.Minute) {
 		t.Fatal("alert never reached the user")
+	}
+}
+
+// TestTestbedStopLeavesNoGateway: Stop stops the SMS email gateway the
+// testbed attached, so no (*Bridge).run goroutine outlives the testbed
+// — each one would stay parked for the life of the process, and every
+// later clock-driver dump would walk it.
+func TestTestbedStopLeavesNoGateway(t *testing.T) {
+	gateways := func() int {
+		buf := make([]byte, 1<<20)
+		for {
+			if n := runtime.Stack(buf, true); n < len(buf) {
+				return strings.Count(string(buf[:n]), "sms.(*Bridge).run(")
+			}
+			buf = make([]byte, 2*len(buf))
+		}
+	}
+	tb, err := NewTestbed(Options{TempDir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tb.Start(); err != nil {
+		t.Fatal(err)
+	}
+	if n := gateways(); n == 0 {
+		t.Fatal("no gateway goroutine while the testbed runs")
+	}
+	tb.Stop()
+	if n := gateways(); n != 0 {
+		t.Fatalf("%d gateway goroutines left after Stop", n)
 	}
 }
 

@@ -99,6 +99,7 @@ type Testbed struct {
 	EmSvc   *email.Service
 	Carrier *sms.Carrier
 	Journal *faults.Journal
+	gateway *sms.Bridge // the user's SMS email gateway; Stop stops it
 
 	Buddy *mab.Service
 	MDC   *mdc.Controller
@@ -229,18 +230,15 @@ func NewTestbed(opts Options) (*Testbed, error) {
 	if _, err := tb.Carrier.Provision(UserPhone); err != nil {
 		return nil, err
 	}
-	if _, err := sms.AttachGateway(tb.Sim, tb.EmSvc, tb.Carrier, UserPhone); err != nil {
+	if tb.gateway, err = sms.AttachGateway(tb.Sim, tb.EmSvc, tb.Carrier, UserPhone); err != nil {
 		return nil, err
 	}
 
-	if err := tb.buildBuddy(); err != nil {
-		return nil, err
-	}
-	if err := tb.buildUser(); err != nil {
-		return nil, err
-	}
-	if err := tb.buildSources(); err != nil {
-		return nil, err
+	for _, build := range []func() error{tb.buildBuddy, tb.buildUser, tb.buildSources} {
+		if err := build(); err != nil {
+			tb.gateway.Stop()
+			return nil, err
+		}
 	}
 	return tb, nil
 }
@@ -504,6 +502,7 @@ func (tb *Testbed) Stop() {
 	tb.Home.StopHeartbeats()
 	tb.User.Stop()
 	tb.SrcIM.Stop()
+	tb.gateway.Stop()
 }
 
 // WaitReceive blocks (driving the clock) until the buddy reports

@@ -58,16 +58,6 @@ var submitScratchPool = sync.Pool{New: func() any {
 	return &submitScratch{seen: make(map[string]struct{})}
 }}
 
-// countsFor returns the zeroed per-shard count table.
-func (s *submitScratch) countsFor(shards int) []int64 {
-	if cap(s.counts) < shards {
-		s.counts = make([]int64, shards)
-	}
-	s.counts = s.counts[:shards]
-	clear(s.counts)
-	return s.counts
-}
-
 // recycle returns the scratch to the pool holding capacity only: the
 // entries' pointers into the caller's burst, the tenants, the envelope
 // payloads and the key slab are all dropped.
@@ -91,15 +81,15 @@ func (s *submitScratch) recycle() {
 // the submitter has merely stopped standing in it.
 type Ticket struct {
 	errs        []error
-	done        chan struct{}
+	resolved    sync.WaitGroup // one count, dropped when the ticket resolves
 	onCommitted func([]error)
 	start       time.Time
 	// c is the burst's one group commit and entries the burst entries
 	// (fresh envelopes and duplicate re-acks) whose fate it decides;
 	// both are set only once the burst is staged and handed to the
-	// resolver, so entries != nil says "staged".
+	// resolver, so entries != nil says "staged". It is entriesPool's.
 	c       plog.Commit
-	entries []ticketEntry
+	entries *[]ticketEntry
 }
 
 // ticketEntry is one staged burst entry inside a Ticket.
@@ -111,9 +101,8 @@ type ticketEntry struct {
 	env   *envelope // nil for duplicates
 }
 
-// Done is closed when the ticket has resolved (every entry acked or
-// failed).
-func (t *Ticket) Done() <-chan struct{} { return t.done }
+// entriesPool recycles staged bursts' entry slices (see finishTicket).
+var entriesPool = sync.Pool{New: func() any { return new([]ticketEntry) }}
 
 // Wait blocks until the ticket resolves and returns the per-entry
 // results, parallel to the submitted burst with exactly SubmitBatch's
@@ -121,7 +110,7 @@ func (t *Ticket) Done() <-chan struct{} { return t.done }
 // entry i. The slice is shared with the onCommitted callback; treat it
 // as read-only.
 func (t *Ticket) Wait() []error {
-	<-t.done
+	t.resolved.Wait()
 	return t.errs
 }
 
@@ -177,7 +166,8 @@ func (h *Hub) SubmitBatch(subs []Submission) []error {
 // entry is ErrNotAccepting — resolves synchronously here.
 func (h *Hub) submit(subs []Submission, onCommitted func([]error)) *Ticket {
 	errs := make([]error, len(subs))
-	t := &Ticket{errs: errs, done: make(chan struct{}), onCommitted: onCommitted}
+	t := &Ticket{errs: errs, onCommitted: onCommitted}
+	t.resolved.Add(1)
 	if !h.accepting.Load() {
 		for i := range errs {
 			errs[i] = ErrNotAccepting
@@ -239,7 +229,8 @@ func (h *Hub) stage(t *Ticket, subs []Submission, scr *submitScratch) bool {
 		return false
 	}
 	slab := string(scr.keys)
-	counts := scr.countsFor(len(h.shards))
+	counts := append(scr.counts[:0], make([]int64, len(h.shards))...) // zeroed, per shard
+	scr.counts = counts
 	lo := 0
 	for i := range pending {
 		p := &pending[i]
@@ -274,7 +265,8 @@ func (h *Hub) stage(t *Ticket, subs []Submission, scr *submitScratch) bool {
 	// once, here, so the records' payloads are its consecutive spans.
 	recs := scr.recs
 	records := slices.Grow(scr.records[:0], need)
-	entries := make([]ticketEntry, 0, len(pending))
+	ep := entriesPool.Get().(*[]ticketEntry)
+	entries := slices.Grow(*ep, len(pending))
 	for _, p := range pending {
 		if p.dup {
 			recs = append(recs, plog.BatchEntry{Key: p.key, At: now})
@@ -310,8 +302,9 @@ func (h *Hub) stage(t *Ticket, subs []Submission, scr *submitScratch) bool {
 		records = grown
 		entries = append(entries, ticketEntry{idx: p.idx, buddy: p.buddy, sh: p.sh, env: env})
 	}
-	scr.recs, scr.records = recs, records
+	scr.recs, scr.records, *ep = recs, records, entries
 	if len(entries) == 0 {
+		entriesPool.Put(ep)
 		h.finishTicket(t)
 		return false
 	}
@@ -329,7 +322,7 @@ func (h *Hub) stage(t *Ticket, subs []Submission, scr *submitScratch) bool {
 		h.nack(t, entries, err)
 		return false
 	}
-	t.c, t.entries = c, entries
+	t.c, t.entries = c, ep
 	return true
 }
 
@@ -337,8 +330,7 @@ func (h *Hub) stage(t *Ticket, subs []Submission, scr *submitScratch) bool {
 // released, envelopes abandoned to the collector (a failed batch may
 // still reference them) — and resolves the ticket.
 func (h *Hub) nack(t *Ticket, entries []ticketEntry, err error) {
-	for i := range entries {
-		e := &entries[i]
+	for _, e := range entries {
 		if !e.dup {
 			e.sh.release()
 		}
@@ -362,14 +354,10 @@ func (h *Hub) resolver() {
 		case t := <-h.resolveq:
 			h.resolve(t)
 		case <-h.stopped:
-			for {
-				select {
-				case t := <-h.resolveq:
-					h.resolve(t)
-				default:
-					return
-				}
+			for len(h.resolveq) > 0 { // the one receiver: this cannot block
+				h.resolve(<-h.resolveq)
 			}
+			return
 		}
 	}
 }
@@ -379,8 +367,9 @@ func (h *Hub) resolver() {
 // fresh envelopes to their shards. A commit error NACKs every staged
 // entry.
 func (h *Hub) resolve(t *Ticket) {
+	entries := *t.entries
 	if err := t.c.Wait(); err != nil {
-		h.nack(t, t.entries, err)
+		h.nack(t, entries, err)
 		return
 	}
 	if h.fault(faultAfterBatchFsync, -1, h.killed) {
@@ -388,8 +377,7 @@ func (h *Hub) resolve(t *Ticket) {
 		return
 	}
 	acked := h.cfg.Clock.Now() // post-fsync: latency measures ack → processed
-	for i := range t.entries {
-		e := &t.entries[i]
+	for _, e := range entries {
 		if e.dup {
 			h.ctr.duplicates.Add1()
 			// The routing category (and with it any per-category tier
@@ -405,15 +393,18 @@ func (h *Hub) resolve(t *Ticket) {
 	h.finishTicket(t)
 }
 
-// finishTicket resolves a ticket: observe the admission latency (for
-// bursts that actually staged durability work), wake waiters, and run
-// the commit callback.
+// finishTicket resolves a ticket: observe the admission latency and
+// hand the entries back (for staged bursts), wake waiters, and run the
+// commit callback.
 func (h *Hub) finishTicket(t *Ticket) {
-	if t.entries != nil {
+	if ep := t.entries; ep != nil {
 		h.admitLat.Observe(h.cfg.Clock.Since(t.start))
 		h.ingestPending.Add(-1)
+		clear(*ep) // no envelope, shard or tenant pointer outlives the ticket
+		*ep, t.entries = (*ep)[:0], nil
+		entriesPool.Put(ep)
 	}
-	close(t.done)
+	t.resolved.Done()
 	if t.onCommitted != nil {
 		t.onCommitted(t.errs)
 	}

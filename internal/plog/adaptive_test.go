@@ -111,14 +111,14 @@ func TestAdaptiveForceFlushBytes(t *testing.T) {
 	})
 }
 
-// waitInFlight blocks until the committer has taken c's batch and is
-// writing it.
+// waitInFlight blocks until the committer has taken c's batch: it is no
+// longer the open one. With the file lock held, that is mid-write.
 func waitInFlight(t *testing.T, g *Log, c Commit) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
 	for {
 		g.qmu.Lock()
-		taken := g.flushing == c.b
+		taken := g.open == nil || g.opened != c.n
 		g.qmu.Unlock()
 		if taken {
 			return

@@ -5,20 +5,15 @@ import (
 	"time"
 )
 
-// batchBufs is the recyclable part of a groupBatch.
-type batchBufs struct {
+// groupBatch is one commit: the records staged since the committer last
+// took the open batch, written whole (never split across writes) and
+// made durable by one fsync. Batch n lives in Log.batches[n%2].
+type groupBatch struct {
 	buf []byte // encoded RECV runs, in staging order
 	// dones holds the seqs of the records marked processed in this batch,
 	// in staging order; the committer sorts them and encodes them onto
 	// buf as one DONE list, after the runs.
 	dones []int64
-}
-
-// groupBatch is one commit: the records staged by one or more appends
-// since the committer last took the open batch, written whole (never
-// split across writes) and made durable by one fsync.
-type groupBatch struct {
-	batchBufs
 	lines int64 // records: RECV entries plus DONEs
 	// waited counts the records someone will Wait on (RECV, synchronous
 	// DONE), plus one for a duplicate append parked on a batch that had
@@ -28,8 +23,6 @@ type groupBatch struct {
 	// a batch nobody waits on, and so does the commit-wait clock — which
 	// restarts when a batch of async records gains its first waiter.
 	openedAt time.Time
-	err      error
-	done     chan struct{}
 }
 
 // doneHold is how long a backlog nobody waits on (async records only) may
@@ -52,28 +45,38 @@ const (
 	forceFlushBytes   = 1 << 20
 )
 
-// Free-list bounds: keep at most maxFreeBufs buffers, and never retain
-// one grown past maxFreeBufBytes by a burst — a transient spike must
-// not pin its high-water memory forever.
-const (
-	maxFreeBufs    = 8
-	maxFreeBufByte = 1 << 20
-)
+// maxRetainedBufBytes caps the buffer a batch struct keeps for its next
+// use: a transient spike must not pin its high-water memory forever.
+const maxRetainedBufBytes = 1 << 20
 
-// Commit is a pending durability ticket: the caller's records are
-// staged into a commit batch, and Wait blocks until that batch's fsync
-// completes. The zero Commit waits for nothing (nothing was staged and
-// no batch was pending).
-type Commit struct{ b *groupBatch }
+// Commit is a pending durability ticket: the number of the batch the
+// caller's records were staged into. Batches are numbered from 1 in
+// staging order, so durability is one monotone number, the log's
+// watermark (ARIES' flushed LSN, at batch grain), and no object lives
+// per commit. Batch 0, and the zero Commit, wait for nothing.
+type Commit struct {
+	l *Log
+	n uint64
+}
 
 // Wait blocks until the staged records are durable, reporting the
-// batch's write error (sticky: it also fails every later append).
+// batch's write error (sticky: it also fails every later append). It
+// takes no lock once the watermark has reached the batch. Fail-stop
+// keeps the watermark just below a failed batch for good, so a batch
+// it has not reached by then is that one or a later one.
 func (c Commit) Wait() error {
-	if c.b == nil {
+	if c.l == nil || c.l.durable.Load() >= c.n {
 		return nil
 	}
-	<-c.b.done
-	return c.b.err
+	c.l.wmu.Lock()
+	defer c.l.wmu.Unlock()
+	for c.l.durable.Load() < c.n && c.l.failErr == nil {
+		c.l.synced.Wait()
+	}
+	if c.l.durable.Load() < c.n {
+		return c.l.failErr
+	}
+	return nil
 }
 
 // unusableLocked reports why the log accepts no appends: closed, or
@@ -87,30 +90,27 @@ func (l *Log) unusableLocked() error {
 
 // joinLocked is the one way staged records reach the committer: buf
 // (recvs RECV entries' runs, encoded through l.scratch) and whatever
-// stageDone left in doneSeqs join the open batch as a unit — opening it,
-// with a recycled buffer when there is one, if nothing is staged yet —
-// and the committer is woken. wait says the caller will Wait on the
-// returned batch; the first waiter to join a backlog of async records
-// cuts its lazy pace short (see committer). A no-op append (nothing
-// staged: duplicate RECV or repeated DONE) joins the open batch, or gets
-// the one in flight when none is open — the original record is either
-// already durable or in one of those two — or nil when neither exists; a
-// no-op waiter is a waiter all the same. Caller holds qmu.
-func (l *Log) joinLocked(buf []byte, recvs int64, wait bool) *groupBatch {
+// stageDone left in doneSeqs join the open batch as a unit — opening
+// the next batch number in the struct it takes turns with, if nothing is
+// staged yet — and the committer is woken. wait says the caller will
+// Wait on the returned Commit; the first waiter to join a backlog of
+// async records cuts its lazy pace short (see committer). A no-op append
+// (nothing staged: duplicate RECV or repeated DONE) joins the open
+// batch, or else gets the newest batch, in flight or already settled —
+// the original record is in it or before it; a no-op waiter is a waiter
+// all the same. Caller holds qmu.
+func (l *Log) joinLocked(buf []byte, recvs int64, wait bool) Commit {
 	dones := l.doneSeqs
 	l.scratch, l.doneSeqs = buf[:0], dones[:0]
 	staged := recvs + int64(len(dones))
 	b := l.open
 	if b == nil {
 		if staged == 0 {
-			return l.flushing
+			return Commit{l, l.opened}
 		}
-		b = &groupBatch{done: make(chan struct{}), openedAt: time.Now()}
-		if n := len(l.freeBufs); n > 0 {
-			b.batchBufs = l.freeBufs[n-1]
-			l.freeBufs[n-1] = batchBufs{}
-			l.freeBufs = l.freeBufs[:n-1]
-		}
+		l.opened++
+		b = &l.batches[l.opened%2]
+		*b = groupBatch{buf: b.buf[:0], dones: b.dones[:0], openedAt: time.Now()}
 		l.open = b
 	}
 	first := wait && b.waited == 0
@@ -133,7 +133,7 @@ func (l *Log) joinLocked(buf []byte, recvs int64, wait bool) *groupBatch {
 	if first || l.overThresholdLocked() {
 		l.cutPaceLocked()
 	}
-	return b
+	return Commit{l, l.opened}
 }
 
 // Flush returns once everything staged so far is durable: a no-op
@@ -144,7 +144,7 @@ func (l *Log) Flush() error {
 		l.qmu.Unlock()
 		return err
 	}
-	c := Commit{l.joinLocked(l.scratch, 0, true)}
+	c := l.joinLocked(l.scratch, 0, true)
 	l.qmu.Unlock()
 	return c.Wait()
 }
@@ -172,6 +172,7 @@ func (l *Log) overThresholdLocked() bool {
 // fsync; appends that arrive meanwhile open the next batch, so at most
 // two exist — one in flight, one open — and a backlog built up during a
 // slow fsync clears in the single follow-up sync, however large it grew.
+// Each cycle ends by settling its batch and waking parked waiters.
 //
 // The commit schedule is adaptive rather than a fixed timer, and it
 // serves waiters, not records. A waiter that finds the committer idle
@@ -226,7 +227,6 @@ func (l *Log) committer() {
 			l.qmu.Unlock()
 			return // closed and drained
 		}
-		w := l.opts.Window
 		urgent := l.closed || l.overThresholdLocked()
 		if !urgent && l.open.waited == 0 {
 			if wait := doneHold - time.Since(l.open.openedAt); wait > 0 {
@@ -250,13 +250,13 @@ func (l *Log) committer() {
 		// no peers to amortize with, and holding it for the window
 		// remainder would put a window-sized tail on otherwise-idle
 		// admission latency.
-		if w > 0 && !urgent && !idle && l.open.waited > 1 {
+		if w := l.opts.Window; w > 0 && !urgent && !idle && l.open.waited > 1 {
 			if wait := w - time.Since(lastSync); wait > 0 {
 				l.waitWindow(wait)
 			}
 		}
-		b := l.open
-		l.open, l.flushing = nil, b
+		b, n := l.open, l.opened
+		l.open = nil
 		err := l.failed
 		l.qmu.Unlock()
 
@@ -277,22 +277,26 @@ func (l *Log) committer() {
 		} else if err == nil {
 			l.waiterlessSyncs.Add(1)
 		}
+		// The struct is the committer's until batch n+2 opens in it,
+		// which needs batch n+1 taken first.
+		if cap(b.buf) > maxRetainedBufBytes {
+			b.buf, b.dones = nil, nil
+		}
 
-		l.qmu.Lock()
-		l.flushing = nil
-		if err != nil && l.failed == nil {
+		// Settle batch n: the watermark moves to it, or it failed (a
+		// batch behind a failed one fails with that very error).
+		l.wmu.Lock()
+		if err == nil {
+			l.durable.Store(n)
+		}
+		l.failErr = err
+		l.wmu.Unlock()
+		l.synced.Broadcast()
+		if err != nil {
+			l.qmu.Lock()
 			l.failed = err
+			l.qmu.Unlock()
 		}
-		// Reclaim the batch's buffers: waiters blocked on b.done only
-		// read b.err, so the buffers are free the moment the append
-		// returns.
-		if c := cap(b.buf); c > 0 && c <= maxFreeBufByte && len(l.freeBufs) < maxFreeBufs {
-			l.freeBufs = append(l.freeBufs, batchBufs{b.buf[:0], b.dones[:0]})
-		}
-		b.batchBufs = batchBufs{}
-		l.qmu.Unlock()
-		b.err = err
-		close(b.done)
 	}
 }
 

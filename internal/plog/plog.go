@@ -248,15 +248,16 @@ type Stats struct {
 // active segment, never inside it, so one write (one fsync) always lands
 // in one segment.
 //
-// Three mutexes, none held across another's disk wait. qmu guards the
-// open and in-flight batches and is held while an append stages; mu
-// guards the index and is taken (qmu → mu) only for the map and slice
-// work of staging and lookups; fmu guards the files and is held by the
-// committer across each write+fsync, by Checkpoint for its rotate (fmu →
-// mu: the snapshot must see exactly what the retired segments hold, or
-// more) and by Close. The committer never takes mu and nothing that
+// Four mutexes, none held across another's disk wait. qmu guards the
+// open batch and is held while an append stages; mu guards the index
+// and is taken (qmu → mu) only for the map and slice work of staging
+// and lookups; fmu guards the files and is held by the committer across
+// each write+fsync, by Checkpoint for its rotate (fmu → mu: the
+// snapshot must see exactly what the retired segments hold, or more)
+// and by Close. The committer never takes mu and nothing that
 // stages, dedups or replays takes fmu, so staging and Has never wait on
-// the disk.
+// the disk. wmu is the watermark's: the committer's once per fsync, and
+// a Commit.Wait's only when the watermark has not reached its batch.
 type Log struct {
 	base string // base path; segments and checkpoints live alongside
 	dirf *os.File
@@ -316,13 +317,14 @@ type Log struct {
 	compacting atomic.Bool    // a background checkpoint is running
 	compactWG  sync.WaitGroup // the background checkpoint, for Close
 
-	qmu      sync.Mutex
-	cond     *sync.Cond    // signalled (under qmu) when a batch opens or the log closes
-	closed   bool          // no further appends; the committer drains and exits
-	open     *groupBatch   // the batch appends join; nil until something stages
-	flushing *groupBatch   // batch currently being fsynced, if any
-	failed   error         // sticky: the first batch-write failure poisons the log
-	done     chan struct{} // closed when the committer exits
+	qmu     sync.Mutex
+	cond    *sync.Cond    // signalled (under qmu) when a batch opens or the log closes
+	closed  bool          // no further appends; the committer drains and exits
+	batches [2]groupBatch // used in turn: batch n is batches[n%2]
+	open    *groupBatch   // the batch appends join, number opened; nil when none is open
+	opened  uint64        // number of the newest batch opened; the first is 1
+	failed  error         // sticky: the first batch-write failure poisons the log
+	done    chan struct{} // closed when the committer exits
 	// flushNow (capacity 1) cuts an in-progress commit pace short:
 	// staging signals it when the backlog crosses a force-flush
 	// threshold or gains its first waiter, and Close signals it so
@@ -332,11 +334,13 @@ type Log struct {
 	paceTimer *time.Timer
 	scratch   []byte  // staging buffer reused across appends
 	doneSeqs  []int64 // stageDone's output: seqs tombstoned since the last join
-	// freeBufs recycles committed batches' buffers back into new batches:
-	// the committer strips a batch's batchBufs after its fsync — waiters
-	// only ever read err past done — so steady-state commits stop
-	// allocating a fresh multi-KB buffer each.
-	freeBufs []batchBufs
+
+	// The watermark, set under wmu: the highest committed batch number,
+	// and the failed batches' error. synced (L: wmu) wakes waiters.
+	durable atomic.Uint64
+	wmu     sync.Mutex
+	synced  sync.Cond
+	failErr error
 }
 
 // Open opens (creating if needed) the log at path with the zero
@@ -359,6 +363,7 @@ func OpenGroup(path string, opts GroupOptions) (*Log, error) {
 		flushNow: make(chan struct{}, 1),
 	}
 	l.cond = sync.NewCond(&l.qmu)
+	l.synced.L = &l.wmu
 	dirf, err := os.Open(filepath.Dir(path))
 	if err != nil {
 		return nil, fmt.Errorf("plog: opening directory of %s: %w", path, err)
@@ -546,7 +551,7 @@ func (l *Log) LogReceivedBatchStart(entries []BatchEntry) (Commit, error) {
 	if staged > 0 {
 		l.stagedSizes.Observe(staged)
 	}
-	return Commit{l.joinLocked(buf, staged, true)}, nil
+	return l.joinLocked(buf, staged, true), nil
 }
 
 // markProcessed stages DONE records for keys and returns the Commit
@@ -564,7 +569,7 @@ func (l *Log) markProcessed(keys []string, wait bool) (Commit, []error) {
 		return Commit{}, errs
 	}
 	errs := l.stageDone(keys)
-	return Commit{l.joinLocked(l.scratch, 0, wait)}, errs
+	return l.joinLocked(l.scratch, 0, wait), errs
 }
 
 // MarkProcessed durably records that the alert has been fully routed,

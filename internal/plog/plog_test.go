@@ -457,6 +457,81 @@ func TestFailStopAfterWriteError(t *testing.T) {
 	}
 }
 
+// TestStaleCommit pins that a Commit is a batch number, not a batch: a
+// log's two batch structs are used in turn, so batch n's struct is
+// reused by batch n+2, and a Commit taken on n must still answer for n
+// alone. Committed: n's Wait returns nil at once while n+2 sits
+// mid-write in n's struct. FailedBehind: n commits, n+1's write fails
+// and n+2 is staged behind it; n still waits to nil, n+1 and n+2 to the
+// error — exactly the batches from the first failed one on.
+func TestStaleCommit(t *testing.T) {
+	stage := func(t *testing.T, l *Log, key string) Commit {
+		t.Helper()
+		c, err := l.LogReceivedBatchStart([]BatchEntry{{Key: key, Payload: []byte("p"), At: t0}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return c
+	}
+	consecutive := func(t *testing.T, cs ...Commit) {
+		t.Helper()
+		for i := 1; i < len(cs); i++ {
+			if cs[i].n != cs[0].n+uint64(i) {
+				t.Fatalf("commit %d is batch %d, want %d", i, cs[i].n, cs[0].n+uint64(i))
+			}
+		}
+	}
+	t.Run("Committed", func(t *testing.T) {
+		l := openTemp(t)
+		n := stage(t, l, "n")
+		waitInFlight(t, l, n)
+		n1 := stage(t, l, "n+1")
+		waitInFlight(t, l, n1)
+		l.fmu.Lock() // n+1's write is over: n+2 stays mid-write
+		n2 := stage(t, l, "n+2")
+		waitInFlight(t, l, n2)
+		consecutive(t, n, n1, n2)
+		got := make(chan error, 1)
+		go func() { got <- n.Wait() }()
+		select {
+		case err := <-got:
+			if err != nil {
+				t.Fatalf("batch n = %v, want nil", err)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatal("batch n waits on batch n+2, which reuses its struct")
+		}
+		l.fmu.Unlock()
+		for _, c := range []Commit{n2, n1, n} {
+			if err := c.Wait(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
+	t.Run("FailedBehind", func(t *testing.T) {
+		l := openTemp(t)
+		n := stage(t, l, "n")
+		waitInFlight(t, l, n)
+		l.fmu.Lock() // n's write is over
+		l.f.Close()  // the next write fails
+		n1 := stage(t, l, "n+1")
+		waitInFlight(t, l, n1)
+		n2 := stage(t, l, "n+2") // open behind the failing write, in n's struct
+		consecutive(t, n, n1, n2)
+		l.fmu.Unlock()
+		failed := n1.Wait()
+		if failed == nil {
+			t.Fatal("append to a closed file reported durable")
+		}
+		if err := n2.Wait(); err != failed {
+			t.Fatalf("batch n+2 = %v, want the same %v", err, failed)
+		}
+		if err := n.Wait(); err != nil {
+			t.Fatalf("batch n = %v after batch n+2 failed in its struct, want nil", err)
+		}
+	})
+}
+
 func TestClosedLogRejectsWrites(t *testing.T) {
 	l := openTemp(t)
 	if err := l.LogReceived("k", []byte("p"), t0); err != nil {

@@ -31,21 +31,22 @@ func slabBurst(round, n int) ([]BatchEntry, []string) {
 
 // TestStageRecvAllocsPerBurst pins the journal's write side at a
 // per-burst, not per-record, allocation cost: staging a burst of fresh
-// records (one payload slab, and a commit batch with its done channel
-// when none is open) and staging their DONEs costs the same handful of
-// allocations whether the burst is 8, 64 or 256 records (measured 3.09,
-// 3.34 and 4.20 per burst; 4.12, 4.34 and 5.20 while the committer
-// resliced its queue from the front, so that nearly every new batch
-// grew a fresh queue array). What still grows with the record count is
-// the sweep's rebuild of the index every DefaultSweepEvery DONEs — one
-// allocation per 256 records or so — which is what the slack is for.
+// records and staging their DONEs costs one allocation, the payload
+// slab, whether the burst is 8, 64 or 256 records — a commit is a batch
+// number and the two batch structs are reused, so neither a batch nor a
+// channel is allocated per commit (measured 1.09, 1.33 and 2.20 per
+// burst, median of 5; 3.09, 3.33 and 4.20 while each commit batch and
+// its done channel were fresh). What still grows with the record count
+// is the sweep's rebuild of the index every DefaultSweepEvery DONEs —
+// one allocation per 256 records or so — which is what the slack is
+// for. The budget is 1.25 × the largest median.
 func TestStageRecvAllocsPerBurst(t *testing.T) {
 	if race.Enabled {
 		t.Skip("alloc accounting is not meaningful under the race detector")
 	}
 	const (
 		warmup, measured = 64, 64 // bursts
-		budget           = 6.0    // allocations per burst
+		budget           = 2.75   // allocations per burst: 1.25 × 2.20
 		slack            = 2.0    // a 256-record burst's share of a sweep
 	)
 	perBurst := make(map[int]float64)
@@ -78,7 +79,7 @@ func TestStageRecvAllocsPerBurst(t *testing.T) {
 		perBurst[n] = float64(after.Mallocs-before.Mallocs) / measured
 		t.Logf("burst of %3d: %.2f allocs/burst, %.3f allocs/record", n, perBurst[n], perBurst[n]/float64(n))
 		if perBurst[n] > budget {
-			t.Errorf("a burst of %d costs %.2f allocations, budget %.0f", n, perBurst[n], budget)
+			t.Errorf("a burst of %d costs %.2f allocations, budget %.2f", n, perBurst[n], budget)
 		}
 	}
 	if perBurst[256] > perBurst[8]+slack {

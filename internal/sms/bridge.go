@@ -19,6 +19,7 @@ type Bridge struct {
 	number  string
 	mb      *email.Mailbox
 	stop    chan struct{}
+	exited  chan struct{} // closed when run returns
 }
 
 // AttachGateway provisions (or reuses) the gateway mailbox for number
@@ -45,6 +46,7 @@ func AttachGateway(clk clock.Clock, emailSvc *email.Service, carrier *Carrier, n
 		number:  number,
 		mb:      mb,
 		stop:    make(chan struct{}),
+		exited:  make(chan struct{}),
 	}
 	go b.run()
 	return b, nil
@@ -53,16 +55,19 @@ func AttachGateway(clk clock.Clock, emailSvc *email.Service, carrier *Carrier, n
 // Address returns the gateway's email address.
 func (b *Bridge) Address() string { return GatewayAddress(b.number) }
 
-// Stop ends forwarding.
+// Stop ends forwarding and returns once the forwarding goroutine has
+// exited. Stopping twice is harmless.
 func (b *Bridge) Stop() {
 	select {
 	case <-b.stop:
 	default:
 		close(b.stop)
 	}
+	<-b.exited
 }
 
 func (b *Bridge) run() {
+	defer close(b.exited)
 	// Poll as a fallback so coalesced notifications never strand mail.
 	ticker := b.clk.NewTicker(5 * time.Second)
 	defer ticker.Stop()
