@@ -33,6 +33,7 @@
 // Build a simulated world, a buddy, and a user; subscribe; deliver:
 //
 //	world, _ := simba.NewWorld(simba.WorldOptions{Seed: 1})
+//	defer world.Close()
 //	buddy, _ := simba.NewBuddy(world, simba.BuddyOptions{
 //		IMHandle: "my-buddy", EmailAddress: "buddy@sim", LogPath: "buddy.plog",
 //	})

@@ -56,6 +56,7 @@ func ExampleDirectSMSChannel() {
 	if err != nil {
 		log.Fatal(err)
 	}
+	defer world.Close()
 	if err := world.CreatePersonalAccounts("", nil, "5551234"); err != nil {
 		log.Fatal(err)
 	}

@@ -30,6 +30,7 @@ func run() error {
 	if err != nil {
 		return err
 	}
+	defer world.Close()
 	if err := world.CreatePersonalAccounts("parent-im", []string{"parent@work.sim"}, ""); err != nil {
 		return err
 	}

@@ -27,6 +27,7 @@ func run() error {
 	if err != nil {
 		return err
 	}
+	defer world.Close()
 	if err := world.CreatePersonalAccounts("alice-im", []string{"alice@work.sim"}, "5551234"); err != nil {
 		return err
 	}

@@ -26,6 +26,7 @@ func run() error {
 	if err != nil {
 		return err
 	}
+	defer world.Close()
 	if err := world.CreatePersonalAccounts("paramvir-im", []string{"paramvir@msr.sim"}, ""); err != nil {
 		return err
 	}

@@ -1,54 +1,27 @@
 package automation
 
-import (
-	"sync"
-
-	"simba/internal/dist"
-	"simba/internal/email"
-)
+import "simba/internal/email"
 
 // EmailClientApp simulates a GUI email client (the Outlook of the
 // paper) driven through an automation interface, with the same failure
 // surface as IMClientApp: stale handles, hang-blocked calls, modal
 // dialogs, and lost new-mail events.
 type EmailClientApp struct {
-	*Proc
+	*window[email.Message]
 	svc     *email.Service
 	address string
-	rng     *dist.RNG
-
-	mu         sync.Mutex
-	mailbox    *email.Mailbox
-	pending    []email.Message
-	events     chan struct{}
-	pumpStop   chan struct{}
-	eventLossP float64
+	mailbox *email.Mailbox // under mu
 }
 
 // LaunchEmailClient starts a new instance of the email client software
 // on the machine, bound to the given mailbox address. The mailbox must
 // already exist.
 func LaunchEmailClient(m *Machine, svc *email.Service, address string) (*EmailClientApp, error) {
-	proc, err := m.StartProc("emailclient")
+	w, err := launch[email.Message](m, "emailclient")
 	if err != nil {
 		return nil, err
 	}
-	app := &EmailClientApp{
-		Proc:    proc,
-		svc:     svc,
-		address: address,
-		rng:     dist.NewRNG(proc.PID()),
-		events:  make(chan struct{}, 1),
-	}
-	return app, nil
-}
-
-// SetEventLossProbability makes the client drop that fraction of
-// new-mail events, leaving messages unread in the store.
-func (a *EmailClientApp) SetEventLossProbability(p float64) {
-	a.mu.Lock()
-	a.eventLossP = p
-	a.mu.Unlock()
+	return &EmailClientApp{window: w, svc: svc, address: address}, nil
 }
 
 // Connect attaches the client to its mailbox and starts the new-mail
@@ -62,40 +35,10 @@ func (a *EmailClientApp) Connect() error {
 		return email.ErrNoSuchMailbox
 	}
 	a.mu.Lock()
-	if a.pumpStop != nil {
-		close(a.pumpStop)
-	}
 	a.mailbox = mb
-	stop := make(chan struct{})
-	a.pumpStop = stop
+	pumpLocked(a.window, mb.Notify(), func(p []email.Message, _ struct{}) []email.Message { return append(p, mb.Fetch()...) })
 	a.mu.Unlock()
-	go a.pump(mb, stop)
 	return nil
-}
-
-func (a *EmailClientApp) pump(mb *email.Mailbox, stop chan struct{}) {
-	for {
-		select {
-		case <-stop:
-			return
-		case <-a.dead:
-			return
-		case <-mb.Notify():
-			if err := a.gate(); err != nil {
-				return
-			}
-			a.mu.Lock()
-			a.pending = append(a.pending, mb.Fetch()...)
-			lost := a.eventLossP > 0 && a.rng.Bool(a.eventLossP)
-			a.mu.Unlock()
-			if !lost {
-				select {
-				case a.events <- struct{}{}:
-				default:
-				}
-			}
-		}
-	}
 }
 
 // Connected reports whether the client is attached to its mailbox —
@@ -116,10 +59,7 @@ func (a *EmailClientApp) Disconnect() error {
 	}
 	a.mu.Lock()
 	a.mailbox = nil
-	if a.pumpStop != nil {
-		close(a.pumpStop)
-		a.pumpStop = nil
-	}
+	a.stopPumpLocked()
 	a.mu.Unlock()
 	return nil
 }
@@ -132,20 +72,16 @@ func (a *EmailClientApp) SendMail(to, subject, body string) error {
 	return a.svc.Submit(a.address, to, subject, body)
 }
 
-// Events returns the coalescing new-mail event channel.
-func (a *EmailClientApp) Events() <-chan struct{} { return a.events }
-
 // FetchNew drains the unread messages. It also sweeps the mailbox
 // directly, so messages whose events were lost are still picked up —
 // this is the polling path self-stabilization relies on.
 func (a *EmailClientApp) FetchNew() ([]email.Message, error) {
-	if err := a.gate(); err != nil {
+	out, err := a.window.FetchNew()
+	if err != nil {
 		return nil, err
 	}
 	a.mu.Lock()
 	mb := a.mailbox
-	out := a.pending
-	a.pending = nil
 	a.mu.Unlock()
 	if mb != nil {
 		out = append(out, mb.Fetch()...)

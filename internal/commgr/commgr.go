@@ -18,6 +18,7 @@ package commgr
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -103,23 +104,16 @@ func (m *Monkey) Pairs() []CaptionButton {
 // Sweep performs one scan, clicking every dismissible dialog, and
 // returns how many were dismissed.
 func (m *Monkey) Sweep() int {
-	m.mu.Lock()
-	pairs := append([]CaptionButton(nil), m.pairs...)
-	m.mu.Unlock()
+	pairs := m.Pairs()
 	dismissed := 0
 	for _, dlg := range m.desktop.Open() {
-		for _, p := range pairs {
-			if p.Caption != dlg.Caption {
-				continue
+		i := slices.IndexFunc(pairs, func(p CaptionButton) bool { return p.Caption == dlg.Caption })
+		if i >= 0 && m.desktop.ClickButton(pairs[i].Caption, pairs[i].Button) {
+			dismissed++
+			if m.journal != nil {
+				m.journal.Recordf(m.clk.Now(), faults.KindDialogDismissed,
+					"monkey clicked %q on dialog %q", pairs[i].Button, pairs[i].Caption)
 			}
-			if m.desktop.ClickButton(p.Caption, p.Button) {
-				dismissed++
-				if m.journal != nil {
-					m.journal.Recordf(m.clk.Now(), faults.KindDialogDismissed,
-						"monkey clicked %q on dialog %q", p.Button, p.Caption)
-				}
-			}
-			break
 		}
 	}
 	return dismissed
@@ -128,19 +122,10 @@ func (m *Monkey) Sweep() int {
 // Unhandled returns dialogs currently open that no known pair can
 // dismiss — the paper's "previously unknown dialog boxes".
 func (m *Monkey) Unhandled() []automation.Dialog {
-	m.mu.Lock()
-	pairs := append([]CaptionButton(nil), m.pairs...)
-	m.mu.Unlock()
+	pairs := m.Pairs()
 	var out []automation.Dialog
 	for _, dlg := range m.desktop.Open() {
-		known := false
-		for _, p := range pairs {
-			if p.Caption == dlg.Caption {
-				known = true
-				break
-			}
-		}
-		if !known {
+		if !slices.ContainsFunc(pairs, func(p CaptionButton) bool { return p.Caption == dlg.Caption }) {
 			out = append(out, dlg)
 		}
 	}
@@ -214,23 +199,14 @@ func errOnly(op func() error) func() (struct{}, error) {
 	return func() (struct{}, error) { return struct{}{}, op() }
 }
 
-func journalRecordf(j *faults.Journal, clk clock.Clock, kind faults.Kind, format string, args ...any) {
-	if j != nil {
-		j.Recordf(clk.Now(), kind, format, args...)
-	}
-}
-
-// errUnfixable reports whether a sanity error requires a restart (as
-// opposed to a transient service condition worth retrying in place).
-func errUnfixable(err error) bool {
+// Unfixable reports whether err, returned by a Sanity call, cannot be
+// repaired in place and requires the Shutdown/Restart API (as opposed
+// to a transient service condition worth retrying in place).
+func Unfixable(err error) bool {
 	return errors.Is(err, ErrClientHung) ||
 		errors.Is(err, ErrClientDead) ||
 		errors.Is(err, automation.ErrStaleHandle)
 }
-
-// Unfixable reports whether err, returned by a Sanity call, cannot be
-// repaired in place and requires the Shutdown/Restart API.
-func Unfixable(err error) bool { return errUnfixable(err) }
 
 func wrap(op string, err error) error {
 	if err == nil {

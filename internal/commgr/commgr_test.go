@@ -206,131 +206,6 @@ func TestIMManagerSendAndFetch(t *testing.T) {
 	}
 }
 
-func TestIMManagerSanityHealsLogout(t *testing.T) {
-	f := newFixture(t)
-	m := f.newIMManager(t, "buddy")
-	f.imSvc.ForceLogout("buddy")
-	if err := m.Sanity(); err != nil {
-		t.Fatalf("Sanity = %v", err)
-	}
-	if f.journal.Count(faults.KindRelogin) != 1 {
-		t.Fatal("re-login not journaled")
-	}
-	ok, err := m.App().LoggedIn()
-	if err != nil || !ok {
-		t.Fatalf("LoggedIn = %v, %v", ok, err)
-	}
-}
-
-func TestIMManagerSanityDetectsHangAsUnfixable(t *testing.T) {
-	f := newFixture(t)
-	m := f.newIMManager(t, "buddy")
-	m.App().Hang()
-	errCh := make(chan error, 1)
-	go func() { errCh <- m.Sanity() }()
-	f.sim.Step(11 * time.Second)
-	select {
-	case err := <-errCh:
-		if !Unfixable(err) {
-			t.Fatalf("Sanity on hung client = %v, want unfixable", err)
-		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("Sanity blocked")
-	}
-}
-
-func TestIMManagerEnsureHealthyRestartsHungClient(t *testing.T) {
-	f := newFixture(t)
-	m := f.newIMManager(t, "buddy")
-	oldPID := m.App().PID()
-	m.App().Hang()
-	errCh := make(chan error, 1)
-	go func() { errCh <- m.EnsureHealthy() }()
-	// Just past the hung call's 10 s timeout, and no further: the restart
-	// needs no virtual time, and a longer step could fire its login's own
-	// timeout before the login's goroutine has run.
-	f.sim.Step(11 * time.Second)
-	select {
-	case err := <-errCh:
-		if err != nil {
-			t.Fatalf("EnsureHealthy = %v", err)
-		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("EnsureHealthy blocked")
-	}
-	if m.App().PID() == oldPID {
-		t.Fatal("client was not restarted")
-	}
-	if f.journal.Count(faults.KindClientRestart) != 1 {
-		t.Fatal("restart not journaled")
-	}
-	ok, err := m.App().LoggedIn()
-	if err != nil || !ok {
-		t.Fatalf("new client LoggedIn = %v, %v", ok, err)
-	}
-}
-
-func TestIMManagerEnsureHealthyRestartsDeadClient(t *testing.T) {
-	f := newFixture(t)
-	m := f.newIMManager(t, "buddy")
-	m.App().Crash()
-	if err := m.EnsureHealthy(); err != nil {
-		t.Fatalf("EnsureHealthy = %v", err)
-	}
-	if !m.App().Running() {
-		t.Fatal("client not relaunched")
-	}
-}
-
-func TestIMManagerServiceOutageIsTransient(t *testing.T) {
-	f := newFixture(t)
-	m := f.newIMManager(t, "buddy")
-	f.imSvc.Outage().Set(true, f.sim.Now())
-	f.imSvc.ForceLogoutAll()
-	err := m.Sanity()
-	if err == nil {
-		t.Fatal("Sanity succeeded during outage")
-	}
-	if Unfixable(err) {
-		t.Fatalf("outage classified unfixable: %v", err)
-	}
-	f.imSvc.Outage().Set(false, f.sim.Now())
-	if err := m.Sanity(); err != nil {
-		t.Fatalf("Sanity after outage = %v", err)
-	}
-}
-
-func TestIMManagerStartupDelayConsumesVirtualTime(t *testing.T) {
-	f := newFixture(t)
-	if err := f.imSvc.Register("slow"); err != nil {
-		t.Fatal(err)
-	}
-	m, err := NewIMManager(IMManagerConfig{
-		Clock:        f.sim,
-		Machine:      f.machine,
-		Service:      f.imSvc,
-		Handle:       "slow",
-		StartupDelay: 3 * time.Second,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var done atomic.Bool
-	go func() {
-		if err := m.Start(); err != nil {
-			t.Error(err)
-		}
-		done.Store(true)
-	}()
-	defer m.Stop()
-	f.sim.Step(2 * time.Second)
-	if done.Load() {
-		t.Fatal("Start returned without consuming startup delay")
-	}
-	f.sim.Step(2 * time.Second)
-	waitFor(t, done.Load)
-}
-
 func TestEmailManagerSendAndFetch(t *testing.T) {
 	f := newFixture(t)
 	buddy := f.newEmailManager(t, "buddy@sim")
@@ -346,37 +221,6 @@ func TestEmailManagerSendAndFetch(t *testing.T) {
 	n, err := buddy.UnreadCount()
 	if err != nil || n != 0 {
 		t.Fatalf("UnreadCount = %d, %v", n, err)
-	}
-}
-
-func TestEmailManagerSanityHealsDisconnect(t *testing.T) {
-	f := newFixture(t)
-	m := f.newEmailManager(t, "buddy@sim")
-	if err := m.App().Disconnect(); err != nil {
-		t.Fatal(err)
-	}
-	if err := m.Sanity(); err != nil {
-		t.Fatalf("Sanity = %v", err)
-	}
-	ok, _ := m.App().Connected()
-	if !ok {
-		t.Fatal("not reconnected")
-	}
-	if f.journal.Count(faults.KindRelogin) != 1 {
-		t.Fatal("reconnect not journaled")
-	}
-}
-
-func TestEmailManagerEnsureHealthyRestartsCrashed(t *testing.T) {
-	f := newFixture(t)
-	m := f.newEmailManager(t, "buddy@sim")
-	oldPID := m.App().PID()
-	m.App().Crash()
-	if err := m.EnsureHealthy(); err != nil {
-		t.Fatalf("EnsureHealthy = %v", err)
-	}
-	if m.App().PID() == oldPID || !m.App().Running() {
-		t.Fatal("client not restarted")
 	}
 }
 
@@ -452,35 +296,6 @@ func TestManagerAccessors(t *testing.T) {
 	n, err := im.UnreadCount()
 	if err != nil || n != 0 {
 		t.Fatalf("UnreadCount = %d, %v", n, err)
-	}
-}
-
-func TestEmailManagerEnsureHealthyTransient(t *testing.T) {
-	f := newFixture(t)
-	m := f.newEmailManager(t, "tr@sim")
-	// A healthy client: EnsureHealthy is a no-op.
-	if err := m.EnsureHealthy(); err != nil {
-		t.Fatal(err)
-	}
-	// Hang: EnsureHealthy must replace the client.
-	old := m.App().PID()
-	m.App().Hang()
-	errCh := make(chan error, 1)
-	go func() { errCh <- m.EnsureHealthy() }()
-	// Just past the hung call's 10 s timeout, and no further: the restart
-	// needs no virtual time, and a longer step could fire its login's own
-	// timeout before the login's goroutine has run.
-	f.sim.Step(11 * time.Second)
-	select {
-	case err := <-errCh:
-		if err != nil {
-			t.Fatal(err)
-		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("EnsureHealthy blocked")
-	}
-	if m.App().PID() == old {
-		t.Fatal("hung email client not replaced")
 	}
 }
 

@@ -23,6 +23,7 @@ func newFacadeFixture(t *testing.T) *facadeFixture {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer world.Close()
 	if err := world.CreatePersonalAccounts("u-im", []string{"u@work.sim"}, "5559999"); err != nil {
 		t.Fatal(err)
 	}
@@ -128,6 +129,7 @@ func TestFacadeSourceLinkValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer world.Close()
 	if _, err := simba.NewSourceLink(world, "x", "x@sim", nil, 0); err == nil {
 		t.Fatal("nil buddy accepted")
 	}

@@ -27,7 +27,7 @@ type WorldOptions struct {
 
 // World bundles the simulated communication substrate: the virtual
 // clock, the machine the buddy runs on, the IM/email/SMS services, the
-// web, and a journal of fault/recovery actions.
+// web, and a journal of fault/recovery actions. Close it when done.
 type World struct {
 	Clock   *SimClock
 	Machine *Machine
@@ -37,7 +37,8 @@ type World struct {
 	Web     *Web
 	Journal *Journal
 
-	seed int64
+	seed     int64
+	gateways []*sms.Bridge // one per phone, forwarding its email gateway
 }
 
 // NewWorld builds a simulated world.
@@ -129,9 +130,21 @@ func (w *World) CreatePersonalAccounts(imHandle string, mailboxes []string, phon
 		if _, err := w.SMS.Provision(phone); err != nil {
 			return err
 		}
-		if _, err := sms.AttachGateway(w.Clock, w.Email, w.SMS, phone); err != nil {
+		gw, err := sms.AttachGateway(w.Clock, w.Email, w.SMS, phone)
+		if err != nil {
 			return err
 		}
+		w.gateways = append(w.gateways, gw)
 	}
 	return nil
+}
+
+// Close stops the phones' email gateways, which CreatePersonalAccounts
+// started; it returns once their goroutines have exited. Closing twice
+// is harmless.
+func (w *World) Close() {
+	for _, gw := range w.gateways {
+		gw.Stop()
+	}
+	w.gateways = nil
 }
