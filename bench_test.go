@@ -59,6 +59,7 @@ func BenchmarkWISHLocate(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	defer tb.Close() // never started, so only the world's gateway runs
 	strengths := []float64{-60, -70, -65, -72}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -3,11 +3,9 @@ package simba
 import (
 	"time"
 
-	"simba/internal/alert"
-	"simba/internal/core"
 	"simba/internal/enduser"
 	"simba/internal/mab"
-	"simba/internal/mdc"
+	"simba/internal/world/wiring"
 )
 
 // BuddyOptions configures a MyAlertBuddy on a world.
@@ -17,16 +15,8 @@ type BuddyOptions struct {
 	IMHandle, EmailAddress string
 	// LogPath is the pessimistic log file. Required.
 	LogPath string
-	// AckTimeout bounds how long the buddy waits for a user IM
-	// acknowledgement (through modes that use it). Informational here;
-	// actual timeouts live in the delivery modes' block timeouts, which
-	// the shared mode executor enforces (the hub's analogue is the
-	// simbad -ack-timeout flag, substituted into hosted modes).
-	AckTimeout time.Duration
 	// DisableNightlyRejuvenation keeps the 23:30 restart off.
 	DisableNightlyRejuvenation bool
-	// OnDelivery observes every routing attempt. Optional.
-	OnDelivery func(a *Alert, sub Subscription, rep *Report, err error)
 	// ConfigureChannels runs against each incarnation's delivery
 	// channel registry after the built-in IM and email channels are
 	// registered — the hook for adding a direct-carrier SMS channel
@@ -38,41 +28,15 @@ type BuddyOptions struct {
 // world, creating its IM account and mailbox if needed. Start it
 // directly with Start, or supervise it with NewWatchdog.
 func NewBuddy(w *World, opts BuddyOptions) (*Buddy, error) {
-	if _, exists := w.Email.Mailbox(opts.EmailAddress); !exists && opts.EmailAddress != "" {
-		if _, err := w.Email.CreateMailbox(opts.EmailAddress); err != nil {
-			return nil, err
-		}
+	cfg, err := wiring.BuddyConfig(w, opts.IMHandle, opts.EmailAddress, opts.LogPath)
+	if err != nil {
+		return nil, err
 	}
-	if opts.IMHandle != "" {
-		if _, err := w.IM.Status(opts.IMHandle); err != nil {
-			if err := w.IM.Register(opts.IMHandle); err != nil {
-				return nil, err
-			}
-		}
-	}
-	rejuvenation := time.Duration(0)
 	if opts.DisableNightlyRejuvenation {
-		rejuvenation = -1
+		cfg.RejuvenationTime = -1
 	}
-	var onDelivery func(a *alert.Alert, sub core.Subscription, rep *core.Report, err error)
-	if opts.OnDelivery != nil {
-		onDelivery = func(a *alert.Alert, sub core.Subscription, rep *core.Report, err error) {
-			opts.OnDelivery(a, sub, rep, err)
-		}
-	}
-	return mab.New(mab.Config{
-		Clock:             w.Clock,
-		Machine:           w.Machine,
-		IMService:         w.IM,
-		EmailService:      w.Email,
-		IMHandle:          opts.IMHandle,
-		EmailAddress:      opts.EmailAddress,
-		LogPath:           opts.LogPath,
-		Journal:           w.Journal,
-		RejuvenationTime:  rejuvenation,
-		OnDelivery:        onDelivery,
-		ConfigureChannels: opts.ConfigureChannels,
-	})
+	cfg.ConfigureChannels = opts.ConfigureChannels
+	return mab.New(cfg)
 }
 
 // StartBuddy starts the buddy while driving the world's clock through
@@ -88,12 +52,7 @@ func StartBuddy(w *World, b *Buddy) error {
 // NewWatchdog supervises the buddy with a Master Daemon Controller
 // using the paper's parameters (3-minute AreYouWorking probes).
 func NewWatchdog(w *World, b *Buddy) (*Watchdog, error) {
-	return mdc.New(mdc.Config{
-		Clock:   w.Clock,
-		Daemon:  b,
-		Journal: w.Journal,
-		Reboot:  func() { w.Machine.Reboot(mdc.DefaultBootTime) },
-	})
+	return wiring.NewWatchdog(w, b, 0)
 }
 
 // UserOptions configures a simulated end user.
@@ -110,15 +69,8 @@ type UserOptions struct {
 // referenced accounts must already exist (see
 // World.CreatePersonalAccounts).
 func NewUser(w *World, opts UserOptions) (*EndUser, error) {
-	return enduser.New(enduser.Config{
-		Clock:            w.Clock,
-		Name:             opts.Name,
-		IMService:        w.IM,
-		IMHandle:         opts.IMHandle,
-		EmailService:     w.Email,
-		EmailAddresses:   opts.EmailAddresses,
-		Carrier:          w.SMS,
-		PhoneNumber:      opts.PhoneNumber,
-		EmailCheckPeriod: opts.EmailCheckPeriod,
-	})
+	cfg := wiring.UserConfig(w)
+	cfg.Name, cfg.IMHandle, cfg.PhoneNumber = opts.Name, opts.IMHandle, opts.PhoneNumber
+	cfg.EmailAddresses, cfg.EmailCheckPeriod = opts.EmailAddresses, opts.EmailCheckPeriod
+	return enduser.New(cfg)
 }

@@ -145,14 +145,14 @@ func run(hours int) error {
 	}
 	defer tb.Stop()
 	fmt.Printf("%s  system  buddy online under MDC; user %s at the desk\n",
-		stamp(tb.Sim.Now()), harness.UserName)
+		stamp(tb.Clock.Now()), harness.UserName)
 
 	// The election monitor from Section 2.1.
 	site, err := tb.Web.CreateSite("cnn")
 	if err != nil {
 		return err
 	}
-	site.SetContent("election", "Florida recount: [Gore 2909135, Bush 2909142]", tb.Sim.Now())
+	site.SetContent("election", "Florida recount: [Gore 2909135, Bush 2909142]", tb.Clock.Now())
 	if err := tb.Proxy.AddMonitor(proxy.Monitor{
 		Name: "florida-recount", URL: "cnn/election", PollEvery: time.Second,
 		StartKeyword: "[", EndKeyword: "]",
@@ -168,7 +168,7 @@ func run(hours int) error {
 	}
 	tb.Home.StartHeartbeats()
 	tb.Wish.Track("yimin", harness.UserName)
-	client, err := wish.NewClient(tb.Sim, tb.RNG, tb.Wish, "yimin", 2*time.Second)
+	client, err := wish.NewClient(tb.Clock, tb.RNG, tb.Wish, "yimin", 2*time.Second)
 	if err != nil {
 		return err
 	}
@@ -185,15 +185,15 @@ func run(hours int) error {
 		do   func()
 	}{
 		{at(0.05), "recount number changes on cnn/election", func() {
-			site.SetContent("election", "Florida recount: [Gore 2909135, Bush 2909537]", tb.Sim.Now())
+			site.SetContent("election", "Florida recount: [Gore 2909135, Bush 2909537]", tb.Clock.Now())
 		}},
 		{at(0.15), "yimin walks to the east wing", func() { client.MoveTo(30, 15) }},
 		{at(0.25), "basement water sensor fires", func() { _ = tb.Home.TriggerSensor("basement-water", "ON") }},
 		{at(0.35), "IM service outage begins (4 minutes)", func() {
-			tb.IMSvc.Outage().Set(true, tb.Sim.Now())
-			tb.IMSvc.ForceLogoutAll()
+			tb.IM.Outage().Set(true, tb.Clock.Now())
+			tb.IM.ForceLogoutAll()
 		}},
-		{at(0.35) + 4*time.Minute, "IM service back", func() { tb.IMSvc.Outage().Set(false, tb.Sim.Now()) }},
+		{at(0.35) + 4*time.Minute, "IM service back", func() { tb.IM.Outage().Set(false, tb.Clock.Now()) }},
 		{at(0.5), "desktop assistant: high-importance email while away", func() {
 			tb.Assistant.IncomingEmail("boss@corp.sim", "contract signature needed", alert.UrgencyHigh)
 		}},
@@ -203,21 +203,21 @@ func run(hours int) error {
 	}
 	for _, ev := range script {
 		ev := ev
-		tb.Sim.AfterFunc(ev.when, func() {
-			fmt.Printf("%s  fault   %s\n", stamp(tb.Sim.Now()), ev.desc)
+		tb.Clock.AfterFunc(ev.when, func() {
+			fmt.Printf("%s  fault   %s\n", stamp(tb.Clock.Now()), ev.desc)
 			ev.do()
 		})
 	}
 	// The user goes idle halfway so the assistant activates.
-	tb.Sim.AfterFunc(at(0.45), func() {
-		fmt.Printf("%s  user    steps away from the desktop\n", stamp(tb.Sim.Now()))
+	tb.Clock.AfterFunc(at(0.45), func() {
+		fmt.Printf("%s  user    steps away from the desktop\n", stamp(tb.Clock.Now()))
 	})
 
 	// Run, reporting new receipts as they land.
 	seen := 0
 	step := 5 * time.Second
 	for elapsed := time.Duration(0); elapsed < total; elapsed += step {
-		tb.Sim.Step(step)
+		tb.Clock.Step(step)
 		for _, r := range tb.User.Receipts()[seen:] {
 			fmt.Printf("%s  user    %q via %s (end-to-end %v)\n",
 				stamp(r.At), r.Alert.Subject, r.Channel, r.Latency.Round(time.Millisecond))
@@ -225,7 +225,7 @@ func run(hours int) error {
 		}
 	}
 
-	fmt.Printf("\n%s  system  run complete\n", stamp(tb.Sim.Now()))
+	fmt.Printf("\n%s  system  run complete\n", stamp(tb.Clock.Now()))
 	fmt.Printf("buddy counters: %s\n", tb.Buddy.Counters())
 	fmt.Printf("MDC restarts: %d\n", tb.MDC.Restarts())
 	fmt.Println("recovery journal:")

@@ -235,6 +235,78 @@ func TestEveryExportedKnobHasACaller(t *testing.T) {
 	}
 }
 
+// TestEveryAssemblyKnobHasACaller holds the options that assemble the
+// simulated world to the same rule as the hub's knobs: every exported
+// field of simba.WorldOptions, simba.BuddyOptions, harness.Options and
+// world.Options must be set somewhere in the module or benchmark/ —
+// tests and examples count — as a key of a composite literal or by an
+// assignment. An assignment in a non-test file of the field's own
+// package, such as a constructor filling in a default, does not count.
+func TestEveryAssemblyKnobHasACaller(t *testing.T) {
+	structs := [][2]string{
+		{"simba", "WorldOptions"},
+		{"simba", "BuddyOptions"},
+		{"simba/internal/harness", "Options"},
+		{"simba/internal/world", "Options"},
+	}
+	l, err := loadModule(map[string]string{".": "simba", "benchmark": "simba/benchmark"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The fields set, by where they are declared: checking a package's
+	// in-package tests type-checks it again, giving its fields new objects.
+	set := make(map[string]bool)
+	record := func(path string, files []*ast.File, info *types.Info) {
+		for _, f := range files {
+			test := strings.HasSuffix(l.fset.File(f.Pos()).Name(), "_test.go")
+			ast.Inspect(f, func(n ast.Node) bool {
+				var keys []*ast.Ident
+				switch n := n.(type) {
+				case *ast.KeyValueExpr:
+					if id, ok := n.Key.(*ast.Ident); ok {
+						keys = append(keys, id)
+					}
+				case *ast.AssignStmt:
+					for _, lhs := range n.Lhs {
+						if sel, ok := lhs.(*ast.SelectorExpr); ok {
+							if v, ok := info.Uses[sel.Sel].(*types.Var); ok && (test || v.Pkg().Path() != path) {
+								keys = append(keys, sel.Sel)
+							}
+						}
+					}
+				}
+				for _, id := range keys {
+					if v, ok := info.Uses[id].(*types.Var); ok && v.IsField() {
+						set[l.fset.Position(v.Pos()).String()] = true
+					}
+				}
+				return true
+			})
+		}
+	}
+	for _, path := range slices.Sorted(maps.Keys(l.dirs)) {
+		if _, err := l.Import(path); err != nil {
+			t.Fatal(err)
+		}
+		record(path, l.files[path], l.infos[path])
+		if err := l.checkTests(path, func(files []*ast.File, info *types.Info, _ bool) { record(path, files, info) }); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, s := range structs {
+		obj := l.checked[s[0]].Scope().Lookup(s[1])
+		if obj == nil {
+			t.Fatalf("%s declares no %s", s[0], s[1])
+		}
+		st := obj.Type().Underlying().(*types.Struct)
+		for i := range st.NumFields() {
+			if f := st.Field(i); f.Exported() && !set[l.fset.Position(f.Pos()).String()] {
+				t.Errorf("%s.%s.%s is exported, but nothing sets it: delete it", s[0], s[1], f.Name())
+			}
+		}
+	}
+}
+
 // TestNoHandRolledSimDriver keeps one way to move simulated time: no
 // function outside internal/clock calls both a Sim's Advance (or
 // AdvanceTo) and time.Sleep. A loop that advances and then sleeps a
@@ -347,38 +419,21 @@ func TestEveryExportedNameHasACaller(t *testing.T) {
 		recordUses(used, l.files[path], l.infos[path], func(ast.Decl) bool { return true })
 	}
 	for _, path := range paths {
-		bp := l.dirs[path]
-		under := l.checked[path] // what the external tests import: with the in-package tests, if any
-		if len(bp.TestGoFiles) > 0 {
-			files, info, pkg, err := l.check(path, bp.Dir, slices.Concat(bp.GoFiles, bp.TestGoFiles), l)
-			if err != nil {
-				t.Fatal(err)
+		err := l.checkTests(path, func(files []*ast.File, info *types.Info, external bool) {
+			testable := make(map[string]bool)
+			if external && path == "simba" {
+				for _, ex := range doc.Examples(files...) {
+					testable["Example"+ex.Name] = ex.Output != "" || ex.EmptyOutput
+				}
 			}
-			recordUses(used, files, info, func(ast.Decl) bool { return false })
-			under = pkg
-		}
-		if len(bp.XTestGoFiles) == 0 {
-			continue
-		}
-		files, info, _, err := l.check(path+"_test", bp.Dir, bp.XTestGoFiles, importerFunc(func(p string) (*types.Package, error) {
-			if p == path {
-				return under, nil
-			}
-			return l.Import(p)
-		}))
+			recordUses(used, files, info, func(d ast.Decl) bool {
+				fd, ok := d.(*ast.FuncDecl)
+				return ok && fd.Recv == nil && testable[fd.Name.Name]
+			})
+		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		testable := make(map[string]bool)
-		if path == "simba" {
-			for _, ex := range doc.Examples(files...) {
-				testable["Example"+ex.Name] = ex.Output != "" || ex.EmptyOutput
-			}
-		}
-		recordUses(used, files, info, func(d ast.Decl) bool {
-			fd, ok := d.(*ast.FuncDecl)
-			return ok && fd.Recv == nil && testable[fd.Name.Name]
-		})
 	}
 	ifaces := l.interfaces()
 	for _, path := range paths {
@@ -608,6 +663,39 @@ func (l *modLoader) Import(path string) (*types.Package, error) {
 	}
 	l.checked[path], l.files[path], l.infos[path] = pkg, files, info
 	return pkg, nil
+}
+
+// checkTests type-checks the tests of the module package path: its
+// in-package test files with its non-test files, then its external
+// test files against that package. visit sees each set it checks.
+func (l *modLoader) checkTests(path string, visit func(files []*ast.File, info *types.Info, external bool)) error {
+	bp := l.dirs[path]
+	under, err := l.Import(path) // what the external tests import: with the in-package tests, if any
+	if err != nil {
+		return err
+	}
+	if len(bp.TestGoFiles) > 0 {
+		files, info, pkg, err := l.check(path, bp.Dir, slices.Concat(bp.GoFiles, bp.TestGoFiles), l)
+		if err != nil {
+			return err
+		}
+		visit(files, info, false)
+		under = pkg
+	}
+	if len(bp.XTestGoFiles) == 0 {
+		return nil
+	}
+	files, info, _, err := l.check(path+"_test", bp.Dir, bp.XTestGoFiles, importerFunc(func(p string) (*types.Package, error) {
+		if p == path {
+			return under, nil
+		}
+		return l.Import(p)
+	}))
+	if err != nil {
+		return err
+	}
+	visit(files, info, true)
+	return nil
 }
 
 // check parses the named files of dir and type-checks them as package

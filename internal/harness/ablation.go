@@ -39,15 +39,15 @@ func AblationNoPlog(tempDir string, n int) (*Result, error) {
 			}
 			// Crash in the ack→route window.
 			tb.Buddy.InjectCrash()
-			tb.Sim.RunUntil(func() bool { return !tb.Buddy.Running() }, 100*time.Millisecond, 10*time.Second)
+			tb.Clock.RunUntil(func() bool { return !tb.Buddy.Running() }, 100*time.Millisecond, 10*time.Second)
 			var serr error
-			if err := tb.Sim.Drive(func() { serr = tb.Buddy.Start() }, time.Second); err != nil {
+			if err := tb.Clock.Drive(func() { serr = tb.Buddy.Start() }, time.Second); err != nil {
 				return 0, fmt.Errorf("restart %d: %w", i, err)
 			}
 			if serr != nil {
 				return 0, serr
 			}
-			if tb.Sim.RunUntil(func() bool { return tb.User.ReceiptCount() > before }, time.Second, 2*time.Minute) {
+			if tb.Clock.RunUntil(func() bool { return tb.User.ReceiptCount() > before }, time.Second, 2*time.Minute) {
 				delivered++
 			}
 		}
@@ -97,7 +97,7 @@ func AblationNoMonkey(tempDir string, n int) (*Result, error) {
 			if app == nil {
 				return nil, 0, fmt.Errorf("no live IM client before dialog %d", i)
 			}
-			popAt := tb.Sim.Now()
+			popAt := tb.Clock.Now()
 			tb.Machine.Desktop().PopDialog(pairs[0].Caption, []string{pairs[0].Button}, app.Proc, popAt)
 			// Recovered when an alert flows over IM again.
 			recovered := false
@@ -110,8 +110,8 @@ func AblationNoMonkey(tempDir string, n int) (*Result, error) {
 			if !recovered {
 				return nil, 0, fmt.Errorf("dialog %d never recovered", i)
 			}
-			rec.Observe(tb.Sim.Now().Sub(popAt))
-			tb.Sim.RunFor(time.Minute, 5*time.Second)
+			rec.Observe(tb.Clock.Now().Sub(popAt))
+			tb.Clock.RunFor(time.Minute, 5*time.Second)
 		}
 		s := rec.Summarize()
 		return &s, tb.Journal.Count("client-restart"), nil
@@ -156,25 +156,25 @@ func AblationProbePeriod(tempDir string, periods []time.Duration) (*Result, erro
 		var rec metrics.Recorder
 		const hangs = 4
 		for h := 0; h < hangs; h++ {
-			tb.Sim.RunFor(2*time.Minute, 30*time.Second)
-			hangAt := tb.Sim.Now()
+			tb.Clock.RunFor(2*time.Minute, 30*time.Second)
+			hangAt := tb.Clock.Now()
 			baseRestarts := tb.MDC.Restarts()
 			tb.Buddy.InjectHang()
 			// Detection: heartbeats go stale (HeartbeatMaxAge), then the
 			// next probe fails and the MDC kills and restarts the buddy.
-			if !tb.Sim.RunUntil(func() bool { return tb.MDC.Restarts() > baseRestarts }, 30*time.Second, 4*time.Hour) {
+			if !tb.Clock.RunUntil(func() bool { return tb.MDC.Restarts() > baseRestarts }, 30*time.Second, 4*time.Hour) {
 				tb.Stop()
 				return nil, fmt.Errorf("probe period %v: hang %d never detected", period, h)
 			}
 			// Recovery: restarted and answering probes again.
-			ok := tb.Sim.RunUntil(func() bool {
+			ok := tb.Clock.RunUntil(func() bool {
 				return tb.Buddy.Running() && tb.Buddy.AreYouWorking()
 			}, 30*time.Second, time.Hour)
 			if !ok {
 				tb.Stop()
 				return nil, fmt.Errorf("probe period %v: hang %d never recovered", period, h)
 			}
-			rec.Observe(tb.Sim.Now().Sub(hangAt))
+			rec.Observe(tb.Clock.Now().Sub(hangAt))
 		}
 		s := rec.Summarize()
 		paper := "—"
@@ -193,8 +193,8 @@ func AblationProbePeriod(tempDir string, periods []time.Duration) (*Result, erro
 // clock, reporting whether it succeeded over IM.
 func probeIMDelivery(tb *Testbed) bool {
 	var ok bool
-	err := tb.Sim.Drive(func() {
-		rep, err := tb.Target.Deliver(benchAlert(tb))
+	err := tb.Clock.Drive(func() {
+		rep, err := tb.Src.Target.Deliver(benchAlert(tb))
 		ok = err == nil && rep.DeliveredVia == "Buddy IM"
 	}, time.Second)
 	return err == nil && ok

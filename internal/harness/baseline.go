@@ -12,6 +12,7 @@ import (
 	"simba/internal/dmode"
 	"simba/internal/metrics"
 	"simba/internal/sms"
+	"simba/internal/world"
 )
 
 // policyStats summarizes one policy under one presence scenario.
@@ -34,7 +35,7 @@ func E6Baseline(tempDir string, n int) (*Result, error) {
 	if n <= 0 {
 		n = 80
 	}
-	tb, err := NewTestbed(Options{TempDir: tempDir, HeavyTails: true})
+	tb, err := NewTestbed(Options{TempDir: tempDir, World: world.Options{HeavyTails: true}})
 	if err != nil {
 		return nil, err
 	}
@@ -91,7 +92,7 @@ func E6Baseline(tempDir string, n int) (*Result, error) {
 		}
 	}
 	res.AddNote("heavy-tailed email/SMS delays with %.0f%%/%.0f%% loss; %d alerts per cell; 20-minute delivery horizon",
-		tb.Opts.EmailLoss*100, tb.Opts.SMSLoss*100, n)
+		world.EmailLoss*100, world.SMSLoss*100, n)
 	res.AddNote("shape check: SIMBA dominates on timeliness when the user is reachable and matches the baseline when not, at a quarter of the message burden")
 	return res, nil
 }
@@ -108,18 +109,18 @@ func runPolicy(tb *Testbed, reg *addr.Registry, mode *dmode.Mode, prefix string,
 			Keywords: []string{"Sensor ON"},
 			Subject:  "Basement Water Sensor ON",
 			Urgency:  alert.UrgencyCritical,
-			Created:  tb.Sim.Now(),
+			Created:  tb.Clock.Now(),
 		}
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			_, _ = tb.SrcEngine.Deliver(a, reg, mode)
+			_, _ = tb.Src.Engine.Deliver(a, reg, mode)
 		}()
 		// Space alerts 10 virtual seconds apart.
-		tb.Sim.RunFor(10*time.Second, 2*time.Second)
+		tb.Clock.RunFor(10*time.Second, 2*time.Second)
 	}
 	// Horizon for the delay tails.
-	tb.Sim.RunFor(20*time.Minute, 10*time.Second)
+	tb.Clock.RunFor(20*time.Minute, 10*time.Second)
 	wg.Wait()
 
 	st := &policyStats{sent: n}

@@ -1,8 +1,10 @@
 package harness
 
 import (
+	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -31,15 +33,15 @@ func TestTestbedStartsAndDelivers(t *testing.T) {
 	if rep.DeliveredVia != "Buddy IM" {
 		t.Fatalf("DeliveredVia = %q", rep.DeliveredVia)
 	}
-	if !tb.Sim.RunUntil(func() bool { return tb.User.ReceiptCount() == 1 }, 500*time.Millisecond, time.Minute) {
+	if !tb.Clock.RunUntil(func() bool { return tb.User.ReceiptCount() == 1 }, 500*time.Millisecond, time.Minute) {
 		t.Fatal("alert never reached the user")
 	}
 }
 
-// TestTestbedStopLeavesNoGateway: Stop stops the SMS email gateway the
-// testbed attached, so no (*Bridge).run goroutine outlives the testbed
-// — each one would stay parked for the life of the process, and every
-// later clock-driver dump would walk it.
+// TestTestbedStopLeavesNoGateway: the testbed tears its world down
+// through the world's Close (internal/world's TestCloseStopsGateways
+// checks Close itself) — on Stop, and when a build step after the
+// user's phone fails — so no SMS gateway goroutine outlives it.
 func TestTestbedStopLeavesNoGateway(t *testing.T) {
 	gateways := func() int {
 		buf := make([]byte, 1<<20)
@@ -63,6 +65,16 @@ func TestTestbedStopLeavesNoGateway(t *testing.T) {
 	tb.Stop()
 	if n := gateways(); n != 0 {
 		t.Fatalf("%d gateway goroutines left after Stop", n)
+	}
+
+	steps := buildSteps
+	defer func() { buildSteps = steps }()
+	buildSteps = append(slices.Clip(steps), func(*Testbed) error { return errors.New("injected build failure") })
+	if _, err := NewTestbed(Options{TempDir: t.TempDir()}); err == nil {
+		t.Fatal("a failing build step did not fail NewTestbed")
+	}
+	if n := gateways(); n != 0 {
+		t.Fatalf("%d gateway goroutines left after NewTestbed failed", n)
 	}
 }
 

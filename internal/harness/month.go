@@ -2,7 +2,6 @@ package harness
 
 import (
 	"fmt"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -78,18 +77,13 @@ func E5FaultMonth(tempDir string, days int) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Track the live IM client app so dialog faults can re-pop on
-	// every relaunched instance while a dialog window is active.
+	// Dialog faults re-pop on every relaunched IM client instance while
+	// a dialog window is active.
 	var dialogCaption atomic.Value // string; "" when inactive
 	dialogCaption.Store("")
-	var appMu sync.Mutex
-	var currentApp *automation.IMClientApp
 	tb.OnIMLaunch = func(app *automation.IMClientApp) {
-		appMu.Lock()
-		currentApp = app
-		appMu.Unlock()
 		if caption := dialogCaption.Load().(string); caption != "" {
-			tb.Machine.Desktop().PopDialog(caption, []string{"OK"}, app.Proc, tb.Sim.Now())
+			tb.Machine.Desktop().PopDialog(caption, []string{"OK"}, app.Proc, tb.Clock.Now())
 		}
 	}
 	if err := tb.Start(); err != nil {
@@ -106,17 +100,17 @@ func E5FaultMonth(tempDir string, days int) (*Result, error) {
 	for _, o := range plan.imOutages {
 		o := o
 		sched.At(at(o.frac), func() {
-			tb.Journal.Record(tb.Sim.Now(), faults.KindFaultInjected, "im-service outage")
-			tb.IMSvc.Outage().Set(true, tb.Sim.Now())
-			tb.IMSvc.ForceLogoutAll()
+			tb.Journal.Record(tb.Clock.Now(), faults.KindFaultInjected, "im-service outage")
+			tb.IM.Outage().Set(true, tb.Clock.Now())
+			tb.IM.ForceLogoutAll()
 		})
 		sched.At(at(o.frac)+o.duration, func() {
-			tb.IMSvc.Outage().Set(false, tb.Sim.Now())
-			tb.Journal.Record(tb.Sim.Now(), faults.KindFaultCleared, "im-service outage")
+			tb.IM.Outage().Set(false, tb.Clock.Now())
+			tb.Journal.Record(tb.Clock.Now(), faults.KindFaultCleared, "im-service outage")
 		})
 	}
 	for _, f := range plan.logoutFracs {
-		sched.At(at(f), func() { tb.IMSvc.ForceLogout(BuddyIMHandle) })
+		sched.At(at(f), func() { tb.IM.ForceLogout(BuddyIMHandle) })
 	}
 	for _, f := range plan.hangFracs {
 		sched.At(at(f), func() { tb.Buddy.InjectIMClientHang() })
@@ -130,7 +124,7 @@ func E5FaultMonth(tempDir string, days int) (*Result, error) {
 	// Power outage: everything dies; no UPS, so this one is
 	// unrecoverable until power returns.
 	sched.At(at(plan.powerFrac), func() {
-		tb.Journal.Record(tb.Sim.Now(), faults.KindUnrecovered, "power outage in the office (no UPS)")
+		tb.Journal.Record(tb.Clock.Now(), faults.KindUnrecovered, "power outage in the office (no UPS)")
 		tb.Machine.PowerOff()
 	})
 	sched.At(at(plan.powerFrac)+plan.powerFor, func() { tb.Machine.PowerOn() })
@@ -141,7 +135,7 @@ func E5FaultMonth(tempDir string, days int) (*Result, error) {
 			if app == nil || !app.Running() {
 				return
 			}
-			tb.Machine.Desktop().PopDialog("Connection Error", []string{"OK"}, app.Proc, tb.Sim.Now())
+			tb.Machine.Desktop().PopDialog("Connection Error", []string{"OK"}, app.Proc, tb.Clock.Now())
 		})
 	}
 	// Two previously unknown dialog boxes: while the window is open,
@@ -151,13 +145,10 @@ func E5FaultMonth(tempDir string, days int) (*Result, error) {
 	for i, f := range plan.dialogFracs {
 		caption := fmt.Sprintf("Unexpected Error %d", i+1)
 		sched.At(at(f), func() {
-			tb.Journal.Recordf(tb.Sim.Now(), faults.KindUnrecovered, "previously unknown dialog box %q", caption)
+			tb.Journal.Recordf(tb.Clock.Now(), faults.KindUnrecovered, "previously unknown dialog box %q", caption)
 			dialogCaption.Store(caption)
-			appMu.Lock()
-			app := currentApp
-			appMu.Unlock()
-			if app != nil && app.Running() {
-				tb.Machine.Desktop().PopDialog(caption, []string{"OK"}, app.Proc, tb.Sim.Now())
+			if app := tb.currentIMApp(); app != nil && app.Running() {
+				tb.Machine.Desktop().PopDialog(caption, []string{"OK"}, app.Proc, tb.Clock.Now())
 			}
 		})
 		sched.At(at(f)+plan.dialogFor, func() {
@@ -167,14 +158,14 @@ func E5FaultMonth(tempDir string, days int) (*Result, error) {
 			}
 		})
 	}
-	sched.Install(tb.Sim)
+	sched.Install(tb.Clock)
 
 	// Background alert traffic: one alert every 2 hours.
 	trafficPeriod := 2 * time.Hour
 	var sent atomic.Int64
 	trafficStop := make(chan struct{})
 	go func() {
-		ticker := tb.Sim.NewTicker(trafficPeriod)
+		ticker := tb.Clock.NewTicker(trafficPeriod)
 		defer ticker.Stop()
 		for {
 			select {
@@ -183,15 +174,15 @@ func E5FaultMonth(tempDir string, days int) (*Result, error) {
 			case <-ticker.C():
 				a := benchAlert(tb)
 				sent.Add(1)
-				go func() { _, _ = tb.Target.Deliver(a) }()
+				go func() { _, _ = tb.Src.Target.Deliver(a) }()
 			}
 		}
 	}()
 
 	// Run the month.
-	tb.Sim.RunFor(duration, time.Minute)
+	tb.Clock.RunFor(duration, time.Minute)
 	close(trafficStop)
-	tb.Sim.RunFor(10*time.Minute, time.Minute) // drain in-flight deliveries
+	tb.Clock.RunFor(10*time.Minute, time.Minute) // drain in-flight deliveries
 
 	downtimes := tb.Journal.Downtimes("im-service outage")
 	minD, maxD := time.Duration(0), time.Duration(0)

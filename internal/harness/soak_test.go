@@ -8,6 +8,7 @@ import (
 
 	"simba/internal/dist"
 	"simba/internal/faults"
+	"simba/internal/world"
 )
 
 func TestSoakRandomFaults(t *testing.T) {
@@ -51,7 +52,7 @@ func soakRandomFaults(tempDir string, seed int64, days int) (*soakResult, error)
 		days = 3
 	}
 	horizon := time.Duration(days) * 24 * time.Hour
-	tb, err := NewTestbed(Options{TempDir: tempDir, Seed: seed, StartMDC: true})
+	tb, err := NewTestbed(Options{TempDir: tempDir, World: world.Options{Seed: seed}, StartMDC: true})
 	if err != nil {
 		return nil, err
 	}
@@ -76,14 +77,14 @@ func soakRandomFaults(tempDir string, seed int64, days int) (*soakResult, error)
 		case "im-outage":
 			duration := time.Duration(5+rng.Intn(40)) * time.Minute
 			sched.At(ev.At, func() {
-				tb.IMSvc.Outage().Set(true, tb.Sim.Now())
-				tb.IMSvc.ForceLogoutAll()
+				tb.IM.Outage().Set(true, tb.Clock.Now())
+				tb.IM.ForceLogoutAll()
 			})
 			sched.At(ev.At+duration, func() {
-				tb.IMSvc.Outage().Set(false, tb.Sim.Now())
+				tb.IM.Outage().Set(false, tb.Clock.Now())
 			})
 		case "forced-logout":
-			sched.At(ev.At, func() { tb.IMSvc.ForceLogout(BuddyIMHandle) })
+			sched.At(ev.At, func() { tb.IM.ForceLogout(BuddyIMHandle) })
 		case "client-hang":
 			sched.At(ev.At, func() { tb.Buddy.InjectIMClientHang() })
 		case "buddy-crash":
@@ -92,12 +93,12 @@ func soakRandomFaults(tempDir string, seed int64, days int) (*soakResult, error)
 			sched.At(ev.At, func() { tb.Buddy.InjectHang() })
 		}
 	}
-	sched.Install(tb.Sim)
+	sched.Install(tb.Clock)
 
 	var sent atomic.Int64
 	trafficStop := make(chan struct{})
 	go func() {
-		ticker := tb.Sim.NewTicker(time.Hour)
+		ticker := tb.Clock.NewTicker(time.Hour)
 		defer ticker.Stop()
 		for {
 			select {
@@ -106,17 +107,17 @@ func soakRandomFaults(tempDir string, seed int64, days int) (*soakResult, error)
 			case <-ticker.C():
 				a := benchAlert(tb)
 				sent.Add(1)
-				go func() { _, _ = tb.Target.Deliver(a) }()
+				go func() { _, _ = tb.Src.Target.Deliver(a) }()
 			}
 		}
 	}()
 
-	tb.Sim.RunFor(horizon, time.Minute)
+	tb.Clock.RunFor(horizon, time.Minute)
 	close(trafficStop)
 	// Quiesce: let any ongoing recovery finish and stragglers deliver.
-	tb.Sim.RunFor(30*time.Minute, time.Minute)
+	tb.Clock.RunFor(30*time.Minute, time.Minute)
 
-	recovered := tb.Sim.RunUntil(func() bool {
+	recovered := tb.Clock.RunUntil(func() bool {
 		return tb.Buddy.Running() && tb.Buddy.AreYouWorking()
 	}, time.Minute, 2*time.Hour)
 

@@ -7,9 +7,9 @@ import (
 	"simba/internal/addr"
 	"simba/internal/alert"
 	"simba/internal/core"
-	"simba/internal/dist"
 	"simba/internal/dmode"
 	"simba/internal/metrics"
+	"simba/internal/world"
 )
 
 // A4AckTimeoutSweep quantifies the delivery-mode design trade the
@@ -48,7 +48,7 @@ func A4AckTimeoutSweep(tempDir string, perCell int, timeouts []time.Duration) (*
 	}
 	// The user flips between desk and away every few alerts,
 	// deterministically from the seed.
-	rng := dist.NewRNG(tb.Opts.Seed + 50)
+	rng := world.RNG(tb.World, 50)
 
 	res := &Result{ID: "A4", Title: "Delivery-mode ack-timeout sweep (the §3 dependability/irritation dial)"}
 	for ti, timeout := range timeouts {
@@ -66,11 +66,11 @@ func A4AckTimeoutSweep(tempDir string, perCell int, timeouts []time.Duration) (*
 				Source:  "bench",
 				Subject: "sweep alert",
 				Urgency: alert.UrgencyHigh,
-				Created: tb.Sim.Now(),
+				Created: tb.Clock.Now(),
 			}
 			var rep *core.Report
 			var err error
-			if derr := tb.Sim.Drive(func() { rep, err = tb.SrcEngine.Deliver(a, reg, mode) }, 250*time.Millisecond); derr != nil {
+			if derr := tb.Clock.Drive(func() { rep, err = tb.Src.Engine.Deliver(a, reg, mode) }, 250*time.Millisecond); derr != nil {
 				return nil, fmt.Errorf("A4 cell %d alert %d: %w", ti, i, derr)
 			}
 			if err == nil && rep.Delivered {
@@ -80,7 +80,7 @@ func A4AckTimeoutSweep(tempDir string, perCell int, timeouts []time.Duration) (*
 					viaIM++
 				}
 			}
-			tb.Sim.RunFor(3*time.Second, time.Second)
+			tb.Clock.RunFor(3*time.Second, time.Second)
 		}
 		s := lat.Summarize()
 		row := fmt.Sprintf("%d/%d confirmed, %d%% via IM, mean confirm %s, p90 %s",

@@ -20,20 +20,16 @@ import (
 	"simba/internal/alert"
 	"simba/internal/assistant"
 	"simba/internal/automation"
-	"simba/internal/clock"
-	"simba/internal/core"
 	"simba/internal/dist"
 	"simba/internal/dmode"
-	"simba/internal/email"
 	"simba/internal/enduser"
-	"simba/internal/faults"
-	"simba/internal/im"
 	"simba/internal/mab"
 	"simba/internal/mdc"
 	"simba/internal/proxy"
 	"simba/internal/sms"
-	"simba/internal/websim"
 	"simba/internal/wish"
+	"simba/internal/world"
+	"simba/internal/world/wiring"
 )
 
 // Canonical testbed addresses.
@@ -51,32 +47,17 @@ const (
 
 // Options tunes the testbed.
 type Options struct {
-	// Seed drives all randomness (default 1).
-	Seed int64
+	// World is the substrate's seed (default 1) and delay model: the
+	// baseline comparison sets HeavyTails; the default fixed short
+	// delays keep the latency experiments deterministic.
+	World world.Options
 	// TempDir holds the pessimistic log (required).
 	TempDir string
-	// HeavyTails selects realistic heavy-tailed email/SMS delay
-	// distributions with loss (for the baseline comparison); the
-	// default uses fixed short delays so latency experiments are
-	// deterministic.
-	HeavyTails bool
-	// EmailLoss / SMSLoss override the loss probabilities when
-	// HeavyTails is set (defaults 0.02 / 0.05).
-	EmailLoss, SMSLoss float64
-	// AckTimeout is the IM block timeout used by sources and by the
-	// user's delivery mode (default 15s).
-	AckTimeout time.Duration
 	// StartMDC supervises the buddy with a watchdog. Without it the
 	// buddy is started directly (simpler experiments).
 	StartMDC bool
-	// DisableNightly disables the 23:30 rejuvenation (kept disabled by
-	// default in latency experiments so it cannot interfere; the month
-	// experiment controls it explicitly).
-	EnableNightly bool
 	// DisableReplay is passed through to the buddy (ablation).
 	DisableReplay bool
-	// BuddyPollPeriod overrides the buddy's fallback poll (default 30s).
-	BuddyPollPeriod time.Duration
 	// RouteDelay is the buddy's per-alert routing-processing cost
 	// (default 600ms, calibrated to the paper's 2.5s proxy→user
 	// budget; the plog ablation raises it).
@@ -89,29 +70,27 @@ type Options struct {
 	ProbePeriod time.Duration
 }
 
-// Testbed is the wired deployment.
+// ackTimeout is the IM block timeout of the sources' target and of the
+// user's Urgent mode.
+const ackTimeout = 15 * time.Second
+
+// Testbed is the wired deployment on one simulated world. The buddy
+// never runs its 23:30 rejuvenation here, so it cannot interfere with
+// an experiment.
 type Testbed struct {
-	Opts    Options
-	Sim     *clock.Sim
-	RNG     *dist.RNG
-	Machine *automation.Machine
-	IMSvc   *im.Service
-	EmSvc   *email.Service
-	Carrier *sms.Carrier
-	Journal *faults.Journal
-	gateway *sms.Bridge // the user's SMS email gateway; Stop stops it
+	*world.World
+	Opts Options
+	RNG  *dist.RNG
 
 	Buddy *mab.Service
 	MDC   *mdc.Controller
 	User  *enduser.User
 
-	// Shared source-side plumbing.
-	SrcEngine *core.Engine
-	SrcIM     *core.DirectIM
-	Target    *core.Target // the buddy, as sources see it
+	// Src is the shared source-side plumbing; Src.Target is the buddy
+	// as sources see it.
+	Src *wiring.SourceLink
 
 	// Sources.
-	Web       *websim.Web
 	Proxy     *proxy.Proxy
 	Home      *aladdin.Home
 	Wish      *wish.Server
@@ -141,6 +120,9 @@ func (tb *Testbed) currentIMApp() *automation.IMClientApp {
 	return tb.lastIMApp
 }
 
+// buildSteps are NewTestbed's steps after the world, in order.
+var buildSteps = []func(*Testbed) error{(*Testbed).buildBuddy, (*Testbed).buildUser, (*Testbed).buildSources}
+
 // NewTestbed wires the full topology. Call Start afterwards.
 func NewTestbed(opts Options) (*Testbed, error) {
 	if opts.TempDir == "" {
@@ -149,94 +131,17 @@ func NewTestbed(opts Options) (*Testbed, error) {
 	if err := os.MkdirAll(opts.TempDir, 0o755); err != nil {
 		return nil, fmt.Errorf("harness: creating temp dir: %w", err)
 	}
-	if opts.Seed == 0 {
-		opts.Seed = 1
-	}
-	if opts.AckTimeout <= 0 {
-		opts.AckTimeout = 15 * time.Second
-	}
-	if opts.EmailLoss == 0 {
-		opts.EmailLoss = 0.02
-	}
-	if opts.SMSLoss == 0 {
-		opts.SMSLoss = 0.05
-	}
 	if opts.RouteDelay == 0 {
 		opts.RouteDelay = 600 * time.Millisecond
 	}
-	tb := &Testbed{
-		Opts:     opts,
-		Sim:      clock.NewSim(time.Time{}),
-		RNG:      dist.NewRNG(opts.Seed),
-		Journal:  &faults.Journal{},
-		receives: make(chan receiveStamp, 4096),
-	}
-	tb.Machine = automation.NewMachine(tb.Sim)
-
-	var err error
-	tb.IMSvc, err = im.NewService(im.Config{
-		Clock:    tb.Sim,
-		RNG:      dist.NewRNG(opts.Seed + 1),
-		HopDelay: dist.Normal{Mean: 300 * time.Millisecond, Stddev: 80 * time.Millisecond, Floor: 100 * time.Millisecond},
-	})
+	w, err := world.New(opts.World)
 	if err != nil {
 		return nil, err
 	}
-	emailDelay := dist.Dist(dist.Fixed(20 * time.Second))
-	smsDelay := dist.Dist(dist.Fixed(8 * time.Second))
-	emailLoss, smsLoss := 0.0, 0.0
-	if opts.HeavyTails {
-		emailDelay = dist.LogNormal{Mu: 3.0, Sigma: 1.6}
-		mix, merr := dist.NewMixture(
-			dist.Component{Weight: 0.85, Dist: dist.Normal{Mean: 8 * time.Second, Stddev: 4 * time.Second, Floor: time.Second}},
-			dist.Component{Weight: 0.15, Dist: dist.LogNormal{Mu: 5.5, Sigma: 1.5}},
-		)
-		if merr != nil {
-			return nil, merr
-		}
-		smsDelay = mix
-		emailLoss, smsLoss = opts.EmailLoss, opts.SMSLoss
-	}
-	tb.EmSvc, err = email.NewService(email.Config{
-		Clock:           tb.Sim,
-		RNG:             dist.NewRNG(opts.Seed + 2),
-		Delay:           emailDelay,
-		LossProbability: emailLoss,
-	})
-	if err != nil {
-		return nil, err
-	}
-	tb.Carrier, err = sms.NewCarrier(sms.Config{
-		Clock:           tb.Sim,
-		RNG:             dist.NewRNG(opts.Seed + 3),
-		Delay:           smsDelay,
-		LossProbability: smsLoss,
-	})
-	if err != nil {
-		return nil, err
-	}
-
-	// Accounts.
-	for _, h := range []string{BuddyIMHandle, UserIMHandle, SourceIMHandle} {
-		if err := tb.IMSvc.Register(h); err != nil {
-			return nil, err
-		}
-	}
-	for _, a := range []string{BuddyEmailAddr, UserEmailAddr, UserHomeEmail, SourceEmail} {
-		if _, err := tb.EmSvc.CreateMailbox(a); err != nil {
-			return nil, err
-		}
-	}
-	if _, err := tb.Carrier.Provision(UserPhone); err != nil {
-		return nil, err
-	}
-	if tb.gateway, err = sms.AttachGateway(tb.Sim, tb.EmSvc, tb.Carrier, UserPhone); err != nil {
-		return nil, err
-	}
-
-	for _, build := range []func() error{tb.buildBuddy, tb.buildUser, tb.buildSources} {
-		if err := build(); err != nil {
-			tb.gateway.Stop()
+	tb := &Testbed{World: w, Opts: opts, RNG: world.RNG(w, 0), receives: make(chan receiveStamp, 4096)}
+	for _, build := range buildSteps {
+		if err := build(tb); err != nil {
+			w.Close()
 			return nil, err
 		}
 	}
@@ -244,46 +149,35 @@ func NewTestbed(opts Options) (*Testbed, error) {
 }
 
 func (tb *Testbed) buildBuddy() error {
-	opts := tb.Opts
-	rejuvenation := time.Duration(-1)
-	if opts.EnableNightly {
-		rejuvenation = mab.DefaultRejuvenationTime
+	cfg, err := wiring.BuddyConfig(tb.World, BuddyIMHandle, BuddyEmailAddr, filepath.Join(tb.Opts.TempDir, "buddy.plog"))
+	if err != nil {
+		return err
 	}
-	buddy, err := mab.New(mab.Config{
-		Clock:            tb.Sim,
-		Machine:          tb.Machine,
-		IMService:        tb.IMSvc,
-		EmailService:     tb.EmSvc,
-		IMHandle:         BuddyIMHandle,
-		EmailAddress:     BuddyEmailAddr,
-		LogPath:          filepath.Join(opts.TempDir, "buddy.plog"),
-		Journal:          tb.Journal,
-		PollPeriod:       opts.BuddyPollPeriod,
-		LogDelay:         500 * time.Millisecond,
-		RouteDelay:       opts.RouteDelay,
-		DialogPeriod:     opts.DialogPeriod,
-		StartupDelay:     3 * time.Second,
-		CallTimeout:      10 * time.Second,
-		RejuvenationTime: rejuvenation,
-		DisableReplay:    opts.DisableReplay,
-		OnIMLaunch: func(app *automation.IMClientApp) {
-			tb.appMu.Lock()
-			tb.lastIMApp = app
-			tb.appMu.Unlock()
-			if tb.OnIMLaunch != nil {
-				tb.OnIMLaunch(app)
-			}
-		},
-		OnReceive: func(a *alert.Alert, at time.Time) {
-			if tb.OnReceive != nil {
-				tb.OnReceive(a, at)
-			}
-			select {
-			case tb.receives <- receiveStamp{key: a.DedupKey(), at: at}:
-			default:
-			}
-		},
-	})
+	cfg.LogDelay = 500 * time.Millisecond
+	cfg.RouteDelay = tb.Opts.RouteDelay
+	cfg.DialogPeriod = tb.Opts.DialogPeriod
+	cfg.StartupDelay = 3 * time.Second
+	cfg.CallTimeout = 10 * time.Second
+	cfg.RejuvenationTime = -1
+	cfg.DisableReplay = tb.Opts.DisableReplay
+	cfg.OnIMLaunch = func(app *automation.IMClientApp) {
+		tb.appMu.Lock()
+		tb.lastIMApp = app
+		tb.appMu.Unlock()
+		if tb.OnIMLaunch != nil {
+			tb.OnIMLaunch(app)
+		}
+	}
+	cfg.OnReceive = func(a *alert.Alert, at time.Time) {
+		if tb.OnReceive != nil {
+			tb.OnReceive(a, at)
+		}
+		select {
+		case tb.receives <- receiveStamp{key: a.DedupKey(), at: at}:
+		default:
+		}
+	}
+	buddy, err := mab.New(cfg)
 	if err != nil {
 		return err
 	}
@@ -332,7 +226,7 @@ func (tb *Testbed) buildBuddy() error {
 		}
 	}
 	urgent := &dmode.Mode{Name: "Urgent", Blocks: []dmode.Block{
-		{Timeout: dmode.Duration(tb.Opts.AckTimeout), Actions: []dmode.Action{{Address: "MSN IM"}}},
+		{Timeout: dmode.Duration(ackTimeout), Actions: []dmode.Action{{Address: "MSN IM"}}},
 		{Actions: []dmode.Action{{Address: "Cell SMS"}}},
 		{Actions: []dmode.Action{{Address: "Work email"}, {Address: "Home email"}}},
 	}}
@@ -356,77 +250,42 @@ func (tb *Testbed) buildBuddy() error {
 	}
 
 	if tb.Opts.StartMDC {
-		ctrl, err := mdc.New(mdc.Config{
-			Clock:       tb.Sim,
-			Daemon:      buddy,
-			Journal:     tb.Journal,
-			ProbePeriod: tb.Opts.ProbePeriod,
-			Reboot:      func() { tb.Machine.Reboot(mdc.DefaultBootTime) },
-		})
-		if err != nil {
-			return err
-		}
-		tb.MDC = ctrl
+		tb.MDC, err = wiring.NewWatchdog(tb.World, buddy, tb.Opts.ProbePeriod)
 	}
-	return nil
+	return err
 }
 
 func (tb *Testbed) buildUser() error {
-	user, err := enduser.New(enduser.Config{
-		Clock:            tb.Sim,
-		Name:             UserName,
-		IMService:        tb.IMSvc,
-		IMHandle:         UserIMHandle,
-		EmailService:     tb.EmSvc,
-		EmailAddresses:   []string{UserEmailAddr, UserHomeEmail},
-		Carrier:          tb.Carrier,
-		PhoneNumber:      UserPhone,
-		EmailCheckPeriod: time.Minute,
-		SMSReadDelay:     10 * time.Second,
-	})
-	if err != nil {
+	if err := tb.CreatePersonalAccounts(UserIMHandle, []string{UserEmailAddr, UserHomeEmail}, UserPhone); err != nil {
 		return err
 	}
-	tb.User = user
-	return nil
+	cfg := wiring.UserConfig(tb.World)
+	cfg.Name, cfg.IMHandle, cfg.PhoneNumber = UserName, UserIMHandle, UserPhone
+	cfg.EmailAddresses = []string{UserEmailAddr, UserHomeEmail}
+	cfg.EmailCheckPeriod, cfg.SMSReadDelay = time.Minute, 10*time.Second
+	var err error
+	tb.User, err = enduser.New(cfg)
+	return err
 }
 
 func (tb *Testbed) buildSources() error {
-	srcEmail, err := core.NewDirectEmail(tb.EmSvc, SourceEmail)
+	src, err := wiring.NewSourceLink(tb.World, SourceIMHandle, SourceEmail, BuddyIMHandle, BuddyEmailAddr, ackTimeout)
 	if err != nil {
 		return err
 	}
-	srcIM, err := core.NewDirectIM(tb.Sim, tb.IMSvc, SourceIMHandle, nil)
-	if err != nil {
-		return err
-	}
-	engine, err := core.NewEngine(tb.Sim, srcIM, srcEmail)
-	if err != nil {
-		return err
-	}
-	srcIM.SetOnMessage(func(m im.Message) { engine.HandleIncoming(m) })
-	tb.SrcEngine = engine
-	tb.SrcIM = srcIM
-	target, err := core.BuddyTarget(engine, BuddyIMHandle, BuddyEmailAddr, dmode.Duration(tb.Opts.AckTimeout))
-	if err != nil {
-		return err
-	}
-	tb.Target = target
+	tb.Src = src
+	target := src.Target
 
 	// Alert proxy over the simulated web.
-	tb.Web, err = websim.New(tb.Sim, 200*time.Millisecond)
-	if err != nil {
-		return err
-	}
-	tb.Proxy, err = proxy.New(tb.Sim, tb.Web, target)
+	tb.Proxy, err = proxy.New(tb.Clock, tb.Web, target)
 	if err != nil {
 		return err
 	}
 
 	// Aladdin home.
 	tb.Home, err = aladdin.New(aladdin.Config{
-		Clock:           tb.Sim,
-		RNG:             dist.NewRNG(tb.Opts.Seed + 4),
+		Clock:           tb.Clock,
+		RNG:             world.RNG(tb.World, 4),
 		Target:          target,
 		ProcessingDelay: 2 * time.Second,
 		PhonelineDelay:  3500 * time.Millisecond,
@@ -437,8 +296,8 @@ func (tb *Testbed) buildSources() error {
 
 	// WISH location service: two-wing building.
 	tb.Wish, err = wish.NewServer(wish.ServerConfig{
-		Clock: tb.Sim,
-		RNG:   dist.NewRNG(tb.Opts.Seed + 5),
+		Clock: tb.Clock,
+		RNG:   world.RNG(tb.World, 5),
 		Model: wish.Model{
 			APs: []wish.AP{
 				{ID: "ap-1", X: 0, Y: 0}, {ID: "ap-2", X: 40, Y: 0},
@@ -459,7 +318,7 @@ func (tb *Testbed) buildSources() error {
 
 	// Desktop assistant.
 	tb.Assistant, err = assistant.New(assistant.Config{
-		Clock:  tb.Sim,
+		Clock:  tb.Clock,
 		Target: target,
 	})
 	return err
@@ -472,20 +331,19 @@ func (tb *Testbed) Start() error {
 	if err := tb.User.Start(); err != nil {
 		return err
 	}
-	if err := tb.SrcIM.Start(); err != nil {
+	if err := tb.Src.IM.Start(); err != nil {
 		return err
 	}
-	if tb.MDC != nil {
-		tb.MDC.Start()
-	} else {
+	if tb.MDC == nil {
 		var startErr error
-		if err := tb.Sim.Drive(func() { startErr = tb.Buddy.Start() }, time.Second); err != nil {
+		if err := tb.Clock.Drive(func() { startErr = tb.Buddy.Start() }, time.Second); err != nil {
 			return fmt.Errorf("harness: buddy start: %w", err)
 		}
 		return startErr
 	}
-	tb.Sim.RunFor(20*time.Second, time.Second)
-	if tb.MDC != nil && !tb.Buddy.Running() {
+	tb.MDC.Start()
+	tb.Clock.RunFor(20*time.Second, time.Second)
+	if !tb.Buddy.Running() {
 		return errors.New("harness: buddy did not come up under MDC")
 	}
 	return nil
@@ -501,8 +359,8 @@ func (tb *Testbed) Stop() {
 	tb.Proxy.Stop()
 	tb.Home.StopHeartbeats()
 	tb.User.Stop()
-	tb.SrcIM.Stop()
-	tb.gateway.Stop()
+	tb.Src.IM.Stop()
+	tb.Close()
 }
 
 // WaitReceive blocks (driving the clock) until the buddy reports
@@ -510,7 +368,7 @@ func (tb *Testbed) Stop() {
 // stamp.
 func (tb *Testbed) WaitReceive(key string, maxVirtual time.Duration) (time.Time, error) {
 	var at time.Time
-	found := tb.Sim.RunUntil(func() bool {
+	found := tb.Clock.RunUntil(func() bool {
 		for {
 			select {
 			case st := <-tb.receives:

@@ -104,8 +104,6 @@ type Config struct {
 	// software (fault injection).
 	OnIMLaunch    func(*automation.IMClientApp)
 	OnEmailLaunch func(*automation.EmailClientApp)
-	// OnDelivery observes every routing attempt (metrics). Optional.
-	OnDelivery func(a *alert.Alert, sub core.Subscription, rep *core.Report, err error)
 	// ConfigureChannels runs against each fresh incarnation's channel
 	// registry after the built-in IM/email channels are registered —
 	// e.g. to add a direct-carrier SMS channel (core.NewSMSChannel) or
@@ -727,14 +725,10 @@ func (inc *incarnation) routeOne(a *alert.Alert, category string, sub core.Subsc
 	}
 	routed := a.Clone()
 	routed.Keywords = []string{category}
-	rep, err := inc.exec.DeliverAs(core.DeliveryContext{User: sub.User}, routed, profile.Addresses(), mode)
-	if err != nil {
+	if _, err := inc.exec.DeliverAs(core.DeliveryContext{User: sub.User}, routed, profile.Addresses(), mode); err != nil {
 		svc.counters.Add1("undeliverable")
 	} else {
 		svc.counters.Add1("delivered")
-	}
-	if svc.cfg.OnDelivery != nil {
-		svc.cfg.OnDelivery(routed, sub, rep, err)
 	}
 }
 

@@ -6,18 +6,12 @@ import (
 	"simba/internal/addr"
 	"simba/internal/aladdin"
 	"simba/internal/alert"
-	"simba/internal/automation"
-	"simba/internal/clock"
 	"simba/internal/core"
 	"simba/internal/dmode"
-	"simba/internal/email"
 	"simba/internal/enduser"
-	"simba/internal/faults"
-	"simba/internal/im"
 	"simba/internal/mab"
 	"simba/internal/mdc"
 	"simba/internal/sms"
-	"simba/internal/websim"
 	"simba/internal/wish"
 )
 
@@ -37,8 +31,6 @@ type (
 	ModeDuration = dmode.Duration
 	// Report summarizes one delivery-mode execution.
 	Report = core.Report
-	// Subscription maps a category to a subscriber and mode.
-	Subscription = core.Subscription
 	// Engine is the buddy-side delivery shell over the mode executor.
 	Engine = core.Engine
 	// Channel delivers one delivery-mode action over one communication
@@ -48,10 +40,6 @@ type (
 	ChannelRegistry = core.Channels
 	// Target bundles an engine, registry, and mode.
 	Target = core.Target
-	// SimClock is the discrete-event simulated clock.
-	SimClock = clock.Sim
-	// Journal records fault and recovery actions.
-	Journal = faults.Journal
 	// SourceRule is a per-source classification rule.
 	SourceRule = mab.SourceRule
 	// Buddy is MyAlertBuddy.
@@ -62,16 +50,8 @@ type (
 	EndUser = enduser.User
 	// Receipt is one alert observed by an EndUser.
 	Receipt = enduser.Receipt
-	// Machine hosts the buddy and its client software.
-	Machine = automation.Machine
-	// IMService is the simulated instant-messaging cloud.
-	IMService = im.Service
-	// EmailService is the simulated email infrastructure.
-	EmailService = email.Service
 	// SMSCarrier is the simulated cellular carrier.
 	SMSCarrier = sms.Carrier
-	// Web is the simulated web the alert proxy polls.
-	Web = websim.Web
 	// Home is the simulated Aladdin deployment.
 	Home = aladdin.Home
 	// WISHServer is the location server and its alert service.

@@ -2,8 +2,6 @@ package simba_test
 
 import (
 	"path/filepath"
-	"runtime"
-	"strings"
 	"testing"
 	"time"
 
@@ -162,39 +160,4 @@ func TestWatchdogSupervisesBuddy(t *testing.T) {
 	if wd.Restarts() != 1 {
 		t.Fatalf("Restarts = %d", wd.Restarts())
 	}
-}
-
-// TestWorldCloseStopsGateways: a phone's SMS email gateway forwards
-// until World.Close, and no (*Bridge).run goroutine outlives it — each
-// would stay parked for the life of the process, and every later
-// clock-driver dump would walk it.
-func TestWorldCloseStopsGateways(t *testing.T) {
-	gateways := func() int {
-		buf := make([]byte, 1<<20)
-		for {
-			if n := runtime.Stack(buf, true); n < len(buf) {
-				return strings.Count(string(buf[:n]), "sms.(*Bridge).run(")
-			}
-			buf = make([]byte, 2*len(buf))
-		}
-	}
-	world, err := simba.NewWorld(simba.WorldOptions{Seed: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := world.CreatePersonalAccounts("", nil, "5550001"); err != nil {
-		t.Fatal(err)
-	}
-	if err := world.CreatePersonalAccounts("", nil, "5550002"); err != nil {
-		t.Fatal(err)
-	}
-	world.Clock.Step(time.Second) // let both gateways park in their loops
-	if n := gateways(); n != 2 {
-		t.Fatalf("%d gateway goroutines while the world runs, want 2", n)
-	}
-	world.Close()
-	if n := gateways(); n != 0 {
-		t.Fatalf("%d gateway goroutines left after Close", n)
-	}
-	world.Close() // closing twice is harmless
 }

@@ -6,10 +6,9 @@ import (
 
 	"simba/internal/aladdin"
 	"simba/internal/core"
-	"simba/internal/dist"
-	"simba/internal/dmode"
-	"simba/internal/im"
 	"simba/internal/wish"
+	"simba/internal/world"
+	"simba/internal/world/wiring"
 )
 
 // SourceLink is the source-side SIMBA library instance: a lightweight
@@ -29,37 +28,14 @@ func NewSourceLink(w *World, imHandle, emailAddr string, buddy *Buddy, ackTimeou
 	if buddy == nil {
 		return nil, errors.New("simba: NewSourceLink requires a buddy")
 	}
-	if _, err := w.IM.Status(imHandle); err != nil {
-		if err := w.IM.Register(imHandle); err != nil {
-			return nil, err
-		}
-	}
-	if _, ok := w.Email.Mailbox(emailAddr); !ok {
-		if _, err := w.Email.CreateMailbox(emailAddr); err != nil {
-			return nil, err
-		}
-	}
-	emailSender, err := core.NewDirectEmail(w.Email, emailAddr)
-	if err != nil {
-		return nil, err
-	}
-	ep, err := core.NewDirectIM(w.Clock, w.IM, imHandle, nil)
-	if err != nil {
-		return nil, err
-	}
-	engine, err := core.NewEngine(w.Clock, ep, emailSender)
-	if err != nil {
-		return nil, err
-	}
-	ep.SetOnMessage(func(m im.Message) { engine.HandleIncoming(m) })
 	if ackTimeout <= 0 {
 		ackTimeout = 15 * time.Second
 	}
-	target, err := core.BuddyTarget(engine, buddy.IMHandle(), buddy.EmailAddress(), dmode.Duration(ackTimeout))
+	l, err := wiring.NewSourceLink(w, imHandle, emailAddr, buddy.IMHandle(), buddy.EmailAddress(), ackTimeout)
 	if err != nil {
 		return nil, err
 	}
-	return &SourceLink{Engine: engine, Target: target, endpoint: ep}, nil
+	return &SourceLink{Engine: l.Engine, Target: l.Target, endpoint: l.IM}, nil
 }
 
 // Start brings the link online.
@@ -83,7 +59,7 @@ type HomeOptions struct {
 func NewHome(w *World, link *SourceLink, opts HomeOptions) (*Home, error) {
 	return aladdin.New(aladdin.Config{
 		Clock:    w.Clock,
-		RNG:      dist.NewRNG(w.seed + 11),
+		RNG:      world.RNG(w, 11),
 		Target:   link.Target,
 		OnReport: opts.OnReport,
 	})
@@ -107,7 +83,7 @@ func WISHZone(name string, minX, minY, maxX, maxY float64) Zone {
 func NewWISHServer(w *World, link *SourceLink, opts WISHOptions) (*WISHServer, error) {
 	return wish.NewServer(wish.ServerConfig{
 		Clock:  w.Clock,
-		RNG:    dist.NewRNG(w.seed + 12),
+		RNG:    world.RNG(w, 12),
 		Model:  wish.Model{APs: opts.APs},
 		Zones:  opts.Zones,
 		Target: link.Target,
@@ -116,5 +92,5 @@ func NewWISHServer(w *World, link *SourceLink, opts WISHOptions) (*WISHServer, e
 
 // NewWISHClient builds a beaconing client for the server.
 func NewWISHClient(w *World, server *WISHServer, user string, beaconPeriod time.Duration) (*WISHClient, error) {
-	return wish.NewClient(w.Clock, dist.NewRNG(w.seed+13), server, user, beaconPeriod)
+	return wish.NewClient(w.Clock, world.RNG(w, 13), server, user, beaconPeriod)
 }
