@@ -116,7 +116,7 @@ func run(minutes int) error {
 
 	seen := 0
 	for elapsed := time.Duration(0); elapsed < total; elapsed += time.Second {
-		sim.Step(time.Second)
+		sim.Advance(time.Second)
 		for _, msg := range inbox.Fetch() {
 			var a alert.Alert
 			if err := a.UnmarshalText([]byte(msg.Body)); err != nil {

@@ -217,7 +217,7 @@ func run(hours int) error {
 	seen := 0
 	step := 5 * time.Second
 	for elapsed := time.Duration(0); elapsed < total; elapsed += step {
-		tb.Clock.Step(step)
+		tb.Clock.Advance(step)
 		for _, r := range tb.User.Receipts()[seen:] {
 			fmt.Printf("%s  user    %q via %s (end-to-end %v)\n",
 				stamp(r.At), r.Alert.Subject, r.Channel, r.Latency.Round(time.Millisecond))

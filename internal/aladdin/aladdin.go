@@ -277,7 +277,7 @@ func (h *Home) StartHeartbeats() {
 	stop := make(chan struct{})
 	h.hbStop = stop
 	h.mu.Unlock()
-	go h.heartbeatLoop(stop)
+	h.cfg.Clock.Go(func() { h.heartbeatLoop(stop) })
 }
 
 // StopHeartbeats halts sensor refreshes.
@@ -285,6 +285,7 @@ func (h *Home) StopHeartbeats() {
 	h.mu.Lock()
 	if h.hbStop != nil {
 		close(h.hbStop)
+		clock.Notify(h.cfg.Clock, h.hbStop)
 		h.hbStop = nil
 	}
 	h.mu.Unlock()
@@ -294,6 +295,7 @@ func (h *Home) heartbeatLoop(stop chan struct{}) {
 	ticker := h.cfg.Clock.NewTicker(h.cfg.SensorRefresh)
 	defer ticker.Stop()
 	for {
+		clock.Wait(h.cfg.Clock, stop, ticker.C())
 		select {
 		case <-stop:
 			return

@@ -7,6 +7,7 @@ import (
 	"sync"
 	"time"
 
+	"simba/internal/clock"
 	"simba/internal/email"
 )
 
@@ -55,7 +56,7 @@ func (h *Home) EnableRemoteControl(svc *email.Service, address string, authorize
 	for _, a := range authorized {
 		rc.authorized[strings.ToLower(a)] = true
 	}
-	go rc.run()
+	h.cfg.Clock.Go(rc.run)
 	return rc, nil
 }
 
@@ -80,6 +81,7 @@ func (rc *RemoteControl) Stop() {
 	case <-rc.stop:
 	default:
 		close(rc.stop)
+		clock.Notify(rc.home.cfg.Clock, rc.stop)
 	}
 }
 
@@ -87,6 +89,7 @@ func (rc *RemoteControl) run() {
 	ticker := rc.home.cfg.Clock.NewTicker(5 * time.Second)
 	defer ticker.Stop()
 	for {
+		clock.Wait(rc.home.cfg.Clock, rc.stop, rc.mb.Notify(), ticker.C())
 		select {
 		case <-rc.stop:
 			return

@@ -96,24 +96,20 @@ func TestGateBlocksWhileHungUnblocksOnKill(t *testing.T) {
 	f := newFixture(t)
 	app := f.launchIM(t, "buddy")
 	app.Hang()
-	errCh := make(chan error, 1)
-	go func() {
-		_, err := app.LoggedIn()
-		errCh <- err
-	}()
-	select {
-	case err := <-errCh:
+	var returned atomic.Bool
+	var err error
+	f.sim.Go(func() {
+		_, err = app.LoggedIn()
+		returned.Store(true)
+	})
+	f.sim.Advance(time.Hour)
+	if returned.Load() {
 		t.Fatalf("call completed on hung app: %v", err)
-	case <-time.After(20 * time.Millisecond):
 	}
 	app.Kill()
-	select {
-	case err := <-errCh:
-		if !errors.Is(err, ErrStaleHandle) {
-			t.Fatalf("err = %v, want ErrStaleHandle", err)
-		}
-	case <-time.After(time.Second):
-		t.Fatal("call still blocked after kill")
+	f.sim.Advance(0)
+	if !returned.Load() || !errors.Is(err, ErrStaleHandle) {
+		t.Fatalf("after kill: returned %v, err = %v, want ErrStaleHandle", returned.Load(), err)
 	}
 }
 
@@ -133,22 +129,20 @@ func TestModalDialogBlocksOwnerUntilClicked(t *testing.T) {
 	f := newFixture(t)
 	app := f.launchIM(t, "buddy")
 	f.machine.Desktop().PopDialog("Connection Error", []string{"OK"}, app.Proc, f.sim.Now())
-	done := make(chan struct{})
-	go func() {
+	var returned atomic.Bool
+	f.sim.Go(func() {
 		_, _ = app.LoggedIn()
-		close(done)
-	}()
-	select {
-	case <-done:
+		returned.Store(true)
+	})
+	f.sim.Advance(time.Hour)
+	if returned.Load() {
 		t.Fatal("call completed with modal dialog open")
-	case <-time.After(20 * time.Millisecond):
 	}
 	if !f.machine.Desktop().ClickButton("Connection Error", "OK") {
 		t.Fatal("ClickButton failed")
 	}
-	select {
-	case <-done:
-	case <-time.After(time.Second):
+	f.sim.Advance(0)
+	if !returned.Load() {
 		t.Fatal("call still blocked after dialog dismissed")
 	}
 	if len(f.machine.Desktop().Open()) != 0 {
@@ -221,7 +215,7 @@ func TestIMClientSendReceiveAck(t *testing.T) {
 	f.sim.Advance(time.Second)
 	select {
 	case <-buddy.Events():
-	case <-time.After(5 * time.Second):
+	default:
 		t.Fatal("no new-IM event")
 	}
 	msgs, err := buddy.FetchNew()
@@ -259,7 +253,7 @@ func TestIMClientEventLossLeavesUnread(t *testing.T) {
 		t.Fatal(err)
 	}
 	f.sim.Advance(time.Second)
-	waitFor(t, unread(buddy.UnreadCount))
+	wantUnread(t, buddy.UnreadCount)
 	select {
 	case <-buddy.Events():
 		t.Fatal("event arrived despite 100% loss")
@@ -311,7 +305,7 @@ func TestEmailClientRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	f.sim.Advance(time.Minute)
-	waitFor(t, unread(buddy.UnreadCount))
+	wantUnread(t, buddy.UnreadCount)
 	msgs, err := buddy.FetchNew()
 	if err != nil || len(msgs) != 1 || msgs[0].Subject != "subj" {
 		t.Fatalf("FetchNew = %+v, %v", msgs, err)
@@ -348,7 +342,7 @@ func TestEmailClientFetchSweepsMailboxOnEventLoss(t *testing.T) {
 	f.sim.Advance(time.Minute)
 	// Event was lost; a direct poll must still find the message
 	// (pending or still in mailbox).
-	waitFor(t, unread(app.UnreadCount))
+	wantUnread(t, app.UnreadCount)
 	msgs, err := app.FetchNew()
 	if err != nil || len(msgs) != 1 {
 		t.Fatalf("FetchNew = %d msgs, %v", len(msgs), err)
@@ -383,16 +377,18 @@ func TestMachineRebootTakesTimeAndClears(t *testing.T) {
 	app := f.launchIM(t, "buddy")
 	f.machine.Desktop().PopDialog("W", []string{"OK"}, nil, f.sim.Now())
 	var done atomic.Bool
-	go func() {
+	f.sim.Go(func() {
 		f.machine.Reboot(2 * time.Minute)
 		done.Store(true)
-	}()
-	waitFor(t, func() bool { return !app.Running() })
-	if done.Load() {
-		t.Fatal("reboot returned before boot time")
+	})
+	f.sim.Advance(time.Minute)
+	if app.Running() || done.Load() {
+		t.Fatal("reboot returned before boot time, or left the app running")
 	}
-	f.sim.Step(2 * time.Minute)
-	waitFor(t, done.Load)
+	f.sim.Advance(time.Minute)
+	if !done.Load() {
+		t.Fatal("reboot still running after its boot time")
+	}
 	if len(f.machine.Desktop().Open()) != 0 {
 		t.Fatal("dialogs survived reboot")
 	}
@@ -415,24 +411,11 @@ func TestProcStateString(t *testing.T) {
 	}
 }
 
-// unread is the waitFor condition "exactly one message has landed". Sim
-// runs a service's delivery callback as its own goroutine, so it can
-// trail Advance's return (it routinely does under -race).
-func unread(count func() (int, error)) func() bool {
-	return func() bool {
-		n, err := count()
-		return err == nil && n == 1
-	}
-}
-
-func waitFor(t *testing.T, cond func() bool) {
+// wantUnread fails unless exactly one message has landed.
+func wantUnread(t *testing.T, count func() (int, error)) {
 	t.Helper()
-	deadline := time.Now().Add(5 * time.Second)
-	for !cond() {
-		if time.Now().After(deadline) {
-			t.Fatal("condition not reached in time")
-		}
-		time.Sleep(time.Millisecond)
+	if n, err := count(); err != nil || n != 1 {
+		t.Fatalf("UnreadCount = %d, %v; want 1", n, err)
 	}
 }
 

@@ -69,8 +69,6 @@ func (s ProcState) String() string {
 	}
 }
 
-var pidCounter atomic.Int64
-
 // Proc is one running process instance. Client apps embed it.
 type Proc struct {
 	name    string
@@ -90,7 +88,7 @@ type Proc struct {
 func newProc(name string, m *Machine) *Proc {
 	p := &Proc{
 		name:     name,
-		pid:      pidCounter.Add(1),
+		pid:      m.pids.Add(1),
 		machine:  m,
 		state:    StateRunning,
 		wake:     make(chan struct{}),
@@ -171,6 +169,8 @@ func (p *Proc) terminate(final ProcState) {
 	p.state = final
 	close(p.dead)
 	close(p.wake)
+	clock.Notify(p.machine.clk, p.dead)
+	clock.Notify(p.machine.clk, p.wake)
 	p.wake = make(chan struct{})
 	p.mu.Unlock()
 	p.machine.unregister(p)
@@ -190,6 +190,7 @@ func (p *Proc) gate() error {
 		case p.state == StateHung || p.blockers > 0:
 			ch := p.wake
 			p.mu.Unlock()
+			clock.Wait(p.machine.clk, ch)
 			<-ch
 		default:
 			p.memoryMB += p.leakPerOp
@@ -213,6 +214,7 @@ func (p *Proc) removeBlocker() {
 	}
 	if p.blockers == 0 && p.state != StateCrashed && p.state != StateExited {
 		close(p.wake)
+		clock.Notify(p.machine.clk, p.wake)
 		p.wake = make(chan struct{})
 	}
 	p.mu.Unlock()
@@ -231,11 +233,10 @@ type Dialog struct {
 	owner *Proc
 }
 
-var dialogCounter atomic.Int64
-
 // Desktop is the machine's interactive screen: the place dialog boxes
 // appear and the surface the monkey thread scans.
 type Desktop struct {
+	ids     atomic.Int64 // the last Dialog.ID
 	mu      sync.Mutex
 	dialogs []*Dialog
 }
@@ -245,7 +246,7 @@ type Desktop struct {
 // until dismissed.
 func (d *Desktop) PopDialog(caption string, buttons []string, owner *Proc, now time.Time) *Dialog {
 	dlg := &Dialog{
-		ID:       dialogCounter.Add(1),
+		ID:       d.ids.Add(1),
 		Caption:  caption,
 		Buttons:  append([]string(nil), buttons...),
 		OpenedAt: now,
@@ -341,6 +342,7 @@ func hasButton(dlg *Dialog, button string) bool {
 type Machine struct {
 	clk     clock.Clock
 	desktop *Desktop
+	pids    atomic.Int64 // the last Proc's PID
 
 	mu       sync.Mutex
 	powered  bool

@@ -3,6 +3,7 @@ package automation
 import (
 	"sync"
 
+	"simba/internal/clock"
 	"simba/internal/dist"
 )
 
@@ -77,6 +78,7 @@ func (w *window[M]) UnreadCount() (int, error) {
 func (w *window[M]) stopPumpLocked() {
 	if w.pumpStop != nil {
 		close(w.pumpStop)
+		clock.Notify(w.machine.clk, w.pumpStop)
 		w.pumpStop = nil
 	}
 }
@@ -88,8 +90,10 @@ func pumpLocked[M, T any](w *window[M], src <-chan T, add func([]M, T) []M) {
 	w.stopPumpLocked()
 	stop := make(chan struct{})
 	w.pumpStop = stop
-	go func() {
+	clk := w.machine.clk
+	clk.Go(func() {
 		for {
+			clock.Wait(clk, stop, w.dead, src)
 			select {
 			case <-stop:
 				return
@@ -108,10 +112,11 @@ func pumpLocked[M, T any](w *window[M], src <-chan T, add func([]M, T) []M) {
 				if !lost {
 					select {
 					case w.events <- struct{}{}:
+						clock.Notify(clk, w.events)
 					default:
 					}
 				}
 			}
 		}
-	}()
+	})
 }

@@ -7,7 +7,8 @@
 // numbers against the wall clock would make the test suite take weeks,
 // so all components take a Clock and all latencies are measured in
 // virtual time. The Sim implementation advances time only when the
-// harness asks it to, firing timers in deadline order.
+// harness asks it to, firing timers in deadline order, and runs each
+// fired event to completion before the next (actor.go).
 package clock
 
 import "time"
@@ -25,6 +26,8 @@ type Clock interface {
 	NewTimer(d time.Duration) Timer
 	// AfterFunc schedules f to run in its own goroutine after d.
 	AfterFunc(d time.Duration, f func()) Timer
+	// Go runs f in a new goroutine: on a Sim, an actor (actor.go).
+	Go(f func())
 	// NewTicker returns a ticker that fires every d. d must be positive.
 	NewTicker(d time.Duration) Ticker
 	// Since returns the elapsed time since t.

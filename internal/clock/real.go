@@ -30,6 +30,9 @@ func (Real) AfterFunc(d time.Duration, f func()) Timer {
 	return realTimer{time.AfterFunc(d, f)}
 }
 
+// Go implements Clock.
+func (Real) Go(f func()) { go f() }
+
 // NewTicker implements Clock.
 func (Real) NewTicker(d time.Duration) Ticker { return realTicker{time.NewTicker(d)} }
 

@@ -1,35 +1,34 @@
 package clock
 
 import (
-	"container/heap"
-	"runtime"
+	"cmp"
+	"slices"
 	"sync"
 	"time"
 )
 
 // Sim is a discrete-event simulated Clock. Virtual time stands still
-// until the owner calls Advance (or AdvanceTo), which fires the pending
+// until the owner calls Advance, which fires the pending
 // timers whose deadlines fall inside the advanced window, in deadline
-// order. Between every fired event the Sim yields the processor several
-// times so that goroutines woken by the event can run and schedule
-// follow-up events before time moves past them. A driver moves time with
-// Step, RunFor, RunUntil or Drive, which also wait for those goroutines
-// to park (drive.go).
+// order, each run to completion (actor.go). RunFor, RunUntil and Drive
+// advance one stride at a time (drive.go).
 //
 // Sim is safe for concurrent use. Advance and the drivers must not be
 // called concurrently with themselves.
 type Sim struct {
-	mu      sync.Mutex
-	now     time.Time
-	queue   eventQueue
-	seq     uint64
-	waiters int
-	dump    []byte // the drivers' goroutine dump, reused
-}
+	mu    sync.Mutex
+	now   time.Time
+	queue []*timer // pending fires, by deadline, then by arming order
+	seq   uint64
 
-// settleRounds is how many scheduler yields follow each fired event
-// before the queue is re-examined.
-const settleRounds = 64
+	running bool            // an actor holds the baton: one is busy
+	runq    []chan struct{} // actors waiting for the baton, in wake order
+	actors  []uintptr       // live actors, by their functions' entries
+	parked  []*wait         // parked Waits, in parking order
+	quiet   sync.Cond       // on mu: no actor runs, or alarm rang
+	alarm   *time.Timer
+	closed  bool
+}
 
 var _ Clock = (*Sim)(nil)
 
@@ -44,7 +43,9 @@ func NewSim(start time.Time) *Sim {
 	if start.IsZero() {
 		start = defaultEpoch
 	}
-	return &Sim{now: start}
+	s := &Sim{now: start}
+	s.quiet.L = &s.mu
+	return s
 }
 
 // Now implements Clock.
@@ -57,14 +58,15 @@ func (s *Sim) Now() time.Time {
 // Since implements Clock.
 func (s *Sim) Since(t time.Time) time.Duration { return s.Now().Sub(t) }
 
-// Sleep implements Clock. It blocks until the virtual clock has
-// advanced by d. A non-positive d yields once and returns.
+// Sleep implements Clock. It parks the calling actor until the virtual
+// clock has advanced by d. A non-positive d returns at once.
 func (s *Sim) Sleep(d time.Duration) {
 	if d <= 0 {
-		runtime.Gosched()
 		return
 	}
-	<-s.After(d)
+	ch := s.After(d)
+	s.wait([]any{ch})
+	<-ch
 }
 
 // After implements Clock.
@@ -74,257 +76,122 @@ func (s *Sim) After(d time.Duration) <-chan time.Time {
 
 // NewTimer implements Clock.
 func (s *Sim) NewTimer(d time.Duration) Timer {
-	t := &simTimer{sim: s, ch: make(chan time.Time, 1)}
-	s.mu.Lock()
-	s.waiters++
-	t.ev = s.scheduleLocked(d, t.fire)
-	s.mu.Unlock()
-	return t
+	return s.arm(&timer{ch: make(chan time.Time, 1)}, d)
 }
 
-// AfterFunc implements Clock. f runs in its own goroutine, matching
+// AfterFunc implements Clock. f runs as an actor, matching
 // time.AfterFunc semantics.
 func (s *Sim) AfterFunc(d time.Duration, f func()) Timer {
-	t := &simTimer{sim: s, fn: f}
-	s.mu.Lock()
-	s.waiters++
-	t.ev = s.scheduleLocked(d, t.fire)
-	s.mu.Unlock()
-	return t
+	return s.arm(&timer{fn: f}, d)
 }
 
-// NewTicker implements Clock. The ticker reschedules itself inside the
-// clock, so ticks keep coming even if the consuming goroutine lags;
-// like time.Ticker, ticks are dropped rather than buffered when the
-// consumer is slow.
+// NewTicker implements Clock. The ticker re-arms inside the clock, so
+// ticks keep coming even if the consuming goroutine lags; like
+// time.Ticker, ticks are dropped rather than buffered when the consumer
+// is slow.
 func (s *Sim) NewTicker(d time.Duration) Ticker {
 	if d <= 0 {
 		panic("clock: non-positive ticker period")
 	}
-	t := &simTicker{sim: s, period: d, ch: make(chan time.Time, 1)}
-	s.mu.Lock()
-	s.waiters++
-	t.ev = s.scheduleLocked(d, t.fire)
-	s.mu.Unlock()
-	return t
+	return ticker{s.arm(&timer{ch: make(chan time.Time, 1), period: d}, d)}
 }
 
 // Waiters reports how many timers and tickers are currently pending.
 func (s *Sim) Waiters() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.waiters
+	return len(s.queue)
 }
 
 // Advance moves virtual time forward by d, firing every timer whose
-// deadline falls in the window, in deadline order.
+// deadline falls in the window, in deadline order, events the fired ones
+// schedule inside the window included. Before each event, and before it
+// returns, it waits until no actor is busy, so what an event woke has
+// run to its next wait when the next event fires.
 func (s *Sim) Advance(d time.Duration) {
-	s.AdvanceTo(s.Now().Add(d))
-}
-
-// AdvanceTo moves virtual time forward to target, firing every timer
-// whose deadline is at or before target, in deadline order. Events
-// scheduled by woken goroutines that also land inside the window are
-// fired in the same pass. AdvanceTo returns once the queue holds no
-// event at or before target and the clock reads target.
-func (s *Sim) AdvanceTo(target time.Time) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	target := s.now.Add(d)
 	for {
-		s.mu.Lock()
+		s.quietLocked()
 		if len(s.queue) == 0 || s.queue[0].when.After(target) {
 			if s.now.Before(target) {
 				s.now = target
 			}
-			s.mu.Unlock()
-			s.settle()
-			// A settled goroutine may have scheduled a new event inside
-			// the window; loop once more to catch it.
-			s.mu.Lock()
-			done := len(s.queue) == 0 || s.queue[0].when.After(target)
-			s.mu.Unlock()
-			if done {
-				return
-			}
+			return
+		}
+		t := s.queue[0]
+		s.queue = slices.Delete(s.queue, 0, 1)
+		s.now = t.when // never before now: armed at or after it
+		if t.period > 0 {
+			s.armLocked(t, t.period)
+		}
+		if t.fn != nil {
+			s.goLocked(t.fn)
 			continue
 		}
-		ev := heap.Pop(&s.queue).(*event)
-		if ev.when.After(s.now) {
-			s.now = ev.when
+		select {
+		case t.ch <- s.now:
+		default:
 		}
-		s.waiters--
-		fire := ev.fire
-		s.mu.Unlock()
-		fire(ev.when)
-		s.settle()
+		s.notifyLocked(t.ch)
 	}
 }
 
-// settle yields the processor repeatedly so goroutines woken by a fired
-// event get a chance to run and schedule their next timer before the
-// simulation advances further.
-func (s *Sim) settle() {
-	for range settleRounds {
-		runtime.Gosched()
-	}
+func (s *Sim) arm(t *timer, d time.Duration) *timer {
+	t.sim = s
+	t.Reset(d)
+	return t
 }
 
-// scheduleLocked inserts an event d from now. The caller holds s.mu.
-func (s *Sim) scheduleLocked(d time.Duration, fire func(time.Time)) *event {
-	if d < 0 {
-		d = 0
-	}
+// armLocked queues t's next fire d from now.
+func (s *Sim) armLocked(t *timer, d time.Duration) {
 	s.seq++
-	ev := &event{when: s.now.Add(d), seq: s.seq, fire: fire}
-	heap.Push(&s.queue, ev)
-	return ev
+	t.when, t.seq = s.now.Add(max(d, 0)), s.seq
+	i, _ := slices.BinarySearchFunc(s.queue, t, byDeadline)
+	s.queue = slices.Insert(s.queue, i, t)
 }
 
-// removeLocked removes ev from the queue if still pending, reporting
-// whether it was removed. The caller holds s.mu.
-func (s *Sim) removeLocked(ev *event) bool {
-	if ev.index < 0 {
-		return false
+// cancelLocked removes t's pending fire, reporting whether it had one.
+func (s *Sim) cancelLocked(t *timer) bool {
+	i, found := slices.BinarySearchFunc(s.queue, t, byDeadline)
+	if found {
+		s.queue = slices.Delete(s.queue, i, i+1)
 	}
-	heap.Remove(&s.queue, ev.index)
-	s.waiters--
-	return true
+	return found
 }
 
-// event is a scheduled timer firing.
-type event struct {
-	when  time.Time
-	seq   uint64 // tiebreak: earlier scheduled fires first
-	fire  func(time.Time)
-	index int // heap index; -1 once popped or removed
+func byDeadline(a, b *timer) int {
+	return cmp.Or(a.when.Compare(b.when), cmp.Compare(a.seq, b.seq))
 }
 
-type eventQueue []*event
-
-func (q eventQueue) Len() int { return len(q) }
-
-func (q eventQueue) Less(i, j int) bool {
-	if !q[i].when.Equal(q[j].when) {
-		return q[i].when.Before(q[j].when)
-	}
-	return q[i].seq < q[j].seq
+// timer is a Sim's Timer, AfterFunc or Ticker: a fire sends on ch, or
+// runs fn as an actor; a period re-arms it.
+type timer struct {
+	sim    *Sim
+	ch     chan time.Time
+	fn     func()
+	period time.Duration
+	when   time.Time // the pending or last fire
+	seq    uint64    // tiebreak: earlier armed fires first
 }
 
-func (q eventQueue) Swap(i, j int) {
-	q[i], q[j] = q[j], q[i]
-	q[i].index = i
-	q[j].index = j
-}
+func (t *timer) C() <-chan time.Time { return t.ch }
 
-func (q *eventQueue) Push(x any) {
-	ev := x.(*event)
-	ev.index = len(*q)
-	*q = append(*q, ev)
-}
-
-func (q *eventQueue) Pop() any {
-	old := *q
-	n := len(old)
-	ev := old[n-1]
-	old[n-1] = nil
-	ev.index = -1
-	*q = old[:n-1]
-	return ev
-}
-
-// simTimer implements Timer for Sim. Exactly one of ch and fn is set.
-type simTimer struct {
-	sim *Sim
-	ch  chan time.Time
-	fn  func()
-
-	mu sync.Mutex
-	ev *event
-}
-
-func (t *simTimer) C() <-chan time.Time { return t.ch }
-
-func (t *simTimer) fire(when time.Time) {
-	t.mu.Lock()
-	t.ev = nil
-	t.mu.Unlock()
-	if t.fn != nil {
-		go t.fn()
-		return
-	}
-	select {
-	case t.ch <- when:
-	default:
-	}
-}
-
-func (t *simTimer) Stop() bool {
+func (t *timer) Stop() bool {
 	t.sim.mu.Lock()
 	defer t.sim.mu.Unlock()
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if t.ev == nil {
-		return false
-	}
-	removed := t.sim.removeLocked(t.ev)
-	t.ev = nil
-	return removed
+	return t.sim.cancelLocked(t)
 }
 
-func (t *simTimer) Reset(d time.Duration) bool {
+func (t *timer) Reset(d time.Duration) bool {
 	t.sim.mu.Lock()
 	defer t.sim.mu.Unlock()
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	active := false
-	if t.ev != nil {
-		active = t.sim.removeLocked(t.ev)
-	}
-	t.sim.waiters++
-	t.ev = t.sim.scheduleLocked(d, t.fire)
+	active := t.sim.cancelLocked(t)
+	t.sim.armLocked(t, d)
 	return active
 }
 
-// simTicker implements Ticker for Sim.
-type simTicker struct {
-	sim    *Sim
-	period time.Duration
-	ch     chan time.Time
+type ticker struct{ *timer }
 
-	mu      sync.Mutex
-	ev      *event
-	stopped bool
-}
-
-func (t *simTicker) C() <-chan time.Time { return t.ch }
-
-func (t *simTicker) fire(when time.Time) {
-	select {
-	case t.ch <- when:
-	default:
-	}
-	// Reschedule inside the clock so periodic activity continues without
-	// requiring the consuming goroutine to run first.
-	t.sim.mu.Lock()
-	defer t.sim.mu.Unlock()
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if t.stopped {
-		return
-	}
-	t.sim.waiters++
-	t.ev = t.sim.scheduleLocked(t.period, t.fire)
-}
-
-func (t *simTicker) Stop() {
-	t.sim.mu.Lock()
-	defer t.sim.mu.Unlock()
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if t.stopped {
-		return
-	}
-	t.stopped = true
-	if t.ev != nil {
-		t.sim.removeLocked(t.ev)
-		t.ev = nil
-	}
-}
+func (t ticker) Stop() { t.timer.Stop() }

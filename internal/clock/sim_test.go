@@ -1,8 +1,8 @@
 package clock
 
 import (
+	"slices"
 	"sort"
-	"sync"
 	"sync/atomic"
 	"testing"
 	"testing/quick"
@@ -99,21 +99,19 @@ func TestSimAfterFuncRuns(t *testing.T) {
 		t.Fatal("AfterFunc ran early")
 	}
 	s.Advance(time.Second)
-	waitTrue(t, &ran)
+	if !ran.Load() {
+		t.Fatal("AfterFunc did not run by its deadline")
+	}
 }
 
 func TestSimSleepWakes(t *testing.T) {
 	s := NewSim(time.Time{})
 	var done atomic.Bool
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
+	s.Go(func() {
 		s.Sleep(3 * time.Second)
 		done.Store(true)
-	}()
-	s.Step(3 * time.Second)
-	wg.Wait()
+	})
+	s.Advance(3 * time.Second)
 	if !done.Load() {
 		t.Fatal("sleeper did not wake")
 	}
@@ -123,12 +121,10 @@ func TestSimTickerTicks(t *testing.T) {
 	s := NewSim(time.Time{})
 	tk := s.NewTicker(10 * time.Second)
 	var ticks atomic.Int32
-	var wg sync.WaitGroup
 	stop := make(chan struct{})
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
+	s.Go(func() {
 		for {
+			Wait(s, tk.C(), stop)
 			select {
 			case <-tk.C():
 				ticks.Add(1)
@@ -136,17 +132,20 @@ func TestSimTickerTicks(t *testing.T) {
 				return
 			}
 		}
-	}()
+	})
 	for i := 0; i < 5; i++ {
 		s.Advance(10 * time.Second)
 	}
-	got := ticks.Load()
-	if got < 4 || got > 5 {
-		t.Fatalf("got %d ticks over 50s of a 10s ticker, want 4-5", got)
+	if got := ticks.Load(); got != 5 {
+		t.Fatalf("got %d ticks over 50s of a 10s ticker, want 5", got)
 	}
 	tk.Stop()
 	close(stop)
-	wg.Wait()
+	Notify(s, stop)
+	s.Advance(0)
+	if s.Actors() != 0 {
+		t.Fatal("the consumer did not exit on stop")
+	}
 	before := ticks.Load()
 	s.Advance(time.Minute)
 	if ticks.Load() != before {
@@ -173,45 +172,24 @@ func TestSimTickerSelfReschedulesWithoutConsumer(t *testing.T) {
 
 func TestSimDeadlineOrdering(t *testing.T) {
 	s := NewSim(time.Time{})
-	var mu sync.Mutex
 	var order []int
 	for i, d := range []time.Duration{5 * time.Second, time.Second, 3 * time.Second} {
-		i := i
-		s.AfterFunc(d, func() {
-			mu.Lock()
-			order = append(order, i)
-			mu.Unlock()
-		})
+		s.AfterFunc(d, func() { order = append(order, i) })
 	}
 	s.Advance(10 * time.Second)
-	waitFor(t, func() bool { mu.Lock(); defer mu.Unlock(); return len(order) == 3 })
-	mu.Lock()
-	defer mu.Unlock()
-	want := []int{1, 2, 0}
-	for i := range want {
-		if order[i] != want[i] {
-			t.Fatalf("fire order %v, want %v", order, want)
-		}
+	if want := []int{1, 2, 0}; !slices.Equal(order, want) {
+		t.Fatalf("fire order %v, want %v", order, want)
 	}
 }
 
 func TestSimSameDeadlineFIFO(t *testing.T) {
 	s := NewSim(time.Time{})
-	var mu sync.Mutex
 	var order []int
 	for i := 0; i < 8; i++ {
-		i := i
-		s.AfterFunc(time.Second, func() {
-			mu.Lock()
-			order = append(order, i)
-			mu.Unlock()
-		})
+		s.AfterFunc(time.Second, func() { order = append(order, i) })
 	}
 	s.Advance(time.Second)
-	waitFor(t, func() bool { mu.Lock(); defer mu.Unlock(); return len(order) == 8 })
-	mu.Lock()
-	defer mu.Unlock()
-	if !sort.IntsAreSorted(order) {
+	if len(order) != 8 || !sort.IntsAreSorted(order) {
 		t.Fatalf("same-deadline events fired out of scheduling order: %v", order)
 	}
 }
@@ -221,16 +199,12 @@ func TestSimChainedTimersWithinOneAdvance(t *testing.T) {
 	// lands inside the window; one AdvanceTo must fire both.
 	s := NewSim(time.Time{})
 	var done atomic.Bool
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
+	s.Go(func() {
 		s.Sleep(time.Second)
 		s.Sleep(time.Second)
 		done.Store(true)
-	}()
-	s.Step(5 * time.Second)
-	wg.Wait()
+	})
+	s.Advance(5 * time.Second)
 	if !done.Load() {
 		t.Fatal("chained sleeper did not complete")
 	}
@@ -238,20 +212,14 @@ func TestSimChainedTimersWithinOneAdvance(t *testing.T) {
 
 func TestSimNowMonotonicDuringAdvance(t *testing.T) {
 	s := NewSim(time.Time{})
-	var mu sync.Mutex
 	var stamps []time.Time
 	for i := 1; i <= 20; i++ {
-		d := time.Duration(i) * time.Second
-		s.AfterFunc(d, func() {
-			mu.Lock()
-			stamps = append(stamps, s.Now())
-			mu.Unlock()
-		})
+		s.AfterFunc(time.Duration(i)*time.Second, func() { stamps = append(stamps, s.Now()) })
 	}
 	s.Advance(25 * time.Second)
-	waitFor(t, func() bool { mu.Lock(); defer mu.Unlock(); return len(stamps) == 20 })
-	mu.Lock()
-	defer mu.Unlock()
+	if len(stamps) != 20 {
+		t.Fatalf("%d of 20 callbacks ran", len(stamps))
+	}
 	for i := 1; i < len(stamps); i++ {
 		if stamps[i].Before(stamps[i-1]) {
 			t.Fatalf("Now() went backwards: %v after %v", stamps[i], stamps[i-1])
@@ -288,7 +256,6 @@ func TestSimAdvancePropertyAllTimersBeforeTargetFire(t *testing.T) {
 			delaysMs = delaysMs[:64]
 		}
 		s := NewSim(time.Time{})
-		start := s.Now()
 		window := time.Duration(windowMs) * time.Millisecond
 		fired := make([]atomic.Bool, len(delaysMs))
 		deadlines := make([]time.Duration, len(delaysMs))
@@ -298,25 +265,13 @@ func TestSimAdvancePropertyAllTimersBeforeTargetFire(t *testing.T) {
 			i := i
 			s.AfterFunc(d, func() { fired[i].Store(true) })
 		}
-		s.AdvanceTo(start.Add(window))
-		// AfterFunc goroutines are asynchronous; allow them to land.
-		deadline := time.Now().Add(2 * time.Second)
-		for {
-			ok := true
-			for i := range fired {
-				want := deadlines[i] <= window
-				if fired[i].Load() != want {
-					ok = false
-				}
-			}
-			if ok {
-				return true
-			}
-			if time.Now().After(deadline) {
+		s.Advance(window)
+		for i := range fired {
+			if fired[i].Load() != (deadlines[i] <= window) {
 				return false
 			}
-			time.Sleep(time.Millisecond)
 		}
+		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
@@ -343,24 +298,12 @@ func TestRealClockBasics(t *testing.T) {
 	case <-time.After(time.Second):
 		t.Fatal("real ticker did not tick")
 	}
-	var ran atomic.Bool
-	c.AfterFunc(time.Millisecond, func() { ran.Store(true) })
-	waitTrue(t, &ran)
-}
-
-func waitTrue(t *testing.T, b *atomic.Bool) {
-	t.Helper()
-	waitFor(t, b.Load)
-}
-
-func waitFor(t *testing.T, cond func() bool) {
-	t.Helper()
-	deadline := time.Now().Add(5 * time.Second)
-	for !cond() {
-		if time.Now().After(deadline) {
-			t.Fatal("condition not reached in time")
-		}
-		time.Sleep(time.Millisecond)
+	ran := make(chan struct{})
+	c.AfterFunc(time.Millisecond, func() { close(ran) })
+	select {
+	case <-ran:
+	case <-time.After(time.Second):
+		t.Fatal("real AfterFunc did not run")
 	}
 }
 
@@ -387,20 +330,6 @@ func TestSimAdvanceSplitProperty(t *testing.T) {
 				s.Advance(total - time.Duration(splitMs)*time.Millisecond)
 			} else {
 				s.Advance(total)
-			}
-			// Let AfterFunc goroutines land.
-			deadline := time.Now().Add(time.Second)
-			for {
-				done := true
-				for i, ms := range delaysMs {
-					if time.Duration(ms)*time.Millisecond <= total && !fired[i].Load() {
-						done = false
-					}
-				}
-				if done || time.Now().After(deadline) {
-					break
-				}
-				time.Sleep(time.Millisecond)
 			}
 			out := make([]bool, len(fired))
 			for i := range fired {
@@ -429,10 +358,6 @@ func TestSimTimerFiresOnceProperty(t *testing.T) {
 		s.AfterFunc(time.Duration(delayMs)*time.Millisecond, func() { fires.Add(1) })
 		for i := 0; i < int(extraAdvances%8)+2; i++ {
 			s.Advance(40 * time.Second)
-		}
-		deadline := time.Now().Add(time.Second)
-		for fires.Load() == 0 && time.Now().After(deadline) == false {
-			time.Sleep(time.Millisecond)
 		}
 		return fires.Load() == 1
 	}

@@ -143,9 +143,10 @@ func (m *Monkey) Start() {
 	m.stop = stop
 	m.mu.Unlock()
 	ticker := m.clk.NewTicker(m.period)
-	go func() {
+	m.clk.Go(func() {
 		defer ticker.Stop()
 		for {
+			clock.Wait(m.clk, stop, ticker.C())
 			select {
 			case <-stop:
 				return
@@ -153,7 +154,7 @@ func (m *Monkey) Start() {
 				m.Sweep()
 			}
 		}
-	}()
+	})
 }
 
 // Stop ends the periodic sweep.
@@ -161,6 +162,7 @@ func (m *Monkey) Stop() {
 	m.mu.Lock()
 	if m.stop != nil {
 		close(m.stop)
+		clock.Notify(m.clk, m.stop)
 		m.stop = nil
 	}
 	m.mu.Unlock()
@@ -179,12 +181,14 @@ func callTimeout[T any](clk clock.Clock, timeout time.Duration, op func() (T, er
 		err error
 	}
 	done := make(chan result, 1)
-	go func() {
+	clk.Go(func() {
 		v, err := op()
 		done <- result{v, err}
-	}()
+		clock.Notify(clk, done)
+	})
 	timer := clk.NewTimer(timeout)
 	defer timer.Stop()
+	clock.Wait(clk, done, timer.C())
 	select {
 	case r := <-done:
 		return r.val, r.err

@@ -153,30 +153,31 @@ func TestMonkeyPeriodicSweep(t *testing.T) {
 	monkey.Start() // idempotent
 	d.PopDialog("System Error", []string{"OK"}, nil, f.sim.Now())
 	f.sim.Advance(25 * time.Second)
-	waitFor(t, func() bool { return len(d.Open()) == 0 })
+	if n := len(d.Open()); n != 0 {
+		t.Fatalf("%d dialogs open after a sweep", n)
+	}
 }
 
 func TestCallTimeoutHangDetection(t *testing.T) {
 	f := newFixture(t)
 	block := make(chan struct{})
-	errCh := make(chan error, 1)
-	go func() {
-		_, err := callTimeout(f.sim, 10*time.Second, errOnly(func() error {
-			<-block
+	var err error
+	f.sim.Go(func() {
+		_, err = callTimeout(f.sim, 10*time.Second, errOnly(func() error {
+			clock.Wait(f.sim, block)
 			return nil
 		}))
-		errCh <- err
-	}()
-	f.sim.Step(11 * time.Second)
-	select {
-	case err := <-errCh:
-		if !errors.Is(err, ErrClientHung) {
-			t.Fatalf("err = %v", err)
-		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("callTimeout did not fire")
+	})
+	f.sim.Advance(11 * time.Second)
+	if !errors.Is(err, ErrClientHung) {
+		t.Fatalf("err = %v, want ErrClientHung", err)
 	}
 	close(block)
+	clock.Notify(f.sim, block)
+	f.sim.Advance(0)
+	if n := f.sim.Actors(); n != 0 {
+		t.Fatalf("%d actors live once the hung op returned, want 0", n)
+	}
 }
 
 func TestIMManagerSendAndFetch(t *testing.T) {
@@ -253,27 +254,13 @@ func TestOnLaunchHookRuns(t *testing.T) {
 	}
 }
 
-// awaitIM waits, in bounded real time, for m's client to raise its new-IM
-// event. The sim clock runs the IM hop's AfterFunc on a goroutine of its
-// own, and the client's pump moves the message into its window on
-// another: the yields after Advance do not guarantee either has run.
+// awaitIM fails unless m's client has raised its new-IM event.
 func awaitIM(t *testing.T, m *IMManager) {
 	t.Helper()
 	select {
 	case <-m.Events():
-	case <-time.After(5 * time.Second):
-		t.Fatal("no new-IM event in time")
-	}
-}
-
-func waitFor(t *testing.T, cond func() bool) {
-	t.Helper()
-	deadline := time.Now().Add(5 * time.Second)
-	for !cond() {
-		if time.Now().After(deadline) {
-			t.Fatal("condition not reached in time")
-		}
-		time.Sleep(time.Millisecond)
+	default:
+		t.Fatal("no new-IM event")
 	}
 }
 

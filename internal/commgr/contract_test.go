@@ -210,39 +210,42 @@ func TestManagerContract(t *testing.T) {
 				f := newFixture(t)
 				m := c.build(t, f, 3*time.Second)
 				var done atomic.Bool
-				go func() {
+				f.sim.Go(func() {
 					if err := m.Start(); err != nil {
 						t.Error(err)
 					}
 					done.Store(true)
-				}()
-				f.sim.Step(2 * time.Second)
+				})
+				f.sim.Advance(2 * time.Second)
 				if done.Load() {
 					t.Fatal("Start returned without consuming startup delay")
 				}
-				f.sim.Step(2 * time.Second)
-				waitFor(t, done.Load)
+				f.sim.Advance(2 * time.Second)
+				if !done.Load() {
+					t.Fatal("Start still running after its startup delay")
+				}
 				assertConnected(t, m)
 			})
 		}
 	})
 }
 
-// stepDuring runs op while the clock steps d and returns op's error. A
-// call the manager bounds by its call timeout has returned by then; one
-// still blocked a bounded real-time wait later fails the test.
+// stepDuring runs op as an actor while the clock advances d, and
+// returns op's error. A call the manager bounds by its call timeout has
+// returned by then.
 func stepDuring(t *testing.T, f *fixture, d time.Duration, op func() error) error {
 	t.Helper()
-	errCh := make(chan error, 1)
-	go func() { errCh <- op() }()
-	f.sim.Step(d)
-	select {
-	case err := <-errCh:
-		return err
-	case <-time.After(2 * time.Second):
+	var returned atomic.Bool
+	var err error
+	f.sim.Go(func() {
+		err = op()
+		returned.Store(true)
+	})
+	f.sim.Advance(d)
+	if !returned.Load() {
 		t.Fatal("call still blocked past its call timeout")
-		return nil
 	}
+	return err
 }
 
 func assertConnected(t *testing.T, m managed) {

@@ -102,60 +102,6 @@ func TestAckBeforeRegisterIsNotLost(t *testing.T) {
 	}
 }
 
-// TestEarlyAckTableBounds pins the early table's limits. Sequence
-// numbers restart at a re-login, so a reused (handle, seq) must not pick
-// up the old session's stray: an ack older than earlyAckTTL is not
-// claimed by a later registration of the same key, nor — inside the TTL
-// — is one that arrived before the registering block began. True strays
-// stay counted.
-func TestEarlyAckTableBounds(t *testing.T) {
-	sim := clock.NewSim(time.Unix(1000, 0))
-	acks := NewAcks(sim)
-	msg := func(seq uint64) im.Message { return im.Message{From: "user@im", Text: AckText(seq)} }
-	key := func(seq uint64) ackKey { return ackKey{handle: "user@im", seq: seq} }
-
-	blockStart := sim.Now()
-	acks.HandleIncoming(msg(1))
-	sim.Advance(earlyAckTTL + time.Millisecond)
-	stale := pendingAck{w: &waiter{}, name: "Pager IM"}
-	acks.register(key(1), stale, blockStart)
-	if stale.w.acked || acks.Pending() != 1 {
-		t.Fatalf("a stale early ack resolved a new wait (acked %v, pending %d)", stale.w.acked, acks.Pending())
-	}
-	if n := acks.Strays(); n != 1 {
-		t.Fatalf("strays = %d, want 1 (the expired ack)", n)
-	}
-
-	// Seq 2 is acknowledged late by the old session; a re-login reuses
-	// it well inside the TTL, in a block that began after the ack came.
-	acks.HandleIncoming(msg(2))
-	sim.Advance(earlyAckTTL / 4)
-	reused := pendingAck{w: &waiter{}, name: "Pager IM"}
-	acks.register(key(2), reused, sim.Now())
-	if reused.w.acked || acks.Pending() != 2 {
-		t.Fatalf("an ack from before the block began resolved its wait (acked %v, pending %d)", reused.w.acked, acks.Pending())
-	}
-	if n := acks.Strays(); n != 2 {
-		t.Fatalf("strays = %d, want 2", n)
-	}
-
-	// More strays than slots: the ring overwrites, the count does not.
-	for seq := uint64(100); seq < 100+2*earlyAckSlots; seq++ {
-		acks.HandleIncoming(msg(seq))
-	}
-	if n := acks.Strays(); n != 2+2*earlyAckSlots {
-		t.Fatalf("strays = %d, want %d", n, 2+2*earlyAckSlots)
-	}
-	fresh := pendingAck{w: &waiter{}, name: "Pager IM"}
-	acks.register(key(100+2*earlyAckSlots-1), fresh, blockStart) // newest entry: still in the ring
-	if !fresh.w.acked {
-		t.Fatal("a fresh early ack was not claimed")
-	}
-	if n := acks.Strays(); n != 1+2*earlyAckSlots {
-		t.Fatalf("strays = %d after a claim, want %d", n, 1+2*earlyAckSlots)
-	}
-}
-
 // TestPooledAckWaiterNoCrossTalk hammers the one hazard of reusing a
 // waiter: a late acknowledgement for wait n racing the scratch's
 // reuse for wait n+1. One scratch (on a poisoning wheel) runs waits

@@ -86,6 +86,7 @@ type waiter struct {
 	parked  bool
 	wake    func()        // the host's resume; nil signals ch
 	ch      chan struct{} // DeliverScratch's
+	clk     clock.Clock   // ch's, notified on a signal
 }
 
 func (w *waiter) arrive(name string, at time.Time) (resume bool) {
@@ -102,6 +103,7 @@ func (w *waiter) resume() {
 		return
 	}
 	w.ch <- struct{}{} // one per park, read once: never blocks
+	clock.Notify(w.clk, w.ch)
 }
 
 type earlyAck struct {
@@ -368,12 +370,13 @@ func (x *Executor) DeliverScratch(ctx DeliveryContext, a *alert.Alert, alertKey 
 		scr = NewScratch(nil)
 	}
 	if scr.w.ch == nil {
-		scr.w.ch = make(chan struct{}, 1)
+		scr.w.ch, scr.w.clk = make(chan struct{}, 1), x.clk
 	}
 	if err := x.Begin(ctx, a, alertKey, payload, reg, mode, scr, nil); err != nil {
 		return nil, err
 	}
 	for x.Step(scr) {
+		clock.Wait(x.clk, scr.w.ch)
 		<-scr.w.ch
 	}
 	return scr.Result()

@@ -76,7 +76,7 @@ func (d *DirectIM) Start() error {
 	d.stop = stop
 	d.mu.Unlock()
 	d.relogin() // best effort; keep-alive retries on failure
-	go d.run(stop)
+	d.clk.Go(func() { d.run(stop) })
 	return nil
 }
 
@@ -85,6 +85,7 @@ func (d *DirectIM) Stop() {
 	d.mu.Lock()
 	if d.stop != nil {
 		close(d.stop)
+		clock.Notify(d.clk, d.stop)
 		d.stop = nil
 	}
 	sess := d.sess
@@ -137,6 +138,7 @@ func (d *DirectIM) run(stop chan struct{}) {
 		if sess != nil {
 			inbox = sess.Inbox()
 		}
+		clock.Wait(d.clk, stop, inbox, ticker.C())
 		select {
 		case <-stop:
 			return

@@ -151,7 +151,7 @@ func (s *Service) Submit(from, to, subject, body string) error {
 	d := s.delay.Sample(s.rng)
 	s.clk.AfterFunc(d, func() {
 		msg.DeliveredAt = s.clk.Now()
-		mb.put(msg)
+		mb.put(s.clk, msg)
 	})
 	return nil
 }
@@ -176,12 +176,13 @@ type Mailbox struct {
 func (m *Mailbox) Address() string { return m.address }
 
 // put appends a delivered message and signals the new-mail event.
-func (m *Mailbox) put(msg Message) {
+func (m *Mailbox) put(clk clock.Clock, msg Message) {
 	m.mu.Lock()
 	m.msgs = append(m.msgs, msg)
 	m.mu.Unlock()
 	select {
 	case m.notify <- struct{}{}:
+		clock.Notify(clk, m.notify)
 	default:
 	}
 }

@@ -24,21 +24,6 @@ func newTestService(t *testing.T, lossP float64) (*Service, *clock.Sim) {
 	return svc, sim
 }
 
-// waitFor polls cond for a bounded stretch of real time. Sim runs a
-// delivery callback as its own goroutine, so a delivery can trail
-// Advance's return (it routinely does under -race); "has arrived"
-// assertions wait for it, "has not arrived yet" ones stay immediate.
-func waitFor(t *testing.T, cond func() bool) {
-	t.Helper()
-	deadline := time.Now().Add(5 * time.Second)
-	for !cond() {
-		if time.Now().After(deadline) {
-			t.Fatal("condition not reached in time")
-		}
-		time.Sleep(time.Millisecond)
-	}
-}
-
 func TestNewServiceValidation(t *testing.T) {
 	sim := clock.NewSim(time.Time{})
 	if _, err := NewService(Config{RNG: dist.NewRNG(1)}); err == nil {
@@ -88,7 +73,9 @@ func TestSubmitDeliversAfterDelay(t *testing.T) {
 		t.Fatal("delivered early")
 	}
 	sim.Advance(time.Second)
-	waitFor(t, func() bool { return mb.Len() == 1 })
+	if got := mb.Len(); got != 1 {
+		t.Fatalf("mb.Len() = %d, want 1", got)
+	}
 	msgs := mb.Fetch()
 	if len(msgs) != 1 {
 		t.Fatalf("got %d messages", len(msgs))
@@ -135,7 +122,9 @@ func TestSilentLoss(t *testing.T) {
 		}
 	}
 	sim.Advance(time.Minute)
-	waitFor(t, func() bool { return mb.Len()+svc.Lost() == n })
+	if got := mb.Len() + svc.Lost(); got != n {
+		t.Fatalf("mb.Len()+svc.Lost() = %d, want n", got)
+	}
 	delivered := mb.Len()
 	lost := svc.Lost()
 	if delivered+lost != n {
@@ -155,7 +144,9 @@ func TestNotifyCoalesces(t *testing.T) {
 		}
 	}
 	sim.Advance(time.Minute)
-	waitFor(t, func() bool { return mb.Len() == 3 })
+	if got := mb.Len(); got != 3 {
+		t.Fatalf("mb.Len() = %d, want 3", got)
+	}
 	select {
 	case <-mb.Notify():
 	default:
@@ -187,7 +178,9 @@ func TestPeekDoesNotDrain(t *testing.T) {
 		t.Fatal(err)
 	}
 	sim.Advance(time.Minute)
-	waitFor(t, func() bool { return mb.Len() == 1 })
+	if got := mb.Len(); got != 1 {
+		t.Fatalf("mb.Len() = %d, want 1", got)
+	}
 	if got := len(mb.Peek()); got != 1 {
 		t.Fatalf("Peek() = %d", got)
 	}
@@ -217,7 +210,9 @@ func TestDefaultDelayIsHeavyTailed(t *testing.T) {
 	sim.Advance(2 * time.Minute)
 	fast := len(mb.Fetch())
 	sim.Advance(48 * time.Hour)
-	waitFor(t, func() bool { return fast+mb.Len() == n })
+	if got := fast + mb.Len(); got != n {
+		t.Fatalf("fast+mb.Len() = %d, want n", got)
+	}
 	total := fast + mb.Len()
 	if total != n {
 		t.Fatalf("only %d of %d delivered after 48h", total, n)

@@ -134,10 +134,10 @@ func (u *User) Start() error {
 		}
 	}
 	if u.cfg.EmailService != nil && len(u.cfg.EmailAddresses) > 0 {
-		go u.emailLoop(stop)
+		u.cfg.Clock.Go(func() { u.emailLoop(stop) })
 	}
 	if u.phone != nil {
-		go u.smsLoop(stop)
+		u.cfg.Clock.Go(func() { u.smsLoop(stop) })
 	}
 	return nil
 }
@@ -147,6 +147,7 @@ func (u *User) Stop() {
 	u.mu.Lock()
 	if u.stop != nil {
 		close(u.stop)
+		clock.Notify(u.cfg.Clock, u.stop)
 		u.stop = nil
 	}
 	u.mu.Unlock()
@@ -217,6 +218,7 @@ func (u *User) emailLoop(stop chan struct{}) {
 	ticker := u.cfg.Clock.NewTicker(u.cfg.EmailCheckPeriod)
 	defer ticker.Stop()
 	for {
+		clock.Wait(u.cfg.Clock, stop, ticker.C())
 		select {
 		case <-stop:
 			return
@@ -244,6 +246,7 @@ func (u *User) emailLoop(stop chan struct{}) {
 // smsLoop models the user noticing SMS messages on the phone.
 func (u *User) smsLoop(stop chan struct{}) {
 	for {
+		clock.Wait(u.cfg.Clock, stop, u.phone.Notify())
 		select {
 		case <-stop:
 			return

@@ -39,21 +39,17 @@ func TestFlagLifecycle(t *testing.T) {
 
 func TestScheduleRunsInOrder(t *testing.T) {
 	sim := clock.NewSim(time.Time{})
-	var mu sync.Mutex
 	var got []string
 	s := NewSchedule().
-		At(3*time.Second, func() { mu.Lock(); got = append(got, "c"); mu.Unlock() }).
-		At(time.Second, func() { mu.Lock(); got = append(got, "a"); mu.Unlock() }).
-		At(2*time.Second, func() { mu.Lock(); got = append(got, "b"); mu.Unlock() })
+		At(3*time.Second, func() { got = append(got, "c") }).
+		At(time.Second, func() { got = append(got, "a") }).
+		At(2*time.Second, func() { got = append(got, "b") })
 	if s.Len() != 3 {
 		t.Fatalf("Len() = %d", s.Len())
 	}
 	s.Install(sim)
 	sim.Advance(5 * time.Second)
-	waitFor(t, func() bool { mu.Lock(); defer mu.Unlock(); return len(got) == 3 })
-	mu.Lock()
-	defer mu.Unlock()
-	if got[0] != "a" || got[1] != "b" || got[2] != "c" {
+	if len(got) != 3 || got[0] != "a" || got[1] != "b" || got[2] != "c" {
 		t.Fatalf("order = %v", got)
 	}
 }
@@ -76,9 +72,13 @@ func TestWindowTogglesFlag(t *testing.T) {
 		t.Fatal("flag active before window")
 	}
 	sim.Advance(10 * time.Second) // t=15s, inside window
-	waitFor(t, f.Active)
+	if !f.Active() {
+		t.Fatal("flag inactive inside window")
+	}
 	sim.Advance(30 * time.Second) // t=45s, after window
-	waitFor(t, func() bool { return !f.Active() })
+	if f.Active() {
+		t.Fatal("flag active after window")
+	}
 }
 
 func TestJournalCounts(t *testing.T) {
@@ -197,17 +197,6 @@ func TestJournalRingConcurrent(t *testing.T) {
 	wg.Wait()
 	if j.Len() != 800 || len(j.Entries()) != 16 || j.Dropped() != 800-16 {
 		t.Fatalf("Len=%d retained=%d dropped=%d", j.Len(), len(j.Entries()), j.Dropped())
-	}
-}
-
-func waitFor(t *testing.T, cond func() bool) {
-	t.Helper()
-	deadline := time.Now().Add(5 * time.Second)
-	for !cond() {
-		if time.Now().After(deadline) {
-			t.Fatal("condition not reached in time")
-		}
-		time.Sleep(time.Millisecond)
 	}
 }
 

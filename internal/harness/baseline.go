@@ -112,10 +112,10 @@ func runPolicy(tb *Testbed, reg *addr.Registry, mode *dmode.Mode, prefix string,
 			Created:  tb.Clock.Now(),
 		}
 		wg.Add(1)
-		go func() {
+		tb.Clock.Go(func() {
 			defer wg.Done()
 			_, _ = tb.Src.Engine.Deliver(a, reg, mode)
-		}()
+		})
 		// Space alerts 10 virtual seconds apart.
 		tb.Clock.RunFor(10*time.Second, 2*time.Second)
 	}

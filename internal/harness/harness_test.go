@@ -3,7 +3,7 @@ package harness
 import (
 	"errors"
 	"fmt"
-	"runtime"
+	"runtime/pprof"
 	"slices"
 	"strings"
 	"testing"
@@ -41,17 +41,9 @@ func TestTestbedStartsAndDelivers(t *testing.T) {
 // TestTestbedStopLeavesNoGateway: the testbed tears its world down
 // through the world's Close (internal/world's TestCloseStopsGateways
 // checks Close itself) — on Stop, and when a build step after the
-// user's phone fails — so no SMS gateway goroutine outlives it.
+// user's phone fails — so no actor, an SMS gateway or any other,
+// outlives it.
 func TestTestbedStopLeavesNoGateway(t *testing.T) {
-	gateways := func() int {
-		buf := make([]byte, 1<<20)
-		for {
-			if n := runtime.Stack(buf, true); n < len(buf) {
-				return strings.Count(string(buf[:n]), "sms.(*Bridge).run(")
-			}
-			buf = make([]byte, 2*len(buf))
-		}
-	}
 	tb, err := NewTestbed(Options{TempDir: t.TempDir()})
 	if err != nil {
 		t.Fatal(err)
@@ -59,22 +51,46 @@ func TestTestbedStopLeavesNoGateway(t *testing.T) {
 	if err := tb.Start(); err != nil {
 		t.Fatal(err)
 	}
-	if n := gateways(); n == 0 {
-		t.Fatal("no gateway goroutine while the testbed runs")
+	if n := tb.Clock.Actors(); n == 0 {
+		t.Fatal("no actor while the testbed runs")
 	}
 	tb.Stop()
-	if n := gateways(); n != 0 {
-		t.Fatalf("%d gateway goroutines left after Stop", n)
+	if n := tb.Clock.Actors(); n != 0 {
+		t.Fatalf("%d actors left after Stop", n)
 	}
 
 	steps := buildSteps
 	defer func() { buildSteps = steps }()
-	buildSteps = append(slices.Clip(steps), func(*Testbed) error { return errors.New("injected build failure") })
+	var failed *Testbed
+	buildSteps = append(slices.Clip(steps), func(tb *Testbed) error {
+		failed = tb
+		return errors.New("injected build failure")
+	})
 	if _, err := NewTestbed(Options{TempDir: t.TempDir()}); err == nil {
 		t.Fatal("a failing build step did not fail NewTestbed")
 	}
-	if n := gateways(); n != 0 {
-		t.Fatalf("%d gateway goroutines left after NewTestbed failed", n)
+	if n := failed.Clock.Actors(); n != 0 {
+		t.Fatalf("%d actors left after NewTestbed failed", n)
+	}
+}
+
+// TestExperimentsLeaveNoActors runs E1–E4 in one process: after each,
+// no goroutine is left parked on the dead testbed's clock (one still
+// finishing its exit may show the frame, but not parked).
+func TestExperimentsLeaveNoActors(t *testing.T) {
+	for _, e := range []func(string, int) (*Result, error){E1IMDelivery, E2ProxyRouting, E3Aladdin, E4WISH} {
+		if _, err := e(t.TempDir(), 2); err != nil {
+			t.Fatal(err)
+		}
+		var b strings.Builder
+		if err := pprof.Lookup("goroutine").WriteTo(&b, 2); err != nil {
+			t.Fatal(err)
+		}
+		for _, g := range strings.Split(b.String(), "\n\n") {
+			if strings.Contains(g, "[chan receive") && strings.Contains(g, "clock.(*Sim).wait(") {
+				t.Fatalf("a goroutine is parked on a stopped testbed's clock:\n%s", g)
+			}
+		}
 	}
 }
 
@@ -131,9 +147,23 @@ func TestE5ShortRun(t *testing.T) {
 	if testing.Short() {
 		t.Skip("month simulation in -short mode")
 	}
-	res, err := E5FaultMonth(t.TempDir(), 1)
+	res, journal, err := faultMonth(t.TempDir(), 2)
 	if err != nil {
 		t.Fatal(err)
+	}
+	// One seed, one run: a second run at the same size journals the
+	// same faults and recoveries, entry for entry.
+	_, again, err := faultMonth(t.TempDir(), 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(journal) != len(again) {
+		t.Fatalf("the two runs journaled %d and %d entries", len(journal), len(again))
+	}
+	for i := range journal {
+		if journal[i] != again[i] {
+			t.Fatalf("journal entry %d differs between two runs of one seed:\n  %v\n  %v", i, journal[i], again[i])
+		}
 	}
 	rows := rowMap(res)
 	if !strings.HasPrefix(rows["extended IM downtimes"], "5 ") {

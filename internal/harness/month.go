@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"simba/internal/automation"
+	"simba/internal/clock"
 	"simba/internal/faults"
 )
 
@@ -69,13 +70,19 @@ func defaultMonthPlan() monthPlan {
 // virtual time. days may be shortened for quick runs; the same fault
 // set is compressed into the window.
 func E5FaultMonth(tempDir string, days int) (*Result, error) {
+	res, _, err := faultMonth(tempDir, days)
+	return res, err
+}
+
+// faultMonth is E5FaultMonth, returning the run's fault journal too.
+func faultMonth(tempDir string, days int) (*Result, []faults.Entry, error) {
 	if days <= 0 {
 		days = 30
 	}
 	duration := time.Duration(days) * 24 * time.Hour
 	tb, err := NewTestbed(Options{TempDir: tempDir, StartMDC: true})
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	// Dialog faults re-pop on every relaunched IM client instance while
 	// a dialog window is active.
@@ -87,7 +94,7 @@ func E5FaultMonth(tempDir string, days int) (*Result, error) {
 		}
 	}
 	if err := tb.Start(); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	defer tb.Stop()
 
@@ -163,25 +170,11 @@ func E5FaultMonth(tempDir string, days int) (*Result, error) {
 	// Background alert traffic: one alert every 2 hours.
 	trafficPeriod := 2 * time.Hour
 	var sent atomic.Int64
-	trafficStop := make(chan struct{})
-	go func() {
-		ticker := tb.Clock.NewTicker(trafficPeriod)
-		defer ticker.Stop()
-		for {
-			select {
-			case <-trafficStop:
-				return
-			case <-ticker.C():
-				a := benchAlert(tb)
-				sent.Add(1)
-				go func() { _, _ = tb.Src.Target.Deliver(a) }()
-			}
-		}
-	}()
+	stopTraffic := tb.traffic(trafficPeriod, &sent)
 
 	// Run the month.
 	tb.Clock.RunFor(duration, time.Minute)
-	close(trafficStop)
+	stopTraffic()
 	tb.Clock.RunFor(10*time.Minute, time.Minute) // drain in-flight deliveries
 
 	downtimes := tb.Journal.Downtimes("im-service outage")
@@ -214,5 +207,30 @@ func E5FaultMonth(tempDir string, days int) (*Result, error) {
 		"all except during the 3 unrecovered failures",
 		fmt.Sprintf("%d/%d reached the user", tb.User.ReceiptCount(), sent.Load()), "")
 	res.AddNote("fault schedule compressed from the paper's month into %d day(s); counts are injections plus organic recoveries", days)
-	return res, nil
+	return res, tb.Journal.Entries(), nil
+}
+
+// traffic sends a benchAlert through the source every period, counting
+// it in sent, until the returned stop is called.
+func (tb *Testbed) traffic(period time.Duration, sent *atomic.Int64) (stop func()) {
+	done := make(chan struct{})
+	tb.Clock.Go(func() {
+		ticker := tb.Clock.NewTicker(period)
+		defer ticker.Stop()
+		for {
+			clock.Wait(tb.Clock, done, ticker.C())
+			select {
+			case <-done:
+				return
+			case <-ticker.C():
+				a := benchAlert(tb)
+				sent.Add(1)
+				tb.Clock.Go(func() { _, _ = tb.Src.Target.Deliver(a) })
+			}
+		}
+	})
+	return func() {
+		close(done)
+		clock.Notify(tb.Clock, done)
+	}
 }

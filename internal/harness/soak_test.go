@@ -96,24 +96,9 @@ func soakRandomFaults(tempDir string, seed int64, days int) (*soakResult, error)
 	sched.Install(tb.Clock)
 
 	var sent atomic.Int64
-	trafficStop := make(chan struct{})
-	go func() {
-		ticker := tb.Clock.NewTicker(time.Hour)
-		defer ticker.Stop()
-		for {
-			select {
-			case <-trafficStop:
-				return
-			case <-ticker.C():
-				a := benchAlert(tb)
-				sent.Add(1)
-				go func() { _, _ = tb.Src.Target.Deliver(a) }()
-			}
-		}
-	}()
-
+	stopTraffic := tb.traffic(time.Hour, &sent)
 	tb.Clock.RunFor(horizon, time.Minute)
-	close(trafficStop)
+	stopTraffic()
 	// Quiesce: let any ongoing recovery finish and stragglers deliver.
 	tb.Clock.RunFor(30*time.Minute, time.Minute)
 

@@ -256,6 +256,7 @@ func (s *Service) deliver(msg Message) {
 		msg.DeliveredAt = s.clk.Now()
 		select {
 		case sess.inbox <- msg:
+			clock.Notify(s.clk, sess.inbox)
 		default:
 			s.noteDrop()
 		}

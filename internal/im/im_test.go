@@ -100,10 +100,7 @@ func TestSendDeliversAfterHopDelay(t *testing.T) {
 		t.Fatal("delivered before hop delay")
 	default:
 	}
-	// Step to the hop's instant and no further: the delivery runs as its
-	// own goroutine and stamps the clock's time, which a longer step
-	// could have moved past before that goroutine ran.
-	sim.Step(300 * time.Millisecond)
+	sim.Advance(time.Second)
 	select {
 	case msg := <-bob.Inbox():
 		if msg.From != "alice" || msg.To != "bob" || msg.Text != "hello" || msg.Seq != 1 {
@@ -112,7 +109,7 @@ func TestSendDeliversAfterHopDelay(t *testing.T) {
 		if got := msg.DeliveredAt.Sub(sent); got != 300*time.Millisecond {
 			t.Fatalf("one-way latency = %v, want 300ms", got)
 		}
-	case <-time.After(5 * time.Second): // Sim runs the delivery as its own goroutine; it can trail Advance
+	default:
 		t.Fatal("message not delivered")
 	}
 }
@@ -155,7 +152,9 @@ func TestRecipientLogsOutMidFlight(t *testing.T) {
 	}
 	bob.Logout()
 	sim.Advance(time.Second)
-	waitFor(t, func() bool { return svc.Dropped() == 1 })
+	if got := svc.Dropped(); got != 1 {
+		t.Fatalf("svc.Dropped() = %d, want 1", got)
+	}
 	if got := svc.Dropped(); got != 1 {
 		t.Fatalf("Dropped() = %d, want 1", got)
 	}
@@ -193,7 +192,9 @@ func TestInFlightMessageDroppedByOutage(t *testing.T) {
 	}
 	svc.Outage().Set(true, sim.Now())
 	sim.Advance(time.Second)
-	waitFor(t, func() bool { return svc.Dropped() == 1 })
+	if got := svc.Dropped(); got != 1 {
+		t.Fatalf("svc.Dropped() = %d, want 1", got)
+	}
 	select {
 	case <-bob.Inbox():
 		t.Fatal("message delivered during outage")
@@ -277,24 +278,11 @@ func TestInboxOverflowDrops(t *testing.T) {
 		}
 	}
 	sim.Advance(time.Second)
-	waitFor(t, func() bool { return svc.Dropped() == 3 })
+	if got := svc.Dropped(); got != 3 {
+		t.Fatalf("svc.Dropped() = %d, want 3", got)
+	}
 	if got := svc.Dropped(); got != 3 {
 		t.Fatalf("Dropped() = %d, want 3", got)
-	}
-}
-
-// waitFor polls cond for a bounded stretch of real time. Sim runs a
-// delivery callback as its own goroutine, so a drop can trail Advance's
-// return (it routinely does under -race); "has happened" assertions
-// wait for it, "has not happened" ones stay immediate.
-func waitFor(t *testing.T, cond func() bool) {
-	t.Helper()
-	deadline := time.Now().Add(5 * time.Second)
-	for !cond() {
-		if time.Now().After(deadline) {
-			t.Fatal("condition not reached in time")
-		}
-		time.Sleep(time.Millisecond)
 	}
 }
 

@@ -428,9 +428,9 @@ func (s *Service) newIncarnation() (*incarnation, error) {
 	}
 
 	inc.stab.Start()
-	go inc.receiveLoop()
-	go inc.routeLoop()
-	go inc.watchProc()
+	inc.clk.Go(inc.receiveLoop)
+	inc.clk.Go(inc.routeLoop)
+	inc.clk.Go(inc.watchProc)
 	inc.scheduleNightlyRejuvenation()
 	return inc, nil
 }
@@ -529,6 +529,7 @@ func (inc *incarnation) replay() {
 		inc.svc.counters.Add1("replayed")
 		select {
 		case inc.routeQ <- &a:
+			clock.Notify(inc.clk, inc.routeQ)
 		default:
 			// Queue full: leave unprocessed for the next incarnation.
 			return
@@ -543,11 +544,12 @@ func (inc *incarnation) receiveLoop() {
 	defer poll.Stop()
 	for {
 		if inc.hung.Load() {
-			<-inc.exited
+			clock.Wait(inc.clk, inc.exited)
 			return
 		}
 		imEvents := inc.imMgr.Events()
 		emEvents := inc.emMgr.Events()
+		clock.Wait(inc.clk, inc.exited, imEvents, emEvents, poll.C())
 		select {
 		case <-inc.exited:
 			return
@@ -611,6 +613,7 @@ func (inc *incarnation) handleIMMessages() {
 		}
 		select {
 		case inc.routeQ <- &a:
+			clock.Notify(inc.clk, inc.routeQ)
 		default:
 			inc.svc.counters.Add1("route-queue-full")
 		}
@@ -650,6 +653,7 @@ func (inc *incarnation) handleEmailMessages() {
 		}
 		select {
 		case inc.routeQ <- a:
+			clock.Notify(inc.clk, inc.routeQ)
 		default:
 			inc.svc.counters.Add1("route-queue-full")
 		}
@@ -662,9 +666,10 @@ func (inc *incarnation) routeLoop() {
 	defer beat.Stop()
 	for {
 		if inc.hung.Load() {
-			<-inc.exited
+			clock.Wait(inc.clk, inc.exited)
 			return
 		}
+		clock.Wait(inc.clk, inc.exited, beat.C(), inc.routeQ)
 		select {
 		case <-inc.exited:
 			return
@@ -738,6 +743,7 @@ func (inc *incarnation) watchProc() {
 	ticker := inc.clk.NewTicker(5 * time.Second)
 	defer ticker.Stop()
 	for {
+		clock.Wait(inc.clk, inc.exited, ticker.C())
 		select {
 		case <-inc.exited:
 			return
@@ -798,6 +804,7 @@ func (inc *incarnation) terminate(reason string) {
 	inc.stopOnce.Do(func() {
 		inc.journal(faults.KindDaemonRestart, "incarnation terminating: %s", reason)
 		close(inc.exited)
+		clock.Notify(inc.clk, inc.exited)
 		if inc.rejuvTimer != nil {
 			inc.rejuvTimer.Stop()
 		}

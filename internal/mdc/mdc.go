@@ -123,7 +123,7 @@ func (c *Controller) Start() {
 	stop := make(chan struct{})
 	c.stop = stop
 	c.mu.Unlock()
-	go c.run(stop)
+	c.cfg.Clock.Go(func() { c.run(stop) })
 }
 
 // Stop ends supervision and kills the daemon.
@@ -135,6 +135,7 @@ func (c *Controller) Stop() {
 	}
 	c.running = false
 	close(c.stop)
+	clock.Notify(c.cfg.Clock, c.stop)
 	c.mu.Unlock()
 }
 
@@ -189,6 +190,7 @@ func (c *Controller) superviseIncarnation(stop chan struct{}) bool {
 	ticker := clk.NewTicker(c.cfg.ProbePeriod)
 	defer ticker.Stop()
 	for {
+		clock.Wait(clk, stop, exited, ticker.C())
 		select {
 		case <-stop:
 			c.cfg.Daemon.Kill()
@@ -203,6 +205,7 @@ func (c *Controller) superviseIncarnation(stop chan struct{}) bool {
 			c.journal(faults.KindDaemonRestart, "AreYouWorking probe failed; killing and restarting daemon")
 			c.cfg.Daemon.Kill()
 			// Wait for termination so the next Start is clean.
+			clock.Wait(clk, exited, stop)
 			select {
 			case <-exited:
 			case <-stop:
@@ -217,10 +220,15 @@ func (c *Controller) superviseIncarnation(stop chan struct{}) bool {
 // (a goroutine) to invoke AreYouWorking inside the daemon, and wait
 // for the reply event no longer than ReplyTimeout.
 func (c *Controller) probe(exited <-chan struct{}) bool {
+	clk := c.cfg.Clock
 	reply := make(chan bool, 1)
-	go func() { reply <- c.cfg.Daemon.AreYouWorking() }()
-	timer := c.cfg.Clock.NewTimer(c.cfg.ReplyTimeout)
+	clk.Go(func() {
+		reply <- c.cfg.Daemon.AreYouWorking()
+		clock.Notify(clk, reply)
+	})
+	timer := clk.NewTimer(c.cfg.ReplyTimeout)
 	defer timer.Stop()
+	clock.Wait(clk, reply, timer.C(), exited)
 	select {
 	case ok := <-reply:
 		return ok
@@ -236,6 +244,7 @@ func (c *Controller) probe(exited <-chan struct{}) bool {
 func (c *Controller) sleepInterruptible(stop chan struct{}, d time.Duration) bool {
 	timer := c.cfg.Clock.NewTimer(d)
 	defer timer.Stop()
+	clock.Wait(c.cfg.Clock, stop, timer.C())
 	select {
 	case <-stop:
 		c.cfg.Daemon.Kill()

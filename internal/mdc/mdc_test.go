@@ -12,6 +12,7 @@ import (
 
 // fakeDaemon is a controllable Daemon implementation.
 type fakeDaemon struct {
+	clk        clock.Clock
 	mu         sync.Mutex
 	startErr   error
 	startCount int
@@ -21,8 +22,8 @@ type fakeDaemon struct {
 	healthy    bool // AreYouWorking return value when not hung
 }
 
-func newFakeDaemon() *fakeDaemon {
-	return &fakeDaemon{healthy: true}
+func newFakeDaemon(clk clock.Clock) *fakeDaemon {
+	return &fakeDaemon{clk: clk, healthy: true}
 }
 
 func (d *fakeDaemon) Start() error {
@@ -54,6 +55,7 @@ func (d *fakeDaemon) dieLocked() {
 	if d.alive {
 		d.alive = false
 		close(d.exited)
+		clock.Notify(d.clk, d.exited)
 	}
 }
 
@@ -95,7 +97,7 @@ func (d *fakeDaemon) AreYouWorking() bool {
 	healthy := d.healthy
 	d.mu.Unlock()
 	if hung {
-		<-exited // blocks until killed
+		clock.Wait(d.clk, exited) // blocks until killed
 		return false
 	}
 	return healthy
@@ -130,7 +132,7 @@ func TestNewValidation(t *testing.T) {
 
 func TestStartLaunchesDaemon(t *testing.T) {
 	sim := clock.NewSim(time.Time{})
-	d := newFakeDaemon()
+	d := newFakeDaemon(sim)
 	c := newController(t, sim, d, nil, nil)
 	c.Start()
 	defer c.Stop()
@@ -145,7 +147,7 @@ func TestStartLaunchesDaemon(t *testing.T) {
 
 func TestRestartAfterTermination(t *testing.T) {
 	sim := clock.NewSim(time.Time{})
-	d := newFakeDaemon()
+	d := newFakeDaemon(sim)
 	j := &faults.Journal{}
 	c := newController(t, sim, d, j, nil)
 	c.Start()
@@ -167,7 +169,7 @@ func TestRestartAfterTermination(t *testing.T) {
 
 func TestHungDaemonKilledAndRestarted(t *testing.T) {
 	sim := clock.NewSim(time.Time{})
-	d := newFakeDaemon()
+	d := newFakeDaemon(sim)
 	j := &faults.Journal{}
 	c := newController(t, sim, d, j, nil)
 	c.Start()
@@ -187,7 +189,7 @@ func TestHungDaemonKilledAndRestarted(t *testing.T) {
 
 func TestUnhealthyReplyTriggersRestart(t *testing.T) {
 	sim := clock.NewSim(time.Time{})
-	d := newFakeDaemon()
+	d := newFakeDaemon(sim)
 	c := newController(t, sim, d, nil, nil)
 	c.Start()
 	defer c.Stop()
@@ -204,7 +206,7 @@ func TestUnhealthyReplyTriggersRestart(t *testing.T) {
 
 func TestHealthyDaemonNotRestarted(t *testing.T) {
 	sim := clock.NewSim(time.Time{})
-	d := newFakeDaemon()
+	d := newFakeDaemon(sim)
 	c := newController(t, sim, d, nil, nil)
 	c.Start()
 	defer c.Stop()
@@ -220,7 +222,7 @@ func TestHealthyDaemonNotRestarted(t *testing.T) {
 
 func TestRebootAfterRepeatedStartFailures(t *testing.T) {
 	sim := clock.NewSim(time.Time{})
-	d := newFakeDaemon()
+	d := newFakeDaemon(sim)
 	d.setStartErr(errors.New("no power"))
 	j := &faults.Journal{}
 	var mu sync.Mutex
@@ -254,7 +256,7 @@ func TestRebootAfterRepeatedStartFailures(t *testing.T) {
 
 func TestStopKillsDaemon(t *testing.T) {
 	sim := clock.NewSim(time.Time{})
-	d := newFakeDaemon()
+	d := newFakeDaemon(sim)
 	c := newController(t, sim, d, nil, nil)
 	c.Start()
 	if !sim.RunUntil(func() bool { return d.isAlive() }, time.Second, time.Hour) {
@@ -262,16 +264,8 @@ func TestStopKillsDaemon(t *testing.T) {
 	}
 	c.Stop()
 	c.Stop() // idempotent
-	waitForReal(t, func() bool { return !d.isAlive() })
-}
-
-func waitForReal(t *testing.T, cond func() bool) {
-	t.Helper()
-	deadline := time.Now().Add(5 * time.Second)
-	for !cond() {
-		if time.Now().After(deadline) {
-			t.Fatal("condition not reached in time")
-		}
-		time.Sleep(time.Millisecond)
+	sim.Advance(0)
+	if d.isAlive() {
+		t.Fatal("Stop left the daemon alive")
 	}
 }

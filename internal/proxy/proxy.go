@@ -102,7 +102,7 @@ func (p *Proxy) AddMonitor(m Monitor) error {
 	p.monitors = append(p.monitors, st)
 	p.mu.Unlock()
 	if running != nil {
-		go p.poll(st, running)
+		p.clk.Go(func() { p.poll(st, running) })
 	}
 	return nil
 }
@@ -126,7 +126,7 @@ func (p *Proxy) Start() {
 	monitors := append([]*monitorState(nil), p.monitors...)
 	p.mu.Unlock()
 	for _, st := range monitors {
-		go p.poll(st, stop)
+		p.clk.Go(func() { p.poll(st, stop) })
 	}
 }
 
@@ -135,6 +135,7 @@ func (p *Proxy) Stop() {
 	p.mu.Lock()
 	if p.stop != nil {
 		close(p.stop)
+		clock.Notify(p.clk, p.stop)
 		p.stop = nil
 	}
 	p.mu.Unlock()
@@ -145,6 +146,7 @@ func (p *Proxy) poll(st *monitorState, stop chan struct{}) {
 	ticker := p.clk.NewTicker(st.PollEvery)
 	defer ticker.Stop()
 	for {
+		clock.Wait(p.clk, stop, ticker.C())
 		select {
 		case <-stop:
 			return

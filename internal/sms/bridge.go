@@ -48,7 +48,7 @@ func AttachGateway(clk clock.Clock, emailSvc *email.Service, carrier *Carrier, n
 		stop:    make(chan struct{}),
 		exited:  make(chan struct{}),
 	}
-	go b.run()
+	clk.Go(b.run)
 	return b, nil
 }
 
@@ -62,6 +62,7 @@ func (b *Bridge) Stop() {
 	case <-b.stop:
 	default:
 		close(b.stop)
+		clock.Notify(b.clk, b.stop)
 	}
 	<-b.exited
 }
@@ -72,6 +73,7 @@ func (b *Bridge) run() {
 	ticker := b.clk.NewTicker(5 * time.Second)
 	defer ticker.Stop()
 	for {
+		clock.Wait(b.clk, b.stop, b.mb.Notify(), ticker.C())
 		select {
 		case <-b.stop:
 			return

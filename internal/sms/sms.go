@@ -157,7 +157,7 @@ func (c *Carrier) Send(from, toNumber, text string) error {
 			return
 		}
 		msg.DeliveredAt = c.clk.Now()
-		p.put(msg)
+		p.put(c.clk, msg)
 	})
 	return nil
 }
@@ -205,12 +205,13 @@ func (p *Phone) SetCovered(covered bool) {
 	p.mu.Unlock()
 }
 
-func (p *Phone) put(msg Message) {
+func (p *Phone) put(clk clock.Clock, msg Message) {
 	p.mu.Lock()
 	p.msgs = append(p.msgs, msg)
 	p.mu.Unlock()
 	select {
 	case p.notify <- struct{}{}:
+		clock.Notify(clk, p.notify)
 	default:
 	}
 }

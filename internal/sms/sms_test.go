@@ -24,21 +24,6 @@ func newTestCarrier(t *testing.T, lossP float64) (*Carrier, *clock.Sim) {
 	return c, sim
 }
 
-// waitFor polls cond for a bounded stretch of real time. Sim runs a
-// delivery callback as its own goroutine, so a delivery can trail
-// Advance's return (it routinely does under -race); "has arrived"
-// assertions wait for it, "has not arrived yet" ones stay immediate.
-func waitFor(t *testing.T, cond func() bool) {
-	t.Helper()
-	deadline := time.Now().Add(5 * time.Second)
-	for !cond() {
-		if time.Now().After(deadline) {
-			t.Fatal("condition not reached in time")
-		}
-		time.Sleep(time.Millisecond)
-	}
-}
-
 func TestGatewayAddress(t *testing.T) {
 	if got := GatewayAddress("5551234"); got != "5551234@sms.sim" {
 		t.Fatalf("GatewayAddress = %q", got)
@@ -91,7 +76,9 @@ func TestSendDelivers(t *testing.T) {
 		t.Fatal("delivered early")
 	}
 	sim.Advance(time.Second)
-	waitFor(t, func() bool { return p.Len() == 1 })
+	if got := p.Len(); got != 1 {
+		t.Fatalf("p.Len() = %d, want 1", got)
+	}
 	msgs := p.Fetch()
 	if len(msgs) != 1 {
 		t.Fatalf("got %d messages", len(msgs))
@@ -137,7 +124,9 @@ func TestCoverageGapDropsAtDelivery(t *testing.T) {
 	}
 	p.SetCovered(false)
 	sim.Advance(time.Minute)
-	waitFor(t, func() bool { return c.Lost() == 1 })
+	if got := c.Lost(); got != 1 {
+		t.Fatalf("c.Lost() = %d, want 1", got)
+	}
 	if p.Len() != 0 {
 		t.Fatal("delivered without coverage")
 	}
@@ -149,7 +138,9 @@ func TestCoverageGapDropsAtDelivery(t *testing.T) {
 		t.Fatal(err)
 	}
 	sim.Advance(time.Minute)
-	waitFor(t, func() bool { return p.Len() == 1 })
+	if got := p.Len(); got != 1 {
+		t.Fatalf("p.Len() = %d, want 1", got)
+	}
 	if p.Len() != 1 {
 		t.Fatal("not delivered after coverage restored")
 	}
@@ -165,7 +156,9 @@ func TestSilentLossAccounting(t *testing.T) {
 		}
 	}
 	sim.Advance(time.Minute)
-	waitFor(t, func() bool { return p.Len()+c.Lost() == n })
+	if got := p.Len() + c.Lost(); got != n {
+		t.Fatalf("p.Len()+c.Lost() = %d, want n", got)
+	}
 	if got := p.Len() + c.Lost(); got != n {
 		t.Fatalf("delivered+lost = %d, want %d", got, n)
 	}

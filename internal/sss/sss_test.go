@@ -162,7 +162,7 @@ func TestExpiryAfterMissedRefreshes(t *testing.T) {
 	mustWrite(t, s, sensorSpec().Name, "OFF")
 	// Keep refreshing: no expiry.
 	for i := 0; i < 5; i++ {
-		sim.Step(10 * time.Second)
+		sim.Advance(10 * time.Second)
 		if err := s.Refresh(sensorSpec().Name); err != nil {
 			t.Fatal(err)
 		}
@@ -171,15 +171,14 @@ func TestExpiryAfterMissedRefreshes(t *testing.T) {
 		t.Fatal("refreshed variable expired")
 	}
 	// Stop refreshing: expires at +30s.
-	sim.Step(29 * time.Second)
+	sim.Advance(29 * time.Second)
 	if expired, _ := s.Expired(sensorSpec().Name); expired {
 		t.Fatal("expired before the deadline")
 	}
 	sim.Advance(2 * time.Second)
-	waitFor(t, func() bool {
-		expired, _ := s.Expired(sensorSpec().Name)
-		return expired
-	})
+	if expired, _ := s.Expired(sensorSpec().Name); !expired {
+		t.Fatal("not expired past the deadline")
+	}
 	if _, err := s.Read(sensorSpec().Name); !errors.Is(err, ErrExpired) {
 		t.Fatalf("Read after expiry = %v", err)
 	}
@@ -217,10 +216,9 @@ func TestMulticastReplication(t *testing.T) {
 	mustWrite(t, stores[0], sensorSpec().Name, "ON")
 	sim.Advance(time.Second)
 	for _, s := range stores[1:] {
-		waitFor(t, func() bool {
-			v, err := s.Read(sensorSpec().Name)
-			return err == nil && v == "ON"
-		})
+		if v, err := s.Read(sensorSpec().Name); err != nil || v != "ON" {
+			t.Fatalf("replica reads %q, %v; want ON", v, err)
+		}
 	}
 	if mc.Sent() != 2 {
 		t.Fatalf("Sent = %d", mc.Sent())
@@ -248,7 +246,9 @@ func TestMulticastEventAtGateway(t *testing.T) {
 	}
 	mustWrite(t, pc, "home/security/armed", "false")
 	sim.Advance(time.Second)
-	waitFor(t, func() bool { return len(log.kinds()) == 1 })
+	if got := len(log.kinds()); got != 1 {
+		t.Fatalf("len(log.kinds()) = %d, want 1", got)
+	}
 	log.mu.Lock()
 	defer log.mu.Unlock()
 	ev := log.events[0]
@@ -273,16 +273,15 @@ func TestMulticastLossToleratedByRefresh(t *testing.T) {
 	// Repeated refreshes eventually get one through.
 	mustWrite(t, src, "v", "x")
 	for i := 0; i < 20; i++ {
-		sim.Step(time.Second)
+		sim.Advance(time.Second)
 		if err := src.Refresh("v"); err != nil {
 			t.Fatal(err)
 		}
 	}
 	sim.Advance(time.Second)
-	waitFor(t, func() bool {
-		v, err := dst.Read("v")
-		return err == nil && v == "x"
-	})
+	if v, err := dst.Read("v"); err != nil || v != "x" {
+		t.Fatalf("dst reads %q, %v; want x", v, err)
+	}
 	if mc.Lost() == 0 {
 		t.Fatal("no losses at p=0.5")
 	}
@@ -322,12 +321,12 @@ func TestExpiryDeadlineProperty(t *testing.T) {
 		}
 		deadline := r * time.Duration(mm+1)
 		// Just before the deadline: alive.
-		sim.Step(deadline - time.Millisecond)
+		sim.Advance(deadline - time.Millisecond)
 		if expired, _ := s.Expired("v"); expired {
 			return false
 		}
 		// Just after: expired.
-		sim.Step(2 * time.Millisecond)
+		sim.Advance(2 * time.Millisecond)
 		expired, _ := s.Expired("v")
 		return expired
 	}
@@ -340,16 +339,5 @@ func mustWrite(t *testing.T, s *Store, name, value string) {
 	t.Helper()
 	if err := s.Write(name, value); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func waitFor(t *testing.T, cond func() bool) {
-	t.Helper()
-	deadline := time.Now().Add(5 * time.Second)
-	for !cond() {
-		if time.Now().After(deadline) {
-			t.Fatal("condition not reached in time")
-		}
-		time.Sleep(time.Millisecond)
 	}
 }

@@ -130,7 +130,7 @@ func (s *Stabilizer) Start() {
 	s.running.Add(len(checks))
 	s.mu.Unlock()
 	for _, e := range checks {
-		go s.runCheck(e, stop)
+		s.clk.Go(func() { s.runCheck(e, stop) })
 	}
 }
 
@@ -142,6 +142,7 @@ func (s *Stabilizer) Stop() {
 	s.mu.Lock()
 	if s.started && s.stop != nil {
 		close(s.stop)
+		clock.Notify(s.clk, s.stop)
 		s.stop = nil
 		s.started = false
 	}
@@ -199,6 +200,7 @@ func (s *Stabilizer) runCheck(e *entry, stop chan struct{}) {
 	ticker := s.clk.NewTicker(e.Period)
 	defer ticker.Stop()
 	for {
+		clock.Wait(s.clk, stop, ticker.C())
 		select {
 		case <-stop:
 			return

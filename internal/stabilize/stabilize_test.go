@@ -273,11 +273,11 @@ func TestStopHaltsChecks(t *testing.T) {
 	var runs atomic.Int64
 	mustRegister(t, s, Check{Name: "c", Period: time.Second, Fn: func() error { runs.Add(1); return nil }})
 	s.Start()
-	sim.Step(5 * time.Second)
+	sim.Advance(5 * time.Second)
 	s.Stop()
 	s.Stop() // idempotent
 	before := runs.Load()
-	sim.Step(time.Minute)
+	sim.Advance(time.Minute)
 	if runs.Load() != before {
 		t.Fatal("check ran after Stop")
 	}
@@ -293,7 +293,7 @@ func TestWaitHoldsUntilChecksAreGone(t *testing.T) {
 	release := make(chan struct{})
 	mustRegister(t, s, Check{Name: "slow", Period: time.Second, Fn: func() error {
 		entered.Store(true)
-		<-release
+		clock.Wait(sim, release)
 		return nil
 	}})
 	mustRegister(t, s, Check{Name: "idle", Period: time.Hour, Fn: func() error { return nil }})
@@ -304,12 +304,14 @@ func TestWaitHoldsUntilChecksAreGone(t *testing.T) {
 	s.Stop() // must not wait for the check blocked in Fn
 	waited := make(chan struct{})
 	go func() { s.Wait(); close(waited) }()
+	sim.Advance(time.Second)
 	select {
 	case <-waited:
 		t.Fatal("Wait returned while a check was still inside Fn")
 	case <-time.After(20 * time.Millisecond):
 	}
 	close(release)
+	clock.Notify(sim, release)
 	select {
 	case <-waited:
 	case <-time.After(10 * time.Second):

@@ -114,11 +114,11 @@ func TestScheduleUpdate(t *testing.T) {
 	site, _ := w.CreateSite("s")
 	site.SetContent("p", "before", sim.Now())
 	site.ScheduleUpdate(sim, time.Minute, "p", "after")
-	sim.Step(59 * time.Second)
+	sim.Advance(59 * time.Second)
 	if site.Version("p") != 1 {
 		t.Fatal("update fired early")
 	}
-	sim.Step(2 * time.Second)
+	sim.Advance(2 * time.Second)
 	if site.Version("p") != 2 {
 		t.Fatal("scheduled update never fired")
 	}

@@ -463,10 +463,11 @@ func (c *Client) Start() {
 	stop := make(chan struct{})
 	c.stop = stop
 	c.mu.Unlock()
-	go func() {
+	c.clk.Go(func() {
 		ticker := c.clk.NewTicker(c.beaconPeriod)
 		defer ticker.Stop()
 		for {
+			clock.Wait(c.clk, stop, ticker.C())
 			select {
 			case <-stop:
 				return
@@ -474,7 +475,7 @@ func (c *Client) Start() {
 				c.Beacon()
 			}
 		}
-	}()
+	})
 }
 
 // Stop halts beaconing; the user's soft-state variable will expire.
@@ -482,6 +483,7 @@ func (c *Client) Stop() {
 	c.mu.Lock()
 	if c.stop != nil {
 		close(c.stop)
+		clock.Notify(c.clk, c.stop)
 		c.stop = nil
 	}
 	c.mu.Unlock()

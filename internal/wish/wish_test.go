@@ -154,16 +154,14 @@ func TestUpdateWritesSoftState(t *testing.T) {
 	f := newFixture(t)
 	rng := dist.NewRNG(3)
 	strengths := f.server.model.SignalAt(10, 15, rng)
-	done := make(chan Estimate, 1)
-	go func() {
-		est, err := f.server.Update("yimin", strengths)
-		if err != nil {
+	var est Estimate
+	f.sim.Go(func() {
+		var err error
+		if est, err = f.server.Update("yimin", strengths); err != nil {
 			t.Error(err)
 		}
-		done <- est
-	}()
+	})
 	f.sim.RunFor(2*time.Second, 250*time.Millisecond)
-	est := <-done
 	if est.Zone != "building-west" {
 		t.Fatalf("estimate zone = %q", est.Zone)
 	}

@@ -46,8 +46,7 @@ type World struct {
 	Web     *websim.Web
 	Journal *faults.Journal
 
-	seed     int64
-	gateways []*sms.Bridge // one per phone, forwarding its email gateway
+	seed int64
 }
 
 // New builds a simulated world. Its services draw from the streams at
@@ -139,21 +138,15 @@ func (w *World) CreatePersonalAccounts(imHandle string, mailboxes []string, phon
 		if _, err := w.SMS.Provision(phone); err != nil {
 			return err
 		}
-		gw, err := sms.AttachGateway(w.Clock, w.Email, w.SMS, phone)
-		if err != nil {
+		if _, err := sms.AttachGateway(w.Clock, w.Email, w.SMS, phone); err != nil {
 			return err
 		}
-		w.gateways = append(w.gateways, gw)
 	}
 	return nil
 }
 
-// Close stops the phones' email gateways, which CreatePersonalAccounts
-// started; it returns once their goroutines have exited. Closing twice
-// is harmless.
-func (w *World) Close() {
-	for _, gw := range w.gateways {
-		gw.Stop()
-	}
-	w.gateways = nil
-}
+// Close ends every actor still live on the world's clock (clock.Sim's
+// Close): the phones' email gateways CreatePersonalAccounts started,
+// and whatever a stopped component left waiting. Closing twice is
+// harmless.
+func (w *World) Close() { w.Clock.Close() }

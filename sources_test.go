@@ -23,7 +23,7 @@ func newFacadeFixture(t *testing.T) *facadeFixture {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer world.Close()
+	t.Cleanup(world.Close)
 	if err := world.CreatePersonalAccounts("u-im", []string{"u@work.sim"}, "5559999"); err != nil {
 		t.Fatal(err)
 	}

@@ -11,7 +11,7 @@ type WorldOptions = world.Options
 // clock, the machine the buddy runs on, the IM/email/SMS services, the
 // web, and a journal of fault/recovery actions. CreatePersonalAccounts
 // provisions a person's IM handle, mailboxes and phone. Close it when
-// done: Close stops the phones' email gateways.
+// done: Close ends every goroutine still live on its clock.
 type World = world.World
 
 // NewWorld builds a simulated world.
