@@ -175,9 +175,9 @@ func TestHubSubmitBatchMatchesSubmit(t *testing.T) {
 	// in submit order and the resolver is FIFO.
 	async := run("submit-async", func(h *Hub, stream []Submission) {
 		const asyncDepth = 4
-		var inflight []*Ticket
-		settle := func(tk *Ticket) {
-			for _, err := range tk.Wait() {
+		var inflight []<-chan []error
+		settle := func(res <-chan []error) {
+			for _, err := range <-res {
 				if err != nil {
 					t.Errorf("submit async: %v", err)
 				}
@@ -188,7 +188,7 @@ func TestHubSubmitBatchMatchesSubmit(t *testing.T) {
 			if end > len(stream) {
 				end = len(stream)
 			}
-			inflight = append(inflight, h.SubmitBatchAsync(stream[next:end], nil))
+			inflight = append(inflight, submitAsync(h, stream[next:end]))
 			if len(inflight) >= asyncDepth {
 				settle(inflight[0])
 				inflight = inflight[1:]
@@ -280,9 +280,9 @@ func TestSubmitBatchPartialErrors(t *testing.T) {
 
 // TestHubSubmitBatchAsyncOnClosedHub pins the pipelined path's
 // closed-hub answer: before Start and after Drain, more calls than
-// there are async slots each return a resolved ticket with
-// ErrNotAccepting on every entry and run their callback exactly once —
-// none takes a slot, so none blocks.
+// there are async slots each run their callback exactly once, before
+// returning, with ErrNotAccepting on every entry — none takes a slot,
+// so none blocks.
 func TestHubSubmitBatchAsyncOnClosedHub(t *testing.T) {
 	h := newTestHub(t, Config{Channels: sinkChannels(func(int, string, *alert.Alert) error { return nil }), Shards: 2})
 	addUsers(t, h, 2)
@@ -296,12 +296,13 @@ func TestHubSubmitBatchAsyncOnClosedHub(t *testing.T) {
 			now := h.cfg.Clock.Now()
 			for i := range calls {
 				subs := []Submission{{User: "user-0", Alert: portalAlert(2*i, now)}, {User: "user-1", Alert: portalAlert(2*i+1, now)}}
-				tk := h.SubmitBatchAsync(subs, func([]error) { callbacks[i]++ })
+				var res []error
+				h.SubmitBatchAsync(subs, func(errs []error) { callbacks[i]++; res = errs })
 				if callbacks[i] != 1 {
 					t.Errorf("%s: call %d returned before its callback ran", when, i)
 					return
 				}
-				for k, err := range tk.Wait() {
+				for k, err := range res {
 					if !errors.Is(err, ErrNotAccepting) {
 						t.Errorf("%s: call %d entry %d = %v, want ErrNotAccepting", when, i, k, err)
 					}
@@ -428,18 +429,12 @@ func TestTicketResolvesInStagingOrder(t *testing.T) {
 	for r := 0; r < rounds; r++ {
 		// The primer's fsync keeps the committer on the disk while the
 		// two bursts stage, so they join one open batch.
-		primer := h.SubmitBatchAsync(burst("user-1", 1), nil)
-		a := h.SubmitBatchAsync(burst("user-0", per), nil)
-		b := h.SubmitBatchAsync(burst("user-0", per), nil)
-		if a.c == b.c {
+		primer := stagedBurst(t, h, burst("user-1", 1))
+		a := stagedBurst(t, h, burst("user-0", per))
+		b := stagedBurst(t, h, burst("user-0", per))
+		<-primer
+		if <-a == <-b {
 			shared++
-		}
-		for _, tk := range []*Ticket{primer, a, b} {
-			for _, err := range tk.Wait() {
-				if err != nil {
-					t.Fatalf("round %d: %v", r, err)
-				}
-			}
 		}
 	}
 	if err := h.Drain(); err != nil {
@@ -452,4 +447,166 @@ func TestTicketResolvesInStagingOrder(t *testing.T) {
 	if got := sink.sequence("user-0"); !reflect.DeepEqual(got, want) {
 		t.Fatalf("user-0 delivered out of staging order (%d rounds shared a batch):\n got %v\nwant %v", shared, got, want)
 	}
+}
+
+// submitAsync submits subs through SubmitBatchAsync; the returned
+// channel receives the burst's results when its callback runs.
+func submitAsync(h *Hub, subs []Submission) <-chan []error {
+	res := make(chan []error, 1)
+	h.SubmitBatchAsync(subs, func(errs []error) { res <- errs })
+	return res
+}
+
+// stagedBurst submits subs as SubmitBatchAsync does, failing the test
+// on an entry's error, and returns a channel that receives the commit
+// the burst joined: the callback reads it from the ticket, which is
+// recycled only after the callback returns.
+func stagedBurst(t *testing.T, h *Hub, subs []Submission) <-chan plog.Commit {
+	t.Helper()
+	res := make(chan plog.Commit, 1)
+	tk := ticketPool.Get().(*ticket)
+	tk.n = len(subs)
+	tk.onCommitted = func(errs []error) {
+		for _, err := range errs {
+			if err != nil {
+				t.Errorf("staged burst: %v", err)
+			}
+		}
+		res <- tk.c
+	}
+	h.submit(tk, subs)
+	return res
+}
+
+// TestPooledTicketsKeepEachBurstsErrors runs several async submitters
+// at once, each burst carrying an unknown user at a position the burst
+// number picks (every third burst none), with pool poisoning on: every
+// callback must see exactly its own burst's errors — ErrUnknownUser at
+// that position, nil elsewhere — though the tickets that carry them are
+// pooled and recycled between bursts, and every result must still read
+// so once all bursts are done, as a caller that keeps it would see it.
+// A ticket touched after its recycle, or a result written into another
+// burst's slice or recycled with its ticket, fails here (under -race,
+// loudly).
+func TestPooledTicketsKeepEachBurstsErrors(t *testing.T) {
+	const submitters, bursts, size = 4, 150, 8
+	poolPoison.Store(true)
+	defer poolPoison.Store(false)
+	hits := poolPoisonHits.Load()
+	h := newTestHub(t, Config{
+		Channels: sinkChannels(func(int, string, *alert.Alert) error { return nil }),
+		Shards:   4, queueDepth: submitters * bursts * size, // no burst is refused
+	})
+	addUsers(t, h, 4)
+	if err := h.Start(); err != nil {
+		t.Fatal(err)
+	}
+	var results [submitters][bursts][]error
+	check := func(g, k int, errs []error) {
+		unknown := -1 // the position of the unknown user; none in every third burst
+		if k%3 != 0 {
+			unknown = (g + k) % size
+		}
+		if len(errs) != size {
+			t.Errorf("submitter %d burst %d: %d results, want %d", g, k, len(errs), size)
+			return
+		}
+		for i, err := range errs {
+			if want := i == unknown; want != errors.Is(err, ErrUnknownUser) || !want && err != nil {
+				t.Errorf("submitter %d burst %d entry %d = %v; the unknown user is at %d", g, k, i, err, unknown)
+			}
+		}
+	}
+	var wg sync.WaitGroup
+	for g := range submitters {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			now := h.cfg.Clock.Now()
+			done := make(chan struct{}, bursts)
+			for k := range bursts {
+				subs := make([]Submission, size)
+				for i := range subs {
+					a := portalAlert(i, now)
+					a.ID = fmt.Sprintf("a-%d-%d-%d", g, k, i)
+					subs[i] = Submission{User: fmt.Sprintf("user-%d", g), Alert: a}
+				}
+				if k%3 != 0 {
+					subs[(g+k)%size].User = "nobody"
+				}
+				h.SubmitBatchAsync(subs, func(errs []error) {
+					check(g, k, errs)
+					results[g][k] = errs
+					done <- struct{}{}
+				})
+			}
+			for range bursts {
+				<-done
+			}
+		}()
+	}
+	wg.Wait()
+	if err := h.Drain(); err != nil {
+		t.Fatal(err)
+	}
+	for g := range submitters {
+		for k := range bursts {
+			check(g, k, results[g][k])
+		}
+	}
+	if got := h.Counters().Get("rejected-unknown-user"); got != submitters*bursts*2/3 {
+		t.Fatalf("rejected-unknown-user = %d, want %d", got, submitters*bursts*2/3)
+	}
+	if n := poolPoisonHits.Load() - hits; n != 0 {
+		t.Fatalf("%d poison hits", n)
+	}
+}
+
+// TestSharedNoErrorResult pins the result a burst without a failed
+// entry gets: one shared, capacity-limited slice of nils, the hub's
+// same array for every such burst, sync or async. Under pool poisoning a
+// recycled ticket checks that the shared slice still holds only nils,
+// so a caller that writes into it is counted as a poison hit; the test
+// plays that caller and restores the slot afterwards.
+func TestSharedNoErrorResult(t *testing.T) {
+	poolPoison.Store(true)
+	defer poolPoison.Store(false)
+	h := newTestHub(t, Config{Channels: sinkChannels(func(int, string, *alert.Alert) error { return nil }), Shards: 2})
+	addUsers(t, h, 2)
+	if err := h.Start(); err != nil {
+		t.Fatal(err)
+	}
+	next := 0
+	burst := func() []Submission {
+		subs := make([]Submission, 4)
+		for i := range subs {
+			subs[i] = Submission{User: fmt.Sprintf("user-%d", i%2), Alert: portalAlert(next, h.cfg.Clock.Now())}
+			next++
+		}
+		return subs
+	}
+	hits := poolPoisonHits.Load()
+	// The async burst first: its ticket is recycled on the resolver
+	// before the sync burst's resolves, so nothing reads the shared
+	// result while the test writes into it below.
+	async := <-submitAsync(h, burst())
+	first := h.SubmitBatch(burst())
+	for name, errs := range map[string][]error{"SubmitBatch": first, "SubmitBatchAsync": async} {
+		if len(errs) != 4 || cap(errs) != 4 || errs[0] != nil || errs[3] != nil {
+			t.Fatalf("%s: result %v with capacity %d, want 4 nils with capacity 4", name, errs, cap(errs))
+		}
+	}
+	if &first[0] != &async[0] {
+		t.Fatal("two bursts without a failure got results of their own, not the shared one")
+	}
+	if n := poolPoisonHits.Load() - hits; n != 0 {
+		t.Fatalf("%d poison hits before anything wrote into the shared result", n)
+	}
+	first[1] = errors.New("written by the caller")
+	h.SubmitBatch(burst())
+	first[1] = nil
+	if n := poolPoisonHits.Load() - hits; n == 0 {
+		t.Fatal("a non-nil entry in the shared result went unnoticed under pool poisoning")
+	}
+	poolPoisonHits.Store(hits)
 }

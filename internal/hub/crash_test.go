@@ -241,7 +241,7 @@ type crashVia int
 const (
 	viaSubmit     crashVia = iota // Submit, one alert at a time, retrying overloads
 	viaBatch                      // one SubmitBatch per burst
-	viaAsync                      // one SubmitBatchAsync per burst, then its Wait
+	viaAsync                      // one SubmitBatchAsync per burst, then its callback's results
 	viaConcurrent                 // four submitters, one SubmitBatch per user each
 )
 
@@ -743,7 +743,7 @@ func (r *crashRun) send(t *testing.T, h *Hub, subs []Submission) {
 	case viaBatch:
 		acks(subs, h.SubmitBatch(subs))
 	case viaAsync:
-		acks(subs, h.SubmitBatchAsync(subs, nil).Wait())
+		acks(subs, <-submitAsync(h, subs))
 	case viaConcurrent:
 		byUser := make(map[string][]Submission)
 		var users []string

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"slices"
+	"strings"
 	"sync"
 	"time"
 
@@ -39,14 +40,18 @@ type submitPending struct {
 	dup    bool   // already durable (or duplicated within the burst): re-ack only
 }
 
+// keyChunk is the size of one key arena chunk (see stage).
+const keyChunk = 8 << 10
+
 // submitScratch is everything stage builds that does not outlive the
-// call: the key buffer the burst's key slab is made from, the dedup
-// set, the pending entries, the per-shard admission counts, and the
-// journal entries handed to the WAL with the buffer their alert records
-// are encoded into (the WAL copies what it keeps while staging). Pooled,
-// so a burst allocates only its key slab and what its Ticket owns.
+// call: the key buffer, the dedup set, the pending entries, the
+// per-shard admission counts, and the journal entries handed to the WAL
+// with the buffer their alert records are encoded into (the WAL copies
+// what it keeps while staging). Pooled, with the key arena's current
+// chunk, whose strings do outlive the call.
 type submitScratch struct {
 	keys    []byte
+	arena   strings.Builder
 	seen    map[string]struct{}
 	pending []submitPending
 	counts  []int64
@@ -59,8 +64,8 @@ var submitScratchPool = sync.Pool{New: func() any {
 }}
 
 // recycle returns the scratch to the pool holding capacity only: the
-// entries' pointers into the caller's burst, the tenants, the envelope
-// payloads and the key slab are all dropped.
+// entries' pointers into the caller's burst, the tenants and the
+// envelope payloads are all dropped.
 func (s *submitScratch) recycle() {
 	s.keys = s.keys[:0]
 	clear(s.seen)
@@ -72,27 +77,27 @@ func (s *submitScratch) recycle() {
 	submitScratchPool.Put(s)
 }
 
-// Ticket is a pending acknowledgement from SubmitBatchAsync (and,
-// internally, SubmitBatch): the burst's RECV records are staged into
-// the WAL's group commit, and the ticket resolves once that commit's
-// fsync lands and the admitted entries are enqueued to their shards.
-// Until then nothing is acknowledged and nothing is routed — the
-// admission→log→ack→enqueue order of a synchronous submit is preserved;
-// the submitter has merely stopped standing in it.
-type Ticket struct {
-	errs        []error
-	resolved    sync.WaitGroup // one count, dropped when the ticket resolves
-	onCommitted func([]error)
+// ticket is one burst's pending acknowledgement: it resolves once the
+// commit its RECV records joined lands and the admitted entries are
+// enqueued to their shards, so admission→log→ack→enqueue holds on both
+// paths. Pooled: a ticket goes back after onCommitted returns
+// (SubmitBatchAsync) or after SubmitBatch's wait, and nothing touches
+// it afterwards.
+type ticket struct {
+	n           int            // burst length
+	errs        []error        // nil until an entry fails (fail)
+	resolved    sync.WaitGroup // SubmitBatch's wait; one count, dropped when the ticket resolves
+	onCommitted func([]error)  // nil on the SubmitBatch path
 	start       time.Time
 	// c is the burst's one group commit and entries the burst entries
 	// (fresh envelopes and duplicate re-acks) whose fate it decides;
-	// both are set only once the burst is staged and handed to the
-	// resolver, so entries != nil says "staged". It is entriesPool's.
+	// staged says the burst went to the resolver.
 	c       plog.Commit
-	entries *[]ticketEntry
+	entries []ticketEntry
+	staged  bool
 }
 
-// ticketEntry is one staged burst entry inside a Ticket.
+// ticketEntry is one staged burst entry inside a ticket.
 type ticketEntry struct {
 	idx   int
 	dup   bool
@@ -101,36 +106,64 @@ type ticketEntry struct {
 	env   *envelope // nil for duplicates
 }
 
-// entriesPool recycles staged bursts' entry slices (see finishTicket).
-var entriesPool = sync.Pool{New: func() any { return new([]ticketEntry) }}
+var ticketPool = sync.Pool{New: func() any { return new(ticket) }}
 
-// Wait blocks until the ticket resolves and returns the per-entry
-// results, parallel to the submitted burst with exactly SubmitBatch's
-// semantics: errs[i] == nil is the hub's durable acknowledgement for
-// entry i. The slice is shared with the onCommitted callback; treat it
-// as read-only.
-func (t *Ticket) Wait() []error {
-	t.resolved.Wait()
-	return t.errs
+// noErrors returns n nils from h.noErrs, capacity-limited so an append
+// copies rather than writes into the shared array. A longer burst gets
+// a fresh slice, one allocation across that many alerts.
+func (h *Hub) noErrors(n int) []error {
+	if n > len(h.noErrs) {
+		return make([]error, n)
+	}
+	return h.noErrs[:n:n]
+}
+
+// fail records entry i's error, allocating the burst's own result on
+// the first failure: the slow path, which allocates its error anyway.
+func (t *ticket) fail(i int, err error) {
+	if t.errs == nil {
+		t.errs = make([]error, t.n)
+	}
+	t.errs[i] = err
+}
+
+// recycle hands t back to the pool. Under pool poisoning it first
+// checks that the shared no-error result still holds only nils; a
+// non-nil entry there is a caller (or the hub) writing into it.
+func (h *Hub) recycle(t *ticket) {
+	if poolPoison.Load() && slices.ContainsFunc(h.noErrs[:], func(err error) bool { return err != nil }) {
+		poolPoisonHits.Add(1)
+	}
+	clear(t.entries) // no envelope, shard or tenant pointer outlives the ticket
+	t.entries = t.entries[:0]
+	t.errs, t.onCommitted, t.c, t.staged = nil, nil, plog.Commit{}, false
+	ticketPool.Put(t)
 }
 
 // SubmitBatchAsync is the pipelined ingest path: it validates, admits,
 // and stages the burst's RECV records exactly as SubmitBatch does, but
-// returns a commit Ticket instead of blocking on the WAL fsync. The
-// burst is acknowledged — and only then enqueued for routing — when
-// the ticket resolves; onCommitted (optional) runs once at that point
-// with the per-entry results, on the resolver goroutine, so it must not
-// block. A submitter keeps several batches in flight by holding
-// several tickets; the resolver's inbox bounds the hub-wide total at
-// defaultAsyncInFlight staged tickets, and a submitter past the bound
-// blocks here after staging, until the resolver takes a ticket.
+// returns without blocking on the WAL fsync. The burst is acknowledged
+// — and only then enqueued for routing — when its commit lands;
+// onCommitted (optional) runs once at that point with the per-entry
+// results, on the resolver goroutine, so it must not block. A submitter
+// keeps several bursts in flight by calling again before the callbacks
+// run; the resolver's inbox bounds the hub-wide total at
+// defaultAsyncInFlight staged bursts, and a submitter past the bound
+// blocks here after staging, until the resolver takes one.
 //
 // Entries that fail before staging (invalid alert, unknown user,
-// overloaded shard) are reported in the ticket's results exactly as
-// SubmitBatch reports them. A commit whose write or fsync fails NACKs
-// every entry the burst staged.
-func (h *Hub) SubmitBatchAsync(subs []Submission, onCommitted func(errs []error)) *Ticket {
-	return h.submit(subs, onCommitted)
+// overloaded shard) are reported in errs exactly as SubmitBatch reports
+// them. A commit whose write or fsync fails NACKs every entry the burst
+// staged. errs is read-only and stays valid after the callback: a
+// burst with no failed entry gets a shared slice of nils, one with a
+// failure its own slice.
+func (h *Hub) SubmitBatchAsync(subs []Submission, onCommitted func(errs []error)) {
+	if onCommitted == nil {
+		onCommitted = func([]error) {}
+	}
+	t := ticketPool.Get().(*ticket)
+	t.n, t.onCommitted = len(subs), onCommitted
+	h.submit(t, subs)
 }
 
 // SubmitBatch offers a burst of alerts, amortizing the ingest path's
@@ -146,34 +179,41 @@ func (h *Hub) SubmitBatchAsync(subs []Submission, onCommitted func(errs []error)
 // other errors mean rejection. Entries for a full shard fail
 // individually; the rest of the burst proceeds. Duplicate submissions
 // (against the WAL or within the burst) are re-acked idempotently once
-// the original is durable.
+// the original is durable. The result is read-only, as for
+// SubmitBatchAsync.
 //
 // SubmitBatch is the staging half of SubmitBatchAsync followed
-// immediately by Wait: the deferred enqueue runs on the same resolver,
-// so the synchronous and pipelined paths cannot reorder each other's
-// entries.
+// immediately by a wait for the resolver: the deferred enqueue runs on
+// the same resolver, so the synchronous and pipelined paths cannot
+// reorder each other's entries.
 func (h *Hub) SubmitBatch(subs []Submission) []error {
 	if len(subs) == 0 {
 		return nil
 	}
-	return h.submit(subs, nil).Wait()
+	t := ticketPool.Get().(*ticket)
+	t.n = len(subs)
+	t.resolved.Add(1)
+	h.submit(t, subs)
+	t.resolved.Wait()
+	errs := t.errs
+	h.recycle(t)
+	return errs
 }
 
 // submit is the shared staging half of SubmitBatch/SubmitBatchAsync:
-// stage the burst and hand its Ticket to the resolver, which waits out
+// stage the burst and hand its ticket to the resolver, which waits out
 // commits in staging order and completes the ack + deferred enqueue. A
 // burst that staged nothing — a closed hub's included, whose every
-// entry is ErrNotAccepting — resolves synchronously here.
-func (h *Hub) submit(subs []Submission, onCommitted func([]error)) *Ticket {
-	errs := make([]error, len(subs))
-	t := &Ticket{errs: errs, onCommitted: onCommitted}
-	t.resolved.Add(1)
+// entry is ErrNotAccepting — resolves synchronously here. An async
+// ticket may be recycled the moment it is resolved or sent, so submit
+// touches t after neither.
+func (h *Hub) submit(t *ticket, subs []Submission) {
 	if !h.accepting.Load() {
-		for i := range errs {
-			errs[i] = ErrNotAccepting
+		for i := range subs {
+			t.fail(i, ErrNotAccepting)
 		}
 		h.finishTicket(t)
-		return t
+		return
 	}
 	t.start = h.cfg.Clock.Now()
 	scr := submitScratchPool.Get().(*submitScratch)
@@ -183,7 +223,6 @@ func (h *Hub) submit(subs []Submission, onCommitted func([]error)) *Ticket {
 		h.ingestPending.Add(1)
 		h.resolveq <- t
 	}
-	return t
 }
 
 // stage validates and dedups the burst, bulk-reserves admission,
@@ -191,30 +230,31 @@ func (h *Hub) submit(subs []Submission, onCommitted func([]error)) *Ticket {
 // the WAL's group commit as one unit, leaving the commit and the staged
 // entries in t. It reports false when nothing was staged, having
 // resolved t itself.
-func (h *Hub) stage(t *Ticket, subs []Submission, scr *submitScratch) bool {
-	errs, now := t.errs, t.start
+func (h *Hub) stage(t *ticket, subs []Submission, scr *submitScratch) bool {
+	now := t.start
 
 	// Pass 1: validate, resolve tenants, and split duplicates from
 	// fresh admissions. Burst-internal duplicates count as duplicates
 	// too — exactly what sequential Submits of the same key would see.
-	// The keys of the whole burst are built into one buffer and become
-	// one string, the burst's key slab; every later holder of a key (the
-	// envelope, the journal's index) holds a substring of it, so keys
-	// cost one allocation per burst. The slab is collectable when the
-	// journal's sweep has retired the last of its keys.
+	// The keys of the whole burst are built into one buffer and copied
+	// into the free tail of the key arena's chunk as one string, the
+	// burst's key slab; every later holder of a key (the envelope, the
+	// journal's index) holds a substring of it, so keys cost one
+	// allocation per chunk. A tail too small starts a fresh chunk; the
+	// old one is collectable once the sweep has retired its last key.
 	pending := scr.pending
 	need := 0 // journal record bytes, should every valid entry be admitted
 	for i := range subs {
 		s := &subs[i]
 		if err := s.Alert.Validate(); err != nil {
 			h.ctr.rejectedInvalid.Add1()
-			errs[i] = err
+			t.fail(i, err)
 			continue
 		}
 		b, ok := h.buddy(s.User)
 		if !ok {
 			h.ctr.rejectedUnknownUser.Add1()
-			errs[i] = fmt.Errorf("hub: submit for %q: %w", s.User, ErrUnknownUser)
+			t.fail(i, fmt.Errorf("hub: submit for %q: %w", s.User, ErrUnknownUser))
 			continue
 		}
 		scr.keys = append(scr.keys, s.User...)
@@ -228,7 +268,12 @@ func (h *Hub) stage(t *Ticket, subs []Submission, scr *submitScratch) bool {
 		h.finishTicket(t)
 		return false
 	}
-	slab := string(scr.keys)
+	if scr.arena.Cap()-scr.arena.Len() < len(scr.keys) {
+		scr.arena.Reset()
+		scr.arena.Grow(max(keyChunk, len(scr.keys)))
+	}
+	scr.arena.Write(scr.keys)
+	slab := scr.arena.String()[scr.arena.Len()-len(scr.keys):]
 	counts := append(scr.counts[:0], make([]int64, len(h.shards))...) // zeroed, per shard
 	scr.counts = counts
 	lo := 0
@@ -265,8 +310,7 @@ func (h *Hub) stage(t *Ticket, subs []Submission, scr *submitScratch) bool {
 	// once, here, so the records' payloads are its consecutive spans.
 	recs := scr.recs
 	records := slices.Grow(scr.records[:0], need)
-	ep := entriesPool.Get().(*[]ticketEntry)
-	entries := slices.Grow(*ep, len(pending))
+	entries := slices.Grow(t.entries, len(pending))
 	for _, p := range pending {
 		if p.dup {
 			recs = append(recs, plog.BatchEntry{Key: p.key, At: now})
@@ -275,12 +319,12 @@ func (h *Hub) stage(t *Ticket, subs []Submission, scr *submitScratch) bool {
 		}
 		if granted[p.sh.id] <= 0 {
 			h.ctr.rejectsOverload.Add1()
-			errs[p.idx] = &OverloadError{
+			t.fail(p.idx, &OverloadError{
 				User:       subs[p.idx].User,
 				Shard:      p.sh.id,
 				Depth:      h.cfg.queueDepth,
 				RetryAfter: p.sh.retryHint(now, h.cfg.CommitWindow),
-			}
+			})
 			continue
 		}
 		granted[p.sh.id]--
@@ -295,16 +339,15 @@ func (h *Hub) stage(t *Ticket, subs []Submission, scr *submitScratch) bool {
 			putEnvelope(env)
 			p.sh.release()
 			h.ctr.rejectedInvalid.Add1()
-			errs[p.idx] = err
+			t.fail(p.idx, err)
 			continue
 		}
 		recs = append(recs, plog.BatchEntry{Key: p.key, Payload: grown[len(records):], At: now})
 		records = grown
 		entries = append(entries, ticketEntry{idx: p.idx, buddy: p.buddy, sh: p.sh, env: env})
 	}
-	scr.recs, scr.records, *ep = recs, records, entries
+	scr.recs, scr.records, t.entries = recs, records, entries
 	if len(entries) == 0 {
-		entriesPool.Put(ep)
 		h.finishTicket(t)
 		return false
 	}
@@ -319,22 +362,22 @@ func (h *Hub) stage(t *Ticket, subs []Submission, scr *submitScratch) bool {
 			// accepting check just before a Kill or Drain landed.
 			err = ErrNotAccepting
 		}
-		h.nack(t, entries, err)
+		h.nack(t, err)
 		return false
 	}
-	t.c, t.entries = c, ep
+	t.c, t.staged = c, true
 	return true
 }
 
 // nack fails every staged entry of a burst with err — admission slots
 // released, envelopes abandoned to the collector (a failed batch may
 // still reference them) — and resolves the ticket.
-func (h *Hub) nack(t *Ticket, entries []ticketEntry, err error) {
-	for _, e := range entries {
+func (h *Hub) nack(t *ticket, err error) {
+	for _, e := range t.entries {
 		if !e.dup {
 			e.sh.release()
 		}
-		t.errs[e.idx] = err
+		t.fail(e.idx, err)
 	}
 	h.finishTicket(t)
 }
@@ -366,10 +409,9 @@ func (h *Hub) resolver() {
 // the received/duplicate counters, stamp the ack time, and enqueue the
 // fresh envelopes to their shards. A commit error NACKs every staged
 // entry.
-func (h *Hub) resolve(t *Ticket) {
-	entries := *t.entries
+func (h *Hub) resolve(t *ticket) {
 	if err := t.c.Wait(); err != nil {
-		h.nack(t, entries, err)
+		h.nack(t, err)
 		return
 	}
 	if h.fault(faultAfterBatchFsync, -1, h.killed) {
@@ -377,7 +419,7 @@ func (h *Hub) resolve(t *Ticket) {
 		return
 	}
 	acked := h.cfg.Clock.Now() // post-fsync: latency measures ack → processed
-	for _, e := range entries {
+	for _, e := range t.entries {
 		if e.dup {
 			h.ctr.duplicates.Add1()
 			// The routing category (and with it any per-category tier
@@ -393,19 +435,23 @@ func (h *Hub) resolve(t *Ticket) {
 	h.finishTicket(t)
 }
 
-// finishTicket resolves a ticket: observe the admission latency and
-// hand the entries back (for staged bursts), wake waiters, and run the
-// commit callback.
-func (h *Hub) finishTicket(t *Ticket) {
-	if ep := t.entries; ep != nil {
+// finishTicket resolves a ticket: observe the admission latency (for
+// staged bursts) and hand the results over — to SubmitBatch's wait,
+// which then owns the ticket, or to the callback, after which the
+// ticket is recycled. It reads the callback before releasing the wait.
+func (h *Hub) finishTicket(t *ticket) {
+	if t.staged {
 		h.admitLat.Observe(h.cfg.Clock.Since(t.start))
 		h.ingestPending.Add(-1)
-		clear(*ep) // no envelope, shard or tenant pointer outlives the ticket
-		*ep, t.entries = (*ep)[:0], nil
-		entriesPool.Put(ep)
 	}
-	t.resolved.Done()
-	if t.onCommitted != nil {
-		t.onCommitted(t.errs)
+	if t.errs == nil {
+		t.errs = h.noErrors(t.n)
 	}
+	cb := t.onCommitted
+	if cb == nil {
+		t.resolved.Done()
+		return
+	}
+	cb(t.errs)
+	h.recycle(t)
 }

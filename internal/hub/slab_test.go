@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"slices"
 	"sync"
 	"testing"
@@ -15,15 +16,18 @@ import (
 )
 
 // TestSubmitBatchKeepsNothingOfTheCallers pins the ownership rule the
-// burst key slab and the journal's payload slab must not weaken: once
+// key arena and the journal's payload arena must not weaken: once
 // SubmitBatch has returned, the caller may reuse every byte it passed —
 // the Submission slice, the alerts, their keyword slices — and the hub
 // still routes, delivers and journals what was submitted. Routing is
 // held back until the caller's storage has been scribbled on, so
 // anything the hub only aliased would be seen scribbled; the second
-// burst is killed before routing and read back from the journal. Run
-// once more with pool poisoning on, where a recycled envelope's fields
-// are garbage rather than stale.
+// burst is killed before routing and read back from the journal. In
+// between, an early burst held on one shard outlives a thousand later
+// bursts that fill and replace key and payload arena chunks, and its
+// keys and payloads still read back intact. Run once more with pool
+// poisoning on, where a recycled envelope's fields are garbage rather
+// than stale.
 func TestSubmitBatchKeepsNothingOfTheCallers(t *testing.T) {
 	for _, poison := range []bool{false, true} {
 		t.Run(fmt.Sprintf("poison=%v", poison), func(t *testing.T) {
@@ -42,7 +46,9 @@ func testSubmitBatchKeepsNothing(t *testing.T) {
 	}
 	var mu sync.Mutex
 	var delivered []got
-	gate := newRouteGate() // armed while routing must wait
+	gate := newRouteGate()  // armed while routing must wait
+	early := newRouteGate() // armed while routing on the early users' shard must wait
+	earlyShard := -1
 	walPath := filepath.Join(t.TempDir(), "hub.wal")
 	clk := clock.NewReal()
 	h, err := New(Config{
@@ -55,12 +61,16 @@ func testSubmitBatchKeepsNothing(t *testing.T) {
 			mu.Unlock()
 			return nil
 		}),
-		fault: wedgeAt(-1, gate),
+		fault: func(p faultPoint, id int, killed <-chan struct{}) bool {
+			wedgeAt(-1, gate)(p, id, killed)
+			return wedgeAt(earlyShard, early)(p, id, killed)
+		},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	addUsers(t, h, users)
+	earlyShard = h.shardOf("user-0").id
 	if err := h.Start(); err != nil {
 		t.Fatal(err)
 	}
@@ -116,6 +126,93 @@ func testSubmitBatchKeepsNothing(t *testing.T) {
 		w.a.Keywords = []string{"Investment"}
 		if !reflect.DeepEqual(g, w) {
 			t.Errorf("delivered %+v, submitted %+v", g, w)
+		}
+	}
+
+	// The key and payload arenas move on: an early burst for the users
+	// on one shard is held there while a thousand later bursts for the
+	// other shards fill and replace arena chunks and are delivered; the
+	// early burst's keys and payloads still read back from the journal,
+	// and it is then delivered and marked intact.
+	var earlyUsers, laterUsers []string
+	for i := range users {
+		u := fmt.Sprintf("user-%d", i)
+		if h.shardOf(u).id == earlyShard {
+			earlyUsers = append(earlyUsers, u)
+		} else {
+			laterUsers = append(laterUsers, u)
+		}
+	}
+	if len(laterUsers) == 0 {
+		t.Fatalf("every user is on shard %d", earlyShard)
+	}
+	early.arm()
+	wantEarly := make(map[string]got)
+	var earlyBatch []Submission
+	for i := range burst {
+		a := portalAlert(i, clk.Now().UTC().Round(0))
+		a.ID = fmt.Sprintf("a-early-%d", i)
+		a.Body = fmt.Sprintf("early body %d", i)
+		s := Submission{User: earlyUsers[i%len(earlyUsers)], Alert: a}
+		earlyBatch = append(earlyBatch, s)
+		cp := *a
+		cp.Keywords = slices.Clone(a.Keywords)
+		wantEarly[s.User+keySep+a.DedupKey()] = got{user: s.User, a: cp}
+	}
+	for i, err := range h.SubmitBatch(earlyBatch) {
+		if err != nil {
+			t.Fatalf("early submit %d: %v", i, err)
+		}
+	}
+	later := make([]alert.Alert, 8)
+	laterBatch := make([]Submission, len(later))
+	for r := range 1000 {
+		for i := range later {
+			later[i] = *portalAlert(i, clk.Now())
+			later[i].ID = fmt.Sprintf("a-later-%d-%d", r, i)
+			laterBatch[i] = Submission{User: laterUsers[(r+i)%len(laterUsers)], Alert: &later[i]}
+		}
+		for i, err := range h.SubmitBatch(laterBatch) {
+			if err != nil {
+				t.Fatalf("later burst %d entry %d: %v", r, i, err)
+			}
+		}
+	}
+	waitCond(t, "the later bursts to be delivered", func() bool {
+		mu.Lock()
+		defer mu.Unlock()
+		return len(delivered) == burst+1000*len(later) && h.WALBacklog() == burst
+	})
+	runtime.GC()
+	live := h.wal.Unprocessed()
+	if len(live) != burst {
+		t.Fatalf("%d unprocessed records with the early burst held, want %d", len(live), burst)
+	}
+	for _, rec := range live {
+		w, ok := wantEarly[rec.Key]
+		var a alert.Alert
+		if err := a.UnmarshalBinary(rec.Payload); !ok || err != nil || !reflect.DeepEqual(a, w.a) {
+			t.Fatalf("early record %q reads back %+v (%v), submitted %+v", rec.Key, a, err, w.a)
+		}
+	}
+	early.release()
+	waitCond(t, "the early burst to be delivered", func() bool {
+		mu.Lock()
+		defer mu.Unlock()
+		return len(delivered) == 2*burst+1000*len(later) && h.WALBacklog() == 0
+	})
+	mu.Lock()
+	for _, g := range delivered[len(delivered)-burst:] {
+		w := wantEarly[g.user+keySep+g.a.DedupKey()]
+		w.a.Keywords = []string{"Investment"}
+		if !reflect.DeepEqual(g, w) {
+			t.Errorf("early burst delivered %+v, submitted %+v", g, w)
+		}
+	}
+	mu.Unlock()
+	for key := range wantEarly {
+		if !h.wal.IsProcessed(key) && h.wal.Has(key) {
+			t.Errorf("early key %q is live but not marked processed", key)
 		}
 	}
 

@@ -333,10 +333,10 @@ func TestHubAsyncIngestHasOneBound(t *testing.T) {
 	}
 	release := h.wal.HoldFilesForTest()
 	var returned atomic.Int64
-	tickets := make(chan *Ticket, calls)
+	results := make(chan (<-chan []error), calls)
 	go func() {
 		for i := 0; i < calls; i++ {
-			tickets <- h.SubmitBatchAsync([]Submission{{User: "user-0", Alert: portalAlert(i, h.cfg.Clock.Now())}}, nil)
+			results <- submitAsync(h, []Submission{{User: "user-0", Alert: portalAlert(i, h.cfg.Clock.Now())}})
 			returned.Add(1)
 		}
 	}()
@@ -356,7 +356,7 @@ func TestHubAsyncIngestHasOneBound(t *testing.T) {
 		t.Fatalf("%d SubmitBatchAsync calls returned with the disk held; want %d", n, defaultAsyncInFlight+1)
 	}
 	for i := 0; i < calls; i++ {
-		if errs := (<-tickets).Wait(); errs[0] != nil {
+		if errs := <-<-results; errs[0] != nil {
 			t.Fatalf("ticket %d: %v", i, errs[0])
 		}
 	}

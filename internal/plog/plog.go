@@ -333,6 +333,7 @@ type Log struct {
 	flushNow  chan struct{}
 	paceTimer *time.Timer
 	scratch   []byte  // staging buffer reused across appends
+	payloads  []byte  // the payload arena's current chunk (L: mu); see stageRecv
 	doneSeqs  []int64 // stageDone's output: seqs tombstoned since the last join
 
 	// The watermark, set under wmu: the highest committed batch number,
@@ -429,6 +430,9 @@ func (l *Log) maybeSweepLocked() {
 	l.processedLive = 0
 }
 
+// payloadChunk is the size of one payload arena chunk (see stageRecv).
+const payloadChunk = 16 << 10
+
 // stageRecv is the one RECV staging function: under a single index-lock
 // acquisition it records every entry whose key is not yet resident and
 // appends them to dst in entry order, as one run when they share a
@@ -436,12 +440,12 @@ func (l *Log) maybeSweepLocked() {
 // wins). Records are staged before they are durable: Has reports them at
 // once, Commit.Wait says when they are on disk. Caller holds qmu.
 //
-// The records' private payload copies share one allocation per call, a
-// slab of exactly the fresh entries' payload bytes (rehome): each
-// Record.Payload is a cap-limited slice of it, so an append to one can
-// never reach its neighbour, and since a DONE nils the field the slab is
-// collectable when its last record is DONE. Nothing of the caller's
-// buffers is kept.
+// The records' private payload copies are cap-limited slices of the
+// log's payload arena (rehome), so an append to one can never reach its
+// neighbour: a call's payloads go into the free tail of the current
+// chunk, or into a fresh one when the tail is too small. Since a DONE
+// nils the field, a chunk is collectable when its last record is DONE
+// and the arena has moved on. Nothing of the caller's buffers is kept.
 func (l *Log) stageRecv(dst []byte, entries []BatchEntry) (out []byte, staged int64) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -450,7 +454,7 @@ func (l *Log) stageRecv(dst []byte, entries []BatchEntry) (out []byte, staged in
 		l.addReceivedLocked(e.Key, e.Payload, e.At, l.total+1) // the caller's bytes, until rehome below
 	}
 	recs := l.order[first:]
-	rehome(recs)
+	l.payloads = rehome(recs, l.payloads, payloadChunk)
 	for n := 0; len(recs) > 0; recs = recs[n:] {
 		dst, n = appendRun(dst, recs)
 	}
@@ -700,7 +704,7 @@ func (l *Log) Unprocessed() []Record {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	out := l.unprocessedLocked()
-	rehome(out) // the caller gets copies, in one slab, not the log's own bytes
+	rehome(out, nil, 0) // the caller gets copies, in one slab, not the log's own bytes
 	return out
 }
 
@@ -721,19 +725,23 @@ func (l *Log) unprocessedLocked() []Record {
 	return out
 }
 
-// rehome replaces every record's payload with a copy in one fresh slab
-// of exactly their total size — each a slice whose capacity ends where
-// its length does — so the records stop referencing whatever held their
-// payloads before.
-func rehome(recs []Record) {
+// rehome replaces every record's payload with a copy appended to arena
+// — each a slice whose capacity ends where its length does — so the
+// records stop referencing whatever held their payloads before, and
+// returns the arena. When arena's free tail is smaller than the copies,
+// they go into a fresh chunk of chunk bytes or of exactly their size.
+func rehome(recs []Record, arena []byte, chunk int) []byte {
 	size := 0
 	for i := range recs {
 		size += len(recs[i].Payload)
 	}
-	slab := make([]byte, 0, size)
-	for i := range recs {
-		slab, recs[i].Payload = appendSlab(slab, recs[i].Payload)
+	if cap(arena)-len(arena) < size {
+		arena = make([]byte, 0, max(chunk, size))
 	}
+	for i := range recs {
+		arena, recs[i].Payload = appendSlab(arena, recs[i].Payload)
+	}
+	return arena
 }
 
 // Len returns the all-time number of logged alerts, including records

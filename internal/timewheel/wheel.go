@@ -17,11 +17,11 @@
 //   - When nothing is pending the driver is stopped; an idle wheel owns
 //     no goroutine and needs no Close.
 //
-// A node fires a callback (AfterFunc); After is the channel form on top
-// of it. Usage contract: every Timer must be returned with Release, fired
-// or not. Release cancels the wait, drains the channel and recycles the
-// node; using a Timer after Release is a bug (enable poison mode in
-// tests to scribble on recycled nodes and surface such bugs).
+// A node fires a callback (AfterFunc) and is one allocation. Usage
+// contract: every Timer must be returned with Release, fired or not.
+// Release cancels the wait and recycles the node; using a Timer after
+// Release is a bug (enable poison mode in tests to scribble on recycled
+// nodes and surface such bugs).
 package timewheel
 
 import (
@@ -53,20 +53,14 @@ type Options struct {
 }
 
 // Timer is one pending (or fired) wait, owned by the wheel's node pool.
-// Obtain with Wheel.After (and wait on C) or Wheel.AfterFunc, and always
-// return it with Wheel.Release.
+// Obtain with Wheel.AfterFunc and always return it with Wheel.Release.
 type Timer struct {
 	fn   func()
-	ch   chan time.Time
-	send func() // the channel form's fn, made with the node
 	when time.Time
 	slot int // owning slot index; -1 when unlinked
 	next *Timer
 	prev *Timer
 }
-
-// C returns the channel the firing time is delivered on.
-func (t *Timer) C() <-chan time.Time { return t.ch }
 
 // Wheel multiplexes many waits onto one clock timer. Safe for
 // concurrent use.
@@ -108,20 +102,18 @@ func New(clk clock.Clock, opts Options) *Wheel {
 	}
 }
 
-// After arms a wait that sends its deadline on C once, d from now. The
-// returned Timer must be passed to Release when the caller is done with
-// it (fired or abandoned).
-func (w *Wheel) After(d time.Duration) *Timer { return w.AfterFunc(d, nil) }
+// After arms a bare deadline d from now: a wait that runs nothing, the
+// arm-and-release cost every AfterFunc wait pays. The returned Timer
+// must be passed to Release.
+func (w *Wheel) After(d time.Duration) *Timer { return w.AfterFunc(d, func() {}) }
 
 // AfterFunc arms a wait that runs fn once, d from now (d ≤ 0: in this
 // call), with the wheel locked — so once Release returns fn has run or
-// never will; fn must be short and not call the wheel. nil sends on C.
+// never will; fn must be short and not call the wheel.
 func (w *Wheel) AfterFunc(d time.Duration, fn func()) *Timer {
 	w.mu.Lock()
 	t := w.getLocked()
-	if t.fn = fn; fn == nil {
-		t.fn = t.send
-	}
+	t.fn = fn
 	now := w.clk.Now()
 	t.when = now.Add(max(d, 0))
 	if d <= 0 {
@@ -143,9 +135,9 @@ func (w *Wheel) AfterFunc(d time.Duration, fn func()) *Timer {
 	return t
 }
 
-// Release cancels the wait if still pending, drains any delivered fire,
-// and recycles the node. It is the caller's obligation for every Timer
-// from After; the Timer must not be used afterwards.
+// Release cancels the wait if still pending and recycles the node. It is
+// the caller's obligation for every Timer; the Timer must not be used
+// afterwards.
 func (w *Wheel) Release(t *Timer) {
 	if t == nil {
 		return
@@ -161,13 +153,6 @@ func (w *Wheel) Release(t *Timer) {
 			w.driver.Stop()
 			w.driverAt = time.Time{}
 		}
-	}
-	// Fires run under w.mu, so after the unlink above none can be in
-	// flight: draining here leaves the channel provably empty for the
-	// next user of the node.
-	select {
-	case <-t.ch:
-	default:
 	}
 	t.fn = nil
 	if w.poison {
@@ -199,14 +184,7 @@ func (w *Wheel) getLocked() *Timer {
 		t.slot = -1
 		return t
 	}
-	t := &Timer{ch: make(chan time.Time, 1), slot: -1}
-	t.send = func() {
-		select {
-		case t.ch <- t.when: // cap 1, drained on Release: never blocks
-		default:
-		}
-	}
-	return t
+	return &Timer{slot: -1}
 }
 
 // unlinkLocked removes t from its slot list.

@@ -9,11 +9,24 @@ import (
 	"simba/internal/race"
 )
 
-// fired reports whether the timer has a fire waiting right now — the
+// probe is a wait armed with AfterFunc whose callback signals c — the
+// tests' view of a fire.
+type probe struct {
+	*Timer
+	c chan struct{}
+}
+
+// arm arms a probe d from now.
+func arm(w *Wheel, d time.Duration) probe {
+	c := make(chan struct{}, 1)
+	return probe{w.AfterFunc(d, func() { c <- struct{}{} }), c}
+}
+
+// fired reports whether the probe has a fire waiting right now — the
 // check for "must NOT have fired".
-func fired(t *Timer) bool {
+func fired(p probe) bool {
 	select {
-	case <-t.C():
+	case <-p.c:
 		return true
 	default:
 		return false
@@ -24,12 +37,12 @@ func fired(t *Timer) bool {
 // Sim runs the wheel's driver (a clock.AfterFunc) as its own goroutine,
 // so the fire can trail Advance's return — under -race on a small host
 // it routinely does. The wait is bounded in real time. On a fire it also
-// takes the wheel lock once (Pending), so the driver pass that sent the
+// takes the wheel lock once (Pending), so the driver pass that ran the
 // fire has re-armed for the next deadline before the caller advances
 // the clock again.
-func waitFired(w *Wheel, t *Timer) bool {
+func waitFired(w *Wheel, p probe) bool {
 	select {
-	case <-t.C():
+	case <-p.c:
 		w.Pending()
 		return true
 	case <-time.After(5 * time.Second):
@@ -40,8 +53,8 @@ func waitFired(w *Wheel, t *Timer) bool {
 func TestWheelFiresAtExactSimDeadline(t *testing.T) {
 	sim := clock.NewSim(time.Time{})
 	w := New(sim, Options{})
-	tm := w.After(50 * time.Millisecond)
-	defer w.Release(tm)
+	tm := arm(w, 50*time.Millisecond)
+	defer w.Release(tm.Timer)
 
 	sim.Advance(49 * time.Millisecond)
 	if fired(tm) {
@@ -60,9 +73,9 @@ func TestWheelMultiplexesManyDeadlines(t *testing.T) {
 	sim := clock.NewSim(time.Time{})
 	w := New(sim, Options{Slots: 8})
 	const n = 100
-	timers := make([]*Timer, n)
+	timers := make([]probe, n)
 	for i := range timers {
-		timers[i] = w.After(time.Duration(i+1) * time.Millisecond)
+		timers[i] = arm(w, time.Duration(i+1)*time.Millisecond)
 	}
 	if got := w.Pending(); got != n {
 		t.Fatalf("pending = %d, want %d", got, n)
@@ -80,7 +93,7 @@ func TestWheelMultiplexesManyDeadlines(t *testing.T) {
 		}
 	}
 	for _, tm := range timers {
-		w.Release(tm)
+		w.Release(tm.Timer)
 	}
 	if got := w.Pending(); got != 0 {
 		t.Fatalf("pending = %d after all fires, want 0", got)
@@ -90,8 +103,8 @@ func TestWheelMultiplexesManyDeadlines(t *testing.T) {
 func TestWheelReleaseCancelsAndRecycles(t *testing.T) {
 	sim := clock.NewSim(time.Time{})
 	w := New(sim, Options{})
-	tm := w.After(10 * time.Millisecond)
-	w.Release(tm)
+	tm := arm(w, 10*time.Millisecond)
+	w.Release(tm.Timer)
 	if got := w.Pending(); got != 0 {
 		t.Fatalf("pending = %d after release, want 0", got)
 	}
@@ -99,76 +112,82 @@ func TestWheelReleaseCancelsAndRecycles(t *testing.T) {
 	if fired(tm) {
 		t.Fatal("released timer still fired")
 	}
-	// The node is recycled: the next After reuses it, with a clean channel.
-	tm2 := w.After(5 * time.Millisecond)
-	if tm2 != tm {
+	// The node is recycled: the next AfterFunc reuses it, and its fire
+	// runs the new callback, never the released one.
+	tm2 := arm(w, 5*time.Millisecond)
+	if tm2.Timer != tm.Timer {
 		t.Fatal("expected the released node to be recycled")
-	}
-	if fired(tm2) {
-		t.Fatal("recycled node came back with a stale fire buffered")
 	}
 	sim.Advance(5 * time.Millisecond)
 	if !waitFired(w, tm2) {
 		t.Fatal("recycled node did not fire")
 	}
-	w.Release(tm2)
+	if fired(tm) {
+		t.Fatal("recycled node ran its released callback")
+	}
+	w.Release(tm2.Timer)
 }
 
 func TestWheelImmediateFire(t *testing.T) {
 	sim := clock.NewSim(time.Time{})
 	w := New(sim, Options{})
-	tm := w.After(0)
+	tm := arm(w, 0)
 	if !fired(tm) {
-		t.Fatal("After(0) did not fire immediately")
+		t.Fatal("AfterFunc(0) did not fire immediately")
 	}
-	w.Release(tm)
-	tm = w.After(-time.Second)
+	w.Release(tm.Timer)
+	tm = arm(w, -time.Second)
 	if !fired(tm) {
-		t.Fatal("After(<0) did not fire immediately")
+		t.Fatal("AfterFunc(<0) did not fire immediately")
 	}
-	w.Release(tm)
+	w.Release(tm.Timer)
 }
 
 func TestWheelPoisonScribblesOnRelease(t *testing.T) {
 	sim := clock.NewSim(time.Time{})
 	w := New(sim, Options{Poison: true})
-	tm := w.After(time.Millisecond)
-	w.Release(tm)
+	tm := arm(w, time.Millisecond)
+	w.Release(tm.Timer)
 	if tm.when.Unix() != -1<<40 {
 		t.Fatalf("poisoned node's deadline = %v, want the poison sentinel", tm.when)
 	}
 	// Recycling must still produce a working timer.
-	tm2 := w.After(time.Millisecond)
+	tm2 := arm(w, time.Millisecond)
 	sim.Advance(time.Millisecond)
 	if !waitFired(w, tm2) {
 		t.Fatal("recycled poisoned node did not fire")
 	}
-	w.Release(tm2)
+	w.Release(tm2.Timer)
 }
 
 // TestWheelSteadyStateAllocs pins the arm/release cycle at zero
-// allocations once the node pool and driver are warm. Runs on the real
-// clock: the simulated clock allocates a heap event per re-arm by
+// allocations once the node pool and driver are warm, and a fresh node
+// at one: the node alone, no channel or closure beside it. Runs on the
+// real clock: the simulated clock allocates a heap event per re-arm by
 // design.
 func TestWheelSteadyStateAllocs(t *testing.T) {
 	if race.Enabled {
 		t.Skip("allocation counts are not stable under -race")
 	}
 	w := New(clock.Real{}, Options{})
+	fires := 0
+	fn := func() { fires++ }
 	// Warm up: allocate the node and the driver.
-	w.Release(w.After(time.Hour))
+	w.Release(w.AfterFunc(time.Hour, fn))
 	if n := testing.AllocsPerRun(200, func() {
-		tm := w.After(time.Hour)
-		w.Release(tm)
+		w.Release(w.AfterFunc(time.Hour, fn))
 	}); n != 0 {
 		t.Fatalf("arm/release allocates %.1f per run, want 0", n)
 	}
 	if n := testing.AllocsPerRun(200, func() {
-		tm := w.After(0)
-		<-tm.C()
-		w.Release(tm)
-	}); n != 0 {
-		t.Fatalf("immediate fire allocates %.1f per run, want 0", n)
+		w.Release(w.AfterFunc(0, fn))
+	}); n != 0 || fires != 201 {
+		t.Fatalf("immediate fire allocates %.1f per run and ran %d callbacks, want 0 and 201", n, fires)
+	}
+	if n := testing.AllocsPerRun(200, func() {
+		w.AfterFunc(time.Hour, fn) // never released: each arm takes a fresh node
+	}); n != 1 {
+		t.Fatalf("a fresh node costs %.1f allocations, want 1", n)
 	}
 }
 
@@ -182,14 +201,21 @@ func TestWheelConcurrent(t *testing.T) {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
+			c := make(chan struct{}, 1)
+			fn := func() { c <- struct{}{} }
 			for i := 0; i < 200; i++ {
-				tm := w.After(time.Duration(i%7) * 100 * time.Microsecond)
+				tm := w.AfterFunc(time.Duration(i%7)*100*time.Microsecond, fn)
 				if i%3 == 0 {
-					// Abandon some waits without consuming the fire.
+					// Abandon some waits without consuming the fire; once
+					// Release returns the fire has run or never will.
 					w.Release(tm)
+					select {
+					case <-c:
+					default:
+					}
 					continue
 				}
-				<-tm.C()
+				<-c
 				w.Release(tm)
 			}
 		}(g)
