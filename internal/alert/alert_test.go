@@ -2,6 +2,7 @@ package alert
 
 import (
 	"math"
+	"reflect"
 	"slices"
 	"strings"
 	"testing"
@@ -149,6 +150,8 @@ func TestAppendWireAllocBudget(t *testing.T) {
 // EmailFrom and the earliest Created.
 func wide() *Alert {
 	a := sample()
+	a.ID = "a|1|"
+	a.Source = "yahoo|finance"
 	a.Subject = "line1\nline2\r"
 	a.Keywords = append(a.Keywords, "a,b", "c\nd", "")
 	a.EmailFrom = "stocks.earnings@yahoo.sim"
@@ -156,71 +159,73 @@ func wide() *Alert {
 	return a
 }
 
-// TestAppendBinaryAllocBudget: the journal encoder grows dst once —
+// TestAppendRecordAllocBudget: the journal encoder grows dst once —
 // exactly one allocation into nil, none into a buffer with room — and
-// BinaryLen is the exact length of what it appends.
-func TestAppendBinaryAllocBudget(t *testing.T) {
+// RecordLen is the exact length of what it appends.
+func TestAppendRecordAllocBudget(t *testing.T) {
 	if race.Enabled {
 		t.Skip("alloc accounting is not meaningful under the race detector")
 	}
 	for _, a := range []*Alert{sample(), wide()} {
-		if n := testing.AllocsPerRun(100, func() { _, _ = a.AppendBinary(nil) }); n != 1 {
-			t.Errorf("AppendBinary(nil) of %q allocates %.0f times, want 1", a.Subject, n)
+		if n := testing.AllocsPerRun(100, func() { _, _ = a.AppendRecord(nil) }); n != 1 {
+			t.Errorf("AppendRecord(nil) of %q allocates %.0f times, want 1", a.Subject, n)
 		}
 		buf := make([]byte, 0, 4096)
-		if n := testing.AllocsPerRun(100, func() { _, _ = a.AppendBinary(buf) }); n != 0 {
-			t.Errorf("AppendBinary into a 4 KiB buffer of %q allocates %.0f times, want 0", a.Subject, n)
+		if n := testing.AllocsPerRun(100, func() { _, _ = a.AppendRecord(buf) }); n != 0 {
+			t.Errorf("AppendRecord into a 4 KiB buffer of %q allocates %.0f times, want 0", a.Subject, n)
 		}
-		if got, _ := a.AppendBinary(nil); len(got) != a.BinaryLen() {
-			t.Errorf("the record of %q is %d bytes, BinaryLen says %d", a.Subject, len(got), a.BinaryLen())
+		if got, _ := a.AppendRecord(nil); len(got) != a.RecordLen() {
+			t.Errorf("the record of %q is %d bytes, RecordLen says %d", a.Subject, len(got), a.RecordLen())
 		}
 	}
 }
 
-// TestUnmarshalBinaryAllocBudget: decoding into a fresh receiver costs
-// one string for every text field and one Keywords slice; decoding into
-// a receiver whose Keywords have room, as a loop reusing one does,
-// costs the string alone.
-func TestUnmarshalBinaryAllocBudget(t *testing.T) {
+// TestUnmarshalRecordAllocBudget: decoding into a fresh receiver costs
+// one string for every text field the record holds and one Keywords
+// slice — the key's fields are substrings of the key — and decoding into
+// a receiver whose Keywords have room, as a loop reusing one does, costs
+// the string alone.
+func TestUnmarshalRecordAllocBudget(t *testing.T) {
 	if race.Enabled {
 		t.Skip("alloc accounting is not meaningful under the race detector")
 	}
 	for _, a := range []*Alert{sample(), wide()} {
-		rec, err := a.AppendBinary(nil)
+		rec, err := a.AppendRecord(nil)
 		if err != nil {
 			t.Fatal(err)
 		}
+		key := a.DedupKey()
 		var got Alert
-		if n := testing.AllocsPerRun(100, func() { got = Alert{}; _ = got.UnmarshalBinary(rec) }); n > 2 {
-			t.Errorf("UnmarshalBinary of %q into a fresh alert allocates %.0f times, want <= 2", a.Subject, n)
+		if n := testing.AllocsPerRun(100, func() { got = Alert{}; _ = got.UnmarshalRecord(rec, key) }); n > 2 {
+			t.Errorf("UnmarshalRecord of %q into a fresh alert allocates %.0f times, want <= 2", a.Subject, n)
 		}
-		if n := testing.AllocsPerRun(100, func() { _ = got.UnmarshalBinary(rec) }); n > 1 {
-			t.Errorf("UnmarshalBinary of %q into a reused alert allocates %.0f times, want <= 1", a.Subject, n)
+		if n := testing.AllocsPerRun(100, func() { _ = got.UnmarshalRecord(rec, key) }); n > 1 {
+			t.Errorf("UnmarshalRecord of %q into a reused alert allocates %.0f times, want <= 1", a.Subject, n)
 		}
 	}
 }
 
-// TestUnmarshalBinaryReusesKeywordBacking pins the contract a replay
+// TestUnmarshalRecordReusesKeywordBacking pins the contract a replay
 // loop relies on and a caller that keeps decoded alerts must respect:
 // a receiver whose Keywords have room is decoded into that backing, and
 // a failed decode leaves every field as it was.
-func TestUnmarshalBinaryReusesKeywordBacking(t *testing.T) {
+func TestUnmarshalRecordReusesKeywordBacking(t *testing.T) {
 	first, second := sample(), wide()
-	recFirst, _ := first.AppendBinary(nil)
-	recSecond, _ := second.AppendBinary(nil)
+	recFirst, _ := first.AppendRecord(nil)
+	recSecond, _ := second.AppendRecord(nil)
 	var got Alert
-	if err := got.UnmarshalBinary(recSecond); err != nil { // the wider record sizes the backing
+	if err := got.UnmarshalRecord(recSecond, second.DedupKey()); err != nil { // the wider record sizes the backing
 		t.Fatal(err)
 	}
 	backing := &got.Keywords[0]
-	if err := got.UnmarshalBinary(recFirst); err != nil {
+	if err := got.UnmarshalRecord(recFirst, first.DedupKey()); err != nil {
 		t.Fatal(err)
 	}
 	if &got.Keywords[0] != backing || !slices.Equal(got.Keywords, first.Keywords) {
 		t.Fatalf("second decode: keywords %q in new backing %v, want %q in the receiver's", got.Keywords, &got.Keywords[0] != backing, first.Keywords)
 	}
 	kept := got
-	if err := got.UnmarshalBinary(recSecond[:len(recSecond)-len(second.Body)-1]); err == nil {
+	if err := got.UnmarshalRecord(recSecond[:len(recSecond)-len(second.Body)-1], second.DedupKey()); err == nil {
 		t.Fatal("a truncated record decoded")
 	}
 	if got.ID != kept.ID || got.Subject != kept.Subject || len(got.Keywords) != len(kept.Keywords) {
@@ -228,36 +233,78 @@ func TestUnmarshalBinaryReusesKeywordBacking(t *testing.T) {
 	}
 }
 
-// FuzzUnmarshalBinary: decoding arbitrary bytes never panics and never
-// yields an alert that fails Validate, and every valid alert — built
-// from the other arguments, keywords split on NUL after a leading one —
-// round-trips exactly, into storage that does not alias the record.
-func FuzzUnmarshalBinary(f *testing.F) {
-	for _, a := range []*Alert{sample(), wide()} {
-		rec, _ := a.AppendBinary(nil)
-		f.Add(rec, a.ID, a.Source, "\x00"+strings.Join(a.Keywords, "\x00"), a.Subject, a.EmailFrom, a.Body, uint8(a.Urgency), a.Created.UnixNano())
+// TestUnmarshalRecordSplitsItsKey: Source, ID and Created come back from
+// the key — a '|' inside Source or ID and a pre-1970 Created included —
+// and a key that does not split as the record says is refused.
+func TestUnmarshalRecordSplitsItsKey(t *testing.T) {
+	a := wide()
+	a.Created = time.Date(1969, 7, 20, 20, 17, 40, 123456789, time.UTC)
+	rec, _ := a.AppendRecord(nil)
+	var got Alert
+	if err := got.UnmarshalRecord(rec, a.DedupKey()); err != nil || !reflect.DeepEqual(&got, a) {
+		t.Fatalf("decoded %+v (%v), want %+v", got, err, *a)
 	}
-	f.Add([]byte{binaryTag, 1, 'x'}, "x", "s", "", "", "", "", uint8(4), int64(math.MaxInt64))
-	f.Fuzz(func(t *testing.T, data []byte, id, source, kws, subject, from, body string, urgency uint8, created int64) {
+	for _, key := range []string{
+		"",
+		"yahoo|finance",               // no ID or Created
+		"yahoo|finance|a|1||",         // no Created
+		"yahoofinance|a|1||-14182940", // no '|' where Source's length ends
+		"yahoo|finance|a|1||+5",       // Created not canonical
+		"yahoo|finance|a|1||05",
+		"yahoo|finance|a|1||-0",
+		"yahoo|finance|a|1||99999999999999999999", // Created out of range
+		"yahoo|finance||-14182940",                // no ID
+		"yahoo|fin|-14182940",                     // too short for Source
+	} {
+		if err := got.UnmarshalRecord(rec, key); err == nil {
+			t.Errorf("the record decoded under key %q as %+v", key, got)
+		}
+	}
+}
+
+// FuzzUnmarshalRecord: decoding arbitrary bytes under an arbitrary key
+// never panics, and never yields an alert that fails Validate or whose
+// DedupKey is not the key; every valid alert — built from the other
+// arguments, keywords split on NUL after a leading one — round-trips
+// exactly under its own key, into storage that does not alias the
+// record; and its record under a key that disagrees with it — another
+// alert's whose Source, ID or Created differs — is refused or decodes to
+// that other alert, never to a mix.
+func FuzzUnmarshalRecord(f *testing.F) {
+	for _, a := range []*Alert{sample(), wide()} {
+		rec, _ := a.AppendRecord(nil)
+		f.Add(rec, a.DedupKey(), a.ID, a.Source, "\x00"+strings.Join(a.Keywords, "\x00"), a.Subject, a.EmailFrom, a.Body, uint8(a.Urgency), a.Created.UnixNano())
+	}
+	f.Add([]byte{recordTag, 1, 0, 0, 4, 0}, "s|x|1", "x", "s", "", "", "", "", uint8(4), int64(math.MaxInt64))
+	f.Fuzz(func(t *testing.T, data []byte, key, id, source, kws, subject, from, body string, urgency uint8, created int64) {
 		var got Alert
-		if got.UnmarshalBinary(data) == nil {
+		if got.UnmarshalRecord(data, key) == nil {
 			if err := got.Validate(); err != nil {
 				t.Fatalf("decoded an invalid alert %+v: %v", got, err)
+			}
+			if got.DedupKey() != key {
+				t.Fatalf("decoded under key %q an alert whose DedupKey is %q", key, got.DedupKey())
 			}
 		}
 		a := &Alert{
 			ID: id, Source: source, Keywords: strings.Split(kws, "\x00")[1:], Subject: subject,
 			Body: body, Urgency: Urgency(urgency), Created: time.Unix(0, created), EmailFrom: from,
 		}
-		rec, err := a.AppendBinary(nil)
+		rec, err := a.AppendRecord(nil)
 		if (err == nil) != (a.Validate() == nil) {
-			t.Fatalf("AppendBinary error %v, Validate error %v", err, a.Validate())
+			t.Fatalf("AppendRecord error %v, Validate error %v", err, a.Validate())
 		}
 		if err != nil {
 			return
 		}
-		if err := got.UnmarshalBinary(rec); err != nil {
-			t.Fatalf("UnmarshalBinary of a valid alert's record: %v", err)
+		if err := got.UnmarshalRecord(rec, a.DedupKey()); err != nil {
+			t.Fatalf("UnmarshalRecord of a valid alert's record: %v", err)
+		}
+		if err := got.UnmarshalRecord(rec, key); err == nil && got.DedupKey() != key {
+			t.Fatalf("under key %q the record decoded to %+v", key, got)
+		}
+		if err := got.UnmarshalRecord(rec, a.DedupKey()); err != nil {
+			t.Fatal(err)
 		}
 		clear(rec)
 		if got.ID != a.ID || got.Source != a.Source || got.Subject != a.Subject || got.Body != a.Body ||

@@ -6,6 +6,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -446,6 +447,62 @@ func TestTicketResolvesInStagingOrder(t *testing.T) {
 	}
 	if got := sink.sequence("user-0"); !reflect.DeepEqual(got, want) {
 		t.Fatalf("user-0 delivered out of staging order (%d rounds shared a batch):\n got %v\nwant %v", shared, got, want)
+	}
+}
+
+// TestStopJoinsResolver: Drain, Kill and Stopped complete only once the
+// commit resolver has exited, so nothing of a stopped hub runs on. A
+// callback parks the resolver while the stop is under way: until it
+// returns, the hub has not stopped and Drain has not returned.
+func TestStopJoinsResolver(t *testing.T) {
+	for _, stop := range []string{"Drain", "Kill"} {
+		t.Run(stop, func(t *testing.T) {
+			h := newTestHub(t, Config{Channels: sinkChannels(func(int, string, *alert.Alert) error { return nil })})
+			addUsers(t, h, 1)
+			if err := h.Start(); err != nil {
+				t.Fatal(err)
+			}
+			entered, release := make(chan struct{}), make(chan struct{})
+			var returned atomic.Bool
+			h.SubmitBatchAsync([]Submission{{User: "user-0", Alert: portalAlert(0, h.cfg.Clock.Now())}}, func([]error) {
+				close(entered)
+				<-release
+				returned.Store(true)
+			})
+			select {
+			case <-entered:
+			case <-time.After(10 * time.Second):
+				t.Fatal("the burst's callback never ran")
+			}
+			var drained chan error // nil for Kill: never ready
+			if stop == "Drain" {
+				drained = make(chan error, 1)
+				go func() { drained <- h.Drain() }()
+			} else {
+				h.Kill()
+			}
+			select {
+			case <-h.Stopped():
+				t.Fatal("the hub stopped while its resolver was running a callback")
+			case <-drained:
+				t.Fatal("Drain returned while the resolver was running a callback")
+			case <-time.After(50 * time.Millisecond):
+			}
+			close(release)
+			select {
+			case <-h.Stopped():
+			case <-time.After(10 * time.Second):
+				t.Fatal("the hub did not stop once the callback returned")
+			}
+			if !returned.Load() {
+				t.Fatal("the hub stopped before its resolver's callback returned")
+			}
+			if drained != nil {
+				if err := <-drained; err != nil {
+					t.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"slices"
 	"strings"
 	"sync"
@@ -342,6 +343,41 @@ func hostGuaranteed(t testing.TB, h *Hub, user string) *Buddy {
 	return b
 }
 
+// pipeAlert is alert i of user with what only its journal key carries
+// made hard to split back out: a '|' inside Source and ID, and a
+// pre-1970 Created.
+func pipeAlert(user string, i int) *alert.Alert {
+	return &alert.Alert{ID: fmt.Sprintf("a|%s|%d", user, i), Source: "por|tal", Keywords: []string{"stocks", "a,b"},
+		Subject: "l1\nl2", Body: fmt.Sprintf("body %d", i), EmailFrom: "desk@portal.sim", Urgency: alert.UrgencyHigh,
+		Created: time.Date(1969, 7, 20, 20, 17, 40, i, time.UTC)}
+}
+
+// hostPipes is hostPortal at tier, accepting pipeAlert's source.
+func hostPipes(tier core.Tier) func(testing.TB, *Hub, string) *Buddy {
+	return func(t testing.TB, h *Hub, user string) *Buddy {
+		b := hostPortal(t, h, user)
+		b.Pipeline().Classifier.Accept(mab.SourceRule{Source: "por|tal", Extract: mab.ExtractNative})
+		if err := b.SetTier(tier); err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+}
+
+// deliveredAsSubmitted: every acked alert reached its user equal field
+// for field to the one submitted, but for Keywords, which routing
+// replaces with the category.
+func deliveredAsSubmitted(t *testing.T, r *crashRun) {
+	seen := r.sink.snapshot()
+	for k, a := range r.acked {
+		want := *a
+		want.Keywords = []string{"Investment"}
+		if got := seen.last[k]; !reflect.DeepEqual(got, want) {
+			t.Errorf("%s delivered as %+v, submitted %+v", k, got, *a)
+		}
+	}
+}
+
 // TestHubCrash runs the paper's contract — log before ack, route, then
 // mark processed, a replayed duplicate detectable by its timestamp —
 // through every crash row, and checks each the same way: every acked key
@@ -491,6 +527,27 @@ var crashRows = []crashRow{
 					t.Errorf("replayed alert delivered as %q / %q, want Special / \"l1\\nl2\"", a.Keywords[0], a.Subject)
 				}
 			}
+		},
+	},
+	{
+		// Replayed, an alert is the one submitted, field for field:
+		// Source, ID and Created come back from its journal key, a '|'
+		// inside the first two and a pre-1970 Created included.
+		name: "ReplaysFieldForField", users: 1, alerts: 3, via: viaBatch, host: hostPipes(core.TierBestEffort), mkAlert: pipeAlert,
+		point: faultRoute, arm: armBefore, replayed: exactly(3), extra: deliveredAsSubmitted,
+	},
+	{
+		// The same alert from an outbox envelope loaded after a Kill:
+		// User and Round come back from the envelope's key too.
+		name: "EnvelopeFieldForField", cfg: fastRetries, host: hostPipes(core.TierGuaranteed), mkAlert: pipeAlert,
+		users: 1, alerts: 1, via: viaSubmit, down: true,
+		step:     afterHandoff(func(_ *testing.T, h *Hub) { h.Kill(); <-h.Stopped() }),
+		replayed: exactly(0),
+		extra: func(t *testing.T, r *crashRun) {
+			if n := r.stats.Outbox.Loaded; n != 1 {
+				t.Errorf("the reopened hub loaded %d envelopes, want 1", n)
+			}
+			deliveredAsSubmitted(t, r)
 		},
 	},
 	{
@@ -946,7 +1003,7 @@ func holdImage(t *testing.T, r *crashRun) []string {
 // mid-write: a half-written tmp file and a truncated checkpoint.
 func tornCheckpoint(t *testing.T, r *crashRun) []string {
 	wal := filepath.Join(r.dir, "hub.wal")
-	for name, data := range map[string]string{".ckpt.tmp": "CKPT 1 2 9", ".ckpt.00000002": "CKPT 5 2 99 1 99 0\n"} {
+	for name, data := range map[string]string{".ckpt.tmp": "CKPT 1 2 9", ".ckpt.00000002": "CKPT 6 2 99 1 99 0\n"} {
 		if err := os.WriteFile(wal+name, []byte(data), 0o644); err != nil {
 			t.Fatal(err)
 		}

@@ -70,13 +70,7 @@ func TestHubRefusesTextPayloadDirectory(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// The frames are unchanged since SIMBAW2; only the version differs.
-	for name, data := range dirFiles(t, dir) {
-		old := strings.Replace(strings.Replace(data, "SIMBAW4\n", "SIMBAW2\n", 1), "CKPT 5 ", "CKPT 3 ", 1)
-		if err := os.WriteFile(filepath.Join(dir, name), []byte(old), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
+	stampVersion(t, dir, "SIMBAW2\n", "CKPT 3 ") // the frames are unchanged since SIMBAW2
 	before := dirFiles(t, dir)
 	if _, err := New(Config{
 		Clock: clock.NewReal(), WALPath: walPath, Channels: newRecordingSink().channels(),
@@ -100,7 +94,7 @@ func TestHubRefusesSeparateOutboxDirectory(t *testing.T) {
 	dir := t.TempDir()
 	walPath, outboxPath := filepath.Join(dir, "hub.wal"), filepath.Join(dir, "hub.outbox")
 	a := portalAlert(1, time.Unix(985597200, 0))
-	rec, err := a.AppendBinary(nil)
+	rec, err := a.AppendRecord(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,12 +118,7 @@ func TestHubRefusesSeparateOutboxDirectory(t *testing.T) {
 	if err := ob.Close(); err != nil {
 		t.Fatal(err)
 	}
-	for name, data := range dirFiles(t, dir) {
-		old := strings.Replace(strings.Replace(data, "SIMBAW4\n", "SIMBAW3\n", 1), "CKPT 5 ", "CKPT 4 ", 1)
-		if err := os.WriteFile(filepath.Join(dir, name), []byte(old), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
+	stampVersion(t, dir, "SIMBAW3\n", "CKPT 4 ")
 	before := dirFiles(t, dir)
 	if _, err := New(Config{
 		Clock: clock.NewReal(), WALPath: walPath, Channels: newRecordingSink().channels(),
@@ -138,6 +127,71 @@ func TestHubRefusesSeparateOutboxDirectory(t *testing.T) {
 	}
 	if after := dirFiles(t, dir); !reflect.DeepEqual(after, before) {
 		t.Fatalf("refused New changed the directory: %q -> %q", before, after)
+	}
+}
+
+// TestHubRefusesUnkeyedRecordDirectory: a SIMBAW4 WAL holds an alert
+// record and an outbox envelope that each repeat what their keys hold,
+// which this build's decoder would misread as the record's first fields.
+// New and outbox.Open both refuse the directory with plog.ErrFormat and
+// leave every file — the owed alert and envelope included —
+// byte-identical.
+func TestHubRefusesUnkeyedRecordDirectory(t *testing.T) {
+	dir := t.TempDir()
+	walPath := filepath.Join(dir, "hub.wal")
+	a := portalAlert(1, time.Unix(985597200, 0))
+	rec, err := a.AppendRecord(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	l, err := plog.Open(walPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := l.LogReceived("user-1"+keySep+a.DedupKey(), rec, time.Now()); err != nil {
+		t.Fatal(err)
+	}
+	ob := outbox.New(l, outbox.Options{Clock: clock.NewReal()})
+	if err := ob.Put(outbox.Entry{User: "user-0", Category: "Investment", Alert: a}); err != nil {
+		t.Fatal(err)
+	}
+	if err := ob.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Checkpoint(); err != nil { // the envelope and the alert in a checkpoint as well
+		t.Fatal(err)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	stampVersion(t, dir, "SIMBAW4\n", "CKPT 5 ")
+	before := dirFiles(t, dir)
+	if _, err := New(Config{
+		Clock: clock.NewReal(), WALPath: walPath, Channels: newRecordingSink().channels(),
+	}); !errors.Is(err, plog.ErrFormat) {
+		t.Fatalf("New on a SIMBAW4 directory = %v; want plog.ErrFormat", err)
+	}
+	if _, err := outbox.Open(outbox.Options{Clock: clock.NewReal(), Path: walPath}); !errors.Is(err, plog.ErrFormat) {
+		t.Fatalf("outbox.Open on a SIMBAW4 journal = %v; want plog.ErrFormat", err)
+	}
+	if after := dirFiles(t, dir); !reflect.DeepEqual(after, before) {
+		t.Fatalf("refused opens changed the directory: %q -> %q", before, after)
+	}
+}
+
+// stampVersion rewrites every journal file in dir, written by this
+// build, as an older build's: magic opens its segments and ckpt its
+// checkpoints' headers.
+func stampVersion(t *testing.T, dir, magic, ckpt string) {
+	t.Helper()
+	for name, data := range dirFiles(t, dir) {
+		old := strings.Replace(strings.Replace(data, "SIMBAW5\n", magic, 1), "CKPT 6 ", ckpt, 1)
+		if old == data {
+			t.Fatalf("%s is neither a SIMBAW5 segment nor a CKPT 6 checkpoint", name)
+		}
+		if err := os.WriteFile(filepath.Join(dir, name), []byte(old), 0o644); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 

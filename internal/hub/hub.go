@@ -323,8 +323,12 @@ type Hub struct {
 	killOnce  sync.Once
 	crashOnce sync.Once
 	stopOnce  sync.Once
-	stopped   chan struct{}
-	closeErr  error
+	// walClosed tells the resolver the WAL is closed, so every commit it
+	// still holds resolves at once: it drains them, exits and closes
+	// resolverExited, and only then is stopped closed.
+	walClosed, resolverExited chan struct{}
+	stopped                   chan struct{}
+	closeErr                  error
 
 	counters *metrics.CounterSet
 	// Hot-path counter handles, resolved once in New: bumping one is a
@@ -408,17 +412,19 @@ func New(cfg Config) (*Hub, error) {
 		return nil, fmt.Errorf("hub: opening WAL: %w", err)
 	}
 	h := &Hub{
-		cfg:        cfg,
-		wal:        wal,
-		users:      make(map[string]*Buddy),
-		killed:     make(chan struct{}),
-		stopped:    make(chan struct{}),
-		counters:   &metrics.CounterSet{},
-		queueWait:  metrics.NewReservoir(defaultLatencyReservoir),
-		routeLat:   metrics.NewReservoir(defaultLatencyReservoir),
-		deliverLat: metrics.NewReservoir(defaultLatencyReservoir),
-		admitLat:   metrics.NewReservoir(defaultLatencyReservoir),
-		resolveq:   make(chan *ticket, defaultAsyncInFlight),
+		cfg:            cfg,
+		wal:            wal,
+		users:          make(map[string]*Buddy),
+		killed:         make(chan struct{}),
+		walClosed:      make(chan struct{}),
+		resolverExited: make(chan struct{}),
+		stopped:        make(chan struct{}),
+		counters:       &metrics.CounterSet{},
+		queueWait:      metrics.NewReservoir(defaultLatencyReservoir),
+		routeLat:       metrics.NewReservoir(defaultLatencyReservoir),
+		deliverLat:     metrics.NewReservoir(defaultLatencyReservoir),
+		admitLat:       metrics.NewReservoir(defaultLatencyReservoir),
+		resolveq:       make(chan *ticket, defaultAsyncInFlight),
 	}
 	h.ctr.received = h.counters.Counter("received")
 	h.ctr.duplicates = h.counters.Counter("duplicates")
@@ -475,6 +481,7 @@ func New(cfg Config) (*Hub, error) {
 		Journal:       cfg.Journal,
 	})
 	h.redo = core.NewScratch(nil)
+	go h.resolver() // Drain or Kill stops it, as it stops the WAL's committer
 	return h, nil
 }
 

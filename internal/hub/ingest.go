@@ -260,7 +260,7 @@ func (h *Hub) stage(t *ticket, subs []Submission, scr *submitScratch) bool {
 		scr.keys = append(scr.keys, s.User...)
 		scr.keys = append(scr.keys, keySep...)
 		scr.keys = s.Alert.AppendDedupKey(scr.keys)
-		need += s.Alert.BinaryLen()
+		need += s.Alert.RecordLen()
 		pending = append(pending, submitPending{idx: i, buddy: b, a: s.Alert, keyEnd: len(scr.keys)})
 	}
 	scr.pending = pending
@@ -334,7 +334,7 @@ func (h *Hub) stage(t *ticket, subs []Submission, scr *submitScratch) bool {
 		// moment LogReceivedBatchStart returns.
 		env := getEnvelope()
 		env.fill(p.buddy, p.a, p.key, now)
-		grown, err := env.alert.AppendBinary(records)
+		grown, err := env.alert.AppendRecord(records)
 		if err != nil {
 			putEnvelope(env)
 			p.sh.release()
@@ -388,15 +388,16 @@ func (h *Hub) nack(t *ticket, err error) {
 // shards. FIFO order here is what lets deferred enqueues preserve
 // per-user submission order: the journal's commits resolve in batch
 // order, and two bursts sharing one commit batch are still enqueued in
-// the order they staged. After the hub stops, the resolver drains
+// the order they staged. Once the WAL is closed, the resolver drains
 // whatever is buffered (commits resolve instantly once the closed WAL
-// flushed them) and exits.
+// flushed them) and exits; the hub counts as stopped only after that.
 func (h *Hub) resolver() {
+	defer close(h.resolverExited)
 	for {
 		select {
 		case t := <-h.resolveq:
 			h.resolve(t)
-		case <-h.stopped:
+		case <-h.walClosed:
 			for len(h.resolveq) > 0 { // the one receiver: this cannot block
 				h.resolve(<-h.resolveq)
 			}

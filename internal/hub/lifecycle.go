@@ -35,7 +35,6 @@ func (h *Hub) Start() error {
 	if err := h.outbox.Start(h.redeliver); err != nil {
 		return err
 	}
-	go h.resolver()
 	h.accepting.Store(true)
 	return nil
 }
@@ -108,7 +107,8 @@ type replayRec struct {
 }
 
 // replayable decodes one unprocessed WAL record into r for re-enqueue,
-// reusing r's keyword backing (alert.Alert.UnmarshalBinary). An
+// under the dedup part of its key (alert.Alert.UnmarshalRecord: Source
+// and ID are substrings of the key) and reusing r's keyword backing. An
 // outbox envelope is the outbox's and is skipped untouched. A record
 // that can never be routed — no user in its key, a user no longer
 // hosted, an unparsable payload — or whose alert an envelope in handed
@@ -126,7 +126,7 @@ func (h *Hub) replayable(rec plog.Record, only *shard, handed map[string]struct{
 		_ = h.wal.MarkProcessedAsync(rec.Key, h.cfg.Clock.Now()) // a lost one is redone next Start
 		h.counters.Add1("tombstoned")
 	}
-	user, _, keyed := strings.Cut(rec.Key, keySep)
+	user, dedup, keyed := strings.Cut(rec.Key, keySep)
 	if only != nil && (!keyed || h.shardOf(user) != only) {
 		return false
 	}
@@ -144,7 +144,7 @@ func (h *Hub) replayable(rec plog.Record, only *shard, handed map[string]struct{
 		return false
 	}
 	r.b, r.key = b, rec.Key
-	if err := r.a.UnmarshalBinary(rec.Payload); err != nil {
+	if err := r.a.UnmarshalRecord(rec.Payload, dedup); err != nil {
 		tombstone("unparsable WAL entry %q: %v", rec.Key, err)
 		return false
 	}
@@ -203,12 +203,12 @@ func (h *Hub) Kill() {
 }
 
 // Stopped is closed once the hub has fully shut down (stages retired,
-// WAL flushed and closed).
+// WAL flushed and closed, the commit resolver exited).
 func (h *Hub) Stopped() <-chan struct{} { return h.stopped }
 
 // shutdown quiesces the delivery stages (unless killed, in which case
-// chained and in-flight work is abandoned), stops the outbox, and
-// closes the WAL. Runs at most once.
+// chained and in-flight work is abandoned), stops the outbox, closes
+// the WAL and waits for the commit resolver to exit. Runs at most once.
 func (h *Hub) shutdown() {
 	h.stopOnce.Do(func() {
 		select {
@@ -237,6 +237,8 @@ func (h *Hub) shutdown() {
 			_ = h.outbox.Close() // it closes no journal: the WAL below is its
 		}
 		h.closeErr = h.wal.Close()
+		close(h.walClosed)
+		<-h.resolverExited
 		close(h.stopped)
 	})
 }

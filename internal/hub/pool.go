@@ -137,7 +137,9 @@ func putEnvelope(e *envelope) {
 		e.poison()
 		e.poisoned = true
 	} else {
-		e.key = "" // a pooled envelope must not pin its burst's key slab
+		// A pooled envelope must not pin its burst's key slab, which a
+		// replayed alert's Source and ID are substrings of.
+		e.key, e.alert.Source, e.alert.ID = "", "", ""
 	}
 	e.buddy = nil
 	e.next = nil

@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"runtime"
 	"slices"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -191,7 +192,8 @@ func testSubmitBatchKeepsNothing(t *testing.T) {
 	for _, rec := range live {
 		w, ok := wantEarly[rec.Key]
 		var a alert.Alert
-		if err := a.UnmarshalBinary(rec.Payload); !ok || err != nil || !reflect.DeepEqual(a, w.a) {
+		_, dedup, _ := strings.Cut(rec.Key, keySep)
+		if err := a.UnmarshalRecord(rec.Payload, dedup); !ok || err != nil || !reflect.DeepEqual(a, w.a) {
 			t.Fatalf("early record %q reads back %+v (%v), submitted %+v", rec.Key, a, err, w.a)
 		}
 	}
@@ -242,7 +244,7 @@ func testSubmitBatchKeepsNothing(t *testing.T) {
 			t.Errorf("record %d key %q, want %q", i, rec.Key, wantKey)
 		}
 		var a alert.Alert
-		if err := a.UnmarshalBinary(rec.Payload); err != nil {
+		if err := a.UnmarshalRecord(rec.Payload, w.a.DedupKey()); err != nil {
 			t.Fatalf("record %d payload %q: %v", i, rec.Payload, err)
 		}
 		if !reflect.DeepEqual(a, w.a) {

@@ -87,51 +87,48 @@ func splitKey(key string) (dedup string, round int, err error) {
 }
 
 // envelopeTag opens every envelope payload. The hub's own WAL records
-// open with alert.AppendBinary's tag (0xA1); without a tag of its own an
-// envelope would open with the uvarint length of its user, which is
-// 0xA1 for a 161-byte user ID.
+// open with alert.AppendRecord's tag (0xA1); without a tag of its own an
+// envelope would open with the uvarint length of its category, which is
+// 0xA1 for a 161-byte category.
 const envelopeTag = 0xA2
 
 // encode renders the envelope payload in one buffer: envelopeTag,
-// uvarint-length User and Category, uvarint Attempts, Round and Offset,
-// Due as 8 bytes of little-endian Unix nanoseconds, then the alert's
-// journal record (alert.AppendBinary) as the rest.
+// uvarint-length Category, uvarint Attempts and Offset, Due as 8 bytes
+// of little-endian Unix nanoseconds, then the alert's journal record
+// (alert.AppendRecord) as the rest. User and Round are not written: the
+// envelope's key, user␟dedupKey␟round, holds both, and decodeEntry reads
+// them back from it.
 func (e *Entry) encode() ([]byte, error) {
 	if err := e.validate(); err != nil {
 		return nil, err
 	}
-	dst := make([]byte, 0, 1+len(e.User)+len(e.Category)+5*binary.MaxVarintLen64+8+e.Alert.BinaryLen())
+	dst := make([]byte, 0, 1+len(e.Category)+3*binary.MaxVarintLen64+8+e.Alert.RecordLen())
 	dst = append(dst, envelopeTag)
-	dst = binary.AppendUvarint(dst, uint64(len(e.User)))
-	dst = append(dst, e.User...)
 	dst = binary.AppendUvarint(dst, uint64(len(e.Category)))
 	dst = append(dst, e.Category...)
-	for _, n := range [...]int{e.Attempts, e.Round, e.Offset} {
-		dst = binary.AppendUvarint(dst, uint64(n))
-	}
+	dst = binary.AppendUvarint(dst, uint64(e.Attempts))
+	dst = binary.AppendUvarint(dst, uint64(e.Offset))
 	dst = binary.LittleEndian.AppendUint64(dst, uint64(e.Due.UnixNano()))
-	return e.Alert.AppendBinary(dst)
+	return e.Alert.AppendRecord(dst)
 }
 
 var errEnvelope = errors.New("outbox: malformed envelope")
 
-// decodeEntry parses an envelope payload produced by encode.
-func decodeEntry(payload []byte) (*Entry, error) {
-	if !IsEnvelope(payload) {
+// decodeEntry parses an envelope payload produced by encode, journaled
+// under the key splitKey parsed into dedup and round.
+func decodeEntry(dedup string, round int, payload []byte) (*Entry, error) {
+	user, alertKey, ok := strings.Cut(dedup, keySep)
+	if !ok || !IsEnvelope(payload) {
 		return nil, errEnvelope
 	}
 	payload = payload[1:]
-	e := &Entry{Alert: new(alert.Alert)}
-	var text [2]string
-	for i := range text {
-		n, k := binary.Uvarint(payload)
-		if k <= 0 || n > uint64(len(payload)-k) {
-			return nil, errEnvelope
-		}
-		text[i], payload = string(payload[k:k+int(n)]), payload[k+int(n):]
+	e := &Entry{User: user, Round: round, Alert: new(alert.Alert)}
+	n, k := binary.Uvarint(payload)
+	if k <= 0 || n > uint64(len(payload)-k) {
+		return nil, errEnvelope
 	}
-	e.User, e.Category = text[0], text[1]
-	for _, f := range [...]*int{&e.Attempts, &e.Round, &e.Offset} {
+	e.Category, payload = string(payload[k:k+int(n)]), payload[k+int(n):]
+	for _, f := range [...]*int{&e.Attempts, &e.Offset} {
 		n, k := binary.Uvarint(payload)
 		if k <= 0 {
 			return nil, errEnvelope
@@ -142,7 +139,7 @@ func decodeEntry(payload []byte) (*Entry, error) {
 		return nil, errEnvelope
 	}
 	e.Due = time.Unix(0, int64(binary.LittleEndian.Uint64(payload)))
-	if err := e.Alert.UnmarshalBinary(payload[8:]); err != nil {
+	if err := e.Alert.UnmarshalRecord(payload[8:], alertKey); err != nil {
 		return nil, fmt.Errorf("outbox: envelope alert: %w", err)
 	}
 	return e, e.validate()

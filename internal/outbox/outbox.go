@@ -261,13 +261,9 @@ func (o *Outbox) Load(recs []plog.Record) (owned map[string]struct{}) {
 			retire(rec.Key, "malformed-key")
 			continue
 		}
-		e, err := decodeEntry(rec.Payload)
+		e, err := decodeEntry(dedup, round, rec.Payload)
 		if err != nil {
 			retire(rec.Key, "unparsable")
-			continue
-		}
-		if e.dedupKey() != dedup || e.Round != round {
-			retire(rec.Key, "inconsistent")
 			continue
 		}
 		prev, ok := newest[dedup]

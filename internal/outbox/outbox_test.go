@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -42,26 +43,20 @@ func entryKey(i int) string {
 	return e.key()
 }
 
+// TestEntryCodecRoundTrip: an envelope decoded under its key is the
+// entry encoded — User and Round read back from the key, and the alert
+// field for field, a '|' in its Source and ID and a pre-1970 Created
+// included — and under another alert's key it does not decode.
 func TestEntryCodecRoundTrip(t *testing.T) {
 	e := testEntry(1)
 	e.Round = 4
 	e.Offset = 2
 	e.Due = time.Unix(0, 987654321)
+	e.Alert.Source, e.Alert.ID = "por|tal", "a|1"
+	e.Alert.Created = time.Date(1969, 7, 20, 20, 17, 40, 0, time.UTC)
 	payload, err := e.encode()
 	if err != nil {
 		t.Fatal(err)
-	}
-	got, err := decodeEntry(payload)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.User != e.User || got.Category != e.Category ||
-		got.Attempts != e.Attempts || got.Round != e.Round || got.Offset != e.Offset ||
-		!got.Due.Equal(e.Due) {
-		t.Fatalf("decoded entry %+v != original %+v", got, e)
-	}
-	if got.Alert.DedupKey() != e.Alert.DedupKey() {
-		t.Fatalf("decoded alert key %q != %q", got.Alert.DedupKey(), e.Alert.DedupKey())
 	}
 	dedup, round, err := splitKey(e.key())
 	if err != nil {
@@ -69,6 +64,19 @@ func TestEntryCodecRoundTrip(t *testing.T) {
 	}
 	if dedup != e.dedupKey() || round != e.Round {
 		t.Fatalf("splitKey(%q) = (%q, %d)", e.key(), dedup, round)
+	}
+	got, err := decodeEntry(dedup, round, payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.User != e.User || got.Category != e.Category ||
+		got.Attempts != e.Attempts || got.Round != e.Round || got.Offset != e.Offset ||
+		!got.Due.Equal(e.Due) || !reflect.DeepEqual(got.Alert, e.Alert) {
+		t.Fatalf("decoded entry %+v (alert %+v) != original %+v (alert %+v)", got, *got.Alert, e, *e.Alert)
+	}
+	other := testEntry(2)
+	if got, err := decodeEntry(other.dedupKey(), round, payload); err == nil {
+		t.Fatalf("the envelope decoded under another alert's key as %+v", got)
 	}
 }
 
@@ -85,7 +93,7 @@ func TestEntryEncodeAllocBudget(t *testing.T) {
 }
 
 // TestLoadEntriesOwnTheirKeywords: the envelopes Load keeps never share
-// keyword backing, although alert.Alert.UnmarshalBinary reuses its
+// keyword backing, although alert.Alert.UnmarshalRecord reuses its
 // receiver's — each entry is decoded into an alert of its own.
 func TestLoadEntriesOwnTheirKeywords(t *testing.T) {
 	l, err := plog.Open(filepath.Join(t.TempDir(), "shared.wal"))

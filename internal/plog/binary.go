@@ -52,12 +52,14 @@ import (
 
 // segMagic opens every segment; recovery refuses a file that opens with
 // anything else (checkFormats). The version also covers what the
-// journal's users write: SIMBAW3 made the hub's payloads
-// alert.AppendBinary records instead of SIMBAW2's text, and SIMBAW4
-// moved the retry outbox's envelopes into the hub's WAL, so a SIMBAW3
-// hub directory — whose pending envelopes sit in a second journal this
-// build never opens — is refused rather than opened without them.
-const segMagic = "SIMBAW4\n"
+// journal's users write: SIMBAW3 made the hub's payloads binary alert
+// records instead of SIMBAW2's text, SIMBAW4 moved the retry outbox's
+// envelopes into the hub's WAL, so a SIMBAW3 hub directory — whose
+// pending envelopes sit in a second journal this build never opens — is
+// refused rather than opened without them, and SIMBAW5's records
+// (alert.AppendRecord) leave out what their keys hold: an alert's
+// Source, ID and Created, an envelope's User and Round.
+const segMagic = "SIMBAW5\n"
 
 // segHeaderSize is the byte offset of the first frame in a segment.
 const segHeaderSize = int64(len(segMagic))

@@ -9,9 +9,9 @@ import (
 	"time"
 )
 
-// Checkpoint format (version 5, which pairs with segMagic's SIMBAW4):
+// Checkpoint format (version 6, which pairs with segMagic's SIMBAW5):
 //
-//	CKPT 5 <gen> <watermark> <count> <total> <unix-nanos>
+//	CKPT 6 <gen> <watermark> <count> <total> <unix-nanos>
 //	<binary RECV run> …   holding count entries (binary.go has the layout)
 //	END <count>
 //
@@ -32,7 +32,7 @@ import (
 
 // ckptVersion is the checkpoint format recovery reads; a checkpoint of
 // any other version is refused before anything is touched (checkFormats).
-const ckptVersion = 5
+const ckptVersion = 6
 
 type ckptHeader struct {
 	gen       uint64

@@ -406,24 +406,31 @@ func (l *Log) markProcessedLocked(i int) {
 }
 
 // maybeSweepLocked retires accumulated tombstones once SweepEvery of
-// them are resident, keeping memory O(unprocessed).
+// them are resident, keeping memory O(unprocessed). It compacts order in
+// place, zeroing the vacated tail so no retired key pins its slab, and
+// refills the cleared index: a steady sweep allocates nothing. Only when
+// the kept records and the refill to come (the next sweep is SweepEvery
+// records away) need less than a quarter of order's capacity are both
+// reallocated at that size, so memory shrinks back after a spike.
 func (l *Log) maybeSweepLocked() {
 	if l.opts.Log.SweepEvery <= 0 || l.processedLive < l.opts.Log.SweepEvery {
 		return
 	}
-	// Sized for the refill: the next sweep comes SweepEvery records from
-	// now, and growing back up to it one doubling at a time would cost
-	// more allocations than every burst in between.
-	refill := len(l.order) - l.processedLive + l.opts.Log.SweepEvery
-	kept := make([]Record, 0, refill)
+	kept := l.order[:0]
 	for _, r := range l.order {
 		if !r.Processed {
 			kept = append(kept, r)
 		}
 	}
+	clear(l.order[len(kept):])
 	l.retired += int64(len(l.order) - len(kept))
+	if refill := len(kept) + l.opts.Log.SweepEvery; 4*refill < cap(kept) {
+		kept = append(make([]Record, 0, refill), kept...)
+		l.index = make(map[string]int, refill)
+	} else {
+		clear(l.index)
+	}
 	l.order = kept
-	l.index = make(map[string]int, refill)
 	for i, r := range kept {
 		l.index[r.Key] = i
 	}

@@ -35,21 +35,21 @@ func slabBurst(round, n int) ([]BatchEntry, []string) {
 // commit is a batch number, the two batch structs are reused, and the
 // payloads are copied into the free tail of the log's 16 KiB payload
 // arena chunk — whether the burst is 8, 64 or 256 records (measured
-// 0.12, 0.42 and 1.70 per burst, median of 7; 1.09, 1.33 and 2.20 while
-// each burst's payloads were a slab of their own, and 3.09, 3.33 and
-// 4.20 while each commit batch and its done channel were fresh). What
-// is left is one arena chunk per 16 KiB of payload and the sweep's
-// rebuild of the index every DefaultSweepEvery DONEs — one allocation
-// per 256 records or so — which is what the slack is for. The budget
-// is 1.25 × the largest median.
+// 0.12, 0.12 and 0.52 per burst, median of 7; 0.12, 0.42 and 1.70 while
+// every sweep made a new order slice and index, 1.09, 1.33 and 2.20
+// while each burst's payloads were a slab of their own, and 3.09, 3.33
+// and 4.20 while each commit batch and its done channel were fresh).
+// What is left is one arena chunk per 16 KiB of payload, which is what
+// the slack is for: the sweep compacts in place. The budget is 1.25 ×
+// the largest median.
 func TestStageRecvAllocsPerBurst(t *testing.T) {
 	if race.Enabled {
 		t.Skip("alloc accounting is not meaningful under the race detector")
 	}
 	const (
 		warmup, measured = 64, 64 // bursts
-		budget           = 2.125  // allocations per burst: 1.25 × 1.70
-		slack            = 2.0    // a 256-record burst's share of a sweep
+		budget           = 0.65   // allocations per burst: 1.25 × 0.52
+		slack            = 0.5    // a 256-record burst's extra arena chunks: 1.25 × 0.40
 	)
 	perBurst := make(map[int]float64)
 	for _, n := range []int{8, 64, 256} {
