@@ -33,6 +33,11 @@ func deliveredViaCounter(t addr.Type) string {
 // routed). Waiting on an ack or a backoff, it is parked — held by no
 // worker, out of the ready FIFO — until resume, called once per park by
 // the executor or the wheel, re-readies it.
+//
+// A stage takes its nodes from slabs of envSlab and keeps the ended
+// ones on a free list, never sharing one with another stage: a node a
+// kill abandons points at its dead stage, and a slab it shared with live
+// nodes would keep that stage, and its hub, reachable.
 type userQueue struct {
 	user       string
 	head, tail *envelope
@@ -51,8 +56,6 @@ type userQueue struct {
 	parked, woken bool
 	resume        func() // made once per node
 }
-
-var userQueuePool = sync.Pool{New: func() any { return new(userQueue) }}
 
 // deliveryStage is one incarnation of a shard's restartable machinery —
 // RestartShard swaps in the next, RejuvenateShard renews it in place —
@@ -119,6 +122,7 @@ type deliveryStage struct {
 	released             bool       // workers exit instead of parking
 	workers              sync.WaitGroup
 	spare                []*core.Scratch // free list: scratches of no delivery
+	freeChains           *userQueue      // free list of chain nodes, linked through ready
 	// spawned counts worker launches and peakChains the most chains that
 	// were ever live at once (tests pin spawned <= peakChains).
 	spawned, peakChains int
@@ -177,7 +181,7 @@ func (d *deliveryStage) renew() {
 	for user, q := range d.users {
 		users[user] = q
 	}
-	d.users, d.spare = users, nil
+	d.users, d.spare, d.freeChains = users, nil, nil
 }
 
 // submit hands one acknowledged envelope to the stage. Called by the
@@ -201,7 +205,14 @@ func (d *deliveryStage) submit(env *envelope) {
 		d.mu.Unlock()
 		return
 	}
-	q := userQueuePool.Get().(*userQueue)
+	if d.freeChains == nil {
+		slab := new([envSlab]userQueue)
+		for i := range slab {
+			slab[i].ready, d.freeChains = d.freeChains, &slab[i]
+		}
+	}
+	q := d.freeChains
+	d.freeChains, q.ready = q.ready, nil
 	q.user, q.head, q.tail, q.d = user, env, env, d
 	if q.resume == nil {
 		q.resume = func() { q.d.unpark(q) }
@@ -330,8 +341,8 @@ func (d *deliveryStage) endChain(q *userQueue, recycle bool) {
 		if q.scr != nil {
 			d.spare = append(d.spare, q.scr)
 		}
-		*q = userQueue{resume: q.resume, wire: q.wire[:0]}
-		userQueuePool.Put(q)
+		*q = userQueue{resume: q.resume, wire: q.wire[:0], ready: d.freeChains}
+		d.freeChains = q
 	}
 	d.wg.Done()
 }

@@ -303,6 +303,7 @@ type Hub struct {
 
 	mu      sync.RWMutex
 	users   map[string]*Buddy
+	buddies []Buddy // the free tail of AddUser's current slab of 64 tenants
 	started bool
 
 	// Pipelined ingest plumbing: one FIFO resolver goroutine waits out

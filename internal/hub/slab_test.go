@@ -1,15 +1,19 @@
 package hub
 
 import (
+	"errors"
 	"fmt"
 	"path/filepath"
 	"reflect"
 	"runtime"
 	"slices"
+	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
+	"weak"
 
 	"simba/internal/alert"
 	"simba/internal/clock"
@@ -250,5 +254,85 @@ func testSubmitBatchKeepsNothing(t *testing.T) {
 		if !reflect.DeepEqual(a, w.a) {
 			t.Errorf("record %d journaled %+v, submitted %+v", i, a, w.a)
 		}
+	}
+}
+
+// TestKilledHubIsCollectable pins that nothing a killed hub's delivery
+// stages allocated keeps the hub reachable once its successor runs.
+// Chain nodes come in slabs, and a node whose delivery a kill abandons
+// mid-wait still points at its stage and so at its hub: a stage may
+// never share a slab with another stage. The first hub delivers the odd
+// tenants' alerts, whose chains end and free their nodes, and is killed
+// while every even tenant's chain is parked in a retry backoff; the
+// second replays the journal and delivers what it replays; then a weak pointer
+// to the first reads nil after two collections. It read non-nil when
+// chain nodes came in slabs from one process-wide pool, where the
+// second hub took the ended nodes beside the abandoned ones, and
+// crash_recovery's peak RSS grew from 43 to 769 MiB in 20 s.
+func TestKilledHubIsCollectable(t *testing.T) {
+	const users, alerts, burst = 64, 1024, 64
+	var delivered, refused atomic.Int64
+	var failing atomic.Bool
+	failing.Store(true)
+	cfg := Config{
+		Clock: clock.NewReal(),
+		Channels: sinkChannels(func(_ int, user string, _ *alert.Alert) error {
+			if n, _ := strconv.Atoi(strings.TrimPrefix(user, "user-")); n%2 == 0 && failing.Load() {
+				refused.Add(1)
+				return errors.New("even tenants' channel down")
+			}
+			delivered.Add(1)
+			return nil
+		}),
+		WALPath:    filepath.Join(t.TempDir(), "hub.wal"),
+		queueDepth: alerts,
+	}
+	killedHub := func() weak.Pointer[Hub] {
+		h, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		addUsers(t, h, users)
+		if err := h.Start(); err != nil {
+			t.Fatal(err)
+		}
+		now := time.Now()
+		subs := make([]Submission, alerts)
+		for i := range subs {
+			subs[i] = Submission{User: fmt.Sprintf("user-%d", i%users), Alert: portalAlert(i, now)}
+		}
+		for i := 0; i < alerts; i += burst {
+			for k, err := range h.SubmitBatch(subs[i : i+burst]) {
+				if err != nil {
+					t.Fatalf("submit %d: %v", i+k, err)
+				}
+			}
+		}
+		waitCond(t, "the odd tenants' alerts to be delivered and every even tenant refused",
+			func() bool { return delivered.Load() == alerts/2 && refused.Load() >= users/2 })
+		h.Kill()
+		<-h.Stopped()
+		return weak.Make(h)
+	}()
+
+	failing.Store(false)
+	h2, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer h2.Drain()
+	addUsers(t, h2, users)
+	if err := h2.Start(); err != nil {
+		t.Fatal(err)
+	}
+	replayed := h2.Counters().Get("replayed")
+	if replayed == 0 {
+		t.Fatal("the second hub replayed nothing")
+	}
+	waitCond(t, "every replayed alert to be delivered", func() bool { return delivered.Load() >= alerts/2+replayed })
+	runtime.GC()
+	runtime.GC()
+	if killedHub.Value() != nil {
+		t.Fatal("the killed hub is still reachable after its successor delivered its journal")
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
+	"maps"
 	"sort"
 	"strings"
 	"sync"
@@ -23,7 +24,7 @@ import (
 type Buddy struct {
 	user string
 	// pipe points at the three zero stages held inline beside it, so a
-	// tenant is one allocation.
+	// tenant is one slot of AddUser's slab.
 	pipe   mab.Pipeline
 	stages struct {
 		c mab.Classifier
@@ -107,15 +108,11 @@ func (b *Buddy) subscribe(category, mode string, tier *core.Tier) error {
 	}
 	next := cur.clone()
 	next.subs = make(map[string]string, len(cur.subs)+1)
-	for k, v := range cur.subs {
-		next.subs[k] = v
-	}
+	maps.Copy(next.subs, cur.subs)
 	next.subs[category] = mode
 	if tier != nil {
 		next.tiers = make(map[string]core.Tier, len(cur.tiers)+1)
-		for k, v := range cur.tiers {
-			next.tiers[k] = v
-		}
+		maps.Copy(next.tiers, cur.tiers)
 		next.tiers[category] = *tier
 	}
 	b.state.Store(next)
@@ -215,7 +212,12 @@ func (h *Hub) AddUser(user string) (*Buddy, error) {
 	if _, ok := h.users[user]; ok {
 		return nil, fmt.Errorf("hub: user %q already hosted", user)
 	}
-	b := &Buddy{user: user}
+	if len(h.buddies) == 0 {
+		h.buddies = make([]Buddy, 64) // a slab, freed once none of its tenants is reachable
+	}
+	b := &h.buddies[0]
+	h.buddies = h.buddies[1:]
+	b.user = user
 	b.pipe = mab.Pipeline{Classifier: &b.stages.c, Aggregator: &b.stages.g, Filter: &b.stages.f}
 	h.users[user] = b
 	return b, nil

@@ -12,28 +12,50 @@ import (
 // TestPipelineEvaluateZeroAllocs pins the per-alert routing decision at
 // zero allocations: classify → aggregate → filter runs on every shard
 // loop iteration, so a single stray allocation here multiplies by the
-// whole ingest volume.
+// whole ingest volume. The rows cover every lookup path: one rule and
+// one mapping scanned inline, a mixed-case keyword the Aggregator folds
+// into its stack buffer first, and eight rules and mappings, past a
+// table's inline entries, looked up in maps. The keywords are longer
+// than the 32 bytes a non-escaping string conversion gets on the stack,
+// so a lookup that copied the folded bytes would show.
 func TestPipelineEvaluateZeroAllocs(t *testing.T) {
 	if race.Enabled {
 		t.Skip("alloc accounting is not meaningful under the race detector")
 	}
-	p := NewPipeline()
-	p.Classifier.Accept(SourceRule{Source: "portal", Extract: ExtractNative})
-	p.Aggregator.Map("stocks", "Investment")
-	a := &alert.Alert{
-		ID: "a-1", Source: "portal", Keywords: []string{"stocks"},
-		Subject: "quote", Body: "MSFT moved", Urgency: alert.UrgencyNormal,
-		Created: time.Unix(0, 1),
-	}
-	now := time.Unix(0, 2)
-	if cat, v := p.Evaluate(a, now); v != VerdictRoute || cat != "Investment" {
-		t.Fatalf("Evaluate = (%q, %v), want (Investment, route)", cat, v)
-	}
-	allocs := testing.AllocsPerRun(200, func() {
-		p.Evaluate(a, now)
-	})
-	if allocs != 0 {
-		t.Fatalf("Pipeline.Evaluate allocates %.1f objects per alert, want 0", allocs)
+	for _, tc := range []struct {
+		name    string
+		rules   int
+		keyword string
+	}{
+		{"InlineLowercase", 1, "earnings-reports-of-the-quarter-0"},
+		{"InlineFolded", 1, "Earnings-Reports-Of-The-Quarter-0"},
+		{"Map", 8, "Earnings-Reports-Of-The-Quarter-7"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			p := NewPipeline()
+			for i := range tc.rules {
+				p.Classifier.Accept(SourceRule{Source: fmt.Sprintf("portal-%d", i), Extract: ExtractNative})
+				p.Aggregator.Map(fmt.Sprintf("earnings-reports-of-the-quarter-%d", i), fmt.Sprintf("Investment-%d", i))
+				p.Filter.SetEnabled(fmt.Sprintf("Other-%d", i), false)
+			}
+			last := tc.rules - 1
+			a := &alert.Alert{
+				ID: "a-1", Source: fmt.Sprintf("portal-%d", last), Keywords: []string{tc.keyword},
+				Subject: "quote", Body: "MSFT moved", Urgency: alert.UrgencyNormal,
+				Created: time.Unix(0, 1),
+			}
+			now := time.Unix(0, 2)
+			want := fmt.Sprintf("Investment-%d", last)
+			if cat, v := p.Evaluate(a, now); v != VerdictRoute || cat != want {
+				t.Fatalf("Evaluate = (%q, %v), want (%s, route)", cat, v, want)
+			}
+			allocs := testing.AllocsPerRun(200, func() {
+				p.Evaluate(a, now)
+			})
+			if allocs != 0 {
+				t.Fatalf("Pipeline.Evaluate allocates %.1f objects per alert, want 0", allocs)
+			}
+		})
 	}
 }
 

@@ -1,7 +1,6 @@
 package mab
 
 import (
-	"maps"
 	"sort"
 	"strings"
 	"sync"
@@ -50,29 +49,32 @@ type SourceRule struct {
 // category keywords from each. Unaccepted sources are dropped — that
 // is the spam boundary MyAlertBuddy provides.
 //
-// The rule table is copy-on-write: mutators clone the map under a
-// mutex and publish the clone whole, so Classify — the per-alert hot
-// path — never takes a lock. The atomic.Value holds the map itself (a
-// map is pointer-shaped), so publishing it allocates no cell. The zero
-// Classifier accepts nothing.
+// The rule table is copy-on-write: mutators copy the table under a
+// mutex, edit the copy and publish it whole, so Classify — the
+// per-alert hot path — never takes a lock. The zero Classifier accepts
+// nothing.
 type Classifier struct {
-	mu    sync.Mutex   // serializes mutators
-	rules atomic.Value // map[string]SourceRule, read-only once stored
+	mu    sync.Mutex // serializes mutators
+	rules atomic.Pointer[table[string, SourceRule]]
 }
 
-// snapshot returns the current rule table (nil for a zero Classifier).
-// Callers must treat it as read-only.
-func (c *Classifier) snapshot() map[string]SourceRule {
-	m, _ := c.rules.Load().(map[string]SourceRule)
-	return m
+// noRules is what a Classifier no mutator has touched reads. Shared
+// and never written: mutators copy it.
+var noRules table[string, SourceRule]
+
+// snapshot returns the current rule table. Callers must treat it as
+// read-only.
+func (c *Classifier) snapshot() *table[string, SourceRule] {
+	return load(&c.rules, &noRules)
 }
 
-// withRoom copies m into a new map with room for one more entry: the
-// copy a stage mutator edits and publishes whole.
-func withRoom[K comparable, V any](m map[K]V) map[K]V {
-	next := make(map[K]V, len(m)+1)
-	maps.Copy(next, m)
-	return next
+// load returns the snapshot p holds, or zero when no mutator has
+// published one.
+func load[T any](p *atomic.Pointer[T], zero *T) *T {
+	if s := p.Load(); s != nil {
+		return s
+	}
+	return zero
 }
 
 // Accept registers (or updates) a source rule.
@@ -81,9 +83,9 @@ func (c *Classifier) Accept(rule SourceRule) {
 		rule.Extract = ExtractNative
 	}
 	c.mu.Lock()
-	next := withRoom(c.snapshot())
-	next[rule.Source] = rule
-	c.rules.Store(next)
+	next := *c.snapshot()
+	next.put(rule.Source, rule)
+	c.rules.Store(&next)
 	c.mu.Unlock()
 }
 
@@ -92,20 +94,18 @@ func (c *Classifier) Accept(rule SourceRule) {
 func (c *Classifier) Remove(source string) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	cur := c.snapshot()
-	if _, ok := cur[source]; !ok {
+	if _, ok := c.snapshot().get(source); !ok {
 		return
 	}
-	next := maps.Clone(cur)
-	delete(next, source)
-	c.rules.Store(next)
+	next := *c.snapshot()
+	next.del(source)
+	c.rules.Store(&next)
 }
 
 // Sources returns the accepted source names.
 func (c *Classifier) Sources() []string {
-	rules := c.snapshot()
-	out := make([]string, 0, len(rules))
-	for s := range rules {
+	out := []string{}
+	for s := range c.snapshot().all {
 		out = append(out, s)
 	}
 	return out
@@ -115,9 +115,8 @@ func (c *Classifier) Sources() []string {
 // name — the user's one-stop inventory of everything they are
 // subscribed to and how to leave it.
 func (c *Classifier) Rules() []SourceRule {
-	rules := c.snapshot()
-	out := make([]SourceRule, 0, len(rules))
-	for _, r := range rules {
+	out := []SourceRule{}
+	for _, r := range c.snapshot().all {
 		out = append(out, r)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Source < out[j].Source })
@@ -132,7 +131,7 @@ func (c *Classifier) Rules() []SourceRule {
 // rather than copying it; callers must treat the result as read-only
 // (routing clones the alert before rewriting its keywords).
 func (c *Classifier) Classify(a *alert.Alert, emailFrom string) (keywords []string, accepted bool) {
-	rule, ok := c.snapshot()[a.Source]
+	rule, ok := c.snapshot().get(a.Source)
 	if !ok {
 		return nil, false
 	}
@@ -211,7 +210,7 @@ type Aggregator struct {
 }
 
 type aggState struct {
-	mapping  map[string]string // lowercased keyword → category
+	mapping  table[string, string] // lowercased keyword → category
 	fallback string
 }
 
@@ -222,18 +221,15 @@ var defaultAggState = aggState{fallback: DefaultCategory}
 
 // snapshot returns the current state; never nil.
 func (g *Aggregator) snapshot() *aggState {
-	if s := g.state.Load(); s != nil {
-		return s
-	}
-	return &defaultAggState
+	return load(&g.state, &defaultAggState)
 }
 
-// SetFallback overrides the category for unmapped keywords. The new
-// snapshot shares the current mapping, which is never written once
-// published.
+// SetFallback overrides the category for unmapped keywords.
 func (g *Aggregator) SetFallback(category string) {
 	g.mu.Lock()
-	g.state.Store(&aggState{mapping: g.snapshot().mapping, fallback: category})
+	next := *g.snapshot()
+	next.fallback = category
+	g.state.Store(&next)
 	g.mu.Unlock()
 }
 
@@ -241,27 +237,26 @@ func (g *Aggregator) SetFallback(category string) {
 // category.
 func (g *Aggregator) Map(keyword, category string) {
 	g.mu.Lock()
-	cur := g.snapshot()
-	next := &aggState{mapping: withRoom(cur.mapping), fallback: cur.fallback}
-	next.mapping[strings.ToLower(keyword)] = category
-	g.state.Store(next)
+	next := *g.snapshot()
+	next.mapping.put(strings.ToLower(keyword), category)
+	g.state.Store(&next)
 	g.mu.Unlock()
 }
 
 // Aggregate assigns the alert's personal category: the first keyword
 // with a mapping wins; otherwise the fallback category. Matching is
 // case-insensitive (the mapping is lowercased at Map time) without a
-// per-lookup strings.ToLower allocation: already-lowercase keywords hit
-// the map directly, and mixed-case ASCII keywords are folded into a
-// stack buffer whose map lookup the compiler keeps allocation-free.
+// per-lookup strings.ToLower allocation: already-lowercase keywords are
+// looked up directly, and mixed-case ASCII keywords are folded into a
+// stack buffer that lookupFolded reads without copying it.
 func (g *Aggregator) Aggregate(keywords []string) string {
 	s := g.snapshot()
-	if len(s.mapping) == 0 {
+	if s.mapping.n+len(s.mapping.m) == 0 {
 		return s.fallback
 	}
 	var buf [64]byte
 	for _, k := range keywords {
-		if cat, ok := s.mapping[k]; ok {
+		if cat, ok := s.mapping.get(k); ok {
 			return cat // already-lowercase fast path
 		}
 		folded, kind := foldASCII(buf[:0], k)
@@ -269,16 +264,29 @@ func (g *Aggregator) Aggregate(keywords []string) string {
 		case foldIdentical:
 			// Lowercase ASCII already missed above; next keyword.
 		case foldChanged:
-			if cat, ok := s.mapping[string(folded)]; ok {
+			if cat, ok := s.lookupFolded(folded); ok {
 				return cat
 			}
 		default: // non-ASCII or oversized: rare full-Unicode path
-			if cat, ok := s.mapping[strings.ToLower(k)]; ok {
+			if cat, ok := s.mapping.get(strings.ToLower(k)); ok {
 				return cat
 			}
 		}
 	}
 	return s.fallback
+}
+
+// lookupFolded is mapping.get for a key held in bytes: the compiler
+// turns both string(key) conversions into views, not copies.
+func (s *aggState) lookupFolded(key []byte) (string, bool) {
+	t := &s.mapping
+	for i := range t.n {
+		if t.keys[i] == string(key) {
+			return t.vals[i], true
+		}
+	}
+	cat, ok := t.m[string(key)]
+	return cat, ok
 }
 
 // foldASCII outcomes.
@@ -322,34 +330,33 @@ type Filter struct {
 }
 
 type filterState struct {
-	disabled map[string]bool
-	quiet    map[string]quietWindow
+	disabled table[string, bool]
+	quiet    table[string, quietWindow]
 }
 
 type quietWindow struct {
 	start, end time.Duration // offsets since midnight; start==end means none
 }
 
-// snapshot returns the current state (possibly nil for a zero Filter,
-// which allows everything).
+// noFilter is what a Filter no mutator has touched reads: it allows
+// everything. Shared and never written: mutators copy it.
+var noFilter filterState
+
+// snapshot returns the current state; never nil.
 func (f *Filter) snapshot() *filterState {
-	return f.state.Load()
+	return load(&f.state, &noFilter)
 }
 
 // SetEnabled enables or disables a category.
 func (f *Filter) SetEnabled(category string, enabled bool) {
 	f.mu.Lock()
-	next := new(filterState) // shares the map it does not edit
-	if cur := f.snapshot(); cur != nil {
-		*next = *cur
-	}
-	next.disabled = withRoom(next.disabled)
+	next := *f.snapshot()
 	if enabled {
-		delete(next.disabled, category)
+		next.disabled.del(category)
 	} else {
-		next.disabled[category] = true
+		next.disabled.put(category, true)
 	}
-	f.state.Store(next)
+	f.state.Store(&next)
 	f.mu.Unlock()
 }
 
@@ -358,17 +365,13 @@ func (f *Filter) SetEnabled(category string, enabled bool) {
 // midnight (start > end) is supported. Equal offsets clear the window.
 func (f *Filter) SetQuietHours(category string, start, end time.Duration) {
 	f.mu.Lock()
-	next := new(filterState) // shares the map it does not edit
-	if cur := f.snapshot(); cur != nil {
-		*next = *cur
-	}
-	next.quiet = withRoom(next.quiet)
+	next := *f.snapshot()
 	if start == end {
-		delete(next.quiet, category)
+		next.quiet.del(category)
 	} else {
-		next.quiet[category] = quietWindow{start: start, end: end}
+		next.quiet.put(category, quietWindow{start: start, end: end})
 	}
-	f.state.Store(next)
+	f.state.Store(&next)
 	f.mu.Unlock()
 }
 
@@ -376,13 +379,13 @@ func (f *Filter) SetQuietHours(category string, start, end time.Duration) {
 // the given time.
 func (f *Filter) Allow(category string, now time.Time) bool {
 	s := f.snapshot()
-	if s == nil {
+	if s == &noFilter {
 		return true
 	}
-	if s.disabled[category] {
+	if off, _ := s.disabled.get(category); off {
 		return false
 	}
-	w, ok := s.quiet[category]
+	w, ok := s.quiet.get(category)
 	if !ok {
 		return true
 	}

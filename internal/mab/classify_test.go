@@ -223,7 +223,7 @@ func TestClassifierRulesInventory(t *testing.T) {
 func TestClassifierRemoveAbsentPublishesNothing(t *testing.T) {
 	var c Classifier
 	c.Remove("absent") // on a zero Classifier too
-	if c.snapshot() != nil {
+	if c.rules.Load() != nil {
 		t.Fatal("Remove on an empty classifier published a table")
 	}
 	c.Accept(SourceRule{Source: "portal"})
@@ -243,8 +243,14 @@ func TestClassifierRemoveAbsentPublishesNothing(t *testing.T) {
 // readers of all three stages and checks that every read sees a state
 // some mutation published whole: nothing a finished mutation wrote is
 // missing, no entry an older one removed is back, and the entries no
-// mutation touches ride along in every copy. Under -race it also shows
-// that no mutator writes a map a reader may hold.
+// mutation touches ride along in every copy. The mutator keeps a window
+// of live sources, disabled categories and quiet windows whose width
+// swings between 1 and 6 every 8 iterations, so each of those tables
+// grows past its inline entries into a map and shrinks back inline
+// (Remove, SetEnabled(true), equal quiet offsets) while readers run;
+// the Aggregator's mapping only grows, and is a map from the fifth
+// iteration on. Under -race it also shows that no mutator writes a
+// table a reader may hold.
 func TestStagesPublishWholeSnapshots(t *testing.T) {
 	const iters = 400
 	var (
@@ -253,24 +259,34 @@ func TestStagesPublishWholeSnapshots(t *testing.T) {
 		f    Filter
 		done atomic.Int64 // iterations the mutator has finished
 	)
+	// After iteration i the live entries are those of iterations
+	// lo[i]+1 … i.
+	var lo [iters + 2]int64
+	for i := int64(1); i < int64(len(lo)); i++ {
+		width := int64(1 + 5*(i/8%2))
+		lo[i] = max(lo[i-1], i-width)
+	}
 	noon := time.Date(2001, 3, 26, 12, 0, 0, 0, time.UTC)
 	c.Accept(SourceRule{Source: "always", UnsubscribeHint: "h-always"})
 	f.SetEnabled("off", false)
 	f.SetQuietHours("quiet", 11*time.Hour, 13*time.Hour)
-	name := func(prefix string, i int64) string { return prefix + strconv.FormatInt(i, 10) }
 
 	var wg sync.WaitGroup
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
 		for i := int64(1); i <= iters; i++ {
-			c.Accept(SourceRule{Source: name("s-", i), UnsubscribeHint: name("h-", i)})
-			g.Map(name("K-", i), name("c-", i))
-			f.SetEnabled(name("c-", i), false)
-			g.SetFallback(name("f-", i))
-			c.Remove(name("s-", i-1))
+			c.Accept(SourceRule{Source: nth("s-", i), UnsubscribeHint: nth("h-", i)})
+			g.Map(nth("K-", i), nth("c-", i))
+			f.SetEnabled(nth("c-", i), false)
+			f.SetQuietHours(nth("q-", i), 11*time.Hour, 13*time.Hour)
+			g.SetFallback(nth("f-", i))
+			for j := lo[i-1] + 1; j <= lo[i]; j++ {
+				c.Remove(nth("s-", j))
+				f.SetEnabled(nth("c-", j), true)
+				f.SetQuietHours(nth("q-", j), 9*time.Hour, 9*time.Hour)
+			}
 			c.Remove("never-accepted")
-			f.SetEnabled(name("c-", i-1), true)
 			done.Store(i)
 		}
 	}()
@@ -279,7 +295,7 @@ func TestStagesPublishWholeSnapshots(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for n := done.Load(); ; n = done.Load() {
-				if err := checkSnapshots(&c, &g, &f, n, noon); err != nil {
+				if err := checkSnapshots(&c, &g, &f, n, lo[:], &done, noon); err != nil {
 					t.Errorf("after %d mutations: %v", n, err)
 					return
 				}
@@ -290,12 +306,20 @@ func TestStagesPublishWholeSnapshots(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+	if got := len(c.Rules()); got != 2 {
+		t.Fatalf("%d rules left, want 2", got)
+	}
 }
 
-// checkSnapshots reads each stage once and reports what no state
-// published after n finished mutator iterations can hold.
-func checkSnapshots(c *Classifier, g *Aggregator, f *Filter, n int64, noon time.Time) error {
+func nth(prefix string, i int64) string { return prefix + strconv.FormatInt(i, 10) }
+
+// checkSnapshots reads each stage once per entry and reports what no
+// state published after n finished mutator iterations can hold. Entries
+// of iterations up to n that no iteration up to the one in progress
+// when the reads end has removed must all be there.
+func checkSnapshots(c *Classifier, g *Aggregator, f *Filter, n int64, lo []int64, done *atomic.Int64, noon time.Time) error {
 	newest := int64(-1)
+	accepted := map[int64]bool{}
 	for _, r := range c.Rules() {
 		if r.UnsubscribeHint != "h-"+strings.TrimPrefix(r.Source, "s-") || r.Extract != ExtractNative {
 			return fmt.Errorf("rule %+v is not the one accepted", r)
@@ -304,9 +328,10 @@ func checkSnapshots(c *Classifier, g *Aggregator, f *Filter, n int64, noon time.
 			continue
 		}
 		j, _ := strconv.ParseInt(strings.TrimPrefix(r.Source, "s-"), 10, 64)
-		if j < n {
+		if j <= lo[n] {
 			return fmt.Errorf("source %s is back after its removal", r.Source)
 		}
+		accepted[j] = true
 		newest = max(newest, j)
 	}
 	if n > 0 && newest < n {
@@ -316,19 +341,31 @@ func checkSnapshots(c *Classifier, g *Aggregator, f *Filter, n int64, noon time.
 		return fmt.Errorf("the untouched source %q was lost", "always")
 	}
 	if n > 0 {
-		if cat := g.Aggregate([]string{"k-" + strconv.FormatInt(n, 10)}); cat != "c-"+strconv.FormatInt(n, 10) {
+		if cat := g.Aggregate([]string{nth("k-", n)}); cat != nth("c-", n) {
 			return fmt.Errorf("keyword k-%d maps to %q, want c-%d", n, cat, n)
 		}
 		fb := g.Aggregate([]string{"unmapped"})
 		if m, err := strconv.ParseInt(strings.TrimPrefix(fb, "f-"), 10, 64); err != nil || m < n {
 			return fmt.Errorf("fallback %q is older than mutation %d", fb, n)
 		}
-		if !f.Allow("c-"+strconv.FormatInt(n-1, 10), noon) {
-			return fmt.Errorf("category c-%d is still disabled", n-1)
-		}
+	}
+	if j := lo[n]; j > 0 && (!f.Allow(nth("c-", j), noon) || !f.Allow(nth("q-", j), noon)) {
+		return fmt.Errorf("category c-%d or q-%d is still filtered after its removal", j, j)
 	}
 	if f.Allow("off", noon) || f.Allow("quiet", noon) {
 		return fmt.Errorf("the untouched filter entries were lost")
+	}
+	var off, quiet []bool
+	for j := lo[n] + 1; j <= n; j++ {
+		off = append(off, !f.Allow(nth("c-", j), noon))
+		quiet = append(quiet, !f.Allow(nth("q-", j), noon))
+	}
+	// The mutator is at most in iteration done+1 now, so entries past
+	// lo[done+1] were live in every state read above.
+	for j := lo[done.Load()+1] + 1; j <= n; j++ {
+		if k := j - lo[n] - 1; !accepted[j] || !off[k] || !quiet[k] {
+			return fmt.Errorf("entries of mutation %d are missing (accepted %v, disabled %v, quiet %v)", j, accepted[j], off[k], quiet[k])
+		}
 	}
 	return nil
 }
