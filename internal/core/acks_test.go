@@ -196,6 +196,11 @@ func TestCancelHandsBackUnreadArrival(t *testing.T) {
 	}
 }
 
+// wakeFunc is a func as a host's Waker.
+type wakeFunc func()
+
+func (f wakeFunc) Wake() { f() }
+
 // TestAckAndTimeoutResumeOnce lands an acknowledgement and the timeout
 // on the same parked block and requires the park to be resumed exactly
 // once. The waits cycle through four shapes: ack then timeout, timeout
@@ -214,7 +219,7 @@ func TestAckAndTimeoutResumeOnce(t *testing.T) {
 	scr := NewScratch(wheel)
 	var wakes atomic.Int64
 	woke := make(chan struct{}, 2*waits) // room for every wake a broken park could send
-	wake := func() { wakes.Add(1); woke <- struct{}{} }
+	wake := wakeFunc(func() { wakes.Add(1); woke <- struct{}{} })
 	held := *f.mode // the three shapes that fire the timeout themselves hold the wheel's off
 	held.Blocks = append([]dmode.Block{{Timeout: dmode.Duration(time.Hour), Actions: held.Blocks[0].Actions}}, held.Blocks[1:]...)
 	byIM, parks := 0, int64(0)

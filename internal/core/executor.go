@@ -78,16 +78,21 @@ type ackArrival struct {
 // arrival, whether the timeout fired, and whether the delivery is parked
 // on it. The arrival or timeout that finds it parked unparks and resumes
 // it, so a park is resumed exactly once; one that comes while the block
-// is still sending is only recorded, and the block does not park.
+// is still sending is only recorded, and the block does not park. It is
+// its own timeout's Waker.
 type waiter struct {
 	arr     ackArrival
 	acked   bool
 	expired bool
 	parked  bool
-	wake    func()        // the host's resume; nil signals ch
-	ch      chan struct{} // DeliverScratch's
-	clk     clock.Clock   // ch's, notified on a signal
+	acks    *Acks
+	host    timewheel.Waker // the host's resume; nil signals ch
+	ch      chan struct{}   // DeliverScratch's
+	clk     clock.Clock     // ch's, notified on a signal
 }
+
+// Wake is the block's timeout falling due.
+func (w *waiter) Wake() { w.acks.expire(w) }
 
 func (w *waiter) arrive(name string, at time.Time) (resume bool) {
 	if !w.acked {
@@ -98,8 +103,8 @@ func (w *waiter) arrive(name string, at time.Time) (resume bool) {
 }
 
 func (w *waiter) resume() {
-	if w.wake != nil {
-		w.wake()
+	if w.host != nil {
+		w.host.Wake()
 		return
 	}
 	w.ch <- struct{}{} // one per park, read once: never blocks
@@ -295,7 +300,11 @@ func (x *Executor) Acks() *Acks { return x.acks }
 // error, and the walk's block, with its start, ack keys, waiter and
 // timeout node. A delivery parked in an ack wait is this value, not a
 // goroutine. Reuse makes a steady-state delivery — ack waits and
-// fallbacks included — allocation-free.
+// fallbacks included — allocation-free, and a mode of up to two blocks
+// of two actions, with up to two ack waits a block (IMThenEmail), runs
+// in the Scratch's inline arrays from its first delivery; a bigger mode
+// spills to the heap and keeps what it grew. Its slices point into
+// itself once used, so a Scratch is never copied.
 //
 // A Scratch runs one delivery at a time, and its results are BORROWED:
 // the report and a total-failure error (which formats its summary from
@@ -318,15 +327,23 @@ type Scratch struct {
 	keys      []ackKey
 	w         waiter
 	timer     *timewheel.Timer // the parked block's timeout; nil when not waiting
-	expire    func()           // the timeout's callback, made at the first wait
 	// wheel carries the ack timeouts; a Scratch built without one makes
 	// a private one-slot wheel at its first wait.
 	wheel *timewheel.Wheel
+
+	// The inline backing Rewind points rep.Blocks, their Actions and
+	// keys at before the first walk.
+	blocks  [2]BlockResult
+	actions [2][2]ActionResult
+	keyBuf  [2]ackKey
 }
 
 // NewScratch builds a reusable delivery scratch. wheel may be nil (see
 // Scratch.wheel).
 func NewScratch(wheel *timewheel.Wheel) *Scratch { return &Scratch{wheel: wheel} }
+
+// SetWheel is NewScratch's wheel for a Scratch held by value.
+func (s *Scratch) SetWheel(wheel *timewheel.Wheel) { s.wheel = wheel }
 
 // failedError is the total-failure error: it wraps ErrAllBlocksFailed
 // and renders the report's per-action failure summary only on demand,
@@ -385,9 +402,9 @@ func (x *Executor) DeliverScratch(ctx DeliveryContext, a *alert.Alert, alertKey 
 // Begin readies scr to walk mode's blocks for one alert; Step walks
 // them. payload is the alert's wire form (nil marshals on the spot) and
 // alertKey its dedup key ("" computes it), so a host holding both
-// allocates nothing. wake resumes a parked block: called once per park,
+// allocates nothing. wake resumes a parked block: woken once per park,
 // by the ack's or the timeout's goroutine; nil is DeliverScratch's.
-func (x *Executor) Begin(ctx DeliveryContext, a *alert.Alert, alertKey string, payload []byte, reg *addr.Registry, mode *dmode.Mode, scr *Scratch, wake func()) error {
+func (x *Executor) Begin(ctx DeliveryContext, a *alert.Alert, alertKey string, payload []byte, reg *addr.Registry, mode *dmode.Mode, scr *Scratch, wake timewheel.Waker) error {
 	if err := a.Validate(); err != nil {
 		return err
 	}
@@ -403,7 +420,8 @@ func (x *Executor) Begin(ctx DeliveryContext, a *alert.Alert, alertKey string, p
 	if alertKey == "" {
 		alertKey = a.DedupKey()
 	}
-	scr.x, scr.ctx, scr.a, scr.payload, scr.reg, scr.mode, scr.w.wake = x, ctx, a, payload, reg, mode, wake
+	scr.x, scr.ctx, scr.a, scr.payload, scr.reg, scr.mode = x, ctx, a, payload, reg, mode
+	scr.w.host, scr.w.acks = wake, x.acks
 	scr.rep.AlertKey, scr.rep.ModeName = alertKey, mode.Name
 	scr.Rewind()
 	return nil
@@ -412,8 +430,14 @@ func (x *Executor) Begin(ctx DeliveryContext, a *alert.Alert, alertKey string, p
 // Rewind restarts scr's walk at the first block: another attempt at the
 // delivery Begin readied. Field-by-field: a struct literal would drop
 // the Blocks backing array (and each block's Actions backing) the
-// scratch exists to reuse.
+// scratch exists to reuse. The first walk starts in the inline arrays.
 func (s *Scratch) Rewind() {
+	if s.rep.Blocks == nil {
+		s.rep.Blocks, s.keys = s.blocks[:0], s.keyBuf[:0]
+		for i := range s.blocks {
+			s.blocks[i].Actions = s.actions[i][:0]
+		}
+	}
 	s.rep.Blocks = s.rep.Blocks[:0]
 	s.rep.Delivered, s.rep.DeliveredVia = false, ""
 	s.rep.StartedAt, s.rep.FinishedAt = s.x.clk.Now(), time.Time{}
@@ -555,10 +579,7 @@ func (x *Executor) runBlock(s *Scratch) bool {
 		if s.wheel == nil {
 			s.wheel = timewheel.New(x.clk, timewheel.Options{Slots: 1})
 		}
-		if s.expire == nil {
-			s.expire = func() { s.x.acks.expire(&s.w) }
-		}
-		s.timer = s.wheel.AfterFunc(timeout, s.expire)
+		s.timer = s.wheel.Arm(timeout, &s.w)
 		if x.acks.park(&s.w) {
 			return true
 		}

@@ -30,9 +30,10 @@ func deliveredViaCounter(t addr.Type) string {
 // empties. Nodes are pooled.
 //
 // The rest is the head's delivery in progress (attempt 0: not yet
-// routed). Waiting on an ack or a backoff, it is parked — held by no
-// worker, out of the ready FIFO — until resume, called once per park by
-// the executor or the wheel, re-readies it.
+// routed), everything it needs inline: its scratch, and its wire form
+// in wireBuf unless it outgrows it. Waiting on an ack or a backoff, it
+// is parked — held by no worker, out of the ready FIFO — until Wake,
+// called once per park by the executor or the wheel, re-readies it.
 //
 // A stage takes its nodes from slabs of envSlab and keeps the ended
 // ones on a free list, never sharing one with another stage: a node a
@@ -45,16 +46,16 @@ type userQueue struct {
 	d          *deliveryStage
 
 	env     *envelope
-	scr     *core.Scratch
-	wire    []byte // env's wire form, built at routing; kept across envelopes and recycles
+	scr     core.Scratch // points into itself: a node is never copied
+	wire    []byte       // env's wire form, built at routing; kept across envelopes and recycles
 	attempt int
 	tier    core.Tier
 	handed  time.Time
 	backoff *timewheel.Timer
-	// parked: the delivery waits for resume; woken: resume came while
-	// its worker still ran it. Both under the stage's mu.
+	// parked: the delivery waits for Wake; woken: Wake came while its
+	// worker still ran it. Both under the stage's mu.
 	parked, woken bool
-	resume        func() // made once per node
+	wireBuf       [256]byte
 }
 
 // deliveryStage is one incarnation of a shard's restartable machinery —
@@ -69,8 +70,8 @@ type userQueue struct {
 // and timer wheel.
 //
 // A worker is a delivery-window slot: live workers never exceed
-// deliveryWindow. A parked delivery costs its chain, its scratch, one
-// wheel node and, for an ack, one Acks entry. A chain that becomes ready
+// deliveryWindow. A parked delivery costs its chain node, one wheel
+// node and, for an ack, one Acks entry. A chain that becomes ready
 // while no worker is free spawns one if the window has room, else waits
 // for the first worker done with its step. Idle workers wait on the
 // stage's condition variable; once the generation is killed, or drained
@@ -121,8 +122,8 @@ type deliveryStage struct {
 	wake                 *sync.Cond // on mu: a chain became ready, or the stage was released
 	released             bool       // workers exit instead of parking
 	workers              sync.WaitGroup
-	spare                []*core.Scratch // free list: scratches of no delivery
-	freeChains           *userQueue      // free list of chain nodes, linked through ready
+	workFn               func()     // d.work, made once: a spawn wraps nothing
+	freeChains           *userQueue // free list of chain nodes, linked through ready
 	// spawned counts worker launches and peakChains the most chains that
 	// were ever live at once (tests pin spawned <= peakChains).
 	spawned, peakChains int
@@ -141,6 +142,7 @@ func newDeliveryStage(h *Hub, sh *shard, suppress map[string]struct{}) *delivery
 		users:          make(map[string]*userQueue),
 	}
 	d.wake = sync.NewCond(&d.mu)
+	d.workFn = d.work
 	return d
 }
 
@@ -170,10 +172,10 @@ func (d *deliveryStage) kill() {
 
 // renew sheds what the stage grew under load, for rejuvenation: the
 // chain map is rebuilt at its live size, because a Go map never gives
-// back buckets, and the free scratches go with the report arrays they
-// grew. Ready and parked chains, the workers, the wheel and the Acks
-// entries carry over untouched, so per-user order holds and every ack
-// wait survives.
+// back buckets, and the free chain nodes go with the report arrays and
+// wire buffers they grew. Ready and parked chains, the workers, the
+// wheel and the Acks entries carry over untouched, so per-user order
+// holds and every ack wait survives.
 func (d *deliveryStage) renew() {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -181,7 +183,7 @@ func (d *deliveryStage) renew() {
 	for user, q := range d.users {
 		users[user] = q
 	}
-	d.users, d.spare, d.freeChains = users, nil, nil
+	d.users, d.freeChains = users, nil
 }
 
 // submit hands one acknowledged envelope to the stage. Called by the
@@ -195,7 +197,7 @@ func (d *deliveryStage) submit(env *envelope) {
 	d.mu.Lock()
 	if q, ok := d.users[user]; ok {
 		// The user has a live chain: append to it (per-user FIFO). Its
-		// worker, or its parked delivery's resume, takes the envelope.
+		// worker, or its parked delivery's Wake, takes the envelope.
 		if q.head == nil {
 			q.head = env
 		} else {
@@ -208,15 +210,14 @@ func (d *deliveryStage) submit(env *envelope) {
 	if d.freeChains == nil {
 		slab := new([envSlab]userQueue)
 		for i := range slab {
-			slab[i].ready, d.freeChains = d.freeChains, &slab[i]
+			q := &slab[i]
+			q.d, q.wire, q.ready, d.freeChains = d, q.wireBuf[:0], d.freeChains, q
+			q.scr.SetWheel(d.wheel)
 		}
 	}
 	q := d.freeChains
 	d.freeChains, q.ready = q.ready, nil
-	q.user, q.head, q.tail, q.d = user, env, env, d
-	if q.resume == nil {
-		q.resume = func() { q.d.unpark(q) }
-	}
+	q.user, q.head, q.tail = user, env, env
 	d.users[user] = q
 	d.peakChains = max(d.peakChains, len(d.users))
 	d.wg.Add(1)
@@ -238,15 +239,17 @@ func (d *deliveryStage) readyLocked(q *userQueue) {
 		d.live.Add(1)
 		d.spawned++
 		d.workers.Add(1)
-		go d.work()
+		go d.workFn()
 		return
 	}
 	d.wake.Signal()
 }
 
-// unpark is a parked delivery's resume: its chain rejoins the ready
-// FIFO. A resume that beats its worker's park is left for the worker.
-func (d *deliveryStage) unpark(q *userQueue) {
+// Wake resumes q's parked delivery, for the executor and the wheel: its
+// chain rejoins the ready FIFO. A Wake that beats its worker's park is
+// left for the worker.
+func (q *userQueue) Wake() {
+	d := q.d
 	d.mu.Lock()
 	if q.woken = !q.parked; q.parked {
 		q.parked = false
@@ -302,11 +305,6 @@ func (d *deliveryStage) run(q *userQueue) {
 			}
 			env.next = nil
 			q.env, q.attempt = env, 0
-			if n := len(d.spare); n > 0 {
-				q.scr, d.spare = d.spare[n-1], d.spare[:n-1]
-			} else {
-				q.scr = core.NewScratch(d.wheel)
-			}
 		}
 		d.mu.Unlock()
 		parked, ok := d.advance(q)
@@ -321,8 +319,7 @@ func (d *deliveryStage) run(q *userQueue) {
 		d.sh.progress.Beat(d.h.cfg.Clock.Now())
 		switch {
 		case !parked:
-			d.spare = append(d.spare, q.scr)
-			q.env, q.scr = nil, nil
+			q.env = nil
 		case q.woken:
 			q.woken = false // resumed already: go on
 		default:
@@ -334,15 +331,15 @@ func (d *deliveryStage) run(q *userQueue) {
 
 // endChain ends q, under mu: its map entry goes (a churn of one-shot
 // tenants must not grow the users map). recycle is false for a chain a
-// kill abandoned mid-delivery, which a resume under way may still touch.
+// kill abandoned mid-delivery, which a Wake under way may still touch.
+// The reset is field by field, so the scratch's and the wire's backing
+// survive for the node's next chain; routing sets the rest.
 func (d *deliveryStage) endChain(q *userQueue, recycle bool) {
 	delete(d.users, q.user)
 	if recycle {
-		if q.scr != nil {
-			d.spare = append(d.spare, q.scr)
-		}
-		*q = userQueue{resume: q.resume, wire: q.wire[:0], ready: d.freeChains}
-		d.freeChains = q
+		q.user, q.head, q.tail, q.env, q.backoff = "", nil, nil, nil, nil
+		q.attempt, q.parked, q.woken = 0, false, false
+		q.ready, d.freeChains = d.freeChains, q
 	}
 	d.wg.Done()
 }
@@ -351,7 +348,7 @@ func (d *deliveryStage) endChain(q *userQueue, recycle bool) {
 // its timeout or backoff node. Not under mu, which resumes take inside
 // the wheel's lock.
 func (d *deliveryStage) abandon(q *userQueue) {
-	d.h.exec.Abandon(q.scr)
+	d.h.exec.Abandon(&q.scr)
 	if q.backoff != nil {
 		d.wheel.Release(q.backoff)
 		q.backoff = nil
@@ -398,7 +395,7 @@ func (d *deliveryStage) advance(q *userQueue) (parked, ok bool) {
 // The report and error are the scratch's, borrowed.
 func (d *deliveryStage) perform(q *userQueue) (parked, ok bool) {
 	d.sh.inflight.Inc()
-	parked = d.h.exec.Step(q.scr)
+	parked = d.h.exec.Step(&q.scr)
 	d.sh.inflight.Dec()
 	if parked {
 		return true, true
@@ -409,7 +406,7 @@ func (d *deliveryStage) perform(q *userQueue) (parked, ok bool) {
 	}
 	if err != nil && q.attempt < d.h.cfg.deliveryMaxAttempts {
 		d.h.ctr.deliveryRetries.Add1()
-		q.backoff = d.wheel.AfterFunc(d.backoff(q.attempt), q.resume)
+		q.backoff = d.wheel.Arm(d.backoff(q.attempt), q)
 		return true, true
 	}
 	return false, d.settle(q, rep, err)

@@ -52,7 +52,7 @@ func (d *deliveryStage) route(q *userQueue) (parked, ok bool) {
 		reg, mode, tier := h.plan(b, category)
 		q.attempt, q.tier, q.handed = 1, tier, handed
 		q.wire, _ = env.alert.AppendWire(q.wire[:0])
-		if err := h.exec.Begin(h.deliveryContext(b.user, d.sh.id), &env.alert, env.key[len(b.user)+len(keySep):], q.wire, reg, mode, q.scr, q.resume); err != nil {
+		if err := h.exec.Begin(h.deliveryContext(b.user, d.sh.id), &env.alert, env.key[len(b.user)+len(keySep):], q.wire, reg, mode, &q.scr, q); err != nil {
 			return false, d.settle(q, nil, err) // no attempt can walk this plan
 		}
 		return d.perform(q)

@@ -17,6 +17,7 @@ import (
 
 	"simba/internal/alert"
 	"simba/internal/clock"
+	"simba/internal/core"
 	"simba/internal/plog"
 )
 
@@ -261,38 +262,59 @@ func testSubmitBatchKeepsNothing(t *testing.T) {
 // stages allocated keeps the hub reachable once its successor runs.
 // Chain nodes come in slabs, and a node whose delivery a kill abandons
 // mid-wait still points at its stage and so at its hub: a stage may
-// never share a slab with another stage. The first hub delivers the odd
-// tenants' alerts, whose chains end and free their nodes, and is killed
-// while every even tenant's chain is parked in a retry backoff; the
-// second replays the journal and delivers what it replays; then a weak pointer
-// to the first reads nil after two collections. It read non-nil when
-// chain nodes came in slabs from one process-wide pool, where the
-// second hub took the ended nodes beside the abandoned ones, and
-// crash_recovery's peak RSS grew from 43 to 769 MiB in 20 s.
+// never share a slab with another stage. The first hub is killed while
+// its chains are parked. In the backoffs row it has delivered the odd
+// tenants' alerts, whose chains ended and freed their nodes, and every
+// even tenant's chain waits out a retry backoff; in the ack waits row
+// every tenant's chain waits in an IM ack wait, its scratch in its node,
+// its ack keys registered and its timeout armed on the stage's wheel.
+// The second hub replays the journal and delivers what it replays; then
+// a weak pointer to the first reads nil after two collections. It read
+// non-nil when chain nodes came in slabs from one process-wide pool,
+// where the second hub took the ended nodes beside the abandoned ones,
+// and crash_recovery's peak RSS grew from 43 to 769 MiB in 20 s.
 func TestKilledHubIsCollectable(t *testing.T) {
+	for _, row := range []struct {
+		name     string
+		ackWaits bool
+	}{{"backoffs", false}, {"ack waits", true}} {
+		t.Run(row.name, func(t *testing.T) { testKilledHubIsCollectable(t, row.ackWaits) })
+	}
+}
+
+func testKilledHubIsCollectable(t *testing.T, ackWaits bool) {
 	const users, alerts, burst = 64, 1024, 64
 	var delivered, refused atomic.Int64
 	var failing atomic.Bool
 	failing.Store(true)
+	sink := sinkChannels(func(_ int, user string, _ *alert.Alert) error {
+		if n, _ := strconv.Atoi(strings.TrimPrefix(user, "user-")); n%2 == 0 && failing.Load() {
+			refused.Add(1)
+			return errors.New("even tenants' channel down")
+		}
+		delivered.Add(1)
+		return nil
+	})
 	cfg := Config{
-		Clock: clock.NewReal(),
-		Channels: sinkChannels(func(_ int, user string, _ *alert.Alert) error {
-			if n, _ := strconv.Atoi(strings.TrimPrefix(user, "user-")); n%2 == 0 && failing.Load() {
-				refused.Add(1)
-				return errors.New("even tenants' channel down")
-			}
-			delivered.Add(1)
-			return nil
-		}),
+		Clock:      clock.NewReal(),
+		Channels:   sink,
 		WALPath:    filepath.Join(t.TempDir(), "hub.wal"),
 		queueDepth: alerts,
 	}
 	killedHub := func() weak.Pointer[Hub] {
+		cfg := cfg
+		if ackWaits {
+			cfg.Channels, cfg.AckTimeout = parkingChannels(func(core.Send) (core.SendResult, error) { return core.SendResult{}, errSubstrateDown }), time.Minute
+		}
 		h, err := New(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		addUsers(t, h, users)
+		if ackWaits {
+			hostModeUsers(t, h, users, 0)
+		} else {
+			addUsers(t, h, users)
+		}
 		if err := h.Start(); err != nil {
 			t.Fatal(err)
 		}
@@ -308,14 +330,25 @@ func TestKilledHubIsCollectable(t *testing.T) {
 				}
 			}
 		}
-		waitCond(t, "the odd tenants' alerts to be delivered and every even tenant refused",
-			func() bool { return delivered.Load() == alerts/2 && refused.Load() >= users/2 })
+		if ackWaits {
+			waitCond(t, "every tenant's chain to park in an IM ack wait", func() bool {
+				armed := 0
+				for _, sh := range h.shards {
+					armed += sh.current().wheel.Pending()
+				}
+				return h.Executor().Acks().Pending() == users && armed == users
+			})
+		} else {
+			waitCond(t, "the odd tenants' alerts to be delivered and every even tenant refused",
+				func() bool { return delivered.Load() == alerts/2 && refused.Load() >= users/2 })
+		}
 		h.Kill()
 		<-h.Stopped()
 		return weak.Make(h)
 	}()
 
 	failing.Store(false)
+	before := delivered.Load()
 	h2, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -329,7 +362,7 @@ func TestKilledHubIsCollectable(t *testing.T) {
 	if replayed == 0 {
 		t.Fatal("the second hub replayed nothing")
 	}
-	waitCond(t, "every replayed alert to be delivered", func() bool { return delivered.Load() >= alerts/2+replayed })
+	waitCond(t, "every replayed alert to be delivered", func() bool { return delivered.Load() >= before+replayed })
 	runtime.GC()
 	runtime.GC()
 	if killedHub.Value() != nil {

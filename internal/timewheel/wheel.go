@@ -17,7 +17,8 @@
 //   - When nothing is pending the driver is stopped; an idle wheel owns
 //     no goroutine and needs no Close.
 //
-// A node fires a callback (AfterFunc) and is one allocation. Usage
+// A node wakes a Waker (Arm) and is one allocation; a caller's own
+// long-lived value is the Waker, so a wait needs no func value. Usage
 // contract: every Timer must be returned with Release, fired or not.
 // Release cancels the wait and recycles the node; using a Timer after
 // Release is a bug (enable poison mode in tests to scribble on recycled
@@ -52,10 +53,20 @@ type Options struct {
 	Poison bool
 }
 
+// Waker is what a wait wakes when it falls due. A pointer to the
+// waiting value implements it, and storing a pointer in an interface
+// allocates nothing.
+type Waker interface{ Wake() }
+
+// nop is After's Waker.
+type nop struct{}
+
+func (nop) Wake() {}
+
 // Timer is one pending (or fired) wait, owned by the wheel's node pool.
-// Obtain with Wheel.AfterFunc and always return it with Wheel.Release.
+// Obtain with Wheel.Arm and always return it with Wheel.Release.
 type Timer struct {
-	fn   func()
+	wk   Waker
 	when time.Time
 	slot int // owning slot index; -1 when unlinked
 	next *Timer
@@ -102,22 +113,22 @@ func New(clk clock.Clock, opts Options) *Wheel {
 	}
 }
 
-// After arms a bare deadline d from now: a wait that runs nothing, the
-// arm-and-release cost every AfterFunc wait pays. The returned Timer
-// must be passed to Release.
-func (w *Wheel) After(d time.Duration) *Timer { return w.AfterFunc(d, func() {}) }
+// After arms a bare deadline d from now: a wait that wakes nothing, the
+// arm-and-release cost every Arm wait pays. The returned Timer must be
+// passed to Release.
+func (w *Wheel) After(d time.Duration) *Timer { return w.Arm(d, nop{}) }
 
-// AfterFunc arms a wait that runs fn once, d from now (d ≤ 0: in this
-// call), with the wheel locked — so once Release returns fn has run or
-// never will; fn must be short and not call the wheel.
-func (w *Wheel) AfterFunc(d time.Duration, fn func()) *Timer {
+// Arm arms a wait that wakes wk once, d from now (d ≤ 0: in this call),
+// with the wheel locked — so once Release returns wk has been woken or
+// never will be; Wake must be short and not call the wheel.
+func (w *Wheel) Arm(d time.Duration, wk Waker) *Timer {
 	w.mu.Lock()
 	t := w.getLocked()
-	t.fn = fn
+	t.wk = wk
 	now := w.clk.Now()
 	t.when = now.Add(max(d, 0))
 	if d <= 0 {
-		t.fn()
+		t.wk.Wake()
 		w.mu.Unlock()
 		return t
 	}
@@ -154,7 +165,7 @@ func (w *Wheel) Release(t *Timer) {
 			w.driverAt = time.Time{}
 		}
 	}
-	t.fn = nil
+	t.wk = nil
 	if w.poison {
 		t.when = time.Unix(-1<<40, 0) // absurd deadline: reads after Release stand out
 	}
@@ -232,7 +243,7 @@ func (w *Wheel) advance() {
 			next := t.next
 			if !t.when.After(now) {
 				w.unlinkLocked(t)
-				t.fn()
+				t.wk.Wake()
 			} else if nextAt.IsZero() || t.when.Before(nextAt) {
 				nextAt = t.when
 			}

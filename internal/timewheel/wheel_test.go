@@ -9,8 +9,13 @@ import (
 	"simba/internal/race"
 )
 
-// probe is a wait armed with AfterFunc whose callback signals c — the
-// tests' view of a fire.
+// wakeFunc is a func as a Waker.
+type wakeFunc func()
+
+func (f wakeFunc) Wake() { f() }
+
+// probe is a wait armed with Arm whose Waker signals c — the tests'
+// view of a fire.
 type probe struct {
 	*Timer
 	c chan struct{}
@@ -19,7 +24,7 @@ type probe struct {
 // arm arms a probe d from now.
 func arm(w *Wheel, d time.Duration) probe {
 	c := make(chan struct{}, 1)
-	return probe{w.AfterFunc(d, func() { c <- struct{}{} }), c}
+	return probe{w.Arm(d, wakeFunc(func() { c <- struct{}{} })), c}
 }
 
 // fired reports whether the probe has a fire waiting right now — the
@@ -112,7 +117,7 @@ func TestWheelReleaseCancelsAndRecycles(t *testing.T) {
 	if fired(tm) {
 		t.Fatal("released timer still fired")
 	}
-	// The node is recycled: the next AfterFunc reuses it, and its fire
+	// The node is recycled: the next Arm reuses it, and its fire
 	// runs the new callback, never the released one.
 	tm2 := arm(w, 5*time.Millisecond)
 	if tm2.Timer != tm.Timer {
@@ -133,12 +138,12 @@ func TestWheelImmediateFire(t *testing.T) {
 	w := New(sim, Options{})
 	tm := arm(w, 0)
 	if !fired(tm) {
-		t.Fatal("AfterFunc(0) did not fire immediately")
+		t.Fatal("Arm(0) did not fire immediately")
 	}
 	w.Release(tm.Timer)
 	tm = arm(w, -time.Second)
 	if !fired(tm) {
-		t.Fatal("AfterFunc(<0) did not fire immediately")
+		t.Fatal("Arm(<0) did not fire immediately")
 	}
 	w.Release(tm.Timer)
 }
@@ -171,21 +176,21 @@ func TestWheelSteadyStateAllocs(t *testing.T) {
 	}
 	w := New(clock.Real{}, Options{})
 	fires := 0
-	fn := func() { fires++ }
+	fn := wakeFunc(func() { fires++ })
 	// Warm up: allocate the node and the driver.
-	w.Release(w.AfterFunc(time.Hour, fn))
+	w.Release(w.Arm(time.Hour, fn))
 	if n := testing.AllocsPerRun(200, func() {
-		w.Release(w.AfterFunc(time.Hour, fn))
+		w.Release(w.Arm(time.Hour, fn))
 	}); n != 0 {
 		t.Fatalf("arm/release allocates %.1f per run, want 0", n)
 	}
 	if n := testing.AllocsPerRun(200, func() {
-		w.Release(w.AfterFunc(0, fn))
+		w.Release(w.Arm(0, fn))
 	}); n != 0 || fires != 201 {
 		t.Fatalf("immediate fire allocates %.1f per run and ran %d callbacks, want 0 and 201", n, fires)
 	}
 	if n := testing.AllocsPerRun(200, func() {
-		w.AfterFunc(time.Hour, fn) // never released: each arm takes a fresh node
+		w.Arm(time.Hour, fn) // never released: each arm takes a fresh node
 	}); n != 1 {
 		t.Fatalf("a fresh node costs %.1f allocations, want 1", n)
 	}
@@ -202,9 +207,9 @@ func TestWheelConcurrent(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			c := make(chan struct{}, 1)
-			fn := func() { c <- struct{}{} }
+			fn := wakeFunc(func() { c <- struct{}{} })
 			for i := 0; i < 200; i++ {
-				tm := w.AfterFunc(time.Duration(i%7)*100*time.Microsecond, fn)
+				tm := w.Arm(time.Duration(i%7)*100*time.Microsecond, fn)
 				if i%3 == 0 {
 					// Abandon some waits without consuming the fire; once
 					// Release returns the fire has run or never will.
