@@ -159,16 +159,24 @@ func hubDecls(t *testing.T, path string, into map[string]bool) {
 	}
 }
 
-// TestEveryExportedKnobHasACaller keeps the hub's exported knobs to
-// those something uses: every exported field of hub.Config and
-// hub.SuperviseConfig must be set in a non-test file outside
-// internal/hub (benchmark/ included), as a key of a hub.Config{…} or
-// hub.SuperviseConfig{…} literal or by an x.Field = … assignment. A
-// knob only the hub's own tests set is a package-private field.
+// TestEveryExportedKnobHasACaller keeps the hub stack's exported knobs
+// to those something uses: every exported field of hub.Config,
+// hub.SuperviseConfig, plog.Options, plog.GroupOptions, outbox.Options
+// and timewheel.Options must be set in a non-test file outside its own
+// package's directory (benchmark/ included), as a key of a
+// pkg.Struct{…} literal or by an x.Field = … assignment. A knob only
+// the package's own tests set is a package-private field.
 func TestEveryExportedKnobHasACaller(t *testing.T) {
-	structs := []string{"Config", "SuperviseConfig"}
-	exported := make(map[string][]string) // struct → its exported fields
-	set := make(map[string]bool)          // "Struct.Field" keyed in a literal, or ".Field" assigned
+	knobs := []struct{ dir, pkg, name string }{
+		{"internal/hub", "hub", "Config"},
+		{"internal/hub", "hub", "SuperviseConfig"},
+		{"internal/plog", "plog", "Options"},
+		{"internal/plog", "plog", "GroupOptions"},
+		{"internal/outbox", "outbox", "Options"},
+		{"internal/timewheel", "timewheel", "Options"},
+	}
+	exported := make(map[string][]string) // "pkg.Struct" → its exported fields; present once declared
+	setIn := make(map[string][]string)    // "pkg.Struct.Field" keyed in a literal, or ".Field" assigned → the files' directories
 	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
 			return err
@@ -186,11 +194,11 @@ func TestEveryExportedKnobHasACaller(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		if dir := filepath.ToSlash(filepath.Dir(path)); strings.HasPrefix(dir+"/", "internal/hub/") {
-			if dir == "internal/hub" {
-				hubFields(f, structs, exported)
+		dir := filepath.ToSlash(filepath.Dir(path))
+		for _, k := range knobs {
+			if dir == k.dir {
+				structFields(f, k.pkg, k.name, exported)
 			}
-			return nil
 		}
 		ast.Inspect(f, func(n ast.Node) bool {
 			switch n := n.(type) {
@@ -199,20 +207,22 @@ func TestEveryExportedKnobHasACaller(t *testing.T) {
 				if !ok {
 					return true
 				}
-				if pkg, _ := sel.X.(*ast.Ident); pkg == nil || pkg.Name != "hub" {
+				pkg, _ := sel.X.(*ast.Ident)
+				if pkg == nil {
 					return true
 				}
 				for _, e := range n.Elts {
 					if kv, ok := e.(*ast.KeyValueExpr); ok {
 						if key, ok := kv.Key.(*ast.Ident); ok {
-							set[sel.Sel.Name+"."+key.Name] = true
+							k := pkg.Name + "." + sel.Sel.Name + "." + key.Name
+							setIn[k] = append(setIn[k], dir)
 						}
 					}
 				}
 			case *ast.AssignStmt:
 				for _, lhs := range n.Lhs {
 					if sel, ok := lhs.(*ast.SelectorExpr); ok {
-						set["."+sel.Sel.Name] = true
+						setIn["."+sel.Sel.Name] = append(setIn["."+sel.Sel.Name], dir)
 					}
 				}
 			}
@@ -223,13 +233,16 @@ func TestEveryExportedKnobHasACaller(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, s := range structs {
-		if len(exported[s]) == 0 {
-			t.Fatalf("internal/hub declares no struct %s with exported fields", s)
+	for _, k := range knobs {
+		s := k.pkg + "." + k.name
+		fields, ok := exported[s]
+		if !ok {
+			t.Fatalf("%s declares no struct %s", k.dir, k.name)
 		}
-		for _, field := range exported[s] {
-			if !set[s+"."+field] && !set["."+field] {
-				t.Errorf("hub.%s.%s is exported, but no non-test file outside internal/hub sets it: make it package-private", s, field)
+		outside := func(dir string) bool { return !strings.HasPrefix(dir+"/", k.dir+"/") }
+		for _, field := range fields {
+			if !slices.ContainsFunc(setIn[s+"."+field], outside) && !slices.ContainsFunc(setIn["."+field], outside) {
+				t.Errorf("%s.%s is exported, but no non-test file outside %s sets it: make it package-private", s, field, k.dir)
 			}
 		}
 	}
@@ -368,9 +381,9 @@ func TestNoHandRolledSimDriver(t *testing.T) {
 	}
 }
 
-// hubFields adds the exported fields of f's struct types named in
-// structs to into.
-func hubFields(f *ast.File, structs []string, into map[string][]string) {
+// structFields records, under "pkg.name", the exported fields of the
+// struct type name if f declares it.
+func structFields(f *ast.File, pkg, name string, into map[string][]string) {
 	for _, d := range f.Decls {
 		g, ok := d.(*ast.GenDecl)
 		if !ok || g.Tok != token.TYPE {
@@ -379,16 +392,18 @@ func hubFields(f *ast.File, structs []string, into map[string][]string) {
 		for _, s := range g.Specs {
 			ts := s.(*ast.TypeSpec)
 			st, ok := ts.Type.(*ast.StructType)
-			if !ok || !slices.Contains(structs, ts.Name.Name) {
+			if !ok || ts.Name.Name != name {
 				continue
 			}
+			var fields []string
 			for _, fld := range st.Fields.List {
 				for _, n := range fld.Names {
 					if n.IsExported() {
-						into[ts.Name.Name] = append(into[ts.Name.Name], n.Name)
+						fields = append(fields, n.Name)
 					}
 				}
 			}
+			into[pkg+"."+name] = fields
 		}
 	}
 }

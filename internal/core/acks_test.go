@@ -104,13 +104,13 @@ func TestAckBeforeRegisterIsNotLost(t *testing.T) {
 
 // TestPooledAckWaiterNoCrossTalk hammers the one hazard of reusing a
 // waiter: a late acknowledgement for wait n racing the scratch's
-// reuse for wait n+1. One scratch (on a poisoning wheel) runs waits
-// back to back on a block of two IM actions; four goroutines
-// acknowledge BOTH sends of every odd-numbered wait, over and over, so
-// the second ack routinely arrives after the first has already
-// succeeded the block — between the wake-up and the cancel, or after
-// it. An even-numbered wait is never acknowledged: one that succeeds
-// consumed an arrival meant for its predecessor.
+// reuse for wait n+1. One scratch runs waits back to back on a block of
+// two IM actions; four goroutines acknowledge BOTH sends of every
+// odd-numbered wait, over and over, so the second ack routinely arrives
+// after the first has already succeeded the block — between the
+// wake-up and the cancel, or after it. An even-numbered wait is never
+// acknowledged: one that succeeds consumed an arrival meant for its
+// predecessor.
 func TestPooledAckWaiterNoCrossTalk(t *testing.T) {
 	var round atomic.Uint64 // number of the wait in progress, from 1
 	f := newAckFixture(t, 300*time.Microsecond, func(f *ackFixture, req Send) (SendResult, error) {
@@ -123,7 +123,7 @@ func TestPooledAckWaiterNoCrossTalk(t *testing.T) {
 		t.Fatal(err)
 	}
 	f.mode.Blocks[0].Actions = append(f.mode.Blocks[0].Actions, dmode.Action{Address: "Desk IM"})
-	scr := NewScratch(timewheel.New(clock.NewReal(), timewheel.Options{Poison: true, Tick: 100 * time.Microsecond}))
+	scr := NewScratch(timewheel.New(clock.NewReal(), timewheel.Options{}))
 
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
@@ -215,7 +215,7 @@ func TestAckAndTimeoutResumeOnce(t *testing.T) {
 	f := newAckFixture(t, timeout, func(f *ackFixture, req Send) (SendResult, error) {
 		return SendResult{Seq: seq.Add(1)}, nil
 	})
-	wheel := timewheel.New(clock.NewReal(), timewheel.Options{Poison: true, Tick: 50 * time.Microsecond})
+	wheel := timewheel.New(clock.NewReal(), timewheel.Options{})
 	scr := NewScratch(wheel)
 	var wakes atomic.Int64
 	woke := make(chan struct{}, 2*waits) // room for every wake a broken park could send

@@ -100,8 +100,8 @@ func TestDeliverScratchZeroAllocs(t *testing.T) {
 // biggest garbage source: an IM block whose acknowledgement arrives
 // while the executor waits for it, and an IM block that times out
 // (per-delivery default timeout, sentinel ErrNoAck) into a confirmed
-// email block. The wait channel, the pending-ack entry and the wheel
-// node all come from the scratch.
+// email block. The wait channel, the pending-ack entry and the timeout
+// Timer all come from the scratch.
 func TestDeliverScratchIMAckZeroAllocs(t *testing.T) {
 	if race.Enabled {
 		t.Skip("alloc accounting is not meaningful under the race detector")
@@ -174,7 +174,7 @@ func TestDeliverScratchIMAckZeroAllocs(t *testing.T) {
 	}
 	acked := DeliveryContext{User: "user", BlockTimeout: 10 * time.Second}
 	acking.Store(true)
-	deliver(acked, "Pager IM") // warm: scratch backing, wait channel, wheel node
+	deliver(acked, "Pager IM") // warm: scratch backing, wait channel, wheel driver
 	if n := testing.AllocsPerRun(100, func() { deliver(acked, "Pager IM") }); n != 0 {
 		t.Errorf("acked IM delivery allocates %.1f objects, want 0", n)
 	}

@@ -298,7 +298,7 @@ func (x *Executor) Acks() *Acks { return x.acks }
 // Scratch is one delivery's resumable state and reusable storage: what
 // Begin was given, the Report and its backing arrays, the total-failure
 // error, and the walk's block, with its start, ack keys, waiter and
-// timeout node. A delivery parked in an ack wait is this value, not a
+// timeout Timer. A delivery parked in an ack wait is this value, not a
 // goroutine. Reuse makes a steady-state delivery — ack waits and
 // fallbacks included — allocation-free, and a mode of up to two blocks
 // of two actions, with up to two ack waits a block (IMThenEmail), runs
@@ -326,9 +326,10 @@ type Scratch struct {
 	confirmed bool // by a fire-and-forget Send
 	keys      []ackKey
 	w         waiter
-	timer     *timewheel.Timer // the parked block's timeout; nil when not waiting
+	waiting   bool            // the block's ack wait is open: keys registered, timer armed
+	timer     timewheel.Timer // the block's timeout
 	// wheel carries the ack timeouts; a Scratch built without one makes
-	// a private one-slot wheel at its first wait.
+	// a private wheel at its first wait.
 	wheel *timewheel.Wheel
 
 	// The inline backing Rewind points rep.Blocks, their Actions and
@@ -451,7 +452,7 @@ func (s *Scratch) Rewind() {
 func (x *Executor) Step(s *Scratch) (parked bool) {
 	rep := &s.rep
 	for ; s.block < len(s.mode.Blocks); s.block++ {
-		if s.timer != nil {
+		if s.waiting {
 			x.endBlock(s) // resumed: the parked block's wait is over
 		} else {
 			appendBlockResult(&rep.Blocks, s.block)
@@ -480,15 +481,19 @@ func (s *Scratch) Result() (*Report, error) {
 }
 
 // Abandon gives up scr's parked block, if any, unjudged: its ack keys
-// are unregistered and its timeout node released, so nothing resumes
-// it after Abandon returns but a resume already under way.
+// are unregistered and its timeout released, so nothing resumes it
+// after Abandon returns but a resume already under way.
 func (x *Executor) Abandon(s *Scratch) {
-	if s.timer != nil {
-		s.wheel.Release(s.timer)
-		s.timer = nil
+	if s.waiting {
+		s.wheel.Release(&s.timer)
+		s.waiting = false
 		x.acks.cancel(s.keys, &s.w)
 	}
 }
+
+// Waiting reports whether scr's block has an ack wait open: a parked
+// delivery, which Step or Abandon closes.
+func (s *Scratch) Waiting() bool { return s.waiting }
 
 // appendBlockResult extends blocks by one slot, reusing the slot's
 // Actions backing array when growing within capacity (scratch reuse),
@@ -577,9 +582,10 @@ func (x *Executor) runBlock(s *Scratch) bool {
 			timeout = s.ctx.BlockTimeout
 		}
 		if s.wheel == nil {
-			s.wheel = timewheel.New(x.clk, timewheel.Options{Slots: 1})
+			s.wheel = timewheel.New(x.clk, timewheel.Options{})
 		}
-		s.timer = s.wheel.Arm(timeout, &s.w)
+		s.waiting = true
+		s.wheel.Arm(&s.timer, timeout, &s.w)
 		if x.acks.park(&s.w) {
 			return true
 		}
@@ -594,9 +600,9 @@ func (x *Executor) runBlock(s *Scratch) bool {
 // dropped.
 func (x *Executor) endBlock(s *Scratch) {
 	br := &s.rep.Blocks[len(s.rep.Blocks)-1]
-	if s.timer != nil {
-		s.wheel.Release(s.timer)
-		s.timer = nil
+	if s.waiting {
+		s.wheel.Release(&s.timer)
+		s.waiting = false
 	}
 	var arr ackArrival
 	acked := false

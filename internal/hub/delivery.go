@@ -30,10 +30,11 @@ func deliveredViaCounter(t addr.Type) string {
 // empties. Nodes are pooled.
 //
 // The rest is the head's delivery in progress (attempt 0: not yet
-// routed), everything it needs inline: its scratch, and its wire form
-// in wireBuf unless it outgrows it. Waiting on an ack or a backoff, it
-// is parked — held by no worker, out of the ready FIFO — until Wake,
-// called once per park by the executor or the wheel, re-readies it.
+// routed), everything it needs inline: its scratch (with its ack
+// timeout), its retry backoff's timer, and its wire form in wireBuf
+// unless it outgrows it. Waiting on an ack or a backoff, it is parked —
+// held by no worker, out of the ready FIFO — until Wake, called once
+// per park by the executor or the wheel, re-readies it.
 //
 // A stage takes its nodes from slabs of envSlab and keeps the ended
 // ones on a free list, never sharing one with another stage: a node a
@@ -51,11 +52,12 @@ type userQueue struct {
 	attempt int
 	tier    core.Tier
 	handed  time.Time
-	backoff *timewheel.Timer
-	// parked: the delivery waits for Wake; woken: Wake came while its
-	// worker still ran it. Both under the stage's mu.
-	parked, woken bool
-	wireBuf       [256]byte
+	backoff timewheel.Timer
+	// backingOff: backoff is the wait in progress. parked: the delivery
+	// waits for Wake; woken: Wake came while its worker still ran it.
+	// The last two under the stage's mu.
+	backingOff, parked, woken bool
+	wireBuf                   [256]byte
 }
 
 // deliveryStage is one incarnation of a shard's restartable machinery —
@@ -70,12 +72,12 @@ type userQueue struct {
 // and timer wheel.
 //
 // A worker is a delivery-window slot: live workers never exceed
-// deliveryWindow. A parked delivery costs its chain node, one wheel
-// node and, for an ack, one Acks entry. A chain that becomes ready
-// while no worker is free spawns one if the window has room, else waits
-// for the first worker done with its step. Idle workers wait on the
-// stage's condition variable; once the generation is killed, or drained
-// and quiesced, they exit after emptying the ready FIFO.
+// deliveryWindow. A parked delivery costs its chain node and, for an
+// ack, one Acks entry. A chain that becomes ready while no worker is
+// free spawns one if the window has room, else waits for the first
+// worker done with its step. Idle workers wait on the stage's
+// condition variable; once the generation is killed, or drained and
+// quiesced, they exit after emptying the ready FIFO.
 type deliveryStage struct {
 	h   *Hub
 	sh  *shard
@@ -104,8 +106,9 @@ type deliveryStage struct {
 	// enqueueing it.
 	replaySuppress map[string]struct{}
 
-	// wheel carries the stage's retry backoffs and ack timeouts (pooled
-	// nodes, no per-wait allocation, one clock timer).
+	// wheel carries the stage's retry backoffs and ack timeouts (their
+	// Timers live in the chain nodes: no per-wait allocation, one clock
+	// timer).
 	wheel *timewheel.Wheel
 
 	mu    sync.Mutex
@@ -138,7 +141,7 @@ func newDeliveryStage(h *Hub, sh *shard, suppress map[string]struct{}) *delivery
 		rng:            sh.rng.Fork("delivery"),
 		killed:         make(chan struct{}),
 		replaySuppress: suppress,
-		wheel:          timewheel.New(h.cfg.Clock, timewheel.Options{Poison: poolPoison.Load()}),
+		wheel:          timewheel.New(h.cfg.Clock, timewheel.Options{}),
 		users:          make(map[string]*userQueue),
 	}
 	d.wake = sync.NewCond(&d.mu)
@@ -333,11 +336,17 @@ func (d *deliveryStage) run(q *userQueue) {
 // tenants must not grow the users map). recycle is false for a chain a
 // kill abandoned mid-delivery, which a Wake under way may still touch.
 // The reset is field by field, so the scratch's and the wire's backing
-// survive for the node's next chain; routing sets the rest.
+// survive for the node's next chain; routing sets the rest. A node
+// recycled with a wait still open — its backoff or its scratch's ack
+// wait — is a poison hit under pool poisoning: its timer could wake the
+// node's next chain.
 func (d *deliveryStage) endChain(q *userQueue, recycle bool) {
 	delete(d.users, q.user)
 	if recycle {
-		q.user, q.head, q.tail, q.env, q.backoff = "", nil, nil, nil, nil
+		if poolPoison.Load() && (q.backingOff || q.scr.Waiting()) {
+			poolPoisonHits.Add(1)
+		}
+		q.user, q.head, q.tail, q.env = "", nil, nil, nil
 		q.attempt, q.parked, q.woken = 0, false, false
 		q.ready, d.freeChains = d.freeChains, q
 	}
@@ -345,14 +354,12 @@ func (d *deliveryStage) endChain(q *userQueue, recycle bool) {
 }
 
 // abandon cancels q's parked wait, if any: its ack registrations and
-// its timeout or backoff node. Not under mu, which resumes take inside
+// its timeout, or its backoff. Not under mu, which resumes take inside
 // the wheel's lock.
 func (d *deliveryStage) abandon(q *userQueue) {
 	d.h.exec.Abandon(&q.scr)
-	if q.backoff != nil {
-		d.wheel.Release(q.backoff)
-		q.backoff = nil
-	}
+	d.wheel.Release(&q.backoff)
+	q.backingOff = false
 }
 
 // quiesce waits for every live chain to finish and then retires the
@@ -380,9 +387,8 @@ func (d *deliveryStage) advance(q *userQueue) (parked, ok bool) {
 		return false, false
 	default:
 	}
-	if q.backoff != nil {
-		d.wheel.Release(q.backoff)
-		q.backoff = nil
+	if q.backingOff { // the backoff fired: the wheel unlinked its timer
+		q.backingOff = false
 		q.attempt++
 		q.scr.Rewind()
 	}
@@ -406,7 +412,8 @@ func (d *deliveryStage) perform(q *userQueue) (parked, ok bool) {
 	}
 	if err != nil && q.attempt < d.h.cfg.deliveryMaxAttempts {
 		d.h.ctr.deliveryRetries.Add1()
-		q.backoff = d.wheel.Arm(d.backoff(q.attempt), q)
+		q.backingOff = true
+		d.wheel.Arm(&q.backoff, d.backoff(q.attempt), q)
 		return true, true
 	}
 	return false, d.settle(q, rep, err)

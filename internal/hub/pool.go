@@ -63,19 +63,21 @@ var envPool sync.Pool
 // freed once none of its envelopes is reachable.
 const envSlab = 16
 
-// poolPoison, when set, scribbles on every recycled envelope (and the
-// delivery stages' timer-wheel nodes of hubs built while on) so any
+// poolPoison, when set, scribbles on every recycled envelope so any
 // use-after-recycle reads obvious garbage instead of stale-but-valid
-// data. Tests set it to turn silent pooling bugs into loud ones; it
-// burns cycles on every recycle.
+// data, and checks what is handed back to a pool: the shared no-error
+// result, and a chain node, which must have no wait open. Tests set it
+// to turn silent pooling bugs into loud ones; it burns cycles on every
+// recycle.
 var poolPoison atomic.Bool
 
 // poisonSentinel marks every string field of a poisoned envelope.
 const poisonSentinel = "POISONED-RECYCLED-ENVELOPE"
 
-// poolPoisonHits counts recycled envelopes whose poison marks were
-// disturbed between putEnvelope and the next getEnvelope — hard
-// evidence of a use-after-recycle writer. Feeds the hub's pool-poison
+// poolPoisonHits counts what poisoning caught: recycled envelopes whose
+// poison marks were disturbed between putEnvelope and the next
+// getEnvelope — hard evidence of a use-after-recycle writer — and the
+// bad recycles the checks above found. Feeds the hub's pool-poison
 // stabilize invariant; only advances while poisoning is on.
 var poolPoisonHits atomic.Int64
 

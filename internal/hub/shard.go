@@ -97,7 +97,8 @@ type shard struct {
 	rateMu   sync.Mutex
 	rateAt   time.Time // when released was last sampled
 	rateN    int64     // released at rateAt
-	rate     float64   // EWMA of slots released per second while refusing; 0 until measured
+	rate     float64   // EWMA of slots released per second while refusing
+	measured bool      // rate holds a sample: "none yet" is not "zero"
 
 	// lifeMu serializes lifecycle transitions (restart, rejuvenate,
 	// drain-close) per shard; the hot path never touches it.
@@ -314,12 +315,12 @@ const (
 // shard needs to give back as many slots as it holds now, at the rate it
 // has been observed giving them back while refusing — an EWMA over the
 // refusals of the current and earlier overload episodes, so it is
-// measured exactly when the shard is full. Until a first non-zero sample
-// exists it falls back to one millisecond per queued alert; behind a
-// gated substrate the rate decays toward zero without reaching it and
-// the estimate stops at maxRetryHint. A commit window is added either
-// way, plus jitter from the shard's own RNG so a thundering herd of
-// rejected senders does not return in lockstep.
+// measured exactly when the shard is full. Until a first sample exists
+// the hint is the commit window alone, so the sender's next refusal
+// takes that sample; behind a gated substrate the samples read zero, or
+// decay toward it, and the estimate stops at maxRetryHint. A commit
+// window is added either way, plus jitter from the shard's own RNG so a
+// thundering herd of rejected senders does not return in lockstep.
 func (s *shard) retryHint(now time.Time, window time.Duration) time.Duration {
 	if window <= 0 {
 		window = 5 * time.Millisecond
@@ -332,20 +333,20 @@ func (s *shard) retryHint(now time.Time, window time.Duration) time.Duration {
 		s.rateAt, s.rateN = now, n
 	case dt >= rateSampleMin:
 		sample := float64(n-s.rateN) / dt.Seconds()
-		if s.rate == 0 {
-			s.rate = sample
-		} else {
+		if s.measured {
 			s.rate += rateAlpha * (sample - s.rate)
+		} else {
+			s.rate, s.measured = sample, true
 		}
 		s.rateAt, s.rateN = now, n
 	}
-	rate := s.rate
+	rate, measured := s.rate, s.measured
 	s.rateMu.Unlock()
 
-	drain := time.Duration(depth) * time.Millisecond
-	if rate > 0 {
+	var drain time.Duration
+	if measured && depth > 0 {
 		// Cap in seconds, before the conversion: a rate decayed to almost
-		// nothing would overflow a Duration.
+		// nothing, or zero, would overflow a Duration.
 		if secs := float64(depth) / rate; secs < maxRetryHint.Seconds() {
 			drain = time.Duration(secs * float64(time.Second))
 		} else {

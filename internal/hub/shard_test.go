@@ -29,7 +29,9 @@ func refuse(s *shard, now *time.Time, steps, perStep int, step time.Duration) ti
 // of 256 that gives slots back at 3,200/s drains in 80 ms, and the hint
 // says so (the old formula said 258–387 ms); behind a gated sink that
 // gives nothing back, the hint grows toward its one-second cap instead
-// of inviting the sender back at the fast rate.
+// of inviting the sender back at the fast rate. Before the first sample
+// the hint is one commit window, so the sender's next refusal takes
+// that sample; a shard whose samples all read zero hints the cap.
 func TestRetryHintTracksDrainRate(t *testing.T) {
 	const depth = 256
 	window := 2 * time.Millisecond
@@ -51,7 +53,7 @@ func TestRetryHintTracksDrainRate(t *testing.T) {
 
 	s := full()
 	now := time.Unix(1000, 0)
-	within("before any sample", s.retryHint(now, window), window+depth*time.Millisecond, window+depth*time.Millisecond)
+	within("before any sample", s.retryHint(now, window), window, window)
 
 	// Fast sink: 32 slots every 10 ms = 3,200/s, a full drain in 80 ms.
 	hint := refuse(s, &now, 20, 32, 10*time.Millisecond)
@@ -72,11 +74,11 @@ func TestRetryHintTracksDrainRate(t *testing.T) {
 		within("gated sink, rate decayed", refuse(s, &now, 1, 0, 10*time.Millisecond), window+maxRetryHint, window+maxRetryHint)
 	}
 
-	// Gated from the start: no rate was ever measured, so the hint stays
-	// on the per-alert fallback.
+	// Gated from the start: every sample reads zero, which is a measured
+	// rate of nothing, not a missing one, so the hint is the cap.
 	g := full()
 	hint = refuse(g, &now, 10, 0, 10*time.Millisecond)
-	within("gated, never measured", hint, window+depth*time.Millisecond, window+depth*time.Millisecond)
+	within("gated from the start", hint, window+maxRetryHint, window+maxRetryHint)
 }
 
 // TestShardStateTextRoundTrip: every state marshals to its name and

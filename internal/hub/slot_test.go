@@ -45,7 +45,7 @@ func hostModeUsers(t *testing.T, h *Hub, n int, blockTimeout time.Duration) {
 // the second tenant's IM is still sent while the first delivery waits
 // for its ack, and once both wait, the one worker is idle: a parked
 // delivery holds no worker and no in-flight slot, only its Acks entry
-// and wheel node. No two Sends ever overlap.
+// and its armed timeout. No two Sends ever overlap.
 func TestParkedAckWaitHoldsNoWorker(t *testing.T) {
 	const users = 2
 	var sending metrics.Gauge // what the delivery window bounds: channel Sends running at once

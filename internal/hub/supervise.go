@@ -164,7 +164,7 @@ func (h *Hub) Supervise(cfg SuperviseConfig) (*stabilize.Stabilizer, error) {
 		EscalateAfter: -1, // corruption evidence: journal it, never "fix" it with a restart
 		Fn: func() error {
 			if n := poolPoisonHits.Load(); n > 0 {
-				return fmt.Errorf("%d poisoned envelopes mutated while pooled (use-after-recycle)", n)
+				return fmt.Errorf("%d pooled values misused (written after recycling, or recycled with a wait open)", n)
 			}
 			return nil
 		},

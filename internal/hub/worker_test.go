@@ -565,8 +565,8 @@ func TestHubGoroutinesBoundedByWindow(t *testing.T) {
 
 // TestKillWithParkedDeliveriesLeaksNothing kills a hub whose deliveries
 // are all parked — IM ones in ack waits, flat ones in retry backoffs
-// after a failed Send. Kill abandons them: no ack registration, no wheel
-// node and no goroutine is left, and the next incarnation replays each
+// after a failed Send. Kill abandons them: no ack registration, no
+// armed timer and no goroutine is left, and the next incarnation replays each
 // parked alert exactly once.
 func TestKillWithParkedDeliveriesLeaksNothing(t *testing.T) {
 	const users, flatEvery = 64, 4
@@ -595,7 +595,7 @@ func TestKillWithParkedDeliveriesLeaksNothing(t *testing.T) {
 	h.Kill()
 	<-h.Stopped()
 	if p, a := h.Executor().Acks().Pending(), armed(); p != 0 || a != 0 {
-		t.Fatalf("after Kill: %d acks registered, %d wheel nodes armed; want none", p, a)
+		t.Fatalf("after Kill: %d acks registered, %d timers armed; want none", p, a)
 	}
 	settleGoroutines(t, base, "after Kill")
 
@@ -617,5 +617,62 @@ func TestKillWithParkedDeliveriesLeaksNothing(t *testing.T) {
 		if n != 1 {
 			t.Errorf("parked alert %s replayed %d times, want 1", key, n)
 		}
+	}
+}
+
+// TestRecycledChainNodeHoldsNoWait runs rounds of deliveries, under pool
+// poisoning, that park in both waits a chain node holds: a flat
+// tenant's first attempt at each alert fails and waits out a retry
+// backoff, and an IM tenant's delivery waits out its IM ack timeout and
+// falls back to email. Each round's chains end, and the next round's
+// take their recycled nodes. A node recycled with its backoff or its
+// scratch's ack wait still open is a poison hit, since its timer could
+// wake the node's next chain. None may be, and no timer may stay armed
+// once every round is delivered.
+func TestRecycledChainNodeHoldsNoWait(t *testing.T) {
+	const users, flatEvery, rounds = 32, 2, 4
+	poolPoison.Store(true)
+	defer poolPoison.Store(false)
+	hits := poolPoisonHits.Load()
+	var tried sync.Map // flat alerts whose first attempt failed
+	var delivered atomic.Int64
+	h := newTestHub(t, Config{
+		Shards: 2, AckTimeout: 2 * time.Millisecond,
+		Channels: parkingChannels(func(req core.Send) (core.SendResult, error) {
+			if _, again := tried.LoadOrStore(req.User+"/"+req.Alert.ID, true); !again {
+				return core.SendResult{}, errSubstrateDown
+			}
+			return core.SendResult{Confirmed: true}, nil
+		}),
+		onDelivery: func(_ string, _ *core.Report, err error) {
+			if err == nil {
+				delivered.Add(1)
+			}
+		},
+	})
+	hostParkingUsers(t, h, users, flatEvery)
+	if err := h.Start(); err != nil {
+		t.Fatal(err)
+	}
+	for r := range rounds {
+		submitRoundBatched(t, h, users, r)
+		waitCond(t, fmt.Sprintf("round %d to be delivered", r), func() bool { return delivered.Load() == int64(users*(r+1)) })
+	}
+	if got, want := h.Counters().Get("delivery-retries"), int64(rounds*users/flatEvery); got != want {
+		t.Fatalf("%d retries, want %d: one backoff per flat alert", got, want)
+	}
+	if got := h.Stats().DeliveredByChannel[addr.TypeEmail]; got != int64(rounds*(users-users/flatEvery)) {
+		t.Fatalf("%d delivered by email, want every IM tenant's alert after its ack timeout", got)
+	}
+	if err := h.Drain(); err != nil {
+		t.Fatal(err)
+	}
+	for _, sh := range h.shards {
+		if n := sh.current().wheel.Pending(); n != 0 {
+			t.Errorf("shard %d: %d timers armed after every chain ended", sh.id, n)
+		}
+	}
+	if n := poolPoisonHits.Load() - hits; n != 0 {
+		t.Fatalf("%d chain nodes were recycled with a wait still open", n)
 	}
 }

@@ -81,9 +81,9 @@ var (
 const (
 	// DefaultSegmentBytes caps the active segment before rotation.
 	DefaultSegmentBytes = 4 << 20
-	// DefaultSweepEvery is how many processed (tombstoned) records may
+	// defaultSweepEvery is how many processed (tombstoned) records may
 	// accumulate in memory before a sweep retires them.
-	DefaultSweepEvery = 4096
+	defaultSweepEvery = 4096
 )
 
 // Options tune the segmented journal. The zero value gives a 4 MiB
@@ -100,22 +100,23 @@ type Options struct {
 	// last checkpoint. Zero disables background checkpoints
 	// (Checkpoint can still be called explicitly).
 	CheckpointEvery int64
-	// SweepEvery bounds how many processed records stay resident: once
+	// sweepEvery bounds how many processed records stay resident: once
 	// this many tombstones accumulate, a sweep drops them from the
 	// in-memory index (Has/IsProcessed then report false for them —
 	// safe, because a re-received retired alert merely replays into
 	// the downstream timestamp dedup). It now binds replay too, which
-	// keeps only the tail's last D mod SweepEvery DONEs' tombstones.
-	// Zero means DefaultSweepEvery; negative disables sweeping.
-	SweepEvery int
+	// keeps only the tail's last D mod sweepEvery DONEs' tombstones.
+	// Zero means defaultSweepEvery; negative disables sweeping. Only
+	// this package's tests set it.
+	sweepEvery int
 }
 
 func (o Options) withDefaults() Options {
 	if o.SegmentBytes <= 0 {
 		o.SegmentBytes = DefaultSegmentBytes
 	}
-	if o.SweepEvery == 0 {
-		o.SweepEvery = DefaultSweepEvery
+	if o.sweepEvery == 0 {
+		o.sweepEvery = defaultSweepEvery
 	}
 	return o
 }
@@ -405,15 +406,15 @@ func (l *Log) markProcessedLocked(i int) {
 	l.processedLive++
 }
 
-// maybeSweepLocked retires accumulated tombstones once SweepEvery of
+// maybeSweepLocked retires accumulated tombstones once sweepEvery of
 // them are resident, keeping memory O(unprocessed). It compacts order in
 // place, zeroing the vacated tail so no retired key pins its slab, and
 // refills the cleared index: a steady sweep allocates nothing. Only when
-// the kept records and the refill to come (the next sweep is SweepEvery
+// the kept records and the refill to come (the next sweep is sweepEvery
 // records away) need less than a quarter of order's capacity are both
 // reallocated at that size, so memory shrinks back after a spike.
 func (l *Log) maybeSweepLocked() {
-	if l.opts.Log.SweepEvery <= 0 || l.processedLive < l.opts.Log.SweepEvery {
+	if l.opts.Log.sweepEvery <= 0 || l.processedLive < l.opts.Log.sweepEvery {
 		return
 	}
 	kept := l.order[:0]
@@ -424,7 +425,7 @@ func (l *Log) maybeSweepLocked() {
 	}
 	clear(l.order[len(kept):])
 	l.retired += int64(len(l.order) - len(kept))
-	if refill := len(kept) + l.opts.Log.SweepEvery; 4*refill < cap(kept) {
+	if refill := len(kept) + l.opts.Log.sweepEvery; 4*refill < cap(kept) {
 		kept = append(make([]Record, 0, refill), kept...)
 		l.index = make(map[string]int, refill)
 	} else {

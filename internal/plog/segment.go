@@ -127,10 +127,10 @@ func (l *Log) replay() error {
 			return err
 		}
 	}
-	// A live log would still hold the tail's last D mod SweepEvery DONEs.
+	// A live log would still hold the tail's last D mod sweepEvery DONEs.
 	dones, keep := l.replayDone, len(l.replayDone)
-	if l.opts.Log.SweepEvery > 0 {
-		keep %= l.opts.Log.SweepEvery
+	if l.opts.Log.sweepEvery > 0 {
+		keep %= l.opts.Log.sweepEvery
 	}
 	l.replayDone, l.replayKept = dones[:len(dones)-keep], dones[len(dones)-keep:]
 	slices.Sort(l.replayDone)

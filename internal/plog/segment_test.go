@@ -174,7 +174,7 @@ func TestIdleLogRunsOnlyTheCommitter(t *testing.T) {
 // how many alerts have flowed through the log.
 func TestBoundedRecovery(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "bounded.plog")
-	opts := Options{SegmentBytes: 1024, CheckpointEvery: 200, SweepEvery: 64}
+	opts := Options{SegmentBytes: 1024, CheckpointEvery: 200, sweepEvery: 64}
 	l, err := OpenGroup(path, GroupOptions{Log: opts})
 	if err != nil {
 		t.Fatal(err)
@@ -193,8 +193,8 @@ func TestBoundedRecovery(t *testing.T) {
 	if st.Retired == 0 {
 		t.Fatalf("sweep never retired processed records: %+v", st)
 	}
-	if st.Live > 2*opts.SweepEvery+3 {
-		t.Fatalf("resident records = %d, want O(SweepEvery)", st.Live)
+	if st.Live > 2*opts.sweepEvery+3 {
+		t.Fatalf("resident records = %d, want O(sweepEvery)", st.Live)
 	}
 	l.Close()
 
@@ -388,7 +388,7 @@ func TestCheckpointKeepsSeqsAcrossGaps(t *testing.T) {
 
 func TestSweepRetiresProcessed(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "sweep.plog")
-	l, err := OpenGroup(path, GroupOptions{Log: Options{SweepEvery: 8}})
+	l, err := OpenGroup(path, GroupOptions{Log: Options{sweepEvery: 8}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -449,7 +449,7 @@ func TestReplayKeepsResubmissionAfterSweep(t *testing.T) {
 			}
 		}},
 		// k's DONE is the last of five, in a list whose two DONEs pushed
-		// the live log past SweepEvery: replay keeps k as a tombstone, and
+		// the live log past sweepEvery: replay keeps k as a tombstone, and
 		// the resubmission may commit ahead of that DONE list.
 		{"Tombstone", func(t *testing.T, l *Log) {
 			for _, key := range []string{"a", "b", "c"} {
@@ -459,7 +459,7 @@ func TestReplayKeepsResubmissionAfterSweep(t *testing.T) {
 		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			opts := GroupOptions{Log: Options{SweepEvery: sweep}}
+			opts := GroupOptions{Log: Options{sweepEvery: sweep}}
 			path := filepath.Join(t.TempDir(), "resubmit.plog")
 			l, err := OpenGroup(path, opts)
 			if err != nil {
@@ -504,8 +504,8 @@ func TestReplayKeepsResubmissionAfterSweep(t *testing.T) {
 
 // TestReopenResidency pins what replay keeps resident, with no
 // checkpoint: the unprocessed records, and as tombstones only those the
-// tail's last D mod SweepEvery DONEs name — what a live log marking one
-// record at a time holds, so a tail of fewer than SweepEvery DONEs, or a
+// tail's last D mod sweepEvery DONEs name — what a live log marking one
+// record at a time holds, so a tail of fewer than sweepEvery DONEs, or a
 // log that never sweeps, keeps every tombstone.
 func TestReopenResidency(t *testing.T) {
 	const sweep, unprocessed = 8, 3
@@ -519,7 +519,7 @@ func TestReopenResidency(t *testing.T) {
 		{"SweepOff", -1, 3*sweep + 5, 3*sweep + 5},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			opts := GroupOptions{Log: Options{SweepEvery: tc.sweepEvery}}
+			opts := GroupOptions{Log: Options{sweepEvery: tc.sweepEvery}}
 			path := filepath.Join(t.TempDir(), "residency.plog")
 			l, err := OpenGroup(path, opts)
 			if err != nil {

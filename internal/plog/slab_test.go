@@ -100,7 +100,7 @@ func TestStageRecvAllocsPerBurst(t *testing.T) {
 // once a thousand later bursts have filled and replaced arena chunks.
 func TestPayloadSlabOwnership(t *testing.T) {
 	const n = 16
-	l := openGroupTemp(t, GroupOptions{Log: Options{SweepEvery: n - 1}})
+	l := openGroupTemp(t, GroupOptions{Log: Options{sweepEvery: n - 1}})
 	entries, keys := slabBurst(0, n)
 	want := make([][]byte, n)
 	for i := range entries {
@@ -170,7 +170,7 @@ func TestPayloadSlabOwnership(t *testing.T) {
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
-	l2, err := OpenGroup(path, GroupOptions{Log: Options{SweepEvery: n - 1}})
+	l2, err := OpenGroup(path, GroupOptions{Log: Options{sweepEvery: n - 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,7 +183,7 @@ func TestPayloadSlabOwnership(t *testing.T) {
 	l2.mu.Unlock()
 
 	// Replay holds what the live log held: its n-1 DONEs are a multiple
-	// of SweepEvery, so no tombstone — the run-mates are counted retired,
+	// of sweepEvery, so no tombstone — the run-mates are counted retired,
 	// never indexed.
 	if st := l2.Stats(); st.Live != 1 || st.Retired != n-1 {
 		t.Fatalf("after the reopen: live %d, retired %d; want 1, %d", st.Live, st.Retired, n-1)

@@ -14,22 +14,25 @@ type wakeFunc func()
 
 func (f wakeFunc) Wake() { f() }
 
-// probe is a wait armed with Arm whose Waker signals c — the tests'
-// view of a fire.
+// probe is a wait that owns its Timer and is its own Waker, as the
+// hub's waits are; a fire signals c — the tests' view of a fire.
 type probe struct {
-	*Timer
+	Timer
 	c chan struct{}
 }
 
+func (p *probe) Wake() { p.c <- struct{}{} }
+
 // arm arms a probe d from now.
-func arm(w *Wheel, d time.Duration) probe {
-	c := make(chan struct{}, 1)
-	return probe{w.Arm(d, wakeFunc(func() { c <- struct{}{} })), c}
+func arm(w *Wheel, d time.Duration) *probe {
+	p := &probe{c: make(chan struct{}, 1)}
+	w.Arm(&p.Timer, d, p)
+	return p
 }
 
 // fired reports whether the probe has a fire waiting right now — the
 // check for "must NOT have fired".
-func fired(p probe) bool {
+func fired(p *probe) bool {
 	select {
 	case <-p.c:
 		return true
@@ -45,7 +48,7 @@ func fired(p probe) bool {
 // takes the wheel lock once (Pending), so the driver pass that ran the
 // fire has re-armed for the next deadline before the caller advances
 // the clock again.
-func waitFired(w *Wheel, p probe) bool {
+func waitFired(w *Wheel, p *probe) bool {
 	select {
 	case <-p.c:
 		w.Pending()
@@ -59,7 +62,7 @@ func TestWheelFiresAtExactSimDeadline(t *testing.T) {
 	sim := clock.NewSim(time.Time{})
 	w := New(sim, Options{})
 	tm := arm(w, 50*time.Millisecond)
-	defer w.Release(tm.Timer)
+	defer w.Release(&tm.Timer)
 
 	sim.Advance(49 * time.Millisecond)
 	if fired(tm) {
@@ -76,9 +79,9 @@ func TestWheelFiresAtExactSimDeadline(t *testing.T) {
 
 func TestWheelMultiplexesManyDeadlines(t *testing.T) {
 	sim := clock.NewSim(time.Time{})
-	w := New(sim, Options{Slots: 8})
+	w := New(sim, Options{})
 	const n = 100
-	timers := make([]probe, n)
+	timers := make([]*probe, n)
 	for i := range timers {
 		timers[i] = arm(w, time.Duration(i+1)*time.Millisecond)
 	}
@@ -98,18 +101,18 @@ func TestWheelMultiplexesManyDeadlines(t *testing.T) {
 		}
 	}
 	for _, tm := range timers {
-		w.Release(tm.Timer)
+		w.Release(&tm.Timer)
 	}
 	if got := w.Pending(); got != 0 {
 		t.Fatalf("pending = %d after all fires, want 0", got)
 	}
 }
 
-func TestWheelReleaseCancelsAndRecycles(t *testing.T) {
+func TestWheelReleaseCancels(t *testing.T) {
 	sim := clock.NewSim(time.Time{})
 	w := New(sim, Options{})
 	tm := arm(w, 10*time.Millisecond)
-	w.Release(tm.Timer)
+	w.Release(&tm.Timer)
 	if got := w.Pending(); got != 0 {
 		t.Fatalf("pending = %d after release, want 0", got)
 	}
@@ -117,20 +120,51 @@ func TestWheelReleaseCancelsAndRecycles(t *testing.T) {
 	if fired(tm) {
 		t.Fatal("released timer still fired")
 	}
-	// The node is recycled: the next Arm reuses it, and its fire
-	// runs the new callback, never the released one.
-	tm2 := arm(w, 5*time.Millisecond)
-	if tm2.Timer != tm.Timer {
-		t.Fatal("expected the released node to be recycled")
-	}
-	sim.Advance(5 * time.Millisecond)
-	if !waitFired(w, tm2) {
-		t.Fatal("recycled node did not fire")
-	}
+	// A released Timer arms again, and fires at its new deadline only.
+	w.Arm(&tm.Timer, 5*time.Millisecond, tm)
+	sim.Advance(4 * time.Millisecond)
 	if fired(tm) {
-		t.Fatal("recycled node ran its released callback")
+		t.Fatal("re-armed timer fired early")
 	}
-	w.Release(tm2.Timer)
+	sim.Advance(time.Millisecond)
+	if !waitFired(w, tm) {
+		t.Fatal("re-armed timer did not fire")
+	}
+	// Releasing a fired Timer does nothing, and it arms again too.
+	w.Release(&tm.Timer)
+	w.Arm(&tm.Timer, time.Millisecond, tm)
+	sim.Advance(time.Millisecond)
+	if !waitFired(w, tm) {
+		t.Fatal("timer re-armed after its fire did not fire")
+	}
+	if got := w.Pending(); got != 0 {
+		t.Fatalf("pending = %d after the fires, want 0", got)
+	}
+}
+
+// TestWheelArmOfArmedTimerPanics: a Timer is armed once at a time, and
+// the wheel is still usable after the refused Arm.
+func TestWheelArmOfArmedTimerPanics(t *testing.T) {
+	sim := clock.NewSim(time.Time{})
+	w := New(sim, Options{})
+	tm := arm(w, time.Second)
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("Arm of an armed Timer did not panic")
+			}
+		}()
+		w.Arm(&tm.Timer, time.Millisecond, tm)
+	}()
+	if got := w.Pending(); got != 1 {
+		t.Fatalf("pending = %d after the refused Arm, want 1", got)
+	}
+	w.Release(&tm.Timer)
+	w.Arm(&tm.Timer, time.Millisecond, tm)
+	sim.Advance(time.Millisecond)
+	if !waitFired(w, tm) {
+		t.Fatal("timer re-armed after the refused Arm did not fire")
+	}
 }
 
 func TestWheelImmediateFire(t *testing.T) {
@@ -140,36 +174,19 @@ func TestWheelImmediateFire(t *testing.T) {
 	if !fired(tm) {
 		t.Fatal("Arm(0) did not fire immediately")
 	}
-	w.Release(tm.Timer)
+	w.Release(&tm.Timer)
 	tm = arm(w, -time.Second)
 	if !fired(tm) {
 		t.Fatal("Arm(<0) did not fire immediately")
 	}
-	w.Release(tm.Timer)
+	w.Release(&tm.Timer)
 }
 
-func TestWheelPoisonScribblesOnRelease(t *testing.T) {
-	sim := clock.NewSim(time.Time{})
-	w := New(sim, Options{Poison: true})
-	tm := arm(w, time.Millisecond)
-	w.Release(tm.Timer)
-	if tm.when.Unix() != -1<<40 {
-		t.Fatalf("poisoned node's deadline = %v, want the poison sentinel", tm.when)
-	}
-	// Recycling must still produce a working timer.
-	tm2 := arm(w, time.Millisecond)
-	sim.Advance(time.Millisecond)
-	if !waitFired(w, tm2) {
-		t.Fatal("recycled poisoned node did not fire")
-	}
-	w.Release(tm2.Timer)
-}
-
-// TestWheelSteadyStateAllocs pins the arm/release cycle at zero
-// allocations once the node pool and driver are warm, and a fresh node
-// at one: the node alone, no channel or closure beside it. Runs on the
-// real clock: the simulated clock allocates a heap event per re-arm by
-// design.
+// TestWheelSteadyStateAllocs pins the arm/release cycle and an
+// immediate fire at zero allocations once the driver is warm: the
+// Timer is the caller's, and no channel or closure sits beside it. Runs
+// on the real clock: the simulated clock allocates a heap event per
+// re-arm by design.
 func TestWheelSteadyStateAllocs(t *testing.T) {
 	if race.Enabled {
 		t.Skip("allocation counts are not stable under -race")
@@ -177,22 +194,21 @@ func TestWheelSteadyStateAllocs(t *testing.T) {
 	w := New(clock.Real{}, Options{})
 	fires := 0
 	fn := wakeFunc(func() { fires++ })
-	// Warm up: allocate the node and the driver.
-	w.Release(w.Arm(time.Hour, fn))
+	var tm Timer
+	// Warm up: allocate the driver.
+	w.Arm(&tm, time.Hour, fn)
+	w.Release(&tm)
 	if n := testing.AllocsPerRun(200, func() {
-		w.Release(w.Arm(time.Hour, fn))
+		w.Arm(&tm, time.Hour, fn)
+		w.Release(&tm)
 	}); n != 0 {
 		t.Fatalf("arm/release allocates %.1f per run, want 0", n)
 	}
 	if n := testing.AllocsPerRun(200, func() {
-		w.Release(w.Arm(0, fn))
+		w.Arm(&tm, 0, fn)
+		w.Release(&tm)
 	}); n != 0 || fires != 201 {
 		t.Fatalf("immediate fire allocates %.1f per run and ran %d callbacks, want 0 and 201", n, fires)
-	}
-	if n := testing.AllocsPerRun(200, func() {
-		w.Arm(time.Hour, fn) // never released: each arm takes a fresh node
-	}); n != 1 {
-		t.Fatalf("a fresh node costs %.1f allocations, want 1", n)
 	}
 }
 
@@ -200,28 +216,27 @@ func TestWheelSteadyStateAllocs(t *testing.T) {
 // short real-clock deadlines; run under -race this is the wheel's data
 // race gate.
 func TestWheelConcurrent(t *testing.T) {
-	w := New(clock.Real{}, Options{Slots: 16, Poison: true})
+	w := New(clock.Real{}, Options{})
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			c := make(chan struct{}, 1)
-			fn := wakeFunc(func() { c <- struct{}{} })
+			p := &probe{c: make(chan struct{}, 1)}
 			for i := 0; i < 200; i++ {
-				tm := w.Arm(time.Duration(i%7)*100*time.Microsecond, fn)
+				w.Arm(&p.Timer, time.Duration(i%7)*100*time.Microsecond, p)
 				if i%3 == 0 {
 					// Abandon some waits without consuming the fire; once
 					// Release returns the fire has run or never will.
-					w.Release(tm)
+					w.Release(&p.Timer)
 					select {
-					case <-c:
+					case <-p.c:
 					default:
 					}
 					continue
 				}
-				<-c
-				w.Release(tm)
+				<-p.c
+				w.Release(&p.Timer)
 			}
 		}(g)
 	}
